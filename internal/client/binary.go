@@ -8,8 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"entangled/internal/api"
-	"entangled/internal/eq"
 	"entangled/internal/wire"
 )
 
@@ -133,24 +131,28 @@ func (t *binaryTransport) keepAlive(want func() bool) {
 
 // call runs one request: service errors become the same typed *Error
 // the HTTP transport produces, transport errors stay as-is (IsRetryable
-// classifies them), and dec (when non-nil) reads the success payload.
-func (t *binaryTransport) call(ctx context.Context, kind wire.Kind, enc func(*wire.Enc), dec func(status int, d *wire.Dec)) error {
+// classifies them) and name the operation that failed — never the
+// tenant envelope it travelled in.
+func (t *binaryTransport) call(ctx context.Context, rq request) error {
+	kind := rq.kind()
+	if kind == 0 {
+		return fmt.Errorf("client: the %s endpoint is served over HTTP only", rq.name())
+	}
 	cc, err := t.live()
 	if err != nil {
 		return err
 	}
+	outer, enc := kind, rq.encode
 	if t.tenant != "" {
-		inner, innerKind := enc, kind
-		kind = wire.KindTenant
+		inner := enc
+		outer = wire.KindTenant
 		enc = func(e *wire.Enc) {
 			e.String(t.tenant)
-			e.Byte(byte(innerKind))
-			if inner != nil {
-				inner(e)
-			}
+			e.Byte(byte(kind))
+			inner(e)
 		}
 	}
-	status, body, err := cc.Call(ctx, kind, enc)
+	_, body, err := cc.Call(ctx, outer, enc)
 	if err != nil {
 		var re *wire.ReplyError
 		if errors.As(err, &re) {
@@ -159,85 +161,12 @@ func (t *binaryTransport) call(ctx context.Context, kind wire.Kind, enc func(*wi
 		}
 		return fmt.Errorf("client: %v call: %w", kind, err)
 	}
-	if dec == nil {
-		return nil
-	}
 	d := wire.NewDec(body)
-	dec(status, d)
+	rq.decode(d)
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("client: decoding %v reply: %w", kind, err)
 	}
 	return nil
-}
-
-func (t *binaryTransport) coordinate(ctx context.Context, reqs []api.Request) ([]api.Response, error) {
-	var out []api.Response
-	err := t.call(ctx, wire.KindCoordinate, wire.CoordinateReq{Requests: reqs}.Encode,
-		func(_ int, d *wire.Dec) { out = wire.GetResponses(d) })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (t *binaryTransport) createSession(ctx context.Context, id string, parkUnsafe bool) (string, error) {
-	var name string
-	err := t.call(ctx, wire.KindCreateSession, wire.CreateSessionReq{ID: id, ParkUnsafe: parkUnsafe}.Encode,
-		func(_ int, d *wire.Dec) { name = d.String() })
-	if err != nil {
-		return "", err
-	}
-	return name, nil
-}
-
-func (t *binaryTransport) join(ctx context.Context, session string, q eq.Query) (api.Update, error) {
-	var up api.Update
-	err := t.call(ctx, wire.KindJoin, wire.JoinReq{Session: session, Query: q}.Encode,
-		func(_ int, d *wire.Dec) { up = wire.GetUpdate(d) })
-	return up, err
-}
-
-func (t *binaryTransport) leave(ctx context.Context, session, queryID string) (api.Update, error) {
-	var up api.Update
-	err := t.call(ctx, wire.KindLeave, wire.LeaveReq{Session: session, QueryID: queryID}.Encode,
-		func(_ int, d *wire.Dec) { up = wire.GetUpdate(d) })
-	return up, err
-}
-
-func (t *binaryTransport) status(ctx context.Context, session string, trace bool) (*api.SessionStatus, error) {
-	var st api.SessionStatus
-	err := t.call(ctx, wire.KindStatus, wire.StatusReq{Session: session, Trace: trace}.Encode,
-		func(_ int, d *wire.Dec) { st = wire.GetSessionStatus(d) })
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-func (t *binaryTransport) deleteSession(ctx context.Context, session string) error {
-	return t.call(ctx, wire.KindDeleteSession, wire.SessionReq{Session: session}.Encode, nil)
-}
-
-func (t *binaryTransport) health(ctx context.Context) (*api.Health, error) {
-	var h api.Health
-	err := t.call(ctx, wire.KindHealth, nil,
-		func(_ int, d *wire.Dec) { h = wire.GetHealth(d) })
-	if err != nil {
-		return nil, err
-	}
-	return &h, nil
-}
-
-func (t *binaryTransport) recovery(context.Context) (*api.RecoveryStatus, error) {
-	return nil, fmt.Errorf("client: the recovery endpoint is served over HTTP only")
-}
-
-func (t *binaryTransport) metrics(context.Context) (*api.Metrics, error) {
-	return nil, fmt.Errorf("client: the metrics endpoint is served over HTTP only")
-}
-
-func (t *binaryTransport) tenants(context.Context) (*api.TenantsStatus, error) {
-	return nil, fmt.Errorf("client: the tenants endpoint is served over HTTP only")
 }
 
 func (t *binaryTransport) subscribe(ctx context.Context, session string, fn func(Notification)) (func(), error) {
@@ -262,7 +191,7 @@ func (t *binaryTransport) subscribe(ctx context.Context, session string, fn func
 	// Issue the subscribe on the live connection now, so an unknown
 	// session surfaces as a typed error instead of a silent no-op (the
 	// keeper re-issues it after any later reconnect).
-	if err := t.call(ctx, wire.KindSubscribe, wire.SessionReq{Session: session}.Encode, nil); err != nil {
+	if _, err := invoke(ctx, t, subscribeOp, wire.SessionReq{Session: session}); err != nil {
 		stop()
 		return nil, err
 	}

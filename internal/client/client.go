@@ -1,17 +1,3 @@
-// Package client is the typed Go client for the coordination service:
-// one API over interchangeable transports. An "http://" or
-// "https://" base URL speaks the HTTP/JSON protocol; a "tcp://" (or
-// "binary://") base URL speaks the binary wire protocol
-// (internal/wire) over one persistent pipelined connection, which also
-// carries server-push notifications for parked arrivals. A
-// "cluster://host:port" base URL treats the address as a seed node of
-// a coordserve cluster: the client fetches the membership from
-// /v1/cluster, rebuilds the consistent-hash ring locally, and routes
-// every call straight to the owning node over one pooled binary
-// connection per node — refreshing the ring and re-routing once when
-// a node answers route_moved. All transports decode to the same
-// internal/api DTOs and produce the same typed *Error values, so
-// callers switch protocols by changing the URL and nothing else.
 package client
 
 import (
@@ -69,20 +55,12 @@ type Notification struct {
 	Seq     int
 }
 
-// transport is one wire protocol speaking the service's API. Both
+// transport is one wire protocol speaking the service's API. Every
+// operation goes through call, described by its op (ops.go); all
 // implementations return identical DTOs and identical typed errors for
 // the same server state.
 type transport interface {
-	coordinate(ctx context.Context, reqs []api.Request) ([]api.Response, error)
-	createSession(ctx context.Context, id string, parkUnsafe bool) (string, error)
-	join(ctx context.Context, session string, q eq.Query) (api.Update, error)
-	leave(ctx context.Context, session, queryID string) (api.Update, error)
-	status(ctx context.Context, session string, trace bool) (*api.SessionStatus, error)
-	deleteSession(ctx context.Context, session string) error
-	health(ctx context.Context) (*api.Health, error)
-	recovery(ctx context.Context) (*api.RecoveryStatus, error)
-	metrics(ctx context.Context) (*api.Metrics, error)
-	tenants(ctx context.Context) (*api.TenantsStatus, error)
+	call(ctx context.Context, rq request) error
 	subscribe(ctx context.Context, session string, fn func(Notification)) (func(), error)
 	close() error
 }
@@ -152,10 +130,11 @@ type Response struct {
 // Per-request failures come back in the matching Response.Err; the
 // returned error covers transport and envelope failures only.
 func (c *Client) CoordinateBatch(ctx context.Context, reqs []Request) ([]Response, error) {
-	resps, err := c.t.coordinate(ctx, reqs)
+	rep, err := invoke(ctx, c.t, coordinateOp, wire.CoordinateReq{Requests: reqs})
 	if err != nil {
 		return nil, err
 	}
+	resps := rep.Responses
 	if len(resps) != len(reqs) {
 		return nil, fmt.Errorf("client: %d responses for %d requests", len(resps), len(reqs))
 	}
@@ -201,11 +180,11 @@ type Session struct {
 // asks the server to pick a name; parkUnsafe selects park-and-retry
 // admission for unsafe arrivals.
 func (c *Client) CreateSession(ctx context.Context, id string, parkUnsafe bool) (*Session, error) {
-	name, err := c.t.createSession(ctx, id, parkUnsafe)
+	rep, err := invoke(ctx, c.t, createOp, wire.CreateSessionReq{ID: id, ParkUnsafe: parkUnsafe})
 	if err != nil {
 		return nil, err
 	}
-	return &Session{c: c, ID: name}, nil
+	return &Session{c: c, ID: rep.ID}, nil
 }
 
 // Session returns a handle on an existing session by name, without a
@@ -217,25 +196,26 @@ func (c *Client) Session(id string) *Session { return &Session{c: c, ID: id} }
 // returns a typed error for which errors.Is(err,
 // coord.ErrUnsafeArrival) holds.
 func (s *Session) Join(ctx context.Context, q eq.Query) (api.Update, error) {
-	return s.c.t.join(ctx, s.ID, q)
+	return invoke(ctx, s.c.t, joinOp, wire.JoinReq{Session: s.ID, Query: q})
 }
 
 // Leave departs the live query with the given query ID.
 func (s *Session) Leave(ctx context.Context, queryID string) (api.Update, error) {
-	return s.c.t.leave(ctx, s.ID, queryID)
+	return invoke(ctx, s.c.t, leaveOp, wire.LeaveReq{Session: s.ID, QueryID: queryID})
 }
 
 // Status reads the session's current state; includeTrace asks for the
 // full coordination trace (the one a traced batch run over the live
 // queries would produce).
 func (s *Session) Status(ctx context.Context, includeTrace bool) (*api.SessionStatus, error) {
-	return s.c.t.status(ctx, s.ID, includeTrace)
+	return read(ctx, s.c.t, statusOp, wire.StatusReq{Session: s.ID, Trace: includeTrace})
 }
 
 // Close deletes the session from the registry; its goroutine drains
 // and exits.
 func (s *Session) Close(ctx context.Context) error {
-	return s.c.t.deleteSession(ctx, s.ID)
+	_, err := invoke(ctx, s.c.t, deleteOp, wire.SessionReq{Session: s.ID})
+	return err
 }
 
 // Subscribe registers fn for this session's push notifications: each
@@ -254,26 +234,26 @@ func (s *Session) Subscribe(ctx context.Context, fn func(Notification)) (func(),
 // with Status "draining" (the work endpoints are the ones that
 // reject).
 func (c *Client) Health(ctx context.Context) (*api.Health, error) {
-	return c.t.health(ctx)
+	return read(ctx, c.t, healthOp, none{})
 }
 
 // Recovery reads /v1/recovery: what the server replayed from its
 // durable backend at startup. Enabled is false for an in-memory
 // server. HTTP only.
 func (c *Client) Recovery(ctx context.Context) (*api.RecoveryStatus, error) {
-	return c.t.recovery(ctx)
+	return read(ctx, c.t, recoveryOp, none{})
 }
 
 // Metrics reads /metrics. HTTP only.
 func (c *Client) Metrics(ctx context.Context) (*api.Metrics, error) {
-	return c.t.metrics(ctx)
+	return read(ctx, c.t, metricsOp, none{})
 }
 
 // Tenants reads /v1/tenants: every tenant's effective admission policy
 // and live accounting (enabled=false when the server runs without
 // admission). HTTP only.
 func (c *Client) Tenants(ctx context.Context) (*api.TenantsStatus, error) {
-	return c.t.tenants(ctx)
+	return read(ctx, c.t, tenantsOp, none{})
 }
 
 // IsRetryable reports whether an error may succeed on retry: a

@@ -10,7 +10,6 @@ import (
 
 	"entangled/internal/api"
 	"entangled/internal/cluster"
-	"entangled/internal/eq"
 	"entangled/internal/wire"
 )
 
@@ -85,8 +84,7 @@ func (t *clusterTransport) refresh(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		var cs api.ClusterStatus
-		err = bt.call(ctx, wire.KindCluster, nil, func(_ int, d *wire.Dec) { cs = wire.GetClusterStatus(d) })
+		cs, err := invoke(ctx, bt, clusterOp, none{})
 		if err != nil {
 			lastErr = err
 			continue
@@ -144,6 +142,32 @@ func (t *clusterTransport) connForNode(ctx context.Context, node string) (*binar
 	return t.connFor(addr)
 }
 
+// call routes one operation: a session-scoped call goes to the
+// session's owner, a batch scatters by placement, and anything else
+// (an auto-named create, health, the cluster view) is served by the
+// first node that answers.
+func (t *clusterTransport) call(ctx context.Context, rq request) error {
+	if batch, ok := rq.(*bound[wire.CoordinateReq, api.CoordinateResponse]); ok {
+		return t.scatter(ctx, batch)
+	}
+	if key := rq.key(); key != "" {
+		return t.sessionCall(ctx, key, func(bt *binaryTransport) error { return bt.call(ctx, rq) })
+	}
+	var lastErr error
+	for _, addr := range t.knownAddrs() {
+		bt, err := t.connFor(addr)
+		if err != nil {
+			return err
+		}
+		lastErr = bt.call(ctx, rq)
+		var e *Error
+		if lastErr == nil || errors.As(lastErr, &e) {
+			return lastErr // served, or refused in a way every node would repeat
+		}
+	}
+	return lastErr
+}
+
 // sessionCall routes one session-scoped call to the session's owner,
 // and on a route_moved reply (this client's ring was stale) refreshes
 // the ring and retries exactly once against the owner the server
@@ -180,166 +204,38 @@ func (t *clusterTransport) sessionCall(ctx context.Context, session string, fn f
 	return err
 }
 
-func (t *clusterTransport) coordinate(ctx context.Context, reqs []api.Request) ([]api.Response, error) {
+// scatter partitions a batch by owner exactly as the servers do
+// (cluster.Scatter); a request with no single owner can be served (and,
+// server-side, scatter-gathered) by any node, so those spread by
+// request ID.
+func (t *clusterTransport) scatter(ctx context.Context, batch *bound[wire.CoordinateReq, api.CoordinateResponse]) error {
 	ring, placement, addrs, err := t.view(ctx)
 	if err != nil {
-		return nil, err
-	}
-	// Partition by owner exactly as the servers do; a request with no
-	// single owner can be served (and, server-side, scatter-gathered)
-	// by any node, so spread those by request ID.
-	groups := map[string][]int{}
-	for i, rq := range reqs {
-		node, ok := cluster.OwnerOfQueries(ring, placement, rq.Queries)
-		if !ok {
-			node = ring.Owner(rq.ID)
-		}
-		groups[node] = append(groups[node], i)
-	}
-	out := make([]api.Response, len(reqs))
-	var wg sync.WaitGroup
-	for node, idxs := range groups {
-		sub := make([]api.Request, len(idxs))
-		for j, i := range idxs {
-			sub[j] = reqs[i]
-		}
-		wg.Add(1)
-		go func(node string, idxs []int, sub []api.Request) {
-			defer wg.Done()
-			fail := func(err error) {
-				we := &api.Error{Code: api.CodePeerUnavailable,
-					Message: fmt.Sprintf("cluster: node %s (%s) unreachable: %v", node, addrs[node], err)}
-				var e *Error
-				if errors.As(err, &e) {
-					we = &api.Error{Code: e.Code, Message: e.Message, Owner: e.Owner,
-						RetryAfterMS: int64(e.RetryAfter / time.Millisecond)}
-				}
-				for _, i := range idxs {
-					out[i] = api.Response{ID: reqs[i].ID, Error: we}
-				}
-			}
-			bt, err := t.connFor(addrs[node])
-			if err != nil {
-				fail(err)
-				return
-			}
-			resps, err := bt.coordinate(ctx, sub)
-			if err != nil || len(resps) != len(sub) {
-				if err == nil {
-					err = fmt.Errorf("%d responses for %d requests", len(resps), len(sub))
-				}
-				fail(err)
-				return
-			}
-			for j, i := range idxs {
-				out[i] = resps[j]
-			}
-		}(node, idxs, sub)
-	}
-	wg.Wait()
-	return out, nil
-}
-
-func (t *clusterTransport) createSession(ctx context.Context, id string, parkUnsafe bool) (string, error) {
-	if id == "" {
-		// The serving node generates a name it owns, so the new session
-		// starts life correctly placed; route to any live node.
-		ring, _, _, err := t.view(ctx)
-		if err != nil {
-			return "", err
-		}
-		var name string
-		nodes := ring.Nodes()
-		var lastErr error
-		for _, node := range nodes {
-			bt, err := t.connForNode(ctx, node)
-			if err != nil {
-				return "", err
-			}
-			name, err = bt.createSession(ctx, id, parkUnsafe)
-			if err == nil {
-				return name, nil
-			}
-			lastErr = err
-			var e *Error
-			if errors.As(err, &e) {
-				return "", err // service-level: another node would say the same
-			}
-		}
-		return "", lastErr
-	}
-	var name string
-	err := t.sessionCall(ctx, id, func(bt *binaryTransport) error {
-		var err error
-		name, err = bt.createSession(ctx, id, parkUnsafe)
 		return err
-	})
-	return name, err
-}
-
-func (t *clusterTransport) join(ctx context.Context, session string, q eq.Query) (api.Update, error) {
-	var up api.Update
-	err := t.sessionCall(ctx, session, func(bt *binaryTransport) error {
-		var err error
-		up, err = bt.join(ctx, session, q)
-		return err
-	})
-	return up, err
-}
-
-func (t *clusterTransport) leave(ctx context.Context, session, queryID string) (api.Update, error) {
-	var up api.Update
-	err := t.sessionCall(ctx, session, func(bt *binaryTransport) error {
-		var err error
-		up, err = bt.leave(ctx, session, queryID)
-		return err
-	})
-	return up, err
-}
-
-func (t *clusterTransport) status(ctx context.Context, session string, trace bool) (*api.SessionStatus, error) {
-	var st *api.SessionStatus
-	err := t.sessionCall(ctx, session, func(bt *binaryTransport) error {
-		var err error
-		st, err = bt.status(ctx, session, trace)
-		return err
-	})
-	return st, err
-}
-
-func (t *clusterTransport) deleteSession(ctx context.Context, session string) error {
-	return t.sessionCall(ctx, session, func(bt *binaryTransport) error {
-		return bt.deleteSession(ctx, session)
-	})
-}
-
-func (t *clusterTransport) health(ctx context.Context) (*api.Health, error) {
-	// Health is a per-node surface; report the first reachable node's.
-	var lastErr error
-	for _, addr := range t.knownAddrs() {
-		bt, err := t.connFor(addr)
-		if err != nil {
-			return nil, err
+	}
+	batch.r.Responses, _ = cluster.Scatter(batch.q.Requests, func(rq api.Request) string {
+		if node, ok := cluster.OwnerOfQueries(ring, placement, rq.Queries); ok {
+			return node
 		}
-		h, err := bt.health(ctx)
+		return ring.Owner(rq.ID)
+	}, func(node string, sub []api.Request) ([]api.Response, *api.Error) {
+		bt, err := t.connFor(addrs[node])
+		var rep api.CoordinateResponse
 		if err == nil {
-			return h, nil
+			rep, err = invoke(ctx, bt, coordinateOp, wire.CoordinateReq{Requests: sub})
 		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-func (t *clusterTransport) recovery(context.Context) (*api.RecoveryStatus, error) {
-	return nil, fmt.Errorf("client: the recovery endpoint is served over HTTP only")
-}
-
-func (t *clusterTransport) metrics(context.Context) (*api.Metrics, error) {
-	return nil, fmt.Errorf("client: the metrics endpoint is served over HTTP only")
-}
-
-func (t *clusterTransport) tenants(context.Context) (*api.TenantsStatus, error) {
-	return nil, fmt.Errorf("client: the tenants endpoint is served over HTTP only")
+		var e *Error
+		switch {
+		case err == nil:
+			return rep.Responses, nil
+		case errors.As(err, &e):
+			return nil, &api.Error{Code: e.Code, Message: e.Message, Owner: e.Owner,
+				RetryAfterMS: int64(e.RetryAfter / time.Millisecond)}
+		}
+		return nil, &api.Error{Code: api.CodePeerUnavailable,
+			Message: fmt.Sprintf("cluster: node %s (%s) unreachable: %v", node, addrs[node], err)}
+	})
+	return nil
 }
 
 func (t *clusterTransport) subscribe(ctx context.Context, session string, fn func(Notification)) (func(), error) {

@@ -1,6 +1,24 @@
 // Package client is the typed Go client for the coordination service
 // (internal/server): batch coordination, streaming sessions, and the
-// operational surface, over the wire format defined in internal/api.
+// operational surface — one API over interchangeable transports. An
+// "http://" or "https://" base URL speaks the HTTP/JSON protocol; a
+// "tcp://" (or "binary://") base URL speaks the binary wire protocol
+// (internal/wire) over one persistent pipelined connection, which also
+// carries server-push notifications for parked arrivals; a
+// "cluster://host:port" base URL treats the address as a seed node of
+// a coordserve cluster, rebuilds the consistent-hash ring locally from
+// /v1/cluster, and routes every call straight to the owning node —
+// refreshing the ring and re-routing once when a node answers
+// route_moved. Callers switch protocols by changing the URL and
+// nothing else.
+//
+// Each operation is described once, by an op descriptor in ops.go that
+// mirrors the server's operation table: binary kind, HTTP verb and
+// path, JSON body, binary reply decoder, routing key. The transport
+// interface is three methods (call, subscribe, close); every transport
+// serves every operation generically from its descriptor, so all of
+// them decode the same internal/api DTOs and produce the same typed
+// *Error values.
 //
 // Errors reconstruct the service's stable codes as typed values:
 // errors.Is(err, coord.ErrUnsafeArrival), errors.Is(err,

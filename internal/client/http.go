@@ -7,12 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 
 	"entangled/internal/api"
-	"entangled/internal/eq"
 )
 
 // httpTransport speaks the HTTP/JSON protocol.
@@ -76,84 +74,12 @@ func (t *httpTransport) do(ctx context.Context, method, path string, in, out any
 	return nil
 }
 
-func (t *httpTransport) coordinate(ctx context.Context, reqs []api.Request) ([]api.Response, error) {
-	var resp api.CoordinateResponse
-	if err := t.do(ctx, http.MethodPost, "/v1/coordinate", api.CoordinateRequest{Requests: reqs}, &resp); err != nil {
-		return nil, err
+func (t *httpTransport) call(ctx context.Context, rq request) error {
+	method, path, in, out := rq.http()
+	if method == "" {
+		return fmt.Errorf("client: %s requires the binary protocol (tcp:// base URL)", rq.name())
 	}
-	return resp.Responses, nil
-}
-
-func (t *httpTransport) createSession(ctx context.Context, id string, parkUnsafe bool) (string, error) {
-	var resp api.CreateSessionResponse
-	err := t.do(ctx, http.MethodPost, "/v1/sessions",
-		api.CreateSessionRequest{ID: id, ParkUnsafe: parkUnsafe}, &resp)
-	if err != nil {
-		return "", err
-	}
-	return resp.ID, nil
-}
-
-func (t *httpTransport) join(ctx context.Context, session string, q eq.Query) (api.Update, error) {
-	var up api.Update
-	err := t.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(session)+"/join",
-		api.JoinRequest{Query: q}, &up)
-	return up, err
-}
-
-func (t *httpTransport) leave(ctx context.Context, session, queryID string) (api.Update, error) {
-	var up api.Update
-	err := t.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(session)+"/leave",
-		api.LeaveRequest{ID: queryID}, &up)
-	return up, err
-}
-
-func (t *httpTransport) status(ctx context.Context, session string, trace bool) (*api.SessionStatus, error) {
-	path := "/v1/sessions/" + url.PathEscape(session)
-	if trace {
-		path += "?trace=1"
-	}
-	var st api.SessionStatus
-	if err := t.do(ctx, http.MethodGet, path, nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-func (t *httpTransport) deleteSession(ctx context.Context, session string) error {
-	return t.do(ctx, http.MethodDelete, "/v1/sessions/"+url.PathEscape(session), nil, nil)
-}
-
-func (t *httpTransport) health(ctx context.Context) (*api.Health, error) {
-	var h api.Health
-	if err := t.do(ctx, http.MethodGet, "/healthz", nil, &h); err != nil {
-		return nil, err
-	}
-	return &h, nil
-}
-
-func (t *httpTransport) recovery(ctx context.Context) (*api.RecoveryStatus, error) {
-	var rs api.RecoveryStatus
-	if err := t.do(ctx, http.MethodGet, "/v1/recovery", nil, &rs); err != nil {
-		return nil, err
-	}
-	return &rs, nil
-}
-
-func (t *httpTransport) metrics(ctx context.Context) (*api.Metrics, error) {
-	var m api.Metrics
-	if err := t.do(ctx, http.MethodGet, "/metrics", nil, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-func (t *httpTransport) tenants(ctx context.Context) (*api.TenantsStatus, error) {
-	var ts api.TenantsStatus
-	if err := t.do(ctx, http.MethodGet, "/v1/tenants", nil, &ts); err != nil {
-		return nil, err
-	}
-	return &ts, nil
+	return t.do(ctx, method, path, in, out)
 }
 
 func (t *httpTransport) subscribe(context.Context, string, func(Notification)) (func(), error) {

@@ -132,6 +132,12 @@ func TestVersionFingerprint(t *testing.T) {
 			t.Errorf("diff %d: fingerprint unchanged (%s)", i, a.Version())
 		}
 	}
+	// The value itself is protocol: nodes built from different commits
+	// compare fingerprints, so the hash behind it must never drift.
+	pinned := cluster.Config{Self: "a", Nodes: []cluster.Node{{Name: "a", Addr: "1:1"}, {Name: "b", Addr: "2:2"}, {Name: "c", Addr: "h:3"}}}
+	if got := pinned.Version(); got != "ring-fe856694" {
+		t.Errorf("fingerprint drifted: %s, want ring-fe856694", got)
+	}
 }
 
 // pinned builds a one-atom query body pinning T's val column to c.

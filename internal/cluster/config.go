@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"entangled/internal/db"
 )
 
 // Node is one cluster member: a stable name (the ring hashes names,
@@ -107,19 +109,12 @@ func (c Config) Version() string {
 	copy(nodes, c.Nodes)
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
 	c.Nodes = nodes
-	h := uint32(2166136261)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint32(s[i])
-			h *= 16777619
-		}
-		h ^= 0
-		h *= 16777619
-	}
-	mix(fmt.Sprintf("v%d", c.VNodes))
+	// One FNV-1a pass over every field, each followed by a zero byte so
+	// field boundaries cannot blur.
+	var b strings.Builder
+	fmt.Fprintf(&b, "v%d\x00", c.VNodes)
 	for _, n := range c.Nodes {
-		mix(n.Name)
-		mix(n.Addr)
+		b.WriteString(n.Name + "\x00" + n.Addr + "\x00")
 	}
-	return fmt.Sprintf("ring-%08x", h)
+	return fmt.Sprintf("ring-%08x", db.Hash(b.String()))
 }

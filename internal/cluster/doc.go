@@ -3,8 +3,9 @@
 // nodes, and a per-node Router that serves locally-owned work and
 // forwards the rest over pooled binary connections.
 //
-// The ring owns two placements, both derived from the same FNV-1a hash
-// the in-process db.ShardedInstance shards with:
+// The ring owns two placements, both computed by the functions the
+// in-process db.ShardedInstance shards with — db.Hash for a key's
+// position and db.PlaceQueries for a request's single owner:
 //
 //   - named streaming sessions are placed by session name, preserving
 //     the registry's single-goroutine-per-session model per node — a
@@ -24,7 +25,8 @@
 // route_moved error naming the owner instead of forwarding again, so a
 // request crosses at most one node boundary and a stale ring can never
 // create a forwarding loop. CoordinateMany batches whose requests span
-// owners are scatter-gathered: split by owner, served concurrently,
-// and merged back in request order with exact per-request DBQueries
-// preserved.
+// owners are scatter-gathered (Scatter, the one partition-send-merge
+// loop the Router and the cluster-aware client both use): split by
+// owner, served concurrently, and merged back in request order with
+// exact per-request DBQueries preserved.
 package cluster

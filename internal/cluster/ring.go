@@ -4,20 +4,9 @@ import (
 	"fmt"
 	"sort"
 
+	"entangled/internal/db"
 	"entangled/internal/eq"
 )
-
-// fnv32 is the FNV-1a hash db.ShardedInstance places tuples with —
-// cluster placement and in-process shard placement must agree on the
-// hash of a value, so both use this exact function.
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
 
 // point is one virtual node position on the ring.
 type point struct {
@@ -51,7 +40,7 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	r := &Ring{nodes: sorted, vnodes: vnodes, points: make([]point, 0, len(nodes)*vnodes)}
 	for _, n := range sorted {
 		for i := 0; i < vnodes; i++ {
-			r.points = append(r.points, point{hash: fnv32(fmt.Sprintf("%s#%d", n, i)), node: n})
+			r.points = append(r.points, point{hash: db.Hash(fmt.Sprintf("%s#%d", n, i)), node: n})
 		}
 	}
 	// Ties broken by name so the ring is deterministic even on hash
@@ -72,15 +61,15 @@ func (r *Ring) Nodes() []string { return r.nodes }
 func (r *Ring) VNodes() int { return r.vnodes }
 
 // Owner returns the member owning key: the node of the first virtual
-// point at or after fnv32(key), wrapping at the top of the ring.
+// point at or after db.Hash(key), wrapping at the top of the ring.
 func (r *Ring) Owner(key string) string {
-	return r.ownerOf(fnv32(key))
+	return r.ownerOf(db.Hash(key))
 }
 
 // OwnerOfValue returns the member owning a relation value — the
 // cluster-level analogue of db's shardIndex.
 func (r *Ring) OwnerOfValue(v eq.Value) string {
-	return r.ownerOf(fnv32(string(v)))
+	return r.ownerOf(db.Hash(string(v)))
 }
 
 func (r *Ring) ownerOf(h uint32) string {
@@ -92,32 +81,13 @@ func (r *Ring) ownerOf(h uint32) string {
 }
 
 // OwnerOfQueries returns the single member owning every body atom of
-// every query, mirroring db.ShardedInstance.Route exactly: each atom's
-// relation must have a placement column, that column's term must be a
-// constant, and every constant must hash to the same owner. Any other
-// shape returns ok=false — the request has no single owner and the
-// receiving node serves it locally against its full replica.
+// every query: db.PlaceQueries — the contract db.ShardedInstance.Route
+// applies to shards — with the ring as the place function. ok=false
+// means the request has no single owner and the receiving node serves
+// it locally against its full replica.
 func OwnerOfQueries(r *Ring, placement map[string]int, qs []eq.Query) (owner string, ok bool) {
-	for _, q := range qs {
-		for _, a := range q.Body {
-			col, known := placement[a.Rel]
-			if !known || col >= len(a.Args) {
-				return "", false
-			}
-			t := a.Args[col]
-			if t.IsVar() {
-				return "", false
-			}
-			o := r.OwnerOfValue(t.Const())
-			if owner == "" {
-				owner = o
-			} else if owner != o {
-				return "", false
-			}
-		}
-	}
-	if owner == "" {
-		return "", false // no body atoms: nothing to place by
-	}
-	return owner, true
+	return db.PlaceQueries(qs, func(rel string) (int, bool) {
+		col, known := placement[rel]
+		return col, known
+	}, r.OwnerOfValue)
 }

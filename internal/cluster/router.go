@@ -181,16 +181,10 @@ func (r *Router) Forward(ctx context.Context, node string, kind wire.Kind, encod
 		return 0, nil, fmt.Errorf("cluster: %q is not a peer of %s", node, r.cfg.Self)
 	}
 	p.forwards.Add(1)
-	fwd := func(e *wire.Enc) {
-		e.String(r.cfg.Self)
-		e.Int(1)
-		e.Byte(byte(kind))
-		var inner wire.Enc
-		encode(&inner)
-		e.Uvarint(uint64(len(inner.Bytes())))
-		e.Raw(inner.Bytes())
-	}
-	status, body, err = p.conn.Call(ctx, wire.KindForward, fwd)
+	var inner wire.Enc
+	encode(&inner)
+	status, body, err = p.conn.Call(ctx, wire.KindForward,
+		wire.Forward{Origin: r.cfg.Self, Hops: 1, Kind: kind, Body: inner.Bytes()}.Encode)
 	var re *wire.ReplyError
 	switch {
 	case err == nil || errors.As(err, &re):
@@ -207,26 +201,20 @@ func (r *Router) Forward(ctx context.Context, node string, kind wire.Kind, encod
 	}
 }
 
-// ServeBatch scatter-gathers one CoordinateMany batch: requests owned
-// here (or with no single owner) go through local, each peer's slice
-// is forwarded as one wrapped KindCoordinate sub-batch, and the
-// per-node responses merge back in request order. A dead peer fails
-// only its own slice — each affected request carries a typed inline
-// error, the rest of the batch is unharmed (the batch contract).
-func (r *Router) ServeBatch(ctx context.Context, reqs []api.Request, local func(context.Context, []api.Request) []api.Response) []api.Response {
-	owners := make([]string, len(reqs))
+// Scatter is the batch placement rule servers and cluster-aware
+// clients share: requests partition by owner, each owner's slice goes
+// through send as one sub-batch (concurrently), and the responses merge
+// back in request order. A slice whose send fails carries the returned
+// error inline on each of its requests — the rest of the batch is
+// unharmed (the batch contract). nodes is how many owners the batch
+// touched.
+func Scatter(reqs []api.Request, owner func(api.Request) string, send func(node string, sub []api.Request) ([]api.Response, *api.Error)) (out []api.Response, nodes int) {
 	groups := make(map[string][]int)
 	for i, rq := range reqs {
-		node, ok := r.OwnerOfRequest(rq.Queries)
-		if !ok || node == r.cfg.Self {
-			node = r.cfg.Self
-		}
-		owners[i] = node
+		node := owner(rq)
 		groups[node] = append(groups[node], i)
 	}
-	r.observeFanout(len(groups))
-
-	out := make([]api.Response, len(reqs))
+	out = make([]api.Response, len(reqs))
 	var wg sync.WaitGroup
 	for node, idxs := range groups {
 		sub := make([]api.Request, len(idxs))
@@ -236,34 +224,49 @@ func (r *Router) ServeBatch(ctx context.Context, reqs []api.Request, local func(
 		wg.Add(1)
 		go func(node string, idxs []int, sub []api.Request) {
 			defer wg.Done()
-			var resps []api.Response
-			if node == r.cfg.Self {
-				resps = local(ctx, sub)
-			} else {
-				_, body, err := r.Forward(ctx, node, wire.KindCoordinate, wire.CoordinateReq{Requests: sub}.Encode)
-				if err != nil {
-					we := replayWireError(err)
-					for _, i := range idxs {
-						out[i] = api.Response{ID: reqs[i].ID, Error: we}
-					}
-					return
-				}
-				d := wire.NewDec(body)
-				resps = wire.GetResponses(d)
-				if d.Err() != nil || len(resps) != len(sub) {
-					we := api.Errf(api.CodeInternal, "cluster: %s returned a malformed batch reply", node)
-					for _, i := range idxs {
-						out[i] = api.Response{ID: reqs[i].ID, Error: we}
-					}
-					return
-				}
+			resps, we := send(node, sub)
+			if we == nil && len(resps) != len(sub) {
+				we = api.Errf(api.CodeInternal, "cluster: %s returned a malformed batch reply", node)
 			}
 			for j, i := range idxs {
-				out[i] = resps[j]
+				if we != nil {
+					out[i] = api.Response{ID: reqs[i].ID, Error: we}
+				} else {
+					out[i] = resps[j]
+				}
 			}
 		}(node, idxs, sub)
 	}
 	wg.Wait()
+	return out, len(groups)
+}
+
+// ServeBatch scatter-gathers one CoordinateMany batch: requests owned
+// here (or with no single owner) go through local, and each peer's
+// slice is forwarded as one wrapped KindCoordinate sub-batch; a dead
+// peer fails only its own slice.
+func (r *Router) ServeBatch(ctx context.Context, reqs []api.Request, local func(context.Context, []api.Request) []api.Response) []api.Response {
+	out, nodes := Scatter(reqs, func(rq api.Request) string {
+		if node, ok := r.OwnerOfRequest(rq.Queries); ok {
+			return node
+		}
+		return r.cfg.Self
+	}, func(node string, sub []api.Request) ([]api.Response, *api.Error) {
+		if node == r.cfg.Self {
+			return local(ctx, sub), nil
+		}
+		_, body, err := r.Forward(ctx, node, wire.KindCoordinate, wire.CoordinateReq{Requests: sub}.Encode)
+		if err != nil {
+			return nil, replayWireError(err)
+		}
+		d := wire.NewDec(body)
+		resps := wire.GetResponses(d)
+		if d.Err() != nil {
+			return nil, api.Errf(api.CodeInternal, "cluster: %s returned a malformed batch reply", node)
+		}
+		return resps, nil
+	})
+	r.observeFanout(nodes)
 	return out
 }
 

@@ -26,8 +26,11 @@
 //
 // # Sharding contract
 //
-// Tuple placement and lookup routing share one hash (shardIndex): a
-// tuple of relation R lives on shard hash(t[R.hashCol]) mod K. The
+// Tuple placement and lookup routing share one hash (Hash, FNV-1a;
+// shardIndex reduces it modulo K): a tuple of relation R lives on shard
+// Hash(t[R.hashCol]) mod K. The same Hash and the same routing walk
+// (PlaceQueries) place sessions and batch requests on internal/cluster's
+// ring, so the two placement layers cannot drift apart. The
 // cross-shard evaluator exploits the invariant — an atom whose hash
 // column is bound probes one part; anything else scatter-gathers over
 // all parts — so every conjunctive query is answered exactly as on an

@@ -11,17 +11,50 @@ import (
 	"entangled/internal/unify"
 )
 
-// shardIndex routes a hash-column value to a shard: FNV-1a over the
-// value's bytes, reduced modulo the shard count. Both tuple placement
-// (ShardedRelation.Insert) and lookup routing (the evaluator, Contains,
-// Route) must use this one function, or the placement invariant breaks.
-func shardIndex(v eq.Value, k int) int {
+// Hash is the one placement hash: FNV-1a over the key's bytes. Shard
+// placement here and ring placement in internal/cluster both call it,
+// so a value's position is the same function everywhere.
+func Hash(s string) uint32 {
 	h := uint32(2166136261)
-	for i := 0; i < len(v); i++ {
-		h ^= uint32(v[i])
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
 		h *= 16777619
 	}
-	return int(h % uint32(k))
+	return h
+}
+
+// shardIndex routes a hash-column value to a shard: Hash reduced modulo
+// the shard count. Both tuple placement (ShardedRelation.Insert) and
+// lookup routing (the evaluator, Contains, Route) must use this one
+// function, or the placement invariant breaks.
+func shardIndex(v eq.Value, k int) int {
+	return int(Hash(string(v)) % uint32(k))
+}
+
+// PlaceQueries is the routing contract shared by shards and the cluster
+// ring: a request has a single place when every body atom of every
+// query pins its relation's key column (keyOf) to a constant and place
+// maps all those constants to one spot. Any other shape — an unplaced
+// relation, a variable in the key column, constants that disagree, no
+// body atoms at all — returns ok=false, and the caller serves the
+// request against the whole store.
+func PlaceQueries[P comparable](qs []eq.Query, keyOf func(rel string) (int, bool), place func(eq.Value) P) (target P, ok bool) {
+	var none P
+	for _, q := range qs {
+		for _, a := range q.Body {
+			key, known := keyOf(a.Rel)
+			if !known || key >= len(a.Args) || a.Args[key].IsVar() {
+				return none, false
+			}
+			p := place(a.Args[key].Const())
+			if !ok {
+				target, ok = p, true
+			} else if p != target {
+				return none, false
+			}
+		}
+	}
+	return target, ok
 }
 
 // ShardedInstance hash-partitions every relation's tuples across K
@@ -497,27 +530,9 @@ func (sh *ShardedInstance) viewsFor(body []eq.Atom) (map[string]relView, func(),
 // apply it (per request, in CoordinateMany) — see the package engine
 // docs for why the db layer never routes implicitly.
 func (sh *ShardedInstance) Route(qs []eq.Query) (Store, bool) {
-	target := -1
-	for _, q := range qs {
-		for _, a := range q.Body {
-			key, ok := sh.keyOf(a.Rel)
-			if !ok || key >= len(a.Args) {
-				return nil, false
-			}
-			t := a.Args[key]
-			if t.IsVar() {
-				return nil, false
-			}
-			s := shardIndex(t.Const(), len(sh.shards))
-			if target == -1 {
-				target = s
-			} else if target != s {
-				return nil, false
-			}
-		}
-	}
-	if target < 0 {
-		return nil, false // no body atoms: nothing to route by
+	target, ok := PlaceQueries(qs, sh.keyOf, func(v eq.Value) int { return shardIndex(v, len(sh.shards)) })
+	if !ok {
+		return nil, false
 	}
 	return &shardView{shard: sh.shards[target], parent: sh}, true
 }

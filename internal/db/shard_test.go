@@ -141,6 +141,17 @@ func TestShardedPlacement(t *testing.T) {
 	}
 }
 
+// TestHashIsFNV1a pins the placement hash to published FNV-1a 32-bit
+// vectors: shard files on disk and ring fingerprints between nodes both
+// depend on its values never changing.
+func TestHashIsFNV1a(t *testing.T) {
+	for s, want := range map[string]uint32{"": 0x811c9dc5, "a": 0xe40c292c, "foobar": 0xbf9cf968} {
+		if got := Hash(s); got != want {
+			t.Errorf("Hash(%q) = %08x, want %08x", s, got, want)
+		}
+	}
+}
+
 // TestShardedRoute checks the single-shard routing decision.
 func TestShardedRoute(t *testing.T) {
 	sh := NewShardedInstance(4)

@@ -14,6 +14,7 @@ import (
 	"entangled/internal/db"
 	"entangled/internal/eq"
 	"entangled/internal/fault"
+	"entangled/internal/frame"
 	"entangled/internal/unify"
 )
 
@@ -399,7 +400,7 @@ func (b *Backend) Apply(m db.Mutation) error {
 		b.markDegraded(err)
 		return fmt.Errorf("persist: store WAL: %w: %w", ErrIndeterminate, err)
 	}
-	b.sinceSnap += frameHeader + int64(len(payload))
+	b.sinceSnap += frame.HeaderSize + int64(len(payload))
 	if b.opts.CompactBytes > 0 && b.sinceSnap >= b.opts.CompactBytes {
 		if err := b.compactLocked(); err != nil {
 			// The mutation is applied AND journaled — the ack is good.
@@ -471,7 +472,7 @@ func (b *Backend) probeLocked() error {
 			return err
 		}
 		b.pending = b.pending[1:]
-		b.sinceSnap += frameHeader + int64(len(payload))
+		b.sinceSnap += frame.HeaderSize + int64(len(payload))
 	}
 	return b.wal.sync()
 }
@@ -497,14 +498,14 @@ func (b *Backend) compactLocked() error {
 		return err
 	}
 	bw := bufio.NewWriterSize(f, 256<<10)
-	var frame []byte
+	var framed []byte
 	dumpErr := b.inner.DumpMutations(func(m db.Mutation) error {
 		payload, err := json.Marshal(m)
 		if err != nil {
 			return err
 		}
-		frame = appendFrame(frame[:0], payload)
-		_, err = bw.Write(frame)
+		framed = frame.Append(framed[:0], payload)
+		_, err = bw.Write(framed)
 		return err
 	})
 	if dumpErr == nil {

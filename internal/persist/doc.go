@@ -15,11 +15,13 @@
 //	                        segments numbered below it
 //	sessions/<name>.wal     one stream.Event journal per named session
 //
-// Every log file is a sequence of frames: a 4-byte little-endian
-// payload length, a 4-byte CRC-32 (IEEE) of the payload, then the JSON
-// payload (a db.Mutation or a stream.Event). Frames are self-checking,
-// so replay detects torn tails and bit flips without trusting file
-// sizes.
+// Every log file is a sequence of internal/frame frames: a 4-byte
+// little-endian payload length, a 4-byte CRC-32 (IEEE) of the payload,
+// then the JSON payload (a db.Mutation or a stream.Event). Frames are
+// self-checking, so replay detects torn tails and bit flips without
+// trusting file sizes; ReplayFrames loops over frame.Read and positions
+// each typed failure as a *CorruptError at the first bad frame's
+// offset.
 //
 // # Recovery contract
 //

@@ -2,25 +2,15 @@ package persist
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
 
 	"entangled/internal/fault"
+	"entangled/internal/frame"
 )
-
-// frameHeader is the fixed prefix of every frame: 4-byte little-endian
-// payload length, then 4-byte CRC-32 (IEEE) of the payload.
-const frameHeader = 8
-
-// maxFrame bounds a single payload. Mutations and events are tiny; a
-// length above this is corruption, not data, and rejecting it keeps a
-// flipped length byte from asking replay to allocate gigabytes.
-const maxFrame = 1 << 24
 
 // ErrCorrupt is the sentinel wrapped by every corruption error; match
 // with errors.Is. Replay stops cleanly at the last valid frame and
@@ -50,14 +40,6 @@ func (e *CorruptError) Error() string {
 // Is makes errors.Is(err, ErrCorrupt) true for every corruption error.
 func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
 
-// appendFrame appends one framed payload to buf and returns it.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	return append(append(buf, hdr[:]...), payload...)
-}
-
 // ReplayFrames decodes frames from r in order, calling fn on each
 // payload (valid only for the duration of the call). It returns the
 // number of frames delivered and the offset just past the last valid
@@ -67,42 +49,23 @@ func appendFrame(buf, payload []byte) []byte {
 // frame already delivered. An error from fn aborts the replay and is
 // returned as-is.
 func ReplayFrames(r io.Reader, fn func(payload []byte) error) (frames int, valid int64, err error) {
-	var hdr [frameHeader]byte
 	var payload []byte
 	for {
-		n, err := io.ReadFull(r, hdr[:])
+		payload, err = frame.Read(r, payload)
 		if err == io.EOF {
 			return frames, valid, nil
 		}
-		if err == io.ErrUnexpectedEOF {
-			return frames, valid, &CorruptError{Offset: valid, Reason: fmt.Sprintf("torn frame header (%d of %d bytes)", n, frameHeader)}
+		if fe, bad := err.(*frame.Error); bad {
+			return frames, valid, &CorruptError{Offset: valid, Reason: fe.Error()}
 		}
 		if err != nil {
 			return frames, valid, err
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > maxFrame {
-			return frames, valid, &CorruptError{Offset: valid, Reason: fmt.Sprintf("implausible frame length %d", length)}
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if n, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return frames, valid, &CorruptError{Offset: valid, Reason: fmt.Sprintf("torn frame payload (%d of %d bytes)", n, length)}
-			}
-			return frames, valid, err
-		}
-		if got := crc32.ChecksumIEEE(payload); got != want {
-			return frames, valid, &CorruptError{Offset: valid, Reason: fmt.Sprintf("crc mismatch (stored %08x, computed %08x)", want, got)}
 		}
 		if err := fn(payload); err != nil {
 			return frames, valid, err
 		}
 		frames++
-		valid += frameHeader + int64(length)
+		valid += frame.HeaderSize + int64(len(payload))
 	}
 }
 

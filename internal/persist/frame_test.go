@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"entangled/internal/frame"
 )
 
 func framesOf(payloads ...string) []byte {
 	var buf []byte
 	for _, p := range payloads {
-		buf = appendFrame(buf, []byte(p))
+		buf = frame.Append(buf, []byte(p))
 	}
 	return buf
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"entangled/internal/frame"
 )
 
 // FuzzWALReplay throws arbitrary bytes at the frame decoder and checks
@@ -19,7 +21,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	var good []byte
 	for _, p := range [][]byte{[]byte(`{"k":"c"}`), []byte(`{"k":"i","t":["a","b"]}`), {}} {
-		good = appendFrame(good, p)
+		good = frame.Append(good, p)
 	}
 	f.Add(good)
 	f.Add(good[:len(good)-3])

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"entangled/internal/fault"
+	"entangled/internal/frame"
 )
 
 // SyncPolicy says when appends reach stable storage. The zero value is
@@ -118,7 +119,7 @@ func (lf *logFile) append(payload []byte) error {
 		return fmt.Errorf("persist: %s is broken and needs repair", lf.path)
 	}
 	base := lf.size
-	lf.buf = appendFrame(lf.buf[:0], payload)
+	lf.buf = frame.Append(lf.buf[:0], payload)
 	if _, err := lf.f.Write(lf.buf); err != nil {
 		lf.broken = true
 		return fmt.Errorf("persist: appending to %s: %w", lf.path, err)

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"net/http"
 
 	"entangled/internal/api"
 	"entangled/internal/wire"
@@ -86,111 +85,24 @@ func (s *Server) clusterStatus() api.ClusterStatus {
 	return api.ClusterStatus{}
 }
 
-// handleCluster serves GET /v1/cluster.
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.clusterStatus())
-}
-
-// serviceError renders a service-layer failure as its HTTP status and
-// wire error, carrying the owning node when the error names one
-// (route_moved), so both protocols' envelopes let a stale client
-// re-route without a second round trip.
+// serviceError renders a failure as its HTTP status and wire error. A
+// *wire.ReplyError — a rejection of the request itself, or the reply a
+// forward's owner sent — already is that pair and passes verbatim;
+// anything else maps through statusFor, carrying the owning node when
+// the error names one (route_moved) and the retry-after hint of a
+// throttle, so both protocols' envelopes let a client re-route or back
+// off without a second round trip.
 func serviceError(err error) (int, *api.Error) {
+	var re *wire.ReplyError
+	if errors.As(err, &re) {
+		return re.Status, &api.Error{Code: re.Code, Message: re.Message, Owner: re.Owner, RetryAfterMS: re.RetryAfterMS}
+	}
 	status, code := statusFor(err)
 	we := api.Errf(code, "%v", err)
 	var o api.Owned
 	if errors.As(err, &o) {
 		we.Owner = o.OwnerNode()
 	}
-	// A throttle's retry-after hint crosses the wire the same way.
 	we.RetryAfterMS = api.RetryHintMS(err)
 	return status, we
-}
-
-// forwardHTTP forwards one session-scoped request to its owning node
-// and writes the reply as this node's own handler would have: a
-// service-level failure relays verbatim (status, code, message, owner),
-// a transport failure maps through the typed taxonomy, and a successful
-// reply's wire body decodes through dec into the JSON value written
-// with the reply's own status (so a parked join stays 202 across the
-// hop). A nil dec writes the bare status (delete's 204).
-func (s *Server) forwardHTTP(w http.ResponseWriter, ctx context.Context, node string, kind wire.Kind, enc func(*wire.Enc), dec func(d *wire.Dec) any) {
-	status, body, err := s.opts.Cluster.Forward(ctx, node, kind, enc)
-	if err != nil {
-		var re *wire.ReplyError
-		if errors.As(err, &re) {
-			writeError(w, re.Status, &api.Error{Code: re.Code, Message: re.Message, Owner: re.Owner, RetryAfterMS: re.RetryAfterMS})
-			return
-		}
-		st, we := serviceError(err)
-		writeError(w, st, we)
-		return
-	}
-	if dec == nil {
-		w.WriteHeader(status)
-		return
-	}
-	d := wire.NewDec(body)
-	v := dec(d)
-	if d.Finish() != nil {
-		writeError(w, http.StatusInternalServerError,
-			api.Errf(api.CodeInternal, "cluster: %s returned a malformed %v reply", node, kind))
-		return
-	}
-	writeJSON(w, status, v)
-}
-
-// forwardOrServe routes one session-scoped binary request. Owned here
-// (or standalone) it returns false: the caller serves locally (and
-// still owns done). Owned elsewhere, the request forwards to its owner
-// and the reply body relays byte-for-byte — unless the request was
-// itself a forward (terminal) or a subscribe (push flows only from the
-// owner), which answer the typed route_moved error instead. A true
-// return means the reply was sent and done (when non-nil) was settled:
-// a join/leave relay that came back 2xx charges the exact DBQueries
-// the owner's update reports — edge accounting, the same rule the
-// HTTP forwarders follow — and every other outcome settles zero.
-func (wc *wireConn) forwardOrServe(ctx context.Context, id uint64, session string, terminal bool, kind wire.Kind, enc func(*wire.Enc), done func(int64)) bool {
-	s := wc.srv
-	node, ok := s.remoteOwner(session)
-	if !ok {
-		return false
-	}
-	settle := func(dbq int64) {
-		if done != nil {
-			done(dbq)
-		}
-	}
-	if terminal {
-		settle(0)
-		wc.replyServiceErr(id, s.opts.Cluster.RouteMoved("session", session))
-		return true
-	}
-	status, body, err := s.opts.Cluster.Forward(ctx, node, kind, enc)
-	if err != nil {
-		settle(0)
-		var re *wire.ReplyError
-		if errors.As(err, &re) {
-			wc.replyErr(id, re.Status, &api.Error{Code: re.Code, Message: re.Message, Owner: re.Owner, RetryAfterMS: re.RetryAfterMS})
-			return true
-		}
-		wc.replyServiceErr(id, err)
-		return true
-	}
-	if done != nil {
-		var dbq int64
-		if status < 300 && (kind == wire.KindJoin || kind == wire.KindLeave) {
-			d := wire.NewDec(body)
-			up := wire.GetUpdate(d)
-			if d.Finish() == nil {
-				dbq = up.Stats.DBQueries
-			}
-		}
-		done(dbq)
-	}
-	wc.send(wire.Header{Kind: wire.KindReply, ID: id}, func(e *wire.Enc) {
-		wire.PutReplyOK(e, status)
-		e.Raw(body)
-	})
-	return true
 }

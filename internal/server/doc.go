@@ -1,17 +1,28 @@
 // Package server is the coordination service: it exposes an
-// engine.Engine over HTTP/JSON so coordination requests cross a real
-// process boundary, the regime the paper's MySQL-backed prototype
-// serves and the one where coordination cost is measurable as
-// communication.
+// engine.Engine over HTTP/JSON and the binary wire protocol so
+// coordination requests cross a real process boundary, the regime the
+// paper's MySQL-backed prototype serves and the one where coordination
+// cost is measurable as communication.
 //
-// Three pieces:
+// Every client-facing operation is described once, as an entry of the
+// operation table in ops.go: its binary kind, HTTP verb and path, how
+// its request is read from either protocol, its routing key, its
+// admission class, the method that serves it, and its reply codec. The
+// HTTP handler (Server.ServeHTTP) and the binary dispatcher
+// (Server.ServeWire) are thin adapters over that table; the policy
+// they share — admission at the edge, owner lookup, the
+// terminal-forward rule, serve, settle — is the table's one run step,
+// so the two protocols cannot diverge in results, errors, DBQueries or
+// cross-node messages.
 //
-//   - the batch path: POST /v1/coordinate admits each request into a
-//     bounded queue, and one dispatcher greedily coalesces whatever is
-//     queued — across concurrent HTTP calls — into single
-//     engine.CoordinateMany dispatches (see batcher.go). A full queue
-//     rejects requests with the typed code "overloaded" (inline in the
-//     batch response) instead of building backlog.
+// Behind the table sit three pieces:
+//
+//   - the batch path: coordinate admits each request into a bounded
+//     queue, and one dispatcher greedily coalesces whatever is queued
+//     — across concurrent calls — into single engine.CoordinateMany
+//     dispatches (see batcher.go). A full queue rejects requests with
+//     the typed code "overloaded" (inline in the batch response)
+//     instead of building backlog.
 //   - the session registry: named stream.Sessions over the shared
 //     store, each serialized on its own goroutine behind a bounded
 //     mailbox, evicted after an idle timeout, drained (not dropped) on

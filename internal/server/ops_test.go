@@ -1,0 +1,320 @@
+package server_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net"
+	"net/http"
+	"reflect"
+	"strings"
+	"testing"
+
+	"entangled/internal/admission"
+	"entangled/internal/api"
+	"entangled/internal/client"
+	"entangled/internal/cluster"
+	"entangled/internal/server"
+	"entangled/internal/wire"
+	"entangled/internal/workload"
+)
+
+// opPairs drives one successful call of each dual-protocol operation
+// through a client and returns the decoded outcome with its
+// protocol-specific noise (session name, wall-clock fields) scrubbed.
+// name is a session this protocol's client already created and joined
+// one query into. tableEquivalence runs each entry over HTTP and binary
+// and demands deep-equal outcomes; an operation in the server's table
+// with both adapters and no entry here fails the harness.
+var opPairs = map[string]func(t *testing.T, c *client.Client, raw rawCaller, name string) any{
+	"coordinate": func(t *testing.T, c *client.Client, _ rawCaller, _ string) any {
+		resps, err := c.CoordinateBatch(context.Background(), []client.Request{{ID: "r", Queries: workload.ListQueriesAt(4, 1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resps
+	},
+	"create": func(t *testing.T, c *client.Client, _ rawCaller, name string) any {
+		sess, err := c.CreateSession(context.Background(), name+"-2", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.TrimPrefix(sess.ID, name)
+	},
+	"join": func(t *testing.T, c *client.Client, _ rawCaller, name string) any {
+		up, err := c.Session(name).Join(context.Background(), workload.ChainQuery(1, 0, 32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		up.ElapsedNS = 0
+		return up
+	},
+	"leave": func(t *testing.T, c *client.Client, _ rawCaller, name string) any {
+		up, err := c.Session(name).Leave(context.Background(), workload.ChainQuery(0, 0, 32).ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		up.ElapsedNS = 0
+		return up
+	},
+	"status": func(t *testing.T, c *client.Client, _ rawCaller, name string) any {
+		st, err := c.Session(name).Status(context.Background(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.ID = ""
+		return st
+	},
+	"delete": func(t *testing.T, c *client.Client, _ rawCaller, name string) any {
+		if err := c.Session(name).Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		_, err := c.Session(name).Status(context.Background(), false)
+		var ce *client.Error
+		if !errors.As(err, &ce) {
+			t.Fatalf("status after delete: %v", err)
+		}
+		return ce.Code
+	},
+	"health": func(t *testing.T, c *client.Client, _ rawCaller, _ string) any {
+		h, err := c.Health(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.UptimeS = 0
+		return h
+	},
+	// The client exposes no cluster call (its cluster transport consumes
+	// the view itself), so this pair speaks each codec directly.
+	"cluster": func(t *testing.T, _ *client.Client, raw rawCaller, _ string) any {
+		return raw(t, "/v1/cluster", wire.KindCluster, func(d *wire.Dec) any { return wire.GetClusterStatus(d) }, &api.ClusterStatus{})
+	},
+}
+
+// singleProtocol is the explicit list of operations served by one
+// protocol only; the table must mark them the same way.
+var singleProtocol = map[string]string{
+	"subscribe": "binary",
+	"recovery":  "http",
+	"metrics":   "http",
+	"tenants":   "http",
+}
+
+// rawCaller fetches one bodiless read operation without the client: a
+// GET decoded into jsonOut over HTTP, or a bare frame decoded by dec
+// over the binary protocol.
+type rawCaller func(t *testing.T, path string, kind wire.Kind, dec func(*wire.Dec) any, jsonOut any) any
+
+// tableEquivalence is the table-driven half of TestWireCodecsEquivalent.
+func tableEquivalence(t *testing.T) {
+	h := newAdmissionLoopback(t, nil, server.Options{})
+	httpC, binC, httpURL, binAddr := h.client("http", ""), h.client("binary", ""), h.httpURL, h.binAddr
+	ctx := context.Background()
+	rawHTTP := func(t *testing.T, path string, _ wire.Kind, _ func(*wire.Dec) any, out any) any {
+		resp, err := http.Get(httpURL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		return reflect.ValueOf(out).Elem().Interface()
+	}
+	rawBin := func(t *testing.T, _ string, kind wire.Kind, dec func(*wire.Dec) any, _ any) any {
+		cc, err := wire.Dial(binAddr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cc.Close()
+		_, body, err := cc.Call(ctx, kind, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		d := wire.NewDec(body)
+		v := dec(d)
+		if err := d.Finish(); err != nil {
+			t.Fatalf("%v reply: %v", kind, err)
+		}
+		return v
+	}
+	for i, c := range []*client.Client{httpC, binC} {
+		sess, err := c.CreateSession(ctx, fmt.Sprintf("tbl%d", i), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Join(ctx, workload.ChainQuery(0, 0, 32)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := map[string]bool{}
+	for _, o := range server.Operations() {
+		if seen[o.Name] {
+			t.Errorf("operation %s appears twice in the table", o.Name)
+		}
+		seen[o.Name] = true
+		if only, single := singleProtocol[o.Name]; single || o.Kind == 0 || o.Pattern == "" {
+			marked := map[bool]string{true: "http", false: "binary"}[o.Kind == 0]
+			if o.Kind != 0 && o.Pattern != "" {
+				marked = "both"
+			}
+			if !single || only != marked {
+				t.Errorf("operation %s: table serves %s, the explicit single-protocol list says %q", o.Name, marked, only)
+			}
+			continue
+		}
+		pair := opPairs[o.Name]
+		if pair == nil {
+			t.Errorf("operation %s has both adapters in the table but no equivalence pair", o.Name)
+			continue
+		}
+		hv, bv := pair(t, httpC, rawHTTP, "tbl0"), pair(t, binC, rawBin, "tbl1")
+		if !reflect.DeepEqual(hv, bv) {
+			t.Errorf("operation %s: outcomes differ:\nHTTP   %+v\nbinary %+v", o.Name, hv, bv)
+		}
+	}
+	for name := range opPairs {
+		if !seen[name] {
+			t.Errorf("equivalence pair %s names no operation in the table", name)
+		}
+	}
+	for name := range singleProtocol {
+		if !seen[name] {
+			t.Errorf("single-protocol entry %s names no operation in the table", name)
+		}
+	}
+	// The HTTP-only surfaces refuse cleanly over the binary client.
+	if _, err := binC.Metrics(ctx); err == nil || !strings.Contains(err.Error(), "HTTP only") {
+		t.Errorf("metrics over binary: %v", err)
+	}
+}
+
+// TestEveryKindIsInTheTable: a request kind the protocol defines is
+// either an operation in the table or one of the two envelopes —
+// nothing dispatches from anywhere else.
+func TestEveryKindIsInTheTable(t *testing.T) {
+	inTable := map[wire.Kind]bool{}
+	for _, o := range server.Operations() {
+		if o.Kind != 0 {
+			inTable[o.Kind] = true
+		}
+	}
+	for k := wire.Kind(1); k < wire.KindReply; k++ {
+		defined := !strings.HasPrefix(k.String(), "kind(")
+		envelope := k == wire.KindTenant || k == wire.KindForward
+		switch {
+		case defined && !envelope && !inTable[k]:
+			t.Errorf("request kind %v has no operation-table entry", k)
+		case envelope && inTable[k]:
+			t.Errorf("envelope kind %v must not be a table entry", k)
+		case !defined && inTable[k]:
+			t.Errorf("table entry uses undefined kind %d", k)
+		}
+	}
+}
+
+// TestOversizedPayloadRefusedBothProtocols: both protocols stop reading
+// at wire.MaxFrame. HTTP answers the typed bad_request with 413; the
+// binary protocol drops the connection at the implausible length.
+// Neither reads the payload into memory, and the server keeps serving.
+func TestOversizedPayloadRefusedBothProtocols(t *testing.T) {
+	h := newAdmissionLoopback(t, nil, server.Options{})
+	ctx := context.Background()
+
+	// One JSON string that only ends past the cap: MaxFrame+1 bytes in all.
+	prefix := `{"query":{"id":"`
+	body := append([]byte(prefix), bytes.Repeat([]byte("a"), wire.MaxFrame+1-len(prefix))...)
+	for _, path := range []string{"/v1/coordinate", "/v1/sessions", "/v1/sessions/s/join", "/v1/sessions/s/leave"} {
+		resp, err := http.Post(h.httpURL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		var env api.ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || env.Error == nil || env.Error.Code != api.CodeBadRequest {
+			t.Fatalf("POST %s of %d bytes: status %d, envelope %+v (%v); want 413 bad_request", path, len(body), resp.StatusCode, env.Error, err)
+		}
+	}
+
+	// The same size announced in a frame header: the server hangs up
+	// without waiting for (or allocating) the payload.
+	nc, err := net.Dial("tcp", h.binAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	hdr := make([]byte, 8)
+	binary.LittleEndian.PutUint32(hdr, wire.MaxFrame+1)
+	if _, err := nc.Write(append([]byte(wire.Magic), hdr...)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := nc.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("server answered %d bytes to an oversized frame header instead of closing", n)
+	}
+
+	for _, proto := range []string{"http", "binary"} {
+		if _, err := h.client(proto, "").Coordinate(ctx, workload.ListQueriesAt(2, 0)); err != nil {
+			t.Fatalf("%s not serviceable after the oversized payload: %v", proto, err)
+		}
+	}
+}
+
+// truncatedPeer is a cluster.PeerConn whose peer answers every forward
+// with a 200 whose update body lost its last byte.
+type truncatedPeer struct{}
+
+func (truncatedPeer) Call(context.Context, wire.Kind, func(*wire.Enc)) (int, []byte, error) {
+	var e wire.Enc
+	up := api.Update{Seq: 1, Admitted: true, TeamSize: 2}
+	up.Stats.DBQueries = 7
+	wire.PutUpdate(&e, up)
+	return http.StatusOK, e.Bytes()[:len(e.Bytes())-1], nil
+}
+func (truncatedPeer) Connected() bool { return true }
+func (truncatedPeer) Close() error    { return nil }
+
+// TestMalformedForwardedUpdateSettlesZero: the edge charges a tenant
+// only for a forwarded reply that validated. A peer answering a join or
+// leave with a truncated update is an internal error on both protocols
+// — same status, code and message — and lands nothing on the tenant's
+// budget, with the in-flight slot released.
+func TestMalformedForwardedUpdateSettlesZero(t *testing.T) {
+	r, err := cluster.New(cluster.Config{Self: "a", Nodes: []cluster.Node{{Name: "a", Addr: "a:1"}, {Name: "b", Addr: "b:1"}}},
+		cluster.Options{Dial: func(string) cluster.PeerConn { return truncatedPeer{} }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := ""
+	for i := 0; remote == ""; i++ {
+		if name := fmt.Sprintf("s%d", i); r.Owner(name) == "b" {
+			remote = name
+		}
+	}
+	adm := admission.NewController(admission.Config{})
+	h := newAdmissionLoopback(t, nil, server.Options{Cluster: r, Admission: adm})
+	ctx := context.Background()
+	var errs [2][2]error
+	for i, proto := range []string{"http", "binary"} {
+		sess := h.client(proto, "ten-"+proto).Session(remote)
+		_, errs[i][0] = sess.Join(ctx, workload.ChainQuery(0, 0, 8))
+		_, errs[i][1] = sess.Leave(ctx, "q")
+	}
+	for _, sn := range adm.Snapshot() {
+		if sn.DBQueriesSpent != 0 || sn.InFlight != 0 {
+			t.Errorf("tenant %s settled %d DBQueries with %d in flight after malformed replies; want 0 and 0",
+				sn.Tenant, sn.DBQueriesSpent, sn.InFlight)
+		}
+	}
+	for j, what := range []string{"forwarded join", "forwarded leave"} {
+		sameClientError(t, what, errs[0][j], errs[1][j])
+		var ce *client.Error
+		if !errors.As(errs[0][j], &ce) || ce.Status != http.StatusInternalServerError || ce.Code != api.CodeInternal ||
+			!strings.Contains(ce.Message, "malformed") {
+			t.Fatalf("%s: %v; want a 500 internal naming the malformed reply", what, errs[0][j])
+		}
+	}
+}

@@ -104,20 +104,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server exposes an engine.Engine over HTTP/JSON: the batch
-// coordination endpoint, the streaming-session resource, and the
-// operational surface. It implements http.Handler; serve it with any
-// http.Server and call Close on shutdown to drain admitted work.
-//
-//	POST   /v1/coordinate          batch coordination
-//	POST   /v1/sessions            create a streaming session
-//	GET    /v1/sessions/{id}       session status (?trace=1 adds the trace)
-//	POST   /v1/sessions/{id}/join  admit one arriving query
-//	POST   /v1/sessions/{id}/leave depart one query by ID
-//	DELETE /v1/sessions/{id}       close the session
-//	GET    /v1/cluster             membership, ring parameters, relation placements
-//	GET    /healthz                liveness and drain state
-//	GET    /metrics                counters, latency histograms, plan-cache and per-session stats
+// Server exposes an engine.Engine over HTTP/JSON and the binary wire
+// protocol: the batch coordination operation, the streaming-session
+// resource, and the operational surface — every operation an entry of
+// the table in ops.go, which is also where the HTTP routes are spelled.
+// It implements http.Handler; serve it with any http.Server (and
+// ServeWire for binary listeners) and call Close on shutdown to drain
+// admitted work.
 type Server struct {
 	e        *engine.Engine
 	opts     Options
@@ -211,17 +204,11 @@ func New(e *engine.Engine, opts Options) (*Server, error) {
 		go s.probeLoop(opts.ProbeInterval)
 	}
 
-	s.mux.HandleFunc("POST /v1/coordinate", s.handleCoordinate)
-	s.mux.HandleFunc("POST /v1/sessions", s.handleCreateSession)
-	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionStatus)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/join", s.handleSessionJoin)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/leave", s.handleSessionLeave)
-	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
-	s.mux.HandleFunc("GET /v1/recovery", s.handleRecovery)
-	s.mux.HandleFunc("GET /v1/cluster", s.handleCluster)
-	s.mux.HandleFunc("GET /v1/tenants", s.handleTenants)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	for _, o := range ops {
+		if _, _, pattern := o.route(); pattern != "" {
+			s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) { o.serveHTTP(s, w, r) })
+		}
+	}
 	return s, nil
 }
 
@@ -303,23 +290,26 @@ func (s *Server) writeGate() error {
 	return nil
 }
 
-// createSession gates and creates one named session; both protocols'
-// create paths come through here.
-func (s *Server) createSession(name string, parkUnsafe bool) (*sessionHandle, error) {
+// createSession gates and creates one named session.
+func (s *Server) createSession(_ context.Context, q wire.CreateSessionReq, _ bool) (api.CreateSessionResponse, int, error) {
 	if err := s.writeGate(); err != nil {
-		return nil, err
+		return api.CreateSessionResponse{}, 0, err
 	}
-	return s.reg.create(name, parkUnsafe)
+	h, err := s.reg.create(q.ID, q.ParkUnsafe)
+	if err != nil {
+		return api.CreateSessionResponse{}, 0, err
+	}
+	return api.CreateSessionResponse{ID: h.name}, http.StatusCreated, nil
 }
 
 // deleteSession gates and removes one session. Deletion is a write:
 // it drops the journal from the data directory, and a drop the
 // degraded filesystem loses would resurrect the session on restart.
-func (s *Server) deleteSession(name string) error {
+func (s *Server) deleteSession(_ context.Context, q wire.SessionReq, _ bool) (none, int, error) {
 	if err := s.writeGate(); err != nil {
-		return err
+		return none{}, 0, err
 	}
-	return s.reg.remove(name)
+	return none{}, http.StatusNoContent, s.reg.remove(q.Session)
 }
 
 // ServeHTTP implements http.Handler. The X-Tenant header, when
@@ -344,34 +334,6 @@ func (s *Server) tenantOf(ctx context.Context) admission.Tenant {
 		return t
 	}
 	return admission.Default
-}
-
-// admitEvent gates one session-mutating request (create, join) against
-// the tenant's policy. The returned release must be called exactly once
-// with the work's DBQueries spend — it frees the in-flight slot and
-// lands the charge. A nil release with nil error means admission is
-// off.
-func (s *Server) admitEvent(ctx context.Context) (func(dbq int64), error) {
-	if s.adm == nil {
-		return nil, nil
-	}
-	ten := s.tenantOf(ctx)
-	if err := s.adm.Decide(ten); err != nil {
-		return nil, err
-	}
-	return func(dbq int64) { s.adm.Done(ten, dbq) }, nil
-}
-
-// meterEvent returns a charge-only hook for ungated work: a leave is
-// never throttled (shedding load must not block releasing it), but the
-// store work it triggers still lands on the tenant's budget. Nil when
-// admission is off.
-func (s *Server) meterEvent(ctx context.Context) func(dbq int64) {
-	if s.adm == nil {
-		return nil
-	}
-	ten := s.tenantOf(ctx)
-	return func(dbq int64) { s.adm.ChargeDB(ten, dbq) }
 }
 
 // Close drains the server: the batch queue stops admitting and serves
@@ -434,11 +396,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeError writes the error envelope. A retry-after hint also goes
-// out as the standard Retry-After header (whole seconds, rounded up),
-// so plain HTTP clients that never parse the envelope still see it.
-func writeError(w http.ResponseWriter, status int, e *api.Error) {
-	if e != nil && e.RetryAfterMS > 0 {
+// writeError renders a failure as its status and error envelope. A
+// retry-after hint also goes out as the standard Retry-After header
+// (whole seconds, rounded up), so plain HTTP clients that never parse
+// the envelope still see it.
+func writeError(w http.ResponseWriter, err error) {
+	status, e := serviceError(err)
+	if e.RetryAfterMS > 0 {
 		w.Header().Set("Retry-After", strconv.FormatInt((e.RetryAfterMS+999)/1000, 10))
 	}
 	writeJSON(w, status, api.ErrorEnvelope{Error: e})
@@ -495,35 +459,20 @@ func statusFor(err error) (int, string) {
 	return http.StatusInternalServerError, api.CodeInternal
 }
 
-// handleCoordinate serves the batch endpoint: every request in the
-// payload is admitted into the shared batcher individually, so requests
-// from concurrent HTTP calls coalesce into the same CoordinateMany
-// dispatches. Admission rejections (queue full, draining) come back
-// inline as that request's error — the call itself stays 200 so one
-// hot spot cannot fail a whole batch.
-func (s *Server) handleCoordinate(w http.ResponseWriter, r *http.Request) {
-	var req api.CoordinateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.Errf(api.CodeBadRequest, "decoding body: %v", err))
-		return
+// coordinate serves the batch operation: every request in the payload
+// is admitted into the shared batcher individually, so requests from
+// concurrent calls — on either protocol — coalesce into the same
+// CoordinateMany dispatches. Admission rejections (queue full,
+// draining, throttled) come back inline as that request's error — the
+// call itself stays 200 so one hot spot cannot fail a whole batch.
+func (s *Server) coordinate(ctx context.Context, q wire.CoordinateReq, forwarded bool) (api.CoordinateResponse, int, error) {
+	switch n := len(q.Requests); {
+	case n == 0:
+		return api.CoordinateResponse{}, 0, badRequest(http.StatusBadRequest, "empty batch")
+	case n > s.opts.MaxBatch:
+		return api.CoordinateResponse{}, 0, badRequest(http.StatusBadRequest, "batch of %d exceeds the %d-request cap", n, s.opts.MaxBatch)
 	}
-	if we := s.checkBatch(len(req.Requests)); we != nil {
-		writeError(w, http.StatusBadRequest, we)
-		return
-	}
-	writeJSON(w, http.StatusOK, api.CoordinateResponse{Responses: s.serveBatchRouted(r.Context(), req.Requests, false)})
-}
-
-// checkBatch validates a coordinate batch's size; a non-nil return is
-// the bad_request error both protocols report verbatim.
-func (s *Server) checkBatch(n int) *api.Error {
-	if n == 0 {
-		return api.Errf(api.CodeBadRequest, "empty batch")
-	}
-	if n > s.opts.MaxBatch {
-		return api.Errf(api.CodeBadRequest, "batch of %d exceeds the %d-request cap", n, s.opts.MaxBatch)
-	}
-	return nil
+	return api.CoordinateResponse{Responses: s.serveBatchRouted(ctx, q.Requests, forwarded)}, http.StatusOK, nil
 }
 
 // serveBatch admits every request into the shared batcher individually
@@ -570,177 +519,46 @@ func (s *Server) serveBatch(ctx context.Context, reqs []api.Request) []api.Respo
 	return out
 }
 
-func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	var req api.CreateSessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.Errf(api.CodeBadRequest, "decoding body: %v", err))
-		return
-	}
-	// Admission decides at the edge — before any forward — so a
-	// throttled create never crosses the cluster, and the charge lands
-	// on the node that talked to the client.
-	done, aerr := s.admitEvent(r.Context())
-	if aerr != nil {
-		status, we := serviceError(aerr)
-		writeError(w, status, we)
-		return
-	}
-	if done != nil {
-		defer done(0) // creates do no store work
-	}
-	// A named create belongs to the name's owner; an auto-named one is
-	// served wherever it lands (the registry generates self-owned names).
-	if node, ok := s.remoteOwner(req.ID); ok && req.ID != "" {
-		s.forwardHTTP(w, r.Context(), node, wire.KindCreateSession,
-			wire.CreateSessionReq{ID: req.ID, ParkUnsafe: req.ParkUnsafe}.Encode,
-			func(d *wire.Dec) any { return api.CreateSessionResponse{ID: d.String()} })
-		return
-	}
-	h, err := s.createSession(req.ID, req.ParkUnsafe)
-	if err != nil {
-		status, we := serviceError(err)
-		writeError(w, status, we)
-		return
-	}
-	writeJSON(w, http.StatusCreated, api.CreateSessionResponse{ID: h.name})
-}
-
-// postEvent runs the shared join/leave path: resolve the session, post
-// the event through its mailbox, meter, and map the outcome. A parked
-// arrival is 202 Accepted with the update (the query is queued for
-// retry, not live); admission rejections and failures are typed error
-// envelopes. done, when non-nil, settles the tenant's admission
-// accounting exactly once: the event's exact DBQueries on success,
-// zero on failure.
-func (s *Server) postEvent(w http.ResponseWriter, r *http.Request, ev stream.Event, done func(int64)) {
-	up, err := s.sessionEvent(r.Context(), r.PathValue("id"), ev)
-	if err != nil {
-		if done != nil {
-			done(0)
-		}
-		status, we := serviceError(err)
-		writeError(w, status, we)
-		return
-	}
-	if done != nil {
-		done(up.Stats.DBQueries)
-	}
-	status := http.StatusOK
-	if up.Parked {
-		status = http.StatusAccepted
-	}
-	writeJSON(w, status, api.UpdateFrom(up))
-}
-
 // sessionEvent resolves the session and posts the event through its
-// mailbox, metering the trip. Shared by both protocols so their
-// outcomes (and error text) match. The degraded gate runs before the
-// event touches the session: a rejected event was never applied, so
-// its fate is known and the client can retry it freely.
-func (s *Server) sessionEvent(ctx context.Context, name string, ev stream.Event) (stream.Update, error) {
+// mailbox, metering the trip. A parked arrival is 202 Accepted with the
+// update (the query is queued for retry, not live). The degraded gate
+// runs before the event touches the session: a rejected event was
+// never applied, so its fate is known and the client can retry it
+// freely.
+func (s *Server) sessionEvent(ctx context.Context, name string, ev stream.Event) (api.Update, int, error) {
 	if err := s.writeGate(); err != nil {
-		return stream.Update{}, err
+		return api.Update{}, 0, err
 	}
 	h, err := s.reg.get(name)
 	if err != nil {
-		return stream.Update{}, err
+		return api.Update{}, 0, err
 	}
 	start := time.Now()
 	up, err := h.post(ctx, ev)
 	s.met.sessionLatency.observe(time.Since(start))
 	s.met.sessionEvents.Add(1)
-	return up, err
-}
-
-func (s *Server) handleSessionJoin(w http.ResponseWriter, r *http.Request) {
-	var req api.JoinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.Errf(api.CodeBadRequest, "decoding body: %v", err))
-		return
-	}
-	done, aerr := s.admitEvent(r.Context())
-	if aerr != nil {
-		status, we := serviceError(aerr)
-		writeError(w, status, we)
-		return
-	}
-	if node, ok := s.remoteOwner(r.PathValue("id")); ok {
-		// Forwarded joins are pre-admitted (the envelope carries no
-		// tenant); the edge charges the exact spend the owner reports.
-		s.forwardHTTP(w, r.Context(), node, wire.KindJoin,
-			wire.JoinReq{Session: r.PathValue("id"), Query: req.Query}.Encode,
-			func(d *wire.Dec) any {
-				up := wire.GetUpdate(d)
-				if done != nil {
-					done(up.Stats.DBQueries)
-					done = nil
-				}
-				return up
-			})
-		if done != nil {
-			done(0) // the forward failed before a decodable update came back
-		}
-		return
-	}
-	s.postEvent(w, r, stream.Event{Kind: stream.JoinEvent, Query: req.Query}, done)
-}
-
-func (s *Server) handleSessionLeave(w http.ResponseWriter, r *http.Request) {
-	var req api.LeaveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.Errf(api.CodeBadRequest, "decoding body: %v", err))
-		return
-	}
-	// Leaves are metered, never gated: a tenant over budget must still
-	// be able to release load, but the store work the departure
-	// triggers lands on its budget all the same.
-	charge := s.meterEvent(r.Context())
-	if node, ok := s.remoteOwner(r.PathValue("id")); ok {
-		s.forwardHTTP(w, r.Context(), node, wire.KindLeave,
-			wire.LeaveReq{Session: r.PathValue("id"), QueryID: req.ID}.Encode,
-			func(d *wire.Dec) any {
-				up := wire.GetUpdate(d)
-				if charge != nil {
-					charge(up.Stats.DBQueries)
-				}
-				return up
-			})
-		return
-	}
-	s.postEvent(w, r, stream.Event{Kind: stream.LeaveEvent, ID: req.ID}, charge)
-}
-
-func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	if node, ok := s.remoteOwner(r.PathValue("id")); ok {
-		s.forwardHTTP(w, r.Context(), node, wire.KindStatus,
-			wire.StatusReq{Session: r.PathValue("id"), Trace: r.URL.Query().Get("trace") == "1"}.Encode,
-			func(d *wire.Dec) any { return wire.GetSessionStatus(d) })
-		return
-	}
-	st, status, we := s.sessionStatus(r.PathValue("id"), r.URL.Query().Get("trace") == "1")
-	if we != nil {
-		writeError(w, status, we)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// sessionStatus snapshots one session as its API DTO. Shared by both
-// protocols; a non-nil *api.Error comes with its HTTP-equivalent
-// status.
-func (s *Server) sessionStatus(name string, trace bool) (api.SessionStatus, int, *api.Error) {
-	h, err := s.reg.get(name)
 	if err != nil {
-		status, code := statusFor(err)
-		return api.SessionStatus{}, status, api.Errf(code, "%v", err)
+		return api.Update{}, 0, err
+	}
+	status := http.StatusOK
+	if up.Parked {
+		status = http.StatusAccepted
+	}
+	return api.UpdateFrom(up), status, nil
+}
+
+// sessionStatus snapshots one session as its API DTO.
+func (s *Server) sessionStatus(_ context.Context, q wire.StatusReq, _ bool) (api.SessionStatus, int, error) {
+	h, err := s.reg.get(q.Session)
+	if err != nil {
+		return api.SessionStatus{}, 0, err
 	}
 	h.touch()
 	// One locked snapshot: Result's indices must agree with Queries
 	// even while other clients join and leave this session.
-	snap, err := h.sess.Status(trace)
+	snap, err := h.sess.Status(q.Trace)
 	if err != nil {
-		return api.SessionStatus{}, http.StatusInternalServerError,
-			api.Errf(api.CodeInternal, "reading session state: %v", err)
+		return api.SessionStatus{}, 0, fmt.Errorf("reading session state: %v", err)
 	}
 	return api.SessionStatus{
 		ID:       h.name,
@@ -751,28 +569,10 @@ func (s *Server) sessionStatus(name string, trace bool) (api.SessionStatus, int,
 		Totals:   api.TotalsFrom(snap.Totals),
 		Trace:    snap.Trace,
 		TeamSize: snap.Result.Size(),
-	}, 0, nil
+	}, http.StatusOK, nil
 }
 
-func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	if node, ok := s.remoteOwner(r.PathValue("id")); ok {
-		s.forwardHTTP(w, r.Context(), node, wire.KindDeleteSession,
-			wire.SessionReq{Session: r.PathValue("id")}.Encode, nil)
-		return
-	}
-	if err := s.deleteSession(r.PathValue("id")); err != nil {
-		status, we := serviceError(err)
-		writeError(w, status, we)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.health())
-}
-
-// health reports liveness and drain state; both protocols serve it.
+// health reports liveness and drain state.
 // Always answered (never an error): the work endpoints are the ones
 // that reject during a drain, and a health probe that can still be
 // answered should be.
@@ -800,7 +600,8 @@ func (s *Server) health() api.Health {
 	return h
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// metricsSnapshot assembles the /metrics DTO.
+func (s *Server) metricsSnapshot() api.Metrics {
 	m := api.Metrics{
 		UptimeS: time.Since(s.met.start).Seconds(),
 		Coordinate: api.CoordinateMetrics{
@@ -862,7 +663,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			CompactFailures: pm.CompactFailures,
 		}
 	}
-	writeJSON(w, http.StatusOK, m)
+	return m
 }
 
 // admissionMetrics assembles the per-tenant admission block: the
@@ -894,10 +695,10 @@ func (s *Server) admissionMetrics() *api.AdmissionMetrics {
 	return am
 }
 
-// handleTenants serves GET /v1/tenants: each tenant's effective
-// policy and live accounting. Without admission it answers
-// enabled=false, so clients can probe for the feature.
-func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
+// tenantsStatus reports each tenant's effective policy and live
+// accounting. Without admission it answers enabled=false, so clients
+// can probe for the feature.
+func (s *Server) tenantsStatus() api.TenantsStatus {
 	ts := api.TenantsStatus{}
 	if s.adm != nil {
 		ts.Enabled = true
@@ -914,14 +715,14 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	writeJSON(w, http.StatusOK, ts)
+	return ts
 }
 
-// handleRecovery reports what this process replayed at startup; with
+// recoveryStatus reports what this process replayed at startup; with
 // no durable backend it answers enabled=false, so clients can probe
 // for durability. Degraded state is live (sampled per request), not a
 // startup snapshot.
-func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
+func (s *Server) recoveryStatus() api.RecoveryStatus {
 	rec := s.recovery
 	if s.opts.Persist != nil && s.opts.Persist.Degraded() {
 		rec.Degraded = true
@@ -929,7 +730,7 @@ func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
 			rec.DegradedCause = cause.Error()
 		}
 	}
-	writeJSON(w, http.StatusOK, rec)
+	return rec
 }
 
 // String identifies the server in logs.

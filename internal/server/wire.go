@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"entangled/internal/admission"
-	"entangled/internal/api"
 	"entangled/internal/stream"
 	"entangled/internal/wire"
 )
@@ -135,17 +134,9 @@ func (p *pushHub) dropSession(name string) {
 // requests dispatch concurrently (pipelining), replies and pushes
 // serialize through the write mutex.
 type wireConn struct {
-	srv      *Server
 	c        net.Conn
 	wmu      sync.Mutex
 	inflight sync.WaitGroup
-}
-
-// write sends one frame payload.
-func (wc *wireConn) write(payload []byte) error {
-	wc.wmu.Lock()
-	defer wc.wmu.Unlock()
-	return wire.WriteFrame(wc.c, payload)
 }
 
 // send encodes a frame through a pooled buffer and writes it.
@@ -154,10 +145,10 @@ func (wc *wireConn) send(h wire.Header, put func(*wire.Enc)) error {
 	var e wire.Enc
 	e.Reset(*buf)
 	wire.PutHeader(&e, h)
-	if put != nil {
-		put(&e)
-	}
-	err := wc.write(e.Bytes())
+	put(&e)
+	wc.wmu.Lock()
+	err := wire.WriteFrame(wc.c, e.Bytes())
+	wc.wmu.Unlock()
 	*buf = e.Bytes()
 	wire.PutBuf(buf)
 	return err
@@ -172,25 +163,27 @@ func (wc *wireConn) sendPush(p wire.Push) error {
 func (wc *wireConn) replyOK(id uint64, status int, put func(*wire.Enc)) {
 	wc.send(wire.Header{Kind: wire.KindReply, ID: id}, func(e *wire.Enc) {
 		wire.PutReplyOK(e, status)
-		if put != nil {
-			put(e)
-		}
+		put(e)
 	})
 }
 
-// replyErr answers a request with the same status/code/message triple
-// the HTTP error envelope would carry.
-func (wc *wireConn) replyErr(id uint64, status int, we *api.Error) {
+// replyErr answers a request with the status/code/message the HTTP
+// error envelope would carry for the same failure.
+func (wc *wireConn) replyErr(id uint64, err error) {
+	status, we := serviceError(err)
 	wc.send(wire.Header{Kind: wire.KindReply, ID: id}, func(e *wire.Enc) {
 		wire.PutReplyErr(e, status, we)
 	})
 }
 
-// replyServiceErr maps a service-layer error exactly the way the HTTP
-// handlers do, so both protocols report identical errors.
-func (wc *wireConn) replyServiceErr(id uint64, err error) {
-	status, we := serviceError(err)
-	wc.replyErr(id, status, we)
+// badBody answers a request whose body failed to decode, with the same
+// message the HTTP adapter uses. It replies off the read loop.
+func (wc *wireConn) badBody(id uint64, err error) {
+	wc.inflight.Add(1)
+	go func() {
+		defer wc.inflight.Done()
+		wc.replyErr(id, badRequest(http.StatusBadRequest, "decoding body: %v", err))
+	}()
 }
 
 // ServeWire accepts binary-protocol connections on l until the
@@ -232,7 +225,7 @@ func (s *Server) ServeWire(l net.Listener) error {
 // leaves the stream unsynchronized (nothing to salvage — drop the
 // connection; a pipelined client redials).
 func (s *Server) serveWireConn(c net.Conn) {
-	wc := &wireConn{srv: s, c: c}
+	wc := &wireConn{c: c}
 	s.wireMu.Lock()
 	if s.draining() {
 		s.wireMu.Unlock()
@@ -276,190 +269,14 @@ func (s *Server) serveWireConn(c net.Conn) {
 	}
 }
 
-// dispatch decodes one request body synchronously (the read buffer is
-// reused by the next frame) and serves it on its own goroutine, so
-// pipelined requests overlap. A body that fails to decode answers
-// bad_request with the same message the HTTP handlers use; an unknown
-// kind kills the connection (protocol error, not a request error).
-// forwarded marks a request unwrapped from a KindForward envelope:
-// forwards are terminal, so a forwarded request this node does not own
-// answers route_moved instead of forwarding again.
+// dispatch hands one request frame to its operation's binary adapter.
+// Only the two envelopes have code of their own: each unwraps and
+// re-enters the table, KindTenant with the identity on the context,
+// KindForward with forwarded=true. An unknown kind, or an envelope
+// where the protocol forbids one, kills the connection (protocol
+// error, not a request error).
 func (s *Server) dispatch(ctx context.Context, wc *wireConn, h wire.Header, d *wire.Dec, forwarded bool) bool {
-	badBody := func(err error) bool {
-		wc.inflight.Add(1)
-		go func() {
-			defer wc.inflight.Done()
-			wc.replyErr(h.ID, http.StatusBadRequest, api.Errf(api.CodeBadRequest, "decoding body: %v", err))
-		}()
-		return true
-	}
-	serve := func(f func()) bool {
-		wc.inflight.Add(1)
-		go func() {
-			defer wc.inflight.Done()
-			f()
-		}()
-		return true
-	}
-
 	switch h.Kind {
-	case wire.KindCoordinate:
-		req := wire.DecodeCoordinateReq(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			if we := s.checkBatch(len(req.Requests)); we != nil {
-				wc.replyErr(h.ID, http.StatusBadRequest, we)
-				return
-			}
-			out := s.serveBatchRouted(ctx, req.Requests, forwarded)
-			wc.replyOK(h.ID, http.StatusOK, func(e *wire.Enc) { wire.PutResponses(e, out) })
-		})
-
-	case wire.KindCreateSession:
-		req := wire.DecodeCreateSessionReq(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			// Admission decides at the edge, before any forward; a
-			// forwarded create is pre-admitted by the node that gated it.
-			var done func(int64)
-			if !forwarded {
-				var aerr error
-				if done, aerr = s.admitEvent(ctx); aerr != nil {
-					wc.replyServiceErr(h.ID, aerr)
-					return
-				}
-			}
-			if done != nil {
-				defer done(0) // creates do no store work
-			}
-			// A named create belongs to the name's owner; auto-named
-			// creates are served here (the registry generates self-owned
-			// names).
-			if req.ID != "" && wc.forwardOrServe(ctx, h.ID, req.ID, forwarded, wire.KindCreateSession, req.Encode, nil) {
-				return
-			}
-			sh, err := s.createSession(req.ID, req.ParkUnsafe)
-			if err != nil {
-				wc.replyServiceErr(h.ID, err)
-				return
-			}
-			wc.replyOK(h.ID, http.StatusCreated, func(e *wire.Enc) { e.String(sh.name) })
-		})
-
-	case wire.KindJoin:
-		req := wire.DecodeJoinReq(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			var done func(int64)
-			if !forwarded {
-				var aerr error
-				if done, aerr = s.admitEvent(ctx); aerr != nil {
-					wc.replyServiceErr(h.ID, aerr)
-					return
-				}
-			}
-			if wc.forwardOrServe(ctx, h.ID, req.Session, forwarded, wire.KindJoin, req.Encode, done) {
-				return
-			}
-			wc.replyUpdate(ctx, h.ID, req.Session, stream.Event{Kind: stream.JoinEvent, Query: req.Query}, done)
-		})
-
-	case wire.KindLeave:
-		req := wire.DecodeLeaveReq(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			// Metered, never gated: shedding load must not block
-			// releasing it.
-			var charge func(int64)
-			if !forwarded {
-				charge = s.meterEvent(ctx)
-			}
-			if wc.forwardOrServe(ctx, h.ID, req.Session, forwarded, wire.KindLeave, req.Encode, charge) {
-				return
-			}
-			wc.replyUpdate(ctx, h.ID, req.Session, stream.Event{Kind: stream.LeaveEvent, ID: req.QueryID}, charge)
-		})
-
-	case wire.KindStatus:
-		req := wire.DecodeStatusReq(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			if wc.forwardOrServe(ctx, h.ID, req.Session, forwarded, wire.KindStatus, req.Encode, nil) {
-				return
-			}
-			st, status, we := s.sessionStatus(req.Session, req.Trace)
-			if we != nil {
-				wc.replyErr(h.ID, status, we)
-				return
-			}
-			wc.replyOK(h.ID, http.StatusOK, func(e *wire.Enc) { wire.PutSessionStatus(e, st) })
-		})
-
-	case wire.KindDeleteSession:
-		req := wire.DecodeSessionReq(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			if wc.forwardOrServe(ctx, h.ID, req.Session, forwarded, wire.KindDeleteSession, req.Encode, nil) {
-				return
-			}
-			if err := s.deleteSession(req.Session); err != nil {
-				wc.replyServiceErr(h.ID, err)
-				return
-			}
-			wc.replyOK(h.ID, http.StatusNoContent, nil)
-		})
-
-	case wire.KindSubscribe:
-		req := wire.DecodeSessionReq(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			// Push flows only from a session's owner (the owner's session
-			// loop feeds its hub), so a misplaced subscribe answers
-			// route_moved rather than silently never delivering.
-			if _, ok := s.remoteOwner(req.Session); ok {
-				wc.replyServiceErr(h.ID, s.opts.Cluster.RouteMoved("session", req.Session))
-				return
-			}
-			if _, err := s.reg.get(req.Session); err != nil {
-				wc.replyServiceErr(h.ID, err)
-				return
-			}
-			// Reply before flushing the backlog so the client observes
-			// "subscribed" before the first notification.
-			wc.replyOK(h.ID, http.StatusOK, nil)
-			s.push.subscribe(wc, req.Session)
-		})
-
-	case wire.KindHealth:
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			wc.replyOK(h.ID, http.StatusOK, func(e *wire.Enc) { wire.PutHealth(e, s.health()) })
-		})
-
-	case wire.KindCluster:
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			wc.replyOK(h.ID, http.StatusOK, func(e *wire.Enc) { wire.PutClusterStatus(e, s.clusterStatus()) })
-		})
-
 	case wire.KindTenant:
 		if forwarded {
 			// Forwards never carry tenant envelopes: admission was decided
@@ -469,7 +286,8 @@ func (s *Server) dispatch(ctx context.Context, wc *wireConn, h wire.Header, d *w
 		}
 		te := wire.DecodeTenantReq(d)
 		if err := d.Finish(); err != nil {
-			return badBody(err)
+			wc.badBody(h.ID, err)
+			return true
 		}
 		if te.Kind == wire.KindTenant || te.Kind == wire.KindForward {
 			// The envelope must be outermost and must not smuggle a
@@ -489,7 +307,8 @@ func (s *Server) dispatch(ctx context.Context, wc *wireConn, h wire.Header, d *w
 		}
 		fwd := wire.DecodeForward(d)
 		if err := d.Finish(); err != nil {
-			return badBody(err)
+			wc.badBody(h.ID, err)
+			return true
 		}
 		if fwd.Hops != 1 {
 			return false // the terminal-forward invariant is checkable; enforce it
@@ -503,29 +322,9 @@ func (s *Server) dispatch(ctx context.Context, wc *wireConn, h wire.Header, d *w
 		// produces IS the forward's reply.
 		return s.dispatch(ctx, wc, wire.Header{Kind: fwd.Kind, ID: h.ID}, wire.NewDec(fwd.Body), true)
 	}
-	return false
-}
-
-// replyUpdate serves the shared join/leave path and renders the
-// outcome with the HTTP status semantics (202 for a parked arrival).
-// done, when non-nil, settles the tenant's admission accounting
-// exactly once: the event's exact DBQueries on success, zero on
-// failure.
-func (wc *wireConn) replyUpdate(ctx context.Context, id uint64, session string, ev stream.Event, done func(int64)) {
-	up, err := wc.srv.sessionEvent(ctx, session, ev)
-	if err != nil {
-		if done != nil {
-			done(0)
-		}
-		wc.replyServiceErr(id, err)
-		return
+	if int(h.Kind) >= len(wireOps) || wireOps[h.Kind] == nil {
+		return false
 	}
-	if done != nil {
-		done(up.Stats.DBQueries)
-	}
-	status := http.StatusOK
-	if up.Parked {
-		status = http.StatusAccepted
-	}
-	wc.replyOK(id, status, func(e *wire.Enc) { wire.PutUpdate(e, api.UpdateFrom(up)) })
+	wireOps[h.Kind].serveWire(s, ctx, wc, h.ID, d, forwarded)
+	return true
 }

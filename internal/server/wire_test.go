@@ -312,19 +312,10 @@ func TestWireCodecsEquivalent(t *testing.T) {
 		t.Fatalf("parked updates differ:\nHTTP   %+v\nbinary %+v", hu, bu)
 	}
 
-	// Health: identical modulo uptime.
-	hh, err := httpC.Health(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bh, err := binC.Health(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hh.UptimeS, bh.UptimeS = 0, 0
-	if !reflect.DeepEqual(hh, bh) {
-		t.Fatalf("health differs: HTTP %+v, binary %+v", hh, bh)
-	}
+	// Every operation in the server's table, one pair each (health
+	// included): the table drives this half, so an operation added
+	// without both adapters — or without a pair here — fails.
+	t.Run("table", tableEquivalence)
 }
 
 // TestWirePushParkedArrival pins the push contract end to end: a parked

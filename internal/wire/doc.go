@@ -5,11 +5,15 @@
 // round trips).
 //
 // A connection starts with the 4-byte Magic preamble, then carries
-// frames in both directions. Each frame is the WAL discipline from
-// internal/persist — 4-byte little-endian payload length, 4-byte
-// CRC-32 (IEEE) of the payload, payload — with the payload holding a
-// one-byte message Kind, a uvarint pipelining id, and a kind-specific
-// body. Requests pipeline: clients issue any number of concurrent
+// frames in both directions. Framing is internal/frame — the same
+// 4-byte little-endian payload length, 4-byte CRC-32 (IEEE), payload
+// discipline the WAL files use; ReadFrame and WriteFrame only map its
+// typed failure reasons to this package's errors — with the payload
+// holding a one-byte message Kind, a uvarint pipelining id, and a
+// kind-specific body. The request bodies (the *Req structs) are the
+// request types of the server's operation table and the client's op
+// descriptors on both protocols; KindTenant and KindForward are
+// envelopes around them. Requests pipeline: clients issue any number of concurrent
 // calls over one connection, the server answers each with a KindReply
 // frame echoing its id, and replies resolve out of order as work
 // finishes. KindPush frames (id 0) flow server-to-client without a

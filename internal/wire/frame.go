@@ -1,11 +1,11 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync"
+
+	"entangled/internal/frame"
 )
 
 // Magic is the 4-byte connection preamble a client sends immediately
@@ -15,15 +15,10 @@ import (
 // unambiguous discriminator: no HTTP method starts with these bytes.
 const Magic = "EWP1"
 
-// frameHeader is the fixed prefix of every frame: 4-byte little-endian
-// payload length, then 4-byte CRC-32 (IEEE) of the payload — the same
-// frame discipline as internal/persist's WAL format.
-const frameHeader = 8
-
-// MaxFrame bounds a single payload. Coordination payloads are small; a
-// length above this is corruption or abuse, and rejecting it keeps a
-// flipped length byte from asking the peer to allocate gigabytes.
-const MaxFrame = 1 << 24
+// MaxFrame bounds a single payload: the frame layer's cap, which the
+// HTTP adapter also applies to request bodies so both protocols refuse
+// the same sizes.
+const MaxFrame = frame.Max
 
 // bufPool recycles encode/decode buffers across frames, so a busy
 // connection's steady state allocates nothing on the framing path.
@@ -47,14 +42,6 @@ func PutBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
-// AppendFrame appends one framed payload to buf and returns it.
-func AppendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	return append(append(buf, hdr[:]...), payload...)
-}
-
 // WriteFrame writes one framed payload to w in a single Write call
 // (header and payload coalesced through a pooled buffer), so concurrent
 // frame writers serialized by a mutex never interleave partial frames.
@@ -63,7 +50,7 @@ func WriteFrame(w io.Writer, payload []byte) error {
 		return fmt.Errorf("wire: frame payload of %d bytes exceeds the %d-byte cap", len(payload), MaxFrame)
 	}
 	buf := GetBuf()
-	*buf = AppendFrame(*buf, payload)
+	*buf = frame.Append(*buf, payload)
 	_, err := w.Write(*buf)
 	PutBuf(buf)
 	return err
@@ -73,30 +60,17 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // suffices, and returns the payload (valid until the next reuse of
 // buf). A clean EOF between frames returns io.EOF; a torn header or
 // payload returns io.ErrUnexpectedEOF; an implausible length or a CRC
-// mismatch returns a *DecodeError (errors.Is ErrMalformed) — the frame
-// layer's corruption taxonomy, mirrored from persist.ReplayFrames.
+// mismatch returns a *DecodeError (errors.Is ErrMalformed).
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF between frames is a clean close
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if length == 0 || length > MaxFrame {
-		return nil, &DecodeError{Reason: fmt.Sprintf("implausible frame length %d", length)}
-	}
-	if cap(buf) < int(length) {
-		buf = make([]byte, length)
-	}
-	buf = buf[:length]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	payload, err := frame.Read(r, buf)
+	if fe, bad := err.(*frame.Error); bad {
+		switch fe.Reason {
+		case frame.TornHeader, frame.TornPayload:
+			return nil, io.ErrUnexpectedEOF
+		case frame.BadCRC:
+			return nil, &DecodeError{Reason: "frame " + fe.Error()}
 		}
-		return nil, err
+		return nil, &DecodeError{Reason: fe.Error()}
 	}
-	if got := crc32.ChecksumIEEE(buf); got != want {
-		return nil, &DecodeError{Reason: fmt.Sprintf("frame crc mismatch (stored %08x, computed %08x)", want, got)}
-	}
-	return buf, nil
+	return payload, err
 }

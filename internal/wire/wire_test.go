@@ -13,6 +13,7 @@ import (
 	"entangled/internal/api"
 	"entangled/internal/coord"
 	"entangled/internal/eq"
+	"entangled/internal/frame"
 )
 
 var update = flag.Bool("update", false, "rewrite golden frame files")
@@ -47,13 +48,13 @@ func goldenFrame(t *testing.T, name string, encode func(*Enc)) []byte {
 	t.Helper()
 	var e Enc
 	encode(&e)
-	frame := AppendFrame(nil, e.Bytes())
+	framed := frame.Append(nil, e.Bytes())
 	path := filepath.Join("testdata", name+".bin")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, frame, 0o644); err != nil {
+		if err := os.WriteFile(path, framed, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,8 +62,8 @@ func goldenFrame(t *testing.T, name string, encode func(*Enc)) []byte {
 	if err != nil {
 		t.Fatalf("%v (run `go test ./internal/wire -update` to create it)", err)
 	}
-	if !bytes.Equal(frame, want) {
-		t.Fatalf("frame %s drifted from golden file:\n--- got ---\n%x\n--- want ---\n%x", name, frame, want)
+	if !bytes.Equal(framed, want) {
+		t.Fatalf("frame %s drifted from golden file:\n--- got ---\n%x\n--- want ---\n%x", name, framed, want)
 	}
 	payload, err := ReadFrame(bytes.NewReader(want), nil)
 	if err != nil {
