@@ -7,21 +7,13 @@ import (
 	"entangled/internal/eq"
 )
 
-// Tombstones returns the number of dead slots: queries that were
-// admitted and have since departed (or failed mid-admission). Per-event
-// graph work is proportional to total slots ever handed out, so a
-// long-lived high-churn coordinator grows linearly in its history until
-// Compact is called; stream.Session compacts automatically once this
-// crosses its threshold.
-func (inc *Incremental) Tombstones() int {
-	n := 0
-	for i := range inc.queries {
-		if !inc.g.Live(i) {
-			n++
-		}
-	}
-	return n
-}
+// Tombstones returns, in O(1), the number of dead slots: queries that
+// were admitted and have since departed (or failed mid-admission). They
+// cost memory and index space, and an event's bookkeeping scans every
+// slot handed out (it solves only dirty components), so a long-lived
+// high-churn coordinator grows with its history until Compact is
+// called; stream.Session compacts once this crosses its threshold.
+func (inc *Incremental) Tombstones() int { return inc.g.n - inc.g.live }
 
 // Compact renumbers the live queries into dense slots 0..len(live)-1,
 // dropping every tombstone, so subsequent events cost O(live queries)
@@ -44,26 +36,18 @@ func (inc *Incremental) Tombstones() int {
 // same trace (the stream-vs-batch property tests run under aggressive
 // compaction to pin this).
 func (inc *Incremental) Compact() ([]int, DeltaStats, error) {
-	remap := make([]int, len(inc.queries))
-	live := make([]int, 0, len(inc.queries))
-	for i := range inc.queries {
-		if inc.g.Live(i) {
-			remap[i] = len(live)
-			live = append(live, i)
-		} else {
-			remap[i] = -1
-		}
-	}
-
+	remap := inc.Positions()
 	g := NewIncrementalGraph()
-	newQueries := make([]eq.Query, 0, len(live))
-	newRenamed := make([]eq.Query, 0, len(live))
-	newSat := make([]bool, 0, len(live))
-	for _, old := range live {
+	newQueries := make([]eq.Query, 0, inc.g.live)
+	newRenamed := make([]eq.Query, 0, inc.g.live)
+	newSat := make([]bool, 0, inc.g.live)
+	for old, slot := range remap {
+		if slot < 0 {
+			continue
+		}
 		q := inc.queries[old]
-		slot, _ := g.Add(q)
-		if slot != len(newQueries) {
-			return nil, DeltaStats{}, fmt.Errorf("coord: compaction slot skew: got %d, want %d", slot, len(newQueries))
+		if got, _ := g.Add(q); got != slot {
+			return nil, DeltaStats{}, fmt.Errorf("coord: compaction slot skew: got %d, want %d", got, slot)
 		}
 		newQueries = append(newQueries, q)
 		newRenamed = append(newRenamed, q.Rename(varPrefix(slot)))
@@ -76,6 +60,9 @@ func (inc *Incremental) Compact() ([]int, DeltaStats, error) {
 	// Outcome signatures and substitutions are slot-addressed; a dense
 	// renumbering invalidates all of them.
 	inc.cache = map[string]*compOutcome{}
+	// The scratch was sized by the old slot count; the next pass
+	// regrows it for the dense one.
+	inc.scr = scratch{}
 
 	m := db.NewMeter(inc.store)
 	d, err := inc.reconcile(m)

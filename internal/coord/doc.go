@@ -39,7 +39,14 @@
 // queries observationally (team, values, trace). Arrivals that would
 // make the set unsafe are refused with ErrUnsafeArrival before any
 // state changes, and Compact renumbers away tombstoned slots so
-// long-lived streams stay O(live queries).
+// long-lived streams stay O(live queries). An event's bookkeeping —
+// pruning, condensation, reach sets, cache keys — is integer work on
+// scratch the coordinator keeps between events, so what an event
+// allocates follows its dirty components, not the live set.
+//
+// The §6.1 provider cascade has one home, cascade.run (prune.go): the
+// batch walk, the Gupta baseline and Incremental all call it, so prune
+// events come out in one order everywhere.
 //
 // The package's sentinel errors carry stable machine-readable codes
 // (Code / FromCode, e.g. "unsafe_arrival", "too_many_queries") shared

@@ -1,13 +1,6 @@
-// Package coord implements the paper's coordination algorithms over
-// entangled queries: coordination-graph construction, the safety and
-// uniqueness properties (§2.3), the Gupta et al. baseline for safe and
-// unique sets, the SCC Coordination Algorithm (§4), a solver for
-// single-connected sets (Theorem 3), an exact brute-force solver used as
-// a testing oracle, and the Definition-1 verifier.
 package coord
 
 import (
-	"sort"
 	"strconv"
 
 	"entangled/internal/eq"
@@ -63,25 +56,21 @@ func coordinationGraph(n int, edges []ExtendedEdge) *graph.Digraph {
 // query is unsafe if one of its postcondition atoms unifies with more
 // than one head atom appearing in the set (Definition 2).
 func UnsafeQueries(qs []eq.Query) []int {
-	return unsafeIn(len(qs), ExtendedGraph(qs))
+	return unsafeIn(ExtendedGraph(qs), nil)
 }
 
-func unsafeIn(n int, edges []ExtendedEdge) []int {
-	fanout := map[[2]int]int{} // (query, post index) -> number of unifiable heads
-	for _, e := range edges {
-		fanout[[2]int{e.FromQ, e.PostIdx}]++
-	}
-	bad := map[int]bool{}
-	for k, c := range fanout {
-		if c > 1 {
-			bad[k[0]] = true
+// unsafeIn returns, ascending, the queries owning a postcondition with
+// more than one unifiable head, counting the edges given — in canonical
+// order, so one postcondition's are adjacent — on top of the fanout
+// already recorded in prior (nil for none).
+func unsafeIn(edges []ExtendedEdge, prior postFanout) []int {
+	var out []int
+	for i, e := range edges {
+		second := i > 0 && edges[i-1].FromQ == e.FromQ && edges[i-1].PostIdx == e.PostIdx
+		if (second || prior[[2]int{e.FromQ, e.PostIdx}] > 0) && (len(out) == 0 || out[len(out)-1] != e.FromQ) {
+			out = append(out, e.FromQ)
 		}
 	}
-	var out []int
-	for i := range bad {
-		out = append(out, i)
-	}
-	sort.Ints(out)
 	return out
 }
 

@@ -1,6 +1,8 @@
 package coord
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"entangled/internal/eq"
@@ -90,25 +92,30 @@ func (b *atomBuckets[R]) candidates(a eq.Atom, yield func(R)) {
 // would make unsafe without committing it.
 type IncrementalGraph struct {
 	n     int    // slots handed out, including removed ones
+	live  int    // slots holding a query
 	gone  []bool // slot -> removed
 	nPost []int  // slot -> number of postcondition atoms
 
 	heads atomBuckets[headRef]
 	posts atomBuckets[postRef]
 
-	edges  []ExtendedEdge // edges among live slots, unsorted
-	fanout map[[2]int]int // (slot, post index) -> live unifiable heads
-
-	sorted []ExtendedEdge // canonical view, rebuilt lazily
-	dirty  bool
+	// Edges among live slots: the first sorted of them in canonical
+	// order, the rest as committed since Edges last ran.
+	edges  []ExtendedEdge
+	sorted int
+	fanout postFanout
 }
+
+// postFanout counts, per (slot, postcondition index), the live heads
+// the postcondition unifies with.
+type postFanout map[[2]int]int
 
 // NewIncrementalGraph returns an empty graph index.
 func NewIncrementalGraph() *IncrementalGraph {
 	return &IncrementalGraph{
 		heads:  newAtomBuckets[headRef](),
 		posts:  newAtomBuckets[postRef](),
-		fanout: map[[2]int]int{},
+		fanout: postFanout{},
 	}
 }
 
@@ -151,26 +158,15 @@ func (g *IncrementalGraph) probeNew(slot int, q eq.Query) []ExtendedEdge {
 }
 
 // Probe dry-runs an Add: it returns the edges the query would
-// contribute and the slots (including the prospective newcomer's,
-// which is returned by N) that the arrival would make unsafe — a query
-// is unsafe when one of its postconditions unifies with more than one
-// head in the set (Definition 2). The graph is not modified.
+// contribute, in canonical order, and the slots (including the
+// prospective newcomer's, which is returned by N) that the arrival
+// would make unsafe — a query is unsafe when one of its postconditions
+// unifies with more than one head in the set (Definition 2). The graph
+// is not modified.
 func (g *IncrementalGraph) Probe(q eq.Query) (edges []ExtendedEdge, unsafe []int) {
 	edges = g.probeNew(g.n, q)
-	over := map[int]bool{}
-	delta := map[[2]int]int{}
-	for _, e := range edges {
-		k := [2]int{e.FromQ, e.PostIdx}
-		delta[k]++
-		if g.fanout[k]+delta[k] > 1 {
-			over[e.FromQ] = true
-		}
-	}
-	for i := range over {
-		unsafe = append(unsafe, i)
-	}
-	sort.Ints(unsafe)
-	return edges, unsafe
+	slices.SortFunc(edges, compareEdges)
+	return edges, unsafeIn(edges, g.fanout)
 }
 
 // Add commits query q to the next slot and returns the slot index and
@@ -188,6 +184,7 @@ func (g *IncrementalGraph) Add(q eq.Query) (slot int, added []ExtendedEdge) {
 func (g *IncrementalGraph) commit(q eq.Query, added []ExtendedEdge) (int, []ExtendedEdge) {
 	slot := g.n
 	g.n++
+	g.live++
 	g.gone = append(g.gone, false)
 	g.nPost = append(g.nPost, len(q.Post))
 	for hi, h := range q.Head {
@@ -200,7 +197,6 @@ func (g *IncrementalGraph) commit(q eq.Query, added []ExtendedEdge) (int, []Exte
 	for _, e := range added {
 		g.fanout[[2]int{e.FromQ, e.PostIdx}]++
 	}
-	g.dirty = true
 	return slot, added
 }
 
@@ -213,7 +209,8 @@ func (g *IncrementalGraph) Remove(i int) {
 		return
 	}
 	g.gone[i] = true
-	kept := g.edges[:0]
+	g.live--
+	kept := g.Edges()[:0] // canonical first: filtering keeps it so
 	for _, e := range g.edges {
 		if e.FromQ == i || e.ToQ == i {
 			g.fanout[[2]int{e.FromQ, e.PostIdx}]--
@@ -221,39 +218,41 @@ func (g *IncrementalGraph) Remove(i int) {
 		}
 		kept = append(kept, e)
 	}
-	g.edges = kept
+	g.edges, g.sorted = kept, len(kept)
 	for pi := 0; pi < g.nPost[i]; pi++ {
 		delete(g.fanout, [2]int{i, pi})
 	}
-	g.dirty = true
+}
+
+// compareEdges orders edges canonically: by (FromQ, PostIdx, ToQ,
+// HeadIdx).
+func compareEdges(x, y ExtendedEdge) int {
+	return cmp.Or(cmp.Compare(x.FromQ, y.FromQ), cmp.Compare(x.PostIdx, y.PostIdx),
+		cmp.Compare(x.ToQ, y.ToQ), cmp.Compare(x.HeadIdx, y.HeadIdx))
 }
 
 // Edges returns the extended graph's edges among live slots in
-// canonical order: sorted by (FromQ, PostIdx, ToQ, HeadIdx). The slice
-// is shared and rebuilt lazily; callers must not mutate it. Canonical
-// order matters: the SCC algorithm's unification loops walk edges in
-// this order, so a graph grown one query at a time and a graph built in
-// one batch drive identical union sequences and produce identical
-// substitutions.
+// canonical order (compareEdges). The slice is the graph's own and the
+// next mutation rewrites it; callers must not mutate or retain it.
+// Canonical order matters: the SCC algorithm's unification loops walk
+// edges in this order, so a graph grown one query at a time and a graph
+// built in one batch drive identical union sequences and produce
+// identical substitutions. Removal keeps the order, so only the edges
+// committed since the last call are out of place: an arrival's handful
+// is inserted where it belongs, a bulk (the batch build) is sorted with
+// the rest.
 func (g *IncrementalGraph) Edges() []ExtendedEdge {
-	if g.dirty {
-		g.sorted = append(g.sorted[:0], g.edges...)
-		sort.Slice(g.sorted, func(a, b int) bool {
-			x, y := g.sorted[a], g.sorted[b]
-			if x.FromQ != y.FromQ {
-				return x.FromQ < y.FromQ
-			}
-			if x.PostIdx != y.PostIdx {
-				return x.PostIdx < y.PostIdx
-			}
-			if x.ToQ != y.ToQ {
-				return x.ToQ < y.ToQ
-			}
-			return x.HeadIdx < y.HeadIdx
-		})
-		g.dirty = false
+	if len(g.edges)-g.sorted > 8 {
+		slices.SortFunc(g.edges, compareEdges)
+		g.sorted = len(g.edges)
 	}
-	return g.sorted
+	for ; g.sorted < len(g.edges); g.sorted++ {
+		e := g.edges[g.sorted]
+		at, _ := slices.BinarySearchFunc(g.edges[:g.sorted], e, compareEdges)
+		copy(g.edges[at+1:g.sorted+1], g.edges[at:g.sorted])
+		g.edges[at] = e
+	}
+	return g.edges
 }
 
 // Unsafe returns the live slots that are unsafe in the current set,

@@ -1,9 +1,10 @@
 package coord
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"strconv"
+	"math/bits"
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
@@ -59,9 +60,35 @@ type compOutcome struct {
 	set      []int  // reachable query slots, sorted ascending
 	subst    *unify.Subst
 	binding  db.Binding
-	combined string
+	body     []eq.Atom // the combined body sent to the database; traces render it
 	grounded bool
-	failed   bool
+	pass     uint64 // the reconcile pass that last used this outcome
+}
+
+// compEvent is one component of the last pass, as Trace reports it.
+type compEvent struct {
+	members []int        // slots, carved from scratch.members
+	status  string       // ComponentEvent.Status
+	out     *compOutcome // nil when the component was never searched
+}
+
+// scratch is the per-pass bookkeeping of reconcile: integer work
+// proportional to the live set, on buffers the coordinator keeps from
+// one event to the next so that a steady-state event allocates only
+// for its dirty components. Every buffer is sized and initialised at
+// the start of the pass that reads it; Compact releases them all.
+type scratch struct {
+	alive   []bool        // slot -> live and unpruned
+	live    []int         // dense position -> slot, ascending
+	idx     []int         // slot -> dense position, live slots only
+	prune   cascade       // §6.1 provider counters
+	cg      graph.Digraph // coordination graph over dense positions
+	reach   []uint64      // one bitset row per component: what it reaches
+	failed  []bool        // component -> no coordinating set through it
+	set     []int         // reachable slots of the component being searched
+	sig     []byte        // its cache key
+	inSet   []bool        // slot -> in set, for solve's edge filter
+	members []int         // backing of this pass's compEvent.members
 }
 
 // Incremental is the resumable state of the SCC Coordination Algorithm
@@ -94,10 +121,12 @@ type Incremental struct {
 	// lockstep copy to desynchronize.
 
 	cache map[string]*compOutcome // reachable-set signature -> outcome
+	pass  uint64                  // reconcile passes started
+	scr   scratch
 
 	// State of the last reconcile pass.
 	pruned []PruneEvent
-	events []ComponentEvent
+	events []compEvent
 	cands  []Candidate
 	last   DeltaStats
 	total  int64 // lifetime database queries
@@ -120,31 +149,26 @@ func NewIncremental(store db.Store, opts Options) *Incremental {
 }
 
 // Len returns the number of live queries.
-func (inc *Incremental) Len() int {
-	n := 0
-	for i := range inc.queries {
-		if inc.g.Live(i) {
-			n++
-		}
-	}
-	return n
-}
+func (inc *Incremental) Len() int { return inc.g.live }
 
-// LiveSlots returns the live slots in ascending order.
-func (inc *Incremental) LiveSlots() []int {
-	var out []int
-	for i := range inc.queries {
+// Positions maps each slot to its query's index among the live ones —
+// its place in LiveQueries, and its slot after a Compact — or -1 for a
+// dead slot.
+func (inc *Incremental) Positions() []int {
+	pos := make([]int, len(inc.queries))
+	for i, next := 0, 0; i < len(pos); i++ {
+		pos[i] = -1
 		if inc.g.Live(i) {
-			out = append(out, i)
+			pos[i], next = next, next+1
 		}
 	}
-	return out
+	return pos
 }
 
 // LiveQueries returns the live queries in slot order — the set a batch
 // run would be given to reproduce this state.
 func (inc *Incremental) LiveQueries() []eq.Query {
-	var out []eq.Query
+	out := make([]eq.Query, 0, inc.g.live)
 	for i, q := range inc.queries {
 		if inc.g.Live(i) {
 			out = append(out, q)
@@ -278,10 +302,30 @@ func (inc *Incremental) Candidates() ([]CandidateSet, error) {
 // events then per-component outcomes in reverse topological order.
 // Query indices are slots.
 func (inc *Incremental) Trace() *Trace {
-	return &Trace{
-		Pruned:     append([]PruneEvent(nil), inc.pruned...),
-		Components: append([]ComponentEvent(nil), inc.events...),
+	tr := &Trace{Pruned: append([]PruneEvent(nil), inc.pruned...)}
+	if len(inc.events) == 0 {
+		return tr
 	}
+	// The events' member lists live in scratch the next pass reuses;
+	// the trace gets its own copy, one backing slice for all of them.
+	members := append([]int(nil), inc.scr.members...)
+	tr.Components = make([]ComponentEvent, len(inc.events))
+	for i, e := range inc.events {
+		k := len(e.members)
+		ev := ComponentEvent{Members: members[:k:k], Status: e.status}
+		members = members[k:]
+		if out := e.out; out != nil {
+			ev.Set = out.set
+			if out.subst != nil {
+				ev.Combined = renderCombined(out.subst.ApplyAll(out.body))
+			}
+			if out.grounded {
+				ev.SetSize = len(out.set)
+			}
+		}
+		tr.Components[i] = ev
+	}
+	return tr
 }
 
 // LastDelta returns the cost of the most recent event.
@@ -330,151 +374,130 @@ func (inc *Incremental) Refresh() (DeltaStats, error) {
 // same topological order, same candidate order, same tie-breaks.
 func (inc *Incremental) reconcile(m *db.Meter) (DeltaStats, error) {
 	defer func() { inc.total += m.Count() }()
+	s := &inc.scr
 	n := len(inc.queries)
 	edges := inc.g.Edges()
 
-	// §6.1 pruning from cached body-satisfiability probes, then the
-	// provider cascade — same rounds, same order, no database traffic.
-	alive := make([]bool, n)
+	// Compact live slots (monotone, so the graph below is isomorphic
+	// to the batch one with identical adjacency order) and redo the
+	// §6.1 pruning: cached body-satisfiability probes, then the provider
+	// cascade — same rounds, same order, no database traffic.
+	s.alive, s.idx, s.live = zeroed(s.alive, n), sized(s.idx, n), sized(s.live, inc.g.live)[:0]
 	inc.pruned = inc.pruned[:0]
 	for i := 0; i < n; i++ {
 		if !inc.g.Live(i) {
 			continue
 		}
+		s.idx[i] = len(s.live)
+		s.live = append(s.live, i)
 		if inc.bodySat[i] || inc.opts.SkipPruning {
-			alive[i] = true
+			s.alive[i] = true
 		} else {
 			inc.pruned = append(inc.pruned, PruneEvent{Query: i, Reason: "unsatisfiable body"})
 		}
 	}
 	if !inc.opts.SkipPruning {
-		for {
-			changed := false
-			providers := map[[2]int]int{}
-			for _, e := range edges {
-				if alive[e.FromQ] && alive[e.ToQ] {
-					providers[[2]int{e.FromQ, e.PostIdx}]++
-				}
-			}
-			for i := 0; i < n; i++ {
-				if !alive[i] {
-					continue
-				}
-				for pi := range inc.queries[i].Post {
-					if providers[[2]int{i, pi}] == 0 {
-						alive[i] = false
-						changed = true
-						inc.pruned = append(inc.pruned, PruneEvent{Query: i, Reason: "unsatisfiable postcondition"})
-						break
-					}
-				}
-			}
-			if !changed {
-				break
-			}
-		}
+		inc.pruned = s.prune.run(inc.queries, edges, s.alive, inc.pruned)
 	}
 
-	// Compact live slots and condense. Compaction is monotone, so the
-	// graph is isomorphic to the batch one with identical adjacency
-	// order.
-	live := make([]int, 0, n)
-	idx := make([]int, n)
-	for i := 0; i < n; i++ {
-		if inc.g.Live(i) {
-			idx[i] = len(live)
-			live = append(live, i)
-		}
-	}
-	cg := graph.New(len(live))
+	s.cg.Reset(len(s.live))
 	for _, e := range edges {
-		if alive[e.FromQ] && alive[e.ToQ] {
-			cg.AddEdge(idx[e.FromQ], idx[e.ToQ])
+		if s.alive[e.FromQ] && s.alive[e.ToQ] {
+			s.cg.AddEdge(s.idx[e.FromQ], s.idx[e.ToQ])
 		}
 	}
-	dag, _, members := cg.Condense()
+	dag, _, members := s.cg.Condense()
 	order, err := dag.TopoOrder()
 	if err != nil {
 		return DeltaStats{}, err // cannot happen: condensation is a DAG
 	}
-	reverse(order)
 
+	// Every cache entry this pass uses is stamped with its number; the
+	// rest are dropped once the walk is over. A walk that fails leaves
+	// them all, plus whatever it solved, to the next pass, which stamps
+	// and sweeps afresh.
+	inc.pass++
 	nc := dag.N()
-	reach := make([][]bool, nc)
-	failed := make([]bool, nc)
-	newCache := make(map[string]*compOutcome, nc)
+	words := (nc + 63) / 64
+	s.reach = sized(s.reach, nc*words)
+	s.failed = zeroed(s.failed, nc)
+	s.members = sized(s.members, len(s.live))
+	carved := 0
 	inc.events = inc.events[:0]
 	inc.cands = inc.cands[:0]
 	d := DeltaStats{Components: nc}
 
-	for _, c := range order {
-		slots := make([]int, len(members[c]))
+	for at := len(order) - 1; at >= 0; at-- { // reverse topological
+		c := order[at]
+		slots := s.members[carved : carved+len(members[c])]
+		carved += len(slots)
 		for j, mcj := range members[c] {
-			slots[j] = live[mcj]
+			slots[j] = s.live[mcj]
 		}
-		ev := ComponentEvent{Members: slots}
-		if !alive[slots[0]] {
-			failed[c] = true
-			ev.Status = "pruned"
-			inc.events = append(inc.events, ev)
-			continue
-		}
-		r := make([]bool, nc)
-		r[c] = true
-		ok := true
-		for _, succ := range dag.Succ(c) {
-			if failed[succ] {
-				ok = false
-				break
-			}
-			for i, b := range reach[succ] {
-				if b {
-					r[i] = true
+		ev := compEvent{members: slots}
+		r := s.reach[c*words : (c+1)*words]
+		if !s.alive[slots[0]] {
+			ev.status = "pruned"
+		} else {
+			clear(r)
+			r[c/64] |= 1 << (c % 64)
+			for _, succ := range dag.Succ(c) {
+				if s.failed[succ] {
+					ev.status = "successor failed"
+					break
+				}
+				for w, word := range s.reach[succ*words : (succ+1)*words] {
+					r[w] |= word
 				}
 			}
 		}
-		reach[c] = r
-		if !ok {
-			failed[c] = true
-			ev.Status = "successor failed"
+		if ev.status != "" {
+			s.failed[c] = true
 			inc.events = append(inc.events, ev)
 			continue
 		}
 
-		// The reachable set, in ascending component order like runSCC
-		// (the combined body is assembled in this order, so the frozen
-		// join plan — and with it the chosen witness — matches batch).
-		var set []int
-		for cc := 0; cc < nc; cc++ {
-			if r[cc] {
-				for _, mcc := range members[cc] {
-					set = append(set, live[mcc])
+		// The reachable set in assembly order — ascending component,
+		// like runSCC — which is also its cache key, NOT sorted: the
+		// combined body is concatenated in this order, and the frozen
+		// join plan, hence the witness and the rendered query, depend
+		// on it. A departure elsewhere can renumber Tarjan components
+		// and reorder an unchanged set; that must miss (re-solve, stay
+		// exact), not splice a stale outcome. Slots are stable for the
+		// life of a session, so keys are too.
+		s.set, s.sig = s.set[:0], s.sig[:0]
+		for w, word := range r {
+			for ; word != 0; word &= word - 1 {
+				for _, mcc := range members[w*64+bits.TrailingZeros64(word)] {
+					s.set = append(s.set, s.live[mcc])
+					s.sig = binary.AppendUvarint(s.sig, uint64(s.live[mcc]))
 				}
 			}
 		}
-		sig := sigOf(set)
-		out := inc.cache[sig]
+		out := inc.cache[string(s.sig)] // the conversion does not allocate
 		if out == nil {
-			out, err = inc.solve(set, edges, m)
+			out, err = inc.solve(s.set, edges, m)
 			if err != nil {
 				return d, err
 			}
+			inc.cache[string(s.sig)] = out
 			d.Dirty++
 		} else {
 			d.Reused++
 		}
-		newCache[sig] = out
-		failed[c] = out.failed
-		ev.Status = out.status
-		ev.Set = out.set
-		ev.Combined = out.combined
+		out.pass = inc.pass
+		s.failed[c] = !out.grounded
+		ev.status, ev.out = out.status, out
 		if out.grounded {
-			ev.SetSize = len(out.set)
 			inc.cands = append(inc.cands, Candidate{Set: out.set, subst: out.subst, binding: out.binding})
 		}
 		inc.events = append(inc.events, ev)
 	}
-	inc.cache = newCache
+	for sig, out := range inc.cache {
+		if out.pass != inc.pass {
+			delete(inc.cache, sig)
+		}
+	}
 	d.DBQueries = m.Count()
 	return d, nil
 }
@@ -483,9 +506,10 @@ func (inc *Incremental) reconcile(m *db.Meter) (DeltaStats, error) {
 // unify every edge inside the reachable set (edges arrive in canonical
 // order, so the union sequence — and the resulting substitution — is
 // the one a batch run computes) and ground the combined body with a
-// single database query.
+// single database query. set is scratch: the outcome keeps a copy.
 func (inc *Incremental) solve(set []int, edges []ExtendedEdge, m *db.Meter) (*compOutcome, error) {
-	inSet := make([]bool, len(inc.queries))
+	inSet := zeroed(inc.scr.inSet, len(inc.queries))
+	inc.scr.inSet = inSet
 	for _, i := range set {
 		inSet[i] = true
 	}
@@ -497,7 +521,7 @@ func (inc *Incremental) solve(set []int, edges []ExtendedEdge, m *db.Meter) (*co
 		p := inc.renamed[e.FromQ].Post[e.PostIdx]
 		h := inc.renamed[e.ToQ].Head[e.HeadIdx]
 		if err := s.UnifyAtoms(p, h); err != nil {
-			return &compOutcome{status: "unification failed", set: sortedCopy(set), failed: true}, nil
+			return &compOutcome{status: "unification failed", set: sortedCopy(set)}, nil
 		}
 	}
 	nAtoms := 0
@@ -512,35 +536,9 @@ func (inc *Incremental) solve(set []int, edges []ExtendedEdge, m *db.Meter) (*co
 	if err != nil {
 		return nil, err
 	}
-	out := &compOutcome{
-		set:      sortedCopy(set),
-		subst:    s,
-		combined: renderCombined(s.ApplyAll(body)),
+	out := &compOutcome{status: "no tuple", set: sortedCopy(set), subst: s, body: body}
+	if found {
+		out.status, out.grounded, out.binding = "grounded", true, bind
 	}
-	if !found {
-		out.status = "no tuple"
-		out.failed = true
-		return out, nil
-	}
-	out.status = "grounded"
-	out.grounded = true
-	out.binding = bind
 	return out, nil
-}
-
-// sigOf builds the cache key of a reachable slot set in assembly
-// order, NOT sorted: the combined body is concatenated in this order,
-// and the frozen join plan — hence the chosen witness and the rendered
-// combined query — depends on it. A departure elsewhere in the graph
-// can renumber Tarjan components and reorder an otherwise unchanged
-// reachable set; keying on the ordered sequence makes that a cache
-// miss (re-solve, stay exact) instead of a stale splice. Slots are
-// stable for the life of a session, so signatures are too.
-func sigOf(set []int) string {
-	buf := make([]byte, 0, 4*len(set))
-	for _, s := range set {
-		buf = strconv.AppendInt(buf, int64(s), 10)
-		buf = append(buf, ',')
-	}
-	return string(buf)
 }

@@ -141,10 +141,11 @@ func renumber(s string, compact map[int]int) string {
 // result from scratch.
 func checkIncrementalMatchesBatch(t *testing.T, inc *Incremental, store db.Store, d DeltaStats) {
 	t.Helper()
-	live := inc.LiveSlots()
-	compact := make(map[int]int, len(live))
-	for j, s := range live {
-		compact[s] = j
+	compact := map[int]int{}
+	for s, j := range inc.Positions() {
+		if j >= 0 {
+			compact[s] = j
+		}
 	}
 	qs := inc.LiveQueries()
 

@@ -221,7 +221,7 @@ func GuptaCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
 		return nil, nil
 	}
 	edges := ExtendedGraph(qs)
-	if bad := unsafeIn(len(qs), edges); len(bad) > 0 {
+	if bad := unsafeIn(edges, nil); len(bad) > 0 {
 		return nil, fmt.Errorf("%w: unsafe queries %v", ErrUnsafe, bad)
 	}
 	if !coordinationGraph(len(qs), edges).StronglyConnected() {
@@ -229,16 +229,13 @@ func GuptaCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
 	}
 	// Uniqueness additionally demands that every postcondition has a
 	// provider; a post with no unifiable head can never be satisfied.
-	providers := map[[2]int]int{}
-	for _, e := range edges {
-		providers[[2]int{e.FromQ, e.PostIdx}]++
+	alive := make([]bool, len(qs))
+	for i := range alive {
+		alive[i] = true
 	}
-	for i, q := range qs {
-		for pi := range q.Post {
-			if providers[[2]int{i, pi}] == 0 {
-				return nil, nil
-			}
-		}
+	var c cascade
+	if len(c.run(qs, edges, alive, nil)) > 0 {
+		return nil, nil
 	}
 	m := db.NewMeter(store)
 	renamed := renameAll(qs)

@@ -42,7 +42,7 @@ type ComponentEvent struct {
 	Combined string `json:"combined,omitempty"` // the combined conjunctive query sent to the database (when any)
 }
 
-// WriteTo renders the trace as indented text, naming queries by ID.
+// Render writes the trace as indented text, naming queries by ID.
 func (t *Trace) Render(w io.Writer, qs []eq.Query) error {
 	var sb strings.Builder
 	if len(t.Pruned) > 0 {
@@ -89,7 +89,7 @@ func prepareSCC(qs []eq.Query, store db.Store, opts Options) (*sccSetup, error) 
 	tr := opts.Trace
 	edges := ExtendedGraph(qs)
 	if !opts.SkipSafetyCheck {
-		if bad := unsafeIn(len(qs), edges); len(bad) > 0 {
+		if bad := unsafeIn(edges, nil); len(bad) > 0 {
 			return nil, fmt.Errorf("%w: unsafe queries %v", ErrUnsafe, bad)
 		}
 	}
@@ -284,7 +284,8 @@ func runSCC(qs []eq.Query, store db.Store, opts Options) ([]Candidate, error) {
 	return cands, nil
 }
 
-// pruneTraced is prune with event recording.
+// pruneTraced is the §6.1 preprocessing: one body-satisfiability probe
+// per query, then the provider cascade, recording events when traced.
 func pruneTraced(renamed []eq.Query, edges []ExtendedEdge, store db.Store, alive []bool, tr *Trace) error {
 	for i, q := range renamed {
 		sat, err := store.Satisfiable(q.Body)
@@ -298,33 +299,12 @@ func pruneTraced(renamed []eq.Query, edges []ExtendedEdge, store db.Store, alive
 			}
 		}
 	}
-	for {
-		changed := false
-		providers := map[[2]int]int{}
-		for _, e := range edges {
-			if alive[e.FromQ] && alive[e.ToQ] {
-				providers[[2]int{e.FromQ, e.PostIdx}]++
-			}
-		}
-		for i, q := range renamed {
-			if !alive[i] {
-				continue
-			}
-			for pi := range q.Post {
-				if providers[[2]int{i, pi}] == 0 {
-					alive[i] = false
-					changed = true
-					if tr != nil {
-						tr.Pruned = append(tr.Pruned, PruneEvent{Query: i, Reason: "unsatisfiable postcondition"})
-					}
-					break
-				}
-			}
-		}
-		if !changed {
-			return nil
-		}
+	var c cascade
+	pruned := c.run(renamed, edges, alive, nil)
+	if tr != nil {
+		tr.Pruned = append(tr.Pruned, pruned...)
 	}
+	return nil
 }
 
 func renderCombined(body []eq.Atom) string {

@@ -2,25 +2,61 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"sort"
 )
 
 // Digraph is a simple directed graph. Parallel edges are collapsed;
-// self-loops are allowed.
+// self-loops are allowed. The package comment states the ordering
+// contract and who owns the slices its methods return.
 type Digraph struct {
-	n   int
-	adj [][]int
-	has []map[int]bool
-	m   int
+	n, m int
+	// One arena holds every successor list: node u's is to[at : at+n],
+	// in a block of n rounded up to a power of two; a list that fills
+	// its block moves to one twice the size at the arena's end.
+	span []span
+	to   []int
+	// AddEdge's duplicate filter: mark[v] == stamp iff src -> v is
+	// present. Stamps only grow, so stale marks never match.
+	src, stamp int
+	mark       []int
+
+	comp              []int // SCC
+	index, low, stack []int32
+	work              []sccFrame
+	dag               *Digraph // Condense
+	members           [][]int  // carved from flat
+	flat              []int
+	deg               []int32 // TopoOrder
+	order             []int
 }
+
+// span places one node's successor list in the arena.
+type span struct{ at, n int32 }
 
 // New returns an empty digraph on n nodes.
 func New(n int) *Digraph {
-	return &Digraph{
-		n:   n,
-		adj: make([][]int, n),
-		has: make([]map[int]bool, n),
+	g := &Digraph{}
+	g.Reset(n)
+	return g
+}
+
+// Reset empties the graph and resizes it to n nodes, keeping the
+// capacity of every list and buffer.
+func (g *Digraph) Reset(n int) {
+	g.span = sized(g.span, n)
+	clear(g.span)
+	g.to, g.mark = g.to[:0], sized(g.mark, n)
+	g.n, g.m, g.src = n, 0, -1
+}
+
+// sized returns xs with length n and unspecified contents, reallocating
+// (with a quarter's headroom) only when capacity is short.
+func sized[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n, n+n/4+8)
 	}
+	return xs[:n]
 }
 
 // N returns the number of nodes.
@@ -29,33 +65,50 @@ func (g *Digraph) N() int { return g.n }
 // M returns the number of (distinct) edges.
 func (g *Digraph) M() int { return g.m }
 
-// AddEdge inserts the edge u -> v, collapsing duplicates.
+// AddEdge inserts the edge u -> v, collapsing duplicates. It is O(1)
+// while consecutive calls share their source and O(out-degree of u)
+// when the source changes (u's successors are re-marked).
 func (g *Digraph) AddEdge(u, v int) {
-	if g.has[u] == nil {
-		g.has[u] = map[int]bool{}
+	if u != g.src {
+		g.src = u
+		g.stamp++
+		for _, w := range g.Succ(u) {
+			g.mark[w] = g.stamp
+		}
 	}
-	if g.has[u][v] {
+	if g.mark[v] == g.stamp {
 		return
 	}
-	g.has[u][v] = true
-	g.adj[u] = append(g.adj[u], v)
+	g.mark[v] = g.stamp
+	s := &g.span[u]
+	if s.n&(s.n-1) == 0 { // 0 or a power of two: the block is full
+		at := int32(len(g.to))
+		g.to = append(g.to, g.to[s.at:s.at+s.n]...)
+		g.to = append(g.to, make([]int, max(s.n, 1))...)
+		s.at = at
+	}
+	g.to[s.at+s.n] = v
+	s.n++
 	g.m++
 }
 
-// HasEdge reports whether u -> v is present.
-func (g *Digraph) HasEdge(u, v int) bool { return g.has[u] != nil && g.has[u][v] }
+// HasEdge reports whether u -> v is present, in O(out-degree of u).
+func (g *Digraph) HasEdge(u, v int) bool { return slices.Contains(g.Succ(u), v) }
 
 // Succ returns u's successor list (shared; do not mutate).
-func (g *Digraph) Succ(u int) []int { return g.adj[u] }
+func (g *Digraph) Succ(u int) []int {
+	s := g.span[u]
+	return g.to[s.at : s.at+s.n : s.at+s.n]
+}
 
 // OutDegree returns the number of distinct successors of u.
-func (g *Digraph) OutDegree(u int) int { return len(g.adj[u]) }
+func (g *Digraph) OutDegree(u int) int { return int(g.span[u].n) }
 
 // InDegrees returns the in-degree of every node.
 func (g *Digraph) InDegrees() []int {
 	deg := make([]int, g.n)
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
+		for _, v := range g.Succ(u) {
 			deg[v]++
 		}
 	}
@@ -66,7 +119,7 @@ func (g *Digraph) InDegrees() []int {
 func (g *Digraph) Reverse() *Digraph {
 	r := New(g.n)
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
+		for _, v := range g.Succ(u) {
 			r.AddEdge(v, u)
 		}
 	}
@@ -84,7 +137,7 @@ func (g *Digraph) Subgraph(nodes []int) (*Digraph, []int) {
 	}
 	s := New(len(nodes))
 	for _, u := range nodes {
-		for _, v := range g.adj[u] {
+		for _, v := range g.Succ(u) {
 			if j, ok := idx[v]; ok {
 				s.AddEdge(idx[u], j)
 			}
@@ -93,6 +146,9 @@ func (g *Digraph) Subgraph(nodes []int) (*Digraph, []int) {
 	return s, orig
 }
 
+// sccFrame is one level of SCC's DFS: a node and its next successor.
+type sccFrame struct{ v, ei int32 }
+
 // SCC computes strongly connected components with an iterative Tarjan
 // algorithm. It returns comp (node -> component id) and the number of
 // components. Component ids are in reverse topological order of the
@@ -100,26 +156,20 @@ func (g *Digraph) Subgraph(nodes []int) (*Digraph, []int) {
 // (a != b) then a > b, i.e. component 0 is a sink.
 func (g *Digraph) SCC() (comp []int, ncomp int) {
 	const unvisited = -1
-	index := make([]int, g.n)
-	low := make([]int, g.n)
-	onStack := make([]bool, g.n)
-	comp = make([]int, g.n)
+	g.index, g.low, g.comp = sized(g.index, g.n), sized(g.low, g.n), sized(g.comp, g.n)
+	index, low, comp := g.index, g.low, g.comp
 	for i := range index {
 		index[i] = unvisited
 		comp[i] = unvisited
 	}
-	var stack []int
-	next := 0
-
-	type frame struct {
-		v  int
-		ei int
-	}
-	for root := 0; root < g.n; root++ {
+	// A visited node is on the Tarjan stack until it gets a component.
+	stack, work := g.stack[:0], g.work[:0]
+	next := int32(0)
+	for root := int32(0); int(root) < g.n; root++ {
 		if index[root] != unvisited {
 			continue
 		}
-		work := []frame{{root, 0}}
+		work = append(work, sccFrame{root, 0})
 		for len(work) > 0 {
 			f := &work[len(work)-1]
 			v := f.v
@@ -128,18 +178,17 @@ func (g *Digraph) SCC() (comp []int, ncomp int) {
 				low[v] = next
 				next++
 				stack = append(stack, v)
-				onStack[v] = true
 			}
 			advanced := false
-			for f.ei < len(g.adj[v]) {
-				w := g.adj[v][f.ei]
+			for succ := g.Succ(int(v)); int(f.ei) < len(succ); {
+				w := int32(succ[f.ei])
 				f.ei++
 				if index[w] == unvisited {
-					work = append(work, frame{w, 0})
+					work = append(work, sccFrame{w, 0})
 					advanced = true
 					break
 				}
-				if onStack[w] && low[w] < low[v] {
+				if comp[w] == unvisited && low[w] < low[v] {
 					low[v] = low[w]
 				}
 			}
@@ -151,7 +200,6 @@ func (g *Digraph) SCC() (comp []int, ncomp int) {
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
 					comp[w] = ncomp
 					if w == v {
 						break
@@ -168,22 +216,45 @@ func (g *Digraph) SCC() (comp []int, ncomp int) {
 			}
 		}
 	}
+	g.stack, g.work = stack, work
 	return comp, ncomp
 }
 
 // Condense returns the condensation DAG of g (one node per SCC, edges
 // between distinct components) plus the membership: comp maps original
-// nodes to component ids and members lists each component's nodes.
-// Component ids follow SCC's reverse-topological numbering.
+// nodes to component ids and members lists each component's nodes in
+// ascending order. Component ids follow SCC's reverse-topological
+// numbering.
 func (g *Digraph) Condense() (dag *Digraph, comp []int, members [][]int) {
 	comp, ncomp := g.SCC()
-	dag = New(ncomp)
-	members = make([][]int, ncomp)
-	for u := 0; u < g.n; u++ {
-		members[comp[u]] = append(members[comp[u]], u)
-		for _, v := range g.adj[u] {
-			if comp[u] != comp[v] {
-				dag.AddEdge(comp[u], comp[v])
+	size := g.low[:ncomp] // free once SCC has returned
+	clear(size)
+	for _, c := range comp {
+		size[c]++
+	}
+	g.flat, g.members = sized(g.flat, g.n), sized(g.members, ncomp)
+	members = g.members
+	off := 0
+	for c, k := range size {
+		members[c] = g.flat[off : off : off+int(k)]
+		off += int(k)
+	}
+	for u, c := range comp {
+		members[c] = append(members[c], u)
+	}
+	if g.dag == nil {
+		g.dag = &Digraph{}
+	}
+	dag = g.dag
+	dag.Reset(ncomp)
+	// Component by component keeps AddEdge's source steady; each list
+	// still fills in ascending-member order.
+	for c, ms := range members {
+		for _, u := range ms {
+			for _, v := range g.Succ(u) {
+				if comp[v] != c {
+					dag.AddEdge(c, comp[v])
+				}
 			}
 		}
 	}
@@ -195,25 +266,31 @@ var ErrCycle = errors.New("graph: not a DAG")
 
 // TopoOrder returns a topological order (sources first) or ErrCycle.
 func (g *Digraph) TopoOrder() ([]int, error) {
-	deg := g.InDegrees()
-	var queue []int
-	for u := 0; u < g.n; u++ {
-		if deg[u] == 0 {
-			queue = append(queue, u)
+	g.deg = sized(g.deg, g.n)
+	deg := g.deg
+	clear(deg)
+	for u := range g.span {
+		for _, v := range g.Succ(u) {
+			deg[v]++
 		}
 	}
-	var order []int
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, v := range g.adj[u] {
+	// order is its own FIFO: nodes enter as their in-degree reaches
+	// zero and are expanded in place.
+	order := sized(g.order, g.n)[:0]
+	for u, d := range deg {
+		if d == 0 {
+			order = append(order, u)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		for _, v := range g.Succ(order[head]) {
 			deg[v]--
 			if deg[v] == 0 {
-				queue = append(queue, v)
+				order = append(order, v)
 			}
 		}
 	}
+	g.order = order
 	if len(order) != g.n {
 		return nil, ErrCycle
 	}
@@ -228,7 +305,7 @@ func (g *Digraph) Reachable(u int) []bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.adj[v] {
+		for _, w := range g.Succ(v) {
 			if !seen[w] {
 				seen[w] = true
 				stack = append(stack, w)
@@ -268,7 +345,7 @@ func (g *Digraph) CountSimplePaths(u, v, cap int) int {
 			count++
 			return
 		}
-		for _, w := range g.adj[x] {
+		for _, w := range g.Succ(x) {
 			e := edge{x, w}
 			if usedEdge[e] {
 				continue
@@ -289,7 +366,7 @@ func (g *Digraph) CountSimplePaths(u, v, cap int) int {
 func (g *Digraph) Edges() [][2]int {
 	var out [][2]int
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
+		for _, v := range g.Succ(u) {
 			out = append(out, [2]int{u, v})
 		}
 	}

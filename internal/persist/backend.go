@@ -225,10 +225,7 @@ func (b *Backend) loadMeta() error {
 			b.shards = 1
 		}
 		data, _ = json.Marshal(backendMeta{Version: 1, Shards: b.shards})
-		if err := b.fs.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		return b.fs.SyncDir(b.dir)
+		return b.writeMeta(path, append(data, '\n'))
 	}
 	if err != nil {
 		return err
@@ -245,6 +242,34 @@ func (b *Backend) loadMeta() error {
 	}
 	b.shards = meta.Shards
 	return nil
+}
+
+// writeMeta makes meta.json durable the way snapshots are: written to
+// a temp file, fsynced, renamed into place, directory fsynced. A bare
+// WriteFile + SyncDir makes the name durable but not the bytes, and a
+// power loss would leave an empty meta.json that fails every later
+// Open.
+func (b *Backend) writeMeta(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := b.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = b.fs.Rename(tmp, path)
+	}
+	if err != nil {
+		b.fs.Remove(tmp)
+		return err
+	}
+	return b.fs.SyncDir(b.dir)
 }
 
 // recoverStore replays snapshot + segments into the in-memory store

@@ -80,3 +80,73 @@ func TestSessionCompactionKeepsIDsLeavable(t *testing.T) {
 		t.Fatalf("size after draining = %d, want 0", got)
 	}
 }
+
+// TestSessionShrinkAndRegrowMatchesBatch takes a session from 256 live
+// queries down to 2 and back up to 256, comparing it with batch
+// SCCCoordinate — team, values, trace bytes — after every single event.
+// The coordinator's per-pass scratch is sized by the largest state it
+// has seen and reused by every smaller one, so anything read beyond the
+// current length, or left over from the previous pass, surfaces here. It
+// runs with compaction after every 2 tombstones (the scratch is
+// released and regrown constantly), at the default threshold, and
+// disabled (the scratch only ever grows, and 254 slots are dead at the
+// turn).
+func TestSessionShrinkAndRegrowMatchesBatch(t *testing.T) {
+	chains, chainLen := 16, 16
+	if raceEnabled {
+		chains = 4 // stale scratch is not a data race; 64 queries keep -race quick
+	}
+	for _, compactAfter := range []int{2, 0, -1} {
+		store := workload.NewStore(1, chains, 0)
+		s := stream.New(store, stream.Options{CompactAfter: compactAfter})
+		var order []eq.Query
+		for i := 0; i < chainLen; i++ {
+			for c := 0; c < chains; c++ {
+				order = append(order, workload.ChainQuery(c, i, chains))
+			}
+		}
+		step := func(phase string, n int, q eq.Query, leave bool) {
+			t.Helper()
+			var err error
+			if leave {
+				_, err = s.Leave(q.ID)
+			} else {
+				_, err = s.Join(q)
+			}
+			label := fmt.Sprintf("compactAfter=%d %s %d (%s)", compactAfter, phase, n, q.ID)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			checkSessionMatchesBatch(t, s, store, label)
+		}
+		for n, q := range order {
+			step("grow", n, q, false)
+		}
+		// Down to 2: alternately clip a tail and pull an interior member
+		// out from under its suffix, so both the cheap and the cascading
+		// departure run at every size.
+		left := append([]eq.Query(nil), order...)
+		for n := 0; len(left) > 2; n++ {
+			k := len(left) - 1
+			if n%2 == 1 {
+				k = len(left) / 3
+			}
+			step("shrink", n, left[k], true)
+			left = append(left[:k], left[k+1:]...)
+		}
+		if s.Size() != 2 {
+			t.Fatalf("compactAfter=%d: %d live at the turn", compactAfter, s.Size())
+		}
+		// And back: the departed queries return in their original order,
+		// un-pruning the suffixes they had stranded.
+		live := map[string]bool{left[0].ID: true, left[1].ID: true}
+		for n, q := range order {
+			if !live[q.ID] {
+				step("regrow", n, q, false)
+			}
+		}
+		if s.Size() != chains*chainLen {
+			t.Fatalf("compactAfter=%d: %d live at the end", compactAfter, s.Size())
+		}
+	}
+}

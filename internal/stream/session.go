@@ -467,7 +467,8 @@ type Status struct {
 func (s *Session) Status(withTrace bool) (Status, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := s.resultLocked()
+	pos := s.inc.Positions()
+	res, err := s.resultLocked(pos)
 	if err != nil {
 		return Status{}, err
 	}
@@ -478,7 +479,7 @@ func (s *Session) Status(withTrace bool) (Status, error) {
 		Totals:  s.totals,
 	}
 	if withTrace {
-		st.Trace = s.traceLocked()
+		st.Trace = s.traceLocked(pos)
 	}
 	return st, nil
 }
@@ -490,21 +491,19 @@ func (s *Session) Status(withTrace bool) (Status, error) {
 func (s *Session) Result() (*coord.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.resultLocked()
+	return s.resultLocked(s.inc.Positions())
 }
 
-// resultLocked is Result under an already-held lock.
-func (s *Session) resultLocked() (*coord.Result, error) {
+// resultLocked is Result under an already-held lock; pos is the
+// coordinator's Positions, the translation from its stable slots to
+// the indices of Queries().
+func (s *Session) resultLocked(pos []int) (*coord.Result, error) {
 	res, err := s.inc.Result()
 	if err != nil || res == nil {
 		return res, err
 	}
 	// Translate stable slots to live positions so the indices line up
 	// with Queries(), the way batch callers expect.
-	pos := map[int]int{}
-	for j, slot := range s.inc.LiveSlots() {
-		pos[slot] = j
-	}
 	set := make([]int, len(res.Set))
 	values := make(map[int]map[string]eq.Value, len(res.Values))
 	for i, slot := range res.Set {
@@ -520,16 +519,12 @@ func (s *Session) resultLocked() (*coord.Result, error) {
 func (s *Session) Trace() *coord.Trace {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.traceLocked()
+	return s.traceLocked(s.inc.Positions())
 }
 
 // traceLocked is Trace under an already-held lock.
-func (s *Session) traceLocked() *coord.Trace {
+func (s *Session) traceLocked(pos []int) *coord.Trace {
 	tr := s.inc.Trace()
-	pos := map[int]int{}
-	for j, slot := range s.inc.LiveSlots() {
-		pos[slot] = j
-	}
 	for i := range tr.Pruned {
 		tr.Pruned[i].Query = pos[tr.Pruned[i].Query]
 	}
@@ -541,7 +536,7 @@ func (s *Session) traceLocked() *coord.Trace {
 	return tr
 }
 
-func remap(xs []int, pos map[int]int) []int {
+func remap(xs []int, pos []int) []int {
 	if xs == nil {
 		return nil
 	}
@@ -563,7 +558,7 @@ func remap(xs []int, pos map[int]int) []int {
 // corner is accepted rather than guarded with a full re-parse.
 var prefixRe = regexp.MustCompile(`q(\d+)\.`)
 
-func renumberPrefixes(s string, pos map[int]int) string {
+func renumberPrefixes(s string, pos []int) string {
 	matches := prefixRe.FindAllStringSubmatchIndex(s, -1)
 	if matches == nil {
 		return s
@@ -582,11 +577,10 @@ func renumberPrefixes(s string, pos map[int]int) string {
 		if err != nil {
 			continue
 		}
-		p, ok := pos[slot]
-		if !ok {
+		if slot >= len(pos) || pos[slot] < 0 {
 			continue
 		}
-		sb.WriteString("q" + strconv.Itoa(p) + ".")
+		sb.WriteString("q" + strconv.Itoa(pos[slot]) + ".")
 		last = end
 	}
 	sb.WriteString(s[last:])

@@ -11,6 +11,7 @@ import (
 	"entangled/internal/db"
 	"entangled/internal/eq"
 	"entangled/internal/stream"
+	"entangled/internal/unify"
 	"entangled/internal/workload"
 )
 
@@ -201,48 +202,157 @@ func TestSessionRejectUnsafeWithoutParking(t *testing.T) {
 	}
 }
 
-// TestSessionStoreErrorStaysConsistent: a store error mid-pass (a body
-// over an unknown relation, surfacing in the dirty component's
-// grounding query when pruning is skipped) must not desynchronise the
-// session — the offending query stays tracked, can be departed, and
-// the session heals.
+// TestSessionStoreErrorStaysConsistent: a store error mid-pass must not
+// desynchronise the session. The first case is a body over an unknown
+// relation, surfacing in the dirty component's grounding query when
+// pruning is skipped: the offending query stays tracked, can be
+// departed, and the session heals. The others fail the store in the
+// middle of a reconcile walk — the k-th of several grounding queries —
+// which leaves the outcome cache half stamped: some entries carry the
+// failed pass's number, some the one before, and some are new. The
+// next event must sweep it as if nothing had happened.
 func TestSessionStoreErrorStaysConsistent(t *testing.T) {
-	s := stream.New(chainStore(2), stream.Options{
-		Coord: coord.Options{SkipPruning: true},
+	t.Run("failed arrival stays tracked", func(t *testing.T) {
+		s := stream.New(chainStore(2), stream.Options{
+			Coord: coord.Options{SkipPruning: true},
+		})
+		if _, err := s.Join(workload.ChainQuery(0, 0, 2)); err != nil {
+			t.Fatal(err)
+		}
+		bad := eq.Query{
+			ID:   "bad",
+			Head: []eq.Atom{eq.NewAtom("R", eq.C("B"), eq.V("x"))},
+			Body: []eq.Atom{eq.NewAtom("Nope", eq.V("x"))},
+		}
+		if _, err := s.Join(bad); err == nil {
+			t.Fatal("want a store error for an unknown relation")
+		}
+		// The query committed before the pass failed: it is live, visible,
+		// and — critically — removable.
+		if s.Size() != 2 {
+			t.Fatalf("size %d after failed pass", s.Size())
+		}
+		if _, err := s.Join(bad); !errors.Is(err, stream.ErrDuplicateID) {
+			t.Fatalf("ID of the failed join not reserved: %v", err)
+		}
+		if _, err := s.Leave("bad"); err != nil {
+			t.Fatalf("failed join cannot be departed: %v", err)
+		}
+		if s.Size() != 1 {
+			t.Fatalf("size %d after departure", s.Size())
+		}
+		// The session is healthy again: new events coordinate normally.
+		up, err := s.Join(workload.ChainQuery(0, 1, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if up.TeamSize != 2 {
+			t.Fatalf("team %d after recovery", up.TeamSize)
+		}
 	})
-	if _, err := s.Join(workload.ChainQuery(0, 0, 2)); err != nil {
-		t.Fatal(err)
+
+	// Four chains of eight. Chain 0's member 2 leaves (stranding 3..7)
+	// and comes back, which dirties six components, 2..7; the store
+	// fails the fourth grounding. never runs the same events on a store
+	// that does not fail.
+	const chains, chainLen, failAt, dirtied = 4, 8, 4, 6
+	errStore := errors.New("store: injected failure")
+	type pair struct {
+		failed, never *stream.Session
+		store         *flakyStore
 	}
-	bad := eq.Query{
-		ID:   "bad",
-		Head: []eq.Atom{eq.NewAtom("R", eq.C("B"), eq.V("x"))},
-		Body: []eq.Atom{eq.NewAtom("Nope", eq.V("x"))},
+	interior := workload.ChainQuery(0, 2, chains)
+	setup := func(t *testing.T) pair {
+		p := pair{store: &flakyStore{Store: chainStore(chains), err: errStore}}
+		p.failed = stream.New(p.store, stream.Options{})
+		p.never = stream.New(chainStore(chains), stream.Options{})
+		for _, s := range []*stream.Session{p.failed, p.never} {
+			for c := 0; c < chains; c++ {
+				for i := 0; i < chainLen; i++ {
+					if _, err := s.Join(workload.ChainQuery(c, i, chains)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if _, err := s.Leave(interior.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.store.failAt = failAt
+		up, err := p.failed.Join(interior)
+		if !errors.Is(err, errStore) || !up.Admitted || up.Stats.Dirty != failAt-1 {
+			t.Fatalf("mid-walk failure: err %v, update %+v", err, up)
+		}
+		if up, err = p.never.Join(interior); err != nil || up.Stats.Dirty != dirtied {
+			t.Fatalf("the same arrival on a healthy store: err %v, update %+v", err, up)
+		}
+		return p
 	}
-	if _, err := s.Join(bad); err == nil {
-		t.Fatal("want a store error for an unknown relation")
+	// both applies one event to both sessions, requires the failed one
+	// to equal batch, and returns the two events' costs.
+	both := func(t *testing.T, p pair, label string, ev stream.Event) (failed, never coord.DeltaStats) {
+		t.Helper()
+		fu, err := p.failed.Apply(ev)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		nu, err := p.never.Apply(ev)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		checkSessionMatchesBatch(t, p.failed, p.store, label)
+		return fu.Stats, nu.Stats
 	}
-	// The query committed before the pass failed: it is live, visible,
-	// and — critically — removable.
-	if s.Size() != 2 {
-		t.Fatalf("size %d after failed pass", s.Size())
+
+	t.Run("mid-walk failure, then the arrival is undone", func(t *testing.T) {
+		// Undoing the arrival needs nothing the failed pass did not get
+		// to: the next event costs exactly what it costs a session whose
+		// store never failed, and so does the one after.
+		p := setup(t)
+		for _, ev := range []stream.Event{
+			{Kind: stream.LeaveEvent, ID: interior.ID},
+			{Kind: stream.JoinEvent, Query: interior},
+		} {
+			if f, n := both(t, p, ev.String(), ev); f != n {
+				t.Fatalf("%v after a failed pass cost %+v, a never-failed session pays %+v", ev, f, n)
+			}
+		}
+	})
+
+	t.Run("mid-walk failure, then an unrelated event", func(t *testing.T) {
+		// Another chain's tail leaves. Every component is walked again:
+		// the three groundings the failed pass finished are reused, the
+		// three it never reached are the only extra work — and with
+		// that pass complete, the session is level with one that never
+		// failed.
+		p := setup(t)
+		tail := workload.ChainQuery(1, chainLen-1, chains)
+		f, n := both(t, p, "unrelated leave", stream.Event{Kind: stream.LeaveEvent, ID: tail.ID})
+		owed := dirtied - (failAt - 1)
+		if f.Components != n.Components || f.Dirty != n.Dirty+owed || f.Reused != n.Reused-owed || f.DBQueries != n.DBQueries+int64(owed) {
+			t.Fatalf("the event after a failed pass cost %+v; want a never-failed session's %+v plus the %d groundings still owed", f, n, owed)
+		}
+		if f, n = both(t, p, "rejoin", stream.Event{Kind: stream.JoinEvent, Query: tail}); f != n {
+			t.Fatalf("one pass later the session costs %+v, a never-failed one %+v", f, n)
+		}
+	})
+}
+
+// flakyStore fails the failAt-th grounding query (SolveUnder) it sees
+// once failAt is set, and only that one.
+type flakyStore struct {
+	db.Store
+	err          error
+	failAt, seen int
+}
+
+func (s *flakyStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, bool, error) {
+	if s.failAt > 0 {
+		if s.seen++; s.seen == s.failAt {
+			return nil, false, s.err
+		}
 	}
-	if _, err := s.Join(bad); !errors.Is(err, stream.ErrDuplicateID) {
-		t.Fatalf("ID of the failed join not reserved: %v", err)
-	}
-	if _, err := s.Leave("bad"); err != nil {
-		t.Fatalf("failed join cannot be departed: %v", err)
-	}
-	if s.Size() != 1 {
-		t.Fatalf("size %d after departure", s.Size())
-	}
-	// The session is healthy again: new events coordinate normally.
-	up, err := s.Join(workload.ChainQuery(0, 1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if up.TeamSize != 2 {
-		t.Fatalf("team %d after recovery", up.TeamSize)
-	}
+	return s.Store.SolveUnder(body, sub)
 }
 
 // TestSessionRunDrains feeds a generated arrival sequence through Run
