@@ -352,30 +352,6 @@ func BenchmarkUnification(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationIncrementalUnify compares recomputing the combined
-// MGU per component against reusing the successors' MGUs (§6.1's
-// described implementation) on the worst-case chain, where reachable
-// sets grow linearly.
-func BenchmarkAblationIncrementalUnify(b *testing.B) {
-	inst := db.NewInstance()
-	workload.UserTable(inst, benchTableRows)
-	qs := workload.ListQueries(100, benchTableRows)
-	for _, inc := range []bool{false, true} {
-		name := "recompute"
-		if inc {
-			name = "incremental"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := coord.SCCCoordinate(qs, inst, coord.Options{SkipSafetyCheck: true, IncrementalUnify: inc})
-				if err != nil || res.Size() != 100 {
-					b.Fatalf("res=%v err=%v", res, err)
-				}
-			}
-		})
-	}
-}
-
 // The BenchmarkSharded* family measures what hash-partitioning buys:
 // relation-lock granularity. The win is contention relief, so it only
 // materialises when goroutines actually contend — run with GOMAXPROCS

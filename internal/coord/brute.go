@@ -66,7 +66,7 @@ func bruteForce(qs []eq.Query, store db.Store, smallestFirst bool) (*Result, err
 				return nil, err
 			}
 			if ok {
-				return finishResult(qs, set, s, bind, meter)
+				return finishResult(qs, renamed, set, s, bind, meter)
 			}
 		}
 	}

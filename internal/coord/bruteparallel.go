@@ -64,7 +64,7 @@ func bruteForceParallel(ctx context.Context, qs []eq.Query, store db.Store, smal
 			return nil, err
 		}
 		if h != nil {
-			return finishResult(qs, h.set, h.s, h.bind, meter)
+			return finishResult(qs, renamed, h.set, h.s, h.bind, meter)
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err

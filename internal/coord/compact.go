@@ -22,8 +22,8 @@ func (inc *Incremental) Tombstones() int { return inc.g.n - inc.g.live }
 // the coordination state.
 //
 // Renumbering changes every query's alpha-renaming prefix, so cached
-// component outcomes (whose substitutions and signatures are expressed
-// in old-slot variables) cannot be carried over: the next reconcile
+// component outcomes (whose bindings and signatures are expressed in
+// old-slot variables) cannot be carried over: the next reconcile
 // re-solves every component, at batch grounding cost. Cached
 // body-satisfiability probes ARE carried over — they depend only on the
 // query body and the store — so compaction issues no pruning probes.
@@ -57,7 +57,7 @@ func (inc *Incremental) Compact() ([]int, DeltaStats, error) {
 	inc.queries = newQueries
 	inc.renamed = newRenamed
 	inc.bodySat = newSat
-	// Outcome signatures and substitutions are slot-addressed; a dense
+	// Outcome signatures and bindings are slot-addressed; a dense
 	// renumbering invalidates all of them.
 	inc.cache = map[string]*compOutcome{}
 	// The scratch was sized by the old slot count; the next pass

@@ -9,7 +9,6 @@ import (
 	"entangled/internal/db"
 	"entangled/internal/eq"
 	"entangled/internal/graph"
-	"entangled/internal/unify"
 )
 
 // ErrUnsafeArrival is returned by Incremental.Add when admitting the
@@ -54,15 +53,15 @@ type DeltaStats struct {
 // outcome of unifying its reachable set and grounding the combination.
 // It is a pure function of (reachable live query slots, store
 // contents), so it stays valid for splicing as long as neither changes;
-// the dirty-region invariant in DESIGN.md spells this out.
+// the dirty-region invariant in DESIGN.md spells this out. The unifier
+// and the combined body are functions of the set alone and are not
+// kept: Result and Trace recompute the ones they show.
 type compOutcome struct {
-	status   string // "grounded", "unification failed", "no tuple"
-	set      []int  // reachable query slots, sorted ascending
-	subst    *unify.Subst
-	binding  db.Binding
-	body     []eq.Atom // the combined body sent to the database; traces render it
-	grounded bool
-	pass     uint64 // the reconcile pass that last used this outcome
+	status  string     // "grounded", "unification failed", "no tuple"
+	set     []int      // reachable query slots, sorted ascending
+	order   []int      // the same slots in assembly order, the order of the combined body
+	binding db.Binding // the database's answer, when grounded
+	pass    uint64     // the reconcile pass that last used this outcome
 }
 
 // compEvent is one component of the last pass, as Trace reports it.
@@ -83,11 +82,10 @@ type scratch struct {
 	idx     []int         // slot -> dense position, live slots only
 	prune   cascade       // §6.1 provider counters
 	cg      graph.Digraph // coordination graph over dense positions
-	reach   []uint64      // one bitset row per component: what it reaches
+	reach   reachRows     // component -> what it reaches
 	failed  []bool        // component -> no coordinating set through it
-	set     []int         // reachable slots of the component being searched
-	sig     []byte        // its cache key
-	inSet   []bool        // slot -> in set, for solve's edge filter
+	sig     []byte        // cache key of the component being searched
+	sr      search        // its reachable set, and the one search every solve runs on
 	members []int         // backing of this pass's compEvent.members
 }
 
@@ -102,8 +100,9 @@ type scratch struct {
 //
 // Queries live in slots: Add assigns the next slot, Remove tombstones
 // one. Slots are never reused, so a query's alpha-renaming prefix is
-// stable for the life of the session and cached substitutions never go
-// stale. A quiesced Incremental reports exactly what a batch
+// stable for the life of the session: a cached binding's variable names
+// stay the ones its set's recomputed MGU resolves to. A quiesced
+// Incremental reports exactly what a batch
 // SCCCoordinate over its live queries (in slot order) would: same
 // team, same trace, same witness values.
 //
@@ -128,6 +127,7 @@ type Incremental struct {
 	pruned []PruneEvent
 	events []compEvent
 	cands  []Candidate
+	fb     fallback // read at most once per pass, and only if a witness needs it
 	last   DeltaStats
 	total  int64 // lifetime database queries
 }
@@ -135,10 +135,9 @@ type Incremental struct {
 // NewIncremental returns an empty resumable coordinator over store.
 // opts.Select chooses among candidates in Result; SkipPruning and
 // SkipSafetyCheck have their batch meanings (SkipSafetyCheck disables
-// the Add-time admission check); Trace, IncrementalUnify and
-// Parallelism are ignored — the trace is available from Trace(), and
-// events re-solve only the dirty region, which is the incremental
-// strategy taken to its conclusion.
+// the Add-time admission check); Trace and Parallelism are ignored —
+// the trace is available from Trace(), and events re-solve only the
+// dirty region.
 func NewIncremental(store db.Store, opts Options) *Incremental {
 	return &Incremental{
 		store: store,
@@ -243,8 +242,8 @@ func (inc *Incremental) Remove(slot int) (DeltaStats, error) {
 
 // Result returns the coordinating set selected from the current
 // candidate family (opts.Select, MaxSize by default), or nil when
-// nothing grounds. Asking costs no database queries — the answer is
-// assembled from cached state — and Result.DBQueries reports the
+// nothing grounds. Asking costs no database queries — the winner's MGU
+// is recomputed, its binding is cached — and Result.DBQueries reports the
 // marginal cost of the event that produced this state, the streaming
 // analogue of the paper's per-run cost metric.
 func (inc *Incremental) Result() (*Result, error) {
@@ -256,15 +255,11 @@ func (inc *Incremental) Result() (*Result, error) {
 		sel = MaxSize
 	}
 	win := inc.cands[sel(inc.cands)]
-	fallback, err := pickFallback(inc.queries, win.Set, win.subst, win.binding, inc.store)
+	values, err := inc.scr.sr.witness(inc.queries, inc.renamed, inc.g.Edges(), win, &inc.fb)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Set:       win.Set,
-		Values:    extractValues(inc.queries, win.Set, win.subst, win.binding, fallback),
-		DBQueries: inc.last.DBQueries,
-	}, nil
+	return &Result{Set: win.Set, Values: values, DBQueries: inc.last.DBQueries}, nil
 }
 
 // TeamSize returns the size of the coordinating set Result would
@@ -285,14 +280,11 @@ func (inc *Incremental) TeamSize() int {
 func (inc *Incremental) Candidates() ([]CandidateSet, error) {
 	out := make([]CandidateSet, 0, len(inc.cands))
 	for _, c := range inc.cands {
-		fallback, err := pickFallback(inc.queries, c.Set, c.subst, c.binding, inc.store)
+		values, err := inc.scr.sr.witness(inc.queries, inc.renamed, inc.g.Edges(), c, &inc.fb)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CandidateSet{
-			Set:    c.Set,
-			Values: extractValues(inc.queries, c.Set, c.subst, c.binding, fallback),
-		})
+		out = append(out, CandidateSet{Set: c.Set, Values: values})
 	}
 	return out, nil
 }
@@ -309,6 +301,7 @@ func (inc *Incremental) Trace() *Trace {
 	// The events' member lists live in scratch the next pass reuses;
 	// the trace gets its own copy, one backing slice for all of them.
 	members := append([]int(nil), inc.scr.members...)
+	edges := inc.g.Edges()
 	tr.Components = make([]ComponentEvent, len(inc.events))
 	for i, e := range inc.events {
 		k := len(e.members)
@@ -316,10 +309,13 @@ func (inc *Incremental) Trace() *Trace {
 		members = members[k:]
 		if out := e.out; out != nil {
 			ev.Set = out.set
-			if out.subst != nil {
-				ev.Combined = renderCombined(out.subst.ApplyAll(out.body))
+			// What the database was asked, rendered from the set's MGU
+			// and body, recomputed on scratch.
+			if sr := &inc.scr.sr; out.status != "unification failed" && sr.mgu(inc.renamed, edges, out.set) {
+				sr.combine(inc.renamed, out.order)
+				ev.Combined = sr.combined()
 			}
-			if out.grounded {
+			if out.status == "grounded" {
 				ev.SetSize = len(out.set)
 			}
 		}
@@ -417,9 +413,9 @@ func (inc *Incremental) reconcile(m *db.Meter) (DeltaStats, error) {
 	// them all, plus whatever it solved, to the next pass, which stamps
 	// and sweeps afresh.
 	inc.pass++
+	inc.fb = fallback{store: inc.store}
 	nc := dag.N()
-	words := (nc + 63) / 64
-	s.reach = sized(s.reach, nc*words)
+	s.reach.reset(nc)
 	s.failed = zeroed(s.failed, nc)
 	s.members = sized(s.members, len(s.live))
 	carved := 0
@@ -435,21 +431,10 @@ func (inc *Incremental) reconcile(m *db.Meter) (DeltaStats, error) {
 			slots[j] = s.live[mcj]
 		}
 		ev := compEvent{members: slots}
-		r := s.reach[c*words : (c+1)*words]
 		if !s.alive[slots[0]] {
 			ev.status = "pruned"
-		} else {
-			clear(r)
-			r[c/64] |= 1 << (c % 64)
-			for _, succ := range dag.Succ(c) {
-				if s.failed[succ] {
-					ev.status = "successor failed"
-					break
-				}
-				for w, word := range s.reach[succ*words : (succ+1)*words] {
-					r[w] |= word
-				}
-			}
+		} else if !s.reach.fold(c, dag.Succ(c), s.failed) {
+			ev.status = "successor failed"
 		}
 		if ev.status != "" {
 			s.failed[c] = true
@@ -465,18 +450,20 @@ func (inc *Incremental) reconcile(m *db.Meter) (DeltaStats, error) {
 		// and reorder an unchanged set; that must miss (re-solve, stay
 		// exact), not splice a stale outcome. Slots are stable for the
 		// life of a session, so keys are too.
-		s.set, s.sig = s.set[:0], s.sig[:0]
-		for w, word := range r {
+		set := s.sr.set[:0]
+		s.sig = s.sig[:0]
+		for w, word := range s.reach.row(c) {
 			for ; word != 0; word &= word - 1 {
 				for _, mcc := range members[w*64+bits.TrailingZeros64(word)] {
-					s.set = append(s.set, s.live[mcc])
+					set = append(set, s.live[mcc])
 					s.sig = binary.AppendUvarint(s.sig, uint64(s.live[mcc]))
 				}
 			}
 		}
+		s.sr.set = set
 		out := inc.cache[string(s.sig)] // the conversion does not allocate
 		if out == nil {
-			out, err = inc.solve(s.set, edges, m)
+			out, err = inc.solve(set, edges, m)
 			if err != nil {
 				return d, err
 			}
@@ -486,10 +473,10 @@ func (inc *Incremental) reconcile(m *db.Meter) (DeltaStats, error) {
 			d.Reused++
 		}
 		out.pass = inc.pass
-		s.failed[c] = !out.grounded
+		s.failed[c] = out.status != "grounded"
 		ev.status, ev.out = out.status, out
-		if out.grounded {
-			inc.cands = append(inc.cands, Candidate{Set: out.set, subst: out.subst, binding: out.binding})
+		if !s.failed[c] {
+			inc.cands = append(inc.cands, Candidate{Set: out.set, binding: out.binding})
 		}
 		inc.events = append(inc.events, ev)
 	}
@@ -502,43 +489,14 @@ func (inc *Incremental) reconcile(m *db.Meter) (DeltaStats, error) {
 	return d, nil
 }
 
-// solve runs one component's search exactly as the batch walk does:
-// unify every edge inside the reachable set (edges arrive in canonical
-// order, so the union sequence — and the resulting substitution — is
-// the one a batch run computes) and ground the combined body with a
-// single database query. set is scratch: the outcome keeps a copy.
+// solve searches one component exactly as the batch walk does — the
+// same search.ground, over canonical edges, so the union sequence and
+// the resulting substitution are the ones a batch run computes — and
+// files the outcome. set is scratch: the outcome keeps copies.
 func (inc *Incremental) solve(set []int, edges []ExtendedEdge, m *db.Meter) (*compOutcome, error) {
-	inSet := zeroed(inc.scr.inSet, len(inc.queries))
-	inc.scr.inSet = inSet
-	for _, i := range set {
-		inSet[i] = true
-	}
-	s := unify.NewSized(2*len(set) + 4)
-	for _, e := range edges {
-		if !inSet[e.FromQ] || !inSet[e.ToQ] {
-			continue
-		}
-		p := inc.renamed[e.FromQ].Post[e.PostIdx]
-		h := inc.renamed[e.ToQ].Head[e.HeadIdx]
-		if err := s.UnifyAtoms(p, h); err != nil {
-			return &compOutcome{status: "unification failed", set: sortedCopy(set)}, nil
-		}
-	}
-	nAtoms := 0
-	for _, i := range set {
-		nAtoms += len(inc.renamed[i].Body)
-	}
-	body := make([]eq.Atom, 0, nAtoms)
-	for _, i := range set {
-		body = append(body, inc.renamed[i].Body...)
-	}
-	bind, found, err := m.SolveUnder(body, s)
+	status, bind, err := inc.scr.sr.ground(inc.renamed, edges, set, m)
 	if err != nil {
 		return nil, err
 	}
-	out := &compOutcome{status: "no tuple", set: sortedCopy(set), subst: s, body: body}
-	if found {
-		out.status, out.grounded, out.binding = "grounded", true, bind
-	}
-	return out, nil
+	return &compOutcome{status: status, set: sortedCopy(set), order: append([]int(nil), set...), binding: bind}, nil
 }

@@ -167,39 +167,3 @@ func TestEdgeInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// The incremental-unification mode (§6.1's described implementation)
-// must agree exactly with the recompute-from-scratch mode.
-func TestQuickIncrementalUnifyAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(105))
-	for trial := 0; trial < 80; trial++ {
-		n := 1 + rng.Intn(8)
-		qs := workload.RandomSafeQueries(n, 5, 0.35, 0.7, rng)
-		in := newWorkloadInstance(5)
-		a, err := SCCCoordinate(qs, in, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := SCCCoordinate(qs, in, Options{IncrementalUnify: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (a == nil) != (b == nil) {
-			t.Fatalf("trial %d: existence mismatch", trial)
-		}
-		if a == nil {
-			continue
-		}
-		if a.Size() != b.Size() {
-			t.Fatalf("trial %d: sizes differ: %v vs %v", trial, a.Set, b.Set)
-		}
-		for i := range a.Set {
-			if a.Set[i] != b.Set[i] {
-				t.Fatalf("trial %d: sets differ: %v vs %v", trial, a.Set, b.Set)
-			}
-		}
-		if err := Verify(qs, b.Set, b.Values, in); err != nil {
-			t.Fatalf("trial %d: incremental result fails verification: %v", trial, err)
-		}
-	}
-}

@@ -1,49 +1,24 @@
 package coord
 
-import (
-	"sync"
+import "sync"
 
-	"entangled/internal/db"
-	"entangled/internal/eq"
-	"entangled/internal/unify"
-)
-
-// runSCCParallel is the concurrent variant of runSCC: the per-component
-// provider searches (MGU computation plus one database query each) run
-// on a pool of opts.Parallelism workers, scheduled over the component
-// DAG — a component is dispatched as soon as every successor component
-// has been processed, so independent branches of the condensation
-// proceed concurrently while the chain case degrades gracefully to
-// sequential execution. The returned candidate family, its order, and
-// any recorded Trace are identical to the sequential walk.
-func runSCCParallel(qs []eq.Query, store db.Store, opts Options) ([]Candidate, error) {
-	tr := opts.Trace
-	st, err := prepareSCC(qs, store, opts)
-	if err != nil {
-		return nil, err
-	}
-	nc := st.dag.N()
-
-	// Per-component state. Each slot is written by exactly one worker;
-	// the scheduler's channels order those writes before any dependent
-	// component reads them.
-	w := &sccWalk{
-		st:     st,
-		store:  store,
-		trace:  tr != nil,
-		reach:  make([][]bool, nc),
-		failed: make([]bool, nc),
-		events: make([]ComponentEvent, nc),
-		cands:  make([]*Candidate, nc),
-	}
+// runParallel is the concurrent variant of the component walk: the
+// per-component searches (MGU computation plus one database query each)
+// run on a pool of workers, each on its own search scratch, scheduled
+// over the component DAG — a component is dispatched as soon as every
+// successor component has been processed, so independent branches of
+// the condensation proceed concurrently while the chain case degrades
+// gracefully to sequential execution.
+func (w *sccWalk) runParallel(workers int) error {
+	nc := w.dag.N()
 
 	// preds[c] lists the components that wait on c; pending[c] counts
 	// the successors c itself waits on.
 	preds := make([][]int, nc)
 	pending := make([]int, nc)
 	for c := 0; c < nc; c++ {
-		pending[c] = len(st.dag.Succ(c))
-		for _, s := range st.dag.Succ(c) {
+		pending[c] = len(w.dag.Succ(c))
+		for _, s := range w.dag.Succ(c) {
 			preds[s] = append(preds[s], c)
 		}
 	}
@@ -54,7 +29,6 @@ func runSCCParallel(qs []eq.Query, store db.Store, opts Options) ([]Candidate, e
 		}
 	}
 
-	workers := opts.Parallelism
 	if workers > nc {
 		workers = nc
 	}
@@ -65,8 +39,9 @@ func runSCCParallel(qs []eq.Query, store db.Store, opts Options) ([]Candidate, e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sr search
 			for c := range tasks {
-				results <- compDone{c: c, err: w.processComponent(c)}
+				results <- compDone{c: c, err: w.processComponent(c, &sr)}
 			}
 		}()
 	}
@@ -111,137 +86,10 @@ func runSCCParallel(qs []eq.Query, store db.Store, opts Options) ([]Candidate, e
 		}
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	// Assemble trace events and candidates in the sequential processing
-	// order so parallel runs are observationally identical.
-	var cands []Candidate
-	for _, c := range st.order {
-		if tr != nil {
-			tr.Components = append(tr.Components, w.events[c])
-		}
-		if w.cands[c] != nil {
-			cands = append(cands, *w.cands[c])
-		}
-	}
-	return cands, nil
+	return firstErr
 }
 
 type compDone struct {
 	c   int
 	err error
-}
-
-// sccWalk holds the shared arrays of a parallel component walk.
-type sccWalk struct {
-	st     *sccSetup
-	store  db.Store
-	trace  bool
-	reach  [][]bool
-	failed []bool
-	events []ComponentEvent
-	cands  []*Candidate
-}
-
-// processComponent mirrors one iteration of the sequential walk: fold
-// the successors' reachability, recompute the reachable set's MGU from
-// scratch, and ground the combined body with one database query. It
-// only reads state of components the scheduler has already completed.
-func (w *sccWalk) processComponent(c int) error {
-	st := w.st
-	nc := st.dag.N()
-	var ev ComponentEvent
-	if w.trace {
-		ev.Members = append([]int(nil), st.members[c]...)
-	}
-	if !st.alive[st.members[c][0]] {
-		w.failed[c] = true
-		ev.Status = "pruned"
-		w.events[c] = ev
-		return nil
-	}
-	r := make([]bool, nc)
-	r[c] = true
-	ok := true
-	for _, succ := range st.dag.Succ(c) {
-		if w.failed[succ] {
-			ok = false
-			break
-		}
-		for i, b := range w.reach[succ] {
-			if b {
-				r[i] = true
-			}
-		}
-	}
-	w.reach[c] = r
-	if !ok {
-		w.failed[c] = true
-		ev.Status = "successor failed"
-		w.events[c] = ev
-		return nil
-	}
-
-	var set []int
-	for cc := 0; cc < nc; cc++ {
-		if r[cc] {
-			set = append(set, st.members[cc]...)
-		}
-	}
-	inSet := make([]bool, len(st.renamed))
-	for _, i := range set {
-		inSet[i] = true
-	}
-	s := unify.NewSized(2*len(set) + 4)
-	unifyOK := true
-	for _, e := range st.edges {
-		if !inSet[e.FromQ] || !inSet[e.ToQ] {
-			continue
-		}
-		p := st.renamed[e.FromQ].Post[e.PostIdx]
-		h := st.renamed[e.ToQ].Head[e.HeadIdx]
-		if err := s.UnifyAtoms(p, h); err != nil {
-			unifyOK = false
-			break
-		}
-	}
-	if !unifyOK {
-		w.failed[c] = true
-		ev.Status = "unification failed"
-		if w.trace {
-			ev.Set = sortedCopy(set)
-		}
-		w.events[c] = ev
-		return nil
-	}
-
-	nAtoms := 0
-	for _, i := range set {
-		nAtoms += len(st.renamed[i].Body)
-	}
-	body := make([]eq.Atom, 0, nAtoms)
-	for _, i := range set {
-		body = append(body, st.renamed[i].Body...)
-	}
-	bind, found, err := w.store.SolveUnder(body, s)
-	if err != nil {
-		return err
-	}
-	if w.trace {
-		ev.Set = sortedCopy(set)
-		ev.Combined = renderCombined(s.ApplyAll(body))
-	}
-	if !found {
-		w.failed[c] = true
-		ev.Status = "no tuple"
-		w.events[c] = ev
-		return nil
-	}
-	ev.Status = "grounded"
-	ev.SetSize = len(set)
-	w.events[c] = ev
-	w.cands[c] = &Candidate{Set: sortedCopy(set), subst: s, binding: bind}
-	return nil
 }

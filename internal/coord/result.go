@@ -142,32 +142,45 @@ func Verify(qs []eq.Query, set []int, values map[int]map[string]eq.Value, store 
 }
 
 // extractValues converts the algorithm-internal state (renamed queries,
-// accumulated MGU, database binding) back into per-query assignments of
+// the set's MGU, database binding) back into per-query assignments of
 // the original variable names. Variables left unconstrained by both the
-// unifier and the database are assigned fallback (Definition 1 only
+// unifier and the database are assigned the fallback (Definition 1 only
 // requires that some value be assigned; any domain value works since
 // such variables occur in no body atom and their post/head occurrences
-// were equalised by unification).
-func extractValues(qs []eq.Query, set []int, s *unify.Subst, bind db.Binding, fallback eq.Value) map[int]map[string]eq.Value {
-	values := map[int]map[string]eq.Value{}
+// were equalised by unification). renamed[i] is qs[i] atom for atom, so
+// a variable's renamed name is read where the original stands.
+func extractValues(qs, renamed []eq.Query, set []int, s *unify.Subst, bind db.Binding, fb *fallback) (map[int]map[string]eq.Value, error) {
+	values := make(map[int]map[string]eq.Value, len(set))
 	for _, qi := range set {
+		q, r := qs[qi], renamed[qi]
 		m := map[string]eq.Value{}
-		for _, v := range qs[qi].Vars() {
-			renamed := varPrefix(qi) + v
-			t := s.Resolve(eq.V(renamed))
-			if !t.IsVar() {
-				m[v] = t.Const()
-				continue
+		orig := [...][]eq.Atom{q.Post, q.Head, q.Body}
+		ren := [...][]eq.Atom{r.Post, r.Head, r.Body}
+		for k := range orig {
+			for ai, a := range orig[k] {
+				for j, v := range a.Args {
+					if !v.IsVar() {
+						continue
+					}
+					if _, done := m[v.Name]; done {
+						continue
+					}
+					t := s.Resolve(ren[k][ai].Args[j])
+					if !t.IsVar() {
+						m[v.Name] = t.Const()
+					} else if val, ok := bind[t.Name]; ok {
+						m[v.Name] = val
+					} else if val, err := fb.value(); err == nil {
+						m[v.Name] = val
+					} else {
+						return nil, err
+					}
+				}
 			}
-			if val, ok := bind[t.Name]; ok {
-				m[v] = val
-				continue
-			}
-			m[v] = fallback
 		}
 		values[qi] = m
 	}
-	return values
+	return values, nil
 }
 
 // sortedCopy returns a sorted copy of xs.

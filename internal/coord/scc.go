@@ -18,11 +18,12 @@ var ErrUnsafe = errors.New("coord: query set is not safe")
 var ErrNotUnique = errors.New("coord: query set is not unique")
 
 // Candidate is one coordinating set discovered by the SCC algorithm: the
-// set R(q) of all queries reachable from some query q, together with its
-// witnessing state.
+// set R(q) of all queries reachable from some query q, with the
+// database's answer to its one grounding query. Its unifier is not
+// kept: it is a function of Set, recomputed for the candidate whose
+// witness values are actually read.
 type Candidate struct {
 	Set     []int // sorted query indices
-	subst   *unify.Subst
 	binding db.Binding
 }
 
@@ -82,23 +83,13 @@ type Options struct {
 	// Trace, when non-nil, receives a step-by-step record of the run
 	// (pruning events and per-component outcomes); see coord.Trace.
 	Trace *Trace
-	// IncrementalUnify reuses each successor component's accumulated
-	// MGU instead of recomputing the reachable set's unifier from
-	// scratch — the strategy §6.1 describes for the paper's
-	// implementation ("unifies the queries corresponding to that node
-	// with the combined queries that resulted from its successors").
-	// Results are identical either way; the ablation benchmark compares
-	// cost.
-	IncrementalUnify bool
 	// Parallelism is the number of worker goroutines used to process
 	// independent strongly connected components concurrently (the
 	// component DAG bounds the available parallelism: a component runs
 	// once all its successors have). Values <= 1 select the sequential
 	// path. The candidate family, its order, and any Trace are identical
-	// to a sequential run. The parallel path always recomputes each
-	// component's MGU from scratch (substitutions are union-find
-	// structures that mutate on read, so successors' MGUs cannot be
-	// shared across goroutines); IncrementalUnify is ignored.
+	// to a sequential run: every search, on either path, computes its
+	// reachable set's MGU on scratch private to its goroutine.
 	Parallelism int
 }
 
@@ -116,23 +107,29 @@ type Options struct {
 // selector picks among candidates (maximum size by default).
 //
 // The implementation lives in runSCC (trace.go) so that a single code
-// path serves plain, traced and candidate-enumerating runs.
+// path serves plain, traced, parallel and candidate-enumerating runs.
+// The winner's witness values are read off its MGU, recomputed after
+// selection — unification only, no database query.
 //
 // The store may be shared with concurrent requests: every query this
 // run issues is counted on a private db.Meter, so Result.DBQueries is
 // exact for this run alone regardless of concurrent traffic.
 func SCCCoordinate(qs []eq.Query, store db.Store, opts Options) (*Result, error) {
 	m := db.NewMeter(store)
-	cands, err := runSCC(qs, m, opts)
-	if err != nil || len(cands) == 0 {
+	w, err := runSCC(qs, m, opts)
+	if err != nil || len(w.cands) == 0 {
 		return nil, err
 	}
 	sel := opts.Select
 	if sel == nil {
 		sel = MaxSize
 	}
-	win := cands[sel(cands)]
-	return finishResult(qs, win.Set, win.subst, win.binding, m)
+	win := w.cands[sel(w.cands)]
+	values, err := w.sr.witness(qs, w.renamed, w.edges, win, &fallback{store: m})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Set: win.Set, Values: values, DBQueries: m.Count()}, nil
 }
 
 // CandidateSet is one member of the candidate family {R(q)} with its
@@ -149,65 +146,33 @@ type CandidateSet struct {
 // clients) can choose among them directly.
 func AllCandidates(qs []eq.Query, store db.Store, opts Options) ([]CandidateSet, error) {
 	m := db.NewMeter(store)
-	cands, err := runSCC(qs, m, opts)
+	w, err := runSCC(qs, m, opts)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]CandidateSet, 0, len(cands))
-	for _, c := range cands {
-		fallback, err := pickFallback(qs, c.Set, c.subst, c.binding, m)
+	out := make([]CandidateSet, 0, len(w.cands))
+	fb := fallback{store: m}
+	for _, c := range w.cands {
+		values, err := w.sr.witness(qs, w.renamed, w.edges, c, &fb)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CandidateSet{
-			Set:    c.Set,
-			Values: extractValues(qs, c.Set, c.subst, c.binding, fallback),
-		})
+		out = append(out, CandidateSet{Set: c.Set, Values: values})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return len(out[i].Set) > len(out[j].Set) })
 	return out, nil
 }
 
-// finishResult turns internal state into a verified-shape Result. The
-// meter is the one every query of the run went through; its count is
-// the run's exact DBQueries.
-func finishResult(qs []eq.Query, set []int, s *unify.Subst, bind db.Binding, m *db.Meter) (*Result, error) {
-	fallback, err := pickFallback(qs, set, s, bind, m)
+// finishResult turns the internal state of an algorithm that holds its
+// own substitution into a verified-shape Result. The meter is the one
+// every query of the run went through; its count is the run's exact
+// DBQueries.
+func finishResult(qs, renamed []eq.Query, set []int, s *unify.Subst, bind db.Binding, m *db.Meter) (*Result, error) {
+	values, err := extractValues(qs, renamed, set, s, bind, &fallback{store: m})
 	if err != nil {
 		return nil, err
 	}
-	values := extractValues(qs, set, s, bind, fallback)
-	return &Result{
-		Set:       set,
-		Values:    values,
-		DBQueries: m.Count(),
-	}, nil
-}
-
-// pickFallback chooses a domain value for variables left free by both
-// unification and grounding. If no such variable exists the fallback is
-// never used; if one exists but the domain is empty, no assignment is
-// possible (Definition 1 draws values from the instance domain).
-func pickFallback(qs []eq.Query, set []int, s *unify.Subst, bind db.Binding, store db.Store) (eq.Value, error) {
-	free := false
-	for _, qi := range set {
-		for _, v := range qs[qi].Vars() {
-			t := s.Resolve(eq.V(varPrefix(qi) + v))
-			if t.IsVar() {
-				if _, ok := bind[t.Name]; !ok {
-					free = true
-				}
-			}
-		}
-	}
-	if !free {
-		return "", nil
-	}
-	dom := store.Domain()
-	if len(dom) == 0 {
-		return "", fmt.Errorf("coord: free variables but empty database domain")
-	}
-	return dom[0], nil
+	return &Result{Set: set, Values: values, DBQueries: m.Count()}, nil
 }
 
 // GuptaCoordinate is the baseline algorithm of Gupta et al. (SIGMOD
@@ -237,30 +202,20 @@ func GuptaCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
 	if len(c.run(qs, edges, alive, nil)) > 0 {
 		return nil, nil
 	}
+	// One search over the whole set: unique means every query reaches
+	// every other, so R(q) is the full set whichever q it starts from.
 	m := db.NewMeter(store)
 	renamed := renameAll(qs)
-	s := unify.New()
-	for _, e := range edges {
-		p := renamed[e.FromQ].Post[e.PostIdx]
-		h := renamed[e.ToQ].Head[e.HeadIdx]
-		if err := s.UnifyAtoms(p, h); err != nil {
-			return nil, nil // unification failure: no coordinating set
-		}
-	}
-	var body []eq.Atom
 	set := make([]int, len(qs))
-	for i := range qs {
+	for i := range set {
 		set[i] = i
-		body = append(body, renamed[i].Body...)
 	}
-	bind, found, err := m.SolveUnder(body, s)
-	if err != nil {
+	var sr search
+	status, bind, err := sr.ground(renamed, edges, set, m)
+	if err != nil || status != "grounded" {
 		return nil, err
 	}
-	if !found {
-		return nil, nil
-	}
-	return finishResult(qs, set, s, bind, m)
+	return finishResult(qs, renamed, set, sr.subst, bind, m)
 }
 
 func reverse(xs []int) {

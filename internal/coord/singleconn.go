@@ -134,5 +134,5 @@ func SingleConnectedCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
 	if best == nil {
 		return nil, nil
 	}
-	return finishResult(qs, sortedCopy(best.set), best.s, best.bind, meter)
+	return finishResult(qs, renamed, sortedCopy(best.set), best.s, best.bind, meter)
 }

@@ -3,12 +3,12 @@ package coord
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"strings"
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
 	"entangled/internal/graph"
-	"entangled/internal/unify"
 )
 
 // Trace records the steps the SCC Coordination Algorithm took, for
@@ -70,22 +70,34 @@ func (t *Trace) Render(w io.Writer, qs []eq.Query) error {
 	return err
 }
 
-// sccSetup is the state shared by the sequential and parallel component
-// walks: the extended graph, alpha-renamed queries, pruning outcome and
-// the condensation of the coordination graph with its processing order.
-type sccSetup struct {
+// sccWalk is one run of the component walk, sequential or parallel:
+// the extended graph, alpha-renamed queries, pruning outcome and the
+// condensation of the coordination graph with its processing order,
+// then what the walk fills in. Each per-component slot is written by
+// the one processComponent call for that component; in the parallel
+// walk the scheduler's channels order that write before any dependent
+// component reads it.
+type sccWalk struct {
+	store   db.Store
 	edges   []ExtendedEdge
 	renamed []eq.Query
 	alive   []bool
 	dag     *graph.Digraph
 	members [][]int
 	order   []int // component ids, reverse topological
+
+	reach  reachRows
+	failed []bool           // component -> no coordinating set through it
+	found  []Candidate      // component -> its candidate; Set is nil unless it grounded
+	events []ComponentEvent // component -> its trace event; nil unless traced
+	sr     search           // the sequential walk's scratch; witnesses are read on it afterwards
+	cands  []Candidate      // the grounded candidates, in processing order
 }
 
 // prepareSCC runs everything up to the per-component searches: safety
 // check, alpha renaming, §6.1 pruning, condensation and topological
 // ordering.
-func prepareSCC(qs []eq.Query, store db.Store, opts Options) (*sccSetup, error) {
+func prepareSCC(qs []eq.Query, store db.Store, opts Options) (*sccWalk, error) {
 	tr := opts.Trace
 	edges := ExtendedGraph(qs)
 	if !opts.SkipSafetyCheck {
@@ -118,170 +130,95 @@ func prepareSCC(qs []eq.Query, store db.Store, opts Options) (*sccSetup, error) 
 		return nil, err // cannot happen: condensation is a DAG
 	}
 	reverse(order)
-	return &sccSetup{edges: edges, renamed: renamed, alive: alive, dag: dag, members: members, order: order}, nil
+	nc := dag.N()
+	w := &sccWalk{
+		store: store, edges: edges, renamed: renamed, alive: alive, dag: dag, members: members, order: order,
+		failed: make([]bool, nc),
+		found:  make([]Candidate, nc),
+	}
+	w.reach.reset(nc)
+	if tr != nil {
+		w.events = make([]ComponentEvent, nc)
+	}
+	return w, nil
 }
 
-// runSCC executes the SCC Coordination Algorithm and returns every
-// grounded candidate (the family {R(q)}), in processing order.
-// SCCCoordinate applies the selector to pick one; AllCandidates exposes
-// the whole family.
-func runSCC(qs []eq.Query, store db.Store, opts Options) ([]Candidate, error) {
+// runSCC executes the SCC Coordination Algorithm and leaves every
+// grounded candidate (the family {R(q)}) in the walk's cands, in
+// processing order. SCCCoordinate applies the selector to pick one;
+// AllCandidates exposes the whole family. With opts.Parallelism > 1 the
+// searches run on a worker pool; candidates, their order and any Trace
+// are the same either way.
+func runSCC(qs []eq.Query, store db.Store, opts Options) (*sccWalk, error) {
 	if len(qs) == 0 {
-		return nil, nil
+		return &sccWalk{}, nil
 	}
-	if opts.Parallelism > 1 {
-		return runSCCParallel(qs, store, opts)
-	}
-	tr := opts.Trace
-	st, err := prepareSCC(qs, store, opts)
+	w, err := prepareSCC(qs, store, opts)
 	if err != nil {
 		return nil, err
 	}
-	edges, renamed, alive := st.edges, st.renamed, st.alive
-	dag, members, order := st.dag, st.members, st.order
-
-	nc := dag.N()
-	reach := make([][]bool, nc)
-	failed := make([]bool, nc)
-	compSubst := make([]*unify.Subst, nc) // incremental mode: per-component MGU
-	inSet := make([]bool, len(qs))        // scratch, cleared after each component
-	var cands []Candidate
-
-	for _, c := range order {
-		ev := ComponentEvent{Members: append([]int(nil), members[c]...)}
-		if !alive[members[c][0]] {
-			failed[c] = true
-			if tr != nil {
-				ev.Status = "pruned"
-				tr.Components = append(tr.Components, ev)
-			}
-			continue
-		}
-		r := make([]bool, nc)
-		r[c] = true
-		ok := true
-		for _, succ := range dag.Succ(c) {
-			if failed[succ] {
-				ok = false
+	if opts.Parallelism > 1 {
+		err = w.runParallel(opts.Parallelism)
+	} else {
+		for _, c := range w.order {
+			if err = w.processComponent(c, &w.sr); err != nil {
 				break
 			}
-			for i, b := range reach[succ] {
-				if b {
-					r[i] = true
-				}
-			}
 		}
-		reach[c] = r
-		if !ok {
-			failed[c] = true
-			if tr != nil {
-				ev.Status = "successor failed"
-				tr.Components = append(tr.Components, ev)
-			}
-			continue
-		}
-
-		var set []int
-		for cc := 0; cc < nc; cc++ {
-			if r[cc] {
-				set = append(set, members[cc]...)
-			}
-		}
-		for _, i := range set {
-			inSet[i] = true
-		}
-		// Pre-size the forest: the reachable set's queries contribute a
-		// handful of renamed variables each.
-		s := unify.NewSized(2*len(set) + 4)
-		unifyOK := true
-		if opts.IncrementalUnify {
-			// The paper's implementation: reuse each successor's combined
-			// MGU and only unify this component's own postconditions.
-			for _, succ := range dag.Succ(c) {
-				if err := s.MergeFrom(compSubst[succ]); err != nil {
-					unifyOK = false
-					break
-				}
-			}
-			if unifyOK {
-				inComp := make(map[int]bool, len(members[c]))
-				for _, i := range members[c] {
-					inComp[i] = true
-				}
-				for _, e := range edges {
-					if !inComp[e.FromQ] || !inSet[e.ToQ] {
-						continue
-					}
-					p := renamed[e.FromQ].Post[e.PostIdx]
-					h := renamed[e.ToQ].Head[e.HeadIdx]
-					if err := s.UnifyAtoms(p, h); err != nil {
-						unifyOK = false
-						break
-					}
-				}
-			}
-		} else {
-			// Recompute the MGU of the whole reachable set from scratch.
-			for _, e := range edges {
-				if !inSet[e.FromQ] || !inSet[e.ToQ] {
-					continue
-				}
-				p := renamed[e.FromQ].Post[e.PostIdx]
-				h := renamed[e.ToQ].Head[e.HeadIdx]
-				if err := s.UnifyAtoms(p, h); err != nil {
-					unifyOK = false
-					break
-				}
-			}
-		}
-		for _, i := range set {
-			inSet[i] = false // inSet is only read by the unify loops above
-		}
-		if !unifyOK {
-			failed[c] = true
-			if tr != nil {
-				ev.Status = "unification failed"
-				ev.Set = sortedCopy(set)
-				tr.Components = append(tr.Components, ev)
-			}
-			continue
-		}
-
-		compSubst[c] = s
-
-		nAtoms := 0
-		for _, i := range set {
-			nAtoms += len(renamed[i].Body)
-		}
-		body := make([]eq.Atom, 0, nAtoms)
-		for _, i := range set {
-			body = append(body, renamed[i].Body...)
-		}
-		bind, found, err := store.SolveUnder(body, s)
-		if err != nil {
-			return nil, err
-		}
-		if tr != nil {
-			ev.Set = sortedCopy(set)
-			ev.Combined = renderCombined(s.ApplyAll(body))
-		}
-		if !found {
-			failed[c] = true
-			if tr != nil {
-				ev.Status = "no tuple"
-				tr.Components = append(tr.Components, ev)
-			}
-			continue
-		}
-		if tr != nil {
-			ev.Status = "grounded"
-			ev.SetSize = len(set)
-			tr.Components = append(tr.Components, ev)
-		}
-		cands = append(cands, Candidate{Set: sortedCopy(set), subst: s, binding: bind})
 	}
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range w.order {
+		if opts.Trace != nil {
+			opts.Trace.Components = append(opts.Trace.Components, w.events[c])
+		}
+		if w.found[c].Set != nil {
+			w.cands = append(w.cands, w.found[c])
+		}
+	}
+	return w, nil
+}
 
-	return cands, nil
+// processComponent is one step of the walk: fold the successors'
+// reachability into c's, and search the reachable set on sr. It reads
+// only state of components that were processed before it.
+func (w *sccWalk) processComponent(c int, sr *search) error {
+	var ev ComponentEvent
+	switch {
+	case !w.alive[w.members[c][0]]:
+		ev.Status = "pruned"
+	case !w.reach.fold(c, w.dag.Succ(c), w.failed):
+		ev.Status = "successor failed"
+	default:
+		sr.set = sr.set[:0]
+		for i, word := range w.reach.row(c) {
+			for ; word != 0; word &= word - 1 {
+				sr.set = append(sr.set, w.members[i*64+bits.TrailingZeros64(word)]...)
+			}
+		}
+		status, bind, err := sr.ground(w.renamed, w.edges, sr.set, w.store)
+		if err != nil {
+			return err
+		}
+		ev.Status = status
+		if w.events != nil {
+			ev.Set = sortedCopy(sr.set)
+			if status != "unification failed" {
+				ev.Combined = sr.combined()
+			}
+		}
+		if status == "grounded" {
+			ev.SetSize = len(sr.set)
+			w.found[c] = Candidate{Set: sortedCopy(sr.set), binding: bind}
+		}
+	}
+	w.failed[c] = ev.Status != "grounded"
+	if w.events != nil {
+		ev.Members = append([]int(nil), w.members[c]...)
+		w.events[c] = ev
+	}
+	return nil
 }
 
 // pruneTraced is the §6.1 preprocessing: one body-satisfiability probe

@@ -24,7 +24,8 @@ type Store interface {
 	// Counts as one query.
 	Satisfiable(body []eq.Atom) (bool, error)
 	// SolveUnder answers the body resolved under a substitution.
-	// Counts as one query.
+	// Counts as one query. Implementations must not retain body or s
+	// past return: callers reuse both for their next query.
 	SolveUnder(body []eq.Atom, s *unify.Subst) (Binding, bool, error)
 	// Contains reports whether the ground atom denotes a stored tuple.
 	// It is a verifier primitive and does not count as a query.

@@ -20,8 +20,9 @@ var ErrClash = errors.New("unify: constant clash")
 // the forest lives in one flat node slice: find/union touch no maps
 // beyond the one name -> id lookup, and path compression is a slice
 // store instead of a map assignment. This matters because the SCC walk
-// re-unifies every reachable component per candidate — union-find is a
-// top entry in the coordination profiles.
+// computes the MGU of one reachable set per component — union-find is a
+// top entry in the coordination profiles — and it does so on one Subst,
+// Reset between components, so the forest is storage, not garbage.
 type Subst struct {
 	ids   map[string]int // variable name -> dense id
 	names []string       // id -> name
@@ -43,16 +44,15 @@ func New() *Subst {
 	return &Subst{ids: map[string]int{}}
 }
 
-// NewSized returns an empty substitution with capacity for about n
-// variables preallocated, sparing the incremental growth when the
-// caller knows the scale (the SCC walk sizes it from the candidate
-// set).
-func NewSized(n int) *Subst {
-	return &Subst{
-		ids:   make(map[string]int, n),
-		names: make([]string, 0, n),
-		nodes: make([]node, 0, n),
-	}
+// Reset empties s for a new computation, keeping its storage: after it s
+// is indistinguishable from New() — same interning order, same
+// representatives, same errors — whatever it held before, a clash
+// included. A caller that computes one MGU after another on the same
+// Subst stops allocating once it has seen its largest.
+func (s *Subst) Reset() {
+	clear(s.ids)
+	s.names = s.names[:0]
+	s.nodes = s.nodes[:0]
 }
 
 // Clone returns an independent deep copy of s.
@@ -268,28 +268,4 @@ func MGU(pairs [][2]eq.Atom) (*Subst, error) {
 		}
 	}
 	return s, nil
-}
-
-// MergeFrom replays every equivalence and constant binding of other into
-// s. It fails with ErrClash when other's constraints contradict s's —
-// which happens when two independently consistent substitutions disagree
-// (e.g. each binds a shared variable to a different constant). other is
-// not modified logically (only its internal path compression advances).
-func (s *Subst) MergeFrom(other *Subst) error {
-	for i, v := range other.names {
-		r := other.findID(i)
-		if i != r {
-			if err := s.union(v, other.names[r]); err != nil {
-				return err
-			}
-		} else {
-			s.id(v) // make sure lone variables are recorded
-		}
-		if n := &other.nodes[r]; n.bok {
-			if err := s.bindConst(v, n.val); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

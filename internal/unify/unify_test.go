@@ -357,98 +357,101 @@ func TestVarsSorted(t *testing.T) {
 	}
 }
 
-func TestMergeFrom(t *testing.T) {
-	a := New()
-	_ = a.UnifyTerms(eq.V("x"), eq.V("y"))
-	_ = a.Bind("x", "c")
-	b := New()
-	_ = b.UnifyTerms(eq.V("y"), eq.V("z"))
-	if err := b.MergeFrom(a); err != nil {
-		t.Fatal(err)
-	}
-	// Transitivity across the merge: z inherits x's binding via y.
-	if v, ok := b.Value("z"); !ok || v != "c" {
-		t.Fatalf("z = %v %v, want c", v, ok)
-	}
-	// The source is logically unchanged.
-	if _, ok := a.Value("z"); ok {
-		t.Fatal("merge must not modify the source")
-	}
+// substOp is one step of a random unification script: unify two atoms
+// or bind a variable to a constant.
+type substOp struct {
+	a, b eq.Atom
+	v    string
+	c    eq.Value
+	bind bool
 }
 
-func TestMergeFromClash(t *testing.T) {
-	a := New()
-	_ = a.Bind("v", "1")
-	b := New()
-	_ = b.Bind("v", "2")
-	if err := b.MergeFrom(a); !errors.Is(err, ErrClash) {
-		t.Fatalf("want ErrClash, got %v", err)
+func randomOps(rng *rand.Rand, n int) []substOp {
+	ops := make([]substOp, n)
+	for i := range ops {
+		if rng.Intn(4) == 0 {
+			ops[i] = substOp{bind: true, v: string(rune('u' + rng.Intn(6))), c: eq.Value(string(rune('A' + rng.Intn(3))))}
+		} else {
+			ops[i] = substOp{a: randomAtom(rng, "R", 3), b: randomAtom(rng, "R", 3)}
+		}
 	}
+	return ops
 }
 
-// Property: merging two substitutions is equivalent to replaying both
-// construction traces into a fresh substitution.
-func TestQuickMergeEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+// apply runs the script on s — past clashes, which leave s part-way
+// through an atom — and returns which steps failed.
+func (s *Subst) apply(ops []substOp) []bool {
+	failed := make([]bool, len(ops))
+	for i, op := range ops {
+		if op.bind {
+			failed[i] = s.Bind(op.v, op.c) != nil
+		} else {
+			failed[i] = s.UnifyAtoms(op.a, op.b) != nil
+		}
+	}
+	return failed
+}
+
+// Property: a Reset substitution is indistinguishable from a new one.
+// One Subst is reused for every trial — so each script runs after
+// unrelated use, clashes included — and must fail the same steps and
+// resolve every term of the shared variable pool to the same term,
+// representatives included, as a fresh Subst given the same script.
+func TestQuickResetIsNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	reused := New()
+	clashes := 0
 	f := func() bool {
-		type step struct{ a, b eq.Atom }
-		mk := func(n int) ([]step, *Subst, bool) {
-			s := New()
-			var steps []step
-			for i := 0; i < n; i++ {
-				x, y := randomAtom(rng, "R", 2), randomAtom(rng, "R", 2)
-				if err := s.UnifyAtoms(x, y); err != nil {
-					return nil, nil, false
-				}
-				steps = append(steps, step{x, y})
-			}
-			return steps, s, true
-		}
-		stepsA, sa, okA := mk(1 + rng.Intn(4))
-		stepsB, sb, okB := mk(1 + rng.Intn(4))
-		if !okA || !okB {
-			return true
-		}
-		merged := sa.Clone()
-		errMerge := merged.MergeFrom(sb)
-
-		replay := New()
-		var errReplay error
-		for _, st := range append(append([]step{}, stepsA...), stepsB...) {
-			if err := replay.UnifyAtoms(st.a, st.b); err != nil {
-				errReplay = err
-				break
-			}
-		}
-		if (errMerge == nil) != (errReplay == nil) {
+		ops := randomOps(rng, 1+rng.Intn(8))
+		fresh := New()
+		reused.Reset()
+		want, got := fresh.apply(ops), reused.apply(ops)
+		if !reflect.DeepEqual(got, want) {
 			return false
 		}
-		if errMerge != nil {
-			return true
-		}
-		// Same classes and bindings for every variable either saw.
-		for _, v := range replay.Vars() {
-			rm := merged.Resolve(eq.V(v))
-			rr := replay.Resolve(eq.V(v))
-			if rm.IsVar() != rr.IsVar() {
-				return false
+		for _, failed := range want {
+			if failed {
+				clashes++
 			}
-			if !rm.IsVar() && rm.Const() != rr.Const() {
+		}
+		for v := 'u'; v < 'u'+7; v++ { // the pool, and one variable no script names
+			term := eq.V(string(v))
+			if fresh.Resolve(term) != reused.Resolve(term) {
 				return false
 			}
 		}
-		// Class structure agrees pairwise.
-		vars := replay.Vars()
-		for i := 0; i < len(vars); i++ {
-			for j := i + 1; j < len(vars); j++ {
-				if merged.SameClass(vars[i], vars[j]) != replay.SameClass(vars[i], vars[j]) {
-					return false
-				}
-			}
-		}
-		return true
+		return reflect.DeepEqual(fresh.Vars(), reused.Vars()) && reflect.DeepEqual(fresh.Bindings(), reused.Bindings())
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+	if clashes == 0 {
+		t.Fatal("no script clashed: the property never reused a Subst after a clash")
+	}
+}
+
+// A Subst that has seen its largest computation refills without
+// allocating: the forest is storage, not garbage.
+func TestResetRefillDoesNotAllocate(t *testing.T) {
+	pairs := make([][2]eq.Atom, 64)
+	for i := range pairs {
+		x, y := eq.V("x"+string(rune('0'+i%10))+string(rune('a'+i/10))), eq.V("y"+string(rune('0'+i%10))+string(rune('a'+i/10)))
+		pairs[i] = [2]eq.Atom{eq.NewAtom("R", x, y), eq.NewAtom("R", y, eq.C("k"))}
+	}
+	s := New()
+	refill := func() {
+		s.Reset()
+		for _, p := range pairs {
+			if err := s.UnifyAtoms(p[0], p[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	refill()
+	if allocs := testing.AllocsPerRun(20, refill); allocs != 0 {
+		t.Fatalf("reset-and-refill at steady size allocates %.0f times, want 0", allocs)
+	}
+	if v, ok := s.Value("x3b"); !ok || v != "k" {
+		t.Fatalf("x3b = %v %v, want k", v, ok)
 	}
 }
