@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"entangled/internal/db"
+	"entangled/internal/db/dbtest"
 	"entangled/internal/workload"
 )
 
@@ -13,10 +14,10 @@ import (
 // coordination level. For random safe query sets on a plain instance
 // and on ShardedInstance{K=1,2,8}, SCCCoordinate with compiled plans
 // returns the same team, the same step-by-step trace and the same
-// exact Result.DBQueries as with the seed evaluator
-// (DisableCompiledPlans), and every witness verifies everywhere. Only
-// witness values may differ (choose-1 enumeration order is not part of
-// the contract).
+// exact Result.DBQueries as with the seed's backtracking evaluator
+// (dbtest.Oracle over a second copy of the tuples), and every witness
+// verifies everywhere. Only witness values may differ (choose-1
+// enumeration order is not part of the contract).
 func TestCompiledPlansEquivalentAtCoordLevel(t *testing.T) {
 	const rows = 12
 	rng := rand.New(rand.NewSource(7))
@@ -29,14 +30,12 @@ func TestCompiledPlansEquivalentAtCoordLevel(t *testing.T) {
 	var pairs []storePair
 	{
 		c := newWorkloadInstance(rows)
-		s := newWorkloadInstance(rows)
-		s.DisableCompiledPlans = true
+		s := dbtest.New(newWorkloadInstance(rows))
 		pairs = append(pairs, storePair{"plain", c, s})
 	}
 	for _, k := range []int{1, 2, 8} {
 		c := shardedWorkloadInstance(k, rows)
-		s := shardedWorkloadInstance(k, rows)
-		s.SetDisableCompiledPlans(true)
+		s := dbtest.NewSharded(shardedWorkloadInstance(k, rows))
 		pairs = append(pairs, storePair{"k=" + string(rune('0'+k)), c, s})
 	}
 

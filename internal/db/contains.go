@@ -7,63 +7,21 @@ import "entangled/internal/eq"
 // exists for verifiers and tests. Atoms over unknown relations or with
 // variables are simply not contained.
 //
-// Membership runs through the compiled-plan path in existence mode (no
-// binding is materialised), so verifier sweeps share the hot plans of
-// the queries they check.
+// Membership runs a compiled plan in existence mode (no binding is
+// materialised), so verifier sweeps share the hot plans of the queries
+// they check.
 func (in *Instance) Contains(a eq.Atom) bool {
 	for _, t := range a.Args {
 		if t.IsVar() {
 			return false
 		}
 	}
-	if in.DisableCompiledPlans {
-		return in.legacyContains(a)
-	}
 	body := [1]eq.Atom{a}
 	p, err := in.planFor(body[:], nil)
 	if err != nil {
 		return false
 	}
-	// Indexes are always consulted here, matching the seed Contains
-	// (UseIndexes only ablates query evaluation, not membership).
+	// Indexes are always consulted here: UseIndexes only ablates query
+	// evaluation, not membership.
 	return p.satisfiable(body[:], true)
-}
-
-// legacyContains is the seed membership check.
-func (in *Instance) legacyContains(a eq.Atom) bool {
-	r, ok := in.Relation(a.Rel)
-	if !ok || r.Arity() != len(a.Args) {
-		return false
-	}
-	vals := make([]eq.Value, len(a.Args))
-	for i, t := range a.Args {
-		vals[i] = t.Const()
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	// Use an index when one exists.
-	for col, idx := range r.indexes {
-		rows := idx[vals[col]]
-		for _, row := range rows {
-			if tupleEqual(r.tuples[row], vals) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, t := range r.tuples {
-		if tupleEqual(t, vals) {
-			return true
-		}
-	}
-	return false
-}
-
-func tupleEqual(t Tuple, vals []eq.Value) bool {
-	for i := range t {
-		if t[i] != vals[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -157,13 +157,6 @@ type Instance struct {
 	// queries). Off by default; cmd/coordbench exposes it as -latency.
 	SimulatedLatency time.Duration
 
-	// DisableCompiledPlans routes every query through the seed
-	// backtracking evaluator instead of compiled plans. Answers are
-	// identical (the equivalence property tests prove it); the knob
-	// exists for ablation benchmarks and as an escape hatch. Configure
-	// before sharing the instance across goroutines.
-	DisableCompiledPlans bool
-
 	queries int64 // number of conjunctive queries answered (atomic)
 
 	// version counts schema changes (AddRelation/CreateRelation);

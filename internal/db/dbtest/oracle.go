@@ -1,0 +1,158 @@
+// Package dbtest holds the reference evaluator that the equivalence
+// property tests compare compiled plans against. It is a db.Store
+// written only against db's exported read API — Relation, Len, Tuple,
+// RelationNames, Shard — so it shares no locks, indexes, shard routing
+// or plan code with what it checks, and no binary links it (CI asserts
+// that with `go list -deps`).
+package dbtest
+
+import (
+	"fmt"
+	"maps"
+	"slices"
+	"sync/atomic"
+
+	"entangled/internal/db"
+	"entangled/internal/eq"
+	"entangled/internal/unify"
+)
+
+// Oracle answers conjunctive queries by nested loops, in body order,
+// over every tuple of every part. It reads the instances it was built
+// over on every call, so it tracks their writes, but it must not run
+// concurrently with them.
+type Oracle struct {
+	parts   []*db.Instance
+	queries atomic.Int64
+}
+
+var _ db.Store = (*Oracle)(nil)
+
+// New returns an oracle over one instance.
+func New(in *db.Instance) *Oracle { return &Oracle{parts: []*db.Instance{in}} }
+
+// NewSharded returns an oracle over the union of sh's shards; it scans
+// every shard and never consults the placement hash.
+func NewSharded(sh *db.ShardedInstance) *Oracle {
+	o := &Oracle{}
+	for i := 0; i < sh.NumShards(); i++ {
+		o.parts = append(o.parts, sh.Shard(i))
+	}
+	return o
+}
+
+// rows returns every tuple a's relation holds, across all parts.
+func (o *Oracle) rows(a eq.Atom) ([]db.Tuple, error) {
+	var out []db.Tuple
+	for _, p := range o.parts {
+		r, ok := p.Relation(a.Rel)
+		if !ok {
+			return nil, fmt.Errorf("db: unknown relation %s", a.Rel)
+		}
+		if r.Arity() != len(a.Args) {
+			return nil, fmt.Errorf("db: atom %s has arity %d, relation has %d", a, len(a.Args), r.Arity())
+		}
+		for i := 0; i < r.Len(); i++ {
+			out = append(out, r.Tuple(i))
+		}
+	}
+	return out, nil
+}
+
+func (o *Oracle) solve(body []eq.Atom, limit int) ([]db.Binding, error) {
+	o.queries.Add(1)
+	rows := make([][]db.Tuple, len(body))
+	for i, a := range body {
+		var err error
+		if rows[i], err = o.rows(a); err != nil {
+			return nil, err
+		}
+	}
+	var out []db.Binding
+	var join func(i int, b db.Binding)
+	join = func(i int, b db.Binding) {
+		if i == len(body) {
+			out = append(out, b)
+			return
+		}
+		for _, t := range rows[i] {
+			if ext, ok := match(body[i], t, b); ok && (limit <= 0 || len(out) < limit) {
+				join(i+1, ext)
+			}
+		}
+	}
+	join(0, db.Binding{})
+	return out, nil
+}
+
+// match returns a copy of b extended so that atom a equals tuple t.
+func match(a eq.Atom, t db.Tuple, b db.Binding) (db.Binding, bool) {
+	ext := maps.Clone(b)
+	for i, arg := range a.Args {
+		want, known := eq.Value(arg.Name), true
+		if arg.IsVar() {
+			want, known = ext[arg.Name]
+		}
+		if !known {
+			ext[arg.Name] = t[i]
+		} else if want != t[i] {
+			return nil, false
+		}
+	}
+	return ext, true
+}
+
+func first(res []db.Binding, err error) (db.Binding, bool, error) {
+	if err != nil || len(res) == 0 {
+		return nil, false, err
+	}
+	return res[0], true, nil
+}
+
+func (o *Oracle) Solve(body []eq.Atom) (db.Binding, bool, error) { return first(o.solve(body, 1)) }
+
+func (o *Oracle) SolveAll(body []eq.Atom, limit int) ([]db.Binding, error) {
+	return o.solve(body, limit)
+}
+
+func (o *Oracle) Satisfiable(body []eq.Atom) (bool, error) {
+	res, err := o.solve(body, 1)
+	return len(res) > 0, err
+}
+
+func (o *Oracle) SolveUnder(body []eq.Atom, s *unify.Subst) (db.Binding, bool, error) {
+	return first(o.solve(s.ApplyAll(body), 1))
+}
+
+// Contains scans for the ground atom; like db.Instance.Contains it is
+// free, and atoms with variables or over unknown relations are not
+// contained.
+func (o *Oracle) Contains(a eq.Atom) bool {
+	if !a.Ground() {
+		return false
+	}
+	rows, _ := o.rows(a)
+	return slices.ContainsFunc(rows, func(t db.Tuple) bool {
+		_, ok := match(a, t, nil)
+		return ok
+	})
+}
+
+func (o *Oracle) Domain() []eq.Value {
+	seen := map[eq.Value]bool{}
+	for _, p := range o.parts {
+		for _, name := range p.RelationNames() {
+			r, _ := p.Relation(name)
+			for i := 0; i < r.Len(); i++ {
+				for _, v := range r.Tuple(i) {
+					seen[v] = true
+				}
+			}
+		}
+	}
+	return slices.Sorted(maps.Keys(seen))
+}
+
+func (o *Oracle) QueriesIssued() int64 { return o.queries.Load() }
+
+func (o *Oracle) ResetCounters() { o.queries.Store(0) }

@@ -4,9 +4,10 @@
 // JDBC; the algorithms treat the database purely as an oracle that
 // answers conjunctive (select-project-join) queries under choose-1
 // semantics and that can enumerate all answers. This package provides
-// that oracle: named relations with hash indexes, a backtracking join
-// evaluator, and counters of issued queries so that experiments report
-// "number of database queries" exactly as the paper does.
+// that oracle: named relations with hash indexes, one query evaluator
+// (compiled plans, below), and counters of issued queries so that
+// experiments report "number of database queries" exactly as the paper
+// does.
 //
 // # Stores
 //
@@ -54,18 +55,18 @@
 // store and relation versions on every hit, so AddRelation /
 // CreateRelation and BuildIndex invalidate stale plans lazily; Insert
 // never invalidates (data growth cannot break a plan, only age its
-// join-order tie-breaks). The seed backtracking evaluator remains
-// behind Instance.DisableCompiledPlans as an ablation path and as the
-// oracle for the equivalence property tests: identical answer
-// multisets, identical ok, identical query counts.
+// join-order tie-breaks). Plans are the only evaluator a binary links.
+// The seed's backtracking evaluator survives as the tests' reference,
+// dbtest.Oracle, written against this package's exported read API
+// alone; the equivalence property tests hold plans to its answer
+// multisets, ok flags and query counts.
 //
 // # Metering contract
 //
-// Each of Solve, SolveAll, Satisfiable, SolveUnder, Project, SelectOne
-// and SolveFunc counts as exactly one conjunctive query; Contains and
-// Domain are free (verifier primitives). Compiled plans change nothing
-// here: a plan execution is one query however many parts it probes,
-// exactly like the seed evaluator. Instance and ShardedInstance
+// Each of Solve, SolveAll, Satisfiable, SolveUnder, Project and
+// SelectOne counts as exactly one conjunctive query; Contains and
+// Domain are free (verifier primitives). A plan execution is one query
+// however many parts it probes. Instance and ShardedInstance
 // count into a shared aggregate (QueriesIssued), which concurrent
 // requests pollute for one another. Meter wraps any Store with a
 // private counter so a single request's cost is exact under concurrent

@@ -1,4 +1,4 @@
-package db
+package db_test
 
 import (
 	"fmt"
@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"entangled/internal/db"
+	"entangled/internal/db/dbtest"
 	"entangled/internal/eq"
 	"entangled/internal/unify"
 )
@@ -15,22 +17,21 @@ import (
 // equivStores is one trial's family of stores holding identical tuples:
 // a plain instance plus hash-partitioned copies at K=1,2,8.
 type equivStores struct {
-	plain   *Instance
-	sharded map[int]*ShardedInstance
+	plain   *db.Instance
+	sharded map[int]*db.ShardedInstance
 }
 
-// setPlans toggles compiled plans on every store in the family.
-func (es *equivStores) setPlans(enabled bool) {
-	es.plain.DisableCompiledPlans = !enabled
-	for _, sh := range es.sharded {
-		sh.SetDisableCompiledPlans(!enabled)
-	}
+// storePair is one store of the family beside the reference evaluator
+// reading the same tuples through db's exported API.
+type storePair struct {
+	compiled db.Store
+	oracle   *dbtest.Oracle
 }
 
-func (es *equivStores) all() map[string]Store {
-	out := map[string]Store{"plain": es.plain}
+func (es *equivStores) all() map[string]storePair {
+	out := map[string]storePair{"plain": {es.plain, dbtest.New(es.plain)}}
 	for k, sh := range es.sharded {
-		out[fmt.Sprintf("k=%d", k)] = sh
+		out[fmt.Sprintf("k=%d", k)] = storePair{sh, dbtest.NewSharded(sh)}
 	}
 	return out
 }
@@ -80,7 +81,7 @@ func buildEquivStores(rng *rand.Rand) *equivStores {
 		return out
 	}
 
-	es := &equivStores{plain: NewInstance(), sharded: map[int]*ShardedInstance{}}
+	es := &equivStores{plain: db.NewInstance(), sharded: map[int]*db.ShardedInstance{}}
 	for _, sp := range specs {
 		r := es.plain.CreateRelation(sp.name, attrs(sp.arity)...)
 		for _, row := range tuples[sp.name] {
@@ -92,7 +93,7 @@ func buildEquivStores(rng *rand.Rand) *equivStores {
 	}
 	es.plain.UseIndexes = useIndexes
 	for _, k := range []int{1, 2, 8} {
-		sh := NewShardedInstance(k)
+		sh := db.NewShardedInstance(k)
 		for _, sp := range specs {
 			r := sh.CreateRelation(sp.name, hashCols[sp.name], attrs(sp.arity)...)
 			for _, row := range tuples[sp.name] {
@@ -150,7 +151,7 @@ func randomSubst(rng *rand.Rand) *unify.Subst {
 }
 
 // bindingMultiset renders a result list order-independently.
-func bindingMultiset(res []Binding) []string {
+func bindingMultiset(res []db.Binding) []string {
 	out := make([]string, 0, len(res))
 	for _, b := range res {
 		keys := make([]string, 0, len(b))
@@ -182,10 +183,11 @@ func sameMultiset(t *testing.T, ctx string, a, b []string) {
 
 // TestQuickCompiledMatchesSeed is the compiled-evaluator equivalence
 // property test: across random schemas, random bodies, random
-// substitutions, shard counts K=1,2,8 and indexes on/off, the compiled
-// path returns the same multiset of bindings, the same ok, and the same
-// query counts (db-level DBQueries) as the seed evaluator — and the
-// sharded stores agree with the plain one.
+// substitutions, shard counts K=1,2,8 and indexes on/off, compiled
+// plans return the same multiset of bindings, the same ok, and the same
+// query counts (db-level DBQueries) as the seed's backtracking
+// evaluator, kept as dbtest.Oracle — and the sharded stores agree with
+// the plain one.
 func TestQuickCompiledMatchesSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 120; trial++ {
@@ -204,7 +206,7 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 			underOK bool
 			queries int64
 		}
-		collect := func(st Store, body []eq.Atom) answers {
+		collect := func(st db.Store, body []eq.Atom) answers {
 			start := st.QueriesIssued()
 			res, err := st.SolveAll(body, 0)
 			if err != nil {
@@ -234,10 +236,8 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 		for bi, body := range bodies {
 			var plainCompiled answers
 			for name, st := range es.all() {
-				es.setPlans(true)
-				compiled := collect(st, body)
-				es.setPlans(false)
-				seed := collect(st, body)
+				compiled := collect(st.compiled, body)
+				seed := collect(st.oracle, body)
 
 				ctx := fmt.Sprintf("trial %d body %d store %s", trial, bi, name)
 				sameMultiset(t, ctx, compiled.all, seed.all)
@@ -253,7 +253,6 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 			}
 			// Sharded stores must agree with the plain instance.
 			for k, sh := range es.sharded {
-				es.setPlans(true)
 				got := collect(sh, body)
 				ctx := fmt.Sprintf("trial %d body %d k=%d vs plain", trial, bi, k)
 				sameMultiset(t, ctx, got.all, plainCompiled.all)
@@ -266,7 +265,8 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 }
 
 // TestCompiledContainsMatchesSeed checks the membership primitive on
-// random ground atoms across the store family and both evaluator paths.
+// random ground atoms across the store family, against the oracle's
+// scan.
 func TestCompiledContainsMatchesSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	arities := map[string]int{"A": 2, "B": 1, "C": 3, "Nope": 2}
@@ -280,16 +280,16 @@ func TestCompiledContainsMatchesSeed(t *testing.T) {
 				args[j] = eq.C(eq.Value(strconv.Itoa(rng.Intn(5))))
 			}
 			a := eq.NewAtom(n, args...)
-			es.setPlans(true)
 			want := es.plain.Contains(a)
-			es.setPlans(false)
-			if got := es.plain.Contains(a); got != want {
+			if got := dbtest.New(es.plain).Contains(a); got != want {
 				t.Fatalf("trial %d: plain Contains(%s) compiled %v seed %v", trial, a, want, got)
 			}
-			es.setPlans(true)
 			for k, sh := range es.sharded {
 				if got := sh.Contains(a); got != want {
 					t.Fatalf("trial %d: k=%d Contains(%s) = %v, plain %v", trial, k, a, got, want)
+				}
+				if got := dbtest.NewSharded(sh).Contains(a); got != want {
+					t.Fatalf("trial %d: k=%d oracle Contains(%s) = %v, plain %v", trial, k, a, got, want)
 				}
 			}
 		}

@@ -1,9 +1,6 @@
 package db
 
 import (
-	"fmt"
-	"sort"
-
 	"entangled/internal/eq"
 	"entangled/internal/unify"
 )
@@ -17,31 +14,19 @@ type Binding map[string]eq.Value
 // values such that every grounded atom is in the instance, or ok=false
 // if none exists. An empty body is vacuously satisfiable.
 func (in *Instance) Solve(body []eq.Atom) (Binding, bool, error) {
-	res, err := in.solve(body, 1)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(res) == 0 {
-		return nil, false, nil
-	}
-	return res[0], true, nil
+	return first(in.solve(body, nil, 1))
 }
 
 // SolveAll returns up to limit assignments satisfying the body (limit <=
 // 0 means no limit). Each assignment grounds every variable of the body.
 func (in *Instance) SolveAll(body []eq.Atom, limit int) ([]Binding, error) {
-	return in.solve(body, limit)
+	return in.solve(body, nil, limit)
 }
 
-// Satisfiable reports whether the body has at least one answer. On the
-// compiled path it runs the plan in existence mode: no binding is
-// materialised.
+// Satisfiable reports whether the body has at least one answer. It runs
+// the plan in existence mode: no binding is materialised.
 func (in *Instance) Satisfiable(body []eq.Atom) (bool, error) {
 	in.countQuery()
-	if in.DisableCompiledPlans {
-		res, err := in.legacySolve(body, 1)
-		return len(res) > 0, err
-	}
 	p, err := in.planFor(body, nil)
 	if err != nil {
 		return false, err
@@ -52,19 +37,10 @@ func (in *Instance) Satisfiable(body []eq.Atom) (bool, error) {
 // SolveUnder answers the body under a pre-existing substitution (the MGU
 // accumulated by a coordination algorithm): the atoms are resolved under
 // s before evaluation, and the returned binding covers the resolved
-// variables. The compiled path resolves terms at bind time instead of
-// materialising a substituted copy of the body.
+// variables. Terms are resolved at bind time; no substituted copy of the
+// body is materialised.
 func (in *Instance) SolveUnder(body []eq.Atom, s *unify.Subst) (Binding, bool, error) {
-	in.countQuery()
-	if in.DisableCompiledPlans {
-		res, err := in.legacySolve(s.ApplyAll(body), 1)
-		return first(res, err)
-	}
-	p, err := in.planFor(body, s)
-	if err != nil {
-		return nil, false, err
-	}
-	return first(p.solve(body, s, 1, in.UseIndexes), nil)
+	return first(in.solve(body, s, 1))
 }
 
 // first adapts a result list to choose-1 semantics.
@@ -75,295 +51,14 @@ func first(res []Binding, err error) (Binding, bool, error) {
 	return res[0], true, nil
 }
 
-// solve answers one conjunctive query: compile (or fetch) the body
-// shape's plan and run it over a slot frame. The seed backtracking
-// evaluator below remains as the DisableCompiledPlans path and as the
-// oracle the equivalence property tests compare against.
-func (in *Instance) solve(body []eq.Atom, limit int) ([]Binding, error) {
+// solve answers one conjunctive query, resolved under s when s is
+// non-nil: compile (or fetch) the body shape's plan and run it over a
+// slot frame.
+func (in *Instance) solve(body []eq.Atom, s *unify.Subst, limit int) ([]Binding, error) {
 	in.countQuery()
-	if in.DisableCompiledPlans {
-		return in.legacySolve(body, limit)
-	}
-	p, err := in.planFor(body, nil)
+	p, err := in.planFor(body, s)
 	if err != nil {
 		return nil, err
 	}
-	return p.solve(body, nil, limit, in.UseIndexes), nil
-}
-
-// legacySolve is the seed evaluation path: per-call join ordering over a
-// name -> value binding map.
-func (in *Instance) legacySolve(body []eq.Atom, limit int) ([]Binding, error) {
-	rels, err := in.relsFor(body)
-	if err != nil {
-		return nil, err
-	}
-	defer readLockAll(rels)()
-	e := &evaluator{useIndexes: in.UseIndexes, rels: viewsOf(rels), body: body, limit: limit, bound: Binding{}}
-	e.run()
-	return e.results, nil
-}
-
-// viewsOf wraps a plain instance's relation snapshot as single-part
-// views for the evaluator. The caller must already hold the read locks
-// (sizes are read directly from the tuple slices).
-func viewsOf(rels map[string]*Relation) map[string]relView {
-	out := make(map[string]relView, len(rels))
-	for n, r := range rels {
-		out[n] = relView{parts: []*Relation{r}, key: -1, size: len(r.tuples)}
-	}
-	return out
-}
-
-// relsFor resolves and validates every relation the body mentions,
-// returning a name -> relation snapshot so the evaluator never touches
-// the registry map mid-run.
-func (in *Instance) relsFor(body []eq.Atom) (map[string]*Relation, error) {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	rels := make(map[string]*Relation, len(body))
-	for _, a := range body {
-		r, ok := in.rels[a.Rel]
-		if !ok {
-			return nil, fmt.Errorf("db: unknown relation %s", a.Rel)
-		}
-		if r.Arity() != len(a.Args) {
-			return nil, fmt.Errorf("db: atom %s has arity %d, relation has %d", a, len(a.Args), r.Arity())
-		}
-		rels[a.Rel] = r
-	}
-	return rels, nil
-}
-
-// readLockAll read-locks every relation in the snapshot for the duration
-// of an evaluation (in sorted name order, so lock acquisition is
-// deterministic) and returns the matching unlock function. Holding the
-// read locks across the whole backtracking join lets the evaluator access
-// tuples and indexes directly while concurrent readers proceed and
-// writers wait.
-func readLockAll(rels map[string]*Relation) func() {
-	names := make([]string, 0, len(rels))
-	for n := range rels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		rels[n].mu.RLock()
-	}
-	return func() {
-		for _, n := range names {
-			rels[n].mu.RUnlock()
-		}
-	}
-}
-
-// relView is the data the evaluator joins over for one relation name:
-// the shard parts holding its tuples (exactly one for a plain Instance,
-// K for a ShardedInstance) plus the hash column used to route a bound
-// lookup to the single part that can hold matches (-1 when unsharded).
-// size is the tuple count across the parts the caller read-locked; the
-// join-order heuristic uses it as the relation's cardinality.
-type relView struct {
-	parts []*Relation
-	key   int
-	size  int
-}
-
-// evaluator performs a backtracking join over the body atoms. At every
-// step it picks the not-yet-joined atom with the most bound arguments
-// (a greedy selectivity heuristic) and iterates its matching tuples,
-// using a hash index on one bound column when available. When a
-// relation is sharded and the atom binds the hash column, only the
-// owning part is probed; the caller guarantees that every part the
-// evaluator can reach is read-locked for the whole run.
-//
-// This is the seed evaluation strategy. Production queries run through
-// compiled plans (plan.go/exec.go) instead; the evaluator remains as
-// the DisableCompiledPlans path and as the independently-written oracle
-// for the equivalence property tests.
-type evaluator struct {
-	useIndexes bool
-	rels       map[string]relView // read-locked snapshot from the caller
-	body       []eq.Atom
-	limit      int
-	bound      Binding
-	used       []bool
-	results    []Binding
-	// scratch holds one newly-bound-variables buffer per depth, reused
-	// across sibling tuples so the scan path does not allocate.
-	scratch [][]string
-	// yield, when set, switches the evaluator to streaming mode: every
-	// answer goes to the callback (which may stop the run) and nothing
-	// is materialised.
-	yield   func(Binding) bool
-	stopped bool
-}
-
-func (e *evaluator) run() {
-	e.used = make([]bool, len(e.body))
-	e.scratch = make([][]string, len(e.body))
-	e.step(0)
-}
-
-func (e *evaluator) done() bool {
-	if e.stopped {
-		return true
-	}
-	return e.yield == nil && e.limit > 0 && len(e.results) >= e.limit
-}
-
-func (e *evaluator) step(depth int) {
-	if e.done() {
-		return
-	}
-	if depth == len(e.body) {
-		if e.yield != nil {
-			if !e.yield(e.bound) {
-				e.stopped = true
-			}
-			return
-		}
-		out := make(Binding, len(e.bound))
-		for k, v := range e.bound {
-			out[k] = v
-		}
-		e.results = append(e.results, out)
-		return
-	}
-	ai := e.pickAtom()
-	e.used[ai] = true
-	defer func() { e.used[ai] = false }()
-
-	a := e.body[ai]
-	for _, rel := range e.partsFor(e.rels[a.Rel], a) {
-		if rows, probed := e.probeRows(rel, a); probed {
-			for _, row := range rows {
-				if e.tryTuple(a, rel.tuples[row], depth) {
-					return
-				}
-			}
-		} else {
-			// No usable index: iterate the tuples in place instead of
-			// materialising an all-rows candidate list per search node.
-			for ti := range rel.tuples {
-				if e.tryTuple(a, rel.tuples[ti], depth) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// tryTuple matches one tuple, recurses on success, and undoes the
-// bindings; it reports whether the walk should stop.
-func (e *evaluator) tryTuple(a eq.Atom, t Tuple, depth int) bool {
-	newVars, ok := e.match(a, t, depth)
-	if !ok {
-		return false
-	}
-	e.step(depth + 1)
-	for _, v := range newVars {
-		delete(e.bound, v)
-	}
-	return e.done()
-}
-
-// partsFor narrows a sharded relation to the single part owning the
-// atom's hash-column value when that value is already bound (the tuple
-// placement invariant: a tuple lives on the shard its hash column
-// selects); otherwise every part must be probed.
-func (e *evaluator) partsFor(rv relView, a eq.Atom) []*Relation {
-	if rv.key < 0 || len(rv.parts) == 1 || rv.key >= len(a.Args) {
-		return rv.parts
-	}
-	if v, ok := e.termValue(a.Args[rv.key]); ok {
-		i := shardIndex(v, len(rv.parts))
-		return rv.parts[i : i+1]
-	}
-	return rv.parts
-}
-
-// pickAtom selects the unused atom with the most arguments already bound
-// (constants count as bound).
-func (e *evaluator) pickAtom() int {
-	best, bestScore := -1, -1
-	for i, a := range e.body {
-		if e.used[i] {
-			continue
-		}
-		score := 0
-		for _, t := range a.Args {
-			if !t.IsVar() {
-				score++
-			} else if _, ok := e.bound[t.Name]; ok {
-				score++
-			}
-		}
-		// Prefer more-bound atoms, break ties toward smaller relations.
-		if score > bestScore || (score == bestScore && e.rels[a.Rel].size < e.rels[e.body[best].Rel].size) {
-			best, bestScore = i, score
-		}
-	}
-	return best
-}
-
-// probeRows returns the index rows worth probing for atom a when a
-// bound, indexed column exists; probed is false when the caller must
-// scan the relation instead.
-func (e *evaluator) probeRows(rel *Relation, a eq.Atom) (rows []int, probed bool) {
-	if !e.useIndexes {
-		return nil, false
-	}
-	for col, t := range a.Args {
-		v, ok := e.termValue(t)
-		if !ok {
-			continue
-		}
-		if idx, has := rel.indexes[col]; has {
-			return idx[v], true
-		}
-	}
-	return nil, false
-}
-
-func (e *evaluator) termValue(t eq.Term) (eq.Value, bool) {
-	if !t.IsVar() {
-		return t.Const(), true
-	}
-	v, ok := e.bound[t.Name]
-	return v, ok
-}
-
-// match tests tuple t against atom a under the current bindings. On
-// success it extends e.bound and returns the list of newly bound
-// variables in the depth's reused scratch buffer; on mismatch it
-// reports ok=false and leaves e.bound unchanged.
-func (e *evaluator) match(a eq.Atom, t Tuple, depth int) (newVars []string, ok bool) {
-	newVars = e.scratch[depth][:0]
-	for i, arg := range a.Args {
-		if !arg.IsVar() {
-			if arg.Const() != t[i] {
-				e.unbind(newVars)
-				return nil, false
-			}
-			continue
-		}
-		if v, bound := e.bound[arg.Name]; bound {
-			if v != t[i] {
-				e.unbind(newVars)
-				return nil, false
-			}
-			continue
-		}
-		e.bound[arg.Name] = t[i]
-		newVars = append(newVars, arg.Name)
-	}
-	e.scratch[depth] = newVars
-	return newVars, true
-}
-
-func (e *evaluator) unbind(vars []string) {
-	for _, v := range vars {
-		delete(e.bound, v)
-	}
+	return p.solve(body, s, limit, in.UseIndexes), nil
 }

@@ -32,9 +32,7 @@ type exec struct {
 
 	limit   int
 	results []Binding
-	fn      func(Binding) bool // streaming mode
-	reuse   Binding            // streaming mode: one map reused per yield
-	exists  bool               // existence mode: stop at the first match
+	exists  bool // existence mode: stop at the first match
 	found   bool
 }
 
@@ -67,7 +65,7 @@ func (p *plan) bind(body []eq.Atom, s *unify.Subst, useIndexes bool) *exec {
 			probes:   make([][]probeRef, len(p.steps)),
 		}
 	}
-	x.limit, x.fn, x.exists, x.found = 0, nil, false, false
+	x.limit, x.exists, x.found = 0, false, false
 	if s == nil {
 		for i, pos := range p.constAt {
 			x.consts[i] = body[pos[0]].Args[pos[1]].Const()
@@ -159,14 +157,11 @@ func (x *exec) release() {
 		x.locked[i].mu.RUnlock()
 	}
 	x.results = nil
-	x.fn = nil
-	x.reuse = nil
 	x.p.pool.Put(x)
 }
 
 // run executes the join from the given step, returning false when the
-// caller should stop (limit reached, stream cancelled, existence
-// proven).
+// caller should stop (limit reached, existence proven).
 func (x *exec) run(depth int) bool {
 	if depth == len(x.p.steps) {
 		return x.emit()
@@ -201,8 +196,7 @@ func (x *exec) runPart(depth int, st *planStep, pt *Relation, pr probeRef) bool 
 		return true
 	}
 	// No usable index: iterate the tuples directly — no candidate row
-	// list is materialised (the seed evaluator allocated an O(|rel|)
-	// []int per unindexed probe).
+	// list is materialised.
 	for ti := range pt.tuples {
 		if x.match(st, pt.tuples[ti]) && !x.run(depth+1) {
 			return false
@@ -240,13 +234,6 @@ func (x *exec) emit() bool {
 		x.found = true
 		return false
 	}
-	if x.fn != nil {
-		b := x.reuse
-		for s, v := range x.frame {
-			b[x.names[s]] = v
-		}
-		return x.fn(b)
-	}
 	b := make(Binding, len(x.frame))
 	for s, v := range x.frame {
 		b[x.names[s]] = v
@@ -256,7 +243,7 @@ func (x *exec) emit() bool {
 }
 
 // solve runs the plan and materialises up to limit bindings (limit <= 0
-// means all), with the same answer multiset as the seed evaluator.
+// means all).
 func (p *plan) solve(body []eq.Atom, s *unify.Subst, limit int, useIndexes bool) []Binding {
 	x := p.bind(body, s, useIndexes)
 	x.limit = limit
@@ -264,16 +251,6 @@ func (p *plan) solve(body []eq.Atom, s *unify.Subst, limit int, useIndexes bool)
 	res := x.results
 	x.release()
 	return res
-}
-
-// stream runs the plan in streaming mode: every answer goes to fn in a
-// Binding that is reused between calls; fn returns false to stop.
-func (p *plan) stream(body []eq.Atom, useIndexes bool, fn func(Binding) bool) {
-	x := p.bind(body, nil, useIndexes)
-	x.fn = fn
-	x.reuse = make(Binding, p.nSlots)
-	x.run(0)
-	x.release()
 }
 
 // satisfiable runs the plan in existence mode: no bindings are

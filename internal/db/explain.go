@@ -7,36 +7,6 @@ import (
 	"entangled/internal/eq"
 )
 
-// SolveFunc streams every answer of the conjunctive query to fn without
-// materialising the result set; fn returns false to stop early. The
-// binding passed to fn is reused between calls — copy it if it must
-// outlive the callback. Counts as one database query.
-//
-// fn runs while the body's relations are read-locked, so it must not
-// mutate the instance or re-query it (Insert/BuildIndex/DeleteWhere on
-// a body relation self-deadlocks, and even a read can block behind a
-// queued writer). Collect during the stream; act after SolveFunc
-// returns.
-func (in *Instance) SolveFunc(body []eq.Atom, fn func(Binding) bool) error {
-	in.countQuery()
-	if in.DisableCompiledPlans {
-		rels, err := in.relsFor(body)
-		if err != nil {
-			return err
-		}
-		defer readLockAll(rels)()
-		e := &evaluator{useIndexes: in.UseIndexes, rels: viewsOf(rels), body: body, bound: Binding{}, yield: fn}
-		e.run()
-		return nil
-	}
-	p, err := in.planFor(body, nil)
-	if err != nil {
-		return err
-	}
-	p.stream(body, in.UseIndexes, fn)
-	return nil
-}
-
 // PlanStep describes one join step of a compiled evaluation plan.
 type PlanStep struct {
 	Atom eq.Atom

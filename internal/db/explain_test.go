@@ -7,68 +7,6 @@ import (
 	"entangled/internal/eq"
 )
 
-func TestSolveFuncStreams(t *testing.T) {
-	in := flightsInstance()
-	body := []eq.Atom{eq.NewAtom("Flights", eq.V("x"), eq.V("d"))}
-	var seen []eq.Value
-	err := in.SolveFunc(body, func(b Binding) bool {
-		seen = append(seen, b["x"])
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 3 {
-		t.Fatalf("streamed %d answers, want 3", len(seen))
-	}
-}
-
-func TestSolveFuncEarlyStop(t *testing.T) {
-	in := flightsInstance()
-	body := []eq.Atom{eq.NewAtom("Flights", eq.V("x"), eq.V("d"))}
-	count := 0
-	err := in.SolveFunc(body, func(b Binding) bool {
-		count++
-		return count < 2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 {
-		t.Fatalf("early stop after 2, got %d", count)
-	}
-}
-
-func TestSolveFuncMatchesSolveAll(t *testing.T) {
-	in := flightsInstance()
-	body := []eq.Atom{
-		eq.NewAtom("Flights", eq.V("f"), eq.V("loc")),
-		eq.NewAtom("Hotels", eq.V("h"), eq.V("loc")),
-	}
-	all, err := in.SolveAll(body, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := 0
-	err = in.SolveFunc(body, func(Binding) bool {
-		streamed++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed != len(all) {
-		t.Fatalf("streaming saw %d, materialised %d", streamed, len(all))
-	}
-}
-
-func TestSolveFuncErrors(t *testing.T) {
-	in := flightsInstance()
-	if err := in.SolveFunc([]eq.Atom{eq.NewAtom("Nope", eq.V("x"))}, func(Binding) bool { return true }); err == nil {
-		t.Fatal("unknown relation must error")
-	}
-}
-
 func TestExplainOrdersByBoundness(t *testing.T) {
 	in := flightsInstance()
 	// The constant-bearing atom must run first; the joined atom second

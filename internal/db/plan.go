@@ -13,27 +13,26 @@ import (
 // This file implements compiled query plans: the join strategy for a
 // conjunctive body is derived once per body *shape* and reused across
 // every query that shares the shape, instead of being re-derived inside
-// the backtracking loop of every call (the seed evaluator's pickAtom
-// re-scored every remaining atom at every search node — the single
-// hottest function in the coordination profiles).
+// the backtracking loop of every call (re-scoring every remaining atom
+// at every search node was the single hottest function in the
+// coordination profiles).
 //
 // A shape abstracts the parts of a body that do not affect strategy:
 // constants are reduced to a placeholder (their values only matter at
 // execution time) and variables are numbered by first occurrence (their
-// names only matter at the API boundary). Everything the evaluator used
-// to look up dynamically is frozen into the plan:
+// names only matter at the API boundary). Everything a backtracking
+// join looks up dynamically is frozen into the plan:
 //
-//   - the atom join order, chosen by the same greedy heuristic the seed
-//     evaluator applied per call (most bound arguments first, ties to
-//     the smaller relation);
+//   - the atom join order, chosen greedily (most bound arguments first,
+//     ties to the smaller relation);
 //   - an integer slot for every variable, so the hot loop runs over a
 //     []eq.Value frame with no map operations and no per-match
 //     newVars allocations — a slot is written by the step that first
 //     binds it and only ever read by later steps, so backtracking needs
 //     no unbinding at all;
 //   - per-step probe candidates: the columns statically known to be
-//     bound when the step runs, in the same positional order the seed
-//     evaluator scanned, so index selection is a precomputed list walk;
+//     bound when the step runs, in positional order, so index selection
+//     is a precomputed list walk;
 //   - the sorted relation lock order and, for sharded stores, the
 //     hash-column routing mode of every step (constant, frame slot, or
 //     scatter over all parts).
@@ -91,8 +90,7 @@ type planStep struct {
 	rel  int // index into plan.rels
 	args []planArg
 	// bound lists the probe-candidate columns in positional order; the
-	// executor probes the first one with a live hash index, exactly as
-	// the seed evaluator's candidateRows scan did.
+	// executor probes the first one with a live hash index.
 	bound   []boundCol
 	route   routeKind
 	routeIx int // const index (routeConst) or frame slot (routeFrame)
@@ -196,9 +194,8 @@ func (sb *shapeBuf) build(body []eq.Atom, s *unify.Subst) {
 
 // compilePlan builds the plan for one body shape. src resolves a
 // relation name to its shard parts and hash column (key -1 and a single
-// part for a plain instance). The errors match the seed evaluator's, so
-// callers surface identical messages on unknown relations and arity
-// mismatches.
+// part for a plain instance). Unknown relations and arity mismatches
+// are reported here, once per shape.
 func compilePlan(shape string, body []eq.Atom, instVersions []uint64, src func(name string) (parts []*Relation, key int, err error)) (*plan, error) {
 	p := &plan{shape: shape, instVersions: instVersions}
 
@@ -264,10 +261,10 @@ func compilePlan(shape string, body []eq.Atom, instVersions []uint64, src func(n
 		}
 	}
 
-	// Pass 2: fix the join order with the seed evaluator's greedy
-	// heuristic — most bound arguments first (constants and variables
-	// bound by earlier steps), ties to the smaller relation — and
-	// classify every column against the frozen order.
+	// Pass 2: fix the join order greedily — most bound arguments first
+	// (constants and variables bound by earlier steps), ties to the
+	// smaller relation — and classify every column against the frozen
+	// order.
 	n := len(body)
 	used := make([]bool, n)
 	slotBound := make([]bool, len(p.slotAt))
@@ -310,9 +307,8 @@ func compilePlan(shape string, body []eq.Atom, instVersions []uint64, src func(n
 			}
 		}
 		st.args = args
-		// Shard routing mirrors the seed partsFor: only values bound
-		// before the step probes (constants and earlier-step slots) can
-		// narrow the part set.
+		// Shard routing: only values bound before the step probes
+		// (constants and earlier-step slots) can narrow the part set.
 		if r := &rels[st.rel]; r.key >= 0 && len(r.parts) > 1 && r.key < len(args) {
 			switch a := args[r.key]; {
 			case a.kind == opConst:
@@ -330,8 +326,7 @@ func compilePlan(shape string, body []eq.Atom, instVersions []uint64, src func(n
 	p.nSlots = len(p.slotAt)
 
 	// Sort relations by name: bind() acquires read locks in rels order,
-	// giving the same deterministic (name, shard) total order as the
-	// seed lock planners.
+	// giving one deterministic (name, shard) total order.
 	order := make([]int, len(rels))
 	for i := range order {
 		order[i] = i
@@ -359,43 +354,72 @@ func containsInt(xs []int, v int) bool {
 	return false
 }
 
+// planSource is the store-specific half of plan lookup: which schema
+// versions a plan must match, and where a relation's parts live.
+// *Instance and *ShardedInstance implement it; planFor is the shared
+// half.
+type planSource interface {
+	// schemaVersions reads the store's current schema versions, the
+	// vector a plan compiled now records as instVersions.
+	schemaVersions() []uint64
+	// planValid reports whether a cached plan still matches those
+	// versions and every part it compiled against; it must not
+	// allocate (it runs on every cache hit).
+	planValid(p *plan) bool
+	// resolve returns a relation's shard parts and hash column (one
+	// part and key -1 when unsharded).
+	resolve(name string) (parts []*Relation, key int, err error)
+}
+
 // planFor returns the compiled plan for the body (resolved under s when
 // s is non-nil), compiling and caching it on a miss or when a schema
 // change retired the cached entry. The hit path allocates nothing: the
 // shape key is built in a pooled buffer and looked up without
 // conversion.
-func (in *Instance) planFor(body []eq.Atom, s *unify.Subst) (*plan, error) {
+func planFor(src planSource, cache *planCache, body []eq.Atom, s *unify.Subst) (*plan, error) {
 	sb := shapeBufPool.Get().(*shapeBuf)
 	sb.build(body, s)
-	if p := in.plans.get(sb.key); p != nil && p.instVersions[0] == in.version.Load() && p.relsValid() {
-		in.plans.hits.Add(1)
+	if p := cache.get(sb.key); p != nil && src.planValid(p) {
+		cache.hits.Add(1)
 		shapeBufPool.Put(sb)
 		return p, nil
 	}
-	in.plans.miss.Add(1)
+	cache.miss.Add(1)
 	shape := string(sb.key)
 	shapeBufPool.Put(sb)
-	// Read the version before resolving relations: a concurrent
-	// AddRelation between the two can only make the new plan look
-	// stale (recompiled on next use), never let a stale pointer pass
+	// Read the versions before resolving relations: a concurrent schema
+	// change between the two can only make the new plan look stale
+	// (recompiled on next use), never let a stale pointer pass
 	// validation.
-	iv := in.version.Load()
+	vers := src.schemaVersions()
 	resolved := body
 	if s != nil {
 		resolved = s.ApplyAll(body)
 	}
-	p, err := compilePlan(shape, resolved, []uint64{iv}, func(name string) ([]*Relation, int, error) {
-		r, ok := in.Relation(name)
-		if !ok {
-			return nil, 0, fmt.Errorf("db: unknown relation %s", name)
-		}
-		return []*Relation{r}, -1, nil
-	})
+	p, err := compilePlan(shape, resolved, vers, src.resolve)
 	if err != nil {
 		return nil, err
 	}
-	in.plans.put(shape, p)
+	cache.put(shape, p)
 	return p, nil
+}
+
+func (in *Instance) planFor(body []eq.Atom, s *unify.Subst) (*plan, error) {
+	return planFor(in, &in.plans, body, s)
+}
+
+func (in *Instance) schemaVersions() []uint64 { return []uint64{in.version.Load()} }
+
+func (in *Instance) planValid(p *plan) bool {
+	return p.instVersions[0] == in.version.Load() && p.relsValid()
+}
+
+func (in *Instance) resolve(name string) ([]*Relation, int, error) {
+	r, ok := in.Relation(name)
+	if !ok {
+		return nil, 0, fmt.Errorf("db: unknown relation %s", name)
+	}
+	return []*Relation{r}, -1, nil
 }
 
 // PlanStats reports the instance's plan-cache counters.

@@ -9,10 +9,11 @@ import (
 	"entangled/internal/unify"
 )
 
-// The BenchmarkSolveCompiled* family isolates the evaluation layer:
-// each benchmark runs the same query stream through the seed evaluator
-// (DisableCompiledPlans) and through compiled plans, so the plan win is
-// measured without any coordination-algorithm overhead around it.
+// The BenchmarkSolveCompiled* family isolates the evaluation layer: a
+// query stream through compiled plans with no coordination-algorithm
+// overhead around it. The "seed" mode these once carried is a concluded
+// ablation (DESIGN.md, "Seed evaluator vs. compiled plans"); the
+// sub-benchmark keeps the name "compiled" so trajectories line up.
 
 func benchTable(rows int, indexed bool) *Instance {
 	in := NewInstance()
@@ -30,36 +31,29 @@ func benchTable(rows int, indexed bool) *Instance {
 // constant on an indexed column.
 func BenchmarkSolveCompiledIndexed(b *testing.B) {
 	in := benchTable(20000, true)
-	for _, mode := range []string{"seed", "compiled"} {
-		in.DisableCompiledPlans = mode == "seed"
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				body := []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C(eq.Value("c"+strconv.Itoa(i%20000))))}
-				if _, ok, err := in.Solve(body); err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
+	b.Run("compiled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			body := []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C(eq.Value("c"+strconv.Itoa(i%20000))))}
+			if _, ok, err := in.Solve(body); err != nil || !ok {
+				b.Fatalf("ok=%v err=%v", ok, err)
 			}
-		})
-	}
+		}
+	})
 }
 
-// BenchmarkSolveCompiledScan: the same shape with no index — the seed
-// evaluator materialised an O(rows) candidate list per probe.
+// BenchmarkSolveCompiledScan: the same shape with no index.
 func BenchmarkSolveCompiledScan(b *testing.B) {
 	in := benchTable(2000, false)
-	for _, mode := range []string{"seed", "compiled"} {
-		in.DisableCompiledPlans = mode == "seed"
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				body := []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C(eq.Value("c"+strconv.Itoa(i%2000))))}
-				if _, ok, err := in.Solve(body); err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
+	b.Run("compiled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			body := []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C(eq.Value("c"+strconv.Itoa(i%2000))))}
+			if _, ok, err := in.Solve(body); err != nil || !ok {
+				b.Fatalf("ok=%v err=%v", ok, err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkSolveCompiledSharded: routed point queries on an 8-way
@@ -72,24 +66,20 @@ func BenchmarkSolveCompiledSharded(b *testing.B) {
 		r.Insert(eq.Value("t"+strconv.Itoa(i)), eq.Value("c"+strconv.Itoa(i)))
 	}
 	r.BuildIndex(1)
-	for _, mode := range []string{"seed", "compiled"} {
-		sh.SetDisableCompiledPlans(mode == "seed")
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				body := []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C(eq.Value("c"+strconv.Itoa(i%20000))))}
-				if _, ok, err := sh.Solve(body); err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
+	b.Run("compiled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			body := []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C(eq.Value("c"+strconv.Itoa(i%20000))))}
+			if _, ok, err := sh.Solve(body); err != nil || !ok {
+				b.Fatalf("ok=%v err=%v", ok, err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkSolveCompiledSolveUnder: the coordination hot loop — the
 // same multi-atom body shape re-issued under substitutions that pin its
-// variables (the compiled path resolves terms at bind time; the seed
-// path rewrites the body per call).
+// variables (terms are resolved at bind time; no body is rewritten).
 func BenchmarkSolveCompiledSolveUnder(b *testing.B) {
 	in := benchTable(20000, true)
 	const atoms = 10
@@ -107,15 +97,12 @@ func BenchmarkSolveCompiledSolveUnder(b *testing.B) {
 		}
 		subs[si] = s
 	}
-	for _, mode := range []string{"seed", "compiled"} {
-		in.DisableCompiledPlans = mode == "seed"
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, ok, err := in.SolveUnder(body, subs[i%len(subs)]); err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
+	b.Run("compiled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := in.SolveUnder(body, subs[i%len(subs)]); err != nil || !ok {
+				b.Fatalf("ok=%v err=%v", ok, err)
 			}
-		})
-	}
+		}
+	})
 }

@@ -80,10 +80,9 @@ type ShardedInstance struct {
 	shards []*Instance
 	keys   map[string]int // relation name -> hash column
 
-	useIndexes   bool
-	disablePlans bool
-	latency      time.Duration
-	queries      int64 // cross-shard conjunctive queries answered (atomic)
+	useIndexes bool
+	latency    time.Duration
+	queries    int64 // cross-shard conjunctive queries answered (atomic)
 
 	// version counts schema changes (CreateRelation); cross-shard
 	// compiled plans record it and retire themselves when it moves.
@@ -141,16 +140,6 @@ func (sh *ShardedInstance) SetSimulatedLatency(d time.Duration) {
 	sh.latency = d
 	for _, s := range sh.shards {
 		s.SimulatedLatency = d
-	}
-}
-
-// SetDisableCompiledPlans routes queries through the seed evaluator on
-// the cross-shard path and on every shard (see
-// Instance.DisableCompiledPlans). Configure before sharing.
-func (sh *ShardedInstance) SetDisableCompiledPlans(v bool) {
-	sh.disablePlans = v
-	for _, s := range sh.shards {
-		s.DisableCompiledPlans = v
 	}
 }
 
@@ -292,31 +281,19 @@ func (sh *ShardedInstance) Contains(a eq.Atom) bool {
 // Solve answers the conjunctive query under choose-1 semantics (see
 // Instance.Solve). Counts as one query on the cross-shard counter.
 func (sh *ShardedInstance) Solve(body []eq.Atom) (Binding, bool, error) {
-	res, err := sh.solve(body, 1)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(res) == 0 {
-		return nil, false, nil
-	}
-	return res[0], true, nil
+	return first(sh.solve(body, nil, 1))
 }
 
 // SolveAll returns up to limit satisfying assignments (limit <= 0 means
 // all).
 func (sh *ShardedInstance) SolveAll(body []eq.Atom, limit int) ([]Binding, error) {
-	return sh.solve(body, limit)
+	return sh.solve(body, nil, limit)
 }
 
-// Satisfiable reports whether the body has at least one answer. On the
-// compiled path it runs the plan in existence mode: no binding is
-// materialised.
+// Satisfiable reports whether the body has at least one answer. It runs
+// the plan in existence mode: no binding is materialised.
 func (sh *ShardedInstance) Satisfiable(body []eq.Atom) (bool, error) {
 	sh.countQuery()
-	if sh.disablePlans {
-		res, err := sh.legacySolve(body, 1)
-		return len(res) > 0, err
-	}
 	p, err := sh.planFor(body, nil)
 	if err != nil {
 		return false, err
@@ -325,98 +302,56 @@ func (sh *ShardedInstance) Satisfiable(body []eq.Atom) (bool, error) {
 }
 
 // SolveUnder answers the body resolved under a substitution; like
-// Instance.SolveUnder, the compiled path resolves terms at bind time
-// instead of materialising a substituted body.
+// Instance.SolveUnder it resolves terms at bind time instead of
+// materialising a substituted body.
 func (sh *ShardedInstance) SolveUnder(body []eq.Atom, s *unify.Subst) (Binding, bool, error) {
-	sh.countQuery()
-	if sh.disablePlans {
-		res, err := sh.legacySolve(s.ApplyAll(body), 1)
-		return first(res, err)
-	}
-	p, err := sh.planFor(body, s)
-	if err != nil {
-		return nil, false, err
-	}
-	return first(p.solve(body, s, 1, sh.useIndexes), nil)
+	return first(sh.solve(body, s, 1))
 }
 
 // solve runs the compiled plan for the body shape across shard parts.
 // Parts that no atom can reach (every atom over the relation pins the
 // hash column to a constant routing elsewhere) are neither locked nor
 // probed, so writers to those parts never wait on this query.
-func (sh *ShardedInstance) solve(body []eq.Atom, limit int) ([]Binding, error) {
+func (sh *ShardedInstance) solve(body []eq.Atom, s *unify.Subst, limit int) ([]Binding, error) {
 	sh.countQuery()
-	if sh.disablePlans {
-		return sh.legacySolve(body, limit)
-	}
-	p, err := sh.planFor(body, nil)
+	p, err := sh.planFor(body, s)
 	if err != nil {
 		return nil, err
 	}
-	return p.solve(body, nil, limit, sh.useIndexes), nil
+	return p.solve(body, s, limit, sh.useIndexes), nil
 }
 
-// legacySolve is the seed cross-shard evaluation path (see
-// Instance.legacySolve).
-func (sh *ShardedInstance) legacySolve(body []eq.Atom, limit int) ([]Binding, error) {
-	views, unlock, err := sh.viewsFor(body)
-	if err != nil {
-		return nil, err
-	}
-	defer unlock()
-	e := &evaluator{useIndexes: sh.useIndexes, rels: views, body: body, limit: limit, bound: Binding{}}
-	e.run()
-	return e.results, nil
-}
-
-// planFor returns the compiled cross-shard plan for the body (resolved
-// under s when non-nil), compiling and caching it on a miss or after
-// schema invalidation. Plans resolve every relation's parts across all
-// shards once; narrowing to the parts one call can reach happens at
+// planFor returns the compiled cross-shard plan for the body (see the
+// package-level planFor). Plans resolve every relation's parts across
+// all shards once; narrowing to the parts one call can reach happens at
 // bind time from the call's constants.
 func (sh *ShardedInstance) planFor(body []eq.Atom, s *unify.Subst) (*plan, error) {
-	sb := shapeBufPool.Get().(*shapeBuf)
-	sb.build(body, s)
-	if p := sh.plans.get(sb.key); p != nil && sh.planValid(p) {
-		sh.plans.hits.Add(1)
-		shapeBufPool.Put(sb)
-		return p, nil
-	}
-	sh.plans.miss.Add(1)
-	shape := string(sb.key)
-	shapeBufPool.Put(sb)
-	// Versions are read before resolution so a concurrent schema change
-	// can only make the fresh plan look stale, never validate a stale
-	// pointer (see Instance.planFor).
+	return planFor(sh, &sh.plans, body, s)
+}
+
+func (sh *ShardedInstance) schemaVersions() []uint64 {
 	vers := make([]uint64, len(sh.shards)+1)
 	vers[0] = sh.version.Load()
 	for i, s := range sh.shards {
 		vers[i+1] = s.version.Load()
 	}
-	resolved := body
-	if s != nil {
-		resolved = s.ApplyAll(body)
+	return vers
+}
+
+func (sh *ShardedInstance) resolve(name string) ([]*Relation, int, error) {
+	key, ok := sh.keyOf(name)
+	if !ok {
+		return nil, 0, fmt.Errorf("db: unknown relation %s", name)
 	}
-	p, err := compilePlan(shape, resolved, vers, func(name string) ([]*Relation, int, error) {
-		key, ok := sh.keyOf(name)
+	parts := make([]*Relation, len(sh.shards))
+	for i, s := range sh.shards {
+		r, ok := s.Relation(name)
 		if !ok {
-			return nil, 0, fmt.Errorf("db: unknown relation %s", name)
+			return nil, 0, fmt.Errorf("db: relation %s missing from shard %d", name, i)
 		}
-		parts := make([]*Relation, len(sh.shards))
-		for i, s := range sh.shards {
-			r, ok := s.Relation(name)
-			if !ok {
-				return nil, 0, fmt.Errorf("db: relation %s missing from shard %d", name, i)
-			}
-			parts[i] = r
-		}
-		return parts, key, nil
-	})
-	if err != nil {
-		return nil, err
+		parts[i] = r
 	}
-	sh.plans.put(shape, p)
-	return p, nil
+	return parts, key, nil
 }
 
 // planValid checks a cached plan against the sharded store's schema
@@ -431,89 +366,6 @@ func (sh *ShardedInstance) planValid(p *plan) bool {
 		}
 	}
 	return p.relsValid()
-}
-
-// shardRelInfo is the per-relation lock plan of one cross-shard query.
-type shardRelInfo struct {
-	parts  []*Relation
-	key    int
-	needed []bool // parts the query can reach and must therefore lock
-}
-
-// viewsFor validates the body, computes which shard parts each
-// relation's atoms can reach, read-locks exactly those parts in a
-// deterministic global order (relation name, then shard index — the
-// same total order a routed single-shard query follows), and returns
-// the evaluator views plus the matching unlock function.
-func (sh *ShardedInstance) viewsFor(body []eq.Atom) (map[string]relView, func(), error) {
-	k := len(sh.shards)
-	infos := map[string]*shardRelInfo{}
-	for _, a := range body {
-		info := infos[a.Rel]
-		if info == nil {
-			key, ok := sh.keyOf(a.Rel)
-			if !ok {
-				return nil, nil, fmt.Errorf("db: unknown relation %s", a.Rel)
-			}
-			parts := make([]*Relation, k)
-			for i, s := range sh.shards {
-				r, ok := s.Relation(a.Rel)
-				if !ok {
-					return nil, nil, fmt.Errorf("db: relation %s missing from shard %d", a.Rel, i)
-				}
-				parts[i] = r
-			}
-			info = &shardRelInfo{parts: parts, key: key, needed: make([]bool, k)}
-			infos[a.Rel] = info
-		}
-		if info.parts[0].Arity() != len(a.Args) {
-			return nil, nil, fmt.Errorf("db: atom %s has arity %d, relation has %d", a, len(a.Args), info.parts[0].Arity())
-		}
-		if t := a.Args[info.key]; !t.IsVar() {
-			// Constant hash column: the atom can only match tuples on the
-			// owning shard.
-			info.needed[shardIndex(t.Const(), k)] = true
-		} else {
-			// Variable hash column: even if a prior join step binds it at
-			// runtime, it may take values routing to any shard.
-			for i := range info.needed {
-				info.needed[i] = true
-			}
-		}
-	}
-
-	names := make([]string, 0, len(infos))
-	for n := range infos {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var locked []*Relation
-	for _, n := range names {
-		info := infos[n]
-		for i := 0; i < k; i++ {
-			if info.needed[i] {
-				info.parts[i].mu.RLock()
-				locked = append(locked, info.parts[i])
-			}
-		}
-	}
-	unlock := func() {
-		for _, r := range locked {
-			r.mu.RUnlock()
-		}
-	}
-	views := make(map[string]relView, len(infos))
-	for _, n := range names {
-		info := infos[n]
-		size := 0
-		for i, p := range info.parts {
-			if info.needed[i] {
-				size += len(p.tuples)
-			}
-		}
-		views[n] = relView{parts: info.parts, key: info.key, size: size}
-	}
-	return views, unlock, nil
 }
 
 // Route inspects a request's query set and, when every body atom pins

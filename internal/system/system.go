@@ -7,7 +7,7 @@ import (
 	"entangled/internal/coord"
 	"entangled/internal/db"
 	"entangled/internal/eq"
-	"entangled/internal/unify"
+	"entangled/internal/stream"
 )
 
 // Outcome reports what a Submit call achieved.
@@ -23,193 +23,88 @@ type Outcome struct {
 }
 
 // Coordinator is the online coordination module. It is safe for
-// concurrent use.
+// concurrent use: the session locks single events, mu makes
+// join-then-retire one step so no team is retired twice.
 type Coordinator struct {
-	mu      sync.Mutex
-	inst    *db.Instance
-	opts    coord.Options
-	pending []eq.Query
-	seq     int
+	mu sync.Mutex
+	s  *stream.Session // the pending queries and all coordination state
 }
 
-// New creates a coordinator over the given database instance.
+// New creates a coordinator over the given database instance. A session
+// ignores opts.Trace and opts.Parallelism; the rest apply as in a batch.
 func New(inst *db.Instance, opts coord.Options) *Coordinator {
-	return &Coordinator{inst: inst, opts: opts}
+	return &Coordinator{s: stream.New(inst, stream.Options{Coord: opts})}
 }
 
-// Pending returns a copy of the queries currently waiting for partners.
-func (c *Coordinator) Pending() []eq.Query {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]eq.Query, len(c.pending))
-	for i, q := range c.pending {
-		out[i] = q.Clone()
-	}
-	return out
-}
+// Pending returns the queries currently waiting, in arrival order.
+func (c *Coordinator) Pending() []eq.Query { return c.s.Queries() }
 
-// Submit adds a query, evaluates the connected component it belongs to,
-// and — when a coordinating set is found — answers and retires those
-// queries. Queries whose component is currently unsatisfiable stay
-// pending and may coordinate when a later arrival completes their
-// component.
+// PendingCount returns the number of queries currently waiting.
+func (c *Coordinator) PendingCount() int { return c.s.Size() }
+
+// Submit joins q to the session and, when the session then reports a
+// coordinating set, answers and retires it; otherwise q stays pending.
+// A duplicate ID and an arrival that would make the pending set unsafe
+// (coord.ErrUnsafeArrival) are refused and not kept.
 func (c *Coordinator) Submit(q eq.Query) (*Outcome, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if q.ID == "" {
-		q.ID = fmt.Sprintf("anon-%d", c.seq)
+		q.ID = fmt.Sprintf("anon-%d", c.s.Totals().Events)
 	}
-	c.seq++
-	for _, p := range c.pending {
-		if p.ID == q.ID {
-			return nil, fmt.Errorf("system: duplicate query id %q", q.ID)
-		}
+	if _, err := c.s.Join(q); err != nil {
+		return nil, err
 	}
-	c.pending = append(c.pending, q)
-	return c.evaluateComponentOf(len(c.pending) - 1)
+	return c.retire()
 }
 
-// Flush evaluates every connected component of the pending set and
-// retires whatever coordinates; it returns one outcome per component
-// that produced an answer.
+// Flush re-reads the store, whose writes may have made pending queries
+// answerable, and retires coordinating sets until none remains.
 func (c *Coordinator) Flush() ([]*Outcome, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if _, err := c.s.Refresh(); err != nil {
+		return nil, err
+	}
 	var outs []*Outcome
 	for {
-		progressed := false
-		for i := range c.pending {
-			out, err := c.evaluateComponentOf(i)
-			if err != nil {
-				return outs, err
-			}
-			if len(out.Coordinated) > 0 {
-				outs = append(outs, out)
-				progressed = true
-				break // pending changed under us; restart the scan
-			}
+		out, err := c.retire()
+		if err != nil || len(out.Coordinated) == 0 {
+			return outs, err
 		}
-		if !progressed {
-			return outs, nil
-		}
+		outs = append(outs, out)
 	}
 }
 
-// evaluateComponentOf evaluates the weakly connected component of the
-// coordination graph containing pending query idx. Caller holds mu.
-func (c *Coordinator) evaluateComponentOf(idx int) (*Outcome, error) {
-	comp := c.componentOf(idx)
-	sub := make([]eq.Query, len(comp))
-	for i, j := range comp {
-		sub[i] = c.pending[j]
-	}
-	res, err := coord.SCCCoordinate(sub, c.inst, c.opts)
+// retire answers the session's selected coordinating set, if any: it
+// reads the witness, then departs every member. Caller holds mu.
+func (c *Coordinator) retire() (*Outcome, error) {
+	st, err := c.s.Status(false)
 	if err != nil {
-		// Leave the offending query pending but surface the error (an
-		// unsafe component cannot be evaluated by this algorithm).
 		return nil, err
 	}
-	out := &Outcome{Values: map[string]map[string]eq.Value{}}
-	if res == nil {
-		out.Pending = len(c.pending)
+	out := &Outcome{Values: map[string]map[string]eq.Value{}, Pending: len(st.Queries)}
+	if st.Result == nil {
 		return out, nil
 	}
-	retire := map[int]bool{}
-	for _, si := range res.Set {
-		orig := comp[si]
-		retire[orig] = true
-		out.Coordinated = append(out.Coordinated, c.pending[orig])
-		out.Values[c.pending[orig].ID] = res.Values[si]
-	}
-	var remaining []eq.Query
-	for i, q := range c.pending {
-		if !retire[i] {
-			remaining = append(remaining, q)
+	for _, i := range st.Result.Set {
+		q := st.Queries[i]
+		if _, err := c.s.Leave(q.ID); err != nil {
+			return nil, err
 		}
+		out.Coordinated = append(out.Coordinated, q)
+		out.Values[q.ID] = st.Result.Values[i]
+		out.Pending--
 	}
-	c.pending = remaining
-	out.Pending = len(c.pending)
 	return out, nil
 }
 
-// componentOf returns the indices of the pending queries weakly
-// connected to pending[idx] in the coordination graph (treating
-// unifiable post/head pairs as undirected adjacency), sorted ascending.
-func (c *Coordinator) componentOf(idx int) []int {
-	n := len(c.pending)
-	adj := make([][]int, n)
-	link := func(a, b int) {
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if postsUnify(c.pending[i], c.pending[j]) {
-				link(i, j)
-			}
-		}
-	}
-	seen := make([]bool, n)
-	stack := []int{idx}
-	seen[idx] = true
-	var out []int
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, v)
-		for _, w := range adj[v] {
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	sortInts(out)
-	return out
-}
-
-// postsUnify reports whether some postcondition of a unifies with some
-// head of b.
-func postsUnify(a, b eq.Query) bool {
-	for _, p := range a.Post {
-		for _, h := range b.Head {
-			if unify.Unifiable(p, h) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// Cancel withdraws a pending query by ID before it coordinates; it
-// reports whether the query was found. Once a query has been answered
-// (retired by Submit or Flush) there is nothing left to cancel.
+// Cancel withdraws a pending query by ID and reports whether it was
+// found. The dropped error is either the unknown ID or a failed
+// re-solve after the query left, which the next event redoes.
 func (c *Coordinator) Cancel(id string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, q := range c.pending {
-		if q.ID == id {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// PendingCount returns the number of queries currently waiting.
-func (c *Coordinator) PendingCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
+	up, _ := c.s.Leave(id)
+	return up.Admitted
 }
