@@ -208,30 +208,6 @@ func BenchmarkAblationGuptaVsSCC(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationCleaning compares the queue-driven cleaning phase of
-// the Consistent Coordination Algorithm against repeated full sweeps.
-func BenchmarkAblationCleaning(b *testing.B) {
-	sch := workload.FlightSchema()
-	const users = 60
-	inst := db.NewInstance()
-	workload.FlightsTable(inst, 200, 200)
-	workload.CompleteFriends(inst, users)
-	qs := workload.FlightQueries(users)
-	for _, sweep := range []bool{false, true} {
-		name := "queue"
-		if sweep {
-			name = "sweep"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := consistent.Coordinate(sch, qs, inst, consistent.Options{SweepCleaning: sweep}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Parallel-engine benchmarks (DESIGN.md "Concurrent engine") ---
 
 // benchWorkers is the worker-count axis of the parallel families: the

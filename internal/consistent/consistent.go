@@ -2,7 +2,6 @@ package consistent
 
 import (
 	"fmt"
-	"sort"
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
@@ -85,38 +84,48 @@ type Schema struct {
 	Friends   string // binary friendship relation F(user, friend)
 }
 
-// Validate performs structural checks of the schema against an instance.
+// Validate performs structural checks of the schema against an
+// instance: the data relation exists, KeyCol, CoordCols and OwnCols are
+// columns of it and name no column twice, and the friendship relation is
+// binary.
 func (sch Schema) Validate(inst *db.Instance) error {
 	s, ok := inst.Relation(sch.Table)
 	if !ok {
 		return fmt.Errorf("consistent: relation %s not in instance", sch.Table)
 	}
-	check := func(col int) error {
-		if col < 0 || col >= s.Arity() {
-			return fmt.Errorf("consistent: column %d out of range for %s", col, sch.Table)
-		}
-		return nil
-	}
-	if err := check(sch.KeyCol); err != nil {
-		return err
-	}
-	for _, c := range append(append([]int{}, sch.CoordCols...), sch.OwnCols...) {
-		if err := check(c); err != nil {
-			return err
+	used := make([]bool, s.Arity())
+	for _, cols := range [][]int{{sch.KeyCol}, sch.CoordCols, sch.OwnCols} {
+		for _, col := range cols {
+			if col < 0 || col >= s.Arity() {
+				return fmt.Errorf("consistent: column %d out of range for %s", col, sch.Table)
+			}
+			if used[col] {
+				return fmt.Errorf("consistent: column %d of %s is named twice among KeyCol, CoordCols and OwnCols", col, sch.Table)
+			}
+			used[col] = true
 		}
 	}
-	f, ok := inst.Relation(sch.Friends)
+	return checkFriendRel(inst, sch.Friends)
+}
+
+// checkFriendRel checks that rel can fill friend slots: it exists and is
+// binary.
+func checkFriendRel(inst *db.Instance, rel string) error {
+	f, ok := inst.Relation(rel)
 	if !ok {
-		return fmt.Errorf("consistent: friendship relation %s not in instance", sch.Friends)
+		return fmt.Errorf("consistent: friendship relation %s not in instance", rel)
 	}
 	if f.Arity() != 2 {
-		return fmt.Errorf("consistent: friendship relation %s must be binary", sch.Friends)
+		return fmt.Errorf("consistent: friendship relation %s must be binary", rel)
 	}
 	return nil
 }
 
 // Candidate is one value of the coordination attributes together with
-// the queries that survive the cleaning phase for it.
+// the queries that survive the cleaning phase for it. Both slices are
+// read-only: Value is the database's own answer tuple, Members a piece
+// of one slab the call's candidates are cut from, and the Result's Value
+// and Members are the winning candidate's.
 type Candidate struct {
 	Value   []eq.Value // one value per coordination attribute
 	Members []int      // surviving query indices, sorted
@@ -139,9 +148,10 @@ func MaxMembers(cands []Candidate) int {
 
 // Result is the algorithm's output.
 type Result struct {
-	// Value is the agreed value of the coordination attributes.
-	Value []eq.Value
-	// Members are the indices of the coordinating queries, sorted.
+	// Value is the agreed value of the coordination attributes and
+	// Members the indices of the coordinating queries, sorted: the
+	// selected candidate's, and read-only like them.
+	Value   []eq.Value
 	Members []int
 	// Keys maps each member to the key of its selected tuple of S (the
 	// paper's final output: user -> flight number).
@@ -149,17 +159,15 @@ type Result struct {
 	// Candidates holds every non-empty candidate discovered, for
 	// callers that want a different selection criterion post hoc.
 	Candidates []Candidate
-	// DBQueries is the number of database queries issued.
+	// DBQueries is the number of database queries this call issued,
+	// counted by the call itself: exact whatever else the instance is
+	// serving meanwhile.
 	DBQueries int64
 }
 
 // Options configures Coordinate.
 type Options struct {
 	Select Selector // nil means MaxMembers
-	// SweepCleaning switches the cleaning phase from the queue-driven
-	// implementation to repeated full sweeps (the ablation benchmark
-	// compares the two; results are identical).
-	SweepCleaning bool
 	// Trace, when non-nil, records the algorithm's steps (option-list
 	// sizes and per-value cleaning outcomes).
 	Trace *Trace
@@ -183,6 +191,10 @@ type ValueEvent struct {
 
 // Coordinate runs the Consistent Coordination Algorithm. It returns the
 // selected coordinating set or nil when none exists.
+//
+// Everything about the input that can be wrong — the schema, a query's
+// preference counts, the relation a friend slot names — is reported
+// before the first database query is spent.
 func Coordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (*Result, error) {
 	if err := sch.Validate(inst); err != nil {
 		return nil, err
@@ -190,124 +202,35 @@ func Coordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (*Resul
 	if len(qs) == 0 {
 		return nil, nil
 	}
-	start := inst.QueriesIssued()
+	k, err := newKernel(sch, qs, inst)
+	if err != nil {
+		return nil, err
+	}
 
-	// Step 1: option lists V(q) — one database query per user.
-	options := make([][]db.Tuple, len(qs))
-	optKey := make([]map[string]bool, len(qs))
-	for i, q := range qs {
-		where, err := whereOf(sch, q)
-		if err != nil {
-			return nil, err
-		}
-		vals, err := inst.Project(sch.Table, sch.CoordCols, where)
-		if err != nil {
-			return nil, err
-		}
-		options[i] = vals
-		optKey[i] = map[string]bool{}
-		for _, v := range vals {
-			optKey[i][tupleKey(v)] = true
-		}
+	// Steps 1 and 3: option lists V(q) — one database query per user —
+	// interned into the global options list V(Q).
+	if err := k.optionLists(); err != nil {
+		return nil, err
 	}
 	if opts.Trace != nil {
 		opts.Trace.OptionCounts = make([]int, len(qs))
 		for i := range qs {
-			opts.Trace.OptionCounts[i] = len(options[i])
+			opts.Trace.OptionCounts[i] = len(k.options.at(int32(i)))
 		}
 	}
 
 	// Step 2: pruned coordination graph. Nodes are queries with a
 	// non-empty option list; edges follow constant partners and
-	// friendships (one friend-list query per user).
-	userIdx := map[eq.Value][]int{}
-	for i, q := range qs {
-		userIdx[q.User] = append(userIdx[q.User], i)
-	}
-	alive := make([]bool, len(qs))
-	for i := range qs {
-		alive[i] = len(options[i]) > 0
-	}
-	// friendsOf[i] maps each relation used by query i's friend slots to
-	// the indices of i's friends' queries under that relation — one
-	// database query per (user, relation) pair.
-	friendsOf := make([]map[string][]int, len(qs))
-	for i, q := range qs {
-		if !alive[i] {
-			continue
-		}
-		for _, rel := range friendRels(sch, q) {
-			if friendsOf[i] == nil {
-				friendsOf[i] = map[string][]int{}
-			}
-			if _, done := friendsOf[i][rel]; done {
-				continue
-			}
-			rows, err := inst.Project(rel, []int{1}, map[int]eq.Value{0: q.User})
-			if err != nil {
-				return nil, err
-			}
-			list := []int{}
-			for _, row := range rows {
-				for _, j := range userIdx[row[0]] {
-					if j != i && alive[j] {
-						list = append(list, j)
-					}
-				}
-			}
-			friendsOf[i][rel] = list
-		}
-	}
-
-	// Step 3: the global options list V(Q).
-	seen := map[string]bool{}
-	var vQ []db.Tuple
-	for i := range qs {
-		if !alive[i] {
-			continue
-		}
-		for _, v := range options[i] {
-			k := tupleKey(v)
-			if !seen[k] {
-				seen[k] = true
-				vQ = append(vQ, v)
-			}
-		}
+	// friendships (one friend-list query per user and relation).
+	if err := k.friendLists(); err != nil {
+		return nil, err
 	}
 
 	// Step 4: per value, restrict and clean.
-	var cands []Candidate
-	for _, v := range vQ {
-		k := tupleKey(v)
-		in := make([]bool, len(qs))
-		var members []int
-		for i := range qs {
-			if alive[i] && optKey[i][k] {
-				in[i] = true
-				members = append(members, i)
-			}
-		}
-		var surviving []int
-		if opts.SweepCleaning {
-			surviving = cleanSweep(sch, qs, members, in, userIdx, friendsOf)
-		} else {
-			surviving = cleanQueue(sch, qs, members, in, userIdx, friendsOf)
-		}
-		if opts.Trace != nil {
-			opts.Trace.Values = append(opts.Trace.Values, ValueEvent{
-				Value:     append([]eq.Value(nil), v...),
-				Initial:   append([]int(nil), members...),
-				Survivors: append([]int(nil), surviving...),
-			})
-		}
-		if len(surviving) > 0 {
-			cands = append(cands, Candidate{Value: append(db.Tuple(nil), v...), Members: surviving})
-		}
-	}
+	cands := k.candidates(opts.Trace)
 	if len(cands) == 0 {
 		return nil, nil
 	}
-
 	sel := opts.Select
 	if sel == nil {
 		sel = MaxMembers
@@ -316,239 +239,15 @@ func Coordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (*Resul
 
 	// Step 5: ground each member to a concrete tuple key — one database
 	// query per member.
-	keys := map[int]eq.Value{}
-	for _, i := range win.Members {
-		where, err := whereOf(sch, qs[i])
-		if err != nil {
-			return nil, err
-		}
-		for j, c := range sch.CoordCols {
-			where[c] = win.Value[j]
-		}
-		t, ok, err := inst.SelectOne(sch.Table, where)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("consistent: internal error: member %d lost its tuple for value %v", i, win.Value)
-		}
-		keys[i] = t[sch.KeyCol]
+	keys, err := k.ground(win)
+	if err != nil {
+		return nil, err
 	}
 	return &Result{
 		Value:      win.Value,
 		Members:    win.Members,
 		Keys:       keys,
 		Candidates: cands,
-		DBQueries:  inst.QueriesIssued() - start,
+		DBQueries:  k.dbq,
 	}, nil
-}
-
-// whereOf converts a query's constant preferences into a column filter.
-func whereOf(sch Schema, q Query) (map[int]eq.Value, error) {
-	if len(q.Coord) != len(sch.CoordCols) {
-		return nil, fmt.Errorf("consistent: query by %s has %d coordination prefs, schema has %d attributes", q.User, len(q.Coord), len(sch.CoordCols))
-	}
-	if len(q.Own) != len(sch.OwnCols) {
-		return nil, fmt.Errorf("consistent: query by %s has %d own prefs, schema has %d attributes", q.User, len(q.Own), len(sch.OwnCols))
-	}
-	where := map[int]eq.Value{}
-	for j, p := range q.Coord {
-		if !p.Any {
-			where[sch.CoordCols[j]] = p.Val
-		}
-	}
-	for j, p := range q.Own {
-		if !p.Any {
-			where[sch.OwnCols[j]] = p.Val
-		}
-	}
-	return where, nil
-}
-
-// friendRels returns the distinct relations query q's friend slots draw
-// from.
-func friendRels(sch Schema, q Query) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, p := range q.Partners {
-		if !p.AnyFriend {
-			continue
-		}
-		rel := p.Rel
-		if rel == "" {
-			rel = sch.Friends
-		}
-		if !seen[rel] {
-			seen[rel] = true
-			out = append(out, rel)
-		}
-	}
-	return out
-}
-
-// slotRel resolves a friend slot's relation against the schema default.
-func slotRel(sch Schema, p Partner) string {
-	if p.Rel != "" {
-		return p.Rel
-	}
-	return sch.Friends
-}
-
-// requirementsHold checks query i's coordination requirements against
-// the current membership: every constant partner must be present, and
-// the friend slots must be fillable by *distinct* present friends. With
-// a single friendship relation that is a counting argument; with slots
-// drawing from different relations it is a bipartite matching between
-// slots and candidate friends, solved with augmenting paths (slot
-// counts are tiny in practice).
-func requirementsHold(sch Schema, qs []Query, i int, in []bool, userIdx map[eq.Value][]int, friendsOf []map[string][]int) bool {
-	var slots [][]eq.Value // per friend slot: candidate partner users
-	for _, p := range qs[i].Partners {
-		if p.AnyFriend {
-			var cands []eq.Value
-			seen := map[eq.Value]bool{}
-			for _, j := range friendsOf[i][slotRel(sch, p)] {
-				if in[j] && !seen[qs[j].User] {
-					seen[qs[j].User] = true
-					cands = append(cands, qs[j].User)
-				}
-			}
-			if len(cands) == 0 {
-				return false
-			}
-			slots = append(slots, cands)
-			continue
-		}
-		found := false
-		for _, j := range userIdx[p.Name] {
-			if in[j] {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return matchSlots(slots)
-}
-
-// matchSlots decides whether every slot can be assigned a distinct
-// candidate (a system of distinct representatives), via augmenting-path
-// bipartite matching.
-func matchSlots(slots [][]eq.Value) bool {
-	if len(slots) <= 1 {
-		return true // emptiness per slot was already checked
-	}
-	owner := map[eq.Value]int{} // candidate -> slot currently using it
-	var try func(s int, visited map[eq.Value]bool) bool
-	try = func(s int, visited map[eq.Value]bool) bool {
-		for _, c := range slots[s] {
-			if visited[c] {
-				continue
-			}
-			visited[c] = true
-			if o, taken := owner[c]; !taken {
-				owner[c] = s
-				return true
-			} else if try(o, visited) {
-				owner[c] = s
-				return true
-			}
-		}
-		return false
-	}
-	for s := range slots {
-		if !try(s, map[eq.Value]bool{}) {
-			return false
-		}
-	}
-	return true
-}
-
-// cleanQueue removes queries whose requirements fail, propagating
-// removals with a work queue (each removal re-examines only the nodes
-// that might depend on the removed one's user).
-func cleanQueue(sch Schema, qs []Query, members []int, in []bool, userIdx map[eq.Value][]int, friendsOf []map[string][]int) []int {
-	queue := append([]int(nil), members...)
-	inQueue := map[int]bool{}
-	for _, i := range queue {
-		inQueue[i] = true
-	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		inQueue[i] = false
-		if !in[i] {
-			continue
-		}
-		if requirementsHold(sch, qs, i, in, userIdx, friendsOf) {
-			continue
-		}
-		in[i] = false
-		// Anyone still in might have depended on i; only those that can
-		// reference i's user by constant or by friendship need requeueing.
-		for _, j := range members {
-			if in[j] && !inQueue[j] && dependsOn(qs, j, i, friendsOf) {
-				queue = append(queue, j)
-				inQueue[j] = true
-			}
-		}
-	}
-	return survivors(members, in)
-}
-
-func dependsOn(qs []Query, j, i int, friendsOf []map[string][]int) bool {
-	for _, p := range qs[j].Partners {
-		if !p.AnyFriend && p.Name == qs[i].User {
-			return true
-		}
-	}
-	for _, list := range friendsOf[j] {
-		for _, f := range list {
-			if f == i {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// cleanSweep is the naive fixpoint: full passes until no removal.
-func cleanSweep(sch Schema, qs []Query, members []int, in []bool, userIdx map[eq.Value][]int, friendsOf []map[string][]int) []int {
-	for {
-		changed := false
-		for _, i := range members {
-			if !in[i] {
-				continue
-			}
-			if !requirementsHold(sch, qs, i, in, userIdx, friendsOf) {
-				in[i] = false
-				changed = true
-			}
-		}
-		if !changed {
-			return survivors(members, in)
-		}
-	}
-}
-
-func survivors(members []int, in []bool) []int {
-	var out []int
-	for _, i := range members {
-		if in[i] {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// tupleKey renders a tuple into a map key.
-func tupleKey(t db.Tuple) string {
-	k := ""
-	for _, v := range t {
-		k += string(v) + "\x00"
-	}
-	return k
 }

@@ -107,10 +107,14 @@ func TestMoviesCandidates(t *testing.T) {
 
 func TestMoviesCleaningCascade(t *testing.T) {
 	// GCinemark contains only Jonny and Will; Will has no friend there,
-	// then Jonny follows. Verify via the sweep-cleaning ablation too.
+	// then Jonny follows. Verify via the full-sweep oracle too.
 	in := moviesInstance()
 	for _, sweep := range []bool{false, true} {
-		res, err := Coordinate(moviesSchema(), moviesQueries(), in, Options{SweepCleaning: sweep})
+		coordinate := Coordinate
+		if sweep {
+			coordinate = oracleCoordinate
+		}
+		res, err := coordinate(moviesSchema(), moviesQueries(), in, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,4 +10,13 @@
 // (shared by the user and all partners), its own non-coordination
 // attributes, and names its partners either by constant or as "any
 // friend of mine in F".
+//
+// Coordinate runs as one kernel per call (kernel.go) on dense integers:
+// users, relations and coordination values are interned once, the
+// coordination graph is flat lists of query indices, and the
+// restrict-and-clean pass of every value reuses scratch the call owns.
+// The algorithm as the paper states it — maps, values compared
+// pairwise, cleaning by full sweeps — is the tests' reference
+// (oracle_test.go). DESIGN.md, "What a §5 request costs", has the
+// accounting.
 package consistent

@@ -197,7 +197,8 @@ func TestQuickResultSoundness(t *testing.T) {
 	}
 }
 
-// The queue-based and sweep-based cleaning phases always agree.
+// The kernel's queue-driven cleaning and the oracle's full sweeps always
+// agree.
 func TestQuickCleaningAblation(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	sch := workload.FlightSchema()
@@ -209,7 +210,7 @@ func TestQuickCleaningAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := consistent.Coordinate(sch, qs, in, consistent.Options{SweepCleaning: true})
+		b, err := consistent.OracleCoordinate(sch, qs, in, consistent.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,502 @@
+package consistent
+
+import (
+	"fmt"
+
+	"entangled/internal/db"
+	"entangled/internal/eq"
+)
+
+// kernel is the state of one Coordinate call, on dense integers: users,
+// relations and coordination values are interned to small ids once, the
+// coordination graph is flat lists of query indices, and the
+// restrict-and-clean pass of every value runs on scratch the call
+// allocates once and reuses. Nothing here outlives the call except what
+// the Result points into.
+type kernel struct {
+	sch  Schema
+	qs   []Query
+	inst *db.Instance
+
+	dbq   int64            // database queries this call has issued
+	where map[int]eq.Value // the one where clause, refilled per query
+
+	users   map[eq.Value]int32 // user name -> user id
+	userOf  []int32            // query -> user id
+	byUser  spans              // user id -> that user's queries
+	named   spans              // query -> user id per named partner; -1 when that user submitted nothing
+	namedBy spans              // user id -> the queries naming that user
+
+	rels    []string // the relations friend slots draw from; rels[0] is sch.Friends
+	slotRel []int32  // per friend slot, parallel to slots.flat: index into rels
+	slots   spans    // query -> friend list per friend slot (slots over one relation share a list)
+	friends spans    // friend list -> the queries, with an option, of the friends it names
+	owner   []int32  // friend list -> the query whose list it is
+	listsOf spans    // query -> the friend lists it appears in
+
+	// V(Q) in first-seen order, interned by hash-and-compare.
+	values  []db.Tuple
+	hashes  []uint32
+	table   []int32 // open addressing: 1+value id, 0 empty; a power of two long
+	options spans   // query -> value ids of V(q)
+	members spans   // value id -> queries whose option list holds it
+
+	// Scratch of the value loop.
+	in, pending []bool  // query -> is a member; is yet to be (re)examined
+	queue       []int32 // ring of queries to re-examine
+	head, count int
+	gen         int     // stamp counter for seen and ownedAt
+	seen        []int   // user id -> gen when last counted or visited
+	ownedAt     []int   // user id -> epoch of the matching in which a slot took it
+	ownedBy     []int32 // user id -> that slot
+	epoch       int
+}
+
+// spans is a list of lists of small integers, stored flat.
+type spans struct {
+	off  []int32 // list i is flat[off[i]:off[i+1]]
+	flat []int32
+}
+
+func newSpans(lists int) spans { return spans{off: make([]int32, 1, lists+1)} }
+
+func (s spans) at(i int32) []int32 { return s.flat[s.off[i]:s.off[i+1]] }
+
+func (s spans) len() int { return len(s.off) - 1 }
+
+// end closes the list being appended to flat.
+func (s *spans) end() { s.off = append(s.off, int32(len(s.flat))) }
+
+// invert turns "list i names these targets" into "target t is named by
+// these lists": a counting sort, so each target's lists come out
+// ascending. Negative targets are skipped.
+func (s spans) invert(targets int) spans {
+	out := spans{off: make([]int32, targets+1)}
+	for _, t := range s.flat {
+		if t >= 0 {
+			out.off[t+1]++
+		}
+	}
+	for t := 0; t < targets; t++ {
+		out.off[t+1] += out.off[t]
+	}
+	out.flat = make([]int32, out.off[targets])
+	// Fill with off[t] as target t's cursor, which leaves every offset
+	// one list ahead; then shift them back.
+	for i := 0; i < s.len(); i++ {
+		for _, t := range s.at(int32(i)) {
+			if t >= 0 {
+				out.flat[out.off[t]] = int32(i)
+				out.off[t]++
+			}
+		}
+	}
+	copy(out.off[1:], out.off[:targets])
+	out.off[0] = 0
+	return out
+}
+
+// newKernel interns users, named partners and friend-slot relations,
+// and checks everything about qs that can be checked without a database
+// query: preference counts against the schema, and that every relation
+// a friend slot names exists and is binary.
+func newKernel(sch Schema, qs []Query, inst *db.Instance) (*kernel, error) {
+	n := len(qs)
+	k := &kernel{
+		sch: sch, qs: qs, inst: inst,
+		where:  map[int]eq.Value{},
+		users:  make(map[eq.Value]int32, n),
+		userOf: make([]int32, n),
+		named:  newSpans(n),
+		rels:   []string{sch.Friends},
+		slots:  newSpans(n),
+	}
+	for i, q := range qs {
+		if len(q.Coord) != len(sch.CoordCols) {
+			return nil, fmt.Errorf("consistent: query by %s has %d coordination prefs, schema has %d attributes", q.User, len(q.Coord), len(sch.CoordCols))
+		}
+		if len(q.Own) != len(sch.OwnCols) {
+			return nil, fmt.Errorf("consistent: query by %s has %d own prefs, schema has %d attributes", q.User, len(q.Own), len(sch.OwnCols))
+		}
+		u, known := k.users[q.User]
+		if !known {
+			u = int32(len(k.users))
+			k.users[q.User] = u
+		}
+		k.userOf[i] = u
+	}
+	for _, q := range qs {
+		for _, p := range q.Partners {
+			if !p.AnyFriend {
+				u, known := k.users[p.Name]
+				if !known {
+					u = -1
+				}
+				k.named.flat = append(k.named.flat, u)
+				continue
+			}
+			r, err := k.relID(p)
+			if err != nil {
+				return nil, err
+			}
+			k.slotRel = append(k.slotRel, r)
+			k.slots.flat = append(k.slots.flat, -1) // its list: friendLists
+		}
+		k.named.end()
+		k.slots.end()
+	}
+	queries := spans{off: make([]int32, n+1), flat: k.userOf} // query i -> its one user
+	for i := range queries.off {
+		queries.off[i] = int32(i)
+	}
+	k.byUser = queries.invert(len(k.users))
+	k.namedBy = k.named.invert(len(k.users))
+	return k, nil
+}
+
+// relID interns the relation friend slot p draws from, checking a
+// relation the first time it is seen.
+func (k *kernel) relID(p Partner) (int32, error) {
+	rel := p.Rel
+	if rel == "" {
+		rel = k.sch.Friends
+	}
+	for r, name := range k.rels {
+		if name == rel {
+			return int32(r), nil
+		}
+	}
+	if err := checkFriendRel(k.inst, rel); err != nil {
+		return 0, err
+	}
+	k.rels = append(k.rels, rel)
+	return int32(len(k.rels) - 1), nil
+}
+
+// fillWhere sets k.where to query i's constant preferences.
+func (k *kernel) fillWhere(i int) {
+	clear(k.where)
+	q := &k.qs[i]
+	for j, p := range q.Coord {
+		if !p.Any {
+			k.where[k.sch.CoordCols[j]] = p.Val
+		}
+	}
+	for j, p := range q.Own {
+		if !p.Any {
+			k.where[k.sch.OwnCols[j]] = p.Val
+		}
+	}
+}
+
+// optionLists computes V(q) for every query — one database query each —
+// as ids into V(Q), and from them each value's member list.
+func (k *kernel) optionLists() error {
+	lists, total := make([][]db.Tuple, len(k.qs)), 0
+	for i := range k.qs {
+		k.fillWhere(i)
+		k.dbq++
+		vals, err := k.inst.Project(k.sch.Table, k.sch.CoordCols, k.where)
+		if err != nil {
+			return err
+		}
+		lists[i] = vals
+		total += len(vals)
+	}
+	k.options = newSpans(len(k.qs))
+	k.options.flat = make([]int32, 0, total)
+	for _, vals := range lists {
+		for _, v := range vals {
+			k.options.flat = append(k.options.flat, k.intern(v))
+		}
+		k.options.end()
+	}
+	k.members = k.options.invert(len(k.values))
+	return nil
+}
+
+// intern returns v's id in V(Q), adding it when it is new. Values are
+// told apart by comparing them, never by a rendered key, so no byte a
+// value may contain can make two of them one.
+func (k *kernel) intern(v db.Tuple) int32 {
+	if 2*(len(k.values)+1) > len(k.table) {
+		k.table = make([]int32, max(64, 2*len(k.table)))
+		for id, h := range k.hashes {
+			at := h & uint32(len(k.table)-1)
+			for k.table[at] != 0 {
+				at = (at + 1) & uint32(len(k.table)-1)
+			}
+			k.table[at] = int32(id) + 1
+		}
+	}
+	h := uint32(2166136261)
+	for _, x := range v {
+		h = (h ^ db.Hash(string(x))) * 16777619
+	}
+	h ^= h >> 16
+	mask := uint32(len(k.table) - 1)
+probe:
+	for at := h & mask; ; at = (at + 1) & mask {
+		e := k.table[at]
+		if e == 0 {
+			k.table[at] = int32(len(k.values)) + 1
+			k.values = append(k.values, v)
+			k.hashes = append(k.hashes, h)
+			return int32(len(k.values)) - 1
+		}
+		if k.hashes[e-1] != h {
+			continue
+		}
+		for j, x := range k.values[e-1] {
+			if x != v[j] {
+				continue probe
+			}
+		}
+		return e - 1
+	}
+}
+
+// alive reports whether query i has an option: the nodes of the pruned
+// coordination graph.
+func (k *kernel) alive(i int32) bool { return k.options.off[i+1] > k.options.off[i] }
+
+// friendLists resolves every friend slot of every alive query to its
+// friend list — one database query per query and relation — and builds
+// the reverse lists the cleaning phase requeues from.
+func (k *kernel) friendLists() error {
+	k.friends = newSpans(len(k.slotRel))
+	friendCol := []int{1}
+	for i := range k.qs {
+		if !k.alive(int32(i)) {
+			continue
+		}
+		lo, hi := k.slots.off[i], k.slots.off[i+1]
+		for s := lo; s < hi; s++ {
+			for t := lo; t < s && k.slots.flat[s] < 0; t++ {
+				if k.slotRel[t] == k.slotRel[s] {
+					k.slots.flat[s] = k.slots.flat[t]
+				}
+			}
+			if k.slots.flat[s] >= 0 {
+				continue
+			}
+			clear(k.where)
+			k.where[0] = k.qs[i].User
+			k.dbq++
+			rows, err := k.inst.Project(k.rels[k.slotRel[s]], friendCol, k.where)
+			if err != nil {
+				return err
+			}
+			for _, row := range rows {
+				u, known := k.users[row[0]]
+				if !known {
+					continue
+				}
+				for _, j := range k.byUser.at(u) {
+					if j != int32(i) && k.alive(j) {
+						k.friends.flat = append(k.friends.flat, j)
+					}
+				}
+			}
+			k.slots.flat[s] = int32(k.friends.len())
+			k.friends.end()
+			k.owner = append(k.owner, int32(i))
+		}
+	}
+	k.listsOf = k.friends.invert(len(k.qs))
+	return nil
+}
+
+// candidates runs restrict-and-clean for every value of V(Q), in order.
+// The loop allocates nothing: survivors are carved from one slab sized
+// for the most there can be.
+func (k *kernel) candidates(trace *Trace) []Candidate {
+	n, users := len(k.qs), len(k.users)
+	k.in, k.pending, k.queue = make([]bool, n), make([]bool, n), make([]int32, n)
+	k.seen, k.ownedAt, k.ownedBy = make([]int, users), make([]int, users), make([]int32, users)
+	slab := make([]int, 0, len(k.members.flat))
+	cands := make([]Candidate, 0, len(k.values))
+	if trace != nil {
+		trace.Values = make([]ValueEvent, 0, len(k.values))
+	}
+	for v, value := range k.values {
+		initial := k.members.at(int32(v))
+		k.clean(initial)
+		start := len(slab)
+		for _, i := range initial {
+			if k.in[i] {
+				slab = append(slab, int(i))
+				k.in[i] = false
+			}
+		}
+		surviving := slab[start:len(slab):len(slab)]
+		if trace != nil {
+			ev := ValueEvent{
+				Value:     append([]eq.Value(nil), value...),
+				Initial:   make([]int, len(initial)),
+				Survivors: append([]int(nil), surviving...),
+			}
+			for x, i := range initial {
+				ev.Initial[x] = int(i)
+			}
+			trace.Values = append(trace.Values, ev)
+		}
+		if len(surviving) > 0 {
+			cands = append(cands, Candidate{Value: value, Members: surviving})
+		}
+	}
+	return cands
+}
+
+// clean restricts the graph to members and removes queries whose
+// requirements fail until none does, leaving the survivors marked in
+// k.in. Every member is examined once, in order; a removal requeues
+// only the already-examined queries that can depend on the removed one
+// — the owners of the friend lists it is on and the queries naming its
+// user — so the pass costs the degrees it touches, not members × friend
+// lists, and the ring stays empty when nothing is removed.
+func (k *kernel) clean(members []int32) {
+	for _, i := range members {
+		k.in[i], k.pending[i] = true, true
+	}
+	k.head, k.count = 0, 0
+	for _, i := range members {
+		k.examine(i)
+	}
+	for k.count > 0 {
+		i := k.queue[k.head]
+		if k.head++; k.head == len(k.queue) {
+			k.head = 0
+		}
+		k.count--
+		k.examine(i)
+	}
+}
+
+// examine removes member i if its requirements no longer hold, and
+// queues whoever may have depended on it. A query still pending — not
+// yet reached by the first pass, or already in the ring — is not queued
+// again, so the ring, one place per query, cannot overflow.
+func (k *kernel) examine(i int32) {
+	k.pending[i] = false
+	if k.holds(i) {
+		return
+	}
+	k.in[i] = false
+	for _, l := range k.listsOf.at(i) {
+		k.requeue(k.owner[l])
+	}
+	for _, j := range k.namedBy.at(k.userOf[i]) {
+		k.requeue(j)
+	}
+}
+
+func (k *kernel) requeue(i int32) {
+	if !k.in[i] || k.pending[i] {
+		return
+	}
+	at := k.head + k.count
+	if at >= len(k.queue) {
+		at -= len(k.queue)
+	}
+	k.queue[at] = i
+	k.count++
+	k.pending[i] = true
+}
+
+// holds checks query i's coordination requirements against the current
+// membership: every named partner has a query in, and the friend slots
+// can be filled by distinct users with a query in. Slots over one
+// relation share one list, so that is a count of distinct users; slots
+// over different relations need a matching.
+func (k *kernel) holds(i int32) bool {
+	for _, u := range k.named.at(i) {
+		if u < 0 || !k.present(u) {
+			return false
+		}
+	}
+	slots := k.slots.at(i)
+	if len(slots) == 0 {
+		return true
+	}
+	for _, l := range slots[1:] {
+		if l != slots[0] {
+			return k.match(slots)
+		}
+	}
+	k.gen++
+	distinct := 0
+	for _, j := range k.friends.at(slots[0]) {
+		if u := k.userOf[j]; k.in[j] && k.seen[u] != k.gen {
+			k.seen[u] = k.gen
+			if distinct++; distinct == len(slots) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// present reports whether user u has a query in.
+func (k *kernel) present(u int32) bool {
+	for _, j := range k.byUser.at(u) {
+		if k.in[j] {
+			return true
+		}
+	}
+	return false
+}
+
+// match decides whether every slot can be given a distinct user (a
+// system of distinct representatives) by augmenting-path bipartite
+// matching; slot counts are tiny in practice.
+func (k *kernel) match(slots []int32) bool {
+	k.gen++
+	k.epoch = k.gen
+	for s := range slots {
+		k.gen++
+		if !k.augment(slots, int32(s)) {
+			return false
+		}
+	}
+	return true
+}
+
+// augment finds slot s a user: a free one, or one whose slot can move
+// to another user. seen stamps the users this search has visited.
+func (k *kernel) augment(slots []int32, s int32) bool {
+	for _, j := range k.friends.at(slots[s]) {
+		u := k.userOf[j]
+		if !k.in[j] || k.seen[u] == k.gen {
+			continue
+		}
+		k.seen[u] = k.gen
+		if k.ownedAt[u] < k.epoch || k.augment(slots, k.ownedBy[u]) {
+			k.ownedAt[u], k.ownedBy[u] = k.epoch, s
+			return true
+		}
+	}
+	return false
+}
+
+// ground selects one tuple of S per member of win — one database query
+// each — and returns the members' keys.
+func (k *kernel) ground(win Candidate) (map[int]eq.Value, error) {
+	keys := make(map[int]eq.Value, len(win.Members))
+	for _, i := range win.Members {
+		k.fillWhere(i)
+		for j, c := range k.sch.CoordCols {
+			k.where[c] = win.Value[j]
+		}
+		k.dbq++
+		t, ok, err := k.inst.SelectOne(k.sch.Table, k.where)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("consistent: internal error: member %d lost its tuple for value %v", i, win.Value)
+		}
+		keys[i] = t[k.sch.KeyCol]
+	}
+	return keys, nil
+}

@@ -118,7 +118,45 @@ func TestMatchSlotsAugmentingPath(t *testing.T) {
 		if got := matchSlots(c.slots); got != c.want {
 			t.Errorf("case %d: matchSlots(%v) = %v, want %v", i, c.slots, got, c.want)
 		}
+		if got := kernelMatchSlots(t, c.slots); got != c.want {
+			t.Errorf("case %d: kernel on %v = %v, want %v", i, c.slots, got, c.want)
+		}
 	}
+}
+
+// kernelMatchSlots puts the same question to the kernel's matching,
+// through Coordinate: user A has one friend slot per entry of slots,
+// each over its own relation listing that slot's candidates, and every
+// candidate submits a partnerless query; A is a member exactly when its
+// slots can be filled by distinct candidates.
+func kernelMatchSlots(t *testing.T, slots [][]eq.Value) bool {
+	t.Helper()
+	in := db.NewInstance()
+	in.CreateRelation("M", "movie_id", "cinema_name", "movie_name").Insert("m1", "Regal", "Hugo")
+	in.CreateRelation("C", "user", "friend")
+	a := anyMovie()
+	a.User = "A"
+	qs := []Query{a}
+	asked := map[eq.Value]bool{}
+	for s, cands := range slots {
+		rel := "R" + string(rune('0'+s))
+		r := in.CreateRelation(rel, "user", "friend")
+		qs[0].Partners = append(qs[0].Partners, FriendFrom(rel))
+		for _, c := range cands {
+			r.Insert("A", c)
+			if !asked[c] {
+				asked[c] = true
+				q := anyMovie()
+				q.User = c
+				qs = append(qs, q)
+			}
+		}
+	}
+	res, err := Coordinate(moviesSchema(), qs, in, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res != nil && res.Members[0] == 0
 }
 
 func TestMultiRelSweepAgrees(t *testing.T) {
@@ -137,7 +175,7 @@ func TestMultiRelSweepAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Coordinate(moviesSchema(), qs, in, Options{SweepCleaning: true})
+	r2, err := oracleCoordinate(moviesSchema(), qs, in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package db
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,37 +97,7 @@ func (r *Relation) Tuple(i int) Tuple {
 func (r *Relation) Distinct(cols []int) []Tuple {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	seen := make(map[string]struct{}, len(r.tuples))
-	var key []byte
-	var out []Tuple
-	for _, t := range r.tuples {
-		key = appendTupleKey(key[:0], t, cols)
-		if _, dup := seen[string(key)]; dup {
-			continue
-		}
-		seen[string(key)] = struct{}{}
-		proj := make(Tuple, len(cols))
-		for i, c := range cols {
-			proj[i] = t[c]
-		}
-		out = append(out, proj)
-	}
-	return out
-}
-
-// appendTupleKey appends an unambiguous, allocation-free dedup key for
-// the projected columns: each value length-prefixed, so no separator
-// byte can collide with value content (values are arbitrary strings).
-// The seed built the key with string concatenation in a loop —
-// quadratic in the key length — and materialised a projected tuple for
-// every row, distinct or not.
-func appendTupleKey(key []byte, t Tuple, cols []int) []byte {
-	for _, c := range cols {
-		key = strconv.AppendInt(key, int64(len(t[c])), 10)
-		key = append(key, ':')
-		key = append(key, t[c]...)
-	}
-	return key
+	return project(cols, scan{tuples: r.tuples, n: len(r.tuples)})
 }
 
 // Instance is a database instance: a set of relations plus counters that

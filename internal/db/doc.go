@@ -71,5 +71,17 @@
 // requests pollute for one another. Meter wraps any Store with a
 // private counter so a single request's cost is exact under concurrent
 // serving: the coordination algorithms wrap their store in a fresh
-// Meter per run and report its Count as Result.DBQueries.
+// Meter per run and report its Count as Result.DBQueries. Project and
+// SelectOne are Instance methods outside the Store interface; their one
+// caller, the Consistent Coordination Algorithm, counts the calls it
+// makes.
+//
+// # Project and SelectOne
+//
+// Project returns the distinct projections of the matching rows in the
+// order each first occurs in row order, whether or not an index on a
+// where column narrowed the scan; SelectOne returns the first matching
+// row. A column outside the relation's arity, in cols or where, is an
+// error, never a panic. A Project answer is two allocations: the tuple
+// headers and one slab of values the tuples are cut from.
 package db

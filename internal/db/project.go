@@ -9,86 +9,177 @@ import (
 // Project answers a select-distinct-project query against a single
 // relation: it returns the distinct combinations of the cols columns
 // over the rows whose columns match every (column -> constant) entry of
-// where. It counts as one database query; the Consistent Coordination
-// Algorithm uses it to compute the option lists V(q) and friend lists.
+// where, in the order each combination first occurs in the relation. A
+// column of cols or where outside the relation's arity is an error. It
+// counts as one database query; the Consistent Coordination Algorithm
+// uses it to compute the option lists V(q) and friend lists.
+//
+// The answer is two allocations: the tuple headers and one slab of
+// values the tuples are cut from, each capped at its own length.
 func (in *Instance) Project(rel string, cols []int, where map[int]eq.Value) ([]Tuple, error) {
 	in.countQuery()
-	r, ok := in.Relation(rel)
-	if !ok {
-		return nil, fmt.Errorf("db: unknown relation %s", rel)
+	var buf [4]cond
+	r, conds, err := in.relConds(rel, cols, where, buf[:0])
+	if err != nil {
+		return nil, err
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	rows := in.filterRows(r, where)
-	seen := map[string]struct{}{}
-	var key []byte
-	var out []Tuple
-	for _, row := range rows {
-		t := r.tuples[row]
-		match := true
-		for c, v := range where {
-			if t[c] != v {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		key = appendTupleKey(key[:0], t, cols)
-		if _, dup := seen[string(key)]; dup {
-			continue
-		}
-		seen[string(key)] = struct{}{}
-		proj := make(Tuple, len(cols))
-		for i, c := range cols {
-			proj[i] = t[c]
-		}
-		out = append(out, proj)
-	}
-	return out, nil
+	return project(cols, in.scanOf(r, conds)), nil
 }
 
-// SelectOne returns one row of rel matching where, as a full tuple. It
-// counts as one database query.
+// SelectOne returns the first row of rel matching where, as a full tuple
+// (shared, do not mutate). A where column outside the relation's arity
+// is an error. It counts as one database query.
 func (in *Instance) SelectOne(rel string, where map[int]eq.Value) (Tuple, bool, error) {
 	in.countQuery()
-	r, ok := in.Relation(rel)
-	if !ok {
-		return nil, false, fmt.Errorf("db: unknown relation %s", rel)
+	var buf [4]cond
+	r, conds, err := in.relConds(rel, nil, where, buf[:0])
+	if err != nil {
+		return nil, false, err
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, row := range in.filterRows(r, where) {
-		t := r.tuples[row]
-		match := true
-		for c, v := range where {
-			if t[c] != v {
-				match = false
-				break
-			}
-		}
-		if match {
-			return t, true, nil
-		}
+	s := in.scanOf(r, conds)
+	if row := s.next(); row >= 0 {
+		return r.tuples[row], true, nil
 	}
 	return nil, false, nil
 }
 
-// filterRows returns candidate row numbers, using a hash index on one of
-// the where-columns when available; the caller re-checks the full
-// predicate. The caller must hold r's read lock.
-func (in *Instance) filterRows(r *Relation, where map[int]eq.Value) []int {
+// cond is one (column = constant) condition of a where clause.
+type cond struct {
+	col int
+	val eq.Value
+}
+
+// relConds looks rel up, rejects a column of cols or where outside its
+// arity, and flattens where into conds, ordered by column — so the map
+// is ranged once per call and not once per row.
+func (in *Instance) relConds(rel string, cols []int, where map[int]eq.Value, conds []cond) (*Relation, []cond, error) {
+	r, ok := in.Relation(rel)
+	if !ok {
+		return nil, nil, fmt.Errorf("db: unknown relation %s", rel)
+	}
+	for _, c := range cols {
+		if c < 0 || c >= r.Arity() {
+			return nil, nil, fmt.Errorf("db: column %d out of range for %s", c, rel)
+		}
+	}
+	for c, v := range where {
+		if c < 0 || c >= r.Arity() {
+			return nil, nil, fmt.Errorf("db: column %d out of range for %s", c, rel)
+		}
+		conds = append(conds, cond{c, v})
+		for i := len(conds) - 1; i > 0 && conds[i].col < conds[i-1].col; i-- {
+			conds[i], conds[i-1] = conds[i-1], conds[i]
+		}
+	}
+	return r, conds, nil
+}
+
+// scan walks the rows of one relation that satisfy a where clause, in
+// row order: the bucket of a hash index on one of the where columns
+// when there is one, every tuple otherwise — no candidate row list is
+// materialised. The caller holds the relation's read lock.
+type scan struct {
+	tuples []Tuple
+	conds  []cond
+	bucket []int // index bucket to walk; nil means walk tuples
+	pos, n int
+}
+
+func (in *Instance) scanOf(r *Relation, conds []cond) scan {
+	s := scan{tuples: r.tuples, conds: conds, n: len(r.tuples)}
 	if in.UseIndexes {
-		for c, v := range where {
-			if idx, has := r.indexes[c]; has {
-				return idx[v]
+		for _, c := range conds {
+			if idx, has := r.indexes[c.col]; has {
+				s.bucket = idx[c.val]
+				s.n = len(s.bucket)
+				break
 			}
 		}
 	}
-	rows := make([]int, len(r.tuples))
-	for i := range rows {
-		rows[i] = i
+	return s
+}
+
+// next returns the next matching row number, or -1 when none is left.
+func (s *scan) next() int {
+next:
+	for s.pos < s.n {
+		row := s.pos
+		if s.bucket != nil {
+			row = s.bucket[s.pos]
+		}
+		s.pos++
+		t := s.tuples[row]
+		for _, c := range s.conds {
+			if t[c.col] != c.val {
+				continue next
+			}
+		}
+		return row
 	}
-	return rows
+	return -1
+}
+
+// project collects the distinct cols-projections of the rows s yields,
+// in first-occurrence order. Duplicates are found by hashing the
+// projected columns and comparing tuples in place, so nothing is built
+// for a row until it is known to be new; the scratch (first rows and
+// the hash table, on the stack while the answer is small) is row
+// numbers only, and the answer is allocated once, at its final size.
+func project(cols []int, s scan) []Tuple {
+	var rowBuf [128]int32
+	var tabBuf [256]int32
+	rows, table := rowBuf[:0], tabBuf[:] // table: 1+index into rows, 0 empty
+	for row := s.next(); row >= 0; row = s.next() {
+		if 2*(len(rows)+1) > len(table) {
+			table = make([]int32, 2*len(table))
+			for i, r := range rows {
+				table[freeSlot(table, s.tuples, rows, cols, s.tuples[r])] = int32(i) + 1
+			}
+		}
+		if at := freeSlot(table, s.tuples, rows, cols, s.tuples[row]); at >= 0 {
+			table[at] = int32(len(rows)) + 1
+			rows = append(rows, int32(row))
+		}
+	}
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([]Tuple, len(rows))
+	slab := make([]eq.Value, len(rows)*len(cols))
+	for i, row := range rows {
+		p := slab[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
+		for j, c := range cols {
+			p[j] = s.tuples[row][c]
+		}
+		out[i] = p
+	}
+	return out
+}
+
+// freeSlot probes table (open addressing, a power of two long, never
+// full) for t's projection: it returns the empty slot where t belongs,
+// or -1 when a row with the same projection is already there.
+func freeSlot(table []int32, tuples []Tuple, rows []int32, cols []int, t Tuple) int {
+	h := uint32(2166136261)
+	for _, c := range cols {
+		h = (h ^ Hash(string(t[c]))) * 16777619
+	}
+	mask := uint32(len(table) - 1)
+probe:
+	for at := (h ^ h>>16) & mask; ; at = (at + 1) & mask {
+		if table[at] == 0 {
+			return int(at)
+		}
+		u := tuples[rows[table[at]-1]]
+		for _, c := range cols {
+			if t[c] != u[c] {
+				continue probe
+			}
+		}
+		return -1
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"time"
 
-	"entangled/internal/consistent"
 	"entangled/internal/coord"
 	"entangled/internal/db"
 	"entangled/internal/netgen"
@@ -82,50 +81,10 @@ func AblationPruning(cfg Config) []Series {
 	return out
 }
 
-// AblationCleaning compares the queue-driven and full-sweep cleaning
-// phases of the Consistent Coordination Algorithm on the Figure 8
-// workload.
-func AblationCleaning(cfg Config) []Series {
-	cfg = cfg.withDefaults(seq(10, 50, 10))
-	sch := workload.FlightSchema()
-	var out []Series
-	for _, sweep := range []bool{false, true} {
-		name := "Ablation: queue cleaning"
-		if sweep {
-			name = "Ablation: sweep cleaning"
-		}
-		s := Series{Name: name, XLabel: "queries"}
-		for _, users := range cfg.Sizes {
-			inst := db.NewInstance()
-			inst.SimulatedLatency = cfg.Latency
-			workload.FlightsTable(inst, 100, 100)
-			workload.CompleteFriends(inst, users)
-			qs := workload.FlightQueries(users)
-			var p Point
-			for r := 0; r < cfg.Repeats; r++ {
-				inst.ResetCounters()
-				start := time.Now()
-				res, err := consistent.Coordinate(sch, qs, inst, consistent.Options{SweepCleaning: sweep})
-				if err != nil {
-					panic(err)
-				}
-				p.Millis += float64(time.Since(start).Microseconds()) / 1000.0
-				p.DBQueries += float64(inst.QueriesIssued())
-				p.SetSize += float64(len(res.Members))
-			}
-			k := float64(cfg.Repeats)
-			s.Points = append(s.Points, Point{X: users, Millis: p.Millis / k, DBQueries: p.DBQueries / k, SetSize: p.SetSize / k})
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // Ablations runs every ablation sweep.
 func Ablations(cfg Config) []Series {
 	var out []Series
 	out = append(out, AblationIndexes(cfg)...)
 	out = append(out, AblationPruning(cfg)...)
-	out = append(out, AblationCleaning(cfg)...)
 	return out
 }

@@ -132,16 +132,6 @@ func TestAblationPruningSmall(t *testing.T) {
 	}
 }
 
-func TestAblationCleaningSmall(t *testing.T) {
-	out := AblationCleaning(Config{Seeds: 1, Repeats: 1, Sizes: []int{6}})
-	if len(out) != 2 {
-		t.Fatalf("series = %d", len(out))
-	}
-	if out[0].Points[0].SetSize != out[1].Points[0].SetSize {
-		t.Fatalf("cleaning strategy changed the result")
-	}
-}
-
 func TestMarkdownAndLinearFit(t *testing.T) {
 	s := Series{Name: "Test", XLabel: "n", Points: []Point{
 		{X: 10, Millis: 10}, {X: 20, Millis: 20}, {X: 30, Millis: 30},
