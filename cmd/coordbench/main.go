@@ -3,16 +3,13 @@
 //
 // Usage:
 //
-//	coordbench [-fig all|4|5|6|7|8|ablations|parallel] [-rows N] [-seeds N] [-repeats N] [-parallel N] [-shards K] [-csv]
+//	coordbench [-fig all|4|5|6|7|8|ablations] [-rows N] [-seeds N] [-repeats N] [-latency D] [-csv|-markdown]
 //
 // -rows controls the size of the queried table for Figures 4 and 5 (the
 // paper uses the 82,168-row Slashdot table; that is the default). -csv
-// switches the output format for downstream plotting. -parallel runs
-// the SCC algorithm's per-component searches on a worker pool of the
-// given size; -fig parallel sweeps batched CoordinateMany throughput
-// (sequential against the pool). -shards hash-partitions the queried
-// table across K db.Instance shards in the -fig parallel sweep, so
-// concurrent requests route to disjoint shard locks.
+// and -markdown switch the output format. -latency adds a simulated
+// round trip to every database query, the regime of the paper's
+// MySQL-backed testbed.
 package main
 
 import (
@@ -25,18 +22,16 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: all, 4, 5, 6, 7, 8, ablations or parallel")
+	fig := flag.String("fig", "all", "figure to regenerate: all, 4, 5, 6, 7, 8 or ablations")
 	rows := flag.Int("rows", netgen.SlashdotSize, "queried-table rows for figures 4-5")
 	seeds := flag.Int("seeds", 10, "random graphs averaged per point (figures 5-6)")
 	repeats := flag.Int("repeats", 3, "timed runs averaged per point")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
 	markdown := flag.Bool("markdown", false, "emit a markdown report (EXPERIMENTS.md style)")
 	latency := flag.Duration("latency", 0, "simulated per-database-query latency (e.g. 1ms to model the paper's MySQL round trips)")
-	parallel := flag.Int("parallel", 1, "worker goroutines for the SCC per-component searches (1 = the paper's sequential walk)")
-	shards := flag.Int("shards", 1, "hash-partition the queried table across this many shards in -fig parallel (1 = one shared instance)")
 	flag.Parse()
 
-	cfg := experiments.Config{TableRows: *rows, Seeds: *seeds, Repeats: *repeats, Latency: *latency, Parallel: *parallel, Shards: *shards}
+	cfg := experiments.Config{TableRows: *rows, Seeds: *seeds, Repeats: *repeats, Latency: *latency}
 	var series []experiments.Series
 	switch *fig {
 	case "all":
@@ -53,8 +48,6 @@ func main() {
 		series = []experiments.Series{experiments.Figure8(cfg)}
 	case "ablations":
 		series = experiments.Ablations(cfg)
-	case "parallel":
-		series = experiments.ParallelBatch(cfg)
 	default:
 		fmt.Fprintf(os.Stderr, "coordbench: unknown figure %q\n", *fig)
 		os.Exit(2)

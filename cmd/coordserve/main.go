@@ -1,43 +1,25 @@
-// Command coordserve is the coordination service and its load driver.
-//
-// With -listen it serves the HTTP/JSON coordination API
-// (internal/server) over a shared store: the batch endpoint, streaming
-// sessions, /healthz and /metrics, with a graceful drain on
-// SIGINT/SIGTERM.
-//
-// Without -listen it generates load: many independent coordination
-// requests (distinct entangled query sets over one shared store)
-// served in batches, or a streaming session fed one event at a time.
-// By default the load runs in-process against engine.CoordinateMany;
-// with -target URL the same load is sent over the network to a running
-// coordserve -listen instance, so throughput, latency and -compare
-// measure real end-to-end serving.
+// Command coordserve is the coordination service: it serves the
+// HTTP/JSON coordination API (internal/server) — and, with
+// -listen-binary or in a cluster, the binary wire protocol — over one
+// shared store: the batch endpoint, streaming sessions, /healthz and
+// /metrics, with a graceful drain on SIGINT/SIGTERM. It serves and does
+// nothing else; load comes from the repository's one benchmark, `bash
+// bench/run.sh --workload W`, which boots this same wiring and checks
+// every answer it gets.
 //
 // Usage:
 //
-//	coordserve -listen :8080 [-listen-binary :9090] [-rows N] [-shards K] [-workers N] [-latency D]
+//	coordserve -listen :8080 [-listen-binary :9090] [-rows N] [-shards K] [-workers N]
+//	coordserve -listen :8080 -data-dir DIR [-fsync always|never|50ms] [-probe D]
 //	coordserve -listen :8080 -cluster-node a -cluster-peers a=:9101,b=:9102,c=:9103 [-cluster-vnodes N]
-//	coordserve [-requests N] [-queries N] [-rows N] [-workers N] [-batch N] [-shards K] [-latency D] [-compare] [-target URL] [-proto http|binary]
-//	coordserve -stream [-events N] [-pattern steady|bursty|churn] [-rate R] [-seed S] [-park] [-rows N] [-shards K] [-latency D] [-target URL] [-proto http|binary]
+//	coordserve -listen :8080 -tenants policy.json
 //
-// -queries is the mean per-request query-set size (requests vary around
-// it so the load is not uniform). -latency adds a simulated
-// per-database-query round-trip cost, the regime where the paper's
-// MySQL-backed prototype lives and where concurrency pays the most.
-// -shards hash-partitions the queried table across K shards, so each
-// request routes to the single shard its bodies pin. -compare reruns
-// the same load single-threaded and prints the speedup; both timings
-// cover only the serving loop (request generation and engine setup are
-// excluded), so the reported throughput and speedup are honest.
-//
-// -stream switches from batch serving to a streaming coordination
-// session: -events arrivals following -pattern (see workload.Arrivals)
-// are paced at a mean of -rate events/second (0 = full speed) and
-// applied one at a time with incremental re-coordination, printing
-// per-event latency and database-query histograms. -park parks unsafe
-// arrivals for retry instead of rejecting them. SIGINT drains
-// gracefully: the event in flight finishes and the session state is
-// reported before exit.
+// The store is the canonical workload table (workload.NewStore): -rows
+// rows hash-partitioned across -shards shards, so each batch request
+// routes to the single shard its bodies pin. With -data-dir the store
+// is durable (internal/persist): a fresh directory is seeded with that
+// table and snapshotted, a used one is recovered as it is and -rows is
+// ignored.
 //
 // -cluster-peers turns N coordserve processes into one logical
 // service: every node is started with the same membership list
@@ -48,307 +30,86 @@
 // forward once over the binary protocol; cluster-aware clients use a
 // cluster://host:port base URL to route directly. The binary listener
 // defaults to the node's own membership address.
-//
-// With -target, the generator does not build a store: the remote
-// server owns the data, and -rows must match the server's so generated
-// bodies ground (both default to 20000). The target URL's scheme picks
-// the protocol — http:// for HTTP/JSON, tcp:// for the binary wire
-// protocol (internal/wire) — and -proto http|binary overrides it
-// (pointing at the matching -listen or -listen-binary port). -compare
-// with -target serves the identical load in-process on an identically
-// built local store and reports the wire layer's overhead.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"net/url"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
-	"sort"
 	"syscall"
 	"time"
-
-	"entangled/internal/coord"
-	"entangled/internal/db"
-	"entangled/internal/engine"
-	"entangled/internal/workload"
 )
 
+// config is what the flags say; parseFlags fills it and run serves it.
+type config struct {
+	listen, listenBinary   string
+	rows, shards, workers  int
+	dataDir, fsync         string
+	probe, dispatchTimeout time.Duration
+	clusterNode            string
+	clusterPeers           string
+	clusterVNodes          int
+	tenants                string
+}
+
+// parseFlags reads the command line. Everything it refuses is a usage
+// error, refused before a listener opens or a file is touched; usage
+// and flag errors are printed to stderr by the flag set.
+func parseFlags(args []string, stderr io.Writer) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("coordserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.listen, "listen", "", "serve the HTTP coordination API on this address (required)")
+	fs.StringVar(&c.listenBinary, "listen-binary", "", "also serve the binary wire protocol on this address")
+	fs.IntVar(&c.rows, "rows", 20000, "rows in the shared queried table")
+	fs.IntVar(&c.shards, "shards", 1, "hash-partition the queried table across this many shards (1 = one shared instance)")
+	fs.IntVar(&c.workers, "workers", runtime.GOMAXPROCS(0), "engine worker-pool size")
+	fs.StringVar(&c.dataDir, "data-dir", "", "durable data directory (snapshot + WAL); empty = in-memory only")
+	fs.StringVar(&c.fsync, "fsync", "always", "WAL sync policy: always, never, or a flush interval like 50ms")
+	fs.DurationVar(&c.probe, "probe", 0, "degraded-mode probe interval (0 = 500ms default; negative disables)")
+	fs.DurationVar(&c.dispatchTimeout, "dispatch-timeout", 0, "per-batch dispatch deadline (0 = 30s default; negative disables)")
+	fs.StringVar(&c.clusterNode, "cluster-node", "", "this node's name in the cluster membership (requires -cluster-peers)")
+	fs.StringVar(&c.clusterPeers, "cluster-peers", "", "full cluster membership as name=host:port binary-protocol entries, comma-separated; empty = standalone")
+	fs.IntVar(&c.clusterVNodes, "cluster-vnodes", 0, "virtual ring points per member (0 = 64); must match on every node")
+	fs.StringVar(&c.tenants, "tenants", "", "per-tenant admission policy JSON file; empty = no admission control")
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	var err error
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case c.listen == "":
+		err = errors.New("-listen is required")
+	case c.rows <= 0 || c.shards <= 0 || c.workers <= 0:
+		err = errors.New("-rows, -shards and -workers must be positive")
+	case (c.clusterNode == "") != (c.clusterPeers == ""):
+		err = errors.New("-cluster-node and -cluster-peers go together")
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "coordserve: %v\n", err)
+		fs.Usage()
+	}
+	return c, err
+}
+
 func main() {
-	listen := flag.String("listen", "", "serve the HTTP coordination API on this address instead of generating load")
-	listenBinary := flag.String("listen-binary", "", "serve mode: also serve the binary wire protocol on this address")
-	target := flag.String("target", "", "send the generated load to the coordination service at this URL instead of serving in-process")
-	proto := flag.String("proto", "", "with -target: force the protocol, http or binary (default: the target URL's scheme)")
-	requests := flag.Int("requests", 256, "number of coordination requests to serve")
-	queries := flag.Int("queries", 25, "mean entangled-query count per request")
-	rows := flag.Int("rows", 20000, "rows in the shared queried table")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine worker-pool size")
-	batch := flag.Int("batch", 64, "requests drained from the queue per CoordinateMany call")
-	shards := flag.Int("shards", 1, "hash-partition the queried table across this many shards (1 = one shared instance)")
-	latency := flag.Duration("latency", 0, "simulated per-database-query latency")
-	compare := flag.Bool("compare", false, "also serve the load on one worker and report the speedup")
-	streamMode := flag.Bool("stream", false, "serve a streaming session instead of a batch load")
-	events := flag.Int("events", 512, "stream mode: number of join/leave events")
-	pattern := flag.String("pattern", "steady", "stream mode: arrival pattern (steady, bursty, churn)")
-	rate := flag.Float64("rate", 0, "stream mode: mean arrival rate in events/second (0 = full speed)")
-	seed := flag.Int64("seed", 1, "stream mode: arrival-sequence seed")
-	park := flag.Bool("park", false, "stream mode: park unsafe arrivals for retry instead of rejecting")
-	dataDir := flag.String("data-dir", "", "serve mode: durable data directory (snapshot + WAL); empty = in-memory only")
-	fsync := flag.String("fsync", "always", "serve mode: WAL sync policy: always, never, or a flush interval like 50ms")
-	probe := flag.Duration("probe", 0, "serve mode: degraded-mode probe interval (0 = 500ms default; negative disables)")
-	dispatchTimeout := flag.Duration("dispatch-timeout", 0, "serve mode: per-batch dispatch deadline (0 = 30s default; negative disables)")
-	clusterNode := flag.String("cluster-node", "", "serve mode: this node's name in the cluster membership (requires -cluster-peers)")
-	clusterPeers := flag.String("cluster-peers", "", "serve mode: full cluster membership as name=host:port binary-protocol entries, comma-separated; empty = standalone")
-	clusterVNodes := flag.Int("cluster-vnodes", 0, "serve mode: virtual ring points per member (0 = 64); must match on every node")
-	tenants := flag.String("tenants", "", "serve mode: per-tenant admission policy JSON file; empty = no admission control")
-	flag.Parse()
-	if *requests <= 0 || *queries < 2 || *batch <= 0 || *workers <= 0 || *shards <= 0 {
-		fmt.Fprintln(os.Stderr, "coordserve: -requests, -batch, -workers and -shards must be positive and -queries >= 2")
+	cfg, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		os.Exit(2)
 	}
-
-	if *listen != "" {
-		cc := clusterConfig{node: *clusterNode, peers: *clusterPeers, vnodes: *clusterVNodes}
-		adm, err := admissionController(*tenants)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "coordserve: %v\n", err)
-			os.Exit(2)
-		}
-		if *dataDir != "" {
-			if err := serveDurable(*listen, *listenBinary, *dataDir, *fsync, *shards, *rows, *workers, *probe, *dispatchTimeout, cc, adm); err != nil {
-				fmt.Fprintf(os.Stderr, "coordserve: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		}
-		store := workload.NewStore(*shards, *rows, *latency)
-		fmt.Printf("serving a %d-row table across %d shard(s), %d workers\n", *rows, *shards, *workers)
-		if err := runServe(*listen, *listenBinary, store, *workers, nil, *probe, *dispatchTimeout, cc, adm); err != nil {
-			fmt.Fprintf(os.Stderr, "coordserve: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	if err := run(ctx, cfg, os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "coordserve: %v\n", err)
+		os.Exit(1)
 	}
-
-	if *target != "" {
-		resolved, err := resolveTarget(*target, *proto)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "coordserve: %v\n", err)
-			os.Exit(2)
-		}
-		*target = resolved
-	}
-
-	if *streamMode {
-		if *events <= 0 {
-			fmt.Fprintln(os.Stderr, "coordserve: -events must be positive")
-			os.Exit(2)
-		}
-		valid := false
-		for _, p := range workload.Patterns() {
-			if workload.Pattern(*pattern) == p {
-				valid = true
-			}
-		}
-		if !valid {
-			fmt.Fprintf(os.Stderr, "coordserve: unknown -pattern %q (valid: %v)\n", *pattern, workload.Patterns())
-			os.Exit(2)
-		}
-		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer cancel()
-		cfg := streamConfig{
-			events:  *events,
-			pattern: workload.Pattern(*pattern),
-			rate:    *rate,
-			seed:    *seed,
-			rows:    *rows,
-			park:    *park,
-		}
-		if *target != "" {
-			fmt.Printf("streaming %d %s events to %s, rate=%v/s seed=%d\n",
-				*events, *pattern, *target, *rate, *seed)
-			if err := runStreamRemote(ctx, *target, cfg, os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "coordserve: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		}
-		store := workload.NewStore(*shards, *rows, *latency)
-		e := engine.New(store, engine.Options{Workers: *workers, Coord: coord.Options{}})
-		fmt.Printf("streaming %d %s events over a %d-row table (%d shard(s)), rate=%v/s seed=%d\n",
-			*events, *pattern, *rows, *shards, *rate, *seed)
-		if _, err := runStream(ctx, e, cfg, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "coordserve: %v\n", err)
-			os.Exit(1)
-		}
-		reportPlans(store)
-		return
-	}
-
-	batches := produce(*requests, *queries, *rows, *batch)
-
-	if *target != "" {
-		fmt.Printf("serving %d requests (~%d queries each) end-to-end against %s, %d client workers, batches of %d\n",
-			*requests, *queries, *target, *workers, *batch)
-		served, elapsed, err := drainRemote(*target, batches, *workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "coordserve: %v\n", err)
-			os.Exit(1)
-		}
-		report(served, elapsed, *workers)
-		if *compare {
-			// The same materialised load through the engine directly, on
-			// an identically built local store: the ratio is the wire
-			// layer's end-to-end overhead.
-			store := workload.NewStore(*shards, *rows, *latency)
-			fmt.Println("in-process baseline over an identical local store:")
-			served1, elapsed1 := drain(store, batches, *workers)
-			report(served1, elapsed1, *workers)
-			fmt.Printf("%s serving overhead at %d workers: %.2fx\n",
-				protoLabel(*target), *workers, elapsed.Seconds()/elapsed1.Seconds())
-		}
-		return
-	}
-
-	store := workload.NewStore(*shards, *rows, *latency)
-	fmt.Printf("serving %d requests (~%d queries each) over a %d-row table (%d shard(s)), %d workers, batches of %d\n",
-		*requests, *queries, *rows, *shards, *workers, *batch)
-	served, elapsed := drain(store, batches, *workers)
-	report(served, elapsed, *workers)
-	reportPlans(store)
-
-	if *compare {
-		// Requests are read-only during serving: reuse the same
-		// materialised load so both runs serve the identical batches.
-		served1, elapsed1 := drain(store, batches, 1)
-		report(served1, elapsed1, 1)
-		fmt.Printf("speedup with %d workers: %.2fx\n", *workers, elapsed1.Seconds()/elapsed.Seconds())
-	}
-}
-
-// resolveTarget applies -proto to the -target URL: "http" forces the
-// HTTP/JSON protocol, "binary" the binary wire protocol (tcp scheme),
-// and "" leaves the URL's own scheme in charge. A bare host:port gets
-// the chosen protocol's scheme prepended (http by default).
-func resolveTarget(target, proto string) (string, error) {
-	scheme := ""
-	switch proto {
-	case "":
-	case "http":
-		scheme = "http"
-	case "binary":
-		scheme = "tcp"
-	default:
-		return "", fmt.Errorf("unknown -proto %q (valid: http, binary)", proto)
-	}
-	u, err := url.Parse(target)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		// A bare host:port: prepend the chosen scheme.
-		if scheme == "" {
-			scheme = "http"
-		}
-		return scheme + "://" + target, nil
-	}
-	if scheme != "" && u.Scheme != scheme {
-		u.Scheme = scheme
-		return u.String(), nil
-	}
-	return target, nil
-}
-
-// protoLabel names the protocol a resolved target URL selects, for the
-// -compare overhead report.
-func protoLabel(target string) string {
-	if u, err := url.Parse(target); err == nil && (u.Scheme == "tcp" || u.Scheme == "binary") {
-		return "binary wire"
-	}
-	return "HTTP"
-}
-
-// reportPlans prints the store's plan-cache counters: every worker of
-// the pool evaluates through one shared cache, so after the first few
-// requests the hit rate should be ~100% (each body shape compiles
-// once per schema version, not once per request).
-func reportPlans(store db.Store) {
-	st, ok := db.AggregatePlanStats(store)
-	if !ok {
-		return
-	}
-	total := st.Hits + st.Misses
-	if total == 0 {
-		return
-	}
-	fmt.Printf("plan cache: %d plans served %d queries (%.1f%% hit rate)\n",
-		st.Entries, total, 100*float64(st.Hits)/float64(total))
-}
-
-// produce materialises the whole request load up front, already split
-// into batches. Request generation is setup, not serving: building the
-// query sets must never count toward the drain loop's wall clock, or
-// throughput and -compare speedups lie. Each request pins one table
-// value (request i grounds through c_{i mod rows}) — the "one scenario
-// coordinates around one context" serving shape — so on a sharded
-// store every request is single-shard routable and the fleet fans out
-// across shards; the same load runs unsharded for comparison.
-func produce(requests, queries, rows, batchSize int) [][]engine.Request {
-	var batches [][]engine.Request
-	batch := make([]engine.Request, 0, batchSize)
-	for i := 0; i < requests; i++ {
-		n := queries/2 + i%queries
-		batch = append(batch, engine.Request{
-			ID:      fmt.Sprintf("req%d", i),
-			Queries: workload.ListQueriesAt(n, i%rows),
-		})
-		if len(batch) == batchSize {
-			batches = append(batches, batch)
-			batch = make([]engine.Request, 0, batchSize)
-		}
-	}
-	if len(batch) > 0 {
-		batches = append(batches, batch)
-	}
-	return batches
-}
-
-// drain serves each pre-built batch through CoordinateMany, returning
-// per-request batch-amortised latencies and the wall-clock time of the
-// serving loop alone.
-func drain(store db.Store, batches [][]engine.Request, workers int) ([]time.Duration, time.Duration) {
-	e := engine.New(store, engine.Options{
-		Workers: workers,
-		Coord:   coord.Options{SkipSafetyCheck: true},
-	})
-	var latencies []time.Duration
-	start := time.Now()
-	for _, batch := range batches {
-		bStart := time.Now()
-		for _, resp := range e.CoordinateMany(context.Background(), batch) {
-			if resp.Err != nil {
-				fmt.Fprintf(os.Stderr, "coordserve: %s: %v\n", resp.ID, resp.Err)
-				os.Exit(1)
-			}
-		}
-		per := time.Since(bStart) / time.Duration(len(batch))
-		for range batch {
-			latencies = append(latencies, per)
-		}
-	}
-	return latencies, time.Since(start)
-}
-
-// report prints throughput and latency percentiles for one drain run.
-func report(latencies []time.Duration, elapsed time.Duration, workers int) {
-	n := len(latencies)
-	sorted := append([]time.Duration(nil), latencies...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	pct := func(p float64) time.Duration {
-		i := int(p * float64(n-1))
-		return sorted[i]
-	}
-	fmt.Printf("  workers=%d: %d requests in %v (%.1f req/s), mean batch-amortised latency p50=%v p95=%v\n",
-		workers, n, elapsed.Round(time.Millisecond),
-		float64(n)/elapsed.Seconds(), pct(0.50).Round(time.Microsecond), pct(0.95).Round(time.Microsecond))
 }

@@ -47,13 +47,13 @@
 // The §6.1 provider cascade has one home, cascade.run (prune.go): the
 // batch walk, the Gupta baseline and Incremental all call it, so prune
 // events come out in one order everywhere. So has the §4 component
-// search, search.ground (search.go): the sequential and parallel walks,
-// Incremental and the Gupta baseline unify a reachable set and ask the
-// database about it there and nowhere else, on scratch that is reused
-// from one component to the next. A substitution is scratch, not
-// state: it is a function of the reachable set and the canonical
-// edges, so no candidate and no cached outcome keeps one — the winner's
-// is recomputed, without a database query, when its witness is read.
+// search, search.ground (search.go): the batch walk, Incremental and
+// the Gupta baseline unify a reachable set and ask the database about
+// it there and nowhere else, on scratch that is reused from one
+// component to the next. A substitution is scratch, not state: it is a
+// function of the reachable set and the canonical edges, so no
+// candidate and no cached outcome keeps one — the winner's is
+// recomputed, without a database query, when its witness is read.
 //
 // The package's sentinel errors carry stable machine-readable codes
 // (Code / FromCode, e.g. "unsafe_arrival", "too_many_queries") shared

@@ -135,9 +135,8 @@ type Incremental struct {
 // NewIncremental returns an empty resumable coordinator over store.
 // opts.Select chooses among candidates in Result; SkipPruning and
 // SkipSafetyCheck have their batch meanings (SkipSafetyCheck disables
-// the Add-time admission check); Trace and Parallelism are ignored —
-// the trace is available from Trace(), and events re-solve only the
-// dirty region.
+// the Add-time admission check); Trace is ignored — the trace is
+// available from Trace().
 func NewIncremental(store db.Store, opts Options) *Incremental {
 	return &Incremental{
 		store: store,

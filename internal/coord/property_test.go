@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -183,5 +184,19 @@ func TestScaleFreeWorkloadCoordinates(t *testing.T) {
 		if err := Verify(qs, res.Set, res.Values, in); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestBruteForceTooManyQueries checks the typed-error contract of both
+// oracles on an oversized input: a refusal, not 2^21 subsets.
+func TestBruteForceTooManyQueries(t *testing.T) {
+	const rows = 500
+	in := newWorkloadInstance(rows)
+	qs := workload.ListQueries(MaxBruteQueries+1, rows)
+	if _, err := BruteForceExists(qs, in); !errors.Is(err, ErrTooManyQueries) {
+		t.Fatalf("exists: err = %v, want ErrTooManyQueries", err)
+	}
+	if _, err := BruteForceMax(qs, in); !errors.Is(err, ErrTooManyQueries) {
+		t.Fatalf("max: err = %v, want ErrTooManyQueries", err)
 	}
 }

@@ -83,14 +83,6 @@ type Options struct {
 	// Trace, when non-nil, receives a step-by-step record of the run
 	// (pruning events and per-component outcomes); see coord.Trace.
 	Trace *Trace
-	// Parallelism is the number of worker goroutines used to process
-	// independent strongly connected components concurrently (the
-	// component DAG bounds the available parallelism: a component runs
-	// once all its successors have). Values <= 1 select the sequential
-	// path. The candidate family, its order, and any Trace are identical
-	// to a sequential run: every search, on either path, computes its
-	// reachable set's MGU on scratch private to its goroutine.
-	Parallelism int
 }
 
 // SCCCoordinate runs the SCC Coordination Algorithm of §4 on a safe (but
@@ -107,7 +99,7 @@ type Options struct {
 // selector picks among candidates (maximum size by default).
 //
 // The implementation lives in runSCC (trace.go) so that a single code
-// path serves plain, traced, parallel and candidate-enumerating runs.
+// path serves plain, traced and candidate-enumerating runs.
 // The winner's witness values are read off its MGU, recomputed after
 // selection — unification only, no database query.
 //

@@ -13,10 +13,9 @@ import (
 // set, canonical edges), so a search leaves its MGU here only until the
 // next one resets it, and whoever needs a finished candidate's MGU again
 // — to read its witness values, to render the query the database saw —
-// recomputes it with mgu. There is one search per batch request, per
-// worker of the parallel walk and per Incremental; it dies with its
-// owner. The zero value is ready to use; it is not safe for concurrent
-// use.
+// recomputes it with mgu. There is one search per batch request and per
+// Incremental; it dies with its owner. The zero value is ready to use;
+// it is not safe for concurrent use.
 type search struct {
 	subst *unify.Subst
 	inSet []bool    // query -> in the set being unified
@@ -124,8 +123,6 @@ func (f *fallback) value() (eq.Value, error) {
 // reachRows holds, for every component of a condensation, the set of
 // components it reaches (itself included): rows of one bitset, so a
 // walk allocates them once and folds successors in a word at a time.
-// Rows are disjoint words, so workers of the parallel walk may each
-// fill their own.
 type reachRows struct {
 	words int
 	bits  []uint64

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sort"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -13,6 +13,8 @@ import (
 	"entangled/internal/unify"
 	"entangled/internal/workload"
 )
+
+func itoa(i int) string { return strconv.Itoa(i) }
 
 // requestCost reports what one SCCCoordinate over qs costs: allocations
 // (testing.AllocsPerRun) and bytes (a runtime.MemStats.TotalAlloc
@@ -39,13 +41,12 @@ func requestCost(t *testing.T, qs []eq.Query, store db.Store, opts Options) (all
 
 // TestSCCWalkAllocationBudget holds the §4 walk to what it needs on the
 // paper's worst case, the Figure-4 list, where the i-th component
-// reaches i queries: one search scratch per request (per worker when
-// parallel), not a substitution, a body and a reach row per component.
-// When every component allocated its own, a request cost 0.54 MB at 50
-// queries, 1.82 MB at 100 (1.85 MB with two workers) and 6.71 MB at
-// 200; it costs 0.22, 0.61 (0.67) and 1.90 MB. What is left is the
-// database's binding map per grounded component and each candidate's
-// Set, both O(|R(q)|) and handed to the caller.
+// reaches i queries: one search scratch per request, not a
+// substitution, a body and a reach row per component. When every
+// component allocated its own, a request cost 0.54 MB at 50 queries,
+// 1.82 MB at 100 and 6.71 MB at 200; it costs 0.22, 0.61 and 1.90 MB.
+// What is left is the database's binding map per grounded component and
+// each candidate's Set, both O(|R(q)|) and handed to the caller.
 func TestSCCWalkAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -56,19 +57,17 @@ func TestSCCWalkAllocationBudget(t *testing.T) {
 	budget := map[int]float64{50: 0.35e6, 100: 1.0e6, 200: 3.2e6}
 	for _, n := range []int{50, 100, 200} {
 		qs := workload.ListQueries(n, rows)
-		for _, workers := range []int{1, 2} {
-			allocs, bytes := requestCost(t, qs, store, Options{Parallelism: workers})
-			t.Logf("%3d queries, %d worker(s): %8.0f B/request, %5.0f allocs/request", n, workers, bytes, allocs)
-			if bytes > budget[n] {
-				t.Errorf("%d queries, %d worker(s): %.0f B/request over the %.0f B budget", n, workers, bytes, budget[n])
-			}
-			// A bounded number of allocations per component: graph
-			// construction and renaming per query, then the binding, the
-			// candidate set and what a collection emptied from the
-			// database's pools.
-			if max := float64(50 * n); allocs > max {
-				t.Errorf("%d queries, %d worker(s): %.0f allocs/request over the budget of %.0f", n, workers, allocs, max)
-			}
+		allocs, bytes := requestCost(t, qs, store, Options{})
+		t.Logf("%3d queries: %8.0f B/request, %5.0f allocs/request", n, bytes, allocs)
+		if bytes > budget[n] {
+			t.Errorf("%d queries: %.0f B/request over the %.0f B budget", n, bytes, budget[n])
+		}
+		// A bounded number of allocations per component: graph
+		// construction and renaming per query, then the binding, the
+		// candidate set and what a collection emptied from the
+		// database's pools.
+		if max := float64(50 * n); allocs > max {
+			t.Errorf("%d queries: %.0f allocs/request over the budget of %.0f", n, allocs, max)
 		}
 	}
 }
@@ -221,7 +220,7 @@ func TestTraceShowsWhatTheDatabaseSaw(t *testing.T) {
 		name, qs := set.name, set.qs
 		inst := newWorkloadInstance(rows)
 
-		// Batch: the sequential walk asks in processing order.
+		// Batch: the walk asks in processing order.
 		o, tr := &observedStore{Store: inst}, &Trace{}
 		if _, err := SCCCoordinate(qs, o, Options{Trace: tr}); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -232,18 +231,6 @@ func TestTraceShowsWhatTheDatabaseSaw(t *testing.T) {
 		}
 		if name == "pruned random-safe" && (len(tr.Pruned) == 0 || statuses["pruned"] == 0) {
 			t.Fatalf("%s: nothing pruned (%v)", name, statuses)
-		}
-
-		// The parallel walk asks the same queries, in any order.
-		po, ptr := &observedStore{Store: inst}, &Trace{}
-		if _, err := SCCCoordinate(qs, po, Options{Trace: ptr, Parallelism: 3}); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		sort.Strings(po.asked)
-		sorted := append([]string(nil), batch...)
-		sort.Strings(sorted)
-		if !reflect.DeepEqual(ptr, tr) || !reflect.DeepEqual(sorted, po.asked) {
-			t.Fatalf("%s: parallel trace or the queries behind it differ from the sequential walk's", name)
 		}
 
 		// A quiesced session: arrivals one at a time, a departure and

@@ -70,13 +70,10 @@ func (t *Trace) Render(w io.Writer, qs []eq.Query) error {
 	return err
 }
 
-// sccWalk is one run of the component walk, sequential or parallel:
-// the extended graph, alpha-renamed queries, pruning outcome and the
-// condensation of the coordination graph with its processing order,
-// then what the walk fills in. Each per-component slot is written by
-// the one processComponent call for that component; in the parallel
-// walk the scheduler's channels order that write before any dependent
-// component reads it.
+// sccWalk is one run of the component walk: the extended graph,
+// alpha-renamed queries, pruning outcome and the condensation of the
+// coordination graph with its processing order, then what the walk
+// fills in, in that order.
 type sccWalk struct {
 	store   db.Store
 	edges   []ExtendedEdge
@@ -88,10 +85,9 @@ type sccWalk struct {
 
 	reach  reachRows
 	failed []bool           // component -> no coordinating set through it
-	found  []Candidate      // component -> its candidate; Set is nil unless it grounded
-	events []ComponentEvent // component -> its trace event; nil unless traced
-	sr     search           // the sequential walk's scratch; witnesses are read on it afterwards
+	sr     search           // the walk's scratch; witnesses are read on it afterwards
 	cands  []Candidate      // the grounded candidates, in processing order
+	events []ComponentEvent // one per component, in processing order; nil unless traced
 }
 
 // prepareSCC runs everything up to the per-component searches: safety
@@ -134,11 +130,10 @@ func prepareSCC(qs []eq.Query, store db.Store, opts Options) (*sccWalk, error) {
 	w := &sccWalk{
 		store: store, edges: edges, renamed: renamed, alive: alive, dag: dag, members: members, order: order,
 		failed: make([]bool, nc),
-		found:  make([]Candidate, nc),
 	}
 	w.reach.reset(nc)
 	if tr != nil {
-		w.events = make([]ComponentEvent, nc)
+		w.events = make([]ComponentEvent, 0, nc)
 	}
 	return w, nil
 }
@@ -146,9 +141,8 @@ func prepareSCC(qs []eq.Query, store db.Store, opts Options) (*sccWalk, error) {
 // runSCC executes the SCC Coordination Algorithm and leaves every
 // grounded candidate (the family {R(q)}) in the walk's cands, in
 // processing order. SCCCoordinate applies the selector to pick one;
-// AllCandidates exposes the whole family. With opts.Parallelism > 1 the
-// searches run on a worker pool; candidates, their order and any Trace
-// are the same either way.
+// AllCandidates exposes the whole family. A run that fails leaves
+// opts.Trace without component events.
 func runSCC(qs []eq.Query, store db.Store, opts Options) (*sccWalk, error) {
 	if len(qs) == 0 {
 		return &sccWalk{}, nil
@@ -157,33 +151,22 @@ func runSCC(qs []eq.Query, store db.Store, opts Options) (*sccWalk, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Parallelism > 1 {
-		err = w.runParallel(opts.Parallelism)
-	} else {
-		for _, c := range w.order {
-			if err = w.processComponent(c, &w.sr); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
 	for _, c := range w.order {
-		if opts.Trace != nil {
-			opts.Trace.Components = append(opts.Trace.Components, w.events[c])
+		if err := w.processComponent(c); err != nil {
+			return nil, err
 		}
-		if w.found[c].Set != nil {
-			w.cands = append(w.cands, w.found[c])
-		}
+	}
+	if w.events != nil {
+		opts.Trace.Components = append(opts.Trace.Components, w.events...)
 	}
 	return w, nil
 }
 
 // processComponent is one step of the walk: fold the successors'
-// reachability into c's, and search the reachable set on sr. It reads
-// only state of components that were processed before it.
-func (w *sccWalk) processComponent(c int, sr *search) error {
+// reachability into c's, and search the reachable set. It reads only
+// state of components that were processed before it.
+func (w *sccWalk) processComponent(c int) error {
+	sr := &w.sr
 	var ev ComponentEvent
 	switch {
 	case !w.alive[w.members[c][0]]:
@@ -210,13 +193,13 @@ func (w *sccWalk) processComponent(c int, sr *search) error {
 		}
 		if status == "grounded" {
 			ev.SetSize = len(sr.set)
-			w.found[c] = Candidate{Set: sortedCopy(sr.set), binding: bind}
+			w.cands = append(w.cands, Candidate{Set: sortedCopy(sr.set), binding: bind})
 		}
 	}
 	w.failed[c] = ev.Status != "grounded"
 	if w.events != nil {
 		ev.Members = append([]int(nil), w.members[c]...)
-		w.events[c] = ev
+		w.events = append(w.events, ev)
 	}
 	return nil
 }

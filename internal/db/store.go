@@ -55,8 +55,9 @@ var (
 // their store argument in a fresh Meter per run; Result.DBQueries is
 // that meter's final count.
 //
-// A Meter is safe for concurrent use (the parallel component walk
-// issues queries from many goroutines).
+// A Meter is safe for concurrent use, like every db.Store: its counter
+// is atomic, so a caller may issue queries through one meter from
+// several goroutines and still read an exact count.
 type Meter struct {
 	store Store
 	n     atomic.Int64

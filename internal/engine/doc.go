@@ -1,15 +1,14 @@
 // Package engine serves coordination requests concurrently over one
 // shared database store.
 //
-// The paper's tractable case — the SCC Coordination Algorithm of §5 —
-// decomposes a safe query set into the DAG of its strongly connected
-// components, and each component's provider search is an independent
-// unification-plus-one-database-query unit of work. The engine exploits
-// that structure at two levels: inside a single request it runs
-// independent components on a worker pool (coord.Options.Parallelism),
-// and across requests it drains a batch of distinct query sets through
-// the pool concurrently (CoordinateMany) — the heavy-traffic serving
-// shape, where many independent scenarios query one shared store.
+// A request is one run of the paper's SCC Coordination Algorithm (§4):
+// a sequential walk of the condensation paying one database query per
+// component (coord.SCCCoordinate). The engine's concurrency is across
+// requests: CoordinateMany drains a batch of distinct query sets
+// through a worker pool — the heavy-traffic serving shape, where many
+// independent scenarios query one shared store. (A worker pool inside
+// one request, running independent components concurrently, was
+// measured and removed: DESIGN.md, "Design choices worth ablating", 7.)
 //
 // # Shard routing
 //
@@ -43,7 +42,7 @@
 // requests. A serving fleet re-issuing the workload's body shapes
 // compiles each shape once per schema version, not once per request;
 // db.Instance.PlanStats exposes the hit rate (cmd/coordserve prints
-// it).
+// it when it drains).
 //
 // # Streaming sessions
 //

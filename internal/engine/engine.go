@@ -13,13 +13,11 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the size of the worker pool used both for
-	// per-component parallelism inside a single request and for
-	// draining request batches. Zero means GOMAXPROCS.
+	// Workers is the size of the worker pool CoordinateMany drains a
+	// request batch on. Zero means GOMAXPROCS.
 	Workers int
 	// Coord is the base coordination configuration applied to every
-	// request (selector, pruning and safety-check toggles). Its
-	// Parallelism field is managed by the engine and ignored.
+	// request (selector, pruning and safety-check toggles).
 	Coord coord.Options
 }
 
@@ -50,7 +48,7 @@ func New(store db.Store, opts Options) *Engine {
 	return e
 }
 
-// Workers returns the configured worker-pool size.
+// Workers returns the size of the batch worker pool.
 func (e *Engine) Workers() int { return e.workers }
 
 // Store returns the shared database store.
@@ -71,16 +69,11 @@ func (e *Engine) routed(qs []eq.Query) db.Store {
 	return e.store
 }
 
-// Coordinate serves one request, parallelising the SCC algorithm's
-// per-component searches across the worker pool. The result is
-// identical to a sequential coord.SCCCoordinate run.
+// Coordinate serves one request: the step CoordinateMany runs for each
+// of a batch's.
 func (e *Engine) Coordinate(ctx context.Context, qs []eq.Query) (*coord.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	opts := e.base
-	opts.Parallelism = e.workers
-	return coord.SCCCoordinate(qs, db.WithContext(ctx, e.routed(qs)), opts)
+	resp := e.serve(ctx, &Request{Queries: qs})
+	return resp.Result, resp.Err
 }
 
 // Request is one unit of CoordinateMany work: an independent entangled
@@ -91,8 +84,7 @@ type Request struct {
 	// Queries is the entangled query set for this request.
 	Queries []eq.Query
 	// Opts, when non-nil, replaces the engine's base coordination
-	// options for this request (its Parallelism is still managed by the
-	// engine).
+	// options for this request.
 	Opts *coord.Options
 }
 
@@ -109,10 +101,8 @@ type Response struct {
 
 // CoordinateMany serves a batch of independent requests concurrently on
 // the worker pool, one goroutine per in-flight request over the shared
-// instance. Each request runs the sequential per-request path
-// (inter-request parallelism already saturates the pool). Responses
-// come back in request order. Cancelling ctx stops dispatching; the
-// remaining responses carry ctx.Err().
+// instance. Responses come back in request order. Cancelling ctx stops
+// dispatching; the remaining responses carry ctx.Err().
 func (e *Engine) CoordinateMany(ctx context.Context, reqs []Request) []Response {
 	out := make([]Response, len(reqs))
 	workers := e.workers
@@ -144,10 +134,10 @@ func (e *Engine) CoordinateMany(ctx context.Context, reqs []Request) []Response 
 	return out
 }
 
-// serve runs one request sequentially, against the single shard its
-// bodies pin when the store is sharded and the request is routable.
-// The store is context-wrapped, so a canceled or expired ctx aborts
-// the plan at the next query instead of running it to completion.
+// serve runs one request, against the single shard its bodies pin when
+// the store is sharded and the request is routable. The store is
+// context-wrapped, so a canceled or expired ctx aborts the plan at the
+// next query instead of running it to completion.
 func (e *Engine) serve(ctx context.Context, req *Request) Response {
 	if err := ctx.Err(); err != nil {
 		return Response{ID: req.ID, Err: err}
@@ -156,7 +146,6 @@ func (e *Engine) serve(ctx context.Context, req *Request) Response {
 	if req.Opts != nil {
 		opts = *req.Opts
 	}
-	opts.Parallelism = 0
 	res, err := coord.SCCCoordinate(req.Queries, db.WithContext(ctx, e.routed(req.Queries)), opts)
 	return Response{ID: req.ID, Result: res, Err: err}
 }
@@ -174,21 +163,5 @@ func (e *Engine) serve(ctx context.Context, req *Request) Response {
 // optimisation.
 func (e *Engine) NewSession(opts stream.Options) *stream.Session {
 	opts.Coord = e.base
-	opts.Coord.Parallelism = 0
 	return stream.New(e.store, opts)
-}
-
-// BruteForceExists runs the exponential existence oracle with the
-// subset enumeration sharded across the worker pool; ctx cancels the
-// search between subsets.
-func (e *Engine) BruteForceExists(ctx context.Context, qs []eq.Query) (bool, error) {
-	return coord.BruteForceExistsCtx(ctx, qs, e.store, e.workers)
-}
-
-// BruteForceMax runs the exponential maximisation oracle with the
-// subset enumeration sharded across the worker pool; ctx cancels the
-// search between subsets. The returned set size equals the sequential
-// oracle's.
-func (e *Engine) BruteForceMax(ctx context.Context, qs []eq.Query) (*coord.Result, error) {
-	return coord.BruteForceMaxCtx(ctx, qs, e.store, e.workers)
 }

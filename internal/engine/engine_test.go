@@ -24,43 +24,52 @@ func listInstance(t testing.TB) *db.Instance {
 	return inst
 }
 
-// TestCoordinateMatchesSequential checks that the engine's
-// component-parallel path returns exactly the sequential result on the
-// Figure 4 list workload and on scale-free structures.
+// TestCoordinateMatchesSequential checks that a request costs and
+// answers the same however it reaches the algorithm: Engine.Coordinate,
+// a CoordinateMany batch of one and a direct coord.SCCCoordinate agree
+// on team, values, trace and the exact DBQueries, on the Figure 4 list,
+// on scale-free structures and on sets that pruning cuts into.
 func TestCoordinateMatchesSequential(t *testing.T) {
 	inst := listInstance(t)
-	e := New(inst, Options{Workers: 8, Coord: coord.Options{SkipSafetyCheck: true}})
+	ctx := context.Background()
+	check := func(name string, qs []eq.Query) (pruned int) {
+		t.Helper()
+		var seqTr, oneTr, manyTr coord.Trace
+		seq, err := coord.SCCCoordinate(qs, inst, coord.Options{SkipSafetyCheck: true, Trace: &seqTr})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		e := New(inst, Options{Workers: 8, Coord: coord.Options{SkipSafetyCheck: true, Trace: &oneTr}})
+		one, err := e.Coordinate(ctx, qs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		many := e.CoordinateMany(ctx, []Request{{ID: "r", Queries: qs, Opts: &coord.Options{SkipSafetyCheck: true, Trace: &manyTr}}})
+		if len(many) != 1 || many[0].ID != "r" || many[0].Err != nil {
+			t.Fatalf("%s: batch of one answered %+v", name, many)
+		}
+		if !reflect.DeepEqual(seq, one) || !reflect.DeepEqual(seq, many[0].Result) {
+			t.Fatalf("%s: results differ:\nSCCCoordinate  %+v\nCoordinate     %+v\nCoordinateMany %+v", name, seq, one, many[0].Result)
+		}
+		if !reflect.DeepEqual(seqTr, oneTr) || !reflect.DeepEqual(seqTr, manyTr) {
+			t.Fatalf("%s: traces differ", name)
+		}
+		return len(seqTr.Pruned)
+	}
 	for _, n := range []int{1, 10, 25, 50, 100} {
-		qs := workload.ListQueries(n, testRows)
-		seq, err := coord.SCCCoordinate(qs, inst, coord.Options{SkipSafetyCheck: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := e.Coordinate(context.Background(), qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq.Set, par.Set) {
-			t.Fatalf("n=%d: sequential set %v != parallel set %v", n, seq.Set, par.Set)
-		}
-		if !reflect.DeepEqual(seq.Values, par.Values) {
-			t.Fatalf("n=%d: assignments differ", n)
-		}
+		check(fmt.Sprintf("list n=%d", n), workload.ListQueries(n, testRows))
 	}
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		qs := workload.ScaleFreeQueries(40, 2, testRows, rng)
-		seq, err := coord.SCCCoordinate(qs, inst, coord.Options{SkipSafetyCheck: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := e.Coordinate(context.Background(), qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Size() != par.Size() || !reflect.DeepEqual(seq.Set, par.Set) {
-			t.Fatalf("seed=%d: sequential %v != parallel %v", seed, seq.Set, par.Set)
-		}
+		check(fmt.Sprintf("scale-free seed=%d", seed), workload.ScaleFreeQueries(40, 2, testRows, rng))
+	}
+	pruned := 0
+	for seed := int64(0); seed < 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pruned += check(fmt.Sprintf("pruned seed=%d", seed), workload.RandomSafeQueries(40, testRows, 0.03, 0.8, rng))
+	}
+	if pruned == 0 {
+		t.Fatal("the pruned shape pruned nothing")
 	}
 }
 
@@ -154,79 +163,5 @@ func TestCoordinateManyCancel(t *testing.T) {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("request %d: err = %v, want context.Canceled", i, r.Err)
 		}
-	}
-}
-
-// TestBruteForceParallelMatchesSequential compares the sharded oracle
-// against the sequential one on randomized safe workloads.
-func TestBruteForceParallelMatchesSequential(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		inst := db.NewInstance()
-		workload.UserTable(inst, 50)
-		qs := workload.RandomSafeQueries(9, 50, 0.25, 0.7, rng)
-		e := New(inst, Options{Workers: 4})
-
-		seqExists, err := coord.BruteForceExists(qs, inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parExists, err := e.BruteForceExists(context.Background(), qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seqExists != parExists {
-			t.Fatalf("seed=%d: exists %v != parallel %v", seed, seqExists, parExists)
-		}
-
-		seqMax, err := coord.BruteForceMax(qs, inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parMax, err := e.BruteForceMax(context.Background(), qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seqMax.Size() != parMax.Size() {
-			t.Fatalf("seed=%d: max size %d != parallel %d", seed, seqMax.Size(), parMax.Size())
-		}
-		if parMax != nil {
-			if err := coord.Verify(qs, parMax.Set, parMax.Values, inst); err != nil {
-				t.Fatalf("seed=%d: parallel witness does not verify: %v", seed, err)
-			}
-		}
-	}
-}
-
-// TestBruteForceTooManyQueries checks the typed-error contract on
-// oversized inputs for both oracles and both paths.
-func TestBruteForceTooManyQueries(t *testing.T) {
-	inst := listInstance(t)
-	qs := workload.ListQueries(coord.MaxBruteQueries+1, testRows)
-	if _, err := coord.BruteForceExists(qs, inst); !errors.Is(err, coord.ErrTooManyQueries) {
-		t.Fatalf("sequential exists: err = %v, want ErrTooManyQueries", err)
-	}
-	if _, err := coord.BruteForceMax(qs, inst); !errors.Is(err, coord.ErrTooManyQueries) {
-		t.Fatalf("sequential max: err = %v, want ErrTooManyQueries", err)
-	}
-	e := New(inst, Options{Workers: 4})
-	if _, err := e.BruteForceExists(context.Background(), qs); !errors.Is(err, coord.ErrTooManyQueries) {
-		t.Fatalf("parallel exists: err = %v, want ErrTooManyQueries", err)
-	}
-	if _, err := e.BruteForceMax(context.Background(), qs); !errors.Is(err, coord.ErrTooManyQueries) {
-		t.Fatalf("parallel max: err = %v, want ErrTooManyQueries", err)
-	}
-}
-
-// TestBruteForceCancel checks early cancellation of the sharded
-// enumeration.
-func TestBruteForceCancel(t *testing.T) {
-	inst := listInstance(t)
-	e := New(inst, Options{Workers: 2})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	qs := workload.ListQueries(12, testRows)
-	if _, err := e.BruteForceMax(ctx, qs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

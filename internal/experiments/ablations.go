@@ -32,7 +32,7 @@ func AblationIndexes(cfg Config) []Series {
 		inst.UseIndexes = indexed
 		for _, n := range cfg.Sizes {
 			qs := workload.ListQueries(n, cfg.TableRows)
-			p := timeSCC(inst, qs, cfg.Repeats, cfg.Parallel)
+			p := timeSCC(inst, qs, cfg.Repeats)
 			p.X = n
 			s.Points = append(s.Points, p)
 		}

@@ -2,8 +2,7 @@
 // experimental evaluation (§6). Each RunFigureN function executes the
 // corresponding workload sweep and returns a Series whose points mirror
 // the figure's x-axis; the cmd/coordbench binary prints them as text
-// tables, and the root bench_test.go exposes each sweep point as a Go
-// benchmark.
+// tables.
 //
 // The substrate differs from the paper's testbed (in-memory Go engine
 // instead of MySQL+JDBC+Java), so absolute milliseconds differ; the

@@ -45,15 +45,6 @@ type Config struct {
 	// networked-SQL-server round trips of the paper's testbed (see
 	// db.Instance.SimulatedLatency). Zero measures pure compute.
 	Latency time.Duration
-	// Parallel is the worker count for the SCC algorithm's
-	// per-component searches (coord.Options.Parallelism); values <= 1
-	// keep the sequential path of the paper's implementation.
-	Parallel int
-	// Shards hash-partitions the queried table across this many
-	// db.Instance shards in the ParallelBatch sweep, so CoordinateMany
-	// requests route to disjoint shard locks. Values <= 1 keep the
-	// single shared instance.
-	Shards int
 }
 
 func (c Config) withDefaults(sizes []int) Config {
@@ -91,7 +82,7 @@ func Figure4(cfg Config) Series {
 	workload.UserTable(inst, cfg.TableRows)
 	for _, n := range cfg.Sizes {
 		qs := workload.ListQueries(n, cfg.TableRows)
-		p := timeSCC(inst, qs, cfg.Repeats, cfg.Parallel)
+		p := timeSCC(inst, qs, cfg.Repeats)
 		p.X = n
 		s.Points = append(s.Points, p)
 	}
@@ -112,7 +103,7 @@ func Figure5(cfg Config) Series {
 		for seed := 0; seed < cfg.Seeds; seed++ {
 			rng := rand.New(rand.NewSource(int64(1000*n + seed)))
 			qs := workload.ScaleFreeQueries(n, 2, cfg.TableRows, rng)
-			p := timeSCC(inst, qs, cfg.Repeats, cfg.Parallel)
+			p := timeSCC(inst, qs, cfg.Repeats)
 			acc.Millis += p.Millis
 			acc.DBQueries += p.DBQueries
 			acc.SetSize += p.SetSize
@@ -189,12 +180,12 @@ func All(cfg Config) []Series {
 	return []Series{Figure4(cfg), Figure5(cfg), Figure6(cfg), Figure7(cfg), Figure8(cfg)}
 }
 
-func timeSCC(inst *db.Instance, qs []eq.Query, repeats, parallel int) Point {
+func timeSCC(inst *db.Instance, qs []eq.Query, repeats int) Point {
 	var p Point
 	for r := 0; r < repeats; r++ {
 		inst.ResetCounters()
 		start := time.Now()
-		res, err := coord.SCCCoordinate(qs, inst, coord.Options{SkipSafetyCheck: true, Parallelism: parallel})
+		res, err := coord.SCCCoordinate(qs, inst, coord.Options{SkipSafetyCheck: true})
 		elapsed := time.Since(start)
 		if err != nil {
 			panic(err) // generated workloads are always safe

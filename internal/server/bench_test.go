@@ -2,39 +2,17 @@ package server_test
 
 import (
 	"context"
-	"fmt"
 	"net"
-	"net/http/httptest"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
-	"entangled/internal/admission"
 	"entangled/internal/client"
 	"entangled/internal/engine"
 	"entangled/internal/eq"
 	"entangled/internal/server"
 	"entangled/internal/workload"
 )
-
-// benchLoopback boots a loopback server and client for benchmarking.
-func benchLoopback(b *testing.B, shards, rows int) (*client.Client, *engine.Engine) {
-	b.Helper()
-	store := workload.NewStore(shards, rows, 0)
-	e := engine.New(store, engine.Options{})
-	srv, err := server.New(e, server.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	b.Cleanup(func() { ts.Close(); srv.Close() })
-	c, err := client.New(ts.URL, client.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return c, e
-}
 
 // benchWireLoopback boots a loopback server speaking the binary wire
 // protocol and a binary client for it.
@@ -57,235 +35,6 @@ func benchWireLoopback(b *testing.B, shards, rows int) (*client.Client, *engine.
 	}
 	b.Cleanup(func() { c.Close(); srv.Close() })
 	return c, e
-}
-
-// batchOf builds one wire batch of reqs coordination requests.
-func batchOf(reqs, queries, rows int) []client.Request {
-	out := make([]client.Request, reqs)
-	for i := range out {
-		out[i] = client.Request{
-			ID:      "r" + strconv.Itoa(i),
-			Queries: workload.ListQueriesAt(queries, i%rows),
-		}
-	}
-	return out
-}
-
-// BenchmarkServerBatch measures end-to-end batch serving over loopback
-// HTTP: one CoordinateBatch call of 64 requests per iteration; the
-// reported ns/op divided by 64 is the per-request end-to-end cost.
-// Compare with BenchmarkServerBatchInProcess for the HTTP layer's
-// overhead.
-func BenchmarkServerBatch(b *testing.B) {
-	const rows, reqs, queries = 256, 64, 8
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			c, _ := benchLoopback(b, shards, rows)
-			batch := batchOf(reqs, queries, rows)
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resps, err := c.CoordinateBatch(ctx, batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range resps {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(b.N*reqs)/b.Elapsed().Seconds(), "req/s")
-		})
-	}
-}
-
-// BenchmarkServerBatchInProcess serves the identical load straight
-// through engine.CoordinateMany — the in-process baseline the HTTP
-// numbers are compared against (server overhead = ServerBatch /
-// ServerBatchInProcess per request).
-func BenchmarkServerBatchInProcess(b *testing.B) {
-	const rows, reqs, queries = 256, 64, 8
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			store := workload.NewStore(shards, rows, 0)
-			e := engine.New(store, engine.Options{})
-			wire := batchOf(reqs, queries, rows)
-			batch := make([]engine.Request, len(wire))
-			for i, r := range wire {
-				batch[i] = engine.Request{ID: r.ID, Queries: r.Queries}
-			}
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, r := range e.CoordinateMany(ctx, batch) {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(b.N*reqs)/b.Elapsed().Seconds(), "req/s")
-		})
-	}
-}
-
-// BenchmarkServerSession measures streaming over loopback HTTP: each
-// iteration joins one query into a warm remote session and departs it
-// again (two round trips, two incremental re-coordinations).
-func BenchmarkServerSession(b *testing.B) {
-	const rows = 64
-	c, _ := benchLoopback(b, 1, rows)
-	ctx := context.Background()
-	sess, err := c.CreateSession(ctx, "bench", false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm the session with a standing population.
-	for i := 0; i < 32; i++ {
-		if _, err := sess.Join(ctx, workload.ChainQuery(i%4, i/4, rows)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := workload.ChainQuery(100, 0, rows) // standalone scenario head
-		q.ID = "bench-" + strconv.Itoa(i)
-		if _, err := sess.Join(ctx, q); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sess.Leave(ctx, q.ID); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-// BenchmarkWireBatch is BenchmarkServerBatch over the binary wire
-// protocol: one pipelined Coordinate call of 64 requests per iteration
-// on a persistent connection. Compare against BenchmarkServerBatch
-// (HTTP) and BenchmarkServerBatchInProcess (no protocol) — the PR 7
-// acceptance bar is per-request binary overhead ≤ 2x in-process where
-// HTTP measured ~4x.
-func BenchmarkWireBatch(b *testing.B) {
-	const rows, reqs, queries = 256, 64, 8
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			c, _ := benchWireLoopback(b, shards, rows)
-			batch := batchOf(reqs, queries, rows)
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resps, err := c.CoordinateBatch(ctx, batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range resps {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(b.N*reqs)/b.Elapsed().Seconds(), "req/s")
-		})
-	}
-}
-
-// BenchmarkWireSession is BenchmarkServerSession over the binary wire
-// protocol: one join and one leave (two pipelined round trips) per
-// iteration against a warm session.
-func BenchmarkWireSession(b *testing.B) {
-	const rows = 64
-	c, _ := benchWireLoopback(b, 1, rows)
-	ctx := context.Background()
-	sess, err := c.CreateSession(ctx, "bench", false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 32; i++ {
-		if _, err := sess.Join(ctx, workload.ChainQuery(i%4, i/4, rows)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := workload.ChainQuery(100, 0, rows)
-		q.ID = "bench-" + strconv.Itoa(i)
-		if _, err := sess.Join(ctx, q); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sess.Leave(ctx, q.ID); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-// BenchmarkAdmissionFairDispatch measures the tenant-aware serving
-// path under contention: a weight-4 and a weight-1 tenant each drive a
-// 32-request batch per iteration through one binary-protocol server
-// with admission enabled, so every request pays for identity
-// propagation, the admission decision, DBQueries settlement, and the
-// deficit-round-robin scheduler. Compare req/s against
-// BenchmarkWireBatch (no admission) for the subsystem's total
-// overhead.
-func BenchmarkAdmissionFairDispatch(b *testing.B) {
-	const rows, reqs, queries = 256, 32, 8
-	store := workload.NewStore(1, rows, 0)
-	e := engine.New(store, engine.Options{})
-	ctl := admission.NewController(admission.Config{Tenants: map[string]admission.Policy{
-		"vip": {Weight: 4},
-		"std": {Weight: 1},
-	}})
-	srv, err := server.New(e, server.Options{Admission: ctl})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.ServeWire(ln)
-	b.Cleanup(func() { srv.Close() })
-	clients := make([]*client.Client, 0, 2)
-	for _, tenant := range []string{"vip", "std"} {
-		c, err := client.New("tcp://"+ln.Addr().String(), client.Options{Tenant: tenant})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { c.Close() })
-		clients = append(clients, c)
-	}
-	batch := batchOf(reqs, queries, rows)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		errs := make([]error, len(clients))
-		for j, c := range clients {
-			wg.Add(1)
-			go func(j int, c *client.Client) {
-				defer wg.Done()
-				resps, err := c.CoordinateBatch(ctx, batch)
-				if err != nil {
-					errs[j] = err
-					return
-				}
-				for _, r := range resps {
-					if r.Err != nil {
-						errs[j] = r.Err
-						return
-					}
-				}
-			}(j, c)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.N*reqs*len(clients))/b.Elapsed().Seconds(), "req/s")
 }
 
 // BenchmarkWirePush measures the push path end to end: each iteration

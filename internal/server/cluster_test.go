@@ -582,66 +582,3 @@ func TestClusterKillNodeTypedErrorsAndRejoin(t *testing.T) {
 		t.Fatalf("post-rejoin scattered batch: %v %+v", err, resps)
 	}
 }
-
-// BenchmarkClusterForward measures one forwarded session op on a
-// 2-node loopback cluster — the full hop: encode, peer call, serve at
-// the owner, raw reply splice — and reports the exact cross-node
-// message count per arrival (the O(1)-forwards-per-arrival contract).
-func BenchmarkClusterForward(b *testing.B) {
-	const rows = 16
-	lc := newLoopCluster(b, 2, 1, rows, server.Options{})
-	ctx := context.Background()
-	// A session owned by n2, driven via n1: every event is one forward.
-	name := lc.nameOwnedBy("bf", "n2")
-	c0 := lc.binTo(b, 0)
-	if _, err := c0.CreateSession(ctx, name, false); err != nil {
-		b.Fatal(err)
-	}
-	sess := c0.Session(name)
-	q := workload.ChainQuery(0, 0, rows)
-	before := lc.nodes[0].router.Metrics().ForwardsSent
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.Join(ctx, q); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sess.Leave(ctx, q.ID); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	forwards := lc.nodes[0].router.Metrics().ForwardsSent - before
-	b.ReportMetric(float64(forwards)/float64(2*b.N), "xnode/arrival")
-}
-
-// BenchmarkClusterScatterGather measures a 16-request batch scattered
-// from one node across a 3-node cluster and merged back, reporting the
-// cross-node sub-batches per batch.
-func BenchmarkClusterScatterGather(b *testing.B) {
-	const rows = 64
-	lc := newLoopCluster(b, 3, 2, rows, server.Options{MaxBatch: 64})
-	ctx := context.Background()
-	c0 := lc.binTo(b, 0)
-	rng := rand.New(rand.NewSource(3))
-	reqs := make([]client.Request, 16)
-	for i := range reqs {
-		reqs[i] = client.Request{ID: "b" + strconv.Itoa(i), Queries: workload.ListQueriesAt(4, rng.Intn(rows))}
-	}
-	before := lc.nodes[0].router.Metrics().ForwardsSent
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resps, err := c0.CoordinateBatch(ctx, reqs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range resps {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-	}
-	b.StopTimer()
-	forwards := lc.nodes[0].router.Metrics().ForwardsSent - before
-	b.ReportMetric(float64(forwards)/float64(b.N), "xnode/batch")
-	b.ReportMetric(float64(16*b.N)/b.Elapsed().Seconds(), "req/s")
-}

@@ -102,7 +102,7 @@ type Totals struct {
 type Options struct {
 	// Coord carries the coordination configuration (selector, pruning
 	// and safety toggles) applied to the session's incremental state;
-	// Trace and Parallelism are ignored.
+	// Trace is ignored.
 	Coord coord.Options
 	// ParkUnsafe parks arrivals that would make the set unsafe instead
 	// of rejecting them; parked queries are retried after each

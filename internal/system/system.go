@@ -31,7 +31,7 @@ type Coordinator struct {
 }
 
 // New creates a coordinator over the given database instance. A session
-// ignores opts.Trace and opts.Parallelism; the rest apply as in a batch.
+// ignores opts.Trace; the rest apply as in a batch.
 func New(inst *db.Instance, opts coord.Options) *Coordinator {
 	return &Coordinator{s: stream.New(inst, stream.Options{Coord: opts})}
 }

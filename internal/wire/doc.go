@@ -1,8 +1,9 @@
 // Package wire is the coordination service's binary protocol: a
 // length-prefixed, CRC-framed codec over one persistent TCP connection,
 // built to kill the ~4x per-request overhead the HTTP/JSON path
-// measured in BENCH_PR5.json (JSON encode/decode plus per-batch TCP
-// round trips).
+// measured when it was added (JSON encode/decode plus per-batch TCP
+// round trips; the batch_http_small and batch_binary_large workloads of
+// bench/coordmark measure the two protocols today).
 //
 // A connection starts with the 4-byte Magic preamble, then carries
 // frames in both directions. Framing is internal/frame — the same

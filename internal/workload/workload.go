@@ -46,8 +46,9 @@ func fillUserTable(insert func(vals ...eq.Value), rows int) {
 // NewStore builds the serving-path store in one place: the user table
 // on a plain instance for shards <= 1, or hash-partitioned across the
 // given shard count, with the simulated per-query latency applied
-// either way. cmd/coordserve and the ParallelBatch sweep share it so
-// their plain-vs-sharded comparisons construct identical stores.
+// either way. cmd/coordserve, the benchmark (bench/coordmark) and the
+// server tests share it, so a plain and a sharded store of the same
+// size hold the same tuples.
 func NewStore(shards, rows int, latency time.Duration) db.Store {
 	if shards > 1 {
 		sh := db.NewShardedInstance(shards)
