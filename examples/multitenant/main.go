@@ -107,8 +107,8 @@ func main() {
 			log.Fatalf("throttle must be fate-known and retryable: %v", err)
 		}
 		var ce *client.Error
-		if errors.As(err, &ce) && ce.RetryAfter > 0 {
-			hint = ce.RetryAfter
+		if errors.As(err, &ce) && ce.RetryAfterHint() > 0 {
+			hint = ce.RetryAfterHint()
 		}
 		throttled++
 	}

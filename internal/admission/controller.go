@@ -11,6 +11,7 @@ import (
 // mutex per tenant keeps unrelated tenants off each other's cache
 // lines and lets the admit fast path stay a few dozen nanoseconds.
 type tenantState struct {
+	name   Tenant // the tenant accounted here (see Resolve)
 	mu     sync.Mutex
 	policy Policy
 
@@ -71,6 +72,24 @@ func (c *Controller) Weight(t Tenant) int {
 	return c.policyFor(normalize(t)).Weight
 }
 
+// Bounds on what a client-chosen tenant name can make the server keep.
+const (
+	// MaxUnconfigured is how many tenants the policy file does not name
+	// get accounting state of their own; names first seen after that are
+	// accounted as Default.
+	MaxUnconfigured = 1024
+	// MaxTenantName is the longest tenant name the server's edges accept,
+	// in bytes.
+	MaxTenantName = 256
+)
+
+// Resolve returns the tenant t is accounted as: itself while the
+// controller keeps state for it, Default for a name first seen after
+// MaxUnconfigured others. Everything keyed by tenant keys on the
+// resolved name, and so holds at most configured + MaxUnconfigured + 1
+// entries whatever names clients invent.
+func (c *Controller) Resolve(t Tenant) Tenant { return c.state(t).name }
+
 // state returns the tenant's accounting state, creating it with full
 // buckets on first sight.
 func (c *Controller) state(t Tenant) *tenantState {
@@ -83,12 +102,19 @@ func (c *Controller) state(t Tenant) *tenantState {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if st = c.tenants[t]; st != nil {
+	// Configured tenants exist from NewController on, so a name that gets
+	// here is one a client chose.
+	if st = c.tenants[t]; st == nil && len(c.tenants) >= len(c.cfg.Tenants)+MaxUnconfigured {
+		t = Default
+		st = c.tenants[t]
+	}
+	if st != nil {
 		return st
 	}
 	p := c.policyFor(t)
 	now := c.clock()
 	st = &tenantState{
+		name:      t,
 		policy:    p,
 		tokens:    float64(p.Burst),
 		tokensAt:  now,
@@ -128,13 +154,13 @@ func (c *Controller) Decide(t Tenant) error {
 			st.throttledRate++
 			retry := time.Duration((1 - st.tokens) / p.Rate * float64(time.Second))
 			st.mu.Unlock()
-			return &ThrottleError{Tenant: normalize(t), Reason: ReasonRate, RetryAfter: retry}
+			return &ThrottleError{Tenant: st.name, Reason: ReasonRate, RetryAfter: retry}
 		}
 	}
 	if p.MaxInFlight > 0 && st.inFlight >= p.MaxInFlight {
 		st.throttledInFlight++
 		st.mu.Unlock()
-		return &ThrottleError{Tenant: normalize(t), Reason: ReasonInFlight}
+		return &ThrottleError{Tenant: st.name, Reason: ReasonInFlight}
 	}
 	if p.DBQueriesPerSec > 0 {
 		refill(&st.balance, &st.balanceAt, c.clock(), p.DBQueriesPerSec, float64(p.DBQueriesBurst))
@@ -142,7 +168,7 @@ func (c *Controller) Decide(t Tenant) error {
 			st.throttledBudget++
 			retry := time.Duration((1 - st.balance) / p.DBQueriesPerSec * float64(time.Second))
 			st.mu.Unlock()
-			return &ThrottleError{Tenant: normalize(t), Reason: ReasonBudget, RetryAfter: retry}
+			return &ThrottleError{Tenant: st.name, Reason: ReasonBudget, RetryAfter: retry}
 		}
 	}
 	if p.Rate > 0 {

@@ -13,7 +13,10 @@
 // *ThrottleError wrapping ErrThrottled, mapping to wire code
 // "throttled"/HTTP 429 with a retry-after hint), Done releases the
 // in-flight slot and charges exact spend, and ChargeDB meters ungated
-// work such as session leaves.
+// work such as session leaves. Names are client-chosen, so the state
+// they create is bounded: Resolve keeps accounting of their own for
+// configured tenants and the first MaxUnconfigured others, and accounts
+// any later name as Default.
 //
 // The subsystem is opt-in and transparent when off: a nil *Controller
 // disables every gate, the server's batcher collapses to the single

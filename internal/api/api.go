@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"time"
 
 	"entangled/internal/admission"
@@ -78,10 +79,24 @@ const (
 	CodeInternal = "internal"
 )
 
-// Cluster sentinels. They live here rather than in internal/cluster
-// because the code↔sentinel mapping below must see them and cluster
-// already imports api.
+// Sentinels of the conditions the serving layers raise themselves. They
+// live here rather than beside the code that raises them
+// (internal/server, internal/cluster) because the taxonomy below must
+// see them and both packages already import api.
 var (
+	// ErrDraining is the sentinel under CodeDraining errors.
+	ErrDraining = errors.New("server: draining")
+	// ErrOverloaded is the sentinel under CodeOverloaded errors.
+	ErrOverloaded = errors.New("server: coordinate queue full")
+	// ErrMailboxFull is the sentinel under CodeMailboxFull errors.
+	ErrMailboxFull = errors.New("server: session mailbox full")
+	// ErrSessionExists is the sentinel under CodeSessionExists errors.
+	ErrSessionExists = errors.New("server: session name taken")
+	// ErrSessionNotFound is the sentinel under CodeSessionNotFound
+	// errors.
+	ErrSessionNotFound = errors.New("server: no such session")
+	// ErrSessionClosed is the sentinel under CodeSessionClosed errors.
+	ErrSessionClosed = errors.New("server: session closed")
 	// ErrRouteMoved is the sentinel under CodeRouteMoved errors.
 	ErrRouteMoved = errors.New("cluster: route moved")
 	// ErrPeerUnavailable is the sentinel under CodePeerUnavailable
@@ -89,8 +104,73 @@ var (
 	ErrPeerUnavailable = errors.New("cluster: peer unavailable")
 )
 
-// Error is the wire shape of every error the service reports, nested
-// under "error" in error response bodies.
+// class is one row of the error contract.
+type class struct {
+	code string
+	// sentinel is the cause From recognises the code by and the error a
+	// decoded Error unwraps to; nil for the two codes no sentinel causes.
+	sentinel error
+	// status is the HTTP status, and the binary reply frame's equivalent.
+	status int
+	// retryable: the same call may succeed later (client.IsRetryable).
+	retryable bool
+	// fateKnown: the server refused before any state changed, so even a
+	// non-idempotent call can be retried blindly (client.FateKnown).
+	fateKnown bool
+}
+
+// taxonomy is the error contract, written once: one row per code, in
+// classification order. From gives an error the first row whose
+// sentinel it wraps, so the arrival rejection precedes the unsafe set
+// it specialises, and indeterminate precedes degraded — a failed
+// journal append wraps ErrIndeterminate beside its cause, and the
+// distinction is what tells a client whether a blind retry is safe.
+// The last row is what an error wrapping none of the sentinels renders
+// as. DESIGN.md ("Error contract") says who raises each row; the
+// package's tests hold the two tables together.
+var taxonomy = []class{
+	{CodeDraining, ErrDraining, http.StatusServiceUnavailable, false, true},
+	{CodeOverloaded, ErrOverloaded, http.StatusTooManyRequests, true, true},
+	{CodeThrottled, admission.ErrThrottled, http.StatusTooManyRequests, true, true},
+	{CodeMailboxFull, ErrMailboxFull, http.StatusTooManyRequests, true, true},
+	{CodeSessionExists, ErrSessionExists, http.StatusConflict, false, false},
+	{CodeSessionNotFound, ErrSessionNotFound, http.StatusNotFound, false, false},
+	{CodeSessionClosed, ErrSessionClosed, http.StatusGone, false, false},
+	{CodeDuplicateID, stream.ErrDuplicateID, http.StatusConflict, false, false},
+	{CodeUnknownID, stream.ErrUnknownID, http.StatusNotFound, false, false},
+	{coord.CodeUnsafeArrival, coord.ErrUnsafeArrival, http.StatusConflict, false, false},
+	{coord.CodeTooManyQueries, coord.ErrTooManyQueries, http.StatusUnprocessableEntity, false, false},
+	{coord.CodeNoQuery, coord.ErrNoQuery, http.StatusNotFound, false, false},
+	{coord.CodeNotUnique, coord.ErrNotUnique, http.StatusUnprocessableEntity, false, false},
+	{coord.CodeUnsafe, coord.ErrUnsafe, http.StatusUnprocessableEntity, false, false},
+	{CodeRouteMoved, ErrRouteMoved, http.StatusMisdirectedRequest, true, true},
+	{CodePeerUnavailable, ErrPeerUnavailable, http.StatusBadGateway, true, true},
+	{CodeAckIndeterminate, persist.ErrIndeterminate, http.StatusServiceUnavailable, true, false},
+	{CodeDegraded, persist.ErrDegraded, http.StatusServiceUnavailable, true, true},
+	{CodeTimeout, context.DeadlineExceeded, http.StatusGatewayTimeout, true, false},
+	{CodeBadRequest, nil, http.StatusBadRequest, false, false},
+	{CodeInternal, nil, http.StatusInternalServerError, false, false},
+}
+
+// classOf returns the row a code names; an unknown code reads as the
+// last row, which claims nothing.
+func classOf(code string) *class {
+	for i := range taxonomy {
+		if taxonomy[i].code == code {
+			return &taxonomy[i]
+		}
+	}
+	return &taxonomy[len(taxonomy)-1]
+}
+
+// Sentinel returns the sentinel error a code names, or nil for the
+// codes no sentinel causes (bad_request, internal) and unknown codes.
+func Sentinel(code string) error { return classOf(code).sentinel }
+
+// Error is the one error that crosses a process boundary: nested under
+// "error" in HTTP error bodies, the body of a failed binary reply, the
+// inline failure of one request of a batch, and the value both client
+// transports return — the same struct at every hop, relayed verbatim.
 type Error struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
@@ -103,146 +183,78 @@ type Error struct {
 	// refills on a clock. HTTP responses mirror it (coarsened to
 	// seconds) in the standard Retry-After header.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
+	// Status is the HTTP status of the reply that failed, or the binary
+	// reply frame's equivalent. It travels in the status line or frame,
+	// not in the error's own encoding, so the inline error of one
+	// request inside a successful batch reply decodes with 0.
+	Status int `json:"-"`
 }
 
-// Error implements the error interface on the wire shape itself.
 func (e *Error) Error() string { return e.Code + ": " + e.Message }
 
-// CodeOf classifies an error into its stable wire code: the coord
-// taxonomy first, then the stream sentinels, then CodeInternal.
-func CodeOf(err error) string {
-	if c := coord.Code(err); c != "" {
-		return c
-	}
-	switch {
-	case errors.Is(err, stream.ErrDuplicateID):
-		return CodeDuplicateID
-	case errors.Is(err, stream.ErrUnknownID):
-		return CodeUnknownID
-	case errors.Is(err, persist.ErrIndeterminate):
-		return CodeAckIndeterminate
-	case errors.Is(err, persist.ErrDegraded):
-		return CodeDegraded
-	case errors.Is(err, context.DeadlineExceeded):
-		return CodeTimeout
-	case errors.Is(err, ErrRouteMoved):
-		return CodeRouteMoved
-	case errors.Is(err, ErrPeerUnavailable):
-		return CodePeerUnavailable
-	case errors.Is(err, admission.ErrThrottled):
-		return CodeThrottled
-	}
-	return CodeInternal
+// Unwrap attaches the sentinel the code names, so errors.Is holds
+// across the network exactly as it does in-process.
+func (e *Error) Unwrap() error { return Sentinel(e.Code) }
+
+// OwnerNode implements Owned.
+func (e *Error) OwnerNode() string { return e.Owner }
+
+// RetryAfterHint implements RetryHinter; zero means no hint.
+func (e *Error) RetryAfterHint() time.Duration {
+	return time.Duration(e.RetryAfterMS) * time.Millisecond
 }
 
-// Sentinel returns the sentinel error a code names, or nil for codes
-// that carry no sentinel (transport-level conditions and unknown
-// codes).
-func Sentinel(code string) error {
-	if s := coord.FromCode(code); s != nil {
-		return s
-	}
-	switch code {
-	case CodeDuplicateID:
-		return stream.ErrDuplicateID
-	case CodeUnknownID:
-		return stream.ErrUnknownID
-	case CodeDegraded:
-		return persist.ErrDegraded
-	case CodeAckIndeterminate:
-		return persist.ErrIndeterminate
-	case CodeTimeout:
-		return context.DeadlineExceeded
-	case CodeRouteMoved:
-		return ErrRouteMoved
-	case CodePeerUnavailable:
-		return ErrPeerUnavailable
-	case CodeThrottled:
-		return admission.ErrThrottled
-	}
-	return nil
-}
+// Retryable reports whether the same call may succeed later.
+func (e *Error) Retryable() bool { return classOf(e.Code).retryable }
+
+// FateKnown reports whether the server refused the call before any
+// state changed.
+func (e *Error) FateKnown() bool { return classOf(e.Code).fateKnown }
 
 // Owned is implemented by errors that name the node owning the
-// request's target (route_moved); WireError copies it into
-// Error.Owner.
+// request's target (route_moved); From copies it into Error.Owner.
 type Owned interface{ OwnerNode() string }
 
 // RetryHinter is implemented by errors that know when capacity returns
-// (admission throttles); WireError copies the hint into
-// Error.RetryAfterMS.
+// (admission throttles); From copies the hint into Error.RetryAfterMS.
 type RetryHinter interface{ RetryAfterHint() time.Duration }
 
-// RetryHintMS extracts a retry-after hint from an error chain as whole
-// milliseconds, rounding sub-millisecond hints up so a positive hint
-// never truncates to "no hint". Zero means no hint.
-func RetryHintMS(err error) int64 {
-	var h RetryHinter
-	if !errors.As(err, &h) {
-		return 0
-	}
-	d := h.RetryAfterHint()
-	if d <= 0 {
-		return 0
-	}
-	ms := int64((d + time.Millisecond - 1) / time.Millisecond)
-	if ms < 1 {
-		ms = 1
-	}
-	return ms
-}
-
-// WireError renders an error for transport. Nil maps to nil.
-func WireError(err error) *Error {
+// From renders a failure as the Error that reports it — the one
+// conversion, at whichever edge first needs wire form. An error that
+// already is one (a request the server refused as malformed, the reply
+// a forward's owner sent) passes through untouched; anything else is
+// classified by the taxonomy, with the owner and retry hint its chain
+// carries. Nil maps to nil.
+func From(err error) *Error {
 	if err == nil {
 		return nil
 	}
-	e := &Error{Code: CodeOf(err), Message: err.Error()}
+	var e *Error
+	if errors.As(err, &e) {
+		return e
+	}
+	c := &taxonomy[len(taxonomy)-1]
+	for i := range taxonomy {
+		if s := taxonomy[i].sentinel; s != nil && errors.Is(err, s) {
+			c = &taxonomy[i]
+			break
+		}
+	}
+	e = &Error{Code: c.code, Message: err.Error(), Status: c.status}
+	if c.sentinel == nil && errors.Is(err, context.Canceled) {
+		e.Status = 499 // the client is gone and never sees it
+	}
 	var o Owned
 	if errors.As(err, &o) {
 		e.Owner = o.OwnerNode()
 	}
-	e.RetryAfterMS = RetryHintMS(err)
+	var h RetryHinter
+	if errors.As(err, &h) && h.RetryAfterHint() > 0 {
+		// Whole milliseconds, rounded up: a positive hint never
+		// truncates to "no hint".
+		e.RetryAfterMS = int64((h.RetryAfterHint() + time.Millisecond - 1) / time.Millisecond)
+	}
 	return e
-}
-
-// Err reconstructs a typed error from the wire shape: the message and
-// owner are preserved and the named sentinel is attached, so errors.Is
-// sees through the network hop. Nil maps to nil.
-func (e *Error) Err() error {
-	if e == nil {
-		return nil
-	}
-	return &codedError{msg: e.Message, code: e.Code, owner: e.Owner, retryAfterMS: e.RetryAfterMS, sentinel: Sentinel(e.Code)}
-}
-
-// codedError is a decoded wire error: the remote message, its stable
-// code, and the sentinel the code names (when any) for errors.Is.
-type codedError struct {
-	msg          string
-	code         string
-	owner        string
-	retryAfterMS int64
-	sentinel     error
-}
-
-func (e *codedError) Error() string {
-	if e.msg != "" {
-		return e.msg
-	}
-	return e.code
-}
-
-func (e *codedError) Unwrap() error { return e.sentinel }
-
-// OwnerNode implements Owned so relayed route_moved errors keep their
-// owner across hops.
-func (e *codedError) OwnerNode() string { return e.owner }
-
-// RetryAfterHint implements RetryHinter so relayed throttled errors
-// keep their hint across hops.
-func (e *codedError) RetryAfterHint() time.Duration {
-	return time.Duration(e.retryAfterMS) * time.Millisecond
 }
 
 // Request is one coordination request inside a batch call.
@@ -320,35 +332,13 @@ func UpdateFrom(u stream.Update) Update {
 		TeamSize:  u.TeamSize,
 		Stats:     u.Stats,
 		ElapsedNS: u.Elapsed.Nanoseconds(),
-		Error:     WireError(u.Err),
+		Error:     From(u.Err),
 	}
 }
 
-// Totals is the wire shape of stream.Totals.
-type Totals struct {
-	Events    int   `json:"events"`
-	Joins     int   `json:"joins"`
-	Leaves    int   `json:"leaves"`
-	Rejected  int   `json:"rejected"`
-	Parked    int   `json:"parked"`
-	Dirty     int   `json:"dirty"`
-	Reused    int   `json:"reused"`
-	DBQueries int64 `json:"db_queries"`
-}
-
-// TotalsFrom converts session totals for transport.
-func TotalsFrom(t stream.Totals) Totals {
-	return Totals{
-		Events:    t.Events,
-		Joins:     t.Joins,
-		Leaves:    t.Leaves,
-		Rejected:  t.Rejected,
-		Parked:    t.Parked,
-		Dirty:     t.Dirty,
-		Reused:    t.Reused,
-		DBQueries: t.DBQueries,
-	}
-}
+// Totals is stream.Totals: the session-lifetime statistics travel as
+// the session keeps them.
+type Totals = stream.Totals
 
 // SessionStatus is the body of GET /v1/sessions/{id}. Result is the
 // currently selected coordinating set over Queries (indices are
@@ -447,31 +437,9 @@ type PlanCacheMetrics struct {
 	HitRate float64 `json:"hit_rate"`
 }
 
-// PersistMetrics surfaces the durable backend's WAL counters: appends,
-// bytes and fsyncs for the store mutation log and for the session
-// event journals, plus compaction state.
-type PersistMetrics struct {
-	StoreAppends   int64 `json:"store_appends"`
-	StoreBytes     int64 `json:"store_bytes"`
-	StoreSyncs     int64 `json:"store_syncs"`
-	StoreRotations int64 `json:"store_rotations"`
-	SessionAppends int64 `json:"session_appends"`
-	SessionBytes   int64 `json:"session_bytes"`
-	SessionSyncs   int64 `json:"session_syncs"`
-	OpenJournals   int   `json:"open_journals"`
-	SnapshotSeq    int   `json:"snapshot_seq"`
-	Compactions    int64 `json:"compactions"`
-	// Degraded-mode counters: current read-only state, transitions into
-	// it, probe attempts and failures, payloads queued for the next
-	// successful probe, and auto-compactions that failed without
-	// failing an ack.
-	Degraded        bool  `json:"degraded,omitempty"`
-	DegradeEvents   int64 `json:"degrade_events,omitempty"`
-	Probes          int64 `json:"probes,omitempty"`
-	ProbeFailures   int64 `json:"probe_failures,omitempty"`
-	PendingAppends  int   `json:"pending_appends,omitempty"`
-	CompactFailures int64 `json:"compact_failures,omitempty"`
-}
+// PersistMetrics is persist.Metrics: the durable backend's WAL counters
+// travel as the backend snapshots them.
+type PersistMetrics = persist.Metrics
 
 // Metrics is the body of GET /metrics.
 type Metrics struct {
@@ -616,20 +584,10 @@ type ClusterMetrics struct {
 type RecoveryStatus struct {
 	Enabled bool   `json:"enabled"`
 	DataDir string `json:"data_dir,omitempty"`
-	// SnapshotSeq/SnapshotFrames describe the snapshot the store was
-	// restored from; WALFrames/WALSegments the mutation log replayed on
-	// top of it.
-	SnapshotSeq    int  `json:"snapshot_seq,omitempty"`
-	SnapshotFrames int  `json:"snapshot_frames,omitempty"`
-	WALFrames      int  `json:"wal_frames,omitempty"`
-	WALSegments    int  `json:"wal_segments,omitempty"`
-	TornTail       bool `json:"torn_tail,omitempty"`
-	// Sessions/SessionEvents count the session journals replayed;
-	// RecoveredSessions names them.
-	Sessions          int      `json:"sessions,omitempty"`
-	SessionEvents     int      `json:"session_events,omitempty"`
-	SessionTornTails  int      `json:"session_torn_tails,omitempty"`
-	DurationMS        int64    `json:"duration_ms,omitempty"`
+	// RecoveryStats is what the backend replayed: the snapshot the store
+	// was restored from, the mutation log on top of it, and the session
+	// journals; RecoveredSessions names those.
+	persist.RecoveryStats
 	RecoveredSessions []string `json:"recovered_sessions,omitempty"`
 	// Degraded/DegradedCause mirror the live degraded-mode state at the
 	// time of the request (not a startup property; surfaced here so the

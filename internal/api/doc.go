@@ -1,21 +1,23 @@
 // Package api defines the HTTP/JSON wire format of the coordination
 // service: request and response shapes for the batch endpoint
 // (POST /v1/coordinate), the streaming-session resource
-// (/v1/sessions/...), and the operational surface (/healthz, /metrics),
-// plus the error taxonomy shared by server and client.
+// (/v1/sessions/...), and the operational surface (/healthz, /metrics).
 //
 // The package is deliberately dependency-light — DTOs and conversions
 // only — so internal/server and internal/client both build on one
 // schema and cannot drift apart. Domain types that already have
 // canonical JSON encodings (eq.Query, coord.Result, coord.DeltaStats,
-// coord.Trace) are embedded directly; golden tests pin the payload
-// bytes.
+// coord.Trace, stream.Totals, persist.Metrics) are embedded or aliased
+// directly; golden tests pin the payload bytes.
 //
-// Errors travel as {"code", "message"} pairs. Codes extend the stable
-// coord taxonomy (coord.Code / coord.FromCode) with the stream and
-// transport conditions the service adds; Sentinel maps a code back to
-// the sentinel error it names, so client-side errors.Is checks behave
-// exactly like in-process ones (e.g. errors.Is(err,
-// coord.ErrUnsafeArrival) after an admission rejection that crossed the
-// network).
+// The error contract lives here too (DESIGN.md, "Error contract").
+// Error is the one error that crosses a process boundary, on either
+// protocol and across the cluster's forward hop; From is the one
+// conversion from whatever a layer returned to it; and the taxonomy is
+// the one table that says, per stable code, which sentinel causes it
+// and it decodes back to (so client-side errors.Is checks behave exactly
+// like in-process ones), its HTTP status, whether it is retryable and
+// whether the request's fate is known. Codes extend coord's
+// (coord.Code*) with the stream, persist, admission, cluster and
+// transport conditions the service adds.
 package api

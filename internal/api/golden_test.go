@@ -3,7 +3,6 @@ package api
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -13,6 +12,7 @@ import (
 	"entangled/internal/admission"
 	"entangled/internal/coord"
 	"entangled/internal/eq"
+	"entangled/internal/persist"
 	"entangled/internal/stream"
 )
 
@@ -141,7 +141,7 @@ func TestGoldenSessionStatus(t *testing.T) {
 			Values:    map[int]map[string]eq.Value{0: {"x": "t0", "y": "t0"}},
 			DBQueries: 2,
 		},
-		Totals:   TotalsFrom(stream.Totals{Events: 4, Joins: 3, Leaves: 1, Dirty: 4, Reused: 2, DBQueries: 9}),
+		Totals:   stream.Totals{Events: 4, Joins: 3, Leaves: 1, Dirty: 4, Reused: 2, DBQueries: 9},
 		TeamSize: 1,
 		Trace: &coord.Trace{Components: []coord.ComponentEvent{
 			{Members: []int{0}, Set: []int{0}, Status: "grounded", SetSize: 1, Combined: "T(q0.x, 'c0')"},
@@ -231,17 +231,19 @@ func TestGoldenRouteMovedEnvelope(t *testing.T) {
 
 func TestGoldenRecoveryStatus(t *testing.T) {
 	golden(t, "recovery_status", RecoveryStatus{
-		Enabled:           true,
-		DataDir:           "/var/lib/entangled",
-		SnapshotSeq:       2,
-		SnapshotFrames:    20002,
-		WALFrames:         17,
-		WALSegments:       1,
-		TornTail:          true,
-		Sessions:          2,
-		SessionEvents:     52,
-		SessionTornTails:  1,
-		DurationMS:        8,
+		Enabled: true,
+		DataDir: "/var/lib/entangled",
+		RecoveryStats: persist.RecoveryStats{
+			SnapshotSeq:      2,
+			SnapshotFrames:   20002,
+			WALFrames:        17,
+			WALSegments:      1,
+			TornTail:         true,
+			Sessions:         2,
+			SessionEvents:    52,
+			SessionTornTails: 1,
+			DurationMS:       8,
+		},
 		RecoveredSessions: []string{"alpha", "beta"},
 	})
 }
@@ -282,38 +284,4 @@ func TestGoldenTenantsStatus(t *testing.T) {
 			},
 		},
 	})
-}
-
-// TestErrorRoundTrip checks the typed-error contract: the sentinel
-// survives WireError -> Err across every coded error, and unknown
-// codes degrade to plain messages.
-func TestErrorRoundTrip(t *testing.T) {
-	for _, err := range []error{
-		coord.ErrUnsafeArrival,
-		coord.ErrTooManyQueries,
-		coord.ErrUnsafe,
-		coord.ErrNoQuery,
-		coord.ErrNotUnique,
-		stream.ErrDuplicateID,
-		stream.ErrUnknownID,
-		ErrRouteMoved,
-		ErrPeerUnavailable,
-		admission.ErrThrottled,
-	} {
-		we := WireError(err)
-		if we == nil || we.Code == CodeInternal {
-			t.Fatalf("%v: wire error %+v lost its code", err, we)
-		}
-		back := we.Err()
-		if !errors.Is(back, err) {
-			t.Fatalf("decoded error %v does not wrap %v", back, err)
-		}
-	}
-	if (*Error)(nil).Err() != nil {
-		t.Fatal("nil wire error decoded to a non-nil error")
-	}
-	unknown := (&Error{Code: "mystery", Message: "huh"}).Err()
-	if unknown == nil || unknown.Error() != "huh" {
-		t.Fatalf("unknown code decoded badly: %v", unknown)
-	}
 }

@@ -129,10 +129,10 @@ func (t *binaryTransport) keepAlive(want func() bool) {
 	}
 }
 
-// call runs one request: service errors become the same typed *Error
-// the HTTP transport produces, transport errors stay as-is (IsRetryable
-// classifies them) and name the operation that failed — never the
-// tenant envelope it travelled in.
+// call runs one request: a service error is the *Error the server
+// answered, the same one the HTTP transport returns; transport errors
+// stay as-is (IsRetryable classifies them) and name the operation that
+// failed — never the tenant envelope it travelled in.
 func (t *binaryTransport) call(ctx context.Context, rq request) error {
 	kind := rq.kind()
 	if kind == 0 {
@@ -154,10 +154,9 @@ func (t *binaryTransport) call(ctx context.Context, rq request) error {
 	}
 	_, body, err := cc.Call(ctx, outer, enc)
 	if err != nil {
-		var re *wire.ReplyError
-		if errors.As(err, &re) {
-			return &Error{Status: re.Status, Code: re.Code, Message: re.Message, Owner: re.Owner,
-				RetryAfter: time.Duration(re.RetryAfterMS) * time.Millisecond}
+		var e *Error
+		if errors.As(err, &e) {
+			return e
 		}
 		return fmt.Errorf("client: %v call: %w", kind, err)
 	}

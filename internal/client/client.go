@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"strings"
 	"syscall"
-	"time"
 
 	"entangled/internal/api"
 	"entangled/internal/coord"
@@ -18,32 +17,13 @@ import (
 	"entangled/internal/wire"
 )
 
-// Error is a typed service error: the HTTP(-equivalent) status, the
-// stable wire code, and the remote message. It unwraps to the sentinel
-// the code names, so errors.Is(err, coord.ErrUnsafeArrival) (and
-// friends) hold across the network exactly as they do in-process —
-// over either transport.
-type Error struct {
-	Status  int
-	Code    string
-	Message string
-	// Owner names the node owning the request's target on route_moved
-	// errors; the cluster transport re-routes with it.
-	Owner string
-	// RetryAfter is the server's capacity hint on throttled errors
-	// (from the wire field, or the HTTP Retry-After header); Retry
-	// sleeps this long instead of its computed backoff. Zero means no
-	// hint.
-	RetryAfter time.Duration
-}
-
-func (e *Error) Error() string {
-	return fmt.Sprintf("coordination service: %s (%s, HTTP %d)", e.Message, e.Code, e.Status)
-}
-
-// Unwrap attaches the sentinel named by the wire code (nil for
-// transport-level codes, which stops the errors.Is chain).
-func (e *Error) Unwrap() error { return api.Sentinel(e.Code) }
+// Error is the service's one typed error (api.Error): the stable wire
+// code, the remote message, the HTTP(-equivalent) Status, the Owner of
+// a route_moved and the retry hint of a throttle. It unwraps to the
+// sentinel the code names, so errors.Is(err, coord.ErrUnsafeArrival),
+// errors.Is(err, api.ErrSessionNotFound) and friends hold across the
+// network exactly as they do in-process — over either transport.
+type Error = api.Error
 
 // Notification is a server-push event: the previously parked arrival
 // QueryID in Session was admitted by the departure that cleared its
@@ -140,19 +120,12 @@ func (c *Client) CoordinateBatch(ctx context.Context, reqs []Request) ([]Respons
 	}
 	out := make([]Response, len(resps))
 	for i, r := range resps {
-		out[i] = Response{ID: r.ID, Result: r.Result, Err: inlineErr(r.Error)}
+		out[i] = Response{ID: r.ID, Result: r.Result}
+		if r.Error != nil { // a nil *Error must not become a non-nil error
+			out[i].Err = r.Error
+		}
 	}
 	return out, nil
-}
-
-// inlineErr converts a per-request wire error into the same typed
-// *Error the transport path produces (Status 0: the call itself
-// succeeded), so errors.Is/errors.As treatment is uniform for callers.
-func inlineErr(e *api.Error) error {
-	if e == nil {
-		return nil
-	}
-	return &Error{Code: e.Code, Message: e.Message, Owner: e.Owner, RetryAfter: time.Duration(e.RetryAfterMS) * time.Millisecond}
 }
 
 // Coordinate serves one coordination request: the remote analogue of
@@ -256,29 +229,20 @@ func (c *Client) Tenants(ctx context.Context) (*api.TenantsStatus, error) {
 	return read(ctx, c.t, tenantsOp, none{})
 }
 
-// IsRetryable reports whether an error may succeed on retry: a
-// backpressure rejection (queue or mailbox full, after a backoff), an
-// admission throttle (throttled — retry after Error.RetryAfter), a
-// degraded-mode rejection (the server recovers once a probe write
-// succeeds), a server-side timeout, an indeterminate ack, a cluster
-// routing miss (route_moved — retry against Error.Owner after
-// refreshing the ring; an unreachable peer recovers when it rejoins),
-// or a transport-level connection drop (the binary transport redials
-// on the next call; HTTP opens a fresh connection). A dropped
-// connection, timeout, or indeterminate ack means the request's fate
-// is unknown — retry only operations that are idempotent or whose
-// duplication the caller can detect (see FateKnown and
-// Retry.DoFateKnown).
+// IsRetryable reports whether an error may succeed on retry: a typed
+// service error whose code the error contract marks retryable
+// (DESIGN.md, "Error contract": backpressure, a throttle — retry after
+// its hint —, degraded mode, a server-side timeout, an indeterminate
+// ack, a cluster routing miss), or a transport-level connection drop
+// (the binary transport redials on the next call; HTTP opens a fresh
+// connection). A dropped connection, timeout, or indeterminate ack
+// means the request's fate is unknown — retry only operations that are
+// idempotent or whose duplication the caller can detect (see FateKnown
+// and Retry.DoFateKnown).
 func IsRetryable(err error) bool {
 	var e *Error
 	if errors.As(err, &e) {
-		switch e.Code {
-		case api.CodeOverloaded, api.CodeMailboxFull, api.CodeThrottled,
-			api.CodeDegraded, api.CodeTimeout, api.CodeAckIndeterminate,
-			api.CodeRouteMoved, api.CodePeerUnavailable:
-			return true
-		}
-		return false
+		return e.Retryable()
 	}
 	switch {
 	case errors.Is(err, wire.ErrConnClosed),

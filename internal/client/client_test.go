@@ -112,17 +112,35 @@ func TestIsRetryable(t *testing.T) {
 	}
 }
 
-// TestInlineErrTyped pins that per-request errors inside a 200 batch
-// response get the same typed treatment as transport errors.
-func TestInlineErrTyped(t *testing.T) {
-	err := inlineErr(&api.Error{Code: coord.CodeTooManyQueries, Message: "too big"})
-	if !errors.Is(err, coord.ErrTooManyQueries) {
-		t.Fatalf("inline error %v does not wrap coord.ErrTooManyQueries", err)
+// TestBatchResponseErrTyped pins that per-request errors inside a 200
+// batch response are the same typed *Error the call-level path returns
+// (Status 0: the call itself succeeded), and that a request that
+// succeeded carries a nil error — the interface, not a nil *Error
+// inside one.
+func TestBatchResponseErrTyped(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(`{"responses":[
+			{"id":"ok","result":null},
+			{"id":"big","result":null,"error":{"code":"too_many_queries","message":"too big"}},
+			{"id":"busy","result":null,"error":{"code":"overloaded","message":"busy"}}]}`))
+	}))
+	defer ts.Close()
+	c, err := New(ts.URL, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !IsRetryable(inlineErr(&api.Error{Code: api.CodeOverloaded, Message: "busy"})) {
+	resps, err := c.CoordinateBatch(context.Background(), make([]Request, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resps[0].Err != nil {
+		t.Fatalf("a successful request carries the non-nil error %#v", resps[0].Err)
+	}
+	var ce *Error
+	if !errors.Is(resps[1].Err, coord.ErrTooManyQueries) || !errors.As(resps[1].Err, &ce) || ce.Status != 0 || ce.Message != "too big" {
+		t.Fatalf("inline error %#v does not wrap coord.ErrTooManyQueries", resps[1].Err)
+	}
+	if !IsRetryable(resps[2].Err) {
 		t.Fatal("inline overloaded error not retryable")
-	}
-	if inlineErr(nil) != nil {
-		t.Fatal("nil inline error became non-nil")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"entangled/internal/api"
 	"entangled/internal/cluster"
@@ -224,16 +223,14 @@ func (t *clusterTransport) scatter(ctx context.Context, batch *bound[wire.Coordi
 		if err == nil {
 			rep, err = invoke(ctx, bt, coordinateOp, wire.CoordinateReq{Requests: sub})
 		}
+		// What the node answered relays as it is; a node that answered
+		// nothing is unreachable.
 		var e *Error
-		switch {
-		case err == nil:
-			return rep.Responses, nil
-		case errors.As(err, &e):
-			return nil, &api.Error{Code: e.Code, Message: e.Message, Owner: e.Owner,
-				RetryAfterMS: int64(e.RetryAfter / time.Millisecond)}
+		if err != nil && !errors.As(err, &e) {
+			e = &Error{Code: api.CodePeerUnavailable,
+				Message: fmt.Sprintf("cluster: node %s (%s) unreachable: %v", node, addrs[node], err)}
 		}
-		return nil, &api.Error{Code: api.CodePeerUnavailable,
-			Message: fmt.Sprintf("cluster: node %s (%s) unreachable: %v", node, addrs[node], err)}
+		return rep.Responses, e
 	})
 	return nil
 }

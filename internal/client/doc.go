@@ -20,9 +20,10 @@
 // them decode the same internal/api DTOs and produce the same typed
 // *Error values.
 //
-// Errors reconstruct the service's stable codes as typed values:
-// errors.Is(err, coord.ErrUnsafeArrival), errors.Is(err,
-// stream.ErrUnknownID) and friends hold across the network exactly as
-// they do in-process, and IsRetryable identifies backpressure
-// rejections (full queue or mailbox) worth retrying after a backoff.
+// A service failure is the *Error (api.Error) the server answered, the
+// same value over every transport: errors.Is(err,
+// coord.ErrUnsafeArrival), errors.Is(err, api.ErrSessionNotFound) and
+// friends hold across the network exactly as they do in-process, and
+// IsRetryable and FateKnown read the error contract's table (DESIGN.md,
+// "Error contract") to say what the caller may do next.
 package client

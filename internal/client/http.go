@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"entangled/internal/api"
 )
@@ -53,17 +52,17 @@ func (t *httpTransport) do(ctx context.Context, method, path string, in, out any
 			return &Error{Status: resp.StatusCode, Code: api.CodeInternal,
 				Message: fmt.Sprintf("%s %s: HTTP %d with unreadable error body", method, path, resp.StatusCode)}
 		}
-		retryAfter := time.Duration(env.Error.RetryAfterMS) * time.Millisecond
-		if retryAfter == 0 {
+		e := env.Error
+		e.Status = resp.StatusCode
+		if e.RetryAfterMS == 0 {
 			// Fall back to the standard header (whole seconds), which
 			// the server also sets — a proxy may have stripped or
 			// rewritten the body.
 			if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
-				retryAfter = time.Duration(s) * time.Second
+				e.RetryAfterMS = int64(s) * 1000
 			}
 		}
-		return &Error{Status: resp.StatusCode, Code: env.Error.Code, Message: env.Error.Message,
-			Owner: env.Error.Owner, RetryAfter: retryAfter}
+		return e
 	}
 	if out == nil {
 		return nil

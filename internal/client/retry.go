@@ -12,29 +12,16 @@ import (
 // FateKnown reports whether a failed call is known to have left no
 // state behind on the server, so even a non-idempotent operation (a
 // session join or leave) can be retried without risking a duplicate.
-// True only for typed rejections issued before any work happened:
-// backpressure (queue or mailbox full), an admission throttle, a
-// draining server, degraded
-// mode, and the cluster routing rejections — route_moved (the node
-// refused because it does not own the target) and peer_unavailable
-// (the forward was never transmitted; the degraded taxonomy's
-// nothing-was-sent case) — the server gates those up front, before the
-// event touches a session. Everything else is fate-unknown: an indeterminate
-// ack means the event was applied in memory but its durability is
-// unsettled, a timeout may have fired after the event landed, and a
-// dropped connection says nothing about what the server did with the
-// request it may or may not have read.
+// True only for the typed rejections the error contract marks
+// fate-known (DESIGN.md, "Error contract"): the server issues those
+// before the event touches a session. Everything else is fate-unknown:
+// an indeterminate ack means the event was applied in memory but its
+// durability is unsettled, a timeout may have fired after the event
+// landed, and a dropped connection says nothing about what the server
+// did with the request it may or may not have read.
 func FateKnown(err error) bool {
 	var e *Error
-	if !errors.As(err, &e) {
-		return false // transport-level: the request may have been served
-	}
-	switch e.Code {
-	case api.CodeOverloaded, api.CodeMailboxFull, api.CodeDraining, api.CodeDegraded,
-		api.CodeRouteMoved, api.CodePeerUnavailable, api.CodeThrottled:
-		return true
-	}
-	return false
+	return errors.As(err, &e) && e.FateKnown()
 }
 
 // Retry retries calls that fail with retryable errors, backing off
@@ -117,8 +104,9 @@ func (r Retry) run(ctx context.Context, fn func(context.Context) error, retryabl
 			// and sleeping much more wastes latency. Jittered upward by
 			// up to 50% so synchronized throttled clients don't stampede
 			// the instant the bucket refills; the budget still applies.
-			if h := retryAfterOf(err); h > 0 {
-				d = jitterUp(h, rng)
+			var h api.RetryHinter
+			if errors.As(err, &h) && h.RetryAfterHint() > 0 {
+				d = jitterUp(h.RetryAfterHint(), rng)
 			}
 			if r.Budget > 0 && slept+d > r.Budget {
 				return err
@@ -154,16 +142,6 @@ func backoff(base, cap time.Duration, n int, rng *rand.Rand) time.Duration {
 		return time.Duration(half + rng.Int63n(half))
 	}
 	return time.Duration(half + rand.Int63n(half))
-}
-
-// retryAfterOf extracts the server's capacity hint from a typed error,
-// zero when absent.
-func retryAfterOf(err error) time.Duration {
-	var e *Error
-	if errors.As(err, &e) {
-		return e.RetryAfter
-	}
-	return 0
 }
 
 // jitterUp draws uniformly from [d, 3d/2): never earlier than the

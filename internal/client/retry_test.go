@@ -198,7 +198,7 @@ func TestRetryHonorsRetryAfterHint(t *testing.T) {
 	calls := 0
 	err := r.DoFateKnown(context.Background(), func(context.Context) error {
 		calls++
-		return &Error{Status: 429, Code: api.CodeThrottled, Message: "over budget", RetryAfter: hint}
+		return &Error{Status: 429, Code: api.CodeThrottled, Message: "over budget", RetryAfterMS: hint.Milliseconds()}
 	})
 	if calls != 4 || len(pauses) != 3 {
 		t.Fatalf("calls = %d pauses = %v, want 4 calls / 3 pauses", calls, pauses)
@@ -224,7 +224,7 @@ func TestRetryBudgetCapsHintedSleeps(t *testing.T) {
 	calls := 0
 	err := r.Do(context.Background(), func(context.Context) error {
 		calls++
-		return &Error{Status: 429, Code: api.CodeThrottled, RetryAfter: 250 * time.Millisecond}
+		return &Error{Status: 429, Code: api.CodeThrottled, RetryAfterMS: 250}
 	})
 	if calls != 2 || len(pauses) != 1 {
 		t.Fatalf("calls = %d pauses = %v, want 2 calls / 1 pause", calls, pauses)

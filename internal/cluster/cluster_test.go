@@ -267,8 +267,8 @@ func TestRouteMovedError(t *testing.T) {
 	if !errors.As(err, &o) || o.OwnerNode() != r.Owner(name) {
 		t.Fatalf("RouteMoved error does not carry owner %q: %v", r.Owner(name), err)
 	}
-	if we := api.WireError(err); we.Code != api.CodeRouteMoved || we.Owner != r.Owner(name) {
-		t.Fatalf("WireError(%v) = %+v, want route_moved with owner", err, we)
+	if we := api.From(err); we.Code != api.CodeRouteMoved || we.Owner != r.Owner(name) {
+		t.Fatalf("From(%v) = %+v, want route_moved with owner", err, we)
 	}
 	if m := r.Metrics(); m.RouteMoved != 1 {
 		t.Fatalf("RouteMoved counter %d, want 1", m.RouteMoved)

@@ -150,7 +150,7 @@ func (r *Router) RouteMoved(what, session string) error {
 }
 
 // routeMovedError wraps api.ErrRouteMoved and names the owning node so
-// api.WireError carries it to the client.
+// api.From carries it to the client.
 type routeMovedError struct {
 	what  string
 	owner string
@@ -170,8 +170,8 @@ func (r *Router) ReceivedForward() { r.forwardsRecv.Add(1) }
 
 // Forward sends one wrapped request to a peer and returns the reply
 // the inner request received there: the HTTP-equivalent status and the
-// raw kind-specific reply body on success, a *wire.ReplyError to relay
-// verbatim on a service-level failure, or a typed transport error —
+// raw kind-specific reply body on success, the peer's *api.Error to
+// relay verbatim on a service-level failure, or a typed transport error —
 // api.ErrPeerUnavailable when nothing was transmitted (fate known,
 // retry freely), persist.ErrIndeterminate when the connection died
 // mid-call (the peer may have applied the event).
@@ -185,7 +185,7 @@ func (r *Router) Forward(ctx context.Context, node string, kind wire.Kind, encod
 	encode(&inner)
 	status, body, err = p.conn.Call(ctx, wire.KindForward,
 		wire.Forward{Origin: r.cfg.Self, Hops: 1, Kind: kind, Body: inner.Bytes()}.Encode)
-	var re *wire.ReplyError
+	var re *api.Error
 	switch {
 	case err == nil || errors.As(err, &re):
 		return status, body, err
@@ -257,7 +257,7 @@ func (r *Router) ServeBatch(ctx context.Context, reqs []api.Request, local func(
 		}
 		_, body, err := r.Forward(ctx, node, wire.KindCoordinate, wire.CoordinateReq{Requests: sub}.Encode)
 		if err != nil {
-			return nil, replayWireError(err)
+			return nil, api.From(err)
 		}
 		d := wire.NewDec(body)
 		resps := wire.GetResponses(d)
@@ -268,17 +268,6 @@ func (r *Router) ServeBatch(ctx context.Context, reqs []api.Request, local func(
 	})
 	r.observeFanout(nodes)
 	return out
-}
-
-// replayWireError renders a forward failure as the inline error its
-// requests carry: a peer's service-level reply relays verbatim, a
-// transport failure maps through the typed taxonomy.
-func replayWireError(err error) *api.Error {
-	var re *wire.ReplyError
-	if errors.As(err, &re) {
-		return &api.Error{Code: re.Code, Message: re.Message, Owner: re.Owner}
-	}
-	return api.WireError(err)
 }
 
 // observeFanout meters how many nodes one batch touched.

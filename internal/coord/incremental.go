@@ -291,15 +291,24 @@ func (inc *Incremental) Candidates() ([]CandidateSet, error) {
 // Trace returns the step-by-step record of the current state, in the
 // shape a traced batch run over the live set would produce: pruning
 // events then per-component outcomes in reverse topological order.
-// Query indices are slots.
-func (inc *Incremental) Trace() *Trace {
+// With pos nil, query indices and alpha-renaming prefixes are slots —
+// what the database saw. With pos = Positions() they are positions
+// among the live queries, and the trace reads exactly like a batch
+// trace over LiveQueries().
+func (inc *Incremental) Trace(pos []int) *Trace {
 	tr := &Trace{Pruned: append([]PruneEvent(nil), inc.pruned...)}
+	for i := range tr.Pruned {
+		tr.Pruned[i].Query = at(pos, tr.Pruned[i].Query)
+	}
 	if len(inc.events) == 0 {
 		return tr
 	}
 	// The events' member lists live in scratch the next pass reuses;
 	// the trace gets its own copy, one backing slice for all of them.
 	members := append([]int(nil), inc.scr.members...)
+	for i := range members {
+		members[i] = at(pos, members[i])
+	}
 	edges := inc.g.Edges()
 	tr.Components = make([]ComponentEvent, len(inc.events))
 	for i, e := range inc.events {
@@ -307,12 +316,15 @@ func (inc *Incremental) Trace() *Trace {
 		ev := ComponentEvent{Members: members[:k:k], Status: e.status}
 		members = members[k:]
 		if out := e.out; out != nil {
-			ev.Set = out.set
+			ev.Set = make([]int, len(out.set))
+			for j, slot := range out.set {
+				ev.Set[j] = at(pos, slot)
+			}
 			// What the database was asked, rendered from the set's MGU
 			// and body, recomputed on scratch.
 			if sr := &inc.scr.sr; out.status != "unification failed" && sr.mgu(inc.renamed, edges, out.set) {
 				sr.combine(inc.renamed, out.order)
-				ev.Combined = sr.combined()
+				ev.Combined = sr.combined(pos)
 			}
 			if out.status == "grounded" {
 				ev.SetSize = len(out.set)
@@ -321,6 +333,14 @@ func (inc *Incremental) Trace() *Trace {
 		tr.Components[i] = ev
 	}
 	return tr
+}
+
+// at is a slot's index in a trace: itself, or its position.
+func at(pos []int, slot int) int {
+	if pos == nil {
+		return slot
+	}
+	return pos[slot]
 }
 
 // LastDelta returns the cost of the most recent event.

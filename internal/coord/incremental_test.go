@@ -183,7 +183,7 @@ func checkIncrementalMatchesBatch(t *testing.T, inc *Incremental, store db.Store
 	}
 
 	// Trace equality, index-for-index.
-	str := inc.Trace()
+	str := inc.Trace(nil)
 	if len(str.Pruned) != len(tr.Pruned) {
 		t.Fatalf("pruned: %v != %v", str.Pruned, tr.Pruned)
 	}

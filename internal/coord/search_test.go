@@ -257,7 +257,7 @@ func TestTraceShowsWhatTheDatabaseSaw(t *testing.T) {
 		for _, a := range so.asked {
 			saw[a] = true
 		}
-		session, _ := combinedOf(inc.Trace())
+		session, _ := combinedOf(inc.Trace(nil))
 		if len(session) == 0 {
 			t.Fatalf("%s: the session's trace shows no query", name)
 		}
@@ -266,7 +266,7 @@ func TestTraceShowsWhatTheDatabaseSaw(t *testing.T) {
 				t.Fatalf("%s: the session's trace shows a query the database never saw:\n%s", name, c)
 			}
 		}
-		if again, _ := combinedOf(inc.Trace()); !reflect.DeepEqual(again, session) {
+		if again, _ := combinedOf(inc.Trace(nil)); !reflect.DeepEqual(again, session) {
 			t.Fatalf("%s: rendering the trace twice gives two answers", name)
 		}
 	}

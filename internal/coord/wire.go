@@ -25,24 +25,27 @@ const (
 	CodeTooManyQueries = "too_many_queries"
 )
 
+// codes pairs each sentinel with its code, in classification order:
+// ErrUnsafeArrival before ErrUnsafe, so a wrapped arrival rejection
+// keeps its more specific code.
+var codes = []struct {
+	code string
+	err  error
+}{
+	{CodeUnsafeArrival, ErrUnsafeArrival},
+	{CodeTooManyQueries, ErrTooManyQueries},
+	{CodeNoQuery, ErrNoQuery},
+	{CodeNotUnique, ErrNotUnique},
+	{CodeUnsafe, ErrUnsafe},
+}
+
 // Code returns the stable code of the sentinel error err wraps, or ""
-// when err is nil or wraps no coord sentinel. ErrUnsafeArrival is
-// checked before ErrUnsafe so wrapped arrival rejections keep their
-// more specific code.
+// when err is nil or wraps no coord sentinel.
 func Code(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, ErrUnsafeArrival):
-		return CodeUnsafeArrival
-	case errors.Is(err, ErrTooManyQueries):
-		return CodeTooManyQueries
-	case errors.Is(err, ErrNoQuery):
-		return CodeNoQuery
-	case errors.Is(err, ErrNotUnique):
-		return CodeNotUnique
-	case errors.Is(err, ErrUnsafe):
-		return CodeUnsafe
+	for _, c := range codes {
+		if errors.Is(err, c.err) {
+			return c.code
+		}
 	}
 	return ""
 }
@@ -51,17 +54,10 @@ func Code(err error) string {
 // this package does not define. It is the decoding half of Code: for
 // every coord sentinel e, errors.Is(FromCode(Code(e)), e) holds.
 func FromCode(code string) error {
-	switch code {
-	case CodeUnsafe:
-		return ErrUnsafe
-	case CodeNotUnique:
-		return ErrNotUnique
-	case CodeUnsafeArrival:
-		return ErrUnsafeArrival
-	case CodeNoQuery:
-		return ErrNoQuery
-	case CodeTooManyQueries:
-		return ErrTooManyQueries
+	for _, c := range codes {
+		if c.code == code {
+			return c.err
+		}
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -41,31 +42,34 @@ type Options struct {
 	FS fault.FS
 }
 
-// RecoveryStats reports what Open (and RecoverSessions) replayed.
+// RecoveryStats reports what Open (and RecoverSessions) replayed. It is
+// embedded in the body of GET /v1/recovery (api.RecoveryStatus).
 type RecoveryStats struct {
 	// SnapshotSeq is the snapshot the store was restored from (0: none).
-	SnapshotSeq int `json:"snapshot_seq"`
+	SnapshotSeq int `json:"snapshot_seq,omitempty"`
 	// SnapshotFrames is the number of mutations in that snapshot.
-	SnapshotFrames int `json:"snapshot_frames"`
+	SnapshotFrames int `json:"snapshot_frames,omitempty"`
 	// WALFrames is the number of mutations replayed from log segments.
-	WALFrames int `json:"wal_frames"`
+	WALFrames int `json:"wal_frames,omitempty"`
 	// WALSegments is the number of log segments replayed.
-	WALSegments int `json:"wal_segments"`
+	WALSegments int `json:"wal_segments,omitempty"`
 	// TornTail is true when the last segment ended in a torn frame that
 	// recovery truncated away.
 	TornTail bool `json:"torn_tail,omitempty"`
 	// Sessions and SessionEvents count recovered session journals and
 	// the events replayed from them; SessionTornTails counts journals
 	// that ended in a truncated torn frame.
-	Sessions         int `json:"sessions"`
-	SessionEvents    int `json:"session_events"`
+	Sessions         int `json:"sessions,omitempty"`
+	SessionEvents    int `json:"session_events,omitempty"`
 	SessionTornTails int `json:"session_torn_tails,omitempty"`
 	// DurationMS is wall time spent in Open's store replay.
-	DurationMS int64 `json:"duration_ms"`
+	DurationMS int64 `json:"duration_ms,omitempty"`
 }
 
 // Metrics is a point-in-time snapshot of the backend's durability
-// counters for /metrics.
+// counters: appends, bytes and fsyncs for the store mutation log and
+// for the session event journals, plus compaction state. It is the
+// "persist" block of /metrics (api.PersistMetrics).
 type Metrics struct {
 	StoreAppends   int64 `json:"store_appends"`
 	StoreBytes     int64 `json:"store_bytes"`
@@ -81,13 +85,12 @@ type Metrics struct {
 	// how many times it entered that state, probe attempts/failures,
 	// payloads queued for the next successful probe to flush, and
 	// auto-compactions that failed without failing an ack.
-	Degraded        bool          `json:"degraded,omitempty"`
-	DegradeEvents   int64         `json:"degrade_events,omitempty"`
-	Probes          int64         `json:"probes,omitempty"`
-	ProbeFailures   int64         `json:"probe_failures,omitempty"`
-	PendingAppends  int           `json:"pending_appends,omitempty"`
-	CompactFailures int64         `json:"compact_failures,omitempty"`
-	Recovery        RecoveryStats `json:"recovery"`
+	Degraded        bool  `json:"degraded,omitempty"`
+	DegradeEvents   int64 `json:"degrade_events,omitempty"`
+	Probes          int64 `json:"probes,omitempty"`
+	ProbeFailures   int64 `json:"probe_failures,omitempty"`
+	PendingAppends  int   `json:"pending_appends,omitempty"`
+	CompactFailures int64 `json:"compact_failures,omitempty"`
 }
 
 // backendMeta is the meta.json shape: the store shape the logs replay
@@ -225,7 +228,10 @@ func (b *Backend) loadMeta() error {
 			b.shards = 1
 		}
 		data, _ = json.Marshal(backendMeta{Version: 1, Shards: b.shards})
-		return b.writeMeta(path, append(data, '\n'))
+		return b.publish(b.dir, "meta.json.tmp", "meta.json", func(w io.Writer) error {
+			_, err := w.Write(append(data, '\n'))
+			return err
+		})
 	}
 	if err != nil {
 		return err
@@ -244,18 +250,20 @@ func (b *Backend) loadMeta() error {
 	return nil
 }
 
-// writeMeta makes meta.json durable the way snapshots are: written to
-// a temp file, fsynced, renamed into place, directory fsynced. A bare
-// WriteFile + SyncDir makes the name durable but not the bytes, and a
-// power loss would leave an empty meta.json that fails every later
-// Open.
-func (b *Backend) writeMeta(path string, data []byte) error {
-	tmp := path + ".tmp"
+// publish makes dir/name appear whole or not at all: the content is
+// written to dir/tmp, fsynced, renamed into place, and the directory
+// fsynced. A bare WriteFile + SyncDir makes the name durable but not
+// the bytes (a power loss would leave an empty meta.json that fails
+// every later Open), and a failed directory sync after the rename is
+// exactly the crash window publication exists to close — the rename
+// may not survive power loss — so it must not report success.
+func (b *Backend) publish(dir, tmp, name string, write func(io.Writer) error) error {
+	tmp = filepath.Join(dir, tmp)
 	f, err := b.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(data)
+	err = write(f)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -263,13 +271,13 @@ func (b *Backend) writeMeta(path string, data []byte) error {
 		err = cerr
 	}
 	if err == nil {
-		err = b.fs.Rename(tmp, path)
+		err = b.fs.Rename(tmp, filepath.Join(dir, name))
 	}
 	if err != nil {
 		b.fs.Remove(tmp)
 		return err
 	}
-	return b.fs.SyncDir(b.dir)
+	return b.fs.SyncDir(dir)
 }
 
 // recoverStore replays snapshot + segments into the in-memory store
@@ -517,43 +525,24 @@ func (b *Backend) Compact() error {
 
 func (b *Backend) compactLocked() error {
 	newSeq := b.wal.seq + 1
-	tmp := filepath.Join(b.storeDir, "snapshot.tmp")
-	f, err := b.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 256<<10)
-	var framed []byte
-	dumpErr := b.inner.DumpMutations(func(m db.Mutation) error {
-		payload, err := json.Marshal(m)
+	err := b.publish(b.storeDir, "snapshot.tmp", snapName(newSeq), func(w io.Writer) error {
+		bw := bufio.NewWriterSize(w, 256<<10)
+		var framed []byte
+		err := b.inner.DumpMutations(func(m db.Mutation) error {
+			payload, err := json.Marshal(m)
+			if err != nil {
+				return err
+			}
+			framed = frame.Append(framed[:0], payload)
+			_, err = bw.Write(framed)
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		framed = frame.Append(framed[:0], payload)
-		_, err = bw.Write(framed)
-		return err
+		return bw.Flush()
 	})
-	if dumpErr == nil {
-		dumpErr = bw.Flush()
-	}
-	if dumpErr == nil {
-		dumpErr = f.Sync()
-	}
-	if cerr := f.Close(); dumpErr == nil {
-		dumpErr = cerr
-	}
-	if dumpErr != nil {
-		b.fs.Remove(tmp)
-		return dumpErr
-	}
-	if err := b.fs.Rename(tmp, filepath.Join(b.storeDir, snapName(newSeq))); err != nil {
-		b.fs.Remove(tmp)
-		return err
-	}
-	// A failed dir sync after rename is exactly the crash window the
-	// snapshot exists to close: without it the rename may not survive
-	// power loss, so compaction must not report success.
-	if err := b.fs.SyncDir(b.storeDir); err != nil {
+	if err != nil {
 		return err
 	}
 	oldSeq := b.wal.seq
@@ -651,7 +640,7 @@ func (b *Backend) Metrics() Metrics {
 		pendingSessions += j.pendingLen()
 	}
 	b.mu.Lock()
-	snapSeq, rec := b.snapSeq, b.rec
+	snapSeq := b.snapSeq
 	pending := len(b.pending) + pendingSessions
 	b.mu.Unlock()
 	return Metrics{
@@ -671,7 +660,6 @@ func (b *Backend) Metrics() Metrics {
 		ProbeFailures:   b.probeFailures.Load(),
 		PendingAppends:  pending,
 		CompactFailures: b.compactFailures.Load(),
-		Recovery:        rec,
 	}
 }
 

@@ -1,11 +1,15 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,6 +18,7 @@ import (
 	"entangled/internal/client"
 	"entangled/internal/engine"
 	"entangled/internal/server"
+	"entangled/internal/wire"
 	"entangled/internal/workload"
 )
 
@@ -241,14 +246,14 @@ func TestAdmissionRetryAfterAcrossProtocols(t *testing.T) {
 		}
 		_, err := c.Coordinate(ctx, workload.ListQueriesAt(4, 0))
 		e := requireThrottled(t, err)
-		if e.RetryAfter <= 0 {
+		if e.RetryAfterHint() <= 0 {
 			t.Fatalf("%s: inline throttle has no retry-after hint: %+v", proto, e)
 		}
 		// The session-create path throttles identically — but as the
 		// call's own error (HTTP 429 / wire error reply), not inline.
 		_, err = c.CreateSession(ctx, "s-"+tenant, false)
 		e = requireThrottled(t, err)
-		if e.RetryAfter <= 0 {
+		if e.RetryAfterHint() <= 0 {
 			t.Fatalf("%s: create throttle has no retry-after hint: %+v", proto, e)
 		}
 		if proto == "http" && e.Status != 429 {
@@ -381,5 +386,107 @@ func TestAdmissionMetricsShares(t *testing.T) {
 	}
 	if acme.DBQueriesSpent == 0 {
 		t.Fatal("acme spent no DBQueries despite 5 coordinations")
+	}
+}
+
+// TestTenantNamesAreBounded: a tenant name is client-chosen, so the
+// state it can create is bounded. 5,000 distinct names over both
+// protocols leave at most configured + admission.MaxUnconfigured + 1
+// tenants anywhere a tenant keys a map — the controller (what
+// /v1/tenants lists), the batcher's queues, the share histograms —
+// with the overflow accounted as the default tenant and the configured
+// tenant's quota exactly what it was; a name over the length cap is the
+// same bad_request on both protocols and creates nothing.
+func TestTenantNamesAreBounded(t *testing.T) {
+	cfg := &admission.Config{Tenants: map[string]admission.Policy{
+		"lim": {Rate: 0.001, Burst: 1}, // one request, then throttled for the test's lifetime
+	}}
+	h := newAdmissionLoopback(t, cfg, server.Options{})
+	ctx := context.Background()
+	quota := func(when string) {
+		t.Helper()
+		for _, proto := range []string{"http", "binary"} {
+			_, err := h.client(proto, "lim").Coordinate(ctx, workload.ListQueriesAt(2, 0))
+			if when == "before" && proto == "http" {
+				if err != nil {
+					t.Fatalf("lim's first request: %v", err)
+				}
+				continue
+			}
+			requireThrottled(t, err)
+		}
+	}
+	quota("before")
+
+	const names = 5000
+	body, err := json.Marshal(api.CoordinateRequest{Requests: []api.Request{{Queries: workload.ListQueriesAt(2, 1)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := wire.Dial(h.binAddr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	for i := 0; i < names; i++ {
+		name := fmt.Sprintf("tenant-%04d-%s", i, strings.Repeat("x", 200))
+		if i%2 == 0 {
+			r := httptest.NewRequest("POST", "/v1/coordinate", bytes.NewReader(body))
+			r.Header.Set(api.TenantHeader, name)
+			w := httptest.NewRecorder()
+			h.srv.ServeHTTP(w, r)
+			if w.Code != http.StatusOK {
+				t.Fatalf("request %d: HTTP %d %s", i, w.Code, w.Body)
+			}
+			continue
+		}
+		var inner wire.Enc
+		wire.CoordinateReq{Requests: []api.Request{{Queries: workload.ListQueriesAt(2, 1)}}}.Encode(&inner)
+		if _, _, err := cc.Call(ctx, wire.KindTenant, wire.TenantReq{Tenant: name, Kind: wire.KindCoordinate, Body: inner.Bytes()}.Encode); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+
+	bound := len(cfg.Tenants) + admission.MaxUnconfigured + 1
+	st, err := h.client("http", "").Tenants(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Tenants) > bound {
+		t.Fatalf("/v1/tenants lists %d tenants after %d names, want <= %d", len(st.Tenants), names, bound)
+	}
+	var own, overflow int64
+	for _, ts := range st.Tenants {
+		switch {
+		case ts.Tenant == string(admission.Default):
+			overflow = ts.Admitted
+		case ts.Tenant != "lim":
+			own += ts.Admitted
+		}
+	}
+	if own != admission.MaxUnconfigured || own+overflow != names {
+		t.Fatalf("%d requests under their own name and %d as default, want %d and %d",
+			own, overflow, admission.MaxUnconfigured, names-admission.MaxUnconfigured)
+	}
+	if queues, shares := h.srv.TenantKeyed(); queues > bound || shares > bound {
+		t.Fatalf("batcher keeps %d tenant queues and metrics %d share histograms, want <= %d", queues, shares, bound)
+	}
+	quota("after")
+
+	// The length cap: 256 bytes pass, 257 are refused before anything is
+	// keyed by them, identically on both protocols.
+	if _, err := h.client("http", strings.Repeat("n", admission.MaxTenantName)).Coordinate(ctx, workload.ListQueriesAt(2, 1)); err != nil {
+		t.Fatalf("a %d-byte tenant name: %v", admission.MaxTenantName, err)
+	}
+	long := strings.Repeat("n", admission.MaxTenantName+1)
+	_, herr := h.client("http", long).CreateSession(ctx, "", false)
+	_, berr := h.client("binary", long).CreateSession(ctx, "", false)
+	sameClientError(t, "over-long tenant name", herr, berr)
+	var ce *client.Error
+	if !errors.As(herr, &ce) || ce.Status != http.StatusBadRequest || ce.Code != api.CodeBadRequest {
+		t.Fatalf("over-long tenant name: %v, want 400 bad_request", herr)
+	}
+	if after, err := h.client("http", "").Tenants(ctx); err != nil || len(after.Tenants) != len(st.Tenants) {
+		t.Fatalf("refused names created tenants: %d -> %d (%v)", len(st.Tenants), len(after.Tenants), err)
 	}
 }

@@ -2,20 +2,12 @@ package server
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
 	"entangled/internal/admission"
+	"entangled/internal/api"
 	"entangled/internal/engine"
-)
-
-// Batch-path admission errors, mapped to wire codes by the handlers.
-var (
-	// errOverloaded means the admission queue was full.
-	errOverloaded = errors.New("server: coordinate queue full")
-	// errDraining means the server is shutting down.
-	errDraining = errors.New("server: draining")
 )
 
 // batchItem is one admitted coordination request waiting for dispatch.
@@ -57,7 +49,7 @@ func (q *tenantQueue) depth() int { return len(q.items) - q.head }
 // without admission routes everything to the "" tenant) the schedule
 // degenerates to the plain FIFO it replaced. Each per-tenant queue is
 // bounded: a full queue rejects that tenant's request with
-// errOverloaded (wire code "overloaded") instead of building an
+// api.ErrOverloaded (wire code "overloaded") instead of building an
 // unbounded backlog, and the bound is per tenant, so one tenant's
 // flood cannot consume another's queue space.
 type batcher struct {
@@ -112,7 +104,7 @@ func (b *batcher) submit(ctx context.Context, tenant admission.Tenant, req engin
 	it := batchItem{req: req, reply: make(chan engine.Response, 1)}
 	select {
 	case <-b.stop:
-		return engine.Response{}, errDraining
+		return engine.Response{}, api.ErrDraining
 	default:
 	}
 	b.mu.Lock()
@@ -129,7 +121,7 @@ func (b *batcher) submit(ctx context.Context, tenant admission.Tenant, req engin
 	}
 	if q.depth() >= b.depth {
 		b.mu.Unlock()
-		return engine.Response{}, errOverloaded
+		return engine.Response{}, api.ErrOverloaded
 	}
 	q.items = append(q.items, it)
 	if !q.active {
@@ -148,7 +140,7 @@ func (b *batcher) submit(ctx context.Context, tenant admission.Tenant, req engin
 	case <-b.done:
 		// done and reply can become ready together (the drain served
 		// this item just before exiting); a served request must never
-		// report errDraining, so re-check the reply first.
+		// report api.ErrDraining, so re-check the reply first.
 		select {
 		case resp := <-it.reply:
 			return resp, nil
@@ -156,7 +148,7 @@ func (b *batcher) submit(ctx context.Context, tenant admission.Tenant, req engin
 		}
 		// Drain raced the enqueue: the dispatcher exited without seeing
 		// this item.
-		return engine.Response{}, errDraining
+		return engine.Response{}, api.ErrDraining
 	case <-ctx.Done():
 		return engine.Response{}, ctx.Err()
 	}

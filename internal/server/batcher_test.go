@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"entangled/internal/admission"
+	"entangled/internal/api"
 	"entangled/internal/db"
 	"entangled/internal/engine"
 	"entangled/internal/workload"
@@ -209,7 +210,7 @@ func TestBatcherDRRSingleTenantIsFIFO(t *testing.T) {
 }
 
 // TestBatcherPerTenantBound: one tenant filling its queue to the bound
-// is rejected with errOverloaded while another tenant still has its
+// is rejected with api.ErrOverloaded while another tenant still has its
 // full queue space.
 func TestBatcherPerTenantBound(t *testing.T) {
 	b := &batcher{
@@ -229,27 +230,13 @@ func TestBatcherPerTenantBound(t *testing.T) {
 			t.Fatalf("fill %d: %v", i, err)
 		}
 	}
-	if _, err := b.submit(dead, "hog", engine.Request{}); !errors.Is(err, errOverloaded) {
-		t.Fatalf("over-bound submit: %v, want errOverloaded", err)
+	if _, err := b.submit(dead, "hog", engine.Request{}); !errors.Is(err, api.ErrOverloaded) {
+		t.Fatalf("over-bound submit: %v, want api.ErrOverloaded", err)
 	}
 	if _, err := b.submit(dead, "other", engine.Request{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("other tenant rejected by hog's full queue: %v", err)
 	}
 	if d := b.queueDepth("hog"); d != 2 {
 		t.Fatalf("hog depth = %d, want 2", d)
-	}
-}
-
-// TestStatusForTimeoutAndDegradedCodes pins the error → wire-code
-// mapping for the fault-path sentinels (both protocols go through
-// statusFor, so this covers the wire path too).
-func TestStatusForTimeoutAndDegradedCodes(t *testing.T) {
-	status, code := statusFor(context.DeadlineExceeded)
-	if status != 504 || code != "timeout" {
-		t.Fatalf("deadline: %d %q, want 504 timeout", status, code)
-	}
-	status, code = statusFor(context.Canceled)
-	if status != 499 {
-		t.Fatalf("canceled: %d, want 499", status)
 	}
 }

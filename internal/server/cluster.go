@@ -2,10 +2,8 @@ package server
 
 import (
 	"context"
-	"errors"
 
 	"entangled/internal/api"
-	"entangled/internal/wire"
 )
 
 // remoteOwner reports the peer node owning a session name, ok=false
@@ -56,7 +54,7 @@ func (s *Server) serveBatchRouted(ctx context.Context, reqs []api.Request, forwa
 			// tenant in a mixed batch must not fail its batchmates.
 			s.met.coordRequests.Add(1)
 			s.met.coordRejected.Add(1)
-			out[i] = api.Response{ID: rq.ID, Error: api.WireError(err)}
+			out[i] = api.Response{ID: rq.ID, Error: api.From(err)}
 			continue
 		}
 		admitted = append(admitted, rq)
@@ -83,26 +81,4 @@ func (s *Server) clusterStatus() api.ClusterStatus {
 		return c.Status()
 	}
 	return api.ClusterStatus{}
-}
-
-// serviceError renders a failure as its HTTP status and wire error. A
-// *wire.ReplyError — a rejection of the request itself, or the reply a
-// forward's owner sent — already is that pair and passes verbatim;
-// anything else maps through statusFor, carrying the owning node when
-// the error names one (route_moved) and the retry-after hint of a
-// throttle, so both protocols' envelopes let a client re-route or back
-// off without a second round trip.
-func serviceError(err error) (int, *api.Error) {
-	var re *wire.ReplyError
-	if errors.As(err, &re) {
-		return re.Status, &api.Error{Code: re.Code, Message: re.Message, Owner: re.Owner, RetryAfterMS: re.RetryAfterMS}
-	}
-	status, code := statusFor(err)
-	we := api.Errf(code, "%v", err)
-	var o api.Owned
-	if errors.As(err, &o) {
-		we.Owner = o.OwnerNode()
-	}
-	we.RetryAfterMS = api.RetryHintMS(err)
-	return status, we
 }

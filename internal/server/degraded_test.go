@@ -254,7 +254,7 @@ func TestServerProbeLoopLiftsDegradedMode(t *testing.T) {
 // the event waits in the mailbox comes back as context.DeadlineExceeded
 // — and once wrapped by a transport it is the typed, retryable (but
 // fate-unknown) timeout. Here the posting path itself returns the raw
-// context error; the mapping is pinned in statusFor.
+// context error; the mapping is the error contract's timeout row.
 func TestSessionEventTimeoutIsTyped(t *testing.T) {
 	inst := db.NewInstance()
 	workload.UserTable(inst, 16)

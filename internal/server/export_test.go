@@ -19,3 +19,15 @@ func Operations() []OpInfo {
 	}
 	return out
 }
+
+// TenantKeyed reports how many entries the two maps keyed by resolved
+// tenant outside the controller hold: the batcher's queues and the
+// share histograms.
+func (s *Server) TenantKeyed() (queues, shares int) {
+	s.batch.mu.Lock()
+	queues = len(s.batch.queues)
+	s.batch.mu.Unlock()
+	s.met.shareMu.Lock()
+	defer s.met.shareMu.Unlock()
+	return queues, len(s.met.shares)
+}

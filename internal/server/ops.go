@@ -148,7 +148,7 @@ func (o *op[Q, R]) place(s *Server, ctx context.Context, q Q, forwarded bool) (r
 // reply back into the operation's reply type, so the edge renders it
 // exactly as if it had served the request itself — status included (a
 // parked join stays 202 across the hop). A service-level failure comes
-// back as the owner's *wire.ReplyError and relays verbatim.
+// back as the owner's *api.Error and relays verbatim.
 func (o *op[Q, R]) forward(s *Server, ctx context.Context, node string, q Q) (rep R, status int, err error) {
 	status, reply, err := s.opts.Cluster.Forward(ctx, node, o.kind, q.Encode)
 	if err != nil {
@@ -222,9 +222,9 @@ func (o *op[Q, R]) serveWire(s *Server, ctx context.Context, wc *wireConn, id ui
 }
 
 // badRequest is a rejection of the request itself, carrying its own
-// status: serviceError renders a *wire.ReplyError verbatim.
+// status (400, or 413 for a body over the cap).
 func badRequest(status int, format string, args ...any) error {
-	return &wire.ReplyError{Status: status, Code: api.CodeBadRequest, Message: fmt.Sprintf(format, args...)}
+	return &api.Error{Status: status, Code: api.CodeBadRequest, Message: fmt.Sprintf(format, args...)}
 }
 
 // readJSON is the one step where a client's JSON enters the server.

@@ -17,6 +17,7 @@ import (
 	"entangled/internal/api"
 	"entangled/internal/client"
 	"entangled/internal/cluster"
+	"entangled/internal/eq"
 	"entangled/internal/server"
 	"entangled/internal/wire"
 	"entangled/internal/workload"
@@ -189,6 +190,70 @@ func tableEquivalence(t *testing.T) {
 	// The HTTP-only surfaces refuse cleanly over the binary client.
 	if _, err := binC.Metrics(ctx); err == nil || !strings.Contains(err.Error(), "HTTP only") {
 		t.Errorf("metrics over binary: %v", err)
+	}
+}
+
+// answeringPeer is a cluster.PeerConn whose peer answers every forward
+// with one failed reply: Call returns what wire.ClientConn.Call decodes
+// from that reply's bytes.
+type answeringPeer struct{ answer *api.Error }
+
+func (p answeringPeer) Call(context.Context, wire.Kind, func(*wire.Enc)) (int, []byte, error) {
+	var e wire.Enc
+	wire.PutReplyErr(&e, p.answer)
+	status, err := wire.GetReply(wire.NewDec(e.Bytes()))
+	return status, nil, err
+}
+func (answeringPeer) Connected() bool { return true }
+func (answeringPeer) Close() error    { return nil }
+
+// forwardedFailureEquivalence is the forward-hop half of
+// TestWireCodecsEquivalent: what a forward's owner refused reaches the
+// client as the owner answered it — status, code, message, owner and
+// retry hint, HTTP == binary == the owner's reply — at call level (a
+// forwarded join) and inline (a forwarded batch slice), with the
+// sentinel attached.
+func forwardedFailureEquivalence(t *testing.T) {
+	ctx := context.Background()
+	for _, answer := range []*api.Error{
+		{Status: http.StatusMisdirectedRequest, Code: api.CodeRouteMoved, Message: "cluster: route moved: session s is owned by c", Owner: "c"},
+		{Status: http.StatusTooManyRequests, Code: api.CodeThrottled, Message: `admission: tenant "hot" throttled (rate)`, RetryAfterMS: 250},
+	} {
+		r, err := cluster.New(cluster.Config{Self: "a", Nodes: []cluster.Node{{Name: "a", Addr: "a:1"}, {Name: "b", Addr: "b:1"}}},
+			cluster.Options{Placement: map[string]int{"T": 1}, Dial: func(string) cluster.PeerConn { return answeringPeer{answer} }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		session, idx := "", -1
+		for i := 0; session == "" || idx < 0; i++ {
+			if name := fmt.Sprintf("s%d", i); session == "" && r.Owner(name) == "b" {
+				session = name
+			}
+			if idx < 0 && r.Ring().OwnerOfValue(eq.Value(fmt.Sprintf("c%d", i))) == "b" {
+				idx = i
+			}
+		}
+		h := newAdmissionLoopback(t, nil, server.Options{Cluster: r})
+		var joins, inline [2]error
+		for i, proto := range []string{"http", "binary"} {
+			c := h.client(proto, "")
+			_, joins[i] = c.Session(session).Join(ctx, workload.ChainQuery(0, 0, 8))
+			resps, err := c.CoordinateBatch(ctx, []client.Request{{ID: "r", Queries: workload.ListQueriesAt(2, idx)}})
+			if err != nil {
+				t.Fatalf("%s %s: a refused slice failed the batch: %v", answer.Code, proto, err)
+			}
+			inline[i] = resps[0].Err
+		}
+		sameClientError(t, answer.Code+" forwarded join", joins[0], joins[1])
+		sameClientError(t, answer.Code+" forwarded batch slice", inline[0], inline[1])
+		want := *answer
+		for _, got := range []error{joins[0], inline[0]} {
+			var ce *client.Error
+			if !errors.As(got, &ce) || *ce != want || !errors.Is(got, api.Sentinel(answer.Code)) {
+				t.Fatalf("%s crossed the forward hop as %+v, want %+v wrapping its sentinel", answer.Code, got, want)
+			}
+			want.Status = 0 // inline: the batch call itself succeeded
+		}
 	}
 }
 

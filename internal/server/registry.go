@@ -2,21 +2,13 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"entangled/internal/api"
 	"entangled/internal/stream"
-)
-
-// Session-path errors, mapped to wire codes by the handlers.
-var (
-	errSessionExists   = errors.New("server: session name taken")
-	errSessionNotFound = errors.New("server: no such session")
-	errSessionClosed   = errors.New("server: session closed")
-	errMailboxFull     = errors.New("server: session mailbox full")
 )
 
 // eventJournal is the durability hook a session handle writes through:
@@ -55,7 +47,7 @@ type sessionHandle struct {
 	// notify observes every applied update (called from the session
 	// loop, after journaling, before the reply). The server points it at
 	// the push hub so parked arrivals admitted by a departure reach
-	// subscribed binary connections. Nil when nobody listens.
+	// subscribed binary connections.
 	notify func(name string, up stream.Update)
 
 	mailbox  chan sessionOp
@@ -65,11 +57,12 @@ type sessionHandle struct {
 	lastUsed atomic.Int64 // unix nanos of the last client touch
 }
 
-func newSessionHandle(name string, sess *stream.Session, journal eventJournal, mailboxSize int) *sessionHandle {
+func newSessionHandle(name string, sess *stream.Session, journal eventJournal, mailboxSize int, notify func(string, stream.Update)) *sessionHandle {
 	h := &sessionHandle{
 		name:    name,
 		sess:    sess,
 		journal: journal,
+		notify:  notify,
 		mailbox: make(chan sessionOp, mailboxSize),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -118,7 +111,7 @@ func (h *sessionHandle) exec(op sessionOp) {
 			err = fmt.Errorf("server: journaling event for session %s: %w", h.name, jerr)
 		}
 	}
-	if h.notify != nil && err == nil {
+	if err == nil {
 		h.notify(h.name, up)
 	}
 	op.reply <- sessionReply{up: up, err: err}
@@ -126,23 +119,23 @@ func (h *sessionHandle) exec(op sessionOp) {
 
 // post submits one event and waits for its update. A full mailbox
 // rejects immediately (backpressure, HTTP 429); a stopped session
-// rejects with errSessionClosed. An op that was admitted right as the
-// drain finished gets errSessionClosed from the done branch — it never
-// executed.
+// rejects with api.ErrSessionClosed. An op that was admitted right as
+// the drain finished gets api.ErrSessionClosed from the done branch —
+// it never executed.
 func (h *sessionHandle) post(ctx context.Context, ev stream.Event) (stream.Update, error) {
 	h.touch()
 	op := sessionOp{ev: ev, reply: make(chan sessionReply, 1)}
 	select {
 	case <-h.stop:
-		return stream.Update{}, errSessionClosed
+		return stream.Update{}, api.ErrSessionClosed
 	default:
 	}
 	select {
 	case h.mailbox <- op:
 	case <-h.stop:
-		return stream.Update{}, errSessionClosed
+		return stream.Update{}, api.ErrSessionClosed
 	default:
-		return stream.Update{}, errMailboxFull
+		return stream.Update{}, api.ErrMailboxFull
 	}
 	select {
 	case r := <-op.reply:
@@ -151,13 +144,13 @@ func (h *sessionHandle) post(ctx context.Context, ev stream.Event) (stream.Updat
 	case <-h.done:
 		// done and reply can become ready together (the drain executed
 		// this op just before the loop exited); an op that DID execute
-		// must never report errSessionClosed, so re-check the reply.
+		// must never report api.ErrSessionClosed, so re-check the reply.
 		select {
 		case r := <-op.reply:
 			return r.up, r.err
 		default:
 		}
-		return stream.Update{}, errSessionClosed
+		return stream.Update{}, api.ErrSessionClosed
 	case <-ctx.Done():
 		return stream.Update{}, ctx.Err()
 	}
@@ -175,8 +168,8 @@ func (h *sessionHandle) close() {
 type registry struct {
 	newSession  func(parkUnsafe bool) *stream.Session
 	newJournal  func(name string, parkUnsafe bool) (eventJournal, error) // nil: no durability
-	notify      func(name string, up stream.Update)                      // nil: no push listeners
-	onDrop      func(name string)                                        // nil: nothing to clean up
+	notify      func(name string, up stream.Update)                      // every handle's notify hook
+	onDrop      func(name string)                                        // observes a removed or evicted session
 	skipEvict   func() bool                                              // nil: never skip a janitor pass
 	nameOK      func(name string) bool                                   // nil: any generated name is fine
 	mailboxSize int
@@ -194,9 +187,12 @@ type registry struct {
 	janitorDone chan struct{}
 }
 
-func newRegistry(newSession func(bool) *stream.Session, mailboxSize int, idleTimeout time.Duration) *registry {
+func newRegistry(newSession func(bool) *stream.Session, mailboxSize int, idleTimeout time.Duration,
+	notify func(string, stream.Update), onDrop func(string)) *registry {
 	r := &registry{
 		newSession:  newSession,
+		notify:      notify,
+		onDrop:      onDrop,
 		mailboxSize: mailboxSize,
 		idleTimeout: idleTimeout,
 		handles:     map[string]*sessionHandle{},
@@ -213,7 +209,7 @@ func (r *registry) create(name string, parkUnsafe bool) (*sessionHandle, error) 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.draining {
-		return nil, errDraining
+		return nil, api.ErrDraining
 	}
 	if name == "" {
 		// Generated names skip taken ones and, on a cluster node, names
@@ -227,7 +223,7 @@ func (r *registry) create(name string, parkUnsafe bool) (*sessionHandle, error) 
 			}
 		}
 	} else if _, taken := r.handles[name]; taken {
-		return nil, fmt.Errorf("%w: %s", errSessionExists, name)
+		return nil, fmt.Errorf("%w: %s", api.ErrSessionExists, name)
 	}
 	var journal eventJournal
 	if r.newJournal != nil {
@@ -237,8 +233,7 @@ func (r *registry) create(name string, parkUnsafe bool) (*sessionHandle, error) 
 		}
 		journal = j
 	}
-	h := newSessionHandle(name, r.newSession(parkUnsafe), journal, r.mailboxSize)
-	h.notify = r.notify
+	h := newSessionHandle(name, r.newSession(parkUnsafe), journal, r.mailboxSize, r.notify)
 	r.handles[name] = h
 	r.created.Add(1)
 	return h, nil
@@ -250,13 +245,12 @@ func (r *registry) adopt(name string, sess *stream.Session, journal eventJournal
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.draining {
-		return nil, errDraining
+		return nil, api.ErrDraining
 	}
 	if _, taken := r.handles[name]; taken {
-		return nil, fmt.Errorf("%w: %s", errSessionExists, name)
+		return nil, fmt.Errorf("%w: %s", api.ErrSessionExists, name)
 	}
-	h := newSessionHandle(name, sess, journal, r.mailboxSize)
-	h.notify = r.notify
+	h := newSessionHandle(name, sess, journal, r.mailboxSize, r.notify)
 	r.handles[name] = h
 	r.created.Add(1)
 	return h, nil
@@ -267,7 +261,7 @@ func (r *registry) get(name string) (*sessionHandle, error) {
 	defer r.mu.Unlock()
 	h, ok := r.handles[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", errSessionNotFound, name)
+		return nil, fmt.Errorf("%w: %s", api.ErrSessionNotFound, name)
 	}
 	return h, nil
 }
@@ -282,16 +276,14 @@ func (r *registry) remove(name string) error {
 	}
 	r.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("%w: %s", errSessionNotFound, name)
+		return fmt.Errorf("%w: %s", api.ErrSessionNotFound, name)
 	}
 	h.close()
 	// A deliberately removed session must not resurrect on restart.
 	if h.journal != nil {
 		h.journal.Drop()
 	}
-	if r.onDrop != nil {
-		r.onDrop(name)
-	}
+	r.onDrop(name)
 	return nil
 }
 
@@ -353,9 +345,7 @@ func (r *registry) janitor() {
 				if h.journal != nil {
 					h.journal.Drop()
 				}
-				if r.onDrop != nil {
-					r.onDrop(h.name)
-				}
+				r.onDrop(h.name)
 				r.evicted.Add(1)
 			}
 		}

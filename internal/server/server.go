@@ -15,7 +15,6 @@ import (
 	"entangled/internal/admission"
 	"entangled/internal/api"
 	"entangled/internal/cluster"
-	"entangled/internal/coord"
 	"entangled/internal/engine"
 	"entangled/internal/persist"
 	"entangled/internal/stream"
@@ -174,13 +173,11 @@ func New(e *engine.Engine, opts Options) (*Server, error) {
 			return opts.Persist.CreateSessionJournal(name, park)
 		}
 	}
-	s.reg = newRegistry(newSession, opts.MailboxSize, opts.IdleTimeout)
-	s.reg.newJournal = newJournal
 	// Parked arrivals a departure admitted become push notifications on
 	// subscribed binary connections; dropped sessions drop their
 	// undelivered backlog.
-	s.reg.notify = s.push.admitted
-	s.reg.onDrop = s.push.dropSession
+	s.reg = newRegistry(newSession, opts.MailboxSize, opts.IdleTimeout, s.push.admitted, s.push.dropSession)
+	s.reg.newJournal = newJournal
 	if opts.Persist != nil {
 		// Eviction pauses while the backend is degraded: dropping a
 		// journal needs the filesystem, and a failed drop would resurrect
@@ -240,18 +237,9 @@ func (s *Server) recoverSessions(newSession func(bool) *stream.Session) error {
 		}
 		s.recovery.RecoveredSessions = append(s.recovery.RecoveredSessions, rs.Name)
 	}
-	rec := s.opts.Persist.RecoveryStats()
 	s.recovery.Enabled = true
 	s.recovery.DataDir = s.opts.Persist.Dir()
-	s.recovery.SnapshotSeq = rec.SnapshotSeq
-	s.recovery.SnapshotFrames = rec.SnapshotFrames
-	s.recovery.WALFrames = rec.WALFrames
-	s.recovery.WALSegments = rec.WALSegments
-	s.recovery.TornTail = rec.TornTail
-	s.recovery.Sessions = rec.Sessions
-	s.recovery.SessionEvents = rec.SessionEvents
-	s.recovery.SessionTornTails = rec.SessionTornTails
-	s.recovery.DurationMS = rec.DurationMS
+	s.recovery.RecoveryStats = s.opts.Persist.RecoveryStats()
 	return nil
 }
 
@@ -315,25 +303,39 @@ func (s *Server) deleteSession(_ context.Context, q wire.SessionReq, _ bool) (no
 // ServeHTTP implements http.Handler. The X-Tenant header, when
 // present, attaches the caller's tenant identity to the request
 // context — the HTTP analogue of the binary protocol's tenant
-// envelope; handlers read it back with admission.FromContext.
+// envelope; handlers read it back with tenantOf.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if ten := r.Header.Get(api.TenantHeader); ten != "" {
-		r = r.WithContext(admission.WithTenant(r.Context(), admission.Tenant(ten)))
+		ctx, err := withTenant(r.Context(), ten)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		r = r.WithContext(ctx)
 	}
 	s.mux.ServeHTTP(w, r)
 }
 
+// withTenant attaches a client-chosen tenant name to the context, at
+// either protocol's edge; a name over the cap is refused there, so no
+// map downstream is ever keyed by an arbitrarily long string.
+func withTenant(ctx context.Context, name string) (context.Context, error) {
+	if len(name) > admission.MaxTenantName {
+		return nil, badRequest(http.StatusBadRequest, "tenant name of %d bytes exceeds the %d-byte cap", len(name), admission.MaxTenantName)
+	}
+	return admission.WithTenant(ctx, admission.Tenant(name)), nil
+}
+
 // tenantOf resolves the request's tenant for queue routing and
-// accounting: the context's identity when admission is on (absent
-// means Default), the single anonymous tenant otherwise.
+// accounting — once, through the controller, so the batcher's queues
+// and the share histograms key on a tenant the controller keeps state
+// for and inherit its bound (admission.MaxUnconfigured); without
+// admission, the single anonymous tenant.
 func (s *Server) tenantOf(ctx context.Context) admission.Tenant {
 	if s.adm == nil {
 		return ""
 	}
-	if t := admission.FromContext(ctx); t != "" {
-		return t
-	}
-	return admission.Default
+	return s.adm.Resolve(admission.FromContext(ctx))
 }
 
 // Close drains the server: the batch queue stops admitting and serves
@@ -401,62 +403,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // (whole seconds, rounded up), so plain HTTP clients that never parse
 // the envelope still see it.
 func writeError(w http.ResponseWriter, err error) {
-	status, e := serviceError(err)
+	e := api.From(err)
 	if e.RetryAfterMS > 0 {
 		w.Header().Set("Retry-After", strconv.FormatInt((e.RetryAfterMS+999)/1000, 10))
 	}
-	writeJSON(w, status, api.ErrorEnvelope{Error: e})
-}
-
-// statusFor maps a service-layer error to its HTTP status and wire
-// code.
-func statusFor(err error) (int, string) {
-	switch {
-	case errors.Is(err, errDraining):
-		return http.StatusServiceUnavailable, api.CodeDraining
-	case errors.Is(err, errOverloaded):
-		return http.StatusTooManyRequests, api.CodeOverloaded
-	// A throttle is fate-known by construction: admission decides
-	// before the request touches the batcher, a session, or the store.
-	case errors.Is(err, admission.ErrThrottled):
-		return http.StatusTooManyRequests, api.CodeThrottled
-	case errors.Is(err, errMailboxFull):
-		return http.StatusTooManyRequests, api.CodeMailboxFull
-	case errors.Is(err, errSessionExists):
-		return http.StatusConflict, api.CodeSessionExists
-	case errors.Is(err, errSessionNotFound):
-		return http.StatusNotFound, api.CodeSessionNotFound
-	case errors.Is(err, errSessionClosed):
-		return http.StatusGone, api.CodeSessionClosed
-	case errors.Is(err, stream.ErrDuplicateID):
-		return http.StatusConflict, api.CodeDuplicateID
-	case errors.Is(err, stream.ErrUnknownID):
-		return http.StatusNotFound, api.CodeUnknownID
-	case errors.Is(err, coord.ErrUnsafeArrival):
-		return http.StatusConflict, coord.CodeUnsafeArrival
-	// The cluster routing rejections are both fate-known: route_moved
-	// was refused before the event touched anything (421 — the request
-	// was directed at a server unable to produce a response for it), and
-	// peer_unavailable means the forward was never transmitted (502).
-	case errors.Is(err, api.ErrRouteMoved):
-		return http.StatusMisdirectedRequest, api.CodeRouteMoved
-	case errors.Is(err, api.ErrPeerUnavailable):
-		return http.StatusBadGateway, api.CodePeerUnavailable
-	// Indeterminate before degraded: a journal-append failure wraps
-	// ErrIndeterminate (the event may yet survive), and the distinction
-	// is what tells a client whether a blind retry is safe.
-	case errors.Is(err, persist.ErrIndeterminate):
-		return http.StatusServiceUnavailable, api.CodeAckIndeterminate
-	case errors.Is(err, persist.ErrDegraded):
-		return http.StatusServiceUnavailable, api.CodeDegraded
-	case errors.Is(err, context.DeadlineExceeded):
-		// A server-side deadline (dispatch timeout, stalled store), not a
-		// vanished client: report it as a typed, retryable timeout.
-		return http.StatusGatewayTimeout, api.CodeTimeout
-	case errors.Is(err, context.Canceled):
-		return 499, api.CodeInternal // client gone; status is never seen
-	}
-	return http.StatusInternalServerError, api.CodeInternal
+	writeJSON(w, e.Status, api.ErrorEnvelope{Error: e})
 }
 
 // coordinate serves the batch operation: every request in the payload
@@ -497,16 +448,12 @@ func (s *Server) serveBatch(ctx context.Context, reqs []api.Request) []api.Respo
 			s.met.coordRequests.Add(1)
 			switch {
 			case err != nil:
-				if errors.Is(err, errOverloaded) || errors.Is(err, errDraining) {
+				if errors.Is(err, api.ErrOverloaded) || errors.Is(err, api.ErrDraining) {
 					s.met.coordRejected.Add(1)
 				} else {
 					s.met.coordErrors.Add(1)
 				}
-				_, code := statusFor(err)
-				if c := api.CodeOf(err); c != api.CodeInternal {
-					code = c
-				}
-				out[i] = api.Response{ID: cr.ID, Error: &api.Error{Code: code, Message: err.Error()}}
+				out[i] = api.Response{ID: cr.ID, Error: api.From(err)}
 			default:
 				if resp.Result != nil {
 					s.met.coordQueries.Add(resp.Result.DBQueries)
@@ -566,7 +513,7 @@ func (s *Server) sessionStatus(_ context.Context, q wire.StatusReq, _ bool) (api
 		Parked:   snap.Parked,
 		Queries:  snap.Queries,
 		Result:   snap.Result,
-		Totals:   api.TotalsFrom(snap.Totals),
+		Totals:   snap.Totals,
 		Trace:    snap.Trace,
 		TeamSize: snap.Result.Size(),
 	}, http.StatusOK, nil
@@ -644,24 +591,7 @@ func (s *Server) metricsSnapshot() api.Metrics {
 	}
 	if s.opts.Persist != nil {
 		pm := s.opts.Persist.Metrics()
-		m.Persist = &api.PersistMetrics{
-			StoreAppends:    pm.StoreAppends,
-			StoreBytes:      pm.StoreBytes,
-			StoreSyncs:      pm.StoreSyncs,
-			StoreRotations:  pm.StoreRotations,
-			SessionAppends:  pm.SessionAppends,
-			SessionBytes:    pm.SessionBytes,
-			SessionSyncs:    pm.SessionSyncs,
-			OpenJournals:    pm.OpenJournals,
-			SnapshotSeq:     pm.SnapshotSeq,
-			Compactions:     pm.Compactions,
-			Degraded:        pm.Degraded,
-			DegradeEvents:   pm.DegradeEvents,
-			Probes:          pm.Probes,
-			ProbeFailures:   pm.ProbeFailures,
-			PendingAppends:  pm.PendingAppends,
-			CompactFailures: pm.CompactFailures,
-		}
+		m.Persist = &pm
 	}
 	return m
 }

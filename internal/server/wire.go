@@ -8,7 +8,7 @@ import (
 	"net/http"
 	"sync"
 
-	"entangled/internal/admission"
+	"entangled/internal/api"
 	"entangled/internal/stream"
 	"entangled/internal/wire"
 )
@@ -167,23 +167,28 @@ func (wc *wireConn) replyOK(id uint64, status int, put func(*wire.Enc)) {
 	})
 }
 
-// replyErr answers a request with the status/code/message the HTTP
-// error envelope would carry for the same failure.
+// replyErr answers a request with the same error the HTTP envelope
+// would carry for the failure.
 func (wc *wireConn) replyErr(id uint64, err error) {
-	status, we := serviceError(err)
 	wc.send(wire.Header{Kind: wire.KindReply, ID: id}, func(e *wire.Enc) {
-		wire.PutReplyErr(e, status, we)
+		wire.PutReplyErr(e, api.From(err))
 	})
 }
 
-// badBody answers a request whose body failed to decode, with the same
-// message the HTTP adapter uses. It replies off the read loop.
-func (wc *wireConn) badBody(id uint64, err error) {
+// refuse answers, off the read loop, a request that never reached its
+// operation.
+func (wc *wireConn) refuse(id uint64, err error) {
 	wc.inflight.Add(1)
 	go func() {
 		defer wc.inflight.Done()
-		wc.replyErr(id, badRequest(http.StatusBadRequest, "decoding body: %v", err))
+		wc.replyErr(id, err)
 	}()
+}
+
+// badBody refuses a request whose body failed to decode, with the same
+// message the HTTP adapter uses.
+func (wc *wireConn) badBody(id uint64, err error) {
+	wc.refuse(id, badRequest(http.StatusBadRequest, "decoding body: %v", err))
 }
 
 // ServeWire accepts binary-protocol connections on l until the
@@ -198,7 +203,7 @@ func (s *Server) ServeWire(l net.Listener) error {
 	if s.draining() {
 		s.wireMu.Unlock()
 		l.Close()
-		return errDraining
+		return api.ErrDraining
 	}
 	s.wireLs[l] = struct{}{}
 	s.wireMu.Unlock()
@@ -298,8 +303,12 @@ func (s *Server) dispatch(ctx context.Context, wc *wireConn, h wire.Header, d *w
 		// the tenant identity on the context — the exact analogue of the
 		// HTTP X-Tenant middleware. The inner body decodes synchronously
 		// here (it aliases the connection's read buffer).
-		return s.dispatch(admission.WithTenant(ctx, admission.Tenant(te.Tenant)), wc,
-			wire.Header{Kind: te.Kind, ID: h.ID}, wire.NewDec(te.Body), false)
+		ctx, err := withTenant(ctx, te.Tenant)
+		if err != nil {
+			wc.refuse(h.ID, err)
+			return true
+		}
+		return s.dispatch(ctx, wc, wire.Header{Kind: te.Kind, ID: h.ID}, wire.NewDec(te.Body), false)
 
 	case wire.KindForward:
 		if forwarded {

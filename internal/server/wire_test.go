@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"entangled/internal/api"
 	"entangled/internal/client"
 	"entangled/internal/coord"
 	"entangled/internal/db"
@@ -316,6 +317,66 @@ func TestWireCodecsEquivalent(t *testing.T) {
 	// included): the table drives this half, so an operation added
 	// without both adapters — or without a pair here — fails.
 	t.Run("table", tableEquivalence)
+	t.Run("forwarded failures", forwardedFailureEquivalence)
+	t.Run("server sentinels", serverSentinelEquivalence)
+}
+
+// serverSentinelEquivalence: the refusals the serving layer raises
+// itself unwrap to their api sentinels on the client, over both
+// protocols — a missing session, and the backpressure of a full
+// mailbox (one event held in the session loop, one queued behind it,
+// the third refused).
+func serverSentinelEquivalence(t *testing.T) {
+	const rows = 8
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	httpC, binC, _ := newDualLoopback(t, workload.NewStore(1, rows, 0), server.Options{
+		MailboxSize: 1,
+		Session: stream.Options{OnUpdate: func(u stream.Update) {
+			if u.Event.Query.ID == "hold" {
+				entered <- struct{}{}
+				<-release
+			}
+		}},
+	})
+	ctx := context.Background()
+	var done sync.WaitGroup
+	refusals := func(c *client.Client, name string) (missing, full error) {
+		_, missing = c.Session("nope").Status(ctx, false)
+		sess, err := c.CreateSession(ctx, name, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := make(chan error, 3)
+		join := func(q eq.Query) {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				_, err := sess.Join(ctx, q)
+				results <- err
+			}()
+		}
+		hold := workload.ChainQuery(0, 0, rows)
+		hold.ID = "hold"
+		join(hold)
+		<-entered
+		// Of two more joins one takes the mailbox's only slot and waits
+		// behind the held event; the other is refused at once.
+		join(workload.ChainQuery(1, 0, rows))
+		join(workload.ChainQuery(2, 0, rows))
+		return missing, <-results
+	}
+	hMissing, hFull := refusals(httpC, "mh")
+	bMissing, bFull := refusals(binC, "mb")
+	close(release)
+	done.Wait()
+	sameClientError(t, "missing session", hMissing, bMissing)
+	sameClientError(t, "full mailbox", hFull, bFull)
+	if !errors.Is(hMissing, api.ErrSessionNotFound) || !errors.Is(bMissing, api.ErrSessionNotFound) {
+		t.Fatalf("missing session: HTTP %v, binary %v; want both to wrap api.ErrSessionNotFound", hMissing, bMissing)
+	}
+	if !errors.Is(hFull, api.ErrMailboxFull) || !errors.Is(bFull, api.ErrMailboxFull) || !client.FateKnown(hFull) {
+		t.Fatalf("full mailbox: HTTP %v, binary %v; want both to wrap api.ErrMailboxFull, fate known", hFull, bFull)
+	}
 }
 
 // TestWirePushParkedArrival pins the push contract end to end: a parked

@@ -147,6 +147,39 @@ func TestSessionDepartureReordersComponents(t *testing.T) {
 	checkSessionMatchesBatch(t, s, store, "after departure")
 }
 
+// TestSessionTraceRenumbersTermsNotText: after a departure the trace's
+// alpha-renaming prefixes move from slots to positions, and nothing
+// else does — constants, a relation and a variable whose own names
+// contain "q1." read exactly as the batch trace over Queries() reads
+// them.
+func TestSessionTraceRenumbersTermsNotText(t *testing.T) {
+	in := db.NewInstance()
+	docs := in.CreateRelation("Docs", "user", "file")
+	tags := in.CreateRelation("q1.Tags", "user", "tag")
+	for _, u := range []eq.Value{"A", "B"} {
+		docs.Insert(u, "Faq1.pdf")
+		tags.Insert(u, "seq1.a")
+	}
+	s := stream.New(in, stream.Options{})
+	for _, u := range []string{"A", "B"} {
+		q := eq.Query{ID: u, Body: []eq.Atom{
+			eq.NewAtom("Docs", eq.C(eq.Value(u)), eq.C("Faq1.pdf")),
+			eq.NewAtom("q1.Tags", eq.C(eq.Value(u)), eq.V("q1.tag")),
+		}}
+		if _, err := s.Join(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Leave("A"); err != nil {
+		t.Fatal(err)
+	}
+	checkSessionMatchesBatch(t, s, in, "slot 1 at position 0")
+	want := "Docs(B, 'Faq1.pdf'), q1.Tags(B, q0.q1.tag)"
+	if tr := s.Trace(); len(tr.Components) != 1 || tr.Components[0].Combined != want {
+		t.Fatalf("trace %+v, want one component asking %s", tr.Components, want)
+	}
+}
+
 // TestSessionConcurrentWritersThenRefresh interleaves store writers
 // with session events, then pauses them and Refreshes: the session must
 // resynchronise to exactly the batch answer over the final store. The

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"regexp"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -86,16 +83,17 @@ type Update struct {
 	Elapsed time.Duration
 }
 
-// Totals accumulates session-lifetime statistics.
+// Totals accumulates session-lifetime statistics; it is the "totals"
+// block of a session's status on the wire (api.Totals).
 type Totals struct {
-	Events    int   // processed events (including rejected ones)
-	Joins     int   // admitted arrivals
-	Leaves    int   // admitted departures
-	Rejected  int   // unsafe arrivals rejected
-	Parked    int   // unsafe arrivals parked (may later be admitted)
-	Dirty     int   // components re-solved across all events
-	Reused    int   // components spliced from cache across all events
-	DBQueries int64 // database queries across all events
+	Events    int   `json:"events"`     // processed events (including rejected ones)
+	Joins     int   `json:"joins"`      // admitted arrivals
+	Leaves    int   `json:"leaves"`     // admitted departures
+	Rejected  int   `json:"rejected"`   // unsafe arrivals rejected
+	Parked    int   `json:"parked"`     // unsafe arrivals parked (may later be admitted)
+	Dirty     int   `json:"dirty"`      // components re-solved across all events
+	Reused    int   `json:"reused"`     // components spliced from cache across all events
+	DBQueries int64 `json:"db_queries"` // database queries across all events
 }
 
 // Options configures a Session.
@@ -479,7 +477,7 @@ func (s *Session) Status(withTrace bool) (Status, error) {
 		Totals:  s.totals,
 	}
 	if withTrace {
-		st.Trace = s.traceLocked(pos)
+		st.Trace = s.inc.Trace(pos)
 	}
 	return st, nil
 }
@@ -519,70 +517,5 @@ func (s *Session) resultLocked(pos []int) (*coord.Result, error) {
 func (s *Session) Trace() *coord.Trace {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.traceLocked(s.inc.Positions())
-}
-
-// traceLocked is Trace under an already-held lock.
-func (s *Session) traceLocked(pos []int) *coord.Trace {
-	tr := s.inc.Trace()
-	for i := range tr.Pruned {
-		tr.Pruned[i].Query = pos[tr.Pruned[i].Query]
-	}
-	for i := range tr.Components {
-		tr.Components[i].Members = remap(tr.Components[i].Members, pos)
-		tr.Components[i].Set = remap(tr.Components[i].Set, pos)
-		tr.Components[i].Combined = renumberPrefixes(tr.Components[i].Combined, pos)
-	}
-	return tr
-}
-
-func remap(xs []int, pos []int) []int {
-	if xs == nil {
-		return nil
-	}
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = pos[x]
-	}
-	return out
-}
-
-// renumberPrefixes rewrites the alpha-renaming prefixes in a rendered
-// combined query ("q<slot>.") from session slots to live positions, so
-// the trace reads exactly like a batch trace over Queries(). Matches
-// preceded by a quote are constants, not prefixes — the atom renderer
-// quotes every constant that could lex as a variable (anything
-// starting with a lowercase letter), so 'q2.west' is left alone. A
-// database relation literally named like a prefix remains ambiguous in
-// the rendered text; coordination traces are diagnostics, so that
-// corner is accepted rather than guarded with a full re-parse.
-var prefixRe = regexp.MustCompile(`q(\d+)\.`)
-
-func renumberPrefixes(s string, pos []int) string {
-	matches := prefixRe.FindAllStringSubmatchIndex(s, -1)
-	if matches == nil {
-		return s
-	}
-	var sb strings.Builder
-	sb.Grow(len(s))
-	last := 0
-	for _, m := range matches {
-		start, end := m[0], m[1]
-		sb.WriteString(s[last:start])
-		last = start
-		if start > 0 && s[start-1] == '\'' {
-			continue // quoted constant, not a renaming prefix
-		}
-		slot, err := strconv.Atoi(s[m[2]:m[3]])
-		if err != nil {
-			continue
-		}
-		if slot >= len(pos) || pos[slot] < 0 {
-			continue
-		}
-		sb.WriteString("q" + strconv.Itoa(pos[slot]) + ".")
-		last = end
-	}
-	sb.WriteString(s[last:])
-	return sb.String()
+	return s.inc.Trace(s.inc.Positions())
 }

@@ -161,7 +161,7 @@ func (cc *ClientConn) readLoop() {
 }
 
 // decodeReply splits a reply payload after the header: service errors
-// come back as *ReplyError, successes as the status plus the
+// come back as *api.Error, successes as the status plus the
 // kind-specific body bytes (copied — the read buffer is reused).
 func decodeReply(d *Dec) (int, []byte, error) {
 	status, err := GetReply(d)
@@ -177,7 +177,7 @@ func decodeReply(d *Dec) (int, []byte, error) {
 // Call sends one request and waits for its reply. body is the
 // kind-specific request body (without header). It returns the
 // HTTP-equivalent status and the reply's body bytes; service failures
-// are *ReplyError, transport failures wrap ErrConnClosed. Cancelling
+// are *api.Error, transport failures wrap ErrConnClosed. Cancelling
 // ctx abandons the wait (the request may still execute server-side; a
 // late reply is discarded).
 func (cc *ClientConn) Call(ctx context.Context, kind Kind, encode func(*Enc)) (int, []byte, error) {

@@ -347,29 +347,37 @@ func GetTrace(d *Dec) *coord.Trace {
 
 // --- api types ---
 
-// PutError appends a wire error (nil-safe presence flag).
+// PutError appends an inline error (nil-safe presence flag).
 func PutError(e *Enc, we *api.Error) {
-	if we == nil {
-		e.Bool(false)
-		return
+	e.Bool(we != nil)
+	if we != nil {
+		putErrorFields(e, we)
 	}
-	e.Bool(true)
+}
+
+// GetError reads an inline error (nil when absent).
+func GetError(d *Dec) *api.Error {
+	if !d.Bool() {
+		return nil
+	}
+	we := getErrorFields(d)
+	if d.err != nil {
+		return nil
+	}
+	return we
+}
+
+// putErrorFields and getErrorFields are the one encoding of an error's
+// fields, shared by the inline form and the failed reply.
+func putErrorFields(e *Enc, we *api.Error) {
 	e.String(we.Code)
 	e.String(we.Message)
 	e.String(we.Owner)
 	e.Int64(we.RetryAfterMS)
 }
 
-// GetError reads a wire error (nil when absent).
-func GetError(d *Dec) *api.Error {
-	if !d.Bool() {
-		return nil
-	}
-	we := &api.Error{Code: d.String(), Message: d.String(), Owner: d.String(), RetryAfterMS: d.Int64()}
-	if d.err != nil {
-		return nil
-	}
-	return we
+func getErrorFields(d *Dec) *api.Error {
+	return &api.Error{Code: d.String(), Message: d.String(), Owner: d.String(), RetryAfterMS: d.Int64()}
 }
 
 // PutUpdate appends one session update.

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"entangled/internal/api"
 )
 
 // FuzzBinaryDecode feeds raw bytes through the full receive path —
@@ -94,7 +96,7 @@ func decodeEverything(t *testing.T, payload []byte) {
 	run(func(d *Dec) {
 		status, err := GetReply(d)
 		_ = status
-		var re *ReplyError
+		var re *api.Error
 		if err != nil && !errors.As(err, &re) && !errors.Is(err, ErrMalformed) {
 			t.Fatalf("untyped reply error: %v", err)
 		}

@@ -269,34 +269,16 @@ func DecodeTenantReq(d *Dec) TenantReq {
 
 // --- replies (server to client) ---
 
-// ReplyError is a service-level failure carried in a reply frame: the
-// same status/code/message triple the HTTP error envelope carries, so
-// the client layer reconstructs an identical typed error for both
-// transports.
-type ReplyError struct {
-	Status  int
-	Code    string
-	Message string
-	// Owner mirrors api.Error.Owner: the owning node on route_moved.
-	Owner string
-	// RetryAfterMS mirrors api.Error.RetryAfterMS: the capacity hint
-	// on throttled.
-	RetryAfterMS int64
-}
-
-// Error implements the error interface.
-func (e *ReplyError) Error() string {
-	return fmt.Sprintf("%s: %s (HTTP-equivalent %d)", e.Code, e.Message, e.Status)
-}
+// A failed reply carries the same *api.Error the HTTP error envelope
+// does — its Status in the reply's status field, the rest as PutError
+// writes it — so a client decodes one typed error from either protocol
+// and a forwarding node relays its peer's verbatim.
 
 // PutReplyErr appends a complete error reply body.
-func PutReplyErr(e *Enc, status int, we *api.Error) {
+func PutReplyErr(e *Enc, we *api.Error) {
 	e.Bool(false)
-	e.Int(status)
-	e.String(we.Code)
-	e.String(we.Message)
-	e.String(we.Owner)
-	e.Int64(we.RetryAfterMS)
+	e.Int(we.Status)
+	putErrorFields(e, we)
 }
 
 // PutReplyOK appends the success prefix of a reply body; the
@@ -307,8 +289,8 @@ func PutReplyOK(e *Enc, status int) {
 }
 
 // GetReply reads a reply body's prefix: the HTTP-equivalent status on
-// success, or a *ReplyError. The kind-specific payload (on success)
-// remains in the decoder.
+// success, or the *api.Error the server answered. The kind-specific
+// payload (on success) remains in the decoder.
 func GetReply(d *Dec) (status int, err error) {
 	ok := d.Bool()
 	status = d.Int()
@@ -318,11 +300,12 @@ func GetReply(d *Dec) (status int, err error) {
 	if ok {
 		return status, nil
 	}
-	re := &ReplyError{Status: status, Code: d.String(), Message: d.String(), Owner: d.String(), RetryAfterMS: d.Int64()}
+	we := getErrorFields(d)
 	if d.err != nil {
 		return 0, d.err
 	}
-	return status, re
+	we.Status = status
+	return status, we
 }
 
 // Push is an unsolicited server notification: a previously parked

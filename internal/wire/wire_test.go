@@ -186,7 +186,8 @@ func TestGoldenSessionStatusReplyFrame(t *testing.T) {
 func TestGoldenErrorReplyFrame(t *testing.T) {
 	payload := goldenFrame(t, "error_reply", func(e *Enc) {
 		PutHeader(e, Header{Kind: KindReply, ID: 2})
-		PutReplyErr(e, 409, &api.Error{
+		PutReplyErr(e, &api.Error{
+			Status:  409,
 			Code:    coord.CodeUnsafeArrival,
 			Message: "coord: arrival would make the query set unsafe u9: would make queries [1 4] unsafe",
 		})
@@ -197,7 +198,7 @@ func TestGoldenErrorReplyFrame(t *testing.T) {
 	if status != 409 {
 		t.Fatalf("status %d", status)
 	}
-	re, ok := err.(*ReplyError)
+	re, ok := err.(*api.Error)
 	if !ok {
 		t.Fatalf("reply error %T", err)
 	}
@@ -244,7 +245,8 @@ func TestGoldenTenantRequestFrame(t *testing.T) {
 func TestGoldenThrottledReplyFrame(t *testing.T) {
 	payload := goldenFrame(t, "throttled_reply", func(e *Enc) {
 		PutHeader(e, Header{Kind: KindReply, ID: 5})
-		PutReplyErr(e, 429, &api.Error{
+		PutReplyErr(e, &api.Error{
+			Status:       429,
 			Code:         "throttled",
 			Message:      `admission: tenant "hot" throttled (rate)`,
 			RetryAfterMS: 100,
@@ -256,7 +258,7 @@ func TestGoldenThrottledReplyFrame(t *testing.T) {
 	if status != 429 {
 		t.Fatalf("status %d", status)
 	}
-	re, ok := err.(*ReplyError)
+	re, ok := err.(*api.Error)
 	if !ok || re.Code != "throttled" || re.RetryAfterMS != 100 {
 		t.Fatalf("decoded %+v", err)
 	}
