@@ -75,7 +75,7 @@ func (t *binaryTransport) live() (*wire.ClientConn, error) {
 	for name := range sessions {
 		// Re-subscribing is idempotent server-side; a failure here means
 		// the new connection is already dying and the keeper will redial.
-		go cc.Call(context.Background(), wire.KindSubscribe, wire.SessionReq{Session: name}.Encode)
+		go t.send(context.Background(), cc, wire.Subscribe.Bind(wire.SessionReq{Session: name}))
 	}
 	return cc, nil
 }
@@ -92,7 +92,7 @@ func (t *binaryTransport) dispatchPush(p wire.Push) {
 	}
 	t.mu.Unlock()
 	for _, fn := range fns {
-		fn(Notification{Session: p.Session, QueryID: p.QueryID, Seq: p.Seq})
+		fn(p)
 	}
 }
 
@@ -129,27 +129,35 @@ func (t *binaryTransport) keepAlive(want func() bool) {
 	}
 }
 
-// call runs one request: a service error is the *Error the server
-// answered, the same one the HTTP transport returns; transport errors
-// stay as-is (IsRetryable classifies them) and name the operation that
-// failed — never the tenant envelope it travelled in.
-func (t *binaryTransport) call(ctx context.Context, rq request) error {
-	kind := rq.kind()
-	if kind == 0 {
-		return fmt.Errorf("client: the %s endpoint is served over HTTP only", rq.name())
+// call runs one request on the live connection, dialing one if the
+// last died.
+func (t *binaryTransport) call(ctx context.Context, c wire.Call) error {
+	r := c.Route()
+	if r.Kind == 0 {
+		return fmt.Errorf("client: the %s endpoint is served over HTTP only", r.Name)
 	}
 	cc, err := t.live()
 	if err != nil {
 		return err
 	}
-	outer, enc := kind, rq.encode
+	return t.send(ctx, cc, c)
+}
+
+// send is the one way a request leaves this transport — a caller's, or
+// a subscription re-issued on a fresh connection: inside the tenant
+// envelope when the client has an identity, the reply decoded by the
+// call itself. A service error is the *Error the server answered, the
+// same one the HTTP transport returns; transport errors stay as-is
+// (IsRetryable classifies them) and name the operation that failed —
+// never the tenant envelope it travelled in.
+func (t *binaryTransport) send(ctx context.Context, cc *wire.ClientConn, c wire.Call) error {
+	kind := c.Route().Kind
+	outer, enc := kind, c.Encode
 	if t.tenant != "" {
-		inner := enc
 		outer = wire.KindTenant
 		enc = func(e *wire.Enc) {
-			e.String(t.tenant)
-			e.Byte(byte(kind))
-			inner(e)
+			wire.PutTenantPrefix(e, t.tenant, kind)
+			c.Encode(e)
 		}
 	}
 	_, body, err := cc.Call(ctx, outer, enc)
@@ -160,9 +168,7 @@ func (t *binaryTransport) call(ctx context.Context, rq request) error {
 		}
 		return fmt.Errorf("client: %v call: %w", kind, err)
 	}
-	d := wire.NewDec(body)
-	rq.decode(d)
-	if err := d.Finish(); err != nil {
+	if err := c.DecodeReply(body); err != nil {
 		return fmt.Errorf("client: decoding %v reply: %w", kind, err)
 	}
 	return nil
@@ -190,7 +196,7 @@ func (t *binaryTransport) subscribe(ctx context.Context, session string, fn func
 	// Issue the subscribe on the live connection now, so an unknown
 	// session surfaces as a typed error instead of a silent no-op (the
 	// keeper re-issues it after any later reconnect).
-	if _, err := invoke(ctx, t, subscribeOp, wire.SessionReq{Session: session}); err != nil {
+	if _, err := invoke(ctx, t, wire.Subscribe, wire.SessionReq{Session: session}); err != nil {
 		stop()
 		return nil, err
 	}

@@ -25,22 +25,19 @@ import (
 // network exactly as they do in-process — over either transport.
 type Error = api.Error
 
-// Notification is a server-push event: the previously parked arrival
-// QueryID in Session was admitted by the departure that cleared its
-// conflict (Seq is that event's session sequence number). Push arrives
-// over the binary transport only; HTTP clients poll session status.
-type Notification struct {
-	Session string
-	QueryID string
-	Seq     int
-}
+// Notification is a server-push event (wire.Push): the previously
+// parked arrival QueryID in Session was admitted by the departure that
+// cleared its conflict (Seq is that event's session sequence number).
+// Push arrives over the binary transport only; HTTP clients poll
+// session status.
+type Notification = wire.Push
 
 // transport is one wire protocol speaking the service's API. Every
-// operation goes through call, described by its op (ops.go); all
-// implementations return identical DTOs and identical typed errors for
-// the same server state.
+// operation goes through call as a wire.Call — the operation of wire's
+// table bound to its request; all implementations return identical
+// DTOs and identical typed errors for the same server state.
 type transport interface {
-	call(ctx context.Context, rq request) error
+	call(ctx context.Context, c wire.Call) error
 	subscribe(ctx context.Context, session string, fn func(Notification)) (func(), error)
 	close() error
 }
@@ -48,7 +45,9 @@ type transport interface {
 // Options configures a Client.
 type Options struct {
 	// HTTPClient overrides the HTTP transport's client; nil means
-	// http.DefaultClient. Ignored by the binary transport.
+	// http.DefaultClient. The transport uses a copy that never follows a
+	// redirect: the service issues none, and a path a server rewrote is
+	// a different operation. Ignored by the binary transport.
 	HTTPClient *http.Client
 	// Tenant is the admission identity sent with every request: the
 	// X-Tenant header over HTTP, a wire.KindTenant envelope over the
@@ -77,11 +76,12 @@ func New(baseURL string, opts Options) (*Client, error) {
 	}
 	switch u.Scheme {
 	case "http", "https":
-		hc := opts.HTTPClient
-		if hc == nil {
-			hc = http.DefaultClient
+		hc := *http.DefaultClient
+		if opts.HTTPClient != nil {
+			hc = *opts.HTTPClient
 		}
-		return &Client{t: &httpTransport{base: strings.TrimRight(u.String(), "/"), hc: hc, tenant: opts.Tenant}}, nil
+		hc.CheckRedirect = func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }
+		return &Client{t: &httpTransport{base: strings.TrimRight(u.String(), "/"), hc: &hc, tenant: opts.Tenant}}, nil
 	case "tcp", "binary":
 		return &Client{t: newBinaryTransport(u.Host, opts.Tenant)}, nil
 	case "cluster":
@@ -110,7 +110,7 @@ type Response struct {
 // Per-request failures come back in the matching Response.Err; the
 // returned error covers transport and envelope failures only.
 func (c *Client) CoordinateBatch(ctx context.Context, reqs []Request) ([]Response, error) {
-	rep, err := invoke(ctx, c.t, coordinateOp, wire.CoordinateReq{Requests: reqs})
+	rep, err := invoke(ctx, c.t, wire.Coordinate, wire.CoordinateReq{Requests: reqs})
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ type Session struct {
 // asks the server to pick a name; parkUnsafe selects park-and-retry
 // admission for unsafe arrivals.
 func (c *Client) CreateSession(ctx context.Context, id string, parkUnsafe bool) (*Session, error) {
-	rep, err := invoke(ctx, c.t, createOp, wire.CreateSessionReq{ID: id, ParkUnsafe: parkUnsafe})
+	rep, err := invoke(ctx, c.t, wire.CreateSession, wire.CreateSessionReq{ID: id, ParkUnsafe: parkUnsafe})
 	if err != nil {
 		return nil, err
 	}
@@ -169,25 +169,25 @@ func (c *Client) Session(id string) *Session { return &Session{c: c, ID: id} }
 // returns a typed error for which errors.Is(err,
 // coord.ErrUnsafeArrival) holds.
 func (s *Session) Join(ctx context.Context, q eq.Query) (api.Update, error) {
-	return invoke(ctx, s.c.t, joinOp, wire.JoinReq{Session: s.ID, Query: q})
+	return invoke(ctx, s.c.t, wire.Join, wire.JoinReq{Session: s.ID, Query: q})
 }
 
 // Leave departs the live query with the given query ID.
 func (s *Session) Leave(ctx context.Context, queryID string) (api.Update, error) {
-	return invoke(ctx, s.c.t, leaveOp, wire.LeaveReq{Session: s.ID, QueryID: queryID})
+	return invoke(ctx, s.c.t, wire.Leave, wire.LeaveReq{Session: s.ID, QueryID: queryID})
 }
 
 // Status reads the session's current state; includeTrace asks for the
 // full coordination trace (the one a traced batch run over the live
 // queries would produce).
 func (s *Session) Status(ctx context.Context, includeTrace bool) (*api.SessionStatus, error) {
-	return read(ctx, s.c.t, statusOp, wire.StatusReq{Session: s.ID, Trace: includeTrace})
+	return read(ctx, s.c.t, wire.Status, wire.StatusReq{Session: s.ID, Trace: includeTrace})
 }
 
 // Close deletes the session from the registry; its goroutine drains
 // and exits.
 func (s *Session) Close(ctx context.Context) error {
-	_, err := invoke(ctx, s.c.t, deleteOp, wire.SessionReq{Session: s.ID})
+	_, err := invoke(ctx, s.c.t, wire.DeleteSession, wire.SessionReq{Session: s.ID})
 	return err
 }
 
@@ -207,26 +207,26 @@ func (s *Session) Subscribe(ctx context.Context, fn func(Notification)) (func(),
 // with Status "draining" (the work endpoints are the ones that
 // reject).
 func (c *Client) Health(ctx context.Context) (*api.Health, error) {
-	return read(ctx, c.t, healthOp, none{})
+	return read(ctx, c.t, wire.Health, wire.None{})
 }
 
 // Recovery reads /v1/recovery: what the server replayed from its
 // durable backend at startup. Enabled is false for an in-memory
 // server. HTTP only.
 func (c *Client) Recovery(ctx context.Context) (*api.RecoveryStatus, error) {
-	return read(ctx, c.t, recoveryOp, none{})
+	return read(ctx, c.t, wire.Recovery, wire.None{})
 }
 
 // Metrics reads /metrics. HTTP only.
 func (c *Client) Metrics(ctx context.Context) (*api.Metrics, error) {
-	return read(ctx, c.t, metricsOp, none{})
+	return read(ctx, c.t, wire.Metrics, wire.None{})
 }
 
 // Tenants reads /v1/tenants: every tenant's effective admission policy
 // and live accounting (enabled=false when the server runs without
 // admission). HTTP only.
 func (c *Client) Tenants(ctx context.Context) (*api.TenantsStatus, error) {
-	return read(ctx, c.t, tenantsOp, none{})
+	return read(ctx, c.t, wire.Tenants, wire.None{})
 }
 
 // IsRetryable reports whether an error may succeed on retry: a typed

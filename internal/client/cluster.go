@@ -83,7 +83,7 @@ func (t *clusterTransport) refresh(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		cs, err := invoke(ctx, bt, clusterOp, none{})
+		cs, err := invoke(ctx, bt, wire.Cluster, wire.None{})
 		if err != nil {
 			lastErr = err
 			continue
@@ -145,12 +145,12 @@ func (t *clusterTransport) connForNode(ctx context.Context, node string) (*binar
 // session's owner, a batch scatters by placement, and anything else
 // (an auto-named create, health, the cluster view) is served by the
 // first node that answers.
-func (t *clusterTransport) call(ctx context.Context, rq request) error {
-	if batch, ok := rq.(*bound[wire.CoordinateReq, api.CoordinateResponse]); ok {
+func (t *clusterTransport) call(ctx context.Context, c wire.Call) error {
+	if batch, ok := c.(*wire.Bound[wire.CoordinateReq, api.CoordinateResponse]); ok {
 		return t.scatter(ctx, batch)
 	}
-	if key := rq.key(); key != "" {
-		return t.sessionCall(ctx, key, func(bt *binaryTransport) error { return bt.call(ctx, rq) })
+	if key := c.Key(); key != "" {
+		return t.sessionCall(ctx, key, func(bt *binaryTransport) error { return bt.call(ctx, c) })
 	}
 	var lastErr error
 	for _, addr := range t.knownAddrs() {
@@ -158,7 +158,7 @@ func (t *clusterTransport) call(ctx context.Context, rq request) error {
 		if err != nil {
 			return err
 		}
-		lastErr = bt.call(ctx, rq)
+		lastErr = bt.call(ctx, c)
 		var e *Error
 		if lastErr == nil || errors.As(lastErr, &e) {
 			return lastErr // served, or refused in a way every node would repeat
@@ -207,12 +207,12 @@ func (t *clusterTransport) sessionCall(ctx context.Context, session string, fn f
 // (cluster.Scatter); a request with no single owner can be served (and,
 // server-side, scatter-gathered) by any node, so those spread by
 // request ID.
-func (t *clusterTransport) scatter(ctx context.Context, batch *bound[wire.CoordinateReq, api.CoordinateResponse]) error {
+func (t *clusterTransport) scatter(ctx context.Context, batch *wire.Bound[wire.CoordinateReq, api.CoordinateResponse]) error {
 	ring, placement, addrs, err := t.view(ctx)
 	if err != nil {
 		return err
 	}
-	batch.r.Responses, _ = cluster.Scatter(batch.q.Requests, func(rq api.Request) string {
+	batch.Reply.Responses, _ = cluster.Scatter(batch.Req.Requests, func(rq api.Request) string {
 		if node, ok := cluster.OwnerOfQueries(ring, placement, rq.Queries); ok {
 			return node
 		}
@@ -221,7 +221,7 @@ func (t *clusterTransport) scatter(ctx context.Context, batch *bound[wire.Coordi
 		bt, err := t.connFor(addrs[node])
 		var rep api.CoordinateResponse
 		if err == nil {
-			rep, err = invoke(ctx, bt, coordinateOp, wire.CoordinateReq{Requests: sub})
+			rep, err = invoke(ctx, bt, wire.Coordinate, wire.CoordinateReq{Requests: sub})
 		}
 		// What the node answered relays as it is; a node that answered
 		// nothing is unreachable.

@@ -12,13 +12,15 @@
 // route_moved. Callers switch protocols by changing the URL and
 // nothing else.
 //
-// Each operation is described once, by an op descriptor in ops.go that
-// mirrors the server's operation table: binary kind, HTTP verb and
-// path, JSON body, binary reply decoder, routing key. The transport
+// The client describes no operation itself: each public method binds
+// a row of internal/wire's operation table — name, binary kind, HTTP
+// verb and path, JSON body, reply decoder, routing key — to its request
+// and hands the resulting wire.Call to the transport. The transport
 // interface is three methods (call, subscribe, close); every transport
-// serves every operation generically from its descriptor, so all of
-// them decode the same internal/api DTOs and produce the same typed
-// *Error values.
+// serves every operation generically from the call, so all of them
+// decode the same internal/api DTOs and produce the same typed *Error
+// values. The HTTP transport follows no redirect: the service issues
+// none, and a path a server rewrote is another operation's.
 //
 // A service failure is the *Error (api.Error) the server answered, the
 // same value over every transport: errors.Is(err,

@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"entangled/internal/api"
+	"entangled/internal/wire"
 )
 
 // httpTransport speaks the HTTP/JSON protocol.
@@ -19,10 +20,15 @@ type httpTransport struct {
 	tenant string
 }
 
-// do runs one round trip: encode in (when non-nil), decode a 2xx body
-// into out (when non-nil), and turn every non-2xx into a typed *Error
-// from the wire envelope.
-func (t *httpTransport) do(ctx context.Context, method, path string, in, out any) error {
+// call runs one round trip: encode the call's JSON body (when it has
+// one), decode a 2xx body into its reply (when it has one), and turn
+// every non-2xx into a typed *Error from the wire envelope.
+func (t *httpTransport) call(ctx context.Context, c wire.Call) error {
+	method := c.Route().Method
+	if method == "" {
+		return fmt.Errorf("client: %s requires the binary protocol (tcp:// base URL)", c.Route().Name)
+	}
+	path, in, out := c.HTTP()
 	var body io.Reader
 	if in != nil {
 		buf, err := json.Marshal(in)
@@ -46,7 +52,7 @@ func (t *httpTransport) do(ctx context.Context, method, path string, in, out any
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
+	if resp.StatusCode >= 300 { // a redirect is never followed (New)
 		var env api.ErrorEnvelope
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error == nil {
 			return &Error{Status: resp.StatusCode, Code: api.CodeInternal,
@@ -71,14 +77,6 @@ func (t *httpTransport) do(ctx context.Context, method, path string, in, out any
 		return fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
 	}
 	return nil
-}
-
-func (t *httpTransport) call(ctx context.Context, rq request) error {
-	method, path, in, out := rq.http()
-	if method == "" {
-		return fmt.Errorf("client: %s requires the binary protocol (tcp:// base URL)", rq.name())
-	}
-	return t.do(ctx, method, path, in, out)
 }
 
 func (t *httpTransport) subscribe(context.Context, string, func(Notification)) (func(), error) {

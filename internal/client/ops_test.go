@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -19,134 +20,302 @@ import (
 	"entangled/internal/workload"
 )
 
+// routes are the ways a call reaches the server under test: the three
+// transports pointed straight at it, and "forward" — a binary client on
+// a second node whose ring gives the session to the first, so the call
+// crosses one forward hop.
+var routes = []string{"http", "binary", "cluster", "forward"}
+
 // everyTransport boots one single-node cluster server speaking both
-// protocols and returns one transport of each kind pointed at it.
-func everyTransport(t *testing.T) map[string]transport {
+// protocols and returns one transport per route. The server keeps its
+// one-node view, so the three direct routes see a one-node cluster; the
+// edge node behind "forward" believes in {n0, n1}, and owned says which
+// session names its ring hands to n1.
+func everyTransport(t *testing.T) (ts map[string]transport, owned func(session string) bool, edge *cluster.Router) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	listen := func() net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ln
 	}
-	r, err := cluster.New(cluster.Config{Self: "n1", Nodes: []cluster.Node{{Name: "n1", Addr: ln.Addr().String()}}},
-		cluster.Options{Placement: workload.Placement()})
-	if err != nil {
-		t.Fatal(err)
+	ln, edgeLn := listen(), listen()
+	n1 := cluster.Node{Name: "n1", Addr: ln.Addr().String()}
+	boot := func(self string, nodes []cluster.Node, ln net.Listener) (*server.Server, *cluster.Router) {
+		r, err := cluster.New(cluster.Config{Self: self, Nodes: nodes}, cluster.Options{
+			Placement: workload.Placement(), Dial: func(addr string) cluster.PeerConn { return DialPeer(addr) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(engine.New(workload.NewStore(1, 32, 0), engine.Options{}), server.Options{Cluster: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.ServeWire(ln)
+		t.Cleanup(func() { srv.Close(); r.Close() })
+		return srv, r
 	}
-	srv, err := server.New(engine.New(workload.NewStore(1, 32, 0), engine.Options{}), server.Options{Cluster: r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.ServeWire(ln)
+	srv, _ := boot("n1", []cluster.Node{n1}, ln)
+	_, edge = boot("n0", []cluster.Node{{Name: "n0", Addr: edgeLn.Addr().String()}, n1}, edgeLn)
 	hs := httptest.NewServer(srv)
-	out := map[string]transport{}
-	for name, base := range map[string]string{"http": hs.URL, "binary": "tcp://" + ln.Addr().String(), "cluster": "cluster://" + ln.Addr().String()} {
+	t.Cleanup(hs.Close)
+	ts = map[string]transport{}
+	for name, base := range map[string]string{"http": hs.URL, "binary": "tcp://" + n1.Addr, "cluster": "cluster://" + n1.Addr, "forward": "tcp://" + edgeLn.Addr().String()} {
 		c, err := New(base, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[name] = c.t
+		ts[name] = c.t
+		t.Cleanup(func() { c.Close() })
 	}
-	t.Cleanup(func() {
-		for _, tr := range out {
-			tr.close()
-		}
-		hs.Close()
-		srv.Close()
-		r.Close()
-	})
-	return out
+	return ts, func(session string) bool { return edge.Owner(session) == "n1" }, edge
 }
 
-// roundTrip runs one operation over every transport and demands the
-// same reply from each (after scrub removes what legitimately differs:
+// conformance runs operations over every route and records which rows
+// of wire's table it was given a case for.
+type conformance struct {
+	ts  map[string]transport
+	ran map[string]bool
+}
+
+// uncovered lists the rows of wire's table no case ran.
+func (c *conformance) uncovered() (names []string) {
+	for _, r := range wire.Ops {
+		if !c.ran[r.Name] {
+			names = append(names, r.Name)
+		}
+	}
+	return names
+}
+
+// roundTrip runs one operation over every route and demands the same
+// reply from each (after scrub removes what legitimately differs:
 // session names, wall-clock fields). A single-protocol operation must
 // be refused, without a round trip, by the transports that cannot carry
-// it.
-func roundTrip[Q wireReq, R any](t *testing.T, ts map[string]transport, o *op[Q, R], q func(proto string) Q, scrub func(proto string, r *R)) {
+// it; the forward route carries what a node forwards — the calls that
+// route by a key, and batches.
+func roundTrip[Q wire.Req, R any](t *testing.T, c *conformance, o *wire.Op[Q, R], q func(route string) Q, scrub func(route string, r *R)) {
 	t.Helper()
+	c.ran[o.Name] = true
 	var first *R
-	for _, proto := range []string{"http", "binary", "cluster"} {
-		rep, err := invoke(context.Background(), ts[proto], o, q(proto))
-		if carried := (proto == "http" && o.method != "") || (proto != "http" && o.kind != 0); !carried {
+	for _, route := range routes {
+		if route == "forward" && (o.Kind == 0 || o.Key == nil && o.Name != wire.Coordinate.Name) {
+			continue
+		}
+		rep, err := invoke(context.Background(), c.ts[route], o, q(route))
+		if route == "forward" && o.Name == wire.Subscribe.Name {
+			// Push flows from the owner's session loop: an edge refuses,
+			// naming the owner, where every other keyed call forwards.
+			var e *Error
+			if !errors.As(err, &e) || e.Code != api.CodeRouteMoved || e.Owner != "n1" {
+				t.Errorf("subscribe at a node that does not own the session: %v, want route_moved naming n1", err)
+			}
+			continue
+		}
+		if carried := (route == "http" && o.Method != "") || (route != "http" && o.Kind != 0); !carried {
 			if err == nil || !strings.HasPrefix(err.Error(), "client: ") {
-				t.Errorf("%s over %s: error %v, want a client-side refusal", o.name, proto, err)
+				t.Errorf("%s over %s: error %v, want a client-side refusal", o.Name, route, err)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("%s over %s: %v", o.name, proto, err)
+			t.Errorf("%s over %s: %v", o.Name, route, err)
 			continue
 		}
 		if scrub != nil {
-			scrub(proto, &rep)
+			scrub(route, &rep)
 		}
 		if first == nil {
 			first = &rep
 		} else if !reflect.DeepEqual(*first, rep) {
-			t.Errorf("%s over %s differs from http:\n%+v\n%+v", o.name, proto, rep, *first)
+			t.Errorf("%s over %s differs from http:\n%+v\n%+v", o.Name, route, rep, *first)
 		}
 	}
 }
 
-// TestEveryOpRoundTripsOverEveryTransport drives each client op
-// descriptor through the HTTP, binary and cluster transports against
-// one real server: the generic call paths must carry every operation,
-// and all transports must decode the same DTOs.
+// TestEveryOpRoundTripsOverEveryTransport drives every row of wire's
+// operation table through the HTTP, binary and cluster transports and
+// across one forward hop against one real server: the generic call
+// paths must carry every operation, all routes must decode the same
+// DTOs, and a row without a case fails the test.
 func TestEveryOpRoundTripsOverEveryTransport(t *testing.T) {
-	ts := everyTransport(t)
-	none0 := func(string) none { return none{} }
-	sess := func(proto string) string { return "rt-" + proto }
+	ts, owned, edge := everyTransport(t)
+	c := &conformance{ts: ts, ran: map[string]bool{}}
+	none0 := func(string) wire.None { return wire.None{} }
+	// One session per route, each on a name the edge's ring gives n1.
+	names := map[string]string{}
+	for i := 0; len(names) < len(routes); i++ {
+		if name := fmt.Sprintf("rt%d", i); owned(name) {
+			names[routes[len(names)]] = name
+		}
+	}
+	sess := func(route string) string { return names[route] }
 
-	roundTrip(t, ts, createOp, func(p string) wire.CreateSessionReq { return wire.CreateSessionReq{ID: sess(p), ParkUnsafe: true} },
-		func(p string, r *api.CreateSessionResponse) { r.ID = strings.TrimSuffix(r.ID, p) })
-	roundTrip(t, ts, joinOp, func(p string) wire.JoinReq {
+	roundTrip(t, c, wire.CreateSession, func(p string) wire.CreateSessionReq { return wire.CreateSessionReq{ID: sess(p), ParkUnsafe: true} },
+		func(p string, r *api.CreateSessionResponse) { r.ID = strings.TrimPrefix(r.ID, sess(p)) })
+	roundTrip(t, c, wire.Join, func(p string) wire.JoinReq {
 		return wire.JoinReq{Session: sess(p), Query: workload.ChainQuery(0, 0, 32)}
 	},
 		func(_ string, r *api.Update) { r.ElapsedNS = 0 })
-	roundTrip(t, ts, joinOp, func(p string) wire.JoinReq {
+	roundTrip(t, c, wire.Join, func(p string) wire.JoinReq {
 		return wire.JoinReq{Session: sess(p), Query: workload.ChainQuery(0, 1, 32)}
 	},
 		func(_ string, r *api.Update) { r.ElapsedNS = 0 })
-	roundTrip(t, ts, statusOp, func(p string) wire.StatusReq { return wire.StatusReq{Session: sess(p), Trace: true} },
+	roundTrip(t, c, wire.Status, func(p string) wire.StatusReq { return wire.StatusReq{Session: sess(p), Trace: true} },
 		func(_ string, r *api.SessionStatus) {
 			if r.Live != 2 || r.Trace == nil {
 				t.Errorf("status %+v: want 2 live queries and a trace", *r)
 			}
 			r.ID = ""
 		})
-	roundTrip(t, ts, leaveOp, func(p string) wire.LeaveReq {
+	roundTrip(t, c, wire.Leave, func(p string) wire.LeaveReq {
 		return wire.LeaveReq{Session: sess(p), QueryID: workload.ChainQuery(0, 1, 32).ID}
 	}, func(_ string, r *api.Update) { r.ElapsedNS = 0 })
-	roundTrip(t, ts, subscribeOp, func(p string) wire.SessionReq { return wire.SessionReq{Session: sess(p)} }, nil)
-	roundTrip(t, ts, coordinateOp, func(string) wire.CoordinateReq {
-		return wire.CoordinateReq{Requests: []api.Request{{ID: "a", Queries: workload.ListQueriesAt(4, 3)}, {ID: "b", Queries: workload.ListQueriesAt(3, 5)}}}
+	roundTrip(t, c, wire.Subscribe, func(p string) wire.SessionReq { return wire.SessionReq{Session: sess(p)} }, nil)
+	// Both requests pin constants the edge's ring gives n1, so over the
+	// forward route the batch crosses the hop as one slice.
+	var at []int
+	for i := 0; len(at) < 2; i++ {
+		if node, ok := edge.OwnerOfRequest(workload.ListQueriesAt(3, i)); ok && node == "n1" {
+			at = append(at, i)
+		}
+	}
+	roundTrip(t, c, wire.Coordinate, func(string) wire.CoordinateReq {
+		return wire.CoordinateReq{Requests: []api.Request{{ID: "a", Queries: workload.ListQueriesAt(4, at[0])}, {ID: "b", Queries: workload.ListQueriesAt(3, at[1])}}}
 	}, func(_ string, r *api.CoordinateResponse) {
 		if len(r.Responses) != 2 || r.Responses[0].Result == nil || r.Responses[0].Result.DBQueries == 0 {
 			t.Errorf("coordinate reply %+v", *r)
 		}
 	})
-	roundTrip(t, ts, healthOp, none0, func(_ string, r *api.Health) { r.UptimeS = 0 })
-	roundTrip(t, ts, clusterOp, none0, func(_ string, r *api.ClusterStatus) {
+	roundTrip(t, c, wire.Health, none0, func(_ string, r *api.Health) { r.UptimeS = 0 })
+	roundTrip(t, c, wire.Cluster, none0, func(_ string, r *api.ClusterStatus) {
 		if !r.Enabled || r.Self != "n1" {
 			t.Errorf("cluster view %+v", *r)
 		}
 	})
-	roundTrip(t, ts, recoveryOp, none0, nil)
-	roundTrip(t, ts, tenantsOp, none0, nil)
-	roundTrip(t, ts, metricsOp, none0, func(_ string, r *api.Metrics) {
-		if r.Sessions.Open != 3 {
-			t.Errorf("metrics count %d open sessions, want one per transport", r.Sessions.Open)
+	roundTrip(t, c, wire.Recovery, none0, nil)
+	roundTrip(t, c, wire.Tenants, none0, nil)
+	roundTrip(t, c, wire.Metrics, none0, func(_ string, r *api.Metrics) {
+		if r.Sessions.Open != len(routes) {
+			t.Errorf("metrics count %d open sessions, want one per route", r.Sessions.Open)
 		}
 	})
-	roundTrip(t, ts, deleteOp, func(p string) wire.SessionReq { return wire.SessionReq{Session: sess(p)} }, nil)
+	roundTrip(t, c, wire.DeleteSession, func(p string) wire.SessionReq { return wire.SessionReq{Session: sess(p)} }, nil)
+
+	// Every row of the table had a case — and the check would notice one
+	// that had not.
+	if missing := c.uncovered(); len(missing) > 0 {
+		t.Errorf("rows of wire.Ops with no conformance case: %v", missing)
+	}
+	delete(c.ran, wire.Leave.Name)
+	if missing := c.uncovered(); !reflect.DeepEqual(missing, []string{wire.Leave.Name}) {
+		t.Errorf("the coverage check misses a row without a case: reports %v", missing)
+	}
+	// The forward route forwarded: the six keyed calls above (subscribe
+	// is refused, not forwarded) and the batch each crossed the hop once.
+	if m := edge.Metrics(); m.ForwardsSent != 7 || m.ForwardFailures != 0 {
+		t.Errorf("edge node sent %d forwards (%d failed), want 7 and 0", m.ForwardsSent, m.ForwardFailures)
+	}
 
 	// Service errors come back as the same typed *Error everywhere.
-	for proto, tr := range ts {
-		_, err := invoke(context.Background(), tr, statusOp, wire.StatusReq{Session: sess(proto)})
+	for route, tr := range ts {
+		_, err := invoke(context.Background(), tr, wire.Status, wire.StatusReq{Session: sess(route)})
 		var e *Error
 		if !errors.As(err, &e) || e.Code != api.CodeSessionNotFound || e.Status != 404 {
-			t.Errorf("status of a deleted session over %s: %v", proto, err)
+			t.Errorf("status of a deleted session over %s: %v", route, err)
 		}
+	}
+}
+
+// TestSessionNamesOverEveryTransport pins what a session may be called.
+// A name that only needs escaping reaches its own session on every
+// transport. The two dot segments, which http.ServeMux cleans out of a
+// path before matching, cannot be created anywhere — with "." and
+// "join" both open, an HTTP join of "." used to be redirected into a
+// status read of "join" — and the HTTP transport follows no redirect,
+// so a call on a name no path can carry (the empty one included) fails
+// on every transport and touches no session.
+func TestSessionNamesOverEveryTransport(t *testing.T) {
+	ts, _, _ := everyTransport(t)
+	ctx := context.Background()
+	direct := routes[:3] // the transports pointed straight at the server
+	live := func(name string) int {
+		t.Helper()
+		st, err := invoke(ctx, ts["binary"], wire.Status, wire.StatusReq{Session: name})
+		if err != nil || st.ID != name {
+			t.Fatalf("status of %q: %+v, %v", name, st, err)
+		}
+		return st.Live
+	}
+	q := workload.ChainQuery(0, 0, 32)
+	for _, route := range direct {
+		c := &Client{t: ts[route]}
+		for _, name := range []string{"a/b", "a b", "a?b", "a%2Fb", "é", "a#b", "x/join"} {
+			name = route + name
+			sess, err := c.CreateSession(ctx, name, true)
+			if err != nil || sess.ID != name {
+				t.Fatalf("create %q over %s: %+v, %v", name, route, sess, err)
+			}
+			if _, err := sess.Join(ctx, q); err != nil || live(name) != 1 {
+				t.Fatalf("join of %q over %s: %v, %d live", name, route, err, live(name))
+			}
+			if st, err := sess.Status(ctx, false); err != nil || st.ID != name || st.Live != 1 {
+				t.Fatalf("status of %q over %s: %+v, %v", name, route, st, err)
+			}
+			if _, err := sess.Leave(ctx, q.ID); err != nil || live(name) != 0 {
+				t.Fatalf("leave of %q over %s: %v, %d live", name, route, err, live(name))
+			}
+			if err := sess.Close(ctx); err != nil {
+				t.Fatalf("delete of %q over %s: %v", name, route, err)
+			}
+		}
+	}
+
+	// Sessions a cleaned path would land on.
+	for _, name := range []string{"join", "leave"} {
+		if _, err := (&Client{t: ts["http"]}).CreateSession(ctx, name, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var refusal string
+	for _, route := range direct {
+		c := &Client{t: ts[route]}
+		for _, name := range []string{".", ".."} {
+			_, err := c.CreateSession(ctx, name, true)
+			var e *Error
+			if !errors.As(err, &e) || e.Code != api.CodeBadRequest || e.Status != 400 {
+				t.Errorf("create %q over %s: %v, want a 400 bad_request", name, route, err)
+				continue
+			}
+			if msg := strings.ReplaceAll(e.Message, `".."`, `"."`); refusal == "" {
+				refusal = msg
+			} else if msg != refusal {
+				t.Errorf("create %q over %s refused with %q, elsewhere %q", name, route, e.Message, refusal)
+			}
+		}
+		for _, name := range []string{"", ".", ".."} {
+			sess := c.Session(name)
+			_, joinErr := sess.Join(ctx, q)
+			_, leaveErr := sess.Leave(ctx, q.ID)
+			_, statusErr := sess.Status(ctx, false)
+			// Over HTTP the path is cleaned into a redirect, or matches no
+			// route: a bare status, no envelope. The binary protocol looks
+			// the name up and finds nothing.
+			want := api.CodeSessionNotFound
+			if route == "http" {
+				want = api.CodeInternal
+			}
+			for i, err := range []error{joinErr, leaveErr, statusErr, sess.Close(ctx)} {
+				var e *Error
+				if !errors.As(err, &e) || e.Code != want || e.Status < 300 {
+					t.Errorf("call %d on session %q over %s: %v, want a typed %s", i, name, route, err, want)
+				}
+			}
+		}
+	}
+	if h, err := invoke(ctx, ts["binary"], wire.Health, wire.None{}); err != nil || h.Sessions != 2 || live("join") != 0 || live("leave") != 0 {
+		t.Errorf("after the refused calls: %+v (%v), %d live in join, %d in leave; want the two empty sessions", h, err, live("join"), live("leave"))
 	}
 }
 

@@ -351,6 +351,46 @@ func TestServeBatchScatterGather(t *testing.T) {
 	}
 }
 
+// TestServeBatchValidatesForwardedReply: a peer's batch reply is read
+// like every other reply — it must decode and be consumed exactly. A
+// well-formed PutResponses body followed by two stray bytes fails every
+// request of that peer's slice with the inline internal error; the rest
+// of the batch is unharmed.
+func TestServeBatchValidatesForwardedReply(t *testing.T) {
+	ring := cluster.NewRing([]string{"a", "b", "c"}, 0)
+	peerB := fakePeer{serve: func(fwd wire.Forward) (int, []byte, error) {
+		req := wire.DecodeCoordinateReq(wire.NewDec(fwd.Body))
+		resps := make([]api.Response, len(req.Requests))
+		for i, rq := range req.Requests {
+			resps[i] = api.Response{ID: rq.ID + "@b"}
+		}
+		var e wire.Enc
+		wire.PutResponses(&e, resps)
+		return 200, append(e.Bytes(), 0, 0), nil
+	}}
+	r := newFakeRouter(t, map[string]cluster.PeerConn{"b": peerB, "c": deadPeer{}})
+	va, vb := valueOwnedBy(t, ring, "a"), valueOwnedBy(t, ring, "b")
+	out := r.ServeBatch(context.Background(), []api.Request{
+		{ID: "r0", Queries: []eq.Query{pinned("q0", vb)}},
+		{ID: "r1", Queries: []eq.Query{pinned("q1", va)}},
+		{ID: "r2", Queries: []eq.Query{pinned("q2", vb)}},
+	}, func(_ context.Context, sub []api.Request) []api.Response {
+		return []api.Response{{ID: sub[0].ID + "@a"}}
+	})
+	for _, i := range []int{0, 2} {
+		if e := out[i].Error; out[i].ID != "r"+strconv.Itoa(i) || e == nil || e.Code != api.CodeInternal ||
+			e.Message != "cluster: b returned a malformed coordinate reply" {
+			t.Errorf("out[%d] = %+v (%v), want the inline internal error for a malformed reply", i, out[i], e)
+		}
+	}
+	if out[1].ID != "r1@a" || out[1].Error != nil {
+		t.Errorf("out[1] = %+v, want the local slice served cleanly", out[1])
+	}
+	if m := r.Metrics(); m.ForwardsSent != 1 || m.ForwardFailures != 0 {
+		t.Errorf("metrics %+v: an answered forward is not a transport failure", m)
+	}
+}
+
 // BenchmarkClusterRoute measures the pure routing decision: hashing a
 // batch request's pinned constants onto the ring. This is the per-call
 // overhead cluster mode adds to every locally-served request.

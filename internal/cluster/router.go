@@ -64,7 +64,6 @@ type Router struct {
 	placement map[string]int
 	version   string
 	peers     map[string]*peerState // by name, self excluded
-	addrs     map[string]string
 
 	forwardsRecv atomic.Int64
 	routeMoved   atomic.Int64
@@ -83,10 +82,8 @@ func New(cfg Config, opts Options) (*Router, error) {
 		return nil, err
 	}
 	names := make([]string, len(cfg.Nodes))
-	addrs := make(map[string]string, len(cfg.Nodes))
 	for i, n := range cfg.Nodes {
 		names[i] = n.Name
-		addrs[n.Name] = n.Addr
 	}
 	r := &Router{
 		cfg:       cfg,
@@ -94,7 +91,6 @@ func New(cfg Config, opts Options) (*Router, error) {
 		placement: opts.Placement,
 		version:   cfg.Version(),
 		peers:     make(map[string]*peerState, len(cfg.Nodes)-1),
-		addrs:     addrs,
 	}
 	for _, n := range cfg.Nodes {
 		if n.Name == cfg.Self {
@@ -117,11 +113,6 @@ func (r *Router) Close() {
 
 // Self returns this node's name.
 func (r *Router) Self() string { return r.cfg.Self }
-
-// SelfAddr returns this node's own binary wire address from the
-// membership — the address peers forward to, and the natural default
-// for the node's binary listener.
-func (r *Router) SelfAddr() string { return r.addrs[r.cfg.Self] }
 
 // Ring returns the (immutable) placement ring.
 func (r *Router) Ring() *Ring { return r.ring }
@@ -168,36 +159,40 @@ func (e *routeMovedError) OwnerNode() string { return e.owner }
 // ReceivedForward meters an inbound KindForward frame.
 func (r *Router) ReceivedForward() { r.forwardsRecv.Add(1) }
 
-// Forward sends one wrapped request to a peer and returns the reply
-// the inner request received there: the HTTP-equivalent status and the
-// raw kind-specific reply body on success, the peer's *api.Error to
-// relay verbatim on a service-level failure, or a typed transport error —
+// Forward sends one call to a peer inside a forward envelope, decodes
+// the reply the inner request received there into the call and returns
+// its HTTP-equivalent status. A service-level failure is the peer's
+// *api.Error, to relay verbatim; a transport failure is typed —
 // api.ErrPeerUnavailable when nothing was transmitted (fate known,
 // retry freely), persist.ErrIndeterminate when the connection died
 // mid-call (the peer may have applied the event).
-func (r *Router) Forward(ctx context.Context, node string, kind wire.Kind, encode func(*wire.Enc)) (status int, body []byte, err error) {
+func (r *Router) Forward(ctx context.Context, node string, call wire.Call) (status int, err error) {
 	p := r.peers[node]
 	if p == nil {
-		return 0, nil, fmt.Errorf("cluster: %q is not a peer of %s", node, r.cfg.Self)
+		return 0, fmt.Errorf("cluster: %q is not a peer of %s", node, r.cfg.Self)
 	}
 	p.forwards.Add(1)
+	kind := call.Route().Kind
 	var inner wire.Enc
-	encode(&inner)
-	status, body, err = p.conn.Call(ctx, wire.KindForward,
+	call.Encode(&inner)
+	status, body, err := p.conn.Call(ctx, wire.KindForward,
 		wire.Forward{Origin: r.cfg.Self, Hops: 1, Kind: kind, Body: inner.Bytes()}.Encode)
+	if err == nil && call.DecodeReply(body) != nil {
+		return 0, fmt.Errorf("cluster: %s returned a malformed %v reply", node, kind)
+	}
 	var re *api.Error
 	switch {
 	case err == nil || errors.As(err, &re):
-		return status, body, err
+		return status, err
 	case errors.Is(err, api.ErrPeerUnavailable):
 		p.failures.Add(1)
-		return 0, nil, err
+		return 0, err
 	case ctx.Err() != nil:
 		p.failures.Add(1)
-		return 0, nil, ctx.Err()
+		return 0, ctx.Err()
 	default:
 		p.failures.Add(1)
-		return 0, nil, fmt.Errorf("%w: forward of %s to %s died mid-call: %v", persist.ErrIndeterminate, kind, node, err)
+		return 0, fmt.Errorf("%w: forward of %s to %s died mid-call: %v", persist.ErrIndeterminate, kind, node, err)
 	}
 }
 
@@ -243,8 +238,8 @@ func Scatter(reqs []api.Request, owner func(api.Request) string, send func(node 
 
 // ServeBatch scatter-gathers one CoordinateMany batch: requests owned
 // here (or with no single owner) go through local, and each peer's
-// slice is forwarded as one wrapped KindCoordinate sub-batch; a dead
-// peer fails only its own slice.
+// slice is forwarded as one wrapped coordinate sub-batch; a dead peer,
+// or one whose reply does not validate, fails only its own slice.
 func (r *Router) ServeBatch(ctx context.Context, reqs []api.Request, local func(context.Context, []api.Request) []api.Response) []api.Response {
 	out, nodes := Scatter(reqs, func(rq api.Request) string {
 		if node, ok := r.OwnerOfRequest(rq.Queries); ok {
@@ -255,16 +250,11 @@ func (r *Router) ServeBatch(ctx context.Context, reqs []api.Request, local func(
 		if node == r.cfg.Self {
 			return local(ctx, sub), nil
 		}
-		_, body, err := r.Forward(ctx, node, wire.KindCoordinate, wire.CoordinateReq{Requests: sub}.Encode)
-		if err != nil {
+		call := wire.Coordinate.Bind(wire.CoordinateReq{Requests: sub})
+		if _, err := r.Forward(ctx, node, call); err != nil {
 			return nil, api.From(err)
 		}
-		d := wire.NewDec(body)
-		resps := wire.GetResponses(d)
-		if d.Err() != nil {
-			return nil, api.Errf(api.CodeInternal, "cluster: %s returned a malformed batch reply", node)
-		}
-		return resps, nil
+		return call.Reply.Responses, nil
 	})
 	r.observeFanout(nodes)
 	return out

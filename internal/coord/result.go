@@ -11,20 +11,22 @@ import (
 )
 
 // Result is a coordinating set together with the witnessing assignment.
+// Its JSON form is part of the HTTP protocol: Values' query indices are
+// decimal object keys, which encoding/json sorts (golden tests pin it).
 type Result struct {
 	// Set holds the indices (into the input query slice) of the queries
 	// in the coordinating set, sorted ascending.
-	Set []int
+	Set []int `json:"set"`
 	// Values maps each query index in Set to an assignment of that
 	// query's original variable names to database values. Every variable
 	// of every query in the set is assigned (Definition 1, condition 1).
-	Values map[int]map[string]eq.Value
+	Values map[int]map[string]eq.Value `json:"values,omitempty"`
 	// DBQueries is the number of conjunctive queries issued while
 	// computing this result — the paper's central cost metric. Every
 	// algorithm counts on a private per-run db.Meter, so the value is
 	// exact for this run alone even when the underlying store is shared
 	// with concurrent requests (engine.CoordinateMany).
-	DBQueries int64
+	DBQueries int64 `json:"db_queries"`
 }
 
 // IDs returns the query identifiers of the coordinating set.

@@ -83,9 +83,6 @@ type Request struct {
 	ID string
 	// Queries is the entangled query set for this request.
 	Queries []eq.Query
-	// Opts, when non-nil, replaces the engine's base coordination
-	// options for this request.
-	Opts *coord.Options
 }
 
 // Response pairs a request's outcome with its ID, in request order.
@@ -142,11 +139,7 @@ func (e *Engine) serve(ctx context.Context, req *Request) Response {
 	if err := ctx.Err(); err != nil {
 		return Response{ID: req.ID, Err: err}
 	}
-	opts := e.base
-	if req.Opts != nil {
-		opts = *req.Opts
-	}
-	res, err := coord.SCCCoordinate(req.Queries, db.WithContext(ctx, e.routed(req.Queries)), opts)
+	res, err := coord.SCCCoordinate(req.Queries, db.WithContext(ctx, e.routed(req.Queries)), e.base)
 	return Response{ID: req.ID, Result: res, Err: err}
 }
 

@@ -44,7 +44,8 @@ func TestCoordinateMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		many := e.CoordinateMany(ctx, []Request{{ID: "r", Queries: qs, Opts: &coord.Options{SkipSafetyCheck: true, Trace: &manyTr}}})
+		e = New(inst, Options{Workers: 8, Coord: coord.Options{SkipSafetyCheck: true, Trace: &manyTr}})
+		many := e.CoordinateMany(ctx, []Request{{ID: "r", Queries: qs}})
 		if len(many) != 1 || many[0].ID != "r" || many[0].Err != nil {
 			t.Fatalf("%s: batch of one answered %+v", name, many)
 		}

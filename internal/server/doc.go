@@ -4,16 +4,17 @@
 // paper's MySQL-backed prototype serves and the one where coordination
 // cost is measurable as communication.
 //
-// Every client-facing operation is described once, as an entry of the
-// operation table in ops.go: its binary kind, HTTP verb and path, how
-// its request is read from either protocol, its routing key, its
-// admission class, the method that serves it, and its reply codec. The
-// HTTP handler (Server.ServeHTTP) and the binary dispatcher
-// (Server.ServeWire) are thin adapters over that table; the policy
-// they share — admission at the edge, owner lookup, the
+// Every client-facing operation is a row of internal/wire's operation
+// table — name, binary kind, HTTP verb and path, routing key, request
+// and reply codecs — and the serving table in ops.go holds one entry
+// per row with only what serving takes: its admission class, whether
+// only the owner may serve it, the method that serves it and the cost a
+// reply settles. The HTTP handler (Server.ServeHTTP) and the binary
+// dispatcher (Server.ServeWire) are thin adapters over that table; the
+// policy they share — admission at the edge, owner lookup, the
 // terminal-forward rule, serve, settle — is the table's one run step,
-// so the two protocols cannot diverge in results, errors, DBQueries or
-// cross-node messages.
+// the only door a request comes in by, so the two protocols cannot
+// diverge in results, errors, DBQueries or cross-node messages.
 //
 // Behind the table sit three pieces:
 //

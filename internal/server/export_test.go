@@ -1,21 +1,29 @@
 package server
 
-import "entangled/internal/wire"
+import (
+	"fmt"
 
-// OpInfo is one operation-table entry as the cross-codec tests see it:
-// Kind 0 marks an HTTP-only operation, an empty Pattern a binary-only
-// one.
+	"entangled/internal/wire"
+)
+
+// OpInfo is one serving-table entry as the tests see it: the shared
+// row it serves and what the serving table adds.
 type OpInfo struct {
-	Name    string
-	Kind    wire.Kind
-	Pattern string
+	*wire.Route
+	Keyed, Local bool
+	Class, Reply string
 }
 
-// Operations lists the operation table.
+func (o *op[Q, R]) info() OpInfo {
+	return OpInfo{Route: &o.Route, Keyed: o.Key != nil, Local: o.local,
+		Class: [...]string{"unmetered", "gated", "metered"}[o.class], Reply: fmt.Sprintf("%T", *new(R))}
+}
+
+// Operations lists the serving table.
 func Operations() []OpInfo {
 	out := make([]OpInfo, len(ops))
 	for i, o := range ops {
-		out[i].Name, out[i].Kind, out[i].Pattern = o.route()
+		out[i] = o.(interface{ info() OpInfo }).info()
 	}
 	return out
 }

@@ -32,34 +32,12 @@ const (
 	metered
 )
 
-// body is a request as the binary protocol carries it; the wire.*Req
-// structs are the request types of both protocols.
-type body interface{ Encode(*wire.Enc) }
-
-// none is the request of operations that take no input and the reply
-// of operations that answer with a bare status.
-type none struct{}
-
-func (none) Encode(*wire.Enc) {}
-
-// op describes one client-facing operation once; serveHTTP and
-// serveWire are the two thin adapters over it, and run is the policy
-// they share.
-type op[Q body, R any] struct {
-	name string
-	// kind is the binary request kind; zero marks an HTTP-only
-	// operation.
-	kind wire.Kind
-	// pattern is the HTTP verb and path as http.ServeMux spells them;
-	// empty marks a binary-only operation.
-	pattern string
-	// fromHTTP reads the request from the path, query string and JSON
-	// body; fromWire reads it from a frame. Nil when Q is none.
-	fromHTTP func(*http.Request) (Q, error)
-	fromWire func(*wire.Dec) Q
-	// key names the session the request routes by; nil (or an empty
-	// key) serves wherever the request lands.
-	key func(Q) string
+// op is one entry of the serving table: the operation as internal/wire
+// describes it for both ends of the wire (name, kind, route, key,
+// codecs), and over it what only serving takes. serveHTTP and serveWire
+// are the two thin adapters; run is the policy they share.
+type op[Q wire.Req, R any] struct {
+	*wire.Op[Q, R]
 	// local marks an operation only the owner itself can serve: a
 	// misplaced request answers route_moved instead of forwarding.
 	local bool
@@ -67,10 +45,6 @@ type op[Q body, R any] struct {
 	// serve runs the operation on the node that owns it and returns the
 	// reply with its HTTP(-equivalent) status.
 	serve func(*Server, context.Context, Q, bool) (R, int, error)
-	// putReply and getReply are the reply's binary codec (getReply reads
-	// back what a forward's owner answered); nil when R is none.
-	putReply func(*wire.Enc, R)
-	getReply func(*wire.Dec) R
 	// cost is the DBQueries a successful reply settles; nil means zero.
 	cost func(R) int64
 	// then runs on the binary connection after the reply was written.
@@ -80,12 +54,12 @@ type op[Q body, R any] struct {
 // operation is the table's element type: op with its request and reply
 // types erased.
 type operation interface {
-	route() (name string, kind wire.Kind, pattern string)
+	route() *wire.Route
 	serveHTTP(s *Server, w http.ResponseWriter, r *http.Request)
 	serveWire(s *Server, ctx context.Context, wc *wireConn, id uint64, d *wire.Dec, forwarded bool)
 }
 
-func (o *op[Q, R]) route() (string, wire.Kind, string) { return o.name, o.kind, o.pattern }
+func (o *op[Q, R]) route() *wire.Route { return &o.Route }
 
 // run is the policy every operation follows on both protocols:
 // admission at the edge, then the owner lookup, then either the
@@ -131,50 +105,37 @@ func (o *op[Q, R]) run(s *Server, ctx context.Context, q Q, forwarded bool) (R, 
 // place serves the request where it belongs: here when this node owns
 // the key (or the operation has none), one hop away otherwise.
 func (o *op[Q, R]) place(s *Server, ctx context.Context, q Q, forwarded bool) (rep R, status int, err error) {
-	if o.key != nil {
-		if key := o.key(q); key != "" {
+	if o.Key != nil {
+		if key := o.Key(q); key != "" {
 			if node, remote := s.remoteOwner(key); remote {
 				if forwarded || o.local {
 					return rep, 0, s.opts.Cluster.RouteMoved("session", key)
 				}
-				return o.forward(s, ctx, node, q)
+				// The owner's reply decodes into the operation's reply type, so
+				// the edge renders it as if it had served the request itself,
+				// status included (a parked join stays 202 across the hop); the
+				// owner's *api.Error relays verbatim.
+				call := o.Bind(q)
+				if status, err = s.opts.Cluster.Forward(ctx, node, call); err == nil {
+					rep = call.Reply
+				}
+				return rep, status, err
 			}
 		}
 	}
 	return o.serve(s, ctx, q, forwarded)
 }
 
-// forward sends the request to its owning node and reads the owner's
-// reply back into the operation's reply type, so the edge renders it
-// exactly as if it had served the request itself — status included (a
-// parked join stays 202 across the hop). A service-level failure comes
-// back as the owner's *api.Error and relays verbatim.
-func (o *op[Q, R]) forward(s *Server, ctx context.Context, node string, q Q) (rep R, status int, err error) {
-	status, reply, err := s.opts.Cluster.Forward(ctx, node, o.kind, q.Encode)
-	if err != nil {
-		return rep, 0, err
-	}
-	d := wire.NewDec(reply)
-	if o.getReply != nil {
-		rep = o.getReply(d)
-	}
-	if d.Finish() != nil {
-		var zero R
-		return zero, 0, fmt.Errorf("cluster: %s returned a malformed %v reply", node, o.kind)
-	}
-	return rep, status, nil
-}
-
 // serveHTTP is the HTTP adapter: read the request, run, render the
 // status with the reply DTO or the error envelope.
 func (o *op[Q, R]) serveHTTP(s *Server, w http.ResponseWriter, r *http.Request) {
 	var q Q
-	if o.fromHTTP != nil {
+	if o.FromHTTP != nil {
 		// The binary protocol refuses frames above wire.MaxFrame; HTTP
 		// bodies stop at the same size.
 		r.Body = http.MaxBytesReader(w, r.Body, wire.MaxFrame)
 		var err error
-		if q, err = o.fromHTTP(r); err != nil {
+		if q, err = o.FromHTTP(r.PathValue("id"), r.URL.RawQuery, func(v any) error { return readJSON(r, v) }); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -195,8 +156,8 @@ func (o *op[Q, R]) serveHTTP(s *Server, w http.ResponseWriter, r *http.Request) 
 // on its own goroutine, so pipelined requests overlap.
 func (o *op[Q, R]) serveWire(s *Server, ctx context.Context, wc *wireConn, id uint64, d *wire.Dec, forwarded bool) {
 	var q Q
-	if o.fromWire != nil {
-		q = o.fromWire(d)
+	if o.GetReq != nil {
+		q = o.GetReq(d)
 	}
 	if err := d.Finish(); err != nil {
 		wc.badBody(id, err)
@@ -210,9 +171,10 @@ func (o *op[Q, R]) serveWire(s *Server, ctx context.Context, wc *wireConn, id ui
 			wc.replyErr(id, err)
 			return
 		}
-		wc.replyOK(id, status, func(e *wire.Enc) {
-			if o.putReply != nil {
-				o.putReply(e, rep)
+		wc.send(wire.Header{Kind: wire.KindReply, ID: id}, func(e *wire.Enc) {
+			wire.PutReplyOK(e, status)
+			if o.PutReply != nil {
+				o.PutReply(e, rep)
 			}
 		})
 		if o.then != nil {
@@ -243,133 +205,62 @@ func readJSON(r *http.Request, v any) error {
 	return badRequest(status, "decoding body: %v", err)
 }
 
-func sessionOf(r *http.Request) string { return r.PathValue("id") }
-
 // reading adapts a parameterless snapshot to a serve function.
-func reading[R any](snapshot func(*Server) R) func(*Server, context.Context, none, bool) (R, int, error) {
-	return func(s *Server, _ context.Context, _ none, _ bool) (R, int, error) {
+func reading[R any](snapshot func(*Server) R) func(*Server, context.Context, wire.None, bool) (R, int, error) {
+	return func(s *Server, _ context.Context, _ wire.None, _ bool) (R, int, error) {
 		return snapshot(s), http.StatusOK, nil
 	}
 }
 
 func updateCost(u api.Update) int64 { return u.Stats.DBQueries }
 
-// ops is the operation table: every client-facing operation appears
-// here exactly once. New registers the HTTP routes by ranging over it,
-// wireOps indexes it by kind for the binary dispatcher, and the
-// cross-codec tests iterate it.
+// ops is the serving table: every operation of wire.Ops appears here
+// exactly once, in the same order. New registers the HTTP routes by
+// ranging over it, wireOps indexes it by kind for the binary
+// dispatcher, and the cross-codec tests iterate it.
 var ops = []operation{
-	&op[wire.CoordinateReq, api.CoordinateResponse]{
-		name: "coordinate", kind: wire.KindCoordinate, pattern: "POST /v1/coordinate",
-		fromHTTP: func(r *http.Request) (wire.CoordinateReq, error) {
-			var b api.CoordinateRequest
-			err := readJSON(r, &b)
-			return wire.CoordinateReq{Requests: b.Requests}, err
-		},
-		fromWire: wire.DecodeCoordinateReq,
-		serve:    (*Server).coordinate,
-		putReply: func(e *wire.Enc, r api.CoordinateResponse) { wire.PutResponses(e, r.Responses) },
-	},
-	&op[wire.CreateSessionReq, api.CreateSessionResponse]{
-		name: "create", kind: wire.KindCreateSession, pattern: "POST /v1/sessions",
-		fromHTTP: func(r *http.Request) (wire.CreateSessionReq, error) {
-			var b api.CreateSessionRequest
-			err := readJSON(r, &b)
-			return wire.CreateSessionReq{ID: b.ID, ParkUnsafe: b.ParkUnsafe}, err
-		},
-		fromWire: wire.DecodeCreateSessionReq,
-		// A named create belongs to the name's owner; an auto-named one
-		// is served wherever it lands (the registry generates self-owned
-		// names).
-		key:      func(q wire.CreateSessionReq) string { return q.ID },
-		class:    gated, // creates do no store work: they settle zero
-		serve:    (*Server).createSession,
-		putReply: func(e *wire.Enc, r api.CreateSessionResponse) { e.String(r.ID) },
-		getReply: func(d *wire.Dec) api.CreateSessionResponse { return api.CreateSessionResponse{ID: d.String()} },
-	},
+	&op[wire.CoordinateReq, api.CoordinateResponse]{Op: wire.Coordinate, serve: (*Server).coordinate},
+	// Creates do no store work: they settle zero.
+	&op[wire.CreateSessionReq, api.CreateSessionResponse]{Op: wire.CreateSession, class: gated, serve: (*Server).createSession},
 	&op[wire.JoinReq, api.Update]{
-		name: "join", kind: wire.KindJoin, pattern: "POST /v1/sessions/{id}/join",
-		fromHTTP: func(r *http.Request) (wire.JoinReq, error) {
-			var b api.JoinRequest
-			err := readJSON(r, &b)
-			return wire.JoinReq{Session: sessionOf(r), Query: b.Query}, err
-		},
-		fromWire: wire.DecodeJoinReq,
-		key:      func(q wire.JoinReq) string { return q.Session },
-		class:    gated,
+		Op: wire.Join, class: gated, cost: updateCost,
 		serve: func(s *Server, ctx context.Context, q wire.JoinReq, _ bool) (api.Update, int, error) {
 			return s.sessionEvent(ctx, q.Session, stream.Event{Kind: stream.JoinEvent, Query: q.Query})
 		},
-		putReply: wire.PutUpdate, getReply: wire.GetUpdate, cost: updateCost,
 	},
 	&op[wire.LeaveReq, api.Update]{
-		name: "leave", kind: wire.KindLeave, pattern: "POST /v1/sessions/{id}/leave",
-		fromHTTP: func(r *http.Request) (wire.LeaveReq, error) {
-			var b api.LeaveRequest
-			err := readJSON(r, &b)
-			return wire.LeaveReq{Session: sessionOf(r), QueryID: b.ID}, err
-		},
-		fromWire: wire.DecodeLeaveReq,
-		key:      func(q wire.LeaveReq) string { return q.Session },
-		class:    metered,
+		Op: wire.Leave, class: metered, cost: updateCost,
 		serve: func(s *Server, ctx context.Context, q wire.LeaveReq, _ bool) (api.Update, int, error) {
 			return s.sessionEvent(ctx, q.Session, stream.Event{Kind: stream.LeaveEvent, ID: q.QueryID})
 		},
-		putReply: wire.PutUpdate, getReply: wire.GetUpdate, cost: updateCost,
 	},
-	&op[wire.StatusReq, api.SessionStatus]{
-		name: "status", kind: wire.KindStatus, pattern: "GET /v1/sessions/{id}",
-		fromHTTP: func(r *http.Request) (wire.StatusReq, error) {
-			return wire.StatusReq{Session: sessionOf(r), Trace: r.URL.Query().Get("trace") == "1"}, nil
-		},
-		fromWire: wire.DecodeStatusReq,
-		key:      func(q wire.StatusReq) string { return q.Session },
-		serve:    (*Server).sessionStatus,
-		putReply: wire.PutSessionStatus, getReply: wire.GetSessionStatus,
-	},
-	&op[wire.SessionReq, none]{
-		name: "delete", kind: wire.KindDeleteSession, pattern: "DELETE /v1/sessions/{id}",
-		fromHTTP: func(r *http.Request) (wire.SessionReq, error) { return wire.SessionReq{Session: sessionOf(r)}, nil },
-		fromWire: wire.DecodeSessionReq,
-		key:      func(q wire.SessionReq) string { return q.Session },
-		serve:    (*Server).deleteSession,
-	},
-	&op[wire.SessionReq, none]{
-		// No HTTP equivalent: HTTP clients poll session status.
-		name: "subscribe", kind: wire.KindSubscribe,
-		fromWire: wire.DecodeSessionReq,
-		key:      func(q wire.SessionReq) string { return q.Session },
+	&op[wire.StatusReq, api.SessionStatus]{Op: wire.Status, serve: (*Server).sessionStatus},
+	&op[wire.SessionReq, wire.None]{Op: wire.DeleteSession, serve: (*Server).deleteSession},
+	&op[wire.SessionReq, wire.None]{
+		Op: wire.Subscribe,
 		// Push flows only from a session's owner (the owner's session
 		// loop feeds its hub), so a misplaced subscribe answers
 		// route_moved rather than silently never delivering.
 		local: true,
-		serve: func(s *Server, _ context.Context, q wire.SessionReq, _ bool) (none, int, error) {
+		serve: func(s *Server, _ context.Context, q wire.SessionReq, _ bool) (wire.None, int, error) {
 			_, err := s.reg.get(q.Session)
-			return none{}, http.StatusOK, err
+			return wire.None{}, http.StatusOK, err
 		},
 		// The backlog flushes after the reply, so the client observes
 		// "subscribed" before the first notification.
 		then: func(s *Server, wc *wireConn, q wire.SessionReq) { s.push.subscribe(wc, q.Session) },
 	},
-	&op[none, api.Health]{
-		name: "health", kind: wire.KindHealth, pattern: "GET /healthz",
-		serve: reading((*Server).health), putReply: wire.PutHealth,
-	},
-	&op[none, api.ClusterStatus]{
-		name: "cluster", kind: wire.KindCluster, pattern: "GET /v1/cluster",
-		serve: reading((*Server).clusterStatus), putReply: wire.PutClusterStatus,
-	},
-	// The operator surfaces are HTTP only: their DTOs have no binary
-	// encoding.
-	&op[none, api.RecoveryStatus]{name: "recovery", pattern: "GET /v1/recovery", serve: reading((*Server).recoveryStatus)},
-	&op[none, api.Metrics]{name: "metrics", pattern: "GET /metrics", serve: reading((*Server).metricsSnapshot)},
-	&op[none, api.TenantsStatus]{name: "tenants", pattern: "GET /v1/tenants", serve: reading((*Server).tenantsStatus)},
+	&op[wire.None, api.Health]{Op: wire.Health, serve: reading((*Server).health)},
+	&op[wire.None, api.ClusterStatus]{Op: wire.Cluster, serve: reading((*Server).clusterStatus)},
+	&op[wire.None, api.RecoveryStatus]{Op: wire.Recovery, serve: reading((*Server).recoveryStatus)},
+	&op[wire.None, api.Metrics]{Op: wire.Metrics, serve: reading((*Server).metricsSnapshot)},
+	&op[wire.None, api.TenantsStatus]{Op: wire.Tenants, serve: reading((*Server).tenantsStatus)},
 }
 
 // wireOps indexes the table by request kind for the binary dispatcher.
 var wireOps = func() (byKind [wire.KindReply]operation) {
 	for _, o := range ops {
-		if _, kind, _ := o.route(); kind != 0 {
+		if kind := o.route().Kind; kind != 0 {
 			byKind[kind] = o
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"entangled/internal/api"
 	"entangled/internal/client"
 	"entangled/internal/cluster"
+	"entangled/internal/coord"
 	"entangled/internal/eq"
 	"entangled/internal/server"
 	"entangled/internal/wire"
@@ -38,7 +40,7 @@ var opPairs = map[string]func(t *testing.T, c *client.Client, raw rawCaller, nam
 		}
 		return resps
 	},
-	"create": func(t *testing.T, c *client.Client, _ rawCaller, name string) any {
+	"create_session": func(t *testing.T, c *client.Client, _ rawCaller, name string) any {
 		sess, err := c.CreateSession(context.Background(), name+"-2", true)
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +71,7 @@ var opPairs = map[string]func(t *testing.T, c *client.Client, raw rawCaller, nam
 		st.ID = ""
 		return st
 	},
-	"delete": func(t *testing.T, c *client.Client, _ rawCaller, name string) any {
+	"delete_session": func(t *testing.T, c *client.Client, _ rawCaller, name string) any {
 		if err := c.Session(name).Close(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -157,9 +159,9 @@ func tableEquivalence(t *testing.T) {
 			t.Errorf("operation %s appears twice in the table", o.Name)
 		}
 		seen[o.Name] = true
-		if only, single := singleProtocol[o.Name]; single || o.Kind == 0 || o.Pattern == "" {
+		if only, single := singleProtocol[o.Name]; single || o.Kind == 0 || o.Method == "" {
 			marked := map[bool]string{true: "http", false: "binary"}[o.Kind == 0]
-			if o.Kind != 0 && o.Pattern != "" {
+			if o.Kind != 0 && o.Method != "" {
 				marked = "both"
 			}
 			if !single || only != marked {
@@ -258,14 +260,39 @@ func forwardedFailureEquivalence(t *testing.T) {
 }
 
 // TestEveryKindIsInTheTable: a request kind the protocol defines is
-// either an operation in the table or one of the two envelopes —
-// nothing dispatches from anywhere else.
+// either a row of wire's operation table or one of the two envelopes,
+// and the serving table serves exactly those rows, in order — nothing
+// dispatches from anywhere else. DESIGN.md prints the table once ("One
+// operation table"); the print must say what the code says.
 func TestEveryKindIsInTheTable(t *testing.T) {
+	served := server.Operations()
+	if len(served) != len(wire.Ops) {
+		t.Fatalf("the serving table has %d entries, wire.Ops %d rows", len(served), len(wire.Ops))
+	}
 	inTable := map[wire.Kind]bool{}
-	for _, o := range server.Operations() {
+	var rows []string
+	for i, o := range served {
+		if o.Route != wire.Ops[i] {
+			t.Errorf("serving-table entry %d serves %s, wire.Ops lists %s there", i, o.Name, wire.Ops[i].Name)
+		}
+		kind, route, key, reply, by := "—", "—", "—", "—", "any node"
 		if o.Kind != 0 {
 			inTable[o.Kind] = true
+			kind = fmt.Sprint(uint8(o.Kind))
 		}
+		if o.Method != "" {
+			route = "`" + o.Method + " " + o.Path + "`"
+		}
+		if o.Reply != "wire.None" {
+			reply = "`" + o.Reply + "`"
+		}
+		if o.Keyed {
+			key, by = "session name", "the owner; another node forwards one hop"
+		}
+		if o.Local {
+			by = "the owner only; another node answers `route_moved`"
+		}
+		rows = append(rows, fmt.Sprintf("| `%s` | %s | %s | %s | %s | %s | %s |", o.Name, kind, route, key, o.Class, reply, by))
 	}
 	for k := wire.Kind(1); k < wire.KindReply; k++ {
 		defined := !strings.HasPrefix(k.String(), "kind(")
@@ -278,6 +305,25 @@ func TestEveryKindIsInTheTable(t *testing.T) {
 		case !defined && inTable[k]:
 			t.Errorf("table entry uses undefined kind %d", k)
 		}
+	}
+
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), "\n### One operation table\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no \"### One operation table\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n### ")
+	var printed []string
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "| `") {
+			printed = append(printed, line)
+		}
+	}
+	if !reflect.DeepEqual(printed, rows) {
+		t.Errorf("DESIGN.md prints\n%s\nthe tables say\n%s", strings.Join(printed, "\n"), strings.Join(rows, "\n"))
 	}
 }
 
@@ -328,45 +374,67 @@ func TestOversizedPayloadRefusedBothProtocols(t *testing.T) {
 	}
 }
 
-// truncatedPeer is a cluster.PeerConn whose peer answers every forward
-// with a 200 whose update body lost its last byte.
-type truncatedPeer struct{}
+// malformedPeer is a cluster.PeerConn whose peer answers every forward
+// with a 200 whose body does not validate: a forwarded batch with
+// well-formed responses billing 7 queries each and then two stray
+// bytes, anything else with an update that lost its last byte.
+type malformedPeer struct{}
 
-func (truncatedPeer) Call(context.Context, wire.Kind, func(*wire.Enc)) (int, []byte, error) {
-	var e wire.Enc
+func (malformedPeer) Call(_ context.Context, _ wire.Kind, encode func(*wire.Enc)) (int, []byte, error) {
+	var env, e wire.Enc
+	encode(&env)
+	if fwd := wire.DecodeForward(wire.NewDec(env.Bytes())); fwd.Kind == wire.KindCoordinate {
+		reqs := wire.DecodeCoordinateReq(wire.NewDec(fwd.Body)).Requests
+		resps := make([]api.Response, len(reqs))
+		for i, rq := range reqs {
+			resps[i] = api.Response{ID: rq.ID, Result: &coord.Result{DBQueries: 7}}
+		}
+		wire.PutResponses(&e, resps)
+		return http.StatusOK, append(e.Bytes(), 0, 0), nil
+	}
 	up := api.Update{Seq: 1, Admitted: true, TeamSize: 2}
 	up.Stats.DBQueries = 7
 	wire.PutUpdate(&e, up)
 	return http.StatusOK, e.Bytes()[:len(e.Bytes())-1], nil
 }
-func (truncatedPeer) Connected() bool { return true }
-func (truncatedPeer) Close() error    { return nil }
+func (malformedPeer) Connected() bool { return true }
+func (malformedPeer) Close() error    { return nil }
 
 // TestMalformedForwardedUpdateSettlesZero: the edge charges a tenant
 // only for a forwarded reply that validated. A peer answering a join or
 // leave with a truncated update is an internal error on both protocols
-// — same status, code and message — and lands nothing on the tenant's
-// budget, with the in-flight slot released.
+// — same status, code and message — and a batch slice answered with
+// bytes after its responses carries the same error inline; neither
+// lands anything on the tenant's budget, with the in-flight slot
+// released.
 func TestMalformedForwardedUpdateSettlesZero(t *testing.T) {
 	r, err := cluster.New(cluster.Config{Self: "a", Nodes: []cluster.Node{{Name: "a", Addr: "a:1"}, {Name: "b", Addr: "b:1"}}},
-		cluster.Options{Dial: func(string) cluster.PeerConn { return truncatedPeer{} }})
+		cluster.Options{Placement: map[string]int{"T": 1}, Dial: func(string) cluster.PeerConn { return malformedPeer{} }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := ""
-	for i := 0; remote == ""; i++ {
-		if name := fmt.Sprintf("s%d", i); r.Owner(name) == "b" {
+	remote, idx := "", -1
+	for i := 0; remote == "" || idx < 0; i++ {
+		if name := fmt.Sprintf("s%d", i); remote == "" && r.Owner(name) == "b" {
 			remote = name
+		}
+		if idx < 0 && r.Ring().OwnerOfValue(eq.Value(fmt.Sprintf("c%d", i))) == "b" {
+			idx = i
 		}
 	}
 	adm := admission.NewController(admission.Config{})
 	h := newAdmissionLoopback(t, nil, server.Options{Cluster: r, Admission: adm})
 	ctx := context.Background()
-	var errs [2][2]error
+	var errs [2][3]error
 	for i, proto := range []string{"http", "binary"} {
-		sess := h.client(proto, "ten-"+proto).Session(remote)
-		_, errs[i][0] = sess.Join(ctx, workload.ChainQuery(0, 0, 8))
-		_, errs[i][1] = sess.Leave(ctx, "q")
+		c := h.client(proto, "ten-"+proto)
+		_, errs[i][0] = c.Session(remote).Join(ctx, workload.ChainQuery(0, 0, 8))
+		_, errs[i][1] = c.Session(remote).Leave(ctx, "q")
+		resps, err := c.CoordinateBatch(ctx, []client.Request{{ID: "r", Queries: workload.ListQueriesAt(2, idx)}})
+		if err != nil {
+			t.Fatalf("%s: a malformed slice failed the batch: %v", proto, err)
+		}
+		errs[i][2] = resps[0].Err
 	}
 	for _, sn := range adm.Snapshot() {
 		if sn.DBQueriesSpent != 0 || sn.InFlight != 0 {
@@ -374,12 +442,16 @@ func TestMalformedForwardedUpdateSettlesZero(t *testing.T) {
 				sn.Tenant, sn.DBQueriesSpent, sn.InFlight)
 		}
 	}
-	for j, what := range []string{"forwarded join", "forwarded leave"} {
+	for j, what := range []string{"forwarded join", "forwarded leave", "forwarded batch slice"} {
 		sameClientError(t, what, errs[0][j], errs[1][j])
+		status := http.StatusInternalServerError
+		if j == 2 {
+			status = 0 // inline: the batch call itself succeeded
+		}
 		var ce *client.Error
-		if !errors.As(errs[0][j], &ce) || ce.Status != http.StatusInternalServerError || ce.Code != api.CodeInternal ||
+		if !errors.As(errs[0][j], &ce) || ce.Status != status || ce.Code != api.CodeInternal ||
 			!strings.Contains(ce.Message, "malformed") {
-			t.Fatalf("%s: %v; want a 500 internal naming the malformed reply", what, errs[0][j])
+			t.Fatalf("%s: %v; want an internal error naming the malformed reply", what, errs[0][j])
 		}
 	}
 }

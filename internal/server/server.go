@@ -106,7 +106,8 @@ func (o Options) withDefaults() Options {
 // Server exposes an engine.Engine over HTTP/JSON and the binary wire
 // protocol: the batch coordination operation, the streaming-session
 // resource, and the operational surface — every operation an entry of
-// the table in ops.go, which is also where the HTTP routes are spelled.
+// the table in ops.go over its row of internal/wire's, which is where
+// the HTTP routes are spelled.
 // It implements http.Handler; serve it with any http.Server (and
 // ServeWire for binary listeners) and call Close on shutdown to drain
 // admitted work.
@@ -202,8 +203,8 @@ func New(e *engine.Engine, opts Options) (*Server, error) {
 	}
 
 	for _, o := range ops {
-		if _, _, pattern := o.route(); pattern != "" {
-			s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) { o.serveHTTP(s, w, r) })
+		if r := o.route(); r.Method != "" {
+			s.mux.HandleFunc(r.Method+" "+r.Path, func(w http.ResponseWriter, r *http.Request) { o.serveHTTP(s, w, r) })
 		}
 	}
 	return s, nil
@@ -278,8 +279,13 @@ func (s *Server) writeGate() error {
 	return nil
 }
 
-// createSession gates and creates one named session.
+// createSession gates and creates one named session. The names an HTTP
+// path cannot carry are refused on every protocol, so every session is
+// reachable over each.
 func (s *Server) createSession(_ context.Context, q wire.CreateSessionReq, _ bool) (api.CreateSessionResponse, int, error) {
+	if !wire.PathSafe(q.ID) {
+		return api.CreateSessionResponse{}, 0, badRequest(http.StatusBadRequest, "session name %q is a dot segment, which no URL path can carry", q.ID)
+	}
 	if err := s.writeGate(); err != nil {
 		return api.CreateSessionResponse{}, 0, err
 	}
@@ -293,11 +299,11 @@ func (s *Server) createSession(_ context.Context, q wire.CreateSessionReq, _ boo
 // deleteSession gates and removes one session. Deletion is a write:
 // it drops the journal from the data directory, and a drop the
 // degraded filesystem loses would resurrect the session on restart.
-func (s *Server) deleteSession(_ context.Context, q wire.SessionReq, _ bool) (none, int, error) {
+func (s *Server) deleteSession(_ context.Context, q wire.SessionReq, _ bool) (wire.None, int, error) {
 	if err := s.writeGate(); err != nil {
-		return none{}, 0, err
+		return wire.None{}, 0, err
 	}
-	return none{}, http.StatusNoContent, s.reg.remove(q.Session)
+	return wire.None{}, http.StatusNoContent, s.reg.remove(q.Session)
 }
 
 // ServeHTTP implements http.Handler. The X-Tenant header, when

@@ -159,14 +159,6 @@ func (wc *wireConn) sendPush(p wire.Push) error {
 	return wc.send(wire.Header{Kind: wire.KindPush, ID: 0}, p.Encode)
 }
 
-// replyOK answers a request with a success status and body.
-func (wc *wireConn) replyOK(id uint64, status int, put func(*wire.Enc)) {
-	wc.send(wire.Header{Kind: wire.KindReply, ID: id}, func(e *wire.Enc) {
-		wire.PutReplyOK(e, status)
-		put(e)
-	})
-}
-
 // replyErr answers a request with the same error the HTTP envelope
 // would carry for the failure.
 func (wc *wireConn) replyErr(id uint64, err error) {

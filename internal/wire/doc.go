@@ -1,20 +1,28 @@
-// Package wire is the coordination service's binary protocol: a
-// length-prefixed, CRC-framed codec over one persistent TCP connection,
-// built to kill the ~4x per-request overhead the HTTP/JSON path
-// measured when it was added (JSON encode/decode plus per-batch TCP
-// round trips; the batch_http_small and batch_binary_large workloads of
-// bench/coordmark measure the two protocols today).
+// Package wire is the coordination service's protocol: what its
+// operations are, and the binary encoding that carries them.
 //
-// A connection starts with the 4-byte Magic preamble, then carries
+// The operations are the table in ops.go — one Op[Q, R] row each, read
+// by both ends of the wire: name, binary Kind, HTTP verb and path,
+// routing key, request and reply codecs, and the mapping between the
+// *Req request types (the request types of both protocols) and the
+// internal/api JSON bodies HTTP carries. internal/server adds what
+// serving takes over a row; internal/client binds a row to a request
+// (Op.Bind) and sends the Call — the form in which every request
+// leaves a process, also across the forward hop between nodes, and the
+// one place a binary reply body becomes a typed reply
+// (Bound.DecodeReply).
+//
+// The binary protocol is a length-prefixed, CRC-framed codec over one
+// persistent TCP connection (the batch_http_small and
+// batch_binary_large workloads of bench/coordmark measure what it saves
+// over HTTP/JSON). A connection starts with the 4-byte Magic preamble, then carries
 // frames in both directions. Framing is internal/frame — the same
 // 4-byte little-endian payload length, 4-byte CRC-32 (IEEE), payload
 // discipline the WAL files use; ReadFrame and WriteFrame only map its
 // typed failure reasons to this package's errors — with the payload
 // holding a one-byte message Kind, a uvarint pipelining id, and a
-// kind-specific body. The request bodies (the *Req structs) are the
-// request types of the server's operation table and the client's op
-// descriptors on both protocols; KindTenant and KindForward are
-// envelopes around them. Requests pipeline: clients issue any number of concurrent
+// kind-specific body; KindTenant and KindForward are envelopes around
+// a request. Requests pipeline: clients issue any number of concurrent
 // calls over one connection, the server answers each with a KindReply
 // frame echoing its id, and replies resolve out of order as work
 // finishes. KindPush frames (id 0) flow server-to-client without a

@@ -7,39 +7,27 @@ import (
 	"entangled/internal/eq"
 )
 
-// Kind discriminates message payloads. Client-to-server kinds name the
-// operation (mirroring the HTTP endpoints one-to-one); server-to-client
-// frames are either a Reply correlated to a request id or an
-// unsolicited Push.
+// Kind discriminates message payloads. A client-to-server kind names
+// an operation of the table in ops.go or one of the two envelopes
+// around one; server-to-client frames are either a Reply correlated to
+// a request id or an unsolicited Push.
 type Kind uint8
 
 const (
-	// KindCoordinate is POST /v1/coordinate: a batch of independent
-	// coordination requests.
-	KindCoordinate Kind = 1
-	// KindCreateSession is POST /v1/sessions.
+	KindCoordinate    Kind = 1
 	KindCreateSession Kind = 2
-	// KindJoin is POST /v1/sessions/{id}/join.
-	KindJoin Kind = 3
-	// KindLeave is POST /v1/sessions/{id}/leave.
-	KindLeave Kind = 4
-	// KindStatus is GET /v1/sessions/{id}.
-	KindStatus Kind = 5
-	// KindDeleteSession is DELETE /v1/sessions/{id}.
+	KindJoin          Kind = 3
+	KindLeave         Kind = 4
+	KindStatus        Kind = 5
 	KindDeleteSession Kind = 6
-	// KindSubscribe registers this connection for push notifications
-	// about one session (no HTTP equivalent — HTTP clients poll).
-	KindSubscribe Kind = 7
-	// KindHealth is GET /healthz.
-	KindHealth Kind = 8
+	KindSubscribe     Kind = 7
+	KindHealth        Kind = 8
 	// KindForward wraps another request for node-to-node forwarding
 	// inside a cluster: origin metadata, then the inner kind and its
 	// body verbatim. Forwarded frames are terminal — a receiver that
 	// does not own the target answers route_moved instead of forwarding
 	// again, so a request crosses at most one node boundary.
 	KindForward Kind = 9
-	// KindCluster is GET /v1/cluster: the node's membership view, ring
-	// parameters and relation placements.
 	KindCluster Kind = 10
 	// KindTenant wraps another client request with a tenant identity
 	// for admission accounting: the tenant name, then the inner kind
@@ -56,29 +44,17 @@ const (
 	KindPush Kind = 0x81
 )
 
-// String names the kind for diagnostics.
+// String names the kind for diagnostics: a request kind by its
+// operation's name.
 func (k Kind) String() string {
+	for _, r := range Ops {
+		if r.Kind == k && k != 0 {
+			return r.Name
+		}
+	}
 	switch k {
-	case KindCoordinate:
-		return "coordinate"
-	case KindCreateSession:
-		return "create_session"
-	case KindJoin:
-		return "join"
-	case KindLeave:
-		return "leave"
-	case KindStatus:
-		return "status"
-	case KindDeleteSession:
-		return "delete_session"
-	case KindSubscribe:
-		return "subscribe"
-	case KindHealth:
-		return "health"
 	case KindForward:
 		return "forward"
-	case KindCluster:
-		return "cluster"
 	case KindTenant:
 		return "tenant"
 	case KindReply:
@@ -249,10 +225,16 @@ type TenantReq struct {
 	Body   []byte
 }
 
+// PutTenantPrefix appends a tenant envelope up to the wrapped request's
+// body, which the caller encodes in place after it.
+func PutTenantPrefix(e *Enc, tenant string, kind Kind) {
+	e.String(tenant)
+	e.Byte(byte(kind))
+}
+
 // Encode appends the tenant envelope.
 func (m TenantReq) Encode(e *Enc) {
-	e.String(m.Tenant)
-	e.Byte(byte(m.Kind))
+	PutTenantPrefix(e, m.Tenant, m.Kind)
 	e.Raw(m.Body)
 }
 
