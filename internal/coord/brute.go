@@ -97,7 +97,7 @@ func trySubset(renamed []eq.Query, set []int, providers map[[2]int][]ExtendedEdg
 				}
 			}
 			if len(cs) == 0 {
-				return nil, nil, false, nil // unsatisfiable postcondition
+				return nil, db.Binding{}, false, nil // unsatisfiable postcondition
 			}
 			needs = append(needs, need{i, pi, cs})
 		}
@@ -112,7 +112,7 @@ func trySubset(renamed []eq.Query, set []int, providers map[[2]int][]ExtendedEdg
 		if k == len(needs) {
 			bind, found, err := store.SolveUnder(body, s)
 			if err != nil || !found {
-				return nil, nil, false, err
+				return nil, db.Binding{}, false, err
 			}
 			return s, bind, true, nil
 		}
@@ -126,13 +126,13 @@ func trySubset(renamed []eq.Query, set []int, providers map[[2]int][]ExtendedEdg
 			}
 			rs, rb, ok, err := solve(k+1, s2)
 			if err != nil {
-				return nil, nil, false, err
+				return nil, db.Binding{}, false, err
 			}
 			if ok {
 				return rs, rb, true, nil
 			}
 		}
-		return nil, nil, false, nil
+		return nil, db.Binding{}, false, nil
 	}
 	return solve(0, unify.New())
 }

@@ -46,7 +46,7 @@ func (inc *Incremental) Compact() ([]int, DeltaStats, error) {
 			continue
 		}
 		q := inc.queries[old]
-		if got, _ := g.Add(q); got != slot {
+		if got := g.Add(q); got != slot {
 			return nil, DeltaStats{}, fmt.Errorf("coord: compaction slot skew: got %d, want %d", got, slot)
 		}
 		newQueries = append(newQueries, q)

@@ -30,7 +30,12 @@ type ExtendedEdge struct {
 // could match instead of all of them; Figure 6's graph-construction
 // sweep relies on this being near-linear in practice.
 func ExtendedGraph(qs []eq.Query) []ExtendedEdge {
-	g := NewIncrementalGraph()
+	heads, posts := 0, 0
+	for _, q := range qs {
+		heads += len(q.Head)
+		posts += len(q.Post)
+	}
+	g := newGraph(len(qs), heads, posts)
 	for _, q := range qs {
 		g.Add(q)
 	}
@@ -63,11 +68,11 @@ func UnsafeQueries(qs []eq.Query) []int {
 // more than one unifiable head, counting the edges given — in canonical
 // order, so one postcondition's are adjacent — on top of the fanout
 // already recorded in prior (nil for none).
-func unsafeIn(edges []ExtendedEdge, prior postFanout) []int {
+func unsafeIn(edges []ExtendedEdge, prior *postFanout) []int {
 	var out []int
 	for i, e := range edges {
 		second := i > 0 && edges[i-1].FromQ == e.FromQ && edges[i-1].PostIdx == e.PostIdx
-		if (second || prior[[2]int{e.FromQ, e.PostIdx}] > 0) && (len(out) == 0 || out[len(out)-1] != e.FromQ) {
+		if (second || prior.count(e.FromQ, e.PostIdx) > 0) && (len(out) == 0 || out[len(out)-1] != e.FromQ) {
 			out = append(out, e.FromQ)
 		}
 	}

@@ -3,26 +3,21 @@ package coord
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"entangled/internal/eq"
 	"entangled/internal/unify"
 )
 
-// headRef locates one head atom: the h-th head of query q.
-type headRef struct {
-	q, h int
-	atom eq.Atom
-}
-
-// postRef locates one postcondition atom: the p-th post of query q.
-type postRef struct {
-	q, p int
+// atomRef locates one head or postcondition atom: the i-th of query q's
+// heads (or posts).
+type atomRef struct {
+	q, i int32
 	atom eq.Atom
 }
 
 // atomBuckets prefilters unification candidates for one side (heads or
-// posts) of the extended graph. Atoms are bucketed per relation by the
+// posts) of the extended graph. Every atom filed is one row of refs;
+// the buckets hold row numbers. Atoms are bucketed per relation by the
 // constant in their first argument; atoms whose first argument is a
 // variable (or that have no arguments) can match anything over their
 // relation and live in the wildcard bucket. A probe with a constant
@@ -31,48 +26,60 @@ type postRef struct {
 // candidate surviving the prefilter is still checked with
 // unify.Unifiable, so the buckets are purely an optimisation — Figure
 // 6's near-linear graph construction relies on them.
-type atomBuckets[R any] struct {
-	byConst map[string]map[string][]R // rel -> first-arg constant -> refs
-	wild    map[string][]R            // rel -> refs with variable/absent first arg
-	all     map[string][]R            // rel -> every ref
+type atomBuckets struct {
+	refs []atomRef
+	rels map[string]*relBucket
 }
 
-func newAtomBuckets[R any]() atomBuckets[R] {
-	return atomBuckets[R]{
-		byConst: map[string]map[string][]R{},
-		wild:    map[string][]R{},
-		all:     map[string][]R{},
+// relBucket indexes one relation's rows of atomBuckets.refs.
+type relBucket struct {
+	byConst map[string][]int32 // first-argument constant -> rows
+	wild    []int32            // rows with a variable or absent first argument
+	all     []int32            // every row
+}
+
+// firstConst returns the constant in a's first argument, if it has one.
+func firstConst(a eq.Atom) (string, bool) {
+	if len(a.Args) == 0 || a.Args[0].IsVar() {
+		return "", false
 	}
+	return a.Args[0].Name, true
 }
 
-// insert files one atom under its buckets.
-func (b *atomBuckets[R]) insert(a eq.Atom, ref R) {
-	b.all[a.Rel] = append(b.all[a.Rel], ref)
-	if len(a.Args) > 0 && !a.Args[0].IsVar() {
-		m := b.byConst[a.Rel]
-		if m == nil {
-			m = map[string][]R{}
-			b.byConst[a.Rel] = m
-		}
-		m[a.Args[0].Name] = append(m[a.Args[0].Name], ref)
+// insert files the i-th atom of query q under its buckets.
+func (b *atomBuckets) insert(q, i int, a eq.Atom) {
+	row := int32(len(b.refs))
+	b.refs = append(b.refs, atomRef{int32(q), int32(i), a})
+	r := b.rels[a.Rel]
+	if r == nil {
+		r = &relBucket{byConst: map[string][]int32{}}
+		b.rels[a.Rel] = r
+	}
+	r.all = append(r.all, row)
+	if c, ok := firstConst(a); ok {
+		r.byConst[c] = append(r.byConst[c], row)
 	} else {
-		b.wild[a.Rel] = append(b.wild[a.Rel], ref)
+		r.wild = append(r.wild, row)
 	}
 }
 
-// candidates returns the refs a probe atom could unify with.
-func (b *atomBuckets[R]) candidates(a eq.Atom, yield func(R)) {
-	if len(a.Args) > 0 && !a.Args[0].IsVar() {
-		for _, r := range b.byConst[a.Rel][a.Args[0].Name] {
-			yield(r)
-		}
-		for _, r := range b.wild[a.Rel] {
-			yield(r)
-		}
+// unifiable calls yield with the (query, atom index) of every filed
+// atom that unifies with a and whose query is not gone.
+func (b *atomBuckets) unifiable(a eq.Atom, gone []bool, yield func(q, i int)) {
+	r := b.rels[a.Rel]
+	if r == nil {
 		return
 	}
-	for _, r := range b.all[a.Rel] {
-		yield(r)
+	buckets := [2][]int32{r.all}
+	if c, ok := firstConst(a); ok {
+		buckets = [2][]int32{r.byConst[c], r.wild}
+	}
+	for _, rows := range buckets {
+		for _, row := range rows {
+			if ref := &b.refs[row]; !gone[ref.q] && unify.Unifiable(a, ref.atom) {
+				yield(int(ref.q), int(ref.i))
+			}
+		}
 	}
 }
 
@@ -91,13 +98,11 @@ func (b *atomBuckets[R]) candidates(a eq.Atom, yield func(R)) {
 // safety check incremental too: Probe reports which queries an arrival
 // would make unsafe without committing it.
 type IncrementalGraph struct {
-	n     int    // slots handed out, including removed ones
-	live  int    // slots holding a query
-	gone  []bool // slot -> removed
-	nPost []int  // slot -> number of postcondition atoms
+	n    int    // slots handed out, including removed ones
+	live int    // slots holding a query
+	gone []bool // slot -> removed
 
-	heads atomBuckets[headRef]
-	posts atomBuckets[postRef]
+	heads, posts atomBuckets
 
 	// Edges among live slots: the first sorted of them in canonical
 	// order, the rest as committed since Edges last ran.
@@ -107,15 +112,42 @@ type IncrementalGraph struct {
 }
 
 // postFanout counts, per (slot, postcondition index), the live heads
-// the postcondition unifies with.
-type postFanout map[[2]int]int
+// the postcondition unifies with: one counter per postcondition atom
+// ever filed, a slot's counters adjacent and in post order.
+type postFanout struct {
+	off []int32 // slot -> where its counters start; last, where the next slot's will
+	n   []int32
+}
+
+// of returns slot q's counters. A slot not filed yet — the one a Probe
+// is asked about — has none.
+func (f *postFanout) of(q int) []int32 {
+	if f == nil || q+1 >= len(f.off) {
+		return nil
+	}
+	return f.n[f.off[q]:f.off[q+1]]
+}
+
+// count returns the fanout of slot q's p-th postcondition, 0 for a slot
+// not filed yet.
+func (f *postFanout) count(q, p int) int32 {
+	if c := f.of(q); p < len(c) {
+		return c[p]
+	}
+	return 0
+}
 
 // NewIncrementalGraph returns an empty graph index.
-func NewIncrementalGraph() *IncrementalGraph {
+func NewIncrementalGraph() *IncrementalGraph { return newGraph(0, 0, 0) }
+
+// newGraph returns an empty graph index with room for the given number
+// of queries, head atoms and postcondition atoms.
+func newGraph(queries, heads, posts int) *IncrementalGraph {
 	return &IncrementalGraph{
-		heads:  newAtomBuckets[headRef](),
-		posts:  newAtomBuckets[postRef](),
-		fanout: postFanout{},
+		gone:   make([]bool, 0, queries),
+		heads:  atomBuckets{refs: make([]atomRef, 0, heads), rels: map[string]*relBucket{}},
+		posts:  atomBuckets{refs: make([]atomRef, 0, posts), rels: map[string]*relBucket{}},
+		fanout: postFanout{off: append(make([]int32, 0, queries+1), 0), n: make([]int32, 0, posts)},
 	}
 }
 
@@ -126,19 +158,16 @@ func (g *IncrementalGraph) N() int { return g.n }
 // Live reports whether slot i holds a query that has not been removed.
 func (g *IncrementalGraph) Live(i int) bool { return i >= 0 && i < g.n && !g.gone[i] }
 
-// probeNew computes the edges a new query in slot slot would contribute:
-// its postconditions against every live head (including its own), and
-// every live postcondition against its heads. The graph is not
-// modified.
-func (g *IncrementalGraph) probeNew(slot int, q eq.Query) []ExtendedEdge {
-	var out []ExtendedEdge
+// probeNew appends to out the edges a new query in slot slot would
+// contribute: its postconditions against every live head (including its
+// own), and every live postcondition against its heads. The graph is
+// not modified.
+func (g *IncrementalGraph) probeNew(slot int, q eq.Query, out []ExtendedEdge) []ExtendedEdge {
 	// The newcomer's posts against live heads plus the newcomer's own
 	// heads (self-edges are part of the extended graph).
 	for pi, p := range q.Post {
-		g.heads.candidates(p, func(h headRef) {
-			if !g.gone[h.q] && unify.Unifiable(p, h.atom) {
-				out = append(out, ExtendedEdge{slot, pi, h.q, h.h})
-			}
+		g.heads.unifiable(p, g.gone, func(toQ, hi int) {
+			out = append(out, ExtendedEdge{slot, pi, toQ, hi})
 		})
 		for hi, h := range q.Head {
 			if unify.Unifiable(p, h) {
@@ -148,10 +177,8 @@ func (g *IncrementalGraph) probeNew(slot int, q eq.Query) []ExtendedEdge {
 	}
 	// Live posts of earlier queries against the newcomer's heads.
 	for hi, h := range q.Head {
-		g.posts.candidates(h, func(p postRef) {
-			if !g.gone[p.q] && unify.Unifiable(p.atom, h) {
-				out = append(out, ExtendedEdge{p.q, p.p, slot, hi})
-			}
+		g.posts.unifiable(h, g.gone, func(fromQ, pi int) {
+			out = append(out, ExtendedEdge{fromQ, pi, slot, hi})
 		})
 	}
 	return out
@@ -164,40 +191,49 @@ func (g *IncrementalGraph) probeNew(slot int, q eq.Query) []ExtendedEdge {
 // unifies with more than one head in the set (Definition 2). The graph
 // is not modified.
 func (g *IncrementalGraph) Probe(q eq.Query) (edges []ExtendedEdge, unsafe []int) {
-	edges = g.probeNew(g.n, q)
+	edges = g.probeNew(g.n, q, nil)
 	slices.SortFunc(edges, compareEdges)
-	return edges, unsafeIn(edges, g.fanout)
+	return edges, unsafeIn(edges, &g.fanout)
 }
 
-// Add commits query q to the next slot and returns the slot index and
-// the edges the query contributed (every returned edge has the new slot
-// as an endpoint). Safety is not enforced here — callers that admit
-// arrivals conditionally use Probe first and commit its edge list,
-// paying for the probe once.
-func (g *IncrementalGraph) Add(q eq.Query) (slot int, added []ExtendedEdge) {
-	return g.commit(q, g.probeNew(g.n, q))
+// Add commits query q to the next slot and returns the slot index.
+// Safety is not enforced here — callers that admit arrivals
+// conditionally use Probe first and commit its edge list, paying for
+// the probe once.
+func (g *IncrementalGraph) Add(q eq.Query) (slot int) {
+	from := len(g.edges)
+	g.edges = g.probeNew(g.n, q, g.edges)
+	return g.file(q, from)
 }
 
 // commit files q under the next slot with a previously probed edge
-// list. added must come from Probe/probeNew on the current graph state
-// with no intervening mutation.
-func (g *IncrementalGraph) commit(q eq.Query, added []ExtendedEdge) (int, []ExtendedEdge) {
-	slot := g.n
+// list. added must come from Probe on the current graph state with no
+// intervening mutation.
+func (g *IncrementalGraph) commit(q eq.Query, added []ExtendedEdge) (slot int) {
+	from := len(g.edges)
+	g.edges = append(g.edges, added...)
+	return g.file(q, from)
+}
+
+// file hands q the next slot: its atoms go into the buckets, and the
+// edges it contributed, g.edges[from:], into the fanout.
+func (g *IncrementalGraph) file(q eq.Query, from int) (slot int) {
+	slot = g.n
 	g.n++
 	g.live++
 	g.gone = append(g.gone, false)
-	g.nPost = append(g.nPost, len(q.Post))
 	for hi, h := range q.Head {
-		g.heads.insert(h, headRef{slot, hi, h})
+		g.heads.insert(slot, hi, h)
 	}
 	for pi, p := range q.Post {
-		g.posts.insert(p, postRef{slot, pi, p})
+		g.posts.insert(slot, pi, p)
 	}
-	g.edges = append(g.edges, added...)
-	for _, e := range added {
-		g.fanout[[2]int{e.FromQ, e.PostIdx}]++
+	g.fanout.n = append(g.fanout.n, make([]int32, len(q.Post))...)
+	g.fanout.off = append(g.fanout.off, int32(len(g.fanout.n)))
+	for _, e := range g.edges[from:] {
+		g.fanout.of(e.FromQ)[e.PostIdx]++
 	}
-	return slot, added
+	return slot
 }
 
 // Remove tombstones slot i and drops its incident edges. Bucket entries
@@ -213,15 +249,12 @@ func (g *IncrementalGraph) Remove(i int) {
 	kept := g.Edges()[:0] // canonical first: filtering keeps it so
 	for _, e := range g.edges {
 		if e.FromQ == i || e.ToQ == i {
-			g.fanout[[2]int{e.FromQ, e.PostIdx}]--
+			g.fanout.of(e.FromQ)[e.PostIdx]--
 			continue
 		}
 		kept = append(kept, e)
 	}
 	g.edges, g.sorted = kept, len(kept)
-	for pi := 0; pi < g.nPost[i]; pi++ {
-		delete(g.fanout, [2]int{i, pi})
-	}
 }
 
 // compareEdges orders edges canonically: by (FromQ, PostIdx, ToQ,
@@ -259,13 +292,10 @@ func (g *IncrementalGraph) Edges() []ExtendedEdge {
 // sorted ascending.
 func (g *IncrementalGraph) Unsafe() []int {
 	var out []int
-	seen := map[int]bool{}
-	for k, c := range g.fanout {
-		if c > 1 && !seen[k[0]] {
-			seen[k[0]] = true
-			out = append(out, k[0])
+	for slot := 0; slot < g.n; slot++ {
+		if !g.gone[slot] && slices.ContainsFunc(g.fanout.of(slot), func(c int32) bool { return c > 1 }) {
+			out = append(out, slot)
 		}
 	}
-	sort.Ints(out)
 	return out
 }

@@ -192,14 +192,14 @@ func (inc *Incremental) Query(slot int) eq.Query { return inc.queries[slot] }
 func (inc *Incremental) Add(q eq.Query) (int, DeltaStats, error) {
 	var slot int
 	if inc.opts.SkipSafetyCheck {
-		slot, _ = inc.g.Add(q)
+		slot = inc.g.Add(q)
 	} else {
 		// One probe serves both the admission check and the commit.
 		edges, unsafe := inc.g.Probe(q)
 		if len(unsafe) > 0 {
 			return -1, DeltaStats{}, fmt.Errorf("%w %s: would make queries %v unsafe", ErrUnsafeArrival, q.ID, unsafe)
 		}
-		slot, _ = inc.g.commit(q, edges)
+		slot = inc.g.commit(q, edges)
 	}
 	m := db.NewMeter(inc.store)
 	inc.queries = append(inc.queries, q)

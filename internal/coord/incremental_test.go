@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"testing"
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
+	"entangled/internal/unify"
 )
 
 // chainQuery builds one link of a backward chain inside a cluster: user
@@ -97,6 +99,118 @@ func TestIncrementalGraphRemove(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, append([]ExtendedEdge{}, want...)) {
 			t.Fatalf("trial %d: after remove %d: %v != %v", trial, victim, got, want)
+		}
+	}
+}
+
+// TestIncrementalGraphMatchesPairwiseOracle is the graph's independent
+// oracle. The two tests above compare two users of the same
+// atomBuckets, so a prefilter that drops a candidate passes both; this
+// one holds Edges to every live (postcondition, head) pair under
+// unify.Unifiable, enumerated by nested loops — which come out in
+// compareEdges order — and Unsafe to a recount, after every arrival
+// (admitted on a Probe or added blind), departure and compaction of a
+// seeded script over the shapes the buckets tell apart: constant and
+// variable first arguments, zero-argument atoms, one relation at two
+// arities.
+func TestIncrementalGraphMatchesPairwiseOracle(t *testing.T) {
+	for seed := int64(1); seed <= 150; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		term := func() eq.Term {
+			if rng.Intn(3) == 0 {
+				return eq.V(string(rune('x' + rng.Intn(3))))
+			}
+			return eq.C(eq.Value("U" + strconv.Itoa(rng.Intn(4))))
+		}
+		atom := func() eq.Atom {
+			switch rng.Intn(6) {
+			case 0:
+				return eq.NewAtom("Z")
+			case 1:
+				return eq.NewAtom("R", term())
+			case 2:
+				return eq.NewAtom("S", term(), term())
+			}
+			return eq.NewAtom("R", term(), term())
+		}
+		atoms := func(n int) []eq.Atom {
+			out := make([]eq.Atom, n)
+			for i := range out {
+				out[i] = atom()
+			}
+			return out
+		}
+
+		// model is the live set by slot, nil where a query departed.
+		var model []*eq.Query
+		edgesAndUnsafe := func(model []*eq.Query) (edges []ExtendedEdge, unsafe []int) {
+			for i, from := range model {
+				bad := false
+				for pi := 0; from != nil && pi < len(from.Post); pi++ {
+					fanout := 0
+					for j, to := range model {
+						for hi := 0; to != nil && hi < len(to.Head); hi++ {
+							if unify.Unifiable(from.Post[pi], to.Head[hi]) {
+								edges = append(edges, ExtendedEdge{i, pi, j, hi})
+								fanout++
+							}
+						}
+					}
+					bad = bad || fanout > 1
+				}
+				if bad {
+					unsafe = append(unsafe, i)
+				}
+			}
+			return edges, unsafe
+		}
+
+		checked := rng.Intn(2) == 0 // admit arrivals on a Probe, or add them blind
+		inc := NewIncremental(db.NewInstance(), Options{SkipSafetyCheck: !checked})
+		const steps = 30
+		compactAt := rng.Intn(steps)
+		for step := 0; step < steps; step++ {
+			var op string
+			switch live := inc.Len(); {
+			case step == compactAt:
+				op = "compact"
+				if _, _, err := inc.Compact(); err != nil {
+					t.Fatalf("seed %d step %d: compact: %v", seed, step, err)
+				}
+				model = slices.DeleteFunc(model, func(q *eq.Query) bool { return q == nil })
+			case live > 0 && rng.Intn(3) == 0:
+				victim := rng.Intn(len(model))
+				for model[victim] == nil {
+					victim = (victim + 1) % len(model)
+				}
+				op = "remove " + strconv.Itoa(victim)
+				if _, err := inc.Remove(victim); err != nil {
+					t.Fatalf("seed %d step %d: %s: %v", seed, step, op, err)
+				}
+				model[victim] = nil
+			default:
+				q := eq.Query{ID: "q" + strconv.Itoa(step), Post: atoms(rng.Intn(3)), Head: atoms(1 + rng.Intn(2))}
+				op = "add " + q.String()
+				_, wantUnsafe := edgesAndUnsafe(append(model[:len(model):len(model)], &q))
+				slot, _, err := inc.Add(q)
+				switch {
+				case checked && len(wantUnsafe) > 0:
+					if !errors.Is(err, ErrUnsafeArrival) {
+						t.Fatalf("seed %d step %d: %s: err %v, but the arrival makes %v unsafe", seed, step, op, err, wantUnsafe)
+					}
+				case err != nil || slot != len(model):
+					t.Fatalf("seed %d step %d: %s: slot %d err %v, want slot %d", seed, step, op, slot, err, len(model))
+				default:
+					model = append(model, &q)
+				}
+			}
+			wantEdges, wantUnsafe := edgesAndUnsafe(model)
+			if got := inc.g.Edges(); !slices.Equal(got, wantEdges) {
+				t.Fatalf("seed %d step %d after %s:\nedges %v\n want %v", seed, step, op, got, wantEdges)
+			}
+			if got := inc.g.Unsafe(); !slices.Equal(got, wantUnsafe) {
+				t.Fatalf("seed %d step %d after %s: unsafe %v, want %v", seed, step, op, got, wantUnsafe)
+			}
 		}
 	}
 }

@@ -150,8 +150,14 @@ func Verify(qs []eq.Query, set []int, values map[int]map[string]eq.Value, store 
 // requires that some value be assigned; any domain value works since
 // such variables occur in no body atom and their post/head occurrences
 // were equalised by unification). renamed[i] is qs[i] atom for atom, so
-// a variable's renamed name is read where the original stands.
+// a variable's renamed name is read where the original stands. The
+// binding is a frame; its by-name index is built here, once, for the
+// one set whose values are read.
 func extractValues(qs, renamed []eq.Query, set []int, s *unify.Subst, bind db.Binding, fb *fallback) (map[int]map[string]eq.Value, error) {
+	bound := make(map[string]eq.Value, bind.Len())
+	for name, val := range bind.All() {
+		bound[name] = val
+	}
 	values := make(map[int]map[string]eq.Value, len(set))
 	for _, qi := range set {
 		q, r := qs[qi], renamed[qi]
@@ -170,7 +176,7 @@ func extractValues(qs, renamed []eq.Query, set []int, s *unify.Subst, bind db.Bi
 					t := s.Resolve(ren[k][ai].Args[j])
 					if !t.IsVar() {
 						m[v.Name] = t.Const()
-					} else if val, ok := bind[t.Name]; ok {
+					} else if val, ok := bound[t.Name]; ok {
 						m[v.Name] = val
 					} else if val, err := fb.value(); err == nil {
 						m[v.Name] = val

@@ -71,14 +71,14 @@ func (sr *search) combine(renamed []eq.Query, set []int) []eq.Atom {
 // and sr.body are what the database was asked.
 func (sr *search) ground(renamed []eq.Query, edges []ExtendedEdge, set []int, store db.Store) (string, db.Binding, error) {
 	if !sr.mgu(renamed, edges, set) {
-		return "unification failed", nil, nil
+		return "unification failed", db.Binding{}, nil
 	}
 	bind, found, err := store.SolveUnder(sr.combine(renamed, set), sr.subst)
 	switch {
 	case err != nil:
-		return "", nil, err
+		return "", db.Binding{}, err
 	case !found:
-		return "no tuple", nil, nil
+		return "no tuple", db.Binding{}, nil
 	}
 	return "grounded", bind, nil
 }

@@ -1,0 +1,62 @@
+//go:build !race
+
+package db
+
+import (
+	"runtime"
+	"testing"
+)
+
+// The race detector's instrumentation allocates, so this file is not
+// built under it.
+
+var sinkBinding Binding
+
+// TestSolveUnderAllocationBar holds a choose-1 answer to what the API
+// must hand back: in steady state (plan cached, exec pooled) SolveUnder
+// on the coordination hot loop's body makes one allocation, the frame —
+// a (name, value) pair of 32 bytes per variable left to the database —
+// and Satisfiable, which hands back no binding, makes none.
+func TestSolveUnderAllocationBar(t *testing.T) {
+	in, body, subs := solveUnderFixture(t)
+	const vars, header = 10, 32
+	i := 0
+	solve := func() {
+		b, ok, err := in.SolveUnder(body, subs[i%len(subs)])
+		if err != nil || !ok || b.Len() != vars {
+			t.Fatalf("binding %v ok=%v err=%v", b, ok, err)
+		}
+		sinkBinding = b
+		i++
+	}
+	for range subs { // compile the plan, fill the pools, settle each substitution
+		solve()
+	}
+	if allocs := testing.AllocsPerRun(200, solve); allocs > 1 {
+		t.Errorf("SolveUnder: %.0f allocations per call, want at most 1", allocs)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		solve()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("SolveUnder, %d variables: %.0f B/call", vars, perCall)
+	if perCall > 32*vars+header {
+		t.Errorf("SolveUnder: %.0f B per call over the %d B bar", perCall, 32*vars+header)
+	}
+
+	sat := func() {
+		if ok, err := in.Satisfiable(body); err != nil || !ok {
+			t.Fatalf("ok=%v err=%v", ok, err)
+		}
+	}
+	sat()
+	if allocs := testing.AllocsPerRun(200, sat); allocs != 0 {
+		t.Errorf("Satisfiable: %.0f allocations per call, want 0", allocs)
+	}
+}

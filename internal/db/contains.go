@@ -17,7 +17,7 @@ func (in *Instance) Contains(a eq.Atom) bool {
 		}
 	}
 	body := [1]eq.Atom{a}
-	p, err := in.planFor(body[:], nil)
+	p, err := planFor(in, &in.plans, body[:], nil)
 	if err != nil {
 		return false
 	}

@@ -32,7 +32,7 @@ var _ Store = (*ctxStore)(nil)
 
 func (c *ctxStore) Solve(body []eq.Atom) (Binding, bool, error) {
 	if err := c.ctx.Err(); err != nil {
-		return nil, false, err
+		return Binding{}, false, err
 	}
 	return c.inner.Solve(body)
 }
@@ -53,7 +53,7 @@ func (c *ctxStore) Satisfiable(body []eq.Atom) (bool, error) {
 
 func (c *ctxStore) SolveUnder(body []eq.Atom, s *unify.Subst) (Binding, bool, error) {
 	if err := c.ctx.Err(); err != nil {
-		return nil, false, err
+		return Binding{}, false, err
 	}
 	return c.inner.SolveUnder(body, s)
 }

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"maps"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -23,14 +24,17 @@ func flightsInstance() *Instance {
 	return in
 }
 
+// valuesOf indexes a binding by variable name.
+func valuesOf(b Binding) map[string]eq.Value { return maps.Collect(b.All()) }
+
 func TestSolveSingleAtom(t *testing.T) {
 	in := flightsInstance()
 	b, ok, err := in.Solve([]eq.Atom{eq.NewAtom("Flights", eq.V("x"), eq.C("Zurich"))})
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	if b["x"] != "101" && b["x"] != "103" {
-		t.Fatalf("x = %v", b["x"])
+	if x, _ := b.Lookup("x"); x != "101" && x != "103" {
+		t.Fatalf("x = %v", x)
 	}
 }
 
@@ -52,10 +56,11 @@ func TestSolveJoin(t *testing.T) {
 		eq.NewAtom("Flights", eq.V("f"), eq.V("loc")),
 		eq.NewAtom("Hotels", eq.V("h"), eq.V("loc")),
 	}
-	b, ok, err := in.Solve(body)
+	bnd, ok, err := in.Solve(body)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
+	b := valuesOf(bnd)
 	// Cross-check the join condition.
 	fl, _ := in.Relation("Flights")
 	ho, _ := in.Relation("Hotels")
@@ -83,7 +88,7 @@ func TestSolveEmptyBody(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("empty body must be satisfiable: ok=%v err=%v", ok, err)
 	}
-	if len(b) != 0 {
+	if b.Len() != 0 {
 		t.Fatalf("empty body binds nothing, got %v", b)
 	}
 }
@@ -97,8 +102,8 @@ func TestSolveRepeatedVariable(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	if b["x"] != "3" {
-		t.Fatalf("x = %v, want 3", b["x"])
+	if x, _ := b.Lookup("x"); x != "3" {
+		t.Fatalf("x = %v, want 3", x)
 	}
 }
 
@@ -145,8 +150,8 @@ func TestSolveUnder(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	if b["x"] != "102" {
-		t.Fatalf("x = %v", b["x"])
+	if x, _ := b.Lookup("x"); x != "102" {
+		t.Fatalf("x = %v", x)
 	}
 }
 
@@ -254,14 +259,10 @@ func TestDomain(t *testing.T) {
 // the oracle for the property test.
 func naiveSolveAll(in *Instance, body []eq.Atom) []Binding {
 	var results []Binding
-	var rec func(i int, bound Binding)
-	rec = func(i int, bound Binding) {
+	var rec func(i int, bound map[string]eq.Value)
+	rec = func(i int, bound map[string]eq.Value) {
 		if i == len(body) {
-			cp := Binding{}
-			for k, v := range bound {
-				cp[k] = v
-			}
-			results = append(results, cp)
+			results = append(results, BindingOf(bound))
 			return
 		}
 		a := body[i]
@@ -271,10 +272,7 @@ func naiveSolveAll(in *Instance, body []eq.Atom) []Binding {
 		}
 		for ti := 0; ti < r.Len(); ti++ {
 			tp := r.Tuple(ti)
-			tmp := Binding{}
-			for k, v := range bound {
-				tmp[k] = v
-			}
+			tmp := maps.Clone(bound)
 			match := true
 			for j, arg := range a.Args {
 				if !arg.IsVar() {
@@ -298,7 +296,7 @@ func naiveSolveAll(in *Instance, body []eq.Atom) []Binding {
 			}
 		}
 	}
-	rec(0, Binding{})
+	rec(0, map[string]eq.Value{})
 	return results
 }
 
@@ -353,7 +351,7 @@ func sameBindingSet(a, b []Binding) bool {
 		names := []string{"x", "y", "z"}
 		out := ""
 		for _, n := range names {
-			if v, ok := x[n]; ok {
+			if v, ok := x.Lookup(n); ok {
 				out += n + "=" + string(v) + ";"
 			}
 		}

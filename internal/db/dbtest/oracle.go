@@ -69,10 +69,10 @@ func (o *Oracle) solve(body []eq.Atom, limit int) ([]db.Binding, error) {
 		}
 	}
 	var out []db.Binding
-	var join func(i int, b db.Binding)
-	join = func(i int, b db.Binding) {
+	var join func(i int, b map[string]eq.Value)
+	join = func(i int, b map[string]eq.Value) {
 		if i == len(body) {
-			out = append(out, b)
+			out = append(out, db.BindingOf(b))
 			return
 		}
 		for _, t := range rows[i] {
@@ -81,12 +81,12 @@ func (o *Oracle) solve(body []eq.Atom, limit int) ([]db.Binding, error) {
 			}
 		}
 	}
-	join(0, db.Binding{})
+	join(0, map[string]eq.Value{})
 	return out, nil
 }
 
 // match returns a copy of b extended so that atom a equals tuple t.
-func match(a eq.Atom, t db.Tuple, b db.Binding) (db.Binding, bool) {
+func match(a eq.Atom, t db.Tuple, b map[string]eq.Value) (map[string]eq.Value, bool) {
 	ext := maps.Clone(b)
 	for i, arg := range a.Args {
 		want, known := eq.Value(arg.Name), true
@@ -104,7 +104,7 @@ func match(a eq.Atom, t db.Tuple, b db.Binding) (db.Binding, bool) {
 
 func first(res []db.Binding, err error) (db.Binding, bool, error) {
 	if err != nil || len(res) == 0 {
-		return nil, false, err
+		return db.Binding{}, false, err
 	}
 	return res[0], true, nil
 }

@@ -47,7 +47,9 @@
 // strategy for a body shape — atom order, integer slots for variables,
 // probe-candidate columns, lock order, shard routing — is derived once
 // and cached on the store, and the hot loop runs over a []eq.Value
-// frame with no map operations. A shape abstracts constant values and
+// frame with no map operations; an answer leaves as a Binding, one
+// allocated frame of (name, value) pairs, and a caller that wants it
+// indexed by name does that itself. A shape abstracts constant values and
 // variable names, so the coordination algorithms' re-issued bodies
 // (thousands of SolveUnder calls over the same shapes) hit the cache;
 // SolveUnder resolves its substitution at bind time without

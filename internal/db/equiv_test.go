@@ -2,7 +2,9 @@ package db_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -150,20 +152,38 @@ func randomSubst(rng *rand.Rand) *unify.Subst {
 	return s
 }
 
+// frame renders a binding name by name, in name order, and holds it to
+// being a frame on the way: Len pairs, no name twice, Lookup agreeing
+// with All and finding nothing All did not yield.
+func frame(t *testing.T, b db.Binding) string {
+	t.Helper()
+	vals := maps.Collect(b.All())
+	n := 0
+	for name, v := range b.All() {
+		n++
+		if got, ok := b.Lookup(name); !ok || got != v {
+			t.Fatalf("binding %v: Lookup(%s) = %q, %v; All yields %q", b, name, got, ok, v)
+		}
+	}
+	if n != b.Len() || len(vals) != n {
+		t.Fatalf("binding %v: Len %d, All yields %d pairs over %d names", b, b.Len(), n, len(vals))
+	}
+	if v, ok := b.Lookup("no such variable"); ok {
+		t.Fatalf("binding %v: Lookup of an absent name found %q", b, v)
+	}
+	var sb strings.Builder
+	for _, k := range slices.Sorted(maps.Keys(vals)) {
+		fmt.Fprintf(&sb, "%s=%s;", k, vals[k])
+	}
+	return sb.String()
+}
+
 // bindingMultiset renders a result list order-independently.
-func bindingMultiset(res []db.Binding) []string {
+func bindingMultiset(t *testing.T, res []db.Binding) []string {
+	t.Helper()
 	out := make([]string, 0, len(res))
 	for _, b := range res {
-		keys := make([]string, 0, len(b))
-		for k := range b {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var sb strings.Builder
-		for _, k := range keys {
-			fmt.Fprintf(&sb, "%s=%s;", k, b[k])
-		}
-		out = append(out, sb.String())
+		out = append(out, frame(t, b))
 	}
 	sort.Strings(out)
 	return out
@@ -184,10 +204,12 @@ func sameMultiset(t *testing.T, ctx string, a, b []string) {
 // TestQuickCompiledMatchesSeed is the compiled-evaluator equivalence
 // property test: across random schemas, random bodies, random
 // substitutions, shard counts K=1,2,8 and indexes on/off, compiled
-// plans return the same multiset of bindings, the same ok, and the same
-// query counts (db-level DBQueries) as the seed's backtracking
-// evaluator, kept as dbtest.Oracle — and the sharded stores agree with
-// the plain one.
+// plans return the same multiset of bindings — names and values — the
+// same ok, and the same query counts (db-level DBQueries) as the seed's
+// backtracking evaluator, kept as dbtest.Oracle, and the sharded stores
+// agree with the plain one. Which witness a choose-1 call picks is the
+// join order's business, so Solve's and SolveUnder's bindings are held
+// to being one of the oracle's answers to the same (resolved) body.
 func TestQuickCompiledMatchesSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 120; trial++ {
@@ -200,11 +222,12 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 		subst := randomSubst(rng)
 
 		type answers struct {
-			all     []string
-			solveOK bool
-			sat     bool
-			underOK bool
-			queries int64
+			all, underAll []string // every answer to the body, and to the body under subst
+			one, under    string   // the choose-1 witnesses, when found
+			solveOK       bool
+			sat           bool
+			underOK       bool
+			queries       int64
 		}
 		collect := func(st db.Store, body []eq.Atom) answers {
 			start := st.QueriesIssued()
@@ -212,7 +235,7 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: SolveAll: %v", trial, err)
 			}
-			_, ok, err := st.Solve(body)
+			one, ok, err := st.Solve(body)
 			if err != nil {
 				t.Fatalf("trial %d: Solve: %v", trial, err)
 			}
@@ -220,16 +243,23 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: Satisfiable: %v", trial, err)
 			}
-			_, underOK, err := st.SolveUnder(body, subst)
+			under, underOK, err := st.SolveUnder(body, subst)
 			if err != nil {
 				t.Fatalf("trial %d: SolveUnder: %v", trial, err)
 			}
+			underAll, err := st.SolveAll(subst.ApplyAll(body), 0)
+			if err != nil {
+				t.Fatalf("trial %d: SolveAll under: %v", trial, err)
+			}
 			return answers{
-				all:     bindingMultiset(res),
-				solveOK: ok,
-				sat:     sat,
-				underOK: underOK,
-				queries: st.QueriesIssued() - start,
+				all:      bindingMultiset(t, res),
+				underAll: bindingMultiset(t, underAll),
+				one:      frame(t, one),
+				under:    frame(t, under),
+				solveOK:  ok,
+				sat:      sat,
+				underOK:  underOK,
+				queries:  st.QueriesIssued() - start,
 			}
 		}
 
@@ -241,8 +271,15 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 
 				ctx := fmt.Sprintf("trial %d body %d store %s", trial, bi, name)
 				sameMultiset(t, ctx, compiled.all, seed.all)
+				sameMultiset(t, ctx+" under", compiled.underAll, seed.underAll)
 				if compiled.solveOK != seed.solveOK || compiled.sat != seed.sat || compiled.underOK != seed.underOK {
 					t.Fatalf("%s: ok flags differ: compiled %+v seed %+v", ctx, compiled, seed)
+				}
+				if compiled.solveOK && !slices.Contains(seed.all, compiled.one) {
+					t.Fatalf("%s: Solve bound %q, not one of the oracle's %q", ctx, compiled.one, seed.all)
+				}
+				if compiled.underOK && !slices.Contains(seed.underAll, compiled.under) {
+					t.Fatalf("%s: SolveUnder bound %q, not one of the oracle's %q", ctx, compiled.under, seed.underAll)
 				}
 				if compiled.queries != seed.queries {
 					t.Fatalf("%s: DBQueries differ: compiled %d seed %d", ctx, compiled.queries, seed.queries)
@@ -261,6 +298,78 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBindingMatchesOracleByName holds the frame to the oracle variable
+// by variable where the names are the point: a body with no variables
+// (found with an empty binding, which is not "not found"), a
+// substitution that merges two body variables into one slot, and one
+// that turns a variable into a constant. Each body has one answer, so
+// choose-1 leaves nothing to the join order.
+func TestBindingMatchesOracleByName(t *testing.T) {
+	in := db.NewInstance()
+	a := in.CreateRelation("A", "c0", "c1")
+	a.Insert("1", "1")
+	a.Insert("1", "2")
+	a.Insert("3", "4")
+	in.CreateRelation("B", "c0").Insert("4")
+	sh := db.NewShardedInstance(2)
+	sa := sh.CreateRelation("A", 0, "c0", "c1")
+	sa.Insert("1", "1")
+	sa.Insert("1", "2")
+	sa.Insert("3", "4")
+	sh.CreateRelation("B", 0, "c0").Insert("4")
+
+	merged := unify.New()
+	if err := merged.UnifyTerms(eq.V("x"), eq.V("y")); err != nil {
+		t.Fatal(err)
+	}
+	bound := unify.New()
+	if err := bound.Bind("y", "4"); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		body  []eq.Atom
+		s     *unify.Subst
+		found bool
+		vars  int
+	}{
+		{"ground, stored", []eq.Atom{eq.NewAtom("A", eq.C("1"), eq.C("2"))}, nil, true, 0},
+		{"ground, absent", []eq.Atom{eq.NewAtom("A", eq.C("2"), eq.C("1"))}, nil, false, 0},
+		{"empty body", nil, nil, true, 0},
+		{"two variables", []eq.Atom{eq.NewAtom("A", eq.V("x"), eq.V("y")), eq.NewAtom("B", eq.V("y"))}, nil, true, 2},
+		{"x and y merged", []eq.Atom{eq.NewAtom("A", eq.V("x"), eq.V("y"))}, merged, true, 1},
+		{"y bound", []eq.Atom{eq.NewAtom("A", eq.V("x"), eq.V("y"))}, bound, true, 1},
+	}
+	stores := map[string]storePair{"plain": {in, dbtest.New(in)}, "k=2": {sh, dbtest.NewSharded(sh)}}
+	for _, c := range cases {
+		for name, st := range stores {
+			solve := func(s db.Store) (db.Binding, bool, error) {
+				if c.s == nil {
+					return s.Solve(c.body)
+				}
+				return s.SolveUnder(c.body, c.s)
+			}
+			got, ok, err := solve(st.compiled)
+			want, wantOK, wantErr := solve(st.oracle)
+			if err != nil || wantErr != nil {
+				t.Fatalf("%s on %s: %v, oracle %v", c.name, name, err, wantErr)
+			}
+			if ok != c.found || wantOK != c.found {
+				t.Fatalf("%s on %s: found %v, oracle %v, want %v", c.name, name, ok, wantOK, c.found)
+			}
+			if got.Len() != c.vars || frame(t, got) != frame(t, want) {
+				t.Fatalf("%s on %s: bound %q (%d variables), oracle %q, want %d variables",
+					c.name, name, frame(t, got), got.Len(), frame(t, want), c.vars)
+			}
+		}
+	}
+	// The merged slot answers to the class representative's name.
+	got, _, _ := in.SolveUnder(cases[4].body, merged)
+	if v, ok := got.Lookup(merged.Resolve(eq.V("y")).Name); !ok || v != "1" {
+		t.Fatalf("merged slot: %v", got)
 	}
 }
 

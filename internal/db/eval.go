@@ -5,33 +5,24 @@ import (
 	"entangled/internal/unify"
 )
 
-// Binding maps variable names to database values; it is the result of
-// grounding a conjunctive query.
-type Binding map[string]eq.Value
-
 // Solve answers the conjunctive query given by body under choose-1
 // semantics: it returns one assignment of the body's variables to domain
 // values such that every grounded atom is in the instance, or ok=false
 // if none exists. An empty body is vacuously satisfiable.
 func (in *Instance) Solve(body []eq.Atom) (Binding, bool, error) {
-	return first(in.solve(body, nil, 1))
+	return solveOne(in, &in.plans, in.UseIndexes, body, nil)
 }
 
 // SolveAll returns up to limit assignments satisfying the body (limit <=
 // 0 means no limit). Each assignment grounds every variable of the body.
 func (in *Instance) SolveAll(body []eq.Atom, limit int) ([]Binding, error) {
-	return in.solve(body, nil, limit)
+	return solveAll(in, &in.plans, in.UseIndexes, body, limit)
 }
 
 // Satisfiable reports whether the body has at least one answer. It runs
 // the plan in existence mode: no binding is materialised.
 func (in *Instance) Satisfiable(body []eq.Atom) (bool, error) {
-	in.countQuery()
-	p, err := in.planFor(body, nil)
-	if err != nil {
-		return false, err
-	}
-	return p.satisfiable(body, in.UseIndexes), nil
+	return satisfiable(in, &in.plans, in.UseIndexes, body)
 }
 
 // SolveUnder answers the body under a pre-existing substitution (the MGU
@@ -40,25 +31,38 @@ func (in *Instance) Satisfiable(body []eq.Atom) (bool, error) {
 // variables. Terms are resolved at bind time; no substituted copy of the
 // body is materialised.
 func (in *Instance) SolveUnder(body []eq.Atom, s *unify.Subst) (Binding, bool, error) {
-	return first(in.solve(body, s, 1))
+	return solveOne(in, &in.plans, in.UseIndexes, body, s)
 }
 
-// first adapts a result list to choose-1 semantics.
-func first(res []Binding, err error) (Binding, bool, error) {
-	if err != nil || len(res) == 0 {
-		return nil, false, err
+// solveOne, solveAll and satisfiable are the query methods of Instance
+// and ShardedInstance, which differ only in where a plan's parts come
+// from: count one query, compile (or fetch) the body shape's plan —
+// resolved under s when s is non-nil — and run it over a slot frame.
+
+func solveOne(src planSource, cache *planCache, useIndexes bool, body []eq.Atom, s *unify.Subst) (Binding, bool, error) {
+	src.countQuery()
+	p, err := planFor(src, cache, body, s)
+	if err != nil {
+		return Binding{}, false, err
 	}
-	return res[0], true, nil
+	b, ok := p.solveOne(body, s, useIndexes)
+	return b, ok, nil
 }
 
-// solve answers one conjunctive query, resolved under s when s is
-// non-nil: compile (or fetch) the body shape's plan and run it over a
-// slot frame.
-func (in *Instance) solve(body []eq.Atom, s *unify.Subst, limit int) ([]Binding, error) {
-	in.countQuery()
-	p, err := in.planFor(body, s)
+func solveAll(src planSource, cache *planCache, useIndexes bool, body []eq.Atom, limit int) ([]Binding, error) {
+	src.countQuery()
+	p, err := planFor(src, cache, body, nil)
 	if err != nil {
 		return nil, err
 	}
-	return p.solve(body, s, limit, in.UseIndexes), nil
+	return p.solveAll(body, limit, useIndexes), nil
+}
+
+func satisfiable(src planSource, cache *planCache, useIndexes bool, body []eq.Atom) (bool, error) {
+	src.countQuery()
+	p, err := planFor(src, cache, body, nil)
+	if err != nil {
+		return false, err
+	}
+	return p.satisfiable(body, useIndexes), nil
 }

@@ -9,7 +9,8 @@ import (
 // call's constant values, the variable frame, the narrowed and locked
 // shard parts, and the probe resolution (which hash index, if any, each
 // step uses on each part). An exec is pooled on its plan, so steady-state
-// evaluation allocates only the result bindings the API must return.
+// evaluation allocates only the result bindings the API must return: one
+// frame of (name, value) pairs per answer.
 type exec struct {
 	p      *plan
 	consts []eq.Value
@@ -32,7 +33,8 @@ type exec struct {
 
 	limit   int
 	results []Binding
-	exists  bool // existence mode: stop at the first match
+	one     [1]Binding // backs results under choose-1: the answer is the call's only allocation
+	exists  bool       // existence mode: stop at the first match
 	found   bool
 }
 
@@ -156,7 +158,7 @@ func (x *exec) release() {
 	for i := len(x.locked) - 1; i >= 0; i-- {
 		x.locked[i].mu.RUnlock()
 	}
-	x.results = nil
+	x.one[0], x.results = Binding{}, nil
 	x.p.pool.Put(x)
 }
 
@@ -227,25 +229,36 @@ func (x *exec) match(st *planStep, t Tuple) bool {
 	return true
 }
 
-// emit delivers one full assignment. Binding maps are materialised only
-// here — the API boundary — never inside the join.
+// emit delivers one full assignment. A Binding is materialised only
+// here — the API boundary — never inside the join, and only when the
+// caller asked for one: straight from the call's slot names and frame.
 func (x *exec) emit() bool {
 	if x.exists {
 		x.found = true
 		return false
 	}
-	b := make(Binding, len(x.frame))
+	vars := make([]boundVar, len(x.frame))
 	for s, v := range x.frame {
-		b[x.names[s]] = v
+		vars[s] = boundVar{x.names[s], v}
 	}
-	x.results = append(x.results, b)
+	x.results = append(x.results, Binding{vars})
 	return x.limit <= 0 || len(x.results) < x.limit
 }
 
-// solve runs the plan and materialises up to limit bindings (limit <= 0
-// means all).
-func (p *plan) solve(body []eq.Atom, s *unify.Subst, limit int, useIndexes bool) []Binding {
+// solveOne runs the plan to its first answer.
+func (p *plan) solveOne(body []eq.Atom, s *unify.Subst, useIndexes bool) (Binding, bool) {
 	x := p.bind(body, s, useIndexes)
+	x.limit, x.results = 1, x.one[:0]
+	x.run(0)
+	b, found := x.one[0], len(x.results) == 1
+	x.release()
+	return b, found
+}
+
+// solveAll runs the plan and materialises up to limit bindings (limit
+// <= 0 means all).
+func (p *plan) solveAll(body []eq.Atom, limit int, useIndexes bool) []Binding {
+	x := p.bind(body, nil, useIndexes)
 	x.limit = limit
 	x.run(0)
 	res := x.results

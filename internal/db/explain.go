@@ -25,7 +25,7 @@ type PlanStep struct {
 // output is the true plan: the frozen join order, each step's statically
 // bound columns, and the index each step would probe right now.
 func (in *Instance) Explain(body []eq.Atom) ([]PlanStep, error) {
-	p, err := in.planFor(body, nil)
+	p, err := planFor(in, &in.plans, body, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -359,6 +359,9 @@ func containsInt(xs []int, v int) bool {
 // *Instance and *ShardedInstance implement it; planFor is the shared
 // half.
 type planSource interface {
+	// countQuery counts one conjunctive query on the store's aggregate
+	// counter (and sleeps its simulated latency, if any).
+	countQuery()
 	// schemaVersions reads the store's current schema versions, the
 	// vector a plan compiled now records as instVersions.
 	schemaVersions() []uint64
@@ -402,10 +405,6 @@ func planFor(src planSource, cache *planCache, body []eq.Atom, s *unify.Subst) (
 	}
 	cache.put(shape, p)
 	return p, nil
-}
-
-func (in *Instance) planFor(body []eq.Atom, s *unify.Subst) (*plan, error) {
-	return planFor(in, &in.plans, body, s)
 }
 
 func (in *Instance) schemaVersions() []uint64 { return []uint64{in.version.Load()} }

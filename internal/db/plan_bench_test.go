@@ -77,26 +77,34 @@ func BenchmarkSolveCompiledSharded(b *testing.B) {
 	})
 }
 
-// BenchmarkSolveCompiledSolveUnder: the coordination hot loop — the
-// same multi-atom body shape re-issued under substitutions that pin its
-// variables (terms are resolved at bind time; no body is rewritten).
-func BenchmarkSolveCompiledSolveUnder(b *testing.B) {
-	in := benchTable(20000, true)
+// solveUnderFixture is the coordination hot loop's shape: one 10-atom
+// body, two variables an atom, and 64 substitutions that each pin every
+// atom's indexed column and leave its other variable to the database.
+func solveUnderFixture(tb testing.TB) (in *Instance, body []eq.Atom, subs []*unify.Subst) {
+	in = benchTable(20000, true)
 	const atoms = 10
-	body := make([]eq.Atom, atoms)
+	body = make([]eq.Atom, atoms)
 	for i := range body {
 		body[i] = eq.NewAtom("T", eq.V(fmt.Sprintf("x%d", i)), eq.V(fmt.Sprintf("v%d", i)))
 	}
-	subs := make([]*unify.Subst, 64)
+	subs = make([]*unify.Subst, 64)
 	for si := range subs {
 		s := unify.New()
 		for i := 0; i < atoms; i++ {
 			if err := s.Bind(fmt.Sprintf("v%d", i), eq.Value("c"+strconv.Itoa((si*atoms+i)%20000))); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		subs[si] = s
 	}
+	return in, body, subs
+}
+
+// BenchmarkSolveCompiledSolveUnder: the coordination hot loop — the
+// same multi-atom body shape re-issued under substitutions that pin its
+// variables (terms are resolved at bind time; no body is rewritten).
+func BenchmarkSolveCompiledSolveUnder(b *testing.B) {
+	in, body, subs := solveUnderFixture(b)
 	b.Run("compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -278,55 +278,36 @@ func (sh *ShardedInstance) Contains(a eq.Atom) bool {
 	return sh.shards[shardIndex(a.Args[key].Const(), len(sh.shards))].Contains(a)
 }
 
+// The query methods run one compiled plan across shard parts. A plan
+// resolves every relation's parts across all shards once; narrowing to
+// the parts one call can reach happens at bind time from the call's
+// constants, so parts that no atom can reach (every atom over the
+// relation pins the hash column to a constant routing elsewhere) are
+// neither locked nor probed, and writers to them never wait on a query.
+
 // Solve answers the conjunctive query under choose-1 semantics (see
 // Instance.Solve). Counts as one query on the cross-shard counter.
 func (sh *ShardedInstance) Solve(body []eq.Atom) (Binding, bool, error) {
-	return first(sh.solve(body, nil, 1))
+	return solveOne(sh, &sh.plans, sh.useIndexes, body, nil)
 }
 
 // SolveAll returns up to limit satisfying assignments (limit <= 0 means
 // all).
 func (sh *ShardedInstance) SolveAll(body []eq.Atom, limit int) ([]Binding, error) {
-	return sh.solve(body, nil, limit)
+	return solveAll(sh, &sh.plans, sh.useIndexes, body, limit)
 }
 
 // Satisfiable reports whether the body has at least one answer. It runs
 // the plan in existence mode: no binding is materialised.
 func (sh *ShardedInstance) Satisfiable(body []eq.Atom) (bool, error) {
-	sh.countQuery()
-	p, err := sh.planFor(body, nil)
-	if err != nil {
-		return false, err
-	}
-	return p.satisfiable(body, sh.useIndexes), nil
+	return satisfiable(sh, &sh.plans, sh.useIndexes, body)
 }
 
 // SolveUnder answers the body resolved under a substitution; like
 // Instance.SolveUnder it resolves terms at bind time instead of
 // materialising a substituted body.
 func (sh *ShardedInstance) SolveUnder(body []eq.Atom, s *unify.Subst) (Binding, bool, error) {
-	return first(sh.solve(body, s, 1))
-}
-
-// solve runs the compiled plan for the body shape across shard parts.
-// Parts that no atom can reach (every atom over the relation pins the
-// hash column to a constant routing elsewhere) are neither locked nor
-// probed, so writers to those parts never wait on this query.
-func (sh *ShardedInstance) solve(body []eq.Atom, s *unify.Subst, limit int) ([]Binding, error) {
-	sh.countQuery()
-	p, err := sh.planFor(body, s)
-	if err != nil {
-		return nil, err
-	}
-	return p.solve(body, s, limit, sh.useIndexes), nil
-}
-
-// planFor returns the compiled cross-shard plan for the body (see the
-// package-level planFor). Plans resolve every relation's parts across
-// all shards once; narrowing to the parts one call can reach happens at
-// bind time from the call's constants.
-func (sh *ShardedInstance) planFor(body []eq.Atom, s *unify.Subst) (*plan, error) {
-	return planFor(sh, &sh.plans, body, s)
+	return solveOne(sh, &sh.plans, sh.useIndexes, body, s)
 }
 
 func (sh *ShardedInstance) schemaVersions() []uint64 {

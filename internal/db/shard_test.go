@@ -2,8 +2,10 @@ package db
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -52,14 +54,10 @@ func fillPair(k, rows int, rng *rand.Rand) (*Instance, *ShardedInstance) {
 func bindingSet(bs []Binding) []string {
 	out := make([]string, len(bs))
 	for i, b := range bs {
-		keys := make([]string, 0, len(b))
-		for k := range b {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+		vals := valuesOf(b)
 		s := ""
-		for _, k := range keys {
-			s += k + "=" + string(b[k]) + ";"
+		for _, k := range slices.Sorted(maps.Keys(vals)) {
+			s += k + "=" + string(vals[k]) + ";"
 		}
 		out[i] = s
 	}

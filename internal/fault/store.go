@@ -24,7 +24,7 @@ var _ db.Store = (*faultStore)(nil)
 
 func (s *faultStore) Solve(body []eq.Atom) (db.Binding, bool, error) {
 	if err := injected(s.inj.Decide(OpQuery, "solve"), OpQuery, "solve"); err != nil {
-		return nil, false, err
+		return db.Binding{}, false, err
 	}
 	return s.inner.Solve(body)
 }
@@ -45,7 +45,7 @@ func (s *faultStore) Satisfiable(body []eq.Atom) (bool, error) {
 
 func (s *faultStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, bool, error) {
 	if err := injected(s.inj.Decide(OpQuery, "solveunder"), OpQuery, "solveunder"); err != nil {
-		return nil, false, err
+		return db.Binding{}, false, err
 	}
 	return s.inner.SolveUnder(body, sub)
 }

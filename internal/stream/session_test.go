@@ -349,7 +349,7 @@ type flakyStore struct {
 func (s *flakyStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, bool, error) {
 	if s.failAt > 0 {
 		if s.seen++; s.seen == s.failAt {
-			return nil, false, s.err
+			return db.Binding{}, false, s.err
 		}
 	}
 	return s.Store.SolveUnder(body, sub)
