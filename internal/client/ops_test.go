@@ -15,6 +15,7 @@ import (
 	"entangled/internal/api"
 	"entangled/internal/cluster"
 	"entangled/internal/engine"
+	"entangled/internal/eq"
 	"entangled/internal/server"
 	"entangled/internal/wire"
 	"entangled/internal/workload"
@@ -316,6 +317,47 @@ func TestSessionNamesOverEveryTransport(t *testing.T) {
 	}
 	if h, err := invoke(ctx, ts["binary"], wire.Health, wire.None{}); err != nil || h.Sessions != 2 || live("join") != 0 || live("leave") != 0 {
 		t.Errorf("after the refused calls: %+v (%v), %d live in join, %d in leave; want the two empty sessions", h, err, live("join"), live("leave"))
+	}
+}
+
+// TestAtomWithoutRelationOverEveryTransport: eq's JSON is field tags,
+// which cannot say that an atom names a relation, so each edge says it:
+// the binary decoder as it reads the atom, the HTTP edge once the body
+// has decoded. A client that sends such a query gets the same typed 400
+// bad_request over every route — across the forward hop from the node
+// it talked to, which refuses before it forwards — and nothing joins.
+func TestAtomWithoutRelationOverEveryTransport(t *testing.T) {
+	ts, owned, edge := everyTransport(t)
+	ctx := context.Background()
+	name := "norel"
+	for i := 0; !owned(name); i++ {
+		name = fmt.Sprintf("norel%d", i)
+	}
+	if _, err := invoke(ctx, ts["binary"], wire.CreateSession, wire.CreateSessionReq{ID: name}); err != nil {
+		t.Fatal(err)
+	}
+	q := workload.ChainQuery(0, 0, 32)
+	q.Body[0].Rel = ""
+	for _, route := range routes {
+		_, joinErr := invoke(ctx, ts[route], wire.Join, wire.JoinReq{Session: name, Query: q})
+		rep, batchErr := invoke(ctx, ts[route], wire.Coordinate, wire.CoordinateReq{Requests: []api.Request{{ID: "r", Queries: []eq.Query{q}}}})
+		if route == "cluster" && batchErr == nil && rep.Responses[0].Error != nil {
+			// The cluster transport scatters a batch itself and files what
+			// a node refused under the requests it sent there.
+			batchErr = rep.Responses[0].Error
+		}
+		for what, err := range map[string]error{"join": joinErr, "coordinate": batchErr} {
+			var e *Error
+			if !errors.As(err, &e) || e.Status != 400 || e.Code != api.CodeBadRequest || !strings.Contains(e.Message, "atom without relation name") {
+				t.Errorf("%s over %s: %v, want a 400 bad_request naming the atom", what, route, err)
+			}
+		}
+	}
+	if st, err := invoke(ctx, ts["binary"], wire.Status, wire.StatusReq{Session: name}); err != nil || st.Live+st.Parked != 0 {
+		t.Errorf("session after the refused joins: %+v (%v)", st, err)
+	}
+	if m := edge.Metrics(); m.ForwardsSent != 0 {
+		t.Errorf("the edge node forwarded %d refused requests", m.ForwardsSent)
 	}
 }
 

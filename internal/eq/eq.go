@@ -77,8 +77,8 @@ func needsQuote(s string) bool {
 
 // Atom is a relational atom R(t1, ..., tn).
 type Atom struct {
-	Rel  string
-	Args []Term
+	Rel  string `json:"rel"`
+	Args []Term `json:"args"`
 }
 
 // NewAtom builds an atom over relation rel with the given arguments.
@@ -127,16 +127,10 @@ func (a Atom) Ground() bool {
 
 // Query is an entangled query {Post} Head :- Body.
 type Query struct {
-	ID   string // stable identifier, e.g. the submitting user's name
-	Post []Atom // postcondition atoms (answer relations)
-	Head []Atom // head atoms (answer relations)
-	Body []Atom // body atoms (database relations); may be empty
-}
-
-// New builds a query with the given identifier and atom lists. The slices
-// are used directly (not copied).
-func New(id string, post, head, body []Atom) Query {
-	return Query{ID: id, Post: post, Head: head, Body: body}
+	ID   string `json:"id,omitempty"`   // stable identifier, e.g. the submitting user's name
+	Post []Atom `json:"post,omitempty"` // postcondition atoms (answer relations)
+	Head []Atom `json:"head"`           // head atoms (answer relations)
+	Body []Atom `json:"body,omitempty"` // body atoms (database relations); may be empty
 }
 
 // Clone returns a deep copy of q.

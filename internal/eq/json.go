@@ -2,93 +2,53 @@ package eq
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 )
 
-// The JSON wire format renders terms as tagged strings — "?x" for the
-// variable x, "=v" for the constant v — so query files stay readable
-// and the decoder is unambiguous for constants that begin with '?'.
+// The JSON wire format is the field tags on Atom and Query plus the
+// text form of a term, a tagged string — "?x" for the variable x, "=v"
+// for the constant v — so query files stay readable and constants that
+// begin with '?' are unambiguous. What tags cannot say, CheckRels does.
 
-// MarshalJSON encodes the term as "?name" (variable) or "=value"
-// (constant).
-func (t Term) MarshalJSON() ([]byte, error) {
+// MarshalText renders a variable as "?name", a constant as "=value".
+func (t Term) MarshalText() ([]byte, error) {
+	tag := byte('=')
 	if t.IsVar() {
-		return json.Marshal("?" + t.Name)
+		tag = '?'
 	}
-	return json.Marshal("=" + t.Name)
+	return append(append(make([]byte, 0, 1+len(t.Name)), tag), t.Name...), nil
 }
 
-// UnmarshalJSON decodes the tagged-string term encoding.
-func (t *Term) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
+// UnmarshalText reads the tagged-string term encoding.
+func (t *Term) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		return errors.New("eq: empty term")
 	}
-	if len(s) == 0 {
-		return fmt.Errorf("eq: empty term")
-	}
-	switch s[0] {
+	switch text[0] {
 	case '?':
-		if len(s) == 1 {
-			return fmt.Errorf("eq: variable term with empty name")
+		if len(text) == 1 {
+			return errors.New("eq: variable term with empty name")
 		}
-		*t = V(s[1:])
+		*t = V(string(text[1:]))
 	case '=':
-		*t = C(Value(s[1:]))
+		*t = C(Value(text[1:]))
 	default:
-		return fmt.Errorf("eq: term %q must start with '?' (variable) or '=' (constant)", s)
+		return fmt.Errorf("eq: term %q must start with '?' (variable) or '=' (constant)", text)
 	}
 	return nil
 }
 
-// atomJSON is the wire shape of an atom.
-type atomJSON struct {
-	Rel  string `json:"rel"`
-	Args []Term `json:"args"`
-}
-
-// MarshalJSON encodes the atom as {"rel": ..., "args": [...]}.
-func (a Atom) MarshalJSON() ([]byte, error) {
-	return json.Marshal(atomJSON{Rel: a.Rel, Args: a.Args})
-}
-
-// UnmarshalJSON decodes the atom wire shape.
-func (a *Atom) UnmarshalJSON(data []byte) error {
-	var w atomJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
+// CheckRels reports an atom of q that names no relation, the one rule
+// of the query grammar field tags cannot state. Whatever reads JSON
+// another process wrote — DecodeSet, the HTTP request edge, journal
+// replay — calls it; the binary protocol has wire.GetAtom refuse it.
+func (q Query) CheckRels() error {
+	noRel := func(a Atom) bool { return a.Rel == "" }
+	if slices.ContainsFunc(q.Post, noRel) || slices.ContainsFunc(q.Head, noRel) || slices.ContainsFunc(q.Body, noRel) {
+		return fmt.Errorf("eq: query %q: atom without relation name", q.ID)
 	}
-	if w.Rel == "" {
-		return fmt.Errorf("eq: atom without relation name")
-	}
-	a.Rel = w.Rel
-	a.Args = w.Args
-	return nil
-}
-
-// queryJSON is the wire shape of a query.
-type queryJSON struct {
-	ID   string `json:"id,omitempty"`
-	Post []Atom `json:"post,omitempty"`
-	Head []Atom `json:"head"`
-	Body []Atom `json:"body,omitempty"`
-}
-
-// MarshalJSON encodes the query with its four sections.
-func (q Query) MarshalJSON() ([]byte, error) {
-	return json.Marshal(queryJSON{ID: q.ID, Post: q.Post, Head: q.Head, Body: q.Body})
-}
-
-// UnmarshalJSON decodes the query wire shape.
-func (q *Query) UnmarshalJSON(data []byte) error {
-	var w queryJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	q.ID = w.ID
-	q.Post = w.Post
-	q.Head = w.Head
-	q.Body = w.Body
 	return nil
 }
 
@@ -98,10 +58,14 @@ func EncodeSet(qs []Query) ([]byte, error) {
 }
 
 // DecodeSet parses a query set from JSON.
-func DecodeSet(data []byte) ([]Query, error) {
-	var qs []Query
-	if err := json.Unmarshal(data, &qs); err != nil {
+func DecodeSet(data []byte) (qs []Query, err error) {
+	if err = json.Unmarshal(data, &qs); err != nil {
 		return nil, err
+	}
+	for _, q := range qs {
+		if err = q.CheckRels(); err != nil {
+			return nil, err
+		}
 	}
 	return qs, nil
 }

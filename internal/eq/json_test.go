@@ -24,11 +24,47 @@ func TestTermJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTermJSONErrors pins what a term position accepts, bare and inside
+// a query set, against the nested codec. The two agree everywhere but
+// on null: encoding/json never shows a null to a TextUnmarshaler, so
+// what the nested codec refused as an empty term now leaves the
+// element as it was — the zero Term, the empty constant.
 func TestTermJSONErrors(t *testing.T) {
-	for _, bad := range []string{`""`, `"?"`, `"x"`, `5`} {
+	for _, tc := range []struct {
+		in   string
+		want Term
+		err  string // substring; empty means accepted
+	}{
+		{in: `"?x"`, want: V("x")},
+		{in: `"=Zurich"`, want: C("Zurich")},
+		{in: `"="`, want: C("")},
+		{in: `"=?odd"`, want: C("?odd")},
+		{in: `""`, err: "empty term"},
+		{in: `"?"`, err: "variable term with empty name"},
+		{in: `"x"`, err: "must start with"},
+		{in: `5`, err: "cannot unmarshal number"},
+		{in: `true`, err: "cannot unmarshal bool"},
+		{in: `{}`, err: "cannot unmarshal object"},
+		{in: `null`, want: C("")},
+	} {
 		var tm Term
-		if err := json.Unmarshal([]byte(bad), &tm); err == nil {
-			t.Errorf("decoding %s should fail", bad)
+		err := json.Unmarshal([]byte(tc.in), &tm)
+		set := []byte(`[{"head":[{"rel":"R","args":[` + tc.in + `]}]}]`)
+		qs, setErr := DecodeSet(set)
+		_, oracleErr := oracleDecodeSet(set)
+		if tc.err != "" {
+			for _, err := range []error{err, setErr, oracleErr} {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Errorf("term %s: error %v, want one naming %q", tc.in, err, tc.err)
+				}
+			}
+			continue
+		}
+		if err != nil || setErr != nil || tm != tc.want || qs[0].Head[0].Args[0] != tc.want {
+			t.Errorf("term %s: %+v (%v), in a set %v (%v); want %+v", tc.in, tm, err, qs, setErr, tc.want)
+		}
+		if (oracleErr != nil) != (tc.in == `null`) {
+			t.Errorf("term %s: the nested codec says %v", tc.in, oracleErr)
 		}
 	}
 }
@@ -50,8 +86,43 @@ func TestAtomJSON(t *testing.T) {
 	if !back.Equal(a) {
 		t.Fatalf("round trip: %v", back)
 	}
-	if err := json.Unmarshal([]byte(`{"args":[]}`), &back); err == nil {
-		t.Fatal("atom without relation must fail")
+	// Field tags merge into their target where the nested codec replaced
+	// it: a decode starts from a zero value.
+	if err := json.Unmarshal([]byte(`{"rel":"S"}`), &back); err != nil || back.Rel != "S" || len(back.Args) != 2 {
+		t.Fatalf("decode into a used atom: %v (%v); encoding/json keeps the fields the input does not name", back, err)
+	}
+}
+
+// TestCheckRels: an atom without a relation name decodes — tags cannot
+// refuse it — and is refused by the check, in whichever section it
+// sits; DecodeSet runs the check.
+func TestCheckRels(t *testing.T) {
+	for _, atom := range []string{`{"args":[]}`, `{"rel":"","args":["?x"]}`, `{"rel":null}`, `{}`, `null`} {
+		for _, section := range []string{"post", "head", "body"} {
+			data := []byte(`{"id":"q","head":[{"rel":"R","args":["?x"]}],"` + section + `":[{"rel":"S","args":[]},` + atom + `]}`)
+			if section == "head" {
+				data = []byte(`{"id":"q","head":[` + atom + `]}`)
+			}
+			var q Query
+			if err := json.Unmarshal(data, &q); err != nil {
+				t.Fatalf("%s: %v", data, err)
+			}
+			if err := q.CheckRels(); err == nil || !strings.Contains(err.Error(), `query "q": atom without relation name`) {
+				t.Errorf("CheckRels of %s: %v", data, err)
+			}
+			set := append(append([]byte(`[{"head":[]},`), data...), ']')
+			if _, err := DecodeSet(set); err == nil {
+				t.Errorf("DecodeSet accepted %s", set)
+			}
+			if _, err := oracleDecodeSet(set); err == nil {
+				t.Errorf("the nested codec accepted %s", set)
+			}
+		}
+	}
+	for _, q := range MustParseSet("query a { post: R(A, x) head: R(B, x) body: T(x) }\nquery b { head: R(y) }") {
+		if err := q.CheckRels(); err != nil {
+			t.Errorf("CheckRels of %s: %v", q, err)
+		}
 	}
 }
 

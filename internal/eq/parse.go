@@ -134,8 +134,14 @@ type parser struct {
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
 func (p *parser) eof() bool   { return p.peek().kind == tokEOF }
+func (p *parser) next() token {
+	t := p.peek()
+	if t.kind != tokEOF { // the end is read as often as asked
+		p.i++
+	}
+	return t
+}
 
 func (p *parser) expect(text string) error {
 	t := p.next()

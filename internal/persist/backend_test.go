@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"entangled/internal/db"
@@ -352,6 +353,39 @@ func TestSessionJournalTornTail(t *testing.T) {
 		t.Fatalf("stats %+v", got)
 	}
 	re.Close()
+}
+
+// TestSessionJournalRefusesAtomWithoutRelation: a journal frame that
+// checksums but holds a query no edge would have admitted — an atom
+// naming no relation — is not a torn tail to truncate: replay stops
+// with an error naming the journal and the atom, and the file stays.
+func TestSessionJournalRefusesAtomWithoutRelation(t *testing.T) {
+	dir := t.TempDir()
+	b := openT(t, dir, Options{})
+	j, err := b.CreateSessionJournal("s", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := eq.Query{ID: "a", Head: []eq.Atom{eq.NewAtom("R", eq.V("x"))}, Body: []eq.Atom{eq.NewAtom("", eq.V("x"))}}
+	if err := j.Append(stream.Event{Kind: stream.JoinEvent, Query: q}); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	path := filepath.Join(dir, "sessions", "s.wal")
+	written, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := openT(t, dir, Options{})
+	defer re.Close()
+	_, err = re.RecoverSessions()
+	if err == nil || errors.Is(err, ErrCorrupt) ||
+		!strings.Contains(err.Error(), `session journal "s": decoding event`) || !strings.Contains(err.Error(), "atom without relation name") {
+		t.Fatalf("recovery: %v; want the journal's decoding error naming the atom", err)
+	}
+	if kept, err := os.Stat(path); err != nil || kept.Size() != written.Size() {
+		t.Fatalf("the journal was touched: %v, %v", kept, err)
+	}
 }
 
 func TestBackendAbortLosesNothingBuffered(t *testing.T) {

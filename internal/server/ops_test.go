@@ -7,8 +7,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
@@ -371,6 +373,122 @@ func TestOversizedPayloadRefusedBothProtocols(t *testing.T) {
 		if _, err := h.client(proto, "").Coordinate(ctx, workload.ListQueriesAt(2, 0)); err != nil {
 			t.Fatalf("%s not serviceable after the oversized payload: %v", proto, err)
 		}
+	}
+}
+
+// TestMalformedBodiesRefusedBothProtocols: a request body is one value
+// with nothing after it, and every atom in it names a relation. The
+// binary protocol refuses both as it decodes (Dec.Finish, wire.GetAtom);
+// HTTP used to serve the first JSON value of a body and bill for it, and
+// checks the relation itself now that eq's JSON is field tags. Every
+// body-carrying route answers the typed 400 bad_request on both
+// protocols, before admission decides: the tenant's counters do not
+// move, no session appears and none changes.
+func TestMalformedBodiesRefusedBothProtocols(t *testing.T) {
+	h := newAdmissionLoopback(t, &admission.Config{}, server.Options{})
+	ctx := context.Background()
+	sess, err := h.client("http", "ten").CreateSession(ctx, "s", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := workload.ChainQuery(0, 0, 32)
+	if _, err := sess.Join(ctx, live); err != nil {
+		t.Fatal(err)
+	}
+	post := func(path string, body io.Reader) (int, *api.Error) {
+		r := httptest.NewRequest("POST", path, body)
+		r.Header.Set(api.TenantHeader, "ten")
+		w := httptest.NewRecorder()
+		h.srv.ServeHTTP(w, r)
+		var env api.ErrorEnvelope
+		_ = json.Unmarshal(w.Body.Bytes(), &env)
+		return w.Code, env.Error
+	}
+	cc, err := wire.Dial(h.binAddr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	refused := func(what string, status int, e *api.Error, naming string) {
+		t.Helper()
+		if status != http.StatusBadRequest || e == nil || e.Code != api.CodeBadRequest || !strings.Contains(e.Message, naming) {
+			t.Errorf("%s: status %d, error %+v; want 400 bad_request naming %q", what, status, e, naming)
+		}
+	}
+	// What may follow a JSON value is white space, also when the length
+	// is not announced and the body buffer grows as it reads.
+	batch := wire.Coordinate.Bind(wire.CoordinateReq{Requests: []api.Request{{ID: "r", Queries: workload.ListQueriesAt(3, 1)}}})
+	_, in, _ := batch.HTTP()
+	padded, _ := json.Marshal(in)
+	padded = append(padded, " \n\t"...)
+	for _, body := range []io.Reader{bytes.NewReader(padded), io.MultiReader(bytes.NewReader(padded))} {
+		if status, e := post("/v1/coordinate", body); status != http.StatusOK {
+			t.Fatalf("a request followed by white space: status %d, %+v", status, e)
+		}
+	}
+	before, err := h.client("http", "").Tenants(ctx)
+	if err != nil || len(before.Tenants) != 1 || before.Tenants[0].Admitted == 0 || before.Tenants[0].DBQueriesSpent == 0 {
+		t.Fatalf("/v1/tenants before the refusals: %+v (%v); want ten's admitted work", before, err)
+	}
+
+	for _, call := range []wire.Call{
+		batch,
+		wire.CreateSession.Bind(wire.CreateSessionReq{ID: "s2", ParkUnsafe: true}),
+		wire.Join.Bind(wire.JoinReq{Session: "s", Query: workload.ChainQuery(0, 1, 32)}),
+		wire.Leave.Bind(wire.LeaveReq{Session: "s", QueryID: live.ID}),
+	} {
+		name := call.Route().Name
+		path, in, _ := call.HTTP()
+		body, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tail := range []string{"]]]", string(body), "0"} {
+			status, e := post(path, strings.NewReader(string(body)+tail))
+			refused(fmt.Sprintf("HTTP %s followed by %.12q", name, tail), status, e, "after top-level value")
+		}
+		status, e := post(path, io.MultiReader(bytes.NewReader(body), strings.NewReader("{}")))
+		refused("HTTP "+name+" of unannounced length, followed by {}", status, e, "after top-level value")
+
+		var frame wire.Enc
+		call.Encode(&frame)
+		status, _, err = cc.Call(ctx, wire.KindTenant, wire.TenantReq{Tenant: "ten", Kind: call.Route().Kind, Body: append(frame.Bytes(), 0)}.Encode)
+		refused("binary "+name+" followed by a byte", status, api.From(err), "trailing")
+	}
+
+	// The relocated check: an atom without a relation name, in any
+	// section, on the two operations that carry queries.
+	for i, section := range []string{"post", "head", "body"} {
+		q := workload.ChainQuery(0, 1, 32)
+		[]*eq.Atom{&q.Post[0], &q.Head[0], &q.Body[0]}[i].Rel = ""
+		for _, call := range []wire.Call{
+			wire.Coordinate.Bind(wire.CoordinateReq{Requests: []api.Request{{Queries: workload.ListQueriesAt(2, 1)}, {Queries: []eq.Query{live, q}}}}),
+			wire.Join.Bind(wire.JoinReq{Session: "s", Query: q}),
+		} {
+			what := fmt.Sprintf("%s with a %s atom without a relation", call.Route().Name, section)
+			path, in, _ := call.HTTP()
+			body, err := json.Marshal(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			status, e := post(path, bytes.NewReader(body))
+			refused("HTTP "+what, status, e, "atom without relation name")
+			var frame wire.Enc
+			call.Encode(&frame)
+			status, _, err = cc.Call(ctx, wire.KindTenant, wire.TenantReq{Tenant: "ten", Kind: call.Route().Kind, Body: frame.Bytes()}.Encode)
+			refused("binary "+what, status, api.From(err), "atom without relation name")
+		}
+	}
+
+	after, err := h.client("http", "").Tenants(ctx)
+	if err != nil || !reflect.DeepEqual(after, before) {
+		t.Errorf("/v1/tenants moved across refused requests (%v):\nbefore %+v\nafter  %+v", err, before, after)
+	}
+	if st, err := sess.Status(ctx, false); err != nil || st.Live != 1 || st.Parked != 0 {
+		t.Errorf("session s after the refusals: %+v (%v); want its one live query", st, err)
+	}
+	if hl, err := h.client("http", "").Health(ctx); err != nil || hl.Sessions != 1 {
+		t.Errorf("health after the refusals: %+v (%v); want one session", hl, err)
 	}
 }
 

@@ -21,8 +21,7 @@ type eventJSON struct {
 func (e Event) MarshalJSON() ([]byte, error) {
 	switch e.Kind {
 	case JoinEvent:
-		q := e.Query
-		return json.Marshal(eventJSON{Kind: "join", Query: &q})
+		return json.Marshal(eventJSON{Kind: "join", Query: &e.Query})
 	case LeaveEvent:
 		return json.Marshal(eventJSON{Kind: "leave", ID: e.ID})
 	}
@@ -39,6 +38,9 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	case "join":
 		if w.Query == nil {
 			return fmt.Errorf("stream: join event without a query")
+		}
+		if err := w.Query.CheckRels(); err != nil {
+			return err
 		}
 		*e = Event{Kind: JoinEvent, Query: *w.Query}
 	case "leave":

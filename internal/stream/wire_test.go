@@ -36,6 +36,7 @@ func TestEventJSONRejectsMalformed(t *testing.T) {
 		`{"k":"nope"}`,
 		`{"k":"join"}`,
 		`{"k":"leave"}`,
+		`{"k":"join","q":{"id":"u1","head":[{"rel":"R","args":["?x"]}],"body":[{"args":["?x"]}]}}`,
 		`{`,
 	} {
 		var ev Event

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"net/http"
 	"net/url"
 	"strings"
 
@@ -63,13 +64,33 @@ type Op[Q Req, R any] struct {
 	FromHTTP func(key, query string, body func(any) error) (Q, error)
 }
 
-// fromBody is the FromHTTP of a request whose JSON body is a B.
-func fromBody[B any, Q Req](conv func(key string, b B) Q) func(key, query string, body func(any) error) (Q, error) {
+// fromBody is the FromHTTP of a request whose JSON body is a B. One
+// that carries queries has a check: eq's JSON is its field tags, which
+// cannot say that every atom names a relation, so this edge asks, before
+// admission decides or charges, and refuses as GetAtom does on the other.
+func fromBody[B any, Q Req](conv func(key string, b B) Q, check func(Q) error) func(key, query string, body func(any) error) (Q, error) {
 	return func(key, _ string, body func(any) error) (Q, error) {
-		var b B
+		var b B // zero: the decoder merges into what its target holds
 		err := body(&b)
-		return conv(key, b), err
+		q := conv(key, b)
+		if err == nil && check != nil {
+			if err = check(q); err != nil {
+				err = &api.Error{Status: http.StatusBadRequest, Code: api.CodeBadRequest, Message: "decoding body: " + err.Error()}
+			}
+		}
+		return q, err
 	}
+}
+
+func (m CoordinateReq) checkRels() error {
+	for _, r := range m.Requests {
+		for _, q := range r.Queries {
+			if err := q.CheckRels(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // The operations of the service. Adding one is a row here (and in Ops),
@@ -82,7 +103,8 @@ var (
 		PutReply: func(e *Enc, r api.CoordinateResponse) { PutResponses(e, r.Responses) },
 		GetReply: func(d *Dec) api.CoordinateResponse { return api.CoordinateResponse{Responses: GetResponses(d)} },
 		ToHTTP:   func(q CoordinateReq) (string, any) { return "", api.CoordinateRequest{Requests: q.Requests} },
-		FromHTTP: fromBody(func(_ string, b api.CoordinateRequest) CoordinateReq { return CoordinateReq{Requests: b.Requests} }),
+		FromHTTP: fromBody(func(_ string, b api.CoordinateRequest) CoordinateReq { return CoordinateReq{Requests: b.Requests} },
+			CoordinateReq.checkRels),
 	}
 	CreateSession = &Op[CreateSessionReq, api.CreateSessionResponse]{
 		Route: Route{Name: "create_session", Kind: KindCreateSession, Method: "POST", Path: "/v1/sessions"},
@@ -98,21 +120,22 @@ var (
 		},
 		FromHTTP: fromBody(func(_ string, b api.CreateSessionRequest) CreateSessionReq {
 			return CreateSessionReq{ID: b.ID, ParkUnsafe: b.ParkUnsafe}
-		}),
+		}, nil),
 	}
 	Join = &Op[JoinReq, api.Update]{
 		Route:  Route{Name: "join", Kind: KindJoin, Method: "POST", Path: "/v1/sessions/{id}/join"},
 		Key:    func(q JoinReq) string { return q.Session },
 		GetReq: DecodeJoinReq, PutReply: PutUpdate, GetReply: GetUpdate,
-		ToHTTP:   func(q JoinReq) (string, any) { return "", api.JoinRequest{Query: q.Query} },
-		FromHTTP: fromBody(func(key string, b api.JoinRequest) JoinReq { return JoinReq{Session: key, Query: b.Query} }),
+		ToHTTP: func(q JoinReq) (string, any) { return "", api.JoinRequest{Query: q.Query} },
+		FromHTTP: fromBody(func(key string, b api.JoinRequest) JoinReq { return JoinReq{Session: key, Query: b.Query} },
+			func(q JoinReq) error { return q.Query.CheckRels() }),
 	}
 	Leave = &Op[LeaveReq, api.Update]{
 		Route:  Route{Name: "leave", Kind: KindLeave, Method: "POST", Path: "/v1/sessions/{id}/leave"},
 		Key:    func(q LeaveReq) string { return q.Session },
 		GetReq: DecodeLeaveReq, PutReply: PutUpdate, GetReply: GetUpdate,
 		ToHTTP:   func(q LeaveReq) (string, any) { return "", api.LeaveRequest{ID: q.QueryID} },
-		FromHTTP: fromBody(func(key string, b api.LeaveRequest) LeaveReq { return LeaveReq{Session: key, QueryID: b.ID} }),
+		FromHTTP: fromBody(func(key string, b api.LeaveRequest) LeaveReq { return LeaveReq{Session: key, QueryID: b.ID} }, nil),
 	}
 	Status = &Op[StatusReq, api.SessionStatus]{
 		Route:  Route{Name: "status", Kind: KindStatus, Method: "GET", Path: "/v1/sessions/{id}"},
