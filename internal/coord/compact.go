@@ -1,12 +1,5 @@
 package coord
 
-import (
-	"fmt"
-
-	"entangled/internal/db"
-	"entangled/internal/eq"
-)
-
 // Tombstones returns, in O(1), the number of dead slots: queries that
 // were admitted and have since departed (or failed mid-admission). They
 // cost memory and index space, and an event's bookkeeping scans every
@@ -15,58 +8,67 @@ import (
 // called; stream.Session compacts once this crosses its threshold.
 func (inc *Incremental) Tombstones() int { return inc.g.n - inc.g.live }
 
-// Compact renumbers the live queries into dense slots 0..len(live)-1,
+// Compact renumbers the live queries into dense slots 0..Len()-1,
 // dropping every tombstone, so subsequent events cost O(live queries)
-// instead of O(total slots ever). It returns the slot remapping (old
-// slot -> new slot, -1 for dead slots) and the cost of re-establishing
-// the coordination state.
+// instead of O(slots ever handed out). It returns the slot remapping
+// (old slot -> new slot, -1 for dead slots).
 //
-// Renumbering changes every query's alpha-renaming prefix, so cached
-// component outcomes (whose bindings and signatures are expressed in
-// old-slot variables) cannot be carried over: the next reconcile
-// re-solves every component, at batch grounding cost. Cached
-// body-satisfiability probes ARE carried over — they depend only on the
-// query body and the store — so compaction issues no pruning probes.
-// Compaction is amortised: triggered once tombstones exceed a
-// threshold, its one-off batch-shaped cost is spread over the departures
-// that created the garbage, exactly like a hash-table resize.
+// A renumbering says nothing new about the set, and costs nothing: no
+// database query, no unification, no pass. Queries are named by serial,
+// so every cached outcome, its binding and its key stay exact; what
+// moves is the slots written down beside them — in the graph, the
+// by-slot arrays, the cached sets (which the candidates alias) and the
+// last pass's events — and the remap is monotone, so every order that
+// was ascending in slots still is. LastDelta and TotalDBQueries stay
+// those of the events before: there was no event.
 //
 // A compacted coordinator is observably identical to a fresh one built
 // from the live queries in slot order: same team, same witness values,
 // same trace (the stream-vs-batch property tests run under aggressive
 // compaction to pin this).
-func (inc *Incremental) Compact() ([]int, DeltaStats, error) {
+func (inc *Incremental) Compact() []int {
 	remap := inc.Positions()
-	g := NewIncrementalGraph()
-	newQueries := make([]eq.Query, 0, inc.g.live)
-	newRenamed := make([]eq.Query, 0, inc.g.live)
-	newSat := make([]bool, 0, inc.g.live)
+	inc.g.compact(remap)
 	for old, slot := range remap {
-		if slot < 0 {
-			continue
+		if slot >= 0 {
+			inc.queries[slot], inc.renamed[slot] = inc.queries[old], inc.renamed[old]
+			inc.bodySat[slot], inc.serials[slot] = inc.bodySat[old], inc.serials[old]
 		}
-		q := inc.queries[old]
-		if got := g.Add(q); got != slot {
-			return nil, DeltaStats{}, fmt.Errorf("coord: compaction slot skew: got %d, want %d", got, slot)
-		}
-		newQueries = append(newQueries, q)
-		newRenamed = append(newRenamed, q.Rename(varPrefix(slot)))
-		newSat = append(newSat, inc.bodySat[old])
 	}
-	inc.g = g
-	inc.queries = newQueries
-	inc.renamed = newRenamed
-	inc.bodySat = newSat
-	// Outcome signatures and bindings are slot-addressed; a dense
-	// renumbering invalidates all of them.
-	inc.cache = map[string]*compOutcome{}
-	// The scratch was sized by the old slot count; the next pass
-	// regrows it for the dense one.
-	inc.scr = scratch{}
+	live := inc.g.live
+	clear(inc.queries[live:]) // let go of the departed queries
+	clear(inc.renamed[live:])
+	inc.queries, inc.renamed = fit(inc.queries[:live]), fit(inc.renamed[:live])
+	inc.bodySat, inc.serials = fit(inc.bodySat[:live]), fit(inc.serials[:live])
 
-	m := db.NewMeter(inc.store)
-	d, err := inc.reconcile(m)
-	d.Slot = -1
-	inc.last = d
-	return remap, d, err
+	// An outcome naming a departed slot is one a failed pass left unswept:
+	// its key spells a dead serial, nothing can hit it again and no event
+	// or candidate points at it, so it goes. The rest are renumbered
+	// where they lie.
+	for sig, out := range inc.cache {
+		if remapSlots(out.order, remap); !remapSlots(out.set, remap) {
+			delete(inc.cache, sig)
+		}
+	}
+	for _, e := range inc.events {
+		remapSlots(e.members, remap)
+	}
+	for i := range inc.pruned {
+		inc.pruned[i].Query = remap[inc.pruned[i].Query]
+	}
+	if slack(cap(inc.scr.alive), live) {
+		inc.scr = scratch{} // the events keep their member lists
+	}
+	return remap
+}
+
+// remapSlots rewrites slots through remap in place and reports whether
+// every one of them is still live.
+func remapSlots(slots, remap []int) bool {
+	live := true
+	for i, slot := range slots {
+		slots[i] = remap[slot]
+		live = live && slots[i] >= 0
+	}
+	return live
 }

@@ -39,7 +39,9 @@
 // queries observationally (team, values, trace). Arrivals that would
 // make the set unsafe are refused with ErrUnsafeArrival before any
 // state changes, and Compact renumbers away tombstoned slots so
-// long-lived streams stay O(live queries). An event's bookkeeping —
+// long-lived streams stay O(live queries) — in place and for free: a
+// query's alpha-renaming prefix and cache key are its admission serial,
+// not its slot, so renumbering re-grounds nothing. An event's bookkeeping —
 // pruning, condensation, reach sets, cache keys — is integer work on
 // scratch the coordinator keeps between events, so what an event
 // allocates follows its dirty components, not the live set.

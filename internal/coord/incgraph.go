@@ -48,8 +48,12 @@ func firstConst(a eq.Atom) (string, bool) {
 
 // insert files the i-th atom of query q under its buckets.
 func (b *atomBuckets) insert(q, i int, a eq.Atom) {
-	row := int32(len(b.refs))
 	b.refs = append(b.refs, atomRef{int32(q), int32(i), a})
+	b.file(int32(len(b.refs)-1), a)
+}
+
+// file enters row, which holds atom a, into a's buckets.
+func (b *atomBuckets) file(row int32, a eq.Atom) {
 	r := b.rels[a.Rel]
 	if r == nil {
 		r = &relBucket{byConst: map[string][]int32{}}
@@ -61,6 +65,59 @@ func (b *atomBuckets) insert(q, i int, a eq.Atom) {
 	} else {
 		r.wild = append(r.wild, row)
 	}
+}
+
+// compact drops the rows of queries remap sends to -1 and renumbers the
+// rest. The buckets are refilled in place, in row order, from the rows
+// that remain; a constant or a relation left with none is deleted, so
+// the maps hold what the live set names, not the session's history.
+func (b *atomBuckets) compact(remap []int) {
+	for _, r := range b.rels {
+		r.all, r.wild = r.all[:0], r.wild[:0]
+		for c, rows := range r.byConst {
+			r.byConst[c] = rows[:0]
+		}
+	}
+	kept := b.refs[:0]
+	for _, ref := range b.refs {
+		if q := remap[ref.q]; q >= 0 {
+			ref.q = int32(q)
+			kept = append(kept, ref)
+			b.file(int32(len(kept)-1), ref.atom)
+		}
+	}
+	clear(b.refs[len(kept):]) // let go of the departed atoms
+	b.refs = fit(kept)
+	for rel, r := range b.rels {
+		if len(r.all) == 0 {
+			delete(b.rels, rel)
+			continue
+		}
+		r.all, r.wild = fit(r.all), fit(r.wild)
+		for c, rows := range r.byConst {
+			if len(rows) == 0 {
+				delete(r.byConst, c)
+			} else {
+				r.byConst[c] = fit(rows)
+			}
+		}
+	}
+}
+
+// slack is the shrink rule of a compaction: a buffer goes back when more
+// than two thirds of its capacity is unused. One that lost only its
+// tombstones keeps its append headroom (giving back at one half has a
+// steady session reallocate after every compaction), one whose set
+// shrank for good gives the memory back.
+func slack(capacity, used int) bool { return capacity > 3*used }
+
+// fit returns xs, moved to a backing array of its own length when the
+// one it has is slack.
+func fit[T any](xs []T) []T {
+	if slack(cap(xs), len(xs)) {
+		return append([]T(nil), xs...)
+	}
+	return xs
 }
 
 // unifiable calls yield with the (query, atom index) of every filed
@@ -237,9 +294,8 @@ func (g *IncrementalGraph) file(q eq.Query, from int) (slot int) {
 }
 
 // Remove tombstones slot i and drops its incident edges. Bucket entries
-// are left in place and skipped during probes (removal surgery on the
-// per-constant maps is not worth it; sessions churn queries, not
-// relations). Removing an absent or already-removed slot is a no-op.
+// are left in place and skipped during probes; compact sweeps them out.
+// Removing an absent or already-removed slot is a no-op.
 func (g *IncrementalGraph) Remove(i int) {
 	if !g.Live(i) {
 		return
@@ -255,6 +311,32 @@ func (g *IncrementalGraph) Remove(i int) {
 		kept = append(kept, e)
 	}
 	g.edges, g.sorted = kept, len(kept)
+}
+
+// compact renumbers the live slots through remap (old slot -> new, -1
+// for a removed one; monotone) and forgets the removed ones, leaving
+// the graph that adding the live queries in slot order would build.
+// Nothing is probed or unified: every edge has both ends live already,
+// and a monotone renumbering keeps the canonical order.
+func (g *IncrementalGraph) compact(remap []int) {
+	g.heads.compact(remap)
+	g.posts.compact(remap)
+	for i, e := range g.edges {
+		g.edges[i].FromQ, g.edges[i].ToQ = remap[e.FromQ], remap[e.ToQ]
+	}
+	g.edges = fit(g.edges)
+	f := &g.fanout
+	at := int32(0)
+	for old, slot := range remap {
+		if slot >= 0 {
+			at += int32(copy(f.n[at:], f.of(old)))
+			f.off[slot+1] = at
+		}
+	}
+	f.off, f.n = fit(f.off[:g.live+1]), fit(f.n[:at])
+	g.n = g.live
+	g.gone = fit(g.gone[:g.n])
+	clear(g.gone)
 }
 
 // compareEdges orders edges canonically: by (FromQ, PostIdx, ToQ,

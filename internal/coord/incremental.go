@@ -51,11 +51,12 @@ type DeltaStats struct {
 
 // compOutcome is the cached result of searching one component: the
 // outcome of unifying its reachable set and grounding the combination.
-// It is a pure function of (reachable live query slots, store
-// contents), so it stays valid for splicing as long as neither changes;
-// the dirty-region invariant in DESIGN.md spells this out. The unifier
-// and the combined body are functions of the set alone and are not
-// kept: Result and Trace recompute the ones they show.
+// It is a pure function of (reachable live queries, store contents), so
+// it stays valid for splicing as long as neither changes; the
+// dirty-region invariant in DESIGN.md spells this out. The unifier and
+// the combined body are functions of the set alone and are not kept:
+// Result and Trace recompute the ones they show. Compact rewrites the
+// slots; the binding's variable names carry serials and never change.
 type compOutcome struct {
 	status  string     // "grounded", "unification failed", "no tuple"
 	set     []int      // reachable query slots, sorted ascending
@@ -75,7 +76,7 @@ type compEvent struct {
 // proportional to the live set, on buffers the coordinator keeps from
 // one event to the next so that a steady-state event allocates only
 // for its dirty components. Every buffer is sized and initialised at
-// the start of the pass that reads it; Compact releases them all.
+// the start of the pass that reads it; Compact keeps them while a third is used.
 type scratch struct {
 	alive   []bool        // slot -> live and unpruned
 	live    []int         // dense position -> slot, ascending
@@ -98,13 +99,15 @@ type scratch struct {
 // database traffic — and then re-solve only the components whose
 // reachable set changed, splicing cached witnesses for everything else.
 //
-// Queries live in slots: Add assigns the next slot, Remove tombstones
-// one. Slots are never reused, so a query's alpha-renaming prefix is
-// stable for the life of the session: a cached binding's variable names
-// stay the ones its set's recomputed MGU resolves to. A quiesced
-// Incremental reports exactly what a batch
-// SCCCoordinate over its live queries (in slot order) would: same
-// team, same trace, same witness values.
+// A query's place is a slot: Add assigns the next, Remove tombstones
+// one, Compact renumbers the live ones densely. Its name is an
+// admission serial, handed out with the slot and never reused: the
+// alpha-renaming prefix is q<serial>. and the outcome cache is keyed by
+// serials, so a cached binding's variable names stay the ones its set's
+// recomputed MGU resolves to however the slots are renumbered. A
+// quiesced Incremental reports exactly what a batch SCCCoordinate over
+// its live queries (in slot order) would: same team, same trace, same
+// witness values — the database's answer does not depend on the prefix.
 //
 // Incremental is not safe for concurrent use; stream.Session adds the
 // locking.
@@ -114,12 +117,14 @@ type Incremental struct {
 
 	g       *IncrementalGraph
 	queries []eq.Query // by slot
-	renamed []eq.Query // by slot, prefix q<slot>.
+	renamed []eq.Query // by slot, prefix q<serial>.
 	bodySat []bool     // by slot: cached body-satisfiability probe
+	serials []int      // by slot, ascending: the query's admission serial
+	next    int        // the serial the next admission gets
 	// Liveness lives in g (IncrementalGraph.Live): one bitmap, no
 	// lockstep copy to desynchronize.
 
-	cache map[string]*compOutcome // reachable-set signature -> outcome
+	cache map[string]*compOutcome // reachable set's serials -> outcome
 	pass  uint64                  // reconcile passes started
 	scr   scratch
 
@@ -182,7 +187,7 @@ func (inc *Incremental) Query(slot int) eq.Query { return inc.queries[slot] }
 // Add admits one arriving query: it extends the extended graph with the
 // newcomer's incident edges, probes the newcomer's body satisfiability
 // (the §6.1 pruning input — one database query, cached for the life of
-// the slot), and re-coordinates the dirty region. It returns the
+// the query), and re-coordinates the dirty region. It returns the
 // assigned slot and the event's cost.
 //
 // When the arrival would make the set unsafe the set is left untouched
@@ -202,8 +207,11 @@ func (inc *Incremental) Add(q eq.Query) (int, DeltaStats, error) {
 		slot = inc.g.commit(q, edges)
 	}
 	m := db.NewMeter(inc.store)
+	// The serial goes with the slot, even one the probe below tombstones.
 	inc.queries = append(inc.queries, q)
-	inc.renamed = append(inc.renamed, q.Rename(varPrefix(slot)))
+	inc.renamed = append(inc.renamed, q.Rename(varPrefix(inc.next)))
+	inc.serials = append(inc.serials, inc.next)
+	inc.next++
 	sat := true
 	if !inc.opts.SkipPruning {
 		var err error
@@ -258,7 +266,7 @@ func (inc *Incremental) Result() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Set: win.Set, Values: values, DBQueries: inc.last.DBQueries}, nil
+	return &Result{Set: append([]int(nil), win.Set...), Values: values, DBQueries: inc.last.DBQueries}, nil
 }
 
 // TeamSize returns the size of the coordinating set Result would
@@ -283,7 +291,7 @@ func (inc *Incremental) Candidates() ([]CandidateSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CandidateSet{Set: c.Set, Values: values})
+		out = append(out, CandidateSet{Set: append([]int(nil), c.Set...), Values: values})
 	}
 	return out, nil
 }
@@ -291,10 +299,10 @@ func (inc *Incremental) Candidates() ([]CandidateSet, error) {
 // Trace returns the step-by-step record of the current state, in the
 // shape a traced batch run over the live set would produce: pruning
 // events then per-component outcomes in reverse topological order.
-// With pos nil, query indices and alpha-renaming prefixes are slots —
-// what the database saw. With pos = Positions() they are positions
-// among the live queries, and the trace reads exactly like a batch
-// trace over LiveQueries().
+// With pos nil, query indices are slots and alpha-renaming prefixes are
+// admission serials — what the database saw. With pos = Positions()
+// both are positions among the live queries, and the trace reads
+// exactly like a batch trace over LiveQueries().
 func (inc *Incremental) Trace(pos []int) *Trace {
 	tr := &Trace{Pruned: append([]PruneEvent(nil), inc.pruned...)}
 	for i := range tr.Pruned {
@@ -305,16 +313,15 @@ func (inc *Incremental) Trace(pos []int) *Trace {
 	}
 	// The events' member lists live in scratch the next pass reuses;
 	// the trace gets its own copy, one backing slice for all of them.
-	members := append([]int(nil), inc.scr.members...)
-	for i := range members {
-		members[i] = at(pos, members[i])
-	}
+	members := make([]int, 0, inc.g.live)
 	edges := inc.g.Edges()
 	tr.Components = make([]ComponentEvent, len(inc.events))
 	for i, e := range inc.events {
-		k := len(e.members)
-		ev := ComponentEvent{Members: members[:k:k], Status: e.status}
-		members = members[k:]
+		from := len(members)
+		for _, slot := range e.members {
+			members = append(members, at(pos, slot))
+		}
+		ev := ComponentEvent{Members: members[from:len(members):len(members)], Status: e.status}
 		if out := e.out; out != nil {
 			ev.Set = make([]int, len(out.set))
 			for j, slot := range out.set {
@@ -324,7 +331,7 @@ func (inc *Incremental) Trace(pos []int) *Trace {
 			// and body, recomputed on scratch.
 			if sr := &inc.scr.sr; out.status != "unification failed" && sr.mgu(inc.renamed, edges, out.set) {
 				sr.combine(inc.renamed, out.order)
-				ev.Combined = sr.combined(pos)
+				ev.Combined = sr.combined(inc.serials, pos)
 			}
 			if out.status == "grounded" {
 				ev.SetSize = len(out.set)
@@ -357,10 +364,13 @@ func (inc *Incremental) TotalDBQueries() int64 { return inc.total }
 // witnesses assume the store's contents have not changed since they
 // were computed, so a caller that interleaves writes with a session
 // calls Refresh (with writers paused) to resynchronise. It costs what
-// a batch run costs.
+// a batch run costs. The last pass's record goes with the outcomes it
+// points into (Compact reaches them through the cache only): a Refresh
+// that fails leaves no result until the next pass.
 func (inc *Incremental) Refresh() (DeltaStats, error) {
 	m := db.NewMeter(inc.store)
 	inc.cache = map[string]*compOutcome{}
+	inc.pruned, inc.events, inc.cands = inc.pruned[:0], inc.events[:0], inc.cands[:0]
 	if !inc.opts.SkipPruning {
 		for i := range inc.queries {
 			if !inc.g.Live(i) {
@@ -467,15 +477,15 @@ func (inc *Incremental) reconcile(m *db.Meter) (DeltaStats, error) {
 		// join plan, hence the witness and the rendered query, depend
 		// on it. A departure elsewhere can renumber Tarjan components
 		// and reorder an unchanged set; that must miss (re-solve, stay
-		// exact), not splice a stale outcome. Slots are stable for the
-		// life of a session, so keys are too.
+		// exact), not splice a stale outcome. The key spells the set in
+		// serials, which outlive every renumbering of the slots.
 		set := s.sr.set[:0]
 		s.sig = s.sig[:0]
 		for w, word := range s.reach.row(c) {
 			for ; word != 0; word &= word - 1 {
 				for _, mcc := range members[w*64+bits.TrailingZeros64(word)] {
 					set = append(set, s.live[mcc])
-					s.sig = binary.AppendUvarint(s.sig, uint64(s.live[mcc]))
+					s.sig = binary.AppendUvarint(s.sig, uint64(inc.serials[s.live[mcc]]))
 				}
 			}
 		}

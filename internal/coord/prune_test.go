@@ -88,7 +88,9 @@ func TestCascadeMatchesRoundByRoundOracle(t *testing.T) {
 // compacts) the scratch must stay under 72 KB — reach sets are bitset
 // rows, not byte rows; 64 KB of bookkeeping plus the one search every
 // solve runs on, whose substitution and body used to be retained once
-// per cached outcome instead — and Compact must give it all back.
+// per cached outcome instead. Compact keeps it (the next pass fits in
+// what the last one grew) unless the set has shrunk to under a third of
+// what it was grown for.
 func TestIncrementalScratchBudget(t *testing.T) {
 	const chains, chainLen, budget = 16, 16, 72 << 10
 	inc := NewIncremental(chainStore(chains), Options{})
@@ -136,13 +138,28 @@ func TestIncrementalScratchBudget(t *testing.T) {
 		t.Fatalf("scratch measured at %d bytes: the measurement is not seeing it", retained)
 	}
 
-	// Compact drops the old scratch; what the next pass regrows fits
-	// the dense slot count.
-	if _, _, err := inc.Compact(); err != nil {
+	// One more clip regrows the scratch. Compacting 320 slots to 256
+	// keeps every buffer; shrinking to one chain and compacting again
+	// lets them all go.
+	if _, err := inc.Remove(slots[[2]int{0, chainLen - 1}]); err != nil {
 		t.Fatal(err)
 	}
-	if got := cap(inc.scr.alive); got > chains*chainLen*5/4+8 {
-		t.Fatalf("after Compact the scratch is still sized for %d slots", got)
+	join(0, chainLen-1)
+	grown := cap(inc.scr.alive)
+	remap := inc.Compact()
+	if got := cap(inc.scr.alive); got != grown {
+		t.Fatalf("Compact at %d of %d slots live resized the scratch: %d -> %d", inc.Len(), len(remap), grown, got)
+	}
+	for c := 1; c < chains; c++ {
+		for i := chainLen - 1; i >= 0; i-- {
+			if _, err := inc.Remove(remap[slots[[2]int{c, i}]]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	inc.Compact()
+	if got := cap(inc.scr.alive); got > 3*chainLen {
+		t.Fatalf("after Compact at %d live the scratch is still sized for %d slots", inc.Len(), got)
 	}
 	runtime.KeepAlive(inc)
 }

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -85,16 +86,18 @@ func (sr *search) ground(renamed []eq.Query, edges []ExtendedEdge, set []int, st
 
 // combined renders the conjunctive query last assembled on sr as the
 // database saw it: the body resolved under the unifier. A non-nil pos
-// moves each variable's alpha-renaming prefix from its query's slot to
-// pos[slot] — on the terms, where a variable is known to be one and its
-// name to start with the varPrefix its query was renamed with.
-func (sr *search) combined(pos []int) string {
+// moves each variable's alpha-renaming prefix from its query's serial
+// to the position of its slot (serials is by slot, ascending) — on the
+// terms, where a variable is known to be one and its name to start
+// with the varPrefix its query was renamed with.
+func (sr *search) combined(serials, pos []int) string {
 	body := sr.subst.ApplyAll(sr.body)
 	for _, a := range body {
 		for j, t := range a.Args {
 			if pos != nil && t.IsVar() {
 				dot := strings.IndexByte(t.Name, '.')
-				slot, _ := strconv.Atoi(t.Name[1:dot])
+				serial, _ := strconv.Atoi(t.Name[1:dot])
+				slot, _ := slices.BinarySearch(serials, serial)
 				a.Args[j].Name = varPrefix(pos[slot]) + t.Name[dot+1:]
 			}
 		}

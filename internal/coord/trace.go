@@ -188,7 +188,7 @@ func (w *sccWalk) processComponent(c int) error {
 		if w.events != nil {
 			ev.Set = sortedCopy(sr.set)
 			if status != "unification failed" {
-				ev.Combined = sr.combined(nil)
+				ev.Combined = sr.combined(nil, nil)
 			}
 		}
 		if status == "grounded" {

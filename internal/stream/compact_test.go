@@ -2,6 +2,8 @@ package stream_test
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -37,6 +39,97 @@ func TestSessionCompactionPreservesBatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestCompactionIsInvisible runs one seeded churn — joins, leaves,
+// arrivals parked as unsafe and admitted by a later departure, bodies
+// no row satisfies — under four compaction thresholds and requires that
+// nothing a client can read tells them apart: every update's cost and
+// team size, and the whole status (queries, team, values, trace, parked
+// count, totals) after every event. The run that never compacts is the
+// reference; a renumbering that re-grounded anything, or reported
+// itself in place of the event, would differ from it at the first
+// compacting departure.
+func TestCompactionIsInvisible(t *testing.T) {
+	const (
+		rows, users, events = 8, 24, 600
+	)
+	type seen struct {
+		admitted, parked bool
+		admittedParked   []string
+		err              string
+		stats            [4]int64 // components, dirty, reused, database queries
+		team             int
+		status           stream.Status
+	}
+	run := func(compactAfter int) (log []seen, compactions, retried int) {
+		rng := rand.New(rand.NewSource(24))
+		s := stream.New(chainStore(rows), stream.Options{ParkUnsafe: true, CompactAfter: compactAfter})
+		user := func() eq.Term { return eq.C(eq.Value("U" + strconv.Itoa(rng.Intn(users)))) }
+		var live []string
+		for n := 0; n < events; n++ {
+			var ev stream.Event
+			if len(live) > 0 && rng.Intn(5) < 2 {
+				k := rng.Intn(len(live))
+				ev = stream.Event{Kind: stream.LeaveEvent, ID: live[k]}
+				live = append(live[:k], live[k+1:]...)
+			} else {
+				val := "c" + strconv.Itoa(rng.Intn(rows))
+				if rng.Intn(8) == 0 {
+					val = "missing"
+				}
+				q := eq.Query{
+					ID:   "q" + strconv.Itoa(n),
+					Head: []eq.Atom{eq.NewAtom("R", user(), eq.V("x"))},
+					Body: []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C(eq.Value(val)))},
+				}
+				for p := rng.Intn(3); p > 0; p-- {
+					q.Post = append(q.Post, eq.NewAtom("R", user(), eq.V("y"+strconv.Itoa(p))))
+				}
+				ev = stream.Event{Kind: stream.JoinEvent, Query: q}
+			}
+			up, err := s.Apply(ev)
+			if up.Admitted && ev.Kind == stream.JoinEvent {
+				live = append(live, ev.Query.ID)
+			}
+			live = append(live, up.AdmittedParked...)
+			if ev.Kind == stream.LeaveEvent && up.Admitted && s.Tombstones() == 0 {
+				compactions++ // a departure leaves a tombstone, unless it compacted
+			}
+			retried += len(up.AdmittedParked)
+			st, serr := s.Status(true)
+			if serr != nil {
+				t.Fatalf("compactAfter=%d event %d (%v): status: %v", compactAfter, n, ev, serr)
+			}
+			// The status prices the event the client sent, not the
+			// housekeeping behind it.
+			if up.Admitted && err == nil && len(up.AdmittedParked) == 0 && st.Result != nil && st.Result.DBQueries != up.Stats.DBQueries {
+				t.Fatalf("compactAfter=%d event %d (%v): status reports %d queries, the update %d",
+					compactAfter, n, ev, st.Result.DBQueries, up.Stats.DBQueries)
+			}
+			log = append(log, seen{
+				up.Admitted, up.Parked, up.AdmittedParked, fmt.Sprint(err),
+				[4]int64{int64(up.Stats.Components), int64(up.Stats.Dirty), int64(up.Stats.Reused), up.Stats.DBQueries},
+				up.TeamSize, st,
+			})
+		}
+		return log, compactions, retried
+	}
+	want, compactions, retried := run(-1)
+	if compactions != 0 || retried == 0 {
+		t.Fatalf("reference run: %d compactions, %d parked arrivals admitted on retry", compactions, retried)
+	}
+	for _, compactAfter := range []int{1, 2, 64} {
+		got, compactions, _ := run(compactAfter)
+		if compactions == 0 {
+			t.Fatalf("compactAfter=%d: the churn never compacted", compactAfter)
+		}
+		for n := range want {
+			if !reflect.DeepEqual(got[n], want[n]) {
+				t.Fatalf("compactAfter=%d event %d:\n got %+v\nwant %+v", compactAfter, n, got[n], want[n])
+			}
+		}
+	}
+}
+
 // TestSessionCompactionKeepsIDsLeavable pins the remap contract: after
 // a forced compaction the ID index must point at the renumbered slots,
 // so every live query can still depart.
@@ -63,9 +156,7 @@ func TestSessionCompactionKeepsIDsLeavable(t *testing.T) {
 	if got := s.Tombstones(); got != 3 {
 		t.Fatalf("tombstones = %d, want 3 (auto-compaction disabled)", got)
 	}
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	s.Compact()
 	if got := s.Tombstones(); got != 0 {
 		t.Fatalf("tombstones after compact = %d, want 0", got)
 	}

@@ -28,8 +28,10 @@
 // Long-lived sessions stay O(live queries): departed queries leave
 // tombstoned slots behind, and once Options.CompactAfter of them
 // accumulate (DefaultCompactAfter unless configured) the session
-// compacts — live queries are renumbered into dense slots at an
-// amortised, hash-table-resize-like cost, without changing any
-// observable state (the compaction property test churns aggressively
-// and checks batch equivalence after every event).
+// compacts — live queries are renumbered into dense slots, in place
+// and without a database query, since cached outcomes name queries by
+// admission serial and not by slot. No update, status or total shows
+// whether or when it happened (TestCompactionIsInvisible; the
+// compaction property test churns aggressively and checks batch
+// equivalence after every event).
 package stream

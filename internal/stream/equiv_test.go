@@ -148,7 +148,7 @@ func TestSessionDepartureReordersComponents(t *testing.T) {
 }
 
 // TestSessionTraceRenumbersTermsNotText: after a departure the trace's
-// alpha-renaming prefixes move from slots to positions, and nothing
+// alpha-renaming prefixes move from serials to positions, and nothing
 // else does — constants, a relation and a variable whose own names
 // contain "q1." read exactly as the batch trace over Queries() reads
 // them.

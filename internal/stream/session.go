@@ -21,9 +21,8 @@ var ErrUnknownID = errors.New("stream: unknown query ID")
 
 // DefaultCompactAfter is the slot-compaction threshold used when
 // Options.CompactAfter is zero: a session compacts once 64 dead slots
-// have accumulated. Compaction is amortised (a hash-table-resize
-// shape): its one-off batch-grounding cost is spread over the
-// departures that created the garbage.
+// have accumulated. Compaction is an in-place renumbering — O(live
+// queries) of integer work, no database query — amortised over them.
 const DefaultCompactAfter = 64
 
 // EventKind discriminates stream events.
@@ -111,9 +110,9 @@ type Options struct {
 	// — live queries are renumbered into dense slots so per-event graph
 	// work stays O(live queries) instead of O(total slots ever). Zero
 	// selects DefaultCompactAfter; negative disables compaction.
-	// Compaction cost is folded into the triggering event's Update.Stats
-	// so per-event metering stays exact, and a compacted session remains
-	// byte-for-byte batch-equivalent (see coord.(*Incremental).Compact).
+	// Compaction re-solves nothing (queries are named by admission serial,
+	// not by slot), so no Update, Status or total depends on the threshold:
+	// see coord.(*Incremental).Compact.
 	CompactAfter int
 	// OnUpdate, when non-nil, observes every processed event (called
 	// synchronously from the processing goroutine, in order, with the
@@ -185,7 +184,7 @@ func (s *Session) process(ev Event) (Update, error) {
 		up.Err = fmt.Errorf("stream: unknown event kind %d", ev.Kind)
 	}
 	if t := s.compactThreshold(); t > 0 && s.inc.Tombstones() >= t {
-		s.compact(&up)
+		s.compact()
 	}
 	s.totals.Events++
 	s.totals.Dirty += up.Stats.Dirty
@@ -317,24 +316,12 @@ func (s *Session) compactThreshold() int {
 }
 
 // compact renumbers live queries into dense slots and remaps the ID
-// index accordingly. The cost folds into the triggering event's stats
-// so per-event metering stays exact; a compaction failure surfaces on
-// the update (the state is still consistent — reconcile heals on the
-// next event — but the error must not vanish).
-func (s *Session) compact(up *Update) {
-	remap, d, err := s.inc.Compact()
-	up.Stats.Dirty += d.Dirty
-	up.Stats.Reused += d.Reused
-	up.Stats.DBQueries += d.DBQueries
-	// A nil remap means compaction aborted before renumbering; the old
-	// slots are still the live ones, so the ID index must not move.
-	if remap != nil {
-		for id, slot := range s.byID {
-			s.byID[id] = remap[slot]
-		}
-	}
-	if err != nil && up.Err == nil {
-		up.Err = fmt.Errorf("stream: compaction: %w", err)
+// index accordingly. It cannot fail and costs no database query, so no
+// update or total records it.
+func (s *Session) compact() {
+	remap := s.inc.Compact()
+	for id, slot := range s.byID {
+		s.byID[id] = remap[slot]
 	}
 }
 
@@ -346,24 +333,13 @@ func (s *Session) Tombstones() int {
 	return s.inc.Tombstones()
 }
 
-// Compact forces a slot compaction now, regardless of the threshold,
-// and returns its cost. Sessions configured with a non-negative
-// CompactAfter compact automatically; this is for callers that disabled
-// auto-compaction but still want to reclaim slots at a moment of their
-// choosing (e.g. an idle tick).
-func (s *Session) Compact() (coord.DeltaStats, error) {
+// Compact forces a slot compaction now, regardless of the threshold:
+// for callers that disabled auto-compaction (a negative CompactAfter)
+// but reclaim slots at a moment of their choosing (e.g. an idle tick).
+func (s *Session) Compact() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	remap, d, err := s.inc.Compact()
-	if remap != nil {
-		for id, slot := range s.byID {
-			s.byID[id] = remap[slot]
-		}
-	}
-	s.totals.Dirty += d.Dirty
-	s.totals.Reused += d.Reused
-	s.totals.DBQueries += d.DBQueries
-	return d, err
+	s.compact()
 }
 
 // Run drains events until the channel closes or the context is
@@ -501,14 +477,14 @@ func (s *Session) resultLocked(pos []int) (*coord.Result, error) {
 		return res, err
 	}
 	// Translate stable slots to live positions so the indices line up
-	// with Queries(), the way batch callers expect.
-	set := make([]int, len(res.Set))
+	// with Queries(), the way batch callers expect. The set is res's own.
 	values := make(map[int]map[string]eq.Value, len(res.Values))
 	for i, slot := range res.Set {
-		set[i] = pos[slot]
+		res.Set[i] = pos[slot]
 		values[pos[slot]] = res.Values[slot]
 	}
-	return &coord.Result{Set: set, Values: values, DBQueries: res.DBQueries}, nil
+	res.Values = values
+	return res, nil
 }
 
 // Trace returns the current state's step-by-step record with query

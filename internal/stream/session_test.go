@@ -3,6 +3,7 @@ package stream_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -338,15 +339,78 @@ func TestSessionStoreErrorStaysConsistent(t *testing.T) {
 	})
 }
 
+// TestSessionCompactsThroughStoreOutage: at CompactAfter 1 every
+// departure of an outage is followed by a compaction, with no successful
+// pass in between to sweep the outcomes that name the departed slots.
+// The session must keep its IDs leavable throughout and be exact one
+// event after the store is back. Pruning is off so that a departing head
+// dirties its chain instead of stranding it.
+func TestSessionCompactsThroughStoreOutage(t *testing.T) {
+	const chains, chainLen = 2, 6
+	opts := stream.Options{CompactAfter: 1, Coord: coord.Options{SkipPruning: true}}
+	store := &flakyStore{Store: chainStore(chains), err: errors.New("store: down")}
+	s, never := stream.New(store, opts), stream.New(chainStore(chains), opts)
+	for c := 0; c < chains; c++ {
+		for i := 0; i < chainLen; i++ {
+			for _, x := range []*stream.Session{s, never} {
+				if _, err := x.Join(workload.ChainQuery(c, i, chains)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	store.down = true
+	for i := 0; i < 3; i++ {
+		id := workload.ChainQuery(0, i, chains).ID
+		up, err := s.Leave(id)
+		if !errors.Is(err, store.err) || !up.Admitted || s.Tombstones() != 0 {
+			t.Fatalf("leave %s during the outage: err %v, update %+v, %d tombstones", id, err, up, s.Tombstones())
+		}
+		if _, err := never.Leave(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.down = false
+	for _, ev := range []stream.Event{
+		{Kind: stream.LeaveEvent, ID: workload.ChainQuery(1, chainLen-1, chains).ID},
+		{Kind: stream.JoinEvent, Query: workload.ChainQuery(0, 0, chains)},
+	} {
+		if _, err := s.Apply(ev); err != nil {
+			t.Fatalf("%v after the outage: %v", ev, err)
+		}
+		if _, err := never.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Status(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := never.Status(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Totals, want.Totals = stream.Totals{}, stream.Totals{} // the outage's events cost less
+		got.Result.DBQueries, want.Result.DBQueries = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v after the outage:\n%+v\na session whose store never failed:\n%+v", ev, got, want)
+		}
+	}
+}
+
 // flakyStore fails the failAt-th grounding query (SolveUnder) it sees
-// once failAt is set, and only that one.
+// once failAt is set, and only that one; while down is set it fails
+// them all.
 type flakyStore struct {
 	db.Store
 	err          error
 	failAt, seen int
+	down         bool
 }
 
 func (s *flakyStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, bool, error) {
+	if s.down {
+		return db.Binding{}, false, s.err
+	}
 	if s.failAt > 0 {
 		if s.seen++; s.seen == s.failAt {
 			return db.Binding{}, false, s.err
