@@ -72,7 +72,8 @@ func main() {
 		log.Fatal(err)
 	}
 	// Flights(fid, dest) reaches disk as a journaled mutation stream:
-	// with SyncAlways each Apply is fsynced before it returns.
+	// ApplyAll is one batch, written and fsynced (SyncAlways) once
+	// before it returns.
 	seed := []db.Mutation{
 		db.MCreate("Flights", 1, "fid", "dest"),
 		db.MInsert("Flights", "f1", "Paris"),

@@ -2,6 +2,7 @@ package db
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -143,14 +144,15 @@ func (m *Mutation) UnmarshalJSON(data []byte) error {
 // concrete types work unchanged against any backend, and their write
 // history can be journaled, snapshotted and replayed.
 //
-// Apply validates before mutating: a failed Apply leaves the store
-// unchanged, so one mutation stream replays without partial effects.
+// Each mutation validates before mutating: a failed one changes
+// nothing, so one mutation stream replays without partial effects.
 type WriteStore interface {
 	Store
-	// Apply performs one mutation. Unknown relations, arity mismatches
-	// and out-of-range columns are errors (not panics — mutations cross
-	// trust boundaries: logs, wires, fuzzers).
-	Apply(m Mutation) error
+	// Apply performs a batch in order up to the first mutation that
+	// fails, returned as a *MutationError naming it. Unknown relations,
+	// arity mismatches and out-of-range columns are errors (not panics
+	// — mutations cross trust boundaries: logs, wires, fuzzers).
+	Apply(ms ...Mutation) error
 	// DumpMutations streams a mutation sequence that rebuilds the
 	// store's current contents into an empty store: relations in sorted
 	// name order, each as create, its tuples (in an order the store's
@@ -168,14 +170,35 @@ var (
 	_ WriteStore = (*ShardedInstance)(nil)
 )
 
-// ApplyAll applies a mutation sequence, stopping at the first failure.
-func ApplyAll(w WriteStore, ms []Mutation) error {
+// MutationError is Apply's failure: mutation Index of the batch failed
+// with Err after every one before it was applied. It reads as Err.
+type MutationError struct {
+	Index int
+	Err   error
+}
+
+func (e *MutationError) Error() string { return e.Err.Error() }
+func (e *MutationError) Unwrap() error { return e.Err }
+
+// applyEach applies ms through one, stopping at the first failure.
+func applyEach(ms []Mutation, one func(Mutation) error) error {
 	for i, m := range ms {
-		if err := w.Apply(m); err != nil {
-			return fmt.Errorf("db: applying mutation %d (%s): %w", i, m, err)
+		if err := one(m); err != nil {
+			return &MutationError{Index: i, Err: err}
 		}
 	}
 	return nil
+}
+
+// ApplyAll applies a mutation sequence as one batch, naming the
+// mutation that stopped it.
+func ApplyAll(w WriteStore, ms []Mutation) error {
+	err := w.Apply(ms...)
+	var me *MutationError
+	if errors.As(err, &me) {
+		return fmt.Errorf("db: applying mutation %d (%s): %w", me.Index, ms[me.Index], err)
+	}
+	return err
 }
 
 // Router is implemented by stores that can route a whole request's
@@ -218,7 +241,9 @@ func AggregatePlanStats(store Store) (PlanCacheStats, bool) {
 
 // Apply implements WriteStore on a plain instance; HashCol is ignored
 // (there is one part).
-func (in *Instance) Apply(m Mutation) error {
+func (in *Instance) Apply(ms ...Mutation) error { return applyEach(ms, in.apply) }
+
+func (in *Instance) apply(m Mutation) error {
 	switch m.Kind {
 	case MutCreate:
 		if len(m.Attrs) == 0 {
@@ -275,7 +300,9 @@ func (in *Instance) DumpMutations(yield func(Mutation) error) error {
 // Apply implements WriteStore on a sharded instance: inserts route to
 // the shard their hash-column value selects, exactly like
 // ShardedRelation.Insert.
-func (sh *ShardedInstance) Apply(m Mutation) error {
+func (sh *ShardedInstance) Apply(ms ...Mutation) error { return applyEach(ms, sh.apply) }
+
+func (sh *ShardedInstance) apply(m Mutation) error {
 	switch m.Kind {
 	case MutCreate:
 		if len(m.Attrs) == 0 {

@@ -2,6 +2,8 @@ package db
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"reflect"
 	"strconv"
 	"testing"
@@ -172,6 +174,32 @@ func TestApplyMutationErrors(t *testing.T) {
 		}
 		if err := w.Apply(Mutation{Kind: 99, Rel: "R"}); err == nil {
 			t.Fatal("unknown mutation kind succeeded")
+		}
+	}
+}
+
+// TestApplyBatchStopsAtFirstFailure: a batch applies the prefix before
+// its first invalid mutation and nothing from there on; the error names
+// the index but reads, on its own, as the mutation's plain error, and
+// ApplyAll prefixes the index and the mutation.
+func TestApplyBatchStopsAtFirstFailure(t *testing.T) {
+	for _, w := range []WriteStore{NewInstance(), NewShardedInstance(2)} {
+		ms := []Mutation{MCreate("R", 0, "a", "b"), MInsert("R", "x", "y"), MInsert("R", "x"), MInsert("R", "z", "w")}
+		err := w.Apply(ms...)
+		var me *MutationError
+		if !errors.As(err, &me) || me.Index != 2 {
+			t.Fatalf("%T: batch error %v, want a *MutationError at index 2", w, err)
+		}
+		if got, want := err.Error(), "db: insert into R: 1 values for arity 2"; got != want {
+			t.Fatalf("%T: error text %q, want %q", w, got, want)
+		}
+		all, err := w.SolveAll([]eq.Atom{eq.NewAtom("R", eq.V("p"), eq.V("q"))}, 0)
+		if err != nil || len(all) != 1 {
+			t.Fatalf("%T: %d tuples after the batch (%v), want the prefix's 1", w, len(all), err)
+		}
+		err = ApplyAll(w, []Mutation{MInsert("R", "u", "v"), MIndex("Nope", 0)})
+		if got, want := fmt.Sprint(err), "db: applying mutation 1 (index Nope col=0): db: index on unknown relation Nope"; got != want {
+			t.Fatalf("%T: ApplyAll error %q, want %q", w, got, want)
 		}
 	}
 }

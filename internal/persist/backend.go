@@ -16,7 +16,6 @@ import (
 	"entangled/internal/eq"
 	"entangled/internal/fault"
 	"entangled/internal/frame"
-	"entangled/internal/unify"
 )
 
 // Options configures Open. The zero value is usable: one shard, fsync
@@ -115,18 +114,18 @@ var ErrIndeterminate = errors.New("persist: ack indeterminate: applied in memory
 // Backend is a durable db.WriteStore: an in-memory Instance or
 // ShardedInstance that journals every applied mutation to a rotating
 // WAL, snapshots itself as a compacted mutation stream, and owns the
-// per-session event journals under the same data directory. Reads
-// delegate straight to the in-memory store (queries cost no I/O);
-// writes pay one framed append plus the sync policy.
+// per-session event journals under the same data directory. Reads go
+// straight to the embedded in-memory store (queries cost no I/O); a
+// batch of writes pays one framed append plus the sync policy.
 //
-// Degraded mode: when an append or fsync fails, the failed payload
-// queues on a pending list, the ack fails with ErrIndeterminate, and
+// Degraded mode: when an append or fsync fails, the failed payloads
+// queue on a pending list, the ack fails with ErrIndeterminate, and
 // the backend turns read-only — every later write is rejected with
 // ErrDegraded BEFORE being applied, so the in-memory store never runs
 // ahead of the journal by more than the queued payloads. Probe writes
 // a scratch file through the same filesystem and, on success, repairs
-// the logs, flushes every pending payload in order, and lifts the
-// degradation.
+// the logs, flushes each log's pending payloads in order as one append,
+// and lifts the degradation.
 type Backend struct {
 	dir         string
 	storeDir    string
@@ -136,8 +135,8 @@ type Backend struct {
 	shards      int
 	fresh       bool
 
-	inner  db.WriteStore
-	router db.Router
+	memStore // the in-memory store: reads are its own, Apply is journaled
+	router   db.Router
 
 	mu        sync.Mutex // serialises writes, compaction, close
 	wal       *wal
@@ -163,6 +162,9 @@ type Backend struct {
 
 	rec RecoveryStats
 }
+
+// memStore names the embedded in-memory store without exporting it.
+type memStore = db.WriteStore
 
 var (
 	_ db.WriteStore  = (*Backend)(nil)
@@ -203,10 +205,10 @@ func Open(dir string, opts Options) (*Backend, error) {
 		return nil, err
 	}
 	if b.shards <= 1 {
-		b.inner = db.NewInstance()
+		b.memStore = db.NewInstance()
 	} else {
 		sh := db.NewShardedInstance(b.shards)
-		b.inner = sh
+		b.memStore = sh
 		b.router = sh
 	}
 	if err := b.recoverStore(); err != nil {
@@ -340,7 +342,7 @@ func (b *Backend) recoverStore() error {
 	if next < 1 {
 		next = 1
 	}
-	b.wal, err = openWAL(b.fs, b.storeDir, next, b.opts.Sync, b.opts.RotateBytes, &b.storeCtr)
+	b.wal, err = openWAL(b.fs, b.storeDir, next, b.opts.Sync, b.opts.RotateBytes, &b.storeCtr, func() { _ = b.syncWAL() })
 	return err
 }
 
@@ -352,7 +354,7 @@ func (b *Backend) applyFrame(payload []byte) error {
 	if err := json.Unmarshal(payload, &m); err != nil {
 		return fmt.Errorf("persist: decoding journaled mutation: %w", err)
 	}
-	if err := b.inner.Apply(m); err != nil {
+	if err := b.memStore.Apply(m); err != nil {
 		return fmt.Errorf("persist: replaying %s: %w", m, err)
 	}
 	return nil
@@ -405,17 +407,25 @@ func (b *Backend) clearDegraded() {
 	}
 }
 
-// Apply validates and applies the mutation to the in-memory store,
-// then journals it (rotating and compacting as configured). The
-// in-memory apply runs first so an invalid mutation never reaches the
-// log — a journal replay cannot fail to apply. While degraded, writes
-// are rejected with ErrDegraded BEFORE touching the in-memory store; a
-// journal failure on a healthy backend queues the payload, degrades
-// the backend, and fails the ack with ErrIndeterminate.
-func (b *Backend) Apply(m db.Mutation) error {
-	payload, err := json.Marshal(m)
-	if err != nil {
-		return err
+// Apply applies the batch's longest valid prefix to the in-memory
+// store, journals it as one append per segment, then checks compaction.
+// The in-memory apply runs first so an invalid mutation never reaches
+// the log — a journal replay cannot fail to apply; its *db.MutationError
+// is returned once the prefix before it is durable. While degraded,
+// writes are rejected with ErrDegraded BEFORE touching the in-memory
+// store; a journal failure on a healthy backend queues every payload
+// not written, degrades the backend, and fails the ack with
+// ErrIndeterminate.
+func (b *Backend) Apply(ms ...db.Mutation) error {
+	var invalid error
+	payloads := make([][]byte, 0, len(ms))
+	for i, m := range ms {
+		payload, err := json.Marshal(m)
+		if err != nil {
+			ms, invalid = ms[:i], &db.MutationError{Index: i, Err: err}
+			break
+		}
+		payloads = append(payloads, payload)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -425,23 +435,28 @@ func (b *Backend) Apply(m db.Mutation) error {
 	if b.degraded.Load() {
 		return fmt.Errorf("%w (cause: %v)", ErrDegraded, b.DegradeCause())
 	}
-	if err := b.inner.Apply(m); err != nil {
-		return err
+	if err := b.memStore.Apply(ms...); err != nil {
+		var me *db.MutationError
+		if !errors.As(err, &me) {
+			return err
+		}
+		payloads, invalid = payloads[:me.Index], err
 	}
-	if err := b.wal.append(payload); err != nil {
-		b.pending = append(b.pending, payload)
+	n, err := b.wal.append(payloads...)
+	b.sinceSnap += framedSize(payloads[:n]...)
+	if err != nil {
+		b.pending = append(b.pending, payloads[n:]...)
 		b.markDegraded(err)
-		return fmt.Errorf("persist: store WAL: %w: %w", ErrIndeterminate, err)
+		return errors.Join(fmt.Errorf("persist: store WAL: %w: %w", ErrIndeterminate, err), invalid)
 	}
-	b.sinceSnap += frame.HeaderSize + int64(len(payload))
 	if b.opts.CompactBytes > 0 && b.sinceSnap >= b.opts.CompactBytes {
 		if err := b.compactLocked(); err != nil {
-			// The mutation is applied AND journaled — the ack is good.
+			// The batch is applied AND journaled — the ack is good.
 			// Compaction retries on a later write; only count the miss.
 			b.compactFailures.Add(1)
 		}
 	}
-	return nil
+	return invalid
 }
 
 var errClosed = fmt.Errorf("persist: backend is closed")
@@ -496,18 +511,15 @@ func (b *Backend) probeLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := b.wal.repair(); err != nil {
+	if err := b.wal.cur.repair(); err != nil {
 		return err
 	}
-	for len(b.pending) > 0 {
-		payload := b.pending[0]
-		if err := b.wal.append(payload); err != nil {
-			return err
-		}
-		b.pending = b.pending[1:]
-		b.sinceSnap += frame.HeaderSize + int64(len(payload))
+	n, err := b.wal.append(b.pending...)
+	b.sinceSnap += framedSize(b.pending[:n]...)
+	if b.pending = b.pending[n:]; err != nil {
+		return err
 	}
-	return b.wal.sync()
+	return b.wal.cur.sync()
 }
 
 // Compact writes the store as a snapshot (a compacted mutation
@@ -528,7 +540,7 @@ func (b *Backend) compactLocked() error {
 	err := b.publish(b.storeDir, "snapshot.tmp", snapName(newSeq), func(w io.Writer) error {
 		bw := bufio.NewWriterSize(w, 256<<10)
 		var framed []byte
-		err := b.inner.DumpMutations(func(m db.Mutation) error {
+		err := b.memStore.DumpMutations(func(m db.Mutation) error {
 			payload, err := json.Marshal(m)
 			if err != nil {
 				return err
@@ -565,18 +577,24 @@ func (b *Backend) compactLocked() error {
 // storage regardless of the sync policy — the graceful-drain hook. A
 // failed flush degrades the backend so the probe path can repair it.
 func (b *Backend) Sync() error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return errClosed
-	}
-	err := b.wal.sync()
-	b.mu.Unlock()
+	err := b.syncWAL()
 	for _, j := range b.openJournals() {
 		if serr := j.Sync(); err == nil {
 			err = serr
 		}
 	}
+	return err
+}
+
+// syncWAL flushes the store WAL, degrading the backend if that fails.
+// Sync and the WAL's interval timer share it.
+func (b *Backend) syncWAL() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return errClosed
+	}
+	err := b.wal.cur.sync()
 	if err != nil {
 		b.markDegraded(err)
 	}
@@ -593,7 +611,7 @@ func (b *Backend) Close() error {
 		return nil
 	}
 	b.closed = true
-	err := b.wal.close()
+	err := b.wal.cur.close()
 	b.mu.Unlock()
 	for _, j := range b.openJournals() {
 		if cerr := j.Close(); err == nil {
@@ -614,7 +632,7 @@ func (b *Backend) Abort() {
 		return
 	}
 	b.closed = true
-	b.wal.abort()
+	b.wal.cur.abort()
 	b.mu.Unlock()
 	for _, j := range b.openJournals() {
 		j.abort()
@@ -663,48 +681,6 @@ func (b *Backend) Metrics() Metrics {
 	}
 }
 
-// --- db.Store / db.WriteStore delegation: reads cost no I/O. ---
-
-// Solve delegates to the in-memory store.
-func (b *Backend) Solve(body []eq.Atom) (db.Binding, bool, error) { return b.inner.Solve(body) }
-
-// SolveAll delegates to the in-memory store.
-func (b *Backend) SolveAll(body []eq.Atom, limit int) ([]db.Binding, error) {
-	return b.inner.SolveAll(body, limit)
-}
-
-// Satisfiable delegates to the in-memory store.
-func (b *Backend) Satisfiable(body []eq.Atom) (bool, error) { return b.inner.Satisfiable(body) }
-
-// SolveUnder delegates to the in-memory store.
-func (b *Backend) SolveUnder(body []eq.Atom, s *unify.Subst) (db.Binding, bool, error) {
-	return b.inner.SolveUnder(body, s)
-}
-
-// Contains delegates to the in-memory store.
-func (b *Backend) Contains(a eq.Atom) bool { return b.inner.Contains(a) }
-
-// Domain delegates to the in-memory store.
-func (b *Backend) Domain() []eq.Value { return b.inner.Domain() }
-
-// QueriesIssued delegates to the in-memory store.
-func (b *Backend) QueriesIssued() int64 { return b.inner.QueriesIssued() }
-
-// ResetCounters delegates to the in-memory store.
-func (b *Backend) ResetCounters() { b.inner.ResetCounters() }
-
-// DumpMutations delegates to the in-memory store (the snapshot format
-// IS this dump, framed).
-func (b *Backend) DumpMutations(yield func(db.Mutation) error) error {
-	return b.inner.DumpMutations(yield)
-}
-
-// Schema delegates to the in-memory store.
-func (b *Backend) Schema() map[string]int { return b.inner.Schema() }
-
-// RelationNames delegates to the in-memory store.
-func (b *Backend) RelationNames() []string { return b.inner.RelationNames() }
-
 // Route exposes the inner sharded store's single-shard routing; a
 // one-shard backend routes nothing.
 func (b *Backend) Route(qs []eq.Query) (db.Store, bool) {
@@ -716,6 +692,6 @@ func (b *Backend) Route(qs []eq.Query) (db.Store, bool) {
 
 // PlanStats aggregates the inner store's compiled-plan-cache counters.
 func (b *Backend) PlanStats() db.PlanCacheStats {
-	st, _ := db.AggregatePlanStats(b.inner)
+	st, _ := db.AggregatePlanStats(b.memStore)
 	return st
 }

@@ -37,4 +37,10 @@
 // journaled, and the server acks a session event only after it is
 // journaled, so an acked write is durable (under SyncAlways) and a
 // replayed log never fails to apply.
+//
+// A Backend.Apply batch is one write and one sync per segment it
+// touches, so db.ApplyAll of a table acks after one fsync; a probe
+// flushes each log's pending payloads the same way. A new segment's
+// name is synced before its first frame is acked, and under SyncEvery
+// a timer syncs a log left dirty once the interval has passed.
 package persist

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"entangled/internal/db"
 	"entangled/internal/stream"
@@ -17,12 +18,13 @@ import (
 // ONE data directory, alternating clean closes with aborts (the crash
 // simulation), forcing compactions and rotations along the way. After
 // every reopen the durable store must answer identically to an
-// in-memory store replaying the full accumulated mutation stream, and
+// in-memory store replaying the full accumulated mutation stream (under
+// each sync policy, the interval timer's included), and
 // every journaled session must come back with its full event history.
 func TestKillAndReopenCycles(t *testing.T) {
 	const cycles = 12
 	for _, shards := range []int{1, 3} {
-		for _, sync := range []SyncPolicy{SyncAlways, SyncNever} {
+		for _, sync := range []SyncPolicy{SyncAlways, SyncNever, SyncEvery(10 * time.Millisecond)} {
 			t.Run(fmt.Sprintf("shards=%d/fsync=%s", shards, sync), func(t *testing.T) {
 				dir := t.TempDir()
 				// Small segments so rotation happens constantly.

@@ -83,11 +83,18 @@ func (b *Backend) CreateSessionJournal(name string, park bool) (*SessionJournal,
 		b.markDegraded(err)
 		return nil, err
 	}
+	return b.register(name, path, lf), nil
+}
+
+// register opens the journal over lf in the backend's open set; lf's
+// interval timer syncs through Sync, under the journal's lock.
+func (b *Backend) register(name, path string, lf *logFile) *SessionJournal {
 	j := &SessionJournal{b: b, name: name, path: path, lf: lf}
+	lf.flush = func() { _ = j.Sync() } // a failed sync degrades the backend
 	b.smu.Lock()
 	b.sessions[name] = j
 	b.smu.Unlock()
-	return j, nil
+	return j
 }
 
 // Name returns the session name the journal belongs to.
@@ -122,8 +129,9 @@ func (j *SessionJournal) Append(ev stream.Event) error {
 	return nil
 }
 
-// flushPending repairs the log and writes queued payloads in order;
-// called from Backend.Probe after the scratch-file probe succeeds.
+// flushPending repairs the log and writes queued payloads in order as
+// one append; called from Backend.Probe after the scratch-file probe
+// succeeds.
 func (j *SessionJournal) flushPending() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -135,12 +143,10 @@ func (j *SessionJournal) flushPending() error {
 	if err := j.lf.repair(); err != nil {
 		return err
 	}
-	for len(j.pending) > 0 {
-		if err := j.lf.append(j.pending[0]); err != nil {
-			return err
-		}
-		j.pending = j.pending[1:]
+	if err := j.lf.append(j.pending...); err != nil {
+		return err
 	}
+	j.pending = nil
 	return j.lf.sync()
 }
 
@@ -314,9 +320,5 @@ func (b *Backend) recoverSession(name string) (*RecoveredSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &SessionJournal{b: b, name: name, path: path, lf: lf}
-	b.smu.Lock()
-	b.sessions[name] = j
-	b.smu.Unlock()
-	return &RecoveredSession{Name: name, Park: meta.Park, Events: events, Journal: j}, nil
+	return &RecoveredSession{Name: name, Park: meta.Park, Events: events, Journal: b.register(name, path, lf)}, nil
 }

@@ -14,11 +14,12 @@ import (
 )
 
 // SyncPolicy says when appends reach stable storage. The zero value is
-// SyncAlways: fsync after every append, so an acked write survives a
-// machine crash. Interval > 0 fsyncs at most once per interval (a crash
-// loses at most one interval of acked writes); Interval < 0 never
-// fsyncs explicitly and trusts the OS page cache (process crashes still
-// lose nothing — the data is in kernel buffers — but power loss can).
+// SyncAlways: fsync after every append (a batch is one append), so an
+// acked write survives a machine crash. Interval > 0 fsyncs at most
+// once per interval, by timer when writes stop (a crash loses at most
+// one interval of acked writes); Interval < 0 never fsyncs explicitly
+// and trusts the OS page cache (process crashes still lose nothing —
+// the data is in kernel buffers — but power loss can).
 type SyncPolicy struct {
 	Interval time.Duration
 }
@@ -60,7 +61,8 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 }
 
 // walCounters aggregates append-path activity across the log files of
-// one tier (the store WAL, or all session journals together).
+// one tier (the store WAL, or all session journals together); appends
+// counts frames, so a batch of n adds n.
 type walCounters struct {
 	appends   atomic.Int64
 	bytes     atomic.Int64
@@ -89,6 +91,10 @@ type logFile struct {
 	broken   bool
 	lastSync time.Time
 	buf      []byte
+	// flush is the owner's locked sync, timed when appends leave it
+	// dirty; nil before the owner has one (a journal's meta frame).
+	flush func()
+	timer *time.Timer
 }
 
 // openLogFile opens (creating if needed) a log for appending at size.
@@ -110,30 +116,44 @@ func openLogFile(fsys fault.FS, path string, size int64, policy SyncPolicy, coun
 	return &logFile{path: path, fsys: fsys, f: f, size: size, policy: policy, counters: counters, lastSync: time.Now()}, nil
 }
 
-// append writes one framed payload and applies the sync policy. On any
-// failure the file is marked broken, size rolls back to the last good
-// end, and the caller must queue the payload and repair before the
-// next append — a torn or unsynced frame never counts as written.
-func (lf *logFile) append(payload []byte) error {
+// append writes the framed payloads in one write and applies the sync
+// policy once. On any failure the file is marked broken, size rolls
+// back to the last good end, and the caller must queue the payloads and
+// repair before the next append — a torn or unsynced frame never
+// counts as written.
+func (lf *logFile) append(payloads ...[]byte) error {
 	if lf.broken {
 		return fmt.Errorf("persist: %s is broken and needs repair", lf.path)
 	}
+	if len(payloads) == 0 {
+		return nil
+	}
 	base := lf.size
-	lf.buf = frame.Append(lf.buf[:0], payload)
-	if _, err := lf.f.Write(lf.buf); err != nil {
+	lf.buf = lf.buf[:0]
+	for _, p := range payloads {
+		lf.buf = frame.Append(lf.buf, p)
+	}
+	n := int64(len(lf.buf))
+	_, err := lf.f.Write(lf.buf)
+	if n > 64<<10 {
+		lf.buf = nil // a bulk load leaves no batch-sized buffer behind
+	}
+	if err != nil {
 		lf.broken = true
 		return fmt.Errorf("persist: appending to %s: %w", lf.path, err)
 	}
-	lf.size += int64(len(lf.buf))
+	lf.size += n
 	lf.dirty = true
-	lf.counters.appends.Add(1)
-	lf.counters.bytes.Add(int64(len(lf.buf)))
+	lf.counters.appends.Add(int64(len(payloads)))
+	lf.counters.bytes.Add(n)
 	var serr error
 	switch {
 	case lf.policy.Interval == 0:
 		serr = lf.sync()
 	case lf.policy.Interval > 0 && time.Since(lf.lastSync) >= lf.policy.Interval:
 		serr = lf.sync()
+	case lf.policy.Interval > 0 && lf.timer == nil && lf.flush != nil:
+		lf.timer = time.AfterFunc(lf.policy.Interval-time.Since(lf.lastSync), lf.flush)
 	}
 	if serr != nil {
 		// The bytes hit the file but never durably: roll the logical end
@@ -148,6 +168,7 @@ func (lf *logFile) append(payload []byte) error {
 // retrying it on the same handle can falsely succeed (the kernel may
 // have dropped the dirty pages), so repair reopens the file instead.
 func (lf *logFile) sync() error {
+	lf.disarm()
 	if !lf.dirty {
 		return nil
 	}
@@ -197,7 +218,23 @@ func (lf *logFile) close() error {
 }
 
 // abort closes the handle without syncing — the crash-simulation path.
-func (lf *logFile) abort() { lf.f.Close() }
+func (lf *logFile) abort() { lf.disarm(); lf.f.Close() }
+
+// disarm stops the interval timer: a sync, close or abort makes it moot.
+func (lf *logFile) disarm() {
+	if lf.timer != nil {
+		lf.timer.Stop()
+		lf.timer = nil
+	}
+}
+
+// framedSize is the log bytes the payloads take once framed.
+func framedSize(payloads ...[]byte) (n int64) {
+	for _, p := range payloads {
+		n += frame.HeaderSize + int64(len(p))
+	}
+	return n
+}
 
 // segName/snapName build the numbered file names of the store log.
 func segName(seq int) string  { return fmt.Sprintf("wal-%06d.log", seq) }
@@ -247,26 +284,46 @@ type wal struct {
 	counters    *walCounters
 	cur         *logFile
 	seq         int
+	named       bool // cur's directory entry is synced
 }
 
-// openWAL starts a fresh segment numbered seq.
-func openWAL(fsys fault.FS, dir string, seq int, policy SyncPolicy, rotateBytes int64, counters *walCounters) (*wal, error) {
+// openWAL starts a fresh segment numbered seq, timed syncs by flush.
+func openWAL(fsys fault.FS, dir string, seq int, policy SyncPolicy, rotateBytes int64, counters *walCounters, flush func()) (*wal, error) {
 	lf, err := openLogFile(fsys, filepath.Join(dir, segName(seq)), 0, policy, counters)
 	if err != nil {
 		return nil, err
 	}
+	lf.flush = flush
 	return &wal{dir: dir, fsys: fsys, policy: policy, rotateBytes: rotateBytes, counters: counters, cur: lf, seq: seq}, nil
 }
 
-// append journals one payload, rotating first if the active segment is
-// full.
-func (w *wal) append(payload []byte) error {
-	if w.cur.size >= w.rotateBytes && w.cur.size > 0 && !w.cur.broken {
-		if err := w.rotateTo(w.seq + 1); err != nil {
-			return err
+// append journals payloads as one append per segment, rotating where
+// one-at-a-time appends would; a new segment's name is synced before
+// its first frame. It returns how many payloads were written.
+func (w *wal) append(payloads ...[]byte) (int, error) {
+	done := 0
+	for done < len(payloads) {
+		if w.cur.size >= w.rotateBytes && w.cur.size > 0 && !w.cur.broken {
+			if err := w.rotateTo(w.seq + 1); err != nil {
+				return done, err
+			}
 		}
+		if !w.named {
+			if err := w.fsys.SyncDir(w.dir); err != nil {
+				return done, err
+			}
+			w.named = true
+		}
+		end := done + 1
+		for size := w.cur.size + framedSize(payloads[done]); end < len(payloads) && size < w.rotateBytes; end++ {
+			size += framedSize(payloads[end])
+		}
+		if err := w.cur.append(payloads[done:end]...); err != nil {
+			return done, err
+		}
+		done = end
 	}
-	return w.cur.append(payload)
+	return done, nil
 }
 
 // rotateTo closes the active segment and opens a new one numbered seq.
@@ -278,13 +335,8 @@ func (w *wal) rotateTo(seq int) error {
 	if err != nil {
 		return err
 	}
-	w.cur = lf
-	w.seq = seq
+	lf.flush = w.cur.flush
+	w.cur, w.seq, w.named = lf, seq, false
 	w.counters.rotations.Add(1)
 	return nil
 }
-
-func (w *wal) sync() error   { return w.cur.sync() }
-func (w *wal) repair() error { return w.cur.repair() }
-func (w *wal) close() error  { return w.cur.close() }
-func (w *wal) abort()        { w.cur.abort() }
