@@ -1,12 +1,15 @@
 package db
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"entangled/internal/eq"
 )
+
+var errStop = errors.New("stop")
 
 // TestConcurrentReaders hammers one instance with parallel Solve,
 // Project, Contains and Domain calls; run with -race to validate the
@@ -53,6 +56,8 @@ func TestConcurrentReaders(t *testing.T) {
 
 // TestConcurrentReadersAndWriters interleaves queries with inserts,
 // index rebuilds, deletes and relation registration on one instance.
+// Readers hold tuple views across the writers and re-read them: under
+// -race that fails if a writer ever stores into a row a view covers.
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	in := NewInstance()
 	r := in.CreateRelation("T", "key", "val")
@@ -86,6 +91,9 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		readers.Add(1)
 		go func(w int) {
 			defer readers.Done()
+			// Rows t0..t99 are never deleted, so each view's values are
+			// known for the whole run.
+			var views, want []Tuple
 			for i := 0; i < 100; i++ {
 				body := []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C(eq.Value(fmt.Sprintf("c%d", i%10))))}
 				if _, ok, err := in.Solve(body); err != nil || !ok {
@@ -94,6 +102,27 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				}
 				in.RelationNames()
 				in.Schema()
+				sel, ok, err := in.SelectOne("T", map[int]eq.Value{0: eq.Value(fmt.Sprintf("t%d", i))})
+				if err != nil || !ok {
+					t.Errorf("select: ok=%v err=%v", ok, err)
+					return
+				}
+				row := Tuple{eq.Value(fmt.Sprintf("t%d", i)), eq.Value(fmt.Sprintf("c%d", i%10))}
+				views = append(views, r.Tuple(i), sel)
+				want = append(want, row, row)
+				if i%10 == 0 {
+					_ = r.Tuples(func(t Tuple) error {
+						views = append(views, t)
+						want = append(want, Tuple{"t0", "c0"})
+						return errStop
+					})
+				}
+				for j, v := range views {
+					if v[0] != want[j][0] || v[1] != want[j][1] {
+						t.Errorf("view %d changed: %v, want %v", j, v, want[j])
+						return
+					}
+				}
 			}
 		}(w)
 	}

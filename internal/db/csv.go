@@ -13,6 +13,15 @@ import (
 // under name; the arity is taken from the first record and an index is
 // built on every column. cmd/coordctl uses it to load tables from disk.
 func (in *Instance) LoadCSV(name string, r io.Reader) (*Relation, error) {
+	rel, err := in.readCSV(name, r)
+	for c := 0; err == nil && c < rel.Arity(); c++ {
+		rel.BuildIndex(c)
+	}
+	return rel, err
+}
+
+// readCSV is LoadCSV without the indexes.
+func (in *Instance) readCSV(name string, r io.Reader) (*Relation, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	rows, err := cr.ReadAll()
@@ -28,18 +37,15 @@ func (in *Instance) LoadCSV(name string, r io.Reader) (*Relation, error) {
 		attrs[i] = fmt.Sprintf("c%d", i)
 	}
 	rel := in.CreateRelation(name, attrs...)
+	vals := make([]eq.Value, arity)
 	for ln, row := range rows {
 		if len(row) != arity {
 			return nil, fmt.Errorf("db: %s: record %d has %d fields, expected %d", name, ln+1, len(row), arity)
 		}
-		vals := make([]eq.Value, arity)
 		for i, c := range row {
 			vals[i] = eq.Value(strings.TrimSpace(c))
 		}
 		rel.Insert(vals...)
-	}
-	for c := 0; c < arity; c++ {
-		rel.BuildIndex(c)
 	}
 	return rel, nil
 }
@@ -51,8 +57,8 @@ func (r *Relation) DumpCSV(w io.Writer) error {
 	defer r.mu.RUnlock()
 	cw := csv.NewWriter(w)
 	record := make([]string, r.Arity())
-	for _, t := range r.tuples {
-		for i, v := range t {
+	for row := 0; row < r.rows; row++ {
+		for i, v := range r.tuple(row) {
 			record[i] = string(v)
 		}
 		if err := cw.Write(record); err != nil {
@@ -65,13 +71,15 @@ func (r *Relation) DumpCSV(w io.Writer) error {
 
 // DeleteWhere removes every tuple matching the (column -> constant)
 // filter and rebuilds the relation's indexes; it returns the number of
-// tuples removed. An empty filter clears the relation.
+// tuples removed. An empty filter clears the relation. The survivors
+// are copied to a new slab: views of the old one stay as they were.
 func (r *Relation) DeleteWhere(where map[int]eq.Value) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	kept := r.tuples[:0]
+	var kept []eq.Value
 	removed := 0
-	for _, t := range r.tuples {
+	for row := 0; row < r.rows; row++ {
+		t := r.tuple(row)
 		match := true
 		for c, v := range where {
 			if t[c] != v {
@@ -82,10 +90,10 @@ func (r *Relation) DeleteWhere(where map[int]eq.Value) int {
 		if match {
 			removed++
 		} else {
-			kept = append(kept, t)
+			kept = append(kept, t...)
 		}
 	}
-	r.tuples = kept
+	r.vals, r.rows = kept, r.rows-removed
 	for col := range r.indexes {
 		r.buildIndexLocked(col)
 	}

@@ -66,7 +66,7 @@ func TestDeleteWhere(t *testing.T) {
 		t.Fatalf("removed = %d", got)
 	}
 	if r.Len() != 1 || r.Tuple(0)[0] != "3" {
-		t.Fatalf("remaining: %v", r.tuples)
+		t.Fatalf("remaining: %d rows", r.Len())
 	}
 	// Index was rebuilt: Solve through the index sees only survivors.
 	b, ok, err := in.Solve([]eq.Atom{eq.NewAtom("R", eq.V("k"), eq.C("y"))})

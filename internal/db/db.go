@@ -18,13 +18,20 @@ type Tuple []eq.Value
 // RWMutex, so any number of queries may scan it while mutations (Insert,
 // BuildIndex, DeleteWhere) are serialised. Name and Attrs must not be
 // changed once the relation is visible to other goroutines.
+//
+// The rows are one slab of values, row-major, Arity() to a row. A Tuple
+// the relation hands out is a view of its row, capped there, so an
+// append to it copies instead of writing into the next row. The slab
+// only grows in place — DeleteWhere builds a new one — so a view keeps
+// its values for as long as it is held.
 type Relation struct {
 	Name  string
 	Attrs []string // attribute names; len(Attrs) is the arity
 
 	mu      sync.RWMutex
-	tuples  []Tuple
-	indexes map[int]map[eq.Value][]int // column -> value -> row numbers
+	vals    []eq.Value // row i is vals[i*arity : (i+1)*arity]
+	rows    int
+	indexes map[int]*index // column -> hash index
 
 	// version counts structural changes (BuildIndex); compiled plans
 	// record it and retire themselves when it moves. Inserts do not
@@ -37,7 +44,7 @@ func NewRelation(name string, attrs ...string) *Relation {
 	return &Relation{
 		Name:    name,
 		Attrs:   attrs,
-		indexes: map[int]map[eq.Value][]int{},
+		indexes: map[int]*index{},
 	}
 }
 
@@ -48,7 +55,7 @@ func (r *Relation) Arity() int { return len(r.Attrs) }
 func (r *Relation) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.tuples)
+	return r.rows
 }
 
 // Insert appends a tuple; it must match the relation's arity.
@@ -56,14 +63,12 @@ func (r *Relation) Insert(vals ...eq.Value) {
 	if len(vals) != len(r.Attrs) {
 		panic(fmt.Sprintf("db: %s expects %d columns, got %d", r.Name, len(r.Attrs), len(vals)))
 	}
-	t := make(Tuple, len(vals))
-	copy(t, vals)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	row := len(r.tuples)
-	r.tuples = append(r.tuples, t)
-	for col, idx := range r.indexes {
-		idx[t[col]] = append(idx[t[col]], row)
+	r.vals = append(r.vals, vals...)
+	r.rows++
+	for _, idx := range r.indexes {
+		idx.add(r, r.rows-1)
 	}
 }
 
@@ -78,18 +83,25 @@ func (r *Relation) BuildIndex(col int) {
 }
 
 func (r *Relation) buildIndexLocked(col int) {
-	idx := map[eq.Value][]int{}
-	for row, t := range r.tuples {
-		idx[t[col]] = append(idx[t[col]], row)
+	idx := &index{col: col, slots: make([]int32, 8), next: make([]int32, 0, r.rows)}
+	for row := 0; row < r.rows; row++ {
+		idx.add(r, row)
 	}
 	r.indexes[col] = idx
 }
 
-// Tuple returns the i-th tuple (shared, do not mutate).
+// tuple returns row i's view; the caller holds the lock.
+func (r *Relation) tuple(i int) Tuple {
+	a := len(r.Attrs)
+	return r.vals[i*a : (i+1)*a : (i+1)*a]
+}
+
+// Tuple returns the i-th tuple, a view of the relation's storage: do
+// not write through it.
 func (r *Relation) Tuple(i int) Tuple {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.tuples[i]
+	return r.tuple(i)
 }
 
 // Distinct returns the distinct value combinations over the given
@@ -97,7 +109,73 @@ func (r *Relation) Tuple(i int) Tuple {
 func (r *Relation) Distinct(cols []int) []Tuple {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return project(cols, scan{tuples: r.tuples, n: len(r.tuples)})
+	return project(cols, r.scanAll())
+}
+
+// index is a hash index on one column that allocates nothing per value
+// or per row. slots is an open-addressing table (Hash, linear probing,
+// a power of two long, 8 slots or more, at most 3/4 full) holding 1 +
+// the last row of each distinct value, 0 for empty. next links every
+// row to the following row with the same value, and a value's last row
+// links back to its first: a bucket is walked in row order from
+// next[last], and an insert joins the circle at its end in O(1).
+type index struct {
+	col   int
+	slots []int32
+	next  []int32 // by row
+	used  int     // occupied slots
+}
+
+// find returns the slot holding v's bucket, or the empty slot where it
+// belongs.
+func (x *index) find(r *Relation, v eq.Value) int {
+	h := Hash(string(v))
+	mask := uint32(len(x.slots) - 1)
+	for at := (h ^ h>>16) & mask; ; at = (at + 1) & mask {
+		if s := x.slots[at]; s == 0 || r.tuple(int(s - 1))[x.col] == v {
+			return int(at)
+		}
+	}
+}
+
+// bucket returns the first and last rows holding v, or -1 and -1 when
+// no row does.
+func (x *index) bucket(r *Relation, v eq.Value) (first, last int) {
+	if last = int(x.slots[x.find(r, v)]) - 1; last < 0 {
+		return -1, -1
+	}
+	return int(x.next[last]), last
+}
+
+// after returns the row following row in the bucket ending at last, or
+// -1 past the end.
+func (x *index) after(row, last int) int {
+	if row == last {
+		return -1
+	}
+	return int(x.next[row])
+}
+
+// add links row, the relation's last, to the end of its value's bucket.
+func (x *index) add(r *Relation, row int) {
+	if 4*(x.used+1) > 3*len(x.slots) {
+		old := x.slots
+		x.slots = make([]int32, 2*len(old))
+		for _, s := range old {
+			if s != 0 {
+				x.slots[x.find(r, r.tuple(int(s - 1))[x.col])] = s
+			}
+		}
+	}
+	at := x.find(r, r.tuple(row)[x.col])
+	if last := x.slots[at] - 1; last >= 0 {
+		x.next = append(x.next, x.next[last])
+		x.next[last] = int32(row)
+	} else {
+		x.next = append(x.next, int32(row))
+		x.used++
+	}
+	x.slots[at] = int32(row) + 1
 }
 
 // Instance is a database instance: a set of relations plus counters that
@@ -213,10 +291,8 @@ func (in *Instance) Domain() []eq.Value {
 	seen := map[eq.Value]bool{}
 	for _, r := range rels {
 		r.mu.RLock()
-		for _, t := range r.tuples {
-			for _, v := range t {
-				seen[v] = true
-			}
+		for _, v := range r.vals {
+			seen[v] = true
 		}
 		r.mu.RUnlock()
 	}

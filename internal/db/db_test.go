@@ -3,6 +3,7 @@ package db
 import (
 	"maps"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -378,19 +379,134 @@ func sameBindingSet(a, b []Binding) bool {
 	return true
 }
 
+// TestUseIndexesOffSameAnswers holds every index walk to the scan it
+// stands in for: SolveAll, Project and SelectOne give the same answers
+// in the same order with UseIndexes on and off. The indexed values
+// repeat heavily, rows arrive after BuildIndex and a DeleteWhere
+// removes some, on a plain and on a sharded instance.
 func TestUseIndexesOffSameAnswers(t *testing.T) {
-	in := flightsInstance()
-	body := []eq.Atom{eq.NewAtom("Flights", eq.V("x"), eq.C("Zurich"))}
-	withIdx, err := in.SolveAll(body, 0)
-	if err != nil {
+	fill := func(insert func(...eq.Value), from, to int) {
+		for i := from; i < to; i++ {
+			insert(eq.Value("k"+strconv.Itoa(i)), eq.Value("v"+strconv.Itoa(i%7)), eq.Value("w"+strconv.Itoa(i%3)))
+		}
+	}
+	build := func(insert func(...eq.Value), index func(int), deleteWhere func(map[int]eq.Value)) {
+		fill(insert, 0, 200)
+		index(1)
+		index(2)
+		fill(insert, 200, 300)
+		deleteWhere(map[int]eq.Value{1: "v2"})
+		fill(insert, 300, 350)
+	}
+	in := NewInstance()
+	r := in.CreateRelation("R", "k", "v", "w")
+	build(r.Insert, r.BuildIndex, func(w map[int]eq.Value) { r.DeleteWhere(w) })
+	sh := NewShardedInstance(3)
+	sr := sh.CreateRelation("R", 0, "k", "v", "w") // every v bucket spans the shards
+	build(sr.Insert, sr.BuildIndex, func(w map[int]eq.Value) {
+		for i := 0; i < sh.NumShards(); i++ {
+			sr.Part(i).DeleteWhere(w)
+		}
+	})
+	insts := []*Instance{in}
+	for i := 0; i < sh.NumShards(); i++ {
+		insts = append(insts, sh.Shard(i))
+	}
+
+	k, v, w := eq.V("k"), eq.V("v"), eq.V("w")
+	bodies := [][]eq.Atom{
+		{eq.NewAtom("R", k, eq.C("v3"), w)},
+		{eq.NewAtom("R", k, v, eq.C("w2"))},
+		{eq.NewAtom("R", k, eq.C("v2"), w)}, // deleted, then inserted again
+		{eq.NewAtom("R", k, eq.C("v5"), eq.C("w0"))},
+		{eq.NewAtom("R", k, v, eq.C("w1")), eq.NewAtom("R", eq.V("k2"), v, eq.C("w0"))},
+		{eq.NewAtom("R", k, eq.C("none"), w)},
+	}
+	wheres := []map[int]eq.Value{{1: "v4"}, {2: "w2"}, {1: "v2"}, {1: "v1", 2: "w2"}, {1: "none"}, nil}
+	answers := func(useIndexes bool) (got []any) {
+		in.UseIndexes = useIndexes
+		sh.SetUseIndexes(useIndexes)
+		for _, body := range bodies {
+			for _, s := range []Store{in, sh} {
+				bs, err := s.SolveAll(body, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, bs)
+			}
+		}
+		for _, where := range wheres {
+			for _, x := range insts {
+				p, err := x.Project("R", []int{0, 2}, where)
+				if err != nil {
+					t.Fatal(err)
+				}
+				one, ok, err := x.SelectOne("R", where)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, p, one, ok)
+			}
+		}
+		return got
+	}
+	with, without := answers(true), answers(false)
+	for i := range with {
+		if !reflect.DeepEqual(with[i], without[i]) {
+			t.Fatalf("answer %d: indexes on %v, off %v", i, with[i], without[i])
+		}
+	}
+	if bs := with[4].([]Binding); len(bs) != 7 { // k303, k310, ..., k345
+		t.Fatalf("v2 after the delete: %d answers, want 7", len(bs))
+	}
+}
+
+// TestViewsStayPut: a Tuple from Relation.Tuple, SelectOne or Tuples
+// keeps its values while later inserts grow the relation and after a
+// DeleteWhere, and an append to one never writes into the relation.
+func TestViewsStayPut(t *testing.T) {
+	in := NewInstance()
+	r := in.CreateRelation("R", "k", "v")
+	r.Insert("a", "x")
+	r.Insert("b", "y")
+	r.Insert("c", "x")
+	r.BuildIndex(1)
+	var all []Tuple
+	if err := r.Tuples(func(t Tuple) error { all = append(all, t); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	in.UseIndexes = false
-	withoutIdx, err := in.SolveAll(body, 0)
-	if err != nil {
-		t.Fatal(err)
+	sel, ok, err := in.SelectOne("R", map[int]eq.Value{1: "x"})
+	if err != nil || !ok {
+		t.Fatalf("select: %v %v", ok, err)
 	}
-	if len(withIdx) != len(withoutIdx) {
-		t.Fatalf("index on/off disagree: %d vs %d", len(withIdx), len(withoutIdx))
+	views := []Tuple{r.Tuple(0), r.Tuple(1), sel, all[0], all[1], all[2]}
+	want := []Tuple{{"a", "x"}, {"b", "y"}, {"a", "x"}, {"a", "x"}, {"b", "y"}, {"c", "x"}}
+	check := func(when string) {
+		t.Helper()
+		if !reflect.DeepEqual(views, want) {
+			t.Fatalf("%s: views %v, want %v", when, views, want)
+		}
+	}
+	for _, view := range views {
+		_ = append(view, "z")
+	}
+	check("after appending to each")
+	for i, wantRow := range want[:2] {
+		if got := r.Tuple(i); !reflect.DeepEqual(got, wantRow) {
+			t.Fatalf("row %d after appends to views: %v, want %v", i, got, wantRow)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		r.Insert(eq.Value("n"+strconv.Itoa(i)), "x")
+	}
+	check("after 1000 inserts")
+	views = append(views, r.Tuple(0), r.Tuple(1))
+	want = append(want, Tuple{"a", "x"}, Tuple{"b", "y"})
+	if n := r.DeleteWhere(map[int]eq.Value{0: "a"}); n != 1 {
+		t.Fatalf("deleted %d rows", n)
+	}
+	check("after a delete")
+	if got := r.Tuple(0); !reflect.DeepEqual(got, Tuple{"b", "y"}) {
+		t.Fatalf("row 0 after the delete: %v", got)
 	}
 }

@@ -25,6 +25,14 @@
 //   - Meter: a counting view over either, used for per-request query
 //     metering (below).
 //
+// # Storage
+//
+// A Relation is one slab of values, and Tuple, SelectOne and Tuples
+// hand out capped views of it that keep their values (see Relation). A
+// hash index is a table of int32 row numbers with one link per row,
+// walked in row order — the order a scan meets the same rows — so no
+// answer depends on whether an index was used.
+//
 // # Sharding contract
 //
 // Tuple placement and lookup routing share one hash (Hash, FNV-1a;

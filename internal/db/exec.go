@@ -38,10 +38,10 @@ type exec struct {
 	found   bool
 }
 
-// probeRef is one step's access path on one part: probe idx[value(src)]
-// when idx is non-nil, scan the part otherwise.
+// probeRef is one step's access path on one part: walk idx's bucket
+// for value(src) when idx is non-nil, scan the part otherwise.
 type probeRef struct {
-	idx map[eq.Value][]int
+	idx *index
 	src planArg
 }
 
@@ -190,17 +190,18 @@ func (x *exec) runPart(depth int, st *planStep, pt *Relation, pr probeRef) bool 
 		} else {
 			v = x.frame[pr.src.ix]
 		}
-		for _, row := range pr.idx[v] {
-			if x.match(st, pt.tuples[row]) && !x.run(depth+1) {
+		first, last := pr.idx.bucket(pt, v)
+		for row := first; row >= 0; row = pr.idx.after(row, last) {
+			if x.match(st, pt.tuple(row)) && !x.run(depth+1) {
 				return false
 			}
 		}
 		return true
 	}
-	// No usable index: iterate the tuples directly — no candidate row
+	// No usable index: iterate the rows directly — no candidate row
 	// list is materialised.
-	for ti := range pt.tuples {
-		if x.match(st, pt.tuples[ti]) && !x.run(depth+1) {
+	for row := 0; row < pt.rows; row++ {
+		if x.match(st, pt.tuple(row)) && !x.run(depth+1) {
 			return false
 		}
 	}

@@ -43,7 +43,7 @@ func (in *Instance) Explain(body []eq.Atom) ([]PlanStep, error) {
 				}
 			}
 		}
-		rows := len(pt.tuples)
+		rows := pt.rows
 		pt.mu.RUnlock()
 		steps[i] = PlanStep{Atom: body[st.atom], Access: access, BoundArgs: len(st.bound), Rows: rows}
 	}

@@ -373,13 +373,13 @@ func (sh *ShardedInstance) DumpMutations(yield func(Mutation) error) error {
 }
 
 // Tuples iterates the relation's tuples in insertion order under the
-// read lock. The yielded tuple is shared — do not mutate or retain it
-// past the callback.
+// read lock. Each yielded tuple is a view of the relation's storage, as
+// Tuple returns: do not write through it.
 func (r *Relation) Tuples(yield func(Tuple) error) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, t := range r.tuples {
-		if err := yield(t); err != nil {
+	for i := 0; i < r.rows; i++ {
+		if err := yield(r.tuple(i)); err != nil {
 			return err
 		}
 	}

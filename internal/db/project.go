@@ -29,8 +29,9 @@ func (in *Instance) Project(rel string, cols []int, where map[int]eq.Value) ([]T
 }
 
 // SelectOne returns the first row of rel matching where, as a full tuple
-// (shared, do not mutate). A where column outside the relation's arity
-// is an error. It counts as one database query.
+// (a view of the relation's storage: do not write through it). A where
+// column outside the relation's arity is an error. It counts as one
+// database query.
 func (in *Instance) SelectOne(rel string, where map[int]eq.Value) (Tuple, bool, error) {
 	in.countQuery()
 	var buf [4]cond
@@ -42,7 +43,7 @@ func (in *Instance) SelectOne(rel string, where map[int]eq.Value) (Tuple, bool, 
 	defer r.mu.RUnlock()
 	s := in.scanOf(r, conds)
 	if row := s.next(); row >= 0 {
-		return r.tuples[row], true, nil
+		return r.tuple(row), true, nil
 	}
 	return nil, false, nil
 }
@@ -80,22 +81,28 @@ func (in *Instance) relConds(rel string, cols []int, where map[int]eq.Value, con
 
 // scan walks the rows of one relation that satisfy a where clause, in
 // row order: the bucket of a hash index on one of the where columns
-// when there is one, every tuple otherwise — no candidate row list is
+// when there is one, every row otherwise — no candidate row list is
 // materialised. The caller holds the relation's read lock.
 type scan struct {
-	tuples []Tuple
-	conds  []cond
-	bucket []int // index bucket to walk; nil means walk tuples
-	pos, n int
+	r         *Relation
+	conds     []cond
+	idx       *index // the index whose bucket is walked; nil means walk every row
+	row, last int    // the next row to walk (-1 when done) and the final one
+}
+
+// scanAll walks every row of r; the caller holds r's read lock.
+func (r *Relation) scanAll() scan {
+	return scan{r: r, row: min(0, r.rows-1), last: r.rows - 1}
 }
 
 func (in *Instance) scanOf(r *Relation, conds []cond) scan {
-	s := scan{tuples: r.tuples, conds: conds, n: len(r.tuples)}
+	s := r.scanAll()
+	s.conds = conds
 	if in.UseIndexes {
 		for _, c := range conds {
 			if idx, has := r.indexes[c.col]; has {
-				s.bucket = idx[c.val]
-				s.n = len(s.bucket)
+				s.idx = idx
+				s.row, s.last = idx.bucket(r, c.val)
 				break
 			}
 		}
@@ -106,13 +113,17 @@ func (in *Instance) scanOf(r *Relation, conds []cond) scan {
 // next returns the next matching row number, or -1 when none is left.
 func (s *scan) next() int {
 next:
-	for s.pos < s.n {
-		row := s.pos
-		if s.bucket != nil {
-			row = s.bucket[s.pos]
+	for s.row >= 0 {
+		row := s.row
+		switch {
+		case s.idx != nil:
+			s.row = s.idx.after(row, s.last)
+		case row == s.last:
+			s.row = -1
+		default:
+			s.row++
 		}
-		s.pos++
-		t := s.tuples[row]
+		t := s.r.tuple(row)
 		for _, c := range s.conds {
 			if t[c.col] != c.val {
 				continue next
@@ -132,16 +143,16 @@ next:
 func project(cols []int, s scan) []Tuple {
 	var rowBuf [128]int32
 	var tabBuf [256]int32
-	rows, table := rowBuf[:0], tabBuf[:] // table: 1+index into rows, 0 empty
+	rows, table := rowBuf[:0], tabBuf[:] // table: 1+row, 0 empty
 	for row := s.next(); row >= 0; row = s.next() {
 		if 2*(len(rows)+1) > len(table) {
 			table = make([]int32, 2*len(table))
-			for i, r := range rows {
-				table[freeSlot(table, s.tuples, rows, cols, s.tuples[r])] = int32(i) + 1
+			for _, r := range rows {
+				table[freeSlot(table, s.r, cols, s.r.tuple(int(r)))] = r + 1
 			}
 		}
-		if at := freeSlot(table, s.tuples, rows, cols, s.tuples[row]); at >= 0 {
-			table[at] = int32(len(rows)) + 1
+		if at := freeSlot(table, s.r, cols, s.r.tuple(row)); at >= 0 {
+			table[at] = int32(row) + 1
 			rows = append(rows, int32(row))
 		}
 	}
@@ -151,9 +162,9 @@ func project(cols []int, s scan) []Tuple {
 	out := make([]Tuple, len(rows))
 	slab := make([]eq.Value, len(rows)*len(cols))
 	for i, row := range rows {
-		p := slab[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
+		p, t := slab[i*len(cols):(i+1)*len(cols):(i+1)*len(cols)], s.r.tuple(int(row))
 		for j, c := range cols {
-			p[j] = s.tuples[row][c]
+			p[j] = t[c]
 		}
 		out[i] = p
 	}
@@ -161,9 +172,10 @@ func project(cols []int, s scan) []Tuple {
 }
 
 // freeSlot probes table (open addressing, a power of two long, never
-// full) for t's projection: it returns the empty slot where t belongs,
-// or -1 when a row with the same projection is already there.
-func freeSlot(table []int32, tuples []Tuple, rows []int32, cols []int, t Tuple) int {
+// full, holding 1 + a row of r) for t's projection: it returns the
+// empty slot where t belongs, or -1 when a row with the same projection
+// is already there.
+func freeSlot(table []int32, r *Relation, cols []int, t Tuple) int {
 	h := uint32(2166136261)
 	for _, c := range cols {
 		h = (h ^ Hash(string(t[c]))) * 16777619
@@ -174,7 +186,7 @@ probe:
 		if table[at] == 0 {
 			return int(at)
 		}
-		u := tuples[rows[table[at]-1]]
+		u := r.tuple(int(table[at] - 1))
 		for _, c := range cols {
 			if t[c] != u[c] {
 				continue probe

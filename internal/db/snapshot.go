@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-
-	"entangled/internal/eq"
 )
 
 // snapshotManifest describes an instance saved to disk: one CSV file
@@ -46,17 +43,10 @@ func (in *Instance) Save(dir string) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		var idx []int
-		r.mu.RLock()
-		for col := range r.indexes {
-			idx = append(idx, col)
-		}
-		r.mu.RUnlock()
-		sort.Ints(idx)
 		man.Relations = append(man.Relations, relationManifest{
 			Name:    name,
 			Attrs:   append([]string(nil), r.Attrs...),
-			Indexes: idx,
+			Indexes: r.IndexedColumns(),
 			File:    file,
 		})
 	}
@@ -70,7 +60,8 @@ func (in *Instance) Save(dir string) error {
 // Load reads an instance previously written by Save. It builds the
 // instance through the ordinary CreateRelation/BuildIndex surface, so
 // the schema-version counters the compiled-plan cache validates
-// against are advanced exactly as for a hand-built instance.
+// against are advanced exactly as for a hand-built instance. Only the
+// manifest's indexes are built, once each, after the rows are in.
 func Load(dir string) (*Instance, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
@@ -86,10 +77,10 @@ func Load(dir string) (*Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		rel, err := in.LoadCSV(rm.Name, f)
+		rel, err := in.readCSV(rm.Name, f)
 		f.Close()
 		if err != nil {
-			// An empty relation dumps an empty CSV, which LoadCSV
+			// An empty relation dumps an empty CSV, which readCSV
 			// rejects; recreate it structurally instead.
 			if len(rm.Attrs) > 0 {
 				rel = in.CreateRelation(rm.Name, rm.Attrs...)
@@ -101,9 +92,6 @@ func Load(dir string) (*Instance, error) {
 			return nil, fmt.Errorf("db: %s: manifest declares %d attrs, CSV has %d", rm.Name, len(rm.Attrs), rel.Arity())
 		}
 		rel.Attrs = append([]string(nil), rm.Attrs...)
-		rel.mu.Lock()
-		rel.indexes = map[int]map[eq.Value][]int{}
-		rel.mu.Unlock()
 		for _, col := range rm.Indexes {
 			if col < 0 || col >= rel.Arity() {
 				return nil, fmt.Errorf("db: %s: index column %d out of range", rm.Name, col)

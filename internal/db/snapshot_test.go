@@ -75,6 +75,29 @@ func TestSaveLoadPreservesIndexes(t *testing.T) {
 	}
 }
 
+// TestLoadBuildsManifestIndexesOnce: Load builds each index the
+// manifest names once, after the rows, and no other — every BuildIndex
+// moves the relation's version.
+func TestLoadBuildsManifestIndexesOnce(t *testing.T) {
+	dir := t.TempDir()
+	in := NewInstance()
+	r := in.CreateRelation("R", "a", "b", "c")
+	r.Insert("1", "x", "p")
+	r.Insert("2", "y", "p")
+	r.BuildIndex(2)
+	if err := in.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, _ := back.Relation("R")
+	if cols, v := rel.IndexedColumns(), rel.version.Load(); len(cols) != 1 || cols[0] != 2 || v != 1 {
+		t.Fatalf("indexed columns %v after %d index builds, want [2] after 1", cols, v)
+	}
+}
+
 func TestLoadErrors(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing dir must fail")
