@@ -45,14 +45,17 @@ func figure8(users int) ([]consistent.Query, *db.Instance) {
 // the benchmark's two shapes. When every value of V(Q) built its own
 // membership, queue and per-slot friend sets, and Project a row list, a
 // string-keyed set and a heap tuple per answer row, the Figure-8 point
-// cost 7.2 MB a call and a random set 1.1 MB; they cost 0.25 and 0.16
-// MB. What is left is what the database returns: the option lists and
-// friend rows, two allocations each, about two thirds of every call.
+// cost 7.2 MB a call and a random set 1.1 MB. With the kernel on
+// integers they cost 0.25 and 0.16 MB, two thirds of it the answers
+// Project built and the kernel read once; now Project yields its rows
+// and the kernel copies out only the values new to V(Q), and they cost
+// 75 and 94 KB. What is left is the kernel's own: the option, member
+// and friend lists, and the members slab of the candidates.
 //
 // The growth bound is the other half of the claim: a removal requeues
 // its dependents from reverse lists, and nothing in the value loop is
 // sized by members × friend lists, so four times the users costs about
-// six times the bytes (the complete friendship graph itself grows
+// five times the bytes (the complete friendship graph itself grows
 // sixteenfold), where it used to cost sixteen.
 func TestCoordinateAllocationBudget(t *testing.T) {
 	if raceEnabled {
@@ -69,18 +72,20 @@ func TestCoordinateAllocationBudget(t *testing.T) {
 		in     *db.Instance
 		budget float64
 	}{
-		{"Figure 8: 25 users x 100 flights, complete graph", fig8qs, fig8, 320e3},
-		{"random: 100 users x 1000 flights x 100 pairs, Barabasi-Albert", workload.RandomFlightQueries(100, 100, 0.5, shapes), pruned, 220e3},
+		{"Figure 8: 25 users x 100 flights, complete graph", fig8qs, fig8, 95e3},
+		{"random: 100 users x 1000 flights x 100 pairs, Barabasi-Albert", workload.RandomFlightQueries(100, 100, 0.5, shapes), pruned, 118e3},
 	} {
 		allocs, bytes := callCost(t, c.qs, c.in)
 		t.Logf("%s: %.0f B/call, %.0f allocs/call", c.name, bytes, allocs)
 		if bytes > c.budget {
 			t.Errorf("%s: %.0f B/call over the %.0f B budget", c.name, bytes, c.budget)
 		}
-		// A bounded number of allocations per query — its option list,
-		// its friend list, its key — and a fixed number for the kernel.
-		if max := float64(8*len(c.qs) + 40); allocs > max {
-			t.Errorf("%s: %.0f allocs/call over the budget of %.0f", c.name, allocs, max)
+		// Nothing is allocated per query while its answer fits Project's
+		// stack scratch: the kernel's lists double as they grow, so the
+		// count moves with the log of their lengths (87 and 92 here), not
+		// with the number of queries.
+		if allocs > 120 {
+			t.Errorf("%s: %.0f allocs/call over the budget of 120", c.name, allocs)
 		}
 	}
 

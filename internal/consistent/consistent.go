@@ -123,9 +123,10 @@ func checkFriendRel(inst *db.Instance, rel string) error {
 
 // Candidate is one value of the coordination attributes together with
 // the queries that survive the cleaning phase for it. Both slices are
-// read-only: Value is the database's own answer tuple, Members a piece
-// of one slab the call's candidates are cut from, and the Result's Value
-// and Members are the winning candidate's.
+// read-only: Value is a view of the one slab the call copies V(Q)'s
+// values into, Members a piece of one slab the call's candidates are
+// cut from, and the Result's Value and Members are the winning
+// candidate's.
 type Candidate struct {
 	Value   []eq.Value // one value per coordination attribute
 	Members []int      // surviving query indices, sorted
@@ -195,6 +196,11 @@ type ValueEvent struct {
 // Everything about the input that can be wrong — the schema, a query's
 // preference counts, the relation a friend slot names — is reported
 // before the first database query is spent.
+//
+// A nil result reports no DBQueries, though finding that no set exists
+// spent the option-list and friend-list queries all the same (125 to
+// 134 on each of five of the benchmark's eight random sets); only the
+// instance's own counter sees them.
 func Coordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (*Result, error) {
 	if err := sch.Validate(inst); err != nil {
 		return nil, err

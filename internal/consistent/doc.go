@@ -12,7 +12,8 @@
 // friend of mine in F".
 //
 // Coordinate runs as one kernel per call (kernel.go) on dense integers:
-// users, relations and coordination values are interned once, the
+// users, relations and coordination values are interned once (a value
+// copied out of the row db.Project yields, only when it is new), the
 // coordination graph is flat lists of query indices, and the
 // restrict-and-clean pass of every value reuses scratch the call owns.
 // The algorithm as the paper states it — maps, values compared

@@ -34,12 +34,15 @@ type kernel struct {
 	owner   []int32  // friend list -> the query whose list it is
 	listsOf spans    // query -> the friend lists it appears in
 
-	// V(Q) in first-seen order, interned by hash-and-compare.
-	values  []db.Tuple
-	hashes  []uint32
-	table   []int32 // open addressing: 1+value id, 0 empty; a power of two long
-	options spans   // query -> value ids of V(q)
-	members spans   // value id -> queries whose option list holds it
+	// V(Q) in first-seen order, interned by hash-and-compare. Value v is
+	// vals[v*w : (v+1)*w], w = len(sch.CoordCols), copied from the first
+	// row Project yielded it in.
+	vals    []eq.Value
+	hashes  []uint32 // value id -> its hash; len(hashes) is |V(Q)|
+	table   []int32  // open addressing: 1+value id, 0 empty; a power of two long
+	options spans    // query -> value ids of V(q)
+	members spans    // value id -> queries whose option list holds it
+	cur     int32    // the query whose friend list Project is yielding
 
 	// Scratch of the value loop.
 	in, pending []bool  // query -> is a member; is yet to be (re)examined
@@ -190,36 +193,41 @@ func (k *kernel) fillWhere(i int) {
 }
 
 // optionLists computes V(q) for every query — one database query each —
-// as ids into V(Q), and from them each value's member list.
+// as ids into V(Q), interning each answer row as Project yields it, and
+// from them each value's member list.
 func (k *kernel) optionLists() error {
-	lists, total := make([][]db.Tuple, len(k.qs)), 0
+	n := len(k.qs)
+	k.options = newSpans(n)
+	option := k.option // one method value for every query; Project does not keep it
 	for i := range k.qs {
+		// Once the room left is under an average list, make room for the
+		// rest as if they average what the first i took.
+		if flat := k.options.flat; i > 0 && cap(flat)-len(flat) < len(flat)/i {
+			k.options.flat = make([]int32, len(flat), max(2*cap(flat), len(flat)*n/i))
+			copy(k.options.flat, flat)
+		}
 		k.fillWhere(i)
 		k.dbq++
-		vals, err := k.inst.Project(k.sch.Table, k.sch.CoordCols, k.where)
-		if err != nil {
+		if err := k.inst.Project(k.sch.Table, k.sch.CoordCols, k.where, option); err != nil {
 			return err
-		}
-		lists[i] = vals
-		total += len(vals)
-	}
-	k.options = newSpans(len(k.qs))
-	k.options.flat = make([]int32, 0, total)
-	for _, vals := range lists {
-		for _, v := range vals {
-			k.options.flat = append(k.options.flat, k.intern(v))
 		}
 		k.options.end()
 	}
-	k.members = k.options.invert(len(k.values))
+	k.members = k.options.invert(len(k.hashes))
 	return nil
 }
 
-// intern returns v's id in V(Q), adding it when it is new. Values are
-// told apart by comparing them, never by a rendered key, so no byte a
-// value may contain can make two of them one.
-func (k *kernel) intern(v db.Tuple) int32 {
-	if 2*(len(k.values)+1) > len(k.table) {
+// option appends the value of an answer row of V(q) to q's list.
+func (k *kernel) option(row db.Tuple) { k.options.flat = append(k.options.flat, k.intern(row)) }
+
+// intern returns the id in V(Q) of row's coordination columns, copying
+// them into k.vals when they are new. Values are told apart by
+// comparing them, never by a rendered key, so no byte a value may
+// contain can make two of them one.
+func (k *kernel) intern(row db.Tuple) int32 {
+	cols := k.sch.CoordCols
+	n := int32(len(k.hashes))
+	if 2*(int(n)+1) > len(k.table) {
 		k.table = make([]int32, max(64, 2*len(k.table)))
 		for id, h := range k.hashes {
 			at := h & uint32(len(k.table)-1)
@@ -230,8 +238,8 @@ func (k *kernel) intern(v db.Tuple) int32 {
 		}
 	}
 	h := uint32(2166136261)
-	for _, x := range v {
-		h = (h ^ db.Hash(string(x))) * 16777619
+	for _, c := range cols {
+		h = (h ^ db.Hash(string(row[c]))) * 16777619
 	}
 	h ^= h >> 16
 	mask := uint32(len(k.table) - 1)
@@ -239,16 +247,19 @@ probe:
 	for at := h & mask; ; at = (at + 1) & mask {
 		e := k.table[at]
 		if e == 0 {
-			k.table[at] = int32(len(k.values)) + 1
-			k.values = append(k.values, v)
+			k.table[at] = n + 1
+			for _, c := range cols {
+				k.vals = append(k.vals, row[c])
+			}
 			k.hashes = append(k.hashes, h)
-			return int32(len(k.values)) - 1
+			return n
 		}
 		if k.hashes[e-1] != h {
 			continue
 		}
-		for j, x := range k.values[e-1] {
-			if x != v[j] {
+		v := k.vals[int(e-1)*len(cols):]
+		for j, c := range cols {
+			if v[j] != row[c] {
 				continue probe
 			}
 		}
@@ -266,6 +277,7 @@ func (k *kernel) alive(i int32) bool { return k.options.off[i+1] > k.options.off
 func (k *kernel) friendLists() error {
 	k.friends = newSpans(len(k.slotRel))
 	friendCol := []int{1}
+	friend := k.friend // one method value for every query; Project does not keep it
 	for i := range k.qs {
 		if !k.alive(int32(i)) {
 			continue
@@ -283,20 +295,9 @@ func (k *kernel) friendLists() error {
 			clear(k.where)
 			k.where[0] = k.qs[i].User
 			k.dbq++
-			rows, err := k.inst.Project(k.rels[k.slotRel[s]], friendCol, k.where)
-			if err != nil {
+			k.cur = int32(i)
+			if err := k.inst.Project(k.rels[k.slotRel[s]], friendCol, k.where, friend); err != nil {
 				return err
-			}
-			for _, row := range rows {
-				u, known := k.users[row[0]]
-				if !known {
-					continue
-				}
-				for _, j := range k.byUser.at(u) {
-					if j != int32(i) && k.alive(j) {
-						k.friends.flat = append(k.friends.flat, j)
-					}
-				}
 			}
 			k.slots.flat[s] = int32(k.friends.len())
 			k.friends.end()
@@ -307,6 +308,18 @@ func (k *kernel) friendLists() error {
 	return nil
 }
 
+// friend appends to query k.cur's friend list the alive queries, other
+// than k.cur, of the user a friendship row names.
+func (k *kernel) friend(row db.Tuple) {
+	if u, known := k.users[row[1]]; known {
+		for _, j := range k.byUser.at(u) {
+			if j != k.cur && k.alive(j) {
+				k.friends.flat = append(k.friends.flat, j)
+			}
+		}
+	}
+}
+
 // candidates runs restrict-and-clean for every value of V(Q), in order.
 // The loop allocates nothing: survivors are carved from one slab sized
 // for the most there can be.
@@ -315,11 +328,13 @@ func (k *kernel) candidates(trace *Trace) []Candidate {
 	k.in, k.pending, k.queue = make([]bool, n), make([]bool, n), make([]int32, n)
 	k.seen, k.ownedAt, k.ownedBy = make([]int, users), make([]int, users), make([]int32, users)
 	slab := make([]int, 0, len(k.members.flat))
-	cands := make([]Candidate, 0, len(k.values))
+	cands := make([]Candidate, 0, len(k.hashes))
 	if trace != nil {
-		trace.Values = make([]ValueEvent, 0, len(k.values))
+		trace.Values = make([]ValueEvent, 0, len(k.hashes))
 	}
-	for v, value := range k.values {
+	w := len(k.sch.CoordCols)
+	for v := range k.hashes {
+		value := k.vals[v*w : (v+1)*w : (v+1)*w] // V(Q) is complete: k.vals stays put
 		initial := k.members.at(int32(v))
 		k.clean(initial)
 		start := len(slab)

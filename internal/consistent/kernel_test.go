@@ -65,11 +65,11 @@ func TestBadInputIsAnErrorBeforeAnyQuery(t *testing.T) {
 		{"friend slot over a missing relation", friendFrom("Nope")},
 		{"friend slot over a unary relation", friendFrom("Unary")},
 		{"Project of a column past the arity", func() error {
-			_, err := in.Project("Unary", []int{1}, nil)
+			_, err := projected(in, "Unary", []int{1}, nil)
 			return err
 		}},
 		{"Project where a column past the arity", func() error {
-			_, err := in.Project("C", []int{1}, map[int]eq.Value{2: "Jonny"})
+			_, err := projected(in, "C", []int{1}, map[int]eq.Value{2: "Jonny"})
 			return err
 		}},
 		{"SelectOne where a column past the arity", func() error {

@@ -30,7 +30,7 @@ func oracleCoordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (
 		if err != nil {
 			return nil, err
 		}
-		if options[i], err = inst.Project(sch.Table, sch.CoordCols, where); err != nil {
+		if options[i], err = projected(inst, sch.Table, sch.CoordCols, where); err != nil {
 			return nil, err
 		}
 	}
@@ -64,7 +64,7 @@ func oracleCoordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (
 			if _, done := friendsOf[i][rel]; done {
 				continue
 			}
-			rows, err := inst.Project(rel, []int{1}, map[int]eq.Value{0: q.User})
+			rows, err := projected(inst, rel, []int{1}, map[int]eq.Value{0: q.User})
 			if err != nil {
 				return nil, err
 			}
@@ -148,6 +148,20 @@ func oracleCoordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (
 		Candidates: cands,
 		DBQueries:  inst.QueriesIssued() - start,
 	}, nil
+}
+
+// projected collects the cols-projections of the rows Project yields,
+// copied out, so nothing the oracle holds is the database's.
+func projected(inst *db.Instance, rel string, cols []int, where map[int]eq.Value) ([]db.Tuple, error) {
+	var out []db.Tuple
+	err := inst.Project(rel, cols, where, func(row db.Tuple) {
+		p := make(db.Tuple, len(cols))
+		for j, c := range cols {
+			p[j] = row[c]
+		}
+		out = append(out, p)
+	})
+	return out, err
 }
 
 func oracleWhere(sch Schema, q Query) (map[int]eq.Value, error) {

@@ -33,7 +33,7 @@ func TestConcurrentReaders(t *testing.T) {
 					t.Errorf("solve: ok=%v err=%v", ok, err)
 					return
 				}
-				if _, err := in.Project("T", []int{1}, nil); err != nil {
+				if _, err := projectRows(in, "T", []int{1}, nil); err != nil {
 					t.Errorf("project: %v", err)
 					return
 				}
@@ -56,8 +56,9 @@ func TestConcurrentReaders(t *testing.T) {
 
 // TestConcurrentReadersAndWriters interleaves queries with inserts,
 // index rebuilds, deletes and relation registration on one instance.
-// Readers hold tuple views across the writers and re-read them: under
-// -race that fails if a writer ever stores into a row a view covers.
+// Readers hold tuple views — Project's yielded rows among them — across
+// the writers and re-read them: under -race that fails if a writer ever
+// stores into a row a view covers.
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	in := NewInstance()
 	r := in.CreateRelation("T", "key", "val")
@@ -107,9 +108,15 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					t.Errorf("select: ok=%v err=%v", ok, err)
 					return
 				}
+				// t0..t9 come first, so each c value's first row is one of them.
+				proj, err := projectRows(in, "T", []int{1}, map[int]eq.Value{1: eq.Value(fmt.Sprintf("c%d", i%10))})
+				if err != nil || len(proj) != 1 {
+					t.Errorf("project: %v %v", proj, err)
+					return
+				}
 				row := Tuple{eq.Value(fmt.Sprintf("t%d", i)), eq.Value(fmt.Sprintf("c%d", i%10))}
-				views = append(views, r.Tuple(i), sel)
-				want = append(want, row, row)
+				views = append(views, r.Tuple(i), sel, proj[0])
+				want = append(want, row, row, Tuple{eq.Value(fmt.Sprintf("t%d", i%10)), row[1]})
 				if i%10 == 0 {
 					_ = r.Tuples(func(t Tuple) error {
 						views = append(views, t)

@@ -104,14 +104,6 @@ func (r *Relation) Tuple(i int) Tuple {
 	return r.tuple(i)
 }
 
-// Distinct returns the distinct value combinations over the given
-// columns, in first-appearance order.
-func (r *Relation) Distinct(cols []int) []Tuple {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return project(cols, r.scanAll())
-}
-
 // index is a hash index on one column that allocates nothing per value
 // or per row. slots is an open-addressing table (Hash, linear probing,
 // a power of two long, 8 slots or more, at most 3/4 full) holding 1 +

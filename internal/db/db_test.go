@@ -186,32 +186,36 @@ func TestContains(t *testing.T) {
 	}
 }
 
+// A Project with no where clause is a select distinct over the whole
+// relation: one row per destination, the first to carry it.
 func TestDistinct(t *testing.T) {
 	in := flightsInstance()
-	f, _ := in.Relation("Flights")
-	d := f.Distinct([]int{1})
-	if len(d) != 2 {
-		t.Fatalf("distinct destinations = %v", d)
+	rows, err := projectRows(in, "Flights", []int{1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Tuple{{"101", "Zurich"}, {"102", "Paris"}}; !reflect.DeepEqual(rows, want) {
+		t.Fatalf("distinct destinations = %v, want %v", rows, want)
 	}
 }
 
 func TestProject(t *testing.T) {
 	in := flightsInstance()
-	rows, err := in.Project("Flights", []int{1}, nil)
+	rows, err := projectRows(in, "Flights", []int{1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("want 2 distinct destinations, got %v", rows)
 	}
-	rows, err = in.Project("Flights", []int{0}, map[int]eq.Value{1: "Zurich"})
+	rows, err = projectRows(in, "Flights", []int{0}, map[int]eq.Value{1: "Zurich"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("want flights 101 and 103, got %v", rows)
 	}
-	if _, err := in.Project("Nope", []int{0}, nil); err == nil {
+	if _, err := projectRows(in, "Nope", []int{0}, nil); err == nil {
 		t.Fatal("unknown relation must error")
 	}
 }
@@ -437,7 +441,7 @@ func TestUseIndexesOffSameAnswers(t *testing.T) {
 		}
 		for _, where := range wheres {
 			for _, x := range insts {
-				p, err := x.Project("R", []int{0, 2}, where)
+				p, err := projectRows(x, "R", []int{0, 2}, where)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -88,10 +88,10 @@
 //
 // # Project and SelectOne
 //
-// Project returns the distinct projections of the matching rows in the
-// order each first occurs in row order, whether or not an index on a
-// where column narrowed the scan; SelectOne returns the first matching
-// row. A column outside the relation's arity, in cols or where, is an
-// error, never a panic. A Project answer is two allocations: the tuple
-// headers and one slab of values the tuples are cut from.
+// Project yields, allocating nothing, the full row where each distinct
+// projection of the matching rows first occurs, in row order whether or
+// not an index narrowed the scan: a capped, stable view, yielded under
+// the relation's read lock, so yield must not call into the instance.
+// SelectOne returns the first matching row. A column outside the arity,
+// in cols or where, is an error, never a panic, and yields nothing.
 package db

@@ -7,25 +7,26 @@ import (
 )
 
 // Project answers a select-distinct-project query against a single
-// relation: it returns the distinct combinations of the cols columns
-// over the rows whose columns match every (column -> constant) entry of
-// where, in the order each combination first occurs in the relation. A
-// column of cols or where outside the relation's arity is an error. It
-// counts as one database query; the Consistent Coordination Algorithm
-// uses it to compute the option lists V(q) and friend lists.
-//
-// The answer is two allocations: the tuple headers and one slab of
-// values the tuples are cut from, each capped at its own length.
-func (in *Instance) Project(rel string, cols []int, where map[int]eq.Value) ([]Tuple, error) {
+// relation: it calls yield once per distinct combination of the cols
+// columns over the rows matching every (column -> constant) entry of
+// where, in the order each first occurs in the relation, with the full
+// row where it first occurs: a capped, stable view (do not write
+// through it), so nothing is allocated for the answer. yield runs under
+// the relation's read lock and must not call into the instance. A
+// column of cols or where outside the arity is an error, and nothing is
+// yielded. It counts as one database query; the Consistent Coordination
+// Algorithm uses it for the option lists V(q) and friend lists.
+func (in *Instance) Project(rel string, cols []int, where map[int]eq.Value, yield func(row Tuple)) error {
 	in.countQuery()
 	var buf [4]cond
 	r, conds, err := in.relConds(rel, cols, where, buf[:0])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return project(cols, in.scanOf(r, conds)), nil
+	project(cols, in.scanOf(r, conds), yield)
+	return nil
 }
 
 // SelectOne returns the first row of rel matching where, as a full tuple
@@ -90,14 +91,8 @@ type scan struct {
 	row, last int    // the next row to walk (-1 when done) and the final one
 }
 
-// scanAll walks every row of r; the caller holds r's read lock.
-func (r *Relation) scanAll() scan {
-	return scan{r: r, row: min(0, r.rows-1), last: r.rows - 1}
-}
-
 func (in *Instance) scanOf(r *Relation, conds []cond) scan {
-	s := r.scanAll()
-	s.conds = conds
+	s := scan{r: r, conds: conds, row: min(0, r.rows-1), last: r.rows - 1}
 	if in.UseIndexes {
 		for _, c := range conds {
 			if idx, has := r.indexes[c.col]; has {
@@ -134,13 +129,12 @@ next:
 	return -1
 }
 
-// project collects the distinct cols-projections of the rows s yields,
-// in first-occurrence order. Duplicates are found by hashing the
-// projected columns and comparing tuples in place, so nothing is built
-// for a row until it is known to be new; the scratch (first rows and
-// the hash table, on the stack while the answer is small) is row
-// numbers only, and the answer is allocated once, at its final size.
-func project(cols []int, s scan) []Tuple {
+// project yields the first row of each distinct cols-projection among
+// the rows s walks, in first-occurrence order. Duplicates are found by
+// hashing the projected columns and comparing rows in place; the
+// scratch (first rows and the hash table, on the stack while the answer
+// is small) is row numbers only.
+func project(cols []int, s scan, yield func(Tuple)) {
 	var rowBuf [128]int32
 	var tabBuf [256]int32
 	rows, table := rowBuf[:0], tabBuf[:] // table: 1+row, 0 empty
@@ -151,24 +145,13 @@ func project(cols []int, s scan) []Tuple {
 				table[freeSlot(table, s.r, cols, s.r.tuple(int(r)))] = r + 1
 			}
 		}
-		if at := freeSlot(table, s.r, cols, s.r.tuple(row)); at >= 0 {
+		t := s.r.tuple(row)
+		if at := freeSlot(table, s.r, cols, t); at >= 0 {
 			table[at] = int32(row) + 1
 			rows = append(rows, int32(row))
+			yield(t)
 		}
 	}
-	if len(rows) == 0 {
-		return nil
-	}
-	out := make([]Tuple, len(rows))
-	slab := make([]eq.Value, len(rows)*len(cols))
-	for i, row := range rows {
-		p, t := slab[i*len(cols):(i+1)*len(cols):(i+1)*len(cols)], s.r.tuple(int(row))
-		for j, c := range cols {
-			p[j] = t[c]
-		}
-		out[i] = p
-	}
-	return out
 }
 
 // freeSlot probes table (open addressing, a power of two long, never

@@ -10,12 +10,21 @@ import (
 	"entangled/internal/eq"
 )
 
+// projectRows collects the rows Project yields.
+func projectRows(in *Instance, rel string, cols []int, where map[int]eq.Value) ([]Tuple, error) {
+	var rows []Tuple
+	err := in.Project(rel, cols, where, func(row Tuple) { rows = append(rows, row) })
+	return rows, err
+}
+
 // Project and SelectOne against nested loops over Relation.Tuple on
-// random tables: the same distinct projections in first-occurrence
-// order, whichever where column carries an index (none, one, several,
-// or indexes switched off), with answers small enough for the stack
+// random tables: one yielded row per distinct projection — the full,
+// capped row where it first occurs — in first-occurrence order,
+// whichever where column carries an index (none, one, several, or
+// indexes switched off), with answers small enough for the stack
 // scratch and large enough to outgrow it. Values carry NULs, colons and
-// digits, whatever a rendered key would have had to escape.
+// digits, whatever a rendered key would have had to escape. Every
+// yielded row keeps its values through later inserts and a delete.
 func TestQuickProjectMatchesNestedLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	alphabet := []string{"", "a", "\x00", "a\x00", "1:", "1:a", "b"}
@@ -30,7 +39,7 @@ func TestQuickProjectMatchesNestedLoops(t *testing.T) {
 			attrs[c] = "c" + strconv.Itoa(c)
 		}
 		r := in.CreateRelation("R", attrs...)
-		for row, rows := 0, rng.Intn(40); row < rows || (wide && row < 600); row++ {
+		randomRow := func() []eq.Value {
 			vals := make([]eq.Value, arity)
 			for c := range vals {
 				vals[c] = eq.Value(alphabet[rng.Intn(domain)])
@@ -38,13 +47,17 @@ func TestQuickProjectMatchesNestedLoops(t *testing.T) {
 					vals[c] = eq.Value(strconv.Itoa(rng.Intn(400)))
 				}
 			}
-			r.Insert(vals...)
+			return vals
+		}
+		for row, rows := 0, rng.Intn(40); row < rows || (wide && row < 600); row++ {
+			r.Insert(randomRow()...)
 		}
 		for c := 0; c < arity; c++ {
 			if rng.Intn(3) == 0 {
 				r.BuildIndex(c)
 			}
 		}
+		var held, heldWant []Tuple
 		for q := 0; q < 10; q++ {
 			cols := make([]int, rng.Intn(arity+1))
 			for i := range cols {
@@ -56,7 +69,7 @@ func TestQuickProjectMatchesNestedLoops(t *testing.T) {
 					where[c] = eq.Value(alphabet[rng.Intn(domain)])
 				}
 			}
-			var want []Tuple
+			var want, seen []Tuple
 			var first Tuple
 		rows:
 			for i := 0; i < r.Len(); i++ {
@@ -73,16 +86,23 @@ func TestQuickProjectMatchesNestedLoops(t *testing.T) {
 				for j, c := range cols {
 					p[j] = row[c]
 				}
-				if !slices.ContainsFunc(want, func(w Tuple) bool { return slices.Equal(w, p) }) {
-					want = append(want, p)
+				if !slices.ContainsFunc(seen, func(w Tuple) bool { return slices.Equal(w, p) }) {
+					seen = append(seen, p)
+					want = append(want, row)
 				}
 			}
-			got, err := in.Project("R", cols, where)
+			got, err := projectRows(in, "R", cols, where)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: Project(%v, %v) = %q, want %q", trial, cols, where, got, want)
+				t.Fatalf("trial %d: Project(%v, %v) yielded %q, want %q", trial, cols, where, got, want)
+			}
+			for _, row := range got {
+				if len(row) != arity || cap(row) != arity {
+					t.Fatalf("trial %d: yielded row %q has len %d, cap %d, want the arity %d", trial, row, len(row), cap(row), arity)
+				}
+				held, heldWant = append(held, row), append(heldWant, slices.Clone(row))
 			}
 			one, ok, err := in.SelectOne("R", where)
 			if err != nil {
@@ -91,6 +111,44 @@ func TestQuickProjectMatchesNestedLoops(t *testing.T) {
 			if ok != (first != nil) || !reflect.DeepEqual(one, first) {
 				t.Fatalf("trial %d: SelectOne(%v) = %q, %v, want %q", trial, where, one, ok, first)
 			}
+		}
+		for i := 0; i < 20; i++ {
+			r.Insert(randomRow()...)
+		}
+		r.DeleteWhere(map[int]eq.Value{0: r.Tuple(0)[0]})
+		r.Insert(randomRow()...)
+		if !reflect.DeepEqual(held, heldWant) {
+			t.Fatalf("trial %d: yielded rows changed after inserts and a delete", trial)
+		}
+	}
+}
+
+// A relation Project cannot read, or a column of cols or where past its
+// arity, is an error: yield is never called, and the call still counts
+// as one query.
+func TestProjectRefusesBadInput(t *testing.T) {
+	in := flightsInstance()
+	cases := []struct {
+		name  string
+		rel   string
+		cols  []int
+		where map[int]eq.Value
+	}{
+		{"unknown relation", "Nope", []int{0}, nil},
+		{"cols past the arity", "Flights", []int{0, 2}, nil},
+		{"negative cols", "Flights", []int{-1}, nil},
+		{"where past the arity", "Flights", []int{0}, map[int]eq.Value{2: "Zurich"}},
+	}
+	for _, c := range cases {
+		before := in.QueriesIssued()
+		err := in.Project(c.rel, c.cols, c.where, func(row Tuple) {
+			t.Errorf("%s: yielded %v", c.name, row)
+		})
+		if err == nil {
+			t.Errorf("%s: no error", c.name)
+		}
+		if n := in.QueriesIssued() - before; n != 1 {
+			t.Errorf("%s: counted %d queries, want 1", c.name, n)
 		}
 	}
 }
