@@ -161,10 +161,11 @@ func TestLongChurnStaysProportionalToLiveSet(t *testing.T) {
 	}
 }
 
-// downStore is a store whose every query fails while down is set.
+// downStore is a store whose every query fails while down is set, and
+// whose grounding queries (SolveUnder) fail while solveDown is.
 type downStore struct {
 	db.Store
-	down bool
+	down, solveDown bool
 }
 
 var errDown = errors.New("store: down")
@@ -177,7 +178,7 @@ func (s *downStore) Satisfiable(body []eq.Atom) (bool, error) {
 }
 
 func (s *downStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, bool, error) {
-	if s.down {
+	if s.down || s.solveDown {
 		return db.Binding{}, false, errDown
 	}
 	return s.Store.SolveUnder(body, sub)

@@ -46,13 +46,18 @@
 // scratch the coordinator keeps between events, so what an event
 // allocates follows its dirty components, not the live set.
 //
-// The §6.1 provider cascade has one home, cascade.run (prune.go): the
-// batch walk, the Gupta baseline and Incremental all call it, so prune
+// The §4 walk has one home, Incremental.reconcile: a batch request
+// (SCCCoordinate, AllCandidates) is a fresh Incremental loaded with the
+// whole set and walked once, without an outcome cache, so batch and
+// streaming runs cannot drift apart; the batch walk the package used to
+// keep beside it is the reference its tests compare against
+// (oracle_test.go). The §6.1 provider cascade has one home, cascade.run
+// (prune.go), which Incremental and the Gupta baseline call, so prune
 // events come out in one order everywhere. So has the §4 component
-// search, search.ground (search.go): the batch walk, Incremental and
-// the Gupta baseline unify a reachable set and ask the database about
-// it there and nowhere else, on scratch that is reused from one
-// component to the next. A substitution is scratch, not state: it is a
+// search, search.ground (search.go): Incremental and the Gupta baseline
+// unify a reachable set and ask the database about it there and
+// nowhere else, on scratch that is reused from one component to the
+// next. A substitution is scratch, not state: it is a
 // function of the reachable set and the canonical edges, so no
 // candidate and no cached outcome keeps one — the winner's is
 // recomputed, without a database query, when its witness is read.

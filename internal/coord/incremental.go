@@ -45,7 +45,8 @@ type DeltaStats struct {
 	Reused int `json:"reused"`
 	// DBQueries is the exact number of conjunctive queries this event
 	// issued: one body-satisfiability probe on an arrival plus one
-	// grounding query per dirty component that unified.
+	// grounding query per dirty component that unified. An event that
+	// fails partway counts what it issued before it failed.
 	DBQueries int64 `json:"db_queries"`
 }
 
@@ -86,7 +87,7 @@ type scratch struct {
 	reach   reachRows     // component -> what it reaches
 	failed  []bool        // component -> no coordinating set through it
 	sig     []byte        // cache key of the component being searched
-	sr      search        // its reachable set, and the one search every solve runs on
+	sr      search        // its reachable set, and the one search every component search runs on
 	members []int         // backing of this pass's compEvent.members
 }
 
@@ -108,6 +109,9 @@ type scratch struct {
 // quiesced Incremental reports exactly what a batch SCCCoordinate over
 // its live queries (in slot order) would: same team, same trace, same
 // witness values — the database's answer does not depend on the prefix.
+// A batch request is an Incremental too: SCCCoordinate and
+// AllCandidates load a fresh one with the whole set and read its one
+// pass, so the §4 walk is written once, in reconcile.
 //
 // Incremental is not safe for concurrent use; stream.Session adds the
 // locking.
@@ -119,12 +123,12 @@ type Incremental struct {
 	queries []eq.Query // by slot
 	renamed []eq.Query // by slot, prefix q<serial>.
 	bodySat []bool     // by slot: cached body-satisfiability probe
-	serials []int      // by slot, ascending: the query's admission serial
+	serials []int      // by slot, ascending: the query's admission serial; nil in a load
 	next    int        // the serial the next admission gets
 	// Liveness lives in g (IncrementalGraph.Live): one bitmap, no
 	// lockstep copy to desynchronize.
 
-	cache map[string]*compOutcome // reachable set's serials -> outcome
+	cache map[string]*compOutcome // reachable set's serials -> outcome; nil in a load
 	pass  uint64                  // reconcile passes started
 	scr   scratch
 
@@ -369,7 +373,7 @@ func (inc *Incremental) TotalDBQueries() int64 { return inc.total }
 // that fails leaves no result until the next pass.
 func (inc *Incremental) Refresh() (DeltaStats, error) {
 	m := db.NewMeter(inc.store)
-	inc.cache = map[string]*compOutcome{}
+	clear(inc.cache)
 	inc.pruned, inc.events, inc.cands = inc.pruned[:0], inc.events[:0], inc.cands[:0]
 	if !inc.opts.SkipPruning {
 		for i := range inc.queries {
@@ -378,7 +382,8 @@ func (inc *Incremental) Refresh() (DeltaStats, error) {
 			}
 			sat, err := m.Satisfiable(inc.renamed[i].Body)
 			if err != nil {
-				return DeltaStats{}, err
+				inc.total += m.Count()
+				return DeltaStats{Slot: -1, DBQueries: m.Count()}, err
 			}
 			inc.bodySat[i] = sat
 		}
@@ -389,16 +394,27 @@ func (inc *Incremental) Refresh() (DeltaStats, error) {
 	return d, err
 }
 
+// records reports whether a pass keeps its per-component record — the
+// events and the outcomes they point at: a session always does, for
+// Trace and Compact; a one-shot load only when opts.Trace asks.
+func (inc *Incremental) records() bool { return inc.cache != nil || inc.opts.Trace != nil }
+
 // reconcile brings the coordination state up to date after a graph
 // change. Pruning and condensation are recomputed from cached inputs —
-// pure graph work. The component walk mirrors runSCC exactly, except
-// that a component whose reachable set matches a cached outcome splices
-// it instead of re-unifying and re-grounding. Live slots are compacted
-// before condensation so the walk is index-for-index identical to a
-// batch run over the live queries in slot order: same Tarjan numbering,
-// same topological order, same candidate order, same tie-breaks.
-func (inc *Incremental) reconcile(m *db.Meter) (DeltaStats, error) {
-	defer func() { inc.total += m.Count() }()
+// pure graph work. The component walk is the §4 walk, for sessions and
+// batch requests alike: components in reverse topological order, each
+// reachable set searched once (settle), except that one matching a
+// cached outcome is spliced instead of re-unified and re-grounded.
+// Live slots are compacted before condensation so the walk is
+// index-for-index a fresh load's over the live queries in slot order:
+// same Tarjan numbering, same topological order, same candidate order,
+// same tie-breaks. Every query the pass issues is billed to d and to
+// the lifetime total, whether or not the pass completes.
+func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
+	defer func() {
+		d.DBQueries = m.Count()
+		inc.total += d.DBQueries
+	}()
 	s := &inc.scr
 	n := len(inc.queries)
 	edges := inc.g.Edges()
@@ -434,7 +450,7 @@ func (inc *Incremental) reconcile(m *db.Meter) (DeltaStats, error) {
 	dag, _, members := s.cg.Condense()
 	order, err := dag.TopoOrder()
 	if err != nil {
-		return DeltaStats{}, err // cannot happen: condensation is a DAG
+		return d, err // cannot happen: condensation is a DAG
 	}
 
 	// Every cache entry this pass uses is stamped with its number; the
@@ -446,86 +462,99 @@ func (inc *Incremental) reconcile(m *db.Meter) (DeltaStats, error) {
 	nc := dag.N()
 	s.reach.reset(nc)
 	s.failed = zeroed(s.failed, nc)
-	s.members = sized(s.members, len(s.live))
+	record := inc.records()
+	if record {
+		s.members = sized(s.members, len(s.live))
+	}
 	carved := 0
 	inc.events = inc.events[:0]
 	inc.cands = inc.cands[:0]
-	d := DeltaStats{Components: nc}
+	d.Components = nc
 
 	for at := len(order) - 1; at >= 0; at-- { // reverse topological
 		c := order[at]
-		slots := s.members[carved : carved+len(members[c])]
-		carved += len(slots)
-		for j, mcj := range members[c] {
-			slots[j] = s.live[mcj]
-		}
-		ev := compEvent{members: slots}
-		if !s.alive[slots[0]] {
-			ev.status = "pruned"
-		} else if !s.reach.fold(c, dag.Succ(c), s.failed) {
+		ev := compEvent{status: "pruned"}
+		switch {
+		case !s.alive[s.live[members[c][0]]]:
+		case !s.reach.fold(c, dag.Succ(c), s.failed):
 			ev.status = "successor failed"
-		}
-		if ev.status != "" {
-			s.failed[c] = true
-			inc.events = append(inc.events, ev)
-			continue
-		}
-
-		// The reachable set in assembly order — ascending component,
-		// like runSCC — which is also its cache key, NOT sorted: the
-		// combined body is concatenated in this order, and the frozen
-		// join plan, hence the witness and the rendered query, depend
-		// on it. A departure elsewhere can renumber Tarjan components
-		// and reorder an unchanged set; that must miss (re-solve, stay
-		// exact), not splice a stale outcome. The key spells the set in
-		// serials, which outlive every renumbering of the slots.
-		set := s.sr.set[:0]
-		s.sig = s.sig[:0]
-		for w, word := range s.reach.row(c) {
-			for ; word != 0; word &= word - 1 {
-				for _, mcc := range members[w*64+bits.TrailingZeros64(word)] {
-					set = append(set, s.live[mcc])
-					s.sig = binary.AppendUvarint(s.sig, uint64(inc.serials[s.live[mcc]]))
-				}
-			}
-		}
-		s.sr.set = set
-		out := inc.cache[string(s.sig)] // the conversion does not allocate
-		if out == nil {
-			out, err = inc.solve(set, edges, m)
-			if err != nil {
+		default:
+			if ev.status, ev.out, err = inc.settle(c, members, edges, m, &d); err != nil {
 				return d, err
 			}
-			inc.cache[string(s.sig)] = out
-			d.Dirty++
-		} else {
-			d.Reused++
 		}
-		out.pass = inc.pass
-		s.failed[c] = out.status != "grounded"
-		ev.status, ev.out = out.status, out
-		if !s.failed[c] {
-			inc.cands = append(inc.cands, Candidate{Set: out.set, binding: out.binding})
+		s.failed[c] = ev.status != "grounded"
+		if record {
+			ev.members = s.members[carved : carved+len(members[c])]
+			carved += len(ev.members)
+			for j, mcj := range members[c] {
+				ev.members[j] = s.live[mcj]
+			}
+			inc.events = append(inc.events, ev)
 		}
-		inc.events = append(inc.events, ev)
 	}
 	for sig, out := range inc.cache {
 		if out.pass != inc.pass {
 			delete(inc.cache, sig)
 		}
 	}
-	d.DBQueries = m.Count()
 	return d, nil
 }
 
-// solve searches one component exactly as the batch walk does — the
-// same search.ground, over canonical edges, so the union sequence and
-// the resulting substitution are the ones a batch run computes — and
-// files the outcome. set is scratch: the outcome keeps copies.
-func (inc *Incremental) solve(set []int, edges []ExtendedEdge, m *db.Meter) (*compOutcome, error) {
-	status, bind, err := inc.scr.sr.ground(inc.renamed, edges, set, m)
-	if err != nil {
-		return nil, err
+// settle finds the outcome of component c, whose reach row is folded:
+// its reachable set is spliced from the cache when an earlier pass
+// searched it, and otherwise searched once, the way every search runs
+// (search.ground over canonical edges, so the union sequence and the
+// substitution are the ones any run over the set computes). A grounded
+// set becomes a candidate. The outcome is kept — filed, pointed at by
+// the pass's event — only when the pass records; otherwise a grounded
+// set's sorted copy is all that outlives the step.
+func (inc *Incremental) settle(c int, members [][]int, edges []ExtendedEdge, m *db.Meter, d *DeltaStats) (string, *compOutcome, error) {
+	s := &inc.scr
+	// The reachable set in assembly order — ascending component — which
+	// is also its cache key, NOT sorted: the combined body is
+	// concatenated in this order, and the frozen join plan, hence the
+	// witness and the rendered query, depend on it. A departure
+	// elsewhere can renumber Tarjan components and reorder an unchanged
+	// set; that must miss (re-solve, stay exact), not splice a stale
+	// outcome. The key spells the set in serials, which outlive every
+	// renumbering of the slots.
+	set := s.sr.set[:0]
+	s.sig = s.sig[:0]
+	for w, word := range s.reach.row(c) {
+		for ; word != 0; word &= word - 1 {
+			for _, mcc := range members[w*64+bits.TrailingZeros64(word)] {
+				set = append(set, s.live[mcc])
+				if inc.cache != nil {
+					s.sig = binary.AppendUvarint(s.sig, uint64(inc.serials[s.live[mcc]]))
+				}
+			}
+		}
 	}
-	return &compOutcome{status: status, set: sortedCopy(set), order: append([]int(nil), set...), binding: bind}, nil
+	s.sr.set = set
+	out := inc.cache[string(s.sig)] // the conversion does not allocate
+	if out != nil {
+		d.Reused++
+	} else {
+		status, bind, err := s.sr.ground(inc.renamed, edges, set, m)
+		if err != nil {
+			return "", nil, err
+		}
+		d.Dirty++
+		if !inc.records() {
+			if status == "grounded" {
+				inc.cands = append(inc.cands, Candidate{Set: sortedCopy(set), binding: bind})
+			}
+			return status, nil, nil
+		}
+		out = &compOutcome{status: status, set: sortedCopy(set), order: append([]int(nil), set...), binding: bind}
+		if inc.cache != nil {
+			inc.cache[string(s.sig)] = out
+		}
+	}
+	out.pass = inc.pass
+	if out.status == "grounded" {
+		inc.cands = append(inc.cands, Candidate{Set: out.set, binding: out.binding})
+	}
+	return out.status, out, nil
 }

@@ -246,7 +246,8 @@ func renumber(s string, bySerial map[int]int) string {
 }
 
 // checkIncrementalMatchesBatch compares an Incremental's entire
-// observable state against a fresh batch run over its live queries:
+// observable state against the reference batch walk (oracleCoordinate)
+// over its live queries — not SCCCoordinate, itself an Incremental:
 // team, witness values, full trace (pruning and component events,
 // including the combined-query rendering), and the delta-cost bound —
 // the event can never cost more database queries than coordinating its
@@ -262,7 +263,7 @@ func checkIncrementalMatchesBatch(t *testing.T, inc *Incremental, store db.Store
 	qs := inc.LiveQueries()
 
 	tr := &Trace{}
-	batch, err := SCCCoordinate(qs, store, Options{Trace: tr})
+	batch, err := oracleCoordinate(qs, store, Options{Trace: tr})
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
@@ -495,5 +496,39 @@ func TestIncrementalSkipSafetyCheck(t *testing.T) {
 		if got.Size() != want.Size() {
 			t.Fatalf("team size %d != %d", got.Size(), want.Size())
 		}
+	}
+}
+
+// TestFailedEventsAreBilled: an event that fails has still asked the
+// database what it asked, and its DeltaStats says so — an arrival whose
+// grounding fails reports its probe and that grounding, a Refresh whose
+// first probe fails reports the probe — and the lifetime count is the
+// sum of every DeltaStats handed out.
+func TestFailedEventsAreBilled(t *testing.T) {
+	store := &downStore{Store: chainStore(1)}
+	inc := NewIncremental(store, Options{})
+	var billed int64
+	_, d, err := inc.Add(chainQuery(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	billed += d.DBQueries
+	store.solveDown = true
+	if _, d, err = inc.Add(chainQuery(0, 1)); !errors.Is(err, errDown) || d.DBQueries != 2 {
+		t.Fatalf("an arrival whose grounding fails: %+v, %v; want 2 queries billed", d, err)
+	}
+	billed += d.DBQueries
+	store.solveDown, store.down = false, true
+	if d, err = inc.Refresh(); !errors.Is(err, errDown) || d.DBQueries != 1 {
+		t.Fatalf("a refresh whose first probe fails: %+v, %v; want 1 query billed", d, err)
+	}
+	billed += d.DBQueries
+	store.down = false
+	if d, err = inc.Refresh(); err != nil || d.DBQueries != 4 {
+		t.Fatalf("a refresh once the store is back: %+v, %v; want 2 probes and 2 groundings", d, err)
+	}
+	billed += d.DBQueries
+	if inc.TotalDBQueries() != billed {
+		t.Fatalf("lifetime count %d, the events billed %d", inc.TotalDBQueries(), billed)
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // cascade is the provider cascade of the §6.1 preprocessing, shared by
-// the batch walk, the Gupta baseline and the incremental coordinator: a
+// the incremental coordinator (batch requests too) and the Gupta baseline: a
 // query with a postcondition no unpruned head provides for is pruned,
 // which can strand the queries it provided for in turn. It is
 // round-synchronous — a round prunes, in ascending order, the queries

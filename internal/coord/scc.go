@@ -80,8 +80,9 @@ type Options struct {
 	// check is quadratic in the query-set size, and workload generators
 	// construct safe sets by design.
 	SkipSafetyCheck bool
-	// Trace, when non-nil, receives a step-by-step record of the run
-	// (pruning events and per-component outcomes); see coord.Trace.
+	// Trace, when non-nil, receives a step-by-step record of a run that
+	// succeeds (pruning events and per-component outcomes); see
+	// coord.Trace.
 	Trace *Trace
 }
 
@@ -98,30 +99,21 @@ type Options struct {
 // yields the candidate set R(q) of all queries reachable from it; the
 // selector picks among candidates (maximum size by default).
 //
-// The implementation lives in runSCC (trace.go) so that a single code
-// path serves plain, traced and candidate-enumerating runs.
-// The winner's witness values are read off its MGU, recomputed after
-// selection — unification only, no database query.
+// The walk is Incremental's: the set is bulk-loaded into a fresh,
+// one-shot coordinator (load) and walked once, so batch requests and
+// streaming sessions share a single code path. The winner's witness
+// values are read off its MGU, recomputed after selection —
+// unification only, no database query.
 //
 // The store may be shared with concurrent requests: every query this
 // run issues is counted on a private db.Meter, so Result.DBQueries is
 // exact for this run alone regardless of concurrent traffic.
 func SCCCoordinate(qs []eq.Query, store db.Store, opts Options) (*Result, error) {
-	m := db.NewMeter(store)
-	w, err := runSCC(qs, m, opts)
-	if err != nil || len(w.cands) == 0 {
+	var inc Incremental
+	if err := inc.load(qs, store, opts); err != nil {
 		return nil, err
 	}
-	sel := opts.Select
-	if sel == nil {
-		sel = MaxSize
-	}
-	win := w.cands[sel(w.cands)]
-	values, err := w.sr.witness(qs, w.renamed, w.edges, win, &fallback{store: m})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Set: win.Set, Values: values, DBQueries: m.Count()}, nil
+	return inc.Result()
 }
 
 // CandidateSet is one member of the candidate family {R(q)} with its
@@ -137,22 +129,46 @@ type CandidateSet struct {
 // selection criteria (the paper mentions gold-status passengers and VIP
 // clients) can choose among them directly.
 func AllCandidates(qs []eq.Query, store db.Store, opts Options) ([]CandidateSet, error) {
-	m := db.NewMeter(store)
-	w, err := runSCC(qs, m, opts)
+	var inc Incremental
+	if err := inc.load(qs, store, opts); err != nil {
+		return nil, err
+	}
+	out, err := inc.Candidates()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]CandidateSet, 0, len(w.cands))
-	fb := fallback{store: m}
-	for _, c := range w.cands {
-		values, err := w.sr.witness(qs, w.renamed, w.edges, c, &fb)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, CandidateSet{Set: c.Set, Values: values})
-	}
 	sort.SliceStable(out, func(i, j int) bool { return len(out[i].Set) > len(out[j].Set) })
 	return out, nil
+}
+
+// load makes the zero inc a one-shot coordinator over qs, the walk
+// behind SCCCoordinate and AllCandidates: every query filed into one
+// graph sized up front, one safety check, each query renamed once — a
+// fresh load's serial is its index, so the prefixes are renameAll's —
+// then Refresh, which probes every body and runs the one pass on the
+// request's meter. Nothing will ask for a second pass, so there is no
+// outcome cache: the pass builds no key, copies a searched set only
+// for a grounded candidate, and keeps its per-component record only
+// for opts.Trace (records). The serials, which only a key or a
+// renumbered trace reads, stay nil, and queries aliases qs. A load
+// that fails adds nothing to opts.Trace.
+func (inc *Incremental) load(qs []eq.Query, store db.Store, opts Options) error {
+	g := bulkGraph(qs)
+	if !opts.SkipSafetyCheck {
+		if bad := g.Unsafe(); len(bad) > 0 {
+			return fmt.Errorf("%w: unsafe queries %v", ErrUnsafe, bad)
+		}
+	}
+	*inc = Incremental{store: store, opts: opts, g: g, queries: qs, renamed: renameAll(qs), bodySat: make([]bool, len(qs))}
+	if _, err := inc.Refresh(); err != nil {
+		return err
+	}
+	if tr := opts.Trace; tr != nil {
+		t := inc.Trace(nil)
+		tr.Pruned = append(tr.Pruned, t.Pruned...)
+		tr.Components = append(tr.Components, t.Components...)
+	}
+	return nil
 }
 
 // finishResult turns the internal state of an algorithm that holds its
@@ -208,10 +224,4 @@ func GuptaCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
 		return nil, err
 	}
 	return finishResult(qs, renamed, set, sr.subst, bind, m)
-}
-
-func reverse(xs []int) {
-	for i, j := 0, len(xs)-1; i < j; i, j = i+1, j-1 {
-		xs[i], xs[j] = xs[j], xs[i]
-	}
 }

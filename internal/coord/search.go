@@ -16,8 +16,8 @@ import (
 // set, canonical edges), so a search leaves its MGU here only until the
 // next one resets it, and whoever needs a finished candidate's MGU again
 // — to read its witness values, to render the query the database saw —
-// recomputes it with mgu. There is one search per batch request and per
-// Incremental; it dies with its owner. The zero value is ready to use;
+// recomputes it with mgu. There is one search per Incremental, batch
+// request or session; it dies with its owner. The zero value is ready to use;
 // it is not safe for concurrent use.
 type search struct {
 	subst *unify.Subst

@@ -1,11 +1,15 @@
 package coord
 
 import (
+	"errors"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
+	"entangled/internal/workload"
 )
 
 func TestTraceFlightHotel(t *testing.T) {
@@ -101,5 +105,29 @@ func TestTracedRunMatchesPlain(t *testing.T) {
 	}
 	if plain.Size() != traced.Size() {
 		t.Fatalf("trace must not change the result: %v vs %v", plain, traced)
+	}
+}
+
+// TestFailedRunLeavesTraceEmpty: a traced run that the store fails adds
+// nothing to the caller's trace — not even the prune events of the
+// probes that succeeded before a grounding failed, which the reference
+// walk leaves behind.
+func TestFailedRunLeavesTraceEmpty(t *testing.T) {
+	const rows = 40
+	qs := workload.RandomSafeQueries(40, rows, 0.03, 0.8, rand.New(rand.NewSource(43)))
+	for _, solveOnly := range []bool{true, false} {
+		store := &downStore{Store: newWorkloadInstance(rows), down: !solveOnly, solveDown: solveOnly}
+		tr := &Trace{}
+		if _, err := SCCCoordinate(qs, store, Options{Trace: tr}); !errors.Is(err, errDown) {
+			t.Fatalf("solveOnly=%v: err %v, want the store's", solveOnly, err)
+		}
+		if !reflect.DeepEqual(tr, &Trace{}) {
+			t.Fatalf("solveOnly=%v: a failed run left %+v in the trace", solveOnly, tr)
+		}
+	}
+	old := &Trace{}
+	store := &downStore{Store: newWorkloadInstance(rows), solveDown: true}
+	if _, err := oracleCoordinate(qs, store, Options{Trace: old}); !errors.Is(err, errDown) || len(old.Pruned) == 0 {
+		t.Fatalf("the reference walk: err %v, trace %+v; want pruning to have finished first", err, old)
 	}
 }

@@ -502,3 +502,35 @@ func TestSessionRunGracefulCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFailedEventsAreBilled: an update reports what its event asked the
+// database even when the event fails partway, and the session's totals
+// are the sum of what its updates and refreshes reported.
+func TestFailedEventsAreBilled(t *testing.T) {
+	store := &flakyStore{Store: chainStore(1), err: errors.New("store: down")}
+	s := stream.New(store, stream.Options{})
+	var billed int64
+	up, err := s.Join(workload.ChainQuery(0, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	billed += up.Stats.DBQueries
+	store.down = true
+	if up, err = s.Join(workload.ChainQuery(0, 1, 1)); !errors.Is(err, store.err) || up.Stats.DBQueries != 2 {
+		t.Fatalf("a join whose grounding fails: %+v, %v; want its probe and the grounding billed", up.Stats, err)
+	}
+	billed += up.Stats.DBQueries
+	d, err := s.Refresh()
+	if !errors.Is(err, store.err) || d.DBQueries != 3 {
+		t.Fatalf("a refresh whose first grounding fails: %+v, %v; want 2 probes and 1 grounding billed", d, err)
+	}
+	billed += d.DBQueries
+	store.down = false
+	if d, err = s.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	billed += d.DBQueries
+	if got := s.Totals().DBQueries; got != billed {
+		t.Fatalf("the session's totals count %d queries, its updates and refreshes reported %d", got, billed)
+	}
+}
