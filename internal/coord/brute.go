@@ -53,7 +53,8 @@ func bruteForce(qs []eq.Query, store db.Store, smallestFirst bool) (*Result, err
 		return nil, fmt.Errorf("%w (got %d)", ErrTooManyQueries, n)
 	}
 	meter := db.NewMeter(store)
-	renamed := renameAll(qs)
+	vars, sr := numberedAll(qs)
+	root := sr.subst
 	providers := providerEdges(qs)
 
 	masks := masksBySize(n)
@@ -61,23 +62,36 @@ func bruteForce(qs []eq.Query, store db.Store, smallestFirst bool) (*Result, err
 	for _, size := range sizes {
 		for _, m := range masks[size] {
 			set := maskSet(m)
-			s, bind, ok, err := trySubset(renamed, set, providers, meter)
+			s, bind, ok, err := trySubset(qs, vars, sr, root, set, providers, meter)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				return finishResult(qs, renamed, set, s, bind, meter)
+				sr.subst = s
+				return finishResult(qs, vars, sr, set, bind, meter)
 			}
 		}
 	}
 	return nil, nil
 }
 
+// numberedAll numbers the variables of every query of qs and returns
+// the search holding an empty substitution over all of them: the
+// brute-force oracles unify across the whole set.
+func numberedAll(qs []eq.Query) ([]varTable, *search) {
+	vars, sr, all := numberAll(qs), &search{}, make([]int, len(qs))
+	for i := range all {
+		all[i] = i
+	}
+	sr.number(qs, vars, all)
+	return vars, sr
+}
+
 // trySubset decides whether the given subset coordinates: it searches
 // over the choice of provider head for every postcondition (all heads
-// must come from within the subset), accumulating the unifier, then
-// grounds the combined body.
-func trySubset(renamed []eq.Query, set []int, providers map[[2]int][]ExtendedEdge, store db.Store) (*unify.Subst, db.Binding, bool, error) {
+// must come from within the subset), accumulating the unifier from
+// root, then grounds the combined body.
+func trySubset(qs []eq.Query, vars []varTable, sr *search, root *unify.Subst, set []int, providers map[[2]int][]ExtendedEdge, store db.Store) (*unify.Subst, db.Binding, bool, error) {
 	inSet := map[int]bool{}
 	for _, i := range set {
 		inSet[i] = true
@@ -89,7 +103,7 @@ func trySubset(renamed []eq.Query, set []int, providers map[[2]int][]ExtendedEdg
 	}
 	var needs []need
 	for _, i := range set {
-		for pi := range renamed[i].Post {
+		for pi := range qs[i].Post {
 			var cs []ExtendedEdge
 			for _, e := range providers[[2]int{i, pi}] {
 				if inSet[e.ToQ] {
@@ -102,15 +116,11 @@ func trySubset(renamed []eq.Query, set []int, providers map[[2]int][]ExtendedEdg
 			needs = append(needs, need{i, pi, cs})
 		}
 	}
-	var body []eq.Atom
-	for _, i := range set {
-		body = append(body, renamed[i].Body...)
-	}
-
 	var solve func(k int, s *unify.Subst) (*unify.Subst, db.Binding, bool, error)
 	solve = func(k int, s *unify.Subst) (*unify.Subst, db.Binding, bool, error) {
 		if k == len(needs) {
-			bind, found, err := store.SolveUnder(body, s)
+			sr.subst = s
+			bind, found, err := store.SolveUnder(sr.combine(qs, vars, set), s)
 			if err != nil || !found {
 				return nil, db.Binding{}, false, err
 			}
@@ -119,9 +129,7 @@ func trySubset(renamed []eq.Query, set []int, providers map[[2]int][]ExtendedEdg
 		nd := needs[k]
 		for _, e := range nd.cands {
 			s2 := s.Clone()
-			p := renamed[e.FromQ].Post[e.PostIdx]
-			h := renamed[e.ToQ].Head[e.HeadIdx]
-			if err := s2.UnifyAtoms(p, h); err != nil {
+			if sr.subst = s2; !sr.unify(qs, vars, e) {
 				continue
 			}
 			rs, rb, ok, err := solve(k+1, s2)
@@ -134,7 +142,7 @@ func trySubset(renamed []eq.Query, set []int, providers map[[2]int][]ExtendedEdg
 		}
 		return nil, db.Binding{}, false, nil
 	}
-	return solve(0, unify.New())
+	return solve(0, root)
 }
 
 // providerEdges groups the extended graph's edges by (query, post-atom):

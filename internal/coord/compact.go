@@ -31,14 +31,14 @@ func (inc *Incremental) Compact() []int {
 	inc.g.compact(remap)
 	for old, slot := range remap {
 		if slot >= 0 {
-			inc.queries[slot], inc.renamed[slot] = inc.queries[old], inc.renamed[old]
+			inc.queries[slot], inc.vars[slot] = inc.queries[old], inc.vars[old]
 			inc.bodySat[slot], inc.serials[slot] = inc.bodySat[old], inc.serials[old]
 		}
 	}
 	live := inc.g.live
 	clear(inc.queries[live:]) // let go of the departed queries
-	clear(inc.renamed[live:])
-	inc.queries, inc.renamed = fit(inc.queries[:live]), fit(inc.renamed[:live])
+	clear(inc.vars[live:])
+	inc.queries, inc.vars = fit(inc.queries[:live]), fit(inc.vars[:live])
 	inc.bodySat, inc.serials = fit(inc.bodySat[:live]), fit(inc.serials[:live])
 
 	// An outcome naming a departed slot is one a failed pass left unswept:
@@ -46,7 +46,7 @@ func (inc *Incremental) Compact() []int {
 	// or candidate points at it, so it goes. The rest are renumbered
 	// where they lie.
 	for sig, out := range inc.cache {
-		if remapSlots(out.order, remap); !remapSlots(out.set, remap) {
+		if !remapSlots(out.order, remap) {
 			delete(inc.cache, sig)
 		}
 	}

@@ -141,7 +141,7 @@ func TestLongChurnStaysProportionalToLiveSet(t *testing.T) {
 	}
 	for name, got := range map[string]int{
 		"slots":                  len(inc.queries),
-		"renamed queries":        len(inc.renamed),
+		"variable tables":        len(inc.vars),
 		"liveness flags":         len(inc.g.gone),
 		"head rows":              len(inc.g.heads.refs),
 		"post rows":              len(inc.g.posts.refs),
@@ -218,8 +218,8 @@ func TestCompactBetweenFailedPasses(t *testing.T) {
 			t.Fatalf("compaction %d: remap %v, %d tombstones", head, remap, inc.Tombstones())
 		}
 		for sig, out := range inc.cache {
-			if slices.Min(out.set) < 0 || slices.Max(out.set) >= inc.Len() {
-				t.Fatalf("compaction %d kept outcome %x over slots %v of %d", head, sig, out.set, inc.Len())
+			if slices.Min(out.order) < 0 || slices.Max(out.order) >= inc.Len() {
+				t.Fatalf("compaction %d kept outcome %x over slots %v of %d", head, sig, out.order, inc.Len())
 			}
 		}
 	}

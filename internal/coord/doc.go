@@ -40,8 +40,8 @@
 // make the set unsafe are refused with ErrUnsafeArrival before any
 // state changes, and Compact renumbers away tombstoned slots so
 // long-lived streams stay O(live queries) — in place and for free: a
-// query's alpha-renaming prefix and cache key are its admission serial,
-// not its slot, so renumbering re-grounds nothing. An event's bookkeeping —
+// query's cache key and traced name are its admission serial, not its
+// slot, so renumbering re-grounds nothing. An event's bookkeeping —
 // pruning, condensation, reach sets, cache keys — is integer work on
 // scratch the coordinator keeps between events, so what an event
 // allocates follows its dirty components, not the live set.
@@ -60,7 +60,10 @@
 // next. A substitution is scratch, not state: it is a
 // function of the reachable set and the canonical edges, so no
 // candidate and no cached outcome keeps one — the winner's is
-// recomputed, without a database query, when its witness is read.
+// recomputed, without a database query, when its witness is read. A
+// search unifies numbers: each query's variables are numbered once, on
+// admission (varTable), and a name is read back off the query only
+// where something is rendered — a trace, a witness.
 //
 // The package's sentinel errors carry stable machine-readable codes
 // (Code / FromCode, e.g. "unsafe_arrival", "too_many_queries") shared

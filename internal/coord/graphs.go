@@ -1,8 +1,6 @@
 package coord
 
 import (
-	"strconv"
-
 	"entangled/internal/eq"
 	"entangled/internal/graph"
 )
@@ -91,18 +89,4 @@ func IsSafe(qs []eq.Query) bool { return len(UnsafeQueries(qs)) == 0 }
 // is strongly connected.
 func IsUnique(qs []eq.Query) bool {
 	return CoordinationGraph(qs).StronglyConnected()
-}
-
-// renameAll returns copies of qs with disjoint variable namespaces:
-// query i's variables are prefixed "q<i>.".
-func renameAll(qs []eq.Query) []eq.Query {
-	out := make([]eq.Query, len(qs))
-	for i, q := range qs {
-		out[i] = q.Rename(varPrefix(i))
-	}
-	return out
-}
-
-func varPrefix(i int) string {
-	return "q" + strconv.Itoa(i) + "."
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
@@ -57,11 +58,11 @@ type DeltaStats struct {
 // dirty-region invariant in DESIGN.md spells this out. The unifier and
 // the combined body are functions of the set alone and are not kept:
 // Result and Trace recompute the ones they show. Compact rewrites the
-// slots; the binding's variable names carry serials and never change.
+// slots; the binding holds values alone, slot by slot of the combined
+// body, and never changes.
 type compOutcome struct {
 	status  string     // "grounded", "unification failed", "no tuple"
-	set     []int      // reachable query slots, sorted ascending
-	order   []int      // the same slots in assembly order, the order of the combined body
+	order   []int      // reachable query slots in assembly order, the order of the combined body
 	binding db.Binding // the database's answer, when grounded
 	pass    uint64     // the reconcile pass that last used this outcome
 }
@@ -102,13 +103,13 @@ type scratch struct {
 //
 // A query's place is a slot: Add assigns the next, Remove tombstones
 // one, Compact renumbers the live ones densely. Its name is an
-// admission serial, handed out with the slot and never reused: the
-// alpha-renaming prefix is q<serial>. and the outcome cache is keyed by
-// serials, so a cached binding's variable names stay the ones its set's
-// recomputed MGU resolves to however the slots are renumbered. A
-// quiesced Incremental reports exactly what a batch SCCCoordinate over
-// its live queries (in slot order) would: same team, same trace, same
-// witness values — the database's answer does not depend on the prefix.
+// admission serial, handed out with the slot and never reused: traces
+// name its variables q<serial>.<name>, and the outcome cache is keyed
+// by serials, which outlive every renumbering of the slots. Its
+// variables are numbered once, on admission (varTable). A quiesced
+// Incremental reports exactly what a batch SCCCoordinate over its live
+// queries (in slot order) would: same team, same trace, same witness
+// values — the database's answer does not depend on the serials.
 // A batch request is an Incremental too: SCCCoordinate and
 // AllCandidates load a fresh one with the whole set and read its one
 // pass, so the §4 walk is written once, in reconcile.
@@ -121,7 +122,7 @@ type Incremental struct {
 
 	g       *IncrementalGraph
 	queries []eq.Query // by slot
-	renamed []eq.Query // by slot, prefix q<serial>.
+	vars    []varTable // by slot: the query's variables, numbered
 	bodySat []bool     // by slot: cached body-satisfiability probe
 	serials []int      // by slot, ascending: the query's admission serial; nil in a load
 	next    int        // the serial the next admission gets
@@ -212,14 +213,13 @@ func (inc *Incremental) Add(q eq.Query) (int, DeltaStats, error) {
 	}
 	m := db.NewMeter(inc.store)
 	// The serial goes with the slot, even one the probe below tombstones.
-	inc.queries = append(inc.queries, q)
-	inc.renamed = append(inc.renamed, q.Rename(varPrefix(inc.next)))
+	inc.queries, inc.vars = append(inc.queries, q), append(inc.vars, numberAll([]eq.Query{q})...)
 	inc.serials = append(inc.serials, inc.next)
 	inc.next++
 	sat := true
 	if !inc.opts.SkipPruning {
 		var err error
-		sat, err = m.Satisfiable(inc.renamed[slot].Body)
+		sat, err = m.Satisfiable(q.Body)
 		if err != nil {
 			inc.g.Remove(slot)
 			inc.bodySat = append(inc.bodySat, false)
@@ -266,11 +266,11 @@ func (inc *Incremental) Result() (*Result, error) {
 		sel = MaxSize
 	}
 	win := inc.cands[sel(inc.cands)]
-	values, err := inc.scr.sr.witness(inc.queries, inc.renamed, inc.g.Edges(), win, &inc.fb)
+	values, err := inc.search().witness(inc.queries, inc.vars, win, &inc.fb)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Set: append([]int(nil), win.Set...), Values: values, DBQueries: inc.last.DBQueries}, nil
+	return &Result{Set: sortedCopy(win.Set), Values: values, DBQueries: inc.last.DBQueries}, nil
 }
 
 // TeamSize returns the size of the coordinating set Result would
@@ -290,23 +290,30 @@ func (inc *Incremental) TeamSize() int {
 // like AllCandidates for a batch run, without issuing database queries.
 func (inc *Incremental) Candidates() ([]CandidateSet, error) {
 	out := make([]CandidateSet, 0, len(inc.cands))
+	sr := inc.search()
 	for _, c := range inc.cands {
-		values, err := inc.scr.sr.witness(inc.queries, inc.renamed, inc.g.Edges(), c, &inc.fb)
+		values, err := sr.witness(inc.queries, inc.vars, c, &inc.fb)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CandidateSet{Set: append([]int(nil), c.Set...), Values: values})
+		out = append(out, CandidateSet{Set: sortedCopy(c.Set), Values: values})
 	}
 	return out, nil
+}
+
+// search returns the search scratch with the current edges indexed.
+func (inc *Incremental) search() *search {
+	inc.scr.sr.index(inc.g.Edges(), len(inc.queries))
+	return &inc.scr.sr
 }
 
 // Trace returns the step-by-step record of the current state, in the
 // shape a traced batch run over the live set would produce: pruning
 // events then per-component outcomes in reverse topological order.
-// With pos nil, query indices are slots and alpha-renaming prefixes are
-// admission serials — what the database saw. With pos = Positions()
-// both are positions among the live queries, and the trace reads
-// exactly like a batch trace over LiveQueries().
+// With pos nil, query indices are slots and variables are named
+// q<serial>.<name>, by admission serial. With pos = Positions() both
+// are positions among the live queries, and the trace reads exactly
+// like a batch trace over LiveQueries().
 func (inc *Incremental) Trace(pos []int) *Trace {
 	tr := &Trace{Pruned: append([]PruneEvent(nil), inc.pruned...)}
 	for i := range tr.Pruned {
@@ -318,7 +325,10 @@ func (inc *Incremental) Trace(pos []int) *Trace {
 	// The events' member lists live in scratch the next pass reuses;
 	// the trace gets its own copy, one backing slice for all of them.
 	members := make([]int, 0, inc.g.live)
-	edges := inc.g.Edges()
+	sr, num := inc.search(), pos
+	if num == nil {
+		num = inc.serials // nil in a load, where a serial is the slot
+	}
 	tr.Components = make([]ComponentEvent, len(inc.events))
 	for i, e := range inc.events {
 		from := len(members)
@@ -327,18 +337,19 @@ func (inc *Incremental) Trace(pos []int) *Trace {
 		}
 		ev := ComponentEvent{Members: members[from:len(members):len(members)], Status: e.status}
 		if out := e.out; out != nil {
-			ev.Set = make([]int, len(out.set))
-			for j, slot := range out.set {
+			ev.Set = make([]int, len(out.order))
+			for j, slot := range out.order {
 				ev.Set[j] = at(pos, slot)
 			}
+			slices.Sort(ev.Set)
 			// What the database was asked, rendered from the set's MGU
 			// and body, recomputed on scratch.
-			if sr := &inc.scr.sr; out.status != "unification failed" && sr.mgu(inc.renamed, edges, out.set) {
-				sr.combine(inc.renamed, out.order)
-				ev.Combined = sr.combined(inc.serials, pos)
+			if out.status != "unification failed" && sr.mgu(inc.queries, inc.vars, out.order) {
+				sr.combine(inc.queries, inc.vars, out.order)
+				ev.Combined = sr.combined(inc.queries, inc.vars, num)
 			}
 			if out.status == "grounded" {
-				ev.SetSize = len(out.set)
+				ev.SetSize = len(out.order)
 			}
 		}
 		tr.Components[i] = ev
@@ -380,7 +391,7 @@ func (inc *Incremental) Refresh() (DeltaStats, error) {
 			if !inc.g.Live(i) {
 				continue
 			}
-			sat, err := m.Satisfiable(inc.renamed[i].Body)
+			sat, err := m.Satisfiable(inc.queries[i].Body)
 			if err != nil {
 				inc.total += m.Count()
 				return DeltaStats{Slot: -1, DBQueries: m.Count()}, err
@@ -417,7 +428,7 @@ func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
 	}()
 	s := &inc.scr
 	n := len(inc.queries)
-	edges := inc.g.Edges()
+	edges := inc.search().edges
 
 	// Compact live slots (monotone, so the graph below is isomorphic
 	// to the batch one with identical adjacency order) and redo the
@@ -479,7 +490,7 @@ func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
 		case !s.reach.fold(c, dag.Succ(c), s.failed):
 			ev.status = "successor failed"
 		default:
-			if ev.status, ev.out, err = inc.settle(c, members, edges, m, &d); err != nil {
+			if ev.status, ev.out, err = inc.settle(c, members, m, &d); err != nil {
 				return d, err
 			}
 		}
@@ -508,8 +519,8 @@ func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
 // substitution are the ones any run over the set computes). A grounded
 // set becomes a candidate. The outcome is kept — filed, pointed at by
 // the pass's event — only when the pass records; otherwise a grounded
-// set's sorted copy is all that outlives the step.
-func (inc *Incremental) settle(c int, members [][]int, edges []ExtendedEdge, m *db.Meter, d *DeltaStats) (string, *compOutcome, error) {
+// set's copy is all that outlives the step.
+func (inc *Incremental) settle(c int, members [][]int, m *db.Meter, d *DeltaStats) (string, *compOutcome, error) {
 	s := &inc.scr
 	// The reachable set in assembly order — ascending component — which
 	// is also its cache key, NOT sorted: the combined body is
@@ -536,25 +547,25 @@ func (inc *Incremental) settle(c int, members [][]int, edges []ExtendedEdge, m *
 	if out != nil {
 		d.Reused++
 	} else {
-		status, bind, err := s.sr.ground(inc.renamed, edges, set, m)
+		status, bind, err := s.sr.ground(inc.queries, inc.vars, set, m)
 		if err != nil {
 			return "", nil, err
 		}
 		d.Dirty++
 		if !inc.records() {
 			if status == "grounded" {
-				inc.cands = append(inc.cands, Candidate{Set: sortedCopy(set), binding: bind})
+				inc.cands = append(inc.cands, Candidate{Set: slices.Clone(set), binding: bind})
 			}
 			return status, nil, nil
 		}
-		out = &compOutcome{status: status, set: sortedCopy(set), order: append([]int(nil), set...), binding: bind}
+		out = &compOutcome{status: status, order: slices.Clone(set), binding: bind}
 		if inc.cache != nil {
 			inc.cache[string(s.sig)] = out
 		}
 	}
 	out.pass = inc.pass
 	if out.status == "grounded" {
-		inc.cands = append(inc.cands, Candidate{Set: out.set, binding: out.binding})
+		inc.cands = append(inc.cands, Candidate{Set: out.order, binding: out.binding})
 	}
 	return out.status, out, nil
 }

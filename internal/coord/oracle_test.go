@@ -23,13 +23,13 @@ import (
 // the §6.1 cascade, reachRows). A traced run that fails may leave
 // prune events in the trace; the code under test leaves none.
 
-// oracleWalk is one run of the walk: the extended graph, alpha-renamed
-// queries, pruning outcome and the condensation of the coordination
+// oracleWalk is one run of the walk: the queries with their variables
+// numbered, pruning outcome and the condensation of the coordination
 // graph with its processing order, then what the walk fills in.
 type oracleWalk struct {
 	store   db.Store
-	edges   []ExtendedEdge
-	renamed []eq.Query
+	qs      []eq.Query
+	vars    []varTable
 	alive   []bool
 	dag     *graph.Digraph
 	members [][]int
@@ -55,13 +55,12 @@ func oracleRun(qs []eq.Query, store db.Store, opts Options) (*oracleWalk, error)
 			return nil, fmt.Errorf("%w: unsafe queries %v", ErrUnsafe, bad)
 		}
 	}
-	renamed := renameAll(qs)
 	alive := make([]bool, len(qs))
 	for i := range alive {
 		alive[i] = true
 	}
 	if !opts.SkipPruning {
-		for i, q := range renamed {
+		for i, q := range qs {
 			sat, err := store.Satisfiable(q.Body)
 			if err != nil {
 				return nil, err
@@ -74,7 +73,7 @@ func oracleRun(qs []eq.Query, store db.Store, opts Options) (*oracleWalk, error)
 			}
 		}
 		var c cascade
-		if pruned := c.run(renamed, edges, alive, nil); tr != nil {
+		if pruned := c.run(qs, edges, alive, nil); tr != nil {
 			tr.Pruned = append(tr.Pruned, pruned...)
 		}
 	}
@@ -92,9 +91,10 @@ func oracleRun(qs []eq.Query, store db.Store, opts Options) (*oracleWalk, error)
 	}
 	slices.Reverse(order)
 	w := &oracleWalk{
-		store: store, edges: edges, renamed: renamed, alive: alive, dag: dag, members: members, order: order,
+		store: store, qs: qs, vars: numberAll(qs), alive: alive, dag: dag, members: members, order: order,
 		failed: make([]bool, dag.N()),
 	}
+	w.sr.index(edges, len(qs))
 	w.reach.reset(dag.N())
 	if tr != nil {
 		w.events = []ComponentEvent{}
@@ -127,7 +127,7 @@ func (w *oracleWalk) component(c int) error {
 				sr.set = append(sr.set, w.members[i*64+bits.TrailingZeros64(word)]...)
 			}
 		}
-		status, bind, err := sr.ground(w.renamed, w.edges, sr.set, w.store)
+		status, bind, err := sr.ground(w.qs, w.vars, sr.set, w.store)
 		if err != nil {
 			return err
 		}
@@ -135,12 +135,12 @@ func (w *oracleWalk) component(c int) error {
 		if w.events != nil {
 			ev.Set = sortedCopy(sr.set)
 			if status != "unification failed" {
-				ev.Combined = sr.combined(nil, nil)
+				ev.Combined = sr.combined(w.qs, w.vars, nil)
 			}
 		}
 		if status == "grounded" {
 			ev.SetSize = len(sr.set)
-			w.cands = append(w.cands, Candidate{Set: sortedCopy(sr.set), binding: bind})
+			w.cands = append(w.cands, Candidate{Set: slices.Clone(sr.set), binding: bind})
 		}
 	}
 	w.failed[c] = ev.Status != "grounded"
@@ -163,11 +163,11 @@ func oracleCoordinate(qs []eq.Query, store db.Store, opts Options) (*Result, err
 		sel = MaxSize
 	}
 	win := w.cands[sel(w.cands)]
-	values, err := w.sr.witness(qs, w.renamed, w.edges, win, &fallback{store: m})
+	values, err := w.sr.witness(qs, w.vars, win, &fallback{store: m})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Set: win.Set, Values: values, DBQueries: m.Count()}, nil
+	return &Result{Set: sortedCopy(win.Set), Values: values, DBQueries: m.Count()}, nil
 }
 
 // oracleCandidates is AllCandidates on the reference walk.
@@ -180,11 +180,11 @@ func oracleCandidates(qs []eq.Query, store db.Store, opts Options) ([]CandidateS
 	out := make([]CandidateSet, 0, len(w.cands))
 	fb := fallback{store: m}
 	for _, c := range w.cands {
-		values, err := w.sr.witness(qs, w.renamed, w.edges, c, &fb)
+		values, err := w.sr.witness(qs, w.vars, c, &fb)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CandidateSet{Set: c.Set, Values: values})
+		out = append(out, CandidateSet{Set: sortedCopy(c.Set), Values: values})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return len(out[i].Set) > len(out[j].Set) })
 	return out, nil

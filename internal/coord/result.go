@@ -7,7 +7,6 @@ import (
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
-	"entangled/internal/unify"
 )
 
 // Result is a coordinating set together with the witnessing assignment.
@@ -141,54 +140,6 @@ func Verify(qs []eq.Query, set []int, values map[int]map[string]eq.Value, store 
 		}
 	}
 	return nil
-}
-
-// extractValues converts the algorithm-internal state (renamed queries,
-// the set's MGU, database binding) back into per-query assignments of
-// the original variable names. Variables left unconstrained by both the
-// unifier and the database are assigned the fallback (Definition 1 only
-// requires that some value be assigned; any domain value works since
-// such variables occur in no body atom and their post/head occurrences
-// were equalised by unification). renamed[i] is qs[i] atom for atom, so
-// a variable's renamed name is read where the original stands. The
-// binding is a frame; its by-name index is built here, once, for the
-// one set whose values are read.
-func extractValues(qs, renamed []eq.Query, set []int, s *unify.Subst, bind db.Binding, fb *fallback) (map[int]map[string]eq.Value, error) {
-	bound := make(map[string]eq.Value, bind.Len())
-	for name, val := range bind.All() {
-		bound[name] = val
-	}
-	values := make(map[int]map[string]eq.Value, len(set))
-	for _, qi := range set {
-		q, r := qs[qi], renamed[qi]
-		m := map[string]eq.Value{}
-		orig := [...][]eq.Atom{q.Post, q.Head, q.Body}
-		ren := [...][]eq.Atom{r.Post, r.Head, r.Body}
-		for k := range orig {
-			for ai, a := range orig[k] {
-				for j, v := range a.Args {
-					if !v.IsVar() {
-						continue
-					}
-					if _, done := m[v.Name]; done {
-						continue
-					}
-					t := s.Resolve(ren[k][ai].Args[j])
-					if !t.IsVar() {
-						m[v.Name] = t.Const()
-					} else if val, ok := bound[t.Name]; ok {
-						m[v.Name] = val
-					} else if val, err := fb.value(); err == nil {
-						m[v.Name] = val
-					} else {
-						return nil, err
-					}
-				}
-			}
-		}
-		values[qi] = m
-	}
-	return values, nil
 }
 
 // sortedCopy returns a sorted copy of xs.

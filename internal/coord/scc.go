@@ -7,7 +7,6 @@ import (
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
-	"entangled/internal/unify"
 )
 
 // ErrUnsafe is returned when an algorithm that requires safety is given
@@ -23,7 +22,7 @@ var ErrNotUnique = errors.New("coord: query set is not unique")
 // kept: it is a function of Set, recomputed for the candidate whose
 // witness values are actually read.
 type Candidate struct {
-	Set     []int // sorted query indices
+	Set     []int // query indices, in the order their bodies were combined
 	binding db.Binding
 }
 
@@ -143,9 +142,9 @@ func AllCandidates(qs []eq.Query, store db.Store, opts Options) ([]CandidateSet,
 
 // load makes the zero inc a one-shot coordinator over qs, the walk
 // behind SCCCoordinate and AllCandidates: every query filed into one
-// graph sized up front, one safety check, each query renamed once — a
-// fresh load's serial is its index, so the prefixes are renameAll's —
-// then Refresh, which probes every body and runs the one pass on the
+// graph sized up front, one safety check, every query's variables
+// numbered in one array — a fresh load's serial is its index — then
+// Refresh, which probes every body and runs the one pass on the
 // request's meter. Nothing will ask for a second pass, so there is no
 // outcome cache: the pass builds no key, copies a searched set only
 // for a grounded candidate, and keeps its per-component record only
@@ -159,7 +158,7 @@ func (inc *Incremental) load(qs []eq.Query, store db.Store, opts Options) error 
 			return fmt.Errorf("%w: unsafe queries %v", ErrUnsafe, bad)
 		}
 	}
-	*inc = Incremental{store: store, opts: opts, g: g, queries: qs, renamed: renameAll(qs), bodySat: make([]bool, len(qs))}
+	*inc = Incremental{store: store, opts: opts, g: g, queries: qs, vars: numberAll(qs), bodySat: make([]bool, len(qs))}
 	if _, err := inc.Refresh(); err != nil {
 		return err
 	}
@@ -171,16 +170,18 @@ func (inc *Incremental) load(qs []eq.Query, store db.Store, opts Options) error 
 	return nil
 }
 
-// finishResult turns the internal state of an algorithm that holds its
-// own substitution into a verified-shape Result. The meter is the one
-// every query of the run went through; its count is the run's exact
-// DBQueries.
-func finishResult(qs, renamed []eq.Query, set []int, s *unify.Subst, bind db.Binding, m *db.Meter) (*Result, error) {
-	values, err := extractValues(qs, renamed, set, s, bind, &fallback{store: m})
+// finishResult turns the state of an algorithm that holds its own
+// substitution in sr — the unifier of order, a set whose bodies, in that
+// order, the database grounded as bind — into a verified-shape Result.
+// The meter is the one every query of the run went through; its count
+// is the run's exact DBQueries.
+func finishResult(qs []eq.Query, vars []varTable, sr *search, order []int, bind db.Binding, m *db.Meter) (*Result, error) {
+	sr.combine(qs, vars, order)
+	values, err := sr.values(qs, vars, order, bind, &fallback{store: m})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Set: set, Values: values, DBQueries: m.Count()}, nil
+	return &Result{Set: sortedCopy(order), Values: values, DBQueries: m.Count()}, nil
 }
 
 // GuptaCoordinate is the baseline algorithm of Gupta et al. (SIGMOD
@@ -213,15 +214,16 @@ func GuptaCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
 	// One search over the whole set: unique means every query reaches
 	// every other, so R(q) is the full set whichever q it starts from.
 	m := db.NewMeter(store)
-	renamed := renameAll(qs)
+	vars := numberAll(qs)
 	set := make([]int, len(qs))
 	for i := range set {
 		set[i] = i
 	}
 	var sr search
-	status, bind, err := sr.ground(renamed, edges, set, m)
+	sr.index(edges, len(qs))
+	status, bind, err := sr.ground(qs, vars, set, m)
 	if err != nil || status != "grounded" {
 		return nil, err
 	}
-	return finishResult(qs, renamed, set, sr.subst, bind, m)
+	return finishResult(qs, vars, &sr, set, bind, m)
 }

@@ -2,14 +2,76 @@ package coord
 
 import (
 	"fmt"
+	"iter"
 	"slices"
-	"strconv"
-	"strings"
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
 	"entangled/internal/unify"
 )
+
+// varTable numbers one query's variables, so that a search unifies
+// numbers, not names: ids holds, for every argument of the query — its
+// postconditions', heads' then body's, in order (args) — the number of
+// its variable, or -1 for a constant. Variables are numbered 0, 1, ...
+// by first occurrence in that order, and n is how many there are. A
+// query is numbered once, when it is admitted; a name is read back off
+// the query only where something is rendered.
+type varTable struct {
+	ids []int32
+	n   int32
+}
+
+// args yields every argument of q with its position: postconditions,
+// heads, then body.
+func args(q eq.Query) iter.Seq2[int, eq.Term] {
+	return func(yield func(int, eq.Term) bool) {
+		k := 0
+		for _, atoms := range [...][]eq.Atom{q.Post, q.Head, q.Body} {
+			for _, a := range atoms {
+				for _, t := range a.Args {
+					if !yield(k, t) {
+						return
+					}
+					k++
+				}
+			}
+		}
+	}
+}
+
+// numberAll numbers the variables of every query of qs, in one backing
+// array.
+func numberAll(qs []eq.Query) []varTable {
+	size := 0
+	for _, q := range qs {
+		size += argCount(q.Post) + argCount(q.Head) + argCount(q.Body)
+	}
+	ids, vars := make([]int32, 0, size), make([]varTable, len(qs))
+	for i, q := range qs {
+		from := len(ids)
+		var buf [8]string
+		names := buf[:0]
+		for _, t := range args(q) {
+			id := -1
+			if t.IsVar() {
+				if id = slices.Index(names, t.Name); id < 0 {
+					id, names = len(names), append(names, t.Name)
+				}
+			}
+			ids = append(ids, int32(id))
+		}
+		vars[i] = varTable{ids[from:len(ids):len(ids)], int32(len(names))}
+	}
+	return vars
+}
+
+func argCount(atoms []eq.Atom) (n int) {
+	for _, a := range atoms {
+		n += len(a.Args)
+	}
+	return n
+}
 
 // search is the scratch a component search runs on. A substitution is
 // not state that anything keeps: it is a pure function of (reachable
@@ -21,33 +83,80 @@ import (
 // it is not safe for concurrent use.
 type search struct {
 	subst *unify.Subst
-	inSet []bool    // query -> in the set being unified
+	base  []int32   // query -> the number of its first variable in subst, -1 outside the set
 	set   []int     // the reachable set, in assembly order
 	body  []eq.Atom // its combined body
+	terms []int32   // the body's term table (unify.Subst.SetTerms)
+
+	edges []ExtendedEdge // the canonical edges mgu unifies
+	from  []int32        // query q's edges are edges[from[q]:from[q+1]]
+	slot  []int32        // class -> its slot in the database's binding, or -1
 }
 
-// mgu leaves in sr.subst the most general unifier of set: every
-// extended-graph edge with both ends in set is unified, in the canonical
-// edge order. That order fixes the union sequence, hence every class
-// representative — the names database bindings are keyed by and
-// rendered queries show — so the same set gives the same substitution
-// whenever it is recomputed. It reports false when the edges clash.
-func (sr *search) mgu(renamed []eq.Query, edges []ExtendedEdge, set []int) bool {
+// index makes edges, in canonical order over n queries, the ones mgu
+// unifies, grouped by source query: a search visits only its set's.
+// Whoever changes the edges indexes them again before the next mgu.
+func (sr *search) index(edges []ExtendedEdge, n int) {
+	sr.edges, sr.from = edges, sized(sr.from, n+1)
+	e := 0
+	for q := range sr.from {
+		for e < len(edges) && edges[e].FromQ < q {
+			e++
+		}
+		sr.from[q] = int32(e)
+	}
+}
+
+// number resets sr.subst to the variables of set's queries, numbered
+// from 0 in set order, each in a class of its own.
+func (sr *search) number(qs []eq.Query, vars []varTable, set []int) {
 	if sr.subst == nil {
 		sr.subst = unify.New()
 	}
-	sr.subst.Reset()
-	sr.inSet = zeroed(sr.inSet, len(renamed))
-	for _, i := range set {
-		sr.inSet[i] = true
+	sr.base = sized(sr.base, len(qs))
+	for q := range sr.base {
+		sr.base[q] = -1
 	}
-	for _, e := range edges {
-		if !sr.inSet[e.FromQ] || !sr.inSet[e.ToQ] {
+	n := int32(0)
+	for _, q := range set {
+		sr.base[q] = n
+		n += vars[q].n
+	}
+	sr.subst.Reset(int(n))
+}
+
+// mgu leaves in sr.subst the most general unifier of set, numbered: every
+// indexed edge with both ends in set is unified, in the canonical edge
+// order — a set member's edges, members ascending. That order fixes the
+// union sequence, hence every class representative — the variables
+// rendered queries show — so the same set gives the same substitution
+// whenever it is recomputed. It reports false when the edges clash.
+func (sr *search) mgu(qs []eq.Query, vars []varTable, set []int) bool {
+	sr.number(qs, vars, set)
+	for q, b := range sr.base {
+		if b < 0 {
 			continue
 		}
-		p := renamed[e.FromQ].Post[e.PostIdx]
-		h := renamed[e.ToQ].Head[e.HeadIdx]
-		if sr.subst.UnifyAtoms(p, h) != nil {
+		for _, e := range sr.edges[sr.from[q]:sr.from[q+1]] {
+			if sr.base[e.ToQ] >= 0 && !sr.unify(qs, vars, e) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// unify makes edge e's postcondition and head equal under sr.subst, the
+// queries' variables numbered from sr.base.
+func (sr *search) unify(qs []eq.Query, vars []varTable, e ExtendedEdge) bool {
+	from, to := qs[e.FromQ], qs[e.ToQ]
+	p, h := from.Post[e.PostIdx], to.Head[e.HeadIdx]
+	// A table lists the post arguments, then the head ones.
+	pv := vars[e.FromQ].ids[argCount(from.Post[:e.PostIdx]):]
+	hv := vars[e.ToQ].ids[argCount(to.Post)+argCount(to.Head[:e.HeadIdx]):]
+	bp, bh := sr.base[e.FromQ], sr.base[e.ToQ]
+	for j := range p.Args {
+		if sr.subst.Unify(p.Args[j], h.Args[j], bp+pv[j], bh+hv[j]) != nil {
 			return false
 		}
 	}
@@ -55,12 +164,21 @@ func (sr *search) mgu(renamed []eq.Query, edges []ExtendedEdge, set []int) bool 
 }
 
 // combine assembles in sr.body the bodies of set's queries, in set
-// order: the order fixes the join plan, hence the witness.
-func (sr *search) combine(renamed []eq.Query, set []int) []eq.Atom {
-	sr.body = sr.body[:0]
-	for _, i := range set {
-		sr.body = append(sr.body, renamed[i].Body...)
+// order — the order fixes the join plan, hence the witness — and makes
+// their numbered arguments sr.subst's term table.
+func (sr *search) combine(qs []eq.Query, vars []varTable, set []int) []eq.Atom {
+	sr.body, sr.terms = sr.body[:0], sr.terms[:0]
+	for _, q := range set {
+		sr.body = append(sr.body, qs[q].Body...)
+		ids := vars[q].ids
+		for _, id := range ids[len(ids)-argCount(qs[q].Body):] {
+			if id >= 0 {
+				id += sr.base[q]
+			}
+			sr.terms = append(sr.terms, id)
+		}
 	}
+	sr.subst.SetTerms(sr.terms)
 	return sr.body
 }
 
@@ -70,11 +188,11 @@ func (sr *search) combine(renamed []eq.Query, set []int) []eq.Atom {
 // ("grounded", "unification failed", "no tuple"); the binding is the
 // database's answer when grounded. Until the next call on sr, sr.subst
 // and sr.body are what the database was asked.
-func (sr *search) ground(renamed []eq.Query, edges []ExtendedEdge, set []int, store db.Store) (string, db.Binding, error) {
-	if !sr.mgu(renamed, edges, set) {
+func (sr *search) ground(qs []eq.Query, vars []varTable, set []int, store db.Store) (string, db.Binding, error) {
+	if !sr.mgu(qs, vars, set) {
 		return "unification failed", db.Binding{}, nil
 	}
-	bind, found, err := store.SolveUnder(sr.combine(renamed, set), sr.subst)
+	bind, found, err := store.SolveUnder(sr.combine(qs, vars, set), sr.subst)
 	switch {
 	case err != nil:
 		return "", db.Binding{}, err
@@ -84,35 +202,66 @@ func (sr *search) ground(renamed []eq.Query, edges []ExtendedEdge, set []int, st
 	return "grounded", bind, nil
 }
 
-// combined renders the conjunctive query last assembled on sr as the
-// database saw it: the body resolved under the unifier. A non-nil pos
-// moves each variable's alpha-renaming prefix from its query's serial
-// to the position of its slot (serials is by slot, ascending) — on the
-// terms, where a variable is known to be one and its name to start
-// with the varPrefix its query was renamed with.
-func (sr *search) combined(serials, pos []int) string {
-	body := sr.subst.ApplyAll(sr.body)
-	for _, a := range body {
-		for j, t := range a.Args {
-			if pos != nil && t.IsVar() {
-				dot := strings.IndexByte(t.Name, '.')
-				serial, _ := strconv.Atoi(t.Name[1:dot])
-				slot, _ := slices.BinarySearch(serials, serial)
-				a.Args[j].Name = varPrefix(pos[slot]) + t.Name[dot+1:]
-			}
-		}
-	}
-	return renderCombined(body)
-}
-
 // witness reads candidate c's assignment off its MGU, recomputed here —
 // with no database query: c.binding answers the one query already
 // asked, under this same substitution.
-func (sr *search) witness(qs, renamed []eq.Query, edges []ExtendedEdge, c Candidate, fb *fallback) (map[int]map[string]eq.Value, error) {
-	if !sr.mgu(renamed, edges, c.Set) {
+func (sr *search) witness(qs []eq.Query, vars []varTable, c Candidate, fb *fallback) (map[int]map[string]eq.Value, error) {
+	if !sr.mgu(qs, vars, c.Set) {
 		return nil, fmt.Errorf("coord: grounded set %v does not unify", c.Set) // a bug: it did when it was grounded
 	}
-	return extractValues(qs, renamed, c.Set, sr.subst, c.binding, fb)
+	sr.combine(qs, vars, c.Set)
+	return sr.values(qs, vars, c.Set, c.binding, fb)
+}
+
+// values converts the state combine left — set's MGU and combined body —
+// and the database's binding of that body back into per-query
+// assignments of the original variable names. The binding's slots are
+// the body's unbound classes by first occurrence, as the database
+// numbers them. Variables left unconstrained by both the unifier and
+// the database are assigned the fallback (Definition 1 only requires
+// that some value be assigned; any domain value works since such
+// variables occur in no body atom and their post/head occurrences were
+// equalised by unification).
+func (sr *search) values(qs []eq.Query, vars []varTable, set []int, bind db.Binding, fb *fallback) (map[int]map[string]eq.Value, error) {
+	s := sr.subst
+	sr.slot = sized(sr.slot, s.Len())
+	for i := range sr.slot {
+		sr.slot[i] = -1
+	}
+	next := int32(0)
+	for _, id := range sr.terms {
+		if id < 0 {
+			continue
+		}
+		if rep, _, bound := s.Class(id); !bound && sr.slot[rep] < 0 {
+			sr.slot[rep], next = next, next+1
+		}
+	}
+	values := make(map[int]map[string]eq.Value, len(set))
+	for _, q := range set {
+		m := make(map[string]eq.Value, vars[q].n)
+		seen := int32(0) // numbered by first occurrence: a variable is new when its number is
+		for k, t := range args(qs[q]) {
+			if vars[q].ids[k] != seen {
+				continue
+			}
+			seen++
+			switch rep, c, bound := s.Class(sr.base[q] + vars[q].ids[k]); {
+			case bound:
+				m[t.Name] = c
+			case sr.slot[rep] >= 0:
+				m[t.Name] = bind.At(int(sr.slot[rep]))
+			default:
+				val, err := fb.value()
+				if err != nil {
+					return nil, err
+				}
+				m[t.Name] = val
+			}
+		}
+		values[q] = m
+	}
+	return values, nil
 }
 
 // fallback is the domain value given to variables that neither

@@ -1,14 +1,19 @@
 package coord
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"entangled/internal/db"
+	"entangled/internal/db/dbtest"
 	"entangled/internal/eq"
 	"entangled/internal/unify"
 	"entangled/internal/workload"
@@ -18,7 +23,9 @@ func itoa(i int) string { return strconv.Itoa(i) }
 
 // requestCost reports what one SCCCoordinate over qs costs: allocations
 // (testing.AllocsPerRun) and bytes (a runtime.MemStats.TotalAlloc
-// delta), per request.
+// delta), per request — the least of three rounds, so that a round
+// during which a collection emptied the database's pools does not set
+// the number.
 func requestCost(t *testing.T, qs []eq.Query, store db.Store, opts Options) (allocs, bytes float64) {
 	t.Helper()
 	run := func() {
@@ -30,13 +37,17 @@ func requestCost(t *testing.T, qs []eq.Query, store db.Store, opts Options) (all
 	allocs = testing.AllocsPerRun(5, run)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runs = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		run()
+	bytes = math.Inf(1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/runs)
 	}
-	runtime.ReadMemStats(&after)
-	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	return allocs, bytes
 }
 
 // TestSCCWalkAllocationBudget holds the §4 walk to what it needs on the
@@ -46,14 +57,14 @@ func requestCost(t *testing.T, qs []eq.Query, store db.Store, opts Options) (all
 // component allocated its own, a request cost 0.54 MB at 50 queries,
 // 1.82 MB at 100 and 6.71 MB at 200; with the database's answer a map
 // per grounded component and the extended graph filed as structs under
-// three maps, 0.21, 0.61 and 1.90 MB; it costs 0.16, 0.44 and 1.30 MB.
-// What is left is the database's answer as one frame per grounded
-// component, 32 bytes a variable, and each candidate's Set — both
-// O(|R(q)|), hence quadratic on this list, and handed to the caller.
-// At 8 queries, the request of the HTTP batch workload, a request is
-// held to what it cost before batch requests became a bulk-loaded
-// Incremental (18,488 B), plus 1%: a one-shot coordinator files no
-// outcome, builds no key and copies a set only for a candidate.
+// three maps, 0.21, 0.61 and 1.90 MB; with every query renamed and
+// the substitution interning names, 0.17, 0.44 and 1.31 MB. Variables
+// are numbers now, and every budget is 1.01x what a request cost once
+// they were: 115,136, 294,048 and 847,040 B (18,370 at 8 queries, the
+// request of the HTTP batch workload, before; 14,248 now). What is left is the database's answer as one frame per
+// grounded component, 16 bytes a variable, and each candidate's Set —
+// both O(|R(q)|), hence quadratic on this list, and handed to the
+// caller.
 func TestSCCWalkAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -61,7 +72,7 @@ func TestSCCWalkAllocationBudget(t *testing.T) {
 	const rows = 1000
 	store := db.NewInstance()
 	workload.UserTable(store, rows)
-	budget := map[int]float64{8: 18488 * 1.01, 50: 0.185e6, 100: 0.5e6, 200: 1.5e6}
+	budget := map[int]float64{8: 14248 * 1.01, 50: 115136 * 1.01, 100: 294048 * 1.01, 200: 847040 * 1.01}
 	for _, n := range []int{8, 50, 100, 200} {
 		qs := workload.ListQueries(n, rows)
 		allocs, bytes := requestCost(t, qs, store, Options{})
@@ -70,9 +81,8 @@ func TestSCCWalkAllocationBudget(t *testing.T) {
 			t.Errorf("%d queries: %.0f B/request over the %.0f B budget", n, bytes, budget[n])
 		}
 		// A bounded number of allocations per component: graph
-		// construction and renaming per query, then the binding, the
-		// candidate set and what a collection emptied from the
-		// database's pools.
+		// construction per query, then the binding, the candidate set
+		// and what a collection emptied from the database's pools.
 		if max := float64(50 * n); allocs > max {
 			t.Errorf("%d queries: %.0f allocs/request over the budget of %.0f", n, allocs, max)
 		}
@@ -81,7 +91,8 @@ func TestSCCWalkAllocationBudget(t *testing.T) {
 
 // observedStore counts Domain calls and records, at call time, the
 // query every SolveUnder asks: the body resolved under the substitution
-// it was handed, before either can be reused.
+// it was handed, before either can be reused, its variables — the
+// substitution's classes — named _0, _1, ... by first occurrence.
 type observedStore struct {
 	db.Store
 	mu          sync.Mutex
@@ -97,7 +108,11 @@ func (o *observedStore) Domain() []eq.Value {
 }
 
 func (o *observedStore) SolveUnder(body []eq.Atom, s *unify.Subst) (db.Binding, bool, error) {
-	asked := renderCombined(s.ApplyAll(body))
+	var parts []string
+	for _, a := range dbtest.Resolve(body, s) {
+		parts = append(parts, a.String())
+	}
+	asked := strings.Join(parts, ", ")
 	o.mu.Lock()
 	o.asked = append(o.asked, asked)
 	o.mu.Unlock()
@@ -194,11 +209,18 @@ func TestFallbackReadsDomainAtMostOnce(t *testing.T) {
 	}
 }
 
+// qName is a variable as a trace renders it, q<n>.<name>: a constant
+// that could read as one is quoted.
+var qName = regexp.MustCompile(`q[0-9]+\.[A-Za-z0-9_]+`)
+
 // TestTraceShowsWhatTheDatabaseSaw pins on-demand rendering: a trace's
 // Combined is rendered from an MGU recomputed after the fact (a session
 // renders it events after the query was asked), and must be, string for
 // string, the body the database was handed, resolved under the
-// substitution it was handed, at the moment of the call.
+// substitution it was handed, at the moment of the call — up to the
+// names of its variables, which the database never sees: both sides
+// name them _0, _1, ... by first occurrence. The names themselves are
+// pinned by the golden files.
 func TestTraceShowsWhatTheDatabaseSaw(t *testing.T) {
 	const rows = 40
 	rng := rand.New(rand.NewSource(41))
@@ -218,7 +240,13 @@ func TestTraceShowsWhatTheDatabaseSaw(t *testing.T) {
 				t.Fatalf("component %v is %q with combined query %q", ev.Members, ev.Status, ev.Combined)
 			}
 			if ev.Combined != "" {
-				out = append(out, ev.Combined)
+				names := map[string]string{}
+				out = append(out, qName.ReplaceAllStringFunc(ev.Combined, func(v string) string {
+					if _, ok := names[v]; !ok {
+						names[v] = "_" + itoa(len(names))
+					}
+					return names[v]
+				}))
 			}
 		}
 		return out, statuses
@@ -275,6 +303,87 @@ func TestTraceShowsWhatTheDatabaseSaw(t *testing.T) {
 		}
 		if again, _ := combinedOf(inc.Trace(nil)); !reflect.DeepEqual(again, session) {
 			t.Fatalf("%s: rendering the trace twice gives two answers", name)
+		}
+	}
+}
+
+// TestRequestCostIsProbesPlusSearches states the paper's cost unit as
+// an equation and checks it per request: a run's DBQueries is the §6.1
+// body probes it issued — one per query, none under SkipPruning — plus
+// one grounding query per component its trace shows as "grounded" or
+// "no tuple". The store's own counter must agree, so nothing a run asks
+// goes unbilled; AllCandidates, which returns no count, is held to the
+// store's. The Gupta baseline asks at most its one combined query.
+func TestRequestCostIsProbesPlusSearches(t *testing.T) {
+	const rows = 40
+	rng := rand.New(rand.NewSource(47))
+	sets := []struct {
+		name string
+		qs   []eq.Query
+	}{
+		{"figure-4 list", workload.ListQueries(30, rows)},
+		{"scale-free", workload.ScaleFreeQueries(40, 2, rows, rng)},
+		{"pruned random-safe", workload.RandomSafeQueries(40, rows, 0.03, 0.8, rng)},
+	}
+	for _, set := range sets {
+		for _, skip := range []bool{false, true} {
+			name := fmt.Sprintf("%s, SkipPruning %v", set.name, skip)
+			want := func(tr *Trace) int64 {
+				n := int64(0)
+				if !skip {
+					n = int64(len(set.qs))
+				}
+				for _, ev := range tr.Components {
+					if ev.Status == "grounded" || ev.Status == "no tuple" {
+						n++
+					}
+				}
+				return n
+			}
+			inst := newWorkloadInstance(rows)
+			tr := &Trace{}
+			res, err := SCCCoordinate(set.qs, inst, Options{SkipPruning: skip, Trace: tr})
+			if err != nil || res == nil {
+				t.Fatalf("%s: res=%v err=%v", name, res, err)
+			}
+			if w := want(tr); res.DBQueries != w || inst.QueriesIssued() != w {
+				t.Fatalf("%s: SCCCoordinate billed %d, the store counted %d, the trace shows %d", name, res.DBQueries, inst.QueriesIssued(), w)
+			}
+			inst, tr = newWorkloadInstance(rows), &Trace{}
+			if _, err := AllCandidates(set.qs, inst, Options{SkipPruning: skip, Trace: tr}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if w := want(tr); inst.QueriesIssued() != w {
+				t.Fatalf("%s: AllCandidates asked %d, the trace shows %d", name, inst.QueriesIssued(), w)
+			}
+		}
+	}
+
+	gupta := []struct {
+		name  string
+		qs    []eq.Query
+		asked int64
+	}{
+		{"not unique", workload.ListQueries(4, rows), 0},
+		{"unique", eq.MustParseSet(`
+query p { post: R(UQ, a) head: R(UP, a) body: T(a) }
+query q { post: R(UP, b) head: R(UQ, b) body: T(b) }`), 1},
+		{"no provider", eq.MustParseSet(`
+query p { post: R(UQ, a), R(UZ, a2) head: R(UP, a) body: T(a) }
+query q { post: R(UP, b) head: R(UQ, b) body: T(b) }`), 0},
+		{"unification clash", eq.MustParseSet(`
+query p { post: R(UQ, A, B) head: R(UP, u, v) body: T(u) }
+query q { post: R(UP, c, d) head: R(UQ, b, b) body: T(b) }`), 0},
+		{"no tuple", eq.MustParseSet(`
+query p { post: R(UQ, a) head: R(UP, a) body: T(a) }
+query q { post: R(UP, b) head: R(UQ, b) body: T(b), T(Nobody) }`), 1},
+	}
+	for _, g := range gupta {
+		inst := db.NewInstance()
+		inst.CreateRelation("T", "v").Insert("1")
+		res, err := GuptaCoordinate(g.qs, inst)
+		if grounds := g.name == "unique"; inst.QueriesIssued() != g.asked || (res != nil) != grounds || grounds && res.DBQueries != 1 {
+			t.Fatalf("Gupta, %s: asked %d (res=%v, err=%v), want %d", g.name, inst.QueriesIssued(), res, err, g.asked)
 		}
 	}
 }

@@ -56,7 +56,8 @@ func SingleConnectedCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
 		return nil, nil
 	}
 	meter := db.NewMeter(store)
-	renamed := renameAll(qs)
+	vars, sr := numberedAll(qs)
+	root := sr.subst
 	edges := ExtendedGraph(qs)
 	// Provider candidates for each query's single postcondition.
 	cands := make([][]ExtendedEdge, len(qs))
@@ -70,42 +71,35 @@ func SingleConnectedCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
 		bind db.Binding
 	}
 	var best *state
+	// ground asks the database, once, for the combined body of set
+	// under s.
+	ground := func(set []int, s *unify.Subst) (*state, error) {
+		sr.subst = s
+		bind, ok, err := meter.SolveUnder(sr.combine(qs, vars, set), s)
+		if err != nil || !ok {
+			return nil, err
+		}
+		return &state{append([]int(nil), set...), s, bind}, nil
+	}
 
 	// grow attempts to extend the chain rooted at the original start
 	// query by satisfying query cur's postcondition; inChain guards
 	// against revisiting (closing a cycle is handled explicitly).
 	var grow func(cur int, set []int, inChain map[int]bool, s *unify.Subst) (*state, error)
 	grow = func(cur int, set []int, inChain map[int]bool, s *unify.Subst) (*state, error) {
-		if len(renamed[cur].Post) == 0 {
-			// Chain complete; ground the combined body.
-			var body []eq.Atom
-			for _, i := range set {
-				body = append(body, renamed[i].Body...)
-			}
-			bind, ok, err := meter.SolveUnder(body, s)
-			if err != nil || !ok {
-				return nil, err
-			}
-			return &state{append([]int(nil), set...), s, bind}, nil
+		if len(qs[cur].Post) == 0 {
+			return ground(set, s) // chain complete
 		}
 		for _, e := range cands[cur] {
 			s2 := s.Clone()
-			if err := s2.UnifyAtoms(renamed[e.FromQ].Post[e.PostIdx], renamed[e.ToQ].Head[e.HeadIdx]); err != nil {
+			if sr.subst = s2; !sr.unify(qs, vars, e) {
 				continue
 			}
 			if inChain[e.ToQ] {
 				// The chain closes into a cycle: every postcondition in
 				// the chain is now provided for; ground the whole chain.
-				var body []eq.Atom
-				for _, i := range set {
-					body = append(body, renamed[i].Body...)
-				}
-				bind, ok, err := meter.SolveUnder(body, s2)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					return &state{append([]int(nil), set...), s2, bind}, nil
+				if st, err := ground(set, s2); err != nil || st != nil {
+					return st, err
 				}
 				continue
 			}
@@ -122,8 +116,8 @@ func SingleConnectedCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
 		return nil, nil
 	}
 
-	for i := range renamed {
-		st, err := grow(i, []int{i}, map[int]bool{i: true}, unify.New())
+	for i := range qs {
+		st, err := grow(i, []int{i}, map[int]bool{i: true}, root)
 		if err != nil {
 			return nil, err
 		}
@@ -134,5 +128,6 @@ func SingleConnectedCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
 	if best == nil {
 		return nil, nil
 	}
-	return finishResult(qs, renamed, sortedCopy(best.set), best.s, best.bind, meter)
+	sr.subst = best.s
+	return finishResult(qs, vars, sr, best.set, best.bind, meter)
 }

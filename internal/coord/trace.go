@@ -3,6 +3,7 @@ package coord
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"entangled/internal/eq"
@@ -67,9 +68,36 @@ func (t *Trace) Render(w io.Writer, qs []eq.Query) error {
 	return err
 }
 
-func renderCombined(body []eq.Atom) string {
-	parts := make([]string, len(body))
-	for i, a := range body {
+// combined renders the conjunctive query last assembled on sr as the
+// database saw it: the body resolved under the unifier, each unbound
+// class named for its representative, q<n>.<name>, n the query's number
+// in num (its own index when num is nil).
+func (sr *search) combined(qs []eq.Query, vars []varTable, num []int) string {
+	names := make([]string, sr.subst.Len())
+	for q, b := range sr.base {
+		if b < 0 {
+			continue // not in the set
+		}
+		for k, t := range args(qs[q]) {
+			if id := vars[q].ids[k]; id >= 0 {
+				names[b+id] = "q" + strconv.Itoa(at(num, q)) + "." + t.Name
+			}
+		}
+	}
+	parts := make([]string, len(sr.body))
+	k := 0
+	for i, a := range sr.body {
+		a = a.Clone()
+		for j, t := range a.Args {
+			if t.IsVar() {
+				if rep, c, bound := sr.subst.Term(k); bound {
+					a.Args[j] = eq.C(c)
+				} else {
+					a.Args[j].Name = names[rep]
+				}
+			}
+			k++
+		}
 		parts[i] = a.String()
 	}
 	return strings.Join(parts, ", ")

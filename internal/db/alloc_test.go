@@ -15,8 +15,9 @@ var sinkBinding Binding
 // TestSolveUnderAllocationBar holds a choose-1 answer to what the API
 // must hand back: in steady state (plan cached, exec pooled) SolveUnder
 // on the coordination hot loop's body makes one allocation, the frame —
-// a (name, value) pair of 32 bytes per variable left to the database —
-// and Satisfiable, which hands back no binding, makes none.
+// a value of 16 bytes per variable left to the database, whose name the
+// caller already knows — and Satisfiable, which hands back no binding,
+// makes none.
 func TestSolveUnderAllocationBar(t *testing.T) {
 	in, body, subs := solveUnderFixture(t)
 	const vars, header = 10, 32
@@ -46,8 +47,8 @@ func TestSolveUnderAllocationBar(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perCall := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	t.Logf("SolveUnder, %d variables: %.0f B/call", vars, perCall)
-	if perCall > 32*vars+header {
-		t.Errorf("SolveUnder: %.0f B per call over the %d B bar", perCall, 32*vars+header)
+	if perCall > 16*vars+header {
+		t.Errorf("SolveUnder: %.0f B per call over the %d B bar", perCall, 16*vars+header)
 	}
 
 	sat := func() {

@@ -144,15 +144,18 @@ func TestSolveAllLimit(t *testing.T) {
 func TestSolveUnder(t *testing.T) {
 	in := flightsInstance()
 	s := unify.New()
-	if err := s.Bind("dest", "Paris"); err != nil {
+	s.Reset(2) // x and dest
+	if err := s.Bind(1, "Paris"); err != nil {
 		t.Fatal(err)
 	}
+	s.SetTerms([]int32{0, 1})
 	b, ok, err := in.SolveUnder([]eq.Atom{eq.NewAtom("Flights", eq.V("x"), eq.V("dest"))}, s)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	if x, _ := b.Lookup("x"); x != "102" {
-		t.Fatalf("x = %v", x)
+	// x is the one class the substitution leaves to the database: slot 0.
+	if b.Len() != 1 || b.At(0) != "102" {
+		t.Fatalf("binding %v", b)
 	}
 }
 

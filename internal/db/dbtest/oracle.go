@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strconv"
 	"sync/atomic"
 
 	"entangled/internal/db"
@@ -120,8 +121,44 @@ func (o *Oracle) Satisfiable(body []eq.Atom) (bool, error) {
 	return len(res) > 0, err
 }
 
+// SolveUnder answers the body resolved under s, and hands back the
+// values alone, slot by slot: slot i is Resolve's variable _i.
 func (o *Oracle) SolveUnder(body []eq.Atom, s *unify.Subst) (db.Binding, bool, error) {
-	return first(o.solve(s.ApplyAll(body), 1))
+	b, ok, err := first(o.solve(Resolve(body, s), 1))
+	vals := make([]eq.Value, b.Len())
+	for name, v := range b.All() {
+		i, _ := strconv.Atoi(name[1:])
+		vals[i] = v
+	}
+	return db.ValuesOf(vals...), ok, err
+}
+
+// Resolve returns body with every term resolved through s's term table
+// (unify.Subst.Term): a constant stays, a variable becomes its class's
+// constant when bound and otherwise a variable named for its class,
+// _0, _1, ... by first occurrence — the order of a binding's slots.
+func Resolve(body []eq.Atom, s *unify.Subst) []eq.Atom {
+	out := make([]eq.Atom, len(body))
+	classes := map[int32]int{}
+	k := 0
+	for i, a := range body {
+		out[i] = eq.Atom{Rel: a.Rel, Args: slices.Clone(a.Args)}
+		for j, t := range a.Args {
+			if t.IsVar() {
+				rep, c, bound := s.Term(k)
+				if bound {
+					out[i].Args[j] = eq.C(c)
+				} else {
+					if _, seen := classes[rep]; !seen {
+						classes[rep] = len(classes)
+					}
+					out[i].Args[j] = eq.V("_" + strconv.Itoa(classes[rep]))
+				}
+			}
+			k++
+		}
+	}
+	return out
 }
 
 // Contains scans for the ground atom; like db.Instance.Contains it is

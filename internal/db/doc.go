@@ -56,12 +56,16 @@
 // probe-candidate columns, lock order, shard routing — is derived once
 // and cached on the store, and the hot loop runs over a []eq.Value
 // frame with no map operations; an answer leaves as a Binding, one
-// allocated frame of (name, value) pairs, and a caller that wants it
-// indexed by name does that itself. A shape abstracts constant values and
-// variable names, so the coordination algorithms' re-issued bodies
-// (thousands of SolveUnder calls over the same shapes) hit the cache;
-// SolveUnder resolves its substitution at bind time without
-// materialising a rewritten body. Cache entries are validated against
+// allocated frame of values by slot, a slot being a variable by first
+// occurrence. Solve and SolveAll keep the body's variable names behind
+// the values; under SolveUnder a slot is an unbound class of the
+// substitution and has no name — the caller numbered it. A shape
+// abstracts constant values and variable names, so the coordination
+// algorithms' re-issued bodies (thousands of SolveUnder calls over the
+// same shapes) hit the cache; SolveUnder resolves each argument by its
+// position through the substitution's term table (unify.Subst.Term) at
+// bind time, building neither a rewritten body nor a string. Cache
+// entries are validated against
 // store and relation versions on every hit, so AddRelation /
 // CreateRelation and BuildIndex invalidate stale plans lazily; Insert
 // never invalidates (data growth cannot break a plan, only age its

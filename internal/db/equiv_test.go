@@ -136,20 +136,51 @@ func randomBody(rng *rand.Rand) []eq.Atom {
 }
 
 // randomSubst builds a random substitution over the body's variable
-// space: some variables bound to constants, some unified with each
-// other.
+// space, x, y and z numbered 0, 1 and 2: some variables bound to
+// constants, some unified with each other.
 func randomSubst(rng *rand.Rand) *unify.Subst {
 	s := unify.New()
-	vars := []string{"x", "y", "z"}
-	for _, v := range vars {
+	s.Reset(3)
+	for v := range int32(3) {
 		switch rng.Intn(3) {
 		case 0:
 			_ = s.Bind(v, eq.Value(strconv.Itoa(rng.Intn(5))))
 		case 1:
-			_ = s.UnifyTerms(eq.V(v), eq.V(vars[rng.Intn(len(vars))]))
+			_ = s.Union(v, int32(rng.Intn(3)))
 		}
 	}
 	return s
+}
+
+// over makes body's arguments s's term table, x, y and z being s's
+// variables 0, 1 and 2, and returns s.
+func over(s *unify.Subst, body []eq.Atom) *unify.Subst {
+	var terms []int32
+	for _, a := range body {
+		for _, t := range a.Args {
+			id := int32(-1)
+			if t.IsVar() {
+				id = int32(t.Name[0] - 'x')
+			}
+			terms = append(terms, id)
+		}
+	}
+	s.SetTerms(terms)
+	return s
+}
+
+// named gives an answer under a substitution the names of what its
+// slots stand for: the resolved body's variables, by first occurrence.
+func named(b db.Binding, resolved []eq.Atom) db.Binding {
+	m := map[string]eq.Value{}
+	for _, a := range resolved {
+		for _, t := range a.Args {
+			if _, seen := m[t.Name]; t.IsVar() && !seen {
+				m[t.Name] = b.At(len(m))
+			}
+		}
+	}
+	return db.BindingOf(m)
 }
 
 // frame renders a binding name by name, in name order, and holds it to
@@ -243,11 +274,15 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: Satisfiable: %v", trial, err)
 			}
-			under, underOK, err := st.SolveUnder(body, subst)
+			under, underOK, err := st.SolveUnder(body, over(subst, body))
 			if err != nil {
 				t.Fatalf("trial %d: SolveUnder: %v", trial, err)
 			}
-			underAll, err := st.SolveAll(subst.ApplyAll(body), 0)
+			resolved := dbtest.Resolve(body, subst)
+			if underOK {
+				under = named(under, resolved)
+			}
+			underAll, err := st.SolveAll(resolved, 0)
 			if err != nil {
 				t.Fatalf("trial %d: SolveAll under: %v", trial, err)
 			}
@@ -321,12 +356,13 @@ func TestBindingMatchesOracleByName(t *testing.T) {
 	sa.Insert("3", "4")
 	sh.CreateRelation("B", 0, "c0").Insert("4")
 
-	merged := unify.New()
-	if err := merged.UnifyTerms(eq.V("x"), eq.V("y")); err != nil {
+	merged, bound := unify.New(), unify.New()
+	merged.Reset(2) // x and y
+	bound.Reset(2)
+	if err := merged.Union(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	bound := unify.New()
-	if err := bound.Bind("y", "4"); err != nil {
+	if err := bound.Bind(1, "4"); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -350,7 +386,11 @@ func TestBindingMatchesOracleByName(t *testing.T) {
 				if c.s == nil {
 					return s.Solve(c.body)
 				}
-				return s.SolveUnder(c.body, c.s)
+				b, ok, err := s.SolveUnder(c.body, over(c.s, c.body))
+				if ok {
+					b = named(b, dbtest.Resolve(c.body, c.s))
+				}
+				return b, ok, err
 			}
 			got, ok, err := solve(st.compiled)
 			want, wantOK, wantErr := solve(st.oracle)
@@ -366,9 +406,9 @@ func TestBindingMatchesOracleByName(t *testing.T) {
 			}
 		}
 	}
-	// The merged slot answers to the class representative's name.
-	got, _, _ := in.SolveUnder(cases[4].body, merged)
-	if v, ok := got.Lookup(merged.Resolve(eq.V("y")).Name); !ok || v != "1" {
+	// The merged class is the body's one slot, and carries no name.
+	got, _, _ := in.SolveUnder(cases[4].body, over(merged, cases[4].body))
+	if _, named := got.Lookup("x"); got.Len() != 1 || got.At(0) != "1" || named {
 		t.Fatalf("merged slot: %v", got)
 	}
 }

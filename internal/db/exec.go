@@ -1,6 +1,8 @@
 package db
 
 import (
+	"slices"
+
 	"entangled/internal/eq"
 	"entangled/internal/unify"
 )
@@ -10,12 +12,13 @@ import (
 // shard parts, and the probe resolution (which hash index, if any, each
 // step uses on each part). An exec is pooled on its plan, so steady-state
 // evaluation allocates only the result bindings the API must return: one
-// frame of (name, value) pairs per answer.
+// frame per answer.
 type exec struct {
 	p      *plan
 	consts []eq.Value
 	frame  []eq.Value
-	names  []string // slot -> variable name for this call
+	names  []string // slot -> variable name for this call, when named
+	named  bool     // the answers carry variable names: no substitution
 
 	// relParts[ri] is the slice of rel ri's parts this call locked, in
 	// shard order. It aliases plan.rels[ri].parts when every part is
@@ -45,13 +48,13 @@ type probeRef struct {
 	src planArg
 }
 
-// bind prepares a pooled exec for one call: fill the constant table and
-// slot names from the concrete body (resolving terms under s when
-// non-nil — the SolveUnder path never materialises a substituted body),
-// read-lock exactly the parts the call can reach (in the plan's
-// deterministic relation order, shard index ascending), and resolve
-// each step's index probe under those locks. The caller must run
-// release() when done.
+// bind prepares a pooled exec for one call: fill the constant table
+// (and, with no substitution, the slot names) from the concrete body —
+// under s, a variable resolved by its position, so the SolveUnder path
+// never materialises a substituted body — read-lock exactly the parts
+// the call can reach (in the plan's deterministic relation order, shard
+// index ascending), and resolve each step's index probe under those
+// locks. The caller must run release() when done.
 func (p *plan) bind(body []eq.Atom, s *unify.Subst, useIndexes bool) *exec {
 	x, _ := p.pool.Get().(*exec)
 	if x == nil {
@@ -68,19 +71,20 @@ func (p *plan) bind(body []eq.Atom, s *unify.Subst, useIndexes bool) *exec {
 		}
 	}
 	x.limit, x.exists, x.found = 0, false, false
-	if s == nil {
-		for i, pos := range p.constAt {
-			x.consts[i] = body[pos[0]].Args[pos[1]].Const()
-		}
+	if x.named = s == nil; x.named {
 		for sl, pos := range p.slotAt {
 			x.names[sl] = body[pos[0]].Args[pos[1]].Name
 		}
-	} else {
-		for i, pos := range p.constAt {
-			x.consts[i] = s.Resolve(body[pos[0]].Args[pos[1]]).Const()
+	}
+	k, at := 0, 0 // the position among the body's arguments of atom at's first
+	for i, pos := range p.constAt {
+		for ; at < pos[0]; at++ {
+			k += len(body[at].Args)
 		}
-		for sl, pos := range p.slotAt {
-			x.names[sl] = s.Resolve(body[pos[0]].Args[pos[1]]).Name
+		if t := body[pos[0]].Args[pos[1]]; !t.IsVar() {
+			x.consts[i] = t.Const()
+		} else {
+			_, x.consts[i], _ = s.Term(k + pos[1])
 		}
 	}
 
@@ -232,17 +236,25 @@ func (x *exec) match(st *planStep, t Tuple) bool {
 
 // emit delivers one full assignment. A Binding is materialised only
 // here — the API boundary — never inside the join, and only when the
-// caller asked for one: straight from the call's slot names and frame.
+// caller asked for one: a copy of the frame, followed, when the answer
+// is named, by the names the body gives its slots.
 func (x *exec) emit() bool {
 	if x.exists {
 		x.found = true
 		return false
 	}
-	vars := make([]boundVar, len(x.frame))
-	for s, v := range x.frame {
-		vars[s] = boundVar{x.names[s], v}
+	var b Binding
+	if n := len(x.frame); x.named {
+		frame := make([]eq.Value, 2*n)
+		copy(frame, x.frame)
+		for s, name := range x.names {
+			frame[n+s] = eq.Value(name)
+		}
+		b = Binding{frame[:n:n], frame[n:]}
+	} else {
+		b = Binding{vals: slices.Clone(x.frame)}
 	}
-	x.results = append(x.results, Binding{vars})
+	x.results = append(x.results, b)
 	return x.limit <= 0 || len(x.results) < x.limit
 }
 

@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -120,8 +121,9 @@ type plan struct {
 	steps  []planStep
 	rels   []planRel // sorted by name — the global lock order
 	nSlots int
-	// constAt maps const index -> (atom, arg) position in the body, so
-	// each call fills its own constant values into the shared plan.
+	// constAt maps const index -> (atom, arg) position in the body, in
+	// body order, so each call fills its own constant values into the
+	// shared plan.
 	constAt [][2]int
 	// slotAt maps slot -> (atom, arg) of the variable's first
 	// occurrence, for materialising Binding names at the API boundary.
@@ -136,22 +138,26 @@ type plan struct {
 // shapeBuf holds the reusable scratch for computing a body's shape key,
 // pooled so cache hits — the serving steady state — allocate nothing.
 type shapeBuf struct {
-	key   []byte
-	names []string
+	key     []byte
+	ids     []int    // argument -> its variable's number, -1 for a constant
+	names   []string // variables by first occurrence
+	classes []int32  // under a substitution: unbound classes by first occurrence
 }
 
 var shapeBufPool = sync.Pool{New: func() any { return new(shapeBuf) }}
 
 // build fills sb.key with the canonical shape of body, resolved under s
-// when s is non-nil (the SolveUnder path: a variable the substitution
-// binds is a constant of the shape, and unified variables share one
-// number). Relation names are length-prefixed so arbitrary names cannot
-// collide, constants are abstracted to a placeholder, and variables are
-// numbered by first occurrence. Two bodies with the same key share one
-// compiled plan.
+// when s is non-nil (the SolveUnder path: a variable is resolved by its
+// position, and one the substitution binds is a constant of the shape,
+// while unified variables are one class and share one number).
+// Relation names are length-prefixed so arbitrary names cannot collide,
+// constants are abstracted to a placeholder, and variables — classes,
+// under s — are numbered by first occurrence, into sb.ids. Two bodies
+// with the same key share one compiled plan.
 func (sb *shapeBuf) build(body []eq.Atom, s *unify.Subst) {
-	b := sb.key[:0]
-	names := sb.names[:0]
+	b, ids := sb.key[:0], sb.ids[:0]
+	names, classes := sb.names[:0], sb.classes[:0]
+	k := 0 // the argument's position in the body
 	for ai := range body {
 		a := &body[ai]
 		if ai > 0 {
@@ -165,47 +171,45 @@ func (sb *shapeBuf) build(body []eq.Atom, s *unify.Subst) {
 			if j > 0 {
 				b = append(b, ',')
 			}
-			t := a.Args[j]
-			if t.IsVar() && s != nil {
-				t = s.Resolve(t)
-			}
-			if t.IsVar() {
-				id := -1
-				for k, n := range names { // small bodies: linear scan beats a map
-					if n == t.Name {
-						id = k
-						break
+			id := -1 // a constant
+			switch t := a.Args[j]; {
+			case !t.IsVar():
+			case s == nil:
+				if id = slices.Index(names, t.Name); id < 0 { // small bodies: a scan beats a map
+					id, names = len(names), append(names, t.Name)
+				}
+			default:
+				if rep, _, bound := s.Term(k); !bound {
+					if id = slices.Index(classes, rep); id < 0 {
+						id, classes = len(classes), append(classes, rep)
 					}
 				}
-				if id < 0 {
-					id = len(names)
-					names = append(names, t.Name)
-				}
-				b = strconv.AppendInt(b, int64(id), 10)
-			} else {
+			}
+			k, ids = k+1, append(ids, id)
+			if id < 0 {
 				b = append(b, 'c')
+			} else {
+				b = strconv.AppendInt(b, int64(id), 10)
 			}
 		}
 		b = append(b, ')')
 	}
-	sb.key = b
-	sb.names = names
+	sb.key, sb.ids, sb.names, sb.classes = b, ids, names, classes
 }
 
-// compilePlan builds the plan for one body shape. src resolves a
-// relation name to its shard parts and hash column (key -1 and a single
-// part for a plain instance). Unknown relations and arity mismatches
-// are reported here, once per shape.
-func compilePlan(shape string, body []eq.Atom, instVersions []uint64, src func(name string) (parts []*Relation, key int, err error)) (*plan, error) {
+// compilePlan builds the plan for one body shape, ids numbering the
+// body's arguments as shapeBuf.build does. src resolves a relation name
+// to its shard parts and hash column (key -1 and a single part for a
+// plain instance). Unknown relations and arity mismatches are reported
+// here, once per shape.
+func compilePlan(shape string, body []eq.Atom, ids []int, instVersions []uint64, src func(name string) (parts []*Relation, key int, err error)) (*plan, error) {
 	p := &plan{shape: shape, instVersions: instVersions}
 
 	// Pass 1: resolve relations, assign constant and slot indexes in
-	// body order (slot numbering matches the shape key's variable
-	// numbering).
+	// body order (a slot is the shape key's variable number).
 	relIx := map[string]int{}
 	rels := []planRel{}
 	atomRel := make([]int, len(body))
-	slotOf := map[string]int{}
 	argPlan := make([][]planArg, len(body))
 	for ai, a := range body {
 		ri, ok := relIx[a.Rel]
@@ -232,12 +236,9 @@ func compilePlan(shape string, body []eq.Atom, instVersions []uint64, src func(n
 		}
 		atomRel[ai] = ri
 		args := make([]planArg, len(a.Args))
-		for j, t := range a.Args {
-			if t.IsVar() {
-				s, ok := slotOf[t.Name]
-				if !ok {
-					s = len(p.slotAt)
-					slotOf[t.Name] = s
+		for j := range a.Args {
+			if s := ids[0]; s >= 0 {
+				if s == len(p.slotAt) {
 					p.slotAt = append(p.slotAt, [2]int{ai, j})
 				}
 				// Provisional: the order pass decides bind vs check.
@@ -247,12 +248,13 @@ func compilePlan(shape string, body []eq.Atom, instVersions []uint64, src func(n
 				p.constAt = append(p.constAt, [2]int{ai, j})
 				args[j] = planArg{kind: opConst, ix: c}
 			}
+			ids = ids[1:]
 		}
 		argPlan[ai] = args
 		// Lock-plan routing: a constant hash column pins one part; a
 		// variable one makes every part reachable.
 		r := &rels[ri]
-		if r.key >= 0 && r.key < len(a.Args) && !a.Args[r.key].IsVar() {
+		if r.key >= 0 && r.key < len(a.Args) && args[r.key].kind == opConst {
 			r.routes = append(r.routes, args[r.key].ix)
 		} else if r.key >= 0 {
 			r.needsAll = true
@@ -381,25 +383,20 @@ type planSource interface {
 // conversion.
 func planFor(src planSource, cache *planCache, body []eq.Atom, s *unify.Subst) (*plan, error) {
 	sb := shapeBufPool.Get().(*shapeBuf)
+	defer shapeBufPool.Put(sb)
 	sb.build(body, s)
 	if p := cache.get(sb.key); p != nil && src.planValid(p) {
 		cache.hits.Add(1)
-		shapeBufPool.Put(sb)
 		return p, nil
 	}
 	cache.miss.Add(1)
 	shape := string(sb.key)
-	shapeBufPool.Put(sb)
 	// Read the versions before resolving relations: a concurrent schema
 	// change between the two can only make the new plan look stale
 	// (recompiled on next use), never let a stale pointer pass
 	// validation.
 	vers := src.schemaVersions()
-	resolved := body
-	if s != nil {
-		resolved = s.ApplyAll(body)
-	}
-	p, err := compilePlan(shape, resolved, vers, src.resolve)
+	p, err := compilePlan(shape, body, sb.ids, vers, src.resolve)
 	if err != nil {
 		return nil, err
 	}

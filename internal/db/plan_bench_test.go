@@ -89,12 +89,17 @@ func solveUnderFixture(tb testing.TB) (in *Instance, body []eq.Atom, subs []*uni
 	}
 	subs = make([]*unify.Subst, 64)
 	for si := range subs {
+		// x<i> is variable i and v<i> variable atoms+i.
 		s := unify.New()
+		s.Reset(2 * atoms)
+		terms := make([]int32, 0, 2*atoms)
 		for i := 0; i < atoms; i++ {
-			if err := s.Bind(fmt.Sprintf("v%d", i), eq.Value("c"+strconv.Itoa((si*atoms+i)%20000))); err != nil {
+			if err := s.Bind(int32(atoms+i), eq.Value("c"+strconv.Itoa((si*atoms+i)%20000))); err != nil {
 				tb.Fatal(err)
 			}
+			terms = append(terms, int32(i), int32(atoms+i))
 		}
+		s.SetTerms(terms)
 		subs[si] = s
 	}
 	return in, body, subs

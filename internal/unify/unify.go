@@ -3,7 +3,7 @@ package unify
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"entangled/internal/eq"
 )
@@ -12,21 +12,24 @@ import (
 // constants to be equal.
 var ErrClash = errors.New("unify: constant clash")
 
-// Subst is a substitution: a union-find forest over variable names, each
-// class optionally bound to a constant. The zero value is not usable;
-// call New.
+// Subst is a substitution over numbered variables: a union-find forest
+// over the ids 0..Len()-1, each class optionally bound to a constant,
+// plus the term table of the body a store is asked to solve under it.
+// The zero value is an empty substitution.
 //
-// Variable names are interned to dense integer ids on first sight, so
-// the forest lives in one flat node slice: find/union touch no maps
-// beyond the one name -> id lookup, and path compression is a slice
-// store instead of a map assignment. This matters because the SCC walk
-// computes the MGU of one reachable set per component — union-find is a
-// top entry in the coordination profiles — and it does so on one Subst,
-// Reset between components, so the forest is storage, not garbage.
+// A variable is a number, not a name: whoever unifies numbers its
+// variables once, and a name is produced only where something is
+// rendered. So find and union touch no map, path compression is a slice
+// store, and Reset truncates. This matters because the SCC walk computes
+// the MGU of one reachable set per component, on one Subst: the forest
+// is storage, not garbage.
+//
+// The term table says which variable each argument of a body stands
+// for, the body's arguments counted atom by atom (-1 for a constant):
+// a store resolves a body term by its position, with Term.
 type Subst struct {
-	ids   map[string]int // variable name -> dense id
-	names []string       // id -> name
-	nodes []node         // id -> forest node
+	nodes []node  // variable id -> forest node
+	terms []int32 // body argument -> its variable's id, or -1
 }
 
 // node is one union-find entry: parent link, union-by-rank rank
@@ -40,77 +43,61 @@ type node struct {
 }
 
 // New returns an empty substitution.
-func New() *Subst {
-	return &Subst{ids: map[string]int{}}
-}
+func New() *Subst { return &Subst{} }
 
-// Reset empties s for a new computation, keeping its storage: after it s
-// is indistinguishable from New() — same interning order, same
-// representatives, same errors — whatever it held before, a clash
-// included. A caller that computes one MGU after another on the same
-// Subst stops allocating once it has seen its largest.
-func (s *Subst) Reset() {
-	clear(s.ids)
-	s.names = s.names[:0]
-	s.nodes = s.nodes[:0]
-}
-
-// Clone returns an independent deep copy of s.
-func (s *Subst) Clone() *Subst {
-	c := &Subst{
-		ids:   make(map[string]int, len(s.ids)),
-		names: append([]string(nil), s.names...),
-		nodes: append([]node(nil), s.nodes...),
+// Reset empties s for a computation over n variables, each in a class
+// of its own, with an empty term table. It keeps s's storage: after it
+// s is indistinguishable from a new Subst given n fresh variables,
+// whatever it held before, a clash included, and a caller that computes
+// one MGU after another stops allocating once it has seen its largest.
+func (s *Subst) Reset(n int) {
+	s.nodes = slices.Grow(s.nodes[:0], n)[:n]
+	for i := range s.nodes {
+		s.nodes[i] = node{parent: int32(i)}
 	}
-	for k, v := range s.ids {
-		c.ids[k] = v
-	}
-	return c
+	s.terms = nil
 }
 
-// id interns a variable name, recording it in the forest on first
-// sight (its own singleton class).
-func (s *Subst) id(v string) int {
-	i, ok := s.ids[v]
-	if !ok {
-		i = len(s.names)
-		s.ids[v] = i
-		s.names = append(s.names, v)
-		s.nodes = append(s.nodes, node{parent: int32(i)})
-	}
-	return i
+// Len returns the number of variables.
+func (s *Subst) Len() int { return len(s.nodes) }
+
+// Fresh adds a variable in a class of its own and returns its id.
+func (s *Subst) Fresh() int32 {
+	s.nodes = append(s.nodes, node{parent: int32(len(s.nodes))})
+	return int32(len(s.nodes) - 1)
 }
 
-// findID returns the root of i's class, halving the path on the way.
-func (s *Subst) findID(i int) int {
-	for int(s.nodes[i].parent) != i {
-		next := int(s.nodes[i].parent)
+// Clone returns an independent copy of s's classes, sharing its term
+// table, which s never writes.
+func (s *Subst) Clone() *Subst { return &Subst{nodes: slices.Clone(s.nodes), terms: s.terms} }
+
+// find returns the root of i's class, halving the path on the way.
+func (s *Subst) find(i int32) int32 {
+	for s.nodes[i].parent != i {
+		next := s.nodes[i].parent
 		s.nodes[i].parent = s.nodes[next].parent // path halving
 		i = next
 	}
 	return i
 }
 
-func (s *Subst) find(v string) string {
-	return s.names[s.findID(s.id(v))]
-}
-
-// union merges the classes of variables a and b, keeping constant
-// bindings consistent.
-func (s *Subst) union(a, b string) error {
-	ra, rb := s.findID(s.id(a)), s.findID(s.id(b))
+// Union merges the classes of variables a and b, keeping constant
+// bindings consistent. On a tie of ranks a's root stays the root, so
+// the representatives are a function of the sequence of unions alone.
+func (s *Subst) Union(a, b int32) error {
+	ra, rb := s.find(a), s.find(b)
 	if ra == rb {
 		return nil
 	}
 	na, nb := &s.nodes[ra], &s.nodes[rb]
 	if na.bok && nb.bok && na.val != nb.val {
-		return fmt.Errorf("%w: %s=%s vs %s=%s", ErrClash, a, na.val, b, nb.val)
+		return fmt.Errorf("%w: %s vs %s", ErrClash, na.val, nb.val)
 	}
 	if na.rank < nb.rank {
 		ra, rb = rb, ra
 		na, nb = nb, na
 	}
-	nb.parent = int32(ra)
+	nb.parent = ra
 	if na.rank == nb.rank {
 		na.rank++
 	}
@@ -123,12 +110,12 @@ func (s *Subst) union(a, b string) error {
 	return nil
 }
 
-// bindConst binds variable v's class to constant c.
-func (s *Subst) bindConst(v string, c eq.Value) error {
-	n := &s.nodes[s.findID(s.id(v))]
+// Bind binds variable v's class to constant c.
+func (s *Subst) Bind(v int32, c eq.Value) error {
+	n := &s.nodes[s.find(v)]
 	if n.bok {
 		if n.val != c {
-			return fmt.Errorf("%w: %s bound to %s, cannot bind %s", ErrClash, v, n.val, c)
+			return fmt.Errorf("%w: bound to %s, cannot bind %s", ErrClash, n.val, c)
 		}
 		return nil
 	}
@@ -136,105 +123,37 @@ func (s *Subst) bindConst(v string, c eq.Value) error {
 	return nil
 }
 
-// Bind records that variable v must equal constant c.
-func (s *Subst) Bind(v string, c eq.Value) error { return s.bindConst(v, c) }
-
-// UnifyTerms makes terms a and b equal under s, or returns ErrClash.
-func (s *Subst) UnifyTerms(a, b eq.Term) error {
+// Unify makes terms a and b equal under s, or returns ErrClash. va and
+// vb are the ids of their variables, read only for a term that is one.
+func (s *Subst) Unify(a, b eq.Term, va, vb int32) error {
 	switch {
 	case a.IsVar() && b.IsVar():
-		return s.union(a.Name, b.Name)
+		return s.Union(va, vb)
 	case a.IsVar():
-		return s.bindConst(a.Name, b.Const())
+		return s.Bind(va, b.Const())
 	case b.IsVar():
-		return s.bindConst(b.Name, a.Const())
-	default:
-		if a.Const() != b.Const() {
-			return fmt.Errorf("%w: %s vs %s", ErrClash, a.Const(), b.Const())
-		}
-		return nil
-	}
-}
-
-// UnifyAtoms makes atoms a and b equal under s. The atoms must be over
-// the same relation with the same arity; otherwise an error is returned
-// without modifying semantics (callers should treat it as failure).
-func (s *Subst) UnifyAtoms(a, b eq.Atom) error {
-	if a.Rel != b.Rel {
-		return fmt.Errorf("unify: relation mismatch %s vs %s", a.Rel, b.Rel)
-	}
-	if len(a.Args) != len(b.Args) {
-		return fmt.Errorf("unify: arity mismatch %s vs %s", a, b)
-	}
-	for i := range a.Args {
-		if err := s.UnifyTerms(a.Args[i], b.Args[i]); err != nil {
-			return err
-		}
+		return s.Bind(vb, a.Const())
+	case a.Name != b.Name:
+		return fmt.Errorf("%w: %s vs %s", ErrClash, a.Name, b.Name)
 	}
 	return nil
 }
 
-// Resolve returns the canonical form of t under s: constants are
-// unchanged, variables are replaced by their class constant if bound,
-// otherwise by the class representative variable.
-func (s *Subst) Resolve(t eq.Term) eq.Term {
-	if !t.IsVar() {
-		return t
-	}
-	r := s.findID(s.id(t.Name))
-	if n := &s.nodes[r]; n.bok {
-		return eq.C(n.val)
-	}
-	return eq.V(s.names[r])
+// Class returns variable v's class: its representative, and the
+// constant the class is bound to, if any.
+func (s *Subst) Class(v int32) (rep int32, c eq.Value, bound bool) {
+	r := s.find(v)
+	return r, s.nodes[r].val, s.nodes[r].bok
 }
 
-// Apply returns a copy of atom a with every term resolved under s.
-func (s *Subst) Apply(a eq.Atom) eq.Atom {
-	out := eq.Atom{Rel: a.Rel, Args: make([]eq.Term, len(a.Args))}
-	for i, t := range a.Args {
-		out.Args[i] = s.Resolve(t)
-	}
-	return out
-}
+// SetTerms makes terms the term table: terms[k] is the id of the
+// variable the body's k-th argument stands for, or -1 for a constant.
+// s keeps the slice, not a copy, until the next SetTerms or Reset.
+func (s *Subst) SetTerms(terms []int32) { s.terms = terms }
 
-// ApplyAll maps Apply over a list of atoms.
-func (s *Subst) ApplyAll(as []eq.Atom) []eq.Atom {
-	out := make([]eq.Atom, len(as))
-	for i, a := range as {
-		out[i] = s.Apply(a)
-	}
-	return out
-}
-
-// Value returns the constant bound to variable v, if any.
-func (s *Subst) Value(v string) (eq.Value, bool) {
-	n := &s.nodes[s.findID(s.id(v))]
-	return n.val, n.bok
-}
-
-// SameClass reports whether variables a and b have been unified.
-func (s *Subst) SameClass(a, b string) bool {
-	return s.findID(s.id(a)) == s.findID(s.id(b))
-}
-
-// Bindings returns all variable -> constant bindings induced by s,
-// covering every variable s has seen whose class is bound.
-func (s *Subst) Bindings() map[string]eq.Value {
-	out := map[string]eq.Value{}
-	for i, v := range s.names {
-		if n := &s.nodes[s.findID(i)]; n.bok {
-			out[v] = n.val
-		}
-	}
-	return out
-}
-
-// Vars returns every variable name recorded in s, sorted.
-func (s *Subst) Vars() []string {
-	out := append([]string(nil), s.names...)
-	sort.Strings(out)
-	return out
-}
+// Term resolves the body's k-th argument, which must be a variable: its
+// class, as Class reports it.
+func (s *Subst) Term(k int) (rep int32, c eq.Value, bound bool) { return s.Class(s.terms[k]) }
 
 // Unifiable reports whether two atoms unify per the paper's §2.3
 // definition: they are over the same relation and do not contain
@@ -242,8 +161,8 @@ func (s *Subst) Vars() []string {
 // different queries, so their variables live in disjoint namespaces —
 // only constant clashes matter, and the check allocates nothing. (An
 // edge admitted here can still fail the full MGU computation later, e.g.
-// R(y, y) against R(A, B); the coordination algorithms re-check with
-// UnifyAtoms on alpha-renamed atoms.)
+// R(y, y) against R(A, B); the coordination algorithms re-check by
+// unifying the queries' numbered variables.)
 func Unifiable(a, b eq.Atom) bool {
 	if a.Rel != b.Rel || len(a.Args) != len(b.Args) {
 		return false
@@ -258,13 +177,28 @@ func Unifiable(a, b eq.Atom) bool {
 }
 
 // MGU computes the most general unifier of the given atom pairs: for
-// every pair, the two atoms are made equal. Returns nil and an error on
-// clash.
+// every pair, the two atoms are made equal, their variables numbered by
+// name in order of first sight. Returns nil and an error on clash, or
+// on a pair over different relations or arities.
 func MGU(pairs [][2]eq.Atom) (*Subst, error) {
-	s := New()
+	s, ids := New(), map[string]int32{}
+	id := func(t eq.Term) int32 { // read by Unify only for a variable
+		v, ok := ids[t.Name]
+		if t.IsVar() && !ok {
+			v = s.Fresh()
+			ids[t.Name] = v
+		}
+		return v
+	}
 	for _, p := range pairs {
-		if err := s.UnifyAtoms(p[0], p[1]); err != nil {
-			return nil, err
+		a, b := p[0], p[1]
+		if a.Rel != b.Rel || len(a.Args) != len(b.Args) {
+			return nil, fmt.Errorf("unify: %s and %s differ in relation or arity", a, b)
+		}
+		for i := range a.Args {
+			if err := s.Unify(a.Args[i], b.Args[i], id(a.Args[i]), id(b.Args[i])); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return s, nil

@@ -4,98 +4,163 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 
 	"entangled/internal/eq"
 )
 
+// named numbers written-out variables as variables of its Subst, each
+// name a fresh one on first sight, so tests can write substitutions
+// by name.
+type named struct {
+	*Subst
+	ids map[string]int32
+}
+
+func newNamed() *named { return &named{Subst: New(), ids: map[string]int32{}} }
+
+// ID returns the variable a name stands for.
+func (n *named) ID(name string) int32 {
+	id, ok := n.ids[name]
+	if !ok {
+		id = n.Fresh()
+		n.ids[name] = id
+	}
+	return id
+}
+
+// id is ID for a term that is a variable, -1 for a constant.
+func (n *named) id(t eq.Term) int32 {
+	if !t.IsVar() {
+		return -1
+	}
+	return n.ID(t.Name)
+}
+
+// UnifyAtoms makes atoms a and b equal; atoms over different relations
+// or arities are an error.
+func (n *named) UnifyAtoms(a, b eq.Atom) error {
+	if a.Rel != b.Rel || len(a.Args) != len(b.Args) {
+		return errors.New("unify: the atoms differ in relation or arity")
+	}
+	for i := range a.Args {
+		if err := n.Unify(a.Args[i], b.Args[i], n.id(a.Args[i]), n.id(b.Args[i])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Over makes body's arguments the term table and returns the
+// substitution, ready for a store to solve body under.
+func (n *named) Over(body []eq.Atom) *Subst {
+	var terms []int32
+	for _, a := range body {
+		for _, t := range a.Args {
+			terms = append(terms, n.id(t))
+		}
+	}
+	n.SetTerms(terms)
+	return n.Subst
+}
+
+// term resolves a named variable under n, as a store would see it.
+func term(n *named, name string) eq.Term {
+	body := []eq.Atom{eq.NewAtom("T", eq.V(name))}
+	return applyAll(n.Over(body), body)[0].Args[0]
+}
+
 func TestUnifyVarVar(t *testing.T) {
-	s := New()
-	if err := s.UnifyTerms(eq.V("x"), eq.V("y")); err != nil {
+	n := newNamed()
+	if err := n.Unify(eq.V("x"), eq.V("y"), n.ID("x"), n.ID("y")); err != nil {
 		t.Fatal(err)
 	}
-	if !s.SameClass("x", "y") {
+	if rx, _, _ := n.Class(n.ID("x")); rx != n.ID("x") && rx != n.ID("y") {
+		t.Fatalf("representative %d is neither variable", rx)
+	}
+	if term(n, "x") != term(n, "y") {
 		t.Fatal("x and y must be in the same class")
 	}
 }
 
 func TestUnifyVarConst(t *testing.T) {
-	s := New()
-	if err := s.UnifyTerms(eq.V("x"), eq.C("Zurich")); err != nil {
+	n := newNamed()
+	if err := n.Unify(eq.V("x"), eq.C("Zurich"), n.ID("x"), -1); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := s.Value("x")
-	if !ok || v != "Zurich" {
+	if _, v, ok := n.Class(n.ID("x")); !ok || v != "Zurich" {
 		t.Fatalf("x = %v, %v", v, ok)
 	}
-	if got := s.Resolve(eq.V("x")); got != eq.C("Zurich") {
-		t.Fatalf("Resolve(x) = %v", got)
+	if got := term(n, "x"); got != eq.C("Zurich") {
+		t.Fatalf("x resolves to %v", got)
 	}
 }
 
 func TestUnifyConstClash(t *testing.T) {
-	s := New()
-	if err := s.UnifyTerms(eq.C("a"), eq.C("b")); !errors.Is(err, ErrClash) {
+	if err := New().Unify(eq.C("a"), eq.C("b"), -1, -1); !errors.Is(err, ErrClash) {
 		t.Fatalf("want ErrClash, got %v", err)
 	}
 }
 
 func TestBindingPropagatesThroughUnion(t *testing.T) {
-	s := New()
-	if err := s.UnifyTerms(eq.V("x"), eq.V("y")); err != nil {
+	n := newNamed()
+	x, y := n.ID("x"), n.ID("y")
+	if err := n.Union(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Bind("x", "c"); err != nil {
+	if err := n.Bind(x, "c"); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := s.Value("y")
-	if !ok || v != "c" {
+	if _, v, ok := n.Class(y); !ok || v != "c" {
 		t.Fatalf("y should inherit x's binding, got %v %v", v, ok)
 	}
 	// Conflicting bind through the other class member fails.
-	if err := s.Bind("y", "d"); !errors.Is(err, ErrClash) {
+	if err := n.Bind(y, "d"); !errors.Is(err, ErrClash) {
 		t.Fatalf("want ErrClash, got %v", err)
 	}
 }
 
 func TestUnionOfTwoBoundClassesSameConst(t *testing.T) {
 	s := New()
-	if err := s.Bind("x", "c"); err != nil {
+	x, y, z := s.Fresh(), s.Fresh(), s.Fresh()
+	if err := s.Bind(x, "c"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Bind("y", "c"); err != nil {
+	if err := s.Bind(y, "c"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.UnifyTerms(eq.V("x"), eq.V("y")); err != nil {
+	if err := s.Union(x, y); err != nil {
 		t.Fatalf("same-constant classes must merge: %v", err)
 	}
-	if err := s.Bind("z", "d"); err != nil {
+	if err := s.Bind(z, "d"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.UnifyTerms(eq.V("x"), eq.V("z")); !errors.Is(err, ErrClash) {
+	if err := s.Union(x, z); !errors.Is(err, ErrClash) {
 		t.Fatalf("want ErrClash merging c-class with d-class, got %v", err)
 	}
 }
 
 func TestUnifyAtoms(t *testing.T) {
-	s := New()
+	n := newNamed()
 	a := eq.NewAtom("R", eq.C("G"), eq.V("x1"))
 	b := eq.NewAtom("R", eq.C("G"), eq.V("y1"))
-	if err := s.UnifyAtoms(a, b); err != nil {
+	if err := n.UnifyAtoms(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if !s.SameClass("x1", "y1") {
+	if term(n, "x1") != term(n, "y1") {
 		t.Fatal("x1 and y1 must be unified")
 	}
 }
 
 func TestUnifyAtomsMismatch(t *testing.T) {
-	s := New()
-	if err := s.UnifyAtoms(eq.NewAtom("R", eq.V("x")), eq.NewAtom("Q", eq.V("x"))); err == nil {
+	n := newNamed()
+	if err := n.UnifyAtoms(eq.NewAtom("R", eq.V("x")), eq.NewAtom("Q", eq.V("x"))); err == nil {
 		t.Fatal("different relations must not unify")
 	}
-	if err := s.UnifyAtoms(eq.NewAtom("R", eq.V("x")), eq.NewAtom("R", eq.V("x"), eq.V("y"))); err == nil {
+	if err := n.UnifyAtoms(eq.NewAtom("R", eq.V("x")), eq.NewAtom("R", eq.V("x"), eq.V("y"))); err == nil {
 		t.Fatal("different arities must not unify")
 	}
 }
@@ -112,55 +177,62 @@ func TestUnifiablePaperExamples(t *testing.T) {
 }
 
 func TestApply(t *testing.T) {
-	s := New()
-	if err := s.UnifyAtoms(eq.NewAtom("R", eq.V("x"), eq.V("y")), eq.NewAtom("R", eq.C("a"), eq.V("z"))); err != nil {
+	n := newNamed()
+	if err := n.UnifyAtoms(eq.NewAtom("R", eq.V("x"), eq.V("y")), eq.NewAtom("R", eq.C("a"), eq.V("z"))); err != nil {
 		t.Fatal(err)
 	}
-	got := s.Apply(eq.NewAtom("T", eq.V("x"), eq.V("y"), eq.V("w")))
+	body := []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.V("y"), eq.V("w"))}
+	got := applyAll(n.Over(body), body)[0]
 	if got.Args[0] != eq.C("a") {
 		t.Fatalf("x should resolve to a: %v", got)
 	}
-	if !got.Args[1].IsVar() {
-		t.Fatalf("y stays a variable: %v", got)
+	if !got.Args[1].IsVar() || !got.Args[2].IsVar() || got.Args[1] == got.Args[2] {
+		t.Fatalf("y and w stay two variables: %v", got)
 	}
 	// y and z resolve to the same representative.
-	if s.Resolve(eq.V("y")) != s.Resolve(eq.V("z")) {
+	if term(n, "y") != term(n, "z") {
 		t.Fatal("y and z must share a representative")
 	}
 }
 
 func TestCloneIndependence(t *testing.T) {
 	s := New()
-	if err := s.Bind("x", "a"); err != nil {
+	x, y := s.Fresh(), s.Fresh()
+	if err := s.Bind(x, "a"); err != nil {
 		t.Fatal(err)
 	}
 	c := s.Clone()
-	if err := c.Bind("y", "b"); err != nil {
+	if err := c.Bind(y, "b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Value("y"); ok {
+	if _, _, ok := s.Class(y); ok {
 		t.Fatal("binding in clone must not leak into original")
 	}
-	if v, ok := c.Value("x"); !ok || v != "a" {
+	if _, v, ok := c.Class(x); !ok || v != "a" {
 		t.Fatal("clone must keep original bindings")
 	}
 }
 
+// The bindings s induces, read class by class: every variable of a
+// bound class has its constant, and a variable of an unbound class has
+// none.
 func TestBindings(t *testing.T) {
-	s := New()
-	_ = s.UnifyTerms(eq.V("x"), eq.V("y"))
-	_ = s.Bind("x", "c")
-	_ = s.UnifyTerms(eq.V("free1"), eq.V("free2"))
-	b := s.Bindings()
-	if b["x"] != "c" || b["y"] != "c" {
-		t.Fatalf("Bindings = %v", b)
+	n := newNamed()
+	_ = n.Union(n.ID("x"), n.ID("y"))
+	_ = n.Bind(n.ID("x"), "c")
+	_ = n.Union(n.ID("free1"), n.ID("free2"))
+	for _, v := range []string{"x", "y"} {
+		if _, c, ok := n.Class(n.ID(v)); !ok || c != "c" {
+			t.Fatalf("%s = %v %v, want c", v, c, ok)
+		}
 	}
-	if _, ok := b["free1"]; ok {
-		t.Fatal("unbound variables must not appear in Bindings")
+	if _, _, ok := n.Class(n.ID("free1")); ok {
+		t.Fatal("an unbound class must have no constant")
 	}
 }
 
 func TestMGU(t *testing.T) {
+	// MGU numbers the variables by first sight: x 0, y 1, z 2.
 	s, err := MGU([][2]eq.Atom{
 		{eq.NewAtom("R", eq.V("x"), eq.C("a")), eq.NewAtom("R", eq.V("y"), eq.V("z"))},
 		{eq.NewAtom("Q", eq.V("y")), eq.NewAtom("Q", eq.C("b"))},
@@ -168,10 +240,10 @@ func TestMGU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s.Value("x"); v != "b" {
+	if _, v, _ := s.Class(0); v != "b" {
 		t.Fatalf("x = %v, want b (via y)", v)
 	}
-	if v, _ := s.Value("z"); v != "a" {
+	if _, v, _ := s.Class(2); v != "a" {
 		t.Fatalf("z = %v, want a", v)
 	}
 	if _, err := MGU([][2]eq.Atom{
@@ -202,7 +274,7 @@ func TestQuickUnifySymmetric(t *testing.T) {
 	f := func() bool {
 		a := randomAtom(rng, "R", 3)
 		b := randomAtom(rng, "R", 3)
-		s1, s2 := New(), New()
+		s1, s2 := newNamed(), newNamed()
 		err1 := s1.UnifyAtoms(a, b)
 		err2 := s2.UnifyAtoms(b, a)
 		if (err1 == nil) != (err2 == nil) {
@@ -211,7 +283,8 @@ func TestQuickUnifySymmetric(t *testing.T) {
 		if err1 != nil {
 			return true
 		}
-		return s1.Apply(a).Equal(s1.Apply(b)) && s2.Apply(a).Equal(s2.Apply(b))
+		r1, r2 := apply(s1, a, b), apply(s2, a, b)
+		return r1[0].Equal(r1[1]) && r2[0].Equal(r2[1])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -226,15 +299,18 @@ func TestQuickUnifierIsFixpoint(t *testing.T) {
 	f := func() bool {
 		a := randomAtom(rng, "R", 4)
 		b := randomAtom(rng, "R", 4)
-		s := New()
-		if err := s.UnifyAtoms(a, b); err != nil {
+		n := newNamed()
+		if err := n.UnifyAtoms(a, b); err != nil {
 			return true // nothing to check
 		}
-		ra, rb := s.Apply(a), s.Apply(b)
-		if !ra.Equal(rb) {
+		r := apply(n, a, b)
+		if !r[0].Equal(r[1]) {
 			return false
 		}
-		return s.Apply(ra).Equal(ra) && s.Apply(rb).Equal(rb)
+		// The resolved atoms name classes, not variables: resolving
+		// them again, each class a variable of its own, changes them
+		// only up to the names of those variables.
+		return eq.AlphaEqual(eq.Query{Head: apply(newNamed(), r...)}, eq.Query{Head: r})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -322,21 +398,23 @@ func groundWith(a eq.Atom, m map[string]eq.Value) eq.Atom {
 	return out
 }
 
-// Property: Bindings and Resolve agree.
+// Property: Class and resolution by the term table agree: a variable of a bound class
+// resolves to the class's constant, any other to its class's variable.
 func TestQuickBindingsMatchResolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	f := func() bool {
-		s := New()
+		n := newNamed()
 		for i := 0; i < 10; i++ {
 			a := randomAtom(rng, "R", 2)
 			b := randomAtom(rng, "R", 2)
-			if err := s.UnifyAtoms(a, b); err != nil {
-				s = New()
+			if err := n.UnifyAtoms(a, b); err != nil {
+				n = newNamed()
 			}
 		}
-		for v, c := range s.Bindings() {
-			r := s.Resolve(eq.V(v))
-			if r.IsVar() || r.Const() != c {
+		for v := 'u'; v < 'u'+6; v++ {
+			rep, c, bound := n.Class(n.ID(string(v)))
+			got := term(n, string(v))
+			if bound != !got.IsVar() || bound && got.Const() != c || !bound && got.Name != "_"+strconv.Itoa(int(rep)) {
 				return false
 			}
 		}
@@ -344,16 +422,6 @@ func TestQuickBindingsMatchResolve(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestVarsSorted(t *testing.T) {
-	s := New()
-	_ = s.UnifyTerms(eq.V("zeta"), eq.V("alpha"))
-	got := s.Vars()
-	want := []string{"alpha", "zeta"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Vars = %v, want %v", got, want)
 	}
 }
 
@@ -380,16 +448,41 @@ func randomOps(rng *rand.Rand, n int) []substOp {
 
 // apply runs the script on s — past clashes, which leave s part-way
 // through an atom — and returns which steps failed.
-func (s *Subst) apply(ops []substOp) []bool {
+func (n *named) apply(ops []substOp) []bool {
 	failed := make([]bool, len(ops))
 	for i, op := range ops {
 		if op.bind {
-			failed[i] = s.Bind(op.v, op.c) != nil
+			failed[i] = n.Bind(n.ID(op.v), op.c) != nil
 		} else {
-			failed[i] = s.UnifyAtoms(op.a, op.b) != nil
+			failed[i] = n.UnifyAtoms(op.a, op.b) != nil
 		}
 	}
 	return failed
+}
+
+// apply resolves atoms under n, as one body.
+func apply(n *named, atoms ...eq.Atom) []eq.Atom { return applyAll(n.Over(atoms), atoms) }
+
+// applyAll returns body with every term resolved through the term
+// table: a constant stays, a variable becomes its class's constant when
+// bound and otherwise a variable named for its class, "_<rep>".
+func applyAll(s *Subst, body []eq.Atom) []eq.Atom {
+	out := make([]eq.Atom, len(body))
+	k := 0
+	for i, a := range body {
+		out[i] = eq.Atom{Rel: a.Rel, Args: slices.Clone(a.Args)}
+		for j, t := range a.Args {
+			if t.IsVar() {
+				if rep, c, bound := s.Term(k); bound {
+					out[i].Args[j] = eq.C(c)
+				} else {
+					out[i].Args[j] = eq.V("_" + strconv.Itoa(int(rep)))
+				}
+			}
+			k++
+		}
+	}
+	return out
 }
 
 // Property: a Reset substitution is indistinguishable from a new one.
@@ -397,15 +490,22 @@ func (s *Subst) apply(ops []substOp) []bool {
 // unrelated use, clashes included — and must fail the same steps and
 // resolve every term of the shared variable pool to the same term,
 // representatives included, as a fresh Subst given the same script.
+// The pool is numbered up front, as the coordination algorithms number
+// a query's variables before unifying.
 func TestQuickResetIsNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	reused := New()
 	clashes := 0
 	f := func() bool {
 		ops := randomOps(rng, 1+rng.Intn(8))
-		fresh := New()
-		reused.Reset()
-		want, got := fresh.apply(ops), reused.apply(ops)
+		fresh := newNamed()
+		reused.Reset(0)
+		again := &named{Subst: reused, ids: map[string]int32{}}
+		for v := 'u'; v < 'u'+7; v++ { // the pool, and one variable no script names
+			fresh.ID(string(v))
+			again.ID(string(v))
+		}
+		want, got := fresh.apply(ops), again.apply(ops)
 		if !reflect.DeepEqual(got, want) {
 			return false
 		}
@@ -414,13 +514,12 @@ func TestQuickResetIsNew(t *testing.T) {
 				clashes++
 			}
 		}
-		for v := 'u'; v < 'u'+7; v++ { // the pool, and one variable no script names
-			term := eq.V(string(v))
-			if fresh.Resolve(term) != reused.Resolve(term) {
+		for v := 'u'; v < 'u'+7; v++ {
+			if term(fresh, string(v)) != term(again, string(v)) {
 				return false
 			}
 		}
-		return reflect.DeepEqual(fresh.Vars(), reused.Vars()) && reflect.DeepEqual(fresh.Bindings(), reused.Bindings())
+		return fresh.Len() == again.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -433,17 +532,15 @@ func TestQuickResetIsNew(t *testing.T) {
 // A Subst that has seen its largest computation refills without
 // allocating: the forest is storage, not garbage.
 func TestResetRefillDoesNotAllocate(t *testing.T) {
-	pairs := make([][2]eq.Atom, 64)
-	for i := range pairs {
-		x, y := eq.V("x"+string(rune('0'+i%10))+string(rune('a'+i/10))), eq.V("y"+string(rune('0'+i%10))+string(rune('a'+i/10)))
-		pairs[i] = [2]eq.Atom{eq.NewAtom("R", x, y), eq.NewAtom("R", y, eq.C("k"))}
-	}
+	const pairs = 64
 	s := New()
 	refill := func() {
-		s.Reset()
-		for _, p := range pairs {
-			if err := s.UnifyAtoms(p[0], p[1]); err != nil {
-				t.Fatal(err)
+		s.Reset(2 * pairs)
+		for i := int32(0); i < pairs; i++ {
+			x, y := eq.V("x"), eq.V("y")
+			// R(x_i, y_i) against R(y_i, k).
+			if s.Unify(x, y, i, pairs+i) != nil || s.Unify(y, eq.C("k"), pairs+i, -1) != nil {
+				t.Fatal("no clash expected")
 			}
 		}
 	}
@@ -451,7 +548,7 @@ func TestResetRefillDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, refill); allocs != 0 {
 		t.Fatalf("reset-and-refill at steady size allocates %.0f times, want 0", allocs)
 	}
-	if v, ok := s.Value("x3b"); !ok || v != "k" {
-		t.Fatalf("x3b = %v %v, want k", v, ok)
+	if _, v, ok := s.Class(13); !ok || v != "k" {
+		t.Fatalf("x13 = %v %v, want k", v, ok)
 	}
 }
