@@ -3,6 +3,7 @@ package coord
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
@@ -53,13 +54,17 @@ func bruteForce(qs []eq.Query, store db.Store, smallestFirst bool) (*Result, err
 		return nil, fmt.Errorf("%w (got %d)", ErrTooManyQueries, n)
 	}
 	meter := db.NewMeter(store)
-	vars, sr := numberedAll(qs)
+	vars, sr := numberAll(qs), &search{}
+	sr.number(qs, vars, every(n))
 	root := sr.subst
 	providers := providerEdges(qs)
 
 	masks := masksBySize(n)
-	sizes := sizeOrder(n, smallestFirst)
-	for _, size := range sizes {
+	for i := range n {
+		size := n - i
+		if smallestFirst {
+			size = i + 1
+		}
 		for _, m := range masks[size] {
 			set := maskSet(m)
 			s, bind, ok, err := trySubset(qs, vars, sr, root, set, providers, meter)
@@ -75,16 +80,13 @@ func bruteForce(qs []eq.Query, store db.Store, smallestFirst bool) (*Result, err
 	return nil, nil
 }
 
-// numberedAll numbers the variables of every query of qs and returns
-// the search holding an empty substitution over all of them: the
-// brute-force oracles unify across the whole set.
-func numberedAll(qs []eq.Query) ([]varTable, *search) {
-	vars, sr, all := numberAll(qs), &search{}, make([]int, len(qs))
+// every returns 0, 1, ..., n-1.
+func every(n int) []int {
+	all := make([]int, n)
 	for i := range all {
 		all[i] = i
 	}
-	sr.number(qs, vars, all)
-	return vars, sr
+	return all
 }
 
 // trySubset decides whether the given subset coordinates: it searches
@@ -161,35 +163,10 @@ func providerEdges(qs []eq.Query) map[[2]int][]ExtendedEdge {
 func masksBySize(n int) [][]uint32 {
 	masks := make([][]uint32, n+1)
 	for m := uint32(1); m < 1<<n; m++ {
-		pc := popcount(m)
+		pc := bits.OnesCount32(m)
 		masks[pc] = append(masks[pc], m)
 	}
 	return masks
-}
-
-// sizeOrder is the bucket visit order: ascending for existence checks,
-// descending for maximisation.
-func sizeOrder(n int, smallestFirst bool) []int {
-	sizes := make([]int, 0, n)
-	if smallestFirst {
-		for s := 1; s <= n; s++ {
-			sizes = append(sizes, s)
-		}
-	} else {
-		for s := n; s >= 1; s-- {
-			sizes = append(sizes, s)
-		}
-	}
-	return sizes
-}
-
-func popcount(m uint32) int {
-	c := 0
-	for m != 0 {
-		m &= m - 1
-		c++
-	}
-	return c
 }
 
 func maskSet(m uint32) []int {

@@ -136,7 +136,7 @@ type Incremental struct {
 	// State of the last reconcile pass.
 	pruned []PruneEvent
 	events []compEvent
-	cands  []Candidate
+	cands  []grounded
 	fb     fallback // read at most once per pass, and only if a witness needs it
 	last   DeltaStats
 	total  int64 // lifetime database queries
@@ -261,16 +261,32 @@ func (inc *Incremental) Result() (*Result, error) {
 	if len(inc.cands) == 0 {
 		return nil, nil
 	}
-	sel := inc.opts.Select
-	if sel == nil {
-		sel = MaxSize
-	}
-	win := inc.cands[sel(inc.cands)]
+	win := inc.cands[inc.choose()]
 	values, err := inc.search().witness(inc.queries, inc.vars, win, &inc.fb)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Set: sortedCopy(win.Set), Values: values, DBQueries: inc.last.DBQueries}, nil
+	return &Result{Set: sortedCopy(win.order), Values: values, DBQueries: inc.last.DBQueries}, nil
+}
+
+// choose returns the index of the candidate opts.Select picks, MaxSize
+// by default. A selector is handed candidates of its own, each Set a
+// sorted copy, so nothing it does to them reaches the walk's state.
+func (inc *Incremental) choose() int {
+	if inc.opts.Select == nil {
+		best := 0 // MaxSize, read off the sizes
+		for i, c := range inc.cands {
+			if len(c.order) > len(inc.cands[best].order) {
+				best = i
+			}
+		}
+		return best
+	}
+	cands := make([]Candidate, len(inc.cands))
+	for i, c := range inc.cands {
+		cands[i] = Candidate{Set: sortedCopy(c.order)}
+	}
+	return inc.opts.Select(cands)
 }
 
 // TeamSize returns the size of the coordinating set Result would
@@ -279,11 +295,7 @@ func (inc *Incremental) TeamSize() int {
 	if len(inc.cands) == 0 {
 		return 0
 	}
-	sel := inc.opts.Select
-	if sel == nil {
-		sel = MaxSize
-	}
-	return len(inc.cands[sel(inc.cands)].Set)
+	return len(inc.cands[inc.choose()].order)
 }
 
 // Candidates returns the current candidate family in processing order,
@@ -296,7 +308,7 @@ func (inc *Incremental) Candidates() ([]CandidateSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CandidateSet{Set: sortedCopy(c.Set), Values: values})
+		out = append(out, CandidateSet{Set: sortedCopy(c.order), Values: values})
 	}
 	return out, nil
 }
@@ -554,7 +566,7 @@ func (inc *Incremental) settle(c int, members [][]int, m *db.Meter, d *DeltaStat
 		d.Dirty++
 		if !inc.records() {
 			if status == "grounded" {
-				inc.cands = append(inc.cands, Candidate{Set: slices.Clone(set), binding: bind})
+				inc.cands = append(inc.cands, grounded{slices.Clone(set), bind})
 			}
 			return status, nil, nil
 		}
@@ -565,7 +577,7 @@ func (inc *Incremental) settle(c int, members [][]int, m *db.Meter, d *DeltaStat
 	}
 	out.pass = inc.pass
 	if out.status == "grounded" {
-		inc.cands = append(inc.cands, Candidate{Set: out.order, binding: out.binding})
+		inc.cands = append(inc.cands, grounded{out.order, out.binding})
 	}
 	return out.status, out, nil
 }

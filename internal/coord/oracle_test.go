@@ -38,7 +38,7 @@ type oracleWalk struct {
 	reach  reachRows
 	failed []bool
 	sr     search
-	cands  []Candidate
+	cands  []grounded
 	events []ComponentEvent // nil unless traced
 }
 
@@ -140,7 +140,7 @@ func (w *oracleWalk) component(c int) error {
 		}
 		if status == "grounded" {
 			ev.SetSize = len(sr.set)
-			w.cands = append(w.cands, Candidate{Set: slices.Clone(sr.set), binding: bind})
+			w.cands = append(w.cands, grounded{slices.Clone(sr.set), bind})
 		}
 	}
 	w.failed[c] = ev.Status != "grounded"
@@ -162,12 +162,16 @@ func oracleCoordinate(qs []eq.Query, store db.Store, opts Options) (*Result, err
 	if sel == nil {
 		sel = MaxSize
 	}
-	win := w.cands[sel(w.cands)]
+	cands := make([]Candidate, len(w.cands))
+	for i, c := range w.cands {
+		cands[i] = Candidate{Set: sortedCopy(c.order)}
+	}
+	win := w.cands[sel(cands)]
 	values, err := w.sr.witness(qs, w.vars, win, &fallback{store: m})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Set: sortedCopy(win.Set), Values: values, DBQueries: m.Count()}, nil
+	return &Result{Set: sortedCopy(win.order), Values: values, DBQueries: m.Count()}, nil
 }
 
 // oracleCandidates is AllCandidates on the reference walk.
@@ -184,7 +188,7 @@ func oracleCandidates(qs []eq.Query, store db.Store, opts Options) ([]CandidateS
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CandidateSet{Set: sortedCopy(c.Set), Values: values})
+		out = append(out, CandidateSet{Set: sortedCopy(c.order), Values: values})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return len(out[i].Set) > len(out[j].Set) })
 	return out, nil

@@ -23,13 +23,11 @@ type PreprocessStats struct {
 func Preprocess(qs []eq.Query) PreprocessStats {
 	edges := ExtendedGraph(qs)
 	g := coordinationGraph(len(qs), edges)
-	dag, _, members := g.Condense()
+	dag, _, _ := g.Condense()
 	order, err := dag.TopoOrder()
 	if err != nil {
-		// Unreachable: a condensation is always a DAG.
-		panic(err)
+		panic(err) // unreachable: a condensation is always a DAG
 	}
-	_ = members
 	return PreprocessStats{
 		Queries:       len(qs),
 		ExtendedEdges: len(edges),

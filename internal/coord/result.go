@@ -2,8 +2,7 @@ package coord
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
@@ -42,9 +41,7 @@ func (r *Result) String() string {
 	if r == nil {
 		return "<no coordinating set>"
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "coordinating set of %d queries %v", len(r.Set), r.Set)
-	return sb.String()
+	return fmt.Sprintf("coordinating set of %d queries %v", len(r.Set), r.Set)
 }
 
 // Size returns the number of queries in the set (0 for nil).
@@ -143,8 +140,4 @@ func Verify(qs []eq.Query, set []int, values map[int]map[string]eq.Value, store 
 }
 
 // sortedCopy returns a sorted copy of xs.
-func sortedCopy(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	return out
-}
+func sortedCopy(xs []int) []int { return slices.Sorted(slices.Values(xs)) }

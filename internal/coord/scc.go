@@ -3,6 +3,7 @@ package coord
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"entangled/internal/db"
@@ -16,18 +17,26 @@ var ErrUnsafe = errors.New("coord: query set is not safe")
 // ErrNotUnique is returned by the Gupta baseline on non-unique input.
 var ErrNotUnique = errors.New("coord: query set is not unique")
 
-// Candidate is one coordinating set discovered by the SCC algorithm: the
-// set R(q) of all queries reachable from some query q, with the
-// database's answer to its one grounding query. Its unifier is not
-// kept: it is a function of Set, recomputed for the candidate whose
-// witness values are actually read.
+// Candidate is one coordinating set discovered by the SCC algorithm, as
+// a Selector sees it: the set R(q) of all queries reachable from some
+// query q.
 type Candidate struct {
-	Set     []int // query indices, in the order their bodies were combined
+	Set []int // sorted query indices
+}
+
+// grounded is a candidate as the walk keeps it: its queries in the
+// order their bodies were combined, which the database's answer follows
+// slot by slot, and that answer. Its unifier is not kept: it is a
+// function of the set, recomputed for the candidate whose witness
+// values are actually read.
+type grounded struct {
+	order   []int
 	binding db.Binding
 }
 
 // Selector chooses which discovered candidate to return. It receives a
-// non-empty candidate list and returns the index of the winner.
+// non-empty candidate list of its own and returns the index of the
+// winner.
 type Selector func(cands []Candidate) int
 
 // MaxSize is the default selector: the candidate covering the most
@@ -49,13 +58,8 @@ func PreferQuery(qi int) Selector {
 	return func(cands []Candidate) int {
 		best := -1
 		for i, c := range cands {
-			for _, q := range c.Set {
-				if q == qi {
-					if best < 0 || len(c.Set) > len(cands[best].Set) {
-						best = i
-					}
-					break
-				}
+			if slices.Contains(c.Set, qi) && (best < 0 || len(c.Set) > len(cands[best].Set)) {
+				best = i
 			}
 		}
 		if best < 0 {
@@ -203,22 +207,14 @@ func GuptaCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
 	}
 	// Uniqueness additionally demands that every postcondition has a
 	// provider; a post with no unifiable head can never be satisfied.
-	alive := make([]bool, len(qs))
-	for i := range alive {
-		alive[i] = true
-	}
 	var c cascade
-	if len(c.run(qs, edges, alive, nil)) > 0 {
+	if len(c.run(qs, edges, slices.Repeat([]bool{true}, len(qs)), nil)) > 0 {
 		return nil, nil
 	}
 	// One search over the whole set: unique means every query reaches
 	// every other, so R(q) is the full set whichever q it starts from.
 	m := db.NewMeter(store)
-	vars := numberAll(qs)
-	set := make([]int, len(qs))
-	for i := range set {
-		set[i] = i
-	}
+	vars, set := numberAll(qs), every(len(qs))
 	var sr search
 	sr.index(edges, len(qs))
 	status, bind, err := sr.ground(qs, vars, set, m)

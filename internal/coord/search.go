@@ -205,12 +205,12 @@ func (sr *search) ground(qs []eq.Query, vars []varTable, set []int, store db.Sto
 // witness reads candidate c's assignment off its MGU, recomputed here —
 // with no database query: c.binding answers the one query already
 // asked, under this same substitution.
-func (sr *search) witness(qs []eq.Query, vars []varTable, c Candidate, fb *fallback) (map[int]map[string]eq.Value, error) {
-	if !sr.mgu(qs, vars, c.Set) {
-		return nil, fmt.Errorf("coord: grounded set %v does not unify", c.Set) // a bug: it did when it was grounded
+func (sr *search) witness(qs []eq.Query, vars []varTable, c grounded, fb *fallback) (map[int]map[string]eq.Value, error) {
+	if !sr.mgu(qs, vars, c.order) {
+		return nil, fmt.Errorf("coord: grounded set %v does not unify", c.order) // a bug: it did when it was grounded
 	}
-	sr.combine(qs, vars, c.Set)
-	return sr.values(qs, vars, c.Set, c.binding, fb)
+	sr.combine(qs, vars, c.order)
+	return sr.values(qs, vars, c.order, c.binding, fb)
 }
 
 // values converts the state combine left — set's MGU and combined body —

@@ -56,7 +56,8 @@ func SingleConnectedCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
 		return nil, nil
 	}
 	meter := db.NewMeter(store)
-	vars, sr := numberedAll(qs)
+	vars, sr := numberAll(qs), &search{}
+	sr.number(qs, vars, every(len(qs)))
 	root := sr.subst
 	edges := ExtendedGraph(qs)
 	// Provider candidates for each query's single postcondition.

@@ -84,21 +84,5 @@ func (sr *search) combined(qs []eq.Query, vars []varTable, num []int) string {
 			}
 		}
 	}
-	parts := make([]string, len(sr.body))
-	k := 0
-	for i, a := range sr.body {
-		a = a.Clone()
-		for j, t := range a.Args {
-			if t.IsVar() {
-				if rep, c, bound := sr.subst.Term(k); bound {
-					a.Args[j] = eq.C(c)
-				} else {
-					a.Args[j].Name = names[rep]
-				}
-			}
-			k++
-		}
-		parts[i] = a.String()
-	}
-	return strings.Join(parts, ", ")
+	return eq.JoinAtoms(sr.subst.Resolve(sr.body, func(rep int32) string { return names[rep] }))
 }

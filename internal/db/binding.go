@@ -1,68 +1,25 @@
 package db
 
-import (
-	"iter"
-	"maps"
-	"slices"
-
-	"entangled/internal/eq"
-)
+import "entangled/internal/eq"
 
 // Binding is the result of grounding a conjunctive query: the values
 // the body's variables take, one per slot, in one allocation made where
-// the join ends. Slots number a body's variables by first occurrence,
-// the way its shape key does. A body solved with its own variable names
-// (Solve, SolveAll) keeps those names behind the values, in the same
-// allocation; a body solved under a substitution (SolveUnder) keeps
-// none, 16 bytes a variable: its slots are the substitution's unbound
-// classes by first occurrence in the body, and the caller, who numbered
-// them, reads them with At. The zero Binding binds nothing; whether a
-// query was answered at all is the ok result beside it.
+// the join ends — 16 bytes a variable. Slots number the body's
+// variables by first occurrence, the way its shape key does; under a
+// substitution (SolveUnder) they are the substitution's unbound classes,
+// by first occurrence in the body. A Binding carries no names: the
+// caller, who holds the body, reads slot i with At. The zero Binding
+// binds nothing; whether a query was answered at all is the ok result
+// beside it.
 type Binding struct {
-	vals  []eq.Value // slot -> value
-	names []eq.Value // slot -> variable name; nil under a substitution
+	vals []eq.Value // slot -> value
 }
 
-// BindingOf returns the named binding holding m's pairs, in name order.
-func BindingOf(m map[string]eq.Value) Binding {
-	frame := make([]eq.Value, 2*len(m))
-	vals, names := frame[:len(m):len(m)], frame[len(m):]
-	for i, name := range slices.Sorted(maps.Keys(m)) {
-		vals[i], names[i] = m[name], eq.Value(name)
-	}
-	return Binding{vals, names}
-}
-
-// ValuesOf returns the binding of a body solved under a substitution:
-// vals, slot by slot, with no names.
-func ValuesOf(vals ...eq.Value) Binding { return Binding{vals: vals} }
+// ValuesOf returns the binding holding vals, slot by slot.
+func ValuesOf(vals ...eq.Value) Binding { return Binding{vals} }
 
 // Len returns the number of variables bound.
 func (b Binding) Len() int { return len(b.vals) }
 
 // At returns the value of the variable in slot i.
 func (b Binding) At(i int) eq.Value { return b.vals[i] }
-
-// Lookup returns the value of the named variable, by scanning the
-// frame: fine for a probe, quadratic as a way to read every variable.
-// A binding without names finds nothing.
-func (b Binding) Lookup(name string) (eq.Value, bool) {
-	for i, n := range b.names {
-		if string(n) == name {
-			return b.vals[i], true
-		}
-	}
-	return "", false
-}
-
-// All yields every (variable, value) pair of a named binding, in slot
-// order; a binding without names yields nothing.
-func (b Binding) All() iter.Seq2[string, eq.Value] {
-	return func(yield func(string, eq.Value) bool) {
-		for i, n := range b.names {
-			if !yield(string(n), b.vals[i]) {
-				return
-			}
-		}
-	}
-}

@@ -70,37 +70,43 @@ func (o *Oracle) solve(body []eq.Atom, limit int) ([]db.Binding, error) {
 		}
 	}
 	var out []db.Binding
-	var join func(i int, b map[string]eq.Value)
-	join = func(i int, b map[string]eq.Value) {
+	var join func(i int, names []string, vals []eq.Value)
+	join = func(i int, names []string, vals []eq.Value) {
 		if i == len(body) {
-			out = append(out, db.BindingOf(b))
+			out = append(out, db.ValuesOf(vals...))
 			return
 		}
 		for _, t := range rows[i] {
-			if ext, ok := match(body[i], t, b); ok && (limit <= 0 || len(out) < limit) {
-				join(i+1, ext)
+			if n, v, ok := match(body[i], t, names, vals); ok && (limit <= 0 || len(out) < limit) {
+				join(i+1, n, v)
 			}
 		}
 	}
-	join(0, map[string]eq.Value{})
+	join(0, nil, nil)
 	return out, nil
 }
 
-// match returns a copy of b extended so that atom a equals tuple t.
-func match(a eq.Atom, t db.Tuple, b map[string]eq.Value) (map[string]eq.Value, bool) {
-	ext := maps.Clone(b)
+// match extends a binding so that atom a equals tuple t: names and
+// vals hold the variables bound so far and their values, in order of
+// first occurrence — a binding's slots. What it returns shares nothing
+// it can write with what it was given.
+func match(a eq.Atom, t db.Tuple, names []string, vals []eq.Value) ([]string, []eq.Value, bool) {
+	names, vals = slices.Clip(names), slices.Clip(vals)
 	for i, arg := range a.Args {
 		want, known := eq.Value(arg.Name), true
 		if arg.IsVar() {
-			want, known = ext[arg.Name]
+			j := slices.Index(names, arg.Name)
+			if known = j >= 0; known {
+				want = vals[j]
+			}
 		}
 		if !known {
-			ext[arg.Name] = t[i]
+			names, vals = append(names, arg.Name), append(vals, t[i])
 		} else if want != t[i] {
-			return nil, false
+			return nil, nil, false
 		}
 	}
-	return ext, true
+	return names, vals, true
 }
 
 func first(res []db.Binding, err error) (db.Binding, bool, error) {
@@ -121,44 +127,23 @@ func (o *Oracle) Satisfiable(body []eq.Atom) (bool, error) {
 	return len(res) > 0, err
 }
 
-// SolveUnder answers the body resolved under s, and hands back the
-// values alone, slot by slot: slot i is Resolve's variable _i.
+// SolveUnder answers the body resolved under s: slot i is Resolve's
+// variable _i.
 func (o *Oracle) SolveUnder(body []eq.Atom, s *unify.Subst) (db.Binding, bool, error) {
-	b, ok, err := first(o.solve(Resolve(body, s), 1))
-	vals := make([]eq.Value, b.Len())
-	for name, v := range b.All() {
-		i, _ := strconv.Atoi(name[1:])
-		vals[i] = v
-	}
-	return db.ValuesOf(vals...), ok, err
+	return first(o.solve(Resolve(body, s), 1))
 }
 
-// Resolve returns body with every term resolved through s's term table
-// (unify.Subst.Term): a constant stays, a variable becomes its class's
-// constant when bound and otherwise a variable named for its class,
-// _0, _1, ... by first occurrence — the order of a binding's slots.
+// Resolve returns body resolved under s (unify.Subst.Resolve), each
+// unbound class a variable named _0, _1, ... by first occurrence — the
+// order of a binding's slots.
 func Resolve(body []eq.Atom, s *unify.Subst) []eq.Atom {
-	out := make([]eq.Atom, len(body))
 	classes := map[int32]int{}
-	k := 0
-	for i, a := range body {
-		out[i] = eq.Atom{Rel: a.Rel, Args: slices.Clone(a.Args)}
-		for j, t := range a.Args {
-			if t.IsVar() {
-				rep, c, bound := s.Term(k)
-				if bound {
-					out[i].Args[j] = eq.C(c)
-				} else {
-					if _, seen := classes[rep]; !seen {
-						classes[rep] = len(classes)
-					}
-					out[i].Args[j] = eq.V("_" + strconv.Itoa(classes[rep]))
-				}
-			}
-			k++
+	return s.Resolve(body, func(rep int32) string {
+		if _, seen := classes[rep]; !seen {
+			classes[rep] = len(classes)
 		}
-	}
-	return out
+		return "_" + strconv.Itoa(classes[rep])
+	})
 }
 
 // Contains scans for the ground atom; like db.Instance.Contains it is
@@ -170,7 +155,7 @@ func (o *Oracle) Contains(a eq.Atom) bool {
 	}
 	rows, _ := o.rows(a)
 	return slices.ContainsFunc(rows, func(t db.Tuple) bool {
-		_, ok := match(a, t, nil)
+		_, _, ok := match(a, t, nil, nil)
 		return ok
 	})
 }

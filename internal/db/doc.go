@@ -57,9 +57,8 @@
 // and cached on the store, and the hot loop runs over a []eq.Value
 // frame with no map operations; an answer leaves as a Binding, one
 // allocated frame of values by slot, a slot being a variable by first
-// occurrence. Solve and SolveAll keep the body's variable names behind
-// the values; under SolveUnder a slot is an unbound class of the
-// substitution and has no name — the caller numbered it. A shape
+// occurrence — under SolveUnder, an unbound class of the substitution.
+// A binding carries no names: the caller holds the body. A shape
 // abstracts constant values and variable names, so the coordination
 // algorithms' re-issued bodies (thousands of SolveUnder calls over the
 // same shapes) hit the cache; SolveUnder resolves each argument by its

@@ -2,7 +2,6 @@ package db_test
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -169,52 +168,22 @@ func over(s *unify.Subst, body []eq.Atom) *unify.Subst {
 	return s
 }
 
-// named gives an answer under a substitution the names of what its
-// slots stand for: the resolved body's variables, by first occurrence.
-func named(b db.Binding, resolved []eq.Atom) db.Binding {
-	m := map[string]eq.Value{}
-	for _, a := range resolved {
-		for _, t := range a.Args {
-			if _, seen := m[t.Name]; t.IsVar() && !seen {
-				m[t.Name] = b.At(len(m))
-			}
-		}
-	}
-	return db.BindingOf(m)
-}
-
-// frame renders a binding name by name, in name order, and holds it to
-// being a frame on the way: Len pairs, no name twice, Lookup agreeing
-// with All and finding nothing All did not yield.
-func frame(t *testing.T, b db.Binding) string {
-	t.Helper()
-	vals := maps.Collect(b.All())
-	n := 0
-	for name, v := range b.All() {
-		n++
-		if got, ok := b.Lookup(name); !ok || got != v {
-			t.Fatalf("binding %v: Lookup(%s) = %q, %v; All yields %q", b, name, got, ok, v)
-		}
-	}
-	if n != b.Len() || len(vals) != n {
-		t.Fatalf("binding %v: Len %d, All yields %d pairs over %d names", b, b.Len(), n, len(vals))
-	}
-	if v, ok := b.Lookup("no such variable"); ok {
-		t.Fatalf("binding %v: Lookup of an absent name found %q", b, v)
-	}
+// frame renders a binding slot by slot: two bindings of one body — or
+// of a body and its resolution under a substitution, whose variables
+// are the classes, by first occurrence — agree when their frames do.
+func frame(b db.Binding) string {
 	var sb strings.Builder
-	for _, k := range slices.Sorted(maps.Keys(vals)) {
-		fmt.Fprintf(&sb, "%s=%s;", k, vals[k])
+	for i := range b.Len() {
+		fmt.Fprintf(&sb, "%s;", b.At(i))
 	}
 	return sb.String()
 }
 
 // bindingMultiset renders a result list order-independently.
-func bindingMultiset(t *testing.T, res []db.Binding) []string {
-	t.Helper()
+func bindingMultiset(res []db.Binding) []string {
 	out := make([]string, 0, len(res))
 	for _, b := range res {
-		out = append(out, frame(t, b))
+		out = append(out, frame(b))
 	}
 	sort.Strings(out)
 	return out
@@ -235,7 +204,7 @@ func sameMultiset(t *testing.T, ctx string, a, b []string) {
 // TestQuickCompiledMatchesSeed is the compiled-evaluator equivalence
 // property test: across random schemas, random bodies, random
 // substitutions, shard counts K=1,2,8 and indexes on/off, compiled
-// plans return the same multiset of bindings — names and values — the
+// plans return the same multiset of bindings — slot for slot — the
 // same ok, and the same query counts (db-level DBQueries) as the seed's
 // backtracking evaluator, kept as dbtest.Oracle, and the sharded stores
 // agree with the plain one. Which witness a choose-1 call picks is the
@@ -278,19 +247,15 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: SolveUnder: %v", trial, err)
 			}
-			resolved := dbtest.Resolve(body, subst)
-			if underOK {
-				under = named(under, resolved)
-			}
-			underAll, err := st.SolveAll(resolved, 0)
+			underAll, err := st.SolveAll(dbtest.Resolve(body, subst), 0)
 			if err != nil {
 				t.Fatalf("trial %d: SolveAll under: %v", trial, err)
 			}
 			return answers{
-				all:      bindingMultiset(t, res),
-				underAll: bindingMultiset(t, underAll),
-				one:      frame(t, one),
-				under:    frame(t, under),
+				all:      bindingMultiset(res),
+				underAll: bindingMultiset(underAll),
+				one:      frame(one),
+				under:    frame(under),
 				solveOK:  ok,
 				sat:      sat,
 				underOK:  underOK,
@@ -336,8 +301,9 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 	}
 }
 
-// TestBindingMatchesOracleByName holds the frame to the oracle variable
-// by variable where the names are the point: a body with no variables
+// TestBindingMatchesOracleByName holds the frame to the oracle slot by
+// slot, each slot a variable by first occurrence, where which variable
+// a slot is matters: a body with no variables
 // (found with an empty binding, which is not "not found"), a
 // substitution that merges two body variables into one slot, and one
 // that turns a variable into a constant. Each body has one answer, so
@@ -386,11 +352,7 @@ func TestBindingMatchesOracleByName(t *testing.T) {
 				if c.s == nil {
 					return s.Solve(c.body)
 				}
-				b, ok, err := s.SolveUnder(c.body, over(c.s, c.body))
-				if ok {
-					b = named(b, dbtest.Resolve(c.body, c.s))
-				}
-				return b, ok, err
+				return s.SolveUnder(c.body, over(c.s, c.body))
 			}
 			got, ok, err := solve(st.compiled)
 			want, wantOK, wantErr := solve(st.oracle)
@@ -400,15 +362,15 @@ func TestBindingMatchesOracleByName(t *testing.T) {
 			if ok != c.found || wantOK != c.found {
 				t.Fatalf("%s on %s: found %v, oracle %v, want %v", c.name, name, ok, wantOK, c.found)
 			}
-			if got.Len() != c.vars || frame(t, got) != frame(t, want) {
+			if got.Len() != c.vars || frame(got) != frame(want) {
 				t.Fatalf("%s on %s: bound %q (%d variables), oracle %q, want %d variables",
-					c.name, name, frame(t, got), got.Len(), frame(t, want), c.vars)
+					c.name, name, frame(got), got.Len(), frame(want), c.vars)
 			}
 		}
 	}
-	// The merged class is the body's one slot, and carries no name.
+	// The merged class is the body's one slot.
 	got, _, _ := in.SolveUnder(cases[4].body, over(merged, cases[4].body))
-	if _, named := got.Lookup("x"); got.Len() != 1 || got.At(0) != "1" || named {
+	if got.Len() != 1 || got.At(0) != "1" {
 		t.Fatalf("merged slot: %v", got)
 	}
 }

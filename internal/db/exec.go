@@ -17,8 +17,6 @@ type exec struct {
 	p      *plan
 	consts []eq.Value
 	frame  []eq.Value
-	names  []string // slot -> variable name for this call, when named
-	named  bool     // the answers carry variable names: no substitution
 
 	// relParts[ri] is the slice of rel ri's parts this call locked, in
 	// shard order. It aliases plan.rels[ri].parts when every part is
@@ -49,12 +47,12 @@ type probeRef struct {
 }
 
 // bind prepares a pooled exec for one call: fill the constant table
-// (and, with no substitution, the slot names) from the concrete body —
-// under s, a variable resolved by its position, so the SolveUnder path
-// never materialises a substituted body — read-lock exactly the parts
-// the call can reach (in the plan's deterministic relation order, shard
-// index ascending), and resolve each step's index probe under those
-// locks. The caller must run release() when done.
+// from the concrete body — under s, a variable resolved by its
+// position, so the SolveUnder path never materialises a substituted
+// body — read-lock exactly the parts the call can reach (in the plan's
+// deterministic relation order, shard index ascending), and resolve
+// each step's index probe under those locks. The caller must run
+// release() when done.
 func (p *plan) bind(body []eq.Atom, s *unify.Subst, useIndexes bool) *exec {
 	x, _ := p.pool.Get().(*exec)
 	if x == nil {
@@ -62,7 +60,6 @@ func (p *plan) bind(body []eq.Atom, s *unify.Subst, useIndexes bool) *exec {
 			p:        p,
 			consts:   make([]eq.Value, len(p.constAt)),
 			frame:    make([]eq.Value, p.nSlots),
-			names:    make([]string, p.nSlots),
 			relParts: make([][]*Relation, len(p.rels)),
 			ownParts: make([][]*Relation, len(p.rels)),
 			parts:    make([][]*Relation, len(p.steps)),
@@ -71,20 +68,11 @@ func (p *plan) bind(body []eq.Atom, s *unify.Subst, useIndexes bool) *exec {
 		}
 	}
 	x.limit, x.exists, x.found = 0, false, false
-	if x.named = s == nil; x.named {
-		for sl, pos := range p.slotAt {
-			x.names[sl] = body[pos[0]].Args[pos[1]].Name
-		}
-	}
-	k, at := 0, 0 // the position among the body's arguments of atom at's first
 	for i, pos := range p.constAt {
-		for ; at < pos[0]; at++ {
-			k += len(body[at].Args)
-		}
 		if t := body[pos[0]].Args[pos[1]]; !t.IsVar() {
 			x.consts[i] = t.Const()
 		} else {
-			_, x.consts[i], _ = s.Term(k + pos[1])
+			_, x.consts[i], _ = s.Term(pos[2])
 		}
 	}
 
@@ -103,13 +91,9 @@ func (p *plan) bind(body []eq.Atom, s *unify.Subst, useIndexes bool) *exec {
 			continue
 		}
 		k := len(r.parts)
-		if cap(x.needBuf) < k {
-			x.needBuf = make([]bool, k)
-		}
-		need := x.needBuf[:k]
-		for i := range need {
-			need[i] = false
-		}
+		need := slices.Grow(x.needBuf[:0], k)[:k]
+		clear(need)
+		x.needBuf = need
 		for _, cix := range r.routes {
 			need[shardIndex(x.consts[cix], k)] = true
 		}
@@ -234,27 +218,15 @@ func (x *exec) match(st *planStep, t Tuple) bool {
 	return true
 }
 
-// emit delivers one full assignment. A Binding is materialised only
-// here — the API boundary — never inside the join, and only when the
-// caller asked for one: a copy of the frame, followed, when the answer
-// is named, by the names the body gives its slots.
+// emit delivers one full assignment. A Binding — a copy of the frame —
+// is materialised only here, the API boundary, never inside the join,
+// and only when the caller asked for one.
 func (x *exec) emit() bool {
 	if x.exists {
 		x.found = true
 		return false
 	}
-	var b Binding
-	if n := len(x.frame); x.named {
-		frame := make([]eq.Value, 2*n)
-		copy(frame, x.frame)
-		for s, name := range x.names {
-			frame[n+s] = eq.Value(name)
-		}
-		b = Binding{frame[:n:n], frame[n:]}
-	} else {
-		b = Binding{vals: slices.Clone(x.frame)}
-	}
-	x.results = append(x.results, b)
+	x.results = append(x.results, Binding{slices.Clone(x.frame)})
 	return x.limit <= 0 || len(x.results) < x.limit
 }
 

@@ -3,8 +3,8 @@ package db
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"entangled/internal/eq"
@@ -121,13 +121,11 @@ type plan struct {
 	steps  []planStep
 	rels   []planRel // sorted by name — the global lock order
 	nSlots int
-	// constAt maps const index -> (atom, arg) position in the body, in
-	// body order, so each call fills its own constant values into the
-	// shared plan.
-	constAt [][2]int
-	// slotAt maps slot -> (atom, arg) of the variable's first
-	// occurrence, for materialising Binding names at the API boundary.
-	slotAt [][2]int
+	// constAt maps const index -> (atom, arg, argument) position in the
+	// body, in body order — the argument counted across the body, as a
+	// substitution's term table counts it — so each call fills its own
+	// constant values into the shared plan.
+	constAt [][3]int
 	// instVersions are the owning store's schema versions at compile
 	// time; a mismatch on lookup retires the plan.
 	instVersions []uint64
@@ -211,6 +209,7 @@ func compilePlan(shape string, body []eq.Atom, ids []int, instVersions []uint64,
 	rels := []planRel{}
 	atomRel := make([]int, len(body))
 	argPlan := make([][]planArg, len(body))
+	k := 0 // the argument's position in the body
 	for ai, a := range body {
 		ri, ok := relIx[a.Rel]
 		if !ok {
@@ -238,28 +237,23 @@ func compilePlan(shape string, body []eq.Atom, ids []int, instVersions []uint64,
 		args := make([]planArg, len(a.Args))
 		for j := range a.Args {
 			if s := ids[0]; s >= 0 {
-				if s == len(p.slotAt) {
-					p.slotAt = append(p.slotAt, [2]int{ai, j})
-				}
+				p.nSlots = max(p.nSlots, s+1)
 				// Provisional: the order pass decides bind vs check.
 				args[j] = planArg{kind: opBind, ix: s}
 			} else {
 				c := len(p.constAt)
-				p.constAt = append(p.constAt, [2]int{ai, j})
+				p.constAt = append(p.constAt, [3]int{ai, j, k})
 				args[j] = planArg{kind: opConst, ix: c}
 			}
-			ids = ids[1:]
+			ids, k = ids[1:], k+1
 		}
 		argPlan[ai] = args
 		// Lock-plan routing: a constant hash column pins one part; a
-		// variable one makes every part reachable.
-		r := &rels[ri]
-		if r.key >= 0 && r.key < len(a.Args) && args[r.key].kind == opConst {
+		// variable one, or no hash column, makes every part reachable.
+		if r := &rels[ri]; r.key >= 0 && r.key < len(a.Args) && args[r.key].kind == opConst {
 			r.routes = append(r.routes, args[r.key].ix)
-		} else if r.key >= 0 {
-			r.needsAll = true
 		} else {
-			r.needsAll = true // unsharded: the single part is always needed
+			r.needsAll = true
 		}
 	}
 
@@ -269,7 +263,7 @@ func compilePlan(shape string, body []eq.Atom, ids []int, instVersions []uint64,
 	// order.
 	n := len(body)
 	used := make([]bool, n)
-	slotBound := make([]bool, len(p.slotAt))
+	slotBound := make([]bool, p.nSlots)
 	p.steps = make([]planStep, 0, n)
 	for len(p.steps) < n {
 		best, bestScore := -1, -1
@@ -298,7 +292,7 @@ func compilePlan(shape string, body []eq.Atom, ids []int, instVersions []uint64,
 			case slotBound[a.ix]:
 				args[j] = planArg{kind: opCheck, ix: a.ix}
 				st.bound = append(st.bound, boundCol{col: j, src: args[j]})
-			case containsInt(boundThis, a.ix):
+			case slices.Contains(boundThis, a.ix):
 				// Repeated variable within the atom: the earlier column
 				// writes the slot, this one checks it. Not a probe
 				// candidate — the slot is unset when the step probes.
@@ -325,35 +319,15 @@ func compilePlan(shape string, body []eq.Atom, ids []int, instVersions []uint64,
 		used[best] = true
 		p.steps = append(p.steps, st)
 	}
-	p.nSlots = len(p.slotAt)
 
 	// Sort relations by name: bind() acquires read locks in rels order,
 	// giving one deterministic (name, shard) total order.
-	order := make([]int, len(rels))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return rels[order[a]].name < rels[order[b]].name })
-	perm := make([]int, len(rels))
-	sorted := make([]planRel, len(rels))
-	for newIx, oldIx := range order {
-		sorted[newIx] = rels[oldIx]
-		perm[oldIx] = newIx
-	}
+	byName := func(r planRel, name string) int { return strings.Compare(r.name, name) }
+	p.rels = slices.SortedFunc(slices.Values(rels), func(a, b planRel) int { return byName(a, b.name) })
 	for i := range p.steps {
-		p.steps[i].rel = perm[p.steps[i].rel]
+		p.steps[i].rel, _ = slices.BinarySearchFunc(p.rels, rels[p.steps[i].rel].name, byName)
 	}
-	p.rels = sorted
 	return p, nil
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // planSource is the store-specific half of plan lookup: which schema

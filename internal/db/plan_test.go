@@ -97,7 +97,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 1 || valuesOf(res[0])["x"] != "only" {
+	if len(res) != 1 || res[0].At(0) != "only" {
 		t.Fatalf("plan must re-resolve the replaced relation: %v", res)
 	}
 	if st := in.PlanStats(); st.Misses != misses+1 {

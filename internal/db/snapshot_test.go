@@ -70,7 +70,7 @@ func TestSaveLoadPreservesIndexes(t *testing.T) {
 	// LoadCSV indexes every column; the manifest narrows it back down —
 	// either way column 1 works through Solve.
 	bnd, ok, err := back.Solve([]eq.Atom{eq.NewAtom("R", eq.V("k"), eq.C("x"))})
-	if err != nil || !ok || valuesOf(bnd)["k"] != "1" {
+	if err != nil || !ok || bnd.At(0) != "1" {
 		t.Fatalf("solve on reloaded index: %v %v %v", bnd, ok, err)
 	}
 }

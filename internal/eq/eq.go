@@ -196,21 +196,16 @@ func (q Query) Rename(prefix string) Query {
 
 // String renders the query as "{P1, P2} H1, H2 :- B1, B2".
 func (q Query) String() string {
-	var sb strings.Builder
-	sb.WriteString("{")
-	sb.WriteString(joinAtoms(q.Post))
-	sb.WriteString("} ")
-	sb.WriteString(joinAtoms(q.Head))
-	sb.WriteString(" :- ")
-	if len(q.Body) == 0 {
-		sb.WriteString("true")
-	} else {
-		sb.WriteString(joinAtoms(q.Body))
+	body := "true"
+	if len(q.Body) > 0 {
+		body = JoinAtoms(q.Body)
 	}
-	return sb.String()
+	return "{" + JoinAtoms(q.Post) + "} " + JoinAtoms(q.Head) + " :- " + body
 }
 
-func joinAtoms(as []Atom) string {
+// JoinAtoms renders an atom list as "A1, A2", the way a query's body
+// reads.
+func JoinAtoms(as []Atom) string {
 	parts := make([]string, len(as))
 	for i, a := range as {
 		parts[i] = a.String()

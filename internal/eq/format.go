@@ -26,7 +26,7 @@ func Format(q Query) string {
 		sb.WriteString("  ")
 		sb.WriteString(name)
 		sb.WriteString(": ")
-		sb.WriteString(joinAtoms(as))
+		sb.WriteString(JoinAtoms(as))
 		sb.WriteString("\n")
 	}
 	section("post", q.Post)

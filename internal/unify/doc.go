@@ -8,6 +8,8 @@
 // every equivalence class may carry at most one constant binding. Its
 // term table says which variable each argument of a body stands for,
 // so a store solves a body under a substitution by position (Term),
-// building neither a substituted copy nor a string. MGU, for atoms
-// whose variables are names, numbers them in order of first sight.
+// building neither a substituted copy nor a string; Resolve builds the
+// copy only to render one, naming each class as its caller asks. MGU,
+// for atoms whose variables are names, numbers them in order of first
+// sight.
 package unify

@@ -155,6 +155,29 @@ func (s *Subst) SetTerms(terms []int32) { s.terms = terms }
 // class, as Class reports it.
 func (s *Subst) Term(k int) (rep int32, c eq.Value, bound bool) { return s.Class(s.terms[k]) }
 
+// Resolve returns a copy of body read through the term table: a
+// variable whose class is bound becomes the constant, any other a
+// variable named name(rep) for its class's representative, asked in
+// order of the body's arguments. It is for rendering; a store resolves
+// by position, with Term.
+func (s *Subst) Resolve(body []eq.Atom, name func(rep int32) string) []eq.Atom {
+	out, k := make([]eq.Atom, len(body)), 0
+	for i, a := range body {
+		out[i] = eq.Atom{Rel: a.Rel, Args: slices.Clone(a.Args)}
+		for j, t := range a.Args {
+			if t.IsVar() {
+				if rep, c, bound := s.Term(k); bound {
+					out[i].Args[j] = eq.C(c)
+				} else {
+					out[i].Args[j] = eq.V(name(rep))
+				}
+			}
+			k++
+		}
+	}
+	return out
+}
+
 // Unifiable reports whether two atoms unify per the paper's §2.3
 // definition: they are over the same relation and do not contain
 // different constants in the same position. The two atoms come from
