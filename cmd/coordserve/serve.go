@@ -25,9 +25,9 @@ import (
 // admitted, and every session's mailbox drains before its goroutine
 // exits (events are atomic, so a drain never leaves partial
 // coordination state). With -data-dir the drain additionally syncs and
-// closes every open WAL — session journals first (registry close), then
-// the store log — so an interrupted server's data directory is complete
-// on stable storage.
+// closes the node's one log — store mutations and session events alike
+// — so an interrupted server's data directory is complete on stable
+// storage.
 //
 // Both listeners are bound before anything else is opened or started,
 // so an address in use is reported with nothing to undo, and the

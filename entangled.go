@@ -16,8 +16,8 @@
 //   - the in-memory relational substrate, including hash-partitioned
 //     sharded stores and exact per-request query metering
 //     (internal/db),
-//   - durable storage: a snapshot + write-ahead-log backend with
-//     session-event journals and crash recovery (internal/persist),
+//   - durable storage: a snapshot + write-ahead-log backend that logs
+//     session events too, with crash recovery (internal/persist),
 //   - the concurrent serving engine with per-shard request routing
 //     (internal/engine),
 //   - streaming coordination sessions with incremental ingest and
@@ -82,8 +82,8 @@ type (
 	Mutation = db.Mutation
 
 	// PersistBackend is the durable store: a WriteStore whose mutation
-	// stream is journaled to a snapshot + write-ahead log on disk, with
-	// per-session event journals for crash recovery (internal/persist).
+	// stream and named sessions' events are journaled to one snapshot +
+	// write-ahead log on disk for crash recovery (internal/persist).
 	PersistBackend = persist.Backend
 	// PersistOptions configures OpenPersist (shard count, fsync policy,
 	// rotation and compaction thresholds).

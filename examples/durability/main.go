@@ -105,7 +105,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// The ack implies the event is fsynced in the session journal.
+		// The ack implies the event is fsynced in the node's log.
 		fmt.Printf("first life: %s admitted=%v team=%d\n", q.ID, up.Admitted, up.TeamSize)
 	}
 	fmt.Println("crash: dropping every file handle, no drain, no final sync")

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,7 +28,7 @@ type Options struct {
 	// every reopen — replaying one mutation stream into a different
 	// shard count would reorder tuples across parts.
 	Shards int
-	// Sync is the fsync policy for the store WAL and session journals.
+	// Sync is the fsync policy of the log.
 	Sync SyncPolicy
 	// RotateBytes caps a WAL segment before rotation (default 4 MiB).
 	RotateBytes int64
@@ -41,8 +42,8 @@ type Options struct {
 	FS fault.FS
 }
 
-// RecoveryStats reports what Open (and RecoverSessions) replayed. It is
-// embedded in the body of GET /v1/recovery (api.RecoveryStatus).
+// RecoveryStats reports what Open replayed. It is embedded in the body
+// of GET /v1/recovery (api.RecoveryStatus).
 type RecoveryStats struct {
 	// SnapshotSeq is the snapshot the store was restored from (0: none).
 	SnapshotSeq int `json:"snapshot_seq,omitempty"`
@@ -55,20 +56,21 @@ type RecoveryStats struct {
 	// TornTail is true when the last segment ended in a torn frame that
 	// recovery truncated away.
 	TornTail bool `json:"torn_tail,omitempty"`
-	// Sessions and SessionEvents count recovered session journals and
-	// the events replayed from them; SessionTornTails counts journals
-	// that ended in a truncated torn frame.
+	// Sessions and SessionEvents count the live sessions the log holds
+	// and their events; SessionTornTails counts the per-session journal
+	// files of an older data directory that the import found torn.
 	Sessions         int `json:"sessions,omitempty"`
 	SessionEvents    int `json:"session_events,omitempty"`
 	SessionTornTails int `json:"session_torn_tails,omitempty"`
-	// DurationMS is wall time spent in Open's store replay.
+	// DurationMS is wall time spent in Open.
 	DurationMS int64 `json:"duration_ms,omitempty"`
 }
 
 // Metrics is a point-in-time snapshot of the backend's durability
-// counters: appends, bytes and fsyncs for the store mutation log and
-// for the session event journals, plus compaction state. It is the
-// "persist" block of /metrics (api.PersistMetrics).
+// counters: appends, bytes and fsyncs of the log's store frames and of
+// its session frames (an fsync covering both kinds counts for each),
+// plus compaction state. It is the "persist" block of /metrics
+// (api.PersistMetrics).
 type Metrics struct {
 	StoreAppends   int64 `json:"store_appends"`
 	StoreBytes     int64 `json:"store_bytes"`
@@ -77,9 +79,11 @@ type Metrics struct {
 	SessionAppends int64 `json:"session_appends"`
 	SessionBytes   int64 `json:"session_bytes"`
 	SessionSyncs   int64 `json:"session_syncs"`
-	OpenJournals   int   `json:"open_journals"`
-	SnapshotSeq    int   `json:"snapshot_seq"`
-	Compactions    int64 `json:"compactions"`
+	// OpenJournals counts the sessions live in the log: created or
+	// recovered, not dropped.
+	OpenJournals int   `json:"open_journals"`
+	SnapshotSeq  int   `json:"snapshot_seq"`
+	Compactions  int64 `json:"compactions"`
 	// Degraded-mode state: whether the backend is currently read-only,
 	// how many times it entered that state, probe attempts/failures,
 	// payloads queued for the next successful probe to flush, and
@@ -113,52 +117,47 @@ var ErrIndeterminate = errors.New("persist: ack indeterminate: applied in memory
 
 // Backend is a durable db.WriteStore: an in-memory Instance or
 // ShardedInstance that journals every applied mutation to a rotating
-// WAL, snapshots itself as a compacted mutation stream, and owns the
-// per-session event journals under the same data directory. Reads go
+// log, snapshots itself as a compacted mutation stream, and carries the
+// named sessions' lifecycles and events in the same log. Reads go
 // straight to the embedded in-memory store (queries cost no I/O); a
-// batch of writes pays one framed append plus the sync policy.
+// batch of writes pays one framed append plus the sync policy, and
+// under SyncAlways concurrent appends share one fsync (commit).
 //
-// Degraded mode: when an append or fsync fails, the failed payloads
-// queue on a pending list, the ack fails with ErrIndeterminate, and
-// the backend turns read-only — every later write is rejected with
-// ErrDegraded BEFORE being applied, so the in-memory store never runs
-// ahead of the journal by more than the queued payloads. Probe writes
-// a scratch file through the same filesystem and, on success, repairs
-// the logs, flushes each log's pending payloads in order as one append,
-// and lifts the degradation.
+// Degraded mode: when an append or fsync fails, every payload it lost
+// queues on one pending list in log order, the ack fails with
+// ErrIndeterminate, and the backend turns read-only — later store writes
+// are rejected with ErrDegraded BEFORE being applied, so memory never
+// runs ahead of the log by more than the queue. Probe writes a scratch
+// file and, on success, repairs the log, flushes the queue as one
+// append, and lifts the degradation.
 type Backend struct {
-	dir         string
-	storeDir    string
-	sessionsDir string
-	opts        Options
-	fs          fault.FS
-	shards      int
-	fresh       bool
+	dir      string
+	storeDir string
+	opts     Options
+	fs       fault.FS
+	shards   int
+	fresh    bool
 
 	memStore // the in-memory store: reads are its own, Apply is journaled
 	router   db.Router
 
-	mu        sync.Mutex // serialises writes, compaction, close
+	mu        sync.Mutex // serialises appends, compaction, close
+	cond      sync.Cond  // on mu: a group commit's fsync ended
 	wal       *wal
-	pending   [][]byte // store payloads awaiting a successful probe
+	pending   [][]byte // payloads awaiting a successful probe, in log order
+	scratch   []byte   // the session payload being appended
 	snapSeq   int
 	sinceSnap int64
 	closed    bool
+	journals  int          // sessions live in the log
+	lives     sessionLives // what Open recovered, until RecoverSessions
 
-	degraded        atomic.Bool
-	dmu             sync.Mutex // guards degradeCause
-	degradeCause    error
+	cause           atomic.Pointer[error] // why the backend is degraded; nil when healthy
 	degradeEvents   atomic.Int64
 	probes          atomic.Int64
 	probeFailures   atomic.Int64
 	compactFailures atomic.Int64
-
-	storeCtr    walCounters
-	sessionCtr  walCounters
-	compactions atomic.Int64
-
-	smu      sync.Mutex
-	sessions map[string]*SessionJournal
+	compactions     atomic.Int64
 
 	rec RecoveryStats
 }
@@ -172,11 +171,13 @@ var (
 	_ db.PlanStatser = (*Backend)(nil)
 )
 
-// Open opens (creating if needed) the data directory and restores the
-// store: load the newest snapshot, replay every segment at or above its
-// number, truncate a torn tail on the last segment. Mid-log corruption
-// is a *CorruptError and Open fails. Session journals are NOT replayed
-// here — call RecoverSessions for those.
+// Open opens (creating if needed) the data directory and restores it:
+// load the newest snapshot, replay every segment at or above its
+// number — mutations into the store, session frames into each live
+// session's history — and truncate a torn tail on the last segment.
+// Mid-log corruption is a *CorruptError and Open fails. A data
+// directory from before the one log has its session files imported
+// (importSessions). RecoverSessions hands out the sessions.
 func Open(dir string, opts Options) (*Backend, error) {
 	start := time.Now()
 	if opts.RotateBytes <= 0 {
@@ -188,18 +189,10 @@ func Open(dir string, opts Options) (*Backend, error) {
 	if opts.FS == nil {
 		opts.FS = fault.OS
 	}
-	b := &Backend{
-		dir:         dir,
-		storeDir:    filepath.Join(dir, "store"),
-		sessionsDir: filepath.Join(dir, "sessions"),
-		opts:        opts,
-		fs:          opts.FS,
-		sessions:    make(map[string]*SessionJournal),
-	}
-	for _, d := range []string{b.storeDir, b.sessionsDir} {
-		if err := b.fs.MkdirAll(d, 0o755); err != nil {
-			return nil, err
-		}
+	b := &Backend{dir: dir, storeDir: filepath.Join(dir, "store"), opts: opts, fs: opts.FS, lives: sessionLives{}}
+	b.cond.L = &b.mu
+	if err := b.fs.MkdirAll(b.storeDir, 0o755); err != nil {
+		return nil, err
 	}
 	if err := b.loadMeta(); err != nil {
 		return nil, err
@@ -213,6 +206,13 @@ func Open(dir string, opts Options) (*Backend, error) {
 	}
 	if err := b.recoverStore(); err != nil {
 		return nil, err
+	}
+	if err := b.importSessions(); err != nil {
+		return nil, err
+	}
+	b.journals, b.rec.Sessions = len(b.lives), len(b.lives)
+	for _, life := range b.lives {
+		b.rec.SessionEvents += len(life) - 1
 	}
 	b.rec.DurationMS = time.Since(start).Milliseconds()
 	return b, nil
@@ -261,17 +261,7 @@ func (b *Backend) loadMeta() error {
 // may not survive power loss — so it must not report success.
 func (b *Backend) publish(dir, tmp, name string, write func(io.Writer) error) error {
 	tmp = filepath.Join(dir, tmp)
-	f, err := b.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	err := b.writeFile(tmp, write)
 	if err == nil {
 		err = b.fs.Rename(tmp, filepath.Join(dir, name))
 	}
@@ -282,31 +272,51 @@ func (b *Backend) publish(dir, tmp, name string, write func(io.Writer) error) er
 	return b.fs.SyncDir(dir)
 }
 
-// recoverStore replays snapshot + segments into the in-memory store
-// and opens a fresh segment for appends.
+// writeFile writes path afresh and fsyncs it.
+func (b *Backend) writeFile(path string, write func(io.Writer) error) error {
+	f, err := b.fs.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// recoverStore replays snapshot + segments and opens a fresh segment
+// for appends.
 func (b *Backend) recoverStore() error {
 	segs, snaps, err := scanStoreDir(b.fs, b.storeDir)
 	if err != nil {
 		return err
 	}
+	mutations := 0
+	replay := func(payload []byte) error {
+		if kindOf(payload) == kindSession {
+			return b.lives.add(payload)
+		}
+		mutations++
+		return b.applyFrame(payload)
+	}
 	if len(snaps) > 0 {
 		b.snapSeq = snaps[len(snaps)-1]
-		path := filepath.Join(b.storeDir, snapName(b.snapSeq))
-		n, _, err := replayFile(b.fs, path, b.applyFrame)
-		if err != nil {
-			// Snapshots are written to a temp file and renamed, so a
-			// torn snapshot is real corruption, not a crash artifact.
+		// Snapshots are written to a temp file and renamed, so a torn
+		// snapshot is real corruption, not a crash artifact.
+		if _, _, err := replayFile(b.fs, filepath.Join(b.storeDir, snapName(b.snapSeq)), replay); err != nil {
 			return err
 		}
 		b.rec.SnapshotSeq = b.snapSeq
-		b.rec.SnapshotFrames = n
+		b.rec.SnapshotFrames = mutations
 	}
 	// Drop files a crashed compaction left behind: snapshots and
 	// segments the newest snapshot superseded.
-	for _, s := range snaps {
-		if s < b.snapSeq {
-			b.fs.Remove(filepath.Join(b.storeDir, snapName(s)))
-		}
+	for _, s := range snaps[:max(len(snaps)-1, 0)] {
+		b.fs.Remove(filepath.Join(b.storeDir, snapName(s)))
 	}
 	live := segs[:0]
 	for _, s := range segs {
@@ -318,7 +328,7 @@ func (b *Backend) recoverStore() error {
 	}
 	for i, s := range live {
 		path := filepath.Join(b.storeDir, segName(s))
-		n, valid, err := replayFile(b.fs, path, b.applyFrame)
+		_, valid, err := replayFile(b.fs, path, replay)
 		if err != nil {
 			if _, torn := err.(*CorruptError); torn && i == len(live)-1 {
 				// A crash can tear only the tail of the last segment:
@@ -331,19 +341,17 @@ func (b *Backend) recoverStore() error {
 				return err
 			}
 		}
-		b.rec.WALFrames += n
 		b.rec.WALSegments++
 		b.sinceSnap += valid
 	}
+	b.rec.WALFrames = mutations - b.rec.SnapshotFrames
 	next := b.snapSeq + 1
-	if len(live) > 0 && live[len(live)-1]+1 > next {
-		next = live[len(live)-1] + 1
+	if len(live) > 0 {
+		next = max(next, live[len(live)-1]+1)
 	}
-	if next < 1 {
-		next = 1
-	}
-	b.wal, err = openWAL(b.fs, b.storeDir, next, b.opts.Sync, b.opts.RotateBytes, &b.storeCtr, func() { _ = b.syncWAL() })
-	return err
+	b.wal = &wal{dir: b.storeDir, fsys: b.fs, policy: b.opts.Sync, rotateBytes: b.opts.RotateBytes,
+		lastSync: time.Now(), flush: func() { _ = b.Sync() }}
+	return b.wal.open(next, 0)
 }
 
 // applyFrame decodes one journaled mutation and applies it. Failures
@@ -370,7 +378,7 @@ func (b *Backend) Shards() int { return b.shards }
 // Dir returns the data directory.
 func (b *Backend) Dir() string { return b.dir }
 
-// RecoveryStats returns what Open and RecoverSessions replayed.
+// RecoveryStats returns what Open replayed.
 func (b *Backend) RecoveryStats() RecoveryStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -379,43 +387,32 @@ func (b *Backend) RecoveryStats() RecoveryStats {
 
 // Degraded reports whether the backend is read-only awaiting a
 // successful probe.
-func (b *Backend) Degraded() bool { return b.degraded.Load() }
+func (b *Backend) Degraded() bool { return b.cause.Load() != nil }
 
 // DegradeCause returns the error that flipped the backend degraded
 // (nil when healthy).
 func (b *Backend) DegradeCause() error {
-	b.dmu.Lock()
-	defer b.dmu.Unlock()
-	return b.degradeCause
+	if p := b.cause.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // markDegraded flips the backend read-only, recording the first cause.
 func (b *Backend) markDegraded(cause error) {
-	if b.degraded.CompareAndSwap(false, true) {
+	if b.cause.CompareAndSwap(nil, &cause) {
 		b.degradeEvents.Add(1)
-		b.dmu.Lock()
-		b.degradeCause = cause
-		b.dmu.Unlock()
-	}
-}
-
-func (b *Backend) clearDegraded() {
-	if b.degraded.CompareAndSwap(true, false) {
-		b.dmu.Lock()
-		b.degradeCause = nil
-		b.dmu.Unlock()
 	}
 }
 
 // Apply applies the batch's longest valid prefix to the in-memory
-// store, journals it as one append per segment, then checks compaction.
-// The in-memory apply runs first so an invalid mutation never reaches
-// the log — a journal replay cannot fail to apply; its *db.MutationError
-// is returned once the prefix before it is durable. While degraded,
-// writes are rejected with ErrDegraded BEFORE touching the in-memory
-// store; a journal failure on a healthy backend queues every payload
-// not written, degrades the backend, and fails the ack with
-// ErrIndeterminate.
+// store and journals it as one append per segment. The in-memory apply
+// runs first so an invalid mutation never reaches the log — a journal
+// replay cannot fail to apply; its *db.MutationError is returned once
+// the prefix before it is durable. While degraded, writes are rejected
+// with ErrDegraded BEFORE touching the in-memory store; a log failure
+// on a healthy backend queues every payload not durable, degrades the
+// backend, and fails the ack with ErrIndeterminate.
 func (b *Backend) Apply(ms ...db.Mutation) error {
 	var invalid error
 	payloads := make([][]byte, 0, len(ms))
@@ -432,7 +429,7 @@ func (b *Backend) Apply(ms ...db.Mutation) error {
 	if b.closed {
 		return errClosed
 	}
-	if b.degraded.Load() {
+	if b.Degraded() {
 		return fmt.Errorf("%w (cause: %v)", ErrDegraded, b.DegradeCause())
 	}
 	if err := b.memStore.Apply(ms...); err != nil {
@@ -442,90 +439,158 @@ func (b *Backend) Apply(ms ...db.Mutation) error {
 		}
 		payloads, invalid = payloads[:me.Index], err
 	}
+	if len(payloads) == 0 {
+		return invalid
+	}
+	if err := b.appendLocked(false, payloads...); err != nil {
+		return errors.Join(fmt.Errorf("persist: store WAL: %w", err), invalid)
+	}
+	return invalid
+}
+
+// appendLocked is the one append path for both frame kinds: it writes
+// payloads and, under SyncAlways or when sync is set, waits in commit
+// for an fsync covering them. A failure queues every payload it lost,
+// in log order, degrades the backend and returns ErrIndeterminate. An
+// append that brings the log past CompactBytes compacts it.
+func (b *Backend) appendLocked(sync bool, payloads ...[]byte) error {
 	n, err := b.wal.append(payloads...)
 	b.sinceSnap += framedSize(payloads[:n]...)
 	if err != nil {
-		b.pending = append(b.pending, payloads[n:]...)
-		b.markDegraded(err)
-		return errors.Join(fmt.Errorf("persist: store WAL: %w: %w", ErrIndeterminate, err), invalid)
+		b.lose(err)
+		for _, p := range payloads[n:] {
+			b.pending = append(b.pending, bytes.Clone(p))
+		}
+		return fmt.Errorf("%w: %w", ErrIndeterminate, err)
 	}
-	if b.opts.CompactBytes > 0 && b.sinceSnap >= b.opts.CompactBytes {
+	end := b.wal.written
+	if b.opts.CompactBytes > 0 && b.sinceSnap >= b.opts.CompactBytes && !b.Degraded() {
 		if err := b.compactLocked(); err != nil {
-			// The batch is applied AND journaled — the ack is good.
-			// Compaction retries on a later write; only count the miss.
+			// The append stands; compaction retries on a later one.
 			b.compactFailures.Add(1)
 		}
 	}
-	return invalid
+	if sync || b.opts.Sync == SyncAlways {
+		return b.commit(end)
+	}
+	return nil
+}
+
+// commit returns once an fsync covers the log up to end — group
+// commit. Appends write under b.mu, then wait here: the first waiter
+// fsyncs everything written so far with the lock released, and every
+// waiter that fsync covers returns with it, so concurrent appends share
+// one fsync. A frame a failure lost fails with ErrIndeterminate.
+func (b *Backend) commit(end int64) error {
+	w := b.wal
+	w.waiting++
+	defer func() {
+		if w.waiting--; w.waiting == 0 {
+			w.lost = w.lost[:0]
+		}
+	}()
+	for {
+		for _, r := range w.lost {
+			if end > r.from && end <= r.to {
+				return fmt.Errorf("%w: %w", ErrIndeterminate, r.err)
+			}
+		}
+		if end <= w.synced {
+			return nil
+		}
+		if w.syncing {
+			b.cond.Wait()
+			continue
+		}
+		f, target, kinds := w.f, w.written, w.kinds
+		w.syncing, w.kinds = true, 0
+		b.mu.Unlock()
+		err := f.Sync()
+		b.mu.Lock()
+		w.syncing = false
+		b.cond.Broadcast()
+		switch {
+		case err == nil:
+			w.settle(target, kinds)
+		case target > w.synced:
+			// Nothing settled these bytes meanwhile (a rotation or a
+			// failure would have), so f is still the active segment.
+			w.broken = true
+			b.lose(fmt.Errorf("persist: syncing %s: %w", w.path(w.seq), err))
+		}
+	}
+}
+
+// lose fails every frame written since the last sync and degrades the
+// backend. Under SyncAlways their payloads go back to the head of the
+// pending queue and the segment's end rolls back past them, so repair
+// truncates them; under a laxer policy they were acked and stay.
+func (b *Backend) lose(err error) {
+	w := b.wal
+	if w.policy == SyncAlways && len(w.buf) > 0 {
+		var tail [][]byte
+		// buf holds whole frames this process framed: replay cannot fail.
+		_, _, _ = ReplayFrames(bytes.NewReader(w.buf), func(p []byte) error {
+			tail = append(tail, bytes.Clone(p))
+			return nil
+		})
+		b.pending = append(tail, b.pending...)
+		w.size -= int64(len(w.buf))
+		w.shed(len(w.buf))
+	}
+	w.fail(err)
+	b.markDegraded(err)
 }
 
 var errClosed = fmt.Errorf("persist: backend is closed")
 
 // Probe checks whether the filesystem accepts durable writes again: it
-// writes, syncs, and removes a scratch file, then repairs the WAL and
-// every open session journal and flushes their pending payloads in
-// order. Only when everything is durable does the degradation lift.
-// Cheap and a no-op when healthy and nothing is pending.
+// writes, syncs, and removes a scratch file, then repairs the log,
+// flushes the pending payloads in order as one append, and syncs. Only
+// when everything is durable does the degradation lift. Cheap and a
+// no-op when healthy and nothing is pending.
 func (b *Backend) Probe() error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		return errClosed
 	}
 	b.probes.Add(1)
-	err := b.probeLocked()
-	b.mu.Unlock()
-	if err == nil {
-		for _, j := range b.openJournals() {
-			if ferr := j.flushPending(); ferr != nil {
-				err = ferr
-				break
-			}
-		}
-	}
-	if err != nil {
+	if err := b.probeLocked(); err != nil {
 		b.probeFailures.Add(1)
 		return err
 	}
-	b.clearDegraded()
+	b.cause.Store(nil)
 	return nil
 }
 
-// probeLocked runs the scratch-file probe and the store-WAL flush.
+// probeLocked runs the scratch-file probe and the log flush.
 func (b *Backend) probeLocked() error {
 	path := filepath.Join(b.dir, "probe.tmp")
-	f, err := b.fs.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	err := b.writeFile(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("probe\n"))
 		return err
-	}
-	_, err = f.Write([]byte("probe\n"))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	})
 	if rerr := b.fs.Remove(path); err == nil {
 		err = rerr
 	}
 	if err != nil {
 		return err
 	}
-	if err := b.wal.cur.repair(); err != nil {
+	if err := b.wal.repair(); err != nil {
 		return err
 	}
-	n, err := b.wal.append(b.pending...)
-	b.sinceSnap += framedSize(b.pending[:n]...)
-	if b.pending = b.pending[n:]; err != nil {
+	flush := b.pending
+	b.pending = nil
+	if err := b.appendLocked(false, flush...); err != nil {
 		return err
 	}
-	return b.wal.cur.sync()
+	return b.syncLocked()
 }
 
-// Compact writes the store as a snapshot (a compacted mutation
-// stream), rotates the WAL past it, and deletes the segments and
-// snapshots the new snapshot supersedes. Log replay cost resets to
-// O(store), independent of write history.
+// Compact writes the store and every live session as a snapshot and
+// deletes the segments and snapshot it supersedes, so replay costs
+// O(store + live sessions' histories), not O(write history).
 func (b *Backend) Compact() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -535,20 +600,45 @@ func (b *Backend) Compact() error {
 	return b.compactLocked()
 }
 
+// compactLocked rotates first, so snapshot N covers exactly the
+// segments below N. The store comes from memory; each live session's
+// create frame and events are read back from the superseded files.
 func (b *Backend) compactLocked() error {
-	newSeq := b.wal.seq + 1
+	if b.Degraded() {
+		return fmt.Errorf("persist: compacting: %w", ErrDegraded)
+	}
+	oldSnap, oldSeq := b.snapSeq, b.wal.seq
+	if err := b.wal.rotate(); err != nil {
+		b.lose(err)
+		return err
+	}
+	lives := sessionLives{}
+	superseded := []string{snapName(oldSnap)}
+	for s := oldSnap; s <= oldSeq; s++ {
+		superseded = append(superseded, segName(s))
+	}
+	for _, name := range superseded {
+		if _, _, err := replayFile(b.fs, filepath.Join(b.storeDir, name), lives.add); err != nil {
+			return err
+		}
+	}
+	newSeq := b.wal.seq
 	err := b.publish(b.storeDir, "snapshot.tmp", snapName(newSeq), func(w io.Writer) error {
+		// A failed write sticks in bw, and Flush reports it.
 		bw := bufio.NewWriterSize(w, 256<<10)
 		var framed []byte
 		err := b.memStore.DumpMutations(func(m db.Mutation) error {
 			payload, err := json.Marshal(m)
-			if err != nil {
-				return err
-			}
 			framed = frame.Append(framed[:0], payload)
-			_, err = bw.Write(framed)
+			_, _ = bw.Write(framed)
 			return err
 		})
+		for _, name := range lives.names() {
+			for _, p := range lives[name] {
+				framed = frame.Append(framed[:0], p)
+				_, _ = bw.Write(framed)
+			}
+		}
 		if err != nil {
 			return err
 		}
@@ -557,15 +647,8 @@ func (b *Backend) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	oldSeq := b.wal.seq
-	if err := b.wal.rotateTo(newSeq); err != nil {
-		return err
-	}
-	for s := b.snapSeq; s <= oldSeq; s++ {
-		b.fs.Remove(filepath.Join(b.storeDir, segName(s)))
-	}
-	if b.snapSeq > 0 {
-		b.fs.Remove(filepath.Join(b.storeDir, snapName(b.snapSeq)))
+	for _, name := range superseded {
+		b.fs.Remove(filepath.Join(b.storeDir, name))
 	}
 	b.snapSeq = newSeq
 	b.sinceSnap = 0
@@ -573,106 +656,76 @@ func (b *Backend) compactLocked() error {
 	return nil
 }
 
-// Sync flushes the store WAL and every open session journal to stable
-// storage regardless of the sync policy — the graceful-drain hook. A
-// failed flush degrades the backend so the probe path can repair it.
+// Sync flushes the log to stable storage regardless of the sync
+// policy — the graceful-drain hook and the interval timer. A failed
+// flush degrades the backend so the probe path can repair it.
 func (b *Backend) Sync() error {
-	err := b.syncWAL()
-	for _, j := range b.openJournals() {
-		if serr := j.Sync(); err == nil {
-			err = serr
-		}
-	}
-	return err
-}
-
-// syncWAL flushes the store WAL, degrading the backend if that fails.
-// Sync and the WAL's interval timer share it.
-func (b *Backend) syncWAL() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return errClosed
 	}
-	err := b.wal.cur.sync()
+	return b.syncLocked()
+}
+
+func (b *Backend) syncLocked() error {
+	err := b.wal.sync()
 	if err != nil {
-		b.markDegraded(err)
+		b.lose(err)
 	}
 	return err
 }
 
-// Close syncs and closes the WAL and every open session journal. The
-// backend rejects writes afterwards; the in-memory store stays
-// readable.
+// Close syncs and closes the log. The backend rejects writes
+// afterwards; the in-memory store stays readable.
 func (b *Backend) Close() error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		return nil
 	}
 	b.closed = true
-	err := b.wal.cur.close()
-	b.mu.Unlock()
-	for _, j := range b.openJournals() {
-		if cerr := j.Close(); err == nil {
-			err = cerr
-		}
+	err := b.syncLocked()
+	if cerr := b.wal.close(); err == nil {
+		err = cerr
 	}
 	return err
 }
 
-// Abort closes every file handle WITHOUT syncing: the crash-simulation
-// hook for recovery tests. Data the OS already buffered survives a
-// reopen (as it would a process crash); nothing is flushed beyond what
-// the sync policy already flushed.
+// Abort closes the log WITHOUT syncing: the crash-simulation hook for
+// recovery tests. Data the OS already buffered survives a reopen (as it
+// would a process crash); nothing is flushed beyond what the sync
+// policy already flushed, and an append still waiting for its fsync
+// fails with ErrIndeterminate.
 func (b *Backend) Abort() {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		return
 	}
 	b.closed = true
-	b.wal.cur.abort()
-	b.mu.Unlock()
-	for _, j := range b.openJournals() {
-		j.abort()
-	}
-}
-
-// openJournals snapshots the registered session journals.
-func (b *Backend) openJournals() []*SessionJournal {
-	b.smu.Lock()
-	defer b.smu.Unlock()
-	out := make([]*SessionJournal, 0, len(b.sessions))
-	for _, j := range b.sessions {
-		out = append(out, j)
-	}
-	return out
+	b.wal.close()
+	b.wal.fail(errClosed)
 }
 
 // Metrics snapshots the durability counters.
 func (b *Backend) Metrics() Metrics {
-	journals := b.openJournals()
-	pendingSessions := 0
-	for _, j := range journals {
-		pendingSessions += j.pendingLen()
-	}
 	b.mu.Lock()
-	snapSeq := b.snapSeq
-	pending := len(b.pending) + pendingSessions
+	snapSeq, pending, journals := b.snapSeq, len(b.pending), b.journals
 	b.mu.Unlock()
+	st, se := &b.wal.ctr[kindStore], &b.wal.ctr[kindSession]
 	return Metrics{
-		StoreAppends:    b.storeCtr.appends.Load(),
-		StoreBytes:      b.storeCtr.bytes.Load(),
-		StoreSyncs:      b.storeCtr.syncs.Load(),
-		StoreRotations:  b.storeCtr.rotations.Load(),
-		SessionAppends:  b.sessionCtr.appends.Load(),
-		SessionBytes:    b.sessionCtr.bytes.Load(),
-		SessionSyncs:    b.sessionCtr.syncs.Load(),
-		OpenJournals:    len(journals),
+		StoreAppends:    st.appends.Load(),
+		StoreBytes:      st.bytes.Load(),
+		StoreSyncs:      st.syncs.Load(),
+		StoreRotations:  b.wal.rotations.Load(),
+		SessionAppends:  se.appends.Load(),
+		SessionBytes:    se.bytes.Load(),
+		SessionSyncs:    se.syncs.Load(),
+		OpenJournals:    journals,
 		SnapshotSeq:     snapSeq,
 		Compactions:     b.compactions.Load(),
-		Degraded:        b.degraded.Load(),
+		Degraded:        b.Degraded(),
 		DegradeEvents:   b.degradeEvents.Load(),
 		Probes:          b.probes.Load(),
 		ProbeFailures:   b.probeFailures.Load(),

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"entangled/internal/db"
 	"entangled/internal/eq"
 	"entangled/internal/fault"
+	"entangled/internal/frame"
 	"entangled/internal/stream"
 )
 
@@ -277,6 +279,14 @@ func TestSessionJournalLifecycle(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// One log: sessions leave no file of their own.
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 2 || ents[0].Name() != "meta.json" || ents[1].Name() != "store" {
+		t.Fatalf("data dir holds %v, want meta.json and store/", ents)
+	}
 
 	re := openT(t, dir, Options{})
 	recovered, err := re.RecoverSessions()
@@ -313,52 +323,75 @@ func TestSessionJournalLifecycle(t *testing.T) {
 	re2.Close()
 }
 
+// TestSessionJournalTornTail: a crash can tear the session frame the
+// log ends in; recovery truncates it (TornTail) and keeps the events
+// before it. A journal file an older data directory holds gets the same
+// rule on import, counted in SessionTornTails.
 func TestSessionJournalTornTail(t *testing.T) {
-	dir := t.TempDir()
-	b := openT(t, dir, Options{})
-	j, err := b.CreateSessionJournal("s", false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := eq.Query{
 		ID:   "a",
 		Post: []eq.Atom{eq.NewAtom("R", eq.C("a"), eq.V("y"))},
 		Head: []eq.Atom{eq.NewAtom("R", eq.C("a"), eq.V("x"))},
 		Body: []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C("c0"))},
 	}
-	if err := j.Append(stream.Event{Kind: stream.JoinEvent, Query: q}); err != nil {
+	evs := []stream.Event{{Kind: stream.JoinEvent, Query: q}, {Kind: stream.LeaveEvent, ID: "a"}}
+	recoverOne := func(dir string) (RecoveredSession, RecoveryStats) {
+		t.Helper()
+		re := openT(t, dir, Options{})
+		defer re.Close()
+		recovered, err := re.RecoverSessions()
+		if err != nil || len(recovered) != 1 || len(recovered[0].Events) != 1 {
+			t.Fatalf("recovered %v (%v), want one session holding the first event", recovered, err)
+		}
+		return recovered[0], re.RecoveryStats()
+	}
+
+	dir := t.TempDir()
+	b := openT(t, dir, Options{})
+	j, err := b.CreateSessionJournal("s", false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(stream.Event{Kind: stream.LeaveEvent, ID: "a"}); err != nil {
-		t.Fatal(err)
+	for _, ev := range evs {
+		if err := j.Append(ev); err != nil {
+			t.Fatal(err)
+		}
 	}
 	b.Close()
-	path := filepath.Join(dir, "sessions", "s.wal")
-	info, err := os.Stat(path)
+	seg := filepath.Join(dir, "store", segName(1))
+	info, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, info.Size()-3); err != nil {
+	if err := os.Truncate(seg, info.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	re := openT(t, dir, Options{})
-	recovered, err := re.RecoverSessions()
-	if err != nil {
+	if _, rec := recoverOne(dir); !rec.TornTail || rec.SessionTornTails != 0 {
+		t.Fatalf("stats %+v, want the log's torn tail", rec)
+	}
+
+	old := t.TempDir()
+	openT(t, old, Options{}).Close()
+	journal := frame.Append(nil, []byte(`{"name":"s"}`))
+	for _, ev := range evs {
+		payload, _ := json.Marshal(ev)
+		journal = frame.Append(journal, payload)
+	}
+	if err := os.Mkdir(filepath.Join(old, "sessions"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if len(recovered) != 1 || len(recovered[0].Events) != 1 {
-		t.Fatalf("recovered %v", recovered)
+	if err := os.WriteFile(filepath.Join(old, "sessions", "s.wal"), journal[:len(journal)-3], 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got := re.RecoveryStats(); got.SessionTornTails != 1 {
-		t.Fatalf("stats %+v", got)
+	if _, rec := recoverOne(old); rec.TornTail || rec.SessionTornTails != 1 {
+		t.Fatalf("stats %+v, want one torn journal file", rec)
 	}
-	re.Close()
 }
 
-// TestSessionJournalRefusesAtomWithoutRelation: a journal frame that
+// TestSessionJournalRefusesAtomWithoutRelation: a session frame that
 // checksums but holds a query no edge would have admitted — an atom
-// naming no relation — is not a torn tail to truncate: replay stops
-// with an error naming the journal and the atom, and the file stays.
+// naming no relation — is not a torn tail to truncate: recovery stops
+// with an error naming the session and the atom, and the log stays.
 func TestSessionJournalRefusesAtomWithoutRelation(t *testing.T) {
 	dir := t.TempDir()
 	b := openT(t, dir, Options{})
@@ -371,7 +404,7 @@ func TestSessionJournalRefusesAtomWithoutRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Close()
-	path := filepath.Join(dir, "sessions", "s.wal")
+	path := filepath.Join(dir, "store", segName(1))
 	written, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -381,10 +414,10 @@ func TestSessionJournalRefusesAtomWithoutRelation(t *testing.T) {
 	_, err = re.RecoverSessions()
 	if err == nil || errors.Is(err, ErrCorrupt) ||
 		!strings.Contains(err.Error(), `session journal "s": decoding event`) || !strings.Contains(err.Error(), "atom without relation name") {
-		t.Fatalf("recovery: %v; want the journal's decoding error naming the atom", err)
+		t.Fatalf("recovery: %v; want the session's decoding error naming the atom", err)
 	}
 	if kept, err := os.Stat(path); err != nil || kept.Size() != written.Size() {
-		t.Fatalf("the journal was touched: %v, %v", kept, err)
+		t.Fatalf("the log was touched: %v, %v", kept, err)
 	}
 }
 

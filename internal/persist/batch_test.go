@@ -285,8 +285,9 @@ func TestNewSegmentNamesAreSynced(t *testing.T) {
 }
 
 // TestIntervalSyncWithoutFurtherWrites: under SyncEvery a log left
-// dirty by its last append is synced by the timer, with no later write
-// to carry the sync.
+// dirty by its last appends — a store frame and a session frame — is
+// synced by the timer, with no later write to carry the sync, and that
+// one fsync counts for both kinds.
 func TestIntervalSyncWithoutFurtherWrites(t *testing.T) {
 	b := openT(t, t.TempDir(), Options{Sync: SyncEvery(10 * time.Millisecond)})
 	defer b.Close()
@@ -294,24 +295,24 @@ func TestIntervalSyncWithoutFurtherWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	storeDirty := func() bool {
+	// unsynced reports which frame kinds the log holds past its last
+	// fsync: bit 0 store, bit 1 session.
+	unsynced := func() uint8 {
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		return b.wal.cur.dirty
-	}
-	journalDirty := func() bool {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		return j.lf.dirty
+		if b.wal.written == b.wal.synced {
+			return 0
+		}
+		return b.wal.kinds
 	}
 	// An append that finds the interval already passed syncs inline and
-	// leaves nothing for the timer; retry until one leaves its log dirty.
-	// m0 is read before the dirty checks, so the syncs that clean the
-	// logs come after it.
+	// leaves nothing for the timer; retry until both kinds are left
+	// dirty. m0 is read before the dirty check, so the sync that cleans
+	// the log comes after it.
 	var m0 Metrics
 	for k := 0; ; k++ {
 		if k == 20 {
-			t.Fatal("no append left its logs dirty")
+			t.Fatal("no pair of appends left the log dirty")
 		}
 		if err := b.Apply(db.MCreate("R", 0, "a")); err != nil {
 			t.Fatal(err)
@@ -320,7 +321,7 @@ func TestIntervalSyncWithoutFurtherWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		m0 = b.Metrics()
-		if storeDirty() && journalDirty() {
+		if unsynced() == 3 {
 			break
 		}
 	}
@@ -336,8 +337,8 @@ func TestIntervalSyncWithoutFurtherWrites(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if storeDirty() || journalDirty() {
-		t.Fatal("a log is still dirty after its timed sync")
+	if unsynced() != 0 {
+		t.Fatal("the log is still dirty after its timed sync")
 	}
 }
 

@@ -3,6 +3,8 @@ package persist
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
+	"entangled/internal/fault"
 	"entangled/internal/stream"
 )
 
@@ -55,23 +58,51 @@ func compatChurn(store db.Store) []stream.Event {
 }
 
 // TestJournalFromBeforeSerialsReplays holds the durable tier to the
-// change that made compaction free. A journal holds events and nothing
-// of how the coordinator numbers them, so (1) today's code writes the
-// bytes commit 6038a32 wrote for the same session, and (2) that
-// commit's file replays — under a threshold that compacts after every
+// change that made compaction free and to the change that moved every
+// session into the one log. A journal holds events and nothing of how
+// the coordinator numbers them, so (1) the event part of every session
+// frame today's code writes for the same session is the payload of the
+// frame commit 6038a32 wrote, frame for frame, and (2) that commit's
+// file, found as sessions/compat.wal in a data directory, is imported
+// by Open and replays — under a threshold that compacts after every
 // departure, the default, and none — to the status, totals included,
-// that 6038a32 itself recovered with compaction off. (With it on,
+// that 6038a32 itself recovered with compaction off; a second Open
+// finds no sessions/ left and recovers the same. (With compaction on,
 // 6038a32's totals also counted each compaction's re-solve; that cost
 // is what went.) Both files were written by this test's own steps run
 // in a checkout of 6038a32: the journal is sessions/compat.wal, the
 // status the CompactAfter -1 replay's JSON and a newline.
 func TestJournalFromBeforeSerialsReplays(t *testing.T) {
 	const fixture = "testdata/journal_6038a32"
-	dir := t.TempDir()
-	b := openT(t, dir, Options{Sync: SyncNever})
-	if err := db.ApplyAll(b, seedMutations(40)); err != nil {
+	parent, err := os.ReadFile(fixture + ".wal")
+	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := os.ReadFile(fixture + ".status.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parentFrames [][]byte
+	if _, _, err := ReplayFrames(bytes.NewReader(parent), func(p []byte) error {
+		parentFrames = append(parentFrames, bytes.Clone(p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	seeded := func() string {
+		dir := t.TempDir()
+		b := openT(t, dir, Options{Sync: SyncNever})
+		if err := db.ApplyAll(b, seedMutations(40)); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	dir := seeded()
+	b := openT(t, dir, Options{Sync: SyncNever})
 	j, err := b.CreateSessionJournal("compat", true)
 	if err != nil {
 		t.Fatal(err)
@@ -91,44 +122,62 @@ func TestJournalFromBeforeSerialsReplays(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "sessions", "compat.wal")
-	wrote, err := os.ReadFile(path)
-	if err != nil {
+	var events [][]byte
+	if _, _, err := replayFile(fault.OS, filepath.Join(dir, "store", segName(2)), func(p []byte) error {
+		if kindOf(p) == kindSession {
+			if tag, _, body, err := parseSession(p); err != nil || tag == tagEvent {
+				events = append(events, bytes.Clone(body))
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	parent, err := os.ReadFile(fixture + ".wal")
-	if err != nil {
-		t.Fatal(err)
+	if len(events) != len(parentFrames)-1 {
+		t.Fatalf("the log holds %d events of the session, 6038a32's journal %d", len(events), len(parentFrames)-1)
 	}
-	if !bytes.Equal(wrote, parent) {
-		t.Fatalf("the journal of the same session is %d bytes, differing from the %d that 6038a32 wrote", len(wrote), len(parent))
-	}
-	want, err := os.ReadFile(fixture + ".status.json")
-	if err != nil {
-		t.Fatal(err)
+	for i, ev := range events {
+		if !bytes.Equal(ev, parentFrames[i+1]) {
+			t.Fatalf("event %d is\n%s\nwhere 6038a32 wrote\n%s", i, ev, parentFrames[i+1])
+		}
 	}
 
-	re := openT(t, dir, Options{})
-	defer re.Close()
-	recovered, err := re.RecoverSessions()
-	if err != nil || len(recovered) != 1 {
-		t.Fatalf("recovered %d sessions, err %v", len(recovered), err)
+	dir = seeded()
+	if err := os.Mkdir(filepath.Join(dir, "sessions"), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	for _, compactAfter := range []int{-1, 1, 0} {
-		s := stream.New(re, stream.Options{ParkUnsafe: recovered[0].Park, CompactAfter: compactAfter})
-		for _, ev := range recovered[0].Events {
-			s.Apply(ev) // outcomes are the journal's: admitted or parked
+	if err := os.WriteFile(filepath.Join(dir, "sessions", "compat.wal"), parent, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for open := 1; open <= 2; open++ {
+		re := openT(t, dir, Options{})
+		recovered, err := re.RecoverSessions()
+		if err != nil || len(recovered) != 1 || recovered[0].Name != "compat" {
+			t.Fatalf("open %d: recovered %v, err %v", open, recovered, err)
 		}
-		st, err := s.Status(true)
-		if err != nil {
+		for _, compactAfter := range []int{-1, 1, 0} {
+			s := stream.New(re, stream.Options{ParkUnsafe: recovered[0].Park, CompactAfter: compactAfter})
+			for _, ev := range recovered[0].Events {
+				s.Apply(ev) // outcomes are the journal's: admitted or parked
+			}
+			st, err := s.Status(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(append(got, '\n'), want) {
+				t.Fatalf("open %d, CompactAfter %d: recovered status\n%s\nwant, as 6038a32 recovered it,\n%s", open, compactAfter, got, want)
+			}
+		}
+		if err := re.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(append(got, '\n'), want) {
-			t.Fatalf("CompactAfter %d: recovered status\n%s\nwant, as 6038a32 recovered it,\n%s", compactAfter, got, want)
+		if _, err := os.Stat(filepath.Join(dir, "sessions")); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("open %d left sessions/ behind: %v", open, err)
 		}
 	}
 }

@@ -89,10 +89,10 @@ func TestApplyWALFailureDegradesAndProbeRecovers(t *testing.T) {
 // them in admission order.
 func TestSessionJournalPendingPreservesOrder(t *testing.T) {
 	dir := t.TempDir()
-	// The journal's first write is its meta frame; fail the second (the
-	// first event append).
+	// The log's first write is the session's create frame; fail the
+	// second (the first event append).
 	inj := fault.NewInjector(1,
-		fault.Rule{Op: fault.OpWrite, Path: "s.wal", After: 1, Count: 1,
+		fault.Rule{Op: fault.OpWrite, Path: "wal-", After: 1, Count: 1,
 			Fault: fault.Fault{Err: syscall.EIO}})
 	b := openT(t, dir, faultOpts(inj, SyncAlways))
 	defer b.Close()
@@ -120,8 +120,8 @@ func TestSessionJournalPendingPreservesOrder(t *testing.T) {
 	if err := b.Probe(); err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	if _, faults := inj.Stats(); faults == 0 {
+		t.Fatal("the write rule injected nothing")
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
@@ -142,25 +142,29 @@ func TestSessionJournalPendingPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestCreateSessionJournalDirSyncFailure: the directory fsync that
-// makes a new journal's directory entry durable is part of the create —
-// its failure fails the create (no half-born journal) and degrades the
-// backend, and no ghost session resurrects on reopen.
+// TestCreateSessionJournalDirSyncFailure: the fsync that makes a new
+// session's create frame durable is part of the create — its failure
+// fails the create (no half-born journal) and degrades the backend, and
+// no ghost session resurrects on reopen: the probe flushes the create
+// together with the drop queued behind it.
 func TestCreateSessionJournalDirSyncFailure(t *testing.T) {
 	dir := t.TempDir()
 	inj := fault.NewInjector(1,
-		fault.Rule{Op: fault.OpSyncDir, Path: "sessions", Count: 1,
+		fault.Rule{Op: fault.OpSync, Path: "wal-", Count: 1,
 			Fault: fault.Fault{Err: syscall.EIO}})
 	b := openT(t, dir, faultOpts(inj, SyncAlways))
 	defer b.Close()
 
 	if _, err := b.CreateSessionJournal("ghost", false); err == nil {
-		t.Fatal("create succeeded though the directory entry is not durable")
+		t.Fatal("create succeeded though its frame is not durable")
 	} else if !errors.Is(err, syscall.EIO) {
 		t.Fatalf("create error %v does not surface the injected cause", err)
 	}
+	if _, faults := inj.Stats(); faults == 0 {
+		t.Fatal("the sync rule injected nothing")
+	}
 	if !b.Degraded() {
-		t.Fatal("backend not degraded after a directory-sync failure")
+		t.Fatal("backend not degraded after the create's sync failed")
 	}
 	// While degraded, creates are rejected up front.
 	if _, err := b.CreateSessionJournal("next", false); !errors.Is(err, ErrDegraded) {
@@ -181,6 +185,9 @@ func TestCreateSessionJournalDirSyncFailure(t *testing.T) {
 	}
 	if len(recovered) != 0 {
 		t.Fatalf("ghost session resurrected: %v", recovered)
+	}
+	if m := re.Metrics(); m.OpenJournals != 0 {
+		t.Fatalf("%d open journals after the ghost's drop", m.OpenJournals)
 	}
 }
 

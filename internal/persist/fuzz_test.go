@@ -13,7 +13,8 @@ import (
 // either succeeds or fails with the typed *CorruptError, reports a
 // valid-prefix offset that is consistent (within bounds, covers every
 // delivered frame, and replaying exactly that prefix succeeds and
-// yields the same frames — no silent partial state).
+// yields the same frames — no silent partial state), and a frame that
+// reads as a session frame splits or fails without a panic.
 func FuzzWALReplay(f *testing.F) {
 	// Seed corpus: empty log, well-formed logs, and the corruption
 	// shapes the unit tests cover (torn header, torn payload, bit flip,
@@ -32,6 +33,23 @@ func FuzzWALReplay(f *testing.F) {
 	huge := bytes.Clone(good)
 	huge[0], huge[1], huge[2], huge[3] = 0xff, 0xff, 0xff, 0x7f
 	f.Add(huge)
+	// A log with every session frame kind beside a mutation, torn and
+	// flipped, and a session frame whose name overruns it.
+	var mixed []byte
+	for _, p := range [][]byte{
+		sessionPayload(nil, tagCreate, "room/1", parkByte(true)),
+		[]byte(`{"k":"c"}`),
+		sessionPayload(nil, tagEvent, "room/1", []byte(`{"kind":"leave","id":"a"}`)),
+		sessionPayload(nil, tagDrop, "room/1", nil),
+	} {
+		mixed = frame.Append(mixed, p)
+	}
+	f.Add(mixed)
+	f.Add(mixed[:len(mixed)-4])
+	flippedMixed := bytes.Clone(mixed)
+	flippedMixed[frame.HeaderSize+1] ^= 0x40
+	f.Add(flippedMixed)
+	f.Add(frame.Append(nil, []byte{tagEvent, 0x7f, 'x'}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var frames [][]byte
@@ -44,6 +62,11 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if n != len(frames) {
 			t.Fatalf("reported %d frames, delivered %d", n, len(frames))
+		}
+		for _, p := range frames {
+			if kindOf(p) == kindSession {
+				parseSession(p)
+			}
 		}
 		if valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("valid prefix %d out of bounds for %d bytes", valid, len(data))

@@ -1,104 +1,113 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"net/url"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"entangled/internal/stream"
 )
 
-// sessionMeta is a journal's first frame: enough to rebuild the
-// session with the admission mode it was created with.
-type sessionMeta struct {
-	Name string `json:"name"`
-	Park bool   `json:"park,omitempty"`
+// Session frames share the log with store mutations. A session frame's
+// payload is a tag byte — below any byte a JSON text starts with, so it
+// never reads as a mutation — then the session name as a uvarint length
+// and its bytes, then the tag's body: the park flag as one byte
+// (create), a stream.Event's JSON (event), or nothing (drop).
+const (
+	tagCreate byte = 1 + iota
+	tagEvent
+	tagDrop
+)
+
+// sessionPayload appends a session frame's payload to dst.
+func sessionPayload(dst []byte, tag byte, name string, body []byte) []byte {
+	dst = binary.AppendUvarint(append(dst, tag), uint64(len(name)))
+	return append(append(dst, name...), body...)
 }
 
-// SessionJournal is one named session's durable event log: a meta
-// frame, then every admitted stream.Event in admission order. The
-// server journals an event after applying it in memory and before
-// acking the client, so a replayed journal rebuilds exactly the acked
+// parseSession splits a session frame's payload. A malformed one has
+// a valid CRC, so it is a writer bug and fails recovery loudly.
+func parseSession(payload []byte) (tag byte, name string, body []byte, err error) {
+	n, k := binary.Uvarint(payload[1:])
+	tag, rest := payload[0], payload[1+max(k, 0):]
+	if k <= 0 || n > uint64(len(rest)) {
+		return 0, "", nil, fmt.Errorf("persist: session frame with an undecodable name")
+	}
+	name, body = string(rest[:n]), rest[n:]
+	if tag == tagCreate && len(body) != 1 || tag == tagDrop && len(body) != 0 || tag != tagCreate && tag != tagEvent && tag != tagDrop {
+		return 0, "", nil, fmt.Errorf("persist: session %q: malformed frame (tag %d, %d body bytes)", name, tag, len(body))
+	}
+	return tag, name, body, nil
+}
+
+func parkByte(park bool) []byte {
+	if park {
+		return []byte{1}
+	}
+	return []byte{0}
+}
+
+// sessionLives folds session frames, in log order, into each live
+// session's history: the payload of its create frame, then its events'.
+// A create starts the history afresh and a drop ends it; mutations are
+// skipped.
+type sessionLives map[string][][]byte
+
+func (s sessionLives) add(payload []byte) error {
+	if kindOf(payload) == kindStore {
+		return nil
+	}
+	tag, name, _, err := parseSession(payload)
+	if err != nil {
+		return err
+	}
+	switch tag {
+	case tagCreate:
+		s[name] = [][]byte{bytes.Clone(payload)}
+	case tagDrop:
+		delete(s, name)
+	default:
+		life, ok := s[name]
+		if !ok {
+			return fmt.Errorf("persist: session %q: event before its create frame", name)
+		}
+		s[name] = append(life, bytes.Clone(payload))
+	}
+	return nil
+}
+
+func (s sessionLives) names() []string { return slices.Sorted(maps.Keys(s)) }
+
+// SessionJournal appends one named session's frames to the node's log.
+// The server journals an event after applying it in memory and before
+// acking the client, so a replayed log rebuilds exactly the acked
 // state. Safe for concurrent use.
-//
-// While the backend is degraded, appended events queue on a pending
-// list in admission order and the ack fails with ErrIndeterminate;
-// Probe flushes the queue before lifting the degradation, so the
-// on-disk journal order always matches the in-memory apply order.
 type SessionJournal struct {
 	b    *Backend
 	name string
-	path string
-
-	mu      sync.Mutex
-	lf      *logFile
-	pending [][]byte
-	closed  bool
 }
 
-// journalPath escapes the session name into a filename (names come
-// from URLs and may hold separators).
-func (b *Backend) journalPath(name string) string {
-	return filepath.Join(b.sessionsDir, url.PathEscape(name)+".wal")
-}
-
-// CreateSessionJournal starts a journal for a newly created session,
-// truncating any leftover file of the same name (the registry
-// guarantees live names are unique; a leftover journal here means the
-// old session was never recovered). The meta frame is synced
-// immediately regardless of policy, so the session's existence is
-// durable before its first event — including the directory entry: a
-// failed dir sync fails the create.
+// CreateSessionJournal logs a create frame, which starts the name's
+// history afresh, and waits for an fsync whatever the policy. While
+// degraded it is refused with ErrDegraded; a create whose frame fails
+// queues a drop behind it, so no ghost session survives.
 func (b *Backend) CreateSessionJournal(name string, park bool) (*SessionJournal, error) {
-	b.mu.Lock()
-	closed := b.closed
-	b.mu.Unlock()
-	if closed {
-		return nil, errClosed
-	}
-	if b.degraded.Load() {
-		return nil, fmt.Errorf("persist: creating session journal %q: %w", name, ErrDegraded)
-	}
-	path := b.journalPath(name)
-	b.fs.Remove(path)
-	lf, err := openLogFile(b.fs, path, 0, b.opts.Sync, &b.sessionCtr)
-	if err != nil {
+	if err := b.appendSession(tagCreate, name, parkByte(park)); err != nil {
+		if errors.Is(err, ErrIndeterminate) {
+			_ = b.appendSession(tagDrop, name, nil) // degraded: it can only queue
+		}
 		return nil, err
 	}
-	meta, _ := json.Marshal(sessionMeta{Name: name, Park: park})
-	err = lf.append(meta)
-	if err == nil {
-		err = lf.sync()
-	}
-	if err == nil {
-		err = b.fs.SyncDir(b.sessionsDir)
-	}
-	if err != nil {
-		lf.abort()
-		b.fs.Remove(path)
-		b.markDegraded(err)
-		return nil, err
-	}
-	return b.register(name, path, lf), nil
+	return &SessionJournal{b: b, name: name}, nil
 }
-
-// register opens the journal over lf in the backend's open set; lf's
-// interval timer syncs through Sync, under the journal's lock.
-func (b *Backend) register(name, path string, lf *logFile) *SessionJournal {
-	j := &SessionJournal{b: b, name: name, path: path, lf: lf}
-	lf.flush = func() { _ = j.Sync() } // a failed sync degrades the backend
-	b.smu.Lock()
-	b.sessions[name] = j
-	b.smu.Unlock()
-	return j
-}
-
-// Name returns the session name the journal belongs to.
-func (j *SessionJournal) Name() string { return j.name }
 
 // Append journals one admitted event under the backend's sync policy.
 // The caller has already applied the event in memory, so a failed (or
@@ -106,129 +115,51 @@ func (j *SessionJournal) Name() string { return j.name }
 // queued and becomes durable when a probe succeeds, but the ack must
 // fail because a crash before that would lose it.
 func (j *SessionJournal) Append(ev stream.Event) error {
-	payload, err := json.Marshal(ev)
+	body, err := json.Marshal(ev)
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("persist: session journal %q is closed", j.name)
+	return j.b.appendSession(tagEvent, j.name, body)
+}
+
+// Drop logs the session's end — the path for sessions removed on
+// purpose (DELETE, idle eviction), which must not come back on restart.
+// Like a create it waits for an fsync whatever the policy; a drop that
+// fails is queued and returns ErrIndeterminate.
+func (j *SessionJournal) Drop() error { return j.b.appendSession(tagDrop, j.name, nil) }
+
+// appendSession puts one session frame on the log. While the backend
+// is degraded a create is refused and an event or drop joins the
+// pending queue: the caller has already changed its session in memory.
+func (b *Backend) appendSession(tag byte, name string, body []byte) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch {
+	case b.closed:
+		return errClosed
+	case tag == tagCreate && b.Degraded():
+		return fmt.Errorf("persist: creating session journal %q: %w (cause: %v)", name, ErrDegraded, b.DegradeCause())
+	case tag == tagCreate:
+		b.journals++
+	case tag == tagDrop:
+		b.journals--
 	}
-	if j.b.degraded.Load() || len(j.pending) > 0 {
-		// Queue in admission order behind whatever is already pending,
-		// so the flush preserves the journal's replay order.
-		j.pending = append(j.pending, payload)
-		return fmt.Errorf("persist: session journal %q: %w", j.name, ErrIndeterminate)
+	b.scratch = sessionPayload(b.scratch[:0], tag, name, body)
+	err := ErrIndeterminate
+	if b.Degraded() {
+		b.pending = append(b.pending, bytes.Clone(b.scratch))
+	} else {
+		err = b.appendLocked(tag != tagEvent, b.scratch)
 	}
-	if err := j.lf.append(payload); err != nil {
-		j.pending = append(j.pending, payload)
-		j.b.markDegraded(err)
-		return fmt.Errorf("persist: session journal %q: %w: %w", j.name, ErrIndeterminate, err)
+	if err != nil {
+		return fmt.Errorf("persist: session journal %q: %w", name, err)
 	}
 	return nil
 }
 
-// flushPending repairs the log and writes queued payloads in order as
-// one append; called from Backend.Probe after the scratch-file probe
-// succeeds.
-func (j *SessionJournal) flushPending() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		// A closed journal's pending events were never acked; dropping
-		// them on drain loses nothing the client was promised.
-		return nil
-	}
-	if err := j.lf.repair(); err != nil {
-		return err
-	}
-	if err := j.lf.append(j.pending...); err != nil {
-		return err
-	}
-	j.pending = nil
-	return j.lf.sync()
-}
-
-// pendingLen reports queued-but-not-durable payloads (for metrics).
-func (j *SessionJournal) pendingLen() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.pending)
-}
-
-// Sync flushes the journal to stable storage.
-func (j *SessionJournal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	if err := j.lf.sync(); err != nil {
-		j.b.markDegraded(err)
-		return err
-	}
-	return nil
-}
-
-// Close syncs and closes the journal, keeping the file for recovery —
-// the drain path.
-func (j *SessionJournal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	j.unregister()
-	return j.lf.close()
-}
-
-// Drop closes the journal and deletes its file — the path for sessions
-// removed on purpose (DELETE, idle eviction), which must not resurrect
-// on restart. The directory sync after the unlink is part of the
-// contract: its error propagates, it is not best-effort.
-func (j *SessionJournal) Drop() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.closed {
-		j.closed = true
-		j.unregister()
-		j.lf.abort()
-	}
-	err := j.b.fs.Remove(j.path)
-	if serr := j.b.fs.SyncDir(j.b.sessionsDir); err == nil {
-		err = serr
-	}
-	return err
-}
-
-// abort closes the handle without syncing (crash simulation).
-func (j *SessionJournal) abort() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.closed = true
-	j.unregister()
-	j.lf.abort()
-}
-
-// unregister drops the journal from the backend's open set. Called
-// with j.mu held; takes b.smu (never the reverse order anywhere).
-func (j *SessionJournal) unregister() {
-	j.b.smu.Lock()
-	if j.b.sessions[j.name] == j {
-		delete(j.b.sessions, j.name)
-	}
-	j.b.smu.Unlock()
-}
-
-// RecoveredSession is one session journal's replayable content: the
-// admission mode it was created with, its admitted events in order,
-// and the journal reopened for appending so the recovered session
-// keeps journaling where it left off.
+// RecoveredSession is one session the log holds: the admission mode it
+// was created with, its admitted events in order, and its journal, so
+// the recovered session keeps journaling where it left off.
 type RecoveredSession struct {
 	Name    string
 	Park    bool
@@ -236,89 +167,92 @@ type RecoveredSession struct {
 	Journal *SessionJournal
 }
 
-// RecoverSessions replays every session journal in the data directory,
-// sorted by name. A torn tail on a journal is truncated (counted in
-// RecoveryStats.SessionTornTails); a journal whose meta frame never
-// made it to disk is removed — its session was never durably created.
-// Each returned journal is registered open; callers must Close or Drop
-// every one (sessions they decline to rebuild included).
+// RecoverSessions hands out, once and sorted by name, the live sessions
+// Open found in the log. Callers must Drop the journal of any session
+// they decline to rebuild, or it comes back on the next Open.
 func (b *Backend) RecoverSessions() ([]RecoveredSession, error) {
-	ents, err := b.fs.ReadDir(b.sessionsDir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".wal") {
-			names = append(names, strings.TrimSuffix(e.Name(), ".wal"))
-		}
-	}
-	sort.Strings(names)
-	var out []RecoveredSession
-	for _, escaped := range names {
-		name, err := url.PathUnescape(escaped)
-		if err != nil {
-			return nil, fmt.Errorf("persist: session journal %q: undecodable name", escaped)
-		}
-		rs, err := b.recoverSession(name)
-		if err != nil {
-			return nil, err
-		}
-		if rs != nil {
-			out = append(out, *rs)
-		}
-	}
 	b.mu.Lock()
-	b.rec.Sessions = len(out)
-	b.rec.SessionEvents = 0
-	for _, rs := range out {
-		b.rec.SessionEvents += len(rs.Events)
-	}
+	lives := b.lives
+	b.lives = nil
 	b.mu.Unlock()
+	out := make([]RecoveredSession, 0, len(lives))
+	for _, name := range lives.names() {
+		life := lives[name]
+		_, _, park, _ := parseSession(life[0])
+		rs := RecoveredSession{Name: name, Park: park[0] == 1, Events: make([]stream.Event, len(life)-1), Journal: &SessionJournal{b: b, name: name}}
+		for i, p := range life[1:] {
+			_, _, body, _ := parseSession(p)
+			if err := json.Unmarshal(body, &rs.Events[i]); err != nil {
+				return nil, fmt.Errorf("persist: session journal %q: decoding event: %w", name, err)
+			}
+		}
+		out = append(out, rs)
+	}
 	return out, nil
 }
 
-// recoverSession replays one journal; returns nil (and removes the
-// file) when no durable meta frame exists.
-func (b *Backend) recoverSession(name string) (*RecoveredSession, error) {
-	path := b.journalPath(name)
-	var meta *sessionMeta
-	var events []stream.Event
-	frames, valid, err := replayFile(b.fs, path, func(payload []byte) error {
-		if meta == nil {
-			meta = new(sessionMeta)
-			if err := json.Unmarshal(payload, meta); err != nil {
+// importSessions moves the layout before the one log —
+// sessions/<url-escaped-name>.wal, a JSON meta frame then the events —
+// into the log as create and event frames, one synced batch, and only
+// then removes the files and directory and syncs the data directory. A
+// crash in between repeats the import, whose creates start each history
+// afresh. A torn tail is dropped (SessionTornTails); a file without its
+// meta frame was never created.
+func (b *Backend) importSessions() error {
+	dir := filepath.Join(b.dir, "sessions")
+	ents, err := b.fs.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	var batch [][]byte
+	for _, e := range ents {
+		escaped, ok := strings.CutSuffix(e.Name(), ".wal")
+		if !ok {
+			continue
+		}
+		name, err := url.PathUnescape(escaped)
+		if err != nil {
+			return fmt.Errorf("persist: session journal %q: undecodable name", escaped)
+		}
+		first := len(batch)
+		_, _, err = replayFile(b.fs, filepath.Join(dir, e.Name()), func(p []byte) error {
+			if len(batch) > first {
+				batch = append(batch, sessionPayload(nil, tagEvent, name, p))
+				return nil
+			}
+			var meta struct {
+				Park bool `json:"park"`
+			}
+			if err := json.Unmarshal(p, &meta); err != nil {
 				return fmt.Errorf("persist: session journal %q: decoding meta: %w", name, err)
 			}
+			batch = append(batch, sessionPayload(nil, tagCreate, name, parkByte(meta.Park)))
 			return nil
+		})
+		if _, torn := err.(*CorruptError); torn {
+			b.rec.SessionTornTails++
+		} else if err != nil {
+			return err
 		}
-		var ev stream.Event
-		if err := json.Unmarshal(payload, &ev); err != nil {
-			return fmt.Errorf("persist: session journal %q: decoding event: %w", name, err)
-		}
-		events = append(events, ev)
-		return nil
-	})
+	}
+	if _, err = b.wal.append(batch...); err == nil {
+		err = b.wal.sync()
+	}
 	if err != nil {
-		if _, torn := err.(*CorruptError); !torn {
-			return nil, err
-		}
-		// A journal is a single file, so its tail is always the last
-		// thing written: truncate and carry on.
-		if terr := b.fs.Truncate(path, valid); terr != nil {
-			return nil, terr
-		}
-		b.mu.Lock()
-		b.rec.SessionTornTails++
-		b.mu.Unlock()
+		return err // the files stay for the next Open
 	}
-	if frames == 0 || meta == nil {
-		b.fs.Remove(path)
-		return nil, nil
+	b.sinceSnap += framedSize(batch...)
+	for _, p := range batch {
+		_ = b.lives.add(p) // well formed: built above
 	}
-	lf, err := openLogFile(b.fs, path, valid, b.opts.Sync, &b.sessionCtr)
-	if err != nil {
-		return nil, err
+	for _, e := range ents {
+		err = errors.Join(err, b.fs.Remove(filepath.Join(dir, e.Name())))
 	}
-	return &RecoveredSession{Name: name, Park: meta.Park, Events: events, Journal: b.register(name, path, lf)}, nil
+	if err = errors.Join(err, b.fs.Remove(dir)); err != nil {
+		return err
+	}
+	return b.fs.SyncDir(b.dir)
 }

@@ -60,171 +60,260 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	return SyncEvery(d), nil
 }
 
-// walCounters aggregates append-path activity across the log files of
-// one tier (the store WAL, or all session journals together); appends
-// counts frames, so a batch of n adds n.
+// Frame kinds, indexing the log's counters: a session frame's payload
+// starts with a tag byte (session.go) that no JSON text starts with;
+// every other frame is a store mutation's JSON object.
+const (
+	kindStore = iota
+	kindSession
+)
+
+func kindOf(payload []byte) int {
+	if len(payload) > 0 && payload[0] <= tagDrop {
+		return kindSession
+	}
+	return kindStore
+}
+
+// walCounters counts one frame kind's share of the log: appends counts
+// frames (a batch of n adds n), bytes their framed size, and syncs the
+// fsyncs that covered at least one of them.
 type walCounters struct {
-	appends   atomic.Int64
-	bytes     atomic.Int64
-	syncs     atomic.Int64
+	appends atomic.Int64
+	bytes   atomic.Int64
+	syncs   atomic.Int64
+}
+
+// wal is the node's one log: numbered segments in dir, rotated past
+// rotateBytes, holding store and session frames in the order written.
+// Callers hold the Backend mutex; only a group commit's fsync runs
+// outside it. Positions count bytes framed since Open: every byte below
+// synced is durable or known lost (lost keeps the ranges failures lost
+// while appends wait in commit), and under SyncAlways buf keeps the
+// frames past synced so a failure can queue their payloads again. A
+// failed write or sync marks the log broken until repair reopens the
+// segment and truncates it to size.
+type wal struct {
+	dir         string
+	fsys        fault.FS
+	policy      SyncPolicy
+	rotateBytes int64
+
+	f        fault.File // the active segment
+	seq      int
+	size     int64
+	named    bool // the active segment's directory entry is synced
+	broken   bool
+	lastSync time.Time
+	timer    *time.Timer
+	flush    func() // the owner's locked sync, run by the interval timer
+
+	buf             []byte
+	written, synced int64
+	lost            []lostRange
+	waiting         int   // appends in commit
+	syncing         bool  // a group commit's fsync is in flight
+	kinds           uint8 // bit k: a kind-k frame was written since the last fsync began; bit 2: repaired
+
+	ctr       [2]walCounters
 	rotations atomic.Int64
 }
 
-// logFile is one append-only framed log with a sync policy. Not
-// concurrency-safe: callers serialise appends (the Backend mutex for
-// the store WAL, the per-journal mutex for sessions).
-//
-// A failed write or sync marks the file broken: size stays at the end
-// of the last fully-durable frame and further appends are refused
-// until repair reopens the handle and truncates back to that point.
-// The failed payload is the caller's to retry (the pending queues in
-// Backend and SessionJournal), so a repaired log never holds a
-// duplicated or half-written frame.
-type logFile struct {
-	path     string
-	fsys     fault.FS
-	f        fault.File
-	size     int64
-	policy   SyncPolicy
-	counters *walCounters
-	dirty    bool
-	broken   bool
-	lastSync time.Time
-	buf      []byte
-	// flush is the owner's locked sync, timed when appends leave it
-	// dirty; nil before the owner has one (a journal's meta frame).
-	flush func()
-	timer *time.Timer
-}
-
-// openLogFile opens (creating if needed) a log for appending at size.
-// The caller has already replayed and, if necessary, truncated the
-// file, so size is the verified end of the last valid frame.
-func openLogFile(fsys fault.FS, path string, size int64, policy SyncPolicy, counters *walCounters) (*logFile, error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// open makes segment seq the active one, appending at size; anything
+// past size is truncated away.
+func (w *wal) open(seq int, size int64) error {
+	f, err := w.fsys.OpenFile(w.path(seq), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := f.Truncate(size); err != nil {
+	if err = f.Truncate(size); err == nil {
+		_, err = f.Seek(size, 0)
+	}
+	if err != nil {
 		f.Close()
-		return nil, err
+		return err
 	}
-	if _, err := f.Seek(size, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &logFile{path: path, fsys: fsys, f: f, size: size, policy: policy, counters: counters, lastSync: time.Now()}, nil
+	w.f, w.seq, w.size = f, seq, size
+	return nil
 }
 
-// append writes the framed payloads in one write and applies the sync
-// policy once. On any failure the file is marked broken, size rolls
-// back to the last good end, and the caller must queue the payloads and
-// repair before the next append — a torn or unsynced frame never
-// counts as written.
-func (lf *logFile) append(payloads ...[]byte) error {
-	if lf.broken {
-		return fmt.Errorf("persist: %s is broken and needs repair", lf.path)
+func (w *wal) path(seq int) string { return filepath.Join(w.dir, segName(seq)) }
+
+// append writes payloads as one framed write per segment, splitting
+// where one-at-a-time appends would rotate; a new segment's name is
+// synced before its first frame. It returns how many payloads were
+// written.
+func (w *wal) append(payloads ...[]byte) (int, error) {
+	done := 0
+	for done < len(payloads) {
+		if w.broken {
+			return done, fmt.Errorf("persist: %s is broken and needs repair", w.path(w.seq))
+		}
+		if w.size >= w.rotateBytes && w.size > 0 {
+			if err := w.rotate(); err != nil {
+				return done, err
+			}
+		}
+		if !w.named {
+			if err := w.fsys.SyncDir(w.dir); err != nil {
+				return done, err
+			}
+			w.named = true
+		}
+		end := done + 1
+		for size := w.size + framedSize(payloads[done]); end < len(payloads) && size < w.rotateBytes; end++ {
+			size += framedSize(payloads[end])
+		}
+		if err := w.write(payloads[done:end]); err != nil {
+			return done, err
+		}
+		done = end
 	}
-	if len(payloads) == 0 {
-		return nil
-	}
-	base := lf.size
-	lf.buf = lf.buf[:0]
+	return done, nil
+}
+
+// write frames payloads into one write(2) and applies an interval
+// policy; under SyncAlways the caller's commit syncs. A sync that fails
+// here rolls the segment's end back past these frames, so repair
+// truncates them and the caller's retry appends them once.
+func (w *wal) write(payloads [][]byte) error {
+	start := len(w.buf)
 	for _, p := range payloads {
-		lf.buf = frame.Append(lf.buf, p)
+		w.buf = frame.Append(w.buf, p)
 	}
-	n := int64(len(lf.buf))
-	_, err := lf.f.Write(lf.buf)
-	if n > 64<<10 {
-		lf.buf = nil // a bulk load leaves no batch-sized buffer behind
+	n := int64(len(w.buf) - start)
+	if _, err := w.f.Write(w.buf[start:]); err != nil {
+		w.buf, w.broken = w.buf[:start], true
+		return fmt.Errorf("persist: appending to %s: %w", w.path(w.seq), err)
 	}
-	if err != nil {
-		lf.broken = true
-		return fmt.Errorf("persist: appending to %s: %w", lf.path, err)
+	if w.policy != SyncAlways {
+		w.shed(len(w.buf)) // acked now: nothing to keep
 	}
-	lf.size += n
-	lf.dirty = true
-	lf.counters.appends.Add(int64(len(payloads)))
-	lf.counters.bytes.Add(n)
-	var serr error
+	w.size += n
+	w.written += n
+	for _, p := range payloads {
+		k := kindOf(p)
+		w.ctr[k].appends.Add(1)
+		w.ctr[k].bytes.Add(framedSize(p))
+		w.kinds |= 1 << k
+	}
 	switch {
-	case lf.policy.Interval == 0:
-		serr = lf.sync()
-	case lf.policy.Interval > 0 && time.Since(lf.lastSync) >= lf.policy.Interval:
-		serr = lf.sync()
-	case lf.policy.Interval > 0 && lf.timer == nil && lf.flush != nil:
-		lf.timer = time.AfterFunc(lf.policy.Interval-time.Since(lf.lastSync), lf.flush)
+	case w.policy.Interval > 0 && time.Since(w.lastSync) >= w.policy.Interval:
+		if err := w.sync(); err != nil {
+			w.size -= n
+			return err
+		}
+	case w.policy.Interval > 0 && w.timer == nil:
+		w.timer = time.AfterFunc(w.policy.Interval-time.Since(w.lastSync), w.flush)
 	}
-	if serr != nil {
-		// The bytes hit the file but never durably: roll the logical end
-		// back so repair truncates them and the retry re-appends cleanly.
-		lf.size = base
-	}
-	return serr
-}
-
-// sync flushes to stable storage if anything was written since the
-// last sync. A failed fsync marks the file broken: after fsync fails,
-// retrying it on the same handle can falsely succeed (the kernel may
-// have dropped the dirty pages), so repair reopens the file instead.
-func (lf *logFile) sync() error {
-	lf.disarm()
-	if !lf.dirty {
-		return nil
-	}
-	if err := lf.f.Sync(); err != nil {
-		lf.broken = true
-		return fmt.Errorf("persist: syncing %s: %w", lf.path, err)
-	}
-	lf.dirty = false
-	lf.lastSync = time.Now()
-	lf.counters.syncs.Add(1)
 	return nil
 }
 
-// repair recovers a broken log: reopen by path (the old handle may be
-// poisoned or closed), truncate to the last good end, and seek there.
-// A no-op on healthy files.
-func (lf *logFile) repair() error {
-	if !lf.broken {
+// sync fsyncs the active segment unless everything written is already
+// settled. A failed fsync marks the log broken: retrying it on the same
+// handle can falsely succeed (the kernel may have dropped the dirty
+// pages), so repair reopens the file instead.
+func (w *wal) sync() error {
+	w.disarm()
+	if w.written == w.synced && w.kinds == 0 {
 		return nil
 	}
-	lf.f.Close()
-	f, err := lf.fsys.OpenFile(lf.path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return err
+	kinds := w.kinds
+	w.kinds = 0
+	if err := w.f.Sync(); err != nil {
+		w.broken = true
+		return fmt.Errorf("persist: syncing %s: %w", w.path(w.seq), err)
 	}
-	if err := f.Truncate(lf.size); err != nil {
-		f.Close()
-		return err
-	}
-	if _, err := f.Seek(lf.size, 0); err != nil {
-		f.Close()
-		return err
-	}
-	lf.f = f
-	lf.broken = false
-	lf.dirty = true // flush state unknown: force the next sync to fsync
+	w.settle(w.written, kinds)
 	return nil
 }
 
-// close syncs and closes.
-func (lf *logFile) close() error {
-	if err := lf.sync(); err != nil {
-		lf.f.Close()
-		return err
+// settle records an fsync that covered the log up to target and every
+// frame kind in kinds.
+func (w *wal) settle(target int64, kinds uint8) {
+	for k := range w.ctr {
+		if kinds&(1<<k) != 0 {
+			w.ctr[k].syncs.Add(1)
+		}
 	}
-	return lf.f.Close()
+	w.lastSync = time.Now()
+	if d := target - w.synced; d > 0 {
+		if w.policy == SyncAlways {
+			w.shed(int(d))
+		}
+		w.synced = target
+	}
 }
 
-// abort closes the handle without syncing — the crash-simulation path.
-func (lf *logFile) abort() { lf.disarm(); lf.f.Close() }
+// shed drops buf's first k bytes, frames it need not keep, and lets go
+// of a large empty buffer: a bulk load leaves none behind.
+func (w *wal) shed(k int) {
+	w.buf = w.buf[:copy(w.buf, w.buf[k:])]
+	if len(w.buf) == 0 && cap(w.buf) > 16<<10 {
+		w.buf = nil
+	}
+}
 
-// disarm stops the interval timer: a sync, close or abort makes it moot.
-func (lf *logFile) disarm() {
-	if lf.timer != nil {
-		lf.timer.Stop()
-		lf.timer = nil
+// lostRange is the log positions (from, to] a failure lost.
+type lostRange struct {
+	from, to int64
+	err      error
+}
+
+// fail settles every position written so far as lost to err.
+func (w *wal) fail(err error) {
+	if w.written > w.synced {
+		w.lost = append(w.lost, lostRange{w.synced, w.written, err})
+	}
+	w.synced, w.kinds = w.written, 0
+}
+
+// rotate syncs and closes the active segment and opens the next one.
+func (w *wal) rotate() error {
+	if err := w.sync(); err != nil {
+		return err
+	}
+	if err := w.f.Close(); err != nil {
+		w.broken = true
+		return err
+	}
+	if err := w.open(w.seq+1, 0); err != nil {
+		w.broken = true // repair reopens the closed segment
+		return err
+	}
+	w.named = false
+	w.rotations.Add(1)
+	return nil
+}
+
+// repair recovers a broken log: reopen the segment by path (the old
+// handle may be poisoned or closed) and truncate it to size. The next
+// sync fsyncs whatever happens, so the truncation is durable. A no-op
+// on a healthy log.
+func (w *wal) repair() error {
+	if !w.broken {
+		return nil
+	}
+	w.f.Close()
+	if err := w.open(w.seq, w.size); err != nil {
+		return err
+	}
+	w.broken = false
+	w.kinds |= 1 << 2
+	return nil
+}
+
+// close closes the active segment without syncing it.
+func (w *wal) close() error {
+	w.disarm()
+	return w.f.Close()
+}
+
+// disarm stops the interval timer: a sync or close makes it moot.
+func (w *wal) disarm() {
+	if w.timer != nil {
+		w.timer.Stop()
+		w.timer = nil
 	}
 }
 
@@ -236,22 +325,9 @@ func framedSize(payloads ...[]byte) (n int64) {
 	return n
 }
 
-// segName/snapName build the numbered file names of the store log.
+// segName/snapName build the numbered file names of the log.
 func segName(seq int) string  { return fmt.Sprintf("wal-%06d.log", seq) }
 func snapName(seq int) string { return fmt.Sprintf("snapshot-%06d.snap", seq) }
-
-// parseSeq extracts N from prefix+"%06d"+ext names; ok=false otherwise.
-func parseSeq(name, prefix, ext string) (int, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ext) {
-		return 0, false
-	}
-	mid := name[len(prefix) : len(name)-len(ext)]
-	var n int
-	if _, err := fmt.Sscanf(mid, "%d", &n); err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
 
 // scanStoreDir lists the store directory's segment and snapshot
 // sequence numbers, each ascending.
@@ -261,82 +337,14 @@ func scanStoreDir(fsys fault.FS, dir string) (segs, snaps []int, err error) {
 		return nil, nil, err
 	}
 	for _, e := range ents {
-		if n, ok := parseSeq(e.Name(), "wal-", ".log"); ok {
+		var n int
+		if _, err := fmt.Sscanf(e.Name(), "wal-%d.log", &n); err == nil && n >= 0 {
 			segs = append(segs, n)
-		}
-		if n, ok := parseSeq(e.Name(), "snapshot-", ".snap"); ok {
+		} else if _, err := fmt.Sscanf(e.Name(), "snapshot-%d.snap", &n); err == nil && n >= 0 {
 			snaps = append(snaps, n)
 		}
 	}
 	sort.Ints(segs)
 	sort.Ints(snaps)
 	return segs, snaps, nil
-}
-
-// wal is the rotating store-mutation log: numbered segments in dir,
-// rotated once the active segment passes rotateBytes. Callers serialise
-// through the Backend mutex.
-type wal struct {
-	dir         string
-	fsys        fault.FS
-	policy      SyncPolicy
-	rotateBytes int64
-	counters    *walCounters
-	cur         *logFile
-	seq         int
-	named       bool // cur's directory entry is synced
-}
-
-// openWAL starts a fresh segment numbered seq, timed syncs by flush.
-func openWAL(fsys fault.FS, dir string, seq int, policy SyncPolicy, rotateBytes int64, counters *walCounters, flush func()) (*wal, error) {
-	lf, err := openLogFile(fsys, filepath.Join(dir, segName(seq)), 0, policy, counters)
-	if err != nil {
-		return nil, err
-	}
-	lf.flush = flush
-	return &wal{dir: dir, fsys: fsys, policy: policy, rotateBytes: rotateBytes, counters: counters, cur: lf, seq: seq}, nil
-}
-
-// append journals payloads as one append per segment, rotating where
-// one-at-a-time appends would; a new segment's name is synced before
-// its first frame. It returns how many payloads were written.
-func (w *wal) append(payloads ...[]byte) (int, error) {
-	done := 0
-	for done < len(payloads) {
-		if w.cur.size >= w.rotateBytes && w.cur.size > 0 && !w.cur.broken {
-			if err := w.rotateTo(w.seq + 1); err != nil {
-				return done, err
-			}
-		}
-		if !w.named {
-			if err := w.fsys.SyncDir(w.dir); err != nil {
-				return done, err
-			}
-			w.named = true
-		}
-		end := done + 1
-		for size := w.cur.size + framedSize(payloads[done]); end < len(payloads) && size < w.rotateBytes; end++ {
-			size += framedSize(payloads[end])
-		}
-		if err := w.cur.append(payloads[done:end]...); err != nil {
-			return done, err
-		}
-		done = end
-	}
-	return done, nil
-}
-
-// rotateTo closes the active segment and opens a new one numbered seq.
-func (w *wal) rotateTo(seq int) error {
-	if err := w.cur.close(); err != nil {
-		return err
-	}
-	lf, err := openLogFile(w.fsys, filepath.Join(w.dir, segName(seq)), 0, w.policy, w.counters)
-	if err != nil {
-		return err
-	}
-	lf.flush = w.cur.flush
-	w.cur, w.seq, w.named = lf, seq, false
-	w.counters.rotations.Add(1)
-	return nil
 }

@@ -43,36 +43,37 @@ const (
 	chaosEvents   = 16 // arrivals per session per cycle
 )
 
-// diskRules is the seeded per-cycle disk-fault schedule. Every rule is
-// Count-bounded so each cycle injects a fixed, reproducible budget of
-// faults and the disk is provably healthy again once they are spent.
-// Session journals are "<name>.wal"; store segments are "wal-NNN.log" —
-// the substrings ".wal" and "wal-" are disjoint filters.
-func diskRules(cycle int) []fault.Rule {
+// diskRules is the seeded per-cycle disk-fault schedule: churn faults
+// armed from the start of the cycle, and store faults added just
+// before its store-WAL writes. Every rule is Count-bounded so each
+// cycle injects a fixed, reproducible budget of faults and the disk is
+// provably healthy again once they are spent. Sessions and the store
+// share one log, "wal-NNN.log", so a churn rule's After counts the
+// session frames' writes or fsyncs and a store rule's those after it
+// was added.
+func diskRules(cycle int) (churn, store []fault.Rule) {
 	switch cycle % 4 {
 	case 0:
 		if cycle == 0 {
-			return nil // first cycle seeds the store; keep it clean
+			return nil, nil // first cycle seeds the store; keep it clean
 		}
-		// fsync failure mid-churn on a session journal.
-		return []fault.Rule{{Op: fault.OpSync, Path: ".wal", After: 3, Count: 1,
-			Fault: fault.Fault{Err: syscall.EIO}}}
+		// fsync failure mid-churn on a session frame.
+		return []fault.Rule{{Op: fault.OpSync, Path: "wal-", After: 3, Count: 1,
+			Fault: fault.Fault{Err: syscall.EIO}}}, nil
 	case 1:
-		// Torn write + ENOSPC on the store WAL (the per-cycle store
-		// mutations exercise it), plus some write latency.
-		return []fault.Rule{
-			{Op: fault.OpWrite, Path: "wal-", After: 1, Count: 1,
-				Fault: fault.Fault{Err: syscall.ENOSPC, Torn: 3}},
-			{Op: fault.OpWrite, Path: ".wal", After: 6, Count: 2,
-				Fault: fault.Fault{Delay: 200 * time.Microsecond}},
-		}
+		// Write latency on session frames, then a torn write + ENOSPC
+		// on a store frame (the per-cycle store mutations exercise it).
+		return []fault.Rule{{Op: fault.OpWrite, Path: "wal-", After: 6, Count: 2,
+				Fault: fault.Fault{Delay: 200 * time.Microsecond}}},
+			[]fault.Rule{{Op: fault.OpWrite, Path: "wal-", After: 1, Count: 1,
+				Fault: fault.Fault{Err: syscall.ENOSPC, Torn: 3}}}
 	case 2:
-		// Write errors on session journals, two in a row.
-		return []fault.Rule{{Op: fault.OpWrite, Path: ".wal", After: 5, Count: 2,
-			Fault: fault.Fault{Err: syscall.EIO}}}
+		// Write errors on session frames, two in a row.
+		return []fault.Rule{{Op: fault.OpWrite, Path: "wal-", After: 5, Count: 2,
+			Fault: fault.Fault{Err: syscall.EIO}}}, nil
 	default:
-		// fsync failure on the store WAL.
-		return []fault.Rule{{Op: fault.OpSync, Path: "wal-", After: 1, Count: 1,
+		// fsync failure on a store frame.
+		return nil, []fault.Rule{{Op: fault.OpSync, Path: "wal-", After: 1, Count: 1,
 			Fault: fault.Fault{Err: syscall.EIO}}}
 	}
 }
@@ -174,7 +175,8 @@ func TestChaosSoakNoAckedWriteEverLost(t *testing.T) {
 	)
 
 	for cycle := 0; cycle < chaosCycles; cycle++ {
-		diskInj := fault.NewInjector(int64(1000+cycle), diskRules(cycle)...)
+		churnRules, storeRules := diskRules(cycle)
+		diskInj := fault.NewInjector(int64(1000+cycle), churnRules...)
 		diskInj.Disarm() // recovery replay and reads run clean
 		wireInj := fault.NewInjector(int64(2000+cycle), wireNetRules(cycle)...)
 		wireInj.Disarm()
@@ -313,7 +315,8 @@ func TestChaosSoakNoAckedWriteEverLost(t *testing.T) {
 			}
 		}
 
-		// Store-WAL writes under the same fault schedule.
+		// Store-WAL writes under the cycle's store faults.
+		diskInj.Add(storeRules...)
 		for k := 0; k < 3; k++ {
 			err := backend.Apply(db.MInsert("Chaos",
 				eq.Value(fmt.Sprintf("c%d", cycle)), eq.Value(fmt.Sprintf("n%d", k))))
@@ -386,6 +389,9 @@ func TestChaosSoakNoAckedWriteEverLost(t *testing.T) {
 		}
 
 		_, df := diskInj.Stats()
+		if cycle > 0 && (df == 0 || !diskInj.Exhausted()) {
+			t.Fatalf("cycle %d: %d disk faults fired, and not every rule spent its budget", cycle, df)
+		}
 		diskFaults += df
 		_, wf := wireInj.Stats()
 		_, hf := httpInj.Stats()

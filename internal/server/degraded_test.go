@@ -62,10 +62,11 @@ func wantCode(t *testing.T, err error, code string) *client.Error {
 func TestServerDegradedModeAckFateAndRecovery(t *testing.T) {
 	const rows = 32
 	dir := t.TempDir()
-	// The journal's first fsync is the create's meta frame; the second —
-	// the first event append — fails once.
+	// The log's first fsync is the seed table's, the second the
+	// session's create frame; the third — the first event append —
+	// fails once.
 	inj := fault.NewInjector(1, fault.Rule{
-		Op: fault.OpSync, Path: "dg.wal", After: 1, Count: 1,
+		Op: fault.OpSync, Path: "wal-", After: 2, Count: 1,
 		Fault: fault.Fault{Err: syscall.EIO},
 	})
 	backend := openFaultBackend(t, dir, inj, rows)
@@ -162,7 +163,7 @@ func TestServerDegradedModeAckFateAndRecovery(t *testing.T) {
 
 	// The disk is healthy again (the schedule is spent): one probe
 	// flushes the pending event and reopens the write path.
-	if !inj.Exhausted() {
+	if _, faults := inj.Stats(); faults == 0 || !inj.Exhausted() {
 		t.Fatal("fault schedule not consumed where expected")
 	}
 	if err := backend.Probe(); err != nil {
@@ -205,8 +206,9 @@ func TestServerDegradedModeAckFateAndRecovery(t *testing.T) {
 func TestServerProbeLoopLiftsDegradedMode(t *testing.T) {
 	const rows = 32
 	dir := t.TempDir()
+	// Seed table, create frame, then the first event's fsync fails.
 	inj := fault.NewInjector(1, fault.Rule{
-		Op: fault.OpSync, Path: "auto.wal", After: 1, Count: 1,
+		Op: fault.OpSync, Path: "wal-", After: 2, Count: 1,
 		Fault: fault.Fault{Err: syscall.ENOSPC},
 	})
 	backend := openFaultBackend(t, dir, inj, rows)
@@ -247,6 +249,76 @@ func TestServerProbeLoopLiftsDegradedMode(t *testing.T) {
 	}
 	if _, err := sess.Join(ctx, arrivals[1].Query); err != nil {
 		t.Fatalf("join after self-recovery: %v", err)
+	}
+	if _, faults := inj.Stats(); faults == 0 {
+		t.Fatal("the sync rule injected nothing")
+	}
+}
+
+// TestFailedDropFailsDelete: a DELETE whose drop frame does not reach
+// the disk — its write or its fsync fails — answers ack_indeterminate,
+// not 204, and degrades the backend. The session is gone from memory;
+// a probe flushes the drop, and a reopen does not bring it back.
+func TestFailedDropFailsDelete(t *testing.T) {
+	const rows = 32
+	for _, op := range []fault.Op{fault.OpWrite, fault.OpSync} {
+		t.Run(op.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			// Seed table, create frame, one event: the fourth write or
+			// fsync of the log is the drop's.
+			inj := fault.NewInjector(1, fault.Rule{
+				Op: op, Path: "wal-", After: 3, Count: 1,
+				Fault: fault.Fault{Err: syscall.EIO},
+			})
+			backend := openFaultBackend(t, dir, inj, rows)
+			e := engine.New(backend, engine.Options{})
+			srv, err := server.New(e, server.Options{Persist: backend, ProbeInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv)
+			c, err := client.New(ts.URL, client.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			sess, err := c.CreateSession(ctx, "gone", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Join(ctx, workload.Arrivals(workload.Steady, 1, rows, 3)[0].Query); err != nil {
+				t.Fatal(err)
+			}
+			wantCode(t, sess.Close(ctx), api.CodeAckIndeterminate)
+			if _, faults := inj.Stats(); faults != 1 {
+				t.Fatalf("the drop rule fired %d times, want once", faults)
+			}
+			if !backend.Degraded() {
+				t.Fatal("backend not degraded after a failed drop")
+			}
+			if _, err := sess.Status(ctx, false); err == nil {
+				t.Fatal("the session outlived its failed DELETE in memory")
+			}
+			if err := backend.Probe(); err != nil {
+				t.Fatal(err)
+			}
+			ts.Close()
+			srv.Close()
+			if err := backend.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			backend2 := openBackend(t, dir, 1, rows, persist.SyncAlways)
+			c2, srv2, ts2 := durableLoopback(t, backend2)
+			t.Cleanup(func() { ts2.Close(); srv2.Close(); backend2.Close() })
+			rec, err := c2.Recovery(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Sessions != 0 {
+				t.Fatalf("recovered %v after the drop was flushed", rec.RecoveredSessions)
+			}
+		})
 	}
 }
 

@@ -13,12 +13,11 @@ import (
 
 // eventJournal is the durability hook a session handle writes through:
 // persist.SessionJournal satisfies it. Append must be called only after
-// the event was applied in memory; Close keeps the journal file for
-// recovery (drain), Drop deletes it (deliberate removal).
+// the event was applied in memory; Drop ends the session in the log
+// (deliberate removal). A drain needs neither: the log is the backend's
+// to sync.
 type eventJournal interface {
 	Append(ev stream.Event) error
-	Sync() error
-	Close() error
 	Drop() error
 }
 
@@ -240,7 +239,7 @@ func (r *registry) create(name string, parkUnsafe bool) (*sessionHandle, error) 
 }
 
 // adopt registers a handle over an already rebuilt session (recovery):
-// the journal is the recovered one, reopened for appending.
+// the journal is the recovered one.
 func (r *registry) adopt(name string, sess *stream.Session, journal eventJournal) (*sessionHandle, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -267,7 +266,9 @@ func (r *registry) get(name string) (*sessionHandle, error) {
 }
 
 // remove deregisters and stops one session; it blocks until the
-// session's loop has drained.
+// session's loop has drained. A drop the log did not take fails the
+// removal with its error (ack_indeterminate): the session is gone from
+// memory, and its drop frame waits in the backend's pending queue.
 func (r *registry) remove(name string) error {
 	r.mu.Lock()
 	h, ok := r.handles[name]
@@ -278,13 +279,19 @@ func (r *registry) remove(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", api.ErrSessionNotFound, name)
 	}
+	return r.drop(h)
+}
+
+// drop stops a deregistered handle and ends its session in the log, so
+// a deliberately removed session does not come back on restart.
+func (r *registry) drop(h *sessionHandle) error {
 	h.close()
-	// A deliberately removed session must not resurrect on restart.
+	var err error
 	if h.journal != nil {
-		h.journal.Drop()
+		err = h.journal.Drop()
 	}
-	r.onDrop(name)
-	return nil
+	r.onDrop(h.name)
+	return err
 }
 
 // snapshot returns the live handles.
@@ -324,8 +331,8 @@ func (r *registry) janitor() {
 			return
 		case now := <-t.C:
 			// Pause eviction when asked (the server sets this to the
-			// backend's degraded check): dropping a journal needs the
-			// filesystem, and a lost drop resurrects the session later.
+			// backend's degraded check): a drop needs the log, and a lost
+			// drop resurrects the session later.
 			if r.skipEvict != nil && r.skipEvict() {
 				continue
 			}
@@ -340,12 +347,10 @@ func (r *registry) janitor() {
 			}
 			r.mu.Unlock()
 			for _, h := range idle {
-				h.close()
-				// Eviction is removal: the journal goes too.
-				if h.journal != nil {
-					h.journal.Drop()
-				}
-				r.onDrop(h.name)
+				// Eviction is removal. No client waits on it, so a failed
+				// drop is left to the backend: it degrades, and the drop
+				// frame waits in its pending queue for the next probe.
+				_ = r.drop(h)
 				r.evicted.Add(1)
 			}
 		}
@@ -365,12 +370,9 @@ func (r *registry) close() {
 	r.mu.Unlock()
 	close(r.janitorStop)
 	<-r.janitorDone
+	// A drain keeps every session in the log: it comes back on restart
+	// with every admitted event intact.
 	for _, h := range handles {
 		h.close()
-		// A drain keeps the journal: the session comes back on restart
-		// with every admitted event intact. Close syncs it.
-		if h.journal != nil {
-			h.journal.Close()
-		}
 	}
 }

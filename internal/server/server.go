@@ -43,14 +43,13 @@ type Options struct {
 	// creates; its ParkUnsafe is overridden per create request.
 	Session stream.Options
 	// Persist, when non-nil, makes sessions durable: every admitted (or
-	// parked) event is journaled to the backend before it is acked, and
-	// New rebuilds the sessions found in the backend's data directory by
-	// replaying their journals. The server does not own the backend's
-	// lifecycle — the caller opens it (replaying the store WAL) and
-	// closes it after Close.
+	// parked) event is journaled to the backend's log before it is
+	// acked, and New rebuilds the sessions the log holds by replaying
+	// their events. The server does not own the backend's lifecycle —
+	// the caller opens it (replaying the log) and closes it after Close.
 	Persist *persist.Backend
 	// ProbeInterval is how often the server probes a degraded backend
-	// trying to lift degraded mode (flush pending journal payloads and
+	// trying to lift degraded mode (flush the pending log payloads and
 	// resume accepting writes). Zero means 500ms; negative disables the
 	// probe loop (a caller then drives persist.Backend.Probe itself).
 	// Ignored without Persist.
@@ -134,9 +133,9 @@ type Server struct {
 
 // New builds a server over the engine. The server owns a dispatcher
 // goroutine and a session janitor from this point on; Close releases
-// them. With Options.Persist set, New also rebuilds every session
-// journaled in the backend's data directory — replaying each journal's
-// events through a fresh incremental session — and the error return is
+// them. With Options.Persist set, New also rebuilds every session the
+// backend's log holds — replaying its events through a fresh
+// incremental session — and the error return is
 // recovery failing (it is always nil without persistence).
 func New(e *engine.Engine, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
@@ -168,22 +167,18 @@ func New(e *engine.Engine, opts Options) (*Server, error) {
 		so.ParkUnsafe = park
 		return e.NewSession(so)
 	}
-	var newJournal func(string, bool) (eventJournal, error)
-	if opts.Persist != nil {
-		newJournal = func(name string, park bool) (eventJournal, error) {
-			return opts.Persist.CreateSessionJournal(name, park)
-		}
-	}
 	// Parked arrivals a departure admitted become push notifications on
 	// subscribed binary connections; dropped sessions drop their
 	// undelivered backlog.
 	s.reg = newRegistry(newSession, opts.MailboxSize, opts.IdleTimeout, s.push.admitted, s.push.dropSession)
-	s.reg.newJournal = newJournal
 	if opts.Persist != nil {
-		// Eviction pauses while the backend is degraded: dropping a
-		// journal needs the filesystem, and a failed drop would resurrect
-		// the session as a ghost on the next restart. Idle sessions wait
-		// out the outage instead.
+		s.reg.newJournal = func(name string, park bool) (eventJournal, error) {
+			return opts.Persist.CreateSessionJournal(name, park)
+		}
+		// Eviction pauses while the backend is degraded: a drop needs
+		// the log, and a lost drop would resurrect the session as a
+		// ghost on the next restart. Idle sessions wait out the outage
+		// instead.
 		s.reg.skipEvict = opts.Persist.Degraded
 	}
 	if opts.Cluster != nil {
@@ -211,7 +206,7 @@ func New(e *engine.Engine, opts Options) (*Server, error) {
 }
 
 // recoverSessions rebuilds the sessions journaled in the durable
-// backend: each journal's admitted events replay in order through a
+// backend: each session's admitted events replay in order through a
 // fresh session (the same incremental path that admitted them), so the
 // recovered session's live set, parked set, and coordination state
 // match the pre-crash session. Replay is deterministic because the
@@ -296,9 +291,11 @@ func (s *Server) createSession(_ context.Context, q wire.CreateSessionReq, _ boo
 	return api.CreateSessionResponse{ID: h.name}, http.StatusCreated, nil
 }
 
-// deleteSession gates and removes one session. Deletion is a write:
-// it drops the journal from the data directory, and a drop the
-// degraded filesystem loses would resurrect the session on restart.
+// deleteSession gates and removes one session. Deletion is a write: it
+// logs the session's drop, and a drop the degraded filesystem loses
+// would resurrect the session on restart. A drop that fails after the
+// gate answers ack_indeterminate: the session is gone from memory and
+// its drop waits for the next probe.
 func (s *Server) deleteSession(_ context.Context, q wire.SessionReq, _ bool) (wire.None, int, error) {
 	if err := s.writeGate(); err != nil {
 		return wire.None{}, 0, err
@@ -377,10 +374,9 @@ func (s *Server) Close() {
 			wc.inflight.Wait()
 			wc.c.Close()
 		}
-		// Registry close already synced and closed every session
-		// journal; flush the store WAL too, so a drained server's whole
-		// data directory is on stable storage regardless of sync
-		// policy. The backend itself stays open — the caller owns it.
+		// Flush the log, so a drained server's whole data directory is
+		// on stable storage regardless of sync policy. The backend
+		// itself stays open — the caller owns it.
 		if s.opts.Persist != nil {
 			s.opts.Persist.Sync()
 		}
