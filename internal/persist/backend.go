@@ -398,13 +398,6 @@ func (b *Backend) DegradeCause() error {
 	return nil
 }
 
-// markDegraded flips the backend read-only, recording the first cause.
-func (b *Backend) markDegraded(cause error) {
-	if b.cause.CompareAndSwap(nil, &cause) {
-		b.degradeEvents.Add(1)
-	}
-}
-
 // Apply applies the batch's longest valid prefix to the in-memory
 // store and journals it as one append per segment. The in-memory apply
 // runs first so an invalid mutation never reaches the log — a journal
@@ -448,30 +441,35 @@ func (b *Backend) Apply(ms ...db.Mutation) error {
 	return invalid
 }
 
-// appendLocked is the one append path for both frame kinds: it writes
-// payloads and, under SyncAlways or when sync is set, waits in commit
-// for an fsync covering them. A failure queues every payload it lost,
-// in log order, degrades the backend and returns ErrIndeterminate. An
-// append that brings the log past CompactBytes compacts it.
+// appendLocked is the one append path for both frame kinds. It writes
+// payloads; with sync set it fsyncs them holding b.mu, so no frame lands
+// behind them, and otherwise under SyncAlways it waits in commit. A
+// failure queues every payload it lost, in log order, degrades the
+// backend and returns ErrIndeterminate. Past CompactBytes of log it
+// compacts; a failed compaction waits for another CompactBytes.
 func (b *Backend) appendLocked(sync bool, payloads ...[]byte) error {
-	n, err := b.wal.append(payloads...)
+	w := b.wal
+	w.awaited = sync
+	n, err := w.append(payloads...)
 	b.sinceSnap += framedSize(payloads[:n]...)
-	if err != nil {
+	switch {
+	case err != nil:
 		b.lose(err)
 		for _, p := range payloads[n:] {
 			b.pending = append(b.pending, bytes.Clone(p))
 		}
+	case sync:
+		err = b.syncLocked()
+	case b.opts.Sync == SyncAlways:
+		err = b.commit(w.written)
+	}
+	w.awaited = false
+	if err != nil {
 		return fmt.Errorf("%w: %w", ErrIndeterminate, err)
 	}
-	end := b.wal.written
-	if b.opts.CompactBytes > 0 && b.sinceSnap >= b.opts.CompactBytes && !b.Degraded() {
-		if err := b.compactLocked(); err != nil {
-			// The append stands; compaction retries on a later one.
-			b.compactFailures.Add(1)
-		}
-	}
-	if sync || b.opts.Sync == SyncAlways {
-		return b.commit(end)
+	if b.opts.CompactBytes > 0 && b.sinceSnap >= b.opts.CompactBytes && !b.Degraded() && b.compactLocked() != nil {
+		b.compactFailures.Add(1)
+		b.sinceSnap = 0
 	}
 	return nil
 }
@@ -480,7 +478,7 @@ func (b *Backend) appendLocked(sync bool, payloads ...[]byte) error {
 // commit. Appends write under b.mu, then wait here: the first waiter
 // fsyncs everything written so far with the lock released, and every
 // waiter that fsync covers returns with it, so concurrent appends share
-// one fsync. A frame a failure lost fails with ErrIndeterminate.
+// one fsync. A frame a failure lost fails with that failure.
 func (b *Backend) commit(end int64) error {
 	w := b.wal
 	w.waiting++
@@ -492,7 +490,7 @@ func (b *Backend) commit(end int64) error {
 	for {
 		for _, r := range w.lost {
 			if end > r.from && end <= r.to {
-				return fmt.Errorf("%w: %w", ErrIndeterminate, r.err)
+				return r.err
 			}
 		}
 		if end <= w.synced {
@@ -503,7 +501,7 @@ func (b *Backend) commit(end int64) error {
 			continue
 		}
 		f, target, kinds := w.f, w.written, w.kinds
-		w.syncing, w.kinds = true, 0
+		w.syncing, w.kinds, w.repaired = true, 0, false
 		b.mu.Unlock()
 		err := f.Sync()
 		b.mu.Lock()
@@ -522,33 +520,33 @@ func (b *Backend) commit(end int64) error {
 }
 
 // lose fails every frame written since the last sync and degrades the
-// backend. Under SyncAlways their payloads go back to the head of the
-// pending queue and the segment's end rolls back past them, so repair
-// truncates them; under a laxer policy they were acked and stay.
+// backend. Those buf holds go back to the head of the pending queue and
+// the segment's end rolls back past them, so repair truncates them; the
+// rest, acked under a laxer policy, stay.
 func (b *Backend) lose(err error) {
 	w := b.wal
-	if w.policy == SyncAlways && len(w.buf) > 0 {
-		var tail [][]byte
-		// buf holds whole frames this process framed: replay cannot fail.
-		_, _, _ = ReplayFrames(bytes.NewReader(w.buf), func(p []byte) error {
-			tail = append(tail, bytes.Clone(p))
-			return nil
-		})
-		b.pending = append(tail, b.pending...)
-		w.size -= int64(len(w.buf))
-		w.shed(len(w.buf))
-	}
+	var tail [][]byte
+	// buf holds whole frames this process framed: replay cannot fail.
+	_, _, _ = ReplayFrames(bytes.NewReader(w.buf), func(p []byte) error {
+		tail = append(tail, bytes.Clone(p))
+		return nil
+	})
+	b.pending = append(tail, b.pending...)
+	w.size -= int64(len(w.buf))
+	w.shed(len(w.buf))
 	w.fail(err)
-	b.markDegraded(err)
+	if b.cause.CompareAndSwap(nil, &err) { // the first cause stays
+		b.degradeEvents.Add(1)
+	}
 }
 
 var errClosed = fmt.Errorf("persist: backend is closed")
 
 // Probe checks whether the filesystem accepts durable writes again: it
-// writes, syncs, and removes a scratch file, then repairs the log,
-// flushes the pending payloads in order as one append, and syncs. Only
-// when everything is durable does the degradation lift. Cheap and a
-// no-op when healthy and nothing is pending.
+// writes, syncs, and removes a scratch file, then repairs the log and
+// flushes the pending payloads in order as one synced append. Only when
+// everything is durable does the degradation lift. Cheap and a no-op
+// when healthy and nothing is pending.
 func (b *Backend) Probe() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -556,16 +554,6 @@ func (b *Backend) Probe() error {
 		return errClosed
 	}
 	b.probes.Add(1)
-	if err := b.probeLocked(); err != nil {
-		b.probeFailures.Add(1)
-		return err
-	}
-	b.cause.Store(nil)
-	return nil
-}
-
-// probeLocked runs the scratch-file probe and the log flush.
-func (b *Backend) probeLocked() error {
 	path := filepath.Join(b.dir, "probe.tmp")
 	err := b.writeFile(path, func(w io.Writer) error {
 		_, err := w.Write([]byte("probe\n"))
@@ -574,18 +562,20 @@ func (b *Backend) probeLocked() error {
 	if rerr := b.fs.Remove(path); err == nil {
 		err = rerr
 	}
+	if err == nil {
+		err = b.wal.repair()
+	}
+	if err == nil {
+		flush := b.pending
+		b.pending = nil
+		err = b.appendLocked(true, flush...)
+	}
 	if err != nil {
+		b.probeFailures.Add(1)
 		return err
 	}
-	if err := b.wal.repair(); err != nil {
-		return err
-	}
-	flush := b.pending
-	b.pending = nil
-	if err := b.appendLocked(false, flush...); err != nil {
-		return err
-	}
-	return b.syncLocked()
+	b.cause.Store(nil)
+	return nil
 }
 
 // Compact writes the store and every live session as a snapshot and
@@ -600,18 +590,15 @@ func (b *Backend) Compact() error {
 	return b.compactLocked()
 }
 
-// compactLocked rotates first, so snapshot N covers exactly the
-// segments below N. The store comes from memory; each live session's
-// create frame and events are read back from the superseded files.
+// compactLocked writes snapshot N — the store from memory, then each
+// live session's frames read back from the files it supersedes — and
+// rotates to segment N before publishing it, so it covers exactly the
+// segments below N. Reading and writing, what can fail, come first.
 func (b *Backend) compactLocked() error {
 	if b.Degraded() {
 		return fmt.Errorf("persist: compacting: %w", ErrDegraded)
 	}
 	oldSnap, oldSeq := b.snapSeq, b.wal.seq
-	if err := b.wal.rotate(); err != nil {
-		b.lose(err)
-		return err
-	}
 	lives := sessionLives{}
 	superseded := []string{snapName(oldSnap)}
 	for s := oldSnap; s <= oldSeq; s++ {
@@ -622,8 +609,7 @@ func (b *Backend) compactLocked() error {
 			return err
 		}
 	}
-	newSeq := b.wal.seq
-	err := b.publish(b.storeDir, "snapshot.tmp", snapName(newSeq), func(w io.Writer) error {
+	err := b.publish(b.storeDir, "snapshot.tmp", snapName(oldSeq+1), func(w io.Writer) error {
 		// A failed write sticks in bw, and Flush reports it.
 		bw := bufio.NewWriterSize(w, 256<<10)
 		var framed []byte
@@ -639,10 +625,15 @@ func (b *Backend) compactLocked() error {
 				_, _ = bw.Write(framed)
 			}
 		}
-		if err != nil {
-			return err
+		if err == nil {
+			err = bw.Flush()
 		}
-		return bw.Flush()
+		if err == nil {
+			if err = b.wal.rotate(); err != nil {
+				b.lose(err)
+			}
+		}
+		return err
 	})
 	if err != nil {
 		return err
@@ -650,7 +641,7 @@ func (b *Backend) compactLocked() error {
 	for _, name := range superseded {
 		b.fs.Remove(filepath.Join(b.storeDir, name))
 	}
-	b.snapSeq = newSeq
+	b.snapSeq = oldSeq + 1
 	b.sinceSnap = 0
 	b.compactions.Add(1)
 	return nil

