@@ -114,11 +114,17 @@ func (gf GeneralForm) IsANonCoordinating(attrs []int) bool {
 
 // IsAConsistent implements Definition 9: A-coordinating on the schema's
 // coordination attributes and non-coordinating on the remaining
-// attributes of S (everything except the key and A).
+// attributes of S (everything except the key and A). A query not of the
+// general form, or an S-atom without arity arguments, is an error.
 func IsAConsistent(sch Schema, q eq.Query, arity int) (bool, error) {
 	gf, err := ParseGeneralForm(sch, q)
 	if err != nil {
 		return false, err
+	}
+	for _, a := range append([]eq.Atom{gf.Self}, gf.Partners...) {
+		if len(a.Args) != arity {
+			return false, fmt.Errorf("consistent: query %s: S-atom %s has %d arguments, %s has %d", q.ID, a, len(a.Args), sch.Table, arity)
+		}
 	}
 	inA := map[int]bool{sch.KeyCol: true}
 	for _, c := range sch.CoordCols {

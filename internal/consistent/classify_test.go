@@ -2,6 +2,7 @@ package consistent_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"entangled/internal/consistent"
@@ -104,6 +105,18 @@ func TestParseGeneralFormErrors(t *testing.T) {
 		q := eq.MustParseSet(src)[0]
 		if _, err := consistent.ParseGeneralForm(sch, q); err == nil {
 			t.Errorf("ParseGeneralForm should reject %s", src)
+		}
+	}
+	// The general form holds, but an S-atom is shorter than Flights:
+	// the checks of Definitions 7 and 8 would index past its arguments.
+	short := []string{
+		`query f { post: R(y, U1) head: R(x, U0) body: Flights(x, d, t, s, a), Flights(y, d) }`,
+		`query g { post: R(y, U1) head: R(x, U0) body: Flights(x, d), Flights(y, d, t, s, a) }`,
+	}
+	for _, src := range short {
+		q := eq.MustParseSet(src)[0]
+		if _, err := consistent.IsAConsistent(sch, q, 5); err == nil || !strings.Contains(err.Error(), "Flights(") {
+			t.Errorf("IsAConsistent should reject %s naming the atom, got %v", src, err)
 		}
 	}
 }

@@ -121,12 +121,24 @@ func checkFriendRel(inst *db.Instance, rel string) error {
 	return nil
 }
 
+// checkPrefs checks that q has one preference per coordination and per
+// own attribute of the schema.
+func checkPrefs(sch Schema, q Query) error {
+	if len(q.Coord) != len(sch.CoordCols) {
+		return fmt.Errorf("consistent: query by %s has %d coordination prefs, schema has %d attributes", q.User, len(q.Coord), len(sch.CoordCols))
+	}
+	if len(q.Own) != len(sch.OwnCols) {
+		return fmt.Errorf("consistent: query by %s has %d own prefs, schema has %d attributes", q.User, len(q.Own), len(sch.OwnCols))
+	}
+	return nil
+}
+
 // Candidate is one value of the coordination attributes together with
 // the queries that survive the cleaning phase for it. Both slices are
-// read-only: Value is a view of the one slab the call copies V(Q)'s
-// values into, Members a piece of one slab the call's candidates are
-// cut from, and the Result's Value and Members are the winning
-// candidate's.
+// read-only views of what the call allocates for its answer and nothing
+// else: Value of one slab of the candidates' values, Members of one slab
+// of their survivors. No later call reuses them. The Result's Value and
+// Members are the winning candidate's.
 type Candidate struct {
 	Value   []eq.Value // one value per coordination attribute
 	Members []int      // surviving query indices, sorted
@@ -208,8 +220,9 @@ func Coordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (*Resul
 	if len(qs) == 0 {
 		return nil, nil
 	}
-	k, err := newKernel(sch, qs, inst)
-	if err != nil {
+	k := kernels.Get().(*kernel)
+	defer k.release()
+	if err := k.load(sch, qs, inst); err != nil {
 		return nil, err
 	}
 

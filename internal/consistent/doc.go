@@ -11,11 +11,11 @@
 // attributes, and names its partners either by constant or as "any
 // friend of mine in F".
 //
-// Coordinate runs as one kernel per call (kernel.go) on dense integers:
+// Coordinate runs on a pooled kernel (kernel.go) on dense integers:
 // users, relations and coordination values are interned once (a value
 // copied out of the row db.Project yields, only when it is new), the
-// coordination graph is flat lists of query indices, and the
-// restrict-and-clean pass of every value reuses scratch the call owns.
+// coordination graph is flat lists of query indices, and a call
+// allocates only its answer: everything else is reused scratch.
 // The algorithm as the paper states it — maps, values compared
 // pairwise, cleaning by full sweeps — is the tests' reference
 // (oracle_test.go). DESIGN.md, "What a §5 request costs", has the

@@ -25,6 +25,9 @@ func ToEntangled(sch Schema, q Query, inst *db.Instance) (eq.Query, error) {
 	if !ok {
 		return eq.Query{}, fmt.Errorf("consistent: relation %s not in instance", sch.Table)
 	}
+	if err := checkPrefs(sch, q); err != nil {
+		return eq.Query{}, err
+	}
 	d := s.Arity()
 
 	// Shared coordination terms: one per coordination attribute.

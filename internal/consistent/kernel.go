@@ -2,17 +2,20 @@ package consistent
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
 )
 
-// kernel is the state of one Coordinate call, on dense integers: users,
-// relations and coordination values are interned to small ids once, the
-// coordination graph is flat lists of query indices, and the
-// restrict-and-clean pass of every value runs on scratch the call
-// allocates once and reuses. Nothing here outlives the call except what
-// the Result points into.
+// kernel is the working state of a Coordinate call, on dense integers:
+// users, relations and coordination values are interned to small ids
+// once, and the coordination graph is flat lists of query indices.
+// Kernels are pooled: a call truncates and refills the lists an earlier
+// call grew, and releases its kernel holding none of its queries,
+// instance or strings. The Result owns only what candidates cuts to size
+// for it and the Keys ground builds.
 type kernel struct {
 	sch  Schema
 	qs   []Query
@@ -26,6 +29,7 @@ type kernel struct {
 	byUser  spans              // user id -> that user's queries
 	named   spans              // query -> user id per named partner; -1 when that user submitted nothing
 	namedBy spans              // user id -> the queries naming that user
+	iota    []int32            // 0, 1, 2, ...: the offsets of one-query lists, for byUser
 
 	rels    []string // the relations friend slots draw from; rels[0] is sch.Friends
 	slotRel []int32  // per friend slot, parallel to slots.flat: index into rels
@@ -53,7 +57,11 @@ type kernel struct {
 	ownedAt     []int   // user id -> epoch of the matching in which a slot took it
 	ownedBy     []int32 // user id -> that slot
 	epoch       int
+	kept        spans   // non-empty candidate -> its survivors
+	keptValue   []int32 // non-empty candidate -> its value id
 }
+
+var kernels = sync.Pool{New: func() any { return &kernel{users: map[eq.Value]int32{}, where: map[int]eq.Value{}} }}
 
 // spans is a list of lists of small integers, stored flat.
 type spans struct {
@@ -61,7 +69,7 @@ type spans struct {
 	flat []int32
 }
 
-func newSpans(lists int) spans { return spans{off: make([]int32, 1, lists+1)} }
+func (s *spans) reset() { s.off, s.flat = append(s.off[:0], 0), s.flat[:0] }
 
 func (s spans) at(i int32) []int32 { return s.flat[s.off[i]:s.off[i+1]] }
 
@@ -70,11 +78,11 @@ func (s spans) len() int { return len(s.off) - 1 }
 // end closes the list being appended to flat.
 func (s *spans) end() { s.off = append(s.off, int32(len(s.flat))) }
 
-// invert turns "list i names these targets" into "target t is named by
-// these lists": a counting sort, so each target's lists come out
-// ascending. Negative targets are skipped.
-func (s spans) invert(targets int) spans {
-	out := spans{off: make([]int32, targets+1)}
+// invert fills out with the inverse of s: "list i names these targets"
+// becomes "target t is named by these lists". It is a counting sort, so
+// each target's lists come out ascending. Negative targets are skipped.
+func (s spans) invert(targets int, out *spans) {
+	out.off = sized(out.off, targets+1)
 	for _, t := range s.flat {
 		if t >= 0 {
 			out.off[t+1]++
@@ -83,7 +91,7 @@ func (s spans) invert(targets int) spans {
 	for t := 0; t < targets; t++ {
 		out.off[t+1] += out.off[t]
 	}
-	out.flat = make([]int32, out.off[targets])
+	out.flat = sized(out.flat, int(out.off[targets]))
 	// Fill with off[t] as target t's cursor, which leaves every offset
 	// one list ahead; then shift them back.
 	for i := 0; i < s.len(); i++ {
@@ -96,30 +104,29 @@ func (s spans) invert(targets int) spans {
 	}
 	copy(out.off[1:], out.off[:targets])
 	out.off[0] = 0
-	return out
 }
 
-// newKernel interns users, named partners and friend-slot relations,
-// and checks everything about qs that can be checked without a database
+// sized returns s cleared to length n, reusing its array if long enough.
+func sized[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// load interns users, named partners and friend-slot relations into k,
+// checking everything about qs that can be checked without a database
 // query: preference counts against the schema, and that every relation
 // a friend slot names exists and is binary.
-func newKernel(sch Schema, qs []Query, inst *db.Instance) (*kernel, error) {
+func (k *kernel) load(sch Schema, qs []Query, inst *db.Instance) error {
 	n := len(qs)
-	k := &kernel{
-		sch: sch, qs: qs, inst: inst,
-		where:  map[int]eq.Value{},
-		users:  make(map[eq.Value]int32, n),
-		userOf: make([]int32, n),
-		named:  newSpans(n),
-		rels:   []string{sch.Friends},
-		slots:  newSpans(n),
-	}
+	k.sch, k.qs, k.inst, k.dbq = sch, qs, inst, 0
+	k.userOf, k.rels = sized(k.userOf, n), append(k.rels[:0], sch.Friends)
+	k.slotRel, k.owner = k.slotRel[:0], k.owner[:0]
+	k.named.reset()
+	k.slots.reset()
 	for i, q := range qs {
-		if len(q.Coord) != len(sch.CoordCols) {
-			return nil, fmt.Errorf("consistent: query by %s has %d coordination prefs, schema has %d attributes", q.User, len(q.Coord), len(sch.CoordCols))
-		}
-		if len(q.Own) != len(sch.OwnCols) {
-			return nil, fmt.Errorf("consistent: query by %s has %d own prefs, schema has %d attributes", q.User, len(q.Own), len(sch.OwnCols))
+		if err := checkPrefs(sch, q); err != nil {
+			return err
 		}
 		u, known := k.users[q.User]
 		if !known {
@@ -140,7 +147,7 @@ func newKernel(sch Schema, qs []Query, inst *db.Instance) (*kernel, error) {
 			}
 			r, err := k.relID(p)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			k.slotRel = append(k.slotRel, r)
 			k.slots.flat = append(k.slots.flat, -1) // its list: friendLists
@@ -148,13 +155,23 @@ func newKernel(sch Schema, qs []Query, inst *db.Instance) (*kernel, error) {
 		k.named.end()
 		k.slots.end()
 	}
-	queries := spans{off: make([]int32, n+1), flat: k.userOf} // query i -> its one user
-	for i := range queries.off {
-		queries.off[i] = int32(i)
+	for len(k.iota) <= n {
+		k.iota = append(k.iota, int32(len(k.iota)))
 	}
-	k.byUser = queries.invert(len(k.users))
-	k.namedBy = k.named.invert(len(k.users))
-	return k, nil
+	queries := spans{off: k.iota[:n+1], flat: k.userOf} // query i -> its one user
+	queries.invert(len(k.users), &k.byUser)
+	k.named.invert(len(k.users), &k.namedBy)
+	return nil
+}
+
+// release drops the call's queries, instance and strings, and pools k.
+func (k *kernel) release() {
+	clear(k.users)
+	clear(k.where)
+	clear(k.rels)
+	clear(k.vals)
+	k.sch, k.qs, k.inst = Schema{}, nil, nil
+	kernels.Put(k)
 }
 
 // relID interns the relation friend slot p draws from, checking a
@@ -196,16 +213,11 @@ func (k *kernel) fillWhere(i int) {
 // as ids into V(Q), interning each answer row as Project yields it, and
 // from them each value's member list.
 func (k *kernel) optionLists() error {
-	n := len(k.qs)
-	k.options = newSpans(n)
+	k.options.reset()
+	k.vals, k.hashes = k.vals[:0], k.hashes[:0]
+	clear(k.table)
 	option := k.option // one method value for every query; Project does not keep it
 	for i := range k.qs {
-		// Once the room left is under an average list, make room for the
-		// rest as if they average what the first i took.
-		if flat := k.options.flat; i > 0 && cap(flat)-len(flat) < len(flat)/i {
-			k.options.flat = make([]int32, len(flat), max(2*cap(flat), len(flat)*n/i))
-			copy(k.options.flat, flat)
-		}
 		k.fillWhere(i)
 		k.dbq++
 		if err := k.inst.Project(k.sch.Table, k.sch.CoordCols, k.where, option); err != nil {
@@ -213,7 +225,7 @@ func (k *kernel) optionLists() error {
 		}
 		k.options.end()
 	}
-	k.members = k.options.invert(len(k.hashes))
+	k.options.invert(len(k.hashes), &k.members)
 	return nil
 }
 
@@ -275,7 +287,7 @@ func (k *kernel) alive(i int32) bool { return k.options.off[i+1] > k.options.off
 // friend list — one database query per query and relation — and builds
 // the reverse lists the cleaning phase requeues from.
 func (k *kernel) friendLists() error {
-	k.friends = newSpans(len(k.slotRel))
+	k.friends.reset()
 	friendCol := []int{1}
 	friend := k.friend // one method value for every query; Project does not keep it
 	for i := range k.qs {
@@ -304,7 +316,7 @@ func (k *kernel) friendLists() error {
 			k.owner = append(k.owner, int32(i))
 		}
 	}
-	k.listsOf = k.friends.invert(len(k.qs))
+	k.friends.invert(len(k.qs), &k.listsOf)
 	return nil
 }
 
@@ -320,47 +332,62 @@ func (k *kernel) friend(row db.Tuple) {
 	}
 }
 
-// candidates runs restrict-and-clean for every value of V(Q), in order.
-// The loop allocates nothing: survivors are carved from one slab sized
-// for the most there can be.
+// candidates runs restrict-and-clean for every value of V(Q), in order,
+// allocating nothing; then what the caller keeps is cut to size: one slab
+// of members, one of the candidates' values alone, and the candidates.
 func (k *kernel) candidates(trace *Trace) []Candidate {
 	n, users := len(k.qs), len(k.users)
-	k.in, k.pending, k.queue = make([]bool, n), make([]bool, n), make([]int32, n)
-	k.seen, k.ownedAt, k.ownedBy = make([]int, users), make([]int, users), make([]int32, users)
-	slab := make([]int, 0, len(k.members.flat))
-	cands := make([]Candidate, 0, len(k.hashes))
+	k.in, k.pending, k.queue = sized(k.in, n), sized(k.pending, n), sized(k.queue, n)
+	k.seen, k.ownedAt, k.ownedBy = sized(k.seen, users), sized(k.ownedAt, users), sized(k.ownedBy, users)
+	k.gen, k.epoch, k.keptValue = 0, 0, k.keptValue[:0]
+	k.kept.reset()
 	if trace != nil {
 		trace.Values = make([]ValueEvent, 0, len(k.hashes))
 	}
 	w := len(k.sch.CoordCols)
 	for v := range k.hashes {
-		value := k.vals[v*w : (v+1)*w : (v+1)*w] // V(Q) is complete: k.vals stays put
 		initial := k.members.at(int32(v))
 		k.clean(initial)
-		start := len(slab)
+		start := len(k.kept.flat)
 		for _, i := range initial {
 			if k.in[i] {
-				slab = append(slab, int(i))
+				k.kept.flat = append(k.kept.flat, i)
 				k.in[i] = false
 			}
 		}
-		surviving := slab[start:len(slab):len(slab)]
 		if trace != nil {
-			ev := ValueEvent{
-				Value:     append([]eq.Value(nil), value...),
-				Initial:   make([]int, len(initial)),
-				Survivors: append([]int(nil), surviving...),
-			}
-			for x, i := range initial {
-				ev.Initial[x] = int(i)
-			}
-			trace.Values = append(trace.Values, ev)
+			trace.Values = append(trace.Values, ValueEvent{
+				Value:     append([]eq.Value(nil), k.vals[v*w:(v+1)*w]...),
+				Initial:   ints(initial),
+				Survivors: ints(k.kept.flat[start:]),
+			})
 		}
-		if len(surviving) > 0 {
-			cands = append(cands, Candidate{Value: value, Members: surviving})
+		if len(k.kept.flat) > start {
+			k.kept.end()
+			k.keptValue = append(k.keptValue, int32(v))
 		}
 	}
+	members := ints(k.kept.flat)
+	values := slices.Grow([]eq.Value(nil), len(k.keptValue)*w) // nil when w is 0: an empty Value has always been nil
+	cands := make([]Candidate, len(k.keptValue))
+	for c, v := range k.keptValue {
+		values = append(values, k.vals[int(v)*w:int(v+1)*w]...)
+		lo, hi := k.kept.off[c], k.kept.off[c+1]
+		cands[c] = Candidate{Value: values[c*w : (c+1)*w : (c+1)*w], Members: members[lo:hi:hi]}
+	}
 	return cands
+}
+
+// ints widens xs, nil when it is empty.
+func ints(xs []int32) []int {
+	if len(xs) == 0 {
+		return nil
+	}
+	out := make([]int, len(xs))
+	for x, i := range xs {
+		out[x] = int(i)
+	}
+	return out
 }
 
 // clean restricts the graph to members and removes queries whose
