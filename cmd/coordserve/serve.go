@@ -22,8 +22,8 @@ import (
 // run boots the coordination service cfg describes and serves until ctx
 // is cancelled, then drains gracefully: the HTTP server stops accepting
 // and waits for in-flight connections, the batch queue serves what it
-// admitted, and every session's mailbox drains before its goroutine
-// exits (events are atomic, so a drain never leaves partial
+// admitted, and every session serves the events waiting for its turn
+// before it closes (events are atomic, so a drain never leaves partial
 // coordination state). With -data-dir the drain additionally syncs and
 // closes the node's one log — store mutations and session events alike
 // — so an interrupted server's data directory is complete on stable

@@ -213,21 +213,6 @@ func JoinAtoms(as []Atom) string {
 	return strings.Join(parts, ", ")
 }
 
-// AnswerRels returns the set of answer relation symbols (those appearing
-// in postconditions or heads) of the query set.
-func AnswerRels(qs []Query) map[string]bool {
-	out := map[string]bool{}
-	for _, q := range qs {
-		for _, a := range q.Post {
-			out[a.Rel] = true
-		}
-		for _, a := range q.Head {
-			out[a.Rel] = true
-		}
-	}
-	return out
-}
-
 // Validate checks the syntactic well-formedness conditions of entangled
 // queries against a database schema given as relation name -> arity:
 // every body relation must be in the schema, and no answer relation may

@@ -171,14 +171,3 @@ func TestValidate(t *testing.T) {
 		t.Fatal("inconsistent answer arity must fail")
 	}
 }
-
-func TestAnswerRels(t *testing.T) {
-	qs := []Query{
-		{Post: []Atom{NewAtom("R", V("x"))}, Head: []Atom{NewAtom("Q", V("x"))}},
-		{Head: []Atom{NewAtom("R", V("y"))}},
-	}
-	rels := AnswerRels(qs)
-	if !rels["R"] || !rels["Q"] || len(rels) != 2 {
-		t.Fatalf("AnswerRels = %v", rels)
-	}
-}

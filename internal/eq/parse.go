@@ -47,19 +47,6 @@ func Parse(src string) (Query, error) {
 	return qs[0], nil
 }
 
-// ParseAtoms parses a comma-separated atom list such as "R(a, x), Q(b, y)".
-func ParseAtoms(src string) ([]Atom, error) {
-	p := &parser{toks: lex(src)}
-	as, err := p.atomList()
-	if err != nil {
-		return nil, err
-	}
-	if !p.eof() {
-		return nil, fmt.Errorf("eq: trailing input after atom list at %q", p.peek().text)
-	}
-	return as, nil
-}
-
 // MustParseSet is ParseSet that panics on error; intended for examples
 // and tests where the input is a literal.
 func MustParseSet(src string) []Query {

@@ -118,19 +118,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestParseAtoms(t *testing.T) {
-	as, err := ParseAtoms("R(a, B), Q(c)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(as) != 2 || as[0].String() != "R(a, B)" || as[1].String() != "Q(c)" {
-		t.Fatalf("atoms = %v", as)
-	}
-	if _, err := ParseAtoms("R(a) garbage("); err == nil {
-		t.Fatal("trailing garbage should fail")
-	}
-}
-
 func TestRoundTrip(t *testing.T) {
 	// String output of a parsed query re-parses to the same thing.
 	src := `query q { post: R(Chris, x) head: R(Gwyneth, x) body: Flights(x, Zurich), Hotels(y, 'nice place') }`

@@ -45,11 +45,6 @@ type Conn struct {
 	inj  *Injector
 }
 
-// NewConn wraps a single connection (client-side injection).
-func NewConn(inner net.Conn, inj *Injector) *Conn {
-	return &Conn{Conn: inner, name: inner.RemoteAddr().String(), inj: inj}
-}
-
 func (c *Conn) Read(p []byte) (int, error) {
 	f := c.inj.Decide(OpConnRead, c.name)
 	if f.Delay > 0 {

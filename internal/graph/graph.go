@@ -115,37 +115,6 @@ func (g *Digraph) InDegrees() []int {
 	return deg
 }
 
-// Reverse returns the graph with all edges flipped.
-func (g *Digraph) Reverse() *Digraph {
-	r := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.Succ(u) {
-			r.AddEdge(v, u)
-		}
-	}
-	return r
-}
-
-// Subgraph returns the induced subgraph on the given nodes, along with
-// the mapping from new node ids to original ids.
-func (g *Digraph) Subgraph(nodes []int) (*Digraph, []int) {
-	idx := make(map[int]int, len(nodes))
-	orig := make([]int, len(nodes))
-	for i, u := range nodes {
-		idx[u] = i
-		orig[i] = u
-	}
-	s := New(len(nodes))
-	for _, u := range nodes {
-		for _, v := range g.Succ(u) {
-			if j, ok := idx[v]; ok {
-				s.AddEdge(idx[u], j)
-			}
-		}
-	}
-	return s, orig
-}
-
 // sccFrame is one level of SCC's DFS: a node and its next successor.
 type sccFrame struct{ v, ei int32 }
 

@@ -149,30 +149,6 @@ func TestStronglyConnected(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	r := g.Reverse()
-	if !r.HasEdge(1, 0) || !r.HasEdge(2, 1) || r.HasEdge(0, 1) {
-		t.Fatal("Reverse wrong")
-	}
-}
-
-func TestSubgraph(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	s, orig := g.Subgraph([]int{1, 2})
-	if s.N() != 2 || s.M() != 1 {
-		t.Fatalf("subgraph n=%d m=%d", s.N(), s.M())
-	}
-	if orig[0] != 1 || orig[1] != 2 {
-		t.Fatalf("orig = %v", orig)
-	}
-}
-
 func TestCountSimplePaths(t *testing.T) {
 	// Diamond: two simple paths 0 -> 3.
 	g := New(4)

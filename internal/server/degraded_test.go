@@ -337,9 +337,9 @@ func TestFailedDropFailsDelete(t *testing.T) {
 }
 
 // TestSessionEventTimeoutIsTyped: a client deadline that expires while
-// the event waits in the mailbox comes back as context.DeadlineExceeded
-// — and once wrapped by a transport it is the typed, retryable (but
-// fate-unknown) timeout. Here the posting path itself returns the raw
+// the event waits for its session's turn comes back as
+// context.DeadlineExceeded — and once wrapped by a transport it is the
+// typed, retryable (but fate-unknown) timeout. Here the posting path itself returns the raw
 // context error; the mapping is the error contract's timeout row.
 func TestSessionEventTimeoutIsTyped(t *testing.T) {
 	inst := db.NewInstance()

@@ -25,10 +25,11 @@
 //     the typed code "overloaded" (inline in the batch response)
 //     instead of building backlog.
 //   - the session registry: named stream.Sessions over the shared
-//     store, each serialized on its own goroutine behind a bounded
-//     mailbox, evicted after an idle timeout, drained (not dropped) on
-//     shutdown (see registry.go). Park/retry admission outcomes
-//     surface as typed wire errors.
+//     store, each serving its events one at a time in a turn the
+//     posting goroutine takes (at most MailboxSize wait for it),
+//     evicted after an idle timeout, drained (not dropped) on shutdown
+//     (see registry.go). Park/retry admission outcomes surface as
+//     typed wire errors.
 //   - the operational surface: /healthz, and /metrics with request
 //     throughput, latency histograms, plan-cache hit rate and exact
 //     per-session DBQueries.

@@ -283,8 +283,8 @@ func TestServerCrashRecoveryEquivalence(t *testing.T) {
 	}
 
 	// Hard stop: listener gone, WAL handles dropped without a sync,
-	// no drain. The registry goroutines are cleaned up afterwards;
-	// their journals are already dead, which the cleanup tolerates.
+	// no drain. The server is closed afterwards; its sessions'
+	// journals are already dead, which the cleanup tolerates.
 	ts.Close()
 	backend.Abort()
 	t.Cleanup(srv.Close)

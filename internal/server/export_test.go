@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"time"
 
 	"entangled/internal/wire"
 )
@@ -39,3 +40,7 @@ func (s *Server) TenantKeyed() (queues, shares int) {
 	defer s.met.shareMu.Unlock()
 	return queues, len(s.met.shares)
 }
+
+// SetWriteTimeout shortens the deadline of each frame write to a binary
+// connection; call it before serving.
+func (s *Server) SetWriteTimeout(d time.Duration) { s.writeTimeout = d }

@@ -248,9 +248,9 @@ var ops = []operation{
 	&op[wire.SessionReq, wire.None]{Op: wire.DeleteSession, serve: (*Server).deleteSession},
 	&op[wire.SessionReq, wire.None]{
 		Op: wire.Subscribe,
-		// Push flows only from a session's owner (the owner's session
-		// loop feeds its hub), so a misplaced subscribe answers
-		// route_moved rather than silently never delivering.
+		// Push flows only from a session's owner (the events served in
+		// the owner's turns feed its hub), so a misplaced subscribe
+		// answers route_moved rather than silently never delivering.
 		local: true,
 		serve: func(s *Server, _ context.Context, q wire.SessionReq, _ bool) (wire.None, int, error) {
 			_, err := s.reg.get(q.Session)

@@ -21,144 +21,83 @@ type eventJournal interface {
 	Drop() error
 }
 
-// sessionOp is one unit of serialized session work: an event posted to
-// the session's mailbox, answered on reply.
-type sessionOp struct {
-	ev    stream.Event
-	reply chan sessionReply // buffered(1): the loop never blocks on it
-}
-
-type sessionReply struct {
-	up  stream.Update
-	err error
-}
-
-// sessionHandle owns one named stream.Session: a dedicated goroutine
-// serializes its events through a bounded mailbox, so concurrent
-// clients of the same session observe a total order with backpressure
-// (a full mailbox rejects instead of queueing unboundedly). Reads
-// (status, metrics) go straight to the Session, which has its own lock
-// — they need no ordering against writes.
+// sessionHandle owns one named stream.Session. Its events take turns:
+// the goroutine posting an event takes the session's turn, serves the
+// event itself and hands the turn on, so concurrent clients of one
+// session observe a total order, and a bound on how many may wait
+// turns backlog into a rejection. Reads (status, metrics) go straight
+// to the Session, which has its own lock — they need no ordering
+// against writes.
 type sessionHandle struct {
 	name    string
 	sess    *stream.Session
 	journal eventJournal // nil when the server runs without durability
-	// notify observes every applied update (called from the session
-	// loop, after journaling, before the reply). The server points it at
-	// the push hub so parked arrivals admitted by a departure reach
+	// notify observes every applied update (called holding the turn,
+	// after journaling, before the reply). The server points it at the
+	// push hub so parked arrivals admitted by a departure reach
 	// subscribed binary connections.
 	notify func(name string, up stream.Update)
 
-	mailbox  chan sessionOp
-	stop     chan struct{} // closed on delete/evict/server drain
-	done     chan struct{} // closed when the loop exits
-	stopOnce sync.Once
+	// turn is one slot: whoever fills it serves the session. A channel,
+	// not a mutex, because blocked senders are served in arrival order
+	// and a send can give up when its context ends.
+	turn     chan struct{}
+	waiting  atomic.Int64 // events holding or awaiting the turn
+	bound    int64        // the most that may: one served, the mailbox waiting
+	closed   bool         // set by close, read holding the turn
 	lastUsed atomic.Int64 // unix nanos of the last client touch
-}
-
-func newSessionHandle(name string, sess *stream.Session, journal eventJournal, mailboxSize int, notify func(string, stream.Update)) *sessionHandle {
-	h := &sessionHandle{
-		name:    name,
-		sess:    sess,
-		journal: journal,
-		notify:  notify,
-		mailbox: make(chan sessionOp, mailboxSize),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	h.touch()
-	go h.loop()
-	return h
 }
 
 func (h *sessionHandle) touch() { h.lastUsed.Store(time.Now().UnixNano()) }
 
-// loop serializes the session's events. On stop it drains the ops that
-// made it into the mailbox — an admitted event always executes (the
-// graceful-drain contract the stream layer established: events are
-// atomic, so the drain leaves no partial coordination state) — and
-// exits.
-func (h *sessionHandle) loop() {
-	defer close(h.done)
-	for {
-		select {
-		case op := <-h.mailbox:
-			h.exec(op)
-		case <-h.stop:
-			for {
-				select {
-				case op := <-h.mailbox:
-					h.exec(op)
-				default:
-					return
-				}
-			}
-		}
+// post serves one event in its turn and returns its update. With one
+// event served and the mailbox's worth waiting, it rejects at once
+// (backpressure, HTTP 429). A context that ends before the event gets
+// the turn returns its error, and the event is never applied; a closed
+// session rejects with api.ErrSessionClosed.
+//
+// An event that changed the session (admitted, or parked for retry —
+// parked arrivals are replayed too, so a recovered session re-parks
+// them) is journaled BEFORE the reply: the ack implies the event is in
+// the journal, flushed per the backend's sync policy. A journal failure
+// is reported to the caller — the in-memory state holds the event but
+// its durability is indeterminate.
+func (h *sessionHandle) post(ctx context.Context, ev stream.Event) (stream.Update, error) {
+	h.touch()
+	n := h.waiting.Add(1)
+	defer h.waiting.Add(-1)
+	if n > h.bound {
+		return stream.Update{}, api.ErrMailboxFull
 	}
-}
-
-// exec applies one event and, when it changed the session (admitted,
-// or parked for retry — parked arrivals are replayed too, so a
-// recovered session re-parks them), journals it BEFORE replying: the
-// ack implies the event is in the journal, flushed per the backend's
-// sync policy. A journal failure is reported to the caller — the
-// in-memory state holds the event but its durability is indeterminate.
-func (h *sessionHandle) exec(op sessionOp) {
-	up, err := h.sess.Apply(op.ev)
+	select {
+	case h.turn <- struct{}{}:
+	case <-ctx.Done():
+		return stream.Update{}, ctx.Err()
+	}
+	defer func() { <-h.turn }()
+	if h.closed {
+		return stream.Update{}, api.ErrSessionClosed
+	}
+	up, err := h.sess.Apply(ev)
 	if h.journal != nil && (up.Admitted || up.Parked) {
-		if jerr := h.journal.Append(op.ev); jerr != nil && err == nil {
+		if jerr := h.journal.Append(ev); jerr != nil && err == nil {
 			err = fmt.Errorf("server: journaling event for session %s: %w", h.name, jerr)
 		}
 	}
 	if err == nil {
 		h.notify(h.name, up)
 	}
-	op.reply <- sessionReply{up: up, err: err}
-}
-
-// post submits one event and waits for its update. A full mailbox
-// rejects immediately (backpressure, HTTP 429); a stopped session
-// rejects with api.ErrSessionClosed. An op that was admitted right as
-// the drain finished gets api.ErrSessionClosed from the done branch —
-// it never executed.
-func (h *sessionHandle) post(ctx context.Context, ev stream.Event) (stream.Update, error) {
 	h.touch()
-	op := sessionOp{ev: ev, reply: make(chan sessionReply, 1)}
-	select {
-	case <-h.stop:
-		return stream.Update{}, api.ErrSessionClosed
-	default:
-	}
-	select {
-	case h.mailbox <- op:
-	case <-h.stop:
-		return stream.Update{}, api.ErrSessionClosed
-	default:
-		return stream.Update{}, api.ErrMailboxFull
-	}
-	select {
-	case r := <-op.reply:
-		h.touch()
-		return r.up, r.err
-	case <-h.done:
-		// done and reply can become ready together (the drain executed
-		// this op just before the loop exited); an op that DID execute
-		// must never report api.ErrSessionClosed, so re-check the reply.
-		select {
-		case r := <-op.reply:
-			return r.up, r.err
-		default:
-		}
-		return stream.Update{}, api.ErrSessionClosed
-	case <-ctx.Done():
-		return stream.Update{}, ctx.Err()
-	}
+	return up, err
 }
 
-// close stops the handle's loop after it drains admitted work.
+// close takes its turn behind the events already waiting, so every one
+// of them is served (events are atomic: the drain leaves no partial
+// coordination state), and closes the session to the events after.
 func (h *sessionHandle) close() {
-	h.stopOnce.Do(func() { close(h.stop) })
-	<-h.done
+	h.turn <- struct{}{}
+	h.closed = true
+	<-h.turn
 }
 
 // registry is the concurrent session registry: named handles over one
@@ -241,10 +180,7 @@ func (r *registry) create(name string, parkUnsafe bool) (*sessionHandle, error) 
 		}
 		journal = j
 	}
-	h := newSessionHandle(name, r.newSession(parkUnsafe), journal, r.mailboxSize, r.notify)
-	r.handles[name] = h
-	r.created.Add(1)
-	return h, nil
+	return r.add(name, r.newSession(parkUnsafe), journal), nil
 }
 
 // adopt registers a handle over a session rebuilt from the log, with
@@ -253,8 +189,17 @@ func (r *registry) create(name string, parkUnsafe bool) (*sessionHandle, error) 
 func (r *registry) adopt(name string, sess *stream.Session, journal eventJournal) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.handles[name] = newSessionHandle(name, sess, journal, r.mailboxSize, r.notify)
+	r.add(name, sess, journal)
+}
+
+// add registers a new handle under a free name; callers hold r.mu.
+func (r *registry) add(name string, sess *stream.Session, journal eventJournal) *sessionHandle {
+	h := &sessionHandle{name: name, sess: sess, journal: journal, notify: r.notify,
+		turn: make(chan struct{}, 1), bound: 1 + int64(r.mailboxSize)}
+	h.touch()
+	r.handles[name] = h
 	r.created.Add(1)
+	return h
 }
 
 func (r *registry) get(name string) (*sessionHandle, error) {
@@ -267,10 +212,11 @@ func (r *registry) get(name string) (*sessionHandle, error) {
 	return h, nil
 }
 
-// remove deregisters and stops one session; it blocks until the
-// session's loop has drained. A drop the log did not take fails the
-// removal with its error (ack_indeterminate): the session is gone from
-// memory, and its drop frame waits in the backend's pending queue.
+// remove deregisters and closes one session; it blocks until the
+// events waiting for its turn are served. A drop the log did not take
+// fails the removal with its error (ack_indeterminate): the session is
+// gone from memory, and its drop frame waits in the backend's pending
+// queue.
 func (r *registry) remove(name string) error {
 	r.mu.Lock()
 	h, ok := r.handles[name]
@@ -285,7 +231,7 @@ func (r *registry) remove(name string) error {
 	return r.drop(h)
 }
 
-// drop stops a removed handle and ends its session in the log, so it
+// drop closes a removed handle and ends its session in the log, so it
 // does not come back on restart; only then is its name free again.
 func (r *registry) drop(h *sessionHandle) error {
 	h.close()
@@ -366,7 +312,7 @@ func (r *registry) janitor() {
 }
 
 // close drains the registry: no new sessions, janitor stopped, every
-// session's mailbox drained and its loop exited.
+// session closed once the events waiting for its turn are served.
 func (r *registry) close() {
 	r.mu.Lock()
 	r.draining = true

@@ -2,11 +2,14 @@ package server
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"entangled/internal/db"
 	"entangled/internal/engine"
+	"entangled/internal/fault"
 	"entangled/internal/persist"
 	"entangled/internal/stream"
 	"entangled/internal/workload"
@@ -106,5 +109,94 @@ func TestRecreateWaitsForTheDrop(t *testing.T) {
 	}
 	if len(rs) != 1 || rs[0].Name != "x" || len(rs[0].Events) != 1 {
 		t.Fatalf("recovered %+v, want x with its one event", rs)
+	}
+}
+
+// TestCancelledWaiterIsNeverApplied: an event whose context ends while
+// another event holds the session's turn comes back with the context's
+// error, and that is its whole fate — it is applied neither in memory
+// nor in the log.
+func TestCancelledWaiterIsNeverApplied(t *testing.T) {
+	const rows = 32
+	dir := t.TempDir()
+	b, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ApplyAll(b, workload.UserTableMutations(rows)); err != nil {
+		t.Fatal(err)
+	}
+	// The first store query stalls, holding the turn of the event that
+	// issued it.
+	inj := fault.NewInjector(1, fault.Rule{Op: fault.OpQuery, Count: 1, Fault: fault.Fault{Delay: 200 * time.Millisecond}})
+	e := engine.New(fault.NewStore(b, inj), engine.Options{})
+	r := newRegistry(func(park bool) *stream.Session { return e.NewSession(stream.Options{ParkUnsafe: park}) },
+		8, 0, func(string, stream.Update) {}, func(string) {})
+	r.newJournal = func(name string, park bool) (eventJournal, error) { return b.CreateSessionJournal(name, park) }
+	h, err := r.create("x", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := func(cluster int) stream.Event {
+		return stream.Event{Kind: stream.JoinEvent, Query: workload.ChainQuery(cluster, 0, rows)}
+	}
+	held := make(chan error, 1)
+	go func() {
+		_, err := h.post(context.Background(), join(0))
+		held <- err
+	}()
+	for ops, _ := inj.Stats(); ops == 0; ops, _ = inj.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	_, err = h.post(ctx, join(1))
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiter: %v, want context.DeadlineExceeded", err)
+	}
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	r.close()
+	snap, err := h.sess.Status(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Queries) != 1 || snap.Queries[0].ID != workload.ChainQuery(0, 0, rows).ID || snap.Parked != 0 {
+		t.Fatalf("session holds %d queries (%d parked), want only the held event's", len(snap.Queries), snap.Parked)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	rs, err := re.RecoverSessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 || len(rs[0].Events) != 1 {
+		t.Fatalf("recovered %+v, want x with the held event alone", rs)
+	}
+}
+
+// TestSessionsOwnNoGoroutine: a session is a turn, not a goroutine, so
+// creating many adds none.
+func TestSessionsOwnNoGoroutine(t *testing.T) {
+	e := engine.New(workload.NewStore(1, 8, 0), engine.Options{})
+	r := newRegistry(func(park bool) *stream.Session { return e.NewSession(stream.Options{ParkUnsafe: park}) },
+		8, 0, func(string, stream.Update) {}, func(string) {})
+	defer r.close()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 64; i++ {
+		if _, err := r.create("", false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("64 sessions took %d goroutines from %d", after-before, before)
 	}
 }

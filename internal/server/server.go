@@ -33,8 +33,9 @@ type Options struct {
 	// spot cannot fail a whole batch; single-request clients get the
 	// typed error from Coordinate). Zero means 4096.
 	QueueDepth int
-	// MailboxSize bounds each session's mailbox; a full mailbox answers
-	// 429. Zero means 64.
+	// MailboxSize bounds how many events may wait for a session's turn
+	// behind the one it is serving; one more answers 429 mailbox_full.
+	// Zero means 64.
 	MailboxSize int
 	// IdleTimeout evicts sessions with no client activity for this
 	// long. Zero means 5 minutes; negative disables eviction.
@@ -129,13 +130,16 @@ type Server struct {
 	wireMu    sync.Mutex
 	wireLs    map[net.Listener]struct{}
 	wireConns map[*wireConn]struct{}
+
+	writeTimeout time.Duration // writeTimeout, unless a test shortens it before serving
 }
 
 // New builds a server over the engine. The server owns a dispatcher
 // goroutine and a session janitor from this point on; Close releases
-// them. With Options.Persist set, New also rebuilds every session the
-// backend's log holds — replaying its events through a fresh
-// incremental session — and the error return is
+// them. Sessions own no goroutine: an event is served by the goroutine
+// that posts it, in the session's turn. With Options.Persist set, New
+// also rebuilds every session the backend's log holds — replaying its
+// events through a fresh incremental session — and the error return is
 // recovery failing (it is always nil without persistence).
 func New(e *engine.Engine, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
@@ -149,6 +153,7 @@ func New(e *engine.Engine, opts Options) (*Server, error) {
 		wireLs:    make(map[net.Listener]struct{}),
 		wireConns: make(map[*wireConn]struct{}),
 	}
+	s.writeTimeout = writeTimeout
 	s.adm = opts.Admission
 	// The batcher's fairness hooks exist only when admission is on: an
 	// unconfigured server runs one anonymous queue with weight 1, which
@@ -340,10 +345,10 @@ func (s *Server) tenantOf(ctx context.Context) admission.Tenant {
 }
 
 // Close drains the server: the batch queue stops admitting and serves
-// what it holds, every session's mailbox drains and its goroutine
-// exits, the janitor stops. Safe to call more than once. Pair it with
-// http.Server.Shutdown, which drains the connections; Close drains the
-// work behind them.
+// what it holds, the janitor stops, and every session serves the events
+// waiting for its turn, then refuses later ones. Safe to call more than
+// once. Pair it with http.Server.Shutdown, which drains the
+// connections; Close drains the work behind them.
 func (s *Server) Close() {
 	s.closing.Do(func() {
 		close(s.closed)
@@ -466,12 +471,12 @@ func (s *Server) serveBatch(ctx context.Context, reqs []api.Request) []api.Respo
 	return out
 }
 
-// sessionEvent resolves the session and posts the event through its
-// mailbox, metering the trip. A parked arrival is 202 Accepted with the
-// update (the query is queued for retry, not live). The degraded gate
-// runs before the event touches the session: a rejected event was
-// never applied, so its fate is known and the client can retry it
-// freely.
+// sessionEvent resolves the session and serves the event in the
+// session's turn, metering the trip. A parked arrival is 202 Accepted
+// with the update (the query is queued for retry, not live). The
+// degraded gate runs before the event touches the session: a rejected
+// event was never applied, so its fate is known and the client can
+// retry it freely.
 func (s *Server) sessionEvent(ctx context.Context, name string, ev stream.Event) (api.Update, int, error) {
 	if err := s.writeGate(); err != nil {
 		return api.Update{}, 0, err

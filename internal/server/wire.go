@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"time"
 
 	"entangled/internal/api"
 	"entangled/internal/stream"
@@ -18,6 +19,11 @@ import (
 // notification drops. A reconnecting client re-syncs from session
 // status anyway — the backlog is a convenience window, not a journal.
 const maxPendingPush = 1024
+
+// writeTimeout bounds one frame write to a binary connection, so a peer
+// that stops reading cannot hold a session's turn through a push: the
+// connection closes and the push falls back to the hub's backlog.
+const writeTimeout = 5 * time.Second
 
 // pushHub routes parked-arrival-admitted notifications to the binary
 // connections subscribed to each session. A notification is delivered
@@ -37,8 +43,8 @@ func newPushHub() *pushHub {
 }
 
 // admitted is the registry's notify hook: each parked arrival the
-// update's retry pass admitted becomes one push. Called from the
-// session loop, so ordering follows the session's event order.
+// update's retry pass admitted becomes one push. Called holding the
+// session's turn, so ordering follows the session's event order.
 func (p *pushHub) admitted(name string, up stream.Update) {
 	for _, id := range up.AdmittedParked {
 		p.deliver(wire.Push{Session: name, QueryID: id, Seq: up.Seq})
@@ -135,11 +141,14 @@ func (p *pushHub) dropSession(name string) {
 // serialize through the write mutex.
 type wireConn struct {
 	c        net.Conn
+	timeout  time.Duration // bounds each frame write (writeTimeout)
 	wmu      sync.Mutex
 	inflight sync.WaitGroup
 }
 
-// send encodes a frame through a pooled buffer and writes it.
+// send encodes a frame through a pooled buffer and writes it. A write
+// that fails, its deadline included, closes the connection: the frame
+// may be torn, so the stream is past saving.
 func (wc *wireConn) send(h wire.Header, put func(*wire.Enc)) error {
 	buf := wire.GetBuf()
 	var e wire.Enc
@@ -147,7 +156,13 @@ func (wc *wireConn) send(h wire.Header, put func(*wire.Enc)) error {
 	wire.PutHeader(&e, h)
 	put(&e)
 	wc.wmu.Lock()
-	err := wire.WriteFrame(wc.c, e.Bytes())
+	err := wc.c.SetWriteDeadline(time.Now().Add(wc.timeout))
+	if err == nil {
+		err = wire.WriteFrame(wc.c, e.Bytes())
+	}
+	if err != nil {
+		wc.c.Close()
+	}
 	wc.wmu.Unlock()
 	*buf = e.Bytes()
 	wire.PutBuf(buf)
@@ -222,7 +237,7 @@ func (s *Server) ServeWire(l net.Listener) error {
 // leaves the stream unsynchronized (nothing to salvage — drop the
 // connection; a pipelined client redials).
 func (s *Server) serveWireConn(c net.Conn) {
-	wc := &wireConn{c: c}
+	wc := &wireConn{c: c, timeout: s.writeTimeout}
 	s.wireMu.Lock()
 	if s.draining() {
 		s.wireMu.Unlock()

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -21,6 +22,7 @@ import (
 	"entangled/internal/eq"
 	"entangled/internal/server"
 	"entangled/internal/stream"
+	"entangled/internal/wire"
 	"entangled/internal/workload"
 )
 
@@ -377,6 +379,123 @@ func serverSentinelEquivalence(t *testing.T) {
 	if !errors.Is(hFull, api.ErrMailboxFull) || !errors.Is(bFull, api.ErrMailboxFull) || !client.FateKnown(hFull) {
 		t.Fatalf("full mailbox: HTTP %v, binary %v; want both to wrap api.ErrMailboxFull, fate known", hFull, bFull)
 	}
+}
+
+// TestStalledSubscriberCannotStallItsSession: a binary client that
+// subscribes to a session, then pipelines requests without reading
+// their replies, fills its socket. The server's write to it fails at
+// the write deadline and closes the connection, so no push to it can
+// hold the session's turn: other clients' events keep completing, and
+// the push the dead subscriber missed reaches the next subscriber from
+// the backlog.
+func TestStalledSubscriberCannotStallItsSession(t *testing.T) {
+	srv, err := server.New(engine.New(workload.NewStore(1, 8, 0), engine.Options{}), server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetWriteTimeout(100 * time.Millisecond)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeWire(smallSendBuffers{ln})
+	t.Cleanup(srv.Close)
+	dial := func() *client.Client {
+		c, err := client.New("tcp://"+ln.Addr().String(), client.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sess, err := dial().CreateSession(ctx, "stall", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A parked poster, admitted (and pushed) once trio[1] leaves, and
+	// enough live queries that a traced status reply is kilobytes.
+	trio := unsafeTrio("s")
+	queries := append([]eq.Query{}, trio...)
+	for c := 1; c <= 24; c++ {
+		queries = append(queries, workload.ChainQuery(c, 0, 8))
+	}
+	for i, q := range queries {
+		if up, err := sess.Join(ctx, q); err != nil || up.Parked != (i == 2) {
+			t.Fatalf("join %s: update %+v err %v", q.ID, up, err)
+		}
+	}
+
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// A locked receive buffer, so the kernel cannot grow it to absorb
+	// the replies the subscriber never reads.
+	if err := raw.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	send := func(kind wire.Kind, id uint64, put func(*wire.Enc)) error {
+		var e wire.Enc
+		wire.PutHeader(&e, wire.Header{Kind: kind, ID: id})
+		put(&e)
+		return wire.WriteFrame(raw, e.Bytes())
+	}
+	if _, err := raw.Write([]byte(wire.Magic)); err != nil {
+		t.Fatal(err)
+	}
+	if err := send(wire.KindSubscribe, 1, wire.SessionReq{Session: "stall"}.Encode); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ReadFrame(bufio.NewReader(raw), nil); err != nil {
+		t.Fatal(err)
+	}
+	// From here on the subscriber reads nothing. It pipelines requests
+	// until a write fails: the server, its replies stuck past the
+	// deadline, has closed the connection.
+	for id := uint64(2); send(wire.KindStatus, id, wire.StatusReq{Session: "stall", Trace: true}.Encode) == nil; id++ {
+		if ctx.Err() != nil {
+			t.Fatal("the server never closed the connection that stopped reading")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	left, err := sess.Leave(ctx, trio[1].ID)
+	if err != nil {
+		t.Fatalf("the departure that pushes: %v", err)
+	}
+	if _, err := sess.Join(ctx, workload.ChainQuery(0, 0, 8)); err != nil {
+		t.Fatalf("an event after the push: %v", err)
+	}
+
+	got := make(chan client.Notification, 1)
+	stop, err := dial().Session("stall").Subscribe(ctx, func(n client.Notification) { got <- n })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	select {
+	case n := <-got:
+		if n.QueryID != trio[2].ID || n.Seq != left.Seq {
+			t.Fatalf("push %+v, want query %s seq %d", n, trio[2].ID, left.Seq)
+		}
+	case <-ctx.Done():
+		t.Fatal("the push the stalled subscriber missed never reached the next subscriber")
+	}
+}
+
+// smallSendBuffers shrinks the send buffer of every accepted
+// connection, so a peer that stops reading fills its socket quickly.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(4 << 10)
+	}
+	return c, err
 }
 
 // TestWirePushParkedArrival pins the push contract end to end: a parked
