@@ -26,10 +26,10 @@
 // (name=binary-address pairs) and its own -cluster-node name, each
 // holds a full replica of the data (same -rows/-shards), and a
 // consistent-hash ring over the names places sessions and
-// single-owner batch requests. Requests landing on the wrong node
-// forward once over the binary protocol; cluster-aware clients use a
-// cluster://host:port base URL to route directly. The binary listener
-// defaults to the node's own membership address.
+// single-owner batch requests. A client may talk to any node: a
+// request landing on the wrong node forwards once over the binary
+// protocol. The binary listener defaults to the node's own membership
+// address.
 package main
 
 import (

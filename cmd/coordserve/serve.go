@@ -43,8 +43,8 @@ func run(ctx context.Context, cfg config, stdout io.Writer) error {
 		if nodes, err = cluster.ParsePeers(cfg.clusterPeers); err != nil {
 			return err
 		}
-		// Forwards and cluster clients ride the binary protocol, so a
-		// cluster node always listens on its membership address.
+		// Forwards ride the binary protocol, so a cluster node always
+		// listens on its membership address.
 		for _, n := range nodes {
 			if n.Name == cfg.clusterNode && binaryAddr == "" {
 				binaryAddr = n.Addr

@@ -3,9 +3,9 @@
 // ring, full-replica stores — driven exactly as three processes
 // started with -cluster-peers would be. The program proves the PR 9
 // contract in miniature: every node reports the same membership
-// fingerprint, a ring-aware cluster:// client routes each session to
-// its owner, a misrouted request at any node is forwarded one hop and
-// answered byte-identically, a scattered batch merges back in request
+// fingerprint, a session a plain tcp:// client creates at a node is
+// named so that node owns it, a misrouted request at any other node is
+// forwarded one hop and answered byte-identically, a scattered batch merges back in request
 // order with exact DBQueries, and killing one node degrades to typed
 // peer_unavailable errors for that node's slice only — recovering as
 // soon as the node rejoins. It exits non-zero on any failure, so CI
@@ -110,8 +110,10 @@ func main() {
 	}
 	fmt.Printf("3 nodes up, membership %s agreed by all\n", v)
 
-	// --- A ring-aware client routes straight to owners. --------------
-	cc, err := client.New("cluster://"+nodes[0].addr, client.Options{})
+	// --- A session starts on the node that created it. --------------
+	// A plain tcp:// client at n1 holds no ring; n1 names the new
+	// session so that it owns it, and serves its events locally.
+	cc, err := client.New("tcp://"+nodes[0].addr, client.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

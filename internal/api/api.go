@@ -514,7 +514,7 @@ type TenantsStatus struct {
 type ClusterNode struct {
 	Name string `json:"name"`
 	// Addr is the node's binary wire address — the address peers forward
-	// over and cluster-aware clients dial.
+	// over and clients dial.
 	Addr string `json:"addr"`
 	// Self marks the node serving this response.
 	Self bool `json:"self,omitempty"`
@@ -531,10 +531,10 @@ type RelationPlacement struct {
 	Column   int    `json:"column"`
 }
 
-// ClusterStatus is the body of GET /v1/cluster: everything a
-// cluster-aware client needs to rebuild this node's ring — membership,
-// virtual-node count and relation placements are deterministic, so two
-// nodes reporting the same Version hold byte-identical rings.
+// ClusterStatus is the body of GET /v1/cluster: everything an operator
+// needs to rebuild this node's ring — membership, virtual-node count
+// and relation placements are deterministic, so two nodes reporting
+// the same Version hold byte-identical rings.
 type ClusterStatus struct {
 	Enabled bool   `json:"enabled"`
 	Self    string `json:"self,omitempty"`

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
 	"time"
 
@@ -44,29 +45,37 @@ func newBinaryTransport(addr, tenant string) *binaryTransport {
 	return &binaryTransport{addr: addr, tenant: tenant, subs: map[int]*subscription{}}
 }
 
-// live returns the current connection, dialing a fresh one (and
-// re-issuing every active subscription on it) if the last one died.
-func (t *binaryTransport) live() (*wire.ClientConn, error) {
+// dial opens the TCP connection under a binary transport; tests
+// substitute one that never completes.
+var dial = func(ctx context.Context, addr string) (net.Conn, error) {
+	var d net.Dialer
+	return d.DialContext(ctx, "tcp", addr)
+}
+
+// live returns the current connection, dialing a fresh one if the last
+// one died. The dial runs outside the lock and ends with ctx, so a peer
+// that never answers stalls only the callers that need it; when dials
+// race, the first installed wins and the others close their own. The
+// winner re-issues every active subscription on its connection.
+func (t *binaryTransport) live(ctx context.Context) (*wire.ClientConn, error) {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, errClientClosed
+	cc, err := t.current()
+	t.mu.Unlock()
+	if cc != nil || err != nil {
+		return cc, err
 	}
-	if cc := t.conn; cc != nil {
-		select {
-		case <-cc.Done():
-			t.conn = nil
-		default:
-			t.mu.Unlock()
-			return cc, nil
-		}
-	}
-	cc, err := wire.Dial(t.addr, t.dispatchPush)
+	nc, err := dial(ctx, t.addr)
 	if err != nil {
-		t.mu.Unlock()
-		return nil, err
+		return nil, fmt.Errorf("client: dialing %s: %w", t.addr, err)
 	}
-	t.conn = cc
+	fresh := wire.NewClientConn(nc, t.dispatchPush)
+	t.mu.Lock()
+	if cc, err = t.current(); cc != nil || err != nil {
+		t.mu.Unlock()
+		fresh.Close()
+		return cc, err
+	}
+	t.conn = fresh
 	sessions := map[string]struct{}{}
 	for _, s := range t.subs {
 		sessions[s.session] = struct{}{}
@@ -75,9 +84,26 @@ func (t *binaryTransport) live() (*wire.ClientConn, error) {
 	for name := range sessions {
 		// Re-subscribing is idempotent server-side; a failure here means
 		// the new connection is already dying and the keeper will redial.
-		go t.send(context.Background(), cc, wire.Subscribe.Bind(wire.SessionReq{Session: name}))
+		go t.send(context.Background(), fresh, wire.Subscribe.Bind(wire.SessionReq{Session: name}))
 	}
-	return cc, nil
+	return fresh, nil
+}
+
+// current returns the live connection, nil when there is none; the
+// caller holds the lock.
+func (t *binaryTransport) current() (*wire.ClientConn, error) {
+	if t.closed {
+		return nil, errClientClosed
+	}
+	if cc := t.conn; cc != nil {
+		select {
+		case <-cc.Done():
+			t.conn = nil
+		default:
+			return cc, nil
+		}
+	}
+	return nil, nil
 }
 
 // dispatchPush fans a push out to the matching subscriptions. It runs
@@ -111,7 +137,7 @@ func (t *binaryTransport) keepAlive(want func() bool) {
 			return
 		}
 		t.mu.Unlock()
-		cc, err := t.live()
+		cc, err := t.live(context.Background())
 		if err != nil {
 			if errors.Is(err, errClientClosed) {
 				continue // loop re-checks under the lock and exits
@@ -136,7 +162,7 @@ func (t *binaryTransport) call(ctx context.Context, c wire.Call) error {
 	if r.Kind == 0 {
 		return fmt.Errorf("client: the %s endpoint is served over HTTP only", r.Name)
 	}
-	cc, err := t.live()
+	cc, err := t.live(ctx)
 	if err != nil {
 		return err
 	}

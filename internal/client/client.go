@@ -51,8 +51,7 @@ type Options struct {
 	HTTPClient *http.Client
 	// Tenant is the admission identity sent with every request: the
 	// X-Tenant header over HTTP, a wire.KindTenant envelope over the
-	// binary protocol (and each of the cluster transport's pooled
-	// connections). Empty means the server's default tenant.
+	// binary protocol. Empty means the server's default tenant.
 	Tenant string
 }
 
@@ -84,10 +83,8 @@ func New(baseURL string, opts Options) (*Client, error) {
 		return &Client{t: &httpTransport{base: strings.TrimRight(u.String(), "/"), hc: &hc, tenant: opts.Tenant}}, nil
 	case "tcp", "binary":
 		return &Client{t: newBinaryTransport(u.Host, opts.Tenant)}, nil
-	case "cluster":
-		return &Client{t: newClusterTransport(u.Host, opts.Tenant)}, nil
 	}
-	return nil, fmt.Errorf("client: unsupported scheme %q (want http, https, tcp, binary, or cluster)", u.Scheme)
+	return nil, fmt.Errorf("client: unsupported scheme %q (want http, https, tcp or binary)", u.Scheme)
 }
 
 // Close releases the client's transport: the binary transport's

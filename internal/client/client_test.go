@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -46,8 +47,10 @@ func TestNewValidatesBaseURL(t *testing.T) {
 			t.Fatalf("New(%q) dial address %q", u, bt.addr)
 		}
 	}
-	if _, err := New("ftp://127.0.0.1:21", Options{}); err == nil {
-		t.Fatal("unsupported scheme accepted")
+	for _, u := range []string{"ftp://127.0.0.1:21", "cluster://127.0.0.1:9090"} {
+		if _, err := New(u, Options{}); err == nil || !strings.Contains(err.Error(), "unsupported scheme") {
+			t.Fatalf("New(%q) = %v, want the unsupported-scheme error", u, err)
+		}
 	}
 }
 

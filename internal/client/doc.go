@@ -4,13 +4,13 @@
 // "http://" or "https://" base URL speaks the HTTP/JSON protocol; a
 // "tcp://" (or "binary://") base URL speaks the binary wire protocol
 // (internal/wire) over one persistent pipelined connection, which also
-// carries server-push notifications for parked arrivals; a
-// "cluster://host:port" base URL treats the address as a seed node of
-// a coordserve cluster, rebuilds the consistent-hash ring locally from
-// /v1/cluster, and routes every call straight to the owning node —
-// refreshing the ring and re-routing once when a node answers
-// route_moved. Callers switch protocols by changing the URL and
-// nothing else.
+// carries server-push notifications for parked arrivals. Callers
+// switch protocols by changing the URL and nothing else. A client of a
+// coordserve cluster points at any node: that node places each call,
+// forwarding a misplaced one a single hop to its owner (internal/cluster),
+// so the client holds no ring and the answers, DBQueries included, are
+// the ones the owner gives. Only a subscribe must reach the session's
+// owner; elsewhere it is refused with route_moved naming the owner.
 //
 // The client describes no operation itself: each public method binds
 // a row of internal/wire's operation table — name, binary kind, HTTP

@@ -21,15 +21,15 @@ import (
 	"entangled/internal/workload"
 )
 
-// routes are the ways a call reaches the server under test: the three
+// routes are the ways a call reaches the server under test: the two
 // transports pointed straight at it, and "forward" — a binary client on
 // a second node whose ring gives the session to the first, so the call
 // crosses one forward hop.
-var routes = []string{"http", "binary", "cluster", "forward"}
+var routes = []string{"http", "binary", "forward"}
 
 // everyTransport boots one single-node cluster server speaking both
 // protocols and returns one transport per route. The server keeps its
-// one-node view, so the three direct routes see a one-node cluster; the
+// one-node view, so the two direct routes see a one-node cluster; the
 // edge node behind "forward" believes in {n0, n1}, and owned says which
 // session names its ring hands to n1.
 func everyTransport(t *testing.T) (ts map[string]transport, owned func(session string) bool, edge *cluster.Router) {
@@ -62,7 +62,7 @@ func everyTransport(t *testing.T) (ts map[string]transport, owned func(session s
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
 	ts = map[string]transport{}
-	for name, base := range map[string]string{"http": hs.URL, "binary": "tcp://" + n1.Addr, "cluster": "cluster://" + n1.Addr, "forward": "tcp://" + edgeLn.Addr().String()} {
+	for name, base := range map[string]string{"http": hs.URL, "binary": "tcp://" + n1.Addr, "forward": "tcp://" + edgeLn.Addr().String()} {
 		c, err := New(base, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -136,8 +136,8 @@ func roundTrip[Q wire.Req, R any](t *testing.T, c *conformance, o *wire.Op[Q, R]
 }
 
 // TestEveryOpRoundTripsOverEveryTransport drives every row of wire's
-// operation table through the HTTP, binary and cluster transports and
-// across one forward hop against one real server: the generic call
+// operation table through the HTTP and binary transports and across
+// one forward hop against one real server: the generic call
 // paths must carry every operation, all routes must decode the same
 // DTOs, and a row without a case fails the test.
 func TestEveryOpRoundTripsOverEveryTransport(t *testing.T) {
@@ -240,7 +240,7 @@ func TestEveryOpRoundTripsOverEveryTransport(t *testing.T) {
 func TestSessionNamesOverEveryTransport(t *testing.T) {
 	ts, _, _ := everyTransport(t)
 	ctx := context.Background()
-	direct := routes[:3] // the transports pointed straight at the server
+	direct := routes[:2] // the transports pointed straight at the server
 	live := func(name string) int {
 		t.Helper()
 		st, err := invoke(ctx, ts["binary"], wire.Status, wire.StatusReq{Session: name})
@@ -340,12 +340,7 @@ func TestAtomWithoutRelationOverEveryTransport(t *testing.T) {
 	q.Body[0].Rel = ""
 	for _, route := range routes {
 		_, joinErr := invoke(ctx, ts[route], wire.Join, wire.JoinReq{Session: name, Query: q})
-		rep, batchErr := invoke(ctx, ts[route], wire.Coordinate, wire.CoordinateReq{Requests: []api.Request{{ID: "r", Queries: []eq.Query{q}}}})
-		if route == "cluster" && batchErr == nil && rep.Responses[0].Error != nil {
-			// The cluster transport scatters a batch itself and files what
-			// a node refused under the requests it sent there.
-			batchErr = rep.Responses[0].Error
-		}
+		_, batchErr := invoke(ctx, ts[route], wire.Coordinate, wire.CoordinateReq{Requests: []api.Request{{ID: "r", Queries: []eq.Query{q}}}})
 		for what, err := range map[string]error{"join": joinErr, "coordinate": batchErr} {
 			var e *Error
 			if !errors.As(err, &e) || e.Status != 400 || e.Code != api.CodeBadRequest || !strings.Contains(e.Message, "atom without relation name") {

@@ -35,11 +35,11 @@ func DialPeer(addr string) *PeerConn {
 
 // Call issues one raw frame and returns the reply. Per the
 // cluster.PeerConn contract, an error wrapping api.ErrPeerUnavailable
-// means nothing was transmitted (no live connection at send time —
-// fate known); any other transport error means the connection died
-// with the call in flight.
+// means nothing was transmitted (no live connection at send time, and
+// none dialed before ctx ended — fate known); any other transport
+// error means the connection died with the call in flight.
 func (p *PeerConn) Call(ctx context.Context, kind wire.Kind, encode func(*wire.Enc)) (status int, body []byte, err error) {
-	cc, err := p.t.live()
+	cc, err := p.t.live(ctx)
 	if err != nil {
 		if errors.Is(err, errClientClosed) {
 			return 0, nil, err
@@ -49,21 +49,13 @@ func (p *PeerConn) Call(ctx context.Context, kind wire.Kind, encode func(*wire.E
 	return cc.Call(ctx, kind, encode)
 }
 
-// Connected reports whether a live connection is currently held (it
-// does not dial).
+// Connected reports whether a live connection is currently held. It
+// does not dial, and a dial in progress does not delay it.
 func (p *PeerConn) Connected() bool {
 	p.t.mu.Lock()
 	defer p.t.mu.Unlock()
-	cc := p.t.conn
-	if cc == nil {
-		return false
-	}
-	select {
-	case <-cc.Done():
-		return false
-	default:
-		return true
-	}
+	cc, _ := p.t.current()
+	return cc != nil
 }
 
 // Close tears the connection down and stops the keeper.

@@ -10,7 +10,7 @@ import (
 
 // Node is one cluster member: a stable name (the ring hashes names,
 // so renaming a node moves its placements) and the binary wire address
-// peers forward over and cluster-aware clients dial.
+// peers forward over and clients dial.
 type Node struct {
 	Name string
 	Addr string

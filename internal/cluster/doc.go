@@ -24,9 +24,10 @@
 // that receives a forward for a target it does not own answers a typed
 // route_moved error naming the owner instead of forwarding again, so a
 // request crosses at most one node boundary and a stale ring can never
-// create a forwarding loop. CoordinateMany batches whose requests span
-// owners are scatter-gathered (Scatter, the one partition-send-merge
-// loop the Router and the cluster-aware client both use): split by
-// owner, served concurrently, and merged back in request order with
-// exact per-request DBQueries preserved.
+// create a forwarding loop. A client never needs the ring: any node
+// serves any call, and a misplaced one costs one forward hop.
+// CoordinateMany batches whose requests span owners are
+// scatter-gathered by Router.ServeBatch: split by owner, served
+// concurrently, and merged back in request order with exact
+// per-request DBQueries preserved.
 package cluster

@@ -132,9 +132,10 @@ func (r *Router) OwnerOfRequest(qs []eq.Query) (string, bool) {
 	return OwnerOfQueries(r.ring, r.placement, qs)
 }
 
-// RouteMoved records and builds the typed error a node answers when a
-// request (forwarded, or sent by a stale direct client) targets
-// something it does not own: route_moved, carrying the owner.
+// RouteMoved records and builds the typed error a node answers instead
+// of forwarding a session call it does not own: a call that already
+// crossed its one hop, or a subscribe (push flows only from the owner).
+// The error is route_moved, carrying the owner.
 func (r *Router) RouteMoved(what, session string) error {
 	r.routeMoved.Add(1)
 	return &routeMovedError{what: what + " " + session, owner: r.ring.Owner(session)}
@@ -196,20 +197,24 @@ func (r *Router) Forward(ctx context.Context, node string, call wire.Call) (stat
 	}
 }
 
-// Scatter is the batch placement rule servers and cluster-aware
-// clients share: requests partition by owner, each owner's slice goes
-// through send as one sub-batch (concurrently), and the responses merge
-// back in request order. A slice whose send fails carries the returned
-// error inline on each of its requests — the rest of the batch is
-// unharmed (the batch contract). nodes is how many owners the batch
-// touched.
-func Scatter(reqs []api.Request, owner func(api.Request) string, send func(node string, sub []api.Request) ([]api.Response, *api.Error)) (out []api.Response, nodes int) {
+// ServeBatch scatter-gathers one CoordinateMany batch: requests
+// partition by owner — a request with no single owner belongs here —
+// and each owner's slice runs as one sub-batch, concurrently: the
+// local slice through local, each peer's forwarded as one wrapped
+// coordinate sub-batch. The responses merge back in request order. A
+// slice whose peer is dead, or whose reply does not validate, carries
+// that error inline on each of its requests; the rest of the batch is
+// unharmed (the batch contract).
+func (r *Router) ServeBatch(ctx context.Context, reqs []api.Request, local func(context.Context, []api.Request) []api.Response) []api.Response {
 	groups := make(map[string][]int)
 	for i, rq := range reqs {
-		node := owner(rq)
+		node, ok := r.OwnerOfRequest(rq.Queries)
+		if !ok {
+			node = r.cfg.Self
+		}
 		groups[node] = append(groups[node], i)
 	}
-	out = make([]api.Response, len(reqs))
+	out := make([]api.Response, len(reqs))
 	var wg sync.WaitGroup
 	for node, idxs := range groups {
 		sub := make([]api.Request, len(idxs))
@@ -219,7 +224,17 @@ func Scatter(reqs []api.Request, owner func(api.Request) string, send func(node 
 		wg.Add(1)
 		go func(node string, idxs []int, sub []api.Request) {
 			defer wg.Done()
-			resps, we := send(node, sub)
+			var resps []api.Response
+			var we *api.Error
+			if node == r.cfg.Self {
+				resps = local(ctx, sub)
+			} else {
+				call := wire.Coordinate.Bind(wire.CoordinateReq{Requests: sub})
+				if _, err := r.Forward(ctx, node, call); err != nil {
+					we = api.From(err)
+				}
+				resps = call.Reply.Responses
+			}
 			if we == nil && len(resps) != len(sub) {
 				we = api.Errf(api.CodeInternal, "cluster: %s returned a malformed batch reply", node)
 			}
@@ -233,30 +248,7 @@ func Scatter(reqs []api.Request, owner func(api.Request) string, send func(node 
 		}(node, idxs, sub)
 	}
 	wg.Wait()
-	return out, len(groups)
-}
-
-// ServeBatch scatter-gathers one CoordinateMany batch: requests owned
-// here (or with no single owner) go through local, and each peer's
-// slice is forwarded as one wrapped coordinate sub-batch; a dead peer,
-// or one whose reply does not validate, fails only its own slice.
-func (r *Router) ServeBatch(ctx context.Context, reqs []api.Request, local func(context.Context, []api.Request) []api.Response) []api.Response {
-	out, nodes := Scatter(reqs, func(rq api.Request) string {
-		if node, ok := r.OwnerOfRequest(rq.Queries); ok {
-			return node
-		}
-		return r.cfg.Self
-	}, func(node string, sub []api.Request) ([]api.Response, *api.Error) {
-		if node == r.cfg.Self {
-			return local(ctx, sub), nil
-		}
-		call := wire.Coordinate.Bind(wire.CoordinateReq{Requests: sub})
-		if _, err := r.Forward(ctx, node, call); err != nil {
-			return nil, api.From(err)
-		}
-		return call.Reply.Responses, nil
-	})
-	r.observeFanout(nodes)
+	r.observeFanout(len(groups))
 	return out
 }
 

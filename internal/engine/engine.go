@@ -16,9 +16,6 @@ type Options struct {
 	// Workers is the size of the worker pool CoordinateMany drains a
 	// request batch on. Zero means GOMAXPROCS.
 	Workers int
-	// Coord is the base coordination configuration applied to every
-	// request (selector, pruning and safety-check toggles).
-	Coord coord.Options
 }
 
 // Engine runs coordination workloads over one shared store.
@@ -26,7 +23,6 @@ type Engine struct {
 	store   db.Store
 	router  db.Router // non-nil when store routes: requests route per shard
 	workers int
-	base    coord.Options
 }
 
 // New returns an engine over the given store — a *db.Instance, a
@@ -41,7 +37,7 @@ func New(store db.Store, opts Options) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{store: store, workers: w, base: opts.Coord}
+	e := &Engine{store: store, workers: w}
 	if r, ok := store.(db.Router); ok {
 		e.router = r
 	}
@@ -139,7 +135,7 @@ func (e *Engine) serve(ctx context.Context, req *Request) Response {
 	if err := ctx.Err(); err != nil {
 		return Response{ID: req.ID, Err: err}
 	}
-	res, err := coord.SCCCoordinate(req.Queries, db.WithContext(ctx, e.routed(req.Queries)), e.base)
+	res, err := coord.SCCCoordinate(req.Queries, db.WithContext(ctx, e.routed(req.Queries)), coord.Options{})
 	return Response{ID: req.ID, Result: res, Err: err}
 }
 
@@ -147,14 +143,10 @@ func (e *Engine) serve(ctx context.Context, req *Request) Response {
 // shared store: queries join and leave one at a time, and coordination
 // state is maintained incrementally (only the condensation components
 // whose reachable set an event touches are re-solved; see
-// internal/stream). The engine's base coordination options replace
-// opts.Coord, so every session coordinates the way the engine's batch
-// paths do; callers needing different per-session options use
-// stream.New directly. Sessions run against the whole store, not a
-// routed shard — a session's queries accumulate over time, so no single
-// shard is pinned up front; per-request routing remains a batch-path
+// internal/stream). Sessions run against the whole store, not a routed
+// shard — a session's queries accumulate over time, so no single shard
+// is pinned up front; per-request routing remains a batch-path
 // optimisation.
 func (e *Engine) NewSession(opts stream.Options) *stream.Session {
-	opts.Coord = e.base
 	return stream.New(e.store, opts)
 }

@@ -27,24 +27,24 @@ func listInstance(t testing.TB) *db.Instance {
 // TestCoordinateMatchesSequential checks that a request costs and
 // answers the same however it reaches the algorithm: Engine.Coordinate,
 // a CoordinateMany batch of one and a direct coord.SCCCoordinate agree
-// on team, values, trace and the exact DBQueries, on the Figure 4 list,
-// on scale-free structures and on sets that pruning cuts into.
+// on team, values and the exact DBQueries, on the Figure 4 list, on
+// scale-free structures and on sets that pruning cuts into — every one
+// of them safe, so the engine's safety check passes them all.
 func TestCoordinateMatchesSequential(t *testing.T) {
 	inst := listInstance(t)
 	ctx := context.Background()
+	e := New(inst, Options{Workers: 8})
 	check := func(name string, qs []eq.Query) (pruned int) {
 		t.Helper()
-		var seqTr, oneTr, manyTr coord.Trace
-		seq, err := coord.SCCCoordinate(qs, inst, coord.Options{SkipSafetyCheck: true, Trace: &seqTr})
+		var tr coord.Trace
+		seq, err := coord.SCCCoordinate(qs, inst, coord.Options{Trace: &tr})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		e := New(inst, Options{Workers: 8, Coord: coord.Options{SkipSafetyCheck: true, Trace: &oneTr}})
 		one, err := e.Coordinate(ctx, qs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		e = New(inst, Options{Workers: 8, Coord: coord.Options{SkipSafetyCheck: true, Trace: &manyTr}})
 		many := e.CoordinateMany(ctx, []Request{{ID: "r", Queries: qs}})
 		if len(many) != 1 || many[0].ID != "r" || many[0].Err != nil {
 			t.Fatalf("%s: batch of one answered %+v", name, many)
@@ -52,10 +52,7 @@ func TestCoordinateMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(seq, one) || !reflect.DeepEqual(seq, many[0].Result) {
 			t.Fatalf("%s: results differ:\nSCCCoordinate  %+v\nCoordinate     %+v\nCoordinateMany %+v", name, seq, one, many[0].Result)
 		}
-		if !reflect.DeepEqual(seqTr, oneTr) || !reflect.DeepEqual(seqTr, manyTr) {
-			t.Fatalf("%s: traces differ", name)
-		}
-		return len(seqTr.Pruned)
+		return len(tr.Pruned)
 	}
 	for _, n := range []int{1, 10, 25, 50, 100} {
 		check(fmt.Sprintf("list n=%d", n), workload.ListQueries(n, testRows))
@@ -79,7 +76,7 @@ func TestCoordinateMatchesSequential(t *testing.T) {
 // -race this exercises the db layer's concurrent-reader guarantees.
 func TestCoordinateManySharedInstance(t *testing.T) {
 	inst := listInstance(t)
-	e := New(inst, Options{Workers: 8, Coord: coord.Options{SkipSafetyCheck: true}})
+	e := New(inst, Options{Workers: 8})
 	const batch = 64
 	reqs := make([]Request, batch)
 	for i := range reqs {
@@ -112,7 +109,7 @@ func TestCoordinateManySharedInstance(t *testing.T) {
 func TestCoordinateManyWithConcurrentWriters(t *testing.T) {
 	inst := listInstance(t)
 	rel, _ := inst.Relation("T")
-	e := New(inst, Options{Workers: 4, Coord: coord.Options{SkipSafetyCheck: true}})
+	e := New(inst, Options{Workers: 4})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -152,7 +149,7 @@ func TestCoordinateManyWithConcurrentWriters(t *testing.T) {
 // stops serving and surfaces ctx.Err on unserved requests.
 func TestCoordinateManyCancel(t *testing.T) {
 	inst := listInstance(t)
-	e := New(inst, Options{Workers: 2, Coord: coord.Options{SkipSafetyCheck: true}})
+	e := New(inst, Options{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	reqs := make([]Request, 8)

@@ -32,7 +32,7 @@ func TestCoordinateManyExactMetering(t *testing.T) {
 	inst, sh := exactMeteringStores()
 	for name, store := range map[string]db.Store{"instance": inst, "sharded8": sh} {
 		t.Run(name, func(t *testing.T) {
-			e := New(store, Options{Workers: 8, Coord: coord.Options{SkipSafetyCheck: true}})
+			e := New(store, Options{Workers: 8})
 			qs := workload.ListQueries(20, testRows)
 
 			solo := e.CoordinateMany(context.Background(), []Request{{ID: "solo", Queries: qs}})
@@ -83,8 +83,8 @@ func TestCoordinateManyRoutedMatchesUnrouted(t *testing.T) {
 	if _, ok := sh.Route(mkReqs()[0].Queries); !ok {
 		t.Fatal("test workload should be single-shard routable")
 	}
-	plainE := New(inst, Options{Workers: 4, Coord: coord.Options{SkipSafetyCheck: true}})
-	shardE := New(sh, Options{Workers: 4, Coord: coord.Options{SkipSafetyCheck: true}})
+	plainE := New(inst, Options{Workers: 4})
+	shardE := New(sh, Options{Workers: 4})
 	want := plainE.CoordinateMany(context.Background(), mkReqs())
 	got := shardE.CoordinateMany(context.Background(), mkReqs())
 	for i := range want {
@@ -108,7 +108,7 @@ func TestCoordinateManyRoutedMatchesUnrouted(t *testing.T) {
 // response must still be correct and exactly metered.
 func TestCoordinateManyShardedMixedRoutability(t *testing.T) {
 	_, sh := exactMeteringStores()
-	e := New(sh, Options{Workers: 8, Coord: coord.Options{SkipSafetyCheck: true}})
+	e := New(sh, Options{Workers: 8})
 	reqs := make([]Request, 24)
 	for i := range reqs {
 		if i%2 == 0 {
@@ -123,7 +123,7 @@ func TestCoordinateManyShardedMixedRoutability(t *testing.T) {
 		if routable {
 			rows = 1
 		}
-		res, err := coord.SCCCoordinate(workload.ListQueries(8, rows), sh, coord.Options{SkipSafetyCheck: true})
+		res, err := coord.SCCCoordinate(workload.ListQueries(8, rows), sh, coord.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestCoordinateManyShardedMixedRoutability(t *testing.T) {
 func TestEngineShardedWithConcurrentWriters(t *testing.T) {
 	_, sh := exactMeteringStores()
 	rel := sh.CreateRelation("Side", 0, "a", "b")
-	e := New(sh, Options{Workers: 4, Coord: coord.Options{SkipSafetyCheck: true}})
+	e := New(sh, Options{Workers: 4})
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {

@@ -159,17 +159,6 @@ func (lc *loopCluster) httpTo(t testing.TB, i int) *client.Client {
 	return c
 }
 
-// clusterClient returns a ring-aware cluster:// client seeded at node 0.
-func (lc *loopCluster) clusterClient(t testing.TB) *client.Client {
-	t.Helper()
-	c, err := client.New("cluster://"+lc.nodes[0].addr, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
 // owner returns the member name owning a session name.
 func (lc *loopCluster) owner(session string) string { return lc.nodes[0].router.Owner(session) }
 
@@ -201,19 +190,20 @@ func (lc *loopCluster) valueIdxOwnedBy(t testing.TB, node string) int {
 // same workload driven through a 3-node cluster and through one
 // standalone node must produce identical results — deep-equal batch
 // responses with exactly equal DBQueries, and byte-identical session
-// status DTOs — for plain and sharded stores alike. Three client paths
-// cover the three routing paths: the ring-aware cluster client (routes
-// to owners), a direct binary client at one node (the server forwards
-// and scatter-gathers), and an HTTP client at one node (HTTP-side
-// forwarding re-rendering wire DTOs as JSON).
+// status DTOs — for plain and sharded stores alike. Every routing path
+// is driven: batches go to a binary client at n1 and an HTTP client at
+// n2 (each node scatter-gathers what it received, and both sums of
+// DBQueries equal the single node's); the session streams run on n1
+// over binary, once served locally on the owner and once forwarded,
+// and once forwarded over HTTP (re-rendering wire DTOs as JSON).
 func TestClusterMatchesSingleNode(t *testing.T) {
 	const rows = 32
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			lc := newLoopCluster(t, 3, shards, rows, server.Options{MaxBatch: 64})
 			_, single, _ := newDualLoopback(t, workload.NewStore(shards, rows, 0), server.Options{MaxBatch: 64})
-			cc := lc.clusterClient(t)
 			direct := lc.binTo(t, 0)
+			edge := lc.httpTo(t, 1)
 			ctx := context.Background()
 
 			// Randomized batches mixing single-owner requests (pinned to
@@ -232,24 +222,27 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 					}
 				}
 				sr, serr := single.CoordinateBatch(ctx, reqs)
-				cr, cerr := cc.CoordinateBatch(ctx, reqs)
 				dr, derr := direct.CoordinateBatch(ctx, reqs)
-				if serr != nil || cerr != nil || derr != nil {
-					t.Fatalf("round %d: single %v, cluster %v, direct %v", round, serr, cerr, derr)
+				hr, herr := edge.CoordinateBatch(ctx, reqs)
+				if serr != nil || derr != nil || herr != nil {
+					t.Fatalf("round %d: single %v, direct %v, http %v", round, serr, derr, herr)
 				}
-				sameResponses(t, fmt.Sprintf("round %d cluster-client", round), cr, sr)
-				sameResponses(t, fmt.Sprintf("round %d direct-node", round), dr, sr)
-				var ssum, csum int64
+				sameResponses(t, fmt.Sprintf("round %d binary-n1", round), dr, sr)
+				sameResponses(t, fmt.Sprintf("round %d http-n2", round), hr, sr)
+				var ssum, dsum, hsum int64
 				for i := range sr {
 					if sr[i].Result != nil {
 						ssum += sr[i].Result.DBQueries
 					}
-					if cr[i].Result != nil {
-						csum += cr[i].Result.DBQueries
+					if dr[i].Result != nil {
+						dsum += dr[i].Result.DBQueries
+					}
+					if hr[i].Result != nil {
+						hsum += hr[i].Result.DBQueries
 					}
 				}
-				if ssum != csum {
-					t.Fatalf("round %d: summed DBQueries %d (cluster) != %d (single)", round, csum, ssum)
+				if dsum != ssum || hsum != ssum {
+					t.Fatalf("round %d: summed DBQueries %d (binary n1), %d (http n2) != %d (single)", round, dsum, hsum, ssum)
 				}
 			}
 
@@ -293,7 +286,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 				c    *client.Client
 				name string
 			}{
-				{"owned-by-serving-node via cluster client", cc, lc.nameOwnedBy("pa", "n1")},
+				{"owned by the serving node", direct, lc.nameOwnedBy("pa", "n1")},
 				{"forwarded binary", direct, lc.nameOwnedBy("pb", "n2")},
 				{"forwarded HTTP", lc.httpTo(t, 0), lc.nameOwnedBy("pc", "n3")},
 			}

@@ -92,8 +92,8 @@ var opPairs = map[string]func(t *testing.T, c *client.Client, raw rawCaller, nam
 		h.UptimeS = 0
 		return h
 	},
-	// The client exposes no cluster call (its cluster transport consumes
-	// the view itself), so this pair speaks each codec directly.
+	// The client exposes no cluster call (the view is for operators), so
+	// this pair speaks each codec directly.
 	"cluster": func(t *testing.T, _ *client.Client, raw rawCaller, _ string) any {
 		return raw(t, "/v1/cluster", wire.KindCluster, func(d *wire.Dec) any { return wire.GetClusterStatus(d) }, &api.ClusterStatus{})
 	},

@@ -46,8 +46,8 @@ func PathSafe(session string) bool { return session != "." && session != ".." }
 type Op[Q Req, R any] struct {
 	Route
 	// Key names the session the request routes by: the {id} of Path,
-	// and what a cluster node and the cluster client look up on the
-	// ring. Nil (or an empty key) serves wherever the request lands.
+	// and what a cluster node looks up on the ring. Nil (or an empty
+	// key) serves wherever the request lands.
 	Key func(Q) string
 	// GetReq reads the request from a frame (Q.Encode writes it); nil
 	// when Q is None.
