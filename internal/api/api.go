@@ -393,8 +393,8 @@ type Histogram struct {
 type CoordinateMetrics struct {
 	// Requests counts individual coordination requests admitted.
 	Requests int64 `json:"requests"`
-	// Batches counts CoordinateMany dispatches; Requests/Batches is the
-	// achieved cross-request batching factor.
+	// Batches counts requests handed to a worker; the name is kept from
+	// when one dispatch coalesced several.
 	Batches int64 `json:"batches"`
 	// Errors counts requests whose outcome was an error.
 	Errors int64 `json:"errors"`
@@ -464,17 +464,15 @@ type TenantCounters struct {
 	ThrottledInFlight int64 `json:"throttled_in_flight,omitempty"`
 	ThrottledBudget   int64 `json:"throttled_budget,omitempty"`
 	InFlight          int   `json:"in_flight"`
-	// QueueDepth is the tenant's current backlog in the fair batcher.
+	// QueueDepth is the tenant's current backlog in the fair queue.
 	QueueDepth int `json:"queue_depth"`
 	// DBQueriesSpent is the tenant's lifetime exact database-query
 	// spend (Result.DBQueries metering).
 	DBQueriesSpent int64 `json:"db_queries_spent"`
-	// Dispatched counts this tenant's requests dispatched by the fair
-	// batcher; ShareCounts[i] counts the dispatches in which the
-	// tenant's share of the batch fell in the i-th decile ((0–10%],
-	// (10–20%], …), the fairness histogram.
-	Dispatched  int64   `json:"dispatched,omitempty"`
-	ShareCounts []int64 `json:"share_counts,omitempty"`
+	// Dispatched counts this tenant's requests handed to a worker by
+	// the fair (deficit round-robin) schedule; beside QueueDepth it
+	// shows each tenant's share of the service.
+	Dispatched int64 `json:"dispatched,omitempty"`
 }
 
 // AdmissionMetrics is the per-tenant admission block of /metrics,
@@ -491,7 +489,7 @@ type TenantStatus struct {
 	Tenant string           `json:"tenant"`
 	Policy admission.Policy `json:"policy"`
 	// InFlight is currently admitted, not yet finished work;
-	// QueueDepth is the tenant's backlog in the fair batcher.
+	// QueueDepth is the tenant's backlog in the fair queue.
 	InFlight   int   `json:"in_flight"`
 	QueueDepth int   `json:"queue_depth"`
 	Admitted   int64 `json:"admitted"`

@@ -185,11 +185,9 @@ func TestGoldenMetrics(t *testing.T) {
 		Admission: &AdmissionMetrics{
 			Admitted: 120, Throttled: 8,
 			Tenants: []TenantCounters{
-				{Tenant: "default", Admitted: 40, InFlight: 1, DBQueriesSpent: 200, Dispatched: 40,
-					ShareCounts: []int64{0, 2, 6, 10, 8, 6, 4, 2, 1, 1}},
+				{Tenant: "default", Admitted: 40, InFlight: 1, DBQueriesSpent: 200, Dispatched: 40},
 				{Tenant: "hot", Admitted: 80, Throttled: 8, ThrottledRate: 6, ThrottledBudget: 2,
-					InFlight: 2, QueueDepth: 3, DBQueriesSpent: 512, Dispatched: 80,
-					ShareCounts: []int64{0, 0, 0, 0, 0, 10, 20, 30, 15, 5}},
+					InFlight: 2, QueueDepth: 3, DBQueriesSpent: 512, Dispatched: 80},
 			},
 		},
 	})

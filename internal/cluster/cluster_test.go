@@ -349,6 +349,28 @@ func TestServeBatchScatterGather(t *testing.T) {
 	if m.FanoutCounts[2] != 1 {
 		t.Fatalf("fanout counts %v, want one 3-node batch", m.FanoutCounts)
 	}
+
+	// A peer that answers fewer responses than it was sent fails every
+	// request of its slice with the inline internal error; the local
+	// slice is still answered.
+	short := fakePeer{serve: func(fwd wire.Forward) (int, []byte, error) {
+		var e wire.Enc
+		wire.PutResponses(&e, []api.Response{{ID: "only"}})
+		return 200, e.Bytes(), nil
+	}}
+	r = newFakeRouter(t, map[string]cluster.PeerConn{"b": short, "c": deadPeer{}})
+	out = r.ServeBatch(context.Background(), []api.Request{reqs[0], reqs[1], reqs[4]},
+		func(_ context.Context, sub []api.Request) []api.Response {
+			return []api.Response{{ID: sub[0].ID + "@a"}}
+		})
+	for _, i := range []int{0, 2} {
+		if e := out[i].Error; e == nil || e.Code != api.CodeInternal || e.Message != "cluster: b returned a malformed batch reply" {
+			t.Errorf("short reply: out[%d] = %+v (%v), want the inline malformed-batch-reply error", i, out[i], e)
+		}
+	}
+	if out[1].ID != "r1@a" || out[1].Error != nil {
+		t.Errorf("short reply: out[1] = %+v, want the local slice served cleanly", out[1])
+	}
 }
 
 // TestServeBatchValidatesForwardedReply: a peer's batch reply is read

@@ -25,7 +25,6 @@ type point struct {
 type Ring struct {
 	points []point
 	nodes  []string // sorted member names
-	vnodes int
 }
 
 // NewRing builds the ring over the given member names (order
@@ -37,7 +36,7 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	sorted := make([]string, len(nodes))
 	copy(sorted, nodes)
 	sort.Strings(sorted)
-	r := &Ring{nodes: sorted, vnodes: vnodes, points: make([]point, 0, len(nodes)*vnodes)}
+	r := &Ring{nodes: sorted, points: make([]point, 0, len(nodes)*vnodes)}
 	for _, n := range sorted {
 		for i := 0; i < vnodes; i++ {
 			r.points = append(r.points, point{hash: db.Hash(fmt.Sprintf("%s#%d", n, i)), node: n})
@@ -56,9 +55,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 
 // Nodes returns the sorted member names.
 func (r *Ring) Nodes() []string { return r.nodes }
-
-// VNodes returns the virtual-point count per node.
-func (r *Ring) VNodes() int { return r.vnodes }
 
 // Owner returns the member owning key: the node of the first virtual
 // point at or after db.Hash(key), wrapping at the top of the ring.

@@ -208,10 +208,6 @@ func newGraph(queries, heads, posts int) *IncrementalGraph {
 	}
 }
 
-// N returns the number of slots handed out so far (including removed
-// ones); the next Add returns slot N.
-func (g *IncrementalGraph) N() int { return g.n }
-
 // Live reports whether slot i holds a query that has not been removed.
 func (g *IncrementalGraph) Live(i int) bool { return i >= 0 && i < g.n && !g.gone[i] }
 

@@ -185,10 +185,6 @@ func (inc *Incremental) LiveQueries() []eq.Query {
 	return out
 }
 
-// Query returns the query in a slot (live or not). It panics on a slot
-// never assigned.
-func (inc *Incremental) Query(slot int) eq.Query { return inc.queries[slot] }
-
 // Add admits one arriving query: it extends the extended graph with the
 // newcomer's incident edges, probes the newcomer's body satisfiability
 // (the §6.1 pruning input — one database query, cached for the life of

@@ -13,8 +13,8 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the size of the worker pool CoordinateMany drains a
-	// request batch on. Zero means GOMAXPROCS.
+	// Workers sizes the pool CoordinateMany drains a request batch on,
+	// and a server's batch workers. Zero means GOMAXPROCS.
 	Workers int
 }
 

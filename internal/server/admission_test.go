@@ -344,8 +344,8 @@ func TestAdmissionTransparentWhenUnconfigured(t *testing.T) {
 }
 
 // TestAdmissionMetricsShares: under admission, /metrics grows the
-// per-tenant admission block with dispatch counts and share
-// histograms fed by the fair batcher.
+// per-tenant admission block with the dispatch counts of the fair
+// schedule.
 func TestAdmissionMetricsShares(t *testing.T) {
 	h := newAdmissionLoopback(t, &admission.Config{}, server.Options{})
 	ctx := context.Background()
@@ -377,13 +377,6 @@ func TestAdmissionMetricsShares(t *testing.T) {
 	if acme.Dispatched != 5 {
 		t.Fatalf("dispatched = %d, want 5", acme.Dispatched)
 	}
-	var shareSum int64
-	for _, n := range acme.ShareCounts {
-		shareSum += n
-	}
-	if len(acme.ShareCounts) != 10 || shareSum != 5 {
-		t.Fatalf("share histogram %v, want 10 deciles summing to 5", acme.ShareCounts)
-	}
 	if acme.DBQueriesSpent == 0 {
 		t.Fatal("acme spent no DBQueries despite 5 coordinations")
 	}
@@ -393,7 +386,7 @@ func TestAdmissionMetricsShares(t *testing.T) {
 // state it can create is bounded. 5,000 distinct names over both
 // protocols leave at most configured + admission.MaxUnconfigured + 1
 // tenants anywhere a tenant keys a map — the controller (what
-// /v1/tenants lists), the batcher's queues, the share histograms —
+// /v1/tenants lists) and the batcher's queues —
 // with the overflow accounted as the default tenant and the configured
 // tenant's quota exactly what it was; a name over the length cap is the
 // same bad_request on both protocols and creates nothing.
@@ -468,8 +461,8 @@ func TestTenantNamesAreBounded(t *testing.T) {
 		t.Fatalf("%d requests under their own name and %d as default, want %d and %d",
 			own, overflow, admission.MaxUnconfigured, names-admission.MaxUnconfigured)
 	}
-	if queues, shares := h.srv.TenantKeyed(); queues > bound || shares > bound {
-		t.Fatalf("batcher keeps %d tenant queues and metrics %d share histograms, want <= %d", queues, shares, bound)
+	if queues := h.srv.TenantKeyed(); queues > bound {
+		t.Fatalf("batcher keeps %d tenant queues, want <= %d", queues, bound)
 	}
 	quota("after")
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,89 +11,103 @@ import (
 	"entangled/internal/engine"
 )
 
-// batchItem is one admitted coordination request waiting for dispatch.
+// batchItem is one admitted coordination request waiting for a worker.
 type batchItem struct {
 	req   engine.Request
-	reply chan engine.Response // buffered(1): dispatch never blocks on it
+	reply chan engine.Response // buffered(1): a worker never blocks on it
 }
 
 // tenantQueue is one tenant's FIFO backlog plus its deficit round-robin
 // bookkeeping. Guarded by the batcher mutex.
 type tenantQueue struct {
-	tenant admission.Tenant
-	items  []batchItem
-	head   int // items[:head] are already dispatched (kept to amortize shifts)
-	// deficit is the DRR counter: each scheduler visit credits weight
-	// items, and each dispatched item debits one, so over time a
-	// tenant's share of every contended batch converges to
-	// weight/Σweights regardless of how fast it submits.
-	deficit int
-	weight  int
-	active  bool // on the scheduler's active ring
+	// items is a ring holding the backlog at items[head:head+n] (mod
+	// len); it grows by doubling up to the queue bound and never past
+	// it, however long the backlog stays non-empty.
+	items []batchItem
+	head  int
+	n     int
+	// deficit is the DRR counter: a visit that finds it at zero credits
+	// weight, and each take debits one, so over time a tenant's share
+	// of the takes converges to weight/Σweights regardless of how fast
+	// it submits.
+	deficit    int
+	weight     int
+	dispatched int64 // requests handed to a worker
 }
 
-func (q *tenantQueue) depth() int { return len(q.items) - q.head }
+// push appends it to the backlog; the caller has checked n < bound.
+func (q *tenantQueue) push(it batchItem, bound int) {
+	if q.n == len(q.items) {
+		grown := make([]batchItem, min(max(2*q.n, 8), bound))
+		copy(grown, q.items[q.head:])
+		copy(grown[len(q.items)-q.head:], q.items[:q.head])
+		q.items, q.head = grown, 0
+	}
+	q.items[(q.head+q.n)%len(q.items)] = it
+	q.n++
+}
 
-// batcher turns many concurrent requests into few CoordinateMany calls:
-// admitted requests queue per tenant, and one dispatcher goroutine
-// drains the backlog — up to maxBatch per dispatch — into single engine
-// calls. Under light load a request dispatches alone with no added
-// latency; under heavy load batches form naturally and the engine's
-// worker pool serves them concurrently.
+// pop removes the oldest item.
+func (q *tenantQueue) pop() batchItem {
+	it := q.items[q.head]
+	q.items[q.head] = batchItem{} // release refs to dispatched work
+	q.head = (q.head + 1) % len(q.items)
+	q.n--
+	return it
+}
+
+// batcher is the batch path's worker pool: admitted requests queue per
+// tenant, and Engine.Workers() long-lived workers each take the next
+// request and run it through Engine.Coordinate. A request is one run of
+// the §4 walk on its own meter and shares nothing with another but the
+// store, so nothing is coalesced: a request waits only for a free
+// worker, never for a batchmate.
 //
-// Batches are formed by deficit round-robin over the tenants with
-// backlog: each pass over the active ring credits every queue its
-// weight and drains up to its deficit, so a hot tenant with a deep
-// backlog cannot crowd a quiet tenant's single request out of the next
-// dispatch — coalescing (many tenants in one engine call) is preserved,
-// ordering within a tenant is FIFO, and with one tenant (a server
-// without admission routes everything to the "" tenant) the schedule
-// degenerates to the plain FIFO it replaced. Each per-tenant queue is
-// bounded: a full queue rejects that tenant's request with
-// api.ErrOverloaded (wire code "overloaded") instead of building an
-// unbounded backlog, and the bound is per tenant, so one tenant's
-// flood cannot consume another's queue space.
+// Workers take by deficit round-robin over the tenants with backlog: a
+// visit that finds a queue's deficit at zero credits the queue its
+// weight, and the cursor stays on the queue while it holds both deficit
+// and backlog, so a hot tenant with a deep backlog cannot crowd a quiet
+// tenant's single request out of the next takes. Ordering within a
+// tenant is FIFO, and with one tenant (a server without admission
+// routes everything to the "" tenant) the schedule is a plain FIFO.
+// Each per-tenant queue is bounded: a full queue rejects that tenant's
+// request with api.ErrOverloaded (wire code "overloaded") instead of
+// building an unbounded backlog, and the bound is per tenant, so one
+// tenant's flood cannot consume another's queue space.
 type batcher struct {
 	e          *engine.Engine
-	depth      int // per-tenant queue bound
-	maxBatch   int
-	timeout    time.Duration       // per-dispatch deadline; <=0 means none
-	onDispatch func(batchSize int) // observes every CoordinateMany dispatch
+	depth      int           // per-tenant queue bound
+	timeout    time.Duration // per-request deadline; <=0 means none
+	onDispatch func()        // observes every request handed to a worker
 	// weight maps a tenant to its DRR weight (>=1); nil means every
 	// tenant weighs 1.
 	weight func(admission.Tenant) int
-	// onShare observes, per dispatch, how many of the batch's items each
-	// contributing tenant supplied; nil skips the accounting.
-	onShare func(t admission.Tenant, n, batchSize int)
 
 	mu     sync.Mutex
+	ready  sync.Cond // on mu: backlog arrived, or close began
 	queues map[admission.Tenant]*tenantQueue
-	active []*tenantQueue // ring of queues with backlog
+	active []*tenantQueue // ring of exactly the queues with backlog
 	next   int            // ring cursor
-	total  int            // items queued across all tenants
+	closed bool           // close began: reject new, drain queued
 
-	notify   chan struct{} // cap 1: "backlog is non-empty" edge signal
-	stop     chan struct{} // closed by close(): reject new, drain queued
-	done     chan struct{} // closed when the dispatcher exits
-	stopOnce sync.Once
+	workers sync.WaitGroup
 }
 
-func newBatcher(e *engine.Engine, queueDepth, maxBatch int, timeout time.Duration,
-	onDispatch func(int), weight func(admission.Tenant) int, onShare func(admission.Tenant, int, int)) *batcher {
+func newBatcher(e *engine.Engine, queueDepth int, timeout time.Duration,
+	onDispatch func(), weight func(admission.Tenant) int) *batcher {
 	b := &batcher{
 		e:          e,
 		depth:      queueDepth,
-		maxBatch:   maxBatch,
 		timeout:    timeout,
 		onDispatch: onDispatch,
 		weight:     weight,
-		onShare:    onShare,
 		queues:     map[admission.Tenant]*tenantQueue{},
-		notify:     make(chan struct{}, 1),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
 	}
-	go b.loop()
+	b.ready.L = &b.mu
+	for range e.Workers() {
+		b.workers.Add(1)
+		go b.work()
+	}
 	return b
 }
 
@@ -102,12 +117,11 @@ func newBatcher(e *engine.Engine, queueDepth, maxBatch int, timeout time.Duratio
 // still executes (it was admitted) but the response is dropped.
 func (b *batcher) submit(ctx context.Context, tenant admission.Tenant, req engine.Request) (engine.Response, error) {
 	it := batchItem{req: req, reply: make(chan engine.Response, 1)}
-	select {
-	case <-b.stop:
-		return engine.Response{}, api.ErrDraining
-	default:
-	}
 	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		return engine.Response{}, api.ErrDraining
+	}
 	q := b.queues[tenant]
 	if q == nil {
 		w := 1
@@ -116,169 +130,114 @@ func (b *batcher) submit(ctx context.Context, tenant admission.Tenant, req engin
 				w = got
 			}
 		}
-		q = &tenantQueue{tenant: tenant, weight: w}
+		q = &tenantQueue{weight: w}
 		b.queues[tenant] = q
 	}
-	if q.depth() >= b.depth {
+	if q.n >= b.depth {
 		b.mu.Unlock()
 		return engine.Response{}, api.ErrOverloaded
 	}
-	q.items = append(q.items, it)
-	if !q.active {
-		q.active = true
+	if q.n == 0 {
 		b.active = append(b.active, q)
 	}
-	b.total++
+	q.push(it, b.depth)
 	b.mu.Unlock()
-	select {
-	case b.notify <- struct{}{}:
-	default:
-	}
+	b.ready.Signal()
+	// Workers drain every admitted item before close returns, so an
+	// admitted request is always answered.
 	select {
 	case resp := <-it.reply:
 		return resp, nil
-	case <-b.done:
-		// done and reply can become ready together (the drain served
-		// this item just before exiting); a served request must never
-		// report api.ErrDraining, so re-check the reply first.
-		select {
-		case resp := <-it.reply:
-			return resp, nil
-		default:
-		}
-		// Drain raced the enqueue: the dispatcher exited without seeing
-		// this item.
-		return engine.Response{}, api.ErrDraining
 	case <-ctx.Done():
 		return engine.Response{}, ctx.Err()
 	}
 }
 
-// queueDepth reports the queued backlog for one tenant (0 when it has
-// never submitted).
-func (b *batcher) queueDepth(t admission.Tenant) int {
+// tenant reports one tenant's queued backlog and the requests it has
+// had handed to a worker (zeros when it has never submitted).
+func (b *batcher) tenant(t admission.Tenant) (depth int, dispatched int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if q := b.queues[t]; q != nil {
-		return q.depth()
+		return q.n, q.dispatched
 	}
-	return 0
+	return 0, 0
 }
 
-// loop is the dispatcher: wait for backlog, then form DRR batches until
-// the backlog is empty again. On stop it drains everything admitted
-// before the drain, then exits.
-func (b *batcher) loop() {
-	defer close(b.done)
-	for {
-		select {
-		case <-b.notify:
-			b.drain()
-		case <-b.stop:
-			b.drain()
-			return
-		}
-	}
-}
-
-// drain dispatches batches until no backlog remains.
-func (b *batcher) drain() {
-	for {
-		items, shares := b.popBatch()
-		if len(items) == 0 {
-			return
-		}
-		b.dispatch(items, shares)
-	}
-}
-
-// tenantShare is one tenant's contribution to a dispatched batch.
-type tenantShare struct {
-	tenant admission.Tenant
-	n      int
-}
-
-// popBatch forms one batch by deficit round-robin over the active ring:
-// each visited queue is credited its weight and drained while it holds
-// both deficit and backlog. A queue drained empty leaves the ring (its
-// deficit resets — credit does not accrue while idle); a queue stopped
-// by its deficit keeps the remainder for its next visit. Weights are
-// >=1, so every visited queue yields at least one item and the loop
-// always progresses toward either a full batch or an empty ring.
-func (b *batcher) popBatch() ([]batchItem, []tenantShare) {
+// take waits for backlog and pops one item by deficit round-robin over
+// the active ring. A queue drained empty leaves the ring (its deficit
+// resets — credit does not accrue while idle); a queue whose deficit
+// runs out keeps its backlog for its next visit. ok is false once the
+// batcher is closed and its backlog drained.
+func (b *batcher) take() (it batchItem, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.total == 0 {
-		return nil, nil
+	for len(b.active) == 0 {
+		if b.closed {
+			return batchItem{}, false
+		}
+		b.ready.Wait()
 	}
-	items := make([]batchItem, 0, min(b.total, b.maxBatch))
-	var shares []tenantShare
-	for len(items) < b.maxBatch && b.total > 0 {
-		if b.next >= len(b.active) {
-			b.next = 0
-		}
-		q := b.active[b.next]
-		q.deficit += q.weight
-		took := 0
-		for q.deficit > 0 && q.depth() > 0 && len(items) < b.maxBatch {
-			items = append(items, q.items[q.head])
-			q.items[q.head] = batchItem{} // release refs to dispatched work
-			q.head++
-			q.deficit--
-			b.total--
-			took++
-		}
-		if took > 0 && b.onShare != nil {
-			shares = append(shares, tenantShare{tenant: q.tenant, n: took})
-		}
-		if q.depth() == 0 {
-			q.items = q.items[:0]
-			q.head = 0
-			q.deficit = 0
-			q.active = false
-			b.active = append(b.active[:b.next], b.active[b.next+1:]...)
-			// next now points at the following queue; don't advance.
-		} else {
-			b.next++
-		}
+	if b.next >= len(b.active) {
+		b.next = 0
 	}
-	return items, shares
+	q := b.active[b.next]
+	if q.deficit == 0 {
+		q.deficit = q.weight
+	}
+	it = q.pop()
+	q.deficit--
+	q.dispatched++
+	switch {
+	case q.n == 0:
+		q.deficit = 0
+		b.active = slices.Delete(b.active, b.next, b.next+1)
+		// next now points at the following queue; don't advance.
+	case q.deficit == 0:
+		b.next++
+	}
+	return it, true
 }
 
-// dispatch serves one formed batch in a single engine call.
-func (b *batcher) dispatch(items []batchItem, shares []tenantShare) {
-	if b.onDispatch != nil {
-		b.onDispatch(len(items))
-	}
-	if b.onShare != nil {
-		for _, sh := range shares {
-			b.onShare(sh.tenant, sh.n, len(items))
+// work is one worker: take the next request, serve it, reply; until
+// close has drained the backlog.
+func (b *batcher) work() {
+	defer b.workers.Done()
+	for {
+		it, ok := b.take()
+		if !ok {
+			return
 		}
+		if b.onDispatch != nil {
+			b.onDispatch()
+		}
+		it.reply <- b.serve(it.req)
 	}
-	reqs := make([]engine.Request, len(items))
-	for i, it := range items {
-		reqs[i] = it.req
-	}
-	// The dispatch deadline is what keeps a stalled store (or injected
-	// fault) from wedging the single dispatcher goroutine forever: past
-	// it, the engine's context-wrapped store fails each remaining query
-	// with DeadlineExceeded and the batch returns. It bounds the work
-	// between store calls — one store call already in flight must still
-	// return on its own.
+}
+
+// serve runs one request under the per-request deadline, which keeps a
+// stalled store (or injected fault) from holding a worker forever: past
+// it, the engine's context-wrapped store fails each remaining query
+// with DeadlineExceeded and the request returns. It bounds the work
+// between store calls — one store call already in flight must still
+// return on its own.
+func (b *batcher) serve(req engine.Request) engine.Response {
 	ctx := context.Background()
 	if b.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, b.timeout)
 		defer cancel()
 	}
-	for i, resp := range b.e.CoordinateMany(ctx, reqs) {
-		items[i].reply <- resp
-	}
+	res, err := b.e.Coordinate(ctx, req.Queries)
+	return engine.Response{ID: req.ID, Result: res, Err: err}
 }
 
-// close stops admission and waits for the dispatcher to drain the
-// queued work.
+// close stops admission and waits for the workers to drain the queued
+// work. Safe to call more than once.
 func (b *batcher) close() {
-	b.stopOnce.Do(func() { close(b.stop) })
-	<-b.done
+	b.mu.Lock()
+	b.closed = true
+	b.mu.Unlock()
+	b.ready.Broadcast()
+	b.workers.Wait()
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,7 +19,7 @@ import (
 func testBatcher(t *testing.T, store db.Store, timeout time.Duration) *batcher {
 	t.Helper()
 	e := engine.New(store, engine.Options{Workers: 2})
-	b := newBatcher(e, 64, 8, timeout, nil, nil, nil)
+	b := newBatcher(e, 64, timeout, nil, nil)
 	t.Cleanup(b.close)
 	return b
 }
@@ -30,9 +32,9 @@ func memStore(rows int) *db.Instance {
 
 // TestBatcherCanceledSubmitterDoesNotPoisonBatchmates: a submitter
 // whose context is already dead gets ctx.Err back, but its request —
-// admitted — still executes under the batcher's own dispatch context,
+// admitted — still executes under the batcher's own request context,
 // and requests from other clients keep being served. One client
-// hanging up must never fail a batchmate or wedge the dispatcher.
+// hanging up must never fail another request or wedge a worker.
 func TestBatcherCanceledSubmitterDoesNotPoisonBatchmates(t *testing.T) {
 	b := testBatcher(t, memStore(40), 30*time.Second)
 	dead, cancel := context.WithCancel(context.Background())
@@ -40,7 +42,7 @@ func TestBatcherCanceledSubmitterDoesNotPoisonBatchmates(t *testing.T) {
 	if _, err := b.submit(dead, "", engine.Request{ID: "gone", Queries: workload.ListQueries(4, 40)}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled submitter got %v, want context.Canceled", err)
 	}
-	// The dispatcher is still healthy: live submitters get real results.
+	// The workers are still healthy: live submitters get real results.
 	for i := 0; i < 3; i++ {
 		resp, err := b.submit(context.Background(), "", engine.Request{ID: "live", Queries: workload.ListQueries(4, 40)})
 		if err != nil || resp.Err != nil {
@@ -52,11 +54,11 @@ func TestBatcherCanceledSubmitterDoesNotPoisonBatchmates(t *testing.T) {
 	}
 }
 
-// TestBatcherDispatchTimeout: a store slow enough to bust the dispatch
-// deadline fails the requests with a typed deadline error instead of
-// wedging the dispatcher goroutine — the next submit is still served.
+// TestBatcherDispatchTimeout: a store slow enough to bust the
+// per-request deadline fails the request with a typed deadline error
+// instead of wedging a worker — the next submit is still served.
 func TestBatcherDispatchTimeout(t *testing.T) {
-	// 2ms per store query versus a 1ms dispatch budget: the deadline
+	// 2ms per store query versus a 1ms request budget: the deadline
 	// expires during the first queries of the plan.
 	slow := workload.NewStore(1, 40, 2*time.Millisecond)
 	b := testBatcher(t, slow, time.Millisecond)
@@ -67,145 +69,127 @@ func TestBatcherDispatchTimeout(t *testing.T) {
 	if !errors.Is(resp.Err, context.DeadlineExceeded) {
 		t.Fatalf("resp.Err = %v, want context.DeadlineExceeded", resp.Err)
 	}
-	// The dispatcher survived and keeps serving (and timing out) work.
+	// The workers survived and keep serving (and timing out) work.
 	resp, err = b.submit(context.Background(), "", engine.Request{ID: "again", Queries: workload.ListQueries(6, 40)})
 	if err != nil || !errors.Is(resp.Err, context.DeadlineExceeded) {
 		t.Fatalf("second submit: %v / %v", err, resp.Err)
 	}
 }
 
-// drrBatcher builds a batcher without its dispatcher goroutine, so the
-// scheduler (popBatch) can be driven deterministically, and fills the
-// given per-tenant backlogs.
-func drrBatcher(maxBatch int, weights map[admission.Tenant]int, backlogs map[admission.Tenant]int) *batcher {
-	b := &batcher{
-		depth:    1 << 20,
-		maxBatch: maxBatch,
-		queues:   map[admission.Tenant]*tenantQueue{},
-	}
+// drrBatcher builds a batcher without workers, so the scheduler (take)
+// can be driven deterministically, and fills the given per-tenant
+// backlogs.
+func drrBatcher(weights map[admission.Tenant]int, backlogs map[admission.Tenant]int) *batcher {
+	b := &batcher{depth: 1 << 20, queues: map[admission.Tenant]*tenantQueue{}}
 	for ten, n := range backlogs {
 		w := weights[ten]
 		if w <= 0 {
 			w = 1
 		}
-		q := &tenantQueue{tenant: ten, weight: w, active: true}
+		q := &tenantQueue{weight: w}
 		for i := 0; i < n; i++ {
-			q.items = append(q.items, batchItem{req: engine.Request{ID: fmt.Sprintf("%s-%d", ten, i)}})
+			q.push(batchItem{req: engine.Request{ID: fmt.Sprintf("%s-%d", ten, i)}}, b.depth)
 		}
 		b.queues[ten] = q
 		b.active = append(b.active, q)
-		b.total += n
 	}
 	return b
 }
 
-// counts tallies one popped batch by tenant and checks FIFO order
+// takeN takes n items, tallies them by tenant and checks FIFO order
 // within each tenant.
-func counts(t *testing.T, items []batchItem) map[admission.Tenant]int {
+func takeN(t *testing.T, b *batcher, n int) map[admission.Tenant]int {
 	t.Helper()
 	out := map[admission.Tenant]int{}
-	last := map[admission.Tenant]int{}
-	for _, it := range items {
-		var ten admission.Tenant
-		var i int
-		if _, err := fmt.Sscanf(it.req.ID, "%s-%d", &ten, &i); err != nil {
-			// Sscanf cannot split on '-' inside %s; parse manually.
-			for j := len(it.req.ID) - 1; j >= 0; j-- {
-				if it.req.ID[j] == '-' {
-					ten = admission.Tenant(it.req.ID[:j])
-					fmt.Sscanf(it.req.ID[j+1:], "%d", &i)
-					break
-				}
-			}
+	for range n {
+		it, ok := b.take()
+		if !ok {
+			t.Fatal("take on a closed batcher")
 		}
-		if prev, seen := last[ten]; seen && i <= prev {
-			t.Fatalf("tenant %s dispatched out of FIFO order: %d after %d", ten, i, prev)
+		j := strings.LastIndexByte(it.req.ID, '-')
+		ten := admission.Tenant(it.req.ID[:j])
+		i, _ := strconv.Atoi(it.req.ID[j+1:])
+		if want := b.queues[ten].dispatched - 1; int64(i) != want {
+			t.Fatalf("tenant %s taken out of FIFO order: %d, want %d", ten, i, want)
 		}
-		last[ten] = i
 		out[ten]++
 	}
 	return out
 }
 
 // TestBatcherDRREqualWeights: two tenants with equal weight and deep
-// backlogs split every contended batch evenly, FIFO within each.
+// backlogs split every 10 takes evenly, FIFO within each.
 func TestBatcherDRREqualWeights(t *testing.T) {
-	b := drrBatcher(10, nil, map[admission.Tenant]int{"a": 100, "b": 100})
+	b := drrBatcher(nil, map[admission.Tenant]int{"a": 100, "b": 100})
 	for round := 0; round < 5; round++ {
-		items, _ := b.popBatch()
-		if len(items) != 10 {
-			t.Fatalf("round %d: batch of %d, want 10", round, len(items))
-		}
-		got := counts(t, items)
-		if got["a"] != 5 || got["b"] != 5 {
+		if got := takeN(t, b, 10); got["a"] != 5 || got["b"] != 5 {
 			t.Fatalf("round %d: split %v, want 5/5", round, got)
 		}
 	}
 }
 
-// TestBatcherDRRWeightedShares: a weight-4 tenant receives 4x the
-// batch share of a weight-1 tenant while both have backlog.
+// TestBatcherDRRWeightedShares: a weight-4 tenant receives 4x the takes
+// of a weight-1 tenant while both have backlog.
 func TestBatcherDRRWeightedShares(t *testing.T) {
-	b := drrBatcher(10, map[admission.Tenant]int{"vip": 4, "std": 1},
+	b := drrBatcher(map[admission.Tenant]int{"vip": 4, "std": 1},
 		map[admission.Tenant]int{"vip": 100, "std": 100})
-	total := map[admission.Tenant]int{}
-	for round := 0; round < 5; round++ {
-		items, _ := b.popBatch()
-		if len(items) != 10 {
-			t.Fatalf("round %d: batch of %d, want 10", round, len(items))
-		}
-		for ten, n := range counts(t, items) {
-			total[ten] += n
-		}
-	}
-	if total["vip"] != 40 || total["std"] != 10 {
-		t.Fatalf("50 dispatched as %v, want vip=40 std=10", total)
+	if total := takeN(t, b, 50); total["vip"] != 40 || total["std"] != 10 {
+		t.Fatalf("50 takes went %v, want vip=40 std=10", total)
 	}
 }
 
 // TestBatcherDRRDeepBacklogCannotStarve: a tenant with a single queued
-// request makes it into the very next batch even though another tenant
-// holds a backlog far deeper than the batch size.
+// request is among the first two takes even though another tenant
+// holds a 1,000-deep backlog.
 func TestBatcherDRRDeepBacklogCannotStarve(t *testing.T) {
-	b := drrBatcher(8, nil, map[admission.Tenant]int{"hot": 1000, "quiet": 1})
-	items, _ := b.popBatch()
-	if len(items) != 8 {
-		t.Fatalf("batch of %d, want 8", len(items))
-	}
-	got := counts(t, items)
-	if got["quiet"] != 1 {
-		t.Fatalf("quiet tenant's request missed the first dispatch: %v", got)
+	b := drrBatcher(nil, map[admission.Tenant]int{"hot": 1000, "quiet": 1})
+	if got := takeN(t, b, 2); got["quiet"] != 1 {
+		t.Fatalf("quiet tenant's request missed the first two takes: %v", got)
 	}
 	// The drained quiet queue left the ring; the hot tenant now owns
-	// whole batches.
-	items, _ = b.popBatch()
-	if got := counts(t, items); got["hot"] != 8 {
-		t.Fatalf("second batch %v, want hot=8", got)
+	// every take.
+	if got := takeN(t, b, 8); got["hot"] != 8 {
+		t.Fatalf("next eight takes %v, want hot=8", got)
 	}
 }
 
 // TestBatcherDRRSingleTenantIsFIFO: with one queue (admission off
-// routes everything to the anonymous tenant) the schedule is the plain
-// FIFO the batcher replaced.
+// routes everything to the anonymous tenant) the schedule is a plain
+// FIFO.
 func TestBatcherDRRSingleTenantIsFIFO(t *testing.T) {
-	b := drrBatcher(4, nil, map[admission.Tenant]int{"": 10})
-	var seen []string
-	for {
-		items, _ := b.popBatch()
-		if len(items) == 0 {
-			break
-		}
-		for _, it := range items {
-			seen = append(seen, it.req.ID)
+	b := drrBatcher(nil, map[admission.Tenant]int{"": 10})
+	if got := takeN(t, b, 10); got[""] != 10 || b.queues[""].n != 0 {
+		t.Fatalf("took %v, %d left; want all 10 in order", got, b.queues[""].n)
+	}
+}
+
+// TestBatcherQueueStaysBounded: a backlog that never empties cycles
+// through its queue without growing it; the ring stays within twice
+// the queue bound however many items pass through.
+func TestBatcherQueueStaysBounded(t *testing.T) {
+	const depth = 16
+	b := &batcher{depth: depth, queues: map[admission.Tenant]*tenantQueue{}}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	submit := func() {
+		if _, err := b.submit(dead, "t", engine.Request{}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("submit: %v", err)
 		}
 	}
-	if len(seen) != 10 {
-		t.Fatalf("dispatched %d items, want 10", len(seen))
+	for range 4 {
+		submit()
 	}
-	for i, id := range seen {
-		if want := fmt.Sprintf("-%d", i); id != want {
-			t.Fatalf("position %d dispatched %q, want %q", i, id, want)
+	for range 100_000 {
+		for range 4 {
+			submit()
 		}
+		for range 4 {
+			b.take()
+		}
+	}
+	q := b.queues["t"]
+	if q.n != 4 || cap(q.items) > 2*depth {
+		t.Fatalf("backlog %d in a ring of cap %d, want 4 within cap %d", q.n, cap(q.items), 2*depth)
 	}
 }
 
@@ -213,15 +197,8 @@ func TestBatcherDRRSingleTenantIsFIFO(t *testing.T) {
 // is rejected with api.ErrOverloaded while another tenant still has its
 // full queue space.
 func TestBatcherPerTenantBound(t *testing.T) {
-	b := &batcher{
-		depth:    2,
-		maxBatch: 8,
-		queues:   map[admission.Tenant]*tenantQueue{},
-		notify:   make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	// No dispatcher: the backlog stays queued. Submitters use a dead
+	b := &batcher{depth: 2, queues: map[admission.Tenant]*tenantQueue{}}
+	// No workers: the backlog stays queued. Submitters use a dead
 	// context so the enqueue happens but the wait returns immediately.
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -236,7 +213,7 @@ func TestBatcherPerTenantBound(t *testing.T) {
 	if _, err := b.submit(dead, "other", engine.Request{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("other tenant rejected by hog's full queue: %v", err)
 	}
-	if d := b.queueDepth("hog"); d != 2 {
+	if d, _ := b.tenant("hog"); d != 2 {
 		t.Fatalf("hog depth = %d, want 2", d)
 	}
 }

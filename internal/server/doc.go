@@ -18,12 +18,12 @@
 //
 // Behind the table sit three pieces:
 //
-//   - the batch path: coordinate admits each request into a bounded
-//     queue, and one dispatcher greedily coalesces whatever is queued
-//     — across concurrent calls — into single engine.CoordinateMany
-//     dispatches (see batcher.go). A full queue rejects requests with
-//     the typed code "overloaded" (inline in the batch response)
-//     instead of building backlog.
+//   - the batch path: coordinate admits each request into its
+//     tenant's bounded queue, and Engine.Workers() long-lived workers
+//     each take the next request by deficit round-robin and run it
+//     through engine.Coordinate (see batcher.go). A full queue rejects
+//     requests with the typed code "overloaded" (inline in the batch
+//     response) instead of building backlog.
 //   - the session registry: named stream.Sessions over the shared
 //     store, each serving its events one at a time in a turn the
 //     posting goroutine takes (at most MailboxSize wait for it),

@@ -29,16 +29,12 @@ func Operations() []OpInfo {
 	return out
 }
 
-// TenantKeyed reports how many entries the two maps keyed by resolved
-// tenant outside the controller hold: the batcher's queues and the
-// share histograms.
-func (s *Server) TenantKeyed() (queues, shares int) {
+// TenantKeyed reports how many entries the one map keyed by resolved
+// tenant outside the controller holds: the batcher's queues.
+func (s *Server) TenantKeyed() int {
 	s.batch.mu.Lock()
-	queues = len(s.batch.queues)
-	s.batch.mu.Unlock()
-	s.met.shareMu.Lock()
-	defer s.met.shareMu.Unlock()
-	return queues, len(s.met.shares)
+	defer s.batch.mu.Unlock()
+	return len(s.batch.queues)
 }
 
 // SetWriteTimeout shortens the deadline of each frame write to a binary

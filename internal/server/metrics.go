@@ -1,11 +1,9 @@
 package server
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"entangled/internal/admission"
 	"entangled/internal/api"
 	"entangled/internal/db"
 )
@@ -72,22 +70,6 @@ type metrics struct {
 	// owns those transitions.
 	sessionEvents  atomic.Int64
 	sessionLatency *histogram
-
-	// shares tracks, per tenant, the fair batcher's dispatch accounting;
-	// only populated when admission is configured (the batcher's onShare
-	// hook is wired), so the lock is off every hot path otherwise.
-	shareMu sync.Mutex
-	shares  map[admission.Tenant]*shareStats
-}
-
-// shareStats is one tenant's fair-dispatch history: how many of its
-// requests were dispatched, and a decile histogram of the fraction of
-// each contended batch the tenant received. A tenant pinned to the top
-// decile is monopolizing batches; a flat spread is fair sharing under
-// contention.
-type shareStats struct {
-	dispatched int64
-	deciles    [10]int64
 }
 
 func newMetrics() *metrics {
@@ -95,40 +77,7 @@ func newMetrics() *metrics {
 		start:          time.Now(),
 		coordLatency:   newHistogram(),
 		sessionLatency: newHistogram(),
-		shares:         map[admission.Tenant]*shareStats{},
 	}
-}
-
-// observeShare records one tenant's slice of one dispatched batch; it
-// is the batcher's onShare hook when admission is on.
-func (m *metrics) observeShare(t admission.Tenant, n, batch int) {
-	if batch <= 0 {
-		return
-	}
-	d := n * 10 / batch
-	if d > 9 {
-		d = 9
-	}
-	m.shareMu.Lock()
-	s := m.shares[t]
-	if s == nil {
-		s = &shareStats{}
-		m.shares[t] = s
-	}
-	s.dispatched += int64(n)
-	s.deciles[d]++
-	m.shareMu.Unlock()
-}
-
-// shareSnapshot copies the per-tenant dispatch accounting.
-func (m *metrics) shareSnapshot() map[admission.Tenant]shareStats {
-	m.shareMu.Lock()
-	defer m.shareMu.Unlock()
-	out := make(map[admission.Tenant]shareStats, len(m.shares))
-	for t, s := range m.shares {
-		out[t] = *s
-	}
-	return out
 }
 
 // planStats sums the plan-cache counters of the caches behind a Store

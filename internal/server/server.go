@@ -23,9 +23,8 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// MaxBatch caps both the number of requests accepted in one
-	// POST /v1/coordinate call and the size of the batches the
-	// dispatcher forms across calls. Zero means 1024.
+	// MaxBatch caps the number of requests accepted in one
+	// POST /v1/coordinate call. Zero means 1024.
 	MaxBatch int
 	// QueueDepth bounds the batch path's admission queue. A full queue
 	// rejects the request with the typed code "overloaded", reported
@@ -55,17 +54,17 @@ type Options struct {
 	// probe loop (a caller then drives persist.Backend.Probe itself).
 	// Ignored without Persist.
 	ProbeInterval time.Duration
-	// DispatchTimeout bounds each batch dispatch: past it, every
-	// remaining store query in the batch fails with a deadline error
-	// instead of wedging the dispatcher goroutine on a stalled store.
-	// Zero means 30s; negative disables the deadline.
+	// DispatchTimeout bounds each batch request: past it, every
+	// remaining store query of the request fails with a deadline error
+	// instead of holding a worker on a stalled store. Zero means 30s;
+	// negative disables the deadline.
 	DispatchTimeout time.Duration
 	// Admission, when non-nil, turns on tenant-aware admission: every
 	// request is attributed to the tenant named by the HTTP X-Tenant
 	// header or the binary tenant envelope (Default when absent), gated
 	// against the tenant's policy (token-bucket rate, in-flight cap,
-	// rolling DBQueries budget), queued through the weighted-fair
-	// batcher, and metered by exact Result.DBQueries spend. Rejections
+	// rolling DBQueries budget), queued for the weighted-fair
+	// workers, and metered by exact Result.DBQueries spend. Rejections
 	// are the typed, fate-known "throttled" error carrying a
 	// retry-after hint. Nil (the default) disables admission entirely —
 	// no gating, no tenant queues, no per-tenant metrics — so an
@@ -134,8 +133,8 @@ type Server struct {
 	writeTimeout time.Duration // writeTimeout, unless a test shortens it before serving
 }
 
-// New builds a server over the engine. The server owns a dispatcher
-// goroutine and a session janitor from this point on; Close releases
+// New builds a server over the engine. The server owns the batch
+// workers and a session janitor from this point on; Close releases
 // them. Sessions own no goroutine: an event is served by the goroutine
 // that posts it, in the session's turn. With Options.Persist set, New
 // also rebuilds every session the backend's log holds — replaying its
@@ -155,18 +154,15 @@ func New(e *engine.Engine, opts Options) (*Server, error) {
 	}
 	s.writeTimeout = writeTimeout
 	s.adm = opts.Admission
-	// The batcher's fairness hooks exist only when admission is on: an
-	// unconfigured server runs one anonymous queue with weight 1, which
-	// is exactly the single FIFO it always had.
+	// Tenant weights exist only when admission is on: an unconfigured
+	// server runs one anonymous queue with weight 1, a plain FIFO.
 	var weight func(admission.Tenant) int
-	var onShare func(admission.Tenant, int, int)
 	if s.adm != nil {
 		weight = s.adm.Weight
-		onShare = s.met.observeShare
 	}
-	s.batch = newBatcher(e, opts.QueueDepth, opts.MaxBatch, opts.DispatchTimeout, func(int) {
+	s.batch = newBatcher(e, opts.QueueDepth, opts.DispatchTimeout, func() {
 		s.met.coordBatches.Add(1)
-	}, weight, onShare)
+	}, weight)
 	newSession := func(park bool) *stream.Session {
 		so := opts.Session
 		so.ParkUnsafe = park
@@ -334,9 +330,9 @@ func withTenant(ctx context.Context, name string) (context.Context, error) {
 
 // tenantOf resolves the request's tenant for queue routing and
 // accounting — once, through the controller, so the batcher's queues
-// and the share histograms key on a tenant the controller keeps state
-// for and inherit its bound (admission.MaxUnconfigured); without
-// admission, the single anonymous tenant.
+// key on a tenant the controller keeps state for and inherit its bound
+// (admission.MaxUnconfigured); without admission, the single anonymous
+// tenant.
 func (s *Server) tenantOf(ctx context.Context) admission.Tenant {
 	if s.adm == nil {
 		return ""
@@ -417,8 +413,8 @@ func writeError(w http.ResponseWriter, err error) {
 
 // coordinate serves the batch operation: every request in the payload
 // is admitted into the shared batcher individually, so requests from
-// concurrent calls — on either protocol — coalesce into the same
-// CoordinateMany dispatches. Admission rejections (queue full,
+// concurrent calls — on either protocol — share one worker pool and
+// its fair schedule. Admission rejections (queue full,
 // draining, throttled) come back inline as that request's error — the
 // call itself stays 200 so one hot spot cannot fail a whole batch.
 func (s *Server) coordinate(ctx context.Context, q wire.CoordinateReq, forwarded bool) (api.CoordinateResponse, int, error) {
@@ -603,11 +599,11 @@ func (s *Server) metricsSnapshot() api.Metrics {
 
 // admissionMetrics assembles the per-tenant admission block: the
 // controller's accounting joined with the batcher's live queue depths
-// and the fair-dispatch share histograms.
+// and dispatch counts.
 func (s *Server) admissionMetrics() *api.AdmissionMetrics {
 	am := &api.AdmissionMetrics{}
-	shares := s.met.shareSnapshot()
 	for _, sn := range s.adm.Snapshot() {
+		depth, dispatched := s.batch.tenant(sn.Tenant)
 		tc := api.TenantCounters{
 			Tenant:            string(sn.Tenant),
 			Admitted:          sn.Admitted,
@@ -616,12 +612,9 @@ func (s *Server) admissionMetrics() *api.AdmissionMetrics {
 			ThrottledInFlight: sn.ThrottledInFlight,
 			ThrottledBudget:   sn.ThrottledBudget,
 			InFlight:          sn.InFlight,
-			QueueDepth:        s.batch.queueDepth(sn.Tenant),
+			QueueDepth:        depth,
 			DBQueriesSpent:    sn.DBQueriesSpent,
-		}
-		if sh, ok := shares[sn.Tenant]; ok {
-			tc.Dispatched = sh.dispatched
-			tc.ShareCounts = append([]int64(nil), sh.deciles[:]...)
+			Dispatched:        dispatched,
 		}
 		am.Admitted += sn.Admitted
 		am.Throttled += tc.Throttled
@@ -638,11 +631,12 @@ func (s *Server) tenantsStatus() api.TenantsStatus {
 	if s.adm != nil {
 		ts.Enabled = true
 		for _, sn := range s.adm.Snapshot() {
+			depth, _ := s.batch.tenant(sn.Tenant)
 			ts.Tenants = append(ts.Tenants, api.TenantStatus{
 				Tenant:         string(sn.Tenant),
 				Policy:         sn.Policy,
 				InFlight:       sn.InFlight,
-				QueueDepth:     s.batch.queueDepth(sn.Tenant),
+				QueueDepth:     depth,
 				Admitted:       sn.Admitted,
 				Throttled:      sn.Throttled(),
 				DBQueriesSpent: sn.DBQueriesSpent,

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"entangled/internal/eq"
 	"entangled/internal/server"
 	"entangled/internal/stream"
+	"entangled/internal/unify"
 	"entangled/internal/workload"
 )
 
@@ -384,6 +386,95 @@ func TestServerBackpressure(t *testing.T) {
 	if okReqs == 0 || rejected == 0 {
 		t.Fatalf("queue backpressure: %d ok, %d rejected — want both > 0", okReqs, rejected)
 	}
+}
+
+// stallingStore blocks the first query any request issues (the §4 walk
+// queries through Satisfiable and SolveUnder) until the test closes
+// release, and closes blocked once that query is waiting.
+type stallingStore struct {
+	db.Store
+	first   atomic.Bool
+	blocked chan struct{}
+	release chan struct{}
+}
+
+func (s *stallingStore) stall() {
+	if s.first.CompareAndSwap(false, true) {
+		close(s.blocked)
+		<-s.release
+	}
+}
+
+func (s *stallingStore) Satisfiable(body []eq.Atom) (bool, error) {
+	s.stall()
+	return s.Store.Satisfiable(body)
+}
+
+func (s *stallingStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, bool, error) {
+	s.stall()
+	return s.Store.SolveUnder(body, sub)
+}
+
+// TestStalledRequestDoesNotHoldUpALaterOne: a batch request whose store
+// query stalls holds one worker and nothing else — a later call is
+// served by another worker while the first is still blocked, and both
+// answer what the engine answers in-process.
+func TestStalledRequestDoesNotHoldUpALaterOne(t *testing.T) {
+	store := &stallingStore{Store: workload.NewStore(1, 16, 0), blocked: make(chan struct{}), release: make(chan struct{})}
+	srv, err := server.New(engine.New(store, engine.Options{Workers: 2}), server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() { ts.Close(); srv.Close() }()
+	c, err := client.New(ts.URL, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := engine.New(workload.NewStore(1, 16, 0), engine.Options{})
+	check := func(name string, qs []eq.Query, got *coord.Result) {
+		t.Helper()
+		want, err := ref.Coordinate(context.Background(), qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Set, want.Set) || !reflect.DeepEqual(got.Values, want.Values) || got.DBQueries != want.DBQueries {
+			t.Fatalf("%s: served %+v, in-process %+v", name, got, want)
+		}
+	}
+
+	qa, qb := workload.ListQueriesAt(4, 0), workload.ListQueriesAt(4, 1)
+	type answer struct {
+		res *coord.Result
+		err error
+	}
+	a := make(chan answer, 1)
+	go func() {
+		res, err := c.Coordinate(context.Background(), qa)
+		a <- answer{res, err}
+	}()
+	<-store.blocked
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	rb, err := c.Coordinate(ctx, qb)
+	if err != nil {
+		close(store.release)
+		t.Fatalf("call B behind a stalled call A: %v", err)
+	}
+	select {
+	case <-a:
+		t.Fatal("call A answered before its stalled query was released")
+	default:
+	}
+	check("B", qb, rb)
+
+	close(store.release)
+	ra := <-a
+	if ra.err != nil {
+		t.Fatalf("call A: %v", ra.err)
+	}
+	check("A", qa, ra.res)
 }
 
 // TestServerDrain checks the shutdown contract: after Close, batch
