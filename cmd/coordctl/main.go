@@ -105,7 +105,7 @@ func run() error {
 	if *brute {
 		res, err = coord.BruteForceMax(qs, inst)
 		if errors.Is(err, coord.ErrTooManyQueries) {
-			return fmt.Errorf("[%s] %w; drop -brute to use the polynomial SCC algorithm (the query set must be safe)", coord.Code(err), err)
+			return fmt.Errorf("[%s] %w; drop -brute to use the polynomial SCC algorithm (the query set must be safe)", coord.CodeTooManyQueries, err)
 		}
 	} else {
 		if *explain {

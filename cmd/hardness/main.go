@@ -74,7 +74,7 @@ func run() error {
 	}
 	exists, err := coord.BruteForceExists(in1.Queries, in1.DB)
 	if errors.Is(err, coord.ErrTooManyQueries) {
-		return fmt.Errorf("[%s] %w; the reduction produced %d queries — shrink the formula (at most ~5 variables and ~4 clauses)", coord.Code(err), err, len(in1.Queries))
+		return fmt.Errorf("[%s] %w; the reduction produced %d queries — shrink the formula (at most ~5 variables and ~4 clauses)", coord.CodeTooManyQueries, err, len(in1.Queries))
 	}
 	if err != nil {
 		return err
@@ -91,7 +91,7 @@ func run() error {
 	}
 	max, err := coord.BruteForceMax(in2.Queries, in2.DB)
 	if errors.Is(err, coord.ErrTooManyQueries) {
-		return fmt.Errorf("[%s] %w; the reduction produced %d queries — shrink the formula", coord.Code(err), err, len(in2.Queries))
+		return fmt.Errorf("[%s] %w; the reduction produced %d queries — shrink the formula", coord.CodeTooManyQueries, err, len(in2.Queries))
 	}
 	if err != nil {
 		return err
@@ -107,7 +107,7 @@ func run() error {
 	}
 	existsB, err := coord.BruteForceExists(inB.Queries, inB.DB)
 	if errors.Is(err, coord.ErrTooManyQueries) {
-		return fmt.Errorf("[%s] %w; the reduction produced %d queries — shrink the formula", coord.Code(err), err, len(inB.Queries))
+		return fmt.Errorf("[%s] %w; the reduction produced %d queries — shrink the formula", coord.CodeTooManyQueries, err, len(inB.Queries))
 	}
 	if err != nil {
 		return err

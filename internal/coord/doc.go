@@ -66,9 +66,9 @@
 // where something is rendered — a trace, a witness.
 //
 // The package's sentinel errors carry stable machine-readable codes
-// (Code / FromCode, e.g. "unsafe_arrival", "too_many_queries") shared
-// with the HTTP wire format, and Result, DeltaStats and Trace have
-// canonical JSON encodings, so coordination outcomes — including the
-// exact DBQueries cost — cross a network boundary unchanged
-// (internal/api, internal/server, internal/client).
+// (CodeUnsafeArrival, CodeTooManyQueries, ...) that internal/api's
+// error taxonomy maps them to on the wire, and Result, DeltaStats and
+// Trace have canonical JSON encodings, so coordination outcomes —
+// including the exact DBQueries cost — cross a network boundary
+// unchanged (internal/api, internal/server, internal/client).
 package coord

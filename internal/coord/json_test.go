@@ -126,30 +126,3 @@ func TestResultJSONRoundTripProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestErrorCodes checks the code taxonomy is total over the package's
-// sentinels and inverts through FromCode.
-func TestErrorCodes(t *testing.T) {
-	sentinels := []error{ErrUnsafe, ErrNotUnique, ErrUnsafeArrival, ErrNoQuery, ErrTooManyQueries}
-	seen := map[string]bool{}
-	for _, s := range sentinels {
-		code := Code(s)
-		if code == "" {
-			t.Fatalf("sentinel %v has no code", s)
-		}
-		if seen[code] {
-			t.Fatalf("code %s names two sentinels", code)
-		}
-		seen[code] = true
-		back := FromCode(code)
-		if back == nil || !reflect.DeepEqual(back, s) {
-			t.Fatalf("FromCode(%s) = %v, want %v", code, back, s)
-		}
-	}
-	if Code(nil) != "" {
-		t.Fatal("nil error got a code")
-	}
-	if FromCode("no_such_code") != nil {
-		t.Fatal("unknown code produced a sentinel")
-	}
-}

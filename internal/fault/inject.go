@@ -126,17 +126,6 @@ func (i *Injector) Add(rules ...Rule) {
 	i.mu.Unlock()
 }
 
-// Reset replaces every rule and zeroes their counters.
-func (i *Injector) Reset(rules ...Rule) {
-	if i == nil {
-		return
-	}
-	i.mu.Lock()
-	i.rules = i.rules[:0]
-	i.mu.Unlock()
-	i.Add(rules...)
-}
-
 // Arm enables injection (the NewInjector default).
 func (i *Injector) Arm() { i.setArmed(true) }
 

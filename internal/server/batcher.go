@@ -13,6 +13,9 @@ import (
 
 // batchItem is one admitted coordination request waiting for a worker.
 type batchItem struct {
+	// ctx is the submitter's: a worker that takes the item after it
+	// ended drops it (see work).
+	ctx   context.Context
 	req   engine.Request
 	reply chan engine.Response // buffered(1): a worker never blocks on it
 }
@@ -113,10 +116,10 @@ func newBatcher(e *engine.Engine, queueDepth int, timeout time.Duration,
 
 // submit admits one request under a tenant and waits for its response.
 // Admission is non-blocking: a full tenant queue or a draining server
-// rejects immediately. Cancelling ctx abandons the wait; the request
-// still executes (it was admitted) but the response is dropped.
+// rejects immediately. Cancelling ctx abandons the wait and returns
+// ctx's error, and a request still queued then never runs.
 func (b *batcher) submit(ctx context.Context, tenant admission.Tenant, req engine.Request) (engine.Response, error) {
-	it := batchItem{req: req, reply: make(chan engine.Response, 1)}
+	it := batchItem{ctx: ctx, req: req, reply: make(chan engine.Response, 1)}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -144,7 +147,7 @@ func (b *batcher) submit(ctx context.Context, tenant admission.Tenant, req engin
 	b.mu.Unlock()
 	b.ready.Signal()
 	// Workers drain every admitted item before close returns, so an
-	// admitted request is always answered.
+	// admitted request whose submitter still waits is always answered.
 	select {
 	case resp := <-it.reply:
 		return resp, nil
@@ -200,7 +203,11 @@ func (b *batcher) take() (it batchItem, ok bool) {
 }
 
 // work is one worker: take the next request, serve it, reply; until
-// close has drained the backlog.
+// close has drained the backlog. A request whose submitter has gone is
+// not run, so no store query is spent that nobody would be billed for,
+// and not answered: its submitter returns its context's error, and a
+// reply would race that. The check is made once, at the take: the
+// request itself runs under the batcher's own deadline.
 func (b *batcher) work() {
 	defer b.workers.Done()
 	for {
@@ -210,6 +217,9 @@ func (b *batcher) work() {
 		}
 		if b.onDispatch != nil {
 			b.onDispatch()
+		}
+		if it.ctx.Err() != nil {
+			continue
 		}
 		it.reply <- b.serve(it.req)
 	}

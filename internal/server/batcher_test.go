@@ -31,10 +31,10 @@ func memStore(rows int) *db.Instance {
 }
 
 // TestBatcherCanceledSubmitterDoesNotPoisonBatchmates: a submitter
-// whose context is already dead gets ctx.Err back, but its request —
-// admitted — still executes under the batcher's own request context,
-// and requests from other clients keep being served. One client
-// hanging up must never fail another request or wedge a worker.
+// whose context is already dead gets ctx.Err back, its request is
+// dropped by the worker that takes it, and requests from other clients
+// keep being served. One client hanging up must never fail another
+// request or wedge a worker.
 func TestBatcherCanceledSubmitterDoesNotPoisonBatchmates(t *testing.T) {
 	b := testBatcher(t, memStore(40), 30*time.Second)
 	dead, cancel := context.WithCancel(context.Background())
@@ -51,6 +51,26 @@ func TestBatcherCanceledSubmitterDoesNotPoisonBatchmates(t *testing.T) {
 		if resp.Result == nil || resp.Result.Size() == 0 {
 			t.Fatalf("batchmate %d: empty result %+v", i, resp.Result)
 		}
+	}
+}
+
+// TestBatcherAbandonedRequestNeverRuns: requests whose submitters are
+// gone before a worker takes them issue no store query — they would be
+// billed to nobody — even though close drains every admitted item.
+func TestBatcherAbandonedRequestNeverRuns(t *testing.T) {
+	store := memStore(40)
+	b := testBatcher(t, store, 30*time.Second)
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := store.QueriesIssued()
+	for i := range 10 {
+		if _, err := b.submit(dead, "", engine.Request{ID: strconv.Itoa(i), Queries: workload.ListQueries(4, 40)}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("submit %d: %v, want context.Canceled", i, err)
+		}
+	}
+	b.close()
+	if n := store.QueriesIssued() - before; n != 0 {
+		t.Fatalf("abandoned requests issued %d store queries, want 0", n)
 	}
 }
 

@@ -154,7 +154,8 @@ func (o *op[Q, R]) serveHTTP(s *Server, w http.ResponseWriter, r *http.Request) 
 
 // serveWire is the binary adapter. The request decodes synchronously
 // (the connection's read buffer is reused by the next frame) and runs
-// on its own goroutine, so pipelined requests overlap.
+// on its own goroutine, so pipelined requests overlap, up to
+// maxInflight per connection.
 func (o *op[Q, R]) serveWire(s *Server, ctx context.Context, wc *wireConn, id uint64, d *wire.Dec, forwarded bool) {
 	var q Q
 	if o.GetReq != nil {
@@ -164,9 +165,9 @@ func (o *op[Q, R]) serveWire(s *Server, ctx context.Context, wc *wireConn, id ui
 		wc.badBody(id, err)
 		return
 	}
-	wc.inflight.Add(1)
+	wc.begin()
 	go func() {
-		defer wc.inflight.Done()
+		defer wc.end()
 		rep, status, err := o.run(s, ctx, q, forwarded)
 		if err != nil {
 			wc.replyErr(id, err)

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"entangled/internal/fault"
 	"entangled/internal/persist"
 	"entangled/internal/stream"
+	"entangled/internal/wire"
 	"entangled/internal/workload"
 )
 
@@ -198,5 +201,55 @@ func TestSessionsOwnNoGoroutine(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("64 sessions took %d goroutines from %d", after-before, before)
+	}
+}
+
+// TestUnreadPipelineHoldsBoundedGoroutines: a binary client that
+// pipelines 50,000 frames and reads no reply holds at most maxInflight
+// request goroutines on the server; past that the server stops reading
+// and the client's own writes stall in TCP backpressure.
+func TestUnreadPipelineHoldsBoundedGoroutines(t *testing.T) {
+	srv, err := New(engine.New(workload.NewStore(1, 8, 0), engine.Options{}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeWire(ln)
+	defer srv.Close()
+	before := runtime.NumGoroutine()
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A locked receive buffer, so the kernel cannot grow it to absorb
+	// the replies this client never reads.
+	if err := raw.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		w := bufio.NewWriter(raw)
+		w.WriteString(wire.Magic)
+		for id := uint64(1); id <= 50_000; id++ {
+			var e wire.Enc
+			wire.PutHeader(&e, wire.Header{Kind: wire.KindHealth, ID: id})
+			if wire.WriteFrame(w, e.Bytes()) != nil {
+				return
+			}
+		}
+		w.Flush()
+	}()
+	peak := 0
+	for end := time.Now().Add(time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		peak = max(peak, runtime.NumGoroutine()-before)
+	}
+	raw.Close()
+	<-wrote
+	if peak > maxInflight+16 {
+		t.Fatalf("one connection that reads nothing held %d extra goroutines, want at most %d", peak, maxInflight+16)
 	}
 }

@@ -25,6 +25,13 @@ const maxPendingPush = 1024
 // connection closes and the push falls back to the hub's backlog.
 const writeTimeout = 5 * time.Second
 
+// maxInflight bounds the requests one binary connection may have
+// unanswered. At the bound the read loop stops reading, so a client that
+// pipelines without reading its replies stalls its own connection
+// through TCP backpressure instead of holding a server goroutine per
+// frame. It is above every pipelining depth this module's clients use.
+const maxInflight = 256
+
 // pushHub routes parked-arrival-admitted notifications to the binary
 // connections subscribed to each session. A notification is delivered
 // to every live subscriber; with none connected it is buffered so a
@@ -137,13 +144,27 @@ func (p *pushHub) dropSession(name string) {
 }
 
 // wireConn is the server side of one binary-protocol connection:
-// requests dispatch concurrently (pipelining), replies and pushes
-// serialize through the write mutex.
+// requests dispatch concurrently (pipelining), up to maxInflight at a
+// time, and replies and pushes serialize through the write mutex.
 type wireConn struct {
 	c        net.Conn
 	timeout  time.Duration // bounds each frame write (writeTimeout)
 	wmu      sync.Mutex
 	inflight sync.WaitGroup
+	slots    chan struct{} // one token per unanswered request
+}
+
+// begin reserves an in-flight slot for a request about to run off the
+// read loop, blocking the loop while maxInflight are unanswered.
+func (wc *wireConn) begin() {
+	wc.slots <- struct{}{}
+	wc.inflight.Add(1)
+}
+
+// end releases the slot begin took.
+func (wc *wireConn) end() {
+	wc.inflight.Done()
+	<-wc.slots
 }
 
 // send encodes a frame through a pooled buffer and writes it. A write
@@ -185,9 +206,9 @@ func (wc *wireConn) replyErr(id uint64, err error) {
 // refuse answers, off the read loop, a request that never reached its
 // operation.
 func (wc *wireConn) refuse(id uint64, err error) {
-	wc.inflight.Add(1)
+	wc.begin()
 	go func() {
-		defer wc.inflight.Done()
+		defer wc.end()
 		wc.replyErr(id, err)
 	}()
 }
@@ -237,7 +258,7 @@ func (s *Server) ServeWire(l net.Listener) error {
 // leaves the stream unsynchronized (nothing to salvage — drop the
 // connection; a pipelined client redials).
 func (s *Server) serveWireConn(c net.Conn) {
-	wc := &wireConn{c: c, timeout: s.writeTimeout}
+	wc := &wireConn{c: c, timeout: s.writeTimeout, slots: make(chan struct{}, maxInflight)}
 	s.wireMu.Lock()
 	if s.draining() {
 		s.wireMu.Unlock()
