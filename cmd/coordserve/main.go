@@ -11,7 +11,7 @@
 //
 //	coordserve -listen :8080 [-listen-binary :9090] [-rows N] [-shards K] [-workers N]
 //	coordserve -listen :8080 -data-dir DIR [-fsync always|never|50ms] [-probe D]
-//	coordserve -listen :8080 -cluster-node a -cluster-peers a=:9101,b=:9102,c=:9103 [-cluster-vnodes N]
+//	coordserve -listen :8080 -cluster-node a -cluster-peers a=:9101,b=:9102,c=:9103
 //	coordserve -listen :8080 -tenants policy.json
 //
 // The store is the canonical workload table (workload.NewStore): -rows
@@ -21,14 +21,17 @@
 // table and snapshotted, a used one is recovered as it is and -rows is
 // ignored.
 //
+// The serving bounds (internal/server) and the log's segment and
+// compaction sizes (internal/persist) are constants, not flags.
+//
 // -cluster-peers turns N coordserve processes into one logical
 // service: every node is started with the same membership list
 // (name=binary-address pairs) and its own -cluster-node name, each
 // holds a full replica of the data (same -rows/-shards), and a
-// consistent-hash ring over the names places sessions and
-// single-owner batch requests. A client may talk to any node: a
-// request landing on the wrong node forwards once over the binary
-// protocol. The binary listener defaults to the node's own membership
+// consistent-hash ring over the names (64 virtual points a member,
+// cluster.DefaultVNodes) places sessions and single-owner batch
+// requests. A client may talk to any node: a request landing on the
+// wrong node forwards once over the binary protocol. The binary listener defaults to the node's own membership
 // address.
 package main
 
@@ -47,14 +50,13 @@ import (
 
 // config is what the flags say; parseFlags fills it and run serves it.
 type config struct {
-	listen, listenBinary   string
-	rows, shards, workers  int
-	dataDir, fsync         string
-	probe, dispatchTimeout time.Duration
-	clusterNode            string
-	clusterPeers           string
-	clusterVNodes          int
-	tenants                string
+	listen, listenBinary  string
+	rows, shards, workers int
+	dataDir, fsync        string
+	probe                 time.Duration
+	clusterNode           string
+	clusterPeers          string
+	tenants               string
 }
 
 // parseFlags reads the command line. Everything it refuses is a usage
@@ -72,10 +74,8 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.StringVar(&c.dataDir, "data-dir", "", "durable data directory (snapshot + WAL); empty = in-memory only")
 	fs.StringVar(&c.fsync, "fsync", "always", "WAL sync policy: always, never, or a flush interval like 50ms")
 	fs.DurationVar(&c.probe, "probe", 0, "degraded-mode probe interval (0 = 500ms default; negative disables)")
-	fs.DurationVar(&c.dispatchTimeout, "dispatch-timeout", 0, "per-batch dispatch deadline (0 = 30s default; negative disables)")
 	fs.StringVar(&c.clusterNode, "cluster-node", "", "this node's name in the cluster membership (requires -cluster-peers)")
 	fs.StringVar(&c.clusterPeers, "cluster-peers", "", "full cluster membership as name=host:port binary-protocol entries, comma-separated; empty = standalone")
-	fs.IntVar(&c.clusterVNodes, "cluster-vnodes", 0, "virtual ring points per member (0 = 64); must match on every node")
 	fs.StringVar(&c.tenants, "tenants", "", "per-tenant admission policy JSON file; empty = no admission control")
 	if err := fs.Parse(args); err != nil {
 		return c, err

@@ -91,7 +91,7 @@ func run(ctx context.Context, cfg config, stdout io.Writer) error {
 		if sh, ok := store.(*db.ShardedInstance); ok {
 			placement = sh.HashColumns()
 		}
-		cr, err = cluster.New(cluster.Config{Self: cfg.clusterNode, Nodes: nodes, VNodes: cfg.clusterVNodes}, cluster.Options{
+		cr, err = cluster.New(cluster.Config{Self: cfg.clusterNode, Nodes: nodes}, cluster.Options{
 			Placement: placement,
 			Dial:      func(addr string) cluster.PeerConn { return client.DialPeer(addr) },
 		})
@@ -101,7 +101,7 @@ func run(ctx context.Context, cfg config, stdout io.Writer) error {
 		defer cr.Close()
 	}
 	e := engine.New(store, engine.Options{Workers: cfg.workers})
-	srv, err := server.New(e, server.Options{Persist: backend, ProbeInterval: cfg.probe, DispatchTimeout: cfg.dispatchTimeout, Cluster: cr, Admission: adm})
+	srv, err := server.New(e, server.Options{Persist: backend, ProbeInterval: cfg.probe, Cluster: cr, Admission: adm})
 	if err != nil {
 		return fmt.Errorf("recovering sessions: %w", err)
 	}

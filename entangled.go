@@ -142,7 +142,3 @@ func AllCandidates(qs []Query, inst *Instance, opts Options) ([]coord.CandidateS
 // Trace re-exports the SCC algorithm's step-by-step record; pass a
 // fresh &Trace{} in Options.Trace and render it with its Render method.
 type Trace = coord.Trace
-
-// Load reads a database instance previously written with
-// Instance.Save.
-func Load(dir string) (*Instance, error) { return db.Load(dir) }

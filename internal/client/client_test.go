@@ -57,6 +57,27 @@ func TestNewValidatesBaseURL(t *testing.T) {
 // TestErrorDecoding drives do() against a stub server: the envelope
 // must come back as a typed *Error carrying status, code and message,
 // with the sentinel reattached for errors.Is.
+// TestSubscribeOverHTTPRefusesAndSendsNothing: push needs the binary
+// protocol, so Subscribe on an HTTP client refuses at once, naming it,
+// and the server sees no request.
+func TestSubscribeOverHTTPRefusesAndSendsNothing(t *testing.T) {
+	requests := 0
+	ts := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { requests++ }))
+	defer ts.Close()
+	c, err := New(ts.URL, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, err := c.Session("s").Subscribe(context.Background(), func(Notification) { t.Error("notified") })
+	if err == nil || stop != nil || !strings.Contains(err.Error(), "require the binary protocol") {
+		t.Fatalf("Subscribe over HTTP: stop %v, err %v; want a refusal naming the binary protocol", stop != nil, err)
+	}
+	ts.Close() // waits for any request in flight
+	if requests != 0 {
+		t.Fatalf("Subscribe over HTTP sent %d requests, want none", requests)
+	}
+}
+
 func TestErrorDecoding(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

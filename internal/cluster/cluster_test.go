@@ -95,7 +95,6 @@ func TestConfigValidation(t *testing.T) {
 		{"duplicate name", cluster.Config{Self: "a", Nodes: []cluster.Node{{Name: "a", Addr: "h:1"}, {Name: "a", Addr: "h:2"}}}, cluster.Options{Dial: dial}},
 		{"empty membership", cluster.Config{Self: "a"}, cluster.Options{Dial: dial}},
 		{"missing dial", cluster.Config{Self: "a", Nodes: nodes}, cluster.Options{}},
-		{"negative vnodes", cluster.Config{Self: "a", Nodes: nodes, VNodes: -1}, cluster.Options{Dial: dial}},
 	}
 	for _, tc := range cases {
 		if _, err := cluster.New(tc.cfg, tc.opts); err == nil {
@@ -114,8 +113,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestVersionFingerprint pins what the membership fingerprint is
-// sensitive to: order must not matter, names, addresses, and the
-// virtual-node count must.
+// sensitive to: order must not matter, names and addresses must.
 func TestVersionFingerprint(t *testing.T) {
 	a := cluster.Config{Self: "a", Nodes: []cluster.Node{{Name: "a", Addr: "h:1"}, {Name: "b", Addr: "h:2"}}}
 	b := cluster.Config{Self: "b", Nodes: []cluster.Node{{Name: "b", Addr: "h:2"}, {Name: "a", Addr: "h:1"}}}
@@ -125,7 +123,6 @@ func TestVersionFingerprint(t *testing.T) {
 	diffs := []cluster.Config{
 		{Self: "a", Nodes: []cluster.Node{{Name: "a", Addr: "h:1"}, {Name: "b", Addr: "h:9"}}},
 		{Self: "a", Nodes: []cluster.Node{{Name: "a", Addr: "h:1"}, {Name: "c", Addr: "h:2"}}},
-		{Self: "a", Nodes: a.Nodes, VNodes: 128},
 	}
 	for i, d := range diffs {
 		if d.Version() == a.Version() {

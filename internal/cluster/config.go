@@ -17,21 +17,18 @@ type Node struct {
 }
 
 // Config is the static membership a node boots with. Every node in a
-// cluster must be started with the same Nodes and VNodes (Version
-// fingerprints both, so disagreement is detectable); Self names this
-// process's own entry.
+// cluster must be started with the same Nodes (Version fingerprints
+// them, so disagreement is detectable); Self names this process's own
+// entry.
 type Config struct {
 	// Self is this node's name; it must appear in Nodes.
 	Self string
 	// Nodes is the full membership, self included.
 	Nodes []Node
-	// VNodes is the number of virtual ring points per node; 0 means
-	// DefaultVNodes.
-	VNodes int
 }
 
-// DefaultVNodes is the virtual-point count used when Config.VNodes is
-// zero — enough that a 3-node ring balances within a few percent.
+// DefaultVNodes is the number of virtual ring points per node — enough
+// that a 3-node ring balances within a few percent.
 const DefaultVNodes = 64
 
 // ParsePeers parses the -cluster-peers flag format: a comma-separated
@@ -63,16 +60,9 @@ func ParsePeers(s string) ([]Node, error) {
 	return nodes, nil
 }
 
-// normalize sorts the membership by name, applies defaults, and
-// validates: names unique and non-empty, addresses non-empty, Self
-// present.
+// normalize sorts the membership by name and validates: names unique
+// and non-empty, addresses non-empty, Self present.
 func (c Config) normalize() (Config, error) {
-	if c.VNodes == 0 {
-		c.VNodes = DefaultVNodes
-	}
-	if c.VNodes < 1 {
-		return c, fmt.Errorf("cluster: virtual node count %d < 1", c.VNodes)
-	}
 	if len(c.Nodes) == 0 {
 		return c, fmt.Errorf("cluster: empty membership")
 	}
@@ -102,9 +92,6 @@ func (c Config) normalize() (Config, error) {
 // independent) and the virtual-node count: two nodes reporting the
 // same version hold byte-identical rings and address tables.
 func (c Config) Version() string {
-	if c.VNodes == 0 {
-		c.VNodes = DefaultVNodes
-	}
 	nodes := make([]Node, len(c.Nodes))
 	copy(nodes, c.Nodes)
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
@@ -112,7 +99,7 @@ func (c Config) Version() string {
 	// One FNV-1a pass over every field, each followed by a zero byte so
 	// field boundaries cannot blur.
 	var b strings.Builder
-	fmt.Fprintf(&b, "v%d\x00", c.VNodes)
+	fmt.Fprintf(&b, "v%d\x00", DefaultVNodes)
 	for _, n := range c.Nodes {
 		b.WriteString(n.Name + "\x00" + n.Addr + "\x00")
 	}

@@ -87,7 +87,7 @@ func New(cfg Config, opts Options) (*Router, error) {
 	}
 	r := &Router{
 		cfg:       cfg,
-		ring:      NewRing(names, cfg.VNodes),
+		ring:      NewRing(names, DefaultVNodes),
 		placement: opts.Placement,
 		version:   cfg.Version(),
 		peers:     make(map[string]*peerState, len(cfg.Nodes)-1),
@@ -274,7 +274,7 @@ func (r *Router) Status() api.ClusterStatus {
 	cs := api.ClusterStatus{
 		Enabled:      true,
 		Self:         r.cfg.Self,
-		VirtualNodes: r.cfg.VNodes,
+		VirtualNodes: DefaultVNodes,
 		Version:      r.version,
 		Nodes:        make([]api.ClusterNode, len(r.cfg.Nodes)),
 	}

@@ -16,14 +16,14 @@ type Tuple []eq.Value
 // Relation is a named table with a fixed arity and optional per-column
 // hash indexes. A Relation is safe for concurrent use: readers share an
 // RWMutex, so any number of queries may scan it while mutations (Insert,
-// BuildIndex, DeleteWhere) are serialised. Name and Attrs must not be
+// BuildIndex) are serialised. Name and Attrs must not be
 // changed once the relation is visible to other goroutines.
 //
 // The rows are one slab of values, row-major, Arity() to a row. A Tuple
 // the relation hands out is a view of its row, capped there, so an
 // append to it copies instead of writing into the next row. The slab
-// only grows in place — DeleteWhere builds a new one — so a view keeps
-// its values for as long as it is held.
+// only grows in place, so a view keeps its values for as long as it is
+// held.
 type Relation struct {
 	Name  string
 	Attrs []string // attribute names; len(Attrs) is the arity
@@ -78,16 +78,12 @@ func (r *Relation) Insert(vals ...eq.Value) {
 func (r *Relation) BuildIndex(col int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.buildIndexLocked(col)
-	r.version.Add(1)
-}
-
-func (r *Relation) buildIndexLocked(col int) {
 	idx := &index{col: col, slots: make([]int32, 8), next: make([]int32, 0, r.rows)}
 	for row := 0; row < r.rows; row++ {
 		idx.add(r, row)
 	}
 	r.indexes[col] = idx
+	r.version.Add(1)
 }
 
 // tuple returns row i's view; the caller holds the lock.

@@ -190,6 +190,9 @@ func TestApplyBatchStopsAtFirstFailure(t *testing.T) {
 		if !errors.As(err, &me) || me.Index != 2 {
 			t.Fatalf("%T: batch error %v, want a *MutationError at index 2", w, err)
 		}
+		if errors.Unwrap(err) != me.Err {
+			t.Fatalf("%T: batch error unwraps to %v, want the mutation's %v", w, errors.Unwrap(err), me.Err)
+		}
 		if got, want := err.Error(), "db: insert into R: 1 values for arity 2"; got != want {
 			t.Fatalf("%T: error text %q, want %q", w, got, want)
 		}

@@ -105,22 +105,6 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 }
 
-func TestExplainSharesCompiledPlan(t *testing.T) {
-	in := planTestInstance()
-	body := []eq.Atom{eq.NewAtom("R", eq.V("x"), eq.C("v1"))}
-	if _, err := in.Explain(body); err != nil {
-		t.Fatal(err)
-	}
-	st := in.PlanStats()
-	if _, _, err := in.Solve(body); err != nil {
-		t.Fatal(err)
-	}
-	after := in.PlanStats()
-	if after.Misses != st.Misses || after.Hits != st.Hits+1 {
-		t.Fatalf("Solve must reuse the plan Explain compiled: before %+v after %+v", st, after)
-	}
-}
-
 // TestPlanCacheConcurrentInvalidation hammers one instance with
 // concurrent queries while the schema churns underneath them
 // (BuildIndex bumps, whole-relation replacement). Run under -race; the

@@ -19,8 +19,16 @@ import (
 	"entangled/internal/frame"
 )
 
-// Options configures Open. The zero value is usable: one shard, fsync
-// on every append, 4 MiB segments, compaction after 64 MiB of log.
+// The log's two sizes: a segment rotates past rotateBytes, and the
+// backend compacts once compactBytes of log accumulate past the last
+// snapshot.
+const (
+	rotateBytes  = 4 << 20
+	compactBytes = 64 << 20
+)
+
+// Options configures Open. The zero value is usable: one shard and an
+// fsync on every append.
 type Options struct {
 	// Shards is the hash-partition count of the store the logs replay
 	// into. 0 means 1 (a plain instance); >1 builds a ShardedInstance.
@@ -30,12 +38,6 @@ type Options struct {
 	Shards int
 	// Sync is the fsync policy of the log.
 	Sync SyncPolicy
-	// RotateBytes caps a WAL segment before rotation (default 4 MiB).
-	RotateBytes int64
-	// CompactBytes triggers snapshot-truncate compaction once that many
-	// log bytes accumulate past the last snapshot (default 64 MiB;
-	// negative disables automatic compaction).
-	CompactBytes int64
 	// FS is the filesystem every byte goes through (default fault.OS).
 	// Tests inject fault.NewFS wrappers here; nothing in the backend
 	// touches os.* directly.
@@ -148,9 +150,11 @@ type Backend struct {
 	scratch   []byte   // the session payload being appended
 	snapSeq   int
 	sinceSnap int64
-	closed    bool
-	journals  int          // sessions live in the log
-	lives     sessionLives // what Open recovered, until RecoverSessions
+	// compactBytes is the constant, unless a test shrinks it after Open.
+	compactBytes int64
+	closed       bool
+	journals     int          // sessions live in the log
+	lives        sessionLives // what Open recovered, until RecoverSessions
 
 	cause           atomic.Pointer[error] // why the backend is degraded; nil when healthy
 	degradeEvents   atomic.Int64
@@ -180,16 +184,11 @@ var (
 // (importSessions). RecoverSessions hands out the sessions.
 func Open(dir string, opts Options) (*Backend, error) {
 	start := time.Now()
-	if opts.RotateBytes <= 0 {
-		opts.RotateBytes = 4 << 20
-	}
-	if opts.CompactBytes == 0 {
-		opts.CompactBytes = 64 << 20
-	}
 	if opts.FS == nil {
 		opts.FS = fault.OS
 	}
-	b := &Backend{dir: dir, storeDir: filepath.Join(dir, "store"), opts: opts, fs: opts.FS, lives: sessionLives{}}
+	b := &Backend{dir: dir, storeDir: filepath.Join(dir, "store"), opts: opts, fs: opts.FS, lives: sessionLives{},
+		compactBytes: compactBytes}
 	b.cond.L = &b.mu
 	if err := b.fs.MkdirAll(b.storeDir, 0o755); err != nil {
 		return nil, err
@@ -349,7 +348,7 @@ func (b *Backend) recoverStore() error {
 	if len(live) > 0 {
 		next = max(next, live[len(live)-1]+1)
 	}
-	b.wal = &wal{dir: b.storeDir, fsys: b.fs, policy: b.opts.Sync, rotateBytes: b.opts.RotateBytes,
+	b.wal = &wal{dir: b.storeDir, fsys: b.fs, policy: b.opts.Sync, rotateBytes: rotateBytes,
 		lastSync: time.Now(), flush: func() { _ = b.Sync() }}
 	return b.wal.open(next, 0)
 }
@@ -445,8 +444,8 @@ func (b *Backend) Apply(ms ...db.Mutation) error {
 // payloads; with sync set it fsyncs them holding b.mu, so no frame lands
 // behind them, and otherwise under SyncAlways it waits in commit. A
 // failure queues every payload it lost, in log order, degrades the
-// backend and returns ErrIndeterminate. Past CompactBytes of log it
-// compacts; a failed compaction waits for another CompactBytes.
+// backend and returns ErrIndeterminate. Past compactBytes of log it
+// compacts; a failed compaction waits for another compactBytes.
 func (b *Backend) appendLocked(sync bool, payloads ...[]byte) error {
 	w := b.wal
 	w.awaited = sync
@@ -467,7 +466,7 @@ func (b *Backend) appendLocked(sync bool, payloads ...[]byte) error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrIndeterminate, err)
 	}
-	if b.opts.CompactBytes > 0 && b.sinceSnap >= b.opts.CompactBytes && !b.Degraded() && b.compactLocked() != nil {
+	if b.sinceSnap >= b.compactBytes && !b.Degraded() && b.compactLocked() != nil {
 		b.compactFailures.Add(1)
 		b.sinceSnap = 0
 	}

@@ -3,6 +3,7 @@ package persist
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -50,6 +51,16 @@ func openT(t *testing.T, dir string, opts Options) *Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return b
+}
+
+// openSmall is openT with the log's two sizes shrunk, so a test's few
+// frames rotate segments every rotate bytes and compact every compact
+// bytes.
+func openSmall(t *testing.T, dir string, opts Options, rotate, compact int64) *Backend {
+	t.Helper()
+	b := openT(t, dir, opts)
+	b.wal.rotateBytes, b.compactBytes = rotate, compact
 	return b
 }
 
@@ -113,7 +124,7 @@ func TestBackendShardMismatchRejected(t *testing.T) {
 func TestBackendRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotation; manual compaction only.
-	b := openT(t, dir, Options{Sync: SyncNever, RotateBytes: 256, CompactBytes: -1})
+	b := openSmall(t, dir, Options{Sync: SyncNever}, 256, compactBytes)
 	if err := db.ApplyAll(b, seedMutations(80)); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +173,7 @@ func TestBackendRotationAndCompaction(t *testing.T) {
 
 func TestBackendAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
-	b := openT(t, dir, Options{Sync: SyncNever, RotateBytes: 256, CompactBytes: 2048})
+	b := openSmall(t, dir, Options{Sync: SyncNever}, 256, 2048)
 	if err := db.ApplyAll(b, seedMutations(120)); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +226,7 @@ func TestBackendTornTailTruncated(t *testing.T) {
 
 func TestBackendMidLogCorruptionFailsOpen(t *testing.T) {
 	dir := t.TempDir()
-	b := openT(t, dir, Options{Sync: SyncNever, RotateBytes: 256, CompactBytes: -1})
+	b := openSmall(t, dir, Options{Sync: SyncNever}, 256, compactBytes)
 	if err := db.ApplyAll(b, seedMutations(40)); err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +248,14 @@ func TestBackendMidLogCorruptionFailsOpen(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+	_, err = Open(dir, Options{})
+	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mid-log corruption: Open returned %v, want ErrCorrupt", err)
+	}
+	// The message names the file and where in it the log stops parsing.
+	var ce *CorruptError
+	if !errors.As(err, &ce) || ce.Path != seg || !strings.Contains(err.Error(), fmt.Sprintf("%s: corrupt at offset %d", seg, ce.Offset)) {
+		t.Fatalf("mid-log corruption: %v, want it to name %s and the offset", err, seg)
 	}
 }
 

@@ -102,21 +102,20 @@ func TestApplyAllIsOneSync(t *testing.T) {
 	}
 }
 
-// TestBatchSplitsWhereSingleAppendsRotate: a batch crossing RotateBytes
+// TestBatchSplitsWhereSingleAppendsRotate: a batch crossing rotateBytes
 // leaves byte-identical segments to the same mutations applied one at a
 // time, and under SyncAlways costs one fsync per segment it touches.
 func TestBatchSplitsWhereSingleAppendsRotate(t *testing.T) {
 	ms := seedMutations(60)
-	opts := Options{RotateBytes: 512, CompactBytes: -1}
 	one, batch := t.TempDir(), t.TempDir()
-	b := openT(t, one, opts)
+	b := openSmall(t, one, Options{}, 512, compactBytes)
 	for _, m := range ms {
 		if err := b.Apply(m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	b.Close()
-	b = openT(t, batch, opts)
+	b = openSmall(t, batch, Options{}, 512, compactBytes)
 	if err := b.Apply(ms...); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +243,7 @@ func TestSingleApplyErrorText(t *testing.T) {
 // acked frame in a fresh segment cannot lose its directory entry.
 func TestNewSegmentNamesAreSynced(t *testing.T) {
 	rec := &recordFS{FS: fault.OS}
-	b := openT(t, t.TempDir(), Options{FS: rec, RotateBytes: 256, CompactBytes: -1})
+	b := openSmall(t, t.TempDir(), Options{FS: rec}, 256, compactBytes)
 	defer b.Close()
 	applied := func() { rec.log("applied", "-") }
 	if err := db.ApplyAll(b, seedMutations(20)); err != nil {

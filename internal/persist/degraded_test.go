@@ -326,13 +326,13 @@ func TestProbeFlushHoldsTheLog(t *testing.T) {
 
 // TestFailedCompactionBacksOff: a snapshot that cannot be written fails
 // its compaction before the log rotates, and the next attempt waits for
-// another CompactBytes of log, so a lasting failure costs neither a
+// another compactBytes of log, so a lasting failure costs neither a
 // segment nor a read-back of the log per append.
 func TestFailedCompactionBacksOff(t *testing.T) {
-	const compactBytes = 2048
+	const compact = 2048
 	inj := fault.NewInjector(1, fault.Rule{Op: fault.OpWrite, Path: "snapshot.tmp",
 		Fault: fault.Fault{Err: syscall.EIO}})
-	b := openT(t, t.TempDir(), Options{FS: fault.NewFS(fault.OS, inj), CompactBytes: compactBytes})
+	b := openSmall(t, t.TempDir(), Options{FS: fault.NewFS(fault.OS, inj)}, rotateBytes, compact)
 	defer b.Close()
 	for _, m := range seedMutations(120) {
 		if err := b.Apply(m); err != nil {
@@ -341,9 +341,9 @@ func TestFailedCompactionBacksOff(t *testing.T) {
 	}
 	m := b.Metrics()
 	_, faults := inj.Stats()
-	if m.CompactFailures == 0 || m.CompactFailures != faults || m.CompactFailures > m.StoreBytes/compactBytes {
+	if m.CompactFailures == 0 || m.CompactFailures != faults || m.CompactFailures > m.StoreBytes/compact {
 		t.Fatalf("%d failed compactions (%d faults) over %d log bytes, want 1 to %d",
-			m.CompactFailures, faults, m.StoreBytes, m.StoreBytes/compactBytes)
+			m.CompactFailures, faults, m.StoreBytes, m.StoreBytes/compact)
 	}
 	if m.StoreRotations != 0 || m.Compactions != 0 || m.Degraded {
 		t.Fatalf("after failed compactions: %+v", m)

@@ -201,7 +201,7 @@ func TestGroupCommitSharesOneFsync(t *testing.T) {
 // comes back. No superseded segment or snapshot remains.
 func TestCompactionCarriesLiveSessions(t *testing.T) {
 	dir := t.TempDir()
-	b := openT(t, dir, Options{RotateBytes: 256, CompactBytes: -1})
+	b := openSmall(t, dir, Options{}, 256, compactBytes)
 	if err := db.ApplyAll(b, seedMutations(10)); err != nil {
 		t.Fatal(err)
 	}

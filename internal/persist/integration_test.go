@@ -27,12 +27,12 @@ func TestKillAndReopenCycles(t *testing.T) {
 		for _, sync := range []SyncPolicy{SyncAlways, SyncNever, SyncEvery(10 * time.Millisecond)} {
 			t.Run(fmt.Sprintf("shards=%d/fsync=%s", shards, sync), func(t *testing.T) {
 				dir := t.TempDir()
-				// Small segments so rotation happens constantly.
-				opts := Options{Shards: shards, Sync: sync, RotateBytes: 4 << 10, CompactBytes: -1}
+				opts := Options{Shards: shards, Sync: sync}
 				var applied []db.Mutation
 				var journaled []stream.Event
 				for cycle := 0; cycle < cycles; cycle++ {
-					b := openT(t, dir, opts)
+					// Small segments so rotation happens constantly.
+					b := openSmall(t, dir, opts, 4<<10, compactBytes)
 					if (cycle == 0) != b.Fresh() {
 						t.Fatalf("cycle %d: fresh=%v", cycle, b.Fresh())
 					}

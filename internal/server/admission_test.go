@@ -483,3 +483,57 @@ func TestTenantNamesAreBounded(t *testing.T) {
 		t.Fatalf("refused names created tenants: %d -> %d (%v)", len(st.Tenants), len(after.Tenants), err)
 	}
 }
+
+// TestStandaloneNodeRefusesForwards: a node outside a cluster takes a
+// forward envelope for the protocol error it is and closes the
+// connection, so a client cannot wrap its calls in forwards to skip
+// admission and billing: with a burst of 1, five plain calls see four
+// throttled, and fifty forwarded ones are served none and move no
+// counter of the tenant's ledger.
+func TestStandaloneNodeRefusesForwards(t *testing.T) {
+	h := newAdmissionLoopback(t, &admission.Config{Default: admission.Policy{Rate: 0.001, Burst: 1}}, server.Options{})
+	ctx := context.Background()
+	queries := workload.ListQueriesAt(2, 1)
+	c := h.client("binary", "")
+	throttled := 0
+	for range 5 {
+		if _, err := c.Coordinate(ctx, queries); err != nil {
+			requireThrottled(t, err)
+			throttled++
+		}
+	}
+	if throttled != 4 {
+		t.Fatalf("%d of 5 plain calls throttled, want 4", throttled)
+	}
+	ledger := func() []api.TenantStatus {
+		ts, err := h.client("http", "").Tenants(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts.Tenants
+	}
+	before := ledger()
+
+	cc, err := wire.Dial(h.binAddr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	var inner wire.Enc
+	wire.Coordinate.Bind(wire.CoordinateReq{Requests: []api.Request{{ID: "f", Queries: queries}}}).Encode(&inner)
+	fwd := wire.Forward{Origin: "x", Hops: 1, Kind: wire.KindCoordinate, Body: inner.Bytes()}
+	for i := range 50 {
+		if status, _, err := cc.Call(ctx, wire.KindForward, fwd.Encode); err == nil {
+			t.Fatalf("forward %d served with status %d by a standalone node", i, status)
+		}
+	}
+	after := ledger()
+	if len(after) != len(before) {
+		t.Fatalf("ledger before the forwards %+v, after %+v", before, after)
+	}
+	for i, b := range before {
+		if a := after[i]; a.Tenant != b.Tenant || a.Admitted != b.Admitted || a.Throttled != b.Throttled || a.DBQueriesSpent != b.DBQueriesSpent {
+			t.Fatalf("ledger moved across the forwards: before %+v, after %+v", b, a)
+		}
+	}
+}

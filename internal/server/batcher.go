@@ -79,8 +79,8 @@ func (q *tenantQueue) pop() batchItem {
 // tenant's flood cannot consume another's queue space.
 type batcher struct {
 	e          *engine.Engine
-	depth      int           // per-tenant queue bound
-	timeout    time.Duration // per-request deadline; <=0 means none
+	depth      int           // per-tenant queue bound: queueDepth
+	timeout    time.Duration // per-request deadline: dispatchTimeout
 	onDispatch func()        // observes every request handed to a worker
 	// weight maps a tenant to its DRR weight (>=1); nil means every
 	// tenant weighs 1.
@@ -96,12 +96,11 @@ type batcher struct {
 	workers sync.WaitGroup
 }
 
-func newBatcher(e *engine.Engine, queueDepth int, timeout time.Duration,
-	onDispatch func(), weight func(admission.Tenant) int) *batcher {
+func newBatcher(e *engine.Engine, onDispatch func(), weight func(admission.Tenant) int) *batcher {
 	b := &batcher{
 		e:          e,
 		depth:      queueDepth,
-		timeout:    timeout,
+		timeout:    dispatchTimeout,
 		onDispatch: onDispatch,
 		weight:     weight,
 		queues:     map[admission.Tenant]*tenantQueue{},
@@ -232,12 +231,8 @@ func (b *batcher) work() {
 // between store calls — one store call already in flight must still
 // return on its own.
 func (b *batcher) serve(req engine.Request) engine.Response {
-	ctx := context.Background()
-	if b.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, b.timeout)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), b.timeout)
+	defer cancel()
 	res, err := b.e.Coordinate(ctx, req.Queries)
 	return engine.Response{ID: req.ID, Result: res, Err: err}
 }

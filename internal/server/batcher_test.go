@@ -19,7 +19,8 @@ import (
 func testBatcher(t *testing.T, store db.Store, timeout time.Duration) *batcher {
 	t.Helper()
 	e := engine.New(store, engine.Options{Workers: 2})
-	b := newBatcher(e, 64, timeout, nil, nil)
+	b := newBatcher(e, nil, nil)
+	b.timeout = timeout // before any submit, whose lock orders it before the workers' reads
 	t.Cleanup(b.close)
 	return b
 }

@@ -200,8 +200,8 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 	const rows = 32
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			lc := newLoopCluster(t, 3, shards, rows, server.Options{MaxBatch: 64})
-			_, single, _ := newDualLoopback(t, workload.NewStore(shards, rows, 0), server.Options{MaxBatch: 64})
+			lc := newLoopCluster(t, 3, shards, rows, server.Options{})
+			_, single, _ := newDualLoopback(t, workload.NewStore(shards, rows, 0), server.Options{})
 			direct := lc.binTo(t, 0)
 			edge := lc.httpTo(t, 1)
 			ctx := context.Background()
@@ -335,6 +335,11 @@ func TestClusterPlacementAndForwarding(t *testing.T) {
 		}
 		if len(cs.Relations) != 1 || cs.Relations[0].Relation != "T" || cs.Relations[0].Column != 1 {
 			t.Fatalf("node %d placement %+v, want T/1", i, cs.Relations)
+		}
+		// The reported fingerprint is the router's, which is the
+		// membership's, over 64 virtual nodes a member.
+		if v := (cluster.Config{Self: cn.name, Nodes: lc.members}).Version(); cs.Version != cn.router.Version() || cs.Version != v || cs.VirtualNodes != 64 {
+			t.Fatalf("node %d reports version %s over %d vnodes; router %s, membership %s, want 64", i, cs.Version, cs.VirtualNodes, cn.router.Version(), v)
 		}
 		versions = append(versions, cs.Version)
 	}

@@ -23,11 +23,13 @@
 //     each take the next request by deficit round-robin and run it
 //     through engine.Coordinate (see batcher.go). A full queue rejects
 //     requests with the typed code "overloaded" (inline in the batch
-//     response) instead of building backlog.
+//     response) instead of building backlog. The bounds — maxBatch,
+//     queueDepth, mailboxSize, idleTimeout, dispatchTimeout — are
+//     constants (server.go).
 //   - the session registry: named stream.Sessions over the shared
 //     store, each serving its events one at a time in a turn the
-//     posting goroutine takes (at most MailboxSize wait for it),
-//     evicted after an idle timeout, drained (not dropped) on shutdown
+//     posting goroutine takes (at most mailboxSize wait for it),
+//     evicted after idleTimeout, drained (not dropped) on shutdown
 //     (see registry.go). Park/retry admission outcomes surface as
 //     typed wire errors.
 //   - the operational surface: /healthz, and /metrics with request

@@ -37,6 +37,10 @@ func (s *Server) TenantKeyed() int {
 	return len(s.batch.queues)
 }
 
+// EvictIdle runs one pass of the session janitor as if the clock read
+// now.
+func (s *Server) EvictIdle(now time.Time) { s.reg.evictIdle(now) }
+
 // SetWriteTimeout shortens the deadline of each frame write to a binary
 // connection; call it before serving.
 func (s *Server) SetWriteTimeout(d time.Duration) { s.writeTimeout = d }

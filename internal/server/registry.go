@@ -104,14 +104,12 @@ func (h *sessionHandle) close() {
 // shared store, created on demand, evicted after idleTimeout without a
 // client touch, torn down together on server drain.
 type registry struct {
-	newSession  func(parkUnsafe bool) *stream.Session
-	newJournal  func(name string, parkUnsafe bool) (eventJournal, error) // nil: no durability
-	notify      func(name string, up stream.Update)                      // every handle's notify hook
-	onDrop      func(name string)                                        // observes a removed or evicted session
-	skipEvict   func() bool                                              // nil: never skip a janitor pass
-	nameOK      func(name string) bool                                   // nil: any generated name is fine
-	mailboxSize int
-	idleTimeout time.Duration
+	newSession func(parkUnsafe bool) *stream.Session
+	newJournal func(name string, parkUnsafe bool) (eventJournal, error) // nil: no durability
+	notify     func(name string, up stream.Update)                      // every handle's notify hook
+	onDrop     func(name string)                                        // observes a removed or evicted session
+	skipEvict  func() bool                                              // nil: never skip a janitor pass
+	nameOK     func(name string) bool                                   // nil: any generated name is fine
 
 	mu       sync.Mutex
 	handles  map[string]*sessionHandle
@@ -127,14 +125,11 @@ type registry struct {
 	janitorDone chan struct{}
 }
 
-func newRegistry(newSession func(bool) *stream.Session, mailboxSize int, idleTimeout time.Duration,
-	notify func(string, stream.Update), onDrop func(string)) *registry {
+func newRegistry(newSession func(bool) *stream.Session, notify func(string, stream.Update), onDrop func(string)) *registry {
 	r := &registry{
 		newSession:  newSession,
 		notify:      notify,
 		onDrop:      onDrop,
-		mailboxSize: mailboxSize,
-		idleTimeout: idleTimeout,
 		handles:     map[string]*sessionHandle{},
 		dropping:    map[string]bool{},
 		janitorStop: make(chan struct{}),
@@ -195,7 +190,7 @@ func (r *registry) adopt(name string, sess *stream.Session, journal eventJournal
 // add registers a new handle under a free name; callers hold r.mu.
 func (r *registry) add(name string, sess *stream.Session, journal eventJournal) *sessionHandle {
 	h := &sessionHandle{name: name, sess: sess, journal: journal, notify: r.notify,
-		turn: make(chan struct{}, 1), bound: 1 + int64(r.mailboxSize)}
+		turn: make(chan struct{}, 1), bound: 1 + mailboxSize}
 	h.touch()
 	r.handles[name] = h
 	r.created.Add(1)
@@ -264,50 +259,48 @@ func (r *registry) open() int {
 	return len(r.handles)
 }
 
-// janitor evicts sessions idle past the timeout. It scans at a quarter
+// janitor evicts sessions idle past idleTimeout. It scans at a quarter
 // of the timeout so eviction lags idleness by at most ~1.25x.
 func (r *registry) janitor() {
 	defer close(r.janitorDone)
-	if r.idleTimeout <= 0 {
-		<-r.janitorStop
-		return
-	}
-	tick := r.idleTimeout / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(idleTimeout / 4)
 	defer t.Stop()
 	for {
 		select {
 		case <-r.janitorStop:
 			return
 		case now := <-t.C:
-			// Pause eviction when asked (the server sets this to the
-			// backend's degraded check): a drop needs the log, and a lost
-			// drop resurrects the session later.
-			if r.skipEvict != nil && r.skipEvict() {
-				continue
-			}
-			cutoff := now.Add(-r.idleTimeout).UnixNano()
-			r.mu.Lock()
-			var idle []*sessionHandle
-			for name, h := range r.handles {
-				if h.lastUsed.Load() < cutoff {
-					idle = append(idle, h)
-					delete(r.handles, name)
-					r.dropping[name] = true
-				}
-			}
-			r.mu.Unlock()
-			for _, h := range idle {
-				// Eviction is removal. No client waits on it, so a failed
-				// drop is left to the backend: it degrades, and the drop
-				// frame waits in its pending queue for the next probe.
-				_ = r.drop(h)
-				r.evicted.Add(1)
-			}
+			r.evictIdle(now)
 		}
+	}
+}
+
+// evictIdle is one janitor pass: it evicts every session with no
+// client touch since idleTimeout before now.
+func (r *registry) evictIdle(now time.Time) {
+	// Pause eviction when asked (the server sets this to the backend's
+	// degraded check): a drop needs the log, and a lost drop resurrects
+	// the session later.
+	if r.skipEvict != nil && r.skipEvict() {
+		return
+	}
+	cutoff := now.Add(-idleTimeout).UnixNano()
+	r.mu.Lock()
+	var idle []*sessionHandle
+	for name, h := range r.handles {
+		if h.lastUsed.Load() < cutoff {
+			idle = append(idle, h)
+			delete(r.handles, name)
+			r.dropping[name] = true
+		}
+	}
+	r.mu.Unlock()
+	for _, h := range idle {
+		// Eviction is removal. No client waits on it, so a failed drop
+		// is left to the backend: it degrades, and the drop frame waits
+		// in its pending queue for the next probe.
+		_ = r.drop(h)
+		r.evicted.Add(1)
 	}
 }
 

@@ -47,8 +47,7 @@ func TestRecreateWaitsForTheDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engine.New(b, engine.Options{})
-	r := newRegistry(func(park bool) *stream.Session { return e.NewSession(stream.Options{ParkUnsafe: park}) },
-		8, 0, func(string, stream.Update) {}, func(string) {})
+	r := newRegistry(func(park bool) *stream.Session { return e.NewSession(stream.Options{ParkUnsafe: park}) }, func(string, stream.Update) {}, func(string) {})
 	release := make(chan struct{})
 	r.newJournal = func(name string, park bool) (eventJournal, error) {
 		j, err := b.CreateSessionJournal(name, park)
@@ -133,8 +132,7 @@ func TestCancelledWaiterIsNeverApplied(t *testing.T) {
 	// issued it.
 	inj := fault.NewInjector(1, fault.Rule{Op: fault.OpQuery, Count: 1, Fault: fault.Fault{Delay: 200 * time.Millisecond}})
 	e := engine.New(fault.NewStore(b, inj), engine.Options{})
-	r := newRegistry(func(park bool) *stream.Session { return e.NewSession(stream.Options{ParkUnsafe: park}) },
-		8, 0, func(string, stream.Update) {}, func(string) {})
+	r := newRegistry(func(park bool) *stream.Session { return e.NewSession(stream.Options{ParkUnsafe: park}) }, func(string, stream.Update) {}, func(string) {})
 	r.newJournal = func(name string, park bool) (eventJournal, error) { return b.CreateSessionJournal(name, park) }
 	h, err := r.create("x", false)
 	if err != nil {
@@ -190,8 +188,7 @@ func TestCancelledWaiterIsNeverApplied(t *testing.T) {
 // creating many adds none.
 func TestSessionsOwnNoGoroutine(t *testing.T) {
 	e := engine.New(workload.NewStore(1, 8, 0), engine.Options{})
-	r := newRegistry(func(park bool) *stream.Session { return e.NewSession(stream.Options{ParkUnsafe: park}) },
-		8, 0, func(string, stream.Update) {}, func(string) {})
+	r := newRegistry(func(park bool) *stream.Session { return e.NewSession(stream.Options{ParkUnsafe: park}) }, func(string, stream.Update) {}, func(string) {})
 	defer r.close()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 64; i++ {

@@ -21,24 +21,30 @@ import (
 	"entangled/internal/wire"
 )
 
+// The serving bounds.
+const (
+	// maxBatch caps the number of requests accepted in one
+	// POST /v1/coordinate call.
+	maxBatch = 1024
+	// queueDepth bounds each tenant's queue on the batch path. A full
+	// queue rejects the request with the typed code "overloaded",
+	// reported inline in its Response (the call itself stays 200 so one
+	// hot spot cannot fail a whole batch; single-request clients get the
+	// typed error from Coordinate).
+	queueDepth = 4096
+	// mailboxSize bounds how many events may wait for a session's turn
+	// behind the one it is serving; one more answers 429 mailbox_full.
+	mailboxSize = 64
+	// idleTimeout evicts sessions with no client activity for this long.
+	idleTimeout = 5 * time.Minute
+	// dispatchTimeout bounds each batch request: past it, every
+	// remaining store query of the request fails with a deadline error
+	// instead of holding a worker on a stalled store.
+	dispatchTimeout = 30 * time.Second
+)
+
 // Options configures a Server.
 type Options struct {
-	// MaxBatch caps the number of requests accepted in one
-	// POST /v1/coordinate call. Zero means 1024.
-	MaxBatch int
-	// QueueDepth bounds the batch path's admission queue. A full queue
-	// rejects the request with the typed code "overloaded", reported
-	// inline in its Response (the HTTP call itself stays 200 so one hot
-	// spot cannot fail a whole batch; single-request clients get the
-	// typed error from Coordinate). Zero means 4096.
-	QueueDepth int
-	// MailboxSize bounds how many events may wait for a session's turn
-	// behind the one it is serving; one more answers 429 mailbox_full.
-	// Zero means 64.
-	MailboxSize int
-	// IdleTimeout evicts sessions with no client activity for this
-	// long. Zero means 5 minutes; negative disables eviction.
-	IdleTimeout time.Duration
 	// Session is the base configuration for sessions the registry
 	// creates; its ParkUnsafe is overridden per create request.
 	Session stream.Options
@@ -54,11 +60,6 @@ type Options struct {
 	// probe loop (a caller then drives persist.Backend.Probe itself).
 	// Ignored without Persist.
 	ProbeInterval time.Duration
-	// DispatchTimeout bounds each batch request: past it, every
-	// remaining store query of the request fails with a deadline error
-	// instead of holding a worker on a stalled store. Zero means 30s;
-	// negative disables the deadline.
-	DispatchTimeout time.Duration
 	// Admission, when non-nil, turns on tenant-aware admission: every
 	// request is attributed to the tenant named by the HTTP X-Tenant
 	// header or the binary tenant envelope (Default when absent), gated
@@ -78,28 +79,6 @@ type Options struct {
 	// The server does not own the router's lifecycle — the caller builds
 	// it (dialing peers) and closes it after Close. Nil runs standalone.
 	Cluster *cluster.Router
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 1024
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4096
-	}
-	if o.MailboxSize <= 0 {
-		o.MailboxSize = 64
-	}
-	if o.IdleTimeout == 0 {
-		o.IdleTimeout = 5 * time.Minute
-	}
-	if o.ProbeInterval == 0 {
-		o.ProbeInterval = 500 * time.Millisecond
-	}
-	if o.DispatchTimeout == 0 {
-		o.DispatchTimeout = 30 * time.Second
-	}
-	return o
 }
 
 // Server exposes an engine.Engine over HTTP/JSON and the binary wire
@@ -141,7 +120,9 @@ type Server struct {
 // events through a fresh incremental session — and the error return is
 // recovery failing (it is always nil without persistence).
 func New(e *engine.Engine, opts Options) (*Server, error) {
-	opts = opts.withDefaults()
+	if opts.ProbeInterval == 0 {
+		opts.ProbeInterval = 500 * time.Millisecond
+	}
 	s := &Server{
 		e:         e,
 		opts:      opts,
@@ -160,7 +141,7 @@ func New(e *engine.Engine, opts Options) (*Server, error) {
 	if s.adm != nil {
 		weight = s.adm.Weight
 	}
-	s.batch = newBatcher(e, opts.QueueDepth, opts.DispatchTimeout, func() {
+	s.batch = newBatcher(e, func() {
 		s.met.coordBatches.Add(1)
 	}, weight)
 	newSession := func(park bool) *stream.Session {
@@ -171,7 +152,7 @@ func New(e *engine.Engine, opts Options) (*Server, error) {
 	// Parked arrivals a departure admitted become push notifications on
 	// subscribed binary connections; dropped sessions drop their
 	// undelivered backlog.
-	s.reg = newRegistry(newSession, opts.MailboxSize, opts.IdleTimeout, s.push.admitted, s.push.dropSession)
+	s.reg = newRegistry(newSession, s.push.admitted, s.push.dropSession)
 	if opts.Persist != nil {
 		s.reg.newJournal = func(name string, park bool) (eventJournal, error) {
 			return opts.Persist.CreateSessionJournal(name, park)
@@ -421,8 +402,8 @@ func (s *Server) coordinate(ctx context.Context, q wire.CoordinateReq, forwarded
 	switch n := len(q.Requests); {
 	case n == 0:
 		return api.CoordinateResponse{}, 0, badRequest(http.StatusBadRequest, "empty batch")
-	case n > s.opts.MaxBatch:
-		return api.CoordinateResponse{}, 0, badRequest(http.StatusBadRequest, "batch of %d exceeds the %d-request cap", n, s.opts.MaxBatch)
+	case n > maxBatch:
+		return api.CoordinateResponse{}, 0, badRequest(http.StatusBadRequest, "batch of %d exceeds the %d-request cap", n, maxBatch)
 	}
 	return api.CoordinateResponse{Responses: s.serveBatchRouted(ctx, q.Requests, forwarded)}, http.StatusOK, nil
 }
@@ -665,5 +646,5 @@ func (s *Server) recoveryStatus() api.RecoveryStatus {
 // String identifies the server in logs.
 func (s *Server) String() string {
 	return fmt.Sprintf("coordination server (max batch %d, queue %d, mailbox %d, idle timeout %v)",
-		s.opts.MaxBatch, s.opts.QueueDepth, s.opts.MailboxSize, s.opts.IdleTimeout)
+		maxBatch, queueDepth, mailboxSize, idleTimeout)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"entangled/internal/api"
 	"entangled/internal/client"
 	"entangled/internal/coord"
 	"entangled/internal/db"
@@ -253,7 +254,7 @@ func TestServerLoopbackIntegration(t *testing.T) {
 // the idle janitor.
 func TestServerSessionLifecycle(t *testing.T) {
 	store := workload.NewStore(1, 8, 0)
-	c, _ := newLoopback(t, store, server.Options{IdleTimeout: 80 * time.Millisecond})
+	c, srv := newLoopback(t, store, server.Options{})
 	ctx := context.Background()
 
 	sess, err := c.CreateSession(ctx, "room", false)
@@ -293,98 +294,220 @@ func TestServerSessionLifecycle(t *testing.T) {
 		}
 	}
 
-	// The generated session goes idle; the janitor must evict it.
-	// Status requests count as touches, so poll /metrics (which does
-	// not) and only then confirm the 404.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
+	// The generated session goes idle. A janitor pass whose clock is
+	// short of the 5-minute idle timeout keeps it, one past evicts it,
+	// and /metrics (which is not a touch) counts the eviction.
+	evicted := func(idle time.Duration) api.SessionMetrics {
+		t.Helper()
+		srv.EvictIdle(time.Now().Add(idle))
 		m, err := c.Metrics(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Sessions.Evicted >= 1 {
-			if m.Sessions.Evicted != 1 || m.Sessions.Created != 2 {
-				t.Fatalf("metrics after eviction: %+v", m.Sessions)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("idle session not evicted")
-		}
-		time.Sleep(20 * time.Millisecond)
+		return m.Sessions
+	}
+	if m := evicted(4 * time.Minute); m.Evicted != 0 || m.Open != 1 {
+		t.Fatalf("metrics after a pass 4 minutes on: %+v, want the session kept", m)
+	}
+	if m := evicted(5*time.Minute + time.Second); m.Evicted != 1 || m.Created != 2 || m.Open != 0 {
+		t.Fatalf("metrics after a pass past the idle timeout: %+v, want the session evicted", m)
 	}
 	if _, err := gen.Status(ctx, false); err == nil {
 		t.Fatal("evicted session still answers status")
 	}
 }
 
-// TestServerBackpressure forces both bounded buffers to overflow: the
-// session mailbox (concurrent joins against a slow store) and the batch
-// admission queue. Rejections must be typed 429s, and every accepted
-// operation must still succeed.
-func TestServerBackpressure(t *testing.T) {
-	inst := db.NewInstance()
-	inst.SimulatedLatency = 3 * time.Millisecond
-	workload.UserTable(inst, 8)
-	c, _ := newLoopback(t, inst, server.Options{
-		MailboxSize: 1,
-		QueueDepth:  1,
-		MaxBatch:    1,
-	})
-	ctx := context.Background()
+// gatedStore answers no query until release is closed; held counts the
+// queries waiting at the gate.
+type gatedStore struct {
+	db.Store
+	held    atomic.Int64
+	release chan struct{}
+}
 
-	sess, err := c.CreateSession(ctx, "slow", false)
+func (g *gatedStore) wait() {
+	g.held.Add(1)
+	<-g.release
+}
+
+func (g *gatedStore) Solve(body []eq.Atom) (db.Binding, bool, error) {
+	g.wait()
+	return g.Store.Solve(body)
+}
+
+func (g *gatedStore) SolveAll(body []eq.Atom, limit int) ([]db.Binding, error) {
+	g.wait()
+	return g.Store.SolveAll(body, limit)
+}
+
+func (g *gatedStore) Satisfiable(body []eq.Atom) (bool, error) {
+	g.wait()
+	return g.Store.Satisfiable(body)
+}
+
+func (g *gatedStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, bool, error) {
+	g.wait()
+	return g.Store.SolveUnder(body, sub)
+}
+
+// newGatedLoopback boots a server with two batch workers over a gated
+// store and returns an HTTP client, the gate, and the function that
+// opens it (also run at cleanup, so no query is left waiting).
+func newGatedLoopback(t *testing.T) (*client.Client, *gatedStore, func()) {
+	t.Helper()
+	g := &gatedStore{Store: workload.NewStore(1, 8, 0), release: make(chan struct{})}
+	srv, err := server.New(engine.New(g, engine.Options{Workers: 2}), server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 32
-	var wg sync.WaitGroup
-	var full, joined int64
-	var mu sync.Mutex
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := sess.Join(ctx, workload.ChainQuery(i, 0, 8))
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				joined++
-			case client.IsRetryable(err):
-				full++
-			default:
-				t.Errorf("join %d: unexpected %v", i, err)
-			}
-		}(i)
+	ts := httptest.NewServer(srv)
+	open := sync.OnceFunc(func() { close(g.release) })
+	t.Cleanup(func() { open(); ts.Close(); srv.Close() })
+	c, err := client.New(ts.URL, client.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if joined == 0 || full == 0 {
-		t.Fatalf("mailbox backpressure: %d joined, %d rejected — want both > 0", joined, full)
-	}
+	return c, g, open
+}
 
-	var okReqs, rejected int64
-	wg = sync.WaitGroup{}
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := c.Coordinate(ctx, workload.ListQueriesAt(4, i%8))
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				okReqs++
-			case client.IsRetryable(err):
-				rejected++
-			default:
-				t.Errorf("coordinate %d: unexpected %v", i, err)
-			}
-		}(i)
+// awaitHeld waits until n queries wait at the gate.
+func (g *gatedStore) awaitHeld(t *testing.T, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); g.held.Load() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d queries at the gate, want %d", g.held.Load(), n)
+		}
 	}
-	wg.Wait()
-	if okReqs == 0 || rejected == 0 {
-		t.Fatalf("queue backpressure: %d ok, %d rejected — want both > 0", okReqs, rejected)
+}
+
+// TestServerBackpressure overflows both bounded buffers at their real
+// sizes while the store answers nothing: a session's mailbox of 64, and
+// the batch path's queue of 4,096 behind its two held workers. The
+// overflow is refused with a typed, retryable, fate-known error, and
+// everything admitted is served once the store answers.
+func TestServerBackpressure(t *testing.T) {
+	ctx := context.Background()
+	t.Run("mailbox", func(t *testing.T) {
+		c, gate, open := newGatedLoopback(t)
+		sess, err := c.CreateSession(ctx, "slow", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make(chan error, 66)
+		join := func(i int) {
+			go func() {
+				_, err := sess.Join(ctx, workload.ChainQuery(i, 0, 8))
+				errs <- err
+			}()
+		}
+		join(0)
+		gate.awaitHeld(t, 1)
+		// The held join keeps the turn; of the 65 behind it, 64 fill the
+		// mailbox and one is refused. Nothing else can end before the
+		// gate opens.
+		for i := 1; i <= 65; i++ {
+			join(i)
+		}
+		refused := <-errs
+		if !errors.Is(refused, api.ErrMailboxFull) || !client.IsRetryable(refused) || !client.FateKnown(refused) {
+			t.Fatalf("join past the mailbox: %v, want mailbox_full, retryable and fate-known", refused)
+		}
+		open()
+		for i := 0; i < 65; i++ {
+			if err := <-errs; err != nil {
+				t.Errorf("a join in the mailbox failed: %v", err)
+			}
+		}
+	})
+	t.Run("queue", func(t *testing.T) {
+		c, gate, open := newGatedLoopback(t)
+		type result struct {
+			resps []client.Response
+			err   error
+		}
+		results := make(chan result, 5)
+		send := func(b int) {
+			reqs := make([]client.Request, 1024)
+			for i := range reqs {
+				reqs[i] = client.Request{ID: fmt.Sprintf("%d.%d", b, i), Queries: workload.ListQueriesAt(2, i%8)}
+			}
+			go func() {
+				resps, err := c.CoordinateBatch(ctx, reqs)
+				results <- result{resps, err}
+			}()
+		}
+		send(0)
+		gate.awaitHeld(t, 2) // each worker holds one request
+		for b := 1; b < 5; b++ {
+			send(b)
+		}
+		// 1,022 refusals mean the queue is full and every request has
+		// been submitted: 2 held + 4,096 queued + 1,022 refused = 5,120.
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			m, err := c.Metrics(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Coordinate.Rejected >= 1022 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d requests refused, want 1,022", m.Coordinate.Rejected)
+			}
+		}
+		open()
+		var served, overloaded int
+		for range 5 {
+			r := <-results
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			for _, resp := range r.resps {
+				switch {
+				case resp.Err == nil:
+					served++
+				case errors.Is(resp.Err, api.ErrOverloaded) && client.IsRetryable(resp.Err) && client.FateKnown(resp.Err):
+					overloaded++
+				default:
+					t.Fatalf("request %s: %v", resp.ID, resp.Err)
+				}
+			}
+		}
+		if served != 4098 || overloaded != 1022 {
+			t.Fatalf("%d served and %d overloaded, want 4,098 and 1,022", served, overloaded)
+		}
+	})
+}
+
+// TestMetricsAnswerWhileAnEventWaits: /metrics reads each session's
+// counters from a copy the session takes after each event, so it
+// answers, listing the session, while one of the session's events is
+// held in a store that answers nothing.
+func TestMetricsAnswerWhileAnEventWaits(t *testing.T) {
+	c, gate, open := newGatedLoopback(t)
+	ctx := context.Background()
+	sess, err := c.CreateSession(ctx, "held", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := make(chan error, 1)
+	go func() {
+		_, err := sess.Join(ctx, workload.ChainQuery(0, 0, 8))
+		joined <- err
+	}()
+	gate.awaitHeld(t, 1)
+	mctx, cancel := context.WithTimeout(ctx, time.Second)
+	m, err := c.Metrics(mctx)
+	cancel()
+	if err != nil {
+		t.Fatalf("/metrics while an event waits on the store: %v", err)
+	}
+	if len(m.Sessions.PerSession) != 1 || m.Sessions.PerSession[0].ID != "held" {
+		t.Fatalf("/metrics sessions %+v, want held", m.Sessions.PerSession)
+	}
+	open()
+	if err := <-joined; err != nil {
+		t.Fatal(err)
 	}
 }
 

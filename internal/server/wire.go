@@ -306,8 +306,9 @@ func (s *Server) serveWireConn(c net.Conn) {
 // Only the two envelopes have code of their own: each unwraps and
 // re-enters the table, KindTenant with the identity on the context,
 // KindForward with forwarded=true. An unknown kind, or an envelope
-// where the protocol forbids one, kills the connection (protocol
-// error, not a request error).
+// where the protocol forbids one — a forward to a node outside a
+// cluster among them — kills the connection (protocol error, not a
+// request error).
 func (s *Server) dispatch(ctx context.Context, wc *wireConn, h wire.Header, d *wire.Dec, forwarded bool) bool {
 	switch h.Kind {
 	case wire.KindTenant:
@@ -339,8 +340,11 @@ func (s *Server) dispatch(ctx context.Context, wc *wireConn, h wire.Header, d *w
 		return s.dispatch(ctx, wc, wire.Header{Kind: te.Kind, ID: h.ID}, wire.NewDec(te.Body), false)
 
 	case wire.KindForward:
-		if forwarded {
-			return false // a forward inside a forward breaks terminality
+		if forwarded || s.opts.Cluster == nil {
+			// A forward inside a forward breaks terminality, and a
+			// standalone node has no peer to take one from: served, it
+			// would skip admission and billing.
+			return false
 		}
 		fwd := wire.DecodeForward(d)
 		if err := d.Finish(); err != nil {
@@ -350,9 +354,7 @@ func (s *Server) dispatch(ctx context.Context, wc *wireConn, h wire.Header, d *w
 		if fwd.Hops != 1 {
 			return false // the terminal-forward invariant is checkable; enforce it
 		}
-		if s.opts.Cluster != nil {
-			s.opts.Cluster.ReceivedForward()
-		}
+		s.opts.Cluster.ReceivedForward()
 		// Re-dispatch the wrapped request under the outer frame's id:
 		// the inner body decodes synchronously here (it aliases the
 		// connection's read buffer), and the reply the inner request

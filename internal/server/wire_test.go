@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -139,7 +140,7 @@ func sameResponses(t *testing.T, what string, hr, br []client.Response) {
 func TestWireCodecsEquivalent(t *testing.T) {
 	const rows = 32
 	store := workload.NewStore(2, rows, 0)
-	httpC, binC, _ := newDualLoopback(t, store, server.Options{MaxBatch: 8})
+	httpC, binC, _ := newDualLoopback(t, store, server.Options{})
 	ctx := context.Background()
 
 	// Randomized read-only batches: identical requests through both
@@ -189,10 +190,6 @@ func TestWireCodecsEquivalent(t *testing.T) {
 	}{
 		{"empty batch", func(c *client.Client) error {
 			_, err := c.CoordinateBatch(ctx, nil)
-			return err
-		}},
-		{"oversized batch", func(c *client.Client) error {
-			_, err := c.CoordinateBatch(ctx, make([]client.Request, 9))
 			return err
 		}},
 		{"status of missing session", func(c *client.Client) error {
@@ -323,16 +320,40 @@ func TestWireCodecsEquivalent(t *testing.T) {
 	t.Run("server sentinels", serverSentinelEquivalence)
 }
 
+// TestBatchCapRefusedBothProtocols: a call of 1,024 requests is
+// served, and one of 1,025 is refused whole as bad_request naming the
+// cap, identically over HTTP and binary.
+func TestBatchCapRefusedBothProtocols(t *testing.T) {
+	const rows = 8
+	httpC, binC, _ := newDualLoopback(t, workload.NewStore(1, rows, 0), server.Options{})
+	ctx := context.Background()
+	reqs := make([]client.Request, 1025)
+	for i := range reqs {
+		reqs[i] = client.Request{ID: strconv.Itoa(i), Queries: workload.ListQueriesAt(2, i%rows)}
+	}
+	for _, c := range []*client.Client{httpC, binC} {
+		if _, err := c.CoordinateBatch(ctx, reqs[:1024]); err != nil {
+			t.Fatalf("batch of 1,024: %v", err)
+		}
+	}
+	_, herr := httpC.CoordinateBatch(ctx, reqs)
+	_, berr := binC.CoordinateBatch(ctx, reqs)
+	sameClientError(t, "batch of 1,025", herr, berr)
+	var ce *client.Error
+	if !errors.As(herr, &ce) || ce.Status != 400 || ce.Code != api.CodeBadRequest || !strings.Contains(ce.Message, "1024-request cap") {
+		t.Fatalf("batch of 1,025: %v, want 400 bad_request naming the 1024-request cap", herr)
+	}
+}
+
 // serverSentinelEquivalence: the refusals the serving layer raises
 // itself unwrap to their api sentinels on the client, over both
 // protocols — a missing session, and the backpressure of a full
-// mailbox (one event held in the session loop, one queued behind it,
-// the third refused).
+// mailbox (one event held in the session's turn, the mailbox's 64
+// queued behind it, the next refused).
 func serverSentinelEquivalence(t *testing.T) {
 	const rows = 8
 	entered, release := make(chan struct{}, 2), make(chan struct{})
 	httpC, binC, _ := newDualLoopback(t, workload.NewStore(1, rows, 0), server.Options{
-		MailboxSize: 1,
 		Session: stream.Options{OnUpdate: func(u stream.Update) {
 			if u.Event.Query.ID == "hold" {
 				entered <- struct{}{}
@@ -348,7 +369,7 @@ func serverSentinelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results := make(chan error, 3)
+		results := make(chan error, 66)
 		join := func(q eq.Query) {
 			done.Add(1)
 			go func() {
@@ -361,10 +382,11 @@ func serverSentinelEquivalence(t *testing.T) {
 		hold.ID = "hold"
 		join(hold)
 		<-entered
-		// Of two more joins one takes the mailbox's only slot and waits
-		// behind the held event; the other is refused at once.
-		join(workload.ChainQuery(1, 0, rows))
-		join(workload.ChainQuery(2, 0, rows))
+		// Of 65 more joins 64 fill the mailbox behind the held event;
+		// the other is refused at once.
+		for i := 1; i <= 65; i++ {
+			join(workload.ChainQuery(i, 0, rows))
+		}
 		return missing, <-results
 	}
 	hMissing, hFull := refusals(httpC, "mh")

@@ -134,6 +134,31 @@ type Session struct {
 	parked []eq.Query
 	seq    int
 	totals Totals
+
+	// counts is what Totals, Size and ParkedCount read: a copy taken at
+	// the end of each event and Refresh under its own lock, so they
+	// answer while an event waits on the store holding mu.
+	countsMu sync.Mutex
+	counts   counts
+}
+
+type counts struct {
+	totals       Totals
+	live, parked int
+}
+
+// publish copies the counters for the readers; the caller holds mu.
+func (s *Session) publish() {
+	s.countsMu.Lock()
+	s.counts = counts{s.totals, s.inc.Len(), len(s.parked)}
+	s.countsMu.Unlock()
+}
+
+// readCounts returns the counters as of the last event or Refresh.
+func (s *Session) readCounts() counts {
+	s.countsMu.Lock()
+	defer s.countsMu.Unlock()
+	return s.counts
 }
 
 // New opens an empty session over store.
@@ -190,6 +215,7 @@ func (s *Session) process(ev Event) (Update, error) {
 	s.totals.Dirty += up.Stats.Dirty
 	s.totals.Reused += up.Stats.Reused
 	s.totals.DBQueries += up.Stats.DBQueries
+	s.publish()
 	up.TeamSize = s.teamSize()
 	up.Elapsed = time.Since(start)
 	if s.opts.OnUpdate != nil {
@@ -384,29 +410,18 @@ func (s *Session) Refresh() (coord.DeltaStats, error) {
 	s.totals.Dirty += d.Dirty
 	s.totals.Reused += d.Reused
 	s.totals.DBQueries += d.DBQueries
+	s.publish()
 	return d, err
 }
 
 // Size returns the number of live queries.
-func (s *Session) Size() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inc.Len()
-}
+func (s *Session) Size() int { return s.readCounts().live }
 
 // ParkedCount returns the number of arrivals currently parked.
-func (s *Session) ParkedCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.parked)
-}
+func (s *Session) ParkedCount() int { return s.readCounts().parked }
 
 // Totals returns the session-lifetime statistics.
-func (s *Session) Totals() Totals {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totals
-}
+func (s *Session) Totals() Totals { return s.readCounts().totals }
 
 // Queries returns the live queries in arrival order — the set a batch
 // run would be given to reproduce the session's state.
