@@ -47,8 +47,8 @@
 // allocates follows its dirty components, not the live set.
 //
 // The §4 walk has one home, Incremental.reconcile: a batch request
-// (SCCCoordinate, AllCandidates) is a fresh Incremental loaded with the
-// whole set and walked once, without an outcome cache, so batch and
+// (SCCCoordinate, AllCandidates) is a pooled Incremental refilled with
+// the whole set and walked once, without an outcome cache, so batch and
 // streaming runs cannot drift apart; the batch walk the package used to
 // keep beside it is the reference its tests compare against
 // (oracle_test.go). The §6.1 provider cascade has one home, cascade.run

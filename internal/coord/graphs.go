@@ -27,21 +27,10 @@ type ExtendedEdge struct {
 // common "R(User, x)" pattern) only probes the handful of heads that
 // could match instead of all of them; Figure 6's graph-construction
 // sweep relies on this being near-linear in practice.
-func ExtendedGraph(qs []eq.Query) []ExtendedEdge { return bulkGraph(qs).Edges() }
-
-// bulkGraph files every query of qs into one graph, sized up front from
-// their head and post counts.
-func bulkGraph(qs []eq.Query) *IncrementalGraph {
-	heads, posts := 0, 0
-	for _, q := range qs {
-		heads += len(q.Head)
-		posts += len(q.Post)
-	}
-	g := newGraph(len(qs), heads, posts)
-	for _, q := range qs {
-		g.Add(q)
-	}
-	return g
+func ExtendedGraph(qs []eq.Query) []ExtendedEdge {
+	var g IncrementalGraph
+	g.fill(qs)
+	return g.Edges()
 }
 
 // CoordinationGraph collapses the extended graph's parallel edges into

@@ -72,33 +72,45 @@ func (b *atomBuckets) file(row int32, a eq.Atom) {
 // that remain; a constant or a relation left with none is deleted, so
 // the maps hold what the live set names, not the session's history.
 func (b *atomBuckets) compact(remap []int) {
-	for _, r := range b.rels {
-		r.all, r.wild = r.all[:0], r.wild[:0]
-		for c, rows := range r.byConst {
-			r.byConst[c] = rows[:0]
-		}
-	}
-	kept := b.refs[:0]
-	for _, ref := range b.refs {
+	refs := b.refs
+	b.reset(0)
+	for _, ref := range refs {
 		if q := remap[ref.q]; q >= 0 {
-			ref.q = int32(q)
-			kept = append(kept, ref)
-			b.file(int32(len(kept)-1), ref.atom)
+			b.insert(q, int(ref.i), ref.atom)
 		}
 	}
-	clear(b.refs[len(kept):]) // let go of the departed atoms
-	b.refs = fit(kept)
+	clear(refs[len(b.refs):]) // let go of the departed atoms
+	b.refs = fit(b.refs)
+	b.sweep(fit[int32])
+}
+
+// reset empties b for a refill of about n atoms, keeping the capacity
+// of refs and of every bucket. A relation or constant the last fill
+// filed keeps its bucket, so a refill naming it again appends without
+// allocating; one left empty since the fill before goes, so the maps
+// hold at most the last two fills' keys.
+func (b *atomBuckets) reset(n int) {
+	b.refs = slices.Grow(b.refs[:0], n)
+	if b.rels == nil {
+		b.rels = map[string]*relBucket{}
+	}
+	b.sweep(func(rows []int32) []int32 { return rows[:0] })
+}
+
+// sweep deletes every relation and constant left without rows and
+// passes every other bucket through f.
+func (b *atomBuckets) sweep(f func([]int32) []int32) {
 	for rel, r := range b.rels {
 		if len(r.all) == 0 {
 			delete(b.rels, rel)
 			continue
 		}
-		r.all, r.wild = fit(r.all), fit(r.wild)
+		r.all, r.wild = f(r.all), f(r.wild)
 		for c, rows := range r.byConst {
 			if len(rows) == 0 {
 				delete(r.byConst, c)
 			} else {
-				r.byConst[c] = fit(rows)
+				r.byConst[c] = f(rows)
 			}
 		}
 	}
@@ -195,16 +207,29 @@ func (f *postFanout) count(q, p int) int32 {
 }
 
 // NewIncrementalGraph returns an empty graph index.
-func NewIncrementalGraph() *IncrementalGraph { return newGraph(0, 0, 0) }
+func NewIncrementalGraph() *IncrementalGraph {
+	g := &IncrementalGraph{}
+	g.fill(nil)
+	return g
+}
 
-// newGraph returns an empty graph index with room for the given number
-// of queries, head atoms and postcondition atoms.
-func newGraph(queries, heads, posts int) *IncrementalGraph {
-	return &IncrementalGraph{
-		gone:   make([]bool, 0, queries),
-		heads:  atomBuckets{refs: make([]atomRef, 0, heads), rels: map[string]*relBucket{}},
-		posts:  atomBuckets{refs: make([]atomRef, 0, posts), rels: map[string]*relBucket{}},
-		fanout: postFanout{off: append(make([]int32, 0, queries+1), 0), n: make([]int32, 0, posts)},
+// fill makes g the graph of qs, the batch special case: g is reset —
+// emptied, keeping every buffer's capacity, and sized up front from
+// qs's head and post counts — and every query filed.
+func (g *IncrementalGraph) fill(qs []eq.Query) {
+	heads, posts := 0, 0
+	for _, q := range qs {
+		heads += len(q.Head)
+		posts += len(q.Post)
+	}
+	g.n, g.live, g.sorted, g.edges = 0, 0, 0, g.edges[:0]
+	g.gone = slices.Grow(g.gone[:0], len(qs))
+	g.heads.reset(heads)
+	g.posts.reset(posts)
+	g.fanout.off = append(slices.Grow(g.fanout.off[:0], len(qs)+1), 0)
+	g.fanout.n = slices.Grow(g.fanout.n[:0], posts)
+	for _, q := range qs {
+		g.Add(q)
 	}
 }
 

@@ -111,7 +111,7 @@ type scratch struct {
 // queries (in slot order) would: same team, same trace, same witness
 // values — the database's answer does not depend on the serials.
 // A batch request is an Incremental too: SCCCoordinate and
-// AllCandidates load a fresh one with the whole set and read its one
+// AllCandidates load a pooled one with the whole set and read its one
 // pass, so the §4 walk is written once, in reconcile.
 //
 // Incremental is not safe for concurrent use; stream.Session adds the
@@ -123,6 +123,7 @@ type Incremental struct {
 	g       *IncrementalGraph
 	queries []eq.Query // by slot
 	vars    []varTable // by slot: the query's variables, numbered
+	ids     []int32    // in a load, the array vars number into
 	bodySat []bool     // by slot: cached body-satisfiability probe
 	serials []int      // by slot, ascending: the query's admission serial; nil in a load
 	next    int        // the serial the next admission gets
@@ -137,6 +138,7 @@ type Incremental struct {
 	pruned []PruneEvent
 	events []compEvent
 	cands  []grounded
+	arena  []int    // in a load, the array the candidates' orders are cut from
 	fb     fallback // read at most once per pass, and only if a witness needs it
 	last   DeltaStats
 	total  int64 // lifetime database queries
@@ -562,11 +564,11 @@ func (inc *Incremental) settle(c int, members [][]int, m *db.Meter, d *DeltaStat
 		d.Dirty++
 		if !inc.records() {
 			if status == "grounded" {
-				inc.cands = append(inc.cands, grounded{slices.Clone(set), bind})
+				inc.cands = append(inc.cands, grounded{inc.keep(set), bind})
 			}
 			return status, nil, nil
 		}
-		out = &compOutcome{status: status, order: slices.Clone(set), binding: bind}
+		out = &compOutcome{status: status, order: inc.keep(set), binding: bind}
 		if inc.cache != nil {
 			inc.cache[string(s.sig)] = out
 		}
@@ -576,4 +578,15 @@ func (inc *Incremental) settle(c int, members [][]int, m *db.Meter, d *DeltaStat
 		inc.cands = append(inc.cands, grounded{out.order, out.binding})
 	}
 	return out.status, out, nil
+}
+
+// keep copies a searched set that outlives the step: in a session, into
+// an array of its own, which the cache may hold for many passes; in a
+// load, into the arena, which the next load reuses.
+func (inc *Incremental) keep(set []int) []int {
+	if inc.cache != nil {
+		return slices.Clone(set)
+	}
+	inc.arena = append(inc.arena, set...)
+	return inc.arena[len(inc.arena)-len(set) : len(inc.arena) : len(inc.arena)]
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
@@ -102,7 +103,7 @@ type Options struct {
 // yields the candidate set R(q) of all queries reachable from it; the
 // selector picks among candidates (maximum size by default).
 //
-// The walk is Incremental's: the set is bulk-loaded into a fresh,
+// The walk is Incremental's: the set is bulk-loaded into a pooled,
 // one-shot coordinator (load) and walked once, so batch requests and
 // streaming sessions share a single code path. The winner's witness
 // values are read off its MGU, recomputed after selection —
@@ -112,7 +113,8 @@ type Options struct {
 // run issues is counted on a private db.Meter, so Result.DBQueries is
 // exact for this run alone regardless of concurrent traffic.
 func SCCCoordinate(qs []eq.Query, store db.Store, opts Options) (*Result, error) {
-	var inc Incremental
+	inc := loads.Get().(*Incremental)
+	defer inc.release()
 	if err := inc.load(qs, store, opts); err != nil {
 		return nil, err
 	}
@@ -132,7 +134,8 @@ type CandidateSet struct {
 // selection criteria (the paper mentions gold-status passengers and VIP
 // clients) can choose among them directly.
 func AllCandidates(qs []eq.Query, store db.Store, opts Options) ([]CandidateSet, error) {
-	var inc Incremental
+	inc := loads.Get().(*Incremental)
+	defer inc.release()
 	if err := inc.load(qs, store, opts); err != nil {
 		return nil, err
 	}
@@ -144,25 +147,32 @@ func AllCandidates(qs []eq.Query, store db.Store, opts Options) ([]CandidateSet,
 	return out, nil
 }
 
-// load makes the zero inc a one-shot coordinator over qs, the walk
-// behind SCCCoordinate and AllCandidates: every query filed into one
-// graph sized up front, one safety check, every query's variables
-// numbered in one array — a fresh load's serial is its index — then
-// Refresh, which probes every body and runs the one pass on the
-// request's meter. Nothing will ask for a second pass, so there is no
-// outcome cache: the pass builds no key, copies a searched set only
-// for a grounded candidate, and keeps its per-component record only
-// for opts.Trace (records). The serials, which only a key or a
+// loads pools the one-shot coordinators SCCCoordinate and AllCandidates
+// run on: a request refills the graph, variable tables and scratch an
+// earlier one sized.
+var loads = sync.Pool{New: func() any { return &Incremental{g: NewIncrementalGraph()} }}
+
+// load makes a pooled inc a one-shot coordinator over qs, the walk
+// behind SCCCoordinate and AllCandidates: every query filed into its
+// graph, one safety check, every query's variables numbered in one
+// array — a load's serial is its index — then Refresh, which probes
+// every body and runs the one pass on the request's meter. Nothing
+// will ask for a second pass, so there is no outcome cache: the pass
+// builds no key, copies a searched set only for a grounded candidate,
+// into the arena, and keeps its per-component record only for
+// opts.Trace (records). The serials, which only a key or a
 // renumbered trace reads, stay nil, and queries aliases qs. A load
 // that fails adds nothing to opts.Trace.
 func (inc *Incremental) load(qs []eq.Query, store db.Store, opts Options) error {
-	g := bulkGraph(qs)
+	inc.g.fill(qs)
 	if !opts.SkipSafetyCheck {
-		if bad := g.Unsafe(); len(bad) > 0 {
+		if bad := inc.g.Unsafe(); len(bad) > 0 {
 			return fmt.Errorf("%w: unsafe queries %v", ErrUnsafe, bad)
 		}
 	}
-	*inc = Incremental{store: store, opts: opts, g: g, queries: qs, vars: numberAll(qs), bodySat: make([]bool, len(qs))}
+	inc.store, inc.opts, inc.queries, inc.total = store, opts, qs, 0
+	inc.ids, inc.vars = numberInto(qs, inc.ids, inc.vars)
+	inc.bodySat, inc.arena = zeroed(inc.bodySat, len(qs)), inc.arena[:0]
 	if _, err := inc.Refresh(); err != nil {
 		return err
 	}
@@ -172,6 +182,26 @@ func (inc *Incremental) load(qs []eq.Query, store db.Store, opts Options) error 
 		tr.Components = append(tr.Components, t.Components...)
 	}
 	return nil
+}
+
+// release lets go of everything the request handed inc or its pass read
+// from the store — queries, bucketed atoms, store, options, fallback,
+// bindings, traced outcomes, combined body, the unifier's constants —
+// in used and spare capacity alike, and pools inc. What stays is
+// integer scratch and the buckets' keys: the relations and constants
+// the last fills filed.
+func (inc *Incremental) release() {
+	inc.store, inc.opts, inc.queries, inc.fb = nil, Options{}, nil, fallback{}
+	g, sr := inc.g, &inc.scr.sr
+	clear(g.heads.refs[:cap(g.heads.refs)])
+	clear(g.posts.refs[:cap(g.posts.refs)])
+	clear(inc.cands[:cap(inc.cands)])
+	clear(inc.events[:cap(inc.events)])
+	clear(sr.body[:cap(sr.body)])
+	if sr.subst != nil {
+		sr.subst.Forget()
+	}
+	loads.Put(inc)
 }
 
 // finishResult turns the state of an algorithm that holds its own

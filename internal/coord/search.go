@@ -43,11 +43,19 @@ func args(q eq.Query) iter.Seq2[int, eq.Term] {
 // numberAll numbers the variables of every query of qs, in one backing
 // array.
 func numberAll(qs []eq.Query) []varTable {
+	_, vars := numberInto(qs, nil, nil)
+	return vars
+}
+
+// numberInto is numberAll writing into ids and vars, when they have the
+// room, and returning them: a caller that numbers set after set keeps
+// both.
+func numberInto(qs []eq.Query, ids []int32, vars []varTable) ([]int32, []varTable) {
 	size := 0
 	for _, q := range qs {
 		size += argCount(q.Post) + argCount(q.Head) + argCount(q.Body)
 	}
-	ids, vars := make([]int32, 0, size), make([]varTable, len(qs))
+	ids, vars = slices.Grow(ids[:0], size), slices.Grow(vars[:0], len(qs))[:len(qs)]
 	for i, q := range qs {
 		from := len(ids)
 		var buf [8]string
@@ -63,7 +71,7 @@ func numberAll(qs []eq.Query) []varTable {
 		}
 		vars[i] = varTable{ids[from:len(ids):len(ids)], int32(len(names))}
 	}
-	return vars
+	return ids, vars
 }
 
 func argCount(atoms []eq.Atom) (n int) {

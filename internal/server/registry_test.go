@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -216,7 +217,6 @@ func TestUnreadPipelineHoldsBoundedGoroutines(t *testing.T) {
 	}
 	go srv.ServeWire(ln)
 	defer srv.Close()
-	before := runtime.NumGoroutine()
 	raw, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -241,12 +241,48 @@ func TestUnreadPipelineHoldsBoundedGoroutines(t *testing.T) {
 		w.Flush()
 	}()
 	peak := 0
-	for end := time.Now().Add(time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
-		peak = max(peak, runtime.NumGoroutine()-before)
+	var dump []byte
+	for end := time.Now().Add(time.Second); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		var n int
+		dump, n = parkedRequests(dump)
+		peak = max(peak, n)
 	}
 	raw.Close()
 	<-wrote
-	if peak > maxInflight+16 {
-		t.Fatalf("one connection that reads nothing held %d extra goroutines, want at most %d", peak, maxInflight+16)
+	if peak == 0 {
+		t.Fatal("no parked request goroutine seen: the stack dump no longer names the request path")
 	}
+	if peak > maxInflight {
+		t.Fatalf("one connection that reads nothing parked %d request goroutines, want at most %d", peak, maxInflight)
+	}
+}
+
+// parkedRequests counts, in one stop-the-world dump of every stack,
+// the goroutines parked in the server's binary request path: started by
+// serveWire or refuse, and blocked, neither running nor runnable. Each
+// holds one of its connection's slots — one that has given its slot
+// back only returns. It reuses and returns buf. runtime.NumGoroutine is
+// no measure of this: it reads the scheduler's free lists without
+// stopping the world, and while goroutines start and exit by the
+// thousand it can count a batch of up to 32 dead ones as live.
+func parkedRequests(buf []byte) ([]byte, int) {
+	for {
+		buf = buf[:cap(buf)]
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf)+1<<20)
+	}
+	parked := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		serving := strings.Contains(g, "created by entangled/internal/server.(*op[...]).serveWire") ||
+			strings.Contains(g, "created by entangled/internal/server.(*wireConn).refuse")
+		status, _, _ := strings.Cut(g[strings.Index(g, "[")+1:], "]")
+		if serving && !strings.HasPrefix(status, "running") && !strings.HasPrefix(status, "runnable") {
+			parked++
+		}
+	}
+	return buf, parked
 }

@@ -58,6 +58,14 @@ func (s *Subst) Reset(n int) {
 	s.terms = nil
 }
 
+// Forget empties s like Reset(0) and drops every constant its storage
+// holds, bound in this computation or an earlier, larger one, so that
+// a pooled Subst pins no value. It keeps the storage.
+func (s *Subst) Forget() {
+	clear(s.nodes[:cap(s.nodes)])
+	s.nodes, s.terms = s.nodes[:0], nil
+}
+
 // Len returns the number of variables.
 func (s *Subst) Len() int { return len(s.nodes) }
 

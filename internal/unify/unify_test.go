@@ -552,3 +552,29 @@ func TestResetRefillDoesNotAllocate(t *testing.T) {
 		t.Fatalf("x13 = %v %v, want k", v, ok)
 	}
 }
+
+// Forget leaves a Subst that pins no constant, even one bound in an
+// earlier, larger computation beyond its current length, and that
+// still refills without allocating.
+func TestForgetDropsEveryConstant(t *testing.T) {
+	s := New()
+	s.Reset(16)
+	for i := int32(0); i < 16; i++ {
+		if err := s.Bind(i, eq.Value("k"+strconv.Itoa(int(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Reset(4) // nodes 4..15 keep their constants in the storage
+	s.Forget()
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after Forget, want 0", s.Len())
+	}
+	for i, nd := range s.nodes[:cap(s.nodes)] {
+		if nd.val != "" || nd.bok {
+			t.Fatalf("node %d keeps %q after Forget", i, nd.val)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { s.Reset(16); s.Forget() }); allocs != 0 {
+		t.Fatalf("refilling after Forget allocates %.0f times, want 0", allocs)
+	}
+}
