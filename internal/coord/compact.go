@@ -47,7 +47,7 @@ func (inc *Incremental) Compact() []int {
 	// where they lie.
 	for sig, out := range inc.cache {
 		if !remapSlots(out.order, remap) {
-			delete(inc.cache, sig)
+			inc.evict(sig, out)
 		}
 	}
 	for _, e := range inc.events {

@@ -65,6 +65,12 @@
 // admission (varTable), and a name is read back off the query only
 // where something is rendered — a trace, a witness.
 //
+// A grounded component's db.Binding has one owner, which releases its
+// frame to db once the witness is read: a pooled Incremental when it is
+// released, finishResult for the Gupta baseline and single-connection,
+// a session where it evicts a cached outcome. A Result holds values,
+// never a frame.
+//
 // The package's sentinel errors carry stable machine-readable codes
 // (CodeUnsafeArrival, CodeTooManyQueries, ...) that internal/api's
 // error taxonomy maps them to on the wire, and Result, DeltaStats and

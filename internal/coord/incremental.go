@@ -394,8 +394,10 @@ func (inc *Incremental) TotalDBQueries() int64 { return inc.total }
 // that fails leaves no result until the next pass.
 func (inc *Incremental) Refresh() (DeltaStats, error) {
 	m := db.NewMeter(inc.store)
-	clear(inc.cache)
 	inc.pruned, inc.events, inc.cands = inc.pruned[:0], inc.events[:0], inc.cands[:0]
+	for sig, out := range inc.cache {
+		inc.evict(sig, out)
+	}
 	if !inc.opts.SkipPruning {
 		for i := range inc.queries {
 			if !inc.g.Live(i) {
@@ -516,10 +518,17 @@ func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
 	}
 	for sig, out := range inc.cache {
 		if out.pass != inc.pass {
-			delete(inc.cache, sig)
+			inc.evict(sig, out)
 		}
 	}
 	return d, nil
+}
+
+// evict drops the outcome filed under sig and releases its binding; the
+// caller knows that no candidate or event points at it.
+func (inc *Incremental) evict(sig string, out *compOutcome) {
+	out.binding.Release()
+	delete(inc.cache, sig)
 }
 
 // settle finds the outcome of component c, whose reach row is folded:

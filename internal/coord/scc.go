@@ -186,12 +186,15 @@ func (inc *Incremental) load(qs []eq.Query, store db.Store, opts Options) error 
 
 // release lets go of everything the request handed inc or its pass read
 // from the store — queries, bucketed atoms, store, options, fallback,
-// bindings, traced outcomes, combined body, the unifier's constants —
-// in used and spare capacity alike, and pools inc. What stays is
-// integer scratch and the buckets' keys: the relations and constants
-// the last fills filed.
+// bindings (the candidates' frames go back to db), traced outcomes,
+// combined body, the unifier's constants — in used and spare capacity
+// alike, and pools inc. What stays is integer scratch and the buckets'
+// keys: the relations and constants the last fills filed.
 func (inc *Incremental) release() {
 	inc.store, inc.opts, inc.queries, inc.fb = nil, Options{}, nil, fallback{}
+	for i := range inc.cands {
+		inc.cands[i].binding.Release()
+	}
 	g, sr := inc.g, &inc.scr.sr
 	clear(g.heads.refs[:cap(g.heads.refs)])
 	clear(g.posts.refs[:cap(g.posts.refs)])
@@ -206,12 +209,13 @@ func (inc *Incremental) release() {
 
 // finishResult turns the state of an algorithm that holds its own
 // substitution in sr — the unifier of order, a set whose bodies, in that
-// order, the database grounded as bind — into a verified-shape Result.
-// The meter is the one every query of the run went through; its count
-// is the run's exact DBQueries.
+// order, the database grounded as bind — into a verified-shape Result,
+// releasing bind. The meter is the one every query of the run went
+// through; its count is the run's exact DBQueries.
 func finishResult(qs []eq.Query, vars []varTable, sr *search, order []int, bind db.Binding, m *db.Meter) (*Result, error) {
 	sr.combine(qs, vars, order)
 	values, err := sr.values(qs, vars, order, bind, &fallback{store: m})
+	bind.Release()
 	if err != nil {
 		return nil, err
 	}

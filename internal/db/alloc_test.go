@@ -19,8 +19,8 @@ var sinkBinding Binding
 // caller already knows — and Satisfiable, which hands back no binding,
 // makes none.
 func TestSolveUnderAllocationBar(t *testing.T) {
-	in, body, subs := solveUnderFixture(t)
 	const vars, header = 10, 32
+	in, body, subs := solveUnderFixture(t, vars)
 	i := 0
 	solve := func() {
 		b, ok, err := in.SolveUnder(body, subs[i%len(subs)])
@@ -59,5 +59,28 @@ func TestSolveUnderAllocationBar(t *testing.T) {
 	sat()
 	if allocs := testing.AllocsPerRun(200, sat); allocs != 0 {
 		t.Errorf("Satisfiable: %.0f allocations per call, want 0", allocs)
+	}
+}
+
+// TestReleasedSolveUnderAllocatesNothing holds the section-4 walk's use
+// of a frame: in steady state, SolveUnder followed by Release makes no
+// allocation at 1, 40 and 400 slots — each answer fills the frame the
+// one before it handed back.
+func TestReleasedSolveUnderAllocatesNothing(t *testing.T) {
+	for _, vars := range []int{1, 40, 400} {
+		in, body, subs := solveUnderFixture(t, vars)
+		i := 0
+		solve := func() {
+			b, ok, err := in.SolveUnder(body, subs[i%len(subs)])
+			if err != nil || !ok || b.Len() != vars {
+				t.Fatalf("%d slots: binding of %d, ok=%v err=%v", vars, b.Len(), ok, err)
+			}
+			b.Release()
+			i++
+		}
+		solve() // compile the plan, fill the pools
+		if allocs := testing.AllocsPerRun(200, solve); allocs != 0 {
+			t.Errorf("%d slots: SolveUnder and Release make %.1f allocations, want 0", vars, allocs)
+		}
 	}
 }

@@ -56,9 +56,12 @@
 // probe-candidate columns, lock order, shard routing — is derived once
 // and cached on the store, and the hot loop runs over a []eq.Value
 // frame with no map operations; an answer leaves as a Binding, one
-// allocated frame of values by slot, a slot being a variable by first
+// frame of values by slot, a slot being a variable by first
 // occurrence — under SolveUnder, an unbound class of the substitution.
-// A binding carries no names: the caller holds the body. A shape
+// A binding carries no names: the caller holds the body. An answer
+// fills a frame of its length that an earlier answer's owner handed
+// back (Binding.Release), allocating one only when none is free; a
+// binding never released is garbage like any other value. A shape
 // abstracts constant values and variable names, so the coordination
 // algorithms' re-issued bodies (thousands of SolveUnder calls over the
 // same shapes) hit the cache; SolveUnder resolves each argument by its

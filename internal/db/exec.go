@@ -12,7 +12,7 @@ import (
 // shard parts, and the probe resolution (which hash index, if any, each
 // step uses on each part). An exec is pooled on its plan, so steady-state
 // evaluation allocates only the result bindings the API must return: one
-// frame per answer.
+// frame per answer, or none when a released one is free.
 type exec struct {
 	p      *plan
 	consts []eq.Value
@@ -226,7 +226,7 @@ func (x *exec) emit() bool {
 		x.found = true
 		return false
 	}
-	x.results = append(x.results, Binding{slices.Clone(x.frame)})
+	x.results = append(x.results, bindingOf(x.frame))
 	return x.limit <= 0 || len(x.results) < x.limit
 }
 

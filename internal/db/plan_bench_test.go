@@ -77,12 +77,12 @@ func BenchmarkSolveCompiledSharded(b *testing.B) {
 	})
 }
 
-// solveUnderFixture is the coordination hot loop's shape: one 10-atom
-// body, two variables an atom, and 64 substitutions that each pin every
-// atom's indexed column and leave its other variable to the database.
-func solveUnderFixture(tb testing.TB) (in *Instance, body []eq.Atom, subs []*unify.Subst) {
+// solveUnderFixture is the coordination hot loop's shape: one body of
+// the given number of atoms, two variables an atom, and 64
+// substitutions that each pin every atom's indexed column and leave its
+// other variable to the database: an answer binds one slot an atom.
+func solveUnderFixture(tb testing.TB, atoms int) (in *Instance, body []eq.Atom, subs []*unify.Subst) {
 	in = benchTable(20000, true)
-	const atoms = 10
 	body = make([]eq.Atom, atoms)
 	for i := range body {
 		body[i] = eq.NewAtom("T", eq.V(fmt.Sprintf("x%d", i)), eq.V(fmt.Sprintf("v%d", i)))
@@ -106,16 +106,31 @@ func solveUnderFixture(tb testing.TB) (in *Instance, body []eq.Atom, subs []*uni
 }
 
 // BenchmarkSolveCompiledSolveUnder: the coordination hot loop — the
-// same multi-atom body shape re-issued under substitutions that pin its
+// same 10-atom body shape re-issued under substitutions that pin its
 // variables (terms are resolved at bind time; no body is rewritten).
+// "compiled" keeps every answer, one frame each; "released" hands each
+// back, as the section-4 walk does, and allocates nothing. Both time a
+// warm plan and, for "released", a warm frame pool, so even a 1x run
+// reports the steady state.
 func BenchmarkSolveCompiledSolveUnder(b *testing.B) {
-	in, body, subs := solveUnderFixture(b)
-	b.Run("compiled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok, err := in.SolveUnder(body, subs[i%len(subs)]); err != nil || !ok {
-				b.Fatalf("ok=%v err=%v", ok, err)
+	in, body, subs := solveUnderFixture(b, 10)
+	for _, release := range []bool{false, true} {
+		name := map[bool]string{false: "compiled", true: "released"}[release]
+		b.Run(name, func(b *testing.B) {
+			if warm, _, _ := in.SolveUnder(body, subs[0]); release {
+				warm.Release()
 			}
-		}
-	})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bind, ok, err := in.SolveUnder(body, subs[i%len(subs)])
+				if err != nil || !ok {
+					b.Fatalf("ok=%v err=%v", ok, err)
+				}
+				if release {
+					bind.Release()
+				}
+			}
+		})
+	}
 }

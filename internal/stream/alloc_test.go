@@ -54,10 +54,11 @@ func measurePair(t *testing.T, s *stream.Session, p churnPair, rows int) (allocs
 // (8 dirty components, and a pruning cascade over the stranded suffix).
 //
 // Before reconcile ran on reused integer scratch the pairs cost 322 KB
-// and 438 KB per event at 256 live (72 KB and 105 KB at 64 live): 31x
-// and 16x the ceilings below (7x and 3.7x), and 4.5x and 4.2x their
-// own 64-live figures. Today they cost about 3.5 KB and 19 KB at
-// either size.
+// and 438 KB per event at 256 live (72 KB and 105 KB at 64 live), 4.5x
+// and 4.2x their own 64-live figures. With a database frame allocated
+// per grounded component they cost 325 B and 1,717 B at either size.
+// An evicted outcome now hands its frame back, and they cost 197 B and
+// 917 B; the byte ceilings below sit about 1.25x above that.
 func TestSteadyStateAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -66,7 +67,7 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 		chainLen = 16
 		// The ceiling per event: a base plus so much per component the
 		// event dirtied.
-		baseBytes, perDirtyBytes   = 8 << 10, 5 << 10
+		baseBytes, perDirtyBytes   = 128, 256
 		baseAllocs, perDirtyAllocs = 30, 40
 	)
 	pairs := []churnPair{{"tail-clip", chainLen - 1}, {"interior", chainLen / 2}}
