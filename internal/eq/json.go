@@ -43,7 +43,7 @@ func (t *Term) UnmarshalText(text []byte) error {
 // CheckRels reports an atom of q that names no relation, the one rule
 // of the query grammar field tags cannot state. Whatever reads JSON
 // another process wrote — DecodeSet, the HTTP request edge, journal
-// replay — calls it; the binary protocol has wire.GetAtom refuse it.
+// replay — calls it; the binary protocol has wire.GetQuery refuse it.
 func (q Query) CheckRels() error {
 	noRel := func(a Atom) bool { return a.Rel == "" }
 	if slices.ContainsFunc(q.Post, noRel) || slices.ContainsFunc(q.Head, noRel) || slices.ContainsFunc(q.Body, noRel) {

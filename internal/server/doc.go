@@ -25,7 +25,8 @@
 //     requests with the typed code "overloaded" (inline in the batch
 //     response) instead of building backlog. The bounds — maxBatch,
 //     queueDepth, mailboxSize, idleTimeout, dispatchTimeout — are
-//     constants (server.go).
+//     constants (server.go). A batch decoded from a frame goes back
+//     to wire's pool once answered, unless its caller left first.
 //   - the session registry: named stream.Sessions over the shared
 //     store, each serving its events one at a time in a turn the
 //     posting goroutine takes (at most mailboxSize wait for it),

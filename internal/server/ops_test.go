@@ -378,7 +378,7 @@ func TestOversizedPayloadRefusedBothProtocols(t *testing.T) {
 
 // TestMalformedBodiesRefusedBothProtocols: a request body is one value
 // with nothing after it, and every atom in it names a relation. The
-// binary protocol refuses both as it decodes (Dec.Finish, wire.GetAtom);
+// binary protocol refuses both as it decodes (Dec.Finish, wire.GetQuery);
 // HTTP used to serve the first JSON value of a body and bill for it, and
 // checks the relation itself now that eq's JSON is field tags. Every
 // body-carrying route answers the typed 400 bad_request on both

@@ -398,6 +398,14 @@ func writeError(w http.ResponseWriter, err error) {
 // its fair schedule. Admission rejections (queue full,
 // draining, throttled) come back inline as that request's error — the
 // call itself stays 200 so one hot spot cannot fail a whole batch.
+//
+// A batch decoded from a frame goes back to wire's pool here, its one
+// release site, once nothing can read it: while ctx lives, every
+// submitter waits for its worker's reply, which is sent after the walk,
+// a forwarded sub-batch is encoded before it is sent, and scatter
+// goroutines are joined. Once ctx has ended a worker may still be
+// walking the queries, so the batch is left to the collector, as is a
+// refused one.
 func (s *Server) coordinate(ctx context.Context, q wire.CoordinateReq, forwarded bool) (api.CoordinateResponse, int, error) {
 	switch n := len(q.Requests); {
 	case n == 0:
@@ -405,7 +413,11 @@ func (s *Server) coordinate(ctx context.Context, q wire.CoordinateReq, forwarded
 	case n > maxBatch:
 		return api.CoordinateResponse{}, 0, badRequest(http.StatusBadRequest, "batch of %d exceeds the %d-request cap", n, maxBatch)
 	}
-	return api.CoordinateResponse{Responses: s.serveBatchRouted(ctx, q.Requests, forwarded)}, http.StatusOK, nil
+	resps := s.serveBatchRouted(ctx, q.Requests, forwarded)
+	if ctx.Err() == nil {
+		q.Release()
+	}
+	return api.CoordinateResponse{Responses: resps}, http.StatusOK, nil
 }
 
 // serveBatch admits every request into the shared batcher individually

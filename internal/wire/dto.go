@@ -2,6 +2,7 @@ package wire
 
 import (
 	"sort"
+	"sync"
 
 	"entangled/internal/api"
 	"entangled/internal/coord"
@@ -104,8 +105,8 @@ func PutAtom(e *Enc, a eq.Atom) {
 	}
 }
 
-// GetAtom reads one atom.
-func GetAtom(d *Dec) eq.Atom {
+// getAtom reads one atom, its arguments cut from s (nil makes them).
+func getAtom(d *Dec, s *batchSlab) eq.Atom {
 	var a eq.Atom
 	a.Rel = d.String()
 	if d.err == nil && a.Rel == "" {
@@ -113,7 +114,7 @@ func GetAtom(d *Dec) eq.Atom {
 		return eq.Atom{}
 	}
 	if n := getSlice(d, 2); n >= 0 {
-		a.Args = make([]eq.Term, n)
+		a.Args = cut(s, func(s *batchSlab) *[]eq.Term { return &s.ts }, n)
 		for i := range a.Args {
 			a.Args[i] = GetTerm(d)
 		}
@@ -128,14 +129,14 @@ func putAtoms(e *Enc, atoms []eq.Atom) {
 	}
 }
 
-func getAtoms(d *Dec) []eq.Atom {
+func getAtoms(d *Dec, s *batchSlab) []eq.Atom {
 	n := getSlice(d, 2)
 	if n < 0 {
 		return nil
 	}
-	atoms := make([]eq.Atom, n)
+	atoms := cut(s, func(s *batchSlab) *[]eq.Atom { return &s.as }, n)
 	for i := range atoms {
-		atoms[i] = GetAtom(d)
+		atoms[i] = getAtom(d, s)
 	}
 	return atoms
 }
@@ -150,12 +151,14 @@ func PutQuery(e *Enc, q eq.Query) {
 }
 
 // GetQuery reads one query.
-func GetQuery(d *Dec) eq.Query {
+func GetQuery(d *Dec) eq.Query { return getQuery(d, nil) }
+
+func getQuery(d *Dec, s *batchSlab) eq.Query {
 	var q eq.Query
 	q.ID = d.String()
-	q.Post = getAtoms(d)
-	q.Head = getAtoms(d)
-	q.Body = getAtoms(d)
+	q.Post = getAtoms(d, s)
+	q.Head = getAtoms(d, s)
+	q.Body = getAtoms(d, s)
 	return q
 }
 
@@ -168,16 +171,71 @@ func PutQueries(e *Enc, qs []eq.Query) {
 }
 
 // GetQueries reads a query slice.
-func GetQueries(d *Dec) []eq.Query {
+func GetQueries(d *Dec) []eq.Query { return getQueries(d, nil) }
+
+func getQueries(d *Dec, s *batchSlab) []eq.Query {
 	n := getSlice(d, 4)
 	if n < 0 {
 		return nil
 	}
-	qs := make([]eq.Query, n)
+	qs := cut(s, func(s *batchSlab) *[]eq.Query { return &s.qs }, n)
 	for i := range qs {
-		qs[i] = GetQuery(d)
+		qs[i] = getQuery(d, s)
 	}
 	return qs
+}
+
+// batchSlab holds what a coordinate batch decodes into besides its
+// strings: four arrays the batch's slices are cut from, so a pooled
+// slab decodes a batch of the size it last saw without allocating
+// them. Strings stay ordinary allocations: a result's value map keys
+// are the request's variable names, and db's plan cache keeps a
+// relation name. A nil *batchSlab makes every slice afresh.
+type batchSlab struct {
+	reqs []api.Request
+	qs   []eq.Query
+	as   []eq.Atom
+	ts   []eq.Term
+}
+
+// slabCap bounds each of a pooled slab's arrays, in elements: a slab
+// one large batch grew past it is left to the collector, so a hostile
+// MaxFrame batch does not pin its memory (db's frames stop at 1,024
+// slots the same way).
+const slabCap = 1 << 12
+
+var slabs = sync.Pool{New: func() any { return new(batchSlab) }}
+
+// cut hands out n elements of the array field picks from s, their
+// capacity capped at n so an append to one slice copies instead of
+// writing into the next. An array too short for them is replaced by a
+// larger one; the slices already cut keep the old one alive. Without a
+// slab the elements are made afresh, and an empty slice is non-nil
+// either way, as the JSON decode makes it.
+func cut[T any](s *batchSlab, field func(*batchSlab) *[]T, n int) []T {
+	if s == nil || n == 0 {
+		return make([]T, n)
+	}
+	a := *field(s)
+	if len(a)+n > cap(a) {
+		a = make([]T, 0, max(2*cap(a), n, 64))
+	}
+	*field(s) = a[:len(a)+n]
+	return a[len(a) : len(a)+n : len(a)+n]
+}
+
+// release clears what s handed out and pools it, unless one of its
+// arrays grew past slabCap.
+func (s *batchSlab) release() {
+	if s == nil || max(cap(s.reqs), cap(s.qs), cap(s.as), cap(s.ts)) > slabCap {
+		return
+	}
+	clear(s.reqs)
+	clear(s.qs)
+	clear(s.as)
+	clear(s.ts)
+	s.reqs, s.qs, s.as, s.ts = s.reqs[:0], s.qs[:0], s.as[:0], s.ts[:0]
+	slabs.Put(s)
 }
 
 // --- coord types ---
@@ -220,11 +278,12 @@ func PutResult(e *Enc, r *coord.Result) {
 			keys = append(keys, k)
 		}
 		sort.Ints(keys)
+		var names []string // one scratch slice for every query's names
 		for _, k := range keys {
 			e.Int(k)
 			vals := r.Values[k]
 			e.Uvarint(uint64(len(vals)))
-			names := make([]string, 0, len(vals))
+			names = names[:0]
 			for name := range vals {
 				names = append(names, name)
 			}
@@ -582,15 +641,14 @@ func PutRequests(e *Enc, rs []api.Request) {
 	}
 }
 
-// GetRequests reads a coordinate batch's requests.
-func GetRequests(d *Dec) []api.Request {
+func getRequests(d *Dec, s *batchSlab) []api.Request {
 	n := getSlice(d, 2)
 	if n < 0 {
 		return nil
 	}
-	rs := make([]api.Request, n)
+	rs := cut(s, func(s *batchSlab) *[]api.Request { return &s.reqs }, n)
 	for i := range rs {
-		rs[i] = api.Request{ID: d.String(), Queries: GetQueries(d)}
+		rs[i] = api.Request{ID: d.String(), Queries: getQueries(d, s)}
 	}
 	return rs
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"entangled/internal/api"
@@ -84,7 +85,20 @@ func decodeEverything(t *testing.T, payload []byte) {
 		d.Finish()
 		check(d)
 	}
-	run(func(d *Dec) { DecodeCoordinateReq(d) })
+	// A batch decodes into a pooled slab as into fresh slices, and again
+	// after Release handed the slab back.
+	plain := NewDec(payload)
+	GetHeader(plain)
+	want := getRequests(plain, nil)
+	for range 2 {
+		run(func(d *Dec) {
+			got := DecodeCoordinateReq(d)
+			if !reflect.DeepEqual(got.Requests, want) || (d.Err() == nil) != (plain.Err() == nil) {
+				t.Fatalf("pooled decode %+v (%v) != plain decode %+v (%v)", got.Requests, d.Err(), want, plain.Err())
+			}
+			got.Release()
+		})
+	}
 	run(func(d *Dec) { DecodeCreateSessionReq(d) })
 	run(func(d *Dec) { DecodeJoinReq(d) })
 	run(func(d *Dec) { DecodeLeaveReq(d) })

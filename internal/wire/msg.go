@@ -88,15 +88,26 @@ func GetHeader(d *Dec) Header {
 // CoordinateReq is the body of a KindCoordinate request.
 type CoordinateReq struct {
 	Requests []api.Request
+	// slab holds the requests' query, atom and term slices when they
+	// were decoded from a frame; nil for one built or read from JSON.
+	slab *batchSlab
 }
 
 // Encode appends the request body.
 func (m CoordinateReq) Encode(e *Enc) { PutRequests(e, m.Requests) }
 
-// DecodeCoordinateReq reads a KindCoordinate body.
+// DecodeCoordinateReq reads a KindCoordinate body into a pooled slab:
+// its slices stay valid until Release.
 func DecodeCoordinateReq(d *Dec) CoordinateReq {
-	return CoordinateReq{Requests: GetRequests(d)}
+	s := slabs.Get().(*batchSlab)
+	return CoordinateReq{Requests: getRequests(d, s), slab: s}
 }
+
+// Release hands the slab m was decoded into back to the pool. Call it
+// once, when nothing reads m.Requests' slices any more; a request that
+// came from JSON, or one never released, just leaves its memory to the
+// collector.
+func (m CoordinateReq) Release() { m.slab.release() }
 
 // CreateSessionReq is the body of a KindCreateSession request.
 type CreateSessionReq struct {

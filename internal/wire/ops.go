@@ -67,7 +67,7 @@ type Op[Q Req, R any] struct {
 // fromBody is the FromHTTP of a request whose JSON body is a B. One
 // that carries queries has a check: eq's JSON is its field tags, which
 // cannot say that every atom names a relation, so this edge asks, before
-// admission decides or charges, and refuses as GetAtom does on the other.
+// admission decides or charges, and refuses as GetQuery does on the other.
 func fromBody[B any, Q Req](conv func(key string, b B) Q, check func(Q) error) func(key, query string, body func(any) error) (Q, error) {
 	return func(key, _ string, body func(any) error) (Q, error) {
 		var b B // zero: the decoder merges into what its target holds
