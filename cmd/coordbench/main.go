@@ -47,7 +47,7 @@ func main() {
 	case "8":
 		series = []experiments.Series{experiments.Figure8(cfg)}
 	case "ablations":
-		series = experiments.Ablations(cfg)
+		series = experiments.AblationPruning(cfg)
 	default:
 		fmt.Fprintf(os.Stderr, "coordbench: unknown figure %q\n", *fig)
 		os.Exit(2)

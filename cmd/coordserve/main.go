@@ -10,7 +10,7 @@
 // Usage:
 //
 //	coordserve -listen :8080 [-listen-binary :9090] [-rows N] [-shards K] [-workers N]
-//	coordserve -listen :8080 -data-dir DIR [-fsync always|never|50ms] [-probe D]
+//	coordserve -listen :8080 -data-dir DIR [-fsync always|never|50ms]
 //	coordserve -listen :8080 -cluster-node a -cluster-peers a=:9101,b=:9102,c=:9103
 //	coordserve -listen :8080 -tenants policy.json
 //
@@ -21,8 +21,9 @@
 // table and snapshotted, a used one is recovered as it is and -rows is
 // ignored.
 //
-// The serving bounds (internal/server) and the log's segment and
-// compaction sizes (internal/persist) are constants, not flags.
+// The serving bounds and the degraded-mode probe interval
+// (internal/server) and the log's segment and compaction sizes
+// (internal/persist) are constants, not flags.
 //
 // -cluster-peers turns N coordserve processes into one logical
 // service: every node is started with the same membership list
@@ -45,7 +46,6 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
-	"time"
 )
 
 // config is what the flags say; parseFlags fills it and run serves it.
@@ -53,7 +53,6 @@ type config struct {
 	listen, listenBinary  string
 	rows, shards, workers int
 	dataDir, fsync        string
-	probe                 time.Duration
 	clusterNode           string
 	clusterPeers          string
 	tenants               string
@@ -73,7 +72,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.IntVar(&c.workers, "workers", runtime.GOMAXPROCS(0), "engine worker-pool size")
 	fs.StringVar(&c.dataDir, "data-dir", "", "durable data directory (snapshot + WAL); empty = in-memory only")
 	fs.StringVar(&c.fsync, "fsync", "always", "WAL sync policy: always, never, or a flush interval like 50ms")
-	fs.DurationVar(&c.probe, "probe", 0, "degraded-mode probe interval (0 = 500ms default; negative disables)")
 	fs.StringVar(&c.clusterNode, "cluster-node", "", "this node's name in the cluster membership (requires -cluster-peers)")
 	fs.StringVar(&c.clusterPeers, "cluster-peers", "", "full cluster membership as name=host:port binary-protocol entries, comma-separated; empty = standalone")
 	fs.StringVar(&c.tenants, "tenants", "", "per-tenant admission policy JSON file; empty = no admission control")

@@ -18,7 +18,7 @@ func TestParseFlags(t *testing.T) {
 	}{
 		{"-listen :8080", ""},
 		{"-listen :8080 -listen-binary :9090 -rows 100 -shards 4 -workers 2", ""},
-		{"-listen :8080 -data-dir /tmp/d -fsync 50ms -probe -1s -tenants p.json", ""},
+		{"-listen :8080 -data-dir /tmp/d -fsync 50ms -tenants p.json", ""},
 		{"-listen :8080 -cluster-node a -cluster-peers a=:9101,b=:9102", ""},
 		{"", "-listen is required"},
 		{"-rows 100", "-listen is required"},
@@ -33,9 +33,10 @@ func TestParseFlags(t *testing.T) {
 		{"-listen :8080 -latency 1ms", "flag provided but not defined: -latency"},
 		{"-target http://localhost:8080 -compare", "flag provided but not defined: -target"},
 		{"-stream", "flag provided but not defined: -stream"},
-		// So are the two settings only tests changed.
+		// So are the settings only tests changed.
 		{"-listen :8080 -dispatch-timeout 5s", "flag provided but not defined: -dispatch-timeout"},
 		{"-listen :8080 -cluster-vnodes 16", "flag provided but not defined: -cluster-vnodes"},
+		{"-listen :8080 -data-dir /tmp/d -probe 1s", "flag provided but not defined: -probe"},
 	} {
 		var stderr strings.Builder
 		cfg, err := parseFlags(strings.Fields(tc.args), &stderr)
@@ -57,8 +58,8 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-h"}, &usage); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
 	}
-	if n := strings.Count(usage.String(), "\n  -"); n != 11 {
-		t.Errorf("-h lists %d flags, want 11:\n%s", n, usage.String())
+	if n := strings.Count(usage.String(), "\n  -"); n != 10 {
+		t.Errorf("-h lists %d flags, want 10:\n%s", n, usage.String())
 	}
 	if cfg, err := parseFlags(nil, io.Discard); err == nil {
 		t.Errorf("no arguments: accepted as %+v", cfg)

@@ -101,7 +101,7 @@ func run(ctx context.Context, cfg config, stdout io.Writer) error {
 		defer cr.Close()
 	}
 	e := engine.New(store, engine.Options{Workers: cfg.workers})
-	srv, err := server.New(e, server.Options{Persist: backend, ProbeInterval: cfg.probe, Cluster: cr, Admission: adm})
+	srv, err := server.New(e, server.Options{Persist: backend, Cluster: cr, Admission: adm})
 	if err != nil {
 		return fmt.Errorf("recovering sessions: %w", err)
 	}

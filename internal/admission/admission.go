@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"time"
@@ -103,14 +104,18 @@ type Config struct {
 }
 
 // ParseConfig decodes and validates a policy JSON document. Unknown
-// fields are rejected so a typo in a policy file fails loudly at boot
-// instead of silently admitting everything.
+// fields, and anything but whitespace after the document, are rejected
+// so a typo in a policy file fails loudly at boot instead of silently
+// admitting everything.
 func ParseConfig(data []byte) (Config, error) {
 	var cfg Config
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cfg); err != nil {
 		return Config{}, fmt.Errorf("admission: parsing policy: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Config{}, errors.New("admission: parsing policy: data after the document")
 	}
 	if err := cfg.Default.validate("default"); err != nil {
 		return Config{}, err

@@ -3,6 +3,9 @@ package admission
 import (
 	"context"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -211,6 +214,47 @@ func TestParseConfig(t *testing.T) {
 	}
 	if _, err := ParseConfig([]byte(`{"tenants": {"": {}}}`)); err == nil {
 		t.Fatal("empty tenant name accepted")
+	}
+}
+
+// TestPolicyFileRefusesTrailingData: a policy document is the whole
+// file. A second document (even one validate would refuse), stray
+// bytes or a stray closing brace after the first is an error, not
+// silently dropped; trailing whitespace is fine. LoadConfig reads a
+// valid file, and refuses a missing one and one with trailing data.
+func TestPolicyFileRefusesTrailingData(t *testing.T) {
+	for _, doc := range []string{
+		`{"default":{}} {"tenants":{"a":{"rate":-5}}}`,
+		`{"default":{}} garbage`,
+		`{"default":{}}}`,
+		`{"default":{}} []`,
+		`{"default":{}} 1`,
+	} {
+		if cfg, err := ParseConfig([]byte(doc)); err == nil {
+			t.Errorf("%q: accepted as %+v", doc, cfg)
+		}
+	}
+	if _, err := ParseConfig([]byte("{\"default\":{\"rate\":1}} \n\t\n")); err != nil {
+		t.Errorf("trailing whitespace refused: %v", err)
+	}
+
+	dir := t.TempDir()
+	write := func(name, data string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	cfg, err := LoadConfig(write("ok.json", `{"default":{"rate":7},"tenants":{"a":{"weight":2}}}`+"\n"))
+	if err != nil || cfg.Default.Rate != 7 || cfg.Tenants["a"].Weight != 2 {
+		t.Fatalf("valid file: %+v, %v", cfg, err)
+	}
+	if _, err := LoadConfig(filepath.Join(dir, "missing.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing file: %v, want fs.ErrNotExist", err)
+	}
+	if cfg, err := LoadConfig(write("trailing.json", `{"default":{}} {"tenants":{"a":{"rate":-5}}}`)); err == nil {
+		t.Fatalf("trailing data: accepted as %+v", cfg)
 	}
 }
 

@@ -275,9 +275,9 @@ func (g *IncrementalGraph) Probe(q eq.Query) (edges []ExtendedEdge, unsafe []int
 }
 
 // Add commits query q to the next slot and returns the slot index.
-// Safety is not enforced here — callers that admit arrivals
-// conditionally use Probe first and commit its edge list, paying for
-// the probe once.
+// Safety is not enforced here: fill checks a whole set once through
+// Unsafe, and Incremental.Add probes first and commits its edge list,
+// paying for the probe once.
 func (g *IncrementalGraph) Add(q eq.Query) (slot int) {
 	from := len(g.edges)
 	g.edges = g.probeNew(g.n, q, g.edges)

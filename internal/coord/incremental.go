@@ -145,10 +145,9 @@ type Incremental struct {
 }
 
 // NewIncremental returns an empty resumable coordinator over store.
-// opts.Select chooses among candidates in Result; SkipPruning and
-// SkipSafetyCheck have their batch meanings (SkipSafetyCheck disables
-// the Add-time admission check); Trace is ignored — the trace is
-// available from Trace().
+// opts.Select chooses among candidates in Result; SkipPruning has its
+// batch meaning; Trace is ignored — the trace is available from
+// Trace().
 func NewIncremental(store db.Store, opts Options) *Incremental {
 	return &Incremental{
 		store: store,
@@ -194,21 +193,15 @@ func (inc *Incremental) LiveQueries() []eq.Query {
 // assigned slot and the event's cost.
 //
 // When the arrival would make the set unsafe the set is left untouched
-// and ErrUnsafeArrival is returned (unless opts.SkipSafetyCheck trusts
-// the caller). Safety is checked on the delta only: the incremental
-// fanout counters make it O(newcomer's edges), not O(n²).
+// and ErrUnsafeArrival is returned. Safety is checked on the delta
+// only: the incremental fanout counters make it O(newcomer's edges),
+// not O(n²). One probe serves both the check and the commit.
 func (inc *Incremental) Add(q eq.Query) (int, DeltaStats, error) {
-	var slot int
-	if inc.opts.SkipSafetyCheck {
-		slot = inc.g.Add(q)
-	} else {
-		// One probe serves both the admission check and the commit.
-		edges, unsafe := inc.g.Probe(q)
-		if len(unsafe) > 0 {
-			return -1, DeltaStats{}, fmt.Errorf("%w %s: would make queries %v unsafe", ErrUnsafeArrival, q.ID, unsafe)
-		}
-		slot = inc.g.commit(q, edges)
+	edges, unsafe := inc.g.Probe(q)
+	if len(unsafe) > 0 {
+		return -1, DeltaStats{}, fmt.Errorf("%w %s: would make queries %v unsafe", ErrUnsafeArrival, q.ID, unsafe)
 	}
+	slot := inc.g.commit(q, edges)
 	m := db.NewMeter(inc.store)
 	// The serial goes with the slot, even one the probe below tombstones.
 	inc.queries, inc.vars = append(inc.queries, q), append(inc.vars, numberAll([]eq.Query{q})...)

@@ -109,7 +109,7 @@ func TestIncrementalGraphRemove(t *testing.T) {
 // one holds Edges to every live (postcondition, head) pair under
 // unify.Unifiable, enumerated by nested loops — which come out in
 // compareEdges order — and Unsafe to a recount, after every arrival
-// (admitted on a Probe or added blind), departure and compaction of a
+// (admitted or refused on a Probe), departure and compaction of a
 // seeded script over the shapes the buckets tell apart: constant and
 // variable first arguments, zero-argument atoms, one relation at two
 // arities.
@@ -165,8 +165,8 @@ func TestIncrementalGraphMatchesPairwiseOracle(t *testing.T) {
 			return edges, unsafe
 		}
 
-		checked := rng.Intn(2) == 0 // admit arrivals on a Probe, or add them blind
-		inc := NewIncremental(db.NewInstance(), Options{SkipSafetyCheck: !checked})
+		_ = rng.Intn(2) // the coin that once chose blind adds; kept so each seed's steps stay put
+		inc := NewIncremental(db.NewInstance(), Options{})
 		const steps = 30
 		compactAt := rng.Intn(steps)
 		for step := 0; step < steps; step++ {
@@ -192,7 +192,7 @@ func TestIncrementalGraphMatchesPairwiseOracle(t *testing.T) {
 				_, wantUnsafe := edgesAndUnsafe(append(model[:len(model):len(model)], &q))
 				slot, _, err := inc.Add(q)
 				switch {
-				case checked && len(wantUnsafe) > 0:
+				case len(wantUnsafe) > 0:
 					if !errors.Is(err, ErrUnsafeArrival) {
 						t.Fatalf("seed %d step %d: %s: err %v, but the arrival makes %v unsafe", seed, step, op, err, wantUnsafe)
 					}
@@ -467,35 +467,6 @@ func TestIncrementalUnsafeAdmission(t *testing.T) {
 		t.Fatalf("arrival should be safe after departure: %v", err)
 	} else {
 		checkIncrementalMatchesBatch(t, inc, store, d)
-	}
-}
-
-// TestIncrementalSkipSafetyCheck: with the check disabled the arrival
-// is admitted and batch comparison still holds (batch must then also
-// skip the check).
-func TestIncrementalSkipSafetyCheck(t *testing.T) {
-	store := chainStore(2)
-	inc := NewIncremental(store, Options{SkipSafetyCheck: true, SkipPruning: true})
-	for i := 0; i < 4; i++ {
-		_, d, err := inc.Add(chainQuery(0, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.DBQueries != 1 {
-			t.Fatalf("with pruning skipped an arrival costs 1 query, got %d", d.DBQueries)
-		}
-		// Batch with the same options must agree on the team.
-		got, err := inc.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := SCCCoordinate(inc.LiveQueries(), store, Options{SkipSafetyCheck: true, SkipPruning: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Size() != want.Size() {
-			t.Fatalf("team size %d != %d", got.Size(), want.Size())
-		}
 	}
 }
 

@@ -50,10 +50,8 @@ func oracleRun(qs []eq.Query, store db.Store, opts Options) (*oracleWalk, error)
 	}
 	tr := opts.Trace
 	edges := ExtendedGraph(qs)
-	if !opts.SkipSafetyCheck {
-		if bad := unsafeIn(edges, nil); len(bad) > 0 {
-			return nil, fmt.Errorf("%w: unsafe queries %v", ErrUnsafe, bad)
-		}
+	if bad := unsafeIn(edges, nil); len(bad) > 0 {
+		return nil, fmt.Errorf("%w: unsafe queries %v", ErrUnsafe, bad)
 	}
 	alive := make([]bool, len(qs))
 	for i := range alive {
@@ -237,11 +235,8 @@ func TestBulkLoadMatchesBatchOracle(t *testing.T) {
 	}{
 		{"default", func([]eq.Query) Options { return Options{} }},
 		{"skip pruning", func([]eq.Query) Options { return Options{SkipPruning: true} }},
-		{"skip safety check", func([]eq.Query) Options { return Options{SkipSafetyCheck: true} }},
 		{"traced", func([]eq.Query) Options { return Options{Trace: &Trace{}} }},
-		{"traced, nothing checked", func([]eq.Query) Options {
-			return Options{Trace: &Trace{}, SkipPruning: true, SkipSafetyCheck: true}
-		}},
+		{"traced, skip pruning", func([]eq.Query) Options { return Options{Trace: &Trace{}, SkipPruning: true} }},
 		{"prefer query", func(qs []eq.Query) Options { return Options{Select: PreferQuery(len(qs) / 2)} }},
 	}
 	errText := func(err error) string {

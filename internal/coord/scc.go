@@ -80,10 +80,6 @@ type Options struct {
 	// before graph condensation. Used by the ablation benchmarks; the
 	// algorithm remains correct either way.
 	SkipPruning bool
-	// SkipSafetyCheck trusts the caller that qs is safe. The safety
-	// check is quadratic in the query-set size, and workload generators
-	// construct safe sets by design.
-	SkipSafetyCheck bool
 	// Trace, when non-nil, receives a step-by-step record of a run that
 	// succeeds (pruning events and per-component outcomes); see
 	// coord.Trace.
@@ -165,10 +161,8 @@ var loads = sync.Pool{New: func() any { return &Incremental{g: NewIncrementalGra
 // that fails adds nothing to opts.Trace.
 func (inc *Incremental) load(qs []eq.Query, store db.Store, opts Options) error {
 	inc.g.fill(qs)
-	if !opts.SkipSafetyCheck {
-		if bad := inc.g.Unsafe(); len(bad) > 0 {
-			return fmt.Errorf("%w: unsafe queries %v", ErrUnsafe, bad)
-		}
+	if bad := inc.g.Unsafe(); len(bad) > 0 {
+		return fmt.Errorf("%w: unsafe queries %v", ErrUnsafe, bad)
 	}
 	inc.store, inc.opts, inc.queries, inc.total = store, opts, qs, 0
 	inc.ids, inc.vars = numberInto(qs, inc.ids, inc.vars)

@@ -21,7 +21,5 @@ func (in *Instance) Contains(a eq.Atom) bool {
 	if err != nil {
 		return false
 	}
-	// Indexes are always consulted here: UseIndexes only ablates query
-	// evaluation, not membership.
-	return p.satisfiable(body[:], true)
+	return p.satisfiable(body[:])
 }

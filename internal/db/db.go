@@ -173,17 +173,13 @@ func (x *index) add(r *Relation, row int) {
 // guarded by an RWMutex, every relation carries its own RWMutex, and the
 // query counter is atomic, so many goroutines may issue queries against
 // one shared instance (the concurrent-engine serving path) while
-// mutations are serialised. The UseIndexes and SimulatedLatency knobs
-// are configuration: set them before sharing the instance across
-// goroutines.
+// mutations are serialised. SimulatedLatency is configuration: set it
+// before sharing the instance across goroutines. A column is probed
+// through its hash index when BuildIndex gave it one and scanned
+// otherwise.
 type Instance struct {
 	mu   sync.RWMutex
 	rels map[string]*Relation
-
-	// UseIndexes controls whether the evaluator consults hash indexes;
-	// turning it off degrades lookups to scans (used by the ablation
-	// benchmarks).
-	UseIndexes bool
 
 	// SimulatedLatency, when non-zero, is added to every database query
 	// to model the per-round-trip cost of a networked SQL server (the
@@ -200,9 +196,9 @@ type Instance struct {
 	plans   planCache
 }
 
-// NewInstance returns an empty database instance with indexing enabled.
+// NewInstance returns an empty database instance.
 func NewInstance() *Instance {
-	return &Instance{rels: map[string]*Relation{}, UseIndexes: true}
+	return &Instance{rels: map[string]*Relation{}}
 }
 
 // AddRelation registers a relation; it replaces any previous relation of

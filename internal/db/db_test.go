@@ -400,32 +400,33 @@ func sameBindingSet(a, b []map[string]eq.Value) bool {
 	return true
 }
 
-// TestUseIndexesOffSameAnswers holds every index walk to the scan it
+// TestIndexedTwinSameAnswers holds every index walk to the scan it
 // stands in for: SolveAll, Project and SelectOne give the same answers
-// in the same order with UseIndexes on and off. The indexed values
-// repeat heavily and rows arrive after BuildIndex, on a plain and on a
-// sharded instance.
-func TestUseIndexesOffSameAnswers(t *testing.T) {
+// in the same order on twins holding the same rows, BuildIndex called
+// on one twin only. The indexed values repeat heavily and rows arrive
+// after BuildIndex, on a plain and on a sharded instance.
+func TestIndexedTwinSameAnswers(t *testing.T) {
 	fill := func(insert func(...eq.Value), from, to int) {
 		for i := from; i < to; i++ {
 			insert(eq.Value("k"+strconv.Itoa(i)), eq.Value("v"+strconv.Itoa(i%7)), eq.Value("w"+strconv.Itoa(i%3)))
 		}
 	}
-	build := func(insert func(...eq.Value), index func(int)) {
+	build := func(insert func(...eq.Value), index func(int), indexed bool) {
 		fill(insert, 0, 200)
-		index(1)
-		index(2)
+		if indexed {
+			index(1)
+			index(2)
+		}
 		fill(insert, 200, 350)
 	}
-	in := NewInstance()
-	r := in.CreateRelation("R", "k", "v", "w")
-	build(r.Insert, r.BuildIndex)
-	sh := NewShardedInstance(3)
-	sr := sh.CreateRelation("R", 0, "k", "v", "w") // every v bucket spans the shards
-	build(sr.Insert, sr.BuildIndex)
-	insts := []*Instance{in}
-	for i := 0; i < sh.NumShards(); i++ {
-		insts = append(insts, sh.Shard(i))
+	twin := func(indexed bool) (*Instance, *ShardedInstance) {
+		in := NewInstance()
+		r := in.CreateRelation("R", "k", "v", "w")
+		build(r.Insert, r.BuildIndex, indexed)
+		sh := NewShardedInstance(3)
+		sr := sh.CreateRelation("R", 0, "k", "v", "w") // every v bucket spans the shards
+		build(sr.Insert, sr.BuildIndex, indexed)
+		return in, sh
 	}
 
 	k, v, w := eq.V("k"), eq.V("v"), eq.V("w")
@@ -438,9 +439,12 @@ func TestUseIndexesOffSameAnswers(t *testing.T) {
 		{eq.NewAtom("R", k, eq.C("none"), w)},
 	}
 	wheres := []map[int]eq.Value{{1: "v4"}, {2: "w2"}, {1: "v2"}, {1: "v1", 2: "w2"}, {1: "none"}, nil}
-	answers := func(useIndexes bool) (got []any) {
-		in.UseIndexes = useIndexes
-		sh.SetUseIndexes(useIndexes)
+	answers := func(indexed bool) (got []any) {
+		in, sh := twin(indexed)
+		insts := []*Instance{in}
+		for i := 0; i < sh.NumShards(); i++ {
+			insts = append(insts, sh.Shard(i))
+		}
 		for _, body := range bodies {
 			for _, s := range []Store{in, sh} {
 				bs, err := s.SolveAll(body, 0)
@@ -468,7 +472,7 @@ func TestUseIndexesOffSameAnswers(t *testing.T) {
 	with, without := answers(true), answers(false)
 	for i := range with {
 		if !reflect.DeepEqual(with[i], without[i]) {
-			t.Fatalf("answer %d: indexes on %v, off %v", i, with[i], without[i])
+			t.Fatalf("answer %d: indexed %v, scanned %v", i, with[i], without[i])
 		}
 	}
 	if bs := with[4].([]Binding); len(bs) != 50 { // k2, k9, ..., k345

@@ -10,19 +10,19 @@ import (
 // values such that every grounded atom is in the instance, or ok=false
 // if none exists. An empty body is vacuously satisfiable.
 func (in *Instance) Solve(body []eq.Atom) (Binding, bool, error) {
-	return solveOne(in, &in.plans, in.UseIndexes, body, nil)
+	return solveOne(in, &in.plans, body, nil)
 }
 
 // SolveAll returns up to limit assignments satisfying the body (limit <=
 // 0 means no limit). Each assignment grounds every variable of the body.
 func (in *Instance) SolveAll(body []eq.Atom, limit int) ([]Binding, error) {
-	return solveAll(in, &in.plans, in.UseIndexes, body, limit)
+	return solveAll(in, &in.plans, body, limit)
 }
 
 // Satisfiable reports whether the body has at least one answer. It runs
 // the plan in existence mode: no binding is materialised.
 func (in *Instance) Satisfiable(body []eq.Atom) (bool, error) {
-	return satisfiable(in, &in.plans, in.UseIndexes, body)
+	return satisfiable(in, &in.plans, body)
 }
 
 // SolveUnder answers the body under a pre-existing substitution (the MGU
@@ -31,7 +31,7 @@ func (in *Instance) Satisfiable(body []eq.Atom) (bool, error) {
 // variables. Terms are resolved at bind time; no substituted copy of the
 // body is materialised.
 func (in *Instance) SolveUnder(body []eq.Atom, s *unify.Subst) (Binding, bool, error) {
-	return solveOne(in, &in.plans, in.UseIndexes, body, s)
+	return solveOne(in, &in.plans, body, s)
 }
 
 // solveOne, solveAll and satisfiable are the query methods of Instance
@@ -39,30 +39,30 @@ func (in *Instance) SolveUnder(body []eq.Atom, s *unify.Subst) (Binding, bool, e
 // from: count one query, compile (or fetch) the body shape's plan —
 // resolved under s when s is non-nil — and run it over a slot frame.
 
-func solveOne(src planSource, cache *planCache, useIndexes bool, body []eq.Atom, s *unify.Subst) (Binding, bool, error) {
+func solveOne(src planSource, cache *planCache, body []eq.Atom, s *unify.Subst) (Binding, bool, error) {
 	src.countQuery()
 	p, err := planFor(src, cache, body, s)
 	if err != nil {
 		return Binding{}, false, err
 	}
-	b, ok := p.solveOne(body, s, useIndexes)
+	b, ok := p.solveOne(body, s)
 	return b, ok, nil
 }
 
-func solveAll(src planSource, cache *planCache, useIndexes bool, body []eq.Atom, limit int) ([]Binding, error) {
+func solveAll(src planSource, cache *planCache, body []eq.Atom, limit int) ([]Binding, error) {
 	src.countQuery()
 	p, err := planFor(src, cache, body, nil)
 	if err != nil {
 		return nil, err
 	}
-	return p.solveAll(body, limit, useIndexes), nil
+	return p.solveAll(body, limit), nil
 }
 
-func satisfiable(src planSource, cache *planCache, useIndexes bool, body []eq.Atom) (bool, error) {
+func satisfiable(src planSource, cache *planCache, body []eq.Atom) (bool, error) {
 	src.countQuery()
 	p, err := planFor(src, cache, body, nil)
 	if err != nil {
 		return false, err
 	}
-	return p.satisfiable(body, useIndexes), nil
+	return p.satisfiable(body), nil
 }

@@ -53,7 +53,7 @@ type probeRef struct {
 // deterministic relation order, shard index ascending), and resolve
 // each step's index probe under those locks. The caller must run
 // release() when done.
-func (p *plan) bind(body []eq.Atom, s *unify.Subst, useIndexes bool) *exec {
+func (p *plan) bind(body []eq.Atom, s *unify.Subst) *exec {
 	x, _ := p.pool.Get().(*exec)
 	if x == nil {
 		x = &exec{
@@ -126,12 +126,10 @@ func (p *plan) bind(body []eq.Atom, s *unify.Subst, useIndexes bool) *exec {
 		pb := x.probes[si][:0]
 		for _, pt := range x.parts[si] {
 			var pr probeRef
-			if useIndexes {
-				for _, bc := range st.bound {
-					if idx, ok := pt.indexes[bc.col]; ok {
-						pr = probeRef{idx: idx, src: bc.src}
-						break
-					}
+			for _, bc := range st.bound {
+				if idx, ok := pt.indexes[bc.col]; ok {
+					pr = probeRef{idx: idx, src: bc.src}
+					break
 				}
 			}
 			pb = append(pb, pr)
@@ -231,8 +229,8 @@ func (x *exec) emit() bool {
 }
 
 // solveOne runs the plan to its first answer.
-func (p *plan) solveOne(body []eq.Atom, s *unify.Subst, useIndexes bool) (Binding, bool) {
-	x := p.bind(body, s, useIndexes)
+func (p *plan) solveOne(body []eq.Atom, s *unify.Subst) (Binding, bool) {
+	x := p.bind(body, s)
 	x.limit, x.results = 1, x.one[:0]
 	x.run(0)
 	b, found := x.one[0], len(x.results) == 1
@@ -242,8 +240,8 @@ func (p *plan) solveOne(body []eq.Atom, s *unify.Subst, useIndexes bool) (Bindin
 
 // solveAll runs the plan and materialises up to limit bindings (limit
 // <= 0 means all).
-func (p *plan) solveAll(body []eq.Atom, limit int, useIndexes bool) []Binding {
-	x := p.bind(body, nil, useIndexes)
+func (p *plan) solveAll(body []eq.Atom, limit int) []Binding {
+	x := p.bind(body, nil)
 	x.limit = limit
 	x.run(0)
 	res := x.results
@@ -253,8 +251,8 @@ func (p *plan) solveAll(body []eq.Atom, limit int, useIndexes bool) []Binding {
 
 // satisfiable runs the plan in existence mode: no bindings are
 // materialised at all.
-func (p *plan) satisfiable(body []eq.Atom, useIndexes bool) bool {
-	x := p.bind(body, nil, useIndexes)
+func (p *plan) satisfiable(body []eq.Atom) bool {
+	x := p.bind(body, nil)
 	x.exists = true
 	x.run(0)
 	found := x.found

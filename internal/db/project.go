@@ -93,13 +93,11 @@ type scan struct {
 
 func (in *Instance) scanOf(r *Relation, conds []cond) scan {
 	s := scan{r: r, conds: conds, row: min(0, r.rows-1), last: r.rows - 1}
-	if in.UseIndexes {
-		for _, c := range conds {
-			if idx, has := r.indexes[c.col]; has {
-				s.idx = idx
-				s.row, s.last = idx.bucket(r, c.val)
-				break
-			}
+	for _, c := range conds {
+		if idx, has := r.indexes[c.col]; has {
+			s.idx = idx
+			s.row, s.last = idx.bucket(r, c.val)
+			break
 		}
 	}
 	return s

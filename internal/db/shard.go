@@ -80,9 +80,8 @@ type ShardedInstance struct {
 	shards []*Instance
 	keys   map[string]int // relation name -> hash column
 
-	useIndexes bool
-	latency    time.Duration
-	queries    int64 // cross-shard conjunctive queries answered (atomic)
+	latency time.Duration
+	queries int64 // cross-shard conjunctive queries answered (atomic)
 
 	// version counts schema changes (CreateRelation); cross-shard
 	// compiled plans record it and retire themselves when it moves.
@@ -91,7 +90,7 @@ type ShardedInstance struct {
 }
 
 // NewShardedInstance returns an empty instance partitioned across k
-// shards (k < 1 is treated as 1), with indexing enabled.
+// shards (k < 1 is treated as 1).
 func NewShardedInstance(k int) *ShardedInstance {
 	if k < 1 {
 		k = 1
@@ -100,7 +99,7 @@ func NewShardedInstance(k int) *ShardedInstance {
 	for i := range shards {
 		shards[i] = NewInstance()
 	}
-	return &ShardedInstance{shards: shards, keys: map[string]int{}, useIndexes: true}
+	return &ShardedInstance{shards: shards, keys: map[string]int{}}
 }
 
 // NumShards returns the shard count K.
@@ -123,15 +122,6 @@ func (sh *ShardedInstance) HashColumns() map[string]int {
 // Shard returns the i-th underlying Instance. Callers must respect the
 // placement invariant when writing through it directly.
 func (sh *ShardedInstance) Shard(i int) *Instance { return sh.shards[i] }
-
-// SetUseIndexes toggles hash-index use on the cross-shard evaluator and
-// on every shard. Configure before sharing across goroutines.
-func (sh *ShardedInstance) SetUseIndexes(v bool) {
-	sh.useIndexes = v
-	for _, s := range sh.shards {
-		s.UseIndexes = v
-	}
-}
 
 // SetSimulatedLatency sets the per-query simulated round-trip cost on
 // the cross-shard path and on every shard (see
@@ -288,26 +278,26 @@ func (sh *ShardedInstance) Contains(a eq.Atom) bool {
 // Solve answers the conjunctive query under choose-1 semantics (see
 // Instance.Solve). Counts as one query on the cross-shard counter.
 func (sh *ShardedInstance) Solve(body []eq.Atom) (Binding, bool, error) {
-	return solveOne(sh, &sh.plans, sh.useIndexes, body, nil)
+	return solveOne(sh, &sh.plans, body, nil)
 }
 
 // SolveAll returns up to limit satisfying assignments (limit <= 0 means
 // all).
 func (sh *ShardedInstance) SolveAll(body []eq.Atom, limit int) ([]Binding, error) {
-	return solveAll(sh, &sh.plans, sh.useIndexes, body, limit)
+	return solveAll(sh, &sh.plans, body, limit)
 }
 
 // Satisfiable reports whether the body has at least one answer. It runs
 // the plan in existence mode: no binding is materialised.
 func (sh *ShardedInstance) Satisfiable(body []eq.Atom) (bool, error) {
-	return satisfiable(sh, &sh.plans, sh.useIndexes, body)
+	return satisfiable(sh, &sh.plans, body)
 }
 
 // SolveUnder answers the body resolved under a substitution; like
 // Instance.SolveUnder it resolves terms at bind time instead of
 // materialising a substituted body.
 func (sh *ShardedInstance) SolveUnder(body []eq.Atom, s *unify.Subst) (Binding, bool, error) {
-	return solveOne(sh, &sh.plans, sh.useIndexes, body, s)
+	return solveOne(sh, &sh.plans, body, s)
 }
 
 func (sh *ShardedInstance) schemaVersions() []uint64 {

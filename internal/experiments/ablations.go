@@ -10,37 +10,6 @@ import (
 	"entangled/internal/workload"
 )
 
-// AblationIndexes compares indexed against scan-only conjunctive
-// evaluation on the list workload — the DESIGN.md ablation for the
-// hash-index substrate. The x-axis is the number of queries; two series
-// are returned (indexed, scan).
-func AblationIndexes(cfg Config) []Series {
-	cfg = cfg.withDefaults(seq(10, 50, 10))
-	if cfg.TableRows == netgen.SlashdotSize {
-		cfg.TableRows = 2000 // full scans over 82k rows take minutes
-	}
-	var out []Series
-	for _, indexed := range []bool{true, false} {
-		name := "Ablation: indexed evaluation"
-		if !indexed {
-			name = "Ablation: scan evaluation"
-		}
-		s := Series{Name: name, XLabel: "queries"}
-		inst := db.NewInstance()
-		inst.SimulatedLatency = cfg.Latency
-		workload.UserTable(inst, cfg.TableRows)
-		inst.UseIndexes = indexed
-		for _, n := range cfg.Sizes {
-			qs := workload.ListQueries(n, cfg.TableRows)
-			p := timeSCC(inst, qs, cfg.Repeats)
-			p.X = n
-			s.Points = append(s.Points, p)
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // AblationPruning compares the §6.1 pre-pruning step against processing
 // without it on workloads where a fraction of bodies are unsatisfiable.
 func AblationPruning(cfg Config) []Series {
@@ -65,7 +34,7 @@ func AblationPruning(cfg Config) []Series {
 			for r := 0; r < cfg.Repeats; r++ {
 				inst.ResetCounters()
 				start := time.Now()
-				res, err := coord.SCCCoordinate(qs, inst, coord.Options{SkipPruning: skip, SkipSafetyCheck: true})
+				res, err := coord.SCCCoordinate(qs, inst, coord.Options{SkipPruning: skip})
 				if err != nil {
 					panic(err)
 				}
@@ -78,13 +47,5 @@ func AblationPruning(cfg Config) []Series {
 		}
 		out = append(out, s)
 	}
-	return out
-}
-
-// Ablations runs every ablation sweep.
-func Ablations(cfg Config) []Series {
-	var out []Series
-	out = append(out, AblationIndexes(cfg)...)
-	out = append(out, AblationPruning(cfg)...)
 	return out
 }

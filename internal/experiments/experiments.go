@@ -185,7 +185,7 @@ func timeSCC(inst *db.Instance, qs []eq.Query, repeats int) Point {
 	for r := 0; r < repeats; r++ {
 		inst.ResetCounters()
 		start := time.Now()
-		res, err := coord.SCCCoordinate(qs, inst, coord.Options{SkipSafetyCheck: true})
+		res, err := coord.SCCCoordinate(qs, inst, coord.Options{})
 		elapsed := time.Since(start)
 		if err != nil {
 			panic(err) // generated workloads are always safe

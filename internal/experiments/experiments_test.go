@@ -106,17 +106,6 @@ func TestAllRuns(t *testing.T) {
 	}
 }
 
-func TestAblationIndexesSmall(t *testing.T) {
-	out := AblationIndexes(Config{TableRows: 200, Seeds: 1, Repeats: 1, Sizes: []int{5}})
-	if len(out) != 2 {
-		t.Fatalf("series = %d", len(out))
-	}
-	// Same workload, same answers regardless of indexing.
-	if out[0].Points[0].SetSize != out[1].Points[0].SetSize {
-		t.Fatalf("indexing changed the result: %v vs %v", out[0].Points, out[1].Points)
-	}
-}
-
 func TestAblationPruningSmall(t *testing.T) {
 	out := AblationPruning(Config{TableRows: 200, Seeds: 1, Repeats: 1, Sizes: []int{8}})
 	if len(out) != 2 {

@@ -199,9 +199,9 @@ func TestChaosSoakNoAckedWriteEverLost(t *testing.T) {
 			}
 		}
 		e := engine.New(backend, engine.Options{})
-		// ProbeInterval < 0: the soak drives probes itself so the
+		// No probe loop: the soak drives probes itself so the
 		// degraded windows are deterministic and observable.
-		srv, err := server.New(e, server.Options{Persist: backend, ProbeInterval: -1})
+		srv, err := server.New(e, server.WithProbeInterval(server.Options{Persist: backend}, -1))
 		if err != nil {
 			t.Fatalf("cycle %d: server: %v", cycle, err)
 		}

@@ -71,9 +71,9 @@ func TestServerDegradedModeAckFateAndRecovery(t *testing.T) {
 	})
 	backend := openFaultBackend(t, dir, inj, rows, persist.SyncAlways)
 	e := engine.New(backend, engine.Options{})
-	// ProbeInterval < 0: the test drives recovery explicitly, so the
+	// No probe loop: the test drives recovery explicitly, so the
 	// degraded window is deterministic.
-	srv, err := server.New(e, server.Options{Persist: backend, ProbeInterval: -1})
+	srv, err := server.New(e, server.WithProbeInterval(server.Options{Persist: backend}, -1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestServerProbeLoopLiftsDegradedMode(t *testing.T) {
 	})
 	backend := openFaultBackend(t, dir, inj, rows, persist.SyncAlways)
 	e := engine.New(backend, engine.Options{})
-	srv, err := server.New(e, server.Options{Persist: backend, ProbeInterval: 5 * time.Millisecond})
+	srv, err := server.New(e, server.WithProbeInterval(server.Options{Persist: backend}, 5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestFailedDropFailsDelete(t *testing.T) {
 			})
 			backend := openFaultBackend(t, dir, inj, rows, tc.sync)
 			e := engine.New(backend, engine.Options{})
-			srv, err := server.New(e, server.Options{Persist: backend, ProbeInterval: -1})
+			srv, err := server.New(e, server.WithProbeInterval(server.Options{Persist: backend}, -1))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,6 +41,14 @@ func (s *Server) TenantKeyed() int {
 // now.
 func (s *Server) EvictIdle(now time.Time) { s.reg.evictIdle(now) }
 
+// WithProbeInterval returns o with the degraded-mode probe interval
+// set to d (negative: no probe loop). The loop starts in New, so the
+// interval goes in through the options.
+func WithProbeInterval(o Options, d time.Duration) Options {
+	o.probeInterval = d
+	return o
+}
+
 // SetWriteTimeout shortens the deadline of each frame write to a binary
 // connection; call it before serving.
 func (s *Server) SetWriteTimeout(d time.Duration) { s.writeTimeout = d }

@@ -41,6 +41,9 @@ const (
 	// remaining store query of the request fails with a deadline error
 	// instead of holding a worker on a stalled store.
 	dispatchTimeout = 30 * time.Second
+	// probeInterval is how often the server probes a degraded backend to
+	// lift degraded mode (flush the pending log payloads, resume writes).
+	probeInterval = 500 * time.Millisecond
 )
 
 // Options configures a Server.
@@ -54,12 +57,6 @@ type Options struct {
 	// their events. The server does not own the backend's lifecycle —
 	// the caller opens it (replaying the log) and closes it after Close.
 	Persist *persist.Backend
-	// ProbeInterval is how often the server probes a degraded backend
-	// trying to lift degraded mode (flush the pending log payloads and
-	// resume accepting writes). Zero means 500ms; negative disables the
-	// probe loop (a caller then drives persist.Backend.Probe itself).
-	// Ignored without Persist.
-	ProbeInterval time.Duration
 	// Admission, when non-nil, turns on tenant-aware admission: every
 	// request is attributed to the tenant named by the HTTP X-Tenant
 	// header or the binary tenant envelope (Default when absent), gated
@@ -79,6 +76,10 @@ type Options struct {
 	// The server does not own the router's lifecycle — the caller builds
 	// it (dialing peers) and closes it after Close. Nil runs standalone.
 	Cluster *cluster.Router
+
+	// probeInterval, set by tests, replaces the constant when non-zero;
+	// negative runs no probe loop (the test drives Backend.Probe).
+	probeInterval time.Duration
 }
 
 // Server exposes an engine.Engine over HTTP/JSON and the binary wire
@@ -120,8 +121,8 @@ type Server struct {
 // events through a fresh incremental session — and the error return is
 // recovery failing (it is always nil without persistence).
 func New(e *engine.Engine, opts Options) (*Server, error) {
-	if opts.ProbeInterval == 0 {
-		opts.ProbeInterval = 500 * time.Millisecond
+	if opts.probeInterval == 0 {
+		opts.probeInterval = probeInterval
 	}
 	s := &Server{
 		e:         e,
@@ -174,9 +175,9 @@ func New(e *engine.Engine, opts Options) (*Server, error) {
 		s.Close()
 		return nil, err
 	}
-	if opts.Persist != nil && opts.ProbeInterval > 0 {
+	if opts.Persist != nil && opts.probeInterval > 0 {
 		s.probeDone = make(chan struct{})
-		go s.probeLoop(opts.ProbeInterval)
+		go s.probeLoop(opts.probeInterval)
 	}
 
 	for _, o := range ops {

@@ -1,8 +1,8 @@
 // Package stream serves coordination traffic that arrives as a stream
 // rather than a finished batch: users join an evolving scenario one
 // entangled query at a time, and occasionally leave it. A Session
-// accepts Join and Leave events — directly, or drained from a channel
-// by Run — over any db.Store and maintains the coordination state
+// accepts Join and Leave events (or an Apply of either) over any
+// db.Store and maintains the coordination state
 // incrementally through coord.Incremental: an arrival extends the
 // extended coordination graph with only its own incident edges, pruning
 // is replayed from cached body-satisfiability probes, and only the

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -130,7 +129,7 @@ type Session struct {
 
 	mu     sync.Mutex
 	inc    *coord.Incremental
-	byID   map[string]int // live query ID -> slot
+	byID   map[string]int // query ID -> slot, parkedSlot for a parked one
 	parked []eq.Query
 	seq    int
 	totals Totals
@@ -160,6 +159,10 @@ func (s *Session) readCounts() counts {
 	defer s.countsMu.Unlock()
 	return s.counts
 }
+
+// parkedSlot is byID's slot for a parked arrival: its ID is taken, but
+// it has no slot to depart.
+const parkedSlot = -1
 
 // New opens an empty session over store.
 func New(store db.Store, opts Options) *Session {
@@ -226,19 +229,17 @@ func (s *Session) process(ev Event) (Update, error) {
 
 // join admits one query into the incremental state, parking unsafe
 // arrivals when configured. IDs are unique across live AND parked
-// queries — a parked arrival reserves its ID, so a departure's retry
-// can never admit a query over (or resurrect one alongside) another
-// holder of the same ID.
+// queries — a parked arrival reserves its ID in byID, so a departure's
+// retry can never admit a query over (or resurrect one alongside)
+// another holder of the same ID.
 func (s *Session) join(q eq.Query, up *Update) {
-	if _, dup := s.byID[q.ID]; dup {
-		up.Err = fmt.Errorf("%w: %s", ErrDuplicateID, q.ID)
-		return
-	}
-	for _, p := range s.parked {
-		if p.ID == q.ID {
+	if slot, dup := s.byID[q.ID]; dup {
+		if slot == parkedSlot {
 			up.Err = fmt.Errorf("%w: %s is parked", ErrDuplicateID, q.ID)
-			return
+		} else {
+			up.Err = fmt.Errorf("%w: %s", ErrDuplicateID, q.ID)
 		}
+		return
 	}
 	slot, d, err := s.inc.Add(q)
 	up.Stats = d // exact even on failure: probes count, admission doesn't
@@ -256,6 +257,7 @@ func (s *Session) join(q eq.Query, up *Update) {
 		if errors.Is(err, coord.ErrUnsafeArrival) {
 			if s.opts.ParkUnsafe {
 				s.parked = append(s.parked, q)
+				s.byID[q.ID] = parkedSlot
 				s.totals.Parked++
 				up.Parked = true
 				return
@@ -270,7 +272,7 @@ func (s *Session) join(q eq.Query, up *Update) {
 // folded into the update's stats so per-event metering stays exact.
 func (s *Session) leave(id string, up *Update) {
 	slot, ok := s.byID[id]
-	if !ok {
+	if !ok || slot == parkedSlot {
 		up.Err = fmt.Errorf("%w: %s", ErrUnknownID, id)
 		return
 	}
@@ -293,18 +295,13 @@ func (s *Session) leave(id string, up *Update) {
 	// Departures can clear fanout conflicts: retry parked arrivals in
 	// arrival order. A retry that still conflicts stays parked. Retry
 	// costs fold into the update's stats so per-event metering stays
-	// exact, and non-admission failures surface on the update. The
-	// taken check is defensive: join reserves IDs across live and
-	// parked queries, so a collision here should be impossible.
+	// exact, and non-admission failures surface on the update. An
+	// admitted retry's slot replaces its parkedSlot in byID.
 	if len(s.parked) == 0 {
 		return
 	}
 	still := s.parked[:0]
 	for _, q := range s.parked {
-		if _, taken := s.byID[q.ID]; taken {
-			still = append(still, q)
-			continue
-		}
 		slot, dq, err := s.inc.Add(q)
 		up.Stats.Dirty += dq.Dirty
 		up.Stats.Reused += dq.Reused
@@ -342,12 +339,14 @@ func (s *Session) compactThreshold() int {
 }
 
 // compact renumbers live queries into dense slots and remaps the ID
-// index accordingly. It cannot fail and costs no database query, so no
-// update or total records it.
+// index accordingly; a parked ID has no slot to remap. It cannot fail
+// and costs no database query, so no update or total records it.
 func (s *Session) compact() {
 	remap := s.inc.Compact()
 	for id, slot := range s.byID {
-		s.byID[id] = remap[slot]
+		if slot != parkedSlot {
+			s.byID[id] = remap[slot]
+		}
 	}
 }
 
@@ -366,36 +365,6 @@ func (s *Session) Compact() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.compact()
-}
-
-// Run drains events until the channel closes or the context is
-// cancelled, whichever comes first. The event being processed when the
-// context fires always finishes — events are atomic — so cancellation
-// is a graceful drain: no partial coordination state, and the returned
-// totals account for every processed event. Run returns ctx.Err() on
-// cancellation and nil on a clean channel close; per-event failures are
-// reported through updates (Options.OnUpdate), not Run's error, so one
-// bad arrival doesn't tear down the session.
-func (s *Session) Run(ctx context.Context, events <-chan Event) (Totals, error) {
-	for {
-		// Check cancellation first: when the producer reacts to the same
-		// context by closing the channel, both select arms become ready
-		// at once, and a drain must still report the cancellation.
-		if err := ctx.Err(); err != nil {
-			return s.Totals(), err
-		}
-		select {
-		case <-ctx.Done():
-			return s.Totals(), ctx.Err()
-		case ev, ok := <-events:
-			if !ok {
-				return s.Totals(), nil
-			}
-			// Errors are carried by the update; Apply's error return is
-			// for direct callers.
-			_, _ = s.Apply(ev)
-		}
-	}
 }
 
 // Refresh resynchronises the session with the store after external

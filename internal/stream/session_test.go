@@ -1,11 +1,10 @@
 package stream_test
 
 import (
-	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strconv"
-	"sync"
 	"testing"
 
 	"entangled/internal/coord"
@@ -171,6 +170,51 @@ func TestSessionParkedIDReservation(t *testing.T) {
 	}
 	if s.ParkedCount() != 0 || s.Size() != 2 {
 		t.Fatalf("after departure: parked=%d size=%d", s.ParkedCount(), s.Size())
+	}
+}
+
+// TestParkedIDIsNotLeavable: a parked arrival holds its ID but no
+// slot, so leaving it is an unknown ID, as for an ID never seen, and
+// leaves it parked; a compaction keeps it parked, and once a departure
+// admits it, its slot is what a later leave and compaction find.
+func TestParkedIDIsNotLeavable(t *testing.T) {
+	head := func(id, user string) eq.Query {
+		return eq.Query{
+			ID:   id,
+			Head: []eq.Atom{eq.NewAtom("R", eq.C(eq.Value(user)), eq.V("x"))},
+			Body: []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C("c0"))},
+		}
+	}
+	s := stream.New(chainStore(1), stream.Options{ParkUnsafe: true, CompactAfter: -1})
+	for _, q := range []eq.Query{head("a", "A"), head("b", "A"), head("c", "C")} {
+		if _, err := s.Join(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x := head("x", "X")
+	x.Post = []eq.Atom{eq.NewAtom("R", eq.C("A"), eq.V("y"))}
+	if up, err := s.Join(x); err != nil || !up.Parked {
+		t.Fatalf("want parked: %+v %v", up, err)
+	}
+	if _, err := s.Leave("x"); !errors.Is(err, stream.ErrUnknownID) {
+		t.Fatalf("leaving a parked ID: %v, want ErrUnknownID", err)
+	}
+	if _, err := s.Leave("c"); err != nil { // a tombstone for Compact to remap past
+		t.Fatal(err)
+	}
+	s.Compact()
+	if s.ParkedCount() != 1 || s.Size() != 2 {
+		t.Fatalf("after compaction: parked=%d size=%d", s.ParkedCount(), s.Size())
+	}
+	if up, err := s.Leave("b"); err != nil || !slices.Equal(up.AdmittedParked, []string{"x"}) {
+		t.Fatalf("departure: %+v %v, want x admitted", up, err)
+	}
+	s.Compact()
+	if _, err := s.Leave("x"); err != nil {
+		t.Fatalf("leaving the admitted x: %v", err)
+	}
+	if s.ParkedCount() != 0 || s.Size() != 1 {
+		t.Fatalf("at the end: parked=%d size=%d", s.ParkedCount(), s.Size())
 	}
 }
 
@@ -417,90 +461,6 @@ func (s *flakyStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, b
 		}
 	}
 	return s.Store.SolveUnder(body, sub)
-}
-
-// TestSessionRunDrains feeds a generated arrival sequence through Run
-// and checks the channel-driven path matches direct Apply calls.
-func TestSessionRunDrains(t *testing.T) {
-	arrivals := workload.Arrivals(workload.Churn, 60, 8, 42)
-
-	direct := stream.New(chainStore(8), stream.Options{})
-	for _, a := range arrivals {
-		_, _ = direct.Apply(toEvent(a))
-	}
-
-	var updates []stream.Update
-	run := stream.New(chainStore(8), stream.Options{
-		OnUpdate: func(u stream.Update) { updates = append(updates, u) },
-	})
-	events := make(chan stream.Event)
-	go func() {
-		defer close(events)
-		for _, a := range arrivals {
-			events <- toEvent(a)
-		}
-	}()
-	totals, err := run.Run(context.Background(), events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if totals != direct.Totals() {
-		t.Fatalf("totals diverge:\nrun    %+v\ndirect %+v", totals, direct.Totals())
-	}
-	if len(updates) != len(arrivals) {
-		t.Fatalf("%d updates for %d events", len(updates), len(arrivals))
-	}
-	for i, u := range updates {
-		if u.Seq != i+1 {
-			t.Fatalf("update %d has seq %d", i, u.Seq)
-		}
-	}
-}
-
-// TestSessionRunGracefulCancel cancels mid-stream and checks the drain
-// contract: Run returns ctx.Err(), every update that was issued is
-// complete and ordered, and the session remains usable afterwards.
-func TestSessionRunGracefulCancel(t *testing.T) {
-	arrivals := workload.Arrivals(workload.Steady, 200, 8, 7)
-	ctx, cancel := context.WithCancel(context.Background())
-
-	var mu sync.Mutex
-	var seen int
-	s := stream.New(chainStore(8), stream.Options{
-		OnUpdate: func(u stream.Update) {
-			mu.Lock()
-			seen++
-			if seen == 50 {
-				cancel() // cancel from inside event 50: events stay atomic
-			}
-			mu.Unlock()
-		},
-	})
-	events := make(chan stream.Event)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer close(events)
-		for _, a := range arrivals {
-			select {
-			case events <- toEvent(a):
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	totals, err := s.Run(ctx, events)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	<-done
-	if totals.Events < 50 {
-		t.Fatalf("cancelled before the in-flight event finished: %+v", totals)
-	}
-	// The session still accepts events after a cancelled Run.
-	if _, err := s.Join(workload.ChainQuery(900, 0, 8)); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestFailedEventsAreBilled: an update reports what its event asked the

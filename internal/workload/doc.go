@@ -8,7 +8,7 @@
 // For the streaming paths it also generates arrival sequences:
 // Arrivals produces deterministic join/leave event streams (steady,
 // bursty, or churn-heavy) over backward-chain scenarios (ChainQuery),
-// consumed by stream.Session.Run and the server's session tests.
+// replayed by the stream and server tests.
 // Arrival is stream-agnostic so this package stays below
 // internal/stream in the import graph.
 package workload
