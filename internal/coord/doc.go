@@ -71,6 +71,12 @@
 // a session where it evicts a cached outcome. A Result holds values,
 // never a frame.
 //
+// A Result's value maps come from a pool that Result.Release refills.
+// Only the holder of the last reference releases, and only the server
+// does, once a batch reply is rendered; a result nobody releases — a
+// session's, AllCandidates', an in-process caller's — keeps its maps,
+// which go to the collector.
+//
 // The package's sentinel errors carry stable machine-readable codes
 // (CodeUnsafeArrival, CodeTooManyQueries, ...) that internal/api's
 // error taxonomy maps them to on the wire, and Result, DeltaStats and

@@ -370,3 +370,44 @@ func TestRefilledGraphKeepsTwoFillsOfKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestUnreleasedResultKeepsItsValues keeps one SCCCoordinate answer and
+// releases each of the 100 after it, so their value maps go back to the
+// pool and render the next run's witness. Every released run must equal
+// the reference walk before its release — a refilled map carries no key
+// of the query it served before (a list's last query has no y) — and
+// read nil Values after it; the kept answer, never released, must keep
+// its values. Release on nil, and a second time, does nothing.
+func TestUnreleasedResultKeepsItsValues(t *testing.T) {
+	const rows = 100
+	store := newWorkloadInstance(rows)
+	kept, err := SCCCoordinate(workload.ListQueries(40, rows), store, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keptCopy := copyValues(kept.Values)
+	for i := range 100 {
+		qs := workload.ListQueries(2+i%37, rows)
+		res, err := SCCCoordinate(qs, store, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracleCoordinate(qs, store, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("run %d: %+v, reference %+v", i, res, want)
+		}
+		res.Release()
+		res.Release()
+		if res.Values != nil || !reflect.DeepEqual(res.Set, want.Set) || res.DBQueries != want.DBQueries {
+			t.Fatalf("run %d: released result %+v, want only its values dropped", i, res)
+		}
+	}
+	if !reflect.DeepEqual(kept.Values, keptCopy) {
+		t.Fatal("a result never released changed once later results released their maps")
+	}
+	var none *Result
+	none.Release()
+}

@@ -3,6 +3,7 @@ package coord
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
@@ -42,6 +43,38 @@ func (r *Result) String() string {
 		return "<no coordinating set>"
 	}
 	return fmt.Sprintf("coordinating set of %d queries %v", len(r.Set), r.Set)
+}
+
+// Release clears r's value maps, hands them back to the pool the §4
+// walk renders witnesses from, and sets r.Values to nil. It is for the
+// holder of the last reference to r — the server, once the reply is
+// rendered — and is safe on nil and a second time. A Result never
+// released keeps its maps, and they go to the collector.
+func (r *Result) Release() {
+	if r == nil || r.Values == nil {
+		return
+	}
+	for _, m := range r.Values {
+		if m != nil { // pooled, a nil map would fail the walk that gets it
+			clear(m)
+			assignments.Put(m)
+		}
+	}
+	clear(r.Values)
+	valueMaps.Put(r.Values)
+	r.Values = nil
+}
+
+// valueMaps (query index → assignment) and assignments (variable name →
+// value) hold the maps Release handed back, for search.values to refill.
+var valueMaps, assignments sync.Pool
+
+// pooledMap is a cleared map from p, or a new one sized for hint.
+func pooledMap[K comparable, V any](p *sync.Pool, hint int) map[K]V {
+	if m, ok := p.Get().(map[K]V); ok {
+		return m
+	}
+	return make(map[K]V, hint)
 }
 
 // Size returns the number of queries in the set (0 for nil).

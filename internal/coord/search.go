@@ -229,7 +229,8 @@ func (sr *search) witness(qs []eq.Query, vars []varTable, c grounded, fb *fallba
 // the database are assigned the fallback (Definition 1 only requires
 // that some value be assigned; any domain value works since such
 // variables occur in no body atom and their post/head occurrences were
-// equalised by unification).
+// equalised by unification). The maps come from the pools
+// Result.Release fills, so a released result's maps render the next.
 func (sr *search) values(qs []eq.Query, vars []varTable, set []int, bind db.Binding, fb *fallback) (map[int]map[string]eq.Value, error) {
 	s := sr.subst
 	sr.slot = sized(sr.slot, s.Len())
@@ -245,9 +246,9 @@ func (sr *search) values(qs []eq.Query, vars []varTable, set []int, bind db.Bind
 			sr.slot[rep], next = next, next+1
 		}
 	}
-	values := make(map[int]map[string]eq.Value, len(set))
+	values := pooledMap[int, map[string]eq.Value](&valueMaps, len(set))
 	for _, q := range set {
-		m := make(map[string]eq.Value, vars[q].n)
+		m := pooledMap[string, eq.Value](&assignments, int(vars[q].n))
 		seen := int32(0) // numbered by first occurrence: a variable is new when its number is
 		for k, t := range args(qs[q]) {
 			if vars[q].ids[k] != seen {

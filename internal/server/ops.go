@@ -50,6 +50,10 @@ type op[Q wire.Req, R any] struct {
 	cost func(R) int64
 	// then runs on the binary connection after the reply was written.
 	then func(*Server, *wireConn, Q)
+	// done runs on either protocol once a reply has been rendered —
+	// written to the binary connection, or encoded into the HTTP
+	// response: what it lets go is never read again.
+	done func(R)
 }
 
 // operation is the table's element type: op with its request and reply
@@ -150,6 +154,9 @@ func (o *op[Q, R]) serveHTTP(s *Server, w http.ResponseWriter, r *http.Request) 
 	default:
 		writeJSON(w, status, rep)
 	}
+	if err == nil && o.done != nil {
+		o.done(rep)
+	}
 }
 
 // serveWire is the binary adapter. The request decodes synchronously
@@ -179,6 +186,9 @@ func (o *op[Q, R]) serveWire(s *Server, ctx context.Context, wc *wireConn, id ui
 				o.PutReply(e, rep)
 			}
 		})
+		if o.done != nil {
+			o.done(rep)
+		}
 		if o.then != nil {
 			o.then(s, wc, q)
 		}
@@ -225,12 +235,21 @@ func reading[R any](snapshot func(*Server) R) func(*Server, context.Context, wir
 
 func updateCost(u api.Update) int64 { return u.Stats.DBQueries }
 
+// releaseResults is the coordinate row's done: every result of a
+// rendered batch reply hands its value maps back to coord
+// ((*Server).coordinate says why nothing else holds them).
+func releaseResults(r api.CoordinateResponse) {
+	for _, resp := range r.Responses {
+		resp.Result.Release()
+	}
+}
+
 // ops is the serving table: every operation of wire.Ops appears here
 // exactly once, in the same order. New registers the HTTP routes by
 // ranging over it, wireOps indexes it by kind for the binary
 // dispatcher, and the cross-codec tests iterate it.
 var ops = []operation{
-	&op[wire.CoordinateReq, api.CoordinateResponse]{Op: wire.Coordinate, serve: (*Server).coordinate},
+	&op[wire.CoordinateReq, api.CoordinateResponse]{Op: wire.Coordinate, serve: (*Server).coordinate, done: releaseResults},
 	// Creates do no store work: they settle zero.
 	&op[wire.CreateSessionReq, api.CreateSessionResponse]{Op: wire.CreateSession, class: gated, serve: (*Server).createSession},
 	&op[wire.JoinReq, api.Update]{

@@ -407,6 +407,17 @@ func writeError(w http.ResponseWriter, err error) {
 // goroutines are joined. Once ctx has ended a worker may still be
 // walking the queries, so the batch is left to the collector, as is a
 // refused one.
+//
+// The reply's results go back to coord's pool (coord.Result.Release) in
+// the coordinate row's done hook, once the reply is rendered: on the
+// binary path after wc.send returns, the encode being synchronous, over
+// HTTP after writeJSON. Nothing else holds them by then. A batcher
+// worker forgets a result once it sends it on it.reply; a submitter
+// that left never receives its result, which then goes to the
+// collector; admission's Done (serveBatchRouted) and the coordQueries
+// counter read DBQueries before the reply is rendered, and run settles
+// nothing for this row (it has no cost); and a result decoded from a
+// peer at a scatter node belongs to this reply alone.
 func (s *Server) coordinate(ctx context.Context, q wire.CoordinateReq, forwarded bool) (api.CoordinateResponse, int, error) {
 	switch n := len(q.Requests); {
 	case n == 0:

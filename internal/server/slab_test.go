@@ -172,13 +172,36 @@ func TestAbandonedBatchKeepsItsSlab(t *testing.T) {
 // pool and come out again while other batches are mid-walk. Every reply
 // equals the in-process walk of the same queries (run it under -race).
 func TestConcurrentBinaryBatchesMatchInProcess(t *testing.T) {
-	const rows, goroutines, rounds = 16, 8, 6
+	const rows = 16
 	store := workload.NewStore(1, rows, 0)
 	_, binC, _ := newDualLoopback(t, store, server.Options{})
+	batchesMatchInProcess(t, store, rows, binC)
+}
+
+// TestConcurrentHTTPAndBinaryBatchesMatchInProcess is its HTTP twin,
+// run beside binary batches on one server: both adapters release every
+// result's value maps to one pool once the reply is rendered, and the
+// next walks refill them while other replies are being encoded. Every
+// reply, on either protocol, equals the in-process walk (run it under
+// -race). Releasing a result before its reply is rendered fails it.
+func TestConcurrentHTTPAndBinaryBatchesMatchInProcess(t *testing.T) {
+	const rows = 16
+	store := workload.NewStore(1, rows, 0)
+	httpC, binC, _ := newDualLoopback(t, store, server.Options{})
+	batchesMatchInProcess(t, store, rows, httpC, binC)
+}
+
+// batchesMatchInProcess has eight goroutines, taking the clients in
+// turn, each send six distinct batches of one to three requests and
+// compare every reply with coord.SCCCoordinate over the same store.
+func batchesMatchInProcess(t *testing.T, store db.Store, rows int, clients ...*client.Client) {
+	t.Helper()
+	const goroutines, rounds = 8, 6
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for gi := range goroutines {
+		c := clients[gi%len(clients)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -187,7 +210,7 @@ func TestConcurrentBinaryBatchesMatchInProcess(t *testing.T) {
 				for j := range reqs {
 					reqs[j] = client.Request{ID: fmt.Sprintf("g%d.r%d.%d", gi, r, j), Queries: workload.ListQueriesAt(2+(gi*rounds+r+j)%20, (gi+r+j)%rows)}
 				}
-				resps, err := binC.CoordinateBatch(ctx, reqs)
+				resps, err := c.CoordinateBatch(ctx, reqs)
 				if err != nil {
 					errs <- err
 					return

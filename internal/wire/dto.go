@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"entangled/internal/api"
@@ -261,7 +261,10 @@ func getInts(d *Dec) []int {
 
 // PutResult appends a coordination result. Values is emitted in sorted
 // (query index, variable name) order for determinism; an empty map is
-// normalized to absent, matching the JSON omitempty behaviour.
+// normalized to absent, matching the JSON omitempty behaviour. The keys
+// and names are sorted in stack buffers, which a set of up to 128
+// queries of up to 8 variables each never outgrows: such a result
+// encodes without allocating.
 func PutResult(e *Enc, r *coord.Result) {
 	if r == nil {
 		e.Bool(false)
@@ -273,12 +276,13 @@ func PutResult(e *Enc, r *coord.Result) {
 		e.Uvarint(0)
 	} else {
 		e.Uvarint(uint64(len(r.Values)))
-		keys := make([]int, 0, len(r.Values))
+		var keyBuf [128]int
+		var nameBuf [8]string
+		keys, names := keyBuf[:0], nameBuf[:0] // names: one scratch for every query's
 		for k := range r.Values {
 			keys = append(keys, k)
 		}
-		sort.Ints(keys)
-		var names []string // one scratch slice for every query's names
+		slices.Sort(keys)
 		for _, k := range keys {
 			e.Int(k)
 			vals := r.Values[k]
@@ -287,7 +291,7 @@ func PutResult(e *Enc, r *coord.Result) {
 			for name := range vals {
 				names = append(names, name)
 			}
-			sort.Strings(names)
+			slices.Sort(names)
 			for _, name := range names {
 				e.String(name)
 				e.String(string(vals[name]))

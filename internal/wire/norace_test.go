@@ -3,9 +3,12 @@
 package wire
 
 import (
+	"strconv"
 	"testing"
 
 	"entangled/internal/api"
+	"entangled/internal/coord"
+	"entangled/internal/eq"
 	"entangled/internal/workload"
 )
 
@@ -48,5 +51,27 @@ func TestPooledBatchDecodeAllocatesOnlyStrings(t *testing.T) {
 	t.Logf("decode + release of 100 queries: %.0f allocations, %d strings longer than a byte", allocs, strs)
 	if allocs > float64(strs+2) {
 		t.Fatalf("decode + release allocates %.0f times, want at most %d strings + 2", allocs, strs)
+	}
+}
+
+// TestPutResultAllocatesNothing: encoding a 50-member result of three
+// variables a query into a buffer already large enough allocates
+// nothing — its query indices and names are sorted on the stack.
+func TestPutResultAllocatesNothing(t *testing.T) {
+	r := &coord.Result{Values: map[int]map[string]eq.Value{}, DBQueries: 50}
+	for q := range 50 {
+		r.Set = append(r.Set, q)
+		v := eq.Value("c" + strconv.Itoa(q))
+		r.Values[q] = map[string]eq.Value{"x": v, "y": v, "z": v}
+	}
+	var e Enc
+	PutResult(&e, r)
+	buf := e.Bytes()
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Reset(buf)
+		PutResult(&e, r)
+	})
+	if allocs != 0 {
+		t.Fatalf("PutResult allocates %.1f times on a 50-member result, want 0", allocs)
 	}
 }

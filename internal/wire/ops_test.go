@@ -15,8 +15,9 @@ import (
 // reachable over at least one protocol; Kind.String names a request
 // kind as its row does; a reply that can be written can be read back;
 // and one sample request per row survives both of its encodings —
-// GetReq(Encode(q)) == q and FromHTTP(ToHTTP(q)) == q. A row of Ops
-// without a sample fails.
+// GetReq(Encode(q)) == q and FromHTTP(ToHTTP(q)) == q, or, for a row
+// that takes no request, an empty body. A row of Ops without a sample
+// fails.
 func TestOpsTableIsTotal(t *testing.T) {
 	names, kinds, patterns := map[string]bool{}, map[Kind]bool{}, map[string]bool{}
 	for _, r := range Ops {
@@ -75,6 +76,13 @@ func sample[Q Req, R any](t *testing.T, sampled map[string]bool, o *Op[Q, R], q 
 		t.Errorf("%s: an HTTP mapping belongs to exactly the HTTP operations that take a request", o.Name)
 	case keyed && o.Key == nil:
 		t.Errorf("%s: the path has an {id} and the row no key", o.Name)
+	}
+	if noReq {
+		var e Enc
+		o.Bind(q).Encode(&e)
+		if len(e.Bytes()) != 0 {
+			t.Errorf("%s: a parameterless request encodes %d bytes, want none", o.Name, len(e.Bytes()))
+		}
 	}
 	if o.GetReq != nil {
 		var e Enc
