@@ -128,13 +128,14 @@ func IsSafe(qs []Query) bool { return coord.IsSafe(qs) }
 func IsUnique(qs []Query) bool { return coord.IsUnique(qs) }
 
 // NewCoordinator creates the online coordination module over inst.
-func NewCoordinator(inst *Instance, opts Options) *Coordinator {
-	return system.New(inst, opts)
+func NewCoordinator(inst *Instance) *Coordinator {
+	return system.New(inst)
 }
 
 // AllCandidates exposes every coordinating set the SCC algorithm
-// discovers (the family {R(q)}), largest first, for callers with
-// bespoke selection criteria.
+// discovers (the family {R(q)}), largest first. Coordinate returns the
+// largest; a caller with its own criterion — the paper's examples
+// prefer gold-status passengers or VIP clients — chooses here instead.
 func AllCandidates(qs []Query, inst *Instance, opts Options) ([]coord.CandidateSet, error) {
 	return coord.AllCandidates(qs, inst, opts)
 }

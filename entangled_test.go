@@ -55,7 +55,7 @@ func TestFacadeCoordinator(t *testing.T) {
 	inst := entangled.NewInstance()
 	fl := inst.CreateRelation("Flights", "fid", "dest")
 	fl.Insert("101", "Zurich")
-	c := entangled.NewCoordinator(inst, entangled.Options{})
+	c := entangled.NewCoordinator(inst)
 	q, err := entangled.Parse(`query solo { head: R(Me, x) body: Flights(x, Zurich) }`)
 	if err != nil {
 		t.Fatal(err)

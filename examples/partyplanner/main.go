@@ -26,7 +26,7 @@ func main() {
 	parties.Insert("warehouse", "live")
 	parties.Insert("rooftop", "dj")
 
-	c := entangled.NewCoordinator(inst, entangled.Options{})
+	c := entangled.NewCoordinator(inst)
 
 	submit := func(src string) {
 		q, err := entangled.Parse(src)

@@ -124,7 +124,7 @@ func TestOnlineChainSoak(t *testing.T) {
 	workload.UserTable(inst, 500)
 	qs := workload.ListQueries(120, 500)
 
-	c := system.New(inst, coord.Options{})
+	c := system.New(inst)
 	answered := 0
 	for i, q := range qs {
 		out, err := c.Submit(q)

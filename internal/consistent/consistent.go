@@ -144,12 +144,9 @@ type Candidate struct {
 	Members []int      // surviving query indices, sorted
 }
 
-// Selector picks the winning candidate; default is max member count.
-type Selector func(cands []Candidate) int
-
-// MaxMembers selects the candidate with the most members (first wins
-// ties).
-func MaxMembers(cands []Candidate) int {
+// maxMembers picks the winning candidate: the one with the most
+// members, the first on ties.
+func maxMembers(cands []Candidate) int {
 	best := 0
 	for i, c := range cands {
 		if len(c.Members) > len(cands[best].Members) {
@@ -169,8 +166,9 @@ type Result struct {
 	// Keys maps each member to the key of its selected tuple of S (the
 	// paper's final output: user -> flight number).
 	Keys map[int]eq.Value
-	// Candidates holds every non-empty candidate discovered, for
-	// callers that want a different selection criterion post hoc.
+	// Candidates holds every non-empty candidate discovered, for a
+	// caller that applies its own criterion — the paper's gold-status
+	// passengers or VIP clients — instead of the largest.
 	Candidates []Candidate
 	// DBQueries is the number of database queries this call issued,
 	// counted by the call itself: exact whatever else the instance is
@@ -180,7 +178,6 @@ type Result struct {
 
 // Options configures Coordinate.
 type Options struct {
-	Select Selector // nil means MaxMembers
 	// Trace, when non-nil, records the algorithm's steps (option-list
 	// sizes and per-value cleaning outcomes).
 	Trace *Trace
@@ -250,11 +247,7 @@ func Coordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (*Resul
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	sel := opts.Select
-	if sel == nil {
-		sel = MaxMembers
-	}
-	win := cands[sel(cands)]
+	win := cands[maxMembers(cands)]
 
 	// Step 5: ground each member to a concrete tuple key — one database
 	// query per member.

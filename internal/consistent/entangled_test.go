@@ -4,6 +4,7 @@ package consistent_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"entangled/internal/consistent"
@@ -261,7 +262,9 @@ func TestWorstCaseWorkloadAllCoordinate(t *testing.T) {
 	}
 }
 
-// Selector ablation: a custom selector that prefers a specific user.
+// TestCustomSelector: a caller's own criterion — prefer the candidate
+// holding a specific user, the paper's VIP client — is a choice over
+// Result.Candidates, which lists the group the default passes over.
 func TestCustomSelector(t *testing.T) {
 	in := db.NewInstance()
 	fl := in.CreateRelation("Flights", "fid", "dest", "day", "src", "airline")
@@ -287,22 +290,12 @@ func TestCustomSelector(t *testing.T) {
 	if res.Value[0] != "A" {
 		t.Fatalf("default selector: %v", res.Value)
 	}
-	// Prefer candidates containing query 2.
-	preferU2 := func(cands []consistent.Candidate) int {
-		for i, c := range cands {
-			for _, m := range c.Members {
-				if m == 2 {
-					return i
-				}
-			}
-		}
-		return 0
+	// Prefer the candidate containing query 2.
+	vip := slices.IndexFunc(res.Candidates, func(c consistent.Candidate) bool { return slices.Contains(c.Members, 2) })
+	if vip < 0 {
+		t.Fatalf("no candidate holds U2: %+v", res.Candidates)
 	}
-	res2, err := consistent.Coordinate(sch, qs, in, consistent.Options{Select: preferU2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Value[0] != "B" {
-		t.Fatalf("custom selector: %v", res2.Value)
+	if c := res.Candidates[vip]; c.Value[0] != "B" || !slices.Equal(c.Members, []int{2, 3}) {
+		t.Fatalf("candidate holding U2: %+v, want the B-group [2 3]", c)
 	}
 }

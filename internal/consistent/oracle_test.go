@@ -116,11 +116,7 @@ func oracleCoordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	sel := opts.Select
-	if sel == nil {
-		sel = MaxMembers
-	}
-	win := cands[sel(cands)]
+	win := cands[maxMembers(cands)]
 
 	// Step 5: ground each member — one database query per member.
 	keys := map[int]eq.Value{}

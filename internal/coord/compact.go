@@ -19,8 +19,8 @@ func (inc *Incremental) Tombstones() int { return inc.g.n - inc.g.live }
 // moves is the slots written down beside them — in the graph, the
 // by-slot arrays, the cached sets (which the candidates alias) and the
 // last pass's events — and the remap is monotone, so every order that
-// was ascending in slots still is. LastDelta and TotalDBQueries stay
-// those of the events before: there was no event.
+// was ascending in slots still is. Result still reports the cost of the
+// event before: there was no event.
 //
 // A compacted coordinator is observably identical to a fresh one built
 // from the live queries in slot order: same team, same witness values,

@@ -21,7 +21,7 @@ func TestCompactIsFree(t *testing.T) {
 	const chains, chainLen, runs = 16, 16, 4
 	store := chainStore(chains)
 	warm := func() *Incremental {
-		inc := NewIncremental(store, Options{})
+		inc := NewIncremental(store)
 		for c := 0; c < chains; c++ {
 			for i := 0; i < chainLen; i++ {
 				if _, _, err := inc.Add(chainQuery(c, i)); err != nil {
@@ -50,7 +50,7 @@ func TestCompactIsFree(t *testing.T) {
 	for i := range incs {
 		incs[i] = warm()
 	}
-	cached, last := len(incs[0].cache), incs[0].LastDelta()
+	cached, last := len(incs[0].cache), incs[0].last
 	if cached != chains*chainLen || incs[0].Tombstones() != 64 {
 		t.Fatalf("warm coordinator: %d cached outcomes, %d tombstones", cached, incs[0].Tombstones())
 	}
@@ -68,9 +68,9 @@ func TestCompactIsFree(t *testing.T) {
 		t.Fatalf("Compact allocates %.0f times, bar %.0f", allocs, bar)
 	}
 	for _, inc := range incs {
-		if inc.Tombstones() != 0 || len(inc.queries) != chains*chainLen || len(inc.cache) != cached || inc.LastDelta() != last {
+		if inc.Tombstones() != 0 || len(inc.queries) != chains*chainLen || len(inc.cache) != cached || inc.last != last {
 			t.Fatalf("after Compact: %d tombstones, %d slots, %d cached outcomes (had %d), last delta %+v (was %+v)",
-				inc.Tombstones(), len(inc.queries), len(inc.cache), cached, inc.LastDelta(), last)
+				inc.Tombstones(), len(inc.queries), len(inc.cache), cached, inc.last, last)
 		}
 	}
 	checkIncrementalMatchesBatch(t, incs[0], store, last)
@@ -92,7 +92,7 @@ func TestCompactIsFree(t *testing.T) {
 func TestLongChurnStaysProportionalToLiveSet(t *testing.T) {
 	const live, threshold, events = 64, 64, 20000
 	store := chainStore(1)
-	inc := NewIncremental(store, Options{})
+	inc := NewIncremental(store)
 	// Queries arrive in mutually entangled pairs, so components ground
 	// and are cached; the oldest query leaves.
 	arrival := func(n int) eq.Query {
@@ -194,9 +194,9 @@ func (s *downStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, bo
 // never failed and which never compacted.
 func TestCompactBetweenFailedPasses(t *testing.T) {
 	const chainLen = 6
-	opts := Options{SkipPruning: true}
 	store := &downStore{Store: chainStore(2)}
-	inc, twin := NewIncremental(store, opts), NewIncremental(chainStore(2), opts)
+	inc, twin := NewIncremental(store), NewIncremental(chainStore(2))
+	inc.opts.SkipPruning, twin.opts.SkipPruning = true, true
 	for c := 0; c < 2; c++ {
 		for i := 0; i < chainLen; i++ {
 			for _, x := range []*Incremental{inc, twin} {
@@ -224,7 +224,7 @@ func TestCompactBetweenFailedPasses(t *testing.T) {
 		}
 	}
 	// A failed arrival tombstones its slot without a pass.
-	if slot, _, err := NewIncremental(store, Options{}).Add(chainQuery(0, 0)); slot != -1 || !errors.Is(err, errDown) {
+	if slot, _, err := NewIncremental(store).Add(chainQuery(0, 0)); slot != -1 || !errors.Is(err, errDown) {
 		t.Fatalf("arrival on a store that is down: slot %d, %v", slot, err)
 	}
 	store.down = false
@@ -260,7 +260,7 @@ func TestCompactBetweenFailedPasses(t *testing.T) {
 // that pass is exact.
 func TestCompactAfterFailedRefresh(t *testing.T) {
 	store := &downStore{Store: chainStore(2)}
-	inc := NewIncremental(store, Options{})
+	inc := NewIncremental(store)
 	for c := 0; c < 2; c++ {
 		for i := 0; i < 4; i++ {
 			if _, _, err := inc.Add(chainQuery(c, i)); err != nil {

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"entangled/internal/db"
@@ -318,9 +319,11 @@ query q6 {
 	}
 }
 
+// TestSCCPreferQuerySelector applies the paper's "VIP client"
+// criterion the way a caller does: SCCCoordinate returns one of two
+// largest sets, {q1,q2,q5,q6}, and the largest AllCandidates entry
+// holding the VIP's query — q4, index 3 — is the other, {q1,q2,q3,q4}.
 func TestSCCPreferQuerySelector(t *testing.T) {
-	// Same structure as above: preferring q5 (index 4) switches the
-	// winner to {q1,q2,q5,q6}.
 	qs := eq.MustParseSet(`
 query q1 {
   post: R(U2, a)
@@ -355,21 +358,23 @@ query q6 {
 	in := db.NewInstance()
 	tr := in.CreateRelation("T", "v")
 	tr.Insert("1")
-	res, err := SCCCoordinate(qs, in, Options{Select: PreferQuery(4)})
+	res, err := SCCCoordinate(qs, in, Options{})
+	if err != nil || !slices.Equal(res.Set, []int{0, 1, 4, 5}) {
+		t.Fatalf("largest set: %v, %v; want [0 1 4 5]", res, err)
+	}
+	cands, err := AllCandidates(qs, in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, i := range res.Set {
-		if i == 4 {
-			found = true
-		}
+	vip := slices.IndexFunc(cands, func(c CandidateSet) bool { return slices.Contains(c.Set, 3) })
+	if vip < 0 {
+		t.Fatalf("no candidate holds q4: %v", cands)
 	}
-	if !found {
-		t.Fatalf("selector must include q5: %v", res.Set)
+	if got := cands[vip].Set; !slices.Equal(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("largest candidate holding q4: %v, want [0 1 2 3]", got)
 	}
-	if res.Size() != 4 {
-		t.Fatalf("still a 4-query set: %v", res)
+	if err := Verify(qs, cands[vip].Set, cands[vip].Values, in); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -15,6 +15,12 @@
 // enumeration order (choose-1 semantics permit any witness, and
 // Verify accepts all of them).
 //
+// SCCCoordinate, Incremental.Result and so every session report the
+// largest member of the candidate family {R(q)}, the first found on
+// ties. A caller with its own criterion — the paper's gold-status
+// passengers and VIP clients — chooses from AllCandidates, the whole
+// family largest first; the walk itself takes no selection hook.
+//
 // # Metering contract
 //
 // Result.DBQueries is the paper's central cost metric: the number of

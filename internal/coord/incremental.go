@@ -118,7 +118,7 @@ type scratch struct {
 // locking.
 type Incremental struct {
 	store db.Store
-	opts  Options
+	opts  Options // a load's; a session's stays zero
 
 	g       *IncrementalGraph
 	queries []eq.Query // by slot
@@ -138,20 +138,16 @@ type Incremental struct {
 	pruned []PruneEvent
 	events []compEvent
 	cands  []grounded
-	arena  []int    // in a load, the array the candidates' orders are cut from
-	fb     fallback // read at most once per pass, and only if a witness needs it
-	last   DeltaStats
-	total  int64 // lifetime database queries
+	arena  []int      // in a load, the array the candidates' orders are cut from
+	fb     fallback   // read at most once per pass, and only if a witness needs it
+	last   DeltaStats // the last event's cost, which Result reports
 }
 
-// NewIncremental returns an empty resumable coordinator over store.
-// opts.Select chooses among candidates in Result; SkipPruning has its
-// batch meaning; Trace is ignored — the trace is available from
-// Trace().
-func NewIncremental(store db.Store, opts Options) *Incremental {
+// NewIncremental returns an empty resumable coordinator over store. It
+// prunes as a batch run does; its trace is available from Trace().
+func NewIncremental(store db.Store) *Incremental {
 	return &Incremental{
 		store: store,
-		opts:  opts,
 		g:     NewIncrementalGraph(),
 		cache: map[string]*compOutcome{},
 	}
@@ -214,7 +210,6 @@ func (inc *Incremental) Add(q eq.Query) (int, DeltaStats, error) {
 		if err != nil {
 			inc.g.Remove(slot)
 			inc.bodySat = append(inc.bodySat, false)
-			inc.total += m.Count()
 			return -1, DeltaStats{Slot: -1, DBQueries: m.Count()}, err
 		}
 	}
@@ -242,12 +237,12 @@ func (inc *Incremental) Remove(slot int) (DeltaStats, error) {
 	return d, err
 }
 
-// Result returns the coordinating set selected from the current
-// candidate family (opts.Select, MaxSize by default), or nil when
-// nothing grounds. Asking costs no database queries — the winner's MGU
-// is recomputed, its binding is cached — and Result.DBQueries reports the
-// marginal cost of the event that produced this state, the streaming
-// analogue of the paper's per-run cost metric.
+// Result returns the largest coordinating set of the current candidate
+// family (choose), or nil when nothing grounds. Asking costs no
+// database queries — the winner's MGU is recomputed, its binding is
+// cached — and Result.DBQueries reports the marginal cost of the event
+// that produced this state, the streaming analogue of the paper's
+// per-run cost metric.
 func (inc *Incremental) Result() (*Result, error) {
 	if len(inc.cands) == 0 {
 		return nil, nil
@@ -260,24 +255,16 @@ func (inc *Incremental) Result() (*Result, error) {
 	return &Result{Set: sortedCopy(win.order), Values: values, DBQueries: inc.last.DBQueries}, nil
 }
 
-// choose returns the index of the candidate opts.Select picks, MaxSize
-// by default. A selector is handed candidates of its own, each Set a
-// sorted copy, so nothing it does to them reaches the walk's state.
+// choose returns the index of the largest candidate, the first found
+// on ties: the coordinating set Result reports.
 func (inc *Incremental) choose() int {
-	if inc.opts.Select == nil {
-		best := 0 // MaxSize, read off the sizes
-		for i, c := range inc.cands {
-			if len(c.order) > len(inc.cands[best].order) {
-				best = i
-			}
-		}
-		return best
-	}
-	cands := make([]Candidate, len(inc.cands))
+	best := 0
 	for i, c := range inc.cands {
-		cands[i] = Candidate{Set: sortedCopy(c.order)}
+		if len(c.order) > len(inc.cands[best].order) {
+			best = i
+		}
 	}
-	return inc.opts.Select(cands)
+	return best
 }
 
 // TeamSize returns the size of the coordinating set Result would
@@ -368,13 +355,6 @@ func at(pos []int, slot int) int {
 	return pos[slot]
 }
 
-// LastDelta returns the cost of the most recent event.
-func (inc *Incremental) LastDelta() DeltaStats { return inc.last }
-
-// TotalDBQueries returns the lifetime database-query count across every
-// event of this coordinator.
-func (inc *Incremental) TotalDBQueries() int64 { return inc.total }
-
 // Refresh rebuilds every store-dependent part of the state: cached
 // component outcomes are dropped, body-satisfiability probes are redone
 // for all live queries, and the whole condensation is re-solved. This
@@ -398,7 +378,6 @@ func (inc *Incremental) Refresh() (DeltaStats, error) {
 			}
 			sat, err := m.Satisfiable(inc.queries[i].Body)
 			if err != nil {
-				inc.total += m.Count()
 				return DeltaStats{Slot: -1, DBQueries: m.Count()}, err
 			}
 			inc.bodySat[i] = sat
@@ -424,13 +403,10 @@ func (inc *Incremental) records() bool { return inc.cache != nil || inc.opts.Tra
 // Live slots are compacted before condensation so the walk is
 // index-for-index a fresh load's over the live queries in slot order:
 // same Tarjan numbering, same topological order, same candidate order,
-// same tie-breaks. Every query the pass issues is billed to d and to
-// the lifetime total, whether or not the pass completes.
+// same tie-breaks. Every query the pass issues is billed to d, whether
+// or not the pass completes.
 func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
-	defer func() {
-		d.DBQueries = m.Count()
-		inc.total += d.DBQueries
-	}()
+	defer func() { d.DBQueries = m.Count() }()
 	s := &inc.scr
 	n := len(inc.queries)
 	edges := inc.search().edges

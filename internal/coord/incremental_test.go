@@ -166,7 +166,7 @@ func TestIncrementalGraphMatchesPairwiseOracle(t *testing.T) {
 		}
 
 		_ = rng.Intn(2) // the coin that once chose blind adds; kept so each seed's steps stay put
-		inc := NewIncremental(db.NewInstance(), Options{})
+		inc := NewIncremental(db.NewInstance())
 		const steps = 30
 		compactAt := rng.Intn(steps)
 		for step := 0; step < steps; step++ {
@@ -361,10 +361,13 @@ func (r *Result) DBQueriesOrZero() int64 {
 func TestIncrementalMatchesBatchOnChains(t *testing.T) {
 	const clusters, perCluster = 3, 5
 	store := chainStore(clusters)
-	inc := NewIncremental(store, Options{})
+	inc := NewIncremental(store)
+	var billed, asked int64
 	for i := 0; i < perCluster; i++ {
 		for c := 0; c < clusters; c++ {
+			before := store.QueriesIssued()
 			_, d, err := inc.Add(chainQuery(c, i))
+			billed, asked = billed+d.DBQueries, asked+store.QueriesIssued()-before
 			if err != nil {
 				t.Fatalf("add c%d.u%d: %v", c, i, err)
 			}
@@ -377,11 +380,12 @@ func TestIncrementalMatchesBatchOnChains(t *testing.T) {
 			checkIncrementalMatchesBatch(t, inc, store, d)
 		}
 	}
-	// Lifetime cost: every arrival cost 2 queries; the final batch run
-	// costs one satisfiability probe per query plus one grounding per
-	// component — identical here, so streaming paid no premium at all.
-	if want := int64(2 * clusters * perCluster); inc.TotalDBQueries() != want {
-		t.Fatalf("lifetime cost %d, want %d", inc.TotalDBQueries(), want)
+	// Lifetime cost: every arrival cost 2 queries, all of them billed;
+	// the final batch run costs one satisfiability probe per query plus
+	// one grounding per component — identical here, so streaming paid
+	// no premium at all.
+	if want := int64(2 * clusters * perCluster); billed != want || asked != want {
+		t.Fatalf("lifetime cost: %d billed, the store asked %d times, want %d", billed, asked, want)
 	}
 }
 
@@ -392,7 +396,7 @@ func TestIncrementalRandomChurn(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		store := chainStore(4)
-		inc := NewIncremental(store, Options{})
+		inc := NewIncremental(store)
 		next := map[int]int{} // cluster -> next chain index
 		var liveSlots []int
 		for ev := 0; ev < 40; ev++ {
@@ -430,7 +434,7 @@ func TestIncrementalRandomChurn(t *testing.T) {
 // conflicting query departs the same arrival is admitted.
 func TestIncrementalUnsafeAdmission(t *testing.T) {
 	store := chainStore(1)
-	inc := NewIncremental(store, Options{})
+	inc := NewIncremental(store)
 	a := eq.Query{
 		ID:   "a",
 		Head: []eq.Atom{eq.NewAtom("R", eq.C("A"), eq.V("x"))},
@@ -473,11 +477,12 @@ func TestIncrementalUnsafeAdmission(t *testing.T) {
 // TestFailedEventsAreBilled: an event that fails has still asked the
 // database what it asked, and its DeltaStats says so — an arrival whose
 // grounding fails reports its probe and that grounding, a Refresh whose
-// first probe fails reports the probe — and the lifetime count is the
-// sum of every DeltaStats handed out.
+// first probe fails reports the probe — and the DeltaStats handed out
+// add up to every query the store was asked, failed ones included.
 func TestFailedEventsAreBilled(t *testing.T) {
 	store := &downStore{Store: chainStore(1)}
-	inc := NewIncremental(store, Options{})
+	asked := db.NewMeter(store)
+	inc := NewIncremental(asked)
 	var billed int64
 	_, d, err := inc.Add(chainQuery(0, 0))
 	if err != nil {
@@ -499,7 +504,7 @@ func TestFailedEventsAreBilled(t *testing.T) {
 		t.Fatalf("a refresh once the store is back: %+v, %v; want 2 probes and 2 groundings", d, err)
 	}
 	billed += d.DBQueries
-	if inc.TotalDBQueries() != billed {
-		t.Fatalf("lifetime count %d, the events billed %d", inc.TotalDBQueries(), billed)
+	if asked.QueriesIssued() != billed {
+		t.Fatalf("the store was asked %d queries, the events billed %d", asked.QueriesIssued(), billed)
 	}
 }

@@ -156,15 +156,12 @@ func oracleCoordinate(qs []eq.Query, store db.Store, opts Options) (*Result, err
 	if err != nil || len(w.cands) == 0 {
 		return nil, err
 	}
-	sel := opts.Select
-	if sel == nil {
-		sel = MaxSize
+	win := w.cands[0] // the largest, the first found on ties
+	for _, c := range w.cands {
+		if len(c.order) > len(win.order) {
+			win = c
+		}
 	}
-	cands := make([]Candidate, len(w.cands))
-	for i, c := range w.cands {
-		cands[i] = Candidate{Set: sortedCopy(c.order)}
-	}
-	win := w.cands[sel(cands)]
 	values, err := w.sr.witness(qs, w.vars, win, &fallback{store: m})
 	if err != nil {
 		return nil, err
@@ -237,7 +234,6 @@ func TestBulkLoadMatchesBatchOracle(t *testing.T) {
 		{"skip pruning", func([]eq.Query) Options { return Options{SkipPruning: true} }},
 		{"traced", func([]eq.Query) Options { return Options{Trace: &Trace{}} }},
 		{"traced, skip pruning", func([]eq.Query) Options { return Options{Trace: &Trace{}, SkipPruning: true} }},
-		{"prefer query", func(qs []eq.Query) Options { return Options{Select: PreferQuery(len(qs) / 2)} }},
 	}
 	errText := func(err error) string {
 		if err == nil {

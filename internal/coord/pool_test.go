@@ -120,8 +120,8 @@ func TestPooledWalkReuseIsInvisible(t *testing.T) {
 		{"large", large, store, plain},
 		{"small", workload.ListQueries(8, rows), store, plain},
 		{"unsafe", unsafe, unsafeStore, plain},
-		{"traced, prefer query", workload.RandomSafeQueries(60, rows, 0.03, 0.8, rng), store,
-			func() Options { return Options{Trace: &Trace{}, Select: PreferQuery(30)} }},
+		{"traced", workload.RandomSafeQueries(60, rows, 0.03, 0.8, rng), store,
+			func() Options { return Options{Trace: &Trace{}} }},
 		{"large again", large, store, plain},
 	}
 	first := map[string]outcome{}

@@ -93,7 +93,7 @@ func TestCascadeMatchesRoundByRoundOracle(t *testing.T) {
 // what it was grown for.
 func TestIncrementalScratchBudget(t *testing.T) {
 	const chains, chainLen, budget = 16, 16, 72 << 10
-	inc := NewIncremental(chainStore(chains), Options{})
+	inc := NewIncremental(chainStore(chains))
 	slots := map[[2]int]int{}
 	join := func(c, i int) {
 		slot, _, err := inc.Add(chainQuery(c, i))

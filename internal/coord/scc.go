@@ -18,13 +18,6 @@ var ErrUnsafe = errors.New("coord: query set is not safe")
 // ErrNotUnique is returned by the Gupta baseline on non-unique input.
 var ErrNotUnique = errors.New("coord: query set is not unique")
 
-// Candidate is one coordinating set discovered by the SCC algorithm, as
-// a Selector sees it: the set R(q) of all queries reachable from some
-// query q.
-type Candidate struct {
-	Set []int // sorted query indices
-}
-
 // grounded is a candidate as the walk keeps it: its queries in the
 // order their bodies were combined, which the database's answer follows
 // slot by slot, and that answer. Its unifier is not kept: it is a
@@ -35,46 +28,8 @@ type grounded struct {
 	binding db.Binding
 }
 
-// Selector chooses which discovered candidate to return. It receives a
-// non-empty candidate list of its own and returns the index of the
-// winner.
-type Selector func(cands []Candidate) int
-
-// MaxSize is the default selector: the candidate covering the most
-// queries, first one on ties.
-func MaxSize(cands []Candidate) int {
-	best := 0
-	for i, c := range cands {
-		if len(c.Set) > len(cands[best].Set) {
-			best = i
-		}
-	}
-	return best
-}
-
-// PreferQuery returns a selector that picks the largest candidate
-// containing query qi (the paper's "VIP client" criterion), falling back
-// to MaxSize when no candidate contains it.
-func PreferQuery(qi int) Selector {
-	return func(cands []Candidate) int {
-		best := -1
-		for i, c := range cands {
-			if slices.Contains(c.Set, qi) && (best < 0 || len(c.Set) > len(cands[best].Set)) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return MaxSize(cands)
-		}
-		return best
-	}
-}
-
 // Options configures SCCCoordinate.
 type Options struct {
-	// Select picks among the discovered coordinating sets; nil means
-	// MaxSize.
-	Select Selector
 	// SkipPruning disables the §6.1 preprocessing step that removes
 	// queries with unsatisfiable bodies or unsatisfiable postconditions
 	// before graph condensation. Used by the ablation benchmarks; the
@@ -88,21 +43,22 @@ type Options struct {
 
 // SCCCoordinate runs the SCC Coordination Algorithm of §4 on a safe (but
 // not necessarily unique) set of entangled queries. It returns the
-// selected coordinating set, or nil if none exists. The input set must
-// be safe; ErrUnsafe is returned otherwise.
+// largest coordinating set it finds, or nil if none exists. The input
+// set must be safe; ErrUnsafe is returned otherwise.
 //
 // The algorithm: build the coordination graph, condense it into its DAG
 // of strongly connected components, walk components in reverse
 // topological order, and for each component unify its queries with the
 // combined queries of its successors and ground the combination with a
 // single database query. Every component that grounds successfully
-// yields the candidate set R(q) of all queries reachable from it; the
-// selector picks among candidates (maximum size by default).
+// yields the candidate set R(q) of all queries reachable from it, and
+// the largest candidate wins (the first found on ties); AllCandidates
+// hands a caller the whole family to choose from instead.
 //
 // The walk is Incremental's: the set is bulk-loaded into a pooled,
 // one-shot coordinator (load) and walked once, so batch requests and
 // streaming sessions share a single code path. The winner's witness
-// values are read off its MGU, recomputed after selection —
+// values are read off its MGU, recomputed once it has won —
 // unification only, no database query.
 //
 // The store may be shared with concurrent requests: every query this
@@ -126,9 +82,10 @@ type CandidateSet struct {
 
 // AllCandidates runs the SCC Coordination Algorithm and returns every
 // coordinating set it discovers — the grounded members of the family
-// {R(q) | q in Q} — sorted largest first. Callers with bespoke
-// selection criteria (the paper mentions gold-status passengers and VIP
-// clients) can choose among them directly.
+// {R(q) | q in Q} — sorted largest first. It is how a caller applies
+// its own criterion instead of SCCCoordinate's largest set: the paper's
+// examples are preferring gold-status passengers and VIP clients, and
+// the caller picks, say, the largest set holding its VIP's query.
 func AllCandidates(qs []eq.Query, store db.Store, opts Options) ([]CandidateSet, error) {
 	inc := loads.Get().(*Incremental)
 	defer inc.release()
@@ -164,7 +121,7 @@ func (inc *Incremental) load(qs []eq.Query, store db.Store, opts Options) error 
 	if bad := inc.g.Unsafe(); len(bad) > 0 {
 		return fmt.Errorf("%w: unsafe queries %v", ErrUnsafe, bad)
 	}
-	inc.store, inc.opts, inc.queries, inc.total = store, opts, qs, 0
+	inc.store, inc.opts, inc.queries = store, opts, qs
 	inc.ids, inc.vars = numberInto(qs, inc.ids, inc.vars)
 	inc.bodySat, inc.arena = zeroed(inc.bodySat, len(qs)), inc.arena[:0]
 	if _, err := inc.Refresh(); err != nil {

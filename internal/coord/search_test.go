@@ -7,7 +7,6 @@ import (
 	"os"
 	"reflect"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -189,7 +188,7 @@ func TestFallbackReadsDomainAtMostOnce(t *testing.T) {
 
 		// A session event: the pass, then everything read off it.
 		o = &observedStore{Store: inst}
-		inc := NewIncremental(o, Options{})
+		inc := NewIncremental(o)
 		for i := n - 1; i >= 0; i-- {
 			o.domainCalls = 0
 			if _, _, err := inc.Add(qs[i]); err != nil {
@@ -320,7 +319,7 @@ query d { post: R(UA, k) head: R(UD, k) body: S(k, k) }`)},
 		// different events, most of them spliced since. Each query it
 		// shows must be one the database saw.
 		so := &observedStore{Store: inst}
-		inc := NewIncremental(so, Options{})
+		inc := NewIncremental(so)
 		slots := make([]int, len(qs))
 		for i, q := range qs {
 			slot, _, err := inc.Add(q)
@@ -445,42 +444,5 @@ query q { post: R(UP, b) head: R(UQ, b) body: T(b), T(Nobody) }`), 1},
 		if grounds := g.name == "unique"; inst.QueriesIssued() != g.asked || (res != nil) != grounds || grounds && res.DBQueries != 1 {
 			t.Fatalf("Gupta, %s: asked %d (res=%v, err=%v), want %d", g.name, inst.QueriesIssued(), res, err, g.asked)
 		}
-	}
-}
-
-// A selector's candidates are its own: one that reorders every Set in
-// place changes neither the witness nor, in a session, the assembly
-// orders a later event splices from the outcome cache.
-func TestSelectorMayReorderItsCandidates(t *testing.T) {
-	const rows = 40
-	qs := workload.ListQueries(12, rows)
-	inst := newWorkloadInstance(rows)
-	reorder := func(cands []Candidate) int {
-		for _, c := range cands {
-			slices.Reverse(c.Set)
-		}
-		return MaxSize(cands)
-	}
-	check := func(what string, got *Result, err error, qs []eq.Query) {
-		t.Helper()
-		want, werr := SCCCoordinate(qs, inst, Options{})
-		if err != nil || werr != nil || got == nil || !reflect.DeepEqual(got.Set, want.Set) || !reflect.DeepEqual(got.Values, want.Values) {
-			t.Fatalf("%s: got %v (err %v), want %v (err %v)", what, got, err, want, werr)
-		}
-		if err := Verify(qs, got.Set, got.Values, inst); err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-	}
-	res, err := SCCCoordinate(qs, inst, Options{Select: reorder})
-	check("batch", res, err, qs)
-	// Arrivals from the end of the list: every event reaches what is
-	// there already, whose outcomes it splices.
-	inc := NewIncremental(inst, Options{Select: reorder})
-	for i := len(qs) - 1; i >= 0; i-- {
-		if _, _, err := inc.Add(qs[i]); err != nil {
-			t.Fatal(err)
-		}
-		res, err := inc.Result()
-		check(fmt.Sprintf("session of %d", inc.Len()), res, err, inc.LiveQueries())
 	}
 }

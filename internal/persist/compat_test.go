@@ -24,7 +24,7 @@ import (
 func compatChurn(store db.Store) []stream.Event {
 	rng := rand.New(rand.NewSource(24))
 	user := func() eq.Term { return eq.C(eq.Value("u" + strconv.Itoa(rng.Intn(20)))) }
-	s := stream.New(store, stream.Options{ParkUnsafe: true, CompactAfter: -1})
+	s := stream.New(store, stream.Options{ParkUnsafe: true})
 	var live []string
 	var journalled []stream.Event
 	for n := 0; n < 240; n++ {
@@ -64,14 +64,14 @@ func compatChurn(store db.Store) []stream.Event {
 // frame today's code writes for the same session is the payload of the
 // frame commit 6038a32 wrote, frame for frame, and (2) that commit's
 // file, found as sessions/compat.wal in a data directory, is imported
-// by Open and replays — under a threshold that compacts after every
-// departure, the default, and none — to the status, totals included,
-// that 6038a32 itself recovered with compaction off; a second Open
-// finds no sessions/ left and recovers the same. (With compaction on,
+// by Open and replays — under the default compaction threshold, which
+// the churn crosses — to the status, totals included, that 6038a32
+// itself recovered with compaction off; a second Open finds no
+// sessions/ left and recovers the same. (With compaction on,
 // 6038a32's totals also counted each compaction's re-solve; that cost
 // is what went.) Both files were written by this test's own steps run
 // in a checkout of 6038a32: the journal is sessions/compat.wal, the
-// status the CompactAfter -1 replay's JSON and a newline.
+// status the JSON of its replay with compaction off and a newline.
 func TestJournalFromBeforeSerialsReplays(t *testing.T) {
 	const fixture = "testdata/journal_6038a32"
 	parent, err := os.ReadFile(fixture + ".wal")
@@ -156,22 +156,20 @@ func TestJournalFromBeforeSerialsReplays(t *testing.T) {
 		if err != nil || len(recovered) != 1 || recovered[0].Name != "compat" {
 			t.Fatalf("open %d: recovered %v, err %v", open, recovered, err)
 		}
-		for _, compactAfter := range []int{-1, 1, 0} {
-			s := stream.New(re, stream.Options{ParkUnsafe: recovered[0].Park, CompactAfter: compactAfter})
-			for _, ev := range recovered[0].Events {
-				s.Apply(ev) // outcomes are the journal's: admitted or parked
-			}
-			st, err := s.Status(true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := json.Marshal(st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(append(got, '\n'), want) {
-				t.Fatalf("open %d, CompactAfter %d: recovered status\n%s\nwant, as 6038a32 recovered it,\n%s", open, compactAfter, got, want)
-			}
+		s := stream.New(re, stream.Options{ParkUnsafe: recovered[0].Park})
+		for _, ev := range recovered[0].Events {
+			s.Apply(ev) // outcomes are the journal's: admitted or parked
+		}
+		st, err := s.Status(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(append(got, '\n'), want) {
+			t.Fatalf("open %d: recovered status\n%s\nwant, as 6038a32 recovered it,\n%s", open, got, want)
 		}
 		if err := re.Close(); err != nil {
 			t.Fatal(err)

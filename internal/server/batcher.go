@@ -14,7 +14,7 @@ import (
 // batchItem is one admitted coordination request waiting for a worker.
 type batchItem struct {
 	// ctx is the submitter's: a worker that takes the item after it
-	// ended drops it (see work).
+	// ended drops it, and one running it stops when it ends (see work).
 	ctx   context.Context
 	req   engine.Request
 	reply chan engine.Response // buffered(1): a worker never blocks on it
@@ -205,8 +205,8 @@ func (b *batcher) take() (it batchItem, ok bool) {
 // close has drained the backlog. A request whose submitter has gone is
 // not run, so no store query is spent that nobody would be billed for,
 // and not answered: its submitter returns its context's error, and a
-// reply would race that. The check is made once, at the take: the
-// request itself runs under the batcher's own deadline.
+// reply would race that. One whose submitter goes while it runs stops
+// at its next store query (serve).
 func (b *batcher) work() {
 	defer b.workers.Done()
 	for {
@@ -220,18 +220,20 @@ func (b *batcher) work() {
 		if it.ctx.Err() != nil {
 			continue
 		}
-		it.reply <- b.serve(it.req)
+		it.reply <- b.serve(it.ctx, it.req)
 	}
 }
 
-// serve runs one request under the per-request deadline, which keeps a
-// stalled store (or injected fault) from holding a worker forever: past
-// it, the engine's context-wrapped store fails each remaining query
-// with DeadlineExceeded and the request returns. It bounds the work
-// between store calls — one store call already in flight must still
-// return on its own.
-func (b *batcher) serve(req engine.Request) engine.Response {
-	ctx, cancel := context.WithTimeout(context.Background(), b.timeout)
+// serve runs one request under its submitter's context and the
+// per-request deadline, whichever ends first: a caller that leaves — an
+// HTTP client that cancels, a binary connection that closes — stops the
+// work it asked for, and the deadline keeps a stalled store (or
+// injected fault) from holding a worker forever. Once either ends, the
+// engine's context-wrapped store fails each remaining query and the
+// request returns. It bounds the work between store calls — one store
+// call already in flight must still return on its own.
+func (b *batcher) serve(ctx context.Context, req engine.Request) engine.Response {
+	ctx, cancel := context.WithTimeout(ctx, b.timeout)
 	defer cancel()
 	res, err := b.e.Coordinate(ctx, req.Queries)
 	return engine.Response{ID: req.ID, Result: res, Err: err}

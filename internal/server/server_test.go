@@ -516,12 +516,14 @@ func TestMetricsAnswerWhileAnEventWaits(t *testing.T) {
 // release, and closes blocked once that query is waiting.
 type stallingStore struct {
 	db.Store
+	asked   atomic.Int64 // queries that reached the store, the held one included
 	first   atomic.Bool
 	blocked chan struct{}
 	release chan struct{}
 }
 
 func (s *stallingStore) stall() {
+	s.asked.Add(1)
 	if s.first.CompareAndSwap(false, true) {
 		close(s.blocked)
 		<-s.release
@@ -598,6 +600,58 @@ func TestStalledRequestDoesNotHoldUpALaterOne(t *testing.T) {
 		t.Fatalf("call A: %v", ra.err)
 	}
 	check("A", qa, ra.res)
+}
+
+// TestCallerLeavingMidWalkStopsItsRequest: a batch request whose caller
+// leaves while the request's first store query is held — an HTTP client
+// that cancels, a binary connection that closes — asks the store
+// nothing more once that query returns. The worker runs under the
+// caller's context, not one of its own that would run the walk to the
+// end for nobody.
+func TestCallerLeavingMidWalkStopsItsRequest(t *testing.T) {
+	for _, proto := range []string{"http", "binary"} {
+		t.Run(proto, func(t *testing.T) {
+			store := &stallingStore{Store: workload.NewStore(1, 16, 0), blocked: make(chan struct{}), release: make(chan struct{})}
+			httpC, binC, srv := newDualLoopback(t, store, server.Options{})
+			open := sync.OnceFunc(func() { close(store.release) })
+			t.Cleanup(open) // before the server's own cleanup, which drains the workers
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			c, leave := httpC, cancel
+			if proto == "binary" {
+				c, leave = binC, func() { binC.Close() }
+			}
+			answered := make(chan error, 1)
+			go func() {
+				_, err := c.Coordinate(ctx, workload.ListQueries(8, 16))
+				answered <- err
+			}()
+			<-store.blocked
+			leave()
+			if err := <-answered; err == nil {
+				t.Fatal("a caller that left was answered")
+			}
+			// The server has seen the caller go once its handler has
+			// settled the request; the worker still holds the query.
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				m, err := httpC.Metrics(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.Coordinate.Requests == 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("the server never settled the abandoned request: %+v", m.Coordinate)
+				}
+			}
+			open()
+			srv.Close() // waits for the worker to finish the request
+			if n := store.asked.Load(); n != 1 {
+				t.Fatalf("the store was asked %d queries, want only the one in flight when the caller left", n)
+			}
+		})
+	}
 }
 
 // TestServerDrain checks the shutdown contract: after Close, batch

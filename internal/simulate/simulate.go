@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strconv"
 
-	"entangled/internal/coord"
 	"entangled/internal/db"
 	"entangled/internal/eq"
 	"entangled/internal/graph"
@@ -93,7 +92,7 @@ func Run(cfg Config) (Stats, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	inst := db.NewInstance()
 	workload.UserTable(inst, cfg.TableRows)
-	c := system.New(inst, coord.Options{})
+	c := system.New(inst)
 
 	var st Stats
 	st.Rounds = cfg.Rounds

@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -24,7 +25,8 @@ func TestSessionCompactionPreservesBatchEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		for seed := int64(0); seed < 3; seed++ {
 			store := workload.NewStore(shards, rows, 0)
-			s := stream.New(store, stream.Options{CompactAfter: 2})
+			s := stream.New(store, stream.Options{})
+			stream.SetCompactAfter(s, 2)
 			for i, a := range workload.Arrivals(workload.Churn, 48, rows, seed) {
 				if _, err := s.Apply(toEvent(a)); err != nil {
 					t.Fatalf("shards=%d seed=%d event %d (%v): %v", shards, seed, i, toEvent(a), err)
@@ -62,7 +64,8 @@ func TestCompactionIsInvisible(t *testing.T) {
 	}
 	run := func(compactAfter int) (log []seen, compactions, retried int) {
 		rng := rand.New(rand.NewSource(24))
-		s := stream.New(chainStore(rows), stream.Options{ParkUnsafe: true, CompactAfter: compactAfter})
+		s := stream.New(chainStore(rows), stream.Options{ParkUnsafe: true})
+		stream.SetCompactAfter(s, compactAfter)
 		user := func() eq.Term { return eq.C(eq.Value("U" + strconv.Itoa(rng.Intn(users)))) }
 		var live []string
 		for n := 0; n < events; n++ {
@@ -113,7 +116,7 @@ func TestCompactionIsInvisible(t *testing.T) {
 		}
 		return log, compactions, retried
 	}
-	want, compactions, retried := run(-1)
+	want, compactions, retried := run(math.MaxInt)
 	if compactions != 0 || retried == 0 {
 		t.Fatalf("reference run: %d compactions, %d parked arrivals admitted on retry", compactions, retried)
 	}
@@ -131,12 +134,13 @@ func TestCompactionIsInvisible(t *testing.T) {
 }
 
 // TestSessionCompactionKeepsIDsLeavable pins the remap contract: after
-// a forced compaction the ID index must point at the renumbered slots,
-// so every live query can still depart.
+// a compaction the ID index must point at the renumbered slots, so
+// every live query can still depart.
 func TestSessionCompactionKeepsIDsLeavable(t *testing.T) {
 	const rows = 8
 	store := workload.NewStore(1, rows, 0)
-	s := stream.New(store, stream.Options{CompactAfter: -1}) // manual only
+	s := stream.New(store, stream.Options{})
+	stream.SetCompactAfter(s, 3)
 	for i := 0; i < 6; i++ {
 		q := eq.Query{
 			ID:   "q" + strconv.Itoa(i),
@@ -147,20 +151,16 @@ func TestSessionCompactionKeepsIDsLeavable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Punch holes, then compact.
-	for _, id := range []string{"q0", "q2", "q4"} {
+	// Punch holes; the third compacts.
+	for i, id := range []string{"q0", "q2", "q4"} {
 		if _, err := s.Leave(id); err != nil {
 			t.Fatal(err)
 		}
+		if got, want := s.Tombstones(), (i+1)%3; got != want {
+			t.Fatalf("tombstones after leaving %s = %d, want %d", id, got, want)
+		}
 	}
-	if got := s.Tombstones(); got != 3 {
-		t.Fatalf("tombstones = %d, want 3 (auto-compaction disabled)", got)
-	}
-	s.Compact()
-	if got := s.Tombstones(); got != 0 {
-		t.Fatalf("tombstones after compact = %d, want 0", got)
-	}
-	checkSessionMatchesBatch(t, s, store, "after manual compact")
+	checkSessionMatchesBatch(t, s, store, "after compaction")
 	// The survivors must still be addressable by ID.
 	for _, id := range []string{"q1", "q3", "q5"} {
 		if _, err := s.Leave(id); err != nil {
@@ -180,16 +180,17 @@ func TestSessionCompactionKeepsIDsLeavable(t *testing.T) {
 // current length, or left over from the previous pass, surfaces here. It
 // runs with compaction after every 2 tombstones (the scratch is
 // released and regrown constantly), at the default threshold, and
-// disabled (the scratch only ever grows, and 254 slots are dead at the
+// never (the scratch only ever grows, and 254 slots are dead at the
 // turn).
 func TestSessionShrinkAndRegrowMatchesBatch(t *testing.T) {
 	chains, chainLen := 16, 16
 	if raceEnabled {
 		chains = 4 // stale scratch is not a data race; 64 queries keep -race quick
 	}
-	for _, compactAfter := range []int{2, 0, -1} {
+	for _, compactAfter := range []int{2, stream.DefaultCompactAfter, math.MaxInt} {
 		store := workload.NewStore(1, chains, 0)
-		s := stream.New(store, stream.Options{CompactAfter: compactAfter})
+		s := stream.New(store, stream.Options{})
+		stream.SetCompactAfter(s, compactAfter)
 		var order []eq.Query
 		for i := 0; i < chainLen; i++ {
 			for c := 0; c < chains; c++ {

@@ -21,16 +21,17 @@
 // event that can clear a fanout conflict.
 //
 // A quiesced session is observationally equivalent to a batch run: its
-// Result and Trace match coord.SCCCoordinate over the live queries in
-// arrival order (see the equivalence property test), and asking for
-// them issues no database queries.
+// Status — result and trace — matches coord.SCCCoordinate over the live
+// queries in arrival order (see the equivalence property test), and
+// asking for it issues no database queries. A session takes no
+// coordination options: it prunes as a batch run does and reports the
+// largest coordinating set.
 //
 // Long-lived sessions stay O(live queries): departed queries leave
-// tombstoned slots behind, and once Options.CompactAfter of them
-// accumulate (DefaultCompactAfter unless configured) the session
-// compacts — live queries are renumbered into dense slots, in place
-// and without a database query, since cached outcomes name queries by
-// admission serial and not by slot. No update, status or total shows
+// tombstoned slots behind, and once DefaultCompactAfter of them
+// accumulate the session compacts — live queries are renumbered into
+// dense slots, in place and without a database query, since cached
+// outcomes name queries by admission serial and not by slot. No update, status or total shows
 // whether or when it happened (TestCompactionIsInvisible; the
 // compaction property test churns aggressively and checks batch
 // equivalence after every event).

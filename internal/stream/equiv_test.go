@@ -25,11 +25,11 @@ func checkSessionMatchesBatch(t *testing.T, s *stream.Session, store db.Store, l
 	qs := s.Queries()
 
 	before := store.QueriesIssued()
-	got, err := s.Result()
-	tr := s.Trace()
+	st, err := s.Status(true)
 	if err != nil {
 		t.Fatalf("%s: session result: %v", label, err)
 	}
+	got, tr := st.Result, st.Trace
 	if issued := store.QueriesIssued() - before; issued != 0 {
 		t.Fatalf("%s: reading a quiesced session cost %d queries", label, issued)
 	}
@@ -175,8 +175,8 @@ func TestSessionTraceRenumbersTermsNotText(t *testing.T) {
 	}
 	checkSessionMatchesBatch(t, s, in, "slot 1 at position 0")
 	want := "Docs(B, 'Faq1.pdf'), q1.Tags(B, q0.q1.tag)"
-	if tr := s.Trace(); len(tr.Components) != 1 || tr.Components[0].Combined != want {
-		t.Fatalf("trace %+v, want one component asking %s", tr.Components, want)
+	if st, err := s.Status(true); err != nil || len(st.Trace.Components) != 1 || st.Trace.Components[0].Combined != want {
+		t.Fatalf("trace %+v (%v), want one component asking %s", st.Trace, err, want)
 	}
 }
 

@@ -18,10 +18,15 @@ var ErrDuplicateID = errors.New("stream: duplicate query ID")
 // ErrUnknownID is returned by Leave for an ID with no live query.
 var ErrUnknownID = errors.New("stream: unknown query ID")
 
-// DefaultCompactAfter is the slot-compaction threshold used when
-// Options.CompactAfter is zero: a session compacts once 64 dead slots
-// have accumulated. Compaction is an in-place renumbering — O(live
-// queries) of integer work, no database query — amortised over them.
+// DefaultCompactAfter is a session's slot-compaction threshold: once 64
+// dead slots (departed queries) have accumulated, live queries are
+// renumbered into dense slots, so per-event graph work stays O(live
+// queries) instead of O(slots ever handed out). Compaction is an
+// in-place renumbering — O(live queries) of integer work, no database
+// query — amortised over them, and it re-solves nothing (queries are
+// named by admission serial, not by slot), so no Update, Status or
+// total shows whether or when it happened: see
+// coord.(*Incremental).Compact.
 const DefaultCompactAfter = 64
 
 // EventKind discriminates stream events.
@@ -96,23 +101,10 @@ type Totals struct {
 
 // Options configures a Session.
 type Options struct {
-	// Coord carries the coordination configuration (selector, pruning
-	// and safety toggles) applied to the session's incremental state;
-	// Trace is ignored.
-	Coord coord.Options
 	// ParkUnsafe parks arrivals that would make the set unsafe instead
 	// of rejecting them; parked queries are retried after each
 	// departure.
 	ParkUnsafe bool
-	// CompactAfter sets the slot-compaction threshold: once the number
-	// of dead slots (departed queries) reaches it, the session compacts
-	// — live queries are renumbered into dense slots so per-event graph
-	// work stays O(live queries) instead of O(total slots ever). Zero
-	// selects DefaultCompactAfter; negative disables compaction.
-	// Compaction re-solves nothing (queries are named by admission serial,
-	// not by slot), so no Update, Status or total depends on the threshold:
-	// see coord.(*Incremental).Compact.
-	CompactAfter int
 	// OnUpdate, when non-nil, observes every processed event (called
 	// synchronously from the processing goroutine, in order, with the
 	// session lock held — the callback must not call back into the
@@ -125,7 +117,8 @@ type Options struct {
 // methods are safe for concurrent use; events are serialised on an
 // internal lock, so updates observe a total order.
 type Session struct {
-	opts Options
+	opts         Options
+	compactAfter int // DefaultCompactAfter; tests vary it (export_test.go)
 
 	mu     sync.Mutex
 	inc    *coord.Incremental
@@ -167,9 +160,10 @@ const parkedSlot = -1
 // New opens an empty session over store.
 func New(store db.Store, opts Options) *Session {
 	return &Session{
-		opts: opts,
-		inc:  coord.NewIncremental(store, opts.Coord),
-		byID: map[string]int{},
+		opts:         opts,
+		compactAfter: DefaultCompactAfter,
+		inc:          coord.NewIncremental(store),
+		byID:         map[string]int{},
 	}
 }
 
@@ -211,7 +205,7 @@ func (s *Session) process(ev Event) (Update, error) {
 	default:
 		up.Err = fmt.Errorf("stream: unknown event kind %d", ev.Kind)
 	}
-	if t := s.compactThreshold(); t > 0 && s.inc.Tombstones() >= t {
+	if s.inc.Tombstones() >= s.compactAfter {
 		s.compact()
 	}
 	s.totals.Events++
@@ -326,18 +320,6 @@ func (s *Session) leave(id string, up *Update) {
 // full Result.
 func (s *Session) teamSize() int { return s.inc.TeamSize() }
 
-// compactThreshold resolves Options.CompactAfter: zero means the
-// default, negative disables.
-func (s *Session) compactThreshold() int {
-	switch {
-	case s.opts.CompactAfter < 0:
-		return 0
-	case s.opts.CompactAfter == 0:
-		return DefaultCompactAfter
-	}
-	return s.opts.CompactAfter
-}
-
 // compact renumbers live queries into dense slots and remaps the ID
 // index accordingly; a parked ID has no slot to remap. It cannot fail
 // and costs no database query, so no update or total records it.
@@ -356,15 +338,6 @@ func (s *Session) Tombstones() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.inc.Tombstones()
-}
-
-// Compact forces a slot compaction now, regardless of the threshold:
-// for callers that disabled auto-compaction (a negative CompactAfter)
-// but reclaim slots at a moment of their choosing (e.g. an idle tick).
-func (s *Session) Compact() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.compact()
 }
 
 // Refresh resynchronises the session with the store after external
@@ -469,13 +442,4 @@ func (s *Session) resultLocked(pos []int) (*coord.Result, error) {
 	}
 	res.Values = values
 	return res, nil
-}
-
-// Trace returns the current state's step-by-step record with query
-// indices mapped to positions in Queries(), matching what a traced
-// batch run over those queries reports.
-func (s *Session) Trace() *coord.Trace {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inc.Trace(s.inc.Positions())
 }

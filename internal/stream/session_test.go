@@ -82,9 +82,9 @@ func TestSessionInteriorLeavePrunesSuffix(t *testing.T) {
 	if up.TeamSize != 1 {
 		t.Fatalf("team after interior leave: %+v", up)
 	}
-	tr := s.Trace()
-	if len(tr.Pruned) != 3 {
-		t.Fatalf("pruned %v", tr.Pruned)
+	st, err := s.Status(true)
+	if err != nil || len(st.Trace.Pruned) != 3 {
+		t.Fatalf("pruned %v, %v", st.Trace.Pruned, err)
 	}
 }
 
@@ -185,7 +185,8 @@ func TestParkedIDIsNotLeavable(t *testing.T) {
 			Body: []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C("c0"))},
 		}
 	}
-	s := stream.New(chainStore(1), stream.Options{ParkUnsafe: true, CompactAfter: -1})
+	s := stream.New(chainStore(1), stream.Options{ParkUnsafe: true})
+	stream.SetCompactAfter(s, 1) // every departure compacts
 	for _, q := range []eq.Query{head("a", "A"), head("b", "A"), head("c", "C")} {
 		if _, err := s.Join(q); err != nil {
 			t.Fatal(err)
@@ -199,17 +200,15 @@ func TestParkedIDIsNotLeavable(t *testing.T) {
 	if _, err := s.Leave("x"); !errors.Is(err, stream.ErrUnknownID) {
 		t.Fatalf("leaving a parked ID: %v, want ErrUnknownID", err)
 	}
-	if _, err := s.Leave("c"); err != nil { // a tombstone for Compact to remap past
+	if _, err := s.Leave("c"); err != nil { // a tombstone for the compaction to remap past
 		t.Fatal(err)
 	}
-	s.Compact()
-	if s.ParkedCount() != 1 || s.Size() != 2 {
-		t.Fatalf("after compaction: parked=%d size=%d", s.ParkedCount(), s.Size())
+	if s.ParkedCount() != 1 || s.Size() != 2 || s.Tombstones() != 0 {
+		t.Fatalf("after compaction: parked=%d size=%d tombstones=%d", s.ParkedCount(), s.Size(), s.Tombstones())
 	}
-	if up, err := s.Leave("b"); err != nil || !slices.Equal(up.AdmittedParked, []string{"x"}) {
-		t.Fatalf("departure: %+v %v, want x admitted", up, err)
+	if up, err := s.Leave("b"); err != nil || !slices.Equal(up.AdmittedParked, []string{"x"}) || s.Tombstones() != 0 {
+		t.Fatalf("departure: %+v %v, %d tombstones; want x admitted and a compaction", up, err, s.Tombstones())
 	}
-	s.Compact()
 	if _, err := s.Leave("x"); err != nil {
 		t.Fatalf("leaving the admitted x: %v", err)
 	}
@@ -248,29 +247,25 @@ func TestSessionRejectUnsafeWithoutParking(t *testing.T) {
 }
 
 // TestSessionStoreErrorStaysConsistent: a store error mid-pass must not
-// desynchronise the session. The first case is a body over an unknown
-// relation, surfacing in the dirty component's grounding query when
-// pruning is skipped: the offending query stays tracked, can be
-// departed, and the session heals. The others fail the store in the
-// middle of a reconcile walk — the k-th of several grounding queries —
-// which leaves the outcome cache half stamped: some entries carry the
-// failed pass's number, some the one before, and some are new. The
-// next event must sweep it as if nothing had happened.
+// desynchronise the session. In the first case the store fails the
+// arrival's own grounding, after its probe has passed: the offending
+// query stays tracked, can be departed, and the session heals. The
+// others fail the store in the middle of a reconcile walk — the k-th of
+// several grounding queries — which leaves the outcome cache half
+// stamped: some entries carry the failed pass's number, some the one
+// before, and some are new. The next event must sweep it as if nothing
+// had happened.
 func TestSessionStoreErrorStaysConsistent(t *testing.T) {
 	t.Run("failed arrival stays tracked", func(t *testing.T) {
-		s := stream.New(chainStore(2), stream.Options{
-			Coord: coord.Options{SkipPruning: true},
-		})
+		store := &flakyStore{Store: chainStore(2), err: errors.New("store: injected failure")}
+		s := stream.New(store, stream.Options{})
 		if _, err := s.Join(workload.ChainQuery(0, 0, 2)); err != nil {
 			t.Fatal(err)
 		}
-		bad := eq.Query{
-			ID:   "bad",
-			Head: []eq.Atom{eq.NewAtom("R", eq.C("B"), eq.V("x"))},
-			Body: []eq.Atom{eq.NewAtom("Nope", eq.V("x"))},
-		}
-		if _, err := s.Join(bad); err == nil {
-			t.Fatal("want a store error for an unknown relation")
+		bad := workload.ChainQuery(0, 1, 2)
+		store.failAt = 1
+		if up, err := s.Join(bad); !errors.Is(err, store.err) || !up.Admitted {
+			t.Fatalf("want the arrival admitted and its grounding failed: %+v, %v", up, err)
 		}
 		// The query committed before the pass failed: it is live, visible,
 		// and — critically — removable.
@@ -280,14 +275,14 @@ func TestSessionStoreErrorStaysConsistent(t *testing.T) {
 		if _, err := s.Join(bad); !errors.Is(err, stream.ErrDuplicateID) {
 			t.Fatalf("ID of the failed join not reserved: %v", err)
 		}
-		if _, err := s.Leave("bad"); err != nil {
+		if _, err := s.Leave(bad.ID); err != nil {
 			t.Fatalf("failed join cannot be departed: %v", err)
 		}
 		if s.Size() != 1 {
 			t.Fatalf("size %d after departure", s.Size())
 		}
 		// The session is healthy again: new events coordinate normally.
-		up, err := s.Join(workload.ChainQuery(0, 1, 2))
+		up, err := s.Join(bad)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,41 +378,54 @@ func TestSessionStoreErrorStaysConsistent(t *testing.T) {
 	})
 }
 
-// TestSessionCompactsThroughStoreOutage: at CompactAfter 1 every
-// departure of an outage is followed by a compaction, with no successful
-// pass in between to sweep the outcomes that name the departed slots.
-// The session must keep its IDs leavable throughout and be exact one
-// event after the store is back. Pruning is off so that a departing head
-// dirties its chain instead of stranding it.
+// TestSessionCompactsThroughStoreOutage: at threshold 1 every departure
+// of an outage is followed by a compaction, with no successful pass in
+// between to sweep the outcomes that name the departed slots. During
+// the outage chain 0 loses an interior member and gets it back, which
+// leaves its suffix owed a grounding; from then on every event's pass
+// fails on it, and chain 1 loses its tail three times under the failed
+// passes. The session must keep its IDs leavable throughout and be
+// exact one event after the store is back.
 func TestSessionCompactsThroughStoreOutage(t *testing.T) {
 	const chains, chainLen = 2, 6
-	opts := stream.Options{CompactAfter: 1, Coord: coord.Options{SkipPruning: true}}
 	store := &flakyStore{Store: chainStore(chains), err: errors.New("store: down")}
-	s, never := stream.New(store, opts), stream.New(chainStore(chains), opts)
-	for c := 0; c < chains; c++ {
-		for i := 0; i < chainLen; i++ {
-			for _, x := range []*stream.Session{s, never} {
+	s, never := stream.New(store, stream.Options{}), stream.New(chainStore(chains), stream.Options{})
+	for _, x := range []*stream.Session{s, never} {
+		stream.SetCompactAfter(x, 1)
+		for c := 0; c < chains; c++ {
+			for i := 0; i < chainLen; i++ {
 				if _, err := x.Join(workload.ChainQuery(c, i, chains)); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
+	interior := workload.ChainQuery(0, 2, chains)
+	outage := []stream.Event{
+		{Kind: stream.LeaveEvent, ID: interior.ID}, // strands the suffix; grounds nothing
+		{Kind: stream.JoinEvent, Query: interior},  // owes the suffix its groundings
+	}
+	for i := chainLen - 1; i > 2; i-- {
+		outage = append(outage, stream.Event{Kind: stream.LeaveEvent, ID: workload.ChainQuery(1, i, chains).ID})
+	}
 	store.down = true
-	for i := 0; i < 3; i++ {
-		id := workload.ChainQuery(0, i, chains).ID
-		up, err := s.Leave(id)
-		if !errors.Is(err, store.err) || !up.Admitted || s.Tombstones() != 0 {
-			t.Fatalf("leave %s during the outage: err %v, update %+v, %d tombstones", id, err, up, s.Tombstones())
+	for n, ev := range outage {
+		want := error(nil)
+		if n > 0 {
+			want = store.err
 		}
-		if _, err := never.Leave(id); err != nil {
+		up, err := s.Apply(ev)
+		if !errors.Is(err, want) || !up.Admitted || s.Tombstones() != 0 {
+			t.Fatalf("%v during the outage: err %v, update %+v, %d tombstones", ev, err, up, s.Tombstones())
+		}
+		if _, err := never.Apply(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
 	store.down = false
 	for _, ev := range []stream.Event{
-		{Kind: stream.LeaveEvent, ID: workload.ChainQuery(1, chainLen-1, chains).ID},
-		{Kind: stream.JoinEvent, Query: workload.ChainQuery(0, 0, chains)},
+		{Kind: stream.LeaveEvent, ID: workload.ChainQuery(1, 2, chains).ID},
+		{Kind: stream.JoinEvent, Query: workload.ChainQuery(1, 2, chains)},
 	} {
 		if _, err := s.Apply(ev); err != nil {
 			t.Fatalf("%v after the outage: %v", ev, err)

@@ -22,7 +22,7 @@ func ids(out *Outcome) []string {
 }
 
 func TestUnsafeArrivalIsRefusedNotKept(t *testing.T) {
-	c := New(newInstance(), coord.Options{})
+	c := New(newInstance())
 	// Two pending providers of R(A, _) (each waits on a partner that
 	// never comes), then a consumer whose postcondition would unify with
 	// both heads.
@@ -68,7 +68,7 @@ query solo { head: R(S, x) body: T(x, 'c5') }`)
 func TestSubmitCostIndependentOfComponentSize(t *testing.T) {
 	cost := func(n int) int64 {
 		inst := newInstance()
-		c := New(inst, coord.Options{})
+		c := New(inst)
 		qs := workload.ListQueries(n, 20)
 		for _, q := range qs[:n-2] {
 			if _, err := c.Submit(q); err != nil {
@@ -95,7 +95,7 @@ func TestSubmitCostIndependentOfComponentSize(t *testing.T) {
 // two, largest first, one outcome each.
 func TestSubmitRetiresItsTeamFlushTheRest(t *testing.T) {
 	inst := newInstance()
-	c := New(inst, coord.Options{})
+	c := New(inst)
 	// hub never grounds; its postconditions tie everyone into one
 	// component.
 	qs := eq.MustParseSet(`
@@ -136,7 +136,7 @@ query z { head: R(Z, x) body: T(x, 'c1') }`)
 // goroutine parks a head and then completes it, while the others'
 // arrivals move the session's selected team under it.
 func TestConcurrentSubmitsAnswerEachQueryOnce(t *testing.T) {
-	c := New(newInstance(), coord.Options{})
+	c := New(newInstance())
 	const workers = 8
 	answered := make(chan string, 4*workers) // room for the duplicates a broken policy would report
 	var wg sync.WaitGroup

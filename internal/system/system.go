@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"entangled/internal/coord"
 	"entangled/internal/db"
 	"entangled/internal/eq"
 	"entangled/internal/stream"
@@ -30,10 +29,9 @@ type Coordinator struct {
 	s  *stream.Session // the pending queries and all coordination state
 }
 
-// New creates a coordinator over the given database instance. A session
-// ignores opts.Trace; the rest apply as in a batch.
-func New(inst *db.Instance, opts coord.Options) *Coordinator {
-	return &Coordinator{s: stream.New(inst, stream.Options{Coord: opts})}
+// New creates a coordinator over the given database instance.
+func New(inst *db.Instance) *Coordinator {
+	return &Coordinator{s: stream.New(inst, stream.Options{})}
 }
 
 // Pending returns the queries currently waiting, in arrival order.

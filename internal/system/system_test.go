@@ -3,7 +3,6 @@ package system
 import (
 	"testing"
 
-	"entangled/internal/coord"
 	"entangled/internal/db"
 	"entangled/internal/eq"
 	"entangled/internal/workload"
@@ -16,7 +15,7 @@ func newInstance() *db.Instance {
 }
 
 func TestSubmitLoneQueryCoordinatesImmediately(t *testing.T) {
-	c := New(newInstance(), coord.Options{})
+	c := New(newInstance())
 	q := eq.MustParseSet(`query solo { head: R(U0, x) body: T(x, 'c1') }`)[0]
 	out, err := c.Submit(q)
 	if err != nil {
@@ -34,7 +33,7 @@ func TestSubmitLoneQueryCoordinatesImmediately(t *testing.T) {
 }
 
 func TestChainCoordinatesWhenComplete(t *testing.T) {
-	c := New(newInstance(), coord.Options{})
+	c := New(newInstance())
 	qs := workload.ListQueries(3, 20)
 	// q0 needs q1 which needs q2; submitting in order parks the first
 	// two.
@@ -71,7 +70,7 @@ func TestChainCoordinatesWhenComplete(t *testing.T) {
 func TestReverseOrderRetiresTailFirst(t *testing.T) {
 	// Submitting the tail first answers it alone; the earlier queries
 	// then wait forever (their partner is gone) — the choose-1 contract.
-	c := New(newInstance(), coord.Options{})
+	c := New(newInstance())
 	qs := workload.ListQueries(2, 20)
 	out, err := c.Submit(qs[1])
 	if err != nil {
@@ -90,7 +89,7 @@ func TestReverseOrderRetiresTailFirst(t *testing.T) {
 }
 
 func TestDuplicateIDRejected(t *testing.T) {
-	c := New(newInstance(), coord.Options{})
+	c := New(newInstance())
 	qs := workload.ListQueries(2, 20)
 	if _, err := c.Submit(qs[0]); err != nil {
 		t.Fatal(err)
@@ -101,7 +100,7 @@ func TestDuplicateIDRejected(t *testing.T) {
 }
 
 func TestAnonymousIDsAssigned(t *testing.T) {
-	c := New(newInstance(), coord.Options{})
+	c := New(newInstance())
 	q := eq.MustParseSet(`query x { head: R(U0, x) body: T(x, 'c1') }`)[0]
 	q.ID = ""
 	out, err := c.Submit(q)
@@ -114,7 +113,7 @@ func TestAnonymousIDsAssigned(t *testing.T) {
 }
 
 func TestFlush(t *testing.T) {
-	c := New(newInstance(), coord.Options{})
+	c := New(newInstance())
 	// Two independent pairs, parked by submitting only their heads.
 	qs := eq.MustParseSet(`
 query a0 { post: R(A1, y) head: R(A0, x) body: T(x, 'c1') }
@@ -151,7 +150,7 @@ query b1 { head: R(B1, x) body: T(x, 'c4') }`)
 }
 
 func TestCancel(t *testing.T) {
-	c := New(newInstance(), coord.Options{})
+	c := New(newInstance())
 	qs := workload.ListQueries(3, 20)
 	// Park the first two (they wait for successors).
 	for i := 0; i < 2; i++ {
