@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"entangled/internal/experiments"
@@ -22,48 +23,52 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: all, 4, 5, 6, 7, 8 or ablations")
-	rows := flag.Int("rows", netgen.SlashdotSize, "queried-table rows for figures 4-5")
-	seeds := flag.Int("seeds", 10, "random graphs averaged per point (figures 5-6)")
-	repeats := flag.Int("repeats", 3, "timed runs averaged per point")
-	csv := flag.Bool("csv", false, "emit CSV instead of tables")
-	markdown := flag.Bool("markdown", false, "emit a markdown report (EXPERIMENTS.md style)")
-	latency := flag.Duration("latency", 0, "simulated per-database-query latency (e.g. 1ms to model the paper's MySQL round trips)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "coordbench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("coordbench", flag.ExitOnError)
+	fig := fs.String("fig", "all", "figure to regenerate: all, 4, 5, 6, 7, 8 or ablations")
+	rows := fs.Int("rows", netgen.SlashdotSize, "queried-table rows for figures 4-5")
+	seeds := fs.Int("seeds", 10, "random graphs averaged per point (figures 5-6)")
+	repeats := fs.Int("repeats", 3, "timed runs averaged per point")
+	csv := fs.Bool("csv", false, "emit CSV instead of tables")
+	markdown := fs.Bool("markdown", false, "emit a markdown report (EXPERIMENTS.md style)")
+	latency := fs.Duration("latency", 0, "simulated per-database-query latency (e.g. 1ms to model the paper's MySQL round trips)")
+	fs.Parse(args)
 
 	cfg := experiments.Config{TableRows: *rows, Seeds: *seeds, Repeats: *repeats, Latency: *latency}
+	figures := map[string]func(experiments.Config) experiments.Series{
+		"4": experiments.Figure4, "5": experiments.Figure5, "6": experiments.Figure6,
+		"7": experiments.Figure7, "8": experiments.Figure8,
+	}
 	var series []experiments.Series
-	switch *fig {
-	case "all":
+	switch one := figures[*fig]; {
+	case *fig == "all":
 		series = experiments.All(cfg)
-	case "4":
-		series = []experiments.Series{experiments.Figure4(cfg)}
-	case "5":
-		series = []experiments.Series{experiments.Figure5(cfg)}
-	case "6":
-		series = []experiments.Series{experiments.Figure6(cfg)}
-	case "7":
-		series = []experiments.Series{experiments.Figure7(cfg)}
-	case "8":
-		series = []experiments.Series{experiments.Figure8(cfg)}
-	case "ablations":
+	case *fig == "ablations":
 		series = experiments.AblationPruning(cfg)
+	case one != nil:
+		series = []experiments.Series{one(cfg)}
 	default:
-		fmt.Fprintf(os.Stderr, "coordbench: unknown figure %q\n", *fig)
-		os.Exit(2)
+		return fmt.Errorf("unknown figure %q", *fig)
 	}
 	if *markdown {
-		fmt.Print(experiments.MarkdownReport("Reproduced figures", series))
-		return
+		fmt.Fprint(stdout, experiments.MarkdownReport("Reproduced figures", series))
+		return nil
 	}
 	for i, s := range series {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		if *csv {
-			fmt.Printf("# %s\n%s", s.Name, s.CSV())
+			fmt.Fprintf(stdout, "# %s\n%s", s.Name, s.CSV())
 		} else {
-			fmt.Print(s.Render())
+			fmt.Fprint(stdout, s.Render())
 		}
 	}
+	return nil
 }

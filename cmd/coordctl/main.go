@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -37,29 +38,25 @@ import (
 	"entangled/internal/eq"
 )
 
-type tableFlags []string
-
-func (t *tableFlags) String() string { return strings.Join(*t, ",") }
-func (t *tableFlags) Set(v string) error {
-	*t = append(*t, v)
-	return nil
-}
-
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "coordctl: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var tables tableFlags
-	queries := flag.String("queries", "", "path to the entangled-query file (required)")
-	flag.Var(&tables, "table", "relation=file.csv (repeatable)")
-	brute := flag.Bool("brute", false, "use the exact brute-force solver (small inputs only)")
-	explain := flag.Bool("explain", false, "print a step-by-step trace of the SCC algorithm")
-	dot := flag.Bool("dot", false, "print the coordination graph in Graphviz DOT syntax and exit")
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	var tables []string
+	fs := flag.NewFlagSet("coordctl", flag.ExitOnError)
+	queries := fs.String("queries", "", "path to the entangled-query file (required)")
+	fs.Func("table", "relation=file.csv (repeatable)", func(spec string) error {
+		tables = append(tables, spec)
+		return nil
+	})
+	brute := fs.Bool("brute", false, "use the exact brute-force solver (small inputs only)")
+	explain := fs.Bool("explain", false, "print a step-by-step trace of the SCC algorithm")
+	dot := fs.Bool("dot", false, "print the coordination graph in Graphviz DOT syntax and exit")
+	fs.Parse(args)
 
 	if *queries == "" {
 		return fmt.Errorf("-queries is required")
@@ -97,7 +94,7 @@ func run() error {
 		for i, q := range qs {
 			labels[i] = q.ID
 		}
-		return coord.CoordinationGraph(qs).WriteDOT(os.Stdout, "coordination", labels)
+		return coord.CoordinationGraph(qs).WriteDOT(stdout, "coordination", labels)
 	}
 
 	var res *coord.Result
@@ -117,19 +114,19 @@ func run() error {
 		return err
 	}
 	if trace != nil {
-		if err := trace.Render(os.Stdout, qs); err != nil {
+		if err := trace.Render(stdout, qs); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if res == nil {
-		fmt.Println("no coordinating set exists")
+		fmt.Fprintln(stdout, "no coordinating set exists")
 		return nil
 	}
-	fmt.Printf("coordinating set (%d of %d queries), %d database queries:\n",
+	fmt.Fprintf(stdout, "coordinating set (%d of %d queries), %d database queries:\n",
 		res.Size(), len(qs), res.DBQueries)
 	for _, i := range res.Set {
-		fmt.Printf("  %s:", qs[i].ID)
+		fmt.Fprintf(stdout, "  %s:", qs[i].ID)
 		vals := res.Values[i]
 		names := make([]string, 0, len(vals))
 		for v := range vals {
@@ -137,9 +134,9 @@ func run() error {
 		}
 		sort.Strings(names)
 		for _, v := range names {
-			fmt.Printf(" %s=%s", v, vals[v])
+			fmt.Fprintf(stdout, " %s=%s", v, vals[v])
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if err := coord.Verify(qs, res.Set, res.Values, inst); err != nil {
 		return fmt.Errorf("internal error: result failed verification: %v", err)

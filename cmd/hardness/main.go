@@ -18,26 +18,29 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"strings"
 
 	"entangled/internal/coord"
 	"entangled/internal/sat"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "hardness: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	dimacs := flag.String("dimacs", "", "DIMACS CNF file (3 literals per clause for Theorem 2)")
-	vars := flag.Int("vars", 3, "variables for a random formula")
-	clauses := flag.Int("clauses", 3, "clauses for a random formula")
-	seed := flag.Int64("seed", 1, "random seed")
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("hardness", flag.ExitOnError)
+	dimacs := fs.String("dimacs", "", "DIMACS CNF file (3 literals per clause for Theorem 2)")
+	vars := fs.Int("vars", 3, "variables for a random formula")
+	clauses := fs.Int("clauses", 3, "clauses for a random formula")
+	seed := fs.Int64("seed", 1, "random seed")
+	fs.Parse(args)
 
 	var f sat.Formula
 	if *dimacs != "" {
@@ -53,17 +56,32 @@ func run() error {
 	} else {
 		f = sat.Random3SAT(*vars, *clauses, rand.New(rand.NewSource(*seed)))
 	}
-	fmt.Printf("formula: %s\n", f)
+	fmt.Fprintf(stdout, "formula: %s\n", f)
 
 	assign, satisfiable := f.Solve()
 	if satisfiable {
-		fmt.Printf("DPLL: satisfiable, e.g.")
+		fmt.Fprintf(stdout, "DPLL: satisfiable, e.g.")
 		for v := 1; v <= f.NumVars; v++ {
-			fmt.Printf(" x%d=%v", v, assign[v])
+			fmt.Fprintf(stdout, " x%d=%v", v, assign[v])
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	} else {
-		fmt.Println("DPLL: unsatisfiable")
+		fmt.Fprintln(stdout, "DPLL: unsatisfiable")
+	}
+	return reduce(f, satisfiable, stdout)
+}
+
+// reduce builds the three reductions of f, solves each exactly, and
+// reports whether each promised equivalence with satisfiable — DPLL's
+// verdict, the oracle — holds. It fails naming every one that does not.
+func reduce(f sat.Formula, satisfiable bool, stdout io.Writer) error {
+	var violated []string
+	verdict := func(name string, ok bool) string {
+		if ok {
+			return "HOLDS"
+		}
+		violated = append(violated, name)
+		return "VIOLATED (bug!)"
 	}
 
 	// Theorem 1: coordinating set exists iff satisfiable, over a trivial
@@ -73,32 +91,26 @@ func run() error {
 		return err
 	}
 	exists, err := coord.BruteForceExists(in1.Queries, in1.DB)
-	if errors.Is(err, coord.ErrTooManyQueries) {
-		return fmt.Errorf("[%s] %w; the reduction produced %d queries — shrink the formula (at most ~5 variables and ~4 clauses)", coord.CodeTooManyQueries, err, len(in1.Queries))
-	}
 	if err != nil {
-		return err
+		return tooMany(err, len(in1.Queries))
 	}
-	fmt.Printf("\nTheorem 1 instance: %d entangled queries over D = {0, 1}\n", len(in1.Queries))
-	fmt.Printf("  coordinating set exists: %v — equivalence %s\n", exists, verdict(exists == satisfiable))
+	fmt.Fprintf(stdout, "\nTheorem 1 instance: %d entangled queries over D = {0, 1}\n", len(in1.Queries))
+	fmt.Fprintf(stdout, "  coordinating set exists: %v — equivalence %s\n", exists, verdict("Theorem 1", exists == satisfiable))
 
 	// Theorem 2: maximum coordinating set = k+m iff satisfiable, with a
-	// safe query set.
-	in2, err := sat.ReduceTheorem2(f)
-	if err != nil {
-		fmt.Printf("\nTheorem 2 skipped: %v\n", err)
-		return nil
+	// safe query set. It needs exactly 3 literals a clause; Appendix B
+	// does not, so a formula Theorem 2 skips still reaches it.
+	if in2, err := sat.ReduceTheorem2(f); err != nil {
+		fmt.Fprintf(stdout, "\nTheorem 2 skipped: %v\n", err)
+	} else {
+		max, err := coord.BruteForceMax(in2.Queries, in2.DB)
+		if err != nil {
+			return tooMany(err, len(in2.Queries))
+		}
+		fmt.Fprintf(stdout, "\nTheorem 2 instance: %d safe entangled queries, target k+m = %d\n", len(in2.Queries), in2.Target)
+		fmt.Fprintf(stdout, "  safe: %v, maximum coordinating set: %d — equivalence %s\n",
+			coord.IsSafe(in2.Queries), max.Size(), verdict("Theorem 2", (max.Size() == in2.Target) == satisfiable))
 	}
-	max, err := coord.BruteForceMax(in2.Queries, in2.DB)
-	if errors.Is(err, coord.ErrTooManyQueries) {
-		return fmt.Errorf("[%s] %w; the reduction produced %d queries — shrink the formula", coord.CodeTooManyQueries, err, len(in2.Queries))
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nTheorem 2 instance: %d safe entangled queries, target k+m = %d\n", len(in2.Queries), in2.Target)
-	fmt.Printf("  safe: %v, maximum coordinating set: %d — equivalence %s\n",
-		coord.IsSafe(in2.Queries), max.Size(), verdict((max.Size() == in2.Target) == satisfiable))
 
 	// Appendix B: the mixed-coordination-attribute construction.
 	inB, err := sat.ReduceAppendixB(f)
@@ -106,20 +118,22 @@ func run() error {
 		return err
 	}
 	existsB, err := coord.BruteForceExists(inB.Queries, inB.DB)
-	if errors.Is(err, coord.ErrTooManyQueries) {
-		return fmt.Errorf("[%s] %w; the reduction produced %d queries — shrink the formula", coord.CodeTooManyQueries, err, len(inB.Queries))
-	}
 	if err != nil {
-		return err
+		return tooMany(err, len(inB.Queries))
 	}
-	fmt.Printf("\nAppendix B instance: %d unsafe entangled queries\n", len(inB.Queries))
-	fmt.Printf("  coordinating set exists: %v — equivalence %s\n", existsB, verdict(existsB == satisfiable))
+	fmt.Fprintf(stdout, "\nAppendix B instance: %d unsafe entangled queries\n", len(inB.Queries))
+	fmt.Fprintf(stdout, "  coordinating set exists: %v — equivalence %s\n", existsB, verdict("Appendix B", existsB == satisfiable))
+	if len(violated) > 0 {
+		return fmt.Errorf("equivalence violated (a reduction disagrees with DPLL): %s", strings.Join(violated, ", "))
+	}
 	return nil
 }
 
-func verdict(ok bool) string {
-	if ok {
-		return "HOLDS"
+// tooMany explains the exact solver's refusal of a reduction of n
+// queries; any other error passes through.
+func tooMany(err error, n int) error {
+	if errors.Is(err, coord.ErrTooManyQueries) {
+		return fmt.Errorf("[%s] %w; the reduction produced %d queries — shrink the formula (at most ~5 variables and ~4 clauses)", coord.CodeTooManyQueries, err, n)
 	}
-	return "VIOLATED (bug!)"
+	return err
 }

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -22,14 +23,22 @@ import (
 )
 
 func main() {
-	users := flag.Int("users", 200, "population size")
-	m := flag.Int("m", 2, "scale-free attachment parameter")
-	rounds := flag.Int("rounds", 100, "simulation rounds")
-	arrivals := flag.Int("arrivals", 5, "request arrivals per round")
-	coordprob := flag.Float64("coordprob", 0.7, "probability a request names partners")
-	ttl := flag.Int("ttl", 10, "rounds before a pending request expires")
-	seed := flag.Int64("seed", 1, "random seed")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "socialsim: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("socialsim", flag.ExitOnError)
+	users := fs.Int("users", 200, "population size")
+	m := fs.Int("m", 2, "scale-free attachment parameter")
+	rounds := fs.Int("rounds", 100, "simulation rounds")
+	arrivals := fs.Int("arrivals", 5, "request arrivals per round")
+	coordprob := fs.Float64("coordprob", 0.7, "probability a request names partners")
+	ttl := fs.Int("ttl", 10, "rounds before a pending request expires")
+	seed := fs.Int64("seed", 1, "random seed")
+	fs.Parse(args)
 
 	g := netgen.BarabasiAlbert(*users, *m, rand.New(rand.NewSource(*seed)))
 	st, err := simulate.Run(simulate.Config{
@@ -41,18 +50,18 @@ func main() {
 		Seed:             *seed,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "socialsim: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("network: %d users, %d edges (Barabási–Albert m=%d)\n", g.N(), g.M(), *m)
-	fmt.Printf("rounds: %d, arrivals/round: %d, coordprob: %.2f, ttl: %d\n\n", *rounds, *arrivals, *coordprob, *ttl)
-	fmt.Printf("submitted:       %6d\n", st.Submitted)
-	fmt.Printf("answered:        %6d (%.1f%%)\n", st.Answered, pct(st.Answered, st.Submitted))
-	fmt.Printf("expired:         %6d (%.1f%%)\n", st.Expired, pct(st.Expired, st.Submitted))
-	fmt.Printf("pending at end:  %6d\n", st.PendingAtEnd)
-	fmt.Printf("batches:         %6d (avg size %.2f, max %d)\n", st.Batches, st.AvgBatch, st.MaxBatch)
-	fmt.Printf("avg wait rounds: %6.2f\n", st.AvgWaitRounds)
-	fmt.Printf("max pending:     %6d\n", st.MaxPending)
+	fmt.Fprintf(stdout, "network: %d users, %d edges (Barabási–Albert m=%d)\n", g.N(), g.M(), *m)
+	fmt.Fprintf(stdout, "rounds: %d, arrivals/round: %d, coordprob: %.2f, ttl: %d\n\n", *rounds, *arrivals, *coordprob, *ttl)
+	fmt.Fprintf(stdout, "submitted:       %6d\n", st.Submitted)
+	fmt.Fprintf(stdout, "answered:        %6d (%.1f%%)\n", st.Answered, pct(st.Answered, st.Submitted))
+	fmt.Fprintf(stdout, "expired:         %6d (%.1f%%)\n", st.Expired, pct(st.Expired, st.Submitted))
+	fmt.Fprintf(stdout, "pending at end:  %6d\n", st.PendingAtEnd)
+	fmt.Fprintf(stdout, "batches:         %6d (avg size %.2f, max %d)\n", st.Batches, st.AvgBatch, st.MaxBatch)
+	fmt.Fprintf(stdout, "avg wait rounds: %6.2f\n", st.AvgWaitRounds)
+	fmt.Fprintf(stdout, "max pending:     %6d\n", st.MaxPending)
+	return nil
 }
 
 func pct(a, b int) float64 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -128,8 +127,7 @@ func (t *binaryTransport) dispatchPush(p wire.Push) {
 // lifetime on a cluster peer conn (DialPeer). It exits when want goes
 // false or the transport closes.
 func (t *binaryTransport) keepAlive(want func() bool) {
-	backoff := 10 * time.Millisecond
-	for {
+	for failures := 0; ; {
 		t.mu.Lock()
 		if t.closed || !want() {
 			t.keeper = false
@@ -142,15 +140,11 @@ func (t *binaryTransport) keepAlive(want func() bool) {
 			if errors.Is(err, errClientClosed) {
 				continue // loop re-checks under the lock and exits
 			}
-			// Jittered: a server restart drops every keeper at once, and
-			// pure doubling would have them all redial in lockstep.
-			time.Sleep(backoff/2 + time.Duration(rand.Int63n(int64(backoff))))
-			if backoff < time.Second {
-				backoff *= 2
-			}
+			time.Sleep(backoff(failures, nil))
+			failures++
 			continue
 		}
-		backoff = 10 * time.Millisecond
+		failures = 0
 		<-cc.Done()
 	}
 }

@@ -25,8 +25,9 @@ func FateKnown(err error) bool {
 }
 
 // Retry retries calls that fail with retryable errors, backing off
-// exponentially with jitter between attempts. The zero value is
-// usable: 4 attempts, 10ms base, 1s cap, no overall budget.
+// exponentially with jitter between attempts: from retryBase (10ms),
+// doubling, to at most retryCap (1s). The zero value is usable: 4
+// attempts, no overall budget.
 //
 // Two policies, matching the service's ack-fate taxonomy:
 //
@@ -42,22 +43,24 @@ type Retry struct {
 	// Attempts is the total number of tries (the first call included).
 	// Zero means 4.
 	Attempts int
-	// Base is the first backoff; each subsequent backoff doubles it.
-	// Zero means 10ms.
-	Base time.Duration
-	// Cap bounds a single backoff. Zero means 1s.
-	Cap time.Duration
 	// Budget, when positive, bounds the total time spent sleeping
 	// between attempts: a retry whose backoff would exceed the remaining
 	// budget is not taken.
 	Budget time.Duration
-	// Seed seeds the jitter; zero draws from the global source. A fixed
-	// seed makes the backoff schedule reproducible.
-	Seed int64
 
 	// sleep is a test hook; nil means time.Sleep (interruptible by ctx).
 	sleep func(time.Duration)
+	// rng, set by tests, makes the jitter reproducible; nil draws from
+	// the global source.
+	rng *rand.Rand
 }
+
+// The exponential backoff schedule both Retry and a binary transport's
+// redial follow.
+const (
+	retryBase = 10 * time.Millisecond
+	retryCap  = time.Second
+)
 
 // Do calls fn until it succeeds, fails with a non-retryable error, the
 // attempts run out, the budget is spent, or ctx ends. The last error
@@ -81,23 +84,11 @@ func (r Retry) run(ctx context.Context, fn func(context.Context) error, retryabl
 	if attempts <= 0 {
 		attempts = 4
 	}
-	base := r.Base
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	cap := r.Cap
-	if cap <= 0 {
-		cap = time.Second
-	}
-	var rng *rand.Rand
-	if r.Seed != 0 {
-		rng = rand.New(rand.NewSource(r.Seed))
-	}
 	var slept time.Duration
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			d := backoff(base, cap, attempt-1, rng)
+			d := backoff(attempt-1, r.rng)
 			// A server retry-after hint overrides the blind exponential
 			// schedule: the server knows when capacity returns (a token
 			// bucket refilling), so sleeping less just burns an attempt
@@ -106,7 +97,7 @@ func (r Retry) run(ctx context.Context, fn func(context.Context) error, retryabl
 			// the instant the bucket refills; the budget still applies.
 			var h api.RetryHinter
 			if errors.As(err, &h) && h.RetryAfterHint() > 0 {
-				d = jitterUp(h.RetryAfterHint(), rng)
+				d = jitterUp(h.RetryAfterHint(), r.rng)
 			}
 			if r.Budget > 0 && slept+d > r.Budget {
 				return err
@@ -126,35 +117,32 @@ func (r Retry) run(ctx context.Context, fn func(context.Context) error, retryabl
 	return err
 }
 
-// backoff is the nth delay: base·2ⁿ capped, then jittered to a uniform
-// draw from [d/2, d) so synchronized clients (all rejected by the same
-// degraded window) spread out instead of re-colliding.
-func backoff(base, cap time.Duration, n int, rng *rand.Rand) time.Duration {
-	d := base << uint(n)
-	if d > cap || d <= 0 { // <=0: the shift overflowed
-		d = cap
+// backoff is the nth delay: retryBase·2ⁿ capped at retryCap, then
+// jittered to a uniform draw from [d/2, d) so synchronized clients (all
+// rejected by the same degraded window, or all dropped by one server
+// restart) spread out instead of re-colliding.
+func backoff(n int, rng *rand.Rand) time.Duration {
+	d := retryBase << uint(n)
+	if d > retryCap || d <= 0 { // <=0: the shift overflowed
+		d = retryCap
 	}
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
-	if rng != nil {
-		return time.Duration(half + rng.Int63n(half))
-	}
-	return time.Duration(half + rand.Int63n(half))
+	return jitter(d/2, d/2, rng)
 }
 
 // jitterUp draws uniformly from [d, 3d/2): never earlier than the
 // server's hint, spread enough to break client synchronization.
-func jitterUp(d time.Duration, rng *rand.Rand) time.Duration {
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
+func jitterUp(d time.Duration, rng *rand.Rand) time.Duration { return jitter(d, d/2, rng) }
+
+// jitter draws uniformly from [lo, lo+span), from rng or, when it is
+// nil, the global source.
+func jitter(lo, span time.Duration, rng *rand.Rand) time.Duration {
+	switch {
+	case span <= 0:
+		return lo
+	case rng != nil:
+		return lo + time.Duration(rng.Int63n(int64(span)))
 	}
-	if rng != nil {
-		return d + time.Duration(rng.Int63n(half))
-	}
-	return d + time.Duration(rand.Int63n(half))
+	return lo + time.Duration(rand.Int63n(int64(span)))
 }
 
 // pause sleeps d, abandoning the wait when ctx ends; reports whether

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -60,7 +61,7 @@ func fakeSleep(log *[]time.Duration) func(time.Duration) {
 
 func TestRetryDoSucceedsAfterRetryableFailures(t *testing.T) {
 	var pauses []time.Duration
-	r := Retry{Attempts: 4, Seed: 1, sleep: fakeSleep(&pauses)}
+	r := Retry{Attempts: 4, rng: rand.New(rand.NewSource(1)), sleep: fakeSleep(&pauses)}
 	calls := 0
 	err := r.Do(context.Background(), func(context.Context) error {
 		calls++
@@ -80,8 +81,8 @@ func TestRetryDoSucceedsAfterRetryableFailures(t *testing.T) {
 	}
 	// Jittered exponential: nth pause drawn from [base·2ⁿ/2, base·2ⁿ).
 	for i, d := range pauses {
-		lo := (10 * time.Millisecond) << uint(i) / 2
-		hi := (10 * time.Millisecond) << uint(i)
+		lo := retryBase << uint(i) / 2
+		hi := retryBase << uint(i)
 		if d < lo || d >= hi {
 			t.Errorf("pause %d = %v, want in [%v, %v)", i, d, lo, hi)
 		}
@@ -152,10 +153,10 @@ func TestRetryDoFateKnownRetriesDegraded(t *testing.T) {
 
 func TestRetryBudgetBoundsSleeps(t *testing.T) {
 	var pauses []time.Duration
-	// Base 100ms: the first backoff already busts a 50ms budget, so no
-	// retry is taken at all.
-	r := Retry{Attempts: 10, Base: 100 * time.Millisecond, Budget: 50 * time.Millisecond,
-		Seed: 7, sleep: fakeSleep(&pauses)}
+	// The first backoff is at least retryBase/2, 5ms: it already busts
+	// a 4ms budget, so no retry is taken at all.
+	r := Retry{Attempts: 10, Budget: 4 * time.Millisecond,
+		rng: rand.New(rand.NewSource(7)), sleep: fakeSleep(&pauses)}
 	calls := 0
 	err := r.Do(context.Background(), func(context.Context) error {
 		calls++
@@ -194,7 +195,7 @@ func TestRetryCtxCancelStops(t *testing.T) {
 func TestRetryHonorsRetryAfterHint(t *testing.T) {
 	const hint = 200 * time.Millisecond
 	var pauses []time.Duration
-	r := Retry{Attempts: 4, Seed: 9, sleep: fakeSleep(&pauses)}
+	r := Retry{Attempts: 4, rng: rand.New(rand.NewSource(9)), sleep: fakeSleep(&pauses)}
 	calls := 0
 	err := r.DoFateKnown(context.Background(), func(context.Context) error {
 		calls++
@@ -220,7 +221,7 @@ func TestRetryBudgetCapsHintedSleeps(t *testing.T) {
 	var pauses []time.Duration
 	// Hinted pauses draw from [250ms, 375ms): the first always fits a
 	// 400ms budget, the first plus a second (≥500ms total) never does.
-	r := Retry{Attempts: 10, Budget: 400 * time.Millisecond, Seed: 3, sleep: fakeSleep(&pauses)}
+	r := Retry{Attempts: 10, Budget: 400 * time.Millisecond, rng: rand.New(rand.NewSource(3)), sleep: fakeSleep(&pauses)}
 	calls := 0
 	err := r.Do(context.Background(), func(context.Context) error {
 		calls++
@@ -237,7 +238,7 @@ func TestRetryBudgetCapsHintedSleeps(t *testing.T) {
 func TestRetrySeededScheduleDeterministic(t *testing.T) {
 	run := func() []time.Duration {
 		var pauses []time.Duration
-		r := Retry{Attempts: 5, Seed: 42, sleep: fakeSleep(&pauses)}
+		r := Retry{Attempts: 5, rng: rand.New(rand.NewSource(42)), sleep: fakeSleep(&pauses)}
 		r.Do(context.Background(), func(context.Context) error {
 			return typedErr(api.CodeOverloaded)
 		})

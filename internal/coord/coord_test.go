@@ -2,6 +2,7 @@ package coord
 
 import (
 	"errors"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -696,5 +697,34 @@ query b { head: R(UB, y) body: Missing(y) }`)
 	}
 	if res != nil {
 		t.Fatalf("nothing satisfiable: %v", res)
+	}
+}
+
+// TestComponentsOfIsTheCondensation holds ComponentsOf to the
+// condensation of CoordinationGraph: the same component DAG and the
+// same members, each query in exactly one component.
+func TestComponentsOfIsTheCondensation(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		qs := randomEntangled(rand.New(rand.NewSource(seed)), 2+int(seed%9))
+		dag, members := ComponentsOf(qs)
+		wantDag, comp, wantMembers := CoordinationGraph(qs).Condense()
+		if !slices.Equal(dag.Edges(), wantDag.Edges()) || dag.N() != wantDag.N() {
+			t.Fatalf("seed %d: DAG %d nodes %v, want %d nodes %v", seed, dag.N(), dag.Edges(), wantDag.N(), wantDag.Edges())
+		}
+		if !slices.EqualFunc(members, wantMembers, slices.Equal[[]int]) {
+			t.Fatalf("seed %d: members %v, want %v", seed, members, wantMembers)
+		}
+		seen := 0
+		for c, ms := range members {
+			for _, q := range ms {
+				if comp[q] != c {
+					t.Fatalf("seed %d: query %d listed in component %d, belongs to %d", seed, q, c, comp[q])
+				}
+				seen++
+			}
+		}
+		if seen != len(qs) {
+			t.Fatalf("seed %d: members list %d queries, want %d", seed, seen, len(qs))
+		}
 	}
 }

@@ -210,7 +210,7 @@ func (inc *Incremental) Add(q eq.Query) (int, DeltaStats, error) {
 		if err != nil {
 			inc.g.Remove(slot)
 			inc.bodySat = append(inc.bodySat, false)
-			return -1, DeltaStats{Slot: -1, DBQueries: m.Count()}, err
+			return -1, DeltaStats{Slot: -1, DBQueries: m.QueriesIssued()}, err
 		}
 	}
 	inc.bodySat = append(inc.bodySat, sat)
@@ -378,7 +378,7 @@ func (inc *Incremental) Refresh() (DeltaStats, error) {
 			}
 			sat, err := m.Satisfiable(inc.queries[i].Body)
 			if err != nil {
-				return DeltaStats{Slot: -1, DBQueries: m.Count()}, err
+				return DeltaStats{Slot: -1, DBQueries: m.QueriesIssued()}, err
 			}
 			inc.bodySat[i] = sat
 		}
@@ -406,7 +406,7 @@ func (inc *Incremental) records() bool { return inc.cache != nil || inc.opts.Tra
 // same tie-breaks. Every query the pass issues is billed to d, whether
 // or not the pass completes.
 func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
-	defer func() { d.DBQueries = m.Count() }()
+	defer func() { d.DBQueries = m.QueriesIssued() }()
 	s := &inc.scr
 	n := len(inc.queries)
 	edges := inc.search().edges

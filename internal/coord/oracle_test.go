@@ -166,7 +166,7 @@ func oracleCoordinate(qs []eq.Query, store db.Store, opts Options) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Set: sortedCopy(win.order), Values: values, DBQueries: m.Count()}, nil
+	return &Result{Set: sortedCopy(win.order), Values: values, DBQueries: m.QueriesIssued()}, nil
 }
 
 // oracleCandidates is AllCandidates on the reference walk.

@@ -170,7 +170,7 @@ func finishResult(qs []eq.Query, vars []varTable, sr *search, order []int, bind 
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Set: sortedCopy(order), Values: values, DBQueries: m.Count()}, nil
+	return &Result{Set: sortedCopy(order), Values: values, DBQueries: m.QueriesIssued()}, nil
 }
 
 // GuptaCoordinate is the baseline algorithm of Gupta et al. (SIGMOD

@@ -3,6 +3,7 @@
 package db
 
 import (
+	"context"
 	"runtime"
 	"testing"
 )
@@ -82,5 +83,31 @@ func TestReleasedSolveUnderAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, solve); allocs != 0 {
 			t.Errorf("%d slots: SolveUnder and Release make %.1f allocations, want 0", vars, allocs)
 		}
+	}
+}
+
+var sinkStore Store
+
+// TestWithContextIsOneAllocation holds the batch path's per-request
+// guard to one 32-byte allocation: the context lives in the guard
+// itself, not boxed beside it.
+func TestWithContextIsOneAllocation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	in := NewInstance()
+	wrap := func() { sinkStore = WithContext(ctx, in) }
+	if allocs := testing.AllocsPerRun(200, wrap); allocs != 1 {
+		t.Errorf("WithContext: %.0f allocations per call, want 1", allocs)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		wrap()
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := float64(after.TotalAlloc-before.TotalAlloc) / runs; perCall > 32 {
+		t.Errorf("WithContext: %.0f B per call, want 32", perCall)
 	}
 }

@@ -12,8 +12,7 @@
 // # Stores
 //
 // The Store interface is the read surface the coordination algorithms
-// (internal/coord, internal/engine) evaluate against. Three
-// implementations:
+// (internal/coord, internal/engine) evaluate against:
 //
 //   - Instance: one node — a registry of RWMutex-guarded relations,
 //     safe for many concurrent readers with serialised writers.
@@ -22,8 +21,9 @@
 //     Instance holding the same tuples, but a query read-locks only the
 //     shard parts it can reach, so writer/reader contention drops by
 //     roughly the shard count on key-routed traffic.
-//   - Meter: a counting view over either, used for per-request query
-//     metering (below).
+//   - Meter, a counting view over any Store (below), and Guard, which
+//     fails each counted query its Check refuses (WithContext on ctx,
+//     fault.NewStore on an injector); both embed the store they wrap.
 //
 // # Storage
 //
@@ -87,7 +87,7 @@
 // requests pollute for one another. Meter wraps any Store with a
 // private counter so a single request's cost is exact under concurrent
 // serving: the coordination algorithms wrap their store in a fresh
-// Meter per run and report its Count as Result.DBQueries. Project and
+// Meter per run and report its QueriesIssued as Result.DBQueries. Project and
 // SelectOne are Instance methods outside the Store interface; their one
 // caller, the Consistent Coordination Algorithm, counts the calls it
 // makes.

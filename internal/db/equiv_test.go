@@ -297,6 +297,22 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 				}
 			}
 		}
+		// Domain is the same constants, sorted, on every store of the
+		// family and the oracle; ResetCounters zeroes both counters.
+		for name, st := range es.all() {
+			if got, want := st.compiled.Domain(), st.oracle.Domain(); !slices.Equal(got, want) {
+				t.Fatalf("trial %d store %s: Domain %v, oracle %v", trial, name, got, want)
+			}
+			for _, s := range []db.Store{st.compiled, st.oracle} {
+				if _, err := s.Satisfiable(bodies[0]); err != nil || s.QueriesIssued() == 0 {
+					t.Fatalf("trial %d store %s: err %v, %d queries issued", trial, name, err, s.QueriesIssued())
+				}
+				s.ResetCounters()
+				if n := s.QueriesIssued(); n != 0 {
+					t.Fatalf("trial %d store %s: %d queries issued after ResetCounters", trial, name, n)
+				}
+			}
+		}
 	}
 }
 

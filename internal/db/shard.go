@@ -357,16 +357,17 @@ func (sh *ShardedInstance) Route(qs []eq.Query) (Store, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &shardView{shard: sh.shards[target], parent: sh}, true
+	return &shardView{Store: sh, shard: sh.shards[target]}, true
 }
 
 // shardView is the Store a routed request runs against: conjunctive
 // queries go to one shard (whose relation locks are the only ones
-// touched), while Domain, Contains and the counters delegate to the
-// parent so observable results match a cross-shard run.
+// touched), while Domain, Contains and the counters are the embedded
+// parent's, so observable results match a cross-shard run. The parent
+// is embedded as a Store, so the view offers no Route of its own.
 type shardView struct {
-	shard  *Instance
-	parent *ShardedInstance
+	Store
+	shard *Instance
 }
 
 func (v *shardView) Solve(body []eq.Atom) (Binding, bool, error) { return v.shard.Solve(body) }
@@ -380,11 +381,3 @@ func (v *shardView) Satisfiable(body []eq.Atom) (bool, error) { return v.shard.S
 func (v *shardView) SolveUnder(body []eq.Atom, s *unify.Subst) (Binding, bool, error) {
 	return v.shard.SolveUnder(body, s)
 }
-
-func (v *shardView) Contains(a eq.Atom) bool { return v.parent.Contains(a) }
-
-func (v *shardView) Domain() []eq.Value { return v.parent.Domain() }
-
-func (v *shardView) QueriesIssued() int64 { return v.parent.QueriesIssued() }
-
-func (v *shardView) ResetCounters() { v.parent.ResetCounters() }

@@ -49,55 +49,47 @@ var (
 // Meter is a per-request counting view over a Store. Every counted
 // query method increments the meter's private counter and then
 // delegates, so one request's conjunctive-query cost can be read
-// exactly (Meter.Count) even while concurrent requests share the
+// exactly (Meter.QueriesIssued) even while concurrent requests share the
 // underlying store — the underlying store's own aggregate counter still
-// accumulates across all requests. The coordination algorithms wrap
-// their store argument in a fresh Meter per run; Result.DBQueries is
-// that meter's final count.
+// accumulates across all requests. Contains and Domain, which count
+// nothing, are the embedded store's own. The coordination algorithms
+// wrap their store argument in a fresh Meter per run; Result.DBQueries
+// is that meter's final count.
 //
 // A Meter is safe for concurrent use, like every db.Store: its counter
 // is atomic, so a caller may issue queries through one meter from
 // several goroutines and still read an exact count.
 type Meter struct {
-	store Store
-	n     atomic.Int64
+	Store
+	n atomic.Int64
 }
 
 // NewMeter returns a zeroed counting view over store.
-func NewMeter(store Store) *Meter { return &Meter{store: store} }
-
-// Count returns the number of queries issued through this meter.
-func (m *Meter) Count() int64 { return m.n.Load() }
+func NewMeter(store Store) *Meter { return &Meter{Store: store} }
 
 // Solve counts one query and delegates.
 func (m *Meter) Solve(body []eq.Atom) (Binding, bool, error) {
 	m.n.Add(1)
-	return m.store.Solve(body)
+	return m.Store.Solve(body)
 }
 
 // SolveAll counts one query and delegates.
 func (m *Meter) SolveAll(body []eq.Atom, limit int) ([]Binding, error) {
 	m.n.Add(1)
-	return m.store.SolveAll(body, limit)
+	return m.Store.SolveAll(body, limit)
 }
 
 // Satisfiable counts one query and delegates.
 func (m *Meter) Satisfiable(body []eq.Atom) (bool, error) {
 	m.n.Add(1)
-	return m.store.Satisfiable(body)
+	return m.Store.Satisfiable(body)
 }
 
 // SolveUnder counts one query and delegates.
 func (m *Meter) SolveUnder(body []eq.Atom, s *unify.Subst) (Binding, bool, error) {
 	m.n.Add(1)
-	return m.store.SolveUnder(body, s)
+	return m.Store.SolveUnder(body, s)
 }
-
-// Contains delegates without counting (matching Instance.Contains).
-func (m *Meter) Contains(a eq.Atom) bool { return m.store.Contains(a) }
-
-// Domain delegates without counting.
-func (m *Meter) Domain() []eq.Value { return m.store.Domain() }
 
 // QueriesIssued returns the per-request count — the meter is the
 // request's view of the store, not the shared aggregate.

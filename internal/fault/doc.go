@@ -3,7 +3,8 @@
 // (FS/File — injectable write, sync, and rename errors, torn writes,
 // ENOSPC, latency), the network under both protocols (Listener/Conn —
 // drops, resets, stalls, byte corruption for the CRC frames to catch),
-// and the query path (Store — injected errors and stalls mid-plan).
+// and the query path (NewStore, a db.Guard — injected errors and stalls
+// mid-plan, matched on the query's db.Guard descriptor).
 //
 // Faults come from an Injector: an ordered list of rules, each matching
 // an operation kind and a path substring, firing after a skip count,

@@ -248,3 +248,40 @@ func TestFaultStoreInjectsMidPlan(t *testing.T) {
 		t.Fatalf("inner saw %d calls, want 3 (injected failure never reaches it)", inner.calls)
 	}
 }
+
+// TestWholeFileWriteAndTruncate drives WriteFile and the path form of
+// Truncate through OS and through an injector: the passthrough writes
+// and cuts the file, and a fault fails each op with the file untouched.
+func TestWholeFileWriteAndTruncate(t *testing.T) {
+	boom := errors.New("no space")
+	for _, tc := range []struct {
+		name string
+		fsys FS
+		fail bool
+	}{
+		{"os", OS, false},
+		{"injector, no rule", NewFS(OS, NewInjector(1)), false},
+		{"injector, failing", NewFS(OS, NewInjector(1,
+			Rule{Op: OpWrite, Path: "meta", Count: 1, Fault: Fault{Err: boom}},
+			Rule{Op: OpTruncate, Path: "meta", Count: 1, Fault: Fault{Err: boom}})), true},
+	} {
+		path := filepath.Join(t.TempDir(), "meta.json")
+		if err := os.WriteFile(path, []byte("before"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check := func(op string, err error, want string) {
+			t.Helper()
+			if tc.fail != (err != nil) || (err != nil && !errors.Is(err, boom)) {
+				t.Errorf("%s: %s: err %v, want failure %v", tc.name, op, err, tc.fail)
+			}
+			if tc.fail {
+				want = "before"
+			}
+			if got, _ := os.ReadFile(path); string(got) != want {
+				t.Errorf("%s: after %s the file holds %q, want %q", tc.name, op, got, want)
+			}
+		}
+		check("WriteFile", tc.fsys.WriteFile(path, []byte("written"), 0o644), "written")
+		check("Truncate", tc.fsys.Truncate(path, 3), "wri")
+	}
+}
