@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	coordbench [-fig all|4|5|6|7|8|ablations] [-rows N] [-seeds N] [-repeats N] [-latency D] [-csv|-markdown]
+//	coordbench [-fig all|4|5|6|7|8] [-rows N] [-seeds N] [-repeats N] [-latency D] [-csv|-markdown]
 //
 // -rows controls the size of the queried table for Figures 4 and 5 (the
 // paper uses the 82,168-row Slashdot table; that is the default). -csv
@@ -31,7 +31,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("coordbench", flag.ExitOnError)
-	fig := fs.String("fig", "all", "figure to regenerate: all, 4, 5, 6, 7, 8 or ablations")
+	fig := fs.String("fig", "all", "figure to regenerate: all, 4, 5, 6, 7 or 8")
 	rows := fs.Int("rows", netgen.SlashdotSize, "queried-table rows for figures 4-5")
 	seeds := fs.Int("seeds", 10, "random graphs averaged per point (figures 5-6)")
 	repeats := fs.Int("repeats", 3, "timed runs averaged per point")
@@ -49,8 +49,6 @@ func run(args []string, stdout io.Writer) error {
 	switch one := figures[*fig]; {
 	case *fig == "all":
 		series = experiments.All(cfg)
-	case *fig == "ablations":
-		series = experiments.AblationPruning(cfg)
 	case one != nil:
 		series = []experiments.Series{one(cfg)}
 	default:

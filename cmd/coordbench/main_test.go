@@ -1,25 +1,25 @@
 package main
 
 import (
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// The §6.1 pruning sweep at 200 rows and one seed: per query-set size,
-// the database queries and the set size the seed determines, with and
-// without pruning. Times are not held.
-var ablationRows = map[string]string{
-	"with pruning":    "10 13.0 2.0; 20 21.0 1.0; 30 30.0 0.0; 40 40.0 0.0; 50 50.0 0.0",
-	"without pruning": "10 4.0 2.0; 20 3.0 1.0; 30 1.0 0.0; 40 1.0 0.0; 50 1.0 0.0",
-}
-
-// TestAblationSweep runs the sweep as tables, CSV and markdown and
-// holds its seed-determined columns: queries, db queries and set size.
-func TestAblationSweep(t *testing.T) {
+// TestFigureSweep runs Figure 4's sweep at 200 rows as tables, CSV and
+// markdown and holds its seed-determined columns: a list of n queries
+// is n components, each searched with one database query, and
+// coordinates in full. Times are not held.
+func TestFigureSweep(t *testing.T) {
+	var want []string
+	for n := 10; n <= 100; n += 10 {
+		want = append(want, fmt.Sprintf("%d %d.0 %d.0", n, n, n))
+	}
 	cells := strings.NewReplacer("|", " ", ",", " ")
 	for _, format := range []string{"", "-csv", "-markdown"} {
-		args := []string{"-fig", "ablations", "-rows", "200", "-seeds", "1", "-repeats", "1"}
+		args := []string{"-fig", "4", "-rows", "200", "-seeds", "1", "-repeats", "1"}
 		if format != "" {
 			args = append(args, format)
 		}
@@ -27,26 +27,16 @@ func TestAblationSweep(t *testing.T) {
 		if err := run(args, &out); err != nil {
 			t.Fatalf("%v: %v", args, err)
 		}
-		got := map[string][]string{}
-		series := ""
+		var got []string
 		for _, line := range strings.Split(out.String(), "\n") {
-			if _, title, ok := strings.Cut(line, "Ablation: "); ok {
-				series = title
-				continue
-			}
 			if f := strings.Fields(cells.Replace(line)); len(f) == 4 {
 				if _, err := strconv.Atoi(f[0]); err == nil {
-					got[series] = append(got[series], f[0]+" "+f[2]+" "+f[3])
+					got = append(got, f[0]+" "+f[2]+" "+f[3])
 				}
 			}
 		}
-		if len(got) != len(ablationRows) {
-			t.Errorf("%v: %d series, want %d:\n%s", args, len(got), len(ablationRows), out.String())
-		}
-		for name, want := range ablationRows {
-			if rows := strings.Join(got[name], "; "); rows != want {
-				t.Errorf("%v: %s rows %q, want %q", args, name, rows, want)
-			}
+		if !strings.Contains(out.String(), "Figure 4: ") || !slices.Equal(got, want) {
+			t.Errorf("%v: rows %q, want %q:\n%s", args, got, want, out.String())
 		}
 	}
 }

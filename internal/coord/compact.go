@@ -32,14 +32,14 @@ func (inc *Incremental) Compact() []int {
 	for old, slot := range remap {
 		if slot >= 0 {
 			inc.queries[slot], inc.vars[slot] = inc.queries[old], inc.vars[old]
-			inc.bodySat[slot], inc.serials[slot] = inc.bodySat[old], inc.serials[old]
+			inc.serials[slot] = inc.serials[old]
 		}
 	}
 	live := inc.g.live
 	clear(inc.queries[live:]) // let go of the departed queries
 	clear(inc.vars[live:])
 	inc.queries, inc.vars = fit(inc.queries[:live]), fit(inc.vars[:live])
-	inc.bodySat, inc.serials = fit(inc.bodySat[:live]), fit(inc.serials[:live])
+	inc.serials = fit(inc.serials[:live])
 
 	// An outcome naming a departed slot is one a failed pass left unswept:
 	// its key spells a dead serial, nothing can hit it again and no event

@@ -161,42 +161,34 @@ func TestLongChurnStaysProportionalToLiveSet(t *testing.T) {
 	}
 }
 
-// downStore is a store whose every query fails while down is set, and
-// whose grounding queries (SolveUnder) fail while solveDown is.
+// downStore is a store whose grounding queries (SolveUnder, the only
+// ones the walk issues) fail while down is set.
 type downStore struct {
 	db.Store
-	down, solveDown bool
+	down bool
 }
 
 var errDown = errors.New("store: down")
 
-func (s *downStore) Satisfiable(body []eq.Atom) (bool, error) {
-	if s.down {
-		return false, errDown
-	}
-	return s.Store.Satisfiable(body)
-}
-
 func (s *downStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, bool, error) {
-	if s.down || s.solveDown {
+	if s.down {
 		return db.Binding{}, false, errDown
 	}
 	return s.Store.SolveUnder(body, sub)
 }
 
 // TestCompactBetweenFailedPasses compacts after every event of a store
-// outage. A departure whose pass fails leaves cached outcomes that name
-// the departed slot; a compaction must drop them rather than renumber
-// them to -1, where the next compaction would index the remap. Pruning
-// is off so that a departing head dirties its chain (pruned, its
-// dependents would be stranded and nothing re-grounded). Once the store
-// is back, one event levels the coordinator with a twin whose store
-// never failed and which never compacted.
+// outage. An arrival whose pass fails is admitted unsearched, so every
+// later pass searches it again and fails too. A departure whose pass
+// fails leaves cached outcomes that name the departed slot; a
+// compaction must drop them rather than renumber them to -1, where the
+// next compaction would index the remap. Once the store is back, one
+// event levels the coordinator with a twin whose store never failed
+// and which never compacted.
 func TestCompactBetweenFailedPasses(t *testing.T) {
 	const chainLen = 6
 	store := &downStore{Store: chainStore(2)}
 	inc, twin := NewIncremental(store), NewIncremental(chainStore(2))
-	inc.opts.SkipPruning, twin.opts.SkipPruning = true, true
 	for c := 0; c < 2; c++ {
 		for i := 0; i < chainLen; i++ {
 			for _, x := range []*Incremental{inc, twin} {
@@ -207,6 +199,13 @@ func TestCompactBetweenFailedPasses(t *testing.T) {
 		}
 	}
 	store.down = true
+	// Chain 1 grows by one query that the outage leaves unsearched.
+	if slot, _, err := inc.Add(chainQuery(1, chainLen)); slot != 2*chainLen || !errors.Is(err, errDown) {
+		t.Fatalf("arrival on a store that is down: slot %d, %v", slot, err)
+	}
+	if _, _, err := twin.Add(chainQuery(1, chainLen)); err != nil {
+		t.Fatal(err)
+	}
 	for head := 0; head < 3; head++ { // chain 0 loses its head three times
 		if _, err := inc.Remove(0); !errors.Is(err, errDown) {
 			t.Fatalf("departure %d on a store that is down: %v", head, err)
@@ -222,10 +221,6 @@ func TestCompactBetweenFailedPasses(t *testing.T) {
 				t.Fatalf("compaction %d kept outcome %x over slots %v of %d", head, sig, out.order, inc.Len())
 			}
 		}
-	}
-	// A failed arrival tombstones its slot without a pass.
-	if slot, _, err := NewIncremental(store).Add(chainQuery(0, 0)); slot != -1 || !errors.Is(err, errDown) {
-		t.Fatalf("arrival on a store that is down: slot %d, %v", slot, err)
 	}
 	store.down = false
 	for _, x := range []*Incremental{inc, twin} {
@@ -253,8 +248,8 @@ func TestCompactBetweenFailedPasses(t *testing.T) {
 	}
 }
 
-// TestCompactAfterFailedRefresh: a Refresh that fails on a probe has
-// already dropped the cache, so it drops the last pass's events and
+// TestCompactAfterFailedRefresh: a Refresh that fails on its first
+// grounding has already dropped the cache, so it drops the last pass's events and
 // candidates with it — they point into outcomes a compaction could no
 // longer reach to renumber. There is no result until the next pass, and
 // that pass is exact.

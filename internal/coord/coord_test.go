@@ -321,9 +321,9 @@ query q6 {
 }
 
 // TestSCCPreferQuerySelector applies the paper's "VIP client"
-// criterion the way a caller does: SCCCoordinate returns one of two
-// largest sets, {q1,q2,q5,q6}, and the largest AllCandidates entry
-// holding the VIP's query — q4, index 3 — is the other, {q1,q2,q3,q4}.
+// criterion the way a caller does: SCCCoordinate returns the least of
+// two largest sets, {q1,q2,q3,q4}, and the largest AllCandidates entry
+// holding the VIP's query — q6, index 5 — is the other, {q1,q2,q5,q6}.
 func TestSCCPreferQuerySelector(t *testing.T) {
 	qs := eq.MustParseSet(`
 query q1 {
@@ -360,19 +360,19 @@ query q6 {
 	tr := in.CreateRelation("T", "v")
 	tr.Insert("1")
 	res, err := SCCCoordinate(qs, in, Options{})
-	if err != nil || !slices.Equal(res.Set, []int{0, 1, 4, 5}) {
-		t.Fatalf("largest set: %v, %v; want [0 1 4 5]", res, err)
+	if err != nil || !slices.Equal(res.Set, []int{0, 1, 2, 3}) {
+		t.Fatalf("largest set: %v, %v; want [0 1 2 3]", res, err)
 	}
 	cands, err := AllCandidates(qs, in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vip := slices.IndexFunc(cands, func(c CandidateSet) bool { return slices.Contains(c.Set, 3) })
+	vip := slices.IndexFunc(cands, func(c CandidateSet) bool { return slices.Contains(c.Set, 5) })
 	if vip < 0 {
-		t.Fatalf("no candidate holds q4: %v", cands)
+		t.Fatalf("no candidate holds q6: %v", cands)
 	}
-	if got := cands[vip].Set; !slices.Equal(got, []int{0, 1, 2, 3}) {
-		t.Fatalf("largest candidate holding q4: %v, want [0 1 2 3]", got)
+	if got := cands[vip].Set; !slices.Equal(got, []int{0, 1, 4, 5}) {
+		t.Fatalf("largest candidate holding q6: %v, want [0 1 4 5]", got)
 	}
 	if err := Verify(qs, cands[vip].Set, cands[vip].Values, in); err != nil {
 		t.Fatal(err)
@@ -415,26 +415,6 @@ query d {
 	}
 	if err := Verify(qs, res.Set, res.Values, in); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSCCSkipPruningSameAnswer(t *testing.T) {
-	qs, in := flightHotel()
-	a, err := SCCCoordinate(qs, in, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SCCCoordinate(qs, in, Options{SkipPruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Size() != b.Size() {
-		t.Fatalf("pruning must not change the result size: %d vs %d", a.Size(), b.Size())
-	}
-	for i := range a.Set {
-		if a.Set[i] != b.Set[i] {
-			t.Fatalf("sets differ: %v vs %v", a.Set, b.Set)
-		}
 	}
 }
 
@@ -514,6 +494,9 @@ query q {
 	if s.Size() != g.Size() {
 		t.Fatalf("SCC and Gupta disagree: %v vs %v", s, g)
 	}
+	if err := Verify(qs, s.Set, s.Values, in); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestVerifyRejectsBadSets(t *testing.T) {
@@ -560,10 +543,10 @@ func TestDBQueriesCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 pruning checks + 2 component queries ({qC,qG} succeeds, {qJ}
-	// fails, {qW} is skipped because its successor failed).
-	if res.DBQueries != 6 {
-		t.Fatalf("DBQueries = %d, want 6", res.DBQueries)
+	// 2 component queries ({qC,qG} succeeds, {qJ} fails, {qW} is
+	// skipped because its successor failed); no query is probed alone.
+	if res.DBQueries != 2 {
+		t.Fatalf("DBQueries = %d, want 2", res.DBQueries)
 	}
 }
 

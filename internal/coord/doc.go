@@ -8,7 +8,7 @@
 // db.Instance, a hash-partitioned db.ShardedInstance, or any other
 // implementation — and treats it purely as a conjunctive-query oracle.
 // Algorithm control flow depends only on query outcomes
-// (satisfiable/not, tuple found/not), which are identical across
+// (tuple found/not), which are identical across
 // stores holding the same tuples, so the coordinating set (the team),
 // the recorded Trace and the query count are store-independent; only
 // the witnessing assignment may vary with the store's answer
@@ -16,10 +16,17 @@
 // Verify accepts all of them).
 //
 // SCCCoordinate, Incremental.Result and so every session report the
-// largest member of the candidate family {R(q)}, the first found on
-// ties. A caller with its own criterion — the paper's gold-status
-// passengers and VIP clients — chooses from AllCandidates, the whole
-// family largest first; the walk itself takes no selection hook.
+// largest member of the candidate family {R(q)}, and of equal sizes
+// the lexicographically least sorted set, so the answer is a function
+// of the input and not of the walk's order. A caller with its own
+// criterion — the paper's gold-status passengers and VIP clients —
+// chooses from AllCandidates, the whole family in that order; the walk
+// itself takes no selection hook.
+//
+// The walk asks the database one query per component it searches and
+// nothing else: §6.1's provider cascade is graph work, and no body is
+// probed on its own — one the database cannot satisfy is found by its
+// component's search.
 //
 // # Metering contract
 //

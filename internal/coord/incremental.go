@@ -45,9 +45,8 @@ type DeltaStats struct {
 	// binding, or failure — is still exact.
 	Reused int `json:"reused"`
 	// DBQueries is the exact number of conjunctive queries this event
-	// issued: one body-satisfiability probe on an arrival plus one
-	// grounding query per dirty component that unified. An event that
-	// fails partway counts what it issued before it failed.
+	// issued: one grounding query per dirty component that unified. An
+	// event that fails partway counts what it issued before it failed.
 	DBQueries int64 `json:"db_queries"`
 }
 
@@ -88,6 +87,7 @@ type scratch struct {
 	reach   reachRows     // component -> what it reaches
 	failed  []bool        // component -> no coordinating set through it
 	sig     []byte        // cache key of the component being searched
+	tie     [2][]int      // two tied candidates' sets, sorted to compare
 	sr      search        // its reachable set, and the one search every component search runs on
 	members []int         // backing of this pass's compEvent.members
 }
@@ -96,10 +96,10 @@ type scratch struct {
 // over a query set that changes one query at a time. It is the core of
 // the streaming sessions in internal/stream: Add and Remove maintain
 // the extended coordination graph incrementally (edges only ever appear
-// or disappear with their endpoint queries), re-prune from cached
-// per-query body-satisfiability, recondense — pure graph work, no
-// database traffic — and then re-solve only the components whose
-// reachable set changed, splicing cached witnesses for everything else.
+// or disappear with their endpoint queries), rerun the provider cascade
+// and recondense — pure graph work, no database traffic — and then
+// re-solve only the components whose reachable set changed, splicing
+// cached witnesses for everything else.
 //
 // A query's place is a slot: Add assigns the next, Remove tombstones
 // one, Compact renumbers the live ones densely. Its name is an
@@ -124,7 +124,6 @@ type Incremental struct {
 	queries []eq.Query // by slot
 	vars    []varTable // by slot: the query's variables, numbered
 	ids     []int32    // in a load, the array vars number into
-	bodySat []bool     // by slot: cached body-satisfiability probe
 	serials []int      // by slot, ascending: the query's admission serial; nil in a load
 	next    int        // the serial the next admission gets
 	// Liveness lives in g (IncrementalGraph.Live): one bitmap, no
@@ -183,46 +182,36 @@ func (inc *Incremental) LiveQueries() []eq.Query {
 }
 
 // Add admits one arriving query: it extends the extended graph with the
-// newcomer's incident edges, probes the newcomer's body satisfiability
-// (the §6.1 pruning input — one database query, cached for the life of
-// the query), and re-coordinates the dirty region. It returns the
-// assigned slot and the event's cost.
+// newcomer's incident edges and re-coordinates the dirty region. It
+// returns the assigned slot and the event's cost. The newcomer's body
+// is not probed on its own: a body the database cannot satisfy fails
+// the one grounding of its own component, and every component that
+// reaches it then fails unsearched. An arrival whose pass fails on a
+// store error is still admitted, with its slot and the error: the next
+// pass searches it.
 //
 // When the arrival would make the set unsafe the set is left untouched
 // and ErrUnsafeArrival is returned. Safety is checked on the delta
 // only: the incremental fanout counters make it O(newcomer's edges),
-// not O(n²). One probe serves both the check and the commit.
+// not O(n²). One edge probe serves both the check and the commit.
 func (inc *Incremental) Add(q eq.Query) (int, DeltaStats, error) {
 	edges, unsafe := inc.g.Probe(q)
 	if len(unsafe) > 0 {
 		return -1, DeltaStats{}, fmt.Errorf("%w %s: would make queries %v unsafe", ErrUnsafeArrival, q.ID, unsafe)
 	}
 	slot := inc.g.commit(q, edges)
-	m := db.NewMeter(inc.store)
-	// The serial goes with the slot, even one the probe below tombstones.
 	inc.queries, inc.vars = append(inc.queries, q), append(inc.vars, numberAll([]eq.Query{q})...)
 	inc.serials = append(inc.serials, inc.next)
 	inc.next++
-	sat := true
-	if !inc.opts.SkipPruning {
-		var err error
-		sat, err = m.Satisfiable(q.Body)
-		if err != nil {
-			inc.g.Remove(slot)
-			inc.bodySat = append(inc.bodySat, false)
-			return -1, DeltaStats{Slot: -1, DBQueries: m.QueriesIssued()}, err
-		}
-	}
-	inc.bodySat = append(inc.bodySat, sat)
-	d, err := inc.reconcile(m)
+	d, err := inc.reconcile(db.NewMeter(inc.store))
 	d.Slot = slot
 	inc.last = d
 	return slot, d, err
 }
 
 // Remove departs the query in a slot: its incident edges leave the
-// graph with it, pruning is redone from cached probes (a departure can
-// strand postconditions that the cascade then removes), and only
+// graph with it, the provider cascade is rerun (a departure can strand
+// postconditions that the cascade then removes), and only
 // components that could reach the departed query are re-solved.
 // Departures issue database queries only for those dirty components.
 func (inc *Incremental) Remove(slot int) (DeltaStats, error) {
@@ -230,8 +219,7 @@ func (inc *Incremental) Remove(slot int) (DeltaStats, error) {
 		return DeltaStats{}, fmt.Errorf("%w %d", ErrNoQuery, slot)
 	}
 	inc.g.Remove(slot)
-	m := db.NewMeter(inc.store)
-	d, err := inc.reconcile(m)
+	d, err := inc.reconcile(db.NewMeter(inc.store))
 	d.Slot = slot
 	inc.last = d
 	return d, err
@@ -255,16 +243,31 @@ func (inc *Incremental) Result() (*Result, error) {
 	return &Result{Set: sortedCopy(win.order), Values: values, DBQueries: inc.last.DBQueries}, nil
 }
 
-// choose returns the index of the largest candidate, the first found
-// on ties: the coordinating set Result reports.
+// choose returns the index of the coordinating set Result reports: the
+// largest candidate, and of the largest the one whose sorted set is
+// lexicographically least, so that the answer is a function of the
+// input and not of the walk's order. It is AllCandidates' first.
 func (inc *Incremental) choose() int {
 	best := 0
-	for i, c := range inc.cands {
-		if len(c.order) > len(inc.cands[best].order) {
+	for i := 1; i < len(inc.cands); i++ {
+		n, m := len(inc.cands[i].order), len(inc.cands[best].order)
+		if n > m || n == m && inc.sortsBefore(i, best) {
 			best = i
 		}
 	}
 	return best
+}
+
+// sortsBefore reports whether candidate i's set, sorted, is
+// lexicographically less than candidate j's. Both are sorted on
+// scratch; the candidates keep their assembly order.
+func (inc *Incremental) sortsBefore(i, j int) bool {
+	s := &inc.scr
+	s.tie[0] = append(s.tie[0][:0], inc.cands[i].order...)
+	s.tie[1] = append(s.tie[1][:0], inc.cands[j].order...)
+	slices.Sort(s.tie[0])
+	slices.Sort(s.tie[1])
+	return slices.Compare(s.tie[0], s.tie[1]) < 0
 }
 
 // TeamSize returns the size of the coordinating set Result would
@@ -356,34 +359,20 @@ func at(pos []int, slot int) int {
 }
 
 // Refresh rebuilds every store-dependent part of the state: cached
-// component outcomes are dropped, body-satisfiability probes are redone
-// for all live queries, and the whole condensation is re-solved. This
-// is the escape hatch from the dirty-region invariant — cached
-// witnesses assume the store's contents have not changed since they
-// were computed, so a caller that interleaves writes with a session
-// calls Refresh (with writers paused) to resynchronise. It costs what
-// a batch run costs. The last pass's record goes with the outcomes it
-// points into (Compact reaches them through the cache only): a Refresh
-// that fails leaves no result until the next pass.
+// component outcomes are dropped and the whole condensation is
+// re-solved. This is the escape hatch from the dirty-region invariant —
+// cached witnesses assume the store's contents have not changed since
+// they were computed, so a caller that interleaves writes with a
+// session calls Refresh (with writers paused) to resynchronise. It
+// costs what a batch run costs. The last pass's record goes first, with
+// the outcomes it points into (Compact reaches them through the cache
+// only).
 func (inc *Incremental) Refresh() (DeltaStats, error) {
-	m := db.NewMeter(inc.store)
 	inc.pruned, inc.events, inc.cands = inc.pruned[:0], inc.events[:0], inc.cands[:0]
 	for sig, out := range inc.cache {
 		inc.evict(sig, out)
 	}
-	if !inc.opts.SkipPruning {
-		for i := range inc.queries {
-			if !inc.g.Live(i) {
-				continue
-			}
-			sat, err := m.Satisfiable(inc.queries[i].Body)
-			if err != nil {
-				return DeltaStats{Slot: -1, DBQueries: m.QueriesIssued()}, err
-			}
-			inc.bodySat[i] = sat
-		}
-	}
-	d, err := inc.reconcile(m)
+	d, err := inc.reconcile(db.NewMeter(inc.store))
 	d.Slot = -1
 	inc.last = d
 	return d, err
@@ -395,7 +384,7 @@ func (inc *Incremental) Refresh() (DeltaStats, error) {
 func (inc *Incremental) records() bool { return inc.cache != nil || inc.opts.Trace != nil }
 
 // reconcile brings the coordination state up to date after a graph
-// change. Pruning and condensation are recomputed from cached inputs —
+// change. The provider cascade and the condensation are recomputed —
 // pure graph work. The component walk is the §4 walk, for sessions and
 // batch requests alike: components in reverse topological order, each
 // reachable set searched once (settle), except that one matching a
@@ -413,25 +402,16 @@ func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
 
 	// Compact live slots (monotone, so the graph below is isomorphic
 	// to the batch one with identical adjacency order) and redo the
-	// §6.1 pruning: cached body-satisfiability probes, then the provider
-	// cascade — same rounds, same order, no database traffic.
+	// §6.1 provider cascade — same rounds, same order, no database
+	// traffic.
 	s.alive, s.idx, s.live = zeroed(s.alive, n), sized(s.idx, n), sized(s.live, inc.g.live)[:0]
-	inc.pruned = inc.pruned[:0]
 	for i := 0; i < n; i++ {
-		if !inc.g.Live(i) {
-			continue
-		}
-		s.idx[i] = len(s.live)
-		s.live = append(s.live, i)
-		if inc.bodySat[i] || inc.opts.SkipPruning {
-			s.alive[i] = true
-		} else {
-			inc.pruned = append(inc.pruned, PruneEvent{Query: i, Reason: "unsatisfiable body"})
+		if inc.g.Live(i) {
+			s.idx[i], s.alive[i] = len(s.live), true
+			s.live = append(s.live, i)
 		}
 	}
-	if !inc.opts.SkipPruning {
-		inc.pruned = s.prune.run(inc.queries, edges, s.alive, inc.pruned)
-	}
+	inc.pruned = s.prune.run(inc.queries, edges, s.alive, inc.pruned[:0])
 
 	s.cg.Reset(len(s.live))
 	for _, e := range edges {

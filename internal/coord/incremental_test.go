@@ -356,8 +356,8 @@ func (r *Result) DBQueriesOrZero() int64 {
 // TestIncrementalMatchesBatchOnChains grows cluster chains one arrival
 // at a time and checks full observable equality with batch after every
 // event, plus the delta property: a chain-extending arrival dirties
-// exactly one component and costs exactly two database queries (one
-// pruning probe, one grounding).
+// exactly one component and costs exactly one database query, its
+// grounding.
 func TestIncrementalMatchesBatchOnChains(t *testing.T) {
 	const clusters, perCluster = 3, 5
 	store := chainStore(clusters)
@@ -374,23 +374,22 @@ func TestIncrementalMatchesBatchOnChains(t *testing.T) {
 			if d.Dirty != 1 {
 				t.Fatalf("chain arrival c%d.u%d dirtied %d components, want 1 (%+v)", c, i, d.Dirty, d)
 			}
-			if d.DBQueries != 2 {
-				t.Fatalf("chain arrival c%d.u%d cost %d queries, want 2", c, i, d.DBQueries)
+			if d.DBQueries != 1 {
+				t.Fatalf("chain arrival c%d.u%d cost %d queries, want 1", c, i, d.DBQueries)
 			}
 			checkIncrementalMatchesBatch(t, inc, store, d)
 		}
 	}
-	// Lifetime cost: every arrival cost 2 queries, all of them billed;
-	// the final batch run costs one satisfiability probe per query plus
-	// one grounding per component — identical here, so streaming paid
-	// no premium at all.
-	if want := int64(2 * clusters * perCluster); billed != want || asked != want {
+	// Lifetime cost: every arrival cost 1 query, all of them billed;
+	// the final batch run costs one grounding per component — identical
+	// here, so streaming paid no premium at all.
+	if want := int64(clusters * perCluster); billed != want || asked != want {
 		t.Fatalf("lifetime cost: %d billed, the store asked %d times, want %d", billed, asked, want)
 	}
 }
 
 // TestIncrementalRandomChurn drives a random interleaving of arrivals
-// and departures (including bodies that fail the pruning probe) and
+// and departures (including bodies the database cannot satisfy) and
 // checks observable equality with batch after every event.
 func TestIncrementalRandomChurn(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
@@ -415,7 +414,8 @@ func TestIncrementalRandomChurn(t *testing.T) {
 			q := chainQuery(c, next[c])
 			next[c]++
 			if rng.Float64() < 0.2 {
-				// An unsatisfiable body exercises the pruning cascade.
+				// An unsatisfiable body fails its component's grounding,
+				// and every component that reaches it then fails unsearched.
 				q.Body = []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C(eq.Value("missing")))}
 			}
 			slot, d, err := inc.Add(q)
@@ -476,9 +476,9 @@ func TestIncrementalUnsafeAdmission(t *testing.T) {
 
 // TestFailedEventsAreBilled: an event that fails has still asked the
 // database what it asked, and its DeltaStats says so — an arrival whose
-// grounding fails reports its probe and that grounding, a Refresh whose
-// first probe fails reports the probe — and the DeltaStats handed out
-// add up to every query the store was asked, failed ones included.
+// grounding fails reports that grounding, a Refresh whose first
+// grounding fails reports it — and the DeltaStats handed out add up to
+// every query the store was asked, failed ones included.
 func TestFailedEventsAreBilled(t *testing.T) {
 	store := &downStore{Store: chainStore(1)}
 	asked := db.NewMeter(store)
@@ -489,19 +489,18 @@ func TestFailedEventsAreBilled(t *testing.T) {
 		t.Fatal(err)
 	}
 	billed += d.DBQueries
-	store.solveDown = true
-	if _, d, err = inc.Add(chainQuery(0, 1)); !errors.Is(err, errDown) || d.DBQueries != 2 {
-		t.Fatalf("an arrival whose grounding fails: %+v, %v; want 2 queries billed", d, err)
+	store.down = true
+	if _, d, err = inc.Add(chainQuery(0, 1)); !errors.Is(err, errDown) || d.DBQueries != 1 {
+		t.Fatalf("an arrival whose grounding fails: %+v, %v; want 1 query billed", d, err)
 	}
 	billed += d.DBQueries
-	store.solveDown, store.down = false, true
 	if d, err = inc.Refresh(); !errors.Is(err, errDown) || d.DBQueries != 1 {
-		t.Fatalf("a refresh whose first probe fails: %+v, %v; want 1 query billed", d, err)
+		t.Fatalf("a refresh whose first grounding fails: %+v, %v; want 1 query billed", d, err)
 	}
 	billed += d.DBQueries
 	store.down = false
-	if d, err = inc.Refresh(); err != nil || d.DBQueries != 4 {
-		t.Fatalf("a refresh once the store is back: %+v, %v; want 2 probes and 2 groundings", d, err)
+	if d, err = inc.Refresh(); err != nil || d.DBQueries != 2 {
+		t.Fatalf("a refresh once the store is back: %+v, %v; want 2 groundings", d, err)
 	}
 	billed += d.DBQueries
 	if asked.QueriesIssued() != billed {

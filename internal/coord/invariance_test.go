@@ -2,6 +2,7 @@ package coord
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -11,8 +12,9 @@ import (
 )
 
 // Coordination semantics are invariant under alpha renaming: renaming
-// every query's variables must not change existence or size of the
-// result.
+// every query's variables must not change the result's set — a tie
+// goes to the least set of indices, which renaming leaves alone — and
+// both witnesses must pass Definition 1.
 func TestQuickAlphaRenamingInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 60; trial++ {
@@ -31,10 +33,13 @@ func TestQuickAlphaRenamingInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if base.Size() != other.Size() {
+		if (base == nil) != (other == nil) || base != nil && !slices.Equal(base.Set, other.Set) {
 			t.Fatalf("trial %d: alpha renaming changed the result: %v vs %v", trial, base, other)
 		}
 		if other != nil {
+			if err := Verify(qs, base.Set, base.Values, in); err != nil {
+				t.Fatal(err)
+			}
 			if err := Verify(renamed, other.Set, other.Values, in); err != nil {
 				t.Fatal(err)
 			}
@@ -67,6 +72,14 @@ func TestQuickPermutationInvariance(t *testing.T) {
 		if base.Size() != other.Size() {
 			t.Fatalf("trial %d: permutation changed the result size: %d vs %d", trial, base.Size(), other.Size())
 		}
+		if other != nil {
+			if err := Verify(qs, base.Set, base.Values, in); err != nil {
+				t.Fatal(err)
+			}
+			if err := Verify(shuffled, other.Set, other.Values, in); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -82,6 +95,11 @@ func TestQuickDatabaseMonotonicity(t *testing.T) {
 		before, err := SCCCoordinate(qs, in, Options{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if before != nil {
+			if err := Verify(qs, before.Set, before.Values, in); err != nil {
+				t.Fatal(err)
+			}
 		}
 		// Insert tuples, including some that complete missing bodies.
 		tbl, _ := in.Relation("T")
@@ -101,6 +119,11 @@ func TestQuickDatabaseMonotonicity(t *testing.T) {
 		}
 		if before != nil && after.Size() < before.Size() {
 			t.Fatalf("trial %d: inserting tuples shrank the best candidate: %d -> %d", trial, before.Size(), after.Size())
+		}
+		if after != nil {
+			if err := Verify(qs, after.Set, after.Values, in); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

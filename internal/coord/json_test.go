@@ -62,7 +62,7 @@ func TestDeltaStatsAndTraceJSONGolden(t *testing.T) {
 	}
 
 	tr := Trace{
-		Pruned: []PruneEvent{{Query: 1, Reason: "unsatisfiable body"}},
+		Pruned: []PruneEvent{{Query: 1, Reason: "unsatisfiable postcondition"}},
 		Components: []ComponentEvent{
 			{Members: []int{0}, Status: "grounded", Set: []int{0}, SetSize: 1, Combined: "T(q0.x, 'c0')"},
 			{Members: []int{2}, Status: "successor failed"},
@@ -72,7 +72,7 @@ func TestDeltaStatsAndTraceJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTr := `{"pruned":[{"query":1,"reason":"unsatisfiable body"}],` +
+	wantTr := `{"pruned":[{"query":1,"reason":"unsatisfiable postcondition"}],` +
 		`"components":[{"members":[0],"set":[0],"status":"grounded","set_size":1,"combined":"T(q0.x, 'c0')"},` +
 		`{"members":[2],"status":"successor failed"}]}`
 	if string(gotTr) != wantTr {

@@ -22,6 +22,12 @@ import (
 // the pieces that have one home (the extended graph, search.ground,
 // the §6.1 cascade, reachRows). A traced run that fails may leave
 // prune events in the trace; the code under test leaves none.
+//
+// With probe set, the walk also keeps the §6.1 body probe the package
+// ran before its walk lost it: one Satisfiable per query, and a query
+// whose body fails is pruned before the cascade. That changes the
+// count, the trace and the condensation, but not the answer, which
+// TestProbeFreeWalkMatchesProbedOracle holds set for set.
 
 // oracleWalk is one run of the walk: the queries with their variables
 // numbered, pruning outcome and the condensation of the coordination
@@ -44,7 +50,7 @@ type oracleWalk struct {
 
 // oracleRun executes the SCC Coordination Algorithm and leaves every
 // grounded candidate in the walk's cands, in processing order.
-func oracleRun(qs []eq.Query, store db.Store, opts Options) (*oracleWalk, error) {
+func oracleRun(qs []eq.Query, store db.Store, opts Options, probe bool) (*oracleWalk, error) {
 	if len(qs) == 0 {
 		return &oracleWalk{}, nil
 	}
@@ -57,23 +63,24 @@ func oracleRun(qs []eq.Query, store db.Store, opts Options) (*oracleWalk, error)
 	for i := range alive {
 		alive[i] = true
 	}
-	if !opts.SkipPruning {
-		for i, q := range qs {
-			sat, err := store.Satisfiable(q.Body)
-			if err != nil {
+	for i, q := range qs {
+		sat := true
+		if probe {
+			var err error
+			if sat, err = store.Satisfiable(q.Body); err != nil {
 				return nil, err
 			}
-			if !sat {
-				alive[i] = false
-				if tr != nil {
-					tr.Pruned = append(tr.Pruned, PruneEvent{Query: i, Reason: "unsatisfiable body"})
-				}
+		}
+		if !sat {
+			alive[i] = false
+			if tr != nil {
+				tr.Pruned = append(tr.Pruned, PruneEvent{Query: i, Reason: "unsatisfiable body"})
 			}
 		}
-		var c cascade
-		if pruned := c.run(qs, edges, alive, nil); tr != nil {
-			tr.Pruned = append(tr.Pruned, pruned...)
-		}
+	}
+	var c cascade
+	if pruned := c.run(qs, edges, alive, nil); tr != nil {
+		tr.Pruned = append(tr.Pruned, pruned...)
 	}
 
 	g := graph.New(len(qs))
@@ -151,14 +158,27 @@ func (w *oracleWalk) component(c int) error {
 
 // oracleCoordinate is SCCCoordinate on the reference walk.
 func oracleCoordinate(qs []eq.Query, store db.Store, opts Options) (*Result, error) {
+	return oracleChoose(qs, store, opts, false)
+}
+
+// probedCoordinate is SCCCoordinate on the reference walk with the body
+// probe kept.
+func probedCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
+	return oracleChoose(qs, store, Options{}, true)
+}
+
+// oracleChoose runs the reference walk and returns its largest
+// candidate, of equal sizes the one whose sorted set is
+// lexicographically least.
+func oracleChoose(qs []eq.Query, store db.Store, opts Options, probe bool) (*Result, error) {
 	m := db.NewMeter(store)
-	w, err := oracleRun(qs, m, opts)
+	w, err := oracleRun(qs, m, opts, probe)
 	if err != nil || len(w.cands) == 0 {
 		return nil, err
 	}
-	win := w.cands[0] // the largest, the first found on ties
-	for _, c := range w.cands {
-		if len(c.order) > len(win.order) {
+	win := w.cands[0]
+	for _, c := range w.cands[1:] {
+		if d := len(c.order) - len(win.order); d > 0 || d == 0 && slices.Compare(sortedCopy(c.order), sortedCopy(win.order)) < 0 {
 			win = c
 		}
 	}
@@ -172,7 +192,7 @@ func oracleCoordinate(qs []eq.Query, store db.Store, opts Options) (*Result, err
 // oracleCandidates is AllCandidates on the reference walk.
 func oracleCandidates(qs []eq.Query, store db.Store, opts Options) ([]CandidateSet, error) {
 	m := db.NewMeter(store)
-	w, err := oracleRun(qs, m, opts)
+	w, err := oracleRun(qs, m, opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +205,10 @@ func oracleCandidates(qs []eq.Query, store db.Store, opts Options) ([]CandidateS
 		}
 		out = append(out, CandidateSet{Set: sortedCopy(c.order), Values: values})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return len(out[i].Set) > len(out[j].Set) })
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].Set, out[j].Set
+		return len(a) > len(b) || len(a) == len(b) && slices.Compare(a, b) < 0
+	})
 	return out, nil
 }
 
@@ -206,6 +229,7 @@ func TestBulkLoadMatchesBatchOracle(t *testing.T) {
 		{"figure-4 list", workload.ListQueries(30, rows), newWorkloadInstance(rows)},
 		{"scale-free", workload.ScaleFreeQueries(40, 2, rows, rng), newWorkloadInstance(rows)},
 		{"pruned random-safe", workload.RandomSafeQueries(40, rows, 0.03, 0.8, rng), newWorkloadInstance(rows)},
+		{"stranded random-safe", stranded(workload.RandomSafeQueries(40, rows, 0.03, 0.8, rng), newWorkloadInstance(rows)), newWorkloadInstance(rows)},
 		{"empty", nil, newWorkloadInstance(rows)},
 	}
 	fq, fin := flightHotel()
@@ -231,9 +255,7 @@ func TestBulkLoadMatchesBatchOracle(t *testing.T) {
 		opts func(qs []eq.Query) Options
 	}{
 		{"default", func([]eq.Query) Options { return Options{} }},
-		{"skip pruning", func([]eq.Query) Options { return Options{SkipPruning: true} }},
 		{"traced", func([]eq.Query) Options { return Options{Trace: &Trace{}} }},
-		{"traced, skip pruning", func([]eq.Query) Options { return Options{Trace: &Trace{}, SkipPruning: true} }},
 	}
 	errText := func(err error) string {
 		if err == nil {
@@ -265,4 +287,87 @@ func TestBulkLoadMatchesBatchOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestProbeFreeWalkMatchesProbedOracle holds the walk, which searches a
+// body the database cannot satisfy where the §6.1 body probe used to
+// prune it, to the reference walk with the probe kept: on 360
+// random-safe and scale-free sets, some of whose bodies match nothing,
+// and on the final live sets of 48 churn streams over 1, 2 and 8
+// shards, both return the same set, and both answers pass Definition 1.
+// The probe renumbers the condensation, so the same set is the same
+// answer only because a tie goes to the least sorted set, not to walk
+// order; the sets must hold ties for that to be tested.
+func TestProbeFreeWalkMatchesProbedOracle(t *testing.T) {
+	const rows = 32
+	rng := rand.New(rand.NewSource(46))
+	type querySet struct {
+		name  string
+		qs    []eq.Query
+		store db.Store
+	}
+	var sets []querySet
+	in := newWorkloadInstance(rows)
+	for i := 0; i < 180; i++ {
+		n := 2 + rng.Intn(30)
+		qs := workload.RandomSafeQueries(n, rows, 0.02+0.2*rng.Float64(), 0.6+0.4*rng.Float64(), rng)
+		sets = append(sets, querySet{fmt.Sprintf("random-safe %d", i), qs, in})
+		qs = workload.ScaleFreeQueries(n, 1+rng.Intn(2), rows, rng)
+		for j := range qs {
+			if rng.Float64() < 0.15 {
+				qs[j].Body = []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C("missing"))}
+			}
+		}
+		sets = append(sets, querySet{fmt.Sprintf("scale-free %d", i), qs, in})
+	}
+	for _, shards := range []int{1, 2, 8} {
+		for seed := int64(0); seed < 16; seed++ {
+			var live []eq.Query
+			for _, a := range workload.Arrivals(workload.Churn, 48, rows, seed) {
+				if !a.Leave {
+					live = append(live, a.Query)
+					continue
+				}
+				live = slices.DeleteFunc(live, func(q eq.Query) bool { return q.ID == a.ID })
+			}
+			sets = append(sets, querySet{fmt.Sprintf("churn, %d shards, seed %d", shards, seed), live, workload.NewStore(shards, rows, 0)})
+		}
+	}
+	ties := 0
+	for _, set := range sets {
+		got, err := SCCCoordinate(set.qs, set.store, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", set.name, err)
+		}
+		want, err := probedCoordinate(set.qs, set.store)
+		if err != nil {
+			t.Fatalf("%s: the probed walk: %v", set.name, err)
+		}
+		if (got == nil) != (want == nil) || got != nil && !slices.Equal(got.Set, want.Set) {
+			t.Fatalf("%s: the walk returned %v, the probed walk %v", set.name, got, want)
+		}
+		if got == nil {
+			continue
+		}
+		if err := Verify(set.qs, got.Set, got.Values, set.store); err != nil {
+			t.Fatalf("%s: the walk's answer: %v", set.name, err)
+		}
+		if err := Verify(set.qs, want.Set, want.Values, set.store); err != nil {
+			t.Fatalf("%s: the probed walk's answer: %v", set.name, err)
+		}
+		cands, err := AllCandidates(set.qs, set.store, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", set.name, err)
+		}
+		if !slices.Equal(cands[0].Set, got.Set) {
+			t.Fatalf("%s: AllCandidates puts %v first, SCCCoordinate returns %v", set.name, cands[0].Set, got.Set)
+		}
+		if len(cands) > 1 && len(cands[1].Set) == len(got.Set) {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no set has two largest candidates")
+	}
+	t.Logf("%d sets, %d with a tie for the largest", len(sets), ties)
 }

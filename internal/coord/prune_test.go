@@ -67,7 +67,7 @@ func TestCascadeMatchesRoundByRoundOracle(t *testing.T) {
 		edges := ExtendedGraph(qs)
 		alive := make([]bool, len(qs))
 		for i := range alive {
-			alive[i] = rng.Intn(6) != 0 // some bodies failed their probe
+			alive[i] = rng.Intn(6) != 0 // some queries start pruned
 		}
 		wantAlive := append([]bool(nil), alive...)
 		want := oracleCascade(qs, edges, wantAlive)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"entangled/internal/db"
@@ -30,11 +29,6 @@ type grounded struct {
 
 // Options configures SCCCoordinate.
 type Options struct {
-	// SkipPruning disables the §6.1 preprocessing step that removes
-	// queries with unsatisfiable bodies or unsatisfiable postconditions
-	// before graph condensation. Used by the ablation benchmarks; the
-	// algorithm remains correct either way.
-	SkipPruning bool
 	// Trace, when non-nil, receives a step-by-step record of a run that
 	// succeeds (pruning events and per-component outcomes); see
 	// coord.Trace.
@@ -46,14 +40,19 @@ type Options struct {
 // largest coordinating set it finds, or nil if none exists. The input
 // set must be safe; ErrUnsafe is returned otherwise.
 //
-// The algorithm: build the coordination graph, condense it into its DAG
-// of strongly connected components, walk components in reverse
-// topological order, and for each component unify its queries with the
-// combined queries of its successors and ground the combination with a
-// single database query. Every component that grounds successfully
-// yields the candidate set R(q) of all queries reachable from it, and
-// the largest candidate wins (the first found on ties); AllCandidates
-// hands a caller the whole family to choose from instead.
+// The algorithm: build the coordination graph, prune every query whose
+// postcondition no head provides for (the §6.1 provider cascade, graph
+// work only), condense it into its DAG of strongly connected
+// components, walk components in reverse topological order, and for
+// each component unify its queries with the combined queries of its
+// successors and ground the combination with a single database query.
+// That query is the only one a component costs: a body the database
+// cannot satisfy is found there, not probed beforehand. Every component
+// that grounds successfully yields the candidate set R(q) of all
+// queries reachable from it, and the largest candidate wins — of equal
+// sizes, the lexicographically least sorted set, so the answer does
+// not depend on the walk's order; AllCandidates hands a caller the
+// whole family to choose from instead.
 //
 // The walk is Incremental's: the set is bulk-loaded into a pooled,
 // one-shot coordinator (load) and walked once, so batch requests and
@@ -82,10 +81,12 @@ type CandidateSet struct {
 
 // AllCandidates runs the SCC Coordination Algorithm and returns every
 // coordinating set it discovers — the grounded members of the family
-// {R(q) | q in Q} — sorted largest first. It is how a caller applies
-// its own criterion instead of SCCCoordinate's largest set: the paper's
-// examples are preferring gold-status passengers and VIP clients, and
-// the caller picks, say, the largest set holding its VIP's query.
+// {R(q) | q in Q} — sorted largest first, and sets of one size
+// lexicographically, so SCCCoordinate's answer is the first. It is how
+// a caller applies its own criterion instead of SCCCoordinate's: the
+// paper's examples are preferring gold-status passengers and VIP
+// clients, and the caller picks, say, the largest set holding its VIP's
+// query.
 func AllCandidates(qs []eq.Query, store db.Store, opts Options) ([]CandidateSet, error) {
 	inc := loads.Get().(*Incremental)
 	defer inc.release()
@@ -96,7 +97,12 @@ func AllCandidates(qs []eq.Query, store db.Store, opts Options) ([]CandidateSet,
 	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(out, func(i, j int) bool { return len(out[i].Set) > len(out[j].Set) })
+	slices.SortFunc(out, func(a, b CandidateSet) int {
+		if len(a.Set) != len(b.Set) {
+			return len(b.Set) - len(a.Set)
+		}
+		return slices.Compare(a.Set, b.Set)
+	})
 	return out, nil
 }
 
@@ -108,14 +114,13 @@ var loads = sync.Pool{New: func() any { return &Incremental{g: NewIncrementalGra
 // load makes a pooled inc a one-shot coordinator over qs, the walk
 // behind SCCCoordinate and AllCandidates: every query filed into its
 // graph, one safety check, every query's variables numbered in one
-// array — a load's serial is its index — then Refresh, which probes
-// every body and runs the one pass on the request's meter. Nothing
-// will ask for a second pass, so there is no outcome cache: the pass
-// builds no key, copies a searched set only for a grounded candidate,
-// into the arena, and keeps its per-component record only for
-// opts.Trace (records). The serials, which only a key or a
-// renumbered trace reads, stay nil, and queries aliases qs. A load
-// that fails adds nothing to opts.Trace.
+// array — a load's serial is its index — then Refresh, which runs the
+// one pass on the request's meter. Nothing will ask for a second pass,
+// so there is no outcome cache: the pass builds no key, copies a
+// searched set only for a grounded candidate, into the arena, and keeps
+// its per-component record only for opts.Trace (records). The serials,
+// which only a key or a renumbered trace reads, stay nil, and queries
+// aliases qs. A load that fails adds nothing to opts.Trace.
 func (inc *Incremental) load(qs []eq.Query, store db.Store, opts Options) error {
 	inc.g.fill(qs)
 	if bad := inc.g.Unsafe(); len(bad) > 0 {
@@ -123,7 +128,7 @@ func (inc *Incremental) load(qs []eq.Query, store db.Store, opts Options) error 
 	}
 	inc.store, inc.opts, inc.queries = store, opts, qs
 	inc.ids, inc.vars = numberInto(qs, inc.ids, inc.vars)
-	inc.bodySat, inc.arena = zeroed(inc.bodySat, len(qs)), inc.arena[:0]
+	inc.arena = inc.arena[:0]
 	if _, err := inc.Refresh(); err != nil {
 		return err
 	}

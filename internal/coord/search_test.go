@@ -265,7 +265,7 @@ func TestTraceShowsWhatTheDatabaseSaw(t *testing.T) {
 	}{
 		{"figure-4 list", workload.ListQueries(30, rows)},
 		{"scale-free", workload.ScaleFreeQueries(40, 2, rows, rng)},
-		{"pruned random-safe", workload.RandomSafeQueries(40, rows, 0.03, 0.8, rng)},
+		{"pruned random-safe", stranded(workload.RandomSafeQueries(40, rows, 0.03, 0.8, rng), newWorkloadInstance(rows))},
 		{"one class across three queries", eq.MustParseSet(`
 query a { post: R(UB, x) head: R(UA, x) body: T(x), S(x, y) }
 query b { post: R(UC, u) head: R(UB, u) body: T(u) }
@@ -366,14 +366,14 @@ query d { post: R(UA, k) head: R(UD, k) body: S(k, k) }`)},
 	}
 }
 
-// TestRequestCostIsProbesPlusSearches states the paper's cost unit as
-// an equation and checks it per request: a run's DBQueries is the §6.1
-// body probes it issued — one per query, none under SkipPruning — plus
-// one grounding query per component its trace shows as "grounded" or
-// "no tuple". The store's own counter must agree, so nothing a run asks
-// goes unbilled; AllCandidates, which returns no count, is held to the
-// store's. The Gupta baseline asks at most its one combined query.
-func TestRequestCostIsProbesPlusSearches(t *testing.T) {
+// TestRequestCostIsSearches states the paper's cost unit as an equation
+// and checks it per request: a run's DBQueries is one grounding query
+// per component its trace shows as "grounded" or "no tuple", and
+// nothing else — no query is probed on its own. The store's own counter
+// must agree, so nothing a run asks goes unbilled; AllCandidates, which
+// returns no count, is held to the store's. The Gupta baseline asks at
+// most its one combined query.
+func TestRequestCostIsSearches(t *testing.T) {
 	const rows = 40
 	rng := rand.New(rand.NewSource(47))
 	sets := []struct {
@@ -384,37 +384,32 @@ func TestRequestCostIsProbesPlusSearches(t *testing.T) {
 		{"scale-free", workload.ScaleFreeQueries(40, 2, rows, rng)},
 		{"pruned random-safe", workload.RandomSafeQueries(40, rows, 0.03, 0.8, rng)},
 	}
+	want := func(tr *Trace) int64 {
+		n := int64(0)
+		for _, ev := range tr.Components {
+			if ev.Status == "grounded" || ev.Status == "no tuple" {
+				n++
+			}
+		}
+		return n
+	}
 	for _, set := range sets {
-		for _, skip := range []bool{false, true} {
-			name := fmt.Sprintf("%s, SkipPruning %v", set.name, skip)
-			want := func(tr *Trace) int64 {
-				n := int64(0)
-				if !skip {
-					n = int64(len(set.qs))
-				}
-				for _, ev := range tr.Components {
-					if ev.Status == "grounded" || ev.Status == "no tuple" {
-						n++
-					}
-				}
-				return n
-			}
-			inst := newWorkloadInstance(rows)
-			tr := &Trace{}
-			res, err := SCCCoordinate(set.qs, inst, Options{SkipPruning: skip, Trace: tr})
-			if err != nil || res == nil {
-				t.Fatalf("%s: res=%v err=%v", name, res, err)
-			}
-			if w := want(tr); res.DBQueries != w || inst.QueriesIssued() != w {
-				t.Fatalf("%s: SCCCoordinate billed %d, the store counted %d, the trace shows %d", name, res.DBQueries, inst.QueriesIssued(), w)
-			}
-			inst, tr = newWorkloadInstance(rows), &Trace{}
-			if _, err := AllCandidates(set.qs, inst, Options{SkipPruning: skip, Trace: tr}); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if w := want(tr); inst.QueriesIssued() != w {
-				t.Fatalf("%s: AllCandidates asked %d, the trace shows %d", name, inst.QueriesIssued(), w)
-			}
+		name := set.name
+		inst := newWorkloadInstance(rows)
+		tr := &Trace{}
+		res, err := SCCCoordinate(set.qs, inst, Options{Trace: tr})
+		if err != nil || res == nil {
+			t.Fatalf("%s: res=%v err=%v", name, res, err)
+		}
+		if w := want(tr); res.DBQueries != w || inst.QueriesIssued() != w {
+			t.Fatalf("%s: SCCCoordinate billed %d, the store counted %d, the trace shows %d", name, res.DBQueries, inst.QueriesIssued(), w)
+		}
+		inst, tr = newWorkloadInstance(rows), &Trace{}
+		if _, err := AllCandidates(set.qs, inst, Options{Trace: tr}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if w := want(tr); inst.QueriesIssued() != w {
+			t.Fatalf("%s: AllCandidates asked %d, the trace shows %d", name, inst.QueriesIssued(), w)
 		}
 	}
 

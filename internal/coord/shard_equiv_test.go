@@ -113,6 +113,9 @@ func TestShardedBruteForceEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: DBQueries %d != %d", trial, want.DBQueries, got.DBQueries)
 		}
 		if got != nil {
+			if err := Verify(qs, want.Set, want.Values, plain); err != nil {
+				t.Fatalf("trial %d: plain brute witness: %v", trial, err)
+			}
 			if err := Verify(qs, got.Set, got.Values, sh); err != nil {
 				t.Fatalf("trial %d: sharded brute witness: %v", trial, err)
 			}

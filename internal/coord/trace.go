@@ -17,18 +17,21 @@ import (
 // rendered, so over-the-wire traces compare byte-for-byte against
 // local batch runs.
 type Trace struct {
-	// Pruned lists queries removed by the §6.1 preprocessing, with the
-	// reason ("body" or "postcondition").
+	// Pruned lists queries removed by the §6.1 provider cascade, in
+	// pruning order.
 	Pruned []PruneEvent `json:"pruned,omitempty"`
 	// Components holds one event per strongly connected component, in
 	// the order processed (reverse topological).
 	Components []ComponentEvent `json:"components,omitempty"`
 }
 
-// PruneEvent is one preprocessing removal.
+// PruneEvent is one preprocessing removal: a query with a
+// postcondition that no unpruned head provides for. Bodies are not
+// probed; one the database cannot satisfy shows as its component's
+// "no tuple".
 type PruneEvent struct {
 	Query  int    `json:"query"`
-	Reason string `json:"reason"` // "unsatisfiable body" or "unsatisfiable postcondition"
+	Reason string `json:"reason"` // "unsatisfiable postcondition"
 }
 
 // ComponentEvent is the outcome of processing one component.

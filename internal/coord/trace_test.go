@@ -44,16 +44,30 @@ func TestTraceFlightHotel(t *testing.T) {
 	}
 }
 
+// TestTracePruneEvents: a's postcondition has no provider, so the
+// cascade prunes a, and then c, whose only provider a was. b's body
+// cannot be satisfied, which no prune event says: its component is
+// searched, finds no tuple, and fails the one that reaches it.
 func TestTracePruneEvents(t *testing.T) {
 	qs := eq.MustParseSet(`
 query a {
-  post: R(UB, x)
+  post: R(UZ, x)
   head: R(UA, x)
   body: T(x)
 }
 query b {
   head: R(UB, y)
   body: Missing(y)
+}
+query c {
+  post: R(UA, z)
+  head: R(UC, z)
+  body: T(z)
+}
+query d {
+  post: R(UB, w)
+  head: R(UD, w)
+  body: T(w)
 }`)
 	in := db.NewInstance()
 	tr1 := in.CreateRelation("T", "v")
@@ -67,11 +81,16 @@ query b {
 	if res != nil {
 		t.Fatalf("nothing coordinates: %v", res)
 	}
-	if len(tr.Pruned) != 2 {
-		t.Fatalf("b's body prunes, then a's postcondition cascades: %v", tr.Pruned)
+	want := []PruneEvent{{Query: 0, Reason: "unsatisfiable postcondition"}, {Query: 2, Reason: "unsatisfiable postcondition"}}
+	if !reflect.DeepEqual(tr.Pruned, want) {
+		t.Fatalf("a's postcondition prunes, then c's cascades: %v", tr.Pruned)
 	}
-	if tr.Pruned[0].Reason != "unsatisfiable body" || tr.Pruned[1].Reason != "unsatisfiable postcondition" {
-		t.Fatalf("prune reasons: %v", tr.Pruned)
+	status := map[int]string{}
+	for _, ev := range tr.Components {
+		status[ev.Members[0]] = ev.Status
+	}
+	if want := map[int]string{0: "pruned", 1: "no tuple", 2: "pruned", 3: "successor failed"}; !reflect.DeepEqual(status, want) {
+		t.Fatalf("statuses %v, want %v", status, want)
 	}
 }
 
@@ -103,30 +122,30 @@ func TestTracedRunMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Size() != traced.Size() {
+	if !reflect.DeepEqual(plain, traced) {
 		t.Fatalf("trace must not change the result: %v vs %v", plain, traced)
+	}
+	if err := Verify(qs, traced.Set, traced.Values, in); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestFailedRunLeavesTraceEmpty: a traced run that the store fails adds
 // nothing to the caller's trace — not even the prune events of the
-// probes that succeeded before a grounding failed, which the reference
-// walk leaves behind.
+// cascade that ran before a grounding failed, which the reference walk
+// leaves behind.
 func TestFailedRunLeavesTraceEmpty(t *testing.T) {
 	const rows = 40
-	qs := workload.RandomSafeQueries(40, rows, 0.03, 0.8, rand.New(rand.NewSource(43)))
-	for _, solveOnly := range []bool{true, false} {
-		store := &downStore{Store: newWorkloadInstance(rows), down: !solveOnly, solveDown: solveOnly}
-		tr := &Trace{}
-		if _, err := SCCCoordinate(qs, store, Options{Trace: tr}); !errors.Is(err, errDown) {
-			t.Fatalf("solveOnly=%v: err %v, want the store's", solveOnly, err)
-		}
-		if !reflect.DeepEqual(tr, &Trace{}) {
-			t.Fatalf("solveOnly=%v: a failed run left %+v in the trace", solveOnly, tr)
-		}
+	qs := stranded(workload.RandomSafeQueries(40, rows, 0.03, 0.8, rand.New(rand.NewSource(43))), newWorkloadInstance(rows))
+	store := &downStore{Store: newWorkloadInstance(rows), down: true}
+	tr := &Trace{}
+	if _, err := SCCCoordinate(qs, store, Options{Trace: tr}); !errors.Is(err, errDown) {
+		t.Fatalf("err %v, want the store's", err)
+	}
+	if !reflect.DeepEqual(tr, &Trace{}) {
+		t.Fatalf("a failed run left %+v in the trace", tr)
 	}
 	old := &Trace{}
-	store := &downStore{Store: newWorkloadInstance(rows), solveDown: true}
 	if _, err := oracleCoordinate(qs, store, Options{Trace: old}); !errors.Is(err, errDown) || len(old.Pruned) == 0 {
 		t.Fatalf("the reference walk: err %v, trace %+v; want pruning to have finished first", err, old)
 	}

@@ -360,11 +360,12 @@ func (sh *ShardedInstance) Route(qs []eq.Query) (Store, bool) {
 	return &shardView{Store: sh, shard: sh.shards[target]}, true
 }
 
-// shardView is the Store a routed request runs against: conjunctive
-// queries go to one shard (whose relation locks are the only ones
-// touched), while Domain, Contains and the counters are the embedded
-// parent's, so observable results match a cross-shard run. The parent
-// is embedded as a Store, so the view offers no Route of its own.
+// shardView is the Store a routed request runs against: the queries a
+// request asks go to one shard (whose relation locks are the only ones
+// touched), while Domain, Contains, the counters and Satisfiable, which
+// no request asks, are the embedded parent's, so observable results
+// match a cross-shard run. The parent is embedded as a Store, so the
+// view offers no Route of its own.
 type shardView struct {
 	Store
 	shard *Instance
@@ -375,8 +376,6 @@ func (v *shardView) Solve(body []eq.Atom) (Binding, bool, error) { return v.shar
 func (v *shardView) SolveAll(body []eq.Atom, limit int) ([]Binding, error) {
 	return v.shard.SolveAll(body, limit)
 }
-
-func (v *shardView) Satisfiable(body []eq.Atom) (bool, error) { return v.shard.Satisfiable(body) }
 
 func (v *shardView) SolveUnder(body []eq.Atom, s *unify.Subst) (Binding, bool, error) {
 	return v.shard.SolveUnder(body, s)

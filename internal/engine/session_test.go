@@ -37,5 +37,10 @@ func TestEngineNewSession(t *testing.T) {
 		if got.Size() != want.Size() || got.Size() != 4 {
 			t.Fatalf("shards=%d: session team %v, batch team %v", shards, got, want)
 		}
+		for _, r := range []*coord.Result{got, want} {
+			if err := coord.Verify(s.Queries(), r.Set, r.Values, store); err != nil {
+				t.Fatalf("shards=%d: %v", shards, err)
+			}
+		}
 	}
 }

@@ -17,12 +17,12 @@ func TestFigure4Small(t *testing.T) {
 		t.Fatalf("points = %v", s.Points)
 	}
 	for _, p := range s.Points {
-		// The list workload coordinates in full and issues 2n database
-		// queries (n pruning + n components).
+		// The list workload coordinates in full and issues n database
+		// queries, one per component.
 		if p.SetSize != float64(p.X) {
 			t.Fatalf("set size %v at n=%d", p.SetSize, p.X)
 		}
-		if p.DBQueries != float64(2*p.X) {
+		if p.DBQueries != float64(p.X) {
 			t.Fatalf("db queries %v at n=%d", p.DBQueries, p.X)
 		}
 	}
@@ -37,9 +37,9 @@ func TestFigure5Small(t *testing.T) {
 		if p.SetSize < 1 || p.SetSize > float64(p.X) {
 			t.Fatalf("set size %v out of range at n=%d", p.SetSize, p.X)
 		}
-		// Fewer or equal DB queries than the list case: components can
-		// be larger than one query.
-		if p.DBQueries > float64(2*p.X) {
+		// Fewer or equal DB queries than the list case: at most one per
+		// component, and components can be larger than one query.
+		if p.DBQueries > float64(p.X) {
 			t.Fatalf("db queries %v at n=%d", p.DBQueries, p.X)
 		}
 	}
@@ -106,21 +106,6 @@ func TestAllRuns(t *testing.T) {
 	}
 }
 
-func TestAblationPruningSmall(t *testing.T) {
-	out := AblationPruning(Config{TableRows: 200, Seeds: 1, Repeats: 1, Sizes: []int{8}})
-	if len(out) != 2 {
-		t.Fatalf("series = %d", len(out))
-	}
-	if out[0].Points[0].SetSize != out[1].Points[0].SetSize {
-		t.Fatalf("pruning changed the result: %v vs %v", out[0].Points, out[1].Points)
-	}
-	// Pruning issues at most as many grounding queries (it may add the
-	// n satisfiability probes but removes failed components).
-	if out[0].Points[0].Millis < 0 || out[1].Points[0].Millis < 0 {
-		t.Fatal("negative time")
-	}
-}
-
 func TestMarkdownAndLinearFit(t *testing.T) {
 	s := Series{Name: "Test", XLabel: "n", Points: []Point{
 		{X: 10, Millis: 10}, {X: 20, Millis: 20}, {X: 30, Millis: 30},
@@ -156,7 +141,7 @@ func TestLinearFitDegenerate(t *testing.T) {
 }
 
 func TestFigureDBQueriesLinearFit(t *testing.T) {
-	// The database-query counts of Figure 4 are exactly 2n — slope 2
+	// The database-query counts of Figure 4 are exactly n — slope 1
 	// through the origin, r² = 1 when fitted as a series.
 	s := Figure4(small([]int{5, 10, 15}))
 	q := Series{XLabel: s.XLabel}
@@ -164,7 +149,7 @@ func TestFigureDBQueriesLinearFit(t *testing.T) {
 		q.Points = append(q.Points, Point{X: p.X, Millis: p.DBQueries})
 	}
 	slope, r2 := q.LinearFit()
-	if slope < 1.99 || slope > 2.01 || r2 < 0.9999 {
-		t.Fatalf("db queries must be exactly 2n: slope=%v r2=%v", slope, r2)
+	if slope < 0.99 || slope > 1.01 || r2 < 0.9999 {
+		t.Fatalf("db queries must be exactly n: slope=%v r2=%v", slope, r2)
 	}
 }

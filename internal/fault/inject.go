@@ -71,9 +71,11 @@ type Fault struct {
 type Rule struct {
 	// Op is the operation kind the rule intercepts.
 	Op Op
-	// Path restricts the rule to descriptors containing this substring
-	// ("" matches every descriptor). File ops use the file path, conn
-	// ops the remote address, queries the method name.
+	// Path restricts the rule to some descriptors ("" matches every
+	// one). File ops use the file path and conn ops the remote address,
+	// and match any descriptor containing Path; queries use the method's
+	// descriptor and match only the one equal to Path, because the
+	// descriptors nest ("solve" is in "solveall" and "solveunder").
 	Path string
 	// After skips the first After matching operations.
 	After int
@@ -168,6 +170,17 @@ func (i *Injector) Exhausted() bool {
 	return true
 }
 
+// matches reports whether the rule's Path admits the descriptor path.
+func (r *Rule) matches(path string) bool {
+	if r.Path == "" {
+		return true
+	}
+	if r.Op == OpQuery {
+		return path == r.Path
+	}
+	return strings.Contains(path, r.Path)
+}
+
 // Decide returns the fault (possibly none) for one operation on the
 // descriptor. Exported so custom wrappers outside this package can
 // share a schedule.
@@ -182,7 +195,7 @@ func (i *Injector) Decide(op Op, path string) Fault {
 		return Fault{}
 	}
 	for _, r := range i.rules {
-		if r.Op != op || (r.Path != "" && !strings.Contains(path, r.Path)) {
+		if r.Op != op || !r.matches(path) {
 			continue
 		}
 		r.seen++

@@ -280,14 +280,16 @@ func TestAdmissionSessionGatesJoinNotLeave(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s create: %v", proto, err)
 		}
+		// The list's tail grounds on its own, one store query; its
+		// head, whose postcondition the tail provides for, would not.
 		q := workload.ListQueriesAt(2, 0)
-		if _, err := sess.Join(ctx, q[0]); err != nil {
+		if _, err := sess.Join(ctx, q[1]); err != nil {
 			t.Fatalf("%s first join: %v", proto, err)
 		}
-		_, err = sess.Join(ctx, q[1])
+		_, err = sess.Join(ctx, q[0])
 		requireThrottled(t, err)
 		// The leave proceeds despite the empty bucket...
-		if _, err := sess.Leave(ctx, q[0].ID); err != nil {
+		if _, err := sess.Leave(ctx, q[1].ID); err != nil {
 			t.Fatalf("%s leave while throttled: %v", proto, err)
 		}
 		// ...and its store work landed on the tenant's ledger.

@@ -512,8 +512,8 @@ func TestMetricsAnswerWhileAnEventWaits(t *testing.T) {
 }
 
 // stallingStore blocks the first query any request issues (the §4 walk
-// queries through Satisfiable and SolveUnder) until the test closes
-// release, and closes blocked once that query is waiting.
+// queries through SolveUnder alone) until the test closes release, and
+// closes blocked once that query is waiting.
 type stallingStore struct {
 	db.Store
 	asked   atomic.Int64 // queries that reached the store, the held one included
@@ -528,11 +528,6 @@ func (s *stallingStore) stall() {
 		close(s.blocked)
 		<-s.release
 	}
-}
-
-func (s *stallingStore) Satisfiable(body []eq.Atom) (bool, error) {
-	s.stall()
-	return s.Store.Satisfiable(body)
 }
 
 func (s *stallingStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, bool, error) {

@@ -236,7 +236,7 @@ func (s *Session) join(q eq.Query, up *Update) {
 		return
 	}
 	slot, d, err := s.inc.Add(q)
-	up.Stats = d // exact even on failure: probes count, admission doesn't
+	up.Stats = d // exact even on failure: searches count, admission doesn't
 	if slot >= 0 {
 		// The query is live in the incremental state — record it even
 		// when the event's reconcile failed (a store error mid-pass), or
@@ -341,8 +341,8 @@ func (s *Session) Tombstones() int {
 }
 
 // Refresh resynchronises the session with the store after external
-// writes: cached witnesses are dropped, pruning probes are redone, and
-// the full condensation is re-solved at batch cost. Callers that
+// writes: cached witnesses are dropped and the full condensation is
+// re-solved at batch cost. Callers that
 // interleave store writers with a session pause them and Refresh; see
 // the dirty-region invariant in DESIGN.md.
 func (s *Session) Refresh() (coord.DeltaStats, error) {

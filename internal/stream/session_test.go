@@ -248,7 +248,7 @@ func TestSessionRejectUnsafeWithoutParking(t *testing.T) {
 
 // TestSessionStoreErrorStaysConsistent: a store error mid-pass must not
 // desynchronise the session. In the first case the store fails the
-// arrival's own grounding, after its probe has passed: the offending
+// arrival's own grounding: the offending
 // query stays tracked, can be departed, and the session heals. The
 // others fail the store in the middle of a reconcile walk — the k-th of
 // several grounding queries — which leaves the outcome cache half
@@ -484,13 +484,13 @@ func TestFailedEventsAreBilled(t *testing.T) {
 	}
 	billed += up.Stats.DBQueries
 	store.down = true
-	if up, err = s.Join(workload.ChainQuery(0, 1, 1)); !errors.Is(err, store.err) || up.Stats.DBQueries != 2 {
-		t.Fatalf("a join whose grounding fails: %+v, %v; want its probe and the grounding billed", up.Stats, err)
+	if up, err = s.Join(workload.ChainQuery(0, 1, 1)); !errors.Is(err, store.err) || up.Stats.DBQueries != 1 {
+		t.Fatalf("a join whose grounding fails: %+v, %v; want the grounding billed", up.Stats, err)
 	}
 	billed += up.Stats.DBQueries
 	d, err := s.Refresh()
-	if !errors.Is(err, store.err) || d.DBQueries != 3 {
-		t.Fatalf("a refresh whose first grounding fails: %+v, %v; want 2 probes and 1 grounding billed", d, err)
+	if !errors.Is(err, store.err) || d.DBQueries != 1 {
+		t.Fatalf("a refresh whose first grounding fails: %+v, %v; want the grounding billed", d, err)
 	}
 	billed += d.DBQueries
 	store.down = false

@@ -63,8 +63,9 @@ query solo { head: R(S, x) body: T(x, 'c5') }`)
 
 // The penultimate arrival of a Figure-4 chain submitted head first
 // joins a component of n-1 parked queries. Its cost must not grow with
-// n: the session probes the newcomer's body once and re-solves nothing,
-// because every earlier query's probe and pruning are cached.
+// n, and is nothing: the newcomer's provider has not arrived, so the
+// provider cascade prunes it with everything that reaches it — graph
+// work, no database query.
 func TestSubmitCostIndependentOfComponentSize(t *testing.T) {
 	cost := func(n int) int64 {
 		inst := newInstance()
@@ -83,8 +84,8 @@ func TestSubmitCostIndependentOfComponentSize(t *testing.T) {
 		return inst.QueriesIssued() - before
 	}
 	small, large := cost(8), cost(64)
-	if small != large || large > 2 {
-		t.Fatalf("database queries of the penultimate Submit: %d at n=8, %d at n=64; want equal and at most 2", small, large)
+	if small != 0 || large != 0 {
+		t.Fatalf("database queries of the penultimate Submit: %d at n=8, %d at n=64; want 0", small, large)
 	}
 }
 

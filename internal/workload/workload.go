@@ -259,8 +259,8 @@ func RandomFlightQueries(n, distinctPairs int, p float64, rng *rand.Rand) []cons
 // RandomSafeQueries builds a randomized safe entangled query set for
 // testing the SCC algorithm against the brute-force oracle: the
 // coordination structure is a random graph, and each body targets a
-// value that exists with probability pSat (missing values exercise the
-// pruning cascade).
+// value that exists with probability pSat (a missing value fails its
+// component's search, and every component that reaches it).
 func RandomSafeQueries(n, tableRows int, edgeP, pSat float64, rng *rand.Rand) []eq.Query {
 	g := netgen.ErdosRenyi(n, edgeP, rng)
 	qs := GraphQueries(g, tableRows)
