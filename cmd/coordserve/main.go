@@ -46,6 +46,7 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
+	"time"
 )
 
 // config is what the flags say; parseFlags fills it and run serves it.
@@ -56,6 +57,7 @@ type config struct {
 	clusterNode           string
 	clusterPeers          string
 	tenants               string
+	headerTimeout         time.Duration // no flag: tests shorten readHeaderTimeout; zero is the constant
 }
 
 // parseFlags reads the command line. Everything it refuses is a usage

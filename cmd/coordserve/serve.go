@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -17,6 +18,14 @@ import (
 	"entangled/internal/persist"
 	"entangled/internal/server"
 	"entangled/internal/workload"
+)
+
+// readHeaderTimeout bounds how long an HTTP connection may take to send
+// a request's headers, and idleTimeout how long it may sit between
+// requests, so a client that goes silent holds its goroutine no longer.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 // run boots the coordination service cfg describes and serves until ctx
@@ -121,7 +130,7 @@ func run(ctx context.Context, cfg config, stdout io.Writer) error {
 	// http.ErrServerClosed) or when the listener fails, which ends the
 	// service: one result each on errc.
 	errc := make(chan error, 2)
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: cmp.Or(cfg.headerTimeout, readHeaderTimeout), IdleTimeout: idleTimeout}
 	serving := 1
 	go func() { errc <- hs.Serve(hln) }()
 	fmt.Fprintf(stdout, "coordination service listening on %s (%s)\n", hln.Addr(), srv)

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"reflect"
@@ -195,5 +197,30 @@ func TestServeBindFailure(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("run touched the data directory before failing: %v", err)
+	}
+}
+
+// TestServeDropsHalfSentHeaders: an HTTP connection that sends part of
+// a request's headers and then nothing is closed once the header
+// deadline passes, and the run still drains cleanly.
+func TestServeDropsHalfSentHeaders(t *testing.T) {
+	const deadline = 100 * time.Millisecond
+	s, addrs := serve(t, config{listen: "127.0.0.1:0", rows: 8, shards: 1, workers: 1, fsync: "always", headerTimeout: deadline}, httpAddr)
+	defer s.drain(t)
+	c, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start := time.Now()
+	if _, err := io.WriteString(c, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if got, err := io.ReadAll(c); err != nil {
+		t.Fatalf("half-sent headers: read %q, %v; want the connection closed", got, err)
+	}
+	if waited := time.Since(start); waited < deadline {
+		t.Fatalf("closed after %v, before the %v deadline", waited, deadline)
 	}
 }

@@ -206,10 +206,11 @@ type ValueEvent struct {
 // preference counts, the relation a friend slot names — is reported
 // before the first database query is spent.
 //
-// A nil result reports no DBQueries, though finding that no set exists
-// spent the option-list and friend-list queries all the same (125 to
-// 134 on each of five of the benchmark's eight random sets); only the
-// instance's own counter sees them.
+// The call issues one database query per distinct (Coord, Own)
+// preference vector among qs and one per friend list of a query with
+// an option (a query and a relation its friend slots draw from), and no
+// other. A nil result reports no DBQueries though it spent those all
+// the same; only the instance's own counter sees them.
 func Coordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (*Result, error) {
 	if err := sch.Validate(inst); err != nil {
 		return nil, err
@@ -223,8 +224,8 @@ func Coordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (*Resul
 		return nil, err
 	}
 
-	// Steps 1 and 3: option lists V(q) — one database query per user —
-	// interned into the global options list V(Q).
+	// Steps 1 and 3: option lists V(q) — one database query per distinct
+	// preference vector — interned into the global options list V(Q).
 	if err := k.optionLists(); err != nil {
 		return nil, err
 	}
@@ -247,18 +248,15 @@ func Coordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (*Resul
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	win := cands[maxMembers(cands)]
+	best := maxMembers(cands)
+	win := cands[best]
 
-	// Step 5: ground each member to a concrete tuple key — one database
-	// query per member.
-	keys, err := k.ground(win)
-	if err != nil {
-		return nil, err
-	}
+	// Step 5: ground each member to a concrete tuple key, read off the
+	// rows step 1 yielded.
 	return &Result{
 		Value:      win.Value,
 		Members:    win.Members,
-		Keys:       keys,
+		Keys:       k.ground(k.keptValue[best], win.Members),
 		Candidates: cands,
 		DBQueries:  k.dbq,
 	}, nil

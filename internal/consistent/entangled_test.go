@@ -3,8 +3,10 @@
 package consistent_test
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"entangled/internal/consistent"
@@ -254,12 +256,99 @@ func TestWorstCaseWorkloadAllCoordinate(t *testing.T) {
 				t.Fatalf("missing key for member %d", i)
 			}
 		}
-		// DB queries: users option lists + users friend lists + users
-		// groundings — linear, as §6.2 claims.
-		if res.DBQueries != int64(3*users) {
-			t.Fatalf("users=%d: DBQueries=%d, want %d", users, res.DBQueries, 3*users)
+		// DB queries: one option list, as every preference is a wildcard,
+		// and users friend lists — linear, as §6.2 claims.
+		if res.DBQueries != int64(1+users) {
+			t.Fatalf("users=%d: DBQueries=%d, want %d", users, res.DBQueries, 1+users)
 		}
 	}
+}
+
+// TestCostIsDistinctQuestions holds §5's cost equation: a call issues
+// one database query per distinct (Coord, Own) preference vector and one
+// per friend list of a query with an option (a query and a relation its
+// friend slots draw from), and no other. Result.DBQueries and the
+// instance's own counter both read it, on random sets and on the
+// Figure-7/8 inputs, where 1 + n queries serve n alike wildcard users.
+func TestCostIsDistinctQuestions(t *testing.T) {
+	type input struct {
+		name string
+		qs   []consistent.Query
+		in   *db.Instance
+	}
+	var inputs []input
+	rng := rand.New(rand.NewSource(64))
+	for trial := 0; trial < 120; trial++ {
+		users := 2 + rng.Intn(20)
+		in := smallInstance(6+rng.Intn(30), 2+rng.Intn(3), users, 0.3+0.4*rng.Float64(), rng)
+		inputs = append(inputs, input{"random", workload.RandomFlightQueries(users, 3, 0.6*rng.Float64(), rng), in})
+	}
+	for _, rows := range []int{100, 400} { // Figure 7: 50 users, rows values
+		in := db.NewInstance()
+		workload.FlightsTable(in, rows, rows)
+		workload.CompleteFriends(in, 50)
+		inputs = append(inputs, input{"Figure 7", workload.FlightQueries(50), in})
+	}
+	for _, users := range []int{10, 25, 60} { // Figure 8: 100 flights
+		in := db.NewInstance()
+		workload.FlightsTable(in, 100, 100)
+		workload.CompleteFriends(in, users)
+		inputs = append(inputs, input{"Figure 8", workload.FlightQueries(users), in})
+	}
+	sch := workload.FlightSchema()
+	found, shared := 0, 0
+	for n, c := range inputs {
+		var trace consistent.Trace
+		before := c.in.QueriesIssued()
+		res, err := consistent.Coordinate(sch, c.qs, c.in, consistent.Options{Trace: &trace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		issued := c.in.QueriesIssued() - before
+		vectors := map[string]bool{}
+		var want int64
+		for i, q := range c.qs {
+			key := ""
+			for _, p := range append(slices.Clone(q.Coord), q.Own...) {
+				if p.Any {
+					key += "* "
+				} else {
+					key += strconv.Quote(string(p.Val)) + " "
+				}
+			}
+			vectors[key] = true
+			if trace.OptionCounts[i] == 0 {
+				continue
+			}
+			rels := map[string]bool{}
+			for _, p := range q.Partners {
+				if p.AnyFriend {
+					rels[cmp.Or(p.Rel, sch.Friends)] = true
+				}
+			}
+			want += int64(len(rels))
+		}
+		want += int64(len(vectors))
+		if c.name == "random" && len(vectors) < len(c.qs) {
+			shared++
+		}
+		if issued != want {
+			t.Fatalf("input %d (%s): the instance counted %d queries, want %d distinct vectors + friend lists", n, c.name, issued, want)
+		}
+		if res != nil {
+			found++
+			if res.DBQueries != want {
+				t.Fatalf("input %d (%s): DBQueries %d, want %d", n, c.name, res.DBQueries, want)
+			}
+		}
+		if c.name != "random" && want != int64(1+len(c.qs)) {
+			t.Fatalf("input %d (%s): %d queries for %d users, want 1 + n", n, c.name, want, len(c.qs))
+		}
+	}
+	if found < 40 || shared < 40 {
+		t.Fatalf("of %d inputs %d coordinated and %d random ones shared a vector: the generator under-draws", len(inputs), found, shared)
+	}
+	t.Logf("%d inputs, %d coordinated, %d random ones shared a vector", len(inputs), found, shared)
 }
 
 // TestCustomSelector: a caller's own criterion — prefer the candidate

@@ -1,7 +1,6 @@
 package consistent
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -42,11 +41,13 @@ type kernel struct {
 	// vals[v*w : (v+1)*w], w = len(sch.CoordCols), copied from the first
 	// row Project yielded it in.
 	vals    []eq.Value
-	hashes  []uint32 // value id -> its hash; len(hashes) is |V(Q)|
-	table   []int32  // open addressing: 1+value id, 0 empty; a power of two long
-	options spans    // query -> value ids of V(q)
-	members spans    // value id -> queries whose option list holds it
-	cur     int32    // the query whose friend list Project is yielding
+	values  set        // value ids; len(values.hashes) is |V(Q)|
+	options spans      // query -> value ids of V(q)
+	keys    []eq.Value // parallel to options.flat: the key of the row each option came from
+	prefs   set        // distinct (Coord, Own) preference vectors
+	first   []int32    // preference vector id -> the first query that has it
+	members spans      // value id -> queries whose option list holds it
+	cur     int32      // the query whose friend list Project is yielding
 
 	// Scratch of the value loop.
 	in, pending []bool  // query -> is a member; is yet to be (re)examined
@@ -113,6 +114,38 @@ func sized[T any](s []T, n int) []T {
 	return s
 }
 
+// set is an open-addressing hash set of ids 0, 1, 2, ..., in the order
+// added, of keys its caller holds. Slots hold 1+id, 0 empty, are a
+// power of two long and at most half full.
+type set struct {
+	slots  []int32
+	hashes []uint32 // id -> its key's hash
+}
+
+func (s *set) reset() { s.hashes = s.hashes[:0]; clear(s.slots) }
+
+// add returns the id of the key hashed to h that same accepts, adding
+// the next id when there is none, and whether it added.
+func (s *set) add(h uint32, same func(id int32) bool) (int32, bool) {
+	if 2*len(s.hashes)+2 > len(s.slots) { // grow, adding every id again in order
+		old := s.hashes
+		s.slots, s.hashes = make([]int32, max(64, 2*len(s.slots))), old[:0]
+		for _, h := range old {
+			s.add(h, nil)
+		}
+	}
+	mask := uint32(len(s.slots) - 1)
+	for at := (h ^ h>>16) & mask; ; at = (at + 1) & mask {
+		if e := s.slots[at]; e == 0 {
+			s.hashes = append(s.hashes, h)
+			s.slots[at] = int32(len(s.hashes))
+			return s.slots[at] - 1, true
+		} else if same != nil && s.hashes[e-1] == h && same(e-1) {
+			return e - 1, false
+		}
+	}
+}
+
 // load interns users, named partners and friend-slot relations into k,
 // checking everything about qs that can be checked without a database
 // query: preference counts against the schema, and that every relation
@@ -170,6 +203,7 @@ func (k *kernel) release() {
 	clear(k.where)
 	clear(k.rels)
 	clear(k.vals)
+	clear(k.keys)
 	k.sch, k.qs, k.inst = Schema{}, nil, nil
 	kernels.Put(k)
 }
@@ -209,74 +243,82 @@ func (k *kernel) fillWhere(i int) {
 	}
 }
 
-// optionLists computes V(q) for every query — one database query each —
-// as ids into V(Q), interning each answer row as Project yields it, and
-// from them each value's member list.
+// optionLists computes V(q) for every query as ids into V(Q), with the
+// key of the row each came from, and then each value's member list: one
+// database query per distinct (Coord, Own) vector, as V(q) depends on
+// nothing else; a query whose vector an earlier one had copies its list.
 func (k *kernel) optionLists() error {
 	k.options.reset()
-	k.vals, k.hashes = k.vals[:0], k.hashes[:0]
-	clear(k.table)
+	k.vals, k.keys, k.first = k.vals[:0], k.keys[:0], k.first[:0]
+	k.values.reset()
+	k.prefs.reset()
 	option := k.option // one method value for every query; Project does not keep it
 	for i := range k.qs {
-		k.fillWhere(i)
-		k.dbq++
-		if err := k.inst.Project(k.sch.Table, k.sch.CoordCols, k.where, option); err != nil {
-			return err
+		if j := k.sameAs(i); j >= 0 {
+			lo, hi := k.options.off[j], k.options.off[j+1]
+			k.options.flat = append(k.options.flat, k.options.flat[lo:hi]...)
+			k.keys = append(k.keys, k.keys[lo:hi]...)
+		} else {
+			k.fillWhere(i)
+			k.dbq++
+			if err := k.inst.Project(k.sch.Table, k.sch.CoordCols, k.where, option); err != nil {
+				return err
+			}
 		}
 		k.options.end()
 	}
-	k.options.invert(len(k.hashes), &k.members)
+	k.options.invert(len(k.values.hashes), &k.members)
 	return nil
 }
 
-// option appends the value of an answer row of V(q) to q's list.
-func (k *kernel) option(row db.Tuple) { k.options.flat = append(k.options.flat, k.intern(row)) }
-
-// intern returns the id in V(Q) of row's coordination columns, copying
-// them into k.vals when they are new. Values are told apart by
-// comparing them, never by a rendered key, so no byte a value may
-// contain can make two of them one.
-func (k *kernel) intern(row db.Tuple) int32 {
-	cols := k.sch.CoordCols
-	n := int32(len(k.hashes))
-	if 2*(int(n)+1) > len(k.table) {
-		k.table = make([]int32, max(64, 2*len(k.table)))
-		for id, h := range k.hashes {
-			at := h & uint32(len(k.table)-1)
-			for k.table[at] != 0 {
-				at = (at + 1) & uint32(len(k.table)-1)
-			}
-			k.table[at] = int32(id) + 1
+// sameAs returns the first query before i with i's preference vector,
+// or -1 when i is the first to have it.
+func (k *kernel) sameAs(i int) int32 {
+	q := &k.qs[i]
+	h := uint32(2166136261)
+	for _, prefs := range [2][]Pref{q.Coord, q.Own} { // their lengths are the schema's
+		for _, p := range prefs {
+			h = (h ^ db.Hash(p.String())) * 16777619 // a wildcard hashes as "*" does, and compares apart
 		}
 	}
+	id, added := k.prefs.add(h, func(id int32) bool {
+		r := &k.qs[k.first[id]]
+		return slices.Equal(q.Coord, r.Coord) && slices.Equal(q.Own, r.Own)
+	})
+	if added {
+		k.first = append(k.first, int32(i))
+		return -1
+	}
+	return k.first[id]
+}
+
+// option appends to q's list the id in V(Q) of an answer row's
+// coordination columns, and the row's key, copying the columns into
+// k.vals when they are new. Values are told apart by comparing them,
+// never by a rendered key, so no byte a value may contain can make two
+// of them one.
+func (k *kernel) option(row db.Tuple) {
+	cols := k.sch.CoordCols
 	h := uint32(2166136261)
 	for _, c := range cols {
 		h = (h ^ db.Hash(string(row[c]))) * 16777619
 	}
-	h ^= h >> 16
-	mask := uint32(len(k.table) - 1)
-probe:
-	for at := h & mask; ; at = (at + 1) & mask {
-		e := k.table[at]
-		if e == 0 {
-			k.table[at] = n + 1
-			for _, c := range cols {
-				k.vals = append(k.vals, row[c])
-			}
-			k.hashes = append(k.hashes, h)
-			return n
-		}
-		if k.hashes[e-1] != h {
-			continue
-		}
-		v := k.vals[int(e-1)*len(cols):]
+	id, added := k.values.add(h, func(id int32) bool {
+		v := k.vals[int(id)*len(cols):]
 		for j, c := range cols {
 			if v[j] != row[c] {
-				continue probe
+				return false
 			}
 		}
-		return e - 1
+		return true
+	})
+	if added {
+		for _, c := range cols {
+			k.vals = append(k.vals, row[c])
+		}
 	}
+	k.options.flat = append(k.options.flat, id)
+	k.keys = append(k.keys, row[k.sch.KeyCol])
 }
 
 // alive reports whether query i has an option: the nodes of the pruned
@@ -284,8 +326,8 @@ probe:
 func (k *kernel) alive(i int32) bool { return k.options.off[i+1] > k.options.off[i] }
 
 // friendLists resolves every friend slot of every alive query to its
-// friend list — one database query per query and relation — and builds
-// the reverse lists the cleaning phase requeues from.
+// friend list — one database query per alive query and relation — and
+// builds the reverse lists the cleaning phase requeues from.
 func (k *kernel) friendLists() error {
 	k.friends.reset()
 	friendCol := []int{1}
@@ -342,10 +384,10 @@ func (k *kernel) candidates(trace *Trace) []Candidate {
 	k.gen, k.epoch, k.keptValue = 0, 0, k.keptValue[:0]
 	k.kept.reset()
 	if trace != nil {
-		trace.Values = make([]ValueEvent, 0, len(k.hashes))
+		trace.Values = make([]ValueEvent, 0, len(k.values.hashes))
 	}
 	w := len(k.sch.CoordCols)
-	for v := range k.hashes {
+	for v := range len(k.values.hashes) {
 		initial := k.members.at(int32(v))
 		k.clean(initial)
 		start := len(k.kept.flat)
@@ -521,24 +563,14 @@ func (k *kernel) augment(slots []int32, s int32) bool {
 	return false
 }
 
-// ground selects one tuple of S per member of win — one database query
-// each — and returns the members' keys.
-func (k *kernel) ground(win Candidate) (map[int]eq.Value, error) {
-	keys := make(map[int]eq.Value, len(win.Members))
-	for _, i := range win.Members {
-		k.fillWhere(i)
-		for j, c := range k.sch.CoordCols {
-			k.where[c] = win.Value[j]
-		}
-		k.dbq++
-		t, ok, err := k.inst.SelectOne(k.sch.Table, k.where)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("consistent: internal error: member %d lost its tuple for value %v", i, win.Value)
-		}
-		keys[i] = t[k.sch.KeyCol]
+// ground returns the keys of value v's members with no database query:
+// each is the key optionLists recorded beside the member's option v,
+// from the first row in row order with the member's preferences and v,
+// as Project yields the first row of each distinct projection.
+func (k *kernel) ground(v int32, members []int) map[int]eq.Value {
+	keys := make(map[int]eq.Value, len(members))
+	for _, i := range members {
+		keys[i] = k.keys[int(k.options.off[i])+slices.Index(k.options.at(int32(i)), v)]
 	}
-	return keys, nil
+	return keys
 }

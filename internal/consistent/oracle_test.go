@@ -2,6 +2,8 @@ package consistent
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"entangled/internal/db"
@@ -11,9 +13,10 @@ import (
 // oracleCoordinate is the reference the kernel is compared against: the
 // algorithm as §5 states it, on maps and fresh slices, values told apart
 // by comparing tuples pairwise, and a cleaning phase that re-sweeps
-// every member until a full pass removes nobody. It issues the same
-// database queries in the same order as Coordinate, and counts them on
-// the instance's own counter, so it must run alone on its instance.
+// every member until a full pass removes nobody. It asks for an option
+// list per query and grounds by scanning the data relation, and bills
+// what §5 needs asked: one query per distinct where clause of step 1,
+// told apart pairwise, and one per friend list it reads.
 func oracleCoordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (*Result, error) {
 	if err := sch.Validate(inst); err != nil {
 		return nil, err
@@ -21,14 +24,19 @@ func oracleCoordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (
 	if len(qs) == 0 {
 		return nil, nil
 	}
-	start := inst.QueriesIssued()
+	var dbq int64
 
-	// Step 1: option lists V(q) — one database query per user.
+	// Step 1: option lists V(q), billed once per distinct where clause.
 	options := make([][]db.Tuple, len(qs))
+	var wheres []map[int]eq.Value
 	for i, q := range qs {
 		where, err := oracleWhere(sch, q)
 		if err != nil {
 			return nil, err
+		}
+		if !slices.ContainsFunc(wheres, func(w map[int]eq.Value) bool { return maps.Equal(w, where) }) {
+			wheres = append(wheres, where)
+			dbq++
 		}
 		if options[i], err = projected(inst, sch.Table, sch.CoordCols, where); err != nil {
 			return nil, err
@@ -68,6 +76,7 @@ func oracleCoordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (
 			if err != nil {
 				return nil, err
 			}
+			dbq++
 			list := []int{}
 			for _, row := range rows {
 				for _, j := range userIdx[row[0]] {
@@ -118,7 +127,9 @@ func oracleCoordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (
 	}
 	win := cands[maxMembers(cands)]
 
-	// Step 5: ground each member — one database query per member.
+	// Step 5: ground each member to the first row, in row order, that
+	// matches its where clause and the winning value.
+	s, _ := inst.Relation(sch.Table)
 	keys := map[int]eq.Value{}
 	for _, i := range win.Members {
 		where, err := oracleWhere(sch, qs[i])
@@ -128,21 +139,27 @@ func oracleCoordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (
 		for j, c := range sch.CoordCols {
 			where[c] = win.Value[j]
 		}
-		t, ok, err := inst.SelectOne(sch.Table, where)
-		if err != nil {
-			return nil, err
+	rows:
+		for r := 0; r < s.Len(); r++ {
+			t := s.Tuple(r)
+			for c, v := range where {
+				if t[c] != v {
+					continue rows
+				}
+			}
+			keys[i] = t[sch.KeyCol]
+			break
 		}
-		if !ok {
-			return nil, fmt.Errorf("consistent: internal error: member %d lost its tuple for value %v", i, win.Value)
+		if _, ok := keys[i]; !ok {
+			return nil, fmt.Errorf("consistent: oracle: member %d has no tuple for value %v", i, win.Value)
 		}
-		keys[i] = t[sch.KeyCol]
 	}
 	return &Result{
 		Value:      win.Value,
 		Members:    win.Members,
 		Keys:       keys,
 		Candidates: cands,
-		DBQueries:  inst.QueriesIssued() - start,
+		DBQueries:  dbq,
 	}, nil
 }
 

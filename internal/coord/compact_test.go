@@ -292,3 +292,51 @@ func TestCompactAfterFailedRefresh(t *testing.T) {
 	}
 	checkIncrementalMatchesBatch(t, inc, store, DeltaStats{})
 }
+
+// failingFrom fails every SolveUnder from its from-th call on.
+type failingFrom struct {
+	db.Store
+	calls, from int
+}
+
+func (s *failingFrom) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, bool, error) {
+	if s.calls++; s.calls >= s.from {
+		return db.Binding{}, false, errDown
+	}
+	return s.Store.SolveUnder(body, sub)
+}
+
+// TestFailedPassPublishesNoTeam: a pass that stops on a store error
+// leaves no candidates, so Result and TeamSize report no team until a
+// pass completes. The candidates grounded before the error are a part
+// of the family, and the largest of them is not the team the store
+// holds: here one query of a 4-query chain.
+func TestFailedPassPublishesNoTeam(t *testing.T) {
+	store := &failingFrom{Store: chainStore(2), from: 1 << 30}
+	inc := NewIncremental(store)
+	for c := 0; c < 2; c++ {
+		for i := 0; i < 4; i++ {
+			if _, _, err := inc.Add(chainQuery(c, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := inc.TeamSize(); n != 4 {
+		t.Fatalf("before the outage: team of %d, want 4", n)
+	}
+	store.calls, store.from = 0, 3
+	if _, err := inc.Refresh(); !errors.Is(err, errDown) {
+		t.Fatalf("refresh failing at its third search: %v", err)
+	}
+	if res, err := inc.Result(); res != nil || err != nil || inc.TeamSize() != 0 {
+		t.Fatalf("after a failed pass: result %+v, %v, team of %d; want none", res, err, inc.TeamSize())
+	}
+	store.from = 1 << 30
+	if _, err := inc.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if n := inc.TeamSize(); n != 4 {
+		t.Fatalf("once the store is back: team of %d, want 4", n)
+	}
+	checkIncrementalMatchesBatch(t, inc, store, DeltaStats{})
+}

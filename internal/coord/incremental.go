@@ -226,7 +226,8 @@ func (inc *Incremental) Remove(slot int) (DeltaStats, error) {
 }
 
 // Result returns the largest coordinating set of the current candidate
-// family (choose), or nil when nothing grounds. Asking costs no
+// family (choose), or nil when nothing grounds or the last pass stopped
+// on an error. Asking costs no
 // database queries — the winner's MGU is recomputed, its binding is
 // cached — and Result.DBQueries reports the marginal cost of the event
 // that produced this state, the streaming analogue of the paper's
@@ -393,7 +394,7 @@ func (inc *Incremental) records() bool { return inc.cache != nil || inc.opts.Tra
 // index-for-index a fresh load's over the live queries in slot order:
 // same Tarjan numbering, same topological order, same candidate order,
 // same tie-breaks. Every query the pass issues is billed to d, whether
-// or not the pass completes.
+// or not the pass completes; a pass that does not leaves no candidates.
 func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
 	defer func() { d.DBQueries = m.QueriesIssued() }()
 	s := &inc.scr
@@ -452,6 +453,7 @@ func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
 			ev.status = "successor failed"
 		default:
 			if ev.status, ev.out, err = inc.settle(c, members, m, &d); err != nil {
+				inc.cands = inc.cands[:0] // a part of the family is no team; a load's frames go to the collector
 				return d, err
 			}
 		}

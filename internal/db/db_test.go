@@ -234,21 +234,6 @@ func TestProject(t *testing.T) {
 	}
 }
 
-func TestSelectOne(t *testing.T) {
-	in := flightsInstance()
-	tp, ok, err := in.SelectOne("Flights", map[int]eq.Value{1: "Paris"})
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if tp[0] != "102" {
-		t.Fatalf("tuple = %v", tp)
-	}
-	_, ok, err = in.SelectOne("Flights", map[int]eq.Value{1: "Oslo"})
-	if err != nil || ok {
-		t.Fatal("no Oslo flight")
-	}
-}
-
 func TestInsertArityPanics(t *testing.T) {
 	in := NewInstance()
 	r := in.CreateRelation("R", "a", "b")
@@ -401,8 +386,8 @@ func sameBindingSet(a, b []map[string]eq.Value) bool {
 }
 
 // TestIndexedTwinSameAnswers holds every index walk to the scan it
-// stands in for: SolveAll, Project and SelectOne give the same answers
-// in the same order on twins holding the same rows, BuildIndex called
+// stands in for: SolveAll and Project (with columns, and with none: the
+// first matching row) give the same answers in the same order on twins holding the same rows, BuildIndex called
 // on one twin only. The indexed values repeat heavily and rows arrive
 // after BuildIndex, on a plain and on a sharded instance.
 func TestIndexedTwinSameAnswers(t *testing.T) {
@@ -460,11 +445,11 @@ func TestIndexedTwinSameAnswers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				one, ok, err := x.SelectOne("R", where)
+				one, err := projectRows(x, "R", nil, where)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got = append(got, p, one, ok)
+				got = append(got, p, one)
 			}
 		}
 		return got
@@ -480,7 +465,7 @@ func TestIndexedTwinSameAnswers(t *testing.T) {
 	}
 }
 
-// TestViewsStayPut: a Tuple from Relation.Tuple, SelectOne or Tuples
+// TestViewsStayPut: a Tuple from Relation.Tuple, Project or Tuples
 // keeps its values while later inserts grow the relation, and an
 // append to one never writes into the relation.
 func TestViewsStayPut(t *testing.T) {
@@ -494,11 +479,11 @@ func TestViewsStayPut(t *testing.T) {
 	if err := r.Tuples(func(t Tuple) error { all = append(all, t); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	sel, ok, err := in.SelectOne("R", map[int]eq.Value{1: "x"})
-	if err != nil || !ok {
-		t.Fatalf("select: %v %v", ok, err)
+	sel, err := projectRows(in, "R", nil, map[int]eq.Value{1: "x"})
+	if err != nil || len(sel) != 1 {
+		t.Fatalf("select: %v %v", sel, err)
 	}
-	views := []Tuple{r.Tuple(0), r.Tuple(1), sel, all[0], all[1], all[2]}
+	views := []Tuple{r.Tuple(0), r.Tuple(1), sel[0], all[0], all[1], all[2]}
 	want := []Tuple{{"a", "x"}, {"b", "y"}, {"a", "x"}, {"a", "x"}, {"b", "y"}, {"c", "x"}}
 	check := func(when string) {
 		t.Helper()

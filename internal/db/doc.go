@@ -27,11 +27,11 @@
 //
 // # Storage
 //
-// A Relation is one slab of values, and Tuple, SelectOne and Tuples
-// hand out capped views of it that keep their values (see Relation). A
-// hash index is a table of int32 row numbers with one link per row,
-// walked in row order — the order a scan meets the same rows — so no
-// answer depends on whether an index was used.
+// A Relation is one slab of values, and Tuple and Tuples hand out
+// capped views of it that keep their values (see Relation). A hash
+// index is a table of int32 row numbers with one link per row, walked
+// in row order — the order a scan meets the same rows — so no answer
+// depends on whether an index was used.
 //
 // # Sharding contract
 //
@@ -79,25 +79,25 @@
 //
 // # Metering contract
 //
-// Each of Solve, SolveAll, Satisfiable, SolveUnder, Project and
-// SelectOne counts as exactly one conjunctive query; Contains and
-// Domain are free (verifier primitives). A plan execution is one query
+// Each of Solve, SolveAll, Satisfiable, SolveUnder and Project counts
+// as exactly one conjunctive query; Contains and Domain are free
+// (verifier primitives). A plan execution is one query
 // however many parts it probes. Instance and ShardedInstance
 // count into a shared aggregate (QueriesIssued), which concurrent
 // requests pollute for one another. Meter wraps any Store with a
 // private counter so a single request's cost is exact under concurrent
 // serving: the coordination algorithms wrap their store in a fresh
-// Meter per run and report its QueriesIssued as Result.DBQueries. Project and
-// SelectOne are Instance methods outside the Store interface; their one
+// Meter per run and report its QueriesIssued as Result.DBQueries.
+// Project is an Instance method outside the Store interface; its one
 // caller, the Consistent Coordination Algorithm, counts the calls it
 // makes.
 //
-// # Project and SelectOne
+// # Project
 //
 // Project yields, allocating nothing, the full row where each distinct
 // projection of the matching rows first occurs, in row order whether or
 // not an index narrowed the scan: a capped, stable view, yielded under
 // the relation's read lock, so yield must not call into the instance.
-// SelectOne returns the first matching row. A column outside the arity,
-// in cols or where, is an error, never a panic, and yields nothing.
+// A column outside the arity, in cols or where, is an error, never a
+// panic, and yields nothing.
 package db

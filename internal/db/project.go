@@ -15,83 +15,34 @@ import (
 // the relation's read lock and must not call into the instance. A
 // column of cols or where outside the arity is an error, and nothing is
 // yielded. It counts as one database query; the Consistent Coordination
-// Algorithm uses it for the option lists V(q) and friend lists.
+// Algorithm uses it for the option lists V(q), with the keys of their
+// rows, and the friend lists.
 func (in *Instance) Project(rel string, cols []int, where map[int]eq.Value, yield func(row Tuple)) error {
 	in.countQuery()
-	var buf [4]cond
-	r, conds, err := in.relConds(rel, cols, where, buf[:0])
-	if err != nil {
-		return err
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	project(cols, in.scanOf(r, conds), yield)
-	return nil
-}
-
-// SelectOne returns the first row of rel matching where, as a full tuple
-// (a view of the relation's storage: do not write through it). A where
-// column outside the relation's arity is an error. It counts as one
-// database query.
-func (in *Instance) SelectOne(rel string, where map[int]eq.Value) (Tuple, bool, error) {
-	in.countQuery()
-	var buf [4]cond
-	r, conds, err := in.relConds(rel, nil, where, buf[:0])
-	if err != nil {
-		return nil, false, err
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s := in.scanOf(r, conds)
-	if row := s.next(); row >= 0 {
-		return r.tuple(row), true, nil
-	}
-	return nil, false, nil
-}
-
-// cond is one (column = constant) condition of a where clause.
-type cond struct {
-	col int
-	val eq.Value
-}
-
-// relConds looks rel up, rejects a column of cols or where outside its
-// arity, and flattens where into conds, ordered by column — so the map
-// is ranged once per call and not once per row.
-func (in *Instance) relConds(rel string, cols []int, where map[int]eq.Value, conds []cond) (*Relation, []cond, error) {
 	r, ok := in.Relation(rel)
 	if !ok {
-		return nil, nil, fmt.Errorf("db: unknown relation %s", rel)
+		return fmt.Errorf("db: unknown relation %s", rel)
 	}
 	for _, c := range cols {
 		if c < 0 || c >= r.Arity() {
-			return nil, nil, fmt.Errorf("db: column %d out of range for %s", c, rel)
+			return fmt.Errorf("db: column %d out of range for %s", c, rel)
 		}
 	}
+	// where flattened, ordered by column, so the map is ranged once per
+	// call and not once per row.
+	var buf [4]cond
+	conds := buf[:0]
 	for c, v := range where {
 		if c < 0 || c >= r.Arity() {
-			return nil, nil, fmt.Errorf("db: column %d out of range for %s", c, rel)
+			return fmt.Errorf("db: column %d out of range for %s", c, rel)
 		}
 		conds = append(conds, cond{c, v})
 		for i := len(conds) - 1; i > 0 && conds[i].col < conds[i-1].col; i-- {
 			conds[i], conds[i-1] = conds[i-1], conds[i]
 		}
 	}
-	return r, conds, nil
-}
-
-// scan walks the rows of one relation that satisfy a where clause, in
-// row order: the bucket of a hash index on one of the where columns
-// when there is one, every row otherwise — no candidate row list is
-// materialised. The caller holds the relation's read lock.
-type scan struct {
-	r         *Relation
-	conds     []cond
-	idx       *index // the index whose bucket is walked; nil means walk every row
-	row, last int    // the next row to walk (-1 when done) and the final one
-}
-
-func (in *Instance) scanOf(r *Relation, conds []cond) scan {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	s := scan{r: r, conds: conds, row: min(0, r.rows-1), last: r.rows - 1}
 	for _, c := range conds {
 		if idx, has := r.indexes[c.col]; has {
@@ -100,7 +51,26 @@ func (in *Instance) scanOf(r *Relation, conds []cond) scan {
 			break
 		}
 	}
-	return s
+	project(cols, s, yield)
+	return nil
+}
+
+// cond is one (column = constant) condition of a where clause.
+type cond struct {
+	col int
+	val eq.Value
+}
+
+// scan walks the rows of one relation that satisfy a where clause, in
+// row order: the bucket of a hash index on one of the where columns
+// when there is one (Project picks it), every row otherwise — no
+// candidate row list is materialised. The caller holds the relation's
+// read lock.
+type scan struct {
+	r         *Relation
+	conds     []cond
+	idx       *index // the index whose bucket is walked; nil means walk every row
+	row, last int    // the next row to walk (-1 when done) and the final one
 }
 
 // next returns the next matching row number, or -1 when none is left.

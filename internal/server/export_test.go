@@ -52,3 +52,7 @@ func WithProbeInterval(o Options, d time.Duration) Options {
 // SetWriteTimeout shortens the deadline of each frame write to a binary
 // connection; call it before serving.
 func (s *Server) SetWriteTimeout(d time.Duration) { s.writeTimeout = d }
+
+// SetHandshakeTimeout shortens how long a new binary connection may take
+// to send the magic; call it before serving.
+func (s *Server) SetHandshakeTimeout(d time.Duration) { s.handshakeTimeout = d }

@@ -110,7 +110,8 @@ type Server struct {
 	wireLs    map[net.Listener]struct{}
 	wireConns map[*wireConn]struct{}
 
-	writeTimeout time.Duration // writeTimeout, unless a test shortens it before serving
+	writeTimeout     time.Duration // writeTimeout, unless a test shortens it before serving
+	handshakeTimeout time.Duration // handshakeTimeout, likewise
 }
 
 // New builds a server over the engine. The server owns the batch
@@ -134,7 +135,7 @@ func New(e *engine.Engine, opts Options) (*Server, error) {
 		wireLs:    make(map[net.Listener]struct{}),
 		wireConns: make(map[*wireConn]struct{}),
 	}
-	s.writeTimeout = writeTimeout
+	s.writeTimeout, s.handshakeTimeout = writeTimeout, handshakeTimeout
 	s.adm = opts.Admission
 	// Tenant weights exist only when admission is on: an unconfigured
 	// server runs one anonymous queue with weight 1, a plain FIFO.

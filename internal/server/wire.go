@@ -25,6 +25,12 @@ const maxPendingPush = 1024
 // connection closes and the push falls back to the hub's backlog.
 const writeTimeout = 5 * time.Second
 
+// handshakeTimeout bounds how long a new binary connection may take to
+// send the protocol's magic, so a client that connects and says nothing
+// holds its goroutine no longer. The magic clears the deadline: an
+// established connection may sit idle.
+const handshakeTimeout = 10 * time.Second
+
 // maxInflight bounds the requests one binary connection may have
 // unanswered. At the bound the read loop stops reading, so a client that
 // pipelines without reading its replies stalls its own connection
@@ -281,9 +287,11 @@ func (s *Server) serveWireConn(c net.Conn) {
 
 	br := bufio.NewReaderSize(c, 64<<10)
 	var magic [len(wire.Magic)]byte
+	c.SetReadDeadline(time.Now().Add(s.handshakeTimeout))
 	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != wire.Magic {
 		return
 	}
+	c.SetReadDeadline(time.Time{})
 	var buf []byte
 	for {
 		payload, err := wire.ReadFrame(br, buf)

@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"net"
 	"net/http/httptest"
+	"os"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -737,5 +739,68 @@ func TestWirePushBacklogFlush(t *testing.T) {
 	case n := <-got:
 		t.Fatalf("buffered push duplicated: %+v", n)
 	case <-time.After(150 * time.Millisecond):
+	}
+}
+
+// TestSilentBinaryClientIsDropped: a connection that sends nothing, or
+// part of the magic, is closed once the handshake deadline passes, and
+// the goroutine serving it exits. One that sends the magic keeps its
+// connection past the deadline.
+func TestSilentBinaryClientIsDropped(t *testing.T) {
+	srv, err := server.New(engine.New(workload.NewStore(1, 8, 0), engine.Options{}), server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deadline = 100 * time.Millisecond
+	srv.SetHandshakeTimeout(deadline)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeWire(ln)
+	t.Cleanup(srv.Close)
+	dial := func(hello string) net.Conn {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if _, err := c.Write([]byte(hello)); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	serving := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*Server).serveWireConn(")
+	}
+	before := serving() // what earlier tests left, on their way out
+	start := time.Now()
+	silent, partial, greeted := dial(""), dial(wire.Magic[:2]), dial(wire.Magic)
+	for _, c := range []net.Conn{silent, partial} {
+		c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if n, err := c.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("a connection without the magic read %d bytes, %v; want it closed", n, err)
+		}
+	}
+	if waited := time.Since(start); waited < deadline {
+		t.Fatalf("closed after %v, before the %v deadline", waited, deadline)
+	}
+	for n := serving(); n > before+1; n = serving() {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("%d connections served, %d before the three dials; want the greeted one alone added", n, before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(deadline)
+	w := bufio.NewWriter(greeted)
+	var e wire.Enc
+	wire.PutHeader(&e, wire.Header{Kind: wire.KindHealth, ID: 1})
+	if err := wire.WriteFrame(w, e.Bytes()); err != nil || w.Flush() != nil {
+		t.Fatal(err)
+	}
+	greeted.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := wire.ReadFrame(bufio.NewReader(greeted), nil); err != nil {
+		t.Fatalf("the greeted connection, past the deadline: %v", err)
 	}
 }
