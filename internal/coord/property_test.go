@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
@@ -34,53 +33,6 @@ func stranded(qs []eq.Query, in *db.Instance) []eq.Query {
 		}
 	}
 	return out
-}
-
-// Property: on random safe query sets, the SCC algorithm finds a
-// coordinating set exactly when one exists (the paper's guarantee),
-// never exceeds the brute-force maximum, and every returned set passes
-// the Definition-1 verifier.
-func TestQuickSCCMatchesBruteForceExistence(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	f := func() bool {
-		n := 1 + rng.Intn(7)
-		qs := workload.RandomSafeQueries(n, 5, 0.3, 0.7, rng)
-		if !IsSafe(qs) {
-			return false // generator must produce safe sets
-		}
-		in := newWorkloadInstance(5)
-		res, err := SCCCoordinate(qs, in, Options{})
-		if err != nil {
-			return false
-		}
-		bf, err := BruteForceMax(qs, in)
-		if err != nil {
-			return false
-		}
-		if (res != nil) != (bf != nil) {
-			t.Logf("existence mismatch: scc=%v brute=%v", res, bf)
-			return false
-		}
-		if res == nil {
-			return true
-		}
-		if res.Size() > bf.Size() {
-			t.Logf("scc set larger than optimum: %d > %d", res.Size(), bf.Size())
-			return false
-		}
-		if err := Verify(qs, res.Set, res.Values, in); err != nil {
-			t.Logf("scc result fails verification: %v", err)
-			return false
-		}
-		if err := Verify(qs, bf.Set, bf.Values, in); err != nil {
-			t.Logf("brute-force result fails verification: %v", err)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // Property: on safe AND unique sets, the Gupta baseline and the SCC

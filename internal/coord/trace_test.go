@@ -112,24 +112,6 @@ func TestTraceRender(t *testing.T) {
 	}
 }
 
-func TestTracedRunMatchesPlain(t *testing.T) {
-	qs, in := flightHotel()
-	plain, err := SCCCoordinate(qs, in, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, err := SCCCoordinate(qs, in, Options{Trace: &Trace{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, traced) {
-		t.Fatalf("trace must not change the result: %v vs %v", plain, traced)
-	}
-	if err := Verify(qs, traced.Set, traced.Values, in); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFailedRunLeavesTraceEmpty: a traced run that the store fails adds
 // nothing to the caller's trace — not even the prune events of the
 // cascade that ran before a grounding failed, which the reference walk

@@ -3,10 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
-	"entangled/internal/coord"
 	"entangled/internal/db"
 	"entangled/internal/eq"
 	"entangled/internal/workload"
@@ -63,82 +61,6 @@ func TestCoordinateManyExactMetering(t *testing.T) {
 				t.Fatalf("aggregate %d, want %d requests x %d", got, n, want)
 			}
 		})
-	}
-}
-
-// TestCoordinateManyRoutedMatchesUnrouted checks that a routable
-// request batch (every body pins the same shard) returns exactly the
-// same sets and counts through the sharded fast path as through a
-// plain instance.
-func TestCoordinateManyRoutedMatchesUnrouted(t *testing.T) {
-	inst, sh := exactMeteringStores()
-	// rows=1 makes every body T(x, c0): all requests pin c0's shard.
-	mkReqs := func() []Request {
-		reqs := make([]Request, 16)
-		for i := range reqs {
-			reqs[i] = Request{ID: fmt.Sprintf("r%d", i), Queries: workload.ListQueries(5+i%10, 1)}
-		}
-		return reqs
-	}
-	if _, ok := sh.Route(mkReqs()[0].Queries); !ok {
-		t.Fatal("test workload should be single-shard routable")
-	}
-	plainE := New(inst, Options{Workers: 4})
-	shardE := New(sh, Options{Workers: 4})
-	want := plainE.CoordinateMany(context.Background(), mkReqs())
-	got := shardE.CoordinateMany(context.Background(), mkReqs())
-	for i := range want {
-		if want[i].Err != nil || got[i].Err != nil {
-			t.Fatalf("request %d: errs %v / %v", i, want[i].Err, got[i].Err)
-		}
-		if !reflect.DeepEqual(want[i].Result.Set, got[i].Result.Set) {
-			t.Fatalf("request %d: sets differ: %v vs %v", i, want[i].Result.Set, got[i].Result.Set)
-		}
-		if want[i].Result.DBQueries != got[i].Result.DBQueries {
-			t.Fatalf("request %d: DBQueries %d vs %d", i, want[i].Result.DBQueries, got[i].Result.DBQueries)
-		}
-		if err := coord.Verify(mkReqs()[i].Queries, got[i].Result.Set, got[i].Result.Values, sh); err != nil {
-			t.Fatalf("request %d: routed witness fails verification: %v", i, err)
-		}
-	}
-}
-
-// TestCoordinateManyShardedMixedRoutability mixes routable and
-// non-routable requests in one batch over a sharded store; every
-// response must still be correct and exactly metered.
-func TestCoordinateManyShardedMixedRoutability(t *testing.T) {
-	_, sh := exactMeteringStores()
-	e := New(sh, Options{Workers: 8})
-	reqs := make([]Request, 24)
-	for i := range reqs {
-		if i%2 == 0 {
-			reqs[i] = Request{ID: fmt.Sprintf("routable%d", i), Queries: workload.ListQueries(8, 1)}
-		} else {
-			reqs[i] = Request{ID: fmt.Sprintf("scatter%d", i), Queries: workload.ListQueries(8, testRows)}
-		}
-	}
-	solo := map[bool]int64{}
-	for _, routable := range []bool{true, false} {
-		rows := testRows
-		if routable {
-			rows = 1
-		}
-		res, err := coord.SCCCoordinate(workload.ListQueries(8, rows), sh, coord.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		solo[routable] = res.DBQueries
-	}
-	for i, resp := range e.CoordinateMany(context.Background(), reqs) {
-		if resp.Err != nil {
-			t.Fatalf("request %d: %v", i, resp.Err)
-		}
-		if resp.Result.Size() != 8 {
-			t.Fatalf("request %d: set size %d, want 8", i, resp.Result.Size())
-		}
-		if want := solo[i%2 == 0]; resp.Result.DBQueries != want {
-			t.Fatalf("request %d: DBQueries %d, want %d", i, resp.Result.DBQueries, want)
-		}
 	}
 }
 

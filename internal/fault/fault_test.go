@@ -285,3 +285,45 @@ func TestWholeFileWriteAndTruncate(t *testing.T) {
 		check("Truncate", tc.fsys.Truncate(path, 3), "wri")
 	}
 }
+
+// TestEveryFSMethod drives each FS and File method through OS, through
+// an injector with no rule, and through an armed rule: the first two
+// reach the file system, and the rule fails the method with an error
+// wrapping both ErrInjected and its own.
+func TestEveryFSMethod(t *testing.T) {
+	boom := errors.New("boom")
+	onFile := func(use func(File) error) func(FS, string) error {
+		return func(fsys FS, path string) error {
+			f, err := fsys.OpenFile(path, os.O_RDWR, 0)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			return use(f)
+		}
+	}
+	for _, tc := range []struct {
+		op   Op
+		name string
+		run  func(fsys FS, path string) error
+	}{
+		{OpRemove, "Remove", func(fsys FS, path string) error { return fsys.Remove(path) }},
+		{OpMkdir, "MkdirAll", func(fsys FS, path string) error { return fsys.MkdirAll(path+".d/e", 0o755) }},
+		{OpReadDir, "ReadDir", func(fsys FS, path string) error { _, err := fsys.ReadDir(filepath.Dir(path)); return err }},
+		{OpRead, "ReadFile", func(fsys FS, path string) error { _, err := fsys.ReadFile(path); return err }},
+		{OpSyncDir, "SyncDir", func(fsys FS, path string) error { return fsys.SyncDir(filepath.Dir(path)) }},
+		{OpRead, "File.Read", onFile(func(f File) error { _, err := f.Read(make([]byte, 4)); return err })},
+		{OpTruncate, "File.Truncate", onFile(func(f File) error { return f.Truncate(1) })},
+	} {
+		for i, fsys := range []FS{OS, NewFS(OS, NewInjector(1)), NewFS(OS, NewInjector(1, Rule{Op: tc.op, Fault: Fault{Err: boom}}))} {
+			armed := i == 2
+			path := filepath.Join(t.TempDir(), "f")
+			if err := os.WriteFile(path, []byte("data"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.run(fsys, path); armed != (err != nil) || armed && !(errors.Is(err, ErrInjected) && errors.Is(err, boom)) {
+				t.Errorf("%s (rule armed %v): %v", tc.name, armed, err)
+			}
+		}
+	}
+}

@@ -3,12 +3,9 @@ package server_test
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -184,124 +181,6 @@ func (lc *loopCluster) valueIdxOwnedBy(t testing.TB, node string) int {
 	}
 	t.Fatalf("no table value owned by %s among %d rows", node, lc.rows)
 	return 0
-}
-
-// TestClusterMatchesSingleNode is the distribution property test: the
-// same workload driven through a 3-node cluster and through one
-// standalone node must produce identical results — deep-equal batch
-// responses with exactly equal DBQueries, and byte-identical session
-// status DTOs — for plain and sharded stores alike. Every routing path
-// is driven: batches go to a binary client at n1 and an HTTP client at
-// n2 (each node scatter-gathers what it received, and both sums of
-// DBQueries equal the single node's); the session streams run on n1
-// over binary, once served locally on the owner and once forwarded,
-// and once forwarded over HTTP (re-rendering wire DTOs as JSON).
-func TestClusterMatchesSingleNode(t *testing.T) {
-	const rows = 32
-	for _, shards := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			lc := newLoopCluster(t, 3, shards, rows, server.Options{})
-			_, single, _ := newDualLoopback(t, workload.NewStore(shards, rows, 0), server.Options{})
-			direct := lc.binTo(t, 0)
-			edge := lc.httpTo(t, 1)
-			ctx := context.Background()
-
-			// Randomized batches mixing single-owner requests (pinned to
-			// one table value) with unroutable multi-value requests (served
-			// locally against the full replica).
-			rng := rand.New(rand.NewSource(42))
-			for round := 0; round < 5; round++ {
-				n := 1 + rng.Intn(12)
-				reqs := make([]client.Request, n)
-				for i := range reqs {
-					id := fmt.Sprintf("r%d.%d", round, i)
-					if rng.Intn(4) == 0 {
-						reqs[i] = client.Request{ID: id, Queries: workload.ListQueries(2+rng.Intn(6), rows)}
-					} else {
-						reqs[i] = client.Request{ID: id, Queries: workload.ListQueriesAt(2+rng.Intn(8), rng.Intn(rows))}
-					}
-				}
-				sr, serr := single.CoordinateBatch(ctx, reqs)
-				dr, derr := direct.CoordinateBatch(ctx, reqs)
-				hr, herr := edge.CoordinateBatch(ctx, reqs)
-				if serr != nil || derr != nil || herr != nil {
-					t.Fatalf("round %d: single %v, direct %v, http %v", round, serr, derr, herr)
-				}
-				sameResponses(t, fmt.Sprintf("round %d binary-n1", round), dr, sr)
-				sameResponses(t, fmt.Sprintf("round %d http-n2", round), hr, sr)
-				var ssum, dsum, hsum int64
-				for i := range sr {
-					if sr[i].Result != nil {
-						ssum += sr[i].Result.DBQueries
-					}
-					if dr[i].Result != nil {
-						dsum += dr[i].Result.DBQueries
-					}
-					if hr[i].Result != nil {
-						hsum += hr[i].Result.DBQueries
-					}
-				}
-				if dsum != ssum || hsum != ssum {
-					t.Fatalf("round %d: summed DBQueries %d (binary n1), %d (http n2) != %d (single)", round, dsum, hsum, ssum)
-				}
-			}
-
-			// Churny session streams: one session owned by each member,
-			// each driven through a different client path, every one
-			// compared event-by-event and status-byte-by-status-byte
-			// against the standalone node.
-			arrivals := workload.Arrivals(workload.Churn, 30, rows, 7)
-			runStream := func(c *client.Client, name string) ([]interface{}, []byte) {
-				t.Helper()
-				sess, err := c.CreateSession(ctx, name, true)
-				if err != nil {
-					t.Fatalf("create %s: %v", name, err)
-				}
-				var ups []interface{}
-				for i, a := range arrivals {
-					var up api.Update
-					if a.Leave {
-						up, err = sess.Leave(ctx, a.ID)
-					} else {
-						up, err = sess.Join(ctx, a.Query)
-					}
-					if err != nil {
-						t.Fatalf("%s event %d: %v", name, i, err)
-					}
-					up.ElapsedNS = 0
-					ups = append(ups, up)
-				}
-				st, err := sess.Status(ctx, true)
-				if err != nil {
-					t.Fatalf("%s status: %v", name, err)
-				}
-				js, err := json.Marshal(st)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return ups, js
-			}
-			drivers := []struct {
-				path string
-				c    *client.Client
-				name string
-			}{
-				{"owned by the serving node", direct, lc.nameOwnedBy("pa", "n1")},
-				{"forwarded binary", direct, lc.nameOwnedBy("pb", "n2")},
-				{"forwarded HTTP", lc.httpTo(t, 0), lc.nameOwnedBy("pc", "n3")},
-			}
-			for _, d := range drivers {
-				cups, cst := runStream(d.c, d.name)
-				sups, sst := runStream(single, d.name)
-				if !reflect.DeepEqual(cups, sups) {
-					t.Fatalf("%s (%s): update streams diverge:\ncluster %+v\nsingle  %+v", d.path, d.name, cups, sups)
-				}
-				if string(cst) != string(sst) {
-					t.Fatalf("%s (%s): quiesced status differs:\ncluster %s\nsingle  %s", d.path, d.name, cst, sst)
-				}
-			}
-		})
-	}
 }
 
 // TestClusterPlacementAndForwarding pins the routing surfaces on a live

@@ -197,7 +197,9 @@ func TestServerDegradedModeAckFateAndRecovery(t *testing.T) {
 		arrivals[0].Query.ID: true,
 		arrivals[1].Query.ID: true,
 	}}
-	checkRecovered(t, ctx, c2, backend2, tr)
+	if _, f, detail := recoveredDiff(t, ctx, c2, backend2, tr); f != "" {
+		t.Fatalf("recovered %s: %s differs: %s", tr.name, f, detail)
+	}
 }
 
 // TestServerProbeLoopLiftsDegradedMode: with the probe loop on, the

@@ -19,200 +19,46 @@ import (
 	"entangled/internal/eq"
 	"entangled/internal/server"
 	"entangled/internal/stream"
-	"entangled/internal/unify"
 	"entangled/internal/workload"
 )
 
-// newLoopback boots a server over the given store on a loopback
-// listener and returns a client for it.
-func newLoopback(t *testing.T, store db.Store, sopts server.Options) (*client.Client, *server.Server) {
-	t.Helper()
-	e := engine.New(store, engine.Options{})
-	srv, err := server.New(e, sopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() { ts.Close(); srv.Close() })
-	c, err := client.New(ts.URL, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, srv
-}
-
-// TestServerLoopbackIntegration is the end-to-end acceptance test: N
-// concurrent clients — half speaking HTTP/JSON, half the binary wire
-// protocol — drive batch requests and two named streaming sessions over
-// ONE sharded store. Every batch response, over either protocol, must
-// match an in-process run of the same request — same team, same witness
-// values, and the same exact DBQueries — and every quiesced session's
-// team, values and trace must decode identically through both protocols
-// and match a batch SCCCoordinate over its live set byte-for-byte.
+// TestServerLoopbackIntegration: batches over HTTP/JSON and over the
+// binary protocol, and two churning sessions, one on each, run at once
+// on ONE sharded store, and the operational surface counts the traffic
+// of both protocols once. What each answer must be is the lattice's
+// (lattice_test.go).
 func TestServerLoopbackIntegration(t *testing.T) {
-	const (
-		shards     = 4
-		rows       = 64
-		nClients   = 6
-		reqsPerCli = 8
-	)
-	store := workload.NewStore(shards, rows, 0)
-	httpC, binC, _ := newDualLoopback(t, store, server.Options{})
+	const rows, batches, perBatch, events = 64, 6, 8, 48
+	httpC, binC, _ := newDualLoopback(t, workload.NewStore(4, rows, 0), server.Options{})
 	clients := []*client.Client{httpC, binC}
 	ctx := context.Background()
-
-	// Batch traffic: concurrent clients, each sending one multi-request
-	// batch call; results recorded for post-hoc comparison.
-	type servedReq struct {
-		qs  []eq.Query
-		res *coord.Result
-	}
-	served := make([][]servedReq, nClients)
 	var wg sync.WaitGroup
-	errs := make(chan error, nClients+2)
-	for cli := 0; cli < nClients; cli++ {
+	errs := make(chan error, batches+2)
+	for b := range batches {
 		wg.Add(1)
-		go func(cli int) {
+		go func() {
 			defer wg.Done()
-			c := clients[cli%len(clients)] // alternate protocols
-			reqs := make([]client.Request, reqsPerCli)
-			sets := make([][]eq.Query, reqsPerCli)
+			reqs := make([]client.Request, perBatch)
 			for j := range reqs {
-				n := 4 + (cli+j)%9
-				sets[j] = workload.ListQueriesAt(n, (cli*reqsPerCli+j)%rows)
-				reqs[j] = client.Request{ID: fmt.Sprintf("c%d.r%d", cli, j), Queries: sets[j]}
+				reqs[j] = client.Request{Queries: workload.ListQueriesAt(4+(b+j)%9, (b*perBatch+j)%rows)}
 			}
-			resps, err := c.CoordinateBatch(ctx, reqs)
-			if err != nil {
-				errs <- fmt.Errorf("client %d: %w", cli, err)
-				return
-			}
-			rec := make([]servedReq, 0, len(resps))
-			for j, r := range resps {
-				if r.Err != nil {
-					errs <- fmt.Errorf("client %d request %d: %w", cli, j, r.Err)
-					return
-				}
-				rec = append(rec, servedReq{qs: sets[j], res: r.Result})
-			}
-			served[cli] = rec
-		}(cli)
+			_, err := clients[b%2].CoordinateBatch(ctx, reqs)
+			errs <- err
+		}()
 	}
-
-	// Streaming traffic: two named sessions, each driven sequentially by
-	// its own goroutine, concurrent with the batch clients and each
-	// other.
-	sessionEvents := map[string][]workload.Arrival{
-		"alpha": workload.Arrivals(workload.Churn, 48, rows, 7),
-		"beta":  workload.Arrivals(workload.Churn, 48, rows, 11),
-	}
-	sessionClient := map[string]*client.Client{"alpha": httpC, "beta": binC}
-	for name, arrivals := range sessionEvents {
+	for i, name := range []string{"alpha", "beta"} {
 		wg.Add(1)
-		go func(name string, arrivals []workload.Arrival) {
+		go func() {
 			defer wg.Done()
-			sess, err := sessionClient[name].CreateSession(ctx, name, false)
-			if err != nil {
-				errs <- fmt.Errorf("create %s: %w", name, err)
-				return
-			}
-			for i, a := range arrivals {
-				if a.Leave {
-					_, err = sess.Leave(ctx, a.ID)
-				} else {
-					_, err = sess.Join(ctx, a.Query)
-				}
-				if err != nil {
-					errs <- fmt.Errorf("session %s event %d: %w", name, i, err)
-					return
-				}
-			}
-		}(name, arrivals)
+			_, err := churnSession(ctx, clients[i], name, false, workload.Arrivals(workload.Churn, events, rows, int64(7+4*i)))
+			errs <- err
+		}()
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatal(err)
-	}
-
-	// Batch equivalence: replay every served request in-process over an
-	// identical store and compare team, values and the exact DBQueries.
-	store2 := workload.NewStore(shards, rows, 0)
-	e2 := engine.New(store2, engine.Options{})
-	for cli, rec := range served {
-		for j, sr := range rec {
-			want, err := e2.Coordinate(ctx, sr.qs)
-			if err != nil {
-				t.Fatalf("in-process replay c%d.r%d: %v", cli, j, err)
-			}
-			if (sr.res == nil) != (want == nil) {
-				t.Fatalf("c%d.r%d: wire result %v, in-process %v", cli, j, sr.res, want)
-			}
-			if sr.res == nil {
-				continue
-			}
-			if !reflect.DeepEqual(sr.res.Set, want.Set) {
-				t.Fatalf("c%d.r%d: team %v != %v", cli, j, sr.res.Set, want.Set)
-			}
-			if !reflect.DeepEqual(sr.res.Values, want.Values) {
-				t.Fatalf("c%d.r%d: values differ:\nwire       %v\nin-process %v", cli, j, sr.res.Values, want.Values)
-			}
-			if sr.res.DBQueries != want.DBQueries {
-				t.Fatalf("c%d.r%d: DBQueries over the wire %d != in-process %d", cli, j, sr.res.DBQueries, want.DBQueries)
-			}
-			if err := coord.Verify(sr.qs, sr.res.Set, sr.res.Values, store); err != nil {
-				t.Fatalf("c%d.r%d: wire witness fails Definition 1: %v", cli, j, err)
-			}
-		}
-	}
-
-	// Session equivalence: each quiesced session's wire-read state must
-	// decode identically through both protocols and match batch
-	// SCCCoordinate over its live queries byte-for-byte.
-	for name := range sessionEvents {
-		st, err := httpC.Session(name).Status(ctx, true)
 		if err != nil {
-			t.Fatalf("status %s: %v", name, err)
-		}
-		stBin, err := binC.Session(name).Status(ctx, true)
-		if err != nil {
-			t.Fatalf("binary status %s: %v", name, err)
-		}
-		if !reflect.DeepEqual(st, stBin) {
-			t.Fatalf("%s: status DTOs differ across protocols:\nHTTP   %+v\nbinary %+v", name, st, stBin)
-		}
-		btr := &coord.Trace{}
-		want, err := coord.SCCCoordinate(st.Queries, store, coord.Options{Trace: btr})
-		if err != nil {
-			t.Fatalf("batch over %s live set: %v", name, err)
-		}
-		if (st.Result == nil) != (want == nil) {
-			t.Fatalf("%s: result presence: wire %v, batch %v", name, st.Result, want)
-		}
-		if st.Result != nil {
-			if !reflect.DeepEqual(st.Result.Set, want.Set) {
-				t.Fatalf("%s: team %v != %v", name, st.Result.Set, want.Set)
-			}
-			if !reflect.DeepEqual(st.Result.Values, want.Values) {
-				t.Fatalf("%s: values differ:\nwire  %v\nbatch %v", name, st.Result.Values, want.Values)
-			}
-			if err := coord.Verify(st.Queries, st.Result.Set, st.Result.Values, store); err != nil {
-				t.Fatalf("%s: wire witness fails Definition 1: %v", name, err)
-			}
-		}
-		if st.Trace == nil {
-			t.Fatalf("%s: no trace over the wire", name)
-		}
-		if !reflect.DeepEqual(st.Trace.Pruned, btr.Pruned) && !(len(st.Trace.Pruned) == 0 && len(btr.Pruned) == 0) {
-			t.Fatalf("%s: pruned %v != %v", name, st.Trace.Pruned, btr.Pruned)
-		}
-		if len(st.Trace.Components) != len(btr.Components) {
-			t.Fatalf("%s: %d trace components != %d", name, len(st.Trace.Components), len(btr.Components))
-		}
-		for i := range st.Trace.Components {
-			if !reflect.DeepEqual(st.Trace.Components[i], btr.Components[i]) {
-				t.Fatalf("%s: component %d:\nwire  %+v\nbatch %+v", name, i, st.Trace.Components[i], btr.Components[i])
-			}
+			t.Fatal(err)
 		}
 	}
 
@@ -222,7 +68,7 @@ func TestServerLoopbackIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(nClients * reqsPerCli); m.Coordinate.Requests != want {
+	if want := int64(batches * perBatch); m.Coordinate.Requests != want {
 		t.Fatalf("metrics: %d coordinate requests, want %d", m.Coordinate.Requests, want)
 	}
 	if m.Coordinate.Batches < 1 || m.Coordinate.Batches > m.Coordinate.Requests {
@@ -232,8 +78,8 @@ func TestServerLoopbackIntegration(t *testing.T) {
 		t.Fatalf("metrics: %d open sessions (%d detailed), want 2", m.Sessions.Open, len(m.Sessions.PerSession))
 	}
 	for _, sc := range m.Sessions.PerSession {
-		if sc.DBQueries <= 0 || sc.Events != len(sessionEvents[sc.ID]) {
-			t.Fatalf("metrics: session %s counters %+v implausible (want %d events)", sc.ID, sc, len(sessionEvents[sc.ID]))
+		if sc.DBQueries <= 0 || sc.Events != events {
+			t.Fatalf("metrics: session %s counters %+v implausible (want %d events)", sc.ID, sc, events)
 		}
 	}
 	if m.PlanCache == nil || m.PlanCache.HitRate <= 0.5 {
@@ -254,7 +100,7 @@ func TestServerLoopbackIntegration(t *testing.T) {
 // the idle janitor.
 func TestServerSessionLifecycle(t *testing.T) {
 	store := workload.NewStore(1, 8, 0)
-	c, srv := newLoopback(t, store, server.Options{})
+	c, _, srv := newDualLoopback(t, store, server.Options{})
 	ctx := context.Background()
 
 	sess, err := c.CreateSession(ctx, "room", false)
@@ -317,37 +163,17 @@ func TestServerSessionLifecycle(t *testing.T) {
 	}
 }
 
-// gatedStore answers no query until release is closed; held counts the
-// queries waiting at the gate.
+// gatedStore is a db.Check that holds every query until release is
+// closed; held counts the queries waiting at the gate.
 type gatedStore struct {
-	db.Store
 	held    atomic.Int64
 	release chan struct{}
 }
 
-func (g *gatedStore) wait() {
+func (g *gatedStore) Check(string) error {
 	g.held.Add(1)
 	<-g.release
-}
-
-func (g *gatedStore) Solve(body []eq.Atom) (db.Binding, bool, error) {
-	g.wait()
-	return g.Store.Solve(body)
-}
-
-func (g *gatedStore) SolveAll(body []eq.Atom, limit int) ([]db.Binding, error) {
-	g.wait()
-	return g.Store.SolveAll(body, limit)
-}
-
-func (g *gatedStore) Satisfiable(body []eq.Atom) (bool, error) {
-	g.wait()
-	return g.Store.Satisfiable(body)
-}
-
-func (g *gatedStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, bool, error) {
-	g.wait()
-	return g.Store.SolveUnder(body, sub)
+	return nil
 }
 
 // newGatedLoopback boots a server with two batch workers over a gated
@@ -355,8 +181,8 @@ func (g *gatedStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, b
 // opens it (also run at cleanup, so no query is left waiting).
 func newGatedLoopback(t *testing.T) (*client.Client, *gatedStore, func()) {
 	t.Helper()
-	g := &gatedStore{Store: workload.NewStore(1, 8, 0), release: make(chan struct{})}
-	srv, err := server.New(engine.New(g, engine.Options{Workers: 2}), server.Options{})
+	g := &gatedStore{release: make(chan struct{})}
+	srv, err := server.New(engine.New(db.Guard(workload.NewStore(1, 8, 0), g), engine.Options{Workers: 2}), server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,28 +337,23 @@ func TestMetricsAnswerWhileAnEventWaits(t *testing.T) {
 	}
 }
 
-// stallingStore blocks the first query any request issues (the §4 walk
-// queries through SolveUnder alone) until the test closes release, and
-// closes blocked once that query is waiting.
+// stallingStore is a db.Check that blocks the first query any request
+// issues (the §4 walk queries through SolveUnder alone) until the test
+// closes release, and closes blocked once that query is waiting.
 type stallingStore struct {
-	db.Store
 	asked   atomic.Int64 // queries that reached the store, the held one included
 	first   atomic.Bool
 	blocked chan struct{}
 	release chan struct{}
 }
 
-func (s *stallingStore) stall() {
+func (s *stallingStore) Check(string) error {
 	s.asked.Add(1)
 	if s.first.CompareAndSwap(false, true) {
 		close(s.blocked)
 		<-s.release
 	}
-}
-
-func (s *stallingStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, bool, error) {
-	s.stall()
-	return s.Store.SolveUnder(body, sub)
+	return nil
 }
 
 // TestStalledRequestDoesNotHoldUpALaterOne: a batch request whose store
@@ -540,8 +361,8 @@ func (s *stallingStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding
 // served by another worker while the first is still blocked, and both
 // answer what the engine answers in-process.
 func TestStalledRequestDoesNotHoldUpALaterOne(t *testing.T) {
-	store := &stallingStore{Store: workload.NewStore(1, 16, 0), blocked: make(chan struct{}), release: make(chan struct{})}
-	srv, err := server.New(engine.New(store, engine.Options{Workers: 2}), server.Options{})
+	store := &stallingStore{blocked: make(chan struct{}), release: make(chan struct{})}
+	srv, err := server.New(engine.New(db.Guard(workload.NewStore(1, 16, 0), store), engine.Options{Workers: 2}), server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,8 +427,8 @@ func TestStalledRequestDoesNotHoldUpALaterOne(t *testing.T) {
 func TestCallerLeavingMidWalkStopsItsRequest(t *testing.T) {
 	for _, proto := range []string{"http", "binary"} {
 		t.Run(proto, func(t *testing.T) {
-			store := &stallingStore{Store: workload.NewStore(1, 16, 0), blocked: make(chan struct{}), release: make(chan struct{})}
-			httpC, binC, srv := newDualLoopback(t, store, server.Options{})
+			store := &stallingStore{blocked: make(chan struct{}), release: make(chan struct{})}
+			httpC, binC, srv := newDualLoopback(t, db.Guard(workload.NewStore(1, 16, 0), store), server.Options{})
 			open := sync.OnceFunc(func() { close(store.release) })
 			t.Cleanup(open) // before the server's own cleanup, which drains the workers
 			ctx, cancel := context.WithCancel(context.Background())
@@ -655,7 +476,7 @@ func TestCallerLeavingMidWalkStopsItsRequest(t *testing.T) {
 // "draining").
 func TestServerDrain(t *testing.T) {
 	store := workload.NewStore(1, 8, 0)
-	c, srv := newLoopback(t, store, server.Options{})
+	c, _, srv := newDualLoopback(t, store, server.Options{})
 	ctx := context.Background()
 
 	sess, err := c.CreateSession(ctx, "doomed", false)
@@ -697,7 +518,7 @@ func TestServerDrain(t *testing.T) {
 // departure; duplicate and unknown IDs map to their stream sentinels.
 func TestServerUnsafeArrivalTaxonomy(t *testing.T) {
 	store := workload.NewStore(1, 8, 0)
-	c, _ := newLoopback(t, store, server.Options{})
+	c, _, _ := newDualLoopback(t, store, server.Options{})
 	ctx := context.Background()
 
 	mk := func(id, user string, posts ...string) eq.Query {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"fmt"
 	"net"
 	"net/http/httptest"
 	"reflect"
@@ -164,76 +163,6 @@ func TestAbandonedBatchKeepsItsSlab(t *testing.T) {
 		if c != "c0" && c[0] != 'U' {
 			t.Fatalf("the first walk queried constant %q, which only a later batch carries", c)
 		}
-	}
-}
-
-// TestConcurrentBinaryBatchesMatchInProcess: eight goroutines send
-// distinct binary batches through one server, so slabs go back to the
-// pool and come out again while other batches are mid-walk. Every reply
-// equals the in-process walk of the same queries (run it under -race).
-func TestConcurrentBinaryBatchesMatchInProcess(t *testing.T) {
-	const rows = 16
-	store := workload.NewStore(1, rows, 0)
-	_, binC, _ := newDualLoopback(t, store, server.Options{})
-	batchesMatchInProcess(t, store, rows, binC)
-}
-
-// TestConcurrentHTTPAndBinaryBatchesMatchInProcess is its HTTP twin,
-// run beside binary batches on one server: both adapters release every
-// result's value maps to one pool once the reply is rendered, and the
-// next walks refill them while other replies are being encoded. Every
-// reply, on either protocol, equals the in-process walk (run it under
-// -race). Releasing a result before its reply is rendered fails it.
-func TestConcurrentHTTPAndBinaryBatchesMatchInProcess(t *testing.T) {
-	const rows = 16
-	store := workload.NewStore(1, rows, 0)
-	httpC, binC, _ := newDualLoopback(t, store, server.Options{})
-	batchesMatchInProcess(t, store, rows, httpC, binC)
-}
-
-// batchesMatchInProcess has eight goroutines, taking the clients in
-// turn, each send six distinct batches of one to three requests and
-// compare every reply with coord.SCCCoordinate over the same store.
-func batchesMatchInProcess(t *testing.T, store db.Store, rows int, clients ...*client.Client) {
-	t.Helper()
-	const goroutines, rounds = 8, 6
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for gi := range goroutines {
-		c := clients[gi%len(clients)]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range rounds {
-				reqs := make([]client.Request, 1+(gi+r)%3)
-				for j := range reqs {
-					reqs[j] = client.Request{ID: fmt.Sprintf("g%d.r%d.%d", gi, r, j), Queries: workload.ListQueriesAt(2+(gi*rounds+r+j)%20, (gi+r+j)%rows)}
-				}
-				resps, err := c.CoordinateBatch(ctx, reqs)
-				if err != nil {
-					errs <- err
-					return
-				}
-				for j, resp := range resps {
-					want, werr := coord.SCCCoordinate(reqs[j].Queries, store, coord.Options{})
-					if resp.Err != nil || werr != nil {
-						errs <- fmt.Errorf("%s: %v, in-process %v", reqs[j].ID, resp.Err, werr)
-						return
-					}
-					if resp.ID != reqs[j].ID || !reflect.DeepEqual(resp.Result.Set, want.Set) ||
-						!reflect.DeepEqual(resp.Result.Values, want.Values) || resp.Result.DBQueries != want.DBQueries {
-						errs <- fmt.Errorf("%s: reply %s %+v, in-process %+v", reqs[j].ID, resp.ID, resp.Result, want)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
 	}
 }
 

@@ -26,9 +26,9 @@ const maxPendingPush = 1024
 const writeTimeout = 5 * time.Second
 
 // handshakeTimeout bounds how long a new binary connection may take to
-// send the protocol's magic, so a client that connects and says nothing
-// holds its goroutine no longer. The magic clears the deadline: an
-// established connection may sit idle.
+// send the protocol's magic; until then it holds a goroutine and no read
+// buffer (serveWireConn reads the magic straight from the socket). The
+// magic clears the deadline: an established connection may sit idle.
 const handshakeTimeout = 10 * time.Second
 
 // maxInflight bounds the requests one binary connection may have
@@ -285,13 +285,13 @@ func (s *Server) serveWireConn(c net.Conn) {
 		c.Close()
 	}()
 
-	br := bufio.NewReaderSize(c, 64<<10)
 	var magic [len(wire.Magic)]byte
 	c.SetReadDeadline(time.Now().Add(s.handshakeTimeout))
-	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != wire.Magic {
+	if _, err := io.ReadFull(c, magic[:]); err != nil || string(magic[:]) != wire.Magic {
 		return
 	}
 	c.SetReadDeadline(time.Time{})
+	br := bufio.NewReaderSize(c, 64<<10)
 	var buf []byte
 	for {
 		payload, err := wire.ReadFrame(br, buf)

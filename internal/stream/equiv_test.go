@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -43,11 +44,8 @@ func checkSessionMatchesBatch(t *testing.T, s *stream.Session, store db.Store, l
 		t.Fatalf("%s: result presence: session %v, batch %v", label, got, want)
 	}
 	if got != nil {
-		if !reflect.DeepEqual(got.Set, want.Set) {
-			t.Fatalf("%s: team %v != %v", label, got.Set, want.Set)
-		}
-		if !reflect.DeepEqual(got.Values, want.Values) {
-			t.Fatalf("%s: values %v != %v", label, got.Values, want.Values)
+		if !reflect.DeepEqual(got.Set, want.Set) || !reflect.DeepEqual(got.Values, want.Values) {
+			t.Fatalf("%s: session %+v, batch %+v", label, got, want)
 		}
 		if err := coord.Verify(qs, got.Set, got.Values, store); err != nil {
 			t.Fatalf("%s: session witness fails Definition 1: %v", label, err)
@@ -56,55 +54,11 @@ func checkSessionMatchesBatch(t *testing.T, s *stream.Session, store db.Store, l
 			t.Fatalf("%s: marginal event cost %d exceeds batch cost %d", label, got.DBQueries, want.DBQueries)
 		}
 	}
-	if !reflect.DeepEqual(tr.Pruned, btr.Pruned) && !(len(tr.Pruned) == 0 && len(btr.Pruned) == 0) {
-		t.Fatalf("%s: pruned %v != %v", label, tr.Pruned, btr.Pruned)
-	}
-	if len(tr.Components) != len(btr.Components) {
-		t.Fatalf("%s: %d components != %d", label, len(tr.Components), len(btr.Components))
-	}
-	for i := range tr.Components {
-		if !reflect.DeepEqual(tr.Components[i], btr.Components[i]) {
-			t.Fatalf("%s: component %d:\nsession %+v\nbatch   %+v", label, i, tr.Components[i], btr.Components[i])
-		}
-	}
-}
-
-// TestSessionMatchesBatchProperty is the stream-vs-batch equivalence
-// property test: across shard counts K=1,2,8 and many random
-// interleavings of joins and leaves, a quiesced session reports the
-// same team, witness values and trace as batch SCCCoordinate on the
-// final set, for no more database queries per event than the batch run
-// costs.
-func TestSessionMatchesBatchProperty(t *testing.T) {
-	const rows = 32
-	for _, shards := range []int{1, 2, 8} {
-		for seed := int64(0); seed < 4; seed++ {
-			store := workload.NewStore(shards, rows, 0)
-			s := stream.New(store, stream.Options{})
-			arrivals := workload.Arrivals(workload.Churn, 48, rows, seed)
-			for i, a := range arrivals {
-				if _, err := s.Apply(toEvent(a)); err != nil {
-					t.Fatalf("shards=%d seed=%d event %d (%v): %v", shards, seed, i, toEvent(a), err)
-				}
-			}
-			checkSessionMatchesBatch(t, s, store,
-				fmt.Sprintf("shards=%d seed=%d", shards, seed))
-		}
-	}
-}
-
-// TestSessionMatchesBatchEveryEvent quiesces after every single event
-// on one shard count, catching divergence at the exact event that
-// introduces it.
-func TestSessionMatchesBatchEveryEvent(t *testing.T) {
-	const rows = 16
-	store := workload.NewStore(1, rows, 0)
-	s := stream.New(store, stream.Options{})
-	for i, a := range workload.Arrivals(workload.Churn, 40, rows, 99) {
-		if _, err := s.Apply(toEvent(a)); err != nil {
-			t.Fatalf("event %d: %v", i, err)
-		}
-		checkSessionMatchesBatch(t, s, store, fmt.Sprintf("event %d (%v)", i, toEvent(a)))
+	// JSON drops the difference between no pruning and an empty list.
+	gj, _ := json.Marshal(tr)
+	wj, _ := json.Marshal(btr)
+	if string(gj) != string(wj) {
+		t.Fatalf("%s: traces differ:\nsession %s\nbatch   %s", label, gj, wj)
 	}
 }
 

@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -304,71 +307,126 @@ func jsonRoundTrip(t *testing.T, v, out any) {
 // DeepEqual to the same value decoded from the JSON codec, including
 // the cases where JSON's omitempty normalizes empty to absent.
 func TestBinaryMatchesJSONSemantics(t *testing.T) {
-	queries := []eq.Query{
+	sameAsJSON(t, "query", PutQuery, GetQuery,
 		sampleQuery(),
-		{ID: "bare", Head: []eq.Atom{eq.NewAtom("R", eq.C("U3"), eq.V("z"))}},
-		{Head: []eq.Atom{eq.NewAtom("R", eq.C("U4"), eq.V("w"))}, Body: []eq.Atom{}, Post: []eq.Atom{}},
-		{ID: "cst", Head: []eq.Atom{eq.NewAtom("S", eq.C(""), eq.C("v"))}, Body: []eq.Atom{eq.NewAtom("T", eq.V("q"), eq.C("c1"))}},
-	}
-	for i, q := range queries {
-		var viaJSON eq.Query
-		jsonRoundTrip(t, q, &viaJSON)
-		var e Enc
-		PutQuery(&e, q)
-		d := NewDec(e.Bytes())
-		viaBinary := GetQuery(d)
-		if err := d.Finish(); err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(viaBinary, viaJSON) {
-			t.Errorf("query %d: binary %+v != json %+v", i, viaBinary, viaJSON)
-		}
-	}
-
-	results := []*coord.Result{
+		eq.Query{ID: "bare", Head: []eq.Atom{eq.NewAtom("R", eq.C("U3"), eq.V("z"))}},
+		eq.Query{Head: []eq.Atom{eq.NewAtom("R", eq.C("U4"), eq.V("w"))}, Body: []eq.Atom{}, Post: []eq.Atom{}},
+		eq.Query{ID: "cst", Head: []eq.Atom{eq.NewAtom("S", eq.C(""), eq.C("v"))}, Body: []eq.Atom{eq.NewAtom("T", eq.V("q"), eq.C("c1"))}})
+	sameAsJSON(t, "result", PutResult, GetResult,
 		nil,
-		{},
-		{Set: []int{}},
+		&coord.Result{},
+		&coord.Result{Set: []int{}},
 		sampleResult(),
-		{Set: []int{2}, Values: map[int]map[string]eq.Value{}, DBQueries: 1},
-		{Set: []int{0}, Values: map[int]map[string]eq.Value{0: {}}},
-	}
-	for i, r := range results {
-		var viaJSON *coord.Result
-		jsonRoundTrip(t, r, &viaJSON)
-		var e Enc
-		PutResult(&e, r)
-		d := NewDec(e.Bytes())
-		viaBinary := GetResult(d)
-		if err := d.Finish(); err != nil {
-			t.Fatalf("result %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(viaBinary, viaJSON) {
-			t.Errorf("result %d: binary %#v != json %#v", i, viaBinary, viaJSON)
-		}
-	}
-
-	traces := []*coord.Trace{
+		&coord.Result{Set: []int{2}, Values: map[int]map[string]eq.Value{}, DBQueries: 1},
+		&coord.Result{Set: []int{0}, Values: map[int]map[string]eq.Value{0: {}}})
+	sameAsJSON(t, "trace", PutTrace, GetTrace,
 		nil,
-		{},
-		{Pruned: []coord.PruneEvent{}, Components: []coord.ComponentEvent{}},
-		{Pruned: []coord.PruneEvent{{Query: 1, Reason: "duplicate"}}},
-		{Components: []coord.ComponentEvent{{Members: []int{0, 1}, Status: "pruned"}}},
-	}
-	for i, tr := range traces {
-		var viaJSON *coord.Trace
-		jsonRoundTrip(t, tr, &viaJSON)
+		&coord.Trace{},
+		&coord.Trace{Pruned: []coord.PruneEvent{}, Components: []coord.ComponentEvent{}},
+		&coord.Trace{Pruned: []coord.PruneEvent{{Query: 1, Reason: "duplicate"}}},
+		&coord.Trace{Components: []coord.ComponentEvent{{Members: []int{0, 1}, Status: "pruned"}}})
+	sameAsJSON(t, "health", PutHealth, GetHealth,
+		api.Health{Status: "ok"},
+		api.Health{Status: "degraded", Sessions: 2, UptimeS: 1.5, Degraded: true, DegradedCause: "disk full",
+			Cluster: &api.ClusterHealth{Self: "n1", Nodes: 3, PeersDown: []string{}}},
+		api.Health{Status: "ok", Cluster: &api.ClusterHealth{Self: "n2", Nodes: 3, PeersDown: []string{"n1", "n3"}}})
+	sameAsJSON(t, "cluster status", PutClusterStatus, GetClusterStatus,
+		api.ClusterStatus{},
+		api.ClusterStatus{Enabled: true, Nodes: []api.ClusterNode{}, Relations: []api.RelationPlacement{}},
+		api.ClusterStatus{Enabled: true, Self: "n1", VirtualNodes: 64, Version: "v1",
+			Nodes:     []api.ClusterNode{{Name: "n1", Addr: "a:1", Self: true}, {Name: "n2", Addr: "b:1", Connected: true}},
+			Relations: []api.RelationPlacement{{Relation: "T", Column: 1}}})
+}
+
+// sameAsJSON checks that each value decodes from the binary codec to
+// what the JSON codec decodes it to.
+func sameAsJSON[T any](t *testing.T, what string, put func(*Enc, T), get func(*Dec) T, values ...T) {
+	t.Helper()
+	for i, v := range values {
+		var viaJSON T
+		jsonRoundTrip(t, v, &viaJSON)
 		var e Enc
-		PutTrace(&e, tr)
+		put(&e, v)
 		d := NewDec(e.Bytes())
-		viaBinary := GetTrace(d)
+		viaBinary := get(d)
 		if err := d.Finish(); err != nil {
-			t.Fatalf("trace %d: %v", i, err)
+			t.Fatalf("%s %d: %v", what, i, err)
 		}
 		if !reflect.DeepEqual(viaBinary, viaJSON) {
-			t.Errorf("trace %d: binary %#v != json %#v", i, viaBinary, viaJSON)
+			t.Errorf("%s %d: binary %#v != json %#v", what, i, viaBinary, viaJSON)
 		}
 	}
+}
+
+// TestClientConnPipelines drives a ClientConn over net.Pipe against a
+// hand-driven server: of four calls in flight two are answered out of
+// order, one of them with a typed error, a push between the replies
+// reaches onPush, and when the peer drops, both calls still in flight
+// and every later one fail with an error wrapping ErrConnClosed.
+func TestClientConnPipelines(t *testing.T) {
+	nc, peer := net.Pipe()
+	asked := make(chan Header, 4)
+	go func() { // the server's read side: the magic, then request headers
+		br := bufio.NewReader(peer)
+		if magic, err := br.Peek(len(Magic)); err != nil || string(magic) != Magic {
+			t.Errorf("preamble %q (%v)", magic, err)
+		}
+		br.Discard(len(Magic))
+		for payload, err := ReadFrame(br, nil); err == nil; payload, err = ReadFrame(br, nil) {
+			asked <- GetHeader(NewDec(payload))
+		}
+	}()
+	pushes := make(chan Push, 1)
+	cc := NewClientConn(nc, func(p Push) { pushes <- p })
+	type answer struct {
+		status int
+		body   []byte
+		err    error
+	}
+	call := func() (<-chan answer, uint64) {
+		ch := make(chan answer, 1)
+		go func() {
+			status, body, err := cc.Call(context.Background(), KindHealth, func(e *Enc) { e.String("ping") })
+			ch <- answer{status, body, err}
+		}()
+		return ch, (<-asked).ID
+	}
+	send := func(h Header, body func(*Enc)) {
+		var e Enc
+		PutHeader(&e, h)
+		body(&e)
+		if err := WriteFrame(peer, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, _ := call()
+	second, id2 := call()
+	third, id3 := call()
+	fourth, _ := call()
+	send(Header{Kind: KindReply, ID: id3}, func(e *Enc) { PutReplyOK(e, 200); e.String("third") })
+	send(Header{Kind: KindPush}, Push{Session: "s", QueryID: "q", Seq: 3}.Encode)
+	refusal := &api.Error{Status: 404, Code: api.CodeSessionNotFound, Message: "no session s"}
+	send(Header{Kind: KindReply, ID: id2}, func(e *Enc) { PutReplyErr(e, refusal) })
+	if a := <-third; a.err != nil || a.status != 200 || NewDec(a.body).String() != "third" {
+		t.Fatalf("third call: %+v", a)
+	}
+	if p := <-pushes; p != (Push{Session: "s", QueryID: "q", Seq: 3}) {
+		t.Fatalf("push %+v", p)
+	}
+	var ae *api.Error
+	if a := <-second; !errors.As(a.err, &ae) || *ae != *refusal {
+		t.Fatalf("second call: %+v, want %+v", a, refusal)
+	}
+	peer.Close()
+	for i, inFlight := range []<-chan answer{first, fourth} {
+		if a := <-inFlight; !errors.Is(a.err, ErrConnClosed) {
+			t.Fatalf("call %d in flight when the peer dropped: %+v", i, a)
+		}
+	}
+	if _, _, err := cc.Call(context.Background(), KindHealth, nil); !errors.Is(err, ErrConnClosed) {
+		t.Fatalf("a call on a dead connection: %v", err)
+	}
+	cc.Close()
 }
 
 // TestDeterministicEncoding pins that map-bearing DTOs encode
