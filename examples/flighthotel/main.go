@@ -9,8 +9,8 @@
 //
 // The set is safe but not unique, so the Gupta et al. baseline rejects
 // it while the SCC Coordination Algorithm condenses {qC, qG} into one
-// strongly connected component, grounds it, then discovers that qJ and
-// qW cannot join.
+// strongly connected component and searches the reachable sets largest
+// first: qW's and qJ's find no tuple, and {qC, qG}'s grounds.
 //
 // Run with: go run ./examples/flighthotel
 package main

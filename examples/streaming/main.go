@@ -23,7 +23,8 @@ func main() {
 
 	// Each user wants to fly where the previous arrival flies: a
 	// backward chain, the streaming-friendly shape — an arrival only
-	// ever extends the tail, so re-coordination touches one component.
+	// ever extends the tail, so the largest set is the new arrival's,
+	// and re-coordination searches that one component.
 	user := func(name, buddy string) eq.Query {
 		q := eq.Query{
 			ID:   name,
@@ -52,14 +53,17 @@ func main() {
 	join("dee", "cy")
 
 	// Bo leaves: cy and dee posted (transitively) to him, so the suffix
-	// is stranded and pruned; ana remains coordinated alone.
+	// is stranded and pruned; ana remains coordinated alone, her set
+	// spliced from the cache.
 	up, err := s.Leave("bo")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("leave bo     team=%d (stranded users pruned)\n", up.TeamSize)
+	fmt.Printf("leave bo     team=%d dirty=%d spliced=%d dbqueries=%d (stranded users pruned)\n",
+		up.TeamSize, up.Stats.Dirty, up.Stats.Reused, up.Stats.DBQueries)
 
-	// Bo returns: the chain re-forms, cached components splice back in.
+	// Bo returns: the chain re-forms, and its set, the largest, is the
+	// one search.
 	join("bo", "ana")
 
 	res, err := s.Result()

@@ -543,10 +543,10 @@ func TestDBQueriesCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 component queries ({qC,qG} succeeds, {qJ} fails, {qW} is
-	// skipped because its successor failed); no query is probed alone.
-	if res.DBQueries != 2 {
-		t.Fatalf("DBQueries = %d, want 2", res.DBQueries)
+	// 3 component queries, largest set first: {qW}'s set and {qJ}'s
+	// find no tuple, {qC,qG}'s grounds; no query is probed alone.
+	if res.DBQueries != 3 {
+		t.Fatalf("DBQueries = %d, want 3", res.DBQueries)
 	}
 }
 

@@ -18,10 +18,13 @@
 // SCCCoordinate, Incremental.Result and so every session report the
 // largest member of the candidate family {R(q)}, and of equal sizes
 // the lexicographically least sorted set, so the answer is a function
-// of the input and not of the walk's order. A caller with its own
-// criterion — the paper's gold-status passengers and VIP clients —
-// chooses from AllCandidates, the whole family in that order; the walk
-// itself takes no selection hook.
+// of the input and not of the walk's order. They find it by searching
+// the sets in that rank order and stopping at the first that grounds:
+// a tuple that grounds a set grounds every set it contains. A caller
+// with its own criterion — the paper's gold-status passengers and VIP
+// clients — chooses from AllCandidates, the whole family in that
+// order, found by the paper's bottom-up walk; the walk itself takes no
+// selection hook.
 //
 // The walk asks the database one query per component it searches and
 // nothing else: §6.1's provider cascade is graph work, and no body is
@@ -47,7 +50,7 @@
 // incrementally (IncrementalGraph — the batch ExtendedGraph is its
 // one-shot special case), and after each event only the condensation
 // components whose reachable set changed are re-solved, with cached
-// witnesses spliced for the rest. DeltaStats meters each event
+// witnesses spliced for the rest, as far as the rank walk reaches. DeltaStats meters each event
 // exactly; a quiesced Incremental matches a batch run over its live
 // queries observationally (team, values, trace). Arrivals that would
 // make the set unsafe are refused with ErrUnsafeArrival before any

@@ -1,10 +1,10 @@
 package coord
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"entangled/internal/db"
@@ -36,13 +36,15 @@ type DeltaStats struct {
 	// Components is the number of strongly connected components of the
 	// live, unpruned set after the event.
 	Components int `json:"components"`
-	// Dirty counts components whose reachable set changed, so their MGU
-	// and grounding had to be recomputed (one database query each, when
-	// unification succeeds).
+	// Dirty counts the components the walk searched afresh: their
+	// reachable set changed, so their MGU and grounding had to be
+	// recomputed (one database query each, when unification succeeds).
 	Dirty int `json:"dirty"`
-	// Reused counts components spliced from the previous pass: their
-	// reachable set is untouched, so the cached outcome — witness,
-	// binding, or failure — is still exact.
+	// Reused counts the components the walk spliced from an earlier
+	// pass: their reachable set is untouched, so the cached outcome —
+	// witness, binding, or failure — is still exact. A component the
+	// walk never reached, because a larger set grounded first, counts in
+	// neither.
 	Reused int `json:"reused"`
 	// DBQueries is the exact number of conjunctive queries this event
 	// issued: one grounding query per dirty component that unified. An
@@ -63,7 +65,7 @@ type compOutcome struct {
 	status  string     // "grounded", "unification failed", "no tuple"
 	order   []int      // reachable query slots in assembly order, the order of the combined body
 	binding db.Binding // the database's answer, when grounded
-	pass    uint64     // the reconcile pass that last used this outcome
+	pass    uint64     // the last reconcile pass that held its set
 }
 
 // compEvent is one component of the last pass, as Trace reports it.
@@ -85,9 +87,10 @@ type scratch struct {
 	prune   cascade       // §6.1 provider counters
 	cg      graph.Digraph // coordination graph over dense positions
 	reach   reachRows     // component -> what it reaches
-	failed  []bool        // component -> no coordinating set through it
+	keys    []rankKey     // component -> |R(c)| and its least slot; the family walk zeroes the size where nothing coordinates
+	rank    []int         // the unpruned components' places in the walk, in the order they are searched
 	sig     []byte        // cache key of the component being searched
-	tie     [2][]int      // two tied candidates' sets, sorted to compare
+	tie     [2][]int      // two tied components' sets, sorted to compare
 	sr      search        // its reachable set, and the one search every component search runs on
 	members []int         // backing of this pass's compEvent.members
 }
@@ -98,8 +101,9 @@ type scratch struct {
 // the extended coordination graph incrementally (edges only ever appear
 // or disappear with their endpoint queries), rerun the provider cascade
 // and recondense — pure graph work, no database traffic — and then
-// re-solve only the components whose reachable set changed, splicing
-// cached witnesses for everything else.
+// walk the components largest set first until one grounds, re-solving
+// a component whose reachable set changed and splicing the cached
+// outcome of one whose set did not.
 //
 // A query's place is a slot: Add assigns the next, Remove tombstones
 // one, Compact renumbers the live ones densely. Its name is an
@@ -129,9 +133,10 @@ type Incremental struct {
 	// Liveness lives in g (IncrementalGraph.Live): one bitmap, no
 	// lockstep copy to desynchronize.
 
-	cache map[string]*compOutcome // reachable set's serials -> outcome; nil in a load
-	pass  uint64                  // reconcile passes started
-	scr   scratch
+	cache  map[string]*compOutcome // reachable set's serials -> outcome; nil in a load
+	pass   uint64                  // reconcile passes started
+	family bool                    // a load for AllCandidates: walk the whole family, not the rank order
+	scr    scratch
 
 	// State of the last reconcile pass.
 	pruned []PruneEvent
@@ -185,8 +190,7 @@ func (inc *Incremental) LiveQueries() []eq.Query {
 // newcomer's incident edges and re-coordinates the dirty region. It
 // returns the assigned slot and the event's cost. The newcomer's body
 // is not probed on its own: a body the database cannot satisfy fails
-// the one grounding of its own component, and every component that
-// reaches it then fails unsearched. An arrival whose pass fails on a
+// the search of every set that holds it. An arrival whose pass fails on a
 // store error is still admitted, with its slot and the error: the next
 // pass searches it.
 //
@@ -211,9 +215,10 @@ func (inc *Incremental) Add(q eq.Query) (int, DeltaStats, error) {
 
 // Remove departs the query in a slot: its incident edges leave the
 // graph with it, the provider cascade is rerun (a departure can strand
-// postconditions that the cascade then removes), and only
-// components that could reach the departed query are re-solved.
-// Departures issue database queries only for those dirty components.
+// postconditions that the cascade then removes), and the walk re-solves
+// only components that could reach the departed query, if it reaches
+// them. Departures issue database queries only for those dirty
+// components.
 func (inc *Incremental) Remove(slot int) (DeltaStats, error) {
 	if !inc.g.Live(slot) {
 		return DeltaStats{}, fmt.Errorf("%w %d", ErrNoQuery, slot)
@@ -225,50 +230,25 @@ func (inc *Incremental) Remove(slot int) (DeltaStats, error) {
 	return d, err
 }
 
-// Result returns the largest coordinating set of the current candidate
-// family (choose), or nil when nothing grounds or the last pass stopped
-// on an error. Asking costs no
-// database queries — the winner's MGU is recomputed, its binding is
-// cached — and Result.DBQueries reports the marginal cost of the event
-// that produced this state, the streaming analogue of the paper's
-// per-run cost metric.
+// Result returns the largest coordinating set — of equal sizes, the
+// one whose sorted set is lexicographically least, AllCandidates'
+// first — or nil when nothing grounds or the last pass stopped on an
+// error. It is the pass's one candidate: the rank walk stops at the
+// first set that grounds. Asking costs no database queries — the
+// winner's MGU is recomputed, its binding is cached — and
+// Result.DBQueries reports the marginal cost of the event that produced
+// this state, the streaming analogue of the paper's per-run cost
+// metric.
 func (inc *Incremental) Result() (*Result, error) {
 	if len(inc.cands) == 0 {
 		return nil, nil
 	}
-	win := inc.cands[inc.choose()]
+	win := inc.cands[0]
 	values, err := inc.search().witness(inc.queries, inc.vars, win, &inc.fb)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Set: sortedCopy(win.order), Values: values, DBQueries: inc.last.DBQueries}, nil
-}
-
-// choose returns the index of the coordinating set Result reports: the
-// largest candidate, and of the largest the one whose sorted set is
-// lexicographically least, so that the answer is a function of the
-// input and not of the walk's order. It is AllCandidates' first.
-func (inc *Incremental) choose() int {
-	best := 0
-	for i := 1; i < len(inc.cands); i++ {
-		n, m := len(inc.cands[i].order), len(inc.cands[best].order)
-		if n > m || n == m && inc.sortsBefore(i, best) {
-			best = i
-		}
-	}
-	return best
-}
-
-// sortsBefore reports whether candidate i's set, sorted, is
-// lexicographically less than candidate j's. Both are sorted on
-// scratch; the candidates keep their assembly order.
-func (inc *Incremental) sortsBefore(i, j int) bool {
-	s := &inc.scr
-	s.tie[0] = append(s.tie[0][:0], inc.cands[i].order...)
-	s.tie[1] = append(s.tie[1][:0], inc.cands[j].order...)
-	slices.Sort(s.tie[0])
-	slices.Sort(s.tie[1])
-	return slices.Compare(s.tie[0], s.tie[1]) < 0
 }
 
 // TeamSize returns the size of the coordinating set Result would
@@ -277,11 +257,12 @@ func (inc *Incremental) TeamSize() int {
 	if len(inc.cands) == 0 {
 		return 0
 	}
-	return len(inc.cands[inc.choose()].order)
+	return len(inc.cands[0].order)
 }
 
-// Candidates returns the current candidate family in processing order,
-// like AllCandidates for a batch run, without issuing database queries.
+// Candidates returns the coordinating sets the last pass grounded, in
+// the order it grounded them, without issuing database queries: in a
+// load for AllCandidates the whole family, otherwise the winner alone.
 func (inc *Incremental) Candidates() ([]CandidateSet, error) {
 	out := make([]CandidateSet, 0, len(inc.cands))
 	sr := inc.search()
@@ -360,8 +341,8 @@ func at(pos []int, slot int) int {
 }
 
 // Refresh rebuilds every store-dependent part of the state: cached
-// component outcomes are dropped and the whole condensation is
-// re-solved. This is the escape hatch from the dirty-region invariant —
+// component outcomes are dropped and every set the walk reaches is
+// searched afresh. This is the escape hatch from the dirty-region invariant —
 // cached witnesses assume the store's contents have not changed since
 // they were computed, so a caller that interleaves writes with a
 // session calls Refresh (with writers paused) to resynchronise. It
@@ -387,14 +368,19 @@ func (inc *Incremental) records() bool { return inc.cache != nil || inc.opts.Tra
 // reconcile brings the coordination state up to date after a graph
 // change. The provider cascade and the condensation are recomputed —
 // pure graph work. The component walk is the §4 walk, for sessions and
-// batch requests alike: components in reverse topological order, each
-// reachable set searched once (settle), except that one matching a
-// cached outcome is spliced instead of re-unified and re-grounded.
+// batch requests alike, in the rank order: every reach row is folded
+// bottom-up, and the unpruned components are searched largest R(c)
+// first, of equal sizes least sorted R(c) first, until one grounds.
+// Grounding is inherited downward — if c reaches d, R(d) ⊆ R(c), and a
+// tuple grounding R(c) grounds R(d) — so that set is the family's
+// largest, the one Result reports. A load for AllCandidates walks the
+// whole family instead (walkFamily). Either way a set is searched once
+// (settle), or spliced when it matches a cached outcome.
 // Live slots are compacted before condensation so the walk is
 // index-for-index a fresh load's over the live queries in slot order:
-// same Tarjan numbering, same topological order, same candidate order,
-// same tie-breaks. Every query the pass issues is billed to d, whether
-// or not the pass completes; a pass that does not leaves no candidates.
+// same Tarjan numbering, same topological order, same ranks, same
+// trace. Every query the pass issues is billed to d, whether or not the
+// pass completes; a pass that does not leaves no candidates.
 func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
 	defer func() { d.DBQueries = m.QueriesIssued() }()
 	s := &inc.scr
@@ -421,20 +407,21 @@ func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
 		}
 	}
 	dag, _, members := s.cg.Condense()
-	order, err := dag.TopoOrder()
+	walk, err := dag.TopoOrder()
 	if err != nil {
 		return d, err // cannot happen: condensation is a DAG
 	}
+	slices.Reverse(walk) // sinks first: the order the trace lists
 
-	// Every cache entry this pass uses is stamped with its number; the
-	// rest are dropped once the walk is over. A walk that fails leaves
-	// them all, plus whatever it solved, to the next pass, which stamps
-	// and sweeps afresh.
+	// Every cache entry whose set this pass still holds is stamped with
+	// its number, searched or not; the rest are dropped once the walk is
+	// over. A walk that fails leaves them all, plus whatever it solved,
+	// to the next pass, which stamps and sweeps afresh.
 	inc.pass++
 	inc.fb = fallback{store: inc.store}
 	nc := dag.N()
 	s.reach.reset(nc)
-	s.failed = zeroed(s.failed, nc)
+	s.keys, s.rank = sized(s.keys, nc), s.rank[:0]
 	record := inc.records()
 	if record {
 		s.members = sized(s.members, len(s.live))
@@ -444,20 +431,22 @@ func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
 	inc.cands = inc.cands[:0]
 	d.Components = nc
 
-	for at := len(order) - 1; at >= 0; at-- { // reverse topological
-		c := order[at]
+	unsearched := "outranked"
+	if inc.family {
+		unsearched = "successor failed"
+	}
+	for i, c := range walk {
+		s.reach.fold(c, dag.Succ(c))
 		ev := compEvent{status: "pruned"}
-		switch {
-		case !s.alive[s.live[members[c][0]]]:
-		case !s.reach.fold(c, dag.Succ(c), s.failed):
-			ev.status = "successor failed"
-		default:
-			if ev.status, ev.out, err = inc.settle(c, members, m, &d); err != nil {
-				inc.cands = inc.cands[:0] // a part of the family is no team; a load's frames go to the collector
-				return d, err
+		if s.alive[s.live[members[c][0]]] {
+			inc.gather(c, members)
+			s.keys[c] = rankKey{int32(len(s.sr.set)), int32(slices.Min(s.sr.set))}
+			s.rank = append(s.rank, i)
+			ev.status = unsearched // until the walk searches it
+			if out := inc.cache[string(s.sig)]; out != nil {
+				out.pass = inc.pass // reached or not, the outcome is still exact
 			}
 		}
-		s.failed[c] = ev.status != "grounded"
 		if record {
 			ev.members = s.members[carved : carved+len(members[c])]
 			carved += len(ev.members)
@@ -467,12 +456,76 @@ func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
 			inc.events = append(inc.events, ev)
 		}
 	}
+	if inc.family {
+		err = inc.walkFamily(walk, dag, members, m, &d)
+	} else {
+		err = inc.walkRanked(walk, members, m, &d)
+	}
+	if err != nil {
+		// A part of the family is no team, and a part of the walk no
+		// trace; a load's frames go to the collector.
+		inc.cands, inc.events = inc.cands[:0], inc.events[:0]
+		return d, err
+	}
 	for sig, out := range inc.cache {
 		if out.pass != inc.pass {
 			inc.evict(sig, out)
 		}
 	}
 	return d, nil
+}
+
+// walkRanked settles the unpruned components in the rank order until
+// one grounds.
+func (inc *Incremental) walkRanked(walk []int, members [][]int, m *db.Meter, d *DeltaStats) error {
+	s := &inc.scr
+	slices.SortFunc(s.rank, func(a, b int) int { return inc.outranks(walk[a], walk[b], members) })
+	for _, i := range s.rank {
+		if status, err := inc.settle(i, walk[i], members, m, d); err != nil || status == "grounded" {
+			return err
+		}
+	}
+	return nil
+}
+
+// outranks compares components a and b the way the rank walk orders
+// them: the larger reachable set first, and of equal sizes the one
+// whose sorted set is lexicographically least. The keys decide almost
+// every pair; only sets that tie on size and least slot are
+// materialised, on scratch, and compared whole.
+func (inc *Incremental) outranks(a, b int, members [][]int) int {
+	s := &inc.scr
+	if ka, kb := s.keys[a], s.keys[b]; ka != kb {
+		return cmp.Or(cmp.Compare(kb.size, ka.size), cmp.Compare(ka.least, kb.least))
+	}
+	s.tie[0] = s.reach.appendSet(s.tie[0][:0], a, members)
+	s.tie[1] = s.reach.appendSet(s.tie[1][:0], b, members)
+	slices.Sort(s.tie[0])
+	slices.Sort(s.tie[1])
+	return slices.Compare(s.tie[0], s.tie[1])
+}
+
+// walkFamily is the paper's bottom-up walk, which AllCandidates alone
+// runs: every unpruned component in reverse topological order, settled
+// unless a successor failed — nothing coordinates through it then — so
+// that every member of the family is found.
+func (inc *Incremental) walkFamily(walk []int, dag *graph.Digraph, members [][]int, m *db.Meter, d *DeltaStats) error {
+	s := &inc.scr
+	for _, i := range s.rank {
+		c := walk[i]
+		failed := slices.ContainsFunc(dag.Succ(c), func(succ int) bool { return s.keys[succ].size == 0 })
+		if !failed {
+			status, err := inc.settle(i, c, members, m, d)
+			if err != nil {
+				return err
+			}
+			failed = status != "grounded"
+		}
+		if failed {
+			s.keys[c].size = 0
+		}
+	}
+	return nil
 }
 
 // evict drops the outcome filed under sig and releases its binding; the
@@ -482,51 +535,53 @@ func (inc *Incremental) evict(sig string, out *compOutcome) {
 	delete(inc.cache, sig)
 }
 
-// settle finds the outcome of component c, whose reach row is folded:
-// its reachable set is spliced from the cache when an earlier pass
-// searched it, and otherwise searched once, the way every search runs
-// (search.ground over canonical edges, so the union sequence and the
-// substitution are the ones any run over the set computes). A grounded
-// set becomes a candidate. The outcome is kept — filed, pointed at by
-// the pass's event — only when the pass records; otherwise a grounded
-// set's copy is all that outlives the step.
-func (inc *Incremental) settle(c int, members [][]int, m *db.Meter, d *DeltaStats) (string, *compOutcome, error) {
+// gather leaves in the search scratch component c's reachable set, c's
+// row folded, as slots in assembly order — ascending component — and, in
+// a session, its cache key. The order is NOT sorted: the combined body
+// is concatenated in it, and the frozen join plan, hence the witness and
+// the rendered query, depend on it. A departure elsewhere can renumber
+// Tarjan components and reorder an unchanged set; that must miss
+// (re-solve, stay exact), not splice a stale outcome. The key spells
+// the set in serials, which outlive every renumbering of the slots.
+func (inc *Incremental) gather(c int, members [][]int) {
 	s := &inc.scr
-	// The reachable set in assembly order — ascending component — which
-	// is also its cache key, NOT sorted: the combined body is
-	// concatenated in this order, and the frozen join plan, hence the
-	// witness and the rendered query, depend on it. A departure
-	// elsewhere can renumber Tarjan components and reorder an unchanged
-	// set; that must miss (re-solve, stay exact), not splice a stale
-	// outcome. The key spells the set in serials, which outlive every
-	// renumbering of the slots.
-	set := s.sr.set[:0]
+	set := s.reach.appendSet(s.sr.set[:0], c, members)
 	s.sig = s.sig[:0]
-	for w, word := range s.reach.row(c) {
-		for ; word != 0; word &= word - 1 {
-			for _, mcc := range members[w*64+bits.TrailingZeros64(word)] {
-				set = append(set, s.live[mcc])
-				if inc.cache != nil {
-					s.sig = binary.AppendUvarint(s.sig, uint64(inc.serials[s.live[mcc]]))
-				}
-			}
+	for j, pos := range set {
+		set[j] = s.live[pos]
+		if inc.cache != nil {
+			s.sig = binary.AppendUvarint(s.sig, uint64(inc.serials[set[j]]))
 		}
 	}
 	s.sr.set = set
+}
+
+// settle finds the outcome of component c, the i-th of the walk: its
+// reachable set is spliced from the cache when an earlier pass searched
+// it, and otherwise searched once, the way every search runs
+// (search.ground over canonical edges, so the union sequence and the
+// substitution are the ones any run over the set computes). A grounded
+// set becomes a candidate. The outcome is kept — filed, and pointed at
+// by the walk's i-th event — only when the pass records; otherwise a
+// grounded set's copy is all that outlives the step.
+func (inc *Incremental) settle(i, c int, members [][]int, m *db.Meter, d *DeltaStats) (string, error) {
+	s := &inc.scr
+	inc.gather(c, members)
+	set := s.sr.set
 	out := inc.cache[string(s.sig)] // the conversion does not allocate
 	if out != nil {
 		d.Reused++
 	} else {
 		status, bind, err := s.sr.ground(inc.queries, inc.vars, set, m)
 		if err != nil {
-			return "", nil, err
+			return "", err
 		}
 		d.Dirty++
 		if !inc.records() {
 			if status == "grounded" {
 				inc.cands = append(inc.cands, grounded{inc.keep(set), bind})
 			}
-			return status, nil, nil
+			return status, nil
 		}
 		out = &compOutcome{status: status, order: inc.keep(set), binding: bind}
 		if inc.cache != nil {
@@ -534,10 +589,11 @@ func (inc *Incremental) settle(c int, members [][]int, m *db.Meter, d *DeltaStat
 		}
 	}
 	out.pass = inc.pass
+	inc.events[i].status, inc.events[i].out = out.status, out
 	if out.status == "grounded" {
 		inc.cands = append(inc.cands, grounded{out.order, out.binding})
 	}
-	return out.status, out, nil
+	return out.status, nil
 }
 
 // keep copies a searched set that outlives the step: in a session, into

@@ -2,7 +2,6 @@ package coord
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -20,8 +19,11 @@ import (
 // over a freshly built condensation, written straight from §4 with no
 // slots, cache or renumbering, sharing with the code under test only
 // the pieces that have one home (the extended graph, search.ground,
-// the §6.1 cascade, reachRows). A traced run that fails may leave
-// prune events in the trace; the code under test leaves none.
+// the §6.1 cascade, reachRows). It walks in either order the package
+// does: the rank order SCCCoordinate's answer comes from, with sets
+// compared whole rather than by key, and the family order behind
+// AllCandidates. A traced run that fails may leave prune events in the
+// trace; the code under test leaves none.
 //
 // With probe set, the walk also keeps the §6.1 body probe the package
 // ran before its walk lost it: one Satisfiable per query, and a query
@@ -45,12 +47,17 @@ type oracleWalk struct {
 	failed []bool
 	sr     search
 	cands  []grounded
-	events []ComponentEvent // nil unless traced
+	events []ComponentEvent // nil unless traced; one per component, in order
 }
 
-// oracleRun executes the SCC Coordination Algorithm and leaves every
-// grounded candidate in the walk's cands, in processing order.
-func oracleRun(qs []eq.Query, store db.Store, opts Options, probe bool) (*oracleWalk, error) {
+// oracleRun executes the SCC Coordination Algorithm and leaves the
+// grounded candidates in the walk's cands, in the order it found them.
+// The family walk searches every component bottom-up, skipping one
+// whose successor failed, and finds the whole family; the rank walk
+// searches the unpruned components largest reachable set first, of
+// equal sizes least sorted set first, and stops at the first that
+// grounds.
+func oracleRun(qs []eq.Query, store db.Store, opts Options, probe, family bool) (*oracleWalk, error) {
 	if len(qs) == 0 {
 		return &oracleWalk{}, nil
 	}
@@ -101,12 +108,40 @@ func oracleRun(qs []eq.Query, store db.Store, opts Options, probe bool) (*oracle
 	}
 	w.sr.index(edges, len(qs))
 	w.reach.reset(dag.N())
-	if tr != nil {
-		w.events = []ComponentEvent{}
+	w.events = make([]ComponentEvent, len(order))
+	sets := make([][]int, dag.N()) // R(c), sorted
+	var ranked []int
+	for i, c := range order {
+		w.reach.fold(c, dag.Succ(c))
+		w.events[i] = ComponentEvent{Members: append([]int(nil), members[c]...), Status: "pruned"}
+		if alive[members[c][0]] {
+			w.events[i].Status = "outranked"
+			sets[c] = w.reach.appendSet(nil, c, members)
+			slices.Sort(sets[c])
+			ranked = append(ranked, i)
+		}
 	}
-	for _, c := range w.order {
-		if err := w.component(c); err != nil {
-			return nil, err
+	if family {
+		for _, i := range ranked {
+			c := order[i]
+			if slices.ContainsFunc(dag.Succ(c), func(succ int) bool { return w.failed[succ] }) {
+				w.events[i].Status, w.failed[c] = "successor failed", true
+			} else if err := w.component(i); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		sort.SliceStable(ranked, func(a, b int) bool {
+			sa, sb := sets[order[ranked[a]]], sets[order[ranked[b]]]
+			return len(sa) > len(sb) || len(sa) == len(sb) && slices.Compare(sa, sb) < 0
+		})
+		for _, i := range ranked {
+			if err := w.component(i); err != nil {
+				return nil, err
+			}
+			if !w.failed[order[i]] {
+				break
+			}
 		}
 	}
 	if tr != nil {
@@ -115,73 +150,48 @@ func oracleRun(qs []eq.Query, store db.Store, opts Options, probe bool) (*oracle
 	return w, nil
 }
 
-// component is one step of the walk: fold the successors' reachability
-// into c's, and search the reachable set.
-func (w *oracleWalk) component(c int) error {
-	sr := &w.sr
-	var ev ComponentEvent
-	switch {
-	case !w.alive[w.members[c][0]]:
-		ev.Status = "pruned"
-	case !w.reach.fold(c, w.dag.Succ(c), w.failed):
-		ev.Status = "successor failed"
-	default:
-		sr.set = sr.set[:0]
-		for i, word := range w.reach.row(c) {
-			for ; word != 0; word &= word - 1 {
-				sr.set = append(sr.set, w.members[i*64+bits.TrailingZeros64(word)]...)
-			}
-		}
-		status, bind, err := sr.ground(w.qs, w.vars, sr.set, w.store)
-		if err != nil {
-			return err
-		}
-		ev.Status = status
-		if w.events != nil {
-			ev.Set = sortedCopy(sr.set)
-			if status != "unification failed" {
-				ev.Combined = sr.combined(w.qs, w.vars, nil)
-			}
-		}
-		if status == "grounded" {
-			ev.SetSize = len(sr.set)
-			w.cands = append(w.cands, grounded{slices.Clone(sr.set), bind})
-		}
+// component is one step of the walk: search the reachable set of the
+// i-th component, its reachability folded.
+func (w *oracleWalk) component(i int) error {
+	c, sr := w.order[i], &w.sr
+	ev := &w.events[i]
+	sr.set = w.reach.appendSet(sr.set[:0], c, w.members)
+	status, bind, err := sr.ground(w.qs, w.vars, sr.set, w.store)
+	if err != nil {
+		return err
 	}
-	w.failed[c] = ev.Status != "grounded"
-	if w.events != nil {
-		ev.Members = append([]int(nil), w.members[c]...)
-		w.events = append(w.events, ev)
+	ev.Status, ev.Set = status, sortedCopy(sr.set)
+	if status != "unification failed" {
+		ev.Combined = sr.combined(w.qs, w.vars, nil)
 	}
+	if status == "grounded" {
+		ev.SetSize = len(sr.set)
+		w.cands = append(w.cands, grounded{slices.Clone(sr.set), bind})
+	}
+	w.failed[c] = status != "grounded"
 	return nil
 }
 
-// oracleCoordinate is SCCCoordinate on the reference walk.
+// oracleCoordinate is SCCCoordinate on the reference rank walk.
 func oracleCoordinate(qs []eq.Query, store db.Store, opts Options) (*Result, error) {
 	return oracleChoose(qs, store, opts, false)
 }
 
-// probedCoordinate is SCCCoordinate on the reference walk with the body
-// probe kept.
+// probedCoordinate is SCCCoordinate on the reference rank walk with
+// the body probe kept.
 func probedCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
 	return oracleChoose(qs, store, Options{}, true)
 }
 
-// oracleChoose runs the reference walk and returns its largest
-// candidate, of equal sizes the one whose sorted set is
-// lexicographically least.
+// oracleChoose runs the reference rank walk and returns the one
+// candidate it found, if any.
 func oracleChoose(qs []eq.Query, store db.Store, opts Options, probe bool) (*Result, error) {
 	m := db.NewMeter(store)
-	w, err := oracleRun(qs, m, opts, probe)
+	w, err := oracleRun(qs, m, opts, probe, false)
 	if err != nil || len(w.cands) == 0 {
 		return nil, err
 	}
 	win := w.cands[0]
-	for _, c := range w.cands[1:] {
-		if d := len(c.order) - len(win.order); d > 0 || d == 0 && slices.Compare(sortedCopy(c.order), sortedCopy(win.order)) < 0 {
-			win = c
-		}
-	}
 	values, err := w.sr.witness(qs, w.vars, win, &fallback{store: m})
 	if err != nil {
 		return nil, err
@@ -189,10 +199,10 @@ func oracleChoose(qs []eq.Query, store db.Store, opts Options, probe bool) (*Res
 	return &Result{Set: sortedCopy(win.order), Values: values, DBQueries: m.QueriesIssued()}, nil
 }
 
-// oracleCandidates is AllCandidates on the reference walk.
+// oracleCandidates is AllCandidates on the reference family walk.
 func oracleCandidates(qs []eq.Query, store db.Store, opts Options) ([]CandidateSet, error) {
 	m := db.NewMeter(store)
-	w, err := oracleRun(qs, m, opts, false)
+	w, err := oracleRun(qs, m, opts, false, true)
 	if err != nil {
 		return nil, err
 	}

@@ -312,7 +312,7 @@ func TestReleasedCoordinatorPinsNoRequest(t *testing.T) {
 	for round := range 6 {
 		qs := renamedList(n, rows, "P"+strconv.Itoa(round)+"-")
 		inc := loads.Get().(*Incremental)
-		if err := inc.load(qs, store, Options{Trace: &Trace{}}); err != nil {
+		if err := inc.load(qs, store, Options{Trace: &Trace{}}, false); err != nil {
 			t.Fatal(err)
 		}
 		if res, err := inc.Result(); err != nil || res.Size() != n {

@@ -42,22 +42,27 @@ type Options struct {
 //
 // The algorithm: build the coordination graph, prune every query whose
 // postcondition no head provides for (the §6.1 provider cascade, graph
-// work only), condense it into its DAG of strongly connected
-// components, walk components in reverse topological order, and for
-// each component unify its queries with the combined queries of its
-// successors and ground the combination with a single database query.
-// That query is the only one a component costs: a body the database
-// cannot satisfy is found there, not probed beforehand. Every component
-// that grounds successfully yields the candidate set R(q) of all
-// queries reachable from it, and the largest candidate wins — of equal
-// sizes, the lexicographically least sorted set, so the answer does
-// not depend on the walk's order; AllCandidates hands a caller the
-// whole family to choose from instead.
+// work only), and condense it into its DAG of strongly connected
+// components. A component's candidate set R(q) is every query reachable
+// from it; searching it unifies those queries' postconditions with the
+// heads they name and grounds the combined bodies with a single
+// database query. That query is the only one a component costs: a body
+// the database cannot satisfy is found there, not probed beforehand.
+// The answer is the largest candidate that grounds — of equal sizes,
+// the lexicographically least sorted set. The paper searches every
+// component bottom-up and keeps the largest; this walk asks for the
+// winner first. Grounding is inherited downward — if q reaches p, R(p)
+// ⊆ R(q), and a tuple that grounds R(q) grounds R(p) — so it searches
+// the unpruned components in that rank order and stops at the first
+// set that grounds. Like the paper's, it asks at most one query per
+// unpruned component; which asks fewer depends on the input (DESIGN.md,
+// "The §4 walk asks for the winner first"). AllCandidates runs the
+// paper's walk and hands a caller the whole family instead.
 //
 // The walk is Incremental's: the set is bulk-loaded into a pooled,
 // one-shot coordinator (load) and walked once, so batch requests and
 // streaming sessions share a single code path. The winner's witness
-// values are read off its MGU, recomputed once it has won —
+// values are read off its MGU, recomputed once it has grounded —
 // unification only, no database query.
 //
 // The store may be shared with concurrent requests: every query this
@@ -66,7 +71,7 @@ type Options struct {
 func SCCCoordinate(qs []eq.Query, store db.Store, opts Options) (*Result, error) {
 	inc := loads.Get().(*Incremental)
 	defer inc.release()
-	if err := inc.load(qs, store, opts); err != nil {
+	if err := inc.load(qs, store, opts, false); err != nil {
 		return nil, err
 	}
 	return inc.Result()
@@ -79,18 +84,19 @@ type CandidateSet struct {
 	Values map[int]map[string]eq.Value
 }
 
-// AllCandidates runs the SCC Coordination Algorithm and returns every
-// coordinating set it discovers — the grounded members of the family
-// {R(q) | q in Q} — sorted largest first, and sets of one size
-// lexicographically, so SCCCoordinate's answer is the first. It is how
-// a caller applies its own criterion instead of SCCCoordinate's: the
+// AllCandidates runs the SCC Coordination Algorithm as the paper walks
+// it, every component bottom-up, skipping one whose successor failed,
+// and returns every coordinating set it discovers — the grounded
+// members of the family {R(q) | q in Q} — sorted largest first, and
+// sets of one size lexicographically, so SCCCoordinate's answer is the
+// first. It is how a caller applies its own criterion instead of SCCCoordinate's: the
 // paper's examples are preferring gold-status passengers and VIP
 // clients, and the caller picks, say, the largest set holding its VIP's
 // query.
 func AllCandidates(qs []eq.Query, store db.Store, opts Options) ([]CandidateSet, error) {
 	inc := loads.Get().(*Incremental)
 	defer inc.release()
-	if err := inc.load(qs, store, opts); err != nil {
+	if err := inc.load(qs, store, opts, true); err != nil {
 		return nil, err
 	}
 	out, err := inc.Candidates()
@@ -115,18 +121,19 @@ var loads = sync.Pool{New: func() any { return &Incremental{g: NewIncrementalGra
 // behind SCCCoordinate and AllCandidates: every query filed into its
 // graph, one safety check, every query's variables numbered in one
 // array — a load's serial is its index — then Refresh, which runs the
-// one pass on the request's meter. Nothing will ask for a second pass,
+// one pass on the request's meter, in the rank order or, for family,
+// the paper's order over the whole family. Nothing will ask for a second pass,
 // so there is no outcome cache: the pass builds no key, copies a
 // searched set only for a grounded candidate, into the arena, and keeps
 // its per-component record only for opts.Trace (records). The serials,
 // which only a key or a renumbered trace reads, stay nil, and queries
 // aliases qs. A load that fails adds nothing to opts.Trace.
-func (inc *Incremental) load(qs []eq.Query, store db.Store, opts Options) error {
+func (inc *Incremental) load(qs []eq.Query, store db.Store, opts Options, family bool) error {
 	inc.g.fill(qs)
 	if bad := inc.g.Unsafe(); len(bad) > 0 {
 		return fmt.Errorf("%w: unsafe queries %v", ErrUnsafe, bad)
 	}
-	inc.store, inc.opts, inc.queries = store, opts, qs
+	inc.store, inc.opts, inc.queries, inc.family = store, opts, qs, family
 	inc.ids, inc.vars = numberInto(qs, inc.ids, inc.vars)
 	inc.arena = inc.arena[:0]
 	if _, err := inc.Refresh(); err != nil {
@@ -147,7 +154,7 @@ func (inc *Incremental) load(qs []eq.Query, store db.Store, opts Options) error 
 // alike, and pools inc. What stays is integer scratch and the buckets'
 // keys: the relations and constants the last fills filed.
 func (inc *Incremental) release() {
-	inc.store, inc.opts, inc.queries, inc.fb = nil, Options{}, nil, fallback{}
+	inc.store, inc.opts, inc.queries, inc.fb, inc.family = nil, Options{}, nil, fallback{}, false
 	for i := range inc.cands {
 		inc.cands[i].binding.Release()
 	}

@@ -3,6 +3,7 @@ package coord
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 	"slices"
 
 	"entangled/internal/db"
@@ -313,20 +314,31 @@ func (r *reachRows) reset(nc int) {
 
 func (r *reachRows) row(c int) []uint64 { return r.bits[c*r.words : (c+1)*r.words] }
 
-// fold makes c's row the union of {c} and its successors' rows. It
-// reports false, leaving the row unspecified, when a successor failed:
-// nothing coordinates through c then, and nothing will read its row.
-func (r *reachRows) fold(c int, succs []int, failed []bool) bool {
+// fold makes c's row the union of {c} and its successors' rows, which
+// must be folded already.
+func (r *reachRows) fold(c int, succs []int) {
 	row := r.row(c)
 	clear(row)
 	row[c/64] |= 1 << (c % 64)
 	for _, succ := range succs {
-		if failed[succ] {
-			return false
-		}
 		for w, word := range r.row(succ) {
 			row[w] |= word
 		}
 	}
-	return true
+}
+
+// rankKey is what the rank walk compares first: |R(c)| and the least
+// slot in R(c). Only sets that tie on both are compared whole.
+type rankKey struct{ size, least int32 }
+
+// appendSet appends to buf the positions of R(c), c's row folded:
+// reached components ascending, each one's members ascending — the
+// order the set's bodies are combined in.
+func (r *reachRows) appendSet(buf []int, c int, members [][]int) []int {
+	for w, word := range r.row(c) {
+		for ; word != 0; word &= word - 1 {
+			buf = append(buf, members[w*64+bits.TrailingZeros64(word)]...)
+		}
+	}
+	return buf
 }

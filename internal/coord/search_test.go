@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -198,7 +199,7 @@ func TestFallbackReadsDomainAtMostOnce(t *testing.T) {
 		if res, err := inc.Result(); err != nil || res.Size() != n {
 			t.Fatalf("res=%v err=%v", res, err)
 		}
-		if cands, err := inc.Candidates(); err != nil || len(cands) != n {
+		if cands, err := inc.Candidates(); err != nil || len(cands) != 1 { // a session's pass grounds the winner alone
 			t.Fatalf("%d candidates, err=%v", len(cands), err)
 		}
 		if _, err := inc.Result(); err != nil {
@@ -245,6 +246,11 @@ func unnamed(combined string) string {
 	return sb.String()
 }
 
+// sorted returns a sorted copy of xs.
+func sorted(xs []string) []string {
+	return slices.Sorted(slices.Values(xs))
+}
+
 // TestTraceShowsWhatTheDatabaseSaw pins on-demand rendering: a trace's
 // Combined is rendered from an MGU recomputed after the fact (a session
 // renders it events after the query was asked), and must be, string for
@@ -255,7 +261,10 @@ func unnamed(combined string) string {
 // each class shown as its representative, q<n>.<name> — are held byte
 // for byte to testdata/trace_combined.txt, written when variables were
 // still renamed strings: the last set there unifies one class across
-// four queries and shows it in every body.
+// four queries and shows it in every body. The file's batch rows are
+// the rank walk's; its family rows, AllCandidates' walk of every
+// component, are the batch rows it held before the rank walk, line for
+// line.
 func TestTraceShowsWhatTheDatabaseSaw(t *testing.T) {
 	const rows = 40
 	rng := rand.New(rand.NewSource(41))
@@ -301,17 +310,26 @@ query d { post: R(UA, k) head: R(UD, k) body: S(k, k) }`)},
 			s.Insert("3", "3")
 		}
 
-		// Batch: the walk asks in processing order.
+		// Batch: the trace lists in reverse topological order what the
+		// rank walk asked largest set first; the family walk asks in
+		// the order its trace lists.
 		o, tr := &observedStore{Store: inst}, &Trace{}
 		if _, err := SCCCoordinate(qs, o, Options{Trace: tr}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		batch, statuses := combinedOf(name, "batch", tr)
-		if len(batch) == 0 || !reflect.DeepEqual(batch, o.asked) {
+		if len(batch) == 0 || !reflect.DeepEqual(sorted(batch), sorted(o.asked)) {
 			t.Fatalf("%s: batch trace shows %d queries\n%q\nthe database saw %d\n%q", name, len(batch), batch, len(o.asked), o.asked)
 		}
 		if name == "pruned random-safe" && (len(tr.Pruned) == 0 || statuses["pruned"] == 0) {
 			t.Fatalf("%s: nothing pruned (%v)", name, statuses)
+		}
+		o, tr = &observedStore{Store: inst}, &Trace{}
+		if _, err := AllCandidates(qs, o, Options{Trace: tr}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if family, _ := combinedOf(name, "family", tr); !reflect.DeepEqual(family, o.asked) {
+			t.Fatalf("%s: family trace shows %d queries\n%q\nthe database saw %d\n%q", name, len(family), family, len(o.asked), o.asked)
 		}
 
 		// A quiesced session: arrivals one at a time, a departure and

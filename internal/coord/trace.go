@@ -21,7 +21,8 @@ type Trace struct {
 	// pruning order.
 	Pruned []PruneEvent `json:"pruned,omitempty"`
 	// Components holds one event per strongly connected component, in
-	// the order processed (reverse topological).
+	// reverse topological order — the paper's order of processing,
+	// whichever order the walk searched them in.
 	Components []ComponentEvent `json:"components,omitempty"`
 }
 
@@ -34,11 +35,24 @@ type PruneEvent struct {
 	Reason string `json:"reason"` // "unsatisfiable postcondition"
 }
 
-// ComponentEvent is the outcome of processing one component.
+// ComponentEvent is the outcome of processing one component. Status is
+// one of:
+//
+//   - "grounded", "unification failed", "no tuple": the component's
+//     set was searched, with that outcome;
+//   - "outranked": it was not searched — a larger set, or one of equal
+//     size that sorts first, grounded before the walk reached it (the
+//     rank walk of SCCCoordinate and sessions);
+//   - "successor failed": it was not searched — a component it reaches
+//     failed, so nothing coordinates through it (AllCandidates' walk);
+//   - "pruned": the §6.1 provider cascade removed its queries.
+//
+// Only a searched component has a Set, and a Combined unless its set
+// failed to unify.
 type ComponentEvent struct {
 	Members  []int  `json:"members"`            // queries in this component
 	Set      []int  `json:"set,omitempty"`      // R(q): the full candidate set (members + reachable)
-	Status   string `json:"status"`             // "grounded", "unification failed", "no tuple", "successor failed", "pruned"
+	Status   string `json:"status"`             // see above
 	SetSize  int    `json:"set_size,omitempty"` // len(Set) when grounded
 	Combined string `json:"combined,omitempty"` // the combined conjunctive query sent to the database (when any)
 }

@@ -28,15 +28,16 @@ func TestTraceFlightHotel(t *testing.T) {
 	if len(tr.Components) != 3 {
 		t.Fatalf("three components: %v", tr.Components)
 	}
-	// Reverse topological order: {qC,qG} first, then qJ, then qW.
+	// Reverse topological order: {qC,qG} first, then qJ, then qW. The
+	// walk searched them the other way round, largest set first.
 	if len(tr.Components[0].Members) != 2 || tr.Components[0].Status != "grounded" {
 		t.Fatalf("component 0: %+v", tr.Components[0])
 	}
 	if tr.Components[1].Status != "no tuple" {
 		t.Fatalf("qJ should fail to ground: %+v", tr.Components[1])
 	}
-	if tr.Components[2].Status != "successor failed" {
-		t.Fatalf("qW should be skipped: %+v", tr.Components[2])
+	if tr.Components[2].Status != "no tuple" || len(tr.Components[2].Set) != 4 {
+		t.Fatalf("qW's set of four should fail to ground: %+v", tr.Components[2])
 	}
 	// The grounded component's combined query mentions both bodies.
 	if !strings.Contains(tr.Components[0].Combined, "F(") || !strings.Contains(tr.Components[0].Combined, "H(") {
@@ -46,8 +47,8 @@ func TestTraceFlightHotel(t *testing.T) {
 
 // TestTracePruneEvents: a's postcondition has no provider, so the
 // cascade prunes a, and then c, whose only provider a was. b's body
-// cannot be satisfied, which no prune event says: its component is
-// searched, finds no tuple, and fails the one that reaches it.
+// cannot be satisfied, which no prune event says: d's set, which holds
+// b, is searched first and finds no tuple, and so does b's own.
 func TestTracePruneEvents(t *testing.T) {
 	qs := eq.MustParseSet(`
 query a {
@@ -89,23 +90,31 @@ query d {
 	for _, ev := range tr.Components {
 		status[ev.Members[0]] = ev.Status
 	}
-	if want := map[int]string{0: "pruned", 1: "no tuple", 2: "pruned", 3: "successor failed"}; !reflect.DeepEqual(status, want) {
+	if want := map[int]string{0: "pruned", 1: "no tuple", 2: "pruned", 3: "no tuple"}; !reflect.DeepEqual(status, want) {
 		t.Fatalf("statuses %v, want %v", status, want)
 	}
 }
 
+// TestTraceRender renders a rank walk's trace and a family walk's,
+// where qW is skipped once qJ has failed.
 func TestTraceRender(t *testing.T) {
 	qs, in := flightHotel()
-	tr := &Trace{}
+	tr, family := &Trace{}, &Trace{}
 	if _, err := SCCCoordinate(qs, in, Options{Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AllCandidates(qs, in, Options{Trace: family}); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
 	if err := tr.Render(&sb, qs); err != nil {
 		t.Fatal(err)
 	}
+	if err := family.Render(&sb, qs); err != nil {
+		t.Fatal(err)
+	}
 	out := sb.String()
-	for _, want := range []string{"qC", "qG", "grounded", "no tuple", "successor failed"} {
+	for _, want := range []string{"qC", "qG", "grounded", "no tuple", "F(q0.x1, Madrid)", "{qW}: successor failed"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}

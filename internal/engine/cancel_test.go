@@ -68,8 +68,8 @@ func TestCoordinateManyCancelAbortsMidPlan(t *testing.T) {
 	gs := newGateStore(listInstance(t))
 	e := New(gs, Options{Workers: 2})
 	reqs := []Request{
-		{ID: "a", Queries: workload.ListQueries(6, testRows)},
-		{ID: "b", Queries: workload.ListQueries(6, testRows)},
+		{ID: "a", Queries: workload.DeadEnd(workload.ListQueries(6, testRows))},
+		{ID: "b", Queries: workload.DeadEnd(workload.ListQueries(6, testRows))},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan []Response, 1)
@@ -94,7 +94,7 @@ func TestCoordinateManyCancelAbortsMidPlan(t *testing.T) {
 	}
 	// The abort is at the next query boundary: at most one in-flight
 	// store call per worker finished after cancel, the rest of each plan
-	// (dozens of queries for these sets) never ran.
+	// (six queries for each of these dead-end lists) never ran.
 	if n := gs.queries.Load(); n > int64(2*len(reqs)) {
 		t.Fatalf("%d store queries issued after cancel-at-first-query; the plans kept running", n)
 	}

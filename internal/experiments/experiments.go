@@ -180,19 +180,24 @@ func All(cfg Config) []Series {
 	return []Series{Figure4(cfg), Figure5(cfg), Figure6(cfg), Figure7(cfg), Figure8(cfg)}
 }
 
+// timeSCC times the paper's walk, which grounds every component
+// bottom-up: AllCandidates. Its first set is the one SCCCoordinate
+// serves.
 func timeSCC(inst *db.Instance, qs []eq.Query, repeats int) Point {
 	var p Point
 	for r := 0; r < repeats; r++ {
 		inst.ResetCounters()
 		start := time.Now()
-		res, err := coord.SCCCoordinate(qs, inst, coord.Options{})
+		cands, err := coord.AllCandidates(qs, inst, coord.Options{})
 		elapsed := time.Since(start)
 		if err != nil {
 			panic(err) // generated workloads are always safe
 		}
 		p.Millis += float64(elapsed.Microseconds()) / 1000.0
 		p.DBQueries += float64(inst.QueriesIssued())
-		p.SetSize += float64(res.Size())
+		if len(cands) > 0 {
+			p.SetSize += float64(len(cands[0].Set))
+		}
 	}
 	k := float64(repeats)
 	p.Millis /= k

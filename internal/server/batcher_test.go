@@ -80,10 +80,10 @@ func TestBatcherAbandonedRequestNeverRuns(t *testing.T) {
 // instead of wedging a worker — the next submit is still served.
 func TestBatcherDispatchTimeout(t *testing.T) {
 	// 2ms per store query versus a 1ms request budget: the deadline
-	// expires during the first queries of the plan.
+	// expires during the first queries of the plan, one of six.
 	slow := workload.NewStore(1, 40, 2*time.Millisecond)
 	b := testBatcher(t, slow, time.Millisecond)
-	resp, err := b.submit(context.Background(), "", engine.Request{ID: "slow", Queries: workload.ListQueries(6, 40)})
+	resp, err := b.submit(context.Background(), "", engine.Request{ID: "slow", Queries: workload.DeadEnd(workload.ListQueries(6, 40))})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestBatcherDispatchTimeout(t *testing.T) {
 		t.Fatalf("resp.Err = %v, want context.DeadlineExceeded", resp.Err)
 	}
 	// The workers survived and keep serving (and timing out) work.
-	resp, err = b.submit(context.Background(), "", engine.Request{ID: "again", Queries: workload.ListQueries(6, 40)})
+	resp, err = b.submit(context.Background(), "", engine.Request{ID: "again", Queries: workload.DeadEnd(workload.ListQueries(6, 40))})
 	if err != nil || !errors.Is(resp.Err, context.DeadlineExceeded) {
 		t.Fatalf("second submit: %v / %v", err, resp.Err)
 	}

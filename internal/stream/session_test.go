@@ -291,11 +291,14 @@ func TestSessionStoreErrorStaysConsistent(t *testing.T) {
 		}
 	})
 
-	// Four chains of eight. Chain 0's member 2 leaves (stranding 3..7)
-	// and comes back, which dirties six components, 2..7; the store
-	// fails the fourth grounding. never runs the same events on a store
-	// that does not fail.
-	const chains, chainLen, failAt, dirtied = 4, 8, 4, 6
+	// Chain 0 is twelve long and grounds nowhere, its root's body
+	// matching no row; chains 1 to 3 are eight long. The walk searches
+	// chain 0's five sets of eight or more, largest first, before chain
+	// 1's set of eight grounds. Chain 0's member 2 leaves (stranding
+	// 3..11) and comes back, which dirties those five; the store fails
+	// the third grounding. never runs the same events on a store that
+	// does not fail.
+	const chains, chainLen, deadLen, failAt, dirtied = 4, 8, 12, 3, 5
 	errStore := errors.New("store: injected failure")
 	type pair struct {
 		failed, never *stream.Session
@@ -308,8 +311,16 @@ func TestSessionStoreErrorStaysConsistent(t *testing.T) {
 		p.never = stream.New(chainStore(chains), stream.Options{})
 		for _, s := range []*stream.Session{p.failed, p.never} {
 			for c := 0; c < chains; c++ {
-				for i := 0; i < chainLen; i++ {
-					if _, err := s.Join(workload.ChainQuery(c, i, chains)); err != nil {
+				n := chainLen
+				if c == 0 {
+					n = deadLen
+				}
+				for i := 0; i < n; i++ {
+					q := workload.ChainQuery(c, i, chains)
+					if c == 0 && i == 0 {
+						q.Body = []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C("none"))}
+					}
+					if _, err := s.Join(q); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -360,8 +371,8 @@ func TestSessionStoreErrorStaysConsistent(t *testing.T) {
 	})
 
 	t.Run("mid-walk failure, then an unrelated event", func(t *testing.T) {
-		// Another chain's tail leaves. Every component is walked again:
-		// the three groundings the failed pass finished are reused, the
+		// Another chain's tail leaves, and chain 0's five sets are
+		// walked again: the two the failed pass finished are reused, the
 		// three it never reached are the only extra work — and with
 		// that pass complete, the session is level with one that never
 		// failed.
@@ -381,10 +392,10 @@ func TestSessionStoreErrorStaysConsistent(t *testing.T) {
 // TestSessionCompactsThroughStoreOutage: at threshold 1 every departure
 // of an outage is followed by a compaction, with no successful pass in
 // between to sweep the outcomes that name the departed slots. During
-// the outage chain 0 loses an interior member and gets it back, which
-// leaves its suffix owed a grounding; from then on every event's pass
-// fails on it, and chain 1 loses its tail three times under the failed
-// passes. The session must keep its IDs leavable throughout and be
+// the outage chain 0 loses an interior member, which chain 1's cached
+// set outlasts, and gets it back, which leaves its set owed a
+// grounding; from then on every event's pass fails on it, and chain 1
+// loses its tail three times under the failed passes. The session must keep its IDs leavable throughout and be
 // exact one event after the store is back.
 func TestSessionCompactsThroughStoreOutage(t *testing.T) {
 	const chains, chainLen = 2, 6
@@ -397,6 +408,16 @@ func TestSessionCompactsThroughStoreOutage(t *testing.T) {
 				if _, err := x.Join(workload.ChainQuery(c, i, chains)); err != nil {
 					t.Fatal(err)
 				}
+			}
+		}
+	}
+	// Chain 0 leads; its tail leaves and comes back so that chain 1's
+	// set is searched, and cached, before the outage.
+	tail := workload.ChainQuery(0, chainLen-1, chains)
+	for _, x := range []*stream.Session{s, never} {
+		for _, ev := range []stream.Event{{Kind: stream.LeaveEvent, ID: tail.ID}, {Kind: stream.JoinEvent, Query: tail}} {
+			if _, err := x.Apply(ev); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

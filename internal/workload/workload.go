@@ -81,9 +81,21 @@ func bodyFor(i, rows int) []eq.Atom {
 // query i asks to coordinate with query i+1 and the last query has no
 // coordination partner. The set is safe but not unique, and there is a
 // different coordinating set suffix for every position — the worst case
-// for the SCC algorithm (one database query per query).
+// for the paper's bottom-up walk of the whole family (AllCandidates; one
+// database query per query). SCCCoordinate, which searches the largest
+// set first, grounds the whole list with one.
 func ListQueries(n, tableRows int) []eq.Query {
 	return listQueriesWith(n, func(i int) []eq.Atom { return bodyFor(i, tableRows) })
+}
+
+// DeadEnd gives a list's last query a body no table row satisfies, in
+// place, and returns the list. Every set the list could coordinate
+// holds its last query, so none grounds: the family walk learns that
+// with one query, the last one's own, while SCCCoordinate, which
+// searches the largest set first, asks one per query.
+func DeadEnd(qs []eq.Query) []eq.Query {
+	qs[len(qs)-1].Body = []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C("none"))}
+	return qs
 }
 
 // ListQueriesAt builds the Figure 4 list structure with every body
