@@ -52,7 +52,7 @@ func FromContext(ctx context.Context) Tenant {
 type Policy struct {
 	// Rate is the sustained request admission rate (requests/second)
 	// of the tenant's token bucket; Burst is the bucket capacity.
-	// Burst defaults to max(1, ceil(Rate)) when unset.
+	// Burst defaults to ceil(Rate), at most math.MaxInt, when unset.
 	Rate  float64 `json:"rate,omitempty"`
 	Burst int     `json:"burst,omitempty"`
 	// MaxInFlight caps the tenant's concurrently admitted requests.
@@ -60,7 +60,8 @@ type Policy struct {
 	// DBQueriesPerSec is the rolling database-query budget, refilled
 	// continuously and drained post-paid by the exact Result.DBQueries
 	// metering of completed work. DBQueriesBurst is the balance cap;
-	// it defaults to ceil(DBQueriesPerSec) (one second of budget).
+	// it defaults to ceil(DBQueriesPerSec) (one second of budget), at
+	// most math.MaxInt64.
 	DBQueriesPerSec float64 `json:"db_queries_per_sec,omitempty"`
 	DBQueriesBurst  int64   `json:"db_queries_burst,omitempty"`
 	// Weight is the tenant's deficit-round-robin dispatch weight
@@ -75,15 +76,22 @@ func (p Policy) withDefaults() Policy {
 		p.Weight = 1
 	}
 	if p.Rate > 0 && p.Burst <= 0 {
-		p.Burst = int(math.Ceil(p.Rate))
-		if p.Burst < 1 {
-			p.Burst = 1
-		}
+		p.Burst = int(ceilTo(p.Rate, math.MaxInt))
 	}
 	if p.DBQueriesPerSec > 0 && p.DBQueriesBurst <= 0 {
-		p.DBQueriesBurst = int64(math.Ceil(p.DBQueriesPerSec))
+		p.DBQueriesBurst = ceilTo(p.DBQueriesPerSec, math.MaxInt64)
 	}
 	return p
+}
+
+// ceilTo returns ceil(x), at least 1 for x > 0, saturated at limit. It
+// compares before converting: float64(math.MaxInt64) rounds up to 2^63,
+// itself out of int64's range.
+func ceilTo(x float64, limit int64) int64 {
+	if c := math.Ceil(x); c < float64(limit) {
+		return int64(c)
+	}
+	return limit
 }
 
 func (p Policy) validate(who string) error {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -153,6 +154,28 @@ func TestDBBudgetPostPaid(t *testing.T) {
 	s := c.Snapshot()[0]
 	if s.DBQueriesSpent != 1200 {
 		t.Fatalf("spent %d, want 1200", s.DBQueriesSpent)
+	}
+}
+
+// A rate past what an int holds is as good as unlimited: its derived
+// burst saturates instead of overflowing, which made the query budget
+// start negative (every decide a db_budget throttle) and the request
+// bucket one token deep.
+func TestHugeRatesSaturateTheirBursts(t *testing.T) {
+	cfg, err := ParseConfig([]byte(`{"default": {"rate": 1e19, "db_queries_per_sec": 1e19}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := cfg.Default.withDefaults(); p.Burst != math.MaxInt || p.DBQueriesBurst != math.MaxInt64 {
+		t.Fatalf("bursts %d and %d, want math.MaxInt and math.MaxInt64", p.Burst, p.DBQueriesBurst)
+	}
+	c := NewController(cfg)
+	fakeClock(c)
+	for i := 0; i < 3; i++ {
+		if err := c.Decide("acme"); err != nil {
+			t.Fatalf("decide %d: %v", i, err)
+		}
+		c.Done("acme", 1000)
 	}
 }
 

@@ -137,7 +137,8 @@ func checkPrefs(sch Schema, q Query) error {
 // the queries that survive the cleaning phase for it. Both slices are
 // read-only views of what the call allocates for its answer and nothing
 // else: Value of one slab of the candidates' values, Members of one slab
-// of their survivors. No later call reuses them. The Result's Value and
+// holding each distinct team once, so candidates with equal teams share
+// one Members slice. No later call reuses them. The Result's Value and
 // Members are the winning candidate's.
 type Candidate struct {
 	Value   []eq.Value // one value per coordination attribute
@@ -160,7 +161,8 @@ func maxMembers(cands []Candidate) int {
 type Result struct {
 	// Value is the agreed value of the coordination attributes and
 	// Members the indices of the coordinating queries, sorted: the
-	// selected candidate's, and read-only like them.
+	// selected candidate's, and read-only like them. Members is the one
+	// slice every candidate with the winning team shares.
 	Value   []eq.Value
 	Members []int
 	// Keys maps each member to the key of its selected tuple of S (the

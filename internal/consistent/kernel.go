@@ -58,8 +58,10 @@ type kernel struct {
 	ownedAt     []int   // user id -> epoch of the matching in which a slot took it
 	ownedBy     []int32 // user id -> that slot
 	epoch       int
-	kept        spans   // non-empty candidate -> its survivors
+	kept        spans   // distinct team -> its members, each team once
+	teams       set     // team ids into kept, interned by hash-and-compare
 	keptValue   []int32 // non-empty candidate -> its value id
+	keptList    []int32 // non-empty candidate -> its team id
 }
 
 var kernels = sync.Pool{New: func() any { return &kernel{users: map[eq.Value]int32{}, where: map[int]eq.Value{}} }}
@@ -376,13 +378,15 @@ func (k *kernel) friend(row db.Tuple) {
 
 // candidates runs restrict-and-clean for every value of V(Q), in order,
 // allocating nothing; then what the caller keeps is cut to size: one slab
-// of members, one of the candidates' values alone, and the candidates.
+// holding each distinct team once, one of the candidates' values alone,
+// and the candidates, whose equal teams share one slice of the slab.
 func (k *kernel) candidates(trace *Trace) []Candidate {
 	n, users := len(k.qs), len(k.users)
 	k.in, k.pending, k.queue = sized(k.in, n), sized(k.pending, n), sized(k.queue, n)
 	k.seen, k.ownedAt, k.ownedBy = sized(k.seen, users), sized(k.ownedAt, users), sized(k.ownedBy, users)
-	k.gen, k.epoch, k.keptValue = 0, 0, k.keptValue[:0]
+	k.gen, k.epoch, k.keptValue, k.keptList = 0, 0, k.keptValue[:0], k.keptList[:0]
 	k.kept.reset()
+	k.teams.reset()
 	if trace != nil {
 		trace.Values = make([]ValueEvent, 0, len(k.values.hashes))
 	}
@@ -405,8 +409,8 @@ func (k *kernel) candidates(trace *Trace) []Candidate {
 			})
 		}
 		if len(k.kept.flat) > start {
-			k.kept.end()
 			k.keptValue = append(k.keptValue, int32(v))
+			k.keptList = append(k.keptList, k.team(start))
 		}
 	}
 	members := ints(k.kept.flat)
@@ -414,10 +418,33 @@ func (k *kernel) candidates(trace *Trace) []Candidate {
 	cands := make([]Candidate, len(k.keptValue))
 	for c, v := range k.keptValue {
 		values = append(values, k.vals[int(v)*w:int(v+1)*w]...)
-		lo, hi := k.kept.off[c], k.kept.off[c+1]
+		lo, hi := k.kept.off[k.keptList[c]], k.kept.off[k.keptList[c]+1]
 		cands[c] = Candidate{Value: values[c*w : (c+1)*w : (c+1)*w], Members: members[lo:hi:hi]}
 	}
 	return cands
+}
+
+// team interns the survivors k.kept.flat[start:] as a team and returns
+// its id: a team equal to one kept earlier is cut from flat and takes
+// that one's id, so kept holds each distinct team once.
+func (k *kernel) team(start int) int32 {
+	team := k.kept.flat[start:]
+	id, added := k.teams.add(teamHash(team), func(id int32) bool { return slices.Equal(team, k.kept.at(id)) })
+	if added {
+		k.kept.end()
+	} else {
+		k.kept.flat = k.kept.flat[:start]
+	}
+	return id
+}
+
+// teamHash is the FNV-1a-style hash of a team, one step per member.
+func teamHash(team []int32) uint32 {
+	h := uint32(2166136261)
+	for _, i := range team {
+		h = (h ^ uint32(i)) * 16777619
+	}
+	return h
 }
 
 // ints widens xs, nil when it is empty.
