@@ -9,6 +9,7 @@ import (
 
 	"entangled/internal/admission"
 	"entangled/internal/coord"
+	"entangled/internal/db"
 	"entangled/internal/eq"
 	"entangled/internal/persist"
 	"entangled/internal/stream"
@@ -46,6 +47,8 @@ const (
 	CodeDraining = "draining"
 	// CodeBadRequest reports a malformed payload.
 	CodeBadRequest = "bad_request"
+	// CodeSchemaMismatch names db.ErrSchema: a body atom fits no relation.
+	CodeSchemaMismatch = "schema_mismatch"
 	// CodeDegraded rejects a write while the server's durable backend is
 	// read-only after a disk fault. The write was NOT applied — its fate
 	// is known — so retrying once the server recovers is always safe.
@@ -148,6 +151,7 @@ var taxonomy = []class{
 	{CodeAckIndeterminate, persist.ErrIndeterminate, http.StatusServiceUnavailable, true, false},
 	{CodeDegraded, persist.ErrDegraded, http.StatusServiceUnavailable, true, true},
 	{CodeTimeout, context.DeadlineExceeded, http.StatusGatewayTimeout, true, false},
+	{CodeSchemaMismatch, db.ErrSchema, http.StatusUnprocessableEntity, false, false},
 	{CodeBadRequest, nil, http.StatusBadRequest, false, false},
 	{CodeInternal, nil, http.StatusInternalServerError, false, false},
 }

@@ -48,6 +48,8 @@ func (inc *Incremental) Compact() []int {
 	for sig, out := range inc.cache {
 		if !remapSlots(out.order, remap) {
 			inc.evict(sig, out)
+		} else if out.dead >= 0 {
+			out.dead = int32(remap[out.dead])
 		}
 	}
 	for _, e := range inc.events {

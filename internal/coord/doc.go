@@ -29,7 +29,9 @@
 // The walk asks the database one query per component it searches and
 // nothing else: §6.1's provider cascade is graph work, and no body is
 // probed on its own — one the database cannot satisfy is found by its
-// component's search.
+// component's search. A search that fails may name the query it failed
+// on (db.Binding.Empty, search.ground): no set holding that query can
+// ground, so the rank walk resolves every later one unsearched.
 //
 // # Metering contract
 //

@@ -44,7 +44,7 @@ type DeltaStats struct {
 	// pass: their reachable set is untouched, so the cached outcome —
 	// witness, binding, or failure — is still exact. A component the
 	// walk never reached, because a larger set grounded first, counts in
-	// neither.
+	// neither, nor does a "dead member" one.
 	Reused int `json:"reused"`
 	// DBQueries is the exact number of conjunctive queries this event
 	// issued: one grounding query per dirty component that unified. An
@@ -65,6 +65,7 @@ type compOutcome struct {
 	status  string     // "grounded", "unification failed", "no tuple"
 	order   []int      // reachable query slots in assembly order, the order of the combined body
 	binding db.Binding // the database's answer, when grounded
+	dead    int32      // on "no tuple", the slot of a query no set holding it grounds (search.ground), or -1
 	pass    uint64     // the last reconcile pass that held its set
 }
 
@@ -92,6 +93,7 @@ type scratch struct {
 	sig     []byte        // cache key of the component being searched
 	tie     [2][]int      // two tied components' sets, sorted to compare
 	sr      search        // its reachable set, and the one search every component search runs on
+	dead    []bool        // slot -> a search or splice of this pass found that no set holding it grounds
 	members []int         // backing of this pass's compEvent.members
 }
 
@@ -375,7 +377,8 @@ func (inc *Incremental) records() bool { return inc.cache != nil || inc.opts.Tra
 // tuple grounding R(c) grounds R(d) — so that set is the family's
 // largest, the one Result reports. A load for AllCandidates walks the
 // whole family instead (walkFamily). Either way a set is searched once
-// (settle), or spliced when it matches a cached outcome.
+// (settle), spliced when it matches a cached outcome, or skipped when
+// it holds a query that a failed search named dead.
 // Live slots are compacted before condensation so the walk is
 // index-for-index a fresh load's over the live queries in slot order:
 // same Tarjan numbering, same topological order, same ranks, same
@@ -392,6 +395,7 @@ func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
 	// §6.1 provider cascade — same rounds, same order, no database
 	// traffic.
 	s.alive, s.idx, s.live = zeroed(s.alive, n), sized(s.idx, n), sized(s.live, inc.g.live)[:0]
+	s.dead = zeroed(s.dead, n)
 	for i := 0; i < n; i++ {
 		if inc.g.Live(i) {
 			s.idx[i], s.alive[i] = len(s.live), true
@@ -556,23 +560,31 @@ func (inc *Incremental) gather(c int, members [][]int) {
 	s.sr.set = set
 }
 
-// settle finds the outcome of component c, the i-th of the walk: its
-// reachable set is spliced from the cache when an earlier pass searched
-// it, and otherwise searched once, the way every search runs
+// settle finds the outcome of component c, the i-th of the walk: a set
+// holding a query found dead this pass cannot ground ("dead member");
+// otherwise its reachable set is spliced from the cache when an earlier
+// pass searched it, and searched once, the way every search runs
 // (search.ground over canonical edges, so the union sequence and the
-// substitution are the ones any run over the set computes). A grounded
-// set becomes a candidate. The outcome is kept — filed, and pointed at
-// by the walk's i-th event — only when the pass records; otherwise a
-// grounded set's copy is all that outlives the step.
+// substitution are the ones any run over the set computes), and the
+// outcome's dead query is marked. A grounded set becomes a candidate.
+// The outcome is kept — filed, and pointed at by the walk's i-th event
+// — only when the pass records; otherwise a grounded set's copy is all
+// that outlives the step.
 func (inc *Incremental) settle(i, c int, members [][]int, m *db.Meter, d *DeltaStats) (string, error) {
 	s := &inc.scr
 	inc.gather(c, members)
 	set := s.sr.set
+	if slices.ContainsFunc(set, func(q int) bool { return s.dead[q] }) {
+		if inc.records() {
+			inc.events[i].status = "dead member"
+		}
+		return "dead member", nil
+	}
 	out := inc.cache[string(s.sig)] // the conversion does not allocate
 	if out != nil {
 		d.Reused++
 	} else {
-		status, bind, err := s.sr.ground(inc.queries, inc.vars, set, m)
+		status, bind, dead, err := s.sr.ground(inc.queries, inc.vars, set, m)
 		if err != nil {
 			return "", err
 		}
@@ -580,10 +592,12 @@ func (inc *Incremental) settle(i, c int, members [][]int, m *db.Meter, d *DeltaS
 		if !inc.records() {
 			if status == "grounded" {
 				inc.cands = append(inc.cands, grounded{inc.keep(set), bind})
+			} else if dead >= 0 {
+				s.dead[dead] = true
 			}
 			return status, nil
 		}
-		out = &compOutcome{status: status, order: inc.keep(set), binding: bind}
+		out = &compOutcome{status: status, order: inc.keep(set), binding: bind, dead: int32(dead)}
 		if inc.cache != nil {
 			inc.cache[string(s.sig)] = out
 		}
@@ -592,6 +606,8 @@ func (inc *Incremental) settle(i, c int, members [][]int, m *db.Meter, d *DeltaS
 	inc.events[i].status, inc.events[i].out = out.status, out
 	if out.status == "grounded" {
 		inc.cands = append(inc.cands, grounded{out.order, out.binding})
+	} else if out.dead >= 0 {
+		s.dead[out.dead] = true
 	}
 	return out.status, nil
 }

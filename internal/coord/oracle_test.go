@@ -21,9 +21,12 @@ import (
 // the pieces that have one home (the extended graph, search.ground,
 // the §6.1 cascade, reachRows). It walks in either order the package
 // does: the rank order SCCCoordinate's answer comes from, with sets
-// compared whole rather than by key, and the family order behind
-// AllCandidates. A traced run that fails may leave prune events in the
-// trace; the code under test leaves none.
+// compared whole rather than by key and a set resolved unsearched once
+// it holds a query a failed search named dead, and the family order
+// behind AllCandidates. It also walks the rank order learning nothing
+// from a failed search, the walk's cost before it did. A traced run
+// that fails may leave prune events in the trace; the code under test
+// leaves none.
 //
 // With probe set, the walk also keeps the §6.1 body probe the package
 // ran before its walk lost it: one Satisfiable per query, and a query
@@ -45,10 +48,20 @@ type oracleWalk struct {
 
 	reach  reachRows
 	failed []bool
+	dead   []bool // query -> a failed search named it dead (search.ground)
 	sr     search
 	cands  []grounded
 	events []ComponentEvent // nil unless traced; one per component, in order
 }
+
+// oracleOrder is the order a reference walk searches in.
+type oracleOrder int
+
+const (
+	rankOrder      oracleOrder = iota // largest set first, skipping sets that hold a dead query
+	blindRankOrder                    // largest set first, every set searched
+	familyOrder                       // bottom-up, the whole family
+)
 
 // oracleRun executes the SCC Coordination Algorithm and leaves the
 // grounded candidates in the walk's cands, in the order it found them.
@@ -56,8 +69,9 @@ type oracleWalk struct {
 // whose successor failed, and finds the whole family; the rank walk
 // searches the unpruned components largest reachable set first, of
 // equal sizes least sorted set first, and stops at the first that
-// grounds.
-func oracleRun(qs []eq.Query, store db.Store, opts Options, probe, family bool) (*oracleWalk, error) {
+// grounds, resolving a set that holds a dead query as "dead member"
+// unless it is blind.
+func oracleRun(qs []eq.Query, store db.Store, opts Options, probe bool, walk oracleOrder) (*oracleWalk, error) {
 	if len(qs) == 0 {
 		return &oracleWalk{}, nil
 	}
@@ -104,7 +118,7 @@ func oracleRun(qs []eq.Query, store db.Store, opts Options, probe, family bool) 
 	slices.Reverse(order)
 	w := &oracleWalk{
 		store: store, qs: qs, vars: numberAll(qs), alive: alive, dag: dag, members: members, order: order,
-		failed: make([]bool, dag.N()),
+		failed: make([]bool, dag.N()), dead: make([]bool, len(qs)),
 	}
 	w.sr.index(edges, len(qs))
 	w.reach.reset(dag.N())
@@ -121,7 +135,7 @@ func oracleRun(qs []eq.Query, store db.Store, opts Options, probe, family bool) 
 			ranked = append(ranked, i)
 		}
 	}
-	if family {
+	if walk == familyOrder {
 		for _, i := range ranked {
 			c := order[i]
 			if slices.ContainsFunc(dag.Succ(c), func(succ int) bool { return w.failed[succ] }) {
@@ -136,6 +150,10 @@ func oracleRun(qs []eq.Query, store db.Store, opts Options, probe, family bool) 
 			return len(sa) > len(sb) || len(sa) == len(sb) && slices.Compare(sa, sb) < 0
 		})
 		for _, i := range ranked {
+			if walk == rankOrder && slices.ContainsFunc(sets[order[i]], func(q int) bool { return w.dead[q] }) {
+				w.events[i].Status = "dead member"
+				continue
+			}
 			if err := w.component(i); err != nil {
 				return nil, err
 			}
@@ -156,9 +174,12 @@ func (w *oracleWalk) component(i int) error {
 	c, sr := w.order[i], &w.sr
 	ev := &w.events[i]
 	sr.set = w.reach.appendSet(sr.set[:0], c, w.members)
-	status, bind, err := sr.ground(w.qs, w.vars, sr.set, w.store)
+	status, bind, dead, err := sr.ground(w.qs, w.vars, sr.set, w.store)
 	if err != nil {
 		return err
+	}
+	if dead >= 0 {
+		w.dead[dead] = true
 	}
 	ev.Status, ev.Set = status, sortedCopy(sr.set)
 	if status != "unification failed" {
@@ -174,20 +195,20 @@ func (w *oracleWalk) component(i int) error {
 
 // oracleCoordinate is SCCCoordinate on the reference rank walk.
 func oracleCoordinate(qs []eq.Query, store db.Store, opts Options) (*Result, error) {
-	return oracleChoose(qs, store, opts, false)
+	return oracleChoose(qs, store, opts, false, rankOrder)
 }
 
 // probedCoordinate is SCCCoordinate on the reference rank walk with
 // the body probe kept.
 func probedCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
-	return oracleChoose(qs, store, Options{}, true)
+	return oracleChoose(qs, store, Options{}, true, rankOrder)
 }
 
-// oracleChoose runs the reference rank walk and returns the one
+// oracleChoose runs a reference rank walk and returns the one
 // candidate it found, if any.
-func oracleChoose(qs []eq.Query, store db.Store, opts Options, probe bool) (*Result, error) {
+func oracleChoose(qs []eq.Query, store db.Store, opts Options, probe bool, walk oracleOrder) (*Result, error) {
 	m := db.NewMeter(store)
-	w, err := oracleRun(qs, m, opts, probe, false)
+	w, err := oracleRun(qs, m, opts, probe, walk)
 	if err != nil || len(w.cands) == 0 {
 		return nil, err
 	}
@@ -202,7 +223,7 @@ func oracleChoose(qs []eq.Query, store db.Store, opts Options, probe bool) (*Res
 // oracleCandidates is AllCandidates on the reference family walk.
 func oracleCandidates(qs []eq.Query, store db.Store, opts Options) ([]CandidateSet, error) {
 	m := db.NewMeter(store)
-	w, err := oracleRun(qs, m, opts, false, true)
+	w, err := oracleRun(qs, m, opts, false, familyOrder)
 	if err != nil {
 		return nil, err
 	}

@@ -157,13 +157,15 @@ func TestBruteForceTooManyQueries(t *testing.T) {
 // tenth of whose bodies match nothing, over 1-, 2- and 8-shard stores,
 // SCCCoordinate's Set and Values equal AllCandidates' first candidate's,
 // both pass Definition 1, and the walk asks at most one query per
-// unpruned component. Over all of them it asks fewer than the family
-// walk.
+// unpruned component, and no more than the reference rank walk that
+// learns no dead query from a failed search (blindRankOrder). Over all
+// of them it asks fewer than the family walk, and the blind walk asks
+// 19,071, what the rank walk asked before it learnt dead queries.
 func TestRankWalkServesTheFamilysFirst(t *testing.T) {
 	const rows, draws = 32, 3000
 	rng := rand.New(rand.NewSource(49))
 	stores := []db.Store{workload.NewStore(1, rows, 0), workload.NewStore(2, rows, 0), workload.NewStore(8, rows, 0)}
-	var walked, family int64
+	var walked, blind, family int64
 	ties, none := 0, 0
 	for i := range draws {
 		n := 2 + rng.Intn(30)
@@ -192,7 +194,14 @@ func TestRankWalkServesTheFamilysFirst(t *testing.T) {
 		if err != nil {
 			t.Fatalf("draw %d: AllCandidates: %v", i, err)
 		}
-		walked, family = walked+m.QueriesIssued(), family+fm.QueriesIssued()
+		bm := db.NewMeter(store)
+		if _, err := oracleChoose(qs, bm, Options{}, false, blindRankOrder); err != nil {
+			t.Fatalf("draw %d: the blind walk: %v", i, err)
+		}
+		if m.QueriesIssued() > bm.QueriesIssued() {
+			t.Fatalf("draw %d: the walk asked %d queries, the walk that learns no dead query %d", i, m.QueriesIssued(), bm.QueriesIssued())
+		}
+		walked, blind, family = walked+m.QueriesIssued(), blind+bm.QueriesIssued(), family+fm.QueriesIssued()
 		unpruned := 0
 		for _, ev := range tr.Components {
 			if ev.Status != "pruned" {
@@ -224,25 +233,34 @@ func TestRankWalkServesTheFamilysFirst(t *testing.T) {
 	if ties == 0 || none == 0 {
 		t.Fatalf("%d draws with a tie for the largest set, %d with no team: both must occur", ties, none)
 	}
-	if walked >= family {
-		t.Fatalf("the rank walk asked %d queries in all, the family walk %d", walked, family)
+	if walked >= family || blind != 19071 {
+		t.Fatalf("the rank walk asked %d queries in all, the blind walk %d (want 19,071), the family walk %d", walked, blind, family)
 	}
-	t.Logf("%d draws, %d with a tie for the largest set, %d with no team: the rank walk asked %d queries, the family walk %d", draws, ties, none, walked, family)
+	t.Logf("%d draws, %d with a tie for the largest set, %d with no team: the rank walk asked %d queries, the walk that learns no dead query %d, the family walk %d", draws, ties, none, walked, blind, family)
 }
 
 // TestRankWalkTradeOff puts on record what the rank order costs against
-// the family walk's bottom-up one. No order beats the other on every
-// input. The Figure-4 list of 100 grounds with one query where the
-// family walk asks 100. Figure 1 asks 3 where it asks 2: qW's and
-// qJ's sets, the two larger, find no tuple before {qC, qG}'s grounds.
-// And the list of 100 whose last body no row satisfies asks 100 where
-// the family walk asks 1: its sink fails, and every set holds the sink.
-// The bound is the paper's either way: at most one query per unpruned
-// component.
+// the family walk's bottom-up one. The Figure-4 list of 100 grounds
+// with one query where the family walk asks 100. Figure 1 asks 3 where
+// it asks 2: qW's and qJ's sets, the two larger, find no tuple before
+// {qC, qG}'s grounds. The list of 100 whose last body is one atom no
+// row satisfies (deadEnd) asks 1, as the family walk does: the database
+// names that atom, and every other set holds its query ("dead member").
+// The list whose last body joins to a dead atom the database cannot
+// name (workload.JoinedDeadEnd) still asks 100 where the family walk
+// asks 1: its sink fails, and
+// every set holds the sink. No order beats the other on every input.
+// An atom empty only under the unifier — its variable bound to a
+// constant, or two of its variables to one another — is named but not
+// learnt from: the smaller set without the binding grounds. The bound
+// is the paper's either way: at most one query per unpruned component.
 func TestRankWalkTradeOff(t *testing.T) {
 	const rows = 100
 	fq, fin := flightHotel()
 	in := newWorkloadInstance(rows)
+	pinned := db.NewInstance()
+	pinned.CreateRelation("T", "v").Insert("1")
+	pinned.CreateRelation("S", "k", "v").Insert("B", "V")
 	for _, c := range []struct {
 		name         string
 		qs           []eq.Query
@@ -252,7 +270,14 @@ func TestRankWalkTradeOff(t *testing.T) {
 	}{
 		{"Figure-4 list of 100", workload.ListQueries(100, rows), in, 1, 100, 100},
 		{"Figure 1", fq, fin, 3, 2, 2},
-		{"dead-end list of 100", workload.DeadEnd(workload.ListQueries(100, rows)), in, 100, 1, 0},
+		{"dead-end list of 100", deadEnd(workload.ListQueries(100, rows)), in, 1, 1, 0},
+		{"joined dead-end list of 100", workload.JoinedDeadEnd(workload.ListQueries(100, rows)), in, 100, 1, 0},
+		{"empty under a bound constant", eq.MustParseSet(`
+query p { post: R(UQ, A) head: R(UP, u) body: T(u) }
+query q { head: R(UQ, x) body: S(x, V) }`), pinned, 2, 2, 1},
+		{"empty under merged variables", eq.MustParseSet(`
+query p { post: R(UQ, a, a) head: R(UP, u) body: T(u) }
+query q { head: R(UQ, x, y) body: S(x, y) }`), pinned, 2, 2, 1},
 	} {
 		m, fm := db.NewMeter(c.store), db.NewMeter(c.store)
 		res, err := SCCCoordinate(c.qs, m, Options{})
@@ -268,4 +293,12 @@ func TestRankWalkTradeOff(t *testing.T) {
 				c.name, m.QueriesIssued(), res.Size(), fm.QueriesIssued(), len(cands), c.rank, c.team, c.family)
 		}
 	}
+}
+
+// deadEnd gives a list's last query a body of one atom no row matches,
+// in place, and returns the list: every set holds the query, and the
+// first search that fails names the atom (db.Binding.Empty).
+func deadEnd(qs []eq.Query) []eq.Query {
+	qs[len(qs)-1].Body = []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C("none"))}
+	return qs
 }

@@ -54,9 +54,11 @@ type Options struct {
 // winner first. Grounding is inherited downward — if q reaches p, R(p)
 // ⊆ R(q), and a tuple that grounds R(q) grounds R(p) — so it searches
 // the unpruned components in that rank order and stops at the first
-// set that grounds. Like the paper's, it asks at most one query per
-// unpruned component; which asks fewer depends on the input (DESIGN.md,
-// "The §4 walk asks for the winner first"). AllCandidates runs the
+// set that grounds. A search that fails may name a query no set holding
+// it grounds (search.ground); every later set holding it is skipped
+// unsearched. Like the paper's, it asks at most one query per unpruned
+// component; which asks fewer depends on the input (DESIGN.md, "The §4
+// walk asks for the winner first"). AllCandidates runs the
 // paper's walk and hands a caller the whole family instead.
 //
 // The walk is Incremental's: the set is bulk-loaded into a pooled,
@@ -214,7 +216,7 @@ func GuptaCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
 	vars, set := numberAll(qs), every(len(qs))
 	var sr search
 	sr.index(edges, len(qs))
-	status, bind, err := sr.ground(qs, vars, set, m)
+	status, bind, _, err := sr.ground(qs, vars, set, m)
 	if err != nil || status != "grounded" {
 		return nil, err
 	}

@@ -195,20 +195,56 @@ func (sr *search) combine(qs []eq.Query, vars []varTable, set []int) []eq.Atom {
 // reachable set and ask the database, once, for a tuple satisfying the
 // combined body under the unifier. The status is the one traces report
 // ("grounded", "unification failed", "no tuple"); the binding is the
-// database's answer when grounded. Until the next call on sr, sr.subst
-// and sr.body are what the database was asked.
-func (sr *search) ground(qs []eq.Query, vars []varTable, set []int, store db.Store) (string, db.Binding, error) {
+// database's answer when grounded; dead, on "no tuple", the query no
+// set holding it grounds (deadQuery), or -1. Until the next call on sr,
+// sr.subst and sr.body are what the database was asked.
+func (sr *search) ground(qs []eq.Query, vars []varTable, set []int, store db.Store) (status string, bind db.Binding, dead int, err error) {
+	dead = -1
 	if !sr.mgu(qs, vars, set) {
-		return "unification failed", db.Binding{}, nil
+		return "unification failed", db.Binding{}, dead, nil
 	}
 	bind, found, err := store.SolveUnder(sr.combine(qs, vars, set), sr.subst)
 	switch {
 	case err != nil:
-		return "", db.Binding{}, err
+		return "", db.Binding{}, dead, err
 	case !found:
-		return "no tuple", db.Binding{}, nil
+		if atom, ok := bind.Empty(); ok {
+			dead = sr.deadQuery(qs, set, atom)
+		}
+		return "no tuple", db.Binding{}, dead, nil
 	}
-	return "grounded", bind, nil
+	return "grounded", bind, dead, nil
+}
+
+// deadQuery maps atom of the combined body, which matches no row
+// (db.Binding.Empty), to the member of set whose body holds it if the
+// unifier bound none of its variables, to a constant or one another —
+// then it was the query's own atom, renamed, and every unifier only
+// specialises it, so no set holding the query grounds — else to -1.
+func (sr *search) deadQuery(qs []eq.Query, set []int, atom int) int {
+	terms := sr.terms[argCount(sr.body[:atom]):][:len(sr.body[atom].Args)]
+	for i, id := range terms {
+		if id < 0 {
+			continue
+		}
+		rep, _, bound := sr.subst.Class(id)
+		for _, o := range terms[:i] {
+			if o >= 0 && o != id {
+				r, _, _ := sr.subst.Class(o)
+				bound = bound || r == rep
+			}
+		}
+		if bound {
+			return -1
+		}
+	}
+	for _, q := range set {
+		if atom < len(qs[q].Body) {
+			return q
+		}
+		atom -= len(qs[q].Body)
+	}
+	return -1
 }
 
 // witness reads candidate c's assignment off its MGU, recomputed here —

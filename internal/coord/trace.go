@@ -43,6 +43,9 @@ type PruneEvent struct {
 //   - "outranked": it was not searched — a larger set, or one of equal
 //     size that sorts first, grounded before the walk reached it (the
 //     rank walk of SCCCoordinate and sessions);
+//   - "dead member": it was not searched — its set holds a query that
+//     an earlier search of the pass found no set holding it grounds
+//     (the rank walk);
 //   - "successor failed": it was not searched — a component it reaches
 //     failed, so nothing coordinates through it (AllCandidates' walk);
 //   - "pruned": the §6.1 provider cascade removed its queries.

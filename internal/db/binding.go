@@ -16,14 +16,24 @@ import (
 // substitution's unbound classes, by first occurrence in the body. A
 // Binding carries no names: the caller, who holds the body, reads slot
 // i with At. The zero Binding binds nothing; whether a query was
-// answered at all is the ok result beside it.
+// answered at all is the ok result beside it; without an answer, Empty
+// may name why (the package doc, "A failed query names its empty atom").
 type Binding struct {
 	vals   []eq.Value // slot -> value
 	pooled bool       // vals is a frame db made, which Release recycles
+	empty  int32      // 1 + the atom Empty names, 0 for none
 }
 
 // ValuesOf returns the binding holding vals, slot by slot.
 func ValuesOf(vals ...eq.Value) Binding { return Binding{vals: vals} }
+
+// EmptyAt returns the binding of a query with no answer that names body
+// atom atom as empty; a negative atom names none.
+func EmptyAt(atom int) Binding { return Binding{empty: int32(max(atom, -1) + 1)} }
+
+// Empty returns the body atom a query with no answer names, if any: the
+// first that shares no variable with the rest and matches no row alone.
+func (b Binding) Empty() (atom int, ok bool) { return int(b.empty) - 1, b.empty > 0 }
 
 // Len returns the number of variables bound.
 func (b Binding) Len() int { return len(b.vals) }

@@ -193,12 +193,14 @@ type Instance struct {
 	// version counts schema changes (AddRelation/CreateRelation);
 	// compiled plans record it and retire themselves when it moves.
 	version atomic.Uint64
-	plans   planCache
+	planner // Solve, SolveAll, Satisfiable, SolveUnder, PlanStats
 }
 
 // NewInstance returns an empty database instance.
 func NewInstance() *Instance {
-	return &Instance{rels: map[string]*Relation{}}
+	in := &Instance{rels: map[string]*Relation{}}
+	in.src = in
+	return in
 }
 
 // AddRelation registers a relation; it replaces any previous relation of

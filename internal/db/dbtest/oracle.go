@@ -48,10 +48,10 @@ func (o *Oracle) rows(a eq.Atom) ([]db.Tuple, error) {
 	for _, p := range o.parts {
 		r, ok := p.Relation(a.Rel)
 		if !ok {
-			return nil, fmt.Errorf("db: unknown relation %s", a.Rel)
+			return nil, fmt.Errorf("%w: unknown relation %s", db.ErrSchema, a.Rel)
 		}
 		if r.Arity() != len(a.Args) {
-			return nil, fmt.Errorf("db: atom %s has arity %d, relation has %d", a, len(a.Args), r.Arity())
+			return nil, fmt.Errorf("%w: atom %s has arity %d, relation has %d", db.ErrSchema, a, len(a.Args), r.Arity())
 		}
 		for i := 0; i < r.Len(); i++ {
 			out = append(out, r.Tuple(i))
@@ -109,14 +109,39 @@ func match(a eq.Atom, t db.Tuple, names []string, vals []eq.Value) ([]string, []
 	return names, vals, true
 }
 
-func first(res []db.Binding, err error) (db.Binding, bool, error) {
-	if err != nil || len(res) == 0 {
+// solveOne answers body under choose-1 semantics; with no answer, its
+// binding names the first atom that shares no variable with another
+// and matches no row (db.Binding.Empty).
+func (o *Oracle) solveOne(body []eq.Atom) (db.Binding, bool, error) {
+	res, err := o.solve(body, 1)
+	switch {
+	case err != nil:
 		return db.Binding{}, false, err
+	case len(res) > 0:
+		return res[0], true, nil
 	}
-	return res[0], true, nil
+	for i, a := range body {
+		others := slices.Concat(body[:i], body[i+1:])
+		if !slices.ContainsFunc(a.Args, func(t eq.Term) bool {
+			return t.IsVar() && slices.ContainsFunc(others, func(b eq.Atom) bool { return slices.Contains(b.Args, t) })
+		}) && !o.matches(a) {
+			return db.EmptyAt(i), false, nil
+		}
+	}
+	return db.Binding{}, false, nil
 }
 
-func (o *Oracle) Solve(body []eq.Atom) (db.Binding, bool, error) { return first(o.solve(body, 1)) }
+// matches reports whether some row equals a on its constants and
+// repeated variables.
+func (o *Oracle) matches(a eq.Atom) bool {
+	rows, _ := o.rows(a)
+	return slices.ContainsFunc(rows, func(t db.Tuple) bool {
+		_, _, ok := match(a, t, nil, nil)
+		return ok
+	})
+}
+
+func (o *Oracle) Solve(body []eq.Atom) (db.Binding, bool, error) { return o.solveOne(body) }
 
 func (o *Oracle) SolveAll(body []eq.Atom, limit int) ([]db.Binding, error) {
 	return o.solve(body, limit)
@@ -130,7 +155,7 @@ func (o *Oracle) Satisfiable(body []eq.Atom) (bool, error) {
 // SolveUnder answers the body resolved under s: slot i is Resolve's
 // variable _i.
 func (o *Oracle) SolveUnder(body []eq.Atom, s *unify.Subst) (db.Binding, bool, error) {
-	return first(o.solve(Resolve(body, s), 1))
+	return o.solveOne(Resolve(body, s))
 }
 
 // Resolve returns body resolved under s (unify.Subst.Resolve), each
@@ -150,14 +175,7 @@ func Resolve(body []eq.Atom, s *unify.Subst) []eq.Atom {
 // free, and atoms with variables or over unknown relations are not
 // contained.
 func (o *Oracle) Contains(a eq.Atom) bool {
-	if !a.Ground() {
-		return false
-	}
-	rows, _ := o.rows(a)
-	return slices.ContainsFunc(rows, func(t db.Tuple) bool {
-		_, _, ok := match(a, t, nil, nil)
-		return ok
-	})
+	return a.Ground() && o.matches(a)
 }
 
 func (o *Oracle) Domain() []eq.Value {

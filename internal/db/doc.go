@@ -77,6 +77,16 @@
 // alone; the equivalence property tests hold plans to its answer
 // multisets, ok flags and query counts.
 //
+// # A failed query names its empty atom
+//
+// Solve and SolveUnder with no answer name, by Binding.Empty, the first
+// body atom that shares no variable with the rest of the body (under a
+// substitution, no class) and matches no row on its own. A plan lists
+// these lone atoms; only a failed execution probes them, each alone.
+// The atom depends on the resolved body and the rows alone, so every
+// store and the oracle name the same one, and decorators pass it on. A
+// query that does not fit the schema fails with ErrSchema instead.
+//
 // # Metering contract
 //
 // Each of Solve, SolveAll, Satisfiable, SolveUnder and Project counts

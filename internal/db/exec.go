@@ -33,6 +33,7 @@ type exec struct {
 	needBuf []bool
 
 	limit   int
+	end     int // run emits at this depth: past the last step, or past the one empty probes
 	results []Binding
 	one     [1]Binding // backs results under choose-1: the answer is the call's only allocation
 	exists  bool       // existence mode: stop at the first match
@@ -67,7 +68,7 @@ func (p *plan) bind(body []eq.Atom, s *unify.Subst) *exec {
 			probes:   make([][]probeRef, len(p.steps)),
 		}
 	}
-	x.limit, x.exists, x.found = 0, false, false
+	x.limit, x.exists, x.found, x.end = 0, false, false, len(p.steps)
 	for i, pos := range p.constAt {
 		if t := body[pos[0]].Args[pos[1]]; !t.IsVar() {
 			x.consts[i] = t.Const()
@@ -151,7 +152,7 @@ func (x *exec) release() {
 // run executes the join from the given step, returning false when the
 // caller should stop (limit reached, existence proven).
 func (x *exec) run(depth int) bool {
-	if depth == len(x.p.steps) {
+	if depth == x.end {
 		return x.emit()
 	}
 	st := &x.p.steps[depth]
@@ -228,14 +229,31 @@ func (x *exec) emit() bool {
 	return x.limit <= 0 || len(x.results) < x.limit
 }
 
-// solveOne runs the plan to its first answer.
+// solveOne runs the plan to its first answer. Without one, the binding
+// names the body's first lone atom that matches no row, if any (empty).
 func (p *plan) solveOne(body []eq.Atom, s *unify.Subst) (Binding, bool) {
 	x := p.bind(body, s)
 	x.limit, x.results = 1, x.one[:0]
 	x.run(0)
 	b, found := x.one[0], len(x.results) == 1
+	if !found {
+		b = EmptyAt(x.empty())
+	}
 	x.release()
 	return b, found
+}
+
+// empty probes the plan's lone atoms in body order, each alone in
+// existence mode on its step — run returns true when no row matches —
+// and returns the first atom with no match, or -1.
+func (x *exec) empty() int {
+	x.exists = true
+	for _, si := range x.p.lone {
+		if x.end = si + 1; x.run(si) {
+			return x.p.steps[si].atom
+		}
+	}
+	return -1
 }
 
 // solveAll runs the plan and materialises up to limit bindings (limit

@@ -121,6 +121,9 @@ type plan struct {
 	steps  []planStep
 	rels   []planRel // sorted by name — the global lock order
 	nSlots int
+	// lone lists the steps whose atom shares no variable with the rest
+	// of the body, in body order: what a failed query probes (empty).
+	lone []int
 	// constAt maps const index -> (atom, arg, argument) position in the
 	// body, in body order — the argument counted across the body, as a
 	// substitution's term table counts it — so each call fills its own
@@ -231,7 +234,7 @@ func compilePlan(shape string, body []eq.Atom, ids []int, instVersions []uint64,
 			relIx[a.Rel] = ri
 		}
 		if rels[ri].arity != len(a.Args) {
-			return nil, fmt.Errorf("db: atom %s has arity %d, relation has %d", a, len(a.Args), rels[ri].arity)
+			return nil, fmt.Errorf("%w: atom %s has arity %d, relation has %d", ErrSchema, a, len(a.Args), rels[ri].arity)
 		}
 		atomRel[ai] = ri
 		args := make([]planArg, len(a.Args))
@@ -327,7 +330,32 @@ func compilePlan(shape string, body []eq.Atom, ids []int, instVersions []uint64,
 	for i := range p.steps {
 		p.steps[i].rel, _ = slices.BinarySearchFunc(p.rels, rels[p.steps[i].rel].name, byName)
 	}
+	p.lone = loneSteps(argPlan, p.steps, p.nSlots)
 	return p, nil
+}
+
+// loneSteps returns, in body order of their atoms, the steps whose
+// atom uses no slot another atom uses.
+func loneSteps(argPlan [][]planArg, steps []planStep, nSlots int) []int {
+	owner := make([]int, nSlots) // slot -> 1 + the one atom using it, 0 for none, -1 for several
+	for ai, args := range argPlan {
+		for _, a := range args {
+			switch {
+			case a.kind == opConst:
+			case owner[a.ix] == 0:
+				owner[a.ix] = ai + 1
+			case owner[a.ix] != ai+1:
+				owner[a.ix] = -1
+			}
+		}
+	}
+	var lone []int
+	for ai, args := range argPlan {
+		if !slices.ContainsFunc(args, func(a planArg) bool { return a.kind != opConst && owner[a.ix] != ai+1 }) {
+			lone = append(lone, slices.IndexFunc(steps, func(st planStep) bool { return st.atom == ai }))
+		}
+	}
+	return lone
 }
 
 // planSource is the store-specific half of plan lookup: which schema
@@ -387,13 +415,10 @@ func (in *Instance) planValid(p *plan) bool {
 func (in *Instance) resolve(name string) ([]*Relation, int, error) {
 	r, ok := in.Relation(name)
 	if !ok {
-		return nil, 0, fmt.Errorf("db: unknown relation %s", name)
+		return nil, 0, fmt.Errorf("%w: unknown relation %s", ErrSchema, name)
 	}
 	return []*Relation{r}, -1, nil
 }
-
-// PlanStats reports the instance's plan-cache counters.
-func (in *Instance) PlanStats() PlanCacheStats { return in.plans.stats() }
 
 // relsValid reports whether every relation the plan compiled against is
 // still current (no BuildIndex since compile, and — combined with the

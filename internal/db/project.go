@@ -21,7 +21,7 @@ func (in *Instance) Project(rel string, cols []int, where map[int]eq.Value, yiel
 	in.countQuery()
 	r, ok := in.Relation(rel)
 	if !ok {
-		return fmt.Errorf("db: unknown relation %s", rel)
+		return fmt.Errorf("%w: unknown relation %s", ErrSchema, rel)
 	}
 	for _, c := range cols {
 		if c < 0 || c >= r.Arity() {

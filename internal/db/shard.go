@@ -86,7 +86,7 @@ type ShardedInstance struct {
 	// version counts schema changes (CreateRelation); cross-shard
 	// compiled plans record it and retire themselves when it moves.
 	version atomic.Uint64
-	plans   planCache
+	planner // Solve, SolveAll, Satisfiable, SolveUnder, PlanStats
 }
 
 // NewShardedInstance returns an empty instance partitioned across k
@@ -99,7 +99,9 @@ func NewShardedInstance(k int) *ShardedInstance {
 	for i := range shards {
 		shards[i] = NewInstance()
 	}
-	return &ShardedInstance{shards: shards, keys: map[string]int{}}
+	sh := &ShardedInstance{shards: shards, keys: map[string]int{}}
+	sh.src = sh
+	return sh
 }
 
 // NumShards returns the shard count K.
@@ -132,11 +134,6 @@ func (sh *ShardedInstance) SetSimulatedLatency(d time.Duration) {
 		s.SimulatedLatency = d
 	}
 }
-
-// PlanStats reports the cross-shard plan-cache counters (routed
-// single-shard queries hit the owning shard's cache; see
-// Instance.PlanStats).
-func (sh *ShardedInstance) PlanStats() PlanCacheStats { return sh.plans.stats() }
 
 // ShardedRelation is the write handle for one hash-partitioned
 // relation: it owns the name, the hash column and the K per-shard
@@ -268,38 +265,6 @@ func (sh *ShardedInstance) Contains(a eq.Atom) bool {
 	return sh.shards[shardIndex(a.Args[key].Const(), len(sh.shards))].Contains(a)
 }
 
-// The query methods run one compiled plan across shard parts. A plan
-// resolves every relation's parts across all shards once; narrowing to
-// the parts one call can reach happens at bind time from the call's
-// constants, so parts that no atom can reach (every atom over the
-// relation pins the hash column to a constant routing elsewhere) are
-// neither locked nor probed, and writers to them never wait on a query.
-
-// Solve answers the conjunctive query under choose-1 semantics (see
-// Instance.Solve). Counts as one query on the cross-shard counter.
-func (sh *ShardedInstance) Solve(body []eq.Atom) (Binding, bool, error) {
-	return solveOne(sh, &sh.plans, body, nil)
-}
-
-// SolveAll returns up to limit satisfying assignments (limit <= 0 means
-// all).
-func (sh *ShardedInstance) SolveAll(body []eq.Atom, limit int) ([]Binding, error) {
-	return solveAll(sh, &sh.plans, body, limit)
-}
-
-// Satisfiable reports whether the body has at least one answer. It runs
-// the plan in existence mode: no binding is materialised.
-func (sh *ShardedInstance) Satisfiable(body []eq.Atom) (bool, error) {
-	return satisfiable(sh, &sh.plans, body)
-}
-
-// SolveUnder answers the body resolved under a substitution; like
-// Instance.SolveUnder it resolves terms at bind time instead of
-// materialising a substituted body.
-func (sh *ShardedInstance) SolveUnder(body []eq.Atom, s *unify.Subst) (Binding, bool, error) {
-	return solveOne(sh, &sh.plans, body, s)
-}
-
 func (sh *ShardedInstance) schemaVersions() []uint64 {
 	vers := make([]uint64, len(sh.shards)+1)
 	vers[0] = sh.version.Load()
@@ -312,7 +277,7 @@ func (sh *ShardedInstance) schemaVersions() []uint64 {
 func (sh *ShardedInstance) resolve(name string) ([]*Relation, int, error) {
 	key, ok := sh.keyOf(name)
 	if !ok {
-		return nil, 0, fmt.Errorf("db: unknown relation %s", name)
+		return nil, 0, fmt.Errorf("%w: unknown relation %s", ErrSchema, name)
 	}
 	parts := make([]*Relation, len(sh.shards))
 	for i, s := range sh.shards {

@@ -1,11 +1,16 @@
 package db
 
 import (
+	"errors"
 	"sync/atomic"
 
 	"entangled/internal/eq"
 	"entangled/internal/unify"
 )
+
+// ErrSchema is wrapped by the error of a query with an atom over a
+// relation the store lacks, or of another arity; no row is read.
+var ErrSchema = errors.New("db: query does not fit the schema")
 
 // Store is the read surface the coordination algorithms evaluate
 // against: conjunctive-query answering under choose-1 semantics, ground

@@ -68,8 +68,8 @@ func TestCoordinateManyCancelAbortsMidPlan(t *testing.T) {
 	gs := newGateStore(listInstance(t))
 	e := New(gs, Options{Workers: 2})
 	reqs := []Request{
-		{ID: "a", Queries: workload.DeadEnd(workload.ListQueries(6, testRows))},
-		{ID: "b", Queries: workload.DeadEnd(workload.ListQueries(6, testRows))},
+		{ID: "a", Queries: workload.JoinedDeadEnd(workload.ListQueries(6, testRows))},
+		{ID: "b", Queries: workload.JoinedDeadEnd(workload.ListQueries(6, testRows))},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan []Response, 1)

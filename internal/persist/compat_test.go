@@ -81,7 +81,11 @@ func compatChurn(store db.Store) []stream.Event {
 // and stopping at the first that grounds, the twelve components it no
 // longer reaches are "outranked", each searched one as before, and the
 // totals bill what it searched (dirty and db_queries 56 → 41, reused
-// 1493 → 552). Queries and Parked are 6038a32's bytes.
+// 1493 → 552); and with a failed search naming a query no set holding
+// it grounds, the walk resolves every set holding that query unsearched
+// and unspliced, so the totals bill fewer searches and splices (dirty
+// and db_queries 41 → 34, reused 552 → 426). Queries and Parked are
+// 6038a32's bytes.
 func TestJournalFromBeforeSerialsReplays(t *testing.T) {
 	const fixture = "testdata/journal_6038a32"
 	parent, err := os.ReadFile(fixture + ".wal")

@@ -83,7 +83,7 @@ func TestBatcherDispatchTimeout(t *testing.T) {
 	// expires during the first queries of the plan, one of six.
 	slow := workload.NewStore(1, 40, 2*time.Millisecond)
 	b := testBatcher(t, slow, time.Millisecond)
-	resp, err := b.submit(context.Background(), "", engine.Request{ID: "slow", Queries: workload.DeadEnd(workload.ListQueries(6, 40))})
+	resp, err := b.submit(context.Background(), "", engine.Request{ID: "slow", Queries: workload.JoinedDeadEnd(workload.ListQueries(6, 40))})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestBatcherDispatchTimeout(t *testing.T) {
 		t.Fatalf("resp.Err = %v, want context.DeadlineExceeded", resp.Err)
 	}
 	// The workers survived and keep serving (and timing out) work.
-	resp, err = b.submit(context.Background(), "", engine.Request{ID: "again", Queries: workload.DeadEnd(workload.ListQueries(6, 40))})
+	resp, err = b.submit(context.Background(), "", engine.Request{ID: "again", Queries: workload.JoinedDeadEnd(workload.ListQueries(6, 40))})
 	if err != nil || !errors.Is(resp.Err, context.DeadlineExceeded) {
 		t.Fatalf("second submit: %v / %v", err, resp.Err)
 	}

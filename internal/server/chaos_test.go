@@ -239,7 +239,9 @@ func TestChaosSoakNoAckedWriteEverLost(t *testing.T) {
 				for _, id := range observed[name] {
 					tr.live[id] = true
 				}
-				checkRecovered(t, ctx, httpC, backend, tr)
+				if _, f, detail := recoveredDiff(t, ctx, httpC, backend, tr); f != "" {
+					t.Fatalf("cycle %d: session %s recovered with a different %s: %s", cycle, name, f, detail)
+				}
 			}
 		}
 

@@ -40,7 +40,7 @@ func TestServerLoopbackIntegration(t *testing.T) {
 			defer wg.Done()
 			reqs := make([]client.Request, perBatch)
 			for j := range reqs {
-				reqs[j] = client.Request{Queries: workload.DeadEnd(workload.ListQueriesAt(4+(b+j)%9, (b*perBatch+j)%rows))}
+				reqs[j] = client.Request{Queries: workload.JoinedDeadEnd(workload.ListQueriesAt(4+(b+j)%9, (b*perBatch+j)%rows))}
 			}
 			_, err := clients[b%2].CoordinateBatch(ctx, reqs)
 			errs <- err

@@ -235,7 +235,7 @@ func (s *Session) join(q eq.Query, up *Update) {
 		}
 		return
 	}
-	slot, d, err := s.inc.Add(q)
+	slot, d, err := s.admit(q)
 	up.Stats = d // exact even on failure: searches count, admission doesn't
 	if slot >= 0 {
 		// The query is live in the incremental state — record it even
@@ -260,6 +260,20 @@ func (s *Session) join(q eq.Query, up *Update) {
 		}
 		up.Err = err
 	}
+}
+
+// admit adds q to the incremental state. A body that does not fit the
+// schema fails every pass that holds it, so no later pass would heal
+// it: it is departed at once, and the refusal (slot -1, the ErrSchema
+// error) leaves the state as it was. The stats count both passes.
+func (s *Session) admit(q eq.Query) (int, coord.DeltaStats, error) {
+	slot, d, err := s.inc.Add(q)
+	if slot >= 0 && errors.Is(err, db.ErrSchema) {
+		dr, _ := s.inc.Remove(slot)
+		d.Dirty, d.Reused, d.DBQueries = d.Dirty+dr.Dirty, d.Reused+dr.Reused, d.DBQueries+dr.DBQueries
+		slot = -1
+	}
+	return slot, d, err
 }
 
 // leave departs one query and retries parked arrivals. Retry costs are
@@ -290,13 +304,14 @@ func (s *Session) leave(id string, up *Update) {
 	// arrival order. A retry that still conflicts stays parked. Retry
 	// costs fold into the update's stats so per-event metering stays
 	// exact, and non-admission failures surface on the update. An
-	// admitted retry's slot replaces its parkedSlot in byID.
+	// admitted retry's slot replaces its parkedSlot in byID; one that
+	// does not fit the schema is dropped (admit).
 	if len(s.parked) == 0 {
 		return
 	}
 	still := s.parked[:0]
 	for _, q := range s.parked {
-		slot, dq, err := s.inc.Add(q)
+		slot, dq, err := s.admit(q)
 		up.Stats.Dirty += dq.Dirty
 		up.Stats.Reused += dq.Reused
 		up.Stats.DBQueries += dq.DBQueries
@@ -306,6 +321,11 @@ func (s *Session) leave(id string, up *Update) {
 			s.byID[q.ID] = slot
 			s.totals.Joins++
 			up.AdmittedParked = append(up.AdmittedParked, q.ID)
+		} else if errors.Is(err, db.ErrSchema) {
+			// Refused for good, as a join would be, and not this
+			// departure's failure: the ID is free again.
+			delete(s.byID, q.ID)
+			continue
 		} else {
 			still = append(still, q)
 		}

@@ -125,6 +125,46 @@ func TestSessionParkUnsafe(t *testing.T) {
 	}
 }
 
+// TestSessionRefusesSchemaMismatch: a query whose body names a relation
+// the store lacks is refused, on arrival or on a parked retry, and
+// leaves the session as it was, so later events coordinate.
+func TestSessionRefusesSchemaMismatch(t *testing.T) {
+	mk := func(id, user, post, rel string) eq.Query {
+		q := eq.Query{
+			ID:   id,
+			Head: []eq.Atom{eq.NewAtom("R", eq.C(eq.Value(user)), eq.V("x"))},
+			Body: []eq.Atom{eq.NewAtom(rel, eq.V("x"), eq.C("c0"))},
+		}
+		if post != "" {
+			q.Post = []eq.Atom{eq.NewAtom("R", eq.C(eq.Value(post)), eq.V("y"))}
+		}
+		return q
+	}
+	s := stream.New(chainStore(1), stream.Options{ParkUnsafe: true})
+	if up, err := s.Join(mk("n", "N", "", "Nowhere")); !errors.Is(err, db.ErrSchema) || up.Admitted || s.Size() != 0 {
+		t.Fatalf("join over Nowhere: %+v, %v, size %d", up, err, s.Size())
+	}
+	for _, q := range []eq.Query{mk("a", "A", "", "T"), mk("b", "A", "", "T")} {
+		if _, err := s.Join(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// c posts to user A, who has two heads: parked. b's departure
+	// admits c's retry, whose body names Nowhere: it is refused.
+	if up, err := s.Join(mk("c", "C", "A", "Nowhere")); err != nil || !up.Parked {
+		t.Fatalf("want c parked: %+v, %v", up, err)
+	}
+	up, err := s.Leave("b")
+	if err != nil || len(up.AdmittedParked) != 0 || s.ParkedCount() != 0 || s.Size() != 1 || up.TeamSize != 1 {
+		t.Fatalf("after b leaves: %+v, %v, parked %d size %d", up, err, s.ParkedCount(), s.Size())
+	}
+	for _, q := range []eq.Query{mk("n", "N", "", "T"), mk("c", "C", "", "T")} {
+		if up, err := s.Join(q); err != nil || up.TeamSize == 0 {
+			t.Fatalf("join %s after the refusals: %+v, %v", q.ID, up, err)
+		}
+	}
+}
+
 // TestSessionParkedIDReservation: a parked arrival reserves its ID —
 // joins reusing it are rejected (live or parked holder alike), so a
 // departure's retry can never admit a query over another holder or
@@ -292,7 +332,8 @@ func TestSessionStoreErrorStaysConsistent(t *testing.T) {
 	})
 
 	// Chain 0 is twelve long and grounds nowhere, its root's body
-	// matching no row; chains 1 to 3 are eight long. The walk searches
+	// matching no row through a join, so no failed search names it
+	// (workload.JoinedDeadEnd); chains 1 to 3 are eight long. The walk searches
 	// chain 0's five sets of eight or more, largest first, before chain
 	// 1's set of eight grounds. Chain 0's member 2 leaves (stranding
 	// 3..11) and comes back, which dirties those five; the store fails
@@ -318,7 +359,7 @@ func TestSessionStoreErrorStaysConsistent(t *testing.T) {
 				for i := 0; i < n; i++ {
 					q := workload.ChainQuery(c, i, chains)
 					if c == 0 && i == 0 {
-						q.Body = []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C("none"))}
+						q.Body = []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.V("y")), eq.NewAtom("T", eq.V("y"), eq.C("none"))}
 					}
 					if _, err := s.Join(q); err != nil {
 						t.Fatal(err)

@@ -88,13 +88,14 @@ func ListQueries(n, tableRows int) []eq.Query {
 	return listQueriesWith(n, func(i int) []eq.Atom { return bodyFor(i, tableRows) })
 }
 
-// DeadEnd gives a list's last query a body no table row satisfies, in
-// place, and returns the list. Every set the list could coordinate
-// holds its last query, so none grounds: the family walk learns that
-// with one query, the last one's own, while SCCCoordinate, which
-// searches the largest set first, asks one per query.
-func DeadEnd(qs []eq.Query) []eq.Query {
-	qs[len(qs)-1].Body = []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C("none"))}
+// JoinedDeadEnd gives a list's last query a body no table row
+// satisfies, in place, and returns the list: every set the list could
+// coordinate holds it, so none grounds. Its empty atom, T(?y, 'none'),
+// shares ?y with T(?x, ?y), so a failed search cannot name it
+// (db.Binding.Empty): the family walk learns that with one query, the
+// last one's own, while SCCCoordinate asks one per query.
+func JoinedDeadEnd(qs []eq.Query) []eq.Query {
+	qs[len(qs)-1].Body = []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.V("y")), eq.NewAtom("T", eq.V("y"), eq.C("none"))}
 	return qs
 }
 
