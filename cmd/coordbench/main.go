@@ -13,6 +13,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -39,6 +40,9 @@ func run(args []string, stdout io.Writer) error {
 	markdown := fs.Bool("markdown", false, "emit a markdown report (EXPERIMENTS.md style)")
 	latency := fs.Duration("latency", 0, "simulated per-database-query latency (e.g. 1ms to model the paper's MySQL round trips)")
 	fs.Parse(args)
+	if err := cmp.Or(atLeast("rows", *rows, 1), atLeast("seeds", *seeds, 1), atLeast("repeats", *repeats, 1)); err != nil {
+		return err
+	}
 
 	cfg := experiments.Config{TableRows: *rows, Seeds: *seeds, Repeats: *repeats, Latency: *latency}
 	figures := map[string]func(experiments.Config) experiments.Series{
@@ -67,6 +71,14 @@ func run(args []string, stdout io.Writer) error {
 		} else {
 			fmt.Fprint(stdout, s.Render())
 		}
+	}
+	return nil
+}
+
+// atLeast refuses a count flag below the least value it can mean.
+func atLeast(flag string, v, least int) error {
+	if v < least {
+		return fmt.Errorf("-%s must be at least %d, not %d", flag, least, v)
 	}
 	return nil
 }

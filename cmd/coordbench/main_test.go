@@ -2,6 +2,8 @@ package main
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -69,5 +71,34 @@ func TestSingleFigure(t *testing.T) {
 	}
 	if rows != 10 {
 		t.Errorf("%d rows, want 10:\n%s", rows, out.String())
+	}
+}
+
+// TestCountFlagsRefused: a count flag below what it can mean is an
+// error naming the flag, before any figure runs.
+func TestCountFlagsRefused(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-fig 4 -rows -5", "-rows must be at least 1, not -5"},
+		{"-fig 5 -seeds 0", "-seeds must be at least 1, not 0"},
+		{"-fig 7 -repeats -1", "-repeats must be at least 1, not -1"},
+	} {
+		if err := run(strings.Fields(tc.args), new(strings.Builder)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestMainRunsTheProgram runs main as the binary does: os.Args in, the figure on stdout.
+func TestMainRunsTheProgram(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(args []string, out *os.File) { os.Args, os.Stdout = args, out; f.Close() }(os.Args, os.Stdout)
+	os.Args, os.Stdout = []string{"coordbench", "-fig", "7", "-repeats", "1"}, f
+	main()
+	if out, _ := os.ReadFile(path); !strings.Contains(string(out), "Figure 7: ") {
+		t.Errorf("%v printed:\n%s\nwant a line with %q", os.Args, out, "Figure 7: ")
 	}
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -69,5 +71,20 @@ func TestRunRefuses(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err %v, want one naming %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestMainRunsTheProgram runs main as the binary does: os.Args in, the answer on stdout.
+func TestMainRunsTheProgram(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(args []string, out *os.File) { os.Args, os.Stdout = args, out; f.Close() }(os.Args, os.Stdout)
+	os.Args, os.Stdout = append([]string{"coordctl", "-queries", "testdata/band.eq"}, strings.Fields(tables)...), f
+	main()
+	if out, _ := os.ReadFile(path); !strings.Contains(string(out), "qC") {
+		t.Errorf("%v printed:\n%s\nwant a line with %q", os.Args, out, "qC")
 	}
 }

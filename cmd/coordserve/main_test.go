@@ -4,6 +4,8 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -63,5 +65,21 @@ func TestParseFlags(t *testing.T) {
 	}
 	if cfg, err := parseFlags(nil, io.Discard); err == nil {
 		t.Errorf("no arguments: accepted as %+v", cfg)
+	}
+}
+
+// TestMainRunsTheProgram runs main as the binary does: -h prints the
+// usage on stderr and returns.
+func TestMainRunsTheProgram(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(args []string, out *os.File) { os.Args, os.Stderr = args, out; f.Close() }(os.Args, os.Stderr)
+	os.Args, os.Stderr = []string{"coordserve", "-h"}, f
+	main()
+	if out, _ := os.ReadFile(path); !strings.Contains(string(out), "-cluster-peers") {
+		t.Errorf("%v printed:\n%s\nwant a line with %q", os.Args, out, "-cluster-peers")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"time"
 
 	"entangled/internal/admission"
@@ -38,27 +39,46 @@ const (
 // — so an interrupted server's data directory is complete on stable
 // storage.
 //
-// Both listeners are bound before anything else is opened or started,
-// so an address in use is reported with nothing to undo, and the
-// addresses printed are the bound ones (":0" shows its port).
+// The cluster membership and the tenant policy are checked, and both
+// listeners bound, before the data directory is opened, so a refused
+// boot leaves nothing to undo, and the addresses printed are the bound
+// ones (":0" shows its port).
 func run(ctx context.Context, cfg config, stdout io.Writer) error {
 	policy, err := persist.ParseSyncPolicy(cfg.fsync)
 	if err != nil {
 		return err
 	}
-	var nodes []cluster.Node
 	binaryAddr := cfg.listenBinary
+	var cr *cluster.Router
 	if cfg.clusterPeers != "" {
-		if nodes, err = cluster.ParsePeers(cfg.clusterPeers); err != nil {
+		nodes, err := cluster.ParsePeers(cfg.clusterPeers)
+		if err != nil {
 			return err
 		}
+		// Every node holds a full replica of the canonical workload table,
+		// hashed (when sharded) on the columns workload.Placement names,
+		// so placement only steers work, never data availability.
+		cr, err = cluster.New(cluster.Config{Self: cfg.clusterNode, Nodes: nodes}, cluster.Options{
+			Placement: workload.Placement(),
+			Dial:      func(addr string) cluster.PeerConn { return client.DialPeer(addr) },
+		})
+		if err != nil {
+			return err
+		}
+		defer cr.Close()
 		// Forwards ride the binary protocol, so a cluster node always
 		// listens on its membership address.
-		for _, n := range nodes {
-			if n.Name == cfg.clusterNode && binaryAddr == "" {
-				binaryAddr = n.Addr
-			}
+		if binaryAddr == "" {
+			binaryAddr = nodes[slices.IndexFunc(nodes, func(n cluster.Node) bool { return n.Name == cfg.clusterNode })].Addr
 		}
+	}
+	var adm *admission.Controller
+	if cfg.tenants != "" {
+		ac, err := admission.LoadConfig(cfg.tenants)
+		if err != nil {
+			return err
+		}
+		adm = admission.NewController(ac)
 	}
 	hln, err := net.Listen("tcp", cfg.listen)
 	if err != nil {
@@ -80,34 +100,6 @@ func run(ctx context.Context, cfg config, stdout io.Writer) error {
 	if backend != nil {
 		// Closed — final sync included — after the server has drained.
 		defer backend.Close()
-	}
-	var adm *admission.Controller
-	if cfg.tenants != "" {
-		ac, err := admission.LoadConfig(cfg.tenants)
-		if err != nil {
-			return err
-		}
-		adm = admission.NewController(ac)
-	}
-	var cr *cluster.Router
-	if nodes != nil {
-		// The placement the cluster partitions work by mirrors the
-		// store's own hash partitioning when it is sharded, and the
-		// canonical workload contract otherwise (every node holds a full
-		// replica, so placement only steers work, never data
-		// availability).
-		placement := workload.Placement()
-		if sh, ok := store.(*db.ShardedInstance); ok {
-			placement = sh.HashColumns()
-		}
-		cr, err = cluster.New(cluster.Config{Self: cfg.clusterNode, Nodes: nodes}, cluster.Options{
-			Placement: placement,
-			Dial:      func(addr string) cluster.PeerConn { return client.DialPeer(addr) },
-		})
-		if err != nil {
-			return err
-		}
-		defer cr.Close()
 	}
 	e := engine.New(store, engine.Options{Workers: cfg.workers})
 	srv, err := server.New(e, server.Options{Persist: backend, Cluster: cr, Admission: adm})

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"runtime"
@@ -178,6 +179,50 @@ func TestServeDurableInitialisesThenRecovers(t *testing.T) {
 		if text := s.drain(t); !strings.HasPrefix(text, want) {
 			t.Fatalf("want a run that starts by %q, got:\n%s", want, text)
 		}
+	}
+}
+
+// TestServeClusterNodeWithTenants boots a one-node cluster with a
+// tenant policy: the node listens for forwards on its membership
+// address, announces both, and drains cleanly.
+func TestServeClusterNodeWithTenants(t *testing.T) {
+	policy := filepath.Join(t.TempDir(), "tenants.json")
+	if err := os.WriteFile(policy, []byte(`{"default": {"rate": 1000}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := config{listen: "127.0.0.1:0", rows: 8, shards: 2, workers: 1, fsync: "always",
+		clusterNode: "a", clusterPeers: "a=127.0.0.1:0", tenants: policy}
+	s, _ := serve(t, cfg, httpAddr, binaryAddr)
+	text := s.drain(t)
+	for _, want := range []string{"admission: per-tenant quotas active", "cluster: node a of 1 members"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("output lacks %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestRefusedBootLeavesTheDataDirUnseeded: a boot refused for its
+// tenant policy or its cluster membership (a -cluster-node missing from
+// -cluster-peers, a name listed twice) writes nothing under -data-dir, so the corrected boot initialises the
+// directory with its own -rows instead of recovering a stray seed.
+func TestRefusedBootLeavesTheDataDirUnseeded(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "d")
+	for _, bad := range []config{
+		{tenants: filepath.Join(t.TempDir(), "missing.json")},
+		{clusterNode: "z", clusterPeers: "a=127.0.0.1:1,b=127.0.0.1:2"},
+		{clusterNode: "a", clusterPeers: "a=127.0.0.1:1,a=127.0.0.1:2"},
+	} {
+		bad.listen, bad.rows, bad.shards, bad.workers, bad.dataDir, bad.fsync = "127.0.0.1:0", 8, 1, 1, dir, "never"
+		if err := run(context.Background(), bad, io.Discard); err == nil {
+			t.Fatalf("%+v booted", bad)
+		}
+		if entries, err := os.ReadDir(dir); err == nil && len(entries) > 0 {
+			t.Fatalf("%+v: a refused boot left %d entries in the data directory", bad, len(entries))
+		}
+	}
+	s, _ := serve(t, config{listen: "127.0.0.1:0", rows: 8, shards: 1, workers: 1, dataDir: dir, fsync: "never"}, httpAddr)
+	if text := s.drain(t); !strings.HasPrefix(text, "initialising "+dir) {
+		t.Fatalf("the corrected boot does not initialise %s:\n%s", dir, text)
 	}
 }
 

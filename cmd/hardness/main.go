@@ -15,6 +15,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,6 +42,10 @@ func run(args []string, stdout io.Writer) error {
 	clauses := fs.Int("clauses", 3, "clauses for a random formula")
 	seed := fs.Int64("seed", 1, "random seed")
 	fs.Parse(args)
+	// A random clause draws three distinct variables.
+	if err := cmp.Or(atLeast("vars", *vars, 3), atLeast("clauses", *clauses, 1)); err != nil {
+		return err
+	}
 
 	var f sat.Formula
 	if *dimacs != "" {
@@ -136,4 +141,12 @@ func tooMany(err error, n int) error {
 		return fmt.Errorf("[%s] %w; the reduction produced %d queries — shrink the formula (at most ~5 variables and ~4 clauses)", coord.CodeTooManyQueries, err, n)
 	}
 	return err
+}
+
+// atLeast refuses a count flag below the least value it can mean.
+func atLeast(flag string, v, least int) error {
+	if v < least {
+		return fmt.Errorf("-%s must be at least %d, not %d", flag, least, v)
+	}
+	return nil
 }

@@ -80,3 +80,31 @@ func TestLargeFormulaIsRefused(t *testing.T) {
 		t.Errorf("err %v, want the too-many-queries refusal", err)
 	}
 }
+
+// TestCountFlagsRefused: a count flag below what it can mean is an
+// error naming the flag, before any formula is drawn.
+func TestCountFlagsRefused(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-vars 2", "-vars must be at least 3, not 2"},
+		{"-clauses -2", "-clauses must be at least 1, not -2"},
+	} {
+		if err := run(strings.Fields(tc.args), new(strings.Builder)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestMainRunsTheProgram runs main as the binary does: os.Args in, the reductions on stdout.
+func TestMainRunsTheProgram(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(args []string, out *os.File) { os.Args, os.Stdout = args, out; f.Close() }(os.Args, os.Stdout)
+	os.Args, os.Stdout = []string{"hardness", "-dimacs", "testdata/small.cnf"}, f
+	main()
+	if out, _ := os.ReadFile(path); !strings.Contains(string(out), "DPLL: satisfiable, e.g. x1=false x2=true") {
+		t.Errorf("%v printed:\n%s\nwant a line with %q", os.Args, out, "DPLL: satisfiable, e.g. x1=false x2=true")
+	}
+}

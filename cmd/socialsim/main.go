@@ -12,6 +12,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -39,6 +40,11 @@ func run(args []string, stdout io.Writer) error {
 	ttl := fs.Int("ttl", 10, "rounds before a pending request expires")
 	seed := fs.Int64("seed", 1, "random seed")
 	fs.Parse(args)
+	// No users is the simulator's own refusal, an empty network.
+	if err := cmp.Or(atLeast("users", *users, 0), atLeast("m", *m, 1), atLeast("rounds", *rounds, 1),
+		atLeast("arrivals", *arrivals, 1), atLeast("ttl", *ttl, 1)); err != nil {
+		return err
+	}
 
 	g := netgen.BarabasiAlbert(*users, *m, rand.New(rand.NewSource(*seed)))
 	st, err := simulate.Run(simulate.Config{
@@ -69,4 +75,12 @@ func pct(a, b int) float64 {
 		return 0
 	}
 	return 100 * float64(a) / float64(b)
+}
+
+// atLeast refuses a count flag below the least value it can mean.
+func atLeast(flag string, v, least int) error {
+	if v < least {
+		return fmt.Errorf("-%s must be at least %d, not %d", flag, least, v)
+	}
+	return nil
 }

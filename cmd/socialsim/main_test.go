@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -32,5 +34,36 @@ max pending:         33
 func TestEmptyNetworkFails(t *testing.T) {
 	if err := run([]string{"-users", "0"}, new(strings.Builder)); err == nil || !strings.Contains(err.Error(), "empty network") {
 		t.Errorf("no users: err %v, want the empty-network refusal", err)
+	}
+}
+
+// TestCountFlagsRefused: a count flag below what it can mean is an
+// error naming the flag, before the network is built.
+func TestCountFlagsRefused(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-users -3", "-users must be at least 0, not -3"},
+		{"-m 0", "-m must be at least 1, not 0"},
+		{"-rounds 0", "-rounds must be at least 1, not 0"},
+		{"-arrivals -1", "-arrivals must be at least 1, not -1"},
+		{"-ttl 0", "-ttl must be at least 1, not 0"},
+	} {
+		if err := run(strings.Fields(tc.args), new(strings.Builder)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestMainRunsTheProgram runs main as the binary does: os.Args in, the tallies on stdout.
+func TestMainRunsTheProgram(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(args []string, out *os.File) { os.Args, os.Stdout = args, out; f.Close() }(os.Args, os.Stdout)
+	os.Args, os.Stdout = []string{"socialsim", "-seed", "1", "-rounds", "20"}, f
+	main()
+	if out, _ := os.ReadFile(path); !strings.Contains(string(out), "submitted:           89") {
+		t.Errorf("%v printed:\n%s\nwant a line with %q", os.Args, out, "submitted:           89")
 	}
 }

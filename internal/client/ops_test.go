@@ -11,9 +11,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"entangled/internal/api"
 	"entangled/internal/cluster"
+	"entangled/internal/db"
 	"entangled/internal/engine"
 	"entangled/internal/eq"
 	"entangled/internal/server"
@@ -404,5 +406,92 @@ func TestTenantCallErrorsNameTheOperation(t *testing.T) {
 	_, err = c.Session("s").Status(context.Background(), false)
 	if err == nil || !strings.Contains(err.Error(), "decoding status reply") {
 		t.Fatalf("garbage status reply under a tenant: %v; want an error naming the status reply", err)
+	}
+}
+
+// TestClientReadsAndPush drives the Client methods the conformance test
+// reaches only through its transports: the four reads over HTTP, health
+// over binary, and a binary subscription that receives the push a
+// departure sends when it admits a parked arrival.
+func TestClientReadsAndPush(t *testing.T) {
+	ctx := context.Background()
+	in := db.NewInstance()
+	in.CreateRelation("Flights", "fid", "dest").Insert("f1", "Paris")
+	srv, err := server.New(engine.New(in, engine.Options{}), server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeWire(ln)
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+
+	hc, err := New(hs.URL, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hc.Close()
+	if h, err := hc.Health(ctx); err != nil || h.Status != "ok" {
+		t.Errorf("HTTP health %+v, err %v", h, err)
+	}
+	if r, err := hc.Recovery(ctx); err != nil || r.Enabled {
+		t.Errorf("recovery of an in-memory server %+v, err %v", r, err)
+	}
+	if m, err := hc.Metrics(ctx); err != nil || m.Coordinate.Requests != 0 {
+		t.Errorf("metrics of an idle server %+v, err %v", m, err)
+	}
+	if ts, err := hc.Tenants(ctx); err != nil || ts.Enabled {
+		t.Errorf("tenants without admission %+v, err %v", ts, err)
+	}
+
+	bc, err := New("tcp://"+ln.Addr().String(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bc.Close()
+	if h, err := bc.Health(ctx); err != nil || h.Status != "ok" {
+		t.Errorf("binary health %+v, err %v", h, err)
+	}
+	// Two heads on user A park a poster that fans out to both; the
+	// departure of one admits it, and the server pushes the admission.
+	mk := func(id, u string, posts ...string) eq.Query {
+		q := eq.Query{ID: id, Head: []eq.Atom{eq.NewAtom("Go", eq.C(eq.Value(u)), eq.V("d"))},
+			Body: []eq.Atom{eq.NewAtom("Flights", eq.V("f"), eq.V("d"))}}
+		for _, p := range posts {
+			q.Post = append(q.Post, eq.NewAtom("Go", eq.C(eq.Value(p)), eq.V("e")))
+		}
+		return q
+	}
+	sess, err := bc.CreateSession(ctx, "trip", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan Notification, 1)
+	stop, err := sess.Subscribe(ctx, func(n Notification) { got <- n })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	for _, q := range []eq.Query{mk("qa", "A"), mk("qa2", "A")} {
+		if _, err := sess.Join(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if up, err := sess.Join(ctx, mk("qp", "B", "A")); err != nil || !up.Parked {
+		t.Fatalf("poster join: %+v, err %v, want parked", up, err)
+	}
+	if _, err := sess.Leave(ctx, "qa2"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case n := <-got:
+		if n.Session != "trip" || n.QueryID != "qp" {
+			t.Errorf("push %+v, want the admission of qp in trip", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the push never arrived")
 	}
 }

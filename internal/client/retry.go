@@ -29,16 +29,12 @@ func FateKnown(err error) bool {
 // doubling, to at most retryCap (1s). The zero value is usable: 4
 // attempts, no overall budget.
 //
-// Two policies, matching the service's ack-fate taxonomy:
-//
-//   - Do retries anything IsRetryable — right for idempotent calls.
-//     Batch coordination is a pure read (it mutates nothing), so a
-//     request whose fate is unknown can always be re-asked.
-//   - DoFateKnown also requires FateKnown — right for session events,
-//     which mutate the session. A join whose ack was indeterminate or
-//     whose connection dropped might already be applied; blindly
-//     retrying it would double-apply (or trip duplicate_id), so those
-//     fates stop the loop and surface the error to the caller.
+// Its policy, DoFateKnown, matches the service's ack-fate taxonomy: it
+// retries an error only if it is IsRetryable and FateKnown — right for
+// session events, which mutate the session. A join whose ack was
+// indeterminate or whose connection dropped might already be applied;
+// blindly retrying it would double-apply (or trip duplicate_id), so
+// those fates stop the loop and surface the error to the caller.
 type Retry struct {
 	// Attempts is the total number of tries (the first call included).
 	// Zero means 4.
@@ -62,18 +58,11 @@ const (
 	retryCap  = time.Second
 )
 
-// Do calls fn until it succeeds, fails with a non-retryable error, the
-// attempts run out, the budget is spent, or ctx ends. The last error
-// is returned. Use for idempotent operations; for session events use
-// DoFateKnown.
-func (r Retry) Do(ctx context.Context, fn func(context.Context) error) error {
-	return r.run(ctx, fn, IsRetryable)
-}
-
-// DoFateKnown is Do for non-idempotent operations: it retries only
-// errors that are both retryable and fate-known (the server rejected
-// the call before applying anything). An indeterminate or unknown fate
-// returns immediately so the caller can reconcile (re-read session
+// DoFateKnown calls fn until it succeeds, fails with an error that is
+// not both retryable and fate-known (the server rejected the call
+// before applying anything), the attempts run out, the budget is spent,
+// or ctx ends, and returns the last error. An indeterminate or unknown
+// fate returns immediately so the caller can reconcile (re-read session
 // status) instead of double-applying.
 func (r Retry) DoFateKnown(ctx context.Context, fn func(context.Context) error) error {
 	return r.run(ctx, fn, func(err error) bool { return IsRetryable(err) && FateKnown(err) })

@@ -254,3 +254,9 @@ func TestRetrySeededScheduleDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// Do is the retry loop under IsRetryable alone, without DoFateKnown's
+// fate check: the tests drive the loop's schedule and budget through it.
+func (r Retry) Do(ctx context.Context, fn func(context.Context) error) error {
+	return r.run(ctx, fn, IsRetryable)
+}

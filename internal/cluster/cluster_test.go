@@ -43,7 +43,7 @@ func TestRingBalance(t *testing.T) {
 	for k := 0; k < keys; k++ {
 		counts[r.Owner("session-"+strconv.Itoa(k))]++
 	}
-	for _, n := range r.Nodes() {
+	for _, n := range []string{"a", "b", "c"} {
 		frac := float64(counts[n]) / keys
 		if frac < 0.10 || frac > 0.60 {
 			t.Fatalf("node %s owns %.1f%% of keys (%v); ring is badly unbalanced", n, 100*frac, counts)

@@ -53,9 +53,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	return r
 }
 
-// Nodes returns the sorted member names.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // Owner returns the member owning key: the node of the first virtual
 // point at or after db.Hash(key), wrapping at the top of the ring.
 func (r *Ring) Owner(key string) string {

@@ -45,10 +45,6 @@ type Partner struct {
 // relation.
 var Friend = Partner{AnyFriend: true}
 
-// FriendFrom builds a wildcard partner slot over a specific binary
-// relation.
-func FriendFrom(rel string) Partner { return Partner{AnyFriend: true, Rel: rel} }
-
 // With builds a constant partner slot.
 func With(name eq.Value) Partner { return Partner{Name: name} }
 

@@ -183,3 +183,7 @@ func TestMultiRelSweepAgrees(t *testing.T) {
 		t.Fatalf("cleaning strategies disagree: %v vs %v", r1, r2)
 	}
 }
+
+// FriendFrom builds a wildcard partner slot over a specific binary
+// relation.
+func FriendFrom(rel string) Partner { return Partner{AnyFriend: true, Rel: rel} }

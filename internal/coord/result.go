@@ -37,14 +37,6 @@ func (r *Result) IDs(qs []eq.Query) []string {
 	return out
 }
 
-// String renders the result compactly for logs and examples.
-func (r *Result) String() string {
-	if r == nil {
-		return "<no coordinating set>"
-	}
-	return fmt.Sprintf("coordinating set of %d queries %v", len(r.Set), r.Set)
-}
-
 // Release clears r's value maps, hands them back to the pool the §4
 // walk renders witnesses from, and sets r.Values to nil. It is for the
 // holder of the last reference to r — the server, once the reply is

@@ -175,7 +175,7 @@ func Resolve(body []eq.Atom, s *unify.Subst) []eq.Atom {
 // free, and atoms with variables or over unknown relations are not
 // contained.
 func (o *Oracle) Contains(a eq.Atom) bool {
-	return a.Ground() && o.matches(a)
+	return !slices.ContainsFunc(a.Args, eq.Term.IsVar) && o.matches(a)
 }
 
 func (o *Oracle) Domain() []eq.Value {

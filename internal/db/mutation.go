@@ -159,8 +159,6 @@ type WriteStore interface {
 	// own Apply reproduces), then its indexes in column order. Callers
 	// must quiesce writers for the dump to be a consistent snapshot.
 	DumpMutations(yield func(Mutation) error) error
-	// Schema returns relation name -> arity for every relation.
-	Schema() map[string]int
 	// RelationNames returns the sorted relation names.
 	RelationNames() []string
 }

@@ -187,22 +187,6 @@ func (r *ShardedRelation) BuildIndex(col int) {
 	}
 }
 
-// Len returns the total tuple count across all parts.
-func (r *ShardedRelation) Len() int {
-	n := 0
-	for _, p := range r.parts {
-		n += p.Len()
-	}
-	return n
-}
-
-// Part returns the i-th shard's slice of the relation.
-func (r *ShardedRelation) Part(i int) *Relation { return r.parts[i] }
-
-// Schema returns relation name -> arity (every shard holds the same
-// schema; shard 0 answers).
-func (sh *ShardedInstance) Schema() map[string]int { return sh.shards[0].Schema() }
-
 // RelationNames returns the sorted relation names.
 func (sh *ShardedInstance) RelationNames() []string { return sh.shards[0].RelationNames() }
 

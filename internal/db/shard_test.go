@@ -124,7 +124,7 @@ func TestShardedPlacement(t *testing.T) {
 		t.Fatalf("total %d tuples, want %d", r.Len(), n)
 	}
 	for s := 0; s < k; s++ {
-		part := r.Part(s)
+		part := r.parts[s]
 		for i := 0; i < part.Len(); i++ {
 			v := part.Tuple(i)[0]
 			if shardIndex(v, k) != s {
@@ -303,3 +303,16 @@ func TestMeterCountsExactly(t *testing.T) {
 		t.Fatalf("meter reset leaked: m=%d agg=%d", m.QueriesIssued(), inst.QueriesIssued())
 	}
 }
+
+// Len returns the total tuple count across all parts.
+func (r *ShardedRelation) Len() int {
+	n := 0
+	for _, p := range r.parts {
+		n += p.Len()
+	}
+	return n
+}
+
+// Schema returns relation name -> arity (every shard holds the same
+// schema; shard 0 answers).
+func (sh *ShardedInstance) Schema() map[string]int { return sh.shards[0].Schema() }

@@ -64,3 +64,52 @@ func TestQuickAlphaInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Normalize returns an alpha-renamed copy of q in which variables are
+// numbered v0, v1, ... in order of first appearance (posts, then heads,
+// then body). Two queries are alpha-equivalent — equal up to a
+// consistent renaming of variables — exactly when their normal forms
+// are syntactically identical, which AlphaEqual exploits.
+func (q Query) Normalize() Query {
+	cp := q.Clone()
+	names := map[string]string{}
+	ren := func(as []Atom) {
+		for i := range as {
+			for j := range as[i].Args {
+				t := as[i].Args[j]
+				if !t.IsVar() {
+					continue
+				}
+				n, ok := names[t.Name]
+				if !ok {
+					n = "v" + strconv.Itoa(len(names))
+					names[t.Name] = n
+				}
+				as[i].Args[j].Name = n
+			}
+		}
+	}
+	ren(cp.Post)
+	ren(cp.Head)
+	ren(cp.Body)
+	return cp
+}
+
+// AlphaEqual reports whether two queries are equal up to a consistent
+// renaming of variables (ignoring IDs).
+func AlphaEqual(a, b Query) bool {
+	na, nb := a.Normalize(), b.Normalize()
+	return atomsEqual(na.Post, nb.Post) && atomsEqual(na.Head, nb.Head) && atomsEqual(na.Body, nb.Body)
+}
+
+func atomsEqual(a, b []Atom) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}

@@ -115,16 +115,6 @@ func (a Atom) Equal(b Atom) bool {
 	return true
 }
 
-// Ground reports whether the atom contains no variables.
-func (a Atom) Ground() bool {
-	for _, t := range a.Args {
-		if t.IsVar() {
-			return false
-		}
-	}
-	return true
-}
-
 // Query is an entangled query {Post} Head :- Body.
 type Query struct {
 	ID   string `json:"id,omitempty"`   // stable identifier, e.g. the submitting user's name

@@ -64,15 +64,6 @@ func TestAtomStringAndEqual(t *testing.T) {
 	}
 }
 
-func TestAtomGround(t *testing.T) {
-	if NewAtom("R", C("a"), V("x")).Ground() {
-		t.Fatal("atom with variable is not ground")
-	}
-	if !NewAtom("R", C("a"), C("b")).Ground() {
-		t.Fatal("constant atom is ground")
-	}
-}
-
 func TestAtomCloneIndependent(t *testing.T) {
 	a := NewAtom("R", V("x"))
 	b := a.Clone()

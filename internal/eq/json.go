@@ -52,11 +52,6 @@ func (q Query) CheckRels() error {
 	return nil
 }
 
-// EncodeSet renders a query set as indented JSON.
-func EncodeSet(qs []Query) ([]byte, error) {
-	return json.MarshalIndent(qs, "", "  ")
-}
-
 // DecodeSet parses a query set from JSON.
 func DecodeSet(data []byte) (qs []Query, err error) {
 	if err = json.Unmarshal(data, &qs); err != nil {

@@ -129,7 +129,7 @@ func fromOracle(q oracleQuery) Query {
 	return Query{ID: q.ID, Post: atoms(q.Post), Head: atoms(q.Head), Body: atoms(q.Body)}
 }
 
-// oracleEncodeSet is EncodeSet through the nested codec.
+// oracleEncodeSet is a query set's indented JSON through the nested codec.
 func oracleEncodeSet(qs []Query) ([]byte, error) {
 	return json.MarshalIndent(mapSlice(qs, toOracle), "", "  ")
 }

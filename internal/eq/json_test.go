@@ -137,7 +137,7 @@ query chris {
   head: R(Chris, y)
   body: Flights(y, Zurich)
 }`)
-	data, err := EncodeSet(qs)
+	data, err := json.MarshalIndent(qs, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

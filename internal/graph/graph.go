@@ -2,7 +2,6 @@ package graph
 
 import (
 	"errors"
-	"slices"
 	"sort"
 )
 
@@ -92,27 +91,10 @@ func (g *Digraph) AddEdge(u, v int) {
 	g.m++
 }
 
-// HasEdge reports whether u -> v is present, in O(out-degree of u).
-func (g *Digraph) HasEdge(u, v int) bool { return slices.Contains(g.Succ(u), v) }
-
 // Succ returns u's successor list (shared; do not mutate).
 func (g *Digraph) Succ(u int) []int {
 	s := g.span[u]
 	return g.to[s.at : s.at+s.n : s.at+s.n]
-}
-
-// OutDegree returns the number of distinct successors of u.
-func (g *Digraph) OutDegree(u int) int { return int(g.span[u].n) }
-
-// InDegrees returns the in-degree of every node.
-func (g *Digraph) InDegrees() []int {
-	deg := make([]int, g.n)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.Succ(u) {
-			deg[v]++
-		}
-	}
-	return deg
 }
 
 // sccFrame is one level of SCC's DFS: a node and its next successor.
@@ -264,24 +246,6 @@ func (g *Digraph) TopoOrder() ([]int, error) {
 		return nil, ErrCycle
 	}
 	return order, nil
-}
-
-// Reachable returns the set of nodes reachable from u (including u).
-func (g *Digraph) Reachable(u int) []bool {
-	seen := make([]bool, g.n)
-	stack := []int{u}
-	seen[u] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.Succ(v) {
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return seen
 }
 
 // StronglyConnected reports whether there is a directed path between

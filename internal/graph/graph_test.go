@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -14,11 +15,8 @@ func TestAddEdgeDedup(t *testing.T) {
 	if g.M() != 2 {
 		t.Fatalf("M = %d, want 2", g.M())
 	}
-	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) {
-		t.Fatal("HasEdge wrong")
-	}
-	if g.OutDegree(0) != 1 {
-		t.Fatalf("OutDegree(0) = %d", g.OutDegree(0))
+	if !slices.Equal(g.Succ(0), []int{1}) || len(g.Succ(1)) != 1 || slices.Contains(g.Succ(1), 0) {
+		t.Fatalf("successors %v %v, want [1] [2]", g.Succ(0), g.Succ(1))
 	}
 }
 
@@ -80,7 +78,7 @@ func TestCondense(t *testing.T) {
 	if comp[0] != comp[1] || comp[2] != comp[3] || comp[0] == comp[2] {
 		t.Fatalf("comp = %v", comp)
 	}
-	if !dag.HasEdge(comp[0], comp[2]) {
+	if !slices.Contains(dag.Succ(comp[0]), comp[2]) {
 		t.Fatal("condensation must keep the cross edge")
 	}
 	if len(members[comp[0]]) != 2 || len(members[comp[2]]) != 2 {
@@ -173,6 +171,24 @@ func TestCountSimplePaths(t *testing.T) {
 	if got := c.CountSimplePaths(0, 0, 5); got != 1 {
 		t.Fatalf("cycle count = %d, want 1", got)
 	}
+}
+
+// Reachable, the oracle naiveSCC is built on, returns the set of nodes reachable from u (including u).
+func (g *Digraph) Reachable(u int) []bool {
+	seen := make([]bool, g.n)
+	stack := []int{u}
+	seen[u] = true
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range g.Succ(v) {
+			if !seen[w] {
+				seen[w] = true
+				stack = append(stack, w)
+			}
+		}
+	}
+	return seen
 }
 
 // naiveSCC computes components by mutual reachability, as an oracle.

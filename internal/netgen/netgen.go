@@ -102,13 +102,5 @@ func ErdosRenyi(n int, p float64, rng *rand.Rand) *graph.Digraph {
 	return g
 }
 
-// SlashdotLike generates a power-law network at the scale of the
-// Slashdot crawl used by the paper (82,168 users); pass a smaller n for
-// cheaper runs. It is Barabási–Albert with m = 3, which gives the heavy
-// in-degree tail characteristic of the Slashdot friend graph.
-func SlashdotLike(n int, rng *rand.Rand) *graph.Digraph {
-	return BarabasiAlbert(n, 3, rng)
-}
-
 // SlashdotSize is the number of rows of the paper's Slashdot table.
 const SlashdotSize = 82168

@@ -79,23 +79,6 @@ func ParseDIMACS(r io.Reader) (Formula, error) {
 	return f, nil
 }
 
-// WriteDIMACS renders the formula in DIMACS format.
-func WriteDIMACS(w io.Writer, f Formula) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "p cnf %d %d\n", f.NumVars, len(f.Clauses))
-	for _, c := range f.Clauses {
-		for _, l := range c {
-			fmt.Fprintf(&sb, "%d ", int(l))
-		}
-		sb.WriteString("0\n")
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
 func abs(n int) int {
 	if n < 0 {
 		return -n

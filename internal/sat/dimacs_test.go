@@ -1,6 +1,8 @@
 package sat
 
 import (
+	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -93,4 +95,21 @@ func TestQuickDIMACSRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// WriteDIMACS renders the formula in DIMACS format.
+func WriteDIMACS(w io.Writer, f Formula) error {
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "p cnf %d %d\n", f.NumVars, len(f.Clauses))
+	for _, c := range f.Clauses {
+		for _, l := range c {
+			fmt.Fprintf(&sb, "%d ", int(l))
+		}
+		sb.WriteString("0\n")
+	}
+	_, err := io.WriteString(w, sb.String())
+	return err
 }

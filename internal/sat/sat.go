@@ -76,24 +76,6 @@ func (f Formula) Validate() error {
 	return nil
 }
 
-// Eval evaluates the formula under a complete assignment (1-indexed;
-// index 0 unused).
-func (f Formula) Eval(assign []bool) bool {
-	for _, c := range f.Clauses {
-		sat := false
-		for _, l := range c {
-			if assign[l.Var()] == l.Positive() {
-				sat = true
-				break
-			}
-		}
-		if !sat {
-			return false
-		}
-	}
-	return true
-}
-
 // Solve decides satisfiability with DPLL (unit propagation and pure
 // literal elimination). It returns a satisfying assignment (1-indexed)
 // or ok=false.

@@ -148,3 +148,21 @@ func TestFormulaString(t *testing.T) {
 		t.Fatalf("String = %q", f.String())
 	}
 }
+
+// Eval evaluates the formula under a complete assignment (1-indexed;
+// index 0 unused).
+func (f Formula) Eval(assign []bool) bool {
+	for _, c := range f.Clauses {
+		sat := false
+		for _, l := range c {
+			if assign[l.Var()] == l.Positive() {
+				sat = true
+				break
+			}
+		}
+		if !sat {
+			return false
+		}
+	}
+	return true
+}

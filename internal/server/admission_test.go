@@ -418,7 +418,7 @@ func TestTenantNamesAreBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := wire.Dial(h.binAddr, nil)
+	cc, err := dialWire(h.binAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestTenantNamesAreBounded(t *testing.T) {
 		}
 		var inner wire.Enc
 		wire.CoordinateReq{Requests: []api.Request{{Queries: workload.ListQueriesAt(2, 1)}}}.Encode(&inner)
-		if _, _, err := cc.Call(ctx, wire.KindTenant, wire.TenantReq{Tenant: name, Kind: wire.KindCoordinate, Body: inner.Bytes()}.Encode); err != nil {
+		if _, _, err := cc.Call(ctx, wire.KindTenant, tenantReq(name, wire.KindCoordinate, inner.Bytes())); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
@@ -516,7 +516,7 @@ func TestStandaloneNodeRefusesForwards(t *testing.T) {
 	}
 	before := ledger()
 
-	cc, err := wire.Dial(h.binAddr, nil)
+	cc, err := dialWire(h.binAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

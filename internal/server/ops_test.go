@@ -130,7 +130,7 @@ func tableEquivalence(t *testing.T) {
 		return reflect.ValueOf(out).Elem().Interface()
 	}
 	rawBin := func(t *testing.T, _ string, kind wire.Kind, dec func(*wire.Dec) any, _ any) any {
-		cc, err := wire.Dial(binAddr, nil)
+		cc, err := dialWire(binAddr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +404,7 @@ func TestMalformedBodiesRefusedBothProtocols(t *testing.T) {
 		_ = json.Unmarshal(w.Body.Bytes(), &env)
 		return w.Code, env.Error
 	}
-	cc, err := wire.Dial(h.binAddr, nil)
+	cc, err := dialWire(h.binAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestMalformedBodiesRefusedBothProtocols(t *testing.T) {
 
 		var frame wire.Enc
 		call.Encode(&frame)
-		status, _, err = cc.Call(ctx, wire.KindTenant, wire.TenantReq{Tenant: "ten", Kind: call.Route().Kind, Body: append(frame.Bytes(), 0)}.Encode)
+		status, _, err = cc.Call(ctx, wire.KindTenant, tenantReq("ten", call.Route().Kind, append(frame.Bytes(), 0)))
 		refused("binary "+name+" followed by a byte", status, api.From(err), "trailing")
 	}
 
@@ -475,7 +475,7 @@ func TestMalformedBodiesRefusedBothProtocols(t *testing.T) {
 			refused("HTTP "+what, status, e, "atom without relation name")
 			var frame wire.Enc
 			call.Encode(&frame)
-			status, _, err = cc.Call(ctx, wire.KindTenant, wire.TenantReq{Tenant: "ten", Kind: call.Route().Kind, Body: frame.Bytes()}.Encode)
+			status, _, err = cc.Call(ctx, wire.KindTenant, tenantReq("ten", call.Route().Kind, frame.Bytes()))
 			refused("binary "+what, status, api.From(err), "atom without relation name")
 		}
 	}
@@ -572,4 +572,23 @@ func TestMalformedForwardedUpdateSettlesZero(t *testing.T) {
 			t.Fatalf("%s: %v; want an internal error naming the malformed reply", what, errs[0][j])
 		}
 	}
+}
+
+// tenantReq encodes a KindTenant envelope around body, as a binary
+// client does.
+func tenantReq(tenant string, kind wire.Kind, body []byte) func(*wire.Enc) {
+	return func(e *wire.Enc) {
+		wire.PutTenantPrefix(e, tenant, kind)
+		e.Raw(body)
+	}
+}
+
+// dialWire opens a binary-protocol connection to addr and starts its
+// read loop, with no push observer.
+func dialWire(addr string) (*wire.ClientConn, error) {
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return wire.NewClientConn(nc, nil), nil
 }

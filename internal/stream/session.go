@@ -47,14 +47,6 @@ type Event struct {
 	ID    string   // Leave: the departing query's ID
 }
 
-// String renders the event compactly for logs.
-func (e Event) String() string {
-	if e.Kind == JoinEvent {
-		return "join " + e.Query.ID
-	}
-	return "leave " + e.ID
-}
-
 // Update reports the outcome of one processed event.
 type Update struct {
 	// Seq numbers events in processing order, starting at 1.

@@ -48,17 +48,6 @@ type ClientConn struct {
 	done   chan struct{}
 }
 
-// Dial opens a binary-protocol connection to addr and starts its read
-// loop. onPush (may be nil) observes unsolicited push frames; it is
-// called from the read loop, so it must not block.
-func Dial(addr string, onPush func(Push)) (*ClientConn, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: dialing %s: %w", addr, err)
-	}
-	return NewClientConn(nc, onPush), nil
-}
-
 // NewClientConn wraps an established connection (the client side of the
 // protocol): the magic preamble is sent and the read loop started.
 func NewClientConn(nc net.Conn, onPush func(Push)) *ClientConn {

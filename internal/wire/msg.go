@@ -243,12 +243,6 @@ func PutTenantPrefix(e *Enc, tenant string, kind Kind) {
 	e.Byte(byte(kind))
 }
 
-// Encode appends the tenant envelope.
-func (m TenantReq) Encode(e *Enc) {
-	PutTenantPrefix(e, m.Tenant, m.Kind)
-	e.Raw(m.Body)
-}
-
 // DecodeTenantReq reads a tenant envelope.
 func DecodeTenantReq(d *Dec) TenantReq {
 	t := TenantReq{Tenant: d.String(), Kind: Kind(d.Byte())}

@@ -482,3 +482,10 @@ func TestDecodeValidation(t *testing.T) {
 		}
 	}
 }
+
+// Encode appends the tenant envelope, as a binary client's
+// PutTenantPrefix and the body it encodes after it do.
+func (m TenantReq) Encode(e *Enc) {
+	PutTenantPrefix(e, m.Tenant, m.Kind)
+	e.Raw(m.Body)
+}

@@ -51,9 +51,6 @@ const (
 	Churn Pattern = "churn"
 )
 
-// Patterns lists the supported arrival patterns.
-func Patterns() []Pattern { return []Pattern{Steady, Bursty, Churn} }
-
 // Arrival is one generated stream event plus its inter-arrival gap,
 // expressed in units of the mean gap so callers scale it to any target
 // rate (gap * mean interval = wall-clock wait before the event). The

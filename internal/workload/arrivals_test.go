@@ -98,3 +98,6 @@ func TestBurstyGaps(t *testing.T) {
 		}
 	}
 }
+
+// Patterns lists the supported arrival patterns.
+func Patterns() []Pattern { return []Pattern{Steady, Bursty, Churn} }

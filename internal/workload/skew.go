@@ -105,20 +105,3 @@ func SkewedMutations(o SkewOptions) []db.Mutation {
 	}
 	return ms
 }
-
-// HotBodies returns n single-atom query bodies over the skewed
-// relations, biased toward the hot values the same way the data is:
-// body k probes relation S{k mod Relations} at a fresh Zipf draw.
-// Deterministic for equal options and n.
-func HotBodies(o SkewOptions, n int) [][]eq.Atom {
-	o = o.withDefaults()
-	rng := rand.New(rand.NewSource(o.Seed + 1))
-	zipf := rand.NewZipf(rng, o.Skew, 1, uint64(o.HotKeys-1))
-	out := make([][]eq.Atom, n)
-	for k := range out {
-		name := "S" + strconv.Itoa(k%o.Relations)
-		hot := eq.Value("h" + strconv.FormatUint(zipf.Uint64(), 10))
-		out[k] = []eq.Atom{eq.NewAtom(name, eq.V("x"), eq.C(hot))}
-	}
-	return out
-}

@@ -51,9 +51,6 @@ func TestSkewedMutationsDeterministic(t *testing.T) {
 	if reflect.DeepEqual(a, SkewedMutations(o2)) {
 		t.Fatal("different seeds generated identical streams")
 	}
-	if !reflect.DeepEqual(HotBodies(o, 10), HotBodies(o, 10)) {
-		t.Fatal("HotBodies is not deterministic")
-	}
 }
 
 func TestSkewedMutationsShapes(t *testing.T) {
@@ -93,20 +90,5 @@ func TestSkewedMutationsShapes(t *testing.T) {
 	}
 	if uniform := counts[0] / o.HotKeys; max <= 2*uniform {
 		t.Fatalf("top value covers %d of %d rows — not skewed (uniform share %d)", max, counts[0], uniform)
-	}
-	// And the bodies probe existing relations with answers on hot values.
-	bodies := HotBodies(o, 8)
-	answered := 0
-	for _, body := range bodies {
-		ok, err := st.Satisfiable(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			answered++
-		}
-	}
-	if answered == 0 {
-		t.Fatal("no hot body is satisfiable")
 	}
 }
