@@ -20,5 +20,5 @@ func Example() {
 	//   Chris  watches movie m1
 	//   Jonny  watches movie m3
 	//   Will   watches movie m3
-	// (6 database queries — linear in the number of users)
+	// (2 database queries — one batch of option lists, one of friend lists)
 }

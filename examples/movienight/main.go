@@ -85,7 +85,7 @@ func main() {
 	for _, i := range res.Members {
 		fmt.Printf("  %-6s watches movie %s\n", qs[i].User, res.Keys[i])
 	}
-	fmt.Printf("(%d database queries — linear in the number of users)\n", res.DBQueries)
+	fmt.Printf("(%d database queries — one batch of option lists, one of friend lists)\n", res.DBQueries)
 }
 
 func describe(ps []entangled.Partner) []string {

@@ -204,11 +204,13 @@ type ValueEvent struct {
 // preference counts, the relation a friend slot names — is reported
 // before the first database query is spent.
 //
-// The call issues one database query per distinct (Coord, Own)
-// preference vector among qs and one per friend list of a query with
-// an option (a query and a relation its friend slots draw from), and no
-// other. A nil result reports no DBQueries though it spent those all
-// the same; only the instance's own counter sees them.
+// The call asks one question per distinct (Coord, Own) preference
+// vector among qs, all in one database query (a db.Project batch), and
+// one per friend list of a query with an option (a query and a relation
+// its friend slots draw from), in one database query per relation, and
+// no other: two on a set whose friend slots draw from one relation. A
+// nil result reports no DBQueries, though it spent at most one query
+// per step all the same; only the instance's own counter sees them.
 func Coordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (*Result, error) {
 	if err := sch.Validate(inst); err != nil {
 		return nil, err
@@ -222,8 +224,9 @@ func Coordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (*Resul
 		return nil, err
 	}
 
-	// Steps 1 and 3: option lists V(q) — one database query per distinct
-	// preference vector — interned into the global options list V(Q).
+	// Steps 1 and 3: option lists V(q) — one database query, asking once
+	// per distinct preference vector — interned into the global options
+	// list V(Q).
 	if err := k.optionLists(); err != nil {
 		return nil, err
 	}
@@ -236,7 +239,8 @@ func Coordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (*Resul
 
 	// Step 2: pruned coordination graph. Nodes are queries with a
 	// non-empty option list; edges follow constant partners and
-	// friendships (one friend-list query per user and relation).
+	// friendships (one database query per relation, asking one friend
+	// list per alive query).
 	if err := k.friendLists(); err != nil {
 		return nil, err
 	}

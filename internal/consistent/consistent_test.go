@@ -263,20 +263,57 @@ func TestEmptyQuerySet(t *testing.T) {
 }
 
 func TestDBQueryCountLinear(t *testing.T) {
-	// §6.2: the number of database queries is linear in the number of
-	// entangled queries: one V(q) query per distinct preference vector,
-	// one friends query per user with a friend slot; grounding reads the
-	// rows V(q) returned.
+	// §6.2 counts one database query per entangled query; batched, the
+	// call asks one per step: one batch for V(q), one question per
+	// distinct preference vector, and one for the friend lists, one
+	// question per user with a friend slot; grounding reads the rows V(q)
+	// returned.
 	in := moviesInstance()
 	qs := moviesQueries()
 	res, err := Coordinate(moviesSchema(), qs, in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 option lists (Jonny and Will ask alike) + 3 friend lists (Chris
-	// has no friend slot).
-	if res.DBQueries != 6 {
-		t.Fatalf("DBQueries = %d, want 6", res.DBQueries)
+	// 3 option lists (Jonny and Will ask alike) in one batch + 3 friend
+	// lists (Chris has no friend slot) in another.
+	if res.DBQueries != 2 {
+		t.Fatalf("DBQueries = %d, want 2", res.DBQueries)
+	}
+}
+
+// A call that finds no set returns nil and so bills nothing, but what
+// it spent is still at most one query per step that asks anything: two
+// when friend lists are read and every team then cleans away, one when
+// no query has an option and step 2 asks nothing.
+func TestNoSetSpendsOneQueryPerStep(t *testing.T) {
+	in := db.NewInstance()
+	s := in.CreateRelation("S", "key", "c")
+	s.Insert("t1", "v1")
+	s.Insert("t2", "v2")
+	f := in.CreateRelation("F", "user", "friend")
+	f.Insert("U0", "U1")
+	f.Insert("U1", "U0")
+	sch := Schema{Table: "S", KeyCol: 0, CoordCols: []int{1}, Friends: "F"}
+	for _, c := range []struct {
+		name   string
+		values [2]eq.Value
+		want   int64
+	}{
+		{"friends who want different values", [2]eq.Value{"v1", "v2"}, 2},
+		{"values no row has", [2]eq.Value{"v3", "v4"}, 1},
+	} {
+		qs := []Query{
+			{User: "U0", Coord: []Pref{Is(c.values[0])}, Partners: []Partner{Friend}},
+			{User: "U1", Coord: []Pref{Is(c.values[1])}, Partners: []Partner{Friend}},
+		}
+		before := in.QueriesIssued()
+		res, err := Coordinate(sch, qs, in, Options{})
+		if err != nil || res != nil {
+			t.Fatalf("%s: want no set, got %v, %v", c.name, res, err)
+		}
+		if spent := in.QueriesIssued() - before; spent != c.want {
+			t.Errorf("%s: the instance counted %d queries, want %d", c.name, spent, c.want)
+		}
 	}
 }
 

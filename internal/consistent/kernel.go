@@ -20,8 +20,8 @@ type kernel struct {
 	qs   []Query
 	inst *db.Instance
 
-	dbq   int64            // database queries this call has issued
-	where map[int]eq.Value // the one where clause, refilled per query
+	dbq   int64            // database queries (Project batches) this call has issued
+	where map[int]eq.Value // the one where clause, refilled per question
 
 	users   map[eq.Value]int32 // user name -> user id
 	userOf  []int32            // query -> user id
@@ -42,12 +42,13 @@ type kernel struct {
 	// row Project yielded it in.
 	vals    []eq.Value
 	values  set        // value ids; len(values.hashes) is |V(Q)|
-	options spans      // query -> value ids of V(q)
-	keys    []eq.Value // parallel to options.flat: the key of the row each option came from
 	prefs   set        // distinct (Coord, Own) preference vectors
 	first   []int32    // preference vector id -> the first query that has it
+	vecOf   []int32    // query -> its preference vector id
+	byVec   spans      // preference vector id -> value ids of its V(q)
+	keys    []eq.Value // parallel to byVec.flat: the key of the row each option came from
+	options spans      // query -> value ids of V(q), its vector's list copied
 	members spans      // value id -> queries whose option list holds it
-	cur     int32      // the query whose friend list Project is yielding
 
 	// Scratch of the value loop.
 	in, pending []bool  // query -> is a member; is yet to be (re)examined
@@ -80,6 +81,14 @@ func (s spans) len() int { return len(s.off) - 1 }
 
 // end closes the list being appended to flat.
 func (s *spans) end() { s.off = append(s.off, int32(len(s.flat))) }
+
+// endTo closes lists until there are n: the one being appended to, then
+// empty ones.
+func (s *spans) endTo(n int) {
+	for s.len() < n {
+		s.end()
+	}
+}
 
 // invert fills out with the inverse of s: "list i names these targets"
 // becomes "target t is named by these lists". It is a counting sort, so
@@ -229,10 +238,11 @@ func (k *kernel) relID(p Partner) (int32, error) {
 	return int32(len(k.rels) - 1), nil
 }
 
-// fillWhere sets k.where to query i's constant preferences.
-func (k *kernel) fillWhere(i int) {
+// vectorWhere sets k.where to the constant preferences of preference
+// vector v, and returns it.
+func (k *kernel) vectorWhere(v int) map[int]eq.Value {
 	clear(k.where)
-	q := &k.qs[i]
+	q := &k.qs[k.first[v]]
 	for j, p := range q.Coord {
 		if !p.Any {
 			k.where[k.sch.CoordCols[j]] = p.Val
@@ -243,39 +253,40 @@ func (k *kernel) fillWhere(i int) {
 			k.where[k.sch.OwnCols[j]] = p.Val
 		}
 	}
+	return k.where
 }
 
 // optionLists computes V(q) for every query as ids into V(Q), with the
-// key of the row each came from, and then each value's member list: one
-// database query per distinct (Coord, Own) vector, as V(q) depends on
-// nothing else; a query whose vector an earlier one had copies its list.
+// key of the row each came from, and then each value's member list. V(q)
+// depends on nothing but q's (Coord, Own) vector, so one Project batch
+// asks once per distinct vector, in first-query order, which is the
+// order V(Q) is interned in, and every query copies its vector's list.
 func (k *kernel) optionLists() error {
-	k.options.reset()
-	k.vals, k.keys, k.first = k.vals[:0], k.keys[:0], k.first[:0]
-	k.values.reset()
 	k.prefs.reset()
-	option := k.option // one method value for every query; Project does not keep it
+	k.first, k.vecOf = k.first[:0], k.vecOf[:0]
 	for i := range k.qs {
-		if j := k.sameAs(i); j >= 0 {
-			lo, hi := k.options.off[j], k.options.off[j+1]
-			k.options.flat = append(k.options.flat, k.options.flat[lo:hi]...)
-			k.keys = append(k.keys, k.keys[lo:hi]...)
-		} else {
-			k.fillWhere(i)
-			k.dbq++
-			if err := k.inst.Project(k.sch.Table, k.sch.CoordCols, k.where, option); err != nil {
-				return err
-			}
-		}
+		k.vecOf = append(k.vecOf, k.vector(i))
+	}
+	k.vals, k.keys = k.vals[:0], k.keys[:0]
+	k.values.reset()
+	k.byVec.reset()
+	k.dbq++
+	if err := k.inst.Project(k.sch.Table, k.sch.CoordCols, len(k.first), k.vectorWhere, k.option); err != nil {
+		return err
+	}
+	k.byVec.endTo(len(k.first))
+	k.options.reset()
+	for _, v := range k.vecOf {
+		k.options.flat = append(k.options.flat, k.byVec.at(v)...)
 		k.options.end()
 	}
 	k.options.invert(len(k.values.hashes), &k.members)
 	return nil
 }
 
-// sameAs returns the first query before i with i's preference vector,
-// or -1 when i is the first to have it.
-func (k *kernel) sameAs(i int) int32 {
+// vector returns the id of query i's preference vector, numbering
+// vectors in the order their first query comes.
+func (k *kernel) vector(i int) int32 {
 	q := &k.qs[i]
 	h := uint32(2166136261)
 	for _, prefs := range [2][]Pref{q.Coord, q.Own} { // their lengths are the schema's
@@ -289,17 +300,17 @@ func (k *kernel) sameAs(i int) int32 {
 	})
 	if added {
 		k.first = append(k.first, int32(i))
-		return -1
 	}
-	return k.first[id]
+	return id
 }
 
-// option appends to q's list the id in V(Q) of an answer row's
+// option appends to vector v's list the id in V(Q) of an answer row's
 // coordination columns, and the row's key, copying the columns into
 // k.vals when they are new. Values are told apart by comparing them,
 // never by a rendered key, so no byte a value may contain can make two
 // of them one.
-func (k *kernel) option(row db.Tuple) {
+func (k *kernel) option(v int, row db.Tuple) {
+	k.byVec.endTo(v)
 	cols := k.sch.CoordCols
 	h := uint32(2166136261)
 	for _, c := range cols {
@@ -319,7 +330,7 @@ func (k *kernel) option(row db.Tuple) {
 			k.vals = append(k.vals, row[c])
 		}
 	}
-	k.options.flat = append(k.options.flat, id)
+	k.byVec.flat = append(k.byVec.flat, id)
 	k.keys = append(k.keys, row[k.sch.KeyCol])
 }
 
@@ -328,52 +339,58 @@ func (k *kernel) option(row db.Tuple) {
 func (k *kernel) alive(i int32) bool { return k.options.off[i+1] > k.options.off[i] }
 
 // friendLists resolves every friend slot of every alive query to its
-// friend list — one database query per alive query and relation — and
-// builds the reverse lists the cleaning phase requeues from.
+// friend list — one per alive query and relation, shared by that query's
+// slots over the relation — and builds the reverse lists the cleaning
+// phase requeues from. Lists are numbered relation by relation, query
+// order within one, so one Project batch per relation asks for that
+// relation's lists in order.
 func (k *kernel) friendLists() error {
 	k.friends.reset()
+	k.owner = k.owner[:0]
 	friendCol := []int{1}
-	friend := k.friend // one method value for every query; Project does not keep it
-	for i := range k.qs {
-		if !k.alive(int32(i)) {
-			continue
-		}
-		lo, hi := k.slots.off[i], k.slots.off[i+1]
-		for s := lo; s < hi; s++ {
-			for t := lo; t < s && k.slots.flat[s] < 0; t++ {
-				if k.slotRel[t] == k.slotRel[s] {
-					k.slots.flat[s] = k.slots.flat[t]
-				}
-			}
-			if k.slots.flat[s] >= 0 {
+	for r, rel := range k.rels {
+		base := len(k.owner)
+		for i := range k.qs {
+			if !k.alive(int32(i)) {
 				continue
 			}
-			clear(k.where)
-			k.where[0] = k.qs[i].User
-			k.dbq++
-			k.cur = int32(i)
-			if err := k.inst.Project(k.rels[k.slotRel[s]], friendCol, k.where, friend); err != nil {
-				return err
+			asks := false
+			for s := k.slots.off[i]; s < k.slots.off[i+1]; s++ {
+				if k.slotRel[s] == int32(r) {
+					k.slots.flat[s], asks = int32(len(k.owner)), true
+				}
 			}
-			k.slots.flat[s] = int32(k.friends.len())
-			k.friends.end()
-			k.owner = append(k.owner, int32(i))
+			if asks {
+				k.owner = append(k.owner, int32(i))
+			}
 		}
+		owners := k.owner[base:]
+		if len(owners) == 0 {
+			continue
+		}
+		k.dbq++
+		err := k.inst.Project(rel, friendCol, len(owners), func(l int) map[int]eq.Value {
+			clear(k.where)
+			k.where[0] = k.qs[owners[l]].User
+			return k.where
+		}, func(l int, row db.Tuple) {
+			// The alive queries, other than the owner, of the user row names.
+			k.friends.endTo(base + l)
+			if u, known := k.users[row[1]]; known {
+				for _, j := range k.byUser.at(u) {
+					if j != owners[l] && k.alive(j) {
+						k.friends.flat = append(k.friends.flat, j)
+					}
+				}
+			}
+		})
+		if err != nil {
+			return err
+		}
+		k.friends.endTo(len(k.owner))
 	}
 	k.friends.invert(len(k.qs), &k.listsOf)
 	return nil
-}
-
-// friend appends to query k.cur's friend list the alive queries, other
-// than k.cur, of the user a friendship row names.
-func (k *kernel) friend(row db.Tuple) {
-	if u, known := k.users[row[1]]; known {
-		for _, j := range k.byUser.at(u) {
-			if j != k.cur && k.alive(j) {
-				k.friends.flat = append(k.friends.flat, j)
-			}
-		}
-	}
 }
 
 // candidates runs restrict-and-clean for every value of V(Q), in order,
@@ -591,13 +608,15 @@ func (k *kernel) augment(slots []int32, s int32) bool {
 }
 
 // ground returns the keys of value v's members with no database query:
-// each is the key optionLists recorded beside the member's option v,
-// from the first row in row order with the member's preferences and v,
-// as Project yields the first row of each distinct projection.
+// each is the key optionLists recorded beside option v of the member's
+// preference vector, from the first row in row order with the member's
+// preferences and v, as Project yields the first row of each distinct
+// projection.
 func (k *kernel) ground(v int32, members []int) map[int]eq.Value {
 	keys := make(map[int]eq.Value, len(members))
 	for _, i := range members {
-		keys[i] = k.keys[int(k.options.off[i])+slices.Index(k.options.at(int32(i)), v)]
+		vec := k.vecOf[i]
+		keys[i] = k.keys[int(k.byVec.off[vec])+slices.Index(k.byVec.at(vec), v)]
 	}
 	return keys
 }

@@ -59,7 +59,7 @@ func TestHashCollisionsStayApart(t *testing.T) {
 	want := &Result{
 		Value: []eq.Value{"v332789"}, Members: []int{0}, Keys: map[int]eq.Value{0: "t1"},
 		Candidates: []Candidate{{Value: []eq.Value{"v332789"}, Members: []int{0}}, {Value: []eq.Value{"v529192"}, Members: []int{1}}},
-		DBQueries:  2,
+		DBQueries:  1,
 	}
 	if !reflect.DeepEqual(res, want) {
 		t.Fatalf("got %+v, want %+v", res, want)
@@ -126,10 +126,11 @@ func TestBadInputIsAnErrorBeforeAnyQuery(t *testing.T) {
 			}
 		})
 	}
-	// The three Coordinate cases must have been refused before step 1: all
-	// the instance has seen is the two direct db calls.
-	if got := in.QueriesIssued(); got != 2 {
-		t.Fatalf("%d database queries issued, want the 2 direct calls only", got)
+	// The three Coordinate cases must have been refused before step 1, and
+	// the two direct db calls before Project counts its batch: the instance
+	// has seen no query.
+	if got := in.QueriesIssued(); got != 0 {
+		t.Fatalf("%d database queries issued, want none", got)
 	}
 }
 

@@ -2,8 +2,6 @@ package consistent
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
 
 	"entangled/internal/db"
@@ -15,8 +13,8 @@ import (
 // by comparing tuples pairwise, and a cleaning phase that re-sweeps
 // every member until a full pass removes nobody. It asks for an option
 // list per query and grounds by scanning the data relation, and bills
-// what §5 needs asked: one query per distinct where clause of step 1,
-// told apart pairwise, and one per friend list it reads.
+// what §5 needs asked, each step's questions being one batch: one query
+// for step 1, and one per relation step 2 reads a friend list from.
 func oracleCoordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (*Result, error) {
 	if err := sch.Validate(inst); err != nil {
 		return nil, err
@@ -26,17 +24,13 @@ func oracleCoordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (
 	}
 	var dbq int64
 
-	// Step 1: option lists V(q), billed once per distinct where clause.
+	// Step 1: option lists V(q), billed as one batch.
 	options := make([][]db.Tuple, len(qs))
-	var wheres []map[int]eq.Value
+	dbq++
 	for i, q := range qs {
 		where, err := oracleWhere(sch, q)
 		if err != nil {
 			return nil, err
-		}
-		if !slices.ContainsFunc(wheres, func(w map[int]eq.Value) bool { return maps.Equal(w, where) }) {
-			wheres = append(wheres, where)
-			dbq++
 		}
 		if options[i], err = projected(inst, sch.Table, sch.CoordCols, where); err != nil {
 			return nil, err
@@ -59,6 +53,7 @@ func oracleCoordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (
 		alive[i] = len(options[i]) > 0
 	}
 	friendsOf := make([]map[string][]int, len(qs))
+	asked := map[string]bool{} // the relations billed, one batch each
 	for i, q := range qs {
 		if !alive[i] {
 			continue
@@ -76,7 +71,10 @@ func oracleCoordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (
 			if err != nil {
 				return nil, err
 			}
-			dbq++
+			if !asked[rel] {
+				asked[rel] = true
+				dbq++
+			}
 			list := []int{}
 			for _, row := range rows {
 				for _, j := range userIdx[row[0]] {
@@ -167,7 +165,7 @@ func oracleCoordinate(sch Schema, qs []Query, inst *db.Instance, opts Options) (
 // copied out, so nothing the oracle holds is the database's.
 func projected(inst *db.Instance, rel string, cols []int, where map[int]eq.Value) ([]db.Tuple, error) {
 	var out []db.Tuple
-	err := inst.Project(rel, cols, where, func(row db.Tuple) {
+	err := inst.Project(rel, cols, 1, func(int) map[int]eq.Value { return where }, func(_ int, row db.Tuple) {
 		p := make(db.Tuple, len(cols))
 		for j, c := range cols {
 			p[j] = row[c]

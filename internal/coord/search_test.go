@@ -459,3 +459,32 @@ query q { post: R(UP, b) head: R(UQ, b) body: T(b), T(Nobody) }`), 1},
 		}
 	}
 }
+
+// BruteForceMax bills what it asked: on small random-safe sets, where
+// it tries subsets largest first and each may ask the store, a run that
+// finds a set reports exactly the store's own count as DBQueries (1 to 8
+// each here).
+func TestBruteForceBillsWhatTheStoreCounted(t *testing.T) {
+	const rows = 40
+	rng := rand.New(rand.NewSource(54))
+	found, billed := 0, int64(0)
+	for trial := 0; trial < 40; trial++ {
+		qs := workload.RandomSafeQueries(3+rng.Intn(8), rows, 0.3, 0.85, rng)
+		inst := newWorkloadInstance(rows)
+		res, err := BruteForceMax(qs, inst)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if res == nil {
+			continue
+		}
+		found, billed = found+1, billed+res.DBQueries
+		if res.DBQueries != inst.QueriesIssued() {
+			t.Fatalf("trial %d (%d queries): BruteForceMax billed %d, the store counted %d", trial, len(qs), res.DBQueries, inst.QueriesIssued())
+		}
+	}
+	if found < 20 || billed < 2*int64(found) {
+		t.Fatalf("%d of 40 sets coordinated, billing %d queries: the generator under-draws", found, billed)
+	}
+	t.Logf("%d of 40 sets coordinated, billing %d queries", found, billed)
+}

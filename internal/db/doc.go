@@ -89,10 +89,10 @@
 //
 // # Metering contract
 //
-// Each of Solve, SolveAll, Satisfiable, SolveUnder and Project counts
-// as exactly one conjunctive query; Contains and Domain are free
-// (verifier primitives). A plan execution is one query
-// however many parts it probes. Instance and ShardedInstance
+// Each of Solve, SolveAll, Satisfiable, SolveUnder and Project (a
+// batch of questions, as one statement asks them) counts as exactly one
+// query; Contains and Domain are free (verifier primitives). A plan
+// execution is one query however many parts it probes. Instance and ShardedInstance
 // count into a shared aggregate (QueriesIssued), which concurrent
 // requests pollute for one another. Meter wraps any Store with a
 // private counter so a single request's cost is exact under concurrent
@@ -108,6 +108,7 @@
 // projection of the matching rows first occurs, in row order whether or
 // not an index narrowed the scan: a capped, stable view, yielded under
 // the relation's read lock, so yield must not call into the instance.
-// A column outside the arity, in cols or where, is an error, never a
-// panic, and yields nothing.
+// A column outside the arity, in cols or in any question's where, is an
+// error, never a panic, found before the batch is counted: it yields
+// nothing.
 package db

@@ -2,23 +2,31 @@ package db
 
 import (
 	"fmt"
+	"sync"
 
 	"entangled/internal/eq"
 )
 
-// Project answers a select-distinct-project query against a single
-// relation: it calls yield once per distinct combination of the cols
-// columns over the rows matching every (column -> constant) entry of
-// where, in the order each first occurs in the relation, with the full
-// row where it first occurs: a capped, stable view (do not write
-// through it), so nothing is allocated for the answer. yield runs under
-// the relation's read lock and must not call into the instance. A
-// column of cols or where outside the arity is an error, and nothing is
-// yielded. It counts as one database query; the Consistent Coordination
+// Project answers n select-distinct-project questions against a single
+// relation as one statement, the way a join against a VALUES list or a
+// WHERE key IN (...) asks them together. Question i keeps the rows
+// matching every (column -> constant) entry of where(i), and yield(i,
+// row) is called once per distinct combination of the cols columns
+// among them, in the order each first occurs in the relation, with the
+// full row where it first occurs: a capped, stable view (do not write
+// through it), so nothing is allocated for the answer. Questions are
+// answered in order, all under one hold of the relation's read lock;
+// yield must not call into the instance. where is called once per
+// question, in order, before anything is yielded, and may refill one
+// map.
+//
+// A relation Project cannot read, or a column of cols or of any where
+// clause outside the arity, is an error found before anything is
+// counted or yielded. Otherwise the batch counts as one database query
+// (and sleeps SimulatedLatency once). The Consistent Coordination
 // Algorithm uses it for the option lists V(q), with the keys of their
 // rows, and the friend lists.
-func (in *Instance) Project(rel string, cols []int, where map[int]eq.Value, yield func(row Tuple)) error {
-	in.countQuery()
+func (in *Instance) Project(rel string, cols []int, n int, where func(i int) map[int]eq.Value, yield func(i int, row Tuple)) error {
 	r, ok := in.Relation(rel)
 	if !ok {
 		return fmt.Errorf("%w: unknown relation %s", ErrSchema, rel)
@@ -28,30 +36,35 @@ func (in *Instance) Project(rel string, cols []int, where map[int]eq.Value, yiel
 			return fmt.Errorf("db: column %d out of range for %s", c, rel)
 		}
 	}
-	// where flattened, ordered by column, so the map is ranged once per
-	// call and not once per row.
-	var buf [4]cond
-	conds := buf[:0]
-	for c, v := range where {
-		if c < 0 || c >= r.Arity() {
-			return fmt.Errorf("db: column %d out of range for %s", c, rel)
+	w := wherePool.Get().(*wheres)
+	defer w.release()
+	for i := range n {
+		for c, v := range where(i) {
+			if c < 0 || c >= r.Arity() {
+				return fmt.Errorf("db: column %d out of range for %s", c, rel)
+			}
+			w.conds = append(w.conds, cond{c, v})
+			for j := len(w.conds) - 1; j > int(w.off[i]) && w.conds[j].col < w.conds[j-1].col; j-- {
+				w.conds[j], w.conds[j-1] = w.conds[j-1], w.conds[j]
+			}
 		}
-		conds = append(conds, cond{c, v})
-		for i := len(conds) - 1; i > 0 && conds[i].col < conds[i-1].col; i-- {
-			conds[i], conds[i-1] = conds[i-1], conds[i]
-		}
+		w.off = append(w.off, int32(len(w.conds)))
 	}
+	in.countQuery()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s := scan{r: r, conds: conds, row: min(0, r.rows-1), last: r.rows - 1}
-	for _, c := range conds {
-		if idx, has := r.indexes[c.col]; has {
-			s.idx = idx
-			s.row, s.last = idx.bucket(r, c.val)
-			break
+	for i := range n {
+		conds := w.conds[w.off[i]:w.off[i+1]]
+		s := scan{r: r, conds: conds, row: min(0, r.rows-1), last: r.rows - 1}
+		for _, c := range conds {
+			if idx, has := r.indexes[c.col]; has {
+				s.idx = idx
+				s.row, s.last = idx.bucket(r, c.val)
+				break
+			}
 		}
+		project(cols, s, i, yield)
 	}
-	project(cols, s, yield)
 	return nil
 }
 
@@ -59,6 +72,23 @@ func (in *Instance) Project(rel string, cols []int, where map[int]eq.Value, yiel
 type cond struct {
 	col int
 	val eq.Value
+}
+
+// wheres is Project's pooled scratch: every question's where clause
+// flattened, ordered by column, so a map is ranged once per question and
+// not once per row.
+type wheres struct {
+	conds []cond
+	off   []int32 // question i's conditions are conds[off[i]:off[i+1]]
+}
+
+var wherePool = sync.Pool{New: func() any { return &wheres{off: []int32{0}} }}
+
+// release drops the batch's values and pools w.
+func (w *wheres) release() {
+	clear(w.conds)
+	w.conds, w.off = w.conds[:0], w.off[:1]
+	wherePool.Put(w)
 }
 
 // scan walks the rows of one relation that satisfy a where clause, in
@@ -97,12 +127,12 @@ next:
 	return -1
 }
 
-// project yields the first row of each distinct cols-projection among
-// the rows s walks, in first-occurrence order. Duplicates are found by
+// project yields, as question i's, the first row of each distinct
+// cols-projection among the rows s walks, in first-occurrence order. Duplicates are found by
 // hashing the projected columns and comparing rows in place; the
 // scratch (first rows and the hash table, on the stack while the answer
 // is small) is row numbers only.
-func project(cols []int, s scan, yield func(Tuple)) {
+func project(cols []int, s scan, i int, yield func(int, Tuple)) {
 	var rowBuf [128]int32
 	var tabBuf [256]int32
 	rows, table := rowBuf[:0], tabBuf[:] // table: 1+row, 0 empty
@@ -117,7 +147,7 @@ func project(cols []int, s scan, yield func(Tuple)) {
 		if at := freeSlot(table, s.r, cols, t); at >= 0 {
 			table[at] = int32(row) + 1
 			rows = append(rows, int32(row))
-			yield(t)
+			yield(i, t)
 		}
 	}
 }

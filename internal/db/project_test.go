@@ -10,10 +10,10 @@ import (
 	"entangled/internal/eq"
 )
 
-// projectRows collects the rows Project yields.
+// projectRows collects the rows Project yields for one question.
 func projectRows(in *Instance, rel string, cols []int, where map[int]eq.Value) ([]Tuple, error) {
 	var rows []Tuple
-	err := in.Project(rel, cols, where, func(row Tuple) { rows = append(rows, row) })
+	err := in.Project(rel, cols, 1, func(int) map[int]eq.Value { return where }, func(_ int, row Tuple) { rows = append(rows, row) })
 	return rows, err
 }
 
@@ -24,7 +24,9 @@ func projectRows(in *Instance, rel string, cols []int, where map[int]eq.Value) (
 // (none, one or several), with answers small enough for the stack
 // scratch and large enough to outgrow it. Values carry NULs, colons and
 // digits, whatever a rendered key would have had to escape. Every
-// yielded row keeps its values through later inserts.
+// yielded row keeps its values through later inserts. A trial's ten
+// questions asked as one batch yield each question's rows, in question
+// order, and count one query.
 func TestQuickProjectMatchesNestedLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	alphabet := []string{"", "a", "\x00", "a\x00", "1:", "1:a", "b"}
@@ -58,6 +60,9 @@ func TestQuickProjectMatchesNestedLoops(t *testing.T) {
 			}
 		}
 		var held, heldWant []Tuple
+		var batchCols [10][]int
+		var batchWhere [10]map[int]eq.Value
+		var batchWant [10][]Tuple
 		for q := 0; q < 10; q++ {
 			cols := make([]int, rng.Intn(arity+1))
 			for i := range cols {
@@ -100,6 +105,35 @@ func TestQuickProjectMatchesNestedLoops(t *testing.T) {
 				}
 				held, heldWant = append(held, row), append(heldWant, slices.Clone(row))
 			}
+			batchCols[q], batchWhere[q], batchWant[q] = cols, where, want
+		}
+		// One cols for the batch: the questions that share the first's.
+		var asked []int
+		for q := range batchCols {
+			if slices.Equal(batchCols[q], batchCols[0]) {
+				asked = append(asked, q)
+			}
+		}
+		before := in.QueriesIssued()
+		var batchGot [10][]Tuple
+		last := 0
+		err := in.Project("R", batchCols[0], len(asked), func(i int) map[int]eq.Value { return batchWhere[asked[i]] }, func(i int, row Tuple) {
+			if i < last {
+				t.Fatalf("trial %d: question %d answered after question %d", trial, i, last)
+			}
+			last = i
+			batchGot[asked[i]] = append(batchGot[asked[i]], row)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := in.QueriesIssued() - before; n != 1 {
+			t.Fatalf("trial %d: a batch of %d questions counted %d queries, want 1", trial, len(asked), n)
+		}
+		for _, q := range asked {
+			if !reflect.DeepEqual(batchGot[q], batchWant[q]) {
+				t.Fatalf("trial %d: question %d in a batch yielded %q, alone %q", trial, q, batchGot[q], batchWant[q])
+			}
 		}
 		for i := 0; i < 20; i++ {
 			r.Insert(randomRow()...)
@@ -110,32 +144,35 @@ func TestQuickProjectMatchesNestedLoops(t *testing.T) {
 	}
 }
 
-// A relation Project cannot read, or a column of cols or where past its
-// arity, is an error: yield is never called, and the call still counts
-// as one query.
+// A relation Project cannot read, or a column of cols or of any
+// question's where past its arity, is an error found before the batch
+// is counted: yield is never called, for any question, and no query is
+// counted.
 func TestProjectRefusesBadInput(t *testing.T) {
 	in := flightsInstance()
+	good := map[int]eq.Value{1: "Zurich"}
 	cases := []struct {
-		name  string
-		rel   string
-		cols  []int
-		where map[int]eq.Value
+		name   string
+		rel    string
+		cols   []int
+		wheres []map[int]eq.Value
 	}{
-		{"unknown relation", "Nope", []int{0}, nil},
-		{"cols past the arity", "Flights", []int{0, 2}, nil},
-		{"negative cols", "Flights", []int{-1}, nil},
-		{"where past the arity", "Flights", []int{0}, map[int]eq.Value{2: "Zurich"}},
+		{"unknown relation", "Nope", []int{0}, []map[int]eq.Value{nil}},
+		{"cols past the arity", "Flights", []int{0, 2}, []map[int]eq.Value{nil}},
+		{"negative cols", "Flights", []int{-1}, []map[int]eq.Value{nil}},
+		{"where past the arity", "Flights", []int{0}, []map[int]eq.Value{{2: "Zurich"}}},
+		{"the last question's where past the arity", "Flights", []int{0}, []map[int]eq.Value{good, nil, good, {0: "101", 2: "Zurich"}}},
 	}
 	for _, c := range cases {
 		before := in.QueriesIssued()
-		err := in.Project(c.rel, c.cols, c.where, func(row Tuple) {
-			t.Errorf("%s: yielded %v", c.name, row)
+		err := in.Project(c.rel, c.cols, len(c.wheres), func(i int) map[int]eq.Value { return c.wheres[i] }, func(i int, row Tuple) {
+			t.Errorf("%s: yielded %v for question %d", c.name, row, i)
 		})
 		if err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
-		if n := in.QueriesIssued() - before; n != 1 {
-			t.Errorf("%s: counted %d queries, want 1", c.name, n)
+		if n := in.QueriesIssued() - before; n != 0 {
+			t.Errorf("%s: counted %d queries, want 0", c.name, n)
 		}
 	}
 }

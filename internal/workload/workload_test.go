@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"entangled/internal/db"
+	"entangled/internal/eq"
 	"entangled/internal/netgen"
 )
 
@@ -62,7 +63,7 @@ func TestFlightsTableDistinctPairs(t *testing.T) {
 		in := db.NewInstance()
 		FlightsTable(in, c.flights, c.pairs)
 		n := 0
-		if err := in.Project("Flights", []int{1, 2}, nil, func(db.Tuple) { n++ }); err != nil {
+		if err := in.Project("Flights", []int{1, 2}, 1, func(int) map[int]eq.Value { return nil }, func(int, db.Tuple) { n++ }); err != nil {
 			t.Fatal(err)
 		}
 		if n != c.pairs {
