@@ -105,6 +105,33 @@ func TestErrorDecoding(t *testing.T) {
 	}
 }
 
+// TestHTTPReplyOverMaxFrameIsRefused: the HTTP client reads a reply of
+// at most wire.MaxFrame bytes, the cap the binary client holds a frame
+// to and the server holds a request body to. One byte more is refused
+// with a *wire.DecodeError.
+func TestHTTPReplyOverMaxFrameIsRefused(t *testing.T) {
+	const reply = `{"status":"ok"}`
+	for _, size := range []int{wire.MaxFrame, wire.MaxFrame + 1} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = io.WriteString(w, reply+strings.Repeat(" ", size-len(reply)))
+		}))
+		c, err := New(ts.URL, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := c.Health(context.Background())
+		ts.Close()
+		var de *wire.DecodeError
+		switch {
+		case size <= wire.MaxFrame && (err != nil || h.Status != "ok"):
+			t.Fatalf("a %d-byte reply: %+v, %v", size, h, err)
+		case size > wire.MaxFrame && !errors.As(err, &de):
+			t.Fatalf("a %d-byte reply: %v, want a *wire.DecodeError", size, err)
+		}
+	}
+}
+
 func TestIsRetryable(t *testing.T) {
 	cases := []struct {
 		err  error

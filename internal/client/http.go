@@ -20,9 +20,9 @@ type httpTransport struct {
 	tenant string
 }
 
-// call runs one round trip: encode the call's JSON body (when it has
-// one), decode a 2xx body into its reply (when it has one), and turn
-// every non-2xx into a typed *Error from the wire envelope.
+// call runs one round trip: encode the call's JSON body (if any), read
+// the reply (wire.ReadBody), decode a 2xx body into its reply (if any),
+// and turn every non-2xx into a typed *Error from the wire envelope.
 func (t *httpTransport) call(ctx context.Context, c wire.Call) error {
 	method := c.Route().Method
 	if method == "" {
@@ -52,9 +52,12 @@ func (t *httpTransport) call(ctx context.Context, c wire.Call) error {
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
+	p := wire.GetBuf()
+	defer wire.PutBuf(p)
+	reply, err := wire.ReadBody(resp.Body, p, resp.ContentLength)
 	if resp.StatusCode >= 300 { // a redirect is never followed (New)
 		var env api.ErrorEnvelope
-		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error == nil {
+		if err != nil || json.Unmarshal(reply, &env) != nil || env.Error == nil {
 			return &Error{Status: resp.StatusCode, Code: api.CodeInternal,
 				Message: fmt.Sprintf("%s %s: HTTP %d with unreadable error body", method, path, resp.StatusCode)}
 		}
@@ -70,10 +73,10 @@ func (t *httpTransport) call(ctx context.Context, c wire.Call) error {
 		}
 		return e
 	}
-	if out == nil {
-		return nil
+	if err == nil && out != nil {
+		err = json.Unmarshal(reply, out)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err != nil {
 		return fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
 	}
 	return nil

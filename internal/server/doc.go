@@ -25,11 +25,11 @@
 //     requests with the typed code "overloaded" (inline in the batch
 //     response) instead of building backlog. The bounds — maxBatch,
 //     queueDepth, mailboxSize, idleTimeout, dispatchTimeout — are
-//     constants (server.go). A batch decoded from a frame goes back
-//     to wire's pool once answered, unless its caller left first, and
-//     every result of a batch reply hands its value maps back to
-//     coord's pool (coord.Result.Release) once the reply is rendered,
-//     on either protocol, and never before.
+//     constants (server.go). A decoded batch, from either protocol,
+//     goes back to wire's pool once answered, unless its caller left
+//     first, and every result of a batch reply hands its value maps
+//     back to coord's pool (coord.Result.Release) once the reply is
+//     rendered, on either protocol, and never before.
 //   - the session registry: named stream.Sessions over the shared
 //     store, each serving its events one at a time in a turn the
 //     posting goroutine takes (at most mailboxSize wait for it),

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -202,21 +201,21 @@ func badRequest(status int, format string, args ...any) error {
 }
 
 // readJSON is the one step where a client's JSON enters the server:
-// one read of the whole body into a buffer sized from Content-Length
-// (an unknown length grows) and one decode over all of it, so bytes
-// after the JSON value refuse the request as on the binary protocol.
-// The body is already capped (serveHTTP); overrunning the cap is 413,
-// anything else undecodable 400, both the typed bad_request.
+// one read of the whole body into a pooled buffer (wire.ReadBody) and
+// one decode over all of it, so bytes after the JSON value refuse the
+// request as on the binary protocol. The buffer goes back as soon as
+// Unmarshal has copied the strings out. The body is already capped
+// (serveHTTP); overrunning the cap is 413, anything else undecodable
+// 400, both the typed bad_request.
 func readJSON(r *http.Request, v any) error {
-	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= wire.MaxFrame {
-		buf.Grow(int(n) + bytes.MinRead) // with less to spare ReadFrom doubles the buffer to find EOF
-	}
-	_, err := buf.ReadFrom(r.Body)
+	p := wire.GetBuf()
+	body, err := wire.ReadBody(r.Body, p, r.ContentLength)
 	if err == nil {
-		if err = json.Unmarshal(buf.Bytes(), v); err == nil {
-			return nil
-		}
+		err = json.Unmarshal(body, v)
+	}
+	wire.PutBuf(p)
+	if err == nil {
+		return nil
 	}
 	status := http.StatusBadRequest
 	var tooBig *http.MaxBytesError

@@ -25,8 +25,8 @@ import (
 	"entangled/internal/workload"
 )
 
-// A binary batch decodes into a pooled slab that the server hands back
-// once the batch is answered. These tests hold that lifetime: a slab is
+// A batch decodes into a pooled slab, from a frame or an HTTP body,
+// that the server hands back once the batch is answered. These tests hold that lifetime: a slab is
 // never reused while a walk can still read it.
 
 // recordingGate holds the first store query until open is closed, and
@@ -81,14 +81,21 @@ func (g *recordingGate) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding
 	return g.Store.SolveUnder(body, sub)
 }
 
-// TestAbandonedBatchKeepsItsSlab: a binary connection closes while its
-// batch's walk waits at the store, so the call returns with its context
-// ended while a worker still reads the decoded queries. Fifty more
-// batches, each pinned to another table value, then decode and are
-// served on a new connection. When the store answers again, every query
-// the first walk issues names only the first batch's constants: its slab
-// went to nobody else.
+// TestAbandonedBatchKeepsItsSlab: a caller leaves while its batch's walk
+// waits at the store — a binary connection closes, or an HTTP request is
+// cancelled — so the call returns with its context ended while a worker
+// still reads the decoded queries. Fifty more batches, each pinned to
+// another table value, then decode and are served over the same
+// protocol. When the store answers again, every query the first walk
+// issues names only the first batch's constants: its slab went to the
+// collector, not back to the pool.
 func TestAbandonedBatchKeepsItsSlab(t *testing.T) {
+	for _, proto := range []string{"binary", "http"} {
+		t.Run(proto, func(t *testing.T) { abandonBatch(t, proto) })
+	}
+}
+
+func abandonBatch(t *testing.T, proto string) {
 	const rows, n = 8, 12
 	g := &recordingGate{Store: workload.NewStore(1, rows, 0), held: make(chan struct{}), open: make(chan struct{})}
 	srv, err := server.New(engine.New(g, engine.Options{Workers: 2}), server.Options{})
@@ -108,6 +115,9 @@ func TestAbandonedBatchKeepsItsSlab(t *testing.T) {
 		t.Fatal(err)
 	}
 	dial := func() *client.Client {
+		if proto == "http" {
+			return httpC
+		}
 		c, err := client.New("tcp://"+ln.Addr().String(), client.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -117,15 +127,21 @@ func TestAbandonedBatchKeepsItsSlab(t *testing.T) {
 	ctx := context.Background()
 
 	first := dial()
+	callCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	abandoned := make(chan error, 1)
 	go func() {
-		_, err := first.CoordinateBatch(ctx, []client.Request{{ID: "first", Queries: workload.ListQueriesAt(n, 0)}})
+		_, err := first.CoordinateBatch(callCtx, []client.Request{{ID: "first", Queries: workload.ListQueriesAt(n, 0)}})
 		abandoned <- err
 	}()
 	<-g.held
-	first.Close()
+	if proto == "http" {
+		cancel()
+	} else {
+		first.Close()
+	}
 	if err := <-abandoned; err == nil {
-		t.Fatal("a batch whose connection closed mid-walk answered")
+		t.Fatal("a batch whose caller left mid-walk answered")
 	}
 	// The server counts the abandoned request as failed when its submit
 	// gives up, just before the call returns.

@@ -36,9 +36,9 @@
 // tests in internal/server pin that. Encoders are deterministic (maps
 // in sorted key order): identical DTOs yield identical frames, pinned
 // by golden frame files in testdata/. Encode and decode buffers pool
-// (GetBuf/PutBuf), and a coordinate batch decodes its slices into a
-// pooled slab its server hands back (CoordinateReq.Release), so a busy
-// connection's steady state allocates little beyond the strings.
+// (GetBuf/PutBuf, ReadBody), and a coordinate batch of either protocol
+// decodes into a pooled slab its server hands back (CoordinateReq.Release),
+// so a busy connection's steady state allocates little beyond strings.
 //
 // Decoding is hostile-input safe: every length is validated against
 // the remaining payload before allocation, malformed input yields a

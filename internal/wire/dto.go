@@ -186,16 +186,18 @@ func getQueries(d *Dec, s *batchSlab) []eq.Query {
 }
 
 // batchSlab holds what a coordinate batch decodes into besides its
-// strings: four arrays the batch's slices are cut from, so a pooled
-// slab decodes a batch of the size it last saw without allocating
-// them. Strings stay ordinary allocations: a result's value map keys
-// are the request's variable names, and db's plan cache keeps a
-// relation name. A nil *batchSlab makes every slice afresh.
+// strings: four arrays a frame's slices are cut from, and body, which an
+// HTTP body is unmarshalled into in place. So a pooled slab decodes a
+// batch of the size it last saw without allocating a slice. Strings
+// stay ordinary allocations: a result's value map keys are the
+// request's variable names, and db's plan cache keeps a relation name.
+// A nil *batchSlab makes every slice afresh.
 type batchSlab struct {
 	reqs []api.Request
 	qs   []eq.Query
 	as   []eq.Atom
 	ts   []eq.Term
+	body api.CoordinateRequest
 }
 
 // slabCap bounds each of a pooled slab's arrays, in elements: a slab
@@ -225,9 +227,9 @@ func cut[T any](s *batchSlab, field func(*batchSlab) *[]T, n int) []T {
 }
 
 // release clears what s handed out and pools it, unless one of its
-// arrays grew past slabCap.
+// arrays, or body at any level, grew past slabCap elements.
 func (s *batchSlab) release() {
-	if s == nil || max(cap(s.reqs), cap(s.qs), cap(s.as), cap(s.ts)) > slabCap {
+	if s == nil || max(cap(s.reqs), cap(s.qs), cap(s.as), cap(s.ts)) > slabCap || !s.clearBody() {
 		return
 	}
 	clear(s.reqs)
@@ -236,6 +238,33 @@ func (s *batchSlab) release() {
 	clear(s.ts)
 	s.reqs, s.qs, s.as, s.ts = s.reqs[:0], s.qs[:0], s.as[:0], s.ts[:0]
 	slabs.Put(s)
+}
+
+// clearBody readies body for the next decode and reports whether each
+// level held at most slabCap elements. The JSON decoder merges into the
+// elements it reaches, up to a slice's capacity, so each is reset to a
+// fresh one, save that its slices keep their capacity at length zero:
+// an omitted "post", "head", "body" or "queries" decodes empty, not nil.
+func (s *batchSlab) clearBody() bool {
+	var n [4]int // requests, queries, atoms, terms
+	atom := func(a *eq.Atom) { *a = eq.Atom{Args: resetAll(a.Args, &n[3], func(t *eq.Term) { *t = eq.Term{} })} }
+	s.body.Requests = resetAll(s.body.Requests, &n[0], func(r *api.Request) {
+		*r = api.Request{Queries: resetAll(r.Queries, &n[1], func(q *eq.Query) {
+			*q = eq.Query{Post: resetAll(q.Post, &n[2], atom), Head: resetAll(q.Head, &n[2], atom), Body: resetAll(q.Body, &n[2], atom)}
+		})}
+	})
+	return max(n[0], n[1], n[2], n[3]) <= slabCap
+}
+
+// resetAll resets each element of s up to its capacity, adds their
+// number to n and returns s at length zero.
+func resetAll[T any](s []T, n *int, reset func(*T)) []T {
+	s = s[:cap(s)]
+	*n += len(s)
+	for i := range s {
+		reset(&s[i])
+	}
+	return s[:0]
 }
 
 // --- coord types ---

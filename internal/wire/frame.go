@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -40,6 +41,21 @@ func PutBuf(b *[]byte) {
 	}
 	*b = (*b)[:0]
 	bufPool.Put(b)
+}
+
+// ReadBody reads an HTTP body of Content-Length size (-1: unknown) into
+// *p, a GetBuf buffer, and returns it. Past MaxFrame bytes it fails with
+// a *DecodeError, as the frame layer refuses such a payload.
+func ReadBody(r io.Reader, p *[]byte, size int64) ([]byte, error) {
+	b := bytes.NewBuffer(*p)
+	if size > 0 && size <= MaxFrame {
+		b.Grow(int(size) + bytes.MinRead) // with less to spare ReadFrom doubles the buffer to find EOF
+	}
+	n, err := b.ReadFrom(io.LimitReader(r, MaxFrame+1))
+	if *p = b.Bytes(); err == nil && n > MaxFrame {
+		err = &DecodeError{Reason: fmt.Sprintf("body of more than %d bytes", MaxFrame)}
+	}
+	return *p, err
 }
 
 // WriteFrame writes one framed payload to w in a single Write call

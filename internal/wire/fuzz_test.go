@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"entangled/internal/api"
+	"entangled/internal/eq"
 )
 
 // FuzzBinaryDecode feeds raw bytes through the full receive path —
@@ -120,4 +123,66 @@ func decodeEverything(t *testing.T, payload []byte) {
 		GetSessionStatus(d)
 		GetHealth(d)
 	})
+}
+
+// FuzzCoordinateBodyReuse decodes two arbitrary HTTP bodies through one
+// slab, resetting it between them as release does, whether or not the
+// first decoded. The second must fail as a decode into a fresh value
+// fails, or equal it with zero-length slices counted as nil: a reused
+// slab's one difference is that an omitted "post", "head", "body",
+// "queries" or "args" comes back empty. The seeds repeat keys, fold
+// their case, hold nulls and unknown fields, and shrink what the first
+// body grew.
+func FuzzCoordinateBodyReuse(f *testing.F) {
+	full := `{"requests":[{"id":"a","queries":[{"id":"q","post":[{"rel":"P","args":["?y"]}],` +
+		`"head":[{"rel":"R","args":["=U1","?x"]}],"body":[{"rel":"T","args":["?x","=c0"]}]}]},{"id":"b","queries":[]}]}`
+	for _, second := range []string{
+		full,
+		`{"requests":[{"queries":[{"head":[{"rel":"R"}]}]}]}`,
+		`{"requests":[{"id":"a","queries":[{"id":"q","head":[{"rel":"R","args":["?x"]}],"head":[{"rel":"S"}]}]}]}`,
+		`{"Requests":[{"ID":"a","QUERIES":[{"Head":[{"REL":"R","Args":["=v"]}],"hEaD":[]}]}]}`,
+		`{"requests":[null,{"id":null,"queries":[null,{"post":null,"head":null,"body":null}]}]}`,
+		`{"requests":[{"queries":[{"head":[{"rel":"R","args":[null,"?x"]}]}]}]}`,
+		`{"requests":[{"id":"a","extra":[1,2],"queries":[{"x":{"y":[]},"head":[{"rel":"R","more":null}]}]}],"other":true}`,
+		`{"requests":[{"queries":[{"head":[{"rel":"R","args":["bad"]}]}]}]}`,
+		`{"requests":[{"queries":"nope"}]}`,
+		`{"requests":[]}`,
+		`null`,
+		`{"requests":[{}]} trailing`,
+	} {
+		f.Add([]byte(full), []byte(second))
+		f.Add([]byte(second), []byte(full))
+	}
+	f.Fuzz(func(t *testing.T, first, second []byte) {
+		var s batchSlab
+		json.Unmarshal(first, &s.body) // decoded or not, the reset clears what it left
+		s.clearBody()
+		reused := json.Unmarshal(second, &s.body)
+		var fresh api.CoordinateRequest
+		want := json.Unmarshal(second, &fresh)
+		if fmt.Sprint(reused) != fmt.Sprint(want) {
+			t.Fatalf("reused slab: %v, fresh value: %v", reused, want)
+		}
+		if want == nil && !reflect.DeepEqual(nilEmpty(s.body), nilEmpty(fresh)) {
+			t.Fatalf("reused slab %+v != fresh value %+v", s.body, fresh)
+		}
+	})
+}
+
+// nilEmpty sets every zero-length slice of b to nil, in place.
+func nilEmpty(b api.CoordinateRequest) api.CoordinateRequest {
+	atoms := func(as []eq.Atom) []eq.Atom {
+		for i := range as {
+			as[i].Args = omitEmpty(as[i].Args)
+		}
+		return omitEmpty(as)
+	}
+	for i, r := range b.Requests {
+		for j, q := range r.Queries {
+			r.Queries[j].Post, r.Queries[j].Head, r.Queries[j].Body = atoms(q.Post), atoms(q.Head), atoms(q.Body)
+		}
+		b.Requests[i].Queries = omitEmpty(r.Queries)
+	}
+	b.Requests = omitEmpty(b.Requests)
+	return b
 }

@@ -88,8 +88,8 @@ func GetHeader(d *Dec) Header {
 // CoordinateReq is the body of a KindCoordinate request.
 type CoordinateReq struct {
 	Requests []api.Request
-	// slab holds the requests' query, atom and term slices when they
-	// were decoded from a frame; nil for one built or read from JSON.
+	// slab holds the slices of a batch the server decoded, from a frame
+	// or an HTTP body; nil for one a caller built.
 	slab *batchSlab
 }
 
@@ -104,8 +104,8 @@ func DecodeCoordinateReq(d *Dec) CoordinateReq {
 }
 
 // Release hands the slab m was decoded into back to the pool. Call it
-// once, when nothing reads m.Requests' slices any more; a request that
-// came from JSON, or one never released, just leaves its memory to the
+// once, when nothing reads m.Requests' slices any more; a request a
+// caller built, or one never released, just leaves its memory to the
 // collector.
 func (m CoordinateReq) Release() { m.slab.release() }
 

@@ -3,6 +3,7 @@
 package wire
 
 import (
+	"encoding/json"
 	"strconv"
 	"testing"
 
@@ -22,24 +23,7 @@ func TestPooledBatchDecodeAllocatesOnlyStrings(t *testing.T) {
 	var e Enc
 	req.Encode(&e)
 	payload := e.Bytes()
-	strs := 0
-	count := func(s string) {
-		if len(s) > 1 {
-			strs++
-		}
-	}
-	for _, r := range req.Requests {
-		count(r.ID)
-		for _, q := range r.Queries {
-			count(q.ID)
-			for _, a := range append(append(q.Post[:len(q.Post):len(q.Post)], q.Head...), q.Body...) {
-				count(a.Rel)
-				for _, tm := range a.Args {
-					count(tm.Name)
-				}
-			}
-		}
-	}
+	strs := longStrings(req.Requests)
 	allocs := testing.AllocsPerRun(50, func() {
 		d := NewDec(payload)
 		got := DecodeCoordinateReq(d)
@@ -52,6 +36,62 @@ func TestPooledBatchDecodeAllocatesOnlyStrings(t *testing.T) {
 	if allocs > float64(strs+2) {
 		t.Fatalf("decode + release allocates %.0f times, want at most %d strings + 2", allocs, strs)
 	}
+}
+
+// TestPooledHTTPDecodeAllocatesOnlyStrings: a warm slab decodes an HTTP
+// batch of 16 requests of 8 queries each, the shape of coordmark's HTTP
+// workload, making its strings and no slice: json.Unmarshal fills the
+// released body's slices in place. The bar is the strings longer than a
+// byte, plus 12 for Unmarshal's own state: the decoder, and its parse
+// stack and field path, each grown to the body's nesting depth (9 at
+// Go 1.24). Growing every slice one element at a time, as a fresh
+// target does, costs over a thousand more.
+func TestPooledHTTPDecodeAllocatesOnlyStrings(t *testing.T) {
+	reqs := make([]api.Request, 16)
+	for i := range reqs {
+		reqs[i] = api.Request{ID: "r" + strconv.Itoa(i), Queries: workload.ListQueriesAt(8, i)}
+	}
+	body, err := json.Marshal(api.CoordinateRequest{Requests: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	strs := longStrings(reqs)
+	unmarshal := func(v any) error { return json.Unmarshal(body, v) }
+	allocs := testing.AllocsPerRun(50, func() {
+		got, err := Coordinate.FromHTTP("", "", unmarshal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Release()
+	})
+	t.Logf("HTTP decode + release of 16 x 8 queries: %.0f allocations, %d strings longer than a byte", allocs, strs)
+	if allocs > float64(strs+12) {
+		t.Fatalf("HTTP decode + release allocates %.0f times, want at most %d strings + 12", allocs, strs)
+	}
+}
+
+// longStrings counts the strings of a batch longer than a byte: the
+// runtime keeps one-byte strings, so a decode allocates only these.
+func longStrings(reqs []api.Request) int {
+	strs := 0
+	count := func(s string) {
+		if len(s) > 1 {
+			strs++
+		}
+	}
+	for _, r := range reqs {
+		count(r.ID)
+		for _, q := range r.Queries {
+			count(q.ID)
+			for _, a := range append(append(q.Post[:len(q.Post):len(q.Post)], q.Head...), q.Body...) {
+				count(a.Rel)
+				for _, tm := range a.Args {
+					count(tm.Name)
+				}
+			}
+		}
+	}
+	return strs
 }
 
 // TestPutResultAllocatesNothing: encoding a 50-member result of three

@@ -82,11 +82,25 @@ func fromBody[B any, Q Req](conv func(key string, b B) Q, check func(Q) error) f
 	}
 }
 
+// coordinateFromHTTP is the coordinate row's FromHTTP: the batch decodes
+// into a pooled slab's body, which release reset (fromBody's target is
+// zero). A refused batch leaves its slab to the collector.
+func coordinateFromHTTP(_, _ string, body func(any) error) (CoordinateReq, error) {
+	s := slabs.Get().(*batchSlab)
+	err := body(&s.body)
+	q := CoordinateReq{Requests: s.body.Requests, slab: s}
+	if err == nil {
+		err = q.checkRels()
+	}
+	return q, err
+}
+
+// checkRels refuses a batch with an atom naming no relation, as a join.
 func (m CoordinateReq) checkRels() error {
 	for _, r := range m.Requests {
 		for _, q := range r.Queries {
 			if err := q.CheckRels(); err != nil {
-				return err
+				return &api.Error{Status: http.StatusBadRequest, Code: api.CodeBadRequest, Message: "decoding body: " + err.Error()}
 			}
 		}
 	}
@@ -103,8 +117,7 @@ var (
 		PutReply: func(e *Enc, r api.CoordinateResponse) { PutResponses(e, r.Responses) },
 		GetReply: func(d *Dec) api.CoordinateResponse { return api.CoordinateResponse{Responses: GetResponses(d)} },
 		ToHTTP:   func(q CoordinateReq) (string, any) { return "", api.CoordinateRequest{Requests: q.Requests} },
-		FromHTTP: fromBody(func(_ string, b api.CoordinateRequest) CoordinateReq { return CoordinateReq{Requests: b.Requests} },
-			CoordinateReq.checkRels),
+		FromHTTP: coordinateFromHTTP,
 	}
 	CreateSession = &Op[CreateSessionReq, api.CreateSessionResponse]{
 		Route: Route{Name: "create_session", Kind: KindCreateSession, Method: "POST", Path: "/v1/sessions"},

@@ -107,14 +107,17 @@ func sample[Q Req, R any](t *testing.T, sampled map[string]bool, o *Op[Q, R], q 
 			t.Fatal(err)
 		}
 		back, err := o.FromHTTP(key, query, func(v any) error { return json.Unmarshal(buf, v) })
-		if err != nil || !reflect.DeepEqual(back, q) {
+		if err != nil || !sameReq(back, q) {
 			t.Errorf("%s: FromHTTP(ToHTTP(q)) = %+v (%v), want %+v", o.Name, back, err, q)
+		}
+		if c, ok := any(back).(CoordinateReq); ok {
+			c.Release()
 		}
 	}
 }
 
-// sameReq compares two requests by what they carry: a batch decoded from
-// a frame also holds the slab its slices were cut from.
+// sameReq compares two requests by what they carry: a batch the server
+// decoded, from a frame or an HTTP body, also holds its slab.
 func sameReq(a, b any) bool {
 	if ca, ok := a.(CoordinateReq); ok {
 		a, b = ca.Requests, b.(CoordinateReq).Requests

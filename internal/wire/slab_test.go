@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -83,4 +84,62 @@ func TestOversizedSlabIsNotPooled(t *testing.T) {
 	if len(got.slab.ts) != n || got.Requests[0].Queries[0].Head[0].Rel != "R" {
 		t.Fatal("an oversized slab was cleared for the pool")
 	}
+}
+
+// TestReleasedSlabHoldsNoStrings: a slab that served a frame and two HTTP
+// bodies, the second shorter than the first and repeating a key, holds
+// no string of either once released — up to every slice's capacity,
+// where the decoder can reach again.
+func TestReleasedSlabHoldsNoStrings(t *testing.T) {
+	var e Enc
+	slabBatch().Encode(&e)
+	long, err := json.Marshal(api.CoordinateRequest{Requests: slabBatch().Requests})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := []byte(`{"requests":[{"id":"dup","queries":[{"id":"q","head":[{"rel":"R","args":["?x","=c"]}]}]}],
+		"requests":[{"queries":[{"head":[{"rel":"S","args":["=d"]}]}]}]}`)
+	s := new(batchSlab)
+	if getRequests(NewDec(e.Bytes()), s); len(s.ts) == 0 {
+		t.Fatal("the frame cut no terms")
+	}
+	for _, body := range [][]byte{long, short} {
+		if err := json.Unmarshal(body, &s.body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if heldString(reflect.ValueOf(s)) == "" {
+		t.Fatal("a decoded slab holds no string: the walk sees nothing")
+	}
+	s.release()
+	if str := heldString(reflect.ValueOf(s)); str != "" {
+		t.Fatalf("a released slab still holds %q", str)
+	}
+}
+
+// heldString returns a non-empty string reachable from v, reading each
+// slice up to its capacity, or "" when there is none.
+func heldString(v reflect.Value) string {
+	switch v.Kind() {
+	case reflect.String:
+		return v.String()
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return heldString(v.Elem())
+		}
+	case reflect.Slice:
+		v = v.Slice(0, v.Cap())
+		for i := range v.Len() {
+			if s := heldString(v.Index(i)); s != "" {
+				return s
+			}
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if s := heldString(v.Field(i)); s != "" {
+				return s
+			}
+		}
+	}
+	return ""
 }
