@@ -94,17 +94,29 @@ query bad3 {
 
 func TestParseGeneralFormErrors(t *testing.T) {
 	sch := workload.FlightSchema()
-	bad := []string{
-		`query a { head: R(x) }`,                                                 // head arity
-		`query b { head: R(X, u) }`,                                              // constant key / variable user
-		`query c { head: R(x, U0) body: Flights(K, d, t, s, a) }`,                // constant S key
-		`query d { head: R(x, U0) }`,                                             // no self atom
-		`query e { post: R(y, U1) head: R(x, U0) body: Flights(x, d, t, s, a) }`, // post without S-atom
+	const self, partner = `Flights(x, d, t, s, a)`, `Flights(y, d, t, s, a)`
+	bad := []struct{ src, want string }{
+		{`query a { head: R(x) }`, "head must be R(x, User)"},
+		{`query b { head: R(X, u) }`, "head must bind"}, // constant key, variable user
+		{`query b2 { head: R(x, u) }`, "head must bind"},
+		{`query c { head: R(x, U0) body: Flights(K, d, t, s, a) }`, "must have a variable key"},
+		{`query c2 { head: R(x, U0) body: ` + self + `, Flights(K, d, t, s, a) }`, "Flights(K, d, t, s, a) must have a variable key"},
+		{`query d { head: R(x, U0) }`, "no S-atom carries the head key x"},
+		{`query e { post: R(y, U1) head: R(x, U0) body: ` + self + ` }`, "postcondition key y has no S-atom"},
+		{`query e2 { post: Q(y, U1) head: R(x, U0) body: ` + self + `, ` + partner + ` }`, "must be R(y, partner)"},
+		{`query e3 { post: R(y) head: R(x, U0) body: ` + self + `, ` + partner + ` }`, "must be R(y, partner)"},
+		{`query e4 { post: R(Y, U1) head: R(x, U0) body: ` + self + ` }`, "R(Y, U1) must have a variable key"},
 	}
-	for _, src := range bad {
-		q := eq.MustParseSet(src)[0]
-		if _, err := consistent.ParseGeneralForm(sch, q); err == nil {
-			t.Errorf("ParseGeneralForm should reject %s", src)
+	for _, c := range bad {
+		q := eq.MustParseSet(c.src)[0]
+		_, err := consistent.ParseGeneralForm(sch, q)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseGeneralForm(%s) = %v, want an error saying %q", c.src, err, c.want)
+			continue
+		}
+		// IsAConsistent reports the same error, not a verdict.
+		if ok, err2 := consistent.IsAConsistent(sch, q, 5); ok || err2 == nil || err2.Error() != err.Error() {
+			t.Errorf("IsAConsistent(%s) = %v, %v; want %v", c.src, ok, err2, err)
 		}
 	}
 	// The general form holds, but an S-atom is shorter than Flights:
@@ -117,6 +129,24 @@ func TestParseGeneralFormErrors(t *testing.T) {
 		q := eq.MustParseSet(src)[0]
 		if _, err := consistent.IsAConsistent(sch, q, 5); err == nil || !strings.Contains(err.Error(), "Flights(") {
 			t.Errorf("IsAConsistent should reject %s naming the atom, got %v", src, err)
+		}
+	}
+}
+
+// TestIsAConsistentKeyNotFirst: with the key in column 1, column 0 is
+// one of the remaining attributes, which Definition 8 holds apart.
+func TestIsAConsistentKeyNotFirst(t *testing.T) {
+	sch := consistent.Schema{Table: "S", KeyCol: 1, CoordCols: []int{2}, OwnCols: []int{0}, Friends: "F"}
+	for _, c := range []struct {
+		body string
+		want bool
+	}{
+		{`S(a, x, d), S(b, y, d)`, true},
+		{`S(a, x, d), S(a, y, d)`, false}, // the partner shares column 0
+	} {
+		q := eq.MustParseSet(`query q { post: R(y, U1) head: R(x, U0) body: ` + c.body + ` }`)[0]
+		if ok, err := consistent.IsAConsistent(sch, q, 3); err != nil || ok != c.want {
+			t.Errorf("IsAConsistent(%s) = %v, %v; want %v", c.body, ok, err, c.want)
 		}
 	}
 }

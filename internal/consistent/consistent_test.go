@@ -256,9 +256,13 @@ func TestPrefArityChecked(t *testing.T) {
 
 func TestEmptyQuerySet(t *testing.T) {
 	in := moviesInstance()
+	before := in.QueriesIssued()
 	res, err := Coordinate(moviesSchema(), nil, in, Options{})
 	if err != nil || res != nil {
 		t.Fatalf("empty input: res=%v err=%v", res, err)
+	}
+	if n := in.QueriesIssued() - before; n != 0 {
+		t.Fatalf("empty input spent %d database queries, want 0", n)
 	}
 }
 
@@ -352,5 +356,12 @@ func TestTraceMoviesWalkthrough(t *testing.T) {
 	}
 	if len(cinemark.Initial) != 2 || len(cinemark.Survivors) != 0 {
 		t.Fatalf("Cinemark cleaning: %+v", cinemark)
+	}
+	// A Trace reused for a second call describes that call alone.
+	if _, err := Coordinate(moviesSchema(), moviesQueries(), in, Options{Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Values) != 3 || len(tr.OptionCounts) != 4 {
+		t.Fatalf("a reused trace: %d values, %d option counts; want 3 and 4", len(tr.Values), len(tr.OptionCounts))
 	}
 }

@@ -47,6 +47,11 @@ func TestToEntangledShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A set holding one query the schema cannot take is refused whole.
+	bad := consistent.Query{User: workload.User(1), Coord: q.Coord}
+	if set, err := consistent.ToEntangledSet(sch, []consistent.Query{q, bad}, in); set != nil || err == nil {
+		t.Fatalf("ToEntangledSet with a query lacking own prefs = %v, %v; want nil and an error", set, err)
+	}
 	if len(e.Post) != 2 || len(e.Head) != 1 {
 		t.Fatalf("shape: %v", e)
 	}

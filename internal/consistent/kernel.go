@@ -401,7 +401,7 @@ func (k *kernel) candidates(trace *Trace) []Candidate {
 	n, users := len(k.qs), len(k.users)
 	k.in, k.pending, k.queue = sized(k.in, n), sized(k.pending, n), sized(k.queue, n)
 	k.seen, k.ownedAt, k.ownedBy = sized(k.seen, users), sized(k.ownedAt, users), sized(k.ownedBy, users)
-	k.gen, k.epoch, k.keptValue, k.keptList = 0, 0, k.keptValue[:0], k.keptList[:0]
+	k.keptValue, k.keptList = k.keptValue[:0], k.keptList[:0]
 	k.kept.reset()
 	k.teams.reset()
 	if trace != nil {

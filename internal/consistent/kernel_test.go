@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"entangled/internal/db"
@@ -261,5 +262,59 @@ func TestRequeuedMoreOftenThanTheRingIsLong(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotTrace, wantTrace) {
 		t.Fatalf("trace: kernel %+v, oracle %+v", gotTrace, wantTrace)
+	}
+}
+
+// TestSpansInvert: invert turns "list i names these targets" into
+// "target t is named by these lists", one list per target, each
+// ascending, negative targets skipped.
+func TestSpansInvert(t *testing.T) {
+	var s spans
+	s.reset()
+	for _, l := range [][]int32{{2, -1, 0}, {}, {-1}, {2, 2}, {0}} {
+		s.flat = append(s.flat, l...)
+		s.end()
+	}
+	var out spans
+	s.invert(4, &out)
+	want := [][]int32{{0, 4}, {}, {0, 3, 3}, {}}
+	if out.len() != len(want) {
+		t.Fatalf("inverse holds %d lists, want %d", out.len(), len(want))
+	}
+	for i, w := range want {
+		if got := out.at(int32(i)); !slices.Equal(got, w) {
+			t.Fatalf("target %d named by %v, want %v", i, got, w)
+		}
+	}
+}
+
+// TestReleasePinsNothing: a released kernel holds none of its call's
+// queries, instance or strings — no user, where clause, relation name,
+// value or key — so the pool keeps no request's data alive.
+func TestReleasePinsNothing(t *testing.T) {
+	k := &kernel{users: map[eq.Value]int32{}, where: map[int]eq.Value{}}
+	if err := k.load(moviesSchema(), moviesQueries(), moviesInstance()); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.optionLists(); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.friendLists(); err != nil {
+		t.Fatal(err)
+	}
+	if len(k.users) == 0 || len(k.where) == 0 || len(k.vals) == 0 || len(k.keys) == 0 {
+		t.Fatal("the movies call filled nothing to release")
+	}
+	k.release()
+	if len(k.users) != 0 || len(k.where) != 0 || k.qs != nil || k.inst != nil || k.sch.Table != "" {
+		t.Fatalf("released kernel keeps users %v, where %v, queries %v, instance %v or schema %v", k.users, k.where, k.qs, k.inst, k.sch)
+	}
+	for name, vs := range map[string][]eq.Value{"vals": k.vals, "keys": k.keys} {
+		if i := slices.IndexFunc(vs, func(v eq.Value) bool { return v != "" }); i >= 0 {
+			t.Fatalf("released kernel's %s[%d] = %q", name, i, vs[i])
+		}
+	}
+	if i := slices.IndexFunc(k.rels, func(r string) bool { return r != "" }); i >= 0 {
+		t.Fatalf("released kernel's rels[%d] = %q", i, k.rels[i])
 	}
 }

@@ -47,9 +47,6 @@ func BruteForceMax(qs []eq.Query, store db.Store) (*Result, error) {
 // existence problem (small sets are cheaper to refute or confirm).
 func bruteForce(qs []eq.Query, store db.Store, smallestFirst bool) (*Result, error) {
 	n := len(qs)
-	if n == 0 {
-		return nil, nil
-	}
 	if n > MaxBruteQueries {
 		return nil, fmt.Errorf("%w (got %d)", ErrTooManyQueries, n)
 	}

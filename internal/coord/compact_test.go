@@ -342,3 +342,74 @@ func TestFailedPassPublishesNoTeam(t *testing.T) {
 	}
 	checkIncrementalMatchesBatch(t, inc, store, DeltaStats{})
 }
+
+// TestCompactRenumbersTheDeadQuery: an outcome that named its dead query
+// is spliced, after a compaction moved that query, with its new slot, so
+// the walk marks it dead and no other query.
+func TestCompactRenumbersTheDeadQuery(t *testing.T) {
+	qs := eq.MustParseSet(`
+query x { head: R(X)  body: T(v) }
+query a { post: R(B)  head: R(A)  body: T(v) }
+query b { head: R(B)  body: E(v) }
+query c { head: R(C)  body: T(v) }`)
+	in := db.NewInstance()
+	in.CreateRelation("T", "v").Insert("ok")
+	in.CreateRelation("E", "v")
+	inc := NewIncremental(in)
+	add := func(q eq.Query) {
+		if _, _, err := inc.Add(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(qs[0])
+	if _, err := inc.Remove(0); err != nil {
+		t.Fatal(err)
+	}
+	add(qs[1])
+	add(qs[2]) // {a, b} fails on b's empty body, which names b dead
+	if remap := inc.Compact(); !slices.Equal(remap, []int{-1, 0, 1}) {
+		t.Fatalf("remap %v", remap)
+	}
+	// Past the live slots, the arrays the compaction kept hold nothing.
+	if q := inc.queries[inc.Len():cap(inc.queries)]; cap(q) == 0 || slices.ContainsFunc(q, func(q eq.Query) bool { return q.ID != "" }) {
+		t.Fatalf("past the live slots: queries %v", q)
+	}
+	if v := inc.vars[inc.Len():cap(inc.vars)]; cap(v) == 0 || slices.ContainsFunc(v, func(v varTable) bool { return v.ids != nil }) {
+		t.Fatalf("past the live slots: variable tables %v", v)
+	}
+	if r := inc.g.heads.refs; slices.ContainsFunc(r[len(r):cap(r)], func(r atomRef) bool { return r.atom.Rel != "" }) {
+		t.Fatalf("past the live heads: %v", r[len(r):cap(r)])
+	}
+	add(qs[3])
+	res, err := inc.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res == nil || !slices.Equal(res.Set, []int{2}) {
+		t.Fatalf("team %v, want c alone, slot 2", res)
+	}
+}
+
+// TestFitGivesBackTwoThirds: a compaction moves a buffer to one of its
+// own length when more than two thirds of its capacity is unused, and
+// otherwise keeps it, headroom and all.
+func TestFitGivesBackTwoThirds(t *testing.T) {
+	for _, c := range []struct {
+		len, cap int
+		shrinks  bool
+	}{{5, 16, true}, {5, 15, false}, {0, 1, true}, {0, 0, false}} {
+		got := cap(fit(make([]int, c.len, c.cap)))
+		if shrinks := got < c.cap; shrinks != c.shrinks {
+			t.Errorf("fit of %d in %d: capacity %d; want a shrink: %v", c.len, c.cap, got, c.shrinks)
+		}
+	}
+}
+
+// TestAllCandidatesReportsStoreErrors: a store that fails during the
+// family walk is an error, not a shorter family.
+func TestAllCandidatesReportsStoreErrors(t *testing.T) {
+	qs, in := flightHotel()
+	if _, err := AllCandidates(qs, &downStore{Store: in, down: true}, Options{}); !errors.Is(err, errDown) {
+		t.Fatalf("AllCandidates on a store that is down: %v, want %v", err, errDown)
+	}
+}

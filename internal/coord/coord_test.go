@@ -129,6 +129,9 @@ query chris2 {
 	if _, err := SCCCoordinate(qs, zurichInstance(), Options{}); !errors.Is(err, ErrUnsafe) {
 		t.Fatalf("want ErrUnsafe, got %v", err)
 	}
+	if _, err := GuptaCoordinate(qs, zurichInstance()); !errors.Is(err, ErrUnsafe) {
+		t.Fatalf("Gupta: want ErrUnsafe, got %v", err)
+	}
 }
 
 func TestSCCGwynethChris(t *testing.T) {
@@ -701,5 +704,67 @@ func TestComponentsOfIsTheCondensation(t *testing.T) {
 		if seen != len(qs) {
 			t.Fatalf("seed %d: members list %d queries, want %d", seed, seen, len(qs))
 		}
+	}
+}
+
+// TestVerifyRefusesADuplicateMember: a set naming a query twice is no
+// coordinating set, even when the query alone is one.
+func TestVerifyRefusesADuplicateMember(t *testing.T) {
+	qs := []eq.Query{{ID: "q", Head: []eq.Atom{eq.NewAtom("R", eq.C("A"))}}}
+	if err := Verify(qs, []int{0}, map[int]map[string]eq.Value{0: {}}, db.NewInstance()); err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(qs, []int{0, 0}, map[int]map[string]eq.Value{0: {}}, db.NewInstance()); err == nil {
+		t.Fatal("Verify accepts a set naming one query twice")
+	}
+}
+
+// TestReleaseSkipsNilMaps: releasing a Result that holds a nil
+// assignment pools no nil map for the next walk to write into.
+func TestReleaseSkipsNilMaps(t *testing.T) {
+	qs, in := flightHotel()
+	for range 4 {
+		(&Result{Values: map[int]map[string]eq.Value{0: nil, 1: nil}}).Release()
+		res, err := SCCCoordinate(qs, in, Options{})
+		if err != nil || res.Size() != 2 {
+			t.Fatalf("after releasing nil maps: %v, %v", res, err)
+		}
+	}
+}
+
+// TestPreprocess holds the statistics of the flight-hotel set: four
+// queries, seven extended edges collapsing to six, three components.
+func TestPreprocess(t *testing.T) {
+	qs, _ := flightHotel()
+	st := Preprocess(qs)
+	if st.Queries != 4 || st.ExtendedEdges != 7 || st.Edges != 6 || st.Components != 3 || !slices.Equal(st.TopoOrder, []int{2, 1, 0}) {
+		t.Fatalf("Preprocess = %+v", st)
+	}
+}
+
+// TestDeadAtomWithAConstant: an empty atom whose constant comes before
+// its variable still names its query dead, and nothing coordinates.
+func TestDeadAtomWithAConstant(t *testing.T) {
+	qs := eq.MustParseSet(`
+query a { post: R(B)  head: R(A)  body: T(v) }
+query b { head: R(B)  body: E(K, v) }`)
+	in := db.NewInstance()
+	in.CreateRelation("T", "v").Insert("ok")
+	in.CreateRelation("E", "k", "v")
+	if res, err := SCCCoordinate(qs, in, Options{}); err != nil || res != nil {
+		t.Fatalf("SCCCoordinate = %v, %v; want nothing", res, err)
+	}
+}
+
+// TestGuptaNeedsEveryPostProvided: a strongly connected set in which one
+// postcondition has no provider is not coordinating, whatever its
+// bodies ground.
+func TestGuptaNeedsEveryPostProvided(t *testing.T) {
+	qs := eq.MustParseSet(`
+query a { post: R(B), S(Z)  head: R(A) }
+query b { post: R(A)  head: R(B) }`)
+	in := db.NewInstance()
+	if res, err := GuptaCoordinate(qs, in); res != nil || err != nil || in.QueriesIssued() != 0 {
+		t.Fatalf("GuptaCoordinate = %v, %v after %d queries; want nothing, and no query", res, err, in.QueriesIssued())
 	}
 }

@@ -463,8 +463,11 @@ func TestIncrementalUnsafeAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := inc.Add(arrival); !errors.Is(err, ErrUnsafeArrival) {
-		t.Fatalf("unsafe arrival admitted: %v", err)
+	if slot, _, err := inc.Add(arrival); !errors.Is(err, ErrUnsafeArrival) || slot != -1 {
+		t.Fatalf("unsafe arrival admitted: slot %d, %v", slot, err)
+	}
+	if d, err := inc.Refresh(); err != nil || d.Slot != -1 {
+		t.Fatalf("Refresh touched slot %d, %v; want -1, no slot", d.Slot, err)
 	}
 	if inc.Len() != 2 {
 		t.Fatalf("rejected arrival mutated the set: %d live", inc.Len())
@@ -510,5 +513,31 @@ func TestFailedEventsAreBilled(t *testing.T) {
 	billed += d.DBQueries
 	if asked.QueriesIssued() != billed {
 		t.Fatalf("the store was asked %d queries, the events billed %d", asked.QueriesIssued(), billed)
+	}
+}
+
+// TestRemoveNeedsALiveSlot: removing a slot never handed out, or one
+// already removed, is ErrNoQuery and leaves the coordinator and its
+// graph as they were.
+func TestRemoveNeedsALiveSlot(t *testing.T) {
+	qs, in := flightHotel()
+	inc := NewIncremental(in)
+	for _, q := range qs {
+		if _, _, err := inc.Add(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := inc.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	edges := inc.g.Edges()
+	for _, slot := range []int{1, len(qs), -1} {
+		if _, err := inc.Remove(slot); !errors.Is(err, ErrNoQuery) {
+			t.Fatalf("Remove(%d) = %v, want ErrNoQuery", slot, err)
+		}
+		inc.g.Remove(slot)
+		if inc.Len() != len(qs)-1 || !slices.Equal(inc.g.Edges(), edges) {
+			t.Fatalf("after Remove(%d): %d live, edges %v; want %d and %v", slot, inc.Len(), inc.g.Edges(), len(qs)-1, edges)
+		}
 	}
 }

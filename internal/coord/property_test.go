@@ -147,6 +147,75 @@ func TestBruteForceTooManyQueries(t *testing.T) {
 	if _, err := BruteForceMax(qs, in); !errors.Is(err, ErrTooManyQueries) {
 		t.Fatalf("max: err = %v, want ErrTooManyQueries", err)
 	}
+	// The cap coordctl -brute and hardness document is 20 queries, and 20
+	// are searched.
+	if ok, err := BruteForceExists(workload.ListQueries(20, rows), in); err != nil || !ok {
+		t.Fatalf("exists on 20 queries = %v, %v; want true, nil", ok, err)
+	}
+	if _, err := BruteForceExists(workload.ListQueries(21, rows), in); !errors.Is(err, ErrTooManyQueries) {
+		t.Fatalf("exists on 21 queries: err = %v, want ErrTooManyQueries", err)
+	}
+}
+
+// TestBruteForceEmptySet: an empty set has no coordinating subset, and
+// finding that asks the store nothing.
+func TestBruteForceEmptySet(t *testing.T) {
+	in := newWorkloadInstance(20)
+	ok, err := BruteForceExists(nil, in)
+	res, err2 := BruteForceMax(nil, in)
+	if ok || res != nil || err != nil || err2 != nil || in.QueriesIssued() != 0 {
+		t.Fatalf("empty set: exists %v, %v; max %v, %v; %d queries", ok, err, res, err2, in.QueriesIssued())
+	}
+}
+
+// TestBruteForceReportsStoreErrors: a store that fails is an error from
+// both oracles, not a set that does not coordinate.
+func TestBruteForceReportsStoreErrors(t *testing.T) {
+	// A list, which a lone query ends, and a pair each of whose subsets
+	// needs a postcondition met: the store fails inside the search.
+	pair := eq.MustParseSet(`
+query a { post: R(B)  head: R(A) }
+query b { post: R(A)  head: R(B) }`)
+	for _, qs := range [][]eq.Query{workload.ListQueries(3, 20), pair} {
+		store := &downStore{Store: newWorkloadInstance(20), down: true}
+		if _, err := BruteForceExists(qs, store); !errors.Is(err, errDown) {
+			t.Fatalf("exists: err = %v, want %v", err, errDown)
+		}
+		if _, err := BruteForceMax(qs, store); !errors.Is(err, errDown) {
+			t.Fatalf("max: err = %v, want %v", err, errDown)
+		}
+	}
+}
+
+// TestBruteForceSkipsAClashingProvider: an edge Unifiable admits can
+// still fail the full unifier (R(x, x) against R(C, D)), and a set whose
+// postcondition only such an edge meets does not coordinate, however
+// its bodies ground.
+func TestBruteForceSkipsAClashingProvider(t *testing.T) {
+	qs := eq.MustParseSet(`
+query a {
+  post: R(x, x)
+  head: R(A, x)
+  body: T(x)
+}
+query b {
+  head: R(C, D)
+  body: T(D)
+}`)
+	in := db.NewInstance()
+	tr := in.CreateRelation("T", "v")
+	tr.Insert("C")
+	tr.Insert("D")
+	res, err := BruteForceMax(qs, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res == nil || !slices.Equal(res.Set, []int{1}) {
+		t.Fatalf("BruteForceMax = %v, want the set {b}", res)
+	}
+	if err := Verify(qs, res.Set, res.Values, in); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRankWalkServesTheFamilysFirst holds the lemma the walk rests on.

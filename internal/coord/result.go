@@ -164,5 +164,10 @@ func Verify(qs []eq.Query, set []int, values map[int]map[string]eq.Value, store 
 	return nil
 }
 
-// sortedCopy returns a sorted copy of xs.
-func sortedCopy(xs []int) []int { return slices.Sorted(slices.Values(xs)) }
+// sortedCopy returns a sorted copy of xs in one allocation, nil for an
+// empty xs (the golden bytes render a nil Set, not an empty one).
+func sortedCopy(xs []int) []int {
+	s := append([]int(nil), xs...)
+	slices.Sort(s)
+	return s
+}

@@ -488,3 +488,35 @@ func TestBruteForceBillsWhatTheStoreCounted(t *testing.T) {
 	}
 	t.Logf("%d of 40 sets coordinated, billing %d queries", found, billed)
 }
+
+// TestFallbackNeedsADomain: a free variable takes the domain's value when
+// the database holds exactly one, and an empty database is an error from
+// every reader of the witness, not a panic.
+func TestFallbackNeedsADomain(t *testing.T) {
+	qs := []eq.Query{{ID: "q", Head: []eq.Atom{eq.NewAtom("R", eq.C("U0"), eq.V("f"))}}}
+	one := db.NewInstance()
+	one.CreateRelation("T", "val").Insert("v")
+	if res, err := SCCCoordinate(qs, one, Options{}); err != nil || res.Size() != 1 || res.Values[0]["f"] != "v" {
+		t.Fatalf("one-value domain: %v, %v", res, err)
+	}
+	empty := func(err error) bool { return err != nil && strings.Contains(err.Error(), "empty database domain") }
+	if _, err := SCCCoordinate(qs, db.NewInstance(), Options{}); !empty(err) {
+		t.Fatalf("SCCCoordinate on an empty database: %v", err)
+	}
+	if _, err := AllCandidates(qs, db.NewInstance(), Options{}); !empty(err) {
+		t.Fatalf("AllCandidates on an empty database: %v", err)
+	}
+	if _, err := BruteForceMax(qs, db.NewInstance()); !empty(err) {
+		t.Fatalf("BruteForceMax on an empty database: %v", err)
+	}
+	inc := NewIncremental(db.NewInstance())
+	if _, _, err := inc.Add(qs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Result(); !empty(err) {
+		t.Fatalf("Result on an empty database: %v", err)
+	}
+	if _, err := inc.Candidates(); !empty(err) {
+		t.Fatalf("Candidates on an empty database: %v", err)
+	}
+}

@@ -52,9 +52,6 @@ func SingleConnectedCoordinate(qs []eq.Query, store db.Store) (*Result, error) {
 			return nil, fmt.Errorf("%w: query %s has %d postconditions", ErrNotSingleConnected, q.ID, len(q.Post))
 		}
 	}
-	if len(qs) == 0 {
-		return nil, nil
-	}
 	meter := db.NewMeter(store)
 	vars, sr := numberAll(qs), &search{}
 	sr.number(qs, vars, every(len(qs)))

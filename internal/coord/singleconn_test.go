@@ -3,6 +3,7 @@ package coord
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"entangled/internal/db"
@@ -176,4 +177,94 @@ func randomSinglePostSet(rng *rand.Rand) []eq.Query {
 		qs[i] = q
 	}
 	return qs
+}
+
+// TestIsSingleConnectedChecksPathsIntoTheFirstQuery: two simple paths
+// into query 0 (q2 to q0 directly and through q1) make a set that is not
+// single-connected.
+func TestIsSingleConnectedChecksPathsIntoTheFirstQuery(t *testing.T) {
+	qs := eq.MustParseSet(`
+query q0 { head: R(A) }
+query q1 { post: R(A)  head: R(B) }
+query q2 { post: R(x)  head: S(C) }`)
+	if IsSingleConnected(qs) {
+		t.Fatal("two paths from q2 to q0, yet single-connected")
+	}
+}
+
+// TestSingleConnectedTriesEveryHead: a's postcondition unifies with both
+// of b's heads; the chain through the first fails to ground, and the
+// second must be tried as an extension, not mistaken for a cycle back
+// to b.
+func TestSingleConnectedTriesEveryHead(t *testing.T) {
+	qs := eq.MustParseSet(`
+query a { post: R(x)  head: S(A)  body: T(x) }
+query b { head: R(B1), R(B2)  body: T(B2) }`)
+	in := db.NewInstance()
+	in.CreateRelation("T", "v").Insert("B2")
+	if !IsSingleConnected(qs) {
+		t.Fatal("fixture is not single-connected")
+	}
+	res, err := SingleConnectedCoordinate(qs, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res == nil || !slices.Equal(res.Set, []int{0, 1}) {
+		t.Fatalf("SingleConnectedCoordinate = %v, want {a, b}", res)
+	}
+	if err := Verify(qs, res.Set, res.Values, in); err != nil {
+		t.Fatal(err)
+	}
+	// A cycle, where the store is first asked deep in the chain.
+	cycle := eq.MustParseSet(`
+query a { post: R(B)  head: R(A) }
+query b { post: R(A)  head: R(B) }`)
+	for _, qs := range [][]eq.Query{qs, cycle} {
+		if _, err := SingleConnectedCoordinate(qs, &downStore{Store: in, down: true}); !errors.Is(err, errDown) {
+			t.Fatalf("on a store that is down: %v, want %v", err, errDown)
+		}
+	}
+}
+
+// TestSingleConnectedSkipsAClashingProvider: a provider edge whose full
+// unifier clashes (R(x, x) against R(C, D)) extends no chain.
+func TestSingleConnectedSkipsAClashingProvider(t *testing.T) {
+	qs := eq.MustParseSet(`
+query a { post: R(x, x)  head: S(A)  body: T(x) }
+query b { head: R(C, D)  body: T(D) }`)
+	in := db.NewInstance()
+	tr := in.CreateRelation("T", "v")
+	tr.Insert("C")
+	tr.Insert("D")
+	res, err := SingleConnectedCoordinate(qs, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res == nil || !slices.Equal(res.Set, []int{1}) {
+		t.Fatalf("SingleConnectedCoordinate = %v, want the set {b}", res)
+	}
+}
+
+// TestSingleConnectedWitnessIsTheWinners: the largest set is found by
+// the first start and later starts ask about other sets; the witness is
+// still read off the winner's combined body.
+func TestSingleConnectedWitnessIsTheWinners(t *testing.T) {
+	qs := eq.MustParseSet(`
+query a { post: R(B)  head: R(A)  body: T(x) }
+query b { head: R(B)  body: T(y) }
+query c { head: R(C)  body: U(z) }`)
+	in := db.NewInstance()
+	in.CreateRelation("T", "v").Insert("t")
+	in.CreateRelation("U", "v")
+	in.CreateRelation("V", "v").Insert("a") // the least value, in no body
+	res, err := SingleConnectedCoordinate(qs, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res == nil || !slices.Equal(res.Set, []int{0, 1}) {
+		t.Fatalf("SingleConnectedCoordinate = %v, want {a, b}", res)
+	}
+	if err := Verify(qs, res.Set, res.Values, in); err != nil {
+		t.Fatal(err)
+	}
 }

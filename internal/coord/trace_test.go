@@ -113,11 +113,36 @@ func TestTraceRender(t *testing.T) {
 	if err := family.Render(&sb, qs); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{"qC", "qG", "grounded", "no tuple", "F(q0.x1, Madrid)", "{qW}: successor failed"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
+	const grounded = `components processed (reverse topological order):
+  1. {qC, qG}: grounded (candidate set of 2)
+     query: F(q0.x1, q0.x), H(q1.y2, q0.x), F(q0.x1, Paris), H(q1.y2, Paris)
+  2. {qJ}: no tuple
+     query: F(q0.x1, q0.x), H(q1.y2, q0.x), F(q0.x1, Paris), H(q1.y2, Paris), F(q0.x1, Athens), H(q2.z2, Athens)
+`
+	want := grounded + `  3. {qW}: no tuple
+     query: F(q0.x1, q0.x), H(q1.y2, q0.x), F(q0.x1, Paris), H(q1.y2, Paris), F(q0.x1, Athens), H(q3.w2, Athens), F(q0.x1, Madrid), H(q3.w2, Madrid)
+` + grounded + `  3. {qW}: successor failed
+`
+	if out := sb.String(); out != want {
+		t.Fatalf("render:\n%s\nwant:\n%s", out, want)
+	}
+	// A pruned query is listed first, and a component that asked nothing
+	// has no query line.
+	pruned := &Trace{
+		Pruned:     []PruneEvent{{Query: 3, Reason: "unsatisfiable postcondition"}},
+		Components: []ComponentEvent{{Members: []int{2}, Status: "dead member"}},
+	}
+	sb.Reset()
+	if err := pruned.Render(&sb, qs); err != nil {
+		t.Fatal(err)
+	}
+	want = `pruned during preprocessing:
+  qW: unsatisfiable postcondition
+components processed (reverse topological order):
+  1. {qJ}: dead member
+`
+	if out := sb.String(); out != want {
+		t.Fatalf("render:\n%s\nwant:\n%s", out, want)
 	}
 }
 

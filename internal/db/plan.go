@@ -161,9 +161,6 @@ func (sb *shapeBuf) build(body []eq.Atom, s *unify.Subst) {
 	k := 0 // the argument's position in the body
 	for ai := range body {
 		a := &body[ai]
-		if ai > 0 {
-			b = append(b, '|')
-		}
 		b = strconv.AppendInt(b, int64(len(a.Rel)), 10)
 		b = append(b, ':')
 		b = append(b, a.Rel...)
@@ -187,11 +184,7 @@ func (sb *shapeBuf) build(body []eq.Atom, s *unify.Subst) {
 				}
 			}
 			k, ids = k+1, append(ids, id)
-			if id < 0 {
-				b = append(b, 'c')
-			} else {
-				b = strconv.AppendInt(b, int64(id), 10)
-			}
+			b = strconv.AppendInt(b, int64(id), 10)
 		}
 		b = append(b, ')')
 	}
@@ -253,7 +246,7 @@ func compilePlan(shape string, body []eq.Atom, ids []int, instVersions []uint64,
 		argPlan[ai] = args
 		// Lock-plan routing: a constant hash column pins one part; a
 		// variable one, or no hash column, makes every part reachable.
-		if r := &rels[ri]; r.key >= 0 && r.key < len(a.Args) && args[r.key].kind == opConst {
+		if r := &rels[ri]; r.key >= 0 && args[r.key].kind == opConst {
 			r.routes = append(r.routes, args[r.key].ix)
 		} else {
 			r.needsAll = true

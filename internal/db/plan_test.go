@@ -46,6 +46,18 @@ func TestShapeKeyCanonicalisation(t *testing.T) {
 	if key(e) == key(f) {
 		t.Fatal("adversarial relation name collides")
 	}
+	// Variable numbers are delimited: past ten variables, S(x1, x10) and
+	// S(x11, x0) are different shapes.
+	vars := make([]eq.Term, 12)
+	for i := range vars {
+		vars[i] = eq.V(fmt.Sprintf("x%d", i))
+	}
+	wide := eq.NewAtom("W", vars...)
+	g := []eq.Atom{wide, eq.NewAtom("S", vars[1], vars[10])}
+	h := []eq.Atom{wide, eq.NewAtom("S", vars[11], vars[0])}
+	if key(g) == key(h) {
+		t.Fatalf("argument numbers run together: %q", key(g))
+	}
 }
 
 func TestPlanCacheHitsAndSharing(t *testing.T) {

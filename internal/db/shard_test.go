@@ -316,3 +316,33 @@ func (r *ShardedRelation) Len() int {
 // Schema returns relation name -> arity (every shard holds the same
 // schema; shard 0 answers).
 func (sh *ShardedInstance) Schema() map[string]int { return sh.shards[0].Schema() }
+
+// TestConstantHashColumnLocksOnePart: a body that fixes a relation's
+// hash column to a constant read-locks only the part owning it, whichever
+// column that is; a variable there locks every part.
+func TestConstantHashColumnLocksOnePart(t *testing.T) {
+	sh := NewShardedInstance(4)
+	sh.CreateRelation("R", 0, "a", "b")
+	sh.CreateRelation("S", 1, "a", "b")
+	for _, c := range []struct {
+		atom   eq.Atom
+		locked int
+	}{
+		{eq.NewAtom("R", eq.C("v1"), eq.V("x")), 1},
+		{eq.NewAtom("R", eq.V("y"), eq.C("v1")), 4},
+		{eq.NewAtom("S", eq.V("y"), eq.C("v1")), 1},
+		{eq.NewAtom("S", eq.C("v1"), eq.V("x")), 4},
+	} {
+		body := []eq.Atom{c.atom}
+		p, err := sh.plan(body, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := p.bind(body, nil)
+		n := len(x.locked)
+		x.release()
+		if n != c.locked {
+			t.Errorf("%s locks %d parts, want %d", c.atom, n, c.locked)
+		}
+	}
+}

@@ -13,18 +13,17 @@ func TestWriteDOT(t *testing.T) {
 	if err := g.WriteDOT(&sb, "coordination", []string{"qC", "qG", ""}); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{
-		`digraph "coordination" {`,
-		`n0 [label="qC"];`,
-		`n1 [label="qG"];`,
-		`n2 [label="2"];`, // empty label falls back to the node number
-		`n0 -> n1;`,
-		`n1 -> n2;`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
+	// The empty label falls back to the node number.
+	want := `digraph "coordination" {
+  n0 [label="qC"];
+  n1 [label="qG"];
+  n2 [label="2"];
+  n0 -> n1;
+  n1 -> n2;
+}
+`
+	if out := sb.String(); out != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", out, want)
 	}
 }
 

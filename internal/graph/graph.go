@@ -286,9 +286,6 @@ func (g *Digraph) CountSimplePaths(u, v, cap int) int {
 			usedEdge[e] = true
 			dfs(w, steps+1)
 			delete(usedEdge, e)
-			if count >= cap {
-				return
-			}
 		}
 	}
 	dfs(u, 0)

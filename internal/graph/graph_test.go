@@ -173,6 +173,47 @@ func TestCountSimplePaths(t *testing.T) {
 	}
 }
 
+// TestCountSimplePathsTrails: a path may reuse a node but not an edge,
+// two paths may share a prefix, a direct edge is a path of length one,
+// and u == v counts no empty path.
+func TestCountSimplePathsTrails(t *testing.T) {
+	g := New(5)
+	for _, e := range [][2]int{{0, 1}, {1, 0}, {1, 2}, {1, 3}, {2, 3}, {3, 4}} {
+		g.AddEdge(e[0], e[1])
+	}
+	for _, c := range []struct{ u, v, want int }{
+		{0, 3, 2}, // 0-1-3 and 0-1-2-3 share 0-1; the 0-1-0 cycle ends nowhere
+		{2, 3, 1}, // the edge itself
+		{3, 3, 0}, // no cycle through 3
+		{4, 0, 0},
+	} {
+		if got := g.CountSimplePaths(c.u, c.v, 5); got != c.want {
+			t.Fatalf("CountSimplePaths(%d, %d) = %d, want %d", c.u, c.v, got, c.want)
+		}
+	}
+	// 0-1-3 and 0-2-1-3 share their last edge: found second, it is free
+	// again once the first path has backtracked.
+	h := New(4)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {2, 1}, {1, 3}} {
+		h.AddEdge(e[0], e[1])
+	}
+	if got := h.CountSimplePaths(0, 3, 5); got != 2 {
+		t.Fatalf("paths sharing a suffix: %d, want 2", got)
+	}
+}
+
+// TestEdgesSorted: Edges sorts by source, then target, whatever order
+// the edges were added in.
+func TestEdgesSorted(t *testing.T) {
+	g := New(3)
+	for _, e := range [][2]int{{2, 0}, {1, 2}, {0, 2}, {0, 1}} {
+		g.AddEdge(e[0], e[1])
+	}
+	if got, want := g.Edges(), [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 0}}; !slices.Equal(got, want) {
+		t.Fatalf("Edges() = %v, want %v", got, want)
+	}
+}
+
 // Reachable, the oracle naiveSCC is built on, returns the set of nodes reachable from u (including u).
 func (g *Digraph) Reachable(u int) []bool {
 	seen := make([]bool, g.n)

@@ -227,8 +227,9 @@ func (wc *wireConn) badBody(id uint64, err error) {
 
 // ServeWire accepts binary-protocol connections on l until the
 // listener closes. The listener joins the server's drain: Close stops
-// it, lets in-flight requests finish, then closes the connections.
-// Run it like http.Serve:
+// it, lets in-flight requests finish, then closes the connections, and
+// ServeWire returns nil, even when Close ran before it started (then it
+// closes l itself). Run it like http.Serve:
 //
 //	ln, _ := net.Listen("tcp", addr)
 //	go srv.ServeWire(ln)
@@ -237,7 +238,7 @@ func (s *Server) ServeWire(l net.Listener) error {
 	if s.draining() {
 		s.wireMu.Unlock()
 		l.Close()
-		return api.ErrDraining
+		return nil
 	}
 	s.wireLs[l] = struct{}{}
 	s.wireMu.Unlock()

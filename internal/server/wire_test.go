@@ -762,3 +762,25 @@ func TestSilentBinaryClientsHoldLittleHeap(t *testing.T) {
 		t.Fatalf("%d silent connections grew the heap by %d B, %d B each; want under 8 KiB each", n, grown, grown/n)
 	}
 }
+
+// TestServeWireAfterCloseIsClean: a listener handed to a server whose
+// drain has begun is closed and ServeWire returns nil, as a listener the
+// drain closed under it does, so a caller that starts ServeWire on a
+// goroutine sees a clean stop whichever wins the race.
+func TestServeWireAfterCloseIsClean(t *testing.T) {
+	srv, err := server.New(engine.New(workload.NewStore(1, 8, 0), engine.Options{}), server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if err := srv.ServeWire(ln); err != nil {
+		t.Fatalf("ServeWire after Close = %v, want nil", err)
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Accept on the listener after ServeWire returned: %v, want net.ErrClosed", err)
+	}
+}

@@ -143,6 +143,77 @@ func TestUnionOfTwoBoundClassesSameConst(t *testing.T) {
 	}
 }
 
+// TestRebindSameConstant: binding a bound class to its own constant
+// again, through any member, succeeds and leaves the binding.
+func TestRebindSameConstant(t *testing.T) {
+	s := New()
+	x, y := s.Fresh(), s.Fresh()
+	if err := s.Union(x, y); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int32{x, x, y} {
+		if err := s.Bind(v, "c"); err != nil {
+			t.Fatalf("Bind(%d, c) on a class bound to c: %v", v, err)
+		}
+	}
+	if _, c, ok := s.Class(y); !ok || c != "c" {
+		t.Fatalf("Class(y) = %v %v, want c", c, ok)
+	}
+}
+
+// TestUnionBoundWithUnboundKeepsConstant: a bound class merged with an
+// unbound one, from either side, is no clash and keeps its constant on
+// every member.
+func TestUnionBoundWithUnboundKeepsConstant(t *testing.T) {
+	for _, boundFirst := range []bool{true, false} {
+		s := New()
+		x, y := s.Fresh(), s.Fresh()
+		if err := s.Bind(x, "c"); err != nil {
+			t.Fatal(err)
+		}
+		a, b := x, y
+		if !boundFirst {
+			a, b = y, x
+		}
+		if err := s.Union(a, b); err != nil {
+			t.Fatalf("boundFirst=%v: %v", boundFirst, err)
+		}
+		for _, v := range []int32{x, y} {
+			if _, c, ok := s.Class(v); !ok || c != "c" {
+				t.Fatalf("boundFirst=%v: Class(%d) = %v %v, want c", boundFirst, v, c, ok)
+			}
+		}
+	}
+}
+
+// TestUnionRepresentatives pins the representative rule the rendered
+// trace names classes by: on a tie of ranks a's root stays the root,
+// and otherwise the root of higher rank does, whichever side it is on.
+func TestUnionRepresentatives(t *testing.T) {
+	s := New()
+	v := make([]int32, 5)
+	for i := range v {
+		v[i] = s.Fresh()
+	}
+	rep := func(i int) int32 { r, _, _ := s.Class(v[i]); return r }
+	steps := []struct{ a, b, root int }{
+		{0, 1, 0}, // tie: a's root, now of rank 1
+		{2, 0, 0}, // rank 0 against rank 1: the higher, whose rank stays 1
+		{3, 4, 3}, // tie: rank 1
+		{3, 0, 3}, // tie of rank 1: a's root
+	}
+	for _, st := range steps {
+		if err := s.Union(v[st.a], v[st.b]); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{st.a, st.b} {
+			if got := rep(i); got != v[st.root] {
+				t.Fatalf("after Union(%d, %d): rep(%d) = %d, want %d", st.a, st.b, i, got, v[st.root])
+			}
+		}
+	}
+}
+
 func TestUnifyAtoms(t *testing.T) {
 	n := newNamed()
 	a := eq.NewAtom("R", eq.C("G"), eq.V("x1"))
@@ -173,6 +244,17 @@ func TestUnifiablePaperExamples(t *testing.T) {
 	}
 	if Unifiable(eq.NewAtom("R", eq.C("C"), eq.V("x1")), eq.NewAtom("R", eq.C("G"), eq.V("y1"))) {
 		t.Fatal("R(C, x1) ~ R(G, y1) must not unify")
+	}
+}
+
+// TestUnifiableNeedsRelationAndArity: atoms over different relations,
+// or of different arities, are not unifiable, whatever their terms.
+func TestUnifiableNeedsRelationAndArity(t *testing.T) {
+	if Unifiable(eq.NewAtom("R", eq.V("x")), eq.NewAtom("S", eq.V("y"))) {
+		t.Fatal("R(x) ~ S(y) must not unify")
+	}
+	if Unifiable(eq.NewAtom("R", eq.V("x")), eq.NewAtom("R", eq.V("y"), eq.V("z"))) {
+		t.Fatal("R(x) ~ R(y, z) must not unify")
 	}
 }
 
@@ -228,6 +310,20 @@ func TestBindings(t *testing.T) {
 	}
 	if _, _, ok := n.Class(n.ID("free1")); ok {
 		t.Fatal("an unbound class must have no constant")
+	}
+}
+
+// TestMGURefusesRelationOrArityMismatch: a pair over different
+// relations, or of different arities, has no unifier, even with no
+// constant to clash.
+func TestMGURefusesRelationOrArityMismatch(t *testing.T) {
+	for _, p := range [][2]eq.Atom{
+		{eq.NewAtom("R", eq.V("x")), eq.NewAtom("S", eq.V("y"))},
+		{eq.NewAtom("R", eq.V("x")), eq.NewAtom("R", eq.V("y"), eq.V("z"))},
+	} {
+		if s, err := MGU([][2]eq.Atom{p}); s != nil || err == nil {
+			t.Fatalf("MGU(%s, %s) = %v, %v; want nil and an error", p[0], p[1], s, err)
+		}
 	}
 }
 
