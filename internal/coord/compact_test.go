@@ -157,6 +157,7 @@ func TestLongChurnStaysProportionalToLiveSet(t *testing.T) {
 		"edge capacity":          cap(inc.g.edges) / 3,
 		"scratch (by slot)":      cap(inc.scr.alive) / 3,
 		"scratch (by component)": cap(inc.scr.keys) / 3,
+		"kept-set arena":         len(inc.arena),
 	} {
 		if got > most {
 			t.Errorf("%s: %d after %d events at %d live, want at most %d", name, got, events, live, most)

@@ -767,4 +767,12 @@ query b { post: R(A)  head: R(B) }`)
 	if res, err := GuptaCoordinate(qs, in); res != nil || err != nil || in.QueriesIssued() != 0 {
 		t.Fatalf("GuptaCoordinate = %v, %v after %d queries; want nothing, and no query", res, err, in.QueriesIssued())
 	}
+	// One query alone is strongly connected, and its body grounds: only
+	// the missing provider of S(Z) makes the set not coordinating.
+	one := eq.MustParseSet(`query a { post: S(Z)  head: R(A)  body: T(v) }`)
+	in = db.NewInstance()
+	in.CreateRelation("T", "v").Insert("1")
+	if res, err := GuptaCoordinate(one, in); res != nil || err != nil {
+		t.Fatalf("GuptaCoordinate(one query) = %v, %v; want nothing", res, err)
+	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
+	"entangled/internal/unify"
 	"entangled/internal/workload"
 )
 
@@ -410,4 +411,153 @@ func TestUnreleasedResultKeepsItsValues(t *testing.T) {
 	}
 	var none *Result
 	none.Release()
+}
+
+// TestReleasedWalkAllocatesThree holds a steady-state SCCCoordinate
+// whose answer is released to what outlives the request: the Result, its
+// Set and the meter. The value maps come back from the pool Release
+// fills, and the candidates' sets are cut from the coordinator's arena,
+// so neither the team's size nor the set's shape adds one.
+func TestReleasedWalkAllocatesThree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const rows = 1000
+	store := db.NewInstance()
+	workload.UserTable(store, rows)
+	for _, n := range []int{100, 400} {
+		for _, c := range []struct {
+			name string
+			qs   []eq.Query
+		}{
+			{"Figure-4 list", workload.ListQueries(n, rows)},
+			{"scale-free", workload.ScaleFreeQueries(n, 2, rows, rand.New(rand.NewSource(1)))},
+		} {
+			run := func() {
+				res, err := SCCCoordinate(c.qs, store, Options{})
+				if err != nil || res.Size() == 0 {
+					t.Fatalf("%s, %d queries: %v, %v", c.name, n, res, err)
+				}
+				res.Release()
+			}
+			run()
+			allocs := func() float64 {
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				return testing.AllocsPerRun(5, run)
+			}()
+			if allocs > 3 {
+				t.Errorf("%s, %d queries: %.0f allocations with the answer released, want 3", c.name, n, allocs)
+			}
+		}
+	}
+}
+
+// wideQuery is a query whose one body atom binds n variables, so the
+// database answers it in a frame of n values; wideStore holds the one
+// row it matches.
+func wideQuery(n int) eq.Query {
+	args := make([]eq.Term, n)
+	for i := range args {
+		args[i] = eq.V("v" + strconv.Itoa(i))
+	}
+	return eq.Query{ID: "wide", Head: []eq.Atom{eq.NewAtom("R", eq.C("A"), eq.V("v0"))}, Body: []eq.Atom{eq.NewAtom("W", args...)}}
+}
+
+func wideStore(n int) *db.Instance {
+	in := db.NewInstance()
+	cols, row := make([]string, n), make([]eq.Value, n)
+	for i := range cols {
+		cols[i], row[i] = "c"+strconv.Itoa(i), eq.Value("x"+strconv.Itoa(i))
+	}
+	in.CreateRelation("W", cols...).Insert(row...)
+	return in
+}
+
+// TestReleasedCoordinatorDropsAnUnpooledFrame grounds a set in a frame
+// longer than any db pools (1,025 values), which Binding.Release leaves
+// as it is: the released coordinator must still let go of it.
+func TestReleasedCoordinatorDropsAnUnpooledFrame(t *testing.T) {
+	const n = 1025
+	inc := loads.Get().(*Incremental)
+	if err := inc.load([]eq.Query{wideQuery(n)}, wideStore(n), Options{}, false); err != nil {
+		t.Fatal(err)
+	}
+	if len(inc.cands) != 1 || inc.cands[0].binding.Len() != n {
+		t.Fatalf("the load grounded %d candidates, want one of %d values", len(inc.cands), n)
+	}
+	inc.release()
+	for _, c := range inc.cands[:cap(inc.cands)] {
+		if c.binding.Len() != 0 || c.order != nil {
+			t.Fatalf("the released coordinator keeps a candidate of %d values", c.binding.Len())
+		}
+	}
+}
+
+// TestFreshCoordinatorReleasesAfterARefusal: a coordinator the pool
+// just made, whose first load is refused before any search, has no
+// unifier yet, and releasing it must not reach for one.
+func TestFreshCoordinatorReleasesAfterARefusal(t *testing.T) {
+	qs, store := unsafeSet()
+	inc := loads.New().(*Incremental)
+	if err := inc.load(qs, store, Options{}, false); !errors.Is(err, ErrUnsafe) {
+		t.Fatalf("load = %v, want ErrUnsafe", err)
+	}
+	inc.release()
+}
+
+// frameStore records the last binding SolveUnder returned. The copy
+// shares the database's frame, so once the walk releases its binding
+// the copy reads the cleared frame.
+type frameStore struct {
+	db.Store
+	last db.Binding
+}
+
+func (s *frameStore) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, bool, error) {
+	b, ok, err := s.Store.SolveUnder(body, sub)
+	s.last = b
+	return b, ok, err
+}
+
+// released reports whether the frame behind b was handed back.
+func released(b db.Binding) bool {
+	for i := range b.Len() {
+		if b.At(i) != "" {
+			return false
+		}
+	}
+	return b.Len() > 0
+}
+
+// TestFramesGoBackToTheDatabase holds the walks that keep a binding to
+// handing its frame back once they are done with it: GuptaCoordinate
+// after reading the witness, and a session when the outcome that held
+// the binding is evicted, here by its query's departure.
+func TestFramesGoBackToTheDatabase(t *testing.T) {
+	const n = 8
+	store := &frameStore{Store: wideStore(n)}
+	qs := []eq.Query{wideQuery(n)}
+	res, err := GuptaCoordinate(qs, store)
+	if err != nil || res.Size() != 1 || res.Values[0]["v1"] != "x1" {
+		t.Fatalf("GuptaCoordinate = %+v, %v", res, err)
+	}
+	if !released(store.last) {
+		t.Fatal("GuptaCoordinate keeps the database's frame")
+	}
+
+	inc := NewIncremental(store)
+	slot, _, err := inc.Add(qs[0])
+	if err != nil || inc.TeamSize() != 1 {
+		t.Fatalf("Add: team of %d, %v", inc.TeamSize(), err)
+	}
+	held := store.last
+	if released(held) {
+		t.Fatal("the session's cached outcome lost its frame while cached")
+	}
+	if _, err := inc.Remove(slot); err != nil {
+		t.Fatal(err)
+	}
+	if !released(held) {
+		t.Fatal("the session keeps an evicted outcome's frame")
+	}
 }

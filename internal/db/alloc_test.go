@@ -5,7 +5,10 @@ package db
 import (
 	"context"
 	"runtime"
+	"strconv"
 	"testing"
+
+	"entangled/internal/eq"
 )
 
 // The race detector's instrumentation allocates, so this file is not
@@ -109,5 +112,36 @@ func TestWithContextIsOneAllocation(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perCall := float64(after.TotalAlloc-before.TotalAlloc) / runs; perCall > 32 {
 		t.Errorf("WithContext: %.0f B per call, want 32", perCall)
+	}
+}
+
+// TestProjectAllocatesNothing holds a steady-state batch of where
+// clauses, as §5 asks its option lists, to no allocation: the flattened
+// clauses fill the scratch an earlier batch handed back, and the answer
+// is yielded in place.
+func TestProjectAllocatesNothing(t *testing.T) {
+	in := NewInstance()
+	r := in.CreateRelation("P", "user", "dest", "day")
+	for i := range 200 {
+		r.Insert(eq.Value("u"+strconv.Itoa(i%40)), eq.Value("d"+strconv.Itoa(i%7)), eq.Value("t"+strconv.Itoa(i%5)))
+	}
+	wheres := make([]map[int]eq.Value, 40)
+	for i := range wheres {
+		wheres[i] = map[int]eq.Value{0: eq.Value("u" + strconv.Itoa(i)), 2: eq.Value("t" + strconv.Itoa(i%5))}
+	}
+	cols, rows := []int{1}, 0
+	where := func(i int) map[int]eq.Value { return wheres[i] }
+	yield := func(int, Tuple) { rows++ }
+	ask := func() {
+		if err := in.Project("P", cols, len(wheres), where, yield); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ask()
+	if rows == 0 {
+		t.Fatal("the batch matched no row")
+	}
+	if allocs := testing.AllocsPerRun(200, ask); allocs != 0 {
+		t.Errorf("Project: %.0f allocations per batch, want 0", allocs)
 	}
 }

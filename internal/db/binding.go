@@ -29,7 +29,7 @@ func ValuesOf(vals ...eq.Value) Binding { return Binding{vals: vals} }
 
 // EmptyAt returns the binding of a query with no answer that names body
 // atom atom as empty; a negative atom names none.
-func EmptyAt(atom int) Binding { return Binding{empty: int32(max(atom, -1) + 1)} }
+func EmptyAt(atom int) Binding { return Binding{empty: int32(atom + 1)} }
 
 // Empty returns the body atom a query with no answer names, if any: the
 // first that shares no variable with the rest and matches no row alone.

@@ -2,6 +2,7 @@ package db
 
 import (
 	"slices"
+	"strconv"
 	"testing"
 
 	"entangled/internal/eq"
@@ -58,5 +59,36 @@ func TestReleaseLeavesValuesOfAlone(t *testing.T) {
 	}
 	if !slices.Equal(vals, want) {
 		t.Fatalf("later answers wrote into the caller's slice: %v", vals)
+	}
+}
+
+// TestFramesThePoolCannotHold answers a ground body (a frame of no
+// values) and one of 1,025 variables, one past the longest frame db
+// pools: both answers are whole, and releasing them leaves them as they
+// are, since neither frame came from or goes to a pool.
+func TestFramesThePoolCannotHold(t *testing.T) {
+	const n = 1025
+	in := NewInstance()
+	cols, row, args := make([]string, n), make(Tuple, n), make([]eq.Term, n)
+	for i := range n {
+		cols[i], row[i], args[i] = "c"+strconv.Itoa(i), eq.Value("x"+strconv.Itoa(i)), eq.V("v"+strconv.Itoa(i))
+	}
+	in.CreateRelation("W", cols...).Insert(row...)
+	ground := make([]eq.Term, n)
+	for i, v := range row {
+		ground[i] = eq.C(v)
+	}
+	for _, c := range []struct {
+		body []eq.Atom
+		want int
+	}{{[]eq.Atom{eq.NewAtom("W", ground...)}, 0}, {[]eq.Atom{eq.NewAtom("W", args...)}, n}} {
+		b, ok, err := in.Solve(c.body)
+		if err != nil || !ok || b.Len() != c.want {
+			t.Fatalf("binding of %d values, ok=%v err=%v; want %d", b.Len(), ok, err, c.want)
+		}
+		b.Release()
+		if b.Len() != c.want || (c.want > 0 && b.At(n-1) != row[n-1]) {
+			t.Fatalf("releasing an unpooled frame of %d changed it", c.want)
+		}
 	}
 }

@@ -68,7 +68,7 @@ func (p *plan) bind(body []eq.Atom, s *unify.Subst) *exec {
 			probes:   make([][]probeRef, len(p.steps)),
 		}
 	}
-	x.limit, x.exists, x.found, x.end = 0, false, false, len(p.steps)
+	x.exists, x.found, x.end = false, false, len(p.steps)
 	for i, pos := range p.constAt {
 		if t := body[pos[0]].Args[pos[1]]; !t.IsVar() {
 			x.consts[i] = t.Const()

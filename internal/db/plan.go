@@ -301,7 +301,7 @@ func compilePlan(shape string, body []eq.Atom, ids []int, instVersions []uint64,
 		st.args = args
 		// Shard routing: only values bound before the step probes
 		// (constants and earlier-step slots) can narrow the part set.
-		if r := &rels[st.rel]; r.key >= 0 && len(r.parts) > 1 && r.key < len(args) {
+		if r := &rels[st.rel]; r.key >= 0 && len(r.parts) > 1 {
 			switch a := args[r.key]; {
 			case a.kind == opConst:
 				st.route, st.routeIx = routeConst, a.ix

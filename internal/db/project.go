@@ -44,9 +44,6 @@ func (in *Instance) Project(rel string, cols []int, n int, where func(i int) map
 				return fmt.Errorf("db: column %d out of range for %s", c, rel)
 			}
 			w.conds = append(w.conds, cond{c, v})
-			for j := len(w.conds) - 1; j > int(w.off[i]) && w.conds[j].col < w.conds[j-1].col; j-- {
-				w.conds[j], w.conds[j-1] = w.conds[j-1], w.conds[j]
-			}
 		}
 		w.off = append(w.off, int32(len(w.conds)))
 	}
@@ -75,8 +72,7 @@ type cond struct {
 }
 
 // wheres is Project's pooled scratch: every question's where clause
-// flattened, ordered by column, so a map is ranged once per question and
-// not once per row.
+// flattened, so a map is ranged once per question and not once per row.
 type wheres struct {
 	conds []cond
 	off   []int32 // question i's conditions are conds[off[i]:off[i+1]]

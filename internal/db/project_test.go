@@ -176,3 +176,23 @@ func TestProjectRefusesBadInput(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedWheresPinNoValue: Project's pooled scratch lets go of a
+// batch's where values once it is handed back, in spare capacity too,
+// so a pooled scratch keeps no caller's constants alive.
+func TestReleasedWheresPinNoValue(t *testing.T) {
+	w := &wheres{off: []int32{0}}
+	for i := range 5 {
+		w.conds = append(w.conds, cond{col: i, val: eq.Value("v" + strconv.Itoa(i))})
+	}
+	w.off = append(w.off, 2, 5)
+	w.release()
+	if len(w.conds) != 0 || len(w.off) != 1 {
+		t.Fatalf("released scratch holds %d conditions and %d offsets", len(w.conds), len(w.off))
+	}
+	for i, c := range w.conds[:cap(w.conds)] {
+		if c.val != "" {
+			t.Fatalf("released scratch keeps condition %d's value %q", i, c.val)
+		}
+	}
+}

@@ -345,4 +345,23 @@ func TestConstantHashColumnLocksOnePart(t *testing.T) {
 			t.Errorf("%s locks %d parts, want %d", c.atom, n, c.locked)
 		}
 	}
+	// The plan's pooled exec, refilled for a constant of another part,
+	// locks that part alone: what the last call needed is forgotten.
+	other := eq.Value("v2")
+	for i := 3; shardIndex(other, 4) == shardIndex("v1", 4); i++ {
+		other = eq.Value(fmt.Sprint("v", i))
+	}
+	for _, v := range []eq.Value{"v1", other} {
+		body := []eq.Atom{eq.NewAtom("R", eq.C(v), eq.V("x"))}
+		p, err := sh.plan(body, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := p.bind(body, nil)
+		n := len(x.locked)
+		x.release()
+		if n != 1 {
+			t.Errorf("after another constant's call, %s locks %d parts, want 1", body[0], n)
+		}
+	}
 }

@@ -17,8 +17,7 @@ package entangled_test
 // -mutation.run runs only the tests matching a pattern (and not
 // TestLattice), of the package -mutation.testpkg names if it is set, and
 // -mutation.only runs only the mutants whose ids a file lists, one a
-// line, as the run prints them. -mutation.list prints the sites and runs
-// nothing.
+// line, as the run prints them.
 
 import (
 	"bufio"
@@ -49,7 +48,6 @@ var (
 	mutationRun  = flag.String("mutation.run", "", "run only the tests matching this pattern, and not TestLattice")
 	mutationTest = flag.String("mutation.testpkg", "", "with -mutation.run, the package whose tests run (default -mutation.pkg)")
 	mutationOnly = flag.String("mutation.only", "", "file of mutant ids, one a line: run only those")
-	mutationList = flag.Bool("mutation.list", false, "print the sites and run nothing")
 )
 
 // mutationFiles names the production files of each package the tool
@@ -196,7 +194,6 @@ type mutationRunner struct {
 	tmp     string
 	limit   time.Duration // 5x the clean run of the package's tests
 	lattice time.Duration // 5x the clean run of TestLattice
-	list    bool          // print the sites, run nothing
 }
 
 // goTest runs go test on pkg with src standing in for file, and reports
@@ -320,14 +317,12 @@ func (r *mutationRunner) mutate(t *testing.T, files []string, fn *regexp.Regexp,
 		err error
 		sc  mutationScore
 	)
-	if !r.list {
-		if r.limit, err = r.clean(filepath.Join(r.pkg, files[0]), r.tests, r.run); err != nil {
+	if r.limit, err = r.clean(filepath.Join(r.pkg, files[0]), r.tests, r.run); err != nil {
+		t.Fatal(err)
+	}
+	if r.run == "" {
+		if r.lattice, err = r.clean(filepath.Join(r.pkg, files[0]), "internal/server", "^TestLattice$"); err != nil {
 			t.Fatal(err)
-		}
-		if r.run == "" {
-			if r.lattice, err = r.clean(filepath.Join(r.pkg, files[0]), "internal/server", "^TestLattice$"); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	for _, name := range files {
@@ -342,11 +337,6 @@ func (r *mutationRunner) mutate(t *testing.T, files []string, fn *regexp.Regexp,
 		}
 		for _, m := range ms {
 			if (fn != nil && !fn.MatchString(m.fn)) || (only != nil && !only[m.id]) {
-				continue
-			}
-			if r.list {
-				t.Logf("site       %s:%d:%d  %s", file, m.line, m.col, m.id)
-				sc.sites++
 				continue
 			}
 			start := time.Now()
@@ -412,7 +402,7 @@ func TestMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	r := &mutationRunner{root: root, pkg: pkg, tests: pkg, run: *mutationRun, tmp: t.TempDir(), list: *mutationList}
+	r := &mutationRunner{root: root, pkg: pkg, tests: pkg, run: *mutationRun, tmp: t.TempDir()}
 	if *mutationTest != "" && *mutationRun != "" {
 		r.tests = filepath.ToSlash(filepath.Clean(*mutationTest))
 	}
