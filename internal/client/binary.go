@@ -180,7 +180,7 @@ func (t *binaryTransport) send(ctx context.Context, cc *wire.ClientConn, c wire.
 			c.Encode(e)
 		}
 	}
-	_, body, err := cc.Call(ctx, outer, enc)
+	_, rep, err := cc.Call(ctx, outer, enc)
 	if err != nil {
 		var e *Error
 		if errors.As(err, &e) {
@@ -188,7 +188,7 @@ func (t *binaryTransport) send(ctx context.Context, cc *wire.ClientConn, c wire.
 		}
 		return fmt.Errorf("client: %v call: %w", kind, err)
 	}
-	if err := c.DecodeReply(body); err != nil {
+	if err := c.DecodeReply(rep); err != nil {
 		return fmt.Errorf("client: decoding %v reply: %w", kind, err)
 	}
 	return nil

@@ -33,18 +33,18 @@ func DialPeer(addr string) *PeerConn {
 	return &PeerConn{t: t}
 }
 
-// Call issues one raw frame and returns the reply. Per the
-// cluster.PeerConn contract, an error wrapping api.ErrPeerUnavailable
-// means nothing was transmitted (no live connection at send time, and
-// none dialed before ctx ended — fate known); any other transport
-// error means the connection died with the call in flight.
-func (p *PeerConn) Call(ctx context.Context, kind wire.Kind, encode func(*wire.Enc)) (status int, body []byte, err error) {
+// Call issues one raw frame and returns the reply, the caller's to
+// release. Per the cluster.PeerConn contract, an error wrapping
+// api.ErrPeerUnavailable means nothing was transmitted (no live
+// connection at send time, and none dialed before ctx ended — fate
+// known); any other transport error means the connection died mid-call.
+func (p *PeerConn) Call(ctx context.Context, kind wire.Kind, encode func(*wire.Enc)) (status int, rep wire.Reply, err error) {
 	cc, err := p.t.live(ctx)
 	if err != nil {
 		if errors.Is(err, errClientClosed) {
-			return 0, nil, err
+			return 0, rep, err
 		}
-		return 0, nil, fmt.Errorf("%w: %v", api.ErrPeerUnavailable, err)
+		return 0, rep, fmt.Errorf("%w: %v", api.ErrPeerUnavailable, err)
 	}
 	return cc.Call(ctx, kind, encode)
 }

@@ -198,18 +198,19 @@ type fakePeer struct {
 	serve func(fwd wire.Forward) (int, []byte, error)
 }
 
-func (p fakePeer) Call(_ context.Context, kind wire.Kind, encode func(*wire.Enc)) (int, []byte, error) {
+func (p fakePeer) Call(_ context.Context, kind wire.Kind, encode func(*wire.Enc)) (int, wire.Reply, error) {
 	if kind != wire.KindForward {
-		return 0, nil, fmt.Errorf("fake peer got kind %v, want KindForward", kind)
+		return 0, wire.Reply{}, fmt.Errorf("fake peer got kind %v, want KindForward", kind)
 	}
 	var e wire.Enc
 	encode(&e)
 	d := wire.NewDec(e.Bytes())
 	fwd := wire.DecodeForward(d)
 	if err := d.Finish(); err != nil {
-		return 0, nil, fmt.Errorf("fake peer: bad forward envelope: %w", err)
+		return 0, wire.Reply{}, fmt.Errorf("fake peer: bad forward envelope: %w", err)
 	}
-	return p.serve(fwd)
+	status, body, err := p.serve(fwd)
+	return status, wire.Reply{Body: body}, err
 }
 func (p fakePeer) Connected() bool { return true }
 func (p fakePeer) Close() error    { return nil }
@@ -217,8 +218,8 @@ func (p fakePeer) Close() error    { return nil }
 // deadPeer refuses every call with the nothing-was-transmitted error.
 type deadPeer struct{}
 
-func (deadPeer) Call(context.Context, wire.Kind, func(*wire.Enc)) (int, []byte, error) {
-	return 0, nil, fmt.Errorf("dial: %w", api.ErrPeerUnavailable)
+func (deadPeer) Call(context.Context, wire.Kind, func(*wire.Enc)) (int, wire.Reply, error) {
+	return 0, wire.Reply{}, fmt.Errorf("dial: %w", api.ErrPeerUnavailable)
 }
 func (deadPeer) Connected() bool { return false }
 func (deadPeer) Close() error    { return nil }

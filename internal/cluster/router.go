@@ -17,12 +17,12 @@ import (
 // PeerConn is one persistent pipelined connection to a peer node. It
 // is implemented by client.DialPeer (which reuses the client's
 // jittered-backoff redial keeper); the indirection keeps this package
-// importable by internal/client. Call errors must wrap
-// api.ErrPeerUnavailable when nothing was transmitted (no live
-// connection at send time) and surface raw transport errors when the
-// connection died mid-call.
+// importable by internal/client. Call's reply is the caller's to
+// release; its errors must wrap api.ErrPeerUnavailable when nothing was
+// transmitted (no live connection at send time) and surface raw
+// transport errors when the connection died mid-call.
 type PeerConn interface {
-	Call(ctx context.Context, kind wire.Kind, encode func(*wire.Enc)) (status int, body []byte, err error)
+	Call(ctx context.Context, kind wire.Kind, encode func(*wire.Enc)) (status int, rep wire.Reply, err error)
 	Connected() bool
 	Close() error
 }
@@ -174,11 +174,15 @@ func (r *Router) Forward(ctx context.Context, node string, call wire.Call) (stat
 	}
 	p.forwards.Add(1)
 	kind := call.Route().Kind
+	buf := wire.GetBuf() // the inner call's bytes, copied into the frame
 	var inner wire.Enc
+	inner.Reset(*buf)
 	call.Encode(&inner)
-	status, body, err := p.conn.Call(ctx, wire.KindForward,
+	status, rep, err := p.conn.Call(ctx, wire.KindForward,
 		wire.Forward{Origin: r.cfg.Self, Hops: 1, Kind: kind, Body: inner.Bytes()}.Encode)
-	if err == nil && call.DecodeReply(body) != nil {
+	*buf = inner.Bytes()
+	wire.PutBuf(buf)
+	if err == nil && call.DecodeReply(rep) != nil {
 		return 0, fmt.Errorf("cluster: %s returned a malformed %v reply", node, kind)
 	}
 	var re *api.Error

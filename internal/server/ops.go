@@ -159,7 +159,7 @@ func (o *op[Q, R]) serveHTTP(s *Server, w http.ResponseWriter, r *http.Request) 
 }
 
 // serveWire is the binary adapter. The request decodes synchronously
-// (the connection's read buffer is reused by the next frame) and runs
+// (its frame's pooled buffer goes back when dispatch returns) and runs
 // on its own goroutine, so pipelined requests overlap, up to
 // maxInflight per connection.
 func (o *op[Q, R]) serveWire(s *Server, ctx context.Context, wc *wireConn, id uint64, d *wire.Dec, forwarded bool) {

@@ -135,11 +135,12 @@ func tableEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cc.Close()
-		_, body, err := cc.Call(ctx, kind, nil)
+		_, rep, err := cc.Call(ctx, kind, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		d := wire.NewDec(body)
+		defer rep.Release()
+		d := wire.NewDec(rep.Body)
 		v := dec(d)
 		if err := d.Finish(); err != nil {
 			t.Fatalf("%v reply: %v", kind, err)
@@ -202,11 +203,11 @@ func tableEquivalence(t *testing.T) {
 // from that reply's bytes.
 type answeringPeer struct{ answer *api.Error }
 
-func (p answeringPeer) Call(context.Context, wire.Kind, func(*wire.Enc)) (int, []byte, error) {
+func (p answeringPeer) Call(context.Context, wire.Kind, func(*wire.Enc)) (int, wire.Reply, error) {
 	var e wire.Enc
 	wire.PutReplyErr(&e, p.answer)
 	status, err := wire.GetReply(wire.NewDec(e.Bytes()))
-	return status, nil, err
+	return status, wire.Reply{}, err
 }
 func (answeringPeer) Connected() bool { return true }
 func (answeringPeer) Close() error    { return nil }
@@ -498,7 +499,7 @@ func TestMalformedBodiesRefusedBothProtocols(t *testing.T) {
 // bytes, anything else with an update that lost its last byte.
 type malformedPeer struct{}
 
-func (malformedPeer) Call(_ context.Context, _ wire.Kind, encode func(*wire.Enc)) (int, []byte, error) {
+func (malformedPeer) Call(_ context.Context, _ wire.Kind, encode func(*wire.Enc)) (int, wire.Reply, error) {
 	var env, e wire.Enc
 	encode(&env)
 	if fwd := wire.DecodeForward(wire.NewDec(env.Bytes())); fwd.Kind == wire.KindCoordinate {
@@ -508,12 +509,12 @@ func (malformedPeer) Call(_ context.Context, _ wire.Kind, encode func(*wire.Enc)
 			resps[i] = api.Response{ID: rq.ID, Result: &coord.Result{DBQueries: 7}}
 		}
 		wire.PutResponses(&e, resps)
-		return http.StatusOK, append(e.Bytes(), 0, 0), nil
+		return http.StatusOK, wire.Reply{Body: append(e.Bytes(), 0, 0)}, nil
 	}
 	up := api.Update{Seq: 1, Admitted: true, TeamSize: 2}
 	up.Stats.DBQueries = 7
 	wire.PutUpdate(&e, up)
-	return http.StatusOK, e.Bytes()[:len(e.Bytes())-1], nil
+	return http.StatusOK, wire.Reply{Body: e.Bytes()[:len(e.Bytes())-1]}, nil
 }
 func (malformedPeer) Connected() bool { return true }
 func (malformedPeer) Close() error    { return nil }

@@ -292,21 +292,19 @@ func (s *Server) serveWireConn(c net.Conn) {
 		return
 	}
 	c.SetReadDeadline(time.Time{})
-	br := bufio.NewReaderSize(c, 64<<10)
-	var buf []byte
+	br := bufio.NewReader(c)
 	for {
-		payload, err := wire.ReadFrame(br, buf)
+		payload, p, err := wire.ReadPooled(br)
 		if err != nil {
 			return
 		}
-		buf = payload
 		d := wire.NewDec(payload)
 		h := wire.GetHeader(d)
-		if d.Err() != nil || h.ID == 0 {
-			return // not even a header; the stream is garbage
-		}
-		if !s.dispatch(ctx, wc, h, d, false) {
-			return
+		// Every request decodes before dispatch returns: its frame is done.
+		ok := d.Err() == nil && h.ID != 0 && s.dispatch(ctx, wc, h, d, false)
+		wire.PutBuf(p)
+		if !ok {
+			return // a header that does not decode leaves the stream garbage
 		}
 	}
 }
@@ -340,7 +338,7 @@ func (s *Server) dispatch(ctx context.Context, wc *wireConn, h wire.Header, d *w
 		// Re-dispatch the wrapped request under the outer frame's id with
 		// the tenant identity on the context — the exact analogue of the
 		// HTTP X-Tenant middleware. The inner body decodes synchronously
-		// here (it aliases the connection's read buffer).
+		// here (it aliases the frame's buffer, pooled once dispatch returns).
 		ctx, err := withTenant(ctx, te.Tenant)
 		if err != nil {
 			wc.refuse(h.ID, err)
@@ -366,8 +364,8 @@ func (s *Server) dispatch(ctx context.Context, wc *wireConn, h wire.Header, d *w
 		s.opts.Cluster.ReceivedForward()
 		// Re-dispatch the wrapped request under the outer frame's id:
 		// the inner body decodes synchronously here (it aliases the
-		// connection's read buffer), and the reply the inner request
-		// produces IS the forward's reply.
+		// frame's buffer, pooled once dispatch returns), and the reply the
+		// inner request produces IS the forward's reply.
 		return s.dispatch(ctx, wc, wire.Header{Kind: fwd.Kind, ID: h.ID}, wire.NewDec(fwd.Body), true)
 	}
 	if int(h.Kind) >= len(wireOps) || wireOps[h.Kind] == nil {

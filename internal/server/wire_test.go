@@ -784,3 +784,91 @@ func TestServeWireAfterCloseIsClean(t *testing.T) {
 		t.Fatalf("Accept on the listener after ServeWire returned: %v, want net.ErrClosed", err)
 	}
 }
+
+// liveHeap is the live heap after two collections: the second empties
+// the sync.Pool victim caches the first one filled.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// serveBinary boots a server on the binary protocol alone and returns
+// its address.
+func serveBinary(t *testing.T) string {
+	t.Helper()
+	srv, err := server.New(engine.New(workload.NewStore(1, 8, 0), engine.Options{}), server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeWire(ln)
+	t.Cleanup(func() { srv.Close() })
+	return "tcp://" + ln.Addr().String()
+}
+
+// TestIdleBinaryConnectionsHoldLittle: a connection that has answered
+// its call holds no frame at either end — 64 of them cost at most
+// 24 KiB of live heap each, both ends together, where a 64 KiB reader a
+// side and the last payload held 131 KiB — and once they close, every
+// goroutine they started has exited.
+func TestIdleBinaryConnectionsHoldLittle(t *testing.T) {
+	addr := serveBinary(t)
+	ctx := context.Background()
+	const n = 64
+	goroutines, before := runtime.NumGoroutine(), liveHeap()
+	clients := make([]*client.Client, n)
+	for i := range clients {
+		c, err := client.New(addr, client.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Health(ctx); err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+	}
+	each := (liveHeap() - before) / n
+	t.Logf("%d idle connections hold %d B of live heap each", n, each)
+	if each > 24<<10 {
+		t.Errorf("%d idle connections hold %d B of live heap each, want at most 24 KiB", n, each)
+	}
+	for _, c := range clients {
+		c.Close()
+	}
+	for start := time.Now(); runtime.NumGoroutine() > goroutines; time.Sleep(5 * time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("%d goroutines 10 s after the connections closed, %d before they opened", runtime.NumGoroutine(), goroutines)
+		}
+	}
+}
+
+// TestLargeFrameIsNotPinned: a batch whose request and reply frames
+// each carry a 4 MiB request id leaves neither end holding it once the
+// call returns.
+func TestLargeFrameIsNotPinned(t *testing.T) {
+	c, err := client.New(serveBinary(t), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	if _, err := c.Health(ctx); err != nil {
+		t.Fatal(err)
+	}
+	id := strings.Repeat("x", 4<<20)
+	before := liveHeap()
+	resps, err := c.CoordinateBatch(ctx, []client.Request{{ID: id, Queries: workload.ListQueries(2, 8)}})
+	if err != nil || len(resps) != 1 || resps[0].ID != id {
+		t.Fatalf("4 MiB batch: %d responses, %v", len(resps), err)
+	}
+	resps = nil
+	if grown := liveHeap() - before; grown > 1<<20 {
+		t.Fatalf("a 4 MiB frame left %d B of live heap behind, want at most 1 MiB", grown)
+	}
+}

@@ -16,16 +16,31 @@ import (
 // operations.
 var ErrConnClosed = errors.New("wire: connection closed")
 
-// call is one in-flight pipelined request.
-type call struct {
-	reply chan callReply // buffered(1): the read loop never blocks on it
+// callReply resolves one in-flight pipelined request, through a
+// channel buffered(1): the read loop never blocks on it.
+type callReply struct {
+	status int
+	reply  Reply
+	err    error
 }
 
-type callReply struct {
-	status  int
-	payload []byte
-	err     error
+// Reply is a successful call's reply body, decoded in place: Body lies
+// in its frame's pooled buffer, read no more once Release gives it back.
+type Reply struct {
+	Body []byte
+	buf  *[]byte
 }
+
+// Release gives the reply's buffer back. The zero Reply, a failed
+// call's, holds none, and a second Release gives nothing back.
+func (r *Reply) Release() {
+	if r.buf != nil {
+		recycle(r.buf)
+	}
+	*r = Reply{}
+}
+
+var recycle = PutBuf // gives back what the read loop borrowed; tests count it
 
 // ClientConn is one persistent binary-protocol connection. Calls
 // pipeline: any number of goroutines may Call concurrently, frames are
@@ -39,7 +54,7 @@ type ClientConn struct {
 	wmu sync.Mutex // serializes frame writes
 
 	mu      sync.Mutex
-	pending map[uint64]*call
+	pending map[uint64]chan callReply
 	nextID  uint64
 	closed  bool
 	cause   error
@@ -53,7 +68,7 @@ type ClientConn struct {
 func NewClientConn(nc net.Conn, onPush func(Push)) *ClientConn {
 	cc := &ClientConn{
 		c:       nc,
-		pending: map[uint64]*call{},
+		pending: map[uint64]chan callReply{},
 		onPush:  onPush,
 		done:    make(chan struct{}),
 	}
@@ -93,8 +108,8 @@ func (cc *ClientConn) fail(cause error) {
 	cc.mu.Unlock()
 	cc.c.Close()
 	err := cc.closedErr()
-	for _, ca := range pending {
-		ca.reply <- callReply{err: err}
+	for _, ch := range pending {
+		ch <- callReply{err: err}
 	}
 }
 
@@ -111,75 +126,63 @@ func (cc *ClientConn) closedErr() error {
 // decode failure kills the connection — a framing error leaves the
 // stream unsynchronized, so there is nothing to salvage.
 func (cc *ClientConn) readLoop() {
-	br := bufio.NewReaderSize(cc.c, 64<<10)
-	var buf []byte
+	br := bufio.NewReader(cc.c)
 	for {
-		payload, err := ReadFrame(br, buf)
+		payload, p, err := ReadPooled(br)
 		if err != nil {
 			cc.fail(err)
 			return
 		}
-		buf = payload
 		d := NewDec(payload)
-		h := GetHeader(d)
-		switch h.Kind {
+		switch h := GetHeader(d); h.Kind {
 		case KindReply:
 			cc.mu.Lock()
-			ca := cc.pending[h.ID]
+			ch := cc.pending[h.ID]
 			delete(cc.pending, h.ID)
 			cc.mu.Unlock()
-			if ca == nil {
-				continue // reply to an abandoned (ctx-cancelled) call
+			if ch == nil {
+				break // reply to an abandoned (ctx-cancelled) call
 			}
-			status, body, err := decodeReply(d)
-			ca.reply <- callReply{status: status, payload: body, err: err}
+			r := callReply{}
+			if r.status, r.err = GetReply(d); r.err == nil {
+				r.reply, p = Reply{Body: d.b[d.off:], buf: p}, nil
+			}
+			ch <- r
 		case KindPush:
-			p := DecodePush(d)
-			if err := d.Finish(); err != nil {
-				cc.fail(err)
-				return
-			}
-			if cc.onPush != nil {
-				cc.onPush(p)
+			push := DecodePush(d)
+			if err = d.Finish(); err == nil && cc.onPush != nil {
+				cc.onPush(push)
 			}
 		default:
-			cc.fail(&DecodeError{Reason: fmt.Sprintf("unexpected %v frame from server", h.Kind)})
+			err = &DecodeError{Reason: fmt.Sprintf("unexpected %v frame from server", h.Kind)}
+		}
+		if p != nil {
+			recycle(p)
+		}
+		if err != nil {
+			cc.fail(err)
 			return
 		}
 	}
 }
 
-// decodeReply splits a reply payload after the header: service errors
-// come back as *api.Error, successes as the status plus the
-// kind-specific body bytes (copied — the read buffer is reused).
-func decodeReply(d *Dec) (int, []byte, error) {
-	status, err := GetReply(d)
-	if err != nil {
-		return status, nil, err
-	}
-	rest := d.b[d.off:]
-	body := make([]byte, len(rest))
-	copy(body, rest)
-	return status, body, nil
-}
-
-// Call sends one request and waits for its reply. body is the
-// kind-specific request body (without header). It returns the
-// HTTP-equivalent status and the reply's body bytes; service failures
-// are *api.Error, transport failures wrap ErrConnClosed. Cancelling
-// ctx abandons the wait (the request may still execute server-side; a
-// late reply is discarded).
-func (cc *ClientConn) Call(ctx context.Context, kind Kind, encode func(*Enc)) (int, []byte, error) {
-	ca := &call{reply: make(chan callReply, 1)}
+// Call sends one request and waits for its reply. It returns the
+// HTTP-equivalent status and the reply, the caller's to decode and
+// release; service failures are *api.Error, transport failures wrap
+// ErrConnClosed, and neither carries a reply. Cancelling ctx abandons
+// the wait (the request may still execute server-side): the read loop
+// releases a late reply, the collector one it had already handed over.
+func (cc *ClientConn) Call(ctx context.Context, kind Kind, encode func(*Enc)) (int, Reply, error) {
+	ch := make(chan callReply, 1)
 	cc.mu.Lock()
 	if cc.closed {
 		err := cc.closedErr()
 		cc.mu.Unlock()
-		return 0, nil, err
+		return 0, Reply{}, err
 	}
 	cc.nextID++
 	id := cc.nextID
-	cc.pending[id] = ca
+	cc.pending[id] = ch
 	cc.mu.Unlock()
 
 	buf := GetBuf()
@@ -199,16 +202,16 @@ func (cc *ClientConn) Call(ctx context.Context, kind Kind, encode func(*Enc)) (i
 		delete(cc.pending, id)
 		cc.mu.Unlock()
 		cc.fail(err)
-		return 0, nil, cc.closedErr()
+		return 0, Reply{}, cc.closedErr()
 	}
 
 	select {
-	case r := <-ca.reply:
-		return r.status, r.payload, r.err
+	case r := <-ch:
+		return r.status, r.reply, r.err
 	case <-ctx.Done():
 		cc.mu.Lock()
 		delete(cc.pending, id)
 		cc.mu.Unlock()
-		return 0, nil, ctx.Err()
+		return 0, Reply{}, ctx.Err()
 	}
 }

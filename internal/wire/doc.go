@@ -35,8 +35,8 @@
 // protocol is DeepEqual to the other's — the cross-codec equivalence
 // tests in internal/server pin that. Encoders are deterministic (maps
 // in sorted key order): identical DTOs yield identical frames, pinned
-// by golden frame files in testdata/. Encode and decode buffers pool
-// (GetBuf/PutBuf, ReadBody), and a coordinate batch of either protocol
+// by golden frame files in testdata/. Buffers pool (GetBuf/PutBuf,
+// ReadPooled, Reply, ReadBody), and either protocol's coordinate batch
 // decodes into a pooled slab its server hands back (CoordinateReq.Release),
 // so a busy connection's steady state allocates little beyond strings.
 //

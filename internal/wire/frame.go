@@ -43,6 +43,19 @@ func PutBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
+// ReadPooled reads one frame from r into a GetBuf buffer borrowed for
+// it alone and returns the payload and the buffer, which goes back to
+// PutBuf once nothing reads the payload; a failed read returns none.
+// Both ends read through a bufio.NewReader, whose 4 KiB (what net/http
+// gives a connection) a larger payload bypasses.
+func ReadPooled(r io.Reader) (payload []byte, p *[]byte, err error) {
+	p = GetBuf()
+	if *p, err = ReadFrame(r, *p); err != nil {
+		return nil, nil, err
+	}
+	return *p, p, nil
+}
+
 // ReadBody reads an HTTP body of Content-Length size (-1: unknown) into
 // *p, a GetBuf buffer, and returns it. Past MaxFrame bytes it fails with
 // a *DecodeError, as the frame layer refuses such a payload.

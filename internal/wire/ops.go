@@ -219,8 +219,8 @@ type Call interface {
 	HTTP() (path string, in, out any)
 	// Encode appends the binary request body.
 	Encode(*Enc)
-	// DecodeReply reads a successful binary reply's body into the call.
-	DecodeReply(body []byte) error
+	// DecodeReply reads a successful binary reply into the call.
+	DecodeReply(rep Reply) error
 }
 
 // Bound is the Call of one operation.
@@ -260,9 +260,11 @@ func (b *Bound[Q, R]) HTTP() (path string, in, out any) {
 
 // DecodeReply is the one place a binary reply body becomes a typed
 // reply, whoever sent the request: the body must decode and be
-// consumed exactly. A caller ignores the reply of a call that failed.
-func (b *Bound[Q, R]) DecodeReply(body []byte) error {
-	d := NewDec(body)
+// consumed exactly, and its buffer goes back. A caller ignores the
+// reply of a call that failed.
+func (b *Bound[Q, R]) DecodeReply(rep Reply) error {
+	defer rep.Release()
+	d := NewDec(rep.Body)
 	if b.Op.GetReply != nil {
 		b.Reply = b.Op.GetReply(d)
 	}

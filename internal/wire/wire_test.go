@@ -7,11 +7,14 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"entangled/internal/api"
 	"entangled/internal/coord"
@@ -386,8 +389,8 @@ func TestClientConnPipelines(t *testing.T) {
 	call := func() (<-chan answer, uint64) {
 		ch := make(chan answer, 1)
 		go func() {
-			status, body, err := cc.Call(context.Background(), KindHealth, func(e *Enc) { e.String("ping") })
-			ch <- answer{status, body, err}
+			status, rep, err := cc.Call(context.Background(), KindHealth, func(e *Enc) { e.String("ping") })
+			ch <- answer{status, rep.Body, err}
 		}()
 		return ch, (<-asked).ID
 	}
@@ -427,6 +430,108 @@ func TestClientConnPipelines(t *testing.T) {
 		t.Fatalf("a call on a dead connection: %v", err)
 	}
 	cc.Close()
+}
+
+// TestReplyBufferReleasedOnce: every frame the read loop reads into a
+// pooled buffer goes back exactly once — a success's when its caller
+// releases the Reply (a second Release gives nothing back), an error
+// reply's, a push's and an abandoned call's late reply by the read loop
+// — a reply racing its caller's cancellation at most once, and a call
+// the connection's death fails holds none.
+func TestReplyBufferReleasedOnce(t *testing.T) {
+	var released atomic.Int64
+	recycle = func(p *[]byte) { released.Add(1); PutBuf(p) }
+	t.Cleanup(func() { recycle = PutBuf })
+	nc, peer := net.Pipe()
+	// Past the deadline both ends fail, and with them every wait below.
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	peer.SetDeadline(time.Now().Add(10 * time.Second))
+	asked := make(chan uint64, 1)
+	go func() { // the server's read side: the magic, then request ids
+		defer close(asked)
+		br := bufio.NewReader(peer)
+		br.Discard(len(Magic))
+		for payload, err := ReadFrame(br, nil); err == nil; payload, err = ReadFrame(br, nil) {
+			asked <- GetHeader(NewDec(payload)).ID
+		}
+	}()
+	cc := NewClientConn(nc, nil)
+	defer cc.Close()
+	call := func(ctx context.Context) (<-chan error, uint64) {
+		done := make(chan error, 1)
+		go func() {
+			_, rep, err := cc.Call(ctx, KindHealth, nil)
+			if err == nil && NewDec(rep.Body).String() != "ok" {
+				err = fmt.Errorf("reply body %q", rep.Body)
+			}
+			rep.Release()
+			rep.Release()
+			done <- err
+		}()
+		return done, <-asked
+	}
+	frames := int64(0)
+	send := func(h Header, body func(*Enc)) {
+		var e Enc
+		PutHeader(&e, h)
+		body(&e)
+		if err := WriteFrame(peer, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		frames++
+	}
+	ok := func(e *Enc) { PutReplyOK(e, 200); e.String("ok") }
+
+	// The read loop handles frames in order, and a successful caller
+	// releases its reply before it returns: once it has, every frame
+	// before that reply has been released too.
+	succeed := func() {
+		done, id := call(context.Background())
+		send(Header{Kind: KindReply, ID: id}, ok)
+		if err := <-done; err != nil {
+			t.Fatalf("success: %v", err)
+		}
+	}
+	succeed()
+	done, id := call(context.Background())
+	send(Header{Kind: KindReply, ID: id}, func(e *Enc) { PutReplyErr(e, &api.Error{Status: 404, Code: api.CodeSessionNotFound}) })
+	if err := <-done; !errors.Is(err, api.ErrSessionNotFound) {
+		t.Fatalf("error reply: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done, id = call(ctx)
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned call: %v", err)
+	}
+	send(Header{Kind: KindReply, ID: id}, ok)
+	send(Header{Kind: KindPush}, Push{Session: "s"}.Encode)
+	succeed()
+	if got := released.Load(); got != frames {
+		t.Fatalf("%d buffers released for %d frames", got, frames)
+	}
+	for range 64 {
+		ctx, cancel := context.WithCancel(context.Background())
+		done, id := call(ctx)
+		go cancel()
+		send(Header{Kind: KindReply, ID: id}, ok)
+		if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("call racing its cancellation: %v", err)
+		}
+	}
+	succeed()
+	settled := released.Load()
+	if settled > frames {
+		t.Fatalf("%d buffers released for %d frames", settled, frames)
+	}
+	done, _ = call(context.Background())
+	peer.Close()
+	if err := <-done; !errors.Is(err, ErrConnClosed) {
+		t.Fatalf("call in flight when the peer dropped: %v", err)
+	}
+	if got := released.Load(); got != settled {
+		t.Fatalf("the connection's death released %d buffers", got-settled)
+	}
 }
 
 // TestDeterministicEncoding pins that map-bearing DTOs encode

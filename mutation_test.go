@@ -13,6 +13,10 @@ package entangled_test
 //
 //	go test -tags mutation -run 'TestMutation$' -timeout 0 -v -mutation.pkg internal/unify .
 //
+// Each run builds into a Go build cache of its own, removed when the run
+// ends, and stops on a build that fails for a reason other than the
+// mutant (a full disk among them) rather than score it.
+//
 // -mutation.func narrows the sites to functions matching a regexp,
 // -mutation.run runs only the tests matching a pattern (and not
 // TestLattice), of the package -mutation.testpkg names if it is set, and
@@ -187,11 +191,11 @@ func oneLine(s string) string {
 // mutationRunner runs one package's tests against mutants of it, one go
 // test process at a time.
 type mutationRunner struct {
-	root    string // module root, the go command's directory
-	pkg     string // package directory, relative to root
-	tests   string // package whose tests run
-	run     string // -run pattern for its tests; "" runs all, then TestLattice
-	tmp     string
+	root    string        // module root, the go command's directory
+	pkg     string        // package directory, relative to root
+	tests   string        // package whose tests run
+	run     string        // -run pattern for its tests; "" runs all, then TestLattice
+	tmp     string        // a t.TempDir(): the mutant, its overlay and the run's GOCACHE
 	limit   time.Duration // 5x the clean run of the package's tests
 	lattice time.Duration // 5x the clean run of TestLattice
 }
@@ -199,7 +203,7 @@ type mutationRunner struct {
 // goTest runs go test on pkg with src standing in for file, and reports
 // whether it passed and whether it built.
 func (r *mutationRunner) goTest(file string, src []byte, pkg, run string, limit time.Duration) (passed, built bool, err error) {
-	mf := filepath.Join(r.tmp, "mutant.go")
+	mf := filepath.Join(r.tmp, mutantFile)
 	if err := os.WriteFile(mf, src, 0o644); err != nil {
 		return false, false, err
 	}
@@ -226,18 +230,37 @@ func (r *mutationRunner) goTest(file string, src []byte, pkg, run string, limit 
 	}
 	cmd := exec.CommandContext(ctx, "go", append(args, "./"+pkg)...)
 	cmd.Dir = r.root
+	cmd.Env = append(os.Environ(), "GOCACHE="+filepath.Join(r.tmp, "gocache"))
 	out, err := cmd.CombinedOutput()
 	if ctx.Err() != nil {
 		return false, true, nil // a hang is a failure the timeout noticed
 	}
 	if bytes.Contains(out, []byte("[build failed]")) || bytes.Contains(out, []byte("[setup failed]")) {
-		return false, false, nil
+		return false, false, buildFailure(out)
 	}
 	var exit *exec.ExitError
 	if err != nil && !errors.As(err, &exit) {
 		return false, false, err
 	}
 	return err == nil, true, nil
+}
+
+// mutantFile is the overlay file a mutant is written to; the go command
+// names it, not the file it stands in for, in a compiler error.
+const mutantFile = "mutant.go"
+
+var mutantError = regexp.MustCompile(`(?m)(^|/)` + regexp.QuoteMeta(mutantFile) + `:\d+:\d+: `)
+
+// buildFailure reads the output of a go test that failed to build: nil
+// when it names a line of the mutant, which then does not compile, an
+// error otherwise. Scored as uncompiled, a build that failed for another
+// reason (a full disk, a broken toolchain) would drop a mutant from the
+// score unseen.
+func buildFailure(out []byte) error {
+	if mutantError.Match(out) {
+		return nil
+	}
+	return fmt.Errorf("a build failed naming no line of the mutant:\n%s", out)
 }
 
 // clean times the unmutated tests, rebuilt as a mutant's are (a comment
@@ -455,8 +478,23 @@ func TestWeak(t *testing.T) {
 )
 
 // TestMutationToolSelfCheck runs the tool on the fixture twice: the weak
-// test must leave mutants alive that the strong test kills.
+// test must leave mutants alive that the strong test kills. First, a
+// build failure is the mutant's only when it names a line of the mutant.
 func TestMutationToolSelfCheck(t *testing.T) {
+	for _, c := range []struct {
+		out        string
+		uncompiled bool
+	}{
+		{"# tiny [tiny.test]\n../../tmp/TestMutation1/001/mutant.go:4:9: undefined: y\nFAIL\ttiny [build failed]\n", true},
+		{"# tiny [tiny.test]\n/tmp/TestMutation1/001/mutant.go:7:1: syntax error: unexpected }\nFAIL\ttiny [build failed]\n", true},
+		{"# tiny\nopen /tmp/TestMutation1/001/gocache/3f/3f0c-d: no space left on device\nFAIL\ttiny [build failed]\n", false},
+		{"go: writing go.mod cache: mkdir /tmp/x: no space left on device\nFAIL\ttiny [setup failed]\n", false},
+		{"# tiny [tiny.test]\ntiny/other.go:3:9: undefined: y\nFAIL\ttiny [build failed]\n", false},
+	} {
+		if err := buildFailure([]byte(c.out)); (err == nil) != c.uncompiled {
+			t.Errorf("buildFailure(%q) = %v, want uncompiled %v", c.out, err, c.uncompiled)
+		}
+	}
 	root := t.TempDir()
 	for name, body := range map[string]string{"go.mod": mutationFixtureMod, "tiny/tiny.go": mutationFixture, "tiny/tiny_test.go": mutationFixtureTest} {
 		if err := os.MkdirAll(filepath.Dir(filepath.Join(root, name)), 0o755); err != nil {
@@ -466,8 +504,9 @@ func TestMutationToolSelfCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	tmp := t.TempDir() // one build cache for both runs
 	score := func(run string) mutationScore {
-		r := &mutationRunner{root: root, pkg: "tiny", tests: "tiny", run: run, tmp: t.TempDir()}
+		r := &mutationRunner{root: root, pkg: "tiny", tests: "tiny", run: run, tmp: tmp}
 		sc := r.mutate(t, nil, nil, nil)
 		t.Logf("%s: %s", run, sc)
 		return sc
