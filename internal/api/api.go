@@ -2,6 +2,7 @@ package api
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -287,6 +288,40 @@ type Response struct {
 // CoordinateResponse is the body of a successful POST /v1/coordinate.
 type CoordinateResponse struct {
 	Responses []Response `json:"responses"`
+}
+
+// AppendJSON appends the reply's JSON encoding to b and returns it: the
+// bytes encoding/json writes for it, each result rendered by
+// coord.Result.AppendJSON and an inline error (the rare path) by
+// json.Marshal. The server renders every batch reply through it.
+func (c CoordinateResponse) AppendJSON(b []byte) []byte {
+	if c.Responses == nil {
+		return append(b, `{"responses":null}`...)
+	}
+	b = append(b, `{"responses":[`...)
+	for i, r := range c.Responses {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '{')
+		if r.ID != "" {
+			b = append(b, `"id":`...)
+			b = eq.AppendJSONString(b, r.ID)
+			b = append(b, ',')
+		}
+		b = append(b, `"result":`...)
+		if r.Result == nil {
+			b = append(b, "null"...)
+		} else {
+			b = r.Result.AppendJSON(b)
+		}
+		if r.Error != nil {
+			e, _ := json.Marshal(r.Error) // strings and ints always encode
+			b = append(append(b, `,"error":`...), e...)
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}"...)
 }
 
 // CreateSessionRequest is the body of POST /v1/sessions.

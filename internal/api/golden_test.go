@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
@@ -115,6 +116,43 @@ func TestGoldenCoordinateResponse(t *testing.T) {
 			{ID: "r2", Error: &Error{Code: coord.CodeUnsafe, Message: "coord: query set is not safe: unsafe queries [0]"}},
 		},
 	})
+}
+
+// twelveMembers is a 12-member result, so its keys sort as strings
+// ("10" before "2"), with values that HTML escaping rewrites and values
+// beyond ASCII.
+func twelveMembers() CoordinateResponse {
+	set := make([]int, 12)
+	values := make(map[int]map[string]eq.Value, len(set))
+	for i := range set {
+		set[i] = i
+		values[i] = map[string]eq.Value{"x": eq.Value("t" + strconv.Itoa(i))}
+	}
+	values[2]["y"] = "fish & chips"
+	values[3]["y"] = "<b"
+	values[4]["y"] = "b>"
+	values[10]["y"] = "Zürich → 東京\u2028"
+	return CoordinateResponse{Responses: []Response{{ID: "r<12", Result: &coord.Result{Set: set, Values: values, DBQueries: 12}}}}
+}
+
+// TestGoldenCoordinateResponseTwelve pins the twelve-member reply twice:
+// through json.MarshalIndent, and as AppendJSON renders it, indented.
+// MarshalIndent re-escapes what a Marshaler writes, so it alone would
+// not see a '<' that AppendJSON let through.
+func TestGoldenCoordinateResponseTwelve(t *testing.T) {
+	rep := twelveMembers()
+	golden(t, "coordinate_response_twelve", rep)
+	want, err := os.ReadFile(filepath.Join("testdata", "coordinate_response_twelve.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := json.Indent(&got, rep.AppendJSON(nil), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if got.WriteByte('\n'); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("AppendJSON drifted from the golden file:\n--- got ---\n%s\n--- want ---\n%s", got.Bytes(), want)
+	}
 }
 
 func TestGoldenCreateSessionRequest(t *testing.T) {

@@ -380,11 +380,11 @@ func TestTenantCallErrorsNameTheOperation(t *testing.T) {
 			var magic [len(wire.Magic)]byte
 			if _, err := io.ReadFull(br, magic[:]); err == nil {
 				if payload, err := wire.ReadFrame(br, nil); err == nil && n > 0 {
-					var e wire.Enc
-					wire.PutHeader(&e, wire.Header{Kind: wire.KindReply, ID: wire.GetHeader(wire.NewDec(payload)).ID})
-					wire.PutReplyOK(&e, 200)
-					e.Byte(0xff)
-					wire.WriteFrame(c, e.Bytes())
+					f, _ := wire.EncodeFrame(nil, wire.Header{Kind: wire.KindReply, ID: wire.GetHeader(wire.NewDec(payload)).ID}, func(e *wire.Enc) {
+						wire.PutReplyOK(e, 200)
+						e.Byte(0xff) // a reply body no decoder accepts
+					})
+					c.Write(f)
 					io.Copy(io.Discard, br)
 				}
 			}

@@ -1,8 +1,10 @@
 package coord
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 
 	"entangled/internal/db"
@@ -11,7 +13,8 @@ import (
 
 // Result is a coordinating set together with the witnessing assignment.
 // Its JSON form is part of the HTTP protocol: Values' query indices are
-// decimal object keys, which encoding/json sorts (golden tests pin it).
+// decimal object keys in encoding/json's order (golden tests pin it),
+// which AppendJSON renders without reflection.
 type Result struct {
 	// Set holds the indices (into the input query slice) of the queries
 	// in the coordinating set, sorted ascending.
@@ -26,6 +29,81 @@ type Result struct {
 	// exact for this run alone even when the underlying store is shared
 	// with concurrent requests (engine.CoordinateMany).
 	DBQueries int64 `json:"db_queries"`
+}
+
+// AppendJSON appends r's JSON encoding to b and returns it: the bytes
+// encoding/json writes for the struct, rendered by hand. Values' keys
+// go in encoding/json's order, their decimal strings sorted as strings
+// ("10" before "2"), and each member's names sorted; both sort in stack
+// buffers, which a set of up to 128 queries of up to 8 variables each
+// never outgrows, so such a result renders without allocating.
+func (r *Result) AppendJSON(b []byte) []byte {
+	b = append(b, `{"set":`...)
+	if r.Set == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, qi := range r.Set {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(qi), 10)
+		}
+		b = append(b, ']')
+	}
+	if len(r.Values) > 0 {
+		b = append(b, `,"values":{`...)
+		var keyBuf [128]int
+		var nameBuf [8]string
+		keys, names := keyBuf[:0], nameBuf[:0] // names: one scratch for every query's
+		for k := range r.Values {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, byDecimal)
+		for i, k := range keys {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, '"')
+			b = strconv.AppendInt(b, int64(k), 10)
+			b = append(b, `":`...)
+			vals := r.Values[k]
+			if vals == nil {
+				b = append(b, "null"...)
+				continue
+			}
+			names = names[:0]
+			for name := range vals {
+				names = append(names, name)
+			}
+			slices.Sort(names)
+			b = append(b, '{')
+			for j, name := range names {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = eq.AppendJSONString(b, name)
+				b = append(b, ':')
+				b = eq.AppendJSONString(b, string(vals[name]))
+			}
+			b = append(b, '}')
+		}
+		b = append(b, '}')
+	}
+	b = append(b, `,"db_queries":`...)
+	b = strconv.AppendInt(b, r.DBQueries, 10)
+	return append(b, '}')
+}
+
+// MarshalJSON is AppendJSON(nil), so every JSON encoding of a Result
+// (a session status's, say) skips the reflective map encoder too.
+func (r *Result) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil), nil }
+
+// byDecimal orders ints as encoding/json orders them as object keys: by
+// their decimal strings.
+func byDecimal(a, b int) int {
+	var x, y [20]byte // the longest int64, "-9223372036854775808"
+	return bytes.Compare(strconv.AppendInt(x[:0], int64(a), 10), strconv.AppendInt(y[:0], int64(b), 10))
 }
 
 // IDs returns the query identifiers of the coordinating set.

@@ -64,3 +64,20 @@ func DecodeSet(data []byte) (qs []Query, err error) {
 	}
 	return qs, nil
 }
+
+// AppendJSONString appends s as encoding/json writes a string: verbatim
+// between quotes when every byte is printable ASCII that HTML escaping
+// leaves alone, which names and values almost always are, and through
+// json.Marshal otherwise, so escaping is encoding/json's by
+// construction. Hand-rendered replies (coord.Result.AppendJSON) use it.
+func AppendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}

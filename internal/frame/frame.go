@@ -47,10 +47,21 @@ func errorf(r Reason, format string, args ...any) *Error {
 
 // Append appends one framed payload to buf and returns it.
 func Append(buf, payload []byte) []byte {
-	var hdr [HeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	return append(append(buf, hdr[:]...), payload...)
+	n := len(buf)
+	buf = append(append(buf, make([]byte, HeaderSize)...), payload...)
+	Seal(buf[n:])
+	return buf
+}
+
+// Seal fills in, in place, the header of a frame whose payload was
+// written after HeaderSize reserved bytes at the start of f, and
+// returns f: the frame Append writes for f[HeaderSize:], from the
+// buffer the payload was encoded into.
+func Seal(f []byte) []byte {
+	payload := f[HeaderSize:]
+	binary.LittleEndian.PutUint32(f[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(f[4:8], crc32.ChecksumIEEE(payload))
+	return f
 }
 
 // Read reads one frame from r, reusing buf's capacity when it

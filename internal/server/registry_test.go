@@ -232,9 +232,8 @@ func TestUnreadPipelineHoldsBoundedGoroutines(t *testing.T) {
 		w := bufio.NewWriter(raw)
 		w.WriteString(wire.Magic)
 		for id := uint64(1); id <= 50_000; id++ {
-			var e wire.Enc
-			wire.PutHeader(&e, wire.Header{Kind: wire.KindHealth, ID: id})
-			if wire.WriteFrame(w, e.Bytes()) != nil {
+			f, _ := wire.EncodeFrame(nil, wire.Header{Kind: wire.KindHealth, ID: id}, nil)
+			if _, err := w.Write(f); err != nil {
 				return
 			}
 		}

@@ -375,11 +375,33 @@ func (s *Server) draining() bool {
 	}
 }
 
-// writeJSON writes a JSON body with a status code.
+// writeJSON writes a JSON body with a status code. The body is rendered
+// into a pooled buffer, by its own AppendJSON when it has one
+// (api.CoordinateResponse) and by json.Encoder otherwise, newline
+// included, and goes out in one write under its Content-Length: a batch
+// reply past net/http's response buffer is then not chunked, and the
+// client reads it into one presized buffer. The buffer is back in the
+// pool before the row's done hook runs.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := wire.GetBuf()
+	if r, ok := v.(interface{ AppendJSON([]byte) []byte }); ok {
+		*buf = append(r.AppendJSON(*buf), '\n')
+	} else {
+		_ = json.NewEncoder((*appendWriter)(buf)).Encode(v)
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(*buf) // a failed write is the client's gone; nothing to tell it
+	wire.PutBuf(buf)
+}
+
+// appendWriter is an io.Writer that appends to the slice it is.
+type appendWriter []byte
+
+func (a *appendWriter) Write(p []byte) (int, error) {
+	*a = append(*a, p...)
+	return len(p), nil
 }
 
 // writeError renders a failure as its status and error envelope. A

@@ -206,10 +206,8 @@ func TestRefusedBatchAnswersTheSameBytes(t *testing.T) {
 	call := func(reqs []api.Request) []byte {
 		t.Helper()
 		id++
-		var e wire.Enc
-		wire.PutHeader(&e, wire.Header{Kind: wire.KindCoordinate, ID: id})
-		wire.CoordinateReq{Requests: reqs}.Encode(&e)
-		if err := wire.WriteFrame(conn, e.Bytes()); err != nil {
+		f, _ := wire.EncodeFrame(nil, wire.Header{Kind: wire.KindCoordinate, ID: id}, wire.CoordinateReq{Requests: reqs}.Encode)
+		if _, err := conn.Write(f); err != nil {
 			t.Fatal(err)
 		}
 		payload, err := wire.ReadFrame(br, nil)

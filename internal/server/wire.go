@@ -173,25 +173,24 @@ func (wc *wireConn) end() {
 	<-wc.slots
 }
 
-// send encodes a frame through a pooled buffer and writes it. A write
-// that fails, its deadline included, closes the connection: the frame
-// may be torn, so the stream is past saving.
+// send encodes a frame into a pooled buffer and writes it from there. A
+// write that fails, its deadline included, closes the connection: the
+// frame may be torn, so the stream is past saving.
 func (wc *wireConn) send(h wire.Header, put func(*wire.Enc)) error {
 	buf := wire.GetBuf()
-	var e wire.Enc
-	e.Reset(*buf)
-	wire.PutHeader(&e, h)
-	put(&e)
+	f, err := wire.EncodeFrame(*buf, h, put)
 	wc.wmu.Lock()
-	err := wc.c.SetWriteDeadline(time.Now().Add(wc.timeout))
 	if err == nil {
-		err = wire.WriteFrame(wc.c, e.Bytes())
+		err = wc.c.SetWriteDeadline(time.Now().Add(wc.timeout))
+	}
+	if err == nil {
+		_, err = wc.c.Write(f)
 	}
 	if err != nil {
 		wc.c.Close()
 	}
 	wc.wmu.Unlock()
-	*buf = e.Bytes()
+	*buf = f
 	wire.PutBuf(buf)
 	return err
 }

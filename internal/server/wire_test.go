@@ -381,10 +381,9 @@ func TestStalledSubscriberCannotStallItsSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	send := func(kind wire.Kind, id uint64, put func(*wire.Enc)) error {
-		var e wire.Enc
-		wire.PutHeader(&e, wire.Header{Kind: kind, ID: id})
-		put(&e)
-		return wire.WriteFrame(raw, e.Bytes())
+		f, _ := wire.EncodeFrame(nil, wire.Header{Kind: kind, ID: id}, put)
+		_, err := raw.Write(f)
+		return err
 	}
 	if _, err := raw.Write([]byte(wire.Magic)); err != nil {
 		t.Fatal(err)
@@ -713,9 +712,8 @@ func TestSilentBinaryClientIsDropped(t *testing.T) {
 	}
 	time.Sleep(deadline)
 	w := bufio.NewWriter(greeted)
-	var e wire.Enc
-	wire.PutHeader(&e, wire.Header{Kind: wire.KindHealth, ID: 1})
-	if err := wire.WriteFrame(w, e.Bytes()); err != nil || w.Flush() != nil {
+	f, _ := wire.EncodeFrame(nil, wire.Header{Kind: wire.KindHealth, ID: 1}, nil)
+	if _, err := w.Write(f); err != nil || w.Flush() != nil {
 		t.Fatal(err)
 	}
 	greeted.SetReadDeadline(time.Now().Add(10 * time.Second))

@@ -186,16 +186,13 @@ func (cc *ClientConn) Call(ctx context.Context, kind Kind, encode func(*Enc)) (i
 	cc.mu.Unlock()
 
 	buf := GetBuf()
-	var e Enc
-	e.Reset(*buf)
-	PutHeader(&e, Header{Kind: kind, ID: id})
-	if encode != nil {
-		encode(&e)
+	f, err := EncodeFrame(*buf, Header{Kind: kind, ID: id}, encode)
+	if err == nil {
+		cc.wmu.Lock()
+		_, err = cc.c.Write(f)
+		cc.wmu.Unlock()
 	}
-	cc.wmu.Lock()
-	err := WriteFrame(cc.c, e.Bytes())
-	cc.wmu.Unlock()
-	*buf = e.Bytes()
+	*buf = f
 	PutBuf(buf)
 	if err != nil {
 		cc.mu.Lock()

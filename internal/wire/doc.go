@@ -18,8 +18,9 @@
 // over HTTP/JSON). A connection starts with the 4-byte Magic preamble, then carries
 // frames in both directions. Framing is internal/frame — the same
 // 4-byte little-endian payload length, 4-byte CRC-32 (IEEE), payload
-// discipline the WAL files use; ReadFrame and WriteFrame only map its
-// typed failure reasons to this package's errors — with the payload
+// discipline the WAL files use; ReadFrame maps its typed failure
+// reasons to this package's errors, and EncodeFrame encodes a payload
+// after a header's room and fills the header in — with the payload
 // holding a one-byte message Kind, a uvarint pipelining id, and a
 // kind-specific body; KindTenant and KindForward are envelopes around
 // a request. Requests pipeline: clients issue any number of concurrent

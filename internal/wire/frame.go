@@ -71,18 +71,21 @@ func ReadBody(r io.Reader, p *[]byte, size int64) ([]byte, error) {
 	return *p, err
 }
 
-// WriteFrame writes one framed payload to w in a single Write call
-// (header and payload coalesced through a pooled buffer), so concurrent
-// frame writers serialized by a mutex never interleave partial frames.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame payload of %d bytes exceeds the %d-byte cap", len(payload), MaxFrame)
+// EncodeFrame encodes one frame into buf (length reset, capacity kept)
+// and returns it: a header's room, h, what put appends, then the length
+// and CRC filled in over that room, so the frame is written from the
+// buffer its payload was encoded into. A payload over MaxFrame is
+// refused; the buffer is returned either way, for the pool.
+func EncodeFrame(buf []byte, h Header, put func(*Enc)) ([]byte, error) {
+	e := Enc{b: append(buf[:0], make([]byte, frame.HeaderSize)...)}
+	PutHeader(&e, h)
+	if put != nil {
+		put(&e)
 	}
-	buf := GetBuf()
-	*buf = frame.Append(*buf, payload)
-	_, err := w.Write(*buf)
-	PutBuf(buf)
-	return err
+	if n := len(e.b) - frame.HeaderSize; n > MaxFrame {
+		return e.b, fmt.Errorf("wire: frame payload of %d bytes exceeds the %d-byte cap", n, MaxFrame)
+	}
+	return frame.Seal(e.b), nil
 }
 
 // ReadFrame reads one frame from r, reusing buf's capacity when it
