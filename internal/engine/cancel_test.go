@@ -114,6 +114,11 @@ func TestCoordinateCancelledBeforeStart(t *testing.T) {
 	if n := gs.queries.Load(); n != 0 {
 		t.Fatalf("%d store queries issued for a pre-canceled request", n)
 	}
+	// An empty set asks no query a context-wrapped store could refuse:
+	// the engine's own check is what fails it.
+	if res, err := e.Coordinate(ctx, nil); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("empty set: %+v, %v, want context.Canceled", res, err)
+	}
 }
 
 // TestCoordinateDeadlinePropagates: an expired deadline surfaces as

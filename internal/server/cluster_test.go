@@ -68,7 +68,30 @@ func newLoopCluster(tb testing.TB, n, shards, rows int, sopts server.Options) *l
 			}
 		}
 	})
+	lc.waitUp()
 	return lc
+}
+
+// waitUp returns once every node holds a live connection to each of its
+// peers, so a test starts from a cluster that is up: a peer's first dial
+// runs in its keeper, and until it lands Health reports the peer down.
+func (lc *loopCluster) waitUp() {
+	lc.tb.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		var down []string
+		for _, cn := range lc.nodes {
+			for _, p := range cn.router.Health().PeersDown {
+				down = append(down, cn.name+"->"+p)
+			}
+		}
+		if len(down) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			lc.tb.Fatalf("cluster never came up: no live connection %v", down)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // boot builds one member: its own store replica, router, and server

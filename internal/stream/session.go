@@ -239,19 +239,17 @@ func (s *Session) join(q eq.Query, up *Update) {
 		s.totals.Joins++
 		up.Admitted = true
 	}
-	if err != nil {
-		if errors.Is(err, coord.ErrUnsafeArrival) {
-			if s.opts.ParkUnsafe {
-				s.parked = append(s.parked, q)
-				s.byID[q.ID] = parkedSlot
-				s.totals.Parked++
-				up.Parked = true
-				return
-			}
-			s.totals.Rejected++
+	if errors.Is(err, coord.ErrUnsafeArrival) {
+		if s.opts.ParkUnsafe {
+			s.parked = append(s.parked, q)
+			s.byID[q.ID] = parkedSlot
+			s.totals.Parked++
+			up.Parked = true
+			return
 		}
-		up.Err = err
+		s.totals.Rejected++
 	}
+	up.Err = err
 }
 
 // admit adds q to the incremental state. A body that does not fit the
@@ -278,7 +276,7 @@ func (s *Session) leave(id string, up *Update) {
 	}
 	d, err := s.inc.Remove(slot)
 	up.Stats = d
-	if err != nil && errors.Is(err, coord.ErrNoQuery) {
+	if errors.Is(err, coord.ErrNoQuery) {
 		up.Err = err
 		return
 	}
@@ -298,9 +296,6 @@ func (s *Session) leave(id string, up *Update) {
 	// exact, and non-admission failures surface on the update. An
 	// admitted retry's slot replaces its parkedSlot in byID; one that
 	// does not fit the schema is dropped (admit).
-	if len(s.parked) == 0 {
-		return
-	}
 	still := s.parked[:0]
 	for _, q := range s.parked {
 		slot, dq, err := s.admit(q)

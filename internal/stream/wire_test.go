@@ -38,6 +38,8 @@ func TestEventJSONRejectsMalformed(t *testing.T) {
 		`{"k":"leave"}`,
 		`{"k":"join","q":{"id":"u1","head":[{"rel":"R","args":["?x"]}],"body":[{"args":["?x"]}]}}`,
 		`{`,
+		`{"k":"leave","id":"u1","q":5}`,
+		`{"k":"leave","id":"u1","q":"u1"}`,
 	} {
 		var ev Event
 		if err := json.Unmarshal([]byte(raw), &ev); err == nil {

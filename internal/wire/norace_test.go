@@ -115,3 +115,31 @@ func TestPutResultAllocatesNothing(t *testing.T) {
 		t.Fatalf("PutResult allocates %.1f times on a 50-member result, want 0", allocs)
 	}
 }
+
+// TestPutBufPoolsUpToOneMiB: a buffer of up to 1 MiB of capacity goes
+// back to the pool and one larger is dropped, so one huge payload pins
+// nothing. The pool may lose a buffer to a collection, so a pooled one
+// need only come back once in ten tries. (Not built under -race, whose
+// pool drops buffers at random.)
+func TestPutBufPoolsUpToOneMiB(t *testing.T) {
+	back := func(c int) bool {
+		for range 10 {
+			b := make([]byte, 5, c)
+			p := &b
+			PutBuf(p)
+			if q := GetBuf(); q == p {
+				if len(*q) != 0 {
+					t.Fatalf("a pooled buffer comes back with length %d", len(*q))
+				}
+				return true
+			}
+		}
+		return false
+	}
+	if !back(1 << 20) {
+		t.Error("a 1 MiB buffer never came back from the pool")
+	}
+	if back(1<<20 + 1) {
+		t.Error("a buffer over 1 MiB was pooled")
+	}
+}

@@ -2,13 +2,14 @@
 
 package entangled_test
 
-// Mutation testing for the paper's algorithms. Coverage says which lines
+// Mutation testing for the paper's algorithms and the serving path
+// (stream, engine, server, wire). Coverage says which lines
 // a test runs; a mutant says whether a test checks them. The tool makes
 // one small change per site of a package's production files, compiles
 // it into that package's tests through go test -overlay (the checkout is
 // never written) and counts the mutants some test fails on.
 //
-// One package a run; all five take hours on 2 vCPU, so this is never a
+// One package a run; all nine take hours on 2 vCPU, so this is never a
 // CI step (only TestMutationToolSelfCheck is):
 //
 //	go test -tags mutation -run 'TestMutation$' -timeout 0 -v -mutation.pkg internal/unify .
@@ -16,6 +17,10 @@ package entangled_test
 // Each run builds into a Go build cache of its own, removed when the run
 // ends, and stops on a build that fails for a reason other than the
 // mutant (a full disk among them) rather than score it.
+//
+// A failing run kills its mutant only when the test it names fails again
+// alone (or, naming none, the run fails again): a socket or timer test
+// that a loaded host fails once kills nothing.
 //
 // -mutation.func narrows the sites to functions matching a regexp,
 // -mutation.run runs only the tests matching a pattern (and not
@@ -62,6 +67,10 @@ var mutationFiles = map[string][]string{
 	"internal/unify":      nil,
 	"internal/graph":      nil,
 	"internal/db":         {"plan.go", "exec.go", "binding.go", "project.go"},
+	"internal/stream":     nil,
+	"internal/engine":     nil,
+	"internal/server":     nil,
+	"internal/wire":       nil,
 }
 
 // A mutant is one change at one site: the bytes [start, end) of file
@@ -201,16 +210,17 @@ type mutationRunner struct {
 }
 
 // goTest runs go test on pkg with src standing in for file, and reports
-// whether it passed and whether it built.
-func (r *mutationRunner) goTest(file string, src []byte, pkg, run string, limit time.Duration) (passed, built bool, err error) {
+// whether it passed and whether it built, with the go command's output
+// (nil when it hung).
+func (r *mutationRunner) goTest(file string, src []byte, pkg, run string, limit time.Duration) (passed, built bool, out []byte, err error) {
 	mf := filepath.Join(r.tmp, mutantFile)
 	if err := os.WriteFile(mf, src, 0o644); err != nil {
-		return false, false, err
+		return false, false, nil, err
 	}
 	ov, _ := json.Marshal(map[string]map[string]string{"Replace": {filepath.Join(r.root, file): mf}})
 	of := filepath.Join(r.tmp, "overlay.json")
 	if err := os.WriteFile(of, ov, 0o644); err != nil {
-		return false, false, err
+		return false, false, nil, err
 	}
 	args := []string{"test", "-overlay", of, "-vet=off", "-count=1", "-failfast"}
 	if limit > 0 {
@@ -231,18 +241,34 @@ func (r *mutationRunner) goTest(file string, src []byte, pkg, run string, limit 
 	cmd := exec.CommandContext(ctx, "go", append(args, "./"+pkg)...)
 	cmd.Dir = r.root
 	cmd.Env = append(os.Environ(), "GOCACHE="+filepath.Join(r.tmp, "gocache"))
-	out, err := cmd.CombinedOutput()
+	out, err = cmd.CombinedOutput()
 	if ctx.Err() != nil {
-		return false, true, nil // a hang is a failure the timeout noticed
+		return false, true, nil, nil // a hang is a failure the timeout noticed
 	}
 	if bytes.Contains(out, []byte("[build failed]")) || bytes.Contains(out, []byte("[setup failed]")) {
-		return false, false, buildFailure(out)
+		return false, false, out, buildFailure(out)
 	}
 	var exit *exec.ExitError
 	if err != nil && !errors.As(err, &exit) {
-		return false, false, err
+		return false, false, out, err
 	}
-	return err == nil, true, nil
+	return err == nil, true, out, nil
+}
+
+// failedTest matches the first test a go test output names failing, or
+// the one running when the test binary timed out.
+var failedTest = regexp.MustCompile(`(?m)^\s*--- FAIL: ([^\s/]+)|running tests:\n\s+([^\s/]+)`)
+
+// confirmed reports whether a failing run's output kills its mutant:
+// again reruns the tests with a -run pattern, and the test the output
+// names must fail again alone; output naming none (a crash outside any
+// test, a package's goroutine gate) must fail again with the same run.
+func confirmed(out []byte, run string, again func(run string) (passed bool, err error)) (bool, error) {
+	if m := failedTest.FindSubmatch(out); m != nil {
+		run = "^" + string(m[1]) + string(m[2]) + "$"
+	}
+	passed, err := again(run)
+	return !passed, err
 }
 
 // mutantFile is the overlay file a mutant is written to; the go command
@@ -264,22 +290,27 @@ func buildFailure(out []byte) error {
 }
 
 // clean times the unmutated tests, rebuilt as a mutant's are (a comment
-// appended to file defeats the build cache), and fails if they fail.
+// appended to file defeats the build cache), and fails if they fail. The
+// second of two runs is timed: the first fills the run's empty build
+// cache, which a mutant finds full.
 func (r *mutationRunner) clean(file string, pkg, run string) (time.Duration, error) {
 	src, err := os.ReadFile(filepath.Join(r.root, file))
 	if err != nil {
 		return 0, err
 	}
-	src = fmt.Appendf(src, "\n// clean run %d\n", time.Now().UnixNano())
-	start := time.Now()
-	passed, built, err := r.goTest(file, src, pkg, run, 0)
-	if err != nil {
-		return 0, err
+	var took time.Duration
+	for i := range 2 {
+		start := time.Now()
+		passed, built, _, err := r.goTest(file, fmt.Appendf(src, "\n// clean run %d\n", i), pkg, run, 0)
+		if err != nil {
+			return 0, err
+		}
+		if !passed || !built {
+			return 0, fmt.Errorf("%s: tests fail on the unmutated tree", pkg)
+		}
+		took = time.Since(start)
 	}
-	if !passed || !built {
-		return 0, fmt.Errorf("%s: tests fail on the unmutated tree", pkg)
-	}
-	return 5 * time.Since(start), nil
+	return 5 * took, nil
 }
 
 // outcome runs m and returns what became of it.
@@ -289,22 +320,31 @@ func (r *mutationRunner) outcome(m mutant, src []byte) (string, error) {
 	if err != nil {
 		return uncompile, nil
 	}
-	passed, built, err := r.goTest(m.file, mutated, r.tests, r.run, r.limit)
+	passed, built, out, err := r.goTest(m.file, mutated, r.tests, r.run, r.limit)
 	switch {
 	case err != nil:
 		return "", err
 	case !built:
 		return uncompile, nil
-	case !passed:
+	case !passed && out == nil:
 		return killed, nil
-	case r.run != "":
+	case !passed:
+		kill, err := confirmed(out, r.run, func(run string) (bool, error) {
+			passed, _, _, err := r.goTest(m.file, mutated, r.tests, run, r.limit)
+			return passed, err
+		})
+		if err != nil || kill {
+			return killed, err
+		}
+	}
+	if r.run != "" || r.tests == "internal/server" {
 		return survived, nil
 	}
 	// TestLattice drives some cells over loopback sockets: a mutant only
 	// it notices counts as killed when it fails twice, so a cell that a
 	// loaded host fails once kills nothing.
 	for range 2 {
-		passed, _, err = r.goTest(m.file, mutated, "internal/server", "^TestLattice$", r.lattice)
+		passed, _, _, err = r.goTest(m.file, mutated, "internal/server", "^TestLattice$", r.lattice)
 		if err != nil {
 			return "", err
 		}
@@ -493,6 +533,27 @@ func TestMutationToolSelfCheck(t *testing.T) {
 	} {
 		if err := buildFailure([]byte(c.out)); (err == nil) != c.uncompiled {
 			t.Errorf("buildFailure(%q) = %v, want uncompiled %v", c.out, err, c.uncompiled)
+		}
+	}
+	// A failing run kills only when its test fails again alone.
+	for _, c := range []struct {
+		out, run string
+		again    bool // the rerun passes
+		kill     bool
+	}{
+		{"--- FAIL: TestFlaky (0.01s)\n    tiny_test.go:9: dial: connection refused\nFAIL\nFAIL\ttiny\t0.02s\n", "^TestFlaky$", true, false},
+		{"--- FAIL: TestReal (0.01s)\n    --- FAIL: TestReal/sub (0.00s)\nFAIL\n", "^TestReal$", false, true},
+		{"panic: test timed out after 5s\n\trunning tests:\n\t\tTestHang (5s)\n", "^TestHang$", false, true},
+		{"goroutines: 3 left over after the tests\nFAIL\ttiny\t5.01s\n", "^TestWeak$", false, true},
+		{"goroutines: 3 left over after the tests\nFAIL\ttiny\t5.01s\n", "^TestWeak$", true, false},
+	} {
+		var ran []string
+		kill, err := confirmed([]byte(c.out), "^TestWeak$", func(run string) (bool, error) {
+			ran = append(ran, run)
+			return c.again, nil
+		})
+		if err != nil || kill != c.kill || !slices.Equal(ran, []string{c.run}) {
+			t.Errorf("confirmed(%q) = %v, %v after reruns %q, want %v after %q", c.out, kill, err, ran, c.kill, c.run)
 		}
 	}
 	root := t.TempDir()

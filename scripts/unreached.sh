@@ -170,6 +170,9 @@ if [[ " $halves " == *" shipped "* ]]; then
 		pids=() names=()
 	}
 	pids=() names=()
+	# A drain that fails exits the script: the nodes that did start are
+	# killed on the way out rather than left running.
+	trap 'for p in "${pids[@]}"; do kill -KILL "$p" 2>/dev/null || true; done' EXIT
 	any=127.0.0.1:0
 	printf '{"default": {"rate": 10000, "max_in_flight": 64}, "tenants": {"t1": {"rate": 100, "weight": 2}}}\n' >"$tmp/tenants.json"
 	boot mem -listen "$any" -listen-binary "$any" -shards 4 -rows 1000
@@ -181,9 +184,11 @@ if [[ " $halves " == *" shipped "* ]]; then
 		drain
 	done
 	grep -q "^recovering" "$logs/durable-recovering" "$logs/sharded-recovering"
-	peers="n1=127.0.0.1:47311,n2=127.0.0.1:47312,n3=127.0.0.1:47313"
+	# Fixed ports below Linux's ephemeral range (32768 up), where no
+	# outgoing connection of this host can hold one.
+	peers="n1=127.0.0.1:27311,n2=127.0.0.1:27312,n3=127.0.0.1:27313"
 	for n in 1 2 3; do
-		boot "cluster-n$n" -listen "127.0.0.1:4732$n" -rows 1000 -cluster-node "n$n" -cluster-peers "$peers"
+		boot "cluster-n$n" -listen "127.0.0.1:2732$n" -rows 1000 -cluster-node "n$n" -cluster-peers "$peers"
 	done
 	drain
 	echo "  coordserve (no flags)"
