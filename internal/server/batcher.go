@@ -13,8 +13,8 @@ import (
 
 // batchItem is one admitted coordination request waiting for a worker.
 type batchItem struct {
-	// ctx is the submitter's: a worker that takes the item after it
-	// ended drops it, and one running it stops when it ends (see work).
+	// ctx is the submitter's: an item taken after it ended issues no
+	// store query, and one running stops when it ends (see work).
 	ctx   context.Context
 	req   engine.Request
 	reply chan engine.Response // buffered(1): a worker never blocks on it
@@ -202,11 +202,10 @@ func (b *batcher) take() (it batchItem, ok bool) {
 }
 
 // work is one worker: take the next request, serve it, reply; until
-// close has drained the backlog. A request whose submitter has gone is
-// not run, so no store query is spent that nobody would be billed for,
-// and not answered: its submitter returns its context's error, and a
-// reply would race that. One whose submitter goes while it runs stops
-// at its next store query (serve).
+// close has drained the backlog. A request whose submitter has gone
+// spends no store query that nobody would be billed for: the engine
+// refuses an ended context before its first. One whose submitter goes
+// while it runs stops at its next store query (serve).
 func (b *batcher) work() {
 	defer b.workers.Done()
 	for {
@@ -216,9 +215,6 @@ func (b *batcher) work() {
 		}
 		if b.onDispatch != nil {
 			b.onDispatch()
-		}
-		if it.ctx.Err() != nil {
-			continue
 		}
 		it.reply <- b.serve(it.ctx, it.req)
 	}

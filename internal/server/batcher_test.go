@@ -238,3 +238,109 @@ func TestBatcherPerTenantBound(t *testing.T) {
 		t.Fatalf("hog depth = %d, want 2", d)
 	}
 }
+
+// TestBatcherSubmitWeighsTenants: a tenant's queue takes the weight the
+// batcher's weight function gives it, and 1 when that is not positive
+// or there is no function. A tenant that never submitted has no
+// backlog and no dispatch.
+func TestBatcherSubmitWeighsTenants(t *testing.T) {
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	weights := map[admission.Tenant]int{"vip": 3, "zero": 0, "neg": -2}
+	for _, weight := range []func(admission.Tenant) int{nil, func(t admission.Tenant) int { return weights[t] }} {
+		b := &batcher{depth: 4, queues: map[admission.Tenant]*tenantQueue{}, weight: weight}
+		for ten, w := range map[admission.Tenant]int{"vip": 3, "zero": 1, "neg": 1} {
+			if _, err := b.submit(dead, ten, engine.Request{}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("submit: %v", err)
+			}
+			if weight == nil {
+				w = 1
+			}
+			if got := b.queues[ten].weight; got != w {
+				t.Errorf("tenant %q weighs %d, want %d (weight function %v)", ten, got, w, weight != nil)
+			}
+		}
+		if depth, dispatched := b.tenant("never"); depth != 0 || dispatched != 0 {
+			t.Errorf("a tenant that never submitted: depth %d, dispatched %d", depth, dispatched)
+		}
+	}
+}
+
+// TestBatcherRefusesAfterClose: once close began every submit is
+// refused as draining, the second as the first.
+func TestBatcherRefusesAfterClose(t *testing.T) {
+	b := &batcher{depth: 4, queues: map[admission.Tenant]*tenantQueue{}}
+	b.ready.L = &b.mu
+	b.close()
+	done := make(chan error, 2)
+	go func() {
+		for range 2 {
+			_, err := b.submit(context.Background(), "", engine.Request{})
+			done <- err
+		}
+	}()
+	for i := range 2 {
+		select {
+		case err := <-done:
+			if !errors.Is(err, api.ErrDraining) {
+				t.Fatalf("submit %d after close: %v, want api.ErrDraining", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("submit %d after close still waits", i)
+		}
+	}
+}
+
+// TestTenantQueueGrowsByDoubling: a tenant's ring starts at 8 items and
+// doubles as its backlog outgrows it, up to the queue bound; the items
+// come out in the order they went in across every growth.
+func TestTenantQueueGrowsByDoubling(t *testing.T) {
+	for _, c := range []struct {
+		bound int
+		lens  []int // the ring's length at a backlog of 1, 9, 17 and 33 (or the bound)
+	}{
+		{1 << 10, []int{8, 16, 32, 64}},
+		{20, []int{8, 16, 20, 20}},
+	} {
+		var q tenantQueue
+		for i := range 5 { // move the head, so each growth unwraps the ring
+			q.push(batchItem{}, c.bound)
+			q.pop()
+			if q.head != i+1 {
+				t.Fatalf("head %d after %d pops", q.head, i+1)
+			}
+		}
+		for i, at := range []int{1, 9, 17, 33} {
+			for q.n < min(at, c.bound) {
+				q.push(batchItem{req: engine.Request{ID: strconv.Itoa(q.n)}}, c.bound)
+			}
+			if len(q.items) != c.lens[i] {
+				t.Errorf("bound %d: ring of %d at a backlog of %d, want %d", c.bound, len(q.items), q.n, c.lens[i])
+			}
+		}
+		for want := 0; q.n > 0; want++ {
+			if got := q.pop().req.ID; got != strconv.Itoa(want) {
+				t.Fatalf("bound %d: popped %s, want %d", c.bound, got, want)
+			}
+		}
+	}
+}
+
+// TestBatcherDRRDrainedQueueStartsAfresh: a queue that drains leaves the
+// ring with no credit, so when its backlog comes back its next visit
+// credits its whole weight again.
+func TestBatcherDRRDrainedQueueStartsAfresh(t *testing.T) {
+	b := drrBatcher(map[admission.Tenant]int{"a": 3}, map[admission.Tenant]int{"a": 1})
+	takeN(t, b, 1)
+	b.queues["b"] = &tenantQueue{weight: 1}
+	for _, ten := range []admission.Tenant{"a", "b"} {
+		q := b.queues[ten]
+		b.active = append(b.active, q)
+		for i := range 3 {
+			q.push(batchItem{req: engine.Request{ID: fmt.Sprintf("%s-%d", ten, int(q.dispatched)+i)}}, b.depth)
+		}
+	}
+	if got := takeN(t, b, 3); got["a"] != 3 {
+		t.Fatalf("the first three takes after a's backlog came back: %v, want a's weight of 3 in a row", got)
+	}
+}

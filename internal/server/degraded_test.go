@@ -123,7 +123,9 @@ func TestServerDegradedModeAckFateAndRecovery(t *testing.T) {
 		wantCode(t, err, api.CodeDegraded)
 	}
 	if _, err := httpC.CreateSession(ctx, "other", false); true {
-		wantCode(t, err, api.CodeDegraded)
+		if cce := wantCode(t, err, api.CodeDegraded); cce.Message != ce.Message {
+			t.Fatalf("a degraded create was refused with %q, a join with %q; want the one gate's", cce.Message, ce.Message)
+		}
 	}
 	if _, err := binC.CreateSession(ctx, "other2", false); true {
 		wantCode(t, err, api.CodeDegraded)

@@ -377,6 +377,31 @@ func TestOversizedPayloadRefusedBothProtocols(t *testing.T) {
 	}
 }
 
+// TestOversizedJoinSameErrorBothProtocols: a join too large for one
+// frame is refused with the same 413 bad_request over both protocols,
+// and neither error says a retry could succeed. The binary client never
+// writes it, so its connection serves the next join.
+func TestOversizedJoinSameErrorBothProtocols(t *testing.T) {
+	h := newAdmissionLoopback(t, nil, server.Options{})
+	ctx := context.Background()
+	big := workload.ChainQuery(0, 0, 32)
+	big.ID = strings.Repeat("q", wire.MaxFrame)
+	for _, proto := range []string{"http", "binary"} {
+		sess, err := h.client(proto, "").CreateSession(ctx, "", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sess.Join(ctx, big)
+		var e *client.Error
+		if !errors.As(err, &e) || e.Status != http.StatusRequestEntityTooLarge || e.Code != api.CodeBadRequest || client.IsRetryable(err) {
+			t.Fatalf("%s: oversized join: %v; want a 413 bad_request that is not retryable", proto, err)
+		}
+		if _, err := sess.Join(ctx, workload.ChainQuery(0, 0, 32)); err != nil {
+			t.Fatalf("%s: the next join: %v", proto, err)
+		}
+	}
+}
+
 // TestMalformedBodiesRefusedBothProtocols: a request body is one value
 // with nothing after it, and every atom in it names a relation. The
 // binary protocol refuses both as it decodes (Dec.Finish, wire.GetQuery);

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"entangled/internal/api"
 	"entangled/internal/db"
 	"entangled/internal/engine"
 	"entangled/internal/fault"
@@ -284,4 +285,123 @@ func parkedRequests(buf []byte) ([]byte, int) {
 		}
 	}
 	return buf, parked
+}
+
+// testRegistry is a registry over an 8-row store whose removed sessions
+// are recorded in dropped.
+func testRegistry(t *testing.T) (r *registry, dropped *[]string) {
+	e := engine.New(workload.NewStore(1, 8, 0), engine.Options{})
+	dropped = new([]string)
+	r = newRegistry(func(park bool) *stream.Session { return e.NewSession(stream.Options{ParkUnsafe: park}) },
+		func(string, stream.Update) {}, func(name string) { *dropped = append(*dropped, name) })
+	t.Cleanup(r.close)
+	return r, dropped
+}
+
+// TestPostKeepsItsBooks: every post counts as a client's touch, the
+// refused one included and the one that waited for its turn as of when
+// it was served; the waiting count returns to zero; an update that
+// failed is not announced; a closed session refuses.
+func TestPostKeepsItsBooks(t *testing.T) {
+	r, _ := testRegistry(t)
+	h, err := r.create("x", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var notified []stream.Update
+	h.notify = func(_ string, up stream.Update) { notified = append(notified, up) }
+	ctx := context.Background()
+	join := func(i int) stream.Event {
+		return stream.Event{Kind: stream.JoinEvent, Query: workload.ChainQuery(i, 0, 8)}
+	}
+
+	h.lastUsed.Store(0)
+	h.bound = 0
+	if _, err := h.post(ctx, join(0)); !errors.Is(err, api.ErrMailboxFull) || h.lastUsed.Load() == 0 {
+		t.Fatalf("a post over the bound: %v, touched at %d", err, h.lastUsed.Load())
+	}
+	h.bound = 1 + mailboxSize
+	for i := range 3 {
+		if _, err := h.post(ctx, join(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := h.waiting.Load(); n != 0 || len(notified) != 3 {
+		t.Fatalf("after three posts: %d waiting, %d announced", n, len(notified))
+	}
+
+	h.turn <- struct{}{} // another event's turn
+	left := make(chan error, 1)
+	go func() {
+		_, err := h.post(ctx, stream.Event{Kind: stream.LeaveEvent, ID: "nobody"})
+		left <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	served := time.Now().UnixNano()
+	<-h.turn
+	if err := <-left; err == nil {
+		t.Fatal("a leave of no query succeeded")
+	}
+	if h.lastUsed.Load() < served {
+		t.Fatal("a post that waited for its turn counts as touched before it was served")
+	}
+	if len(notified) != 3 {
+		t.Fatalf("a failed update was announced: %+v", notified[3:])
+	}
+
+	h.close()
+	if _, err := h.post(ctx, join(3)); !errors.Is(err, api.ErrSessionClosed) {
+		t.Fatalf("a post to a closed session: %v", err)
+	}
+}
+
+// TestRegistryRemoveEndsTheSession: a removed session is closed and its
+// drop observed; removing a name that is not there changes nothing, so
+// the name can be created after; a journal that cannot be created fails
+// the create; and a janitor pass told to skip evicts nothing.
+func TestRegistryRemoveEndsTheSession(t *testing.T) {
+	r, dropped := testRegistry(t)
+	h, err := r.create("x", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.remove("x"); err != nil {
+		t.Fatal(err)
+	}
+	if len(*dropped) != 1 || (*dropped)[0] != "x" {
+		t.Fatalf("drops observed: %v", *dropped)
+	}
+	if _, err := h.post(context.Background(), stream.Event{Kind: stream.LeaveEvent, ID: "q"}); !errors.Is(err, api.ErrSessionClosed) {
+		t.Fatalf("a post to a removed session: %v", err)
+	}
+
+	if err := r.remove("nope"); !errors.Is(err, api.ErrSessionNotFound) {
+		t.Fatalf("removing a missing session: %v", err)
+	}
+	created := make(chan error, 1)
+	go func() {
+		_, err := r.create("nope", false)
+		created <- err
+	}()
+	select {
+	case err := <-created:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a create waits for the drop of a session that never was")
+	}
+
+	refused := errors.New("no journal")
+	r.newJournal = func(string, bool) (eventJournal, error) { return nil, refused }
+	if _, err := r.create("y", false); !errors.Is(err, refused) {
+		t.Fatalf("a create whose journal failed: %v", err)
+	}
+	r.newJournal = nil
+
+	r.skipEvict = func() bool { return true }
+	r.evictIdle(time.Now().Add(time.Hour))
+	if _, err := r.get("nope"); err != nil || r.evicted.Load() != 0 {
+		t.Fatalf("a skipped janitor pass evicted: %v, %d evicted", err, r.evicted.Load())
+	}
 }

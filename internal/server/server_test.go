@@ -302,6 +302,13 @@ func TestServerBackpressure(t *testing.T) {
 		if served != 4098 || overloaded != 1022 {
 			t.Fatalf("%d served and %d overloaded, want 4,098 and 1,022", served, overloaded)
 		}
+		m, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Coordinate.Rejected != 1022 {
+			t.Fatalf("metrics count %d requests refused, want each of the 1,022 once", m.Coordinate.Rejected)
+		}
 	})
 }
 

@@ -181,9 +181,6 @@ func (d *Dec) Byte() byte {
 // against the remaining payload before any allocation.
 func (d *Dec) String() string {
 	n := d.Uvarint()
-	if d.err != nil {
-		return ""
-	}
 	if n > uint64(d.Remaining()) {
 		d.fail(fmt.Sprintf("string length %d exceeds remaining %d bytes", n, d.Remaining()))
 		return ""
@@ -208,16 +205,13 @@ func (d *Dec) Float() float64 {
 }
 
 // Len reads a collection length and validates it against the remaining
-// payload assuming each element costs at least minBytes — so a hostile
-// length can never drive a large allocation.
-func (d *Dec) Len(minBytes int) int {
-	n := d.Uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
+// payload assuming each element costs at least minBytes (1 or more) —
+// so a hostile length can never drive a large allocation.
+func (d *Dec) Len(minBytes int) int { return d.fits(d.Uvarint(), minBytes) }
+
+// fits returns n when n elements of minBytes each fit in the remaining
+// payload, and fails the decode otherwise.
+func (d *Dec) fits(n uint64, minBytes int) int {
 	if n > uint64(d.Remaining()/minBytes) {
 		d.fail(fmt.Sprintf("collection of %d elements exceeds remaining %d bytes", n, d.Remaining()))
 		return 0

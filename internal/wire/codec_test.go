@@ -42,14 +42,14 @@ func TestDecErrors(t *testing.T) {
 		{"float", make([]byte, 7), func(d *Dec) { d.Float() }, "wire: malformed message at offset 0: truncated float"},
 		{"float fits", make([]byte, 8), func(d *Dec) { d.Float() }, ""},
 		{"len of ones", []byte{3, 0, 0, 0}, func(d *Dec) {
-			if d.Len(0) != 3 {
+			if d.Len(1) != 3 {
 				d.fail("not 3")
 			}
 			d.Byte()
 			d.Byte()
 			d.Byte()
 		}, ""},
-		{"len over ones", []byte{4, 0, 0, 0}, func(d *Dec) { d.Len(0) }, "wire: malformed message at offset 1: collection of 4 elements exceeds remaining 3 bytes"},
+		{"len over ones", []byte{4, 0, 0, 0}, func(d *Dec) { d.Len(1) }, "wire: malformed message at offset 1: collection of 4 elements exceeds remaining 3 bytes"},
 		{"len of pairs", []byte{2, 0, 0, 0, 0}, func(d *Dec) {
 			if d.Len(2) != 2 {
 				d.fail("not 2")

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"sync"
+
+	"entangled/internal/api"
 )
 
 // ErrConnClosed is the sentinel wrapped by every call that failed
@@ -169,7 +172,9 @@ func (cc *ClientConn) readLoop() {
 // Call sends one request and waits for its reply. It returns the
 // HTTP-equivalent status and the reply, the caller's to decode and
 // release; service failures are *api.Error, transport failures wrap
-// ErrConnClosed, and neither carries a reply. Cancelling ctx abandons
+// ErrConnClosed, and neither carries a reply. A request over MaxFrame
+// is never sent: it fails with the 413 bad_request HTTP answers it,
+// and the connection serves on. Cancelling ctx abandons
 // the wait (the request may still execute server-side): the read loop
 // releases a late reply, the collector one it had already handed over.
 func (cc *ClientConn) Call(ctx context.Context, kind Kind, encode func(*Enc)) (int, Reply, error) {
@@ -187,7 +192,8 @@ func (cc *ClientConn) Call(ctx context.Context, kind Kind, encode func(*Enc)) (i
 
 	buf := GetBuf()
 	f, err := EncodeFrame(*buf, Header{Kind: kind, ID: id}, encode)
-	if err == nil {
+	tooBig := err != nil
+	if !tooBig {
 		cc.wmu.Lock()
 		_, err = cc.c.Write(f)
 		cc.wmu.Unlock()
@@ -198,6 +204,9 @@ func (cc *ClientConn) Call(ctx context.Context, kind Kind, encode func(*Enc)) (i
 		cc.mu.Lock()
 		delete(cc.pending, id)
 		cc.mu.Unlock()
+		if tooBig { // never written: it fails alone, as HTTP refuses the body
+			return http.StatusRequestEntityTooLarge, Reply{}, &api.Error{Status: http.StatusRequestEntityTooLarge, Code: api.CodeBadRequest, Message: err.Error()}
+		}
 		cc.fail(err)
 		return 0, Reply{}, cc.closedErr()
 	}

@@ -36,24 +36,13 @@ func putSlice[T any](e *Enc, s []T) int {
 
 // getSlice reads a presence-prefixed length: -1 for nil, else the
 // element count (validated against the remaining payload at minBytes
-// per element).
+// per element, as Len validates it).
 func getSlice(d *Dec, minBytes int) int {
 	n := d.Uvarint()
-	if d.err != nil {
-		return -1
-	}
 	if n == 0 {
 		return -1
 	}
-	n--
-	if minBytes < 1 {
-		minBytes = 1
-	}
-	if n > uint64(d.Remaining()/minBytes) {
-		d.fail("slice length exceeds remaining bytes")
-		return -1
-	}
-	return int(n)
+	return d.fits(n-1, minBytes)
 }
 
 // omitEmpty normalizes an omitempty-tagged slice: JSON drops it when
@@ -78,9 +67,6 @@ func PutTerm(e *Enc, t eq.Term) {
 func GetTerm(d *Dec) eq.Term {
 	k := d.Byte()
 	name := d.String()
-	if d.err != nil {
-		return eq.Term{}
-	}
 	switch eq.TermKind(k) {
 	case eq.TermConst:
 		return eq.C(eq.Value(name))
@@ -301,30 +287,26 @@ func PutResult(e *Enc, r *coord.Result) {
 	}
 	e.Bool(true)
 	putInts(e, r.Set)
-	if len(r.Values) == 0 {
-		e.Uvarint(0)
-	} else {
-		e.Uvarint(uint64(len(r.Values)))
-		var keyBuf [128]int
-		var nameBuf [8]string
-		keys, names := keyBuf[:0], nameBuf[:0] // names: one scratch for every query's
-		for k := range r.Values {
-			keys = append(keys, k)
+	e.Uvarint(uint64(len(r.Values)))
+	var keyBuf [128]int
+	var nameBuf [8]string
+	keys, names := keyBuf[:0], nameBuf[:0] // names: one scratch for every query's
+	for k := range r.Values {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		e.Int(k)
+		vals := r.Values[k]
+		e.Uvarint(uint64(len(vals)))
+		names = names[:0]
+		for name := range vals {
+			names = append(names, name)
 		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			e.Int(k)
-			vals := r.Values[k]
-			e.Uvarint(uint64(len(vals)))
-			names = names[:0]
-			for name := range vals {
-				names = append(names, name)
-			}
-			slices.Sort(names)
-			for _, name := range names {
-				e.String(name)
-				e.String(string(vals[name]))
-			}
+		slices.Sort(names)
+		for _, name := range names {
+			e.String(name)
+			e.String(string(vals[name]))
 		}
 	}
 	e.Int64(r.DBQueries)
@@ -347,16 +329,10 @@ func GetResult(d *Dec) *coord.Result {
 				name := d.String()
 				vals[name] = eq.Value(d.String())
 			}
-			if d.err != nil {
-				return nil
-			}
 			r.Values[k] = vals
 		}
 	}
 	r.DBQueries = d.Int64()
-	if d.err != nil {
-		return nil
-	}
 	return &r
 }
 
@@ -431,9 +407,6 @@ func GetTrace(d *Dec) *coord.Trace {
 			}
 		}
 	}
-	if d.err != nil {
-		return nil
-	}
 	return &tr
 }
 
@@ -453,9 +426,6 @@ func GetError(d *Dec) *api.Error {
 		return nil
 	}
 	we := getErrorFields(d)
-	if d.err != nil {
-		return nil
-	}
 	return we
 }
 

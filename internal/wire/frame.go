@@ -58,12 +58,13 @@ func ReadPooled(r io.Reader) (payload []byte, p *[]byte, err error) {
 
 // ReadBody reads an HTTP body of Content-Length size (-1: unknown) into
 // *p, a GetBuf buffer, and returns it. Past MaxFrame bytes it fails with
-// a *DecodeError, as the frame layer refuses such a payload.
+// a *DecodeError, as the frame layer refuses such a payload. The buffer
+// is sized up front for at most 64 KiB of the declared length: a larger
+// body grows as its bytes arrive, so a client that declares MaxFrame
+// and sends nothing pins no more.
 func ReadBody(r io.Reader, p *[]byte, size int64) ([]byte, error) {
 	b := bytes.NewBuffer(*p)
-	if size > 0 && size <= MaxFrame {
-		b.Grow(int(size) + bytes.MinRead) // with less to spare ReadFrom doubles the buffer to find EOF
-	}
+	b.Grow(int(min(size, 1<<16)) + bytes.MinRead) // with less to spare ReadFrom doubles the buffer to find EOF
 	n, err := b.ReadFrom(io.LimitReader(r, MaxFrame+1))
 	if *p = b.Bytes(); err == nil && n > MaxFrame {
 		err = &DecodeError{Reason: fmt.Sprintf("body of more than %d bytes", MaxFrame)}

@@ -215,9 +215,6 @@ func (m Forward) Encode(e *Enc) {
 func DecodeForward(d *Dec) Forward {
 	f := Forward{Origin: d.String(), Hops: d.Int(), Kind: Kind(d.Byte())}
 	n := d.Uvarint()
-	if d.err != nil {
-		return f
-	}
 	if n > uint64(d.Remaining()) {
 		d.fail(fmt.Sprintf("forward body length %d exceeds remaining %d bytes", n, d.Remaining()))
 		return f
@@ -246,9 +243,6 @@ func PutTenantPrefix(e *Enc, tenant string, kind Kind) {
 // DecodeTenantReq reads a tenant envelope.
 func DecodeTenantReq(d *Dec) TenantReq {
 	t := TenantReq{Tenant: d.String(), Kind: Kind(d.Byte())}
-	if d.err != nil {
-		return t
-	}
 	t.Body = d.b[d.off:]
 	d.off = len(d.b)
 	return t

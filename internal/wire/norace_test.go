@@ -3,7 +3,11 @@
 package wire
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
+	"net"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -141,5 +145,56 @@ func TestPutBufPoolsUpToOneMiB(t *testing.T) {
 	}
 	if back(1<<20 + 1) {
 		t.Error("a buffer over 1 MiB was pooled")
+	}
+}
+
+// TestCallReturnsItsBuffer: a call encodes its request into a pooled
+// buffer and hands it back, so a call in the steady state allocates
+// well under the 4 KiB a fresh buffer would cost. The bar is 2 KiB a
+// call, the peer's reads and replies included.
+func TestCallReturnsItsBuffer(t *testing.T) {
+	nc, peer := net.Pipe()
+	defer peer.Close()
+	go func() { // the server: the magic, then an empty reply to each request
+		br := bufio.NewReader(peer)
+		br.Discard(len(Magic))
+		var e Enc
+		for {
+			payload, p, err := ReadPooled(br)
+			if err != nil {
+				return
+			}
+			e.Reset(e.Bytes()[:0])
+			PutHeader(&e, Header{Kind: KindReply, ID: GetHeader(NewDec(payload)).ID})
+			PutReplyOK(&e, 200)
+			PutBuf(p)
+			if WriteFrame(peer, e.Bytes()) != nil {
+				return
+			}
+		}
+	}()
+	cc := NewClientConn(nc, nil)
+	defer cc.Close()
+	call := func() {
+		_, rep, err := cc.Call(context.Background(), KindHealth, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Release()
+	}
+	for range 100 {
+		call()
+	}
+	const calls = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > 2<<10 {
+		t.Fatalf("a call allocates %d bytes", per)
+	} else {
+		t.Logf("a call allocates %d bytes, the peer's share included", per)
 	}
 }

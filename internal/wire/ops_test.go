@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -123,4 +124,81 @@ func sameReq(a, b any) bool {
 		a, b = ca.Requests, b.(CoordinateReq).Requests
 	}
 	return reflect.DeepEqual(a, b)
+}
+
+// TestPathSafe: the two dot segments are the names no path carries.
+func TestPathSafe(t *testing.T) {
+	for name, want := range map[string]bool{".": false, "..": false, "...": true, "a": true, "": true} {
+		if PathSafe(name) != want {
+			t.Errorf("PathSafe(%q) = %v, want %v", name, !want, want)
+		}
+	}
+}
+
+// TestFromHTTPRefusals: a body that does not decode is refused with the
+// decoder's error; one that decodes but names no relation in an atom is
+// refused as a bad request, a join and a batch alike; a body that
+// decodes and checks is taken.
+func TestFromHTTPRefusals(t *testing.T) {
+	body := func(s string) func(any) error { return func(v any) error { return json.Unmarshal([]byte(s), v) } }
+	noRel := `{"id":"q","head":[{"rel":"","args":["?x"]}]}`
+	badRequest := func(name string, err error) {
+		t.Helper()
+		var ae *api.Error
+		if !errors.As(err, &ae) || ae.Status != 400 || ae.Code != api.CodeBadRequest || !strings.HasPrefix(ae.Message, "decoding body: ") {
+			t.Errorf("%s: %v, want a 400 bad_request", name, err)
+		}
+	}
+	_, err := Join.FromHTTP("s", "", body(`{"query":`+noRel+`}`))
+	badRequest("join without a relation", err)
+	_, err = Coordinate.FromHTTP("", "", body(`{"requests":[{"id":"r","queries":[`+noRel+`]}]}`))
+	badRequest("batch without a relation", err)
+	for _, op := range []func(func(any) error) error{
+		func(b func(any) error) error { _, err := Join.FromHTTP("s", "", b); return err },
+		func(b func(any) error) error { _, err := Coordinate.FromHTTP("", "", b); return err },
+	} {
+		var se *json.SyntaxError
+		if err := op(body(`{"`)); !errors.As(err, &se) {
+			t.Errorf("an undecodable body: %v, want the decoder's error", err)
+		}
+	}
+	q := sampleQuery()
+	raw, _ := json.Marshal(api.JoinRequest{Query: q})
+	if got, err := Join.FromHTTP("s", "", body(string(raw))); err != nil || got.Session != "s" || !reflect.DeepEqual(got.Query, q) {
+		t.Errorf("a valid join: %+v, %v", got, err)
+	}
+	raw, _ = json.Marshal(api.CoordinateRequest{Requests: []api.Request{{ID: "r", Queries: []eq.Query{q}}}})
+	if got, err := Coordinate.FromHTTP("", "", body(string(raw))); err != nil || len(got.Requests) != 1 || !reflect.DeepEqual(got.Requests[0].Queries[0], q) {
+		t.Errorf("a valid batch: %+v, %v", got, err)
+	}
+}
+
+// TestBoundHTTPPaths: a call's path carries its key, and a query string
+// only when there is one.
+func TestBoundHTTPPaths(t *testing.T) {
+	for _, c := range []struct {
+		call Call
+		want string
+	}{
+		{Status.Bind(StatusReq{Session: "s"}), "/v1/sessions/s"},
+		{Status.Bind(StatusReq{Session: "s", Trace: true}), "/v1/sessions/s?trace=1"},
+		{Join.Bind(JoinReq{Session: "a/b"}), "/v1/sessions/a%2Fb/join"},
+		{Health.Bind(None{}), "/healthz"},
+	} {
+		if path, _, _ := c.call.HTTP(); path != c.want {
+			t.Errorf("%s: path %q, want %q", c.call.Route().Name, path, c.want)
+		}
+	}
+}
+
+// TestBareReplyDecodes: an operation that answers with a bare status
+// reads an empty reply body, and refuses one that is not.
+func TestBareReplyDecodes(t *testing.T) {
+	call := DeleteSession.Bind(SessionReq{Session: "s"})
+	if err := call.DecodeReply(Reply{}); err != nil {
+		t.Fatalf("an empty reply to a delete: %v", err)
+	}
+	if err := call.DecodeReply(Reply{Body: []byte{0}}); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("a reply body to a delete: %v, want ErrMalformed", err)
+	}
 }

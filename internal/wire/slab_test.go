@@ -143,3 +143,70 @@ func heldString(v reflect.Value) string {
 	}
 	return ""
 }
+
+// TestCutGrowsByDoubling: a slab's array grows to twice its capacity,
+// to the cut's own size when that is more, and to 64 elements at least.
+func TestCutGrowsByDoubling(t *testing.T) {
+	s := new(batchSlab)
+	terms := func(s *batchSlab) *[]eq.Term { return &s.ts }
+	for _, c := range []struct{ n, cap int }{{1, 64}, {63, 64}, {1, 128}, {300, 300}, {1, 600}} {
+		if got := cut(s, terms, c.n); len(got) != c.n || cap(got) != c.n {
+			t.Fatalf("a cut of %d: length %d, capacity %d", c.n, len(got), cap(got))
+		}
+		if cap(s.ts) != c.cap {
+			t.Fatalf("after a cut of %d the array holds %d, want %d", c.n, cap(s.ts), c.cap)
+		}
+	}
+}
+
+// TestSlabBoundIs4096: a slab whose arrays and body levels hold 4,096
+// elements each is cleared for the pool; one more on any array, or on
+// any level of the body, and it is left to the collector. Each level
+// counts its own elements, not its neighbours'.
+func TestSlabBoundIs4096(t *testing.T) {
+	for _, c := range []struct {
+		cap  int
+		kept bool
+	}{{4096, true}, {4097, false}} {
+		s := &batchSlab{reqs: make([]api.Request, 1, c.cap)}
+		s.release()
+		if pooled := len(s.reqs) == 0; pooled != c.kept {
+			t.Errorf("a slab of %d requests: pooled %v", c.cap, pooled)
+		}
+	}
+	// levels builds a body of r requests, q queries, a atoms (a third
+	// each in post, head and body) and n terms, by capacity.
+	levels := func(r, q, a, n int) *batchSlab {
+		s := new(batchSlab)
+		s.body.Requests = make([]api.Request, 0, r)
+		s.body.Requests = append(s.body.Requests, api.Request{Queries: make([]eq.Query, 0, q)})
+		atoms := func(k int) []eq.Atom { return make([]eq.Atom, 0, k) }
+		qs := append(s.body.Requests[0].Queries, eq.Query{Post: atoms(a / 3), Head: atoms(a / 3), Body: atoms(a - 2*(a/3))})
+		qs[0].Head = append(qs[0].Head, eq.Atom{Args: make([]eq.Term, 0, n)})
+		s.body.Requests[0].Queries = qs
+		return s
+	}
+	for _, c := range []struct {
+		r, q, a, n int
+		ok         bool
+	}{
+		{2048, 2100, 4095, 3000, true}, // any one level counted into the next goes past 4096
+		{4097, 1, 3, 1, false},
+		{1, 4097, 3, 1, false},
+		{1, 1, 4097, 1, false},
+		{1, 1, 3, 4097, false},
+	} {
+		if got := levels(c.r, c.q, c.a, c.n).clearBody(); got != c.ok {
+			t.Errorf("%d requests, %d queries, %d atoms, %d terms: clearBody %v, want %v", c.r, c.q, c.a, c.n, got, c.ok)
+		}
+	}
+}
+
+// TestFreshBufferHolds4KiB: a buffer the pool makes has room for 4 KiB,
+// what each end's bufio reader holds, so a frame that fits the reader
+// fits the buffer.
+func TestFreshBufferHolds4KiB(t *testing.T) {
+	if b := bufPool.New().(*[]byte); len(*b) != 0 || cap(*b) != 4096 {
+		t.Fatalf("a fresh buffer: length %d, capacity %d", len(*b), cap(*b))
+	}
+}

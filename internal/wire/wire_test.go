@@ -8,10 +8,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -430,6 +432,305 @@ func TestClientConnPipelines(t *testing.T) {
 		t.Fatalf("a call on a dead connection: %v", err)
 	}
 	cc.Close()
+}
+
+// TestCloseEndsTheConnection: Close, once or twice, fails the call in
+// flight and every later one with the bare ErrConnClosed, closes the
+// socket under the peer, and leaves no call pending.
+func TestCloseEndsTheConnection(t *testing.T) {
+	nc, peer := net.Pipe()
+	peer.SetDeadline(time.Now().Add(10 * time.Second))
+	asked, read := make(chan struct{}), make(chan error, 1)
+	go func() { // the server's read side: the magic, one request, then the end
+		br := bufio.NewReader(peer)
+		br.Discard(len(Magic))
+		ReadFrame(br, nil)
+		close(asked)
+		_, err := ReadFrame(br, nil)
+		read <- err
+	}()
+	cc := NewClientConn(nc, nil)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := cc.Call(context.Background(), KindHealth, nil)
+		done <- err
+	}()
+	<-asked
+	cc.Close()
+	cc.Close()
+	if err := <-done; err != ErrConnClosed {
+		t.Fatalf("the call in flight at Close: %v, want the bare %v", err, ErrConnClosed)
+	}
+	if err := <-read; err != io.EOF {
+		t.Fatalf("the peer's read after Close: %v, want io.EOF", err)
+	}
+	<-cc.Done()
+	if status, _, err := cc.Call(context.Background(), KindHealth, nil); status != 0 || err != ErrConnClosed {
+		t.Fatalf("a call after Close: status %d, %v", status, err)
+	}
+	if cc.pending != nil {
+		t.Fatalf("calls pending after Close: %v", cc.pending)
+	}
+}
+
+// TestBadFrameKillsTheConnection: a frame the client cannot take — a
+// request kind, or a push with bytes after its body — fails the call
+// in flight with the decode error, as the peer's going fails it with
+// EOF. Before that, an error reply hands its caller no body, a reply
+// leaves nothing pending, and a second reply to the same call is
+// dropped.
+func TestBadFrameKillsTheConnection(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		bad  func(e *Enc)
+		want string
+	}{
+		{"request kind", func(e *Enc) { PutHeader(e, Header{Kind: KindJoin, ID: 9}) }, "unexpected join frame from server"},
+		{"long push", func(e *Enc) { PutHeader(e, Header{Kind: KindPush}); Push{Session: "s"}.Encode(e); e.Byte(0) }, "trailing garbage"},
+		{"peer gone", nil, "EOF"},
+	} {
+		nc, peer := net.Pipe()
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		peer.SetDeadline(time.Now().Add(10 * time.Second))
+		asked := make(chan uint64, 2)
+		go func() {
+			br := bufio.NewReader(peer)
+			br.Discard(len(Magic))
+			for payload, err := ReadFrame(br, nil); err == nil; payload, err = ReadFrame(br, nil) {
+				asked <- GetHeader(NewDec(payload)).ID
+			}
+		}()
+		cc := NewClientConn(nc, func(Push) { t.Errorf("%s: a push reached the callback", c.name) })
+		send := func(body func(*Enc)) {
+			var e Enc
+			body(&e)
+			if err := WriteFrame(peer, e.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reply := func(id uint64) func(*Enc) {
+			return func(e *Enc) { PutHeader(e, Header{Kind: KindReply, ID: id}); PutReplyOK(e, 200) }
+		}
+		refused := make(chan Reply, 1)
+		go func() {
+			_, rep, _ := cc.Call(context.Background(), KindHealth, nil)
+			refused <- rep
+		}()
+		send(func(e *Enc) {
+			PutHeader(e, Header{Kind: KindReply, ID: <-asked})
+			PutReplyErr(e, &api.Error{Status: 404})
+		})
+		if rep := <-refused; rep.Body != nil || rep.buf != nil {
+			t.Errorf("%s: an error reply came with a body: %+v", c.name, rep)
+		}
+		go cc.Call(context.Background(), KindHealth, nil)
+		id := <-asked
+		send(reply(id))
+		send(reply(id)) // dropped: nobody waits for it
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			cc.mu.Lock()
+			n := len(cc.pending)
+			cc.mu.Unlock()
+			if n == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d calls pending after their reply", c.name, n)
+			}
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := cc.Call(context.Background(), KindHealth, nil)
+			done <- err
+		}()
+		<-asked
+		if c.bad == nil {
+			peer.Close()
+		} else {
+			send(c.bad)
+		}
+		if err := <-done; !errors.Is(err, ErrConnClosed) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: the call in flight: %v, want %q", c.name, err, c.want)
+		}
+		peer.Close()
+	}
+}
+
+// refusingConn fails every write; its reads wait for Close.
+type refusingConn struct{ net.Conn }
+
+var errRefused = errors.New("refused")
+
+func (refusingConn) Write([]byte) (int, error) { return 0, errRefused }
+
+// TestPreambleFailureKillsTheConnection: a connection that cannot send
+// its magic is dead at once, and the first call fails with the write's
+// error rather than wait for a read that never comes.
+func TestPreambleFailureKillsTheConnection(t *testing.T) {
+	nc, peer := net.Pipe()
+	defer peer.Close()
+	cc := NewClientConn(refusingConn{nc}, nil)
+	defer cc.Close()
+	select {
+	case <-cc.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("a connection whose preamble failed is still alive")
+	}
+	if _, _, err := cc.Call(context.Background(), KindHealth, nil); !errors.Is(err, ErrConnClosed) || !strings.Contains(err.Error(), "refused") {
+		t.Fatalf("a call after the preamble failed: %v", err)
+	}
+}
+
+// TestOversizedCallFailsAlone: a call whose request is over MaxFrame is
+// never written. It fails alone with the 413 bad_request HTTP answers
+// such a body: a call pipelined beside it and the next call succeed on
+// the same connection, and its error is no dead connection's.
+func TestOversizedCallFailsAlone(t *testing.T) {
+	nc, peer := net.Pipe()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	peer.SetDeadline(time.Now().Add(10 * time.Second))
+	asked := make(chan uint64, 4)
+	go func() { // the server's read side: the magic, then request ids
+		defer close(asked)
+		br := bufio.NewReader(peer)
+		br.Discard(len(Magic))
+		for payload, err := ReadFrame(br, nil); err == nil; payload, err = ReadFrame(br, nil) {
+			asked <- GetHeader(NewDec(payload)).ID
+		}
+	}()
+	cc := NewClientConn(nc, nil)
+	defer cc.Close()
+	call := func() <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, rep, err := cc.Call(context.Background(), KindHealth, nil)
+			if err == nil && NewDec(rep.Body).String() != "ok" {
+				err = fmt.Errorf("reply body %q", rep.Body)
+			}
+			rep.Release()
+			done <- err
+		}()
+		return done
+	}
+	answer := func(id uint64) {
+		var e Enc
+		PutHeader(&e, Header{Kind: KindReply, ID: id})
+		PutReplyOK(&e, 200)
+		e.String("ok")
+		if err := WriteFrame(peer, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	neighbour := call()
+	id := <-asked
+
+	big := make([]byte, MaxFrame)
+	status, rep, err := cc.Call(context.Background(), KindJoin, func(e *Enc) { e.Raw(big) })
+	var ae *api.Error
+	if !errors.As(err, &ae) || ae.Status != 413 || ae.Code != api.CodeBadRequest || status != 413 || rep.Body != nil || errors.Is(err, ErrConnClosed) {
+		t.Fatalf("oversized call: status %d, %v; want 413 and a bad_request *api.Error", status, err)
+	}
+	cc.mu.Lock()
+	pending := len(cc.pending)
+	cc.mu.Unlock()
+	if pending != 1 {
+		t.Fatalf("%d calls pending, want the neighbour's alone", pending)
+	}
+
+	answer(id)
+	if err := <-neighbour; err != nil {
+		t.Fatalf("the call pipelined beside it: %v", err)
+	}
+	next := call()
+	answer(<-asked)
+	if err := <-next; err != nil {
+		t.Fatalf("the next call: %v", err)
+	}
+}
+
+// TestFailedCallsAnswerNoStatus: a call that fails carries status 0,
+// whatever failed it. A reply that does not decode — its status cut
+// short, or its error — fails its call alone with ErrMalformed and the
+// connection serves on; a cancelled call returns the context's error;
+// and a request whose write fails kills the connection with the write's
+// error.
+func TestFailedCallsAnswerNoStatus(t *testing.T) {
+	nc, peer := net.Pipe()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	peer.SetDeadline(time.Now().Add(10 * time.Second))
+	asked := make(chan uint64, 4)
+	go func() { // the server's read side: the magic, then request ids
+		defer close(asked)
+		br := bufio.NewReader(peer)
+		br.Discard(len(Magic))
+		for payload, err := ReadFrame(br, nil); err == nil; payload, err = ReadFrame(br, nil) {
+			asked <- GetHeader(NewDec(payload)).ID
+		}
+	}()
+	conn := &failingWrites{Conn: nc}
+	cc := NewClientConn(conn, nil)
+	defer cc.Close()
+	type result struct {
+		status int
+		err    error
+	}
+	call := func(ctx context.Context) <-chan result {
+		done := make(chan result, 1)
+		go func() {
+			status, rep, err := cc.Call(ctx, KindHealth, nil)
+			rep.Release()
+			done <- result{status, err}
+		}()
+		return done
+	}
+	for _, body := range []func(*Enc){
+		func(e *Enc) { e.Bool(true) },                         // a success whose status is cut
+		func(e *Enc) { e.Bool(false); e.Int(404); e.Byte(1) }, // an error whose fields are cut
+		func(e *Enc) { PutReplyOK(e, 200) },                   // a sound reply
+	} {
+		done := call(context.Background())
+		var e Enc
+		PutHeader(&e, Header{Kind: KindReply, ID: <-asked})
+		body(&e)
+		if err := WriteFrame(peer, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		r := <-done
+		if sound := r.err == nil; sound != (r.status == 200) || !sound && (r.status != 0 || !errors.Is(r.err, ErrMalformed)) {
+			t.Fatalf("reply %x: status %d, %v", e.Bytes(), r.status, r.err)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := call(ctx)
+	<-asked
+	cancel()
+	if r := <-done; r.status != 0 || r.err != context.Canceled {
+		t.Fatalf("a cancelled call: status %d, %v", r.status, r.err)
+	}
+
+	conn.fail.Store(true)
+	if r := <-call(context.Background()); r.status != 0 || !errors.Is(r.err, ErrConnClosed) || !strings.Contains(r.err.Error(), errRefused.Error()) {
+		t.Fatalf("a call whose write failed: status %d, %v", r.status, r.err)
+	}
+	select {
+	case <-cc.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("a connection whose write failed is still alive")
+	}
+}
+
+// failingWrites fails every write once fail is set.
+type failingWrites struct {
+	net.Conn
+	fail atomic.Bool
+}
+
+func (c *failingWrites) Write(p []byte) (int, error) {
+	if c.fail.Load() {
+		return 0, errRefused
+	}
+	return c.Conn.Write(p)
 }
 
 // TestReplyBufferReleasedOnce: every frame the read loop reads into a

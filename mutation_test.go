@@ -27,6 +27,12 @@ package entangled_test
 // TestLattice), of the package -mutation.testpkg names if it is set, and
 // -mutation.only runs only the mutants whose ids a file lists, one a
 // line, as the run prints them.
+//
+// testdata/mutation/equivalent.txt names the survivors no test can kill,
+// one a line: the id as the run prints it, then why no answer, error or
+// bound depends on the change. The score counts them apart, and a run
+// fails on a listed id of its package that no site has any more or that
+// the run kills.
 
 import (
 	"bufio"
@@ -357,8 +363,9 @@ func (r *mutationRunner) outcome(m mutant, src []byte) (string, error) {
 
 // mutationScore is one run's tally.
 type mutationScore struct {
-	sites, compiled, killed int
-	survivors               []string
+	sites, compiled, killed, equivalent int
+	survivors                           []string
+	ids                                 map[string]string // every site's id: the outcome of a run one, "" otherwise
 }
 
 // mutate runs every selected mutant of the runner's package, logging one
@@ -376,10 +383,8 @@ func (r *mutationRunner) mutate(t *testing.T, files []string, fn *regexp.Regexp,
 			}
 		}
 	}
-	var (
-		err error
-		sc  mutationScore
-	)
+	var err error
+	sc := mutationScore{ids: map[string]string{}}
 	if r.limit, err = r.clean(filepath.Join(r.pkg, files[0]), r.tests, r.run); err != nil {
 		t.Fatal(err)
 	}
@@ -399,6 +404,7 @@ func (r *mutationRunner) mutate(t *testing.T, files []string, fn *regexp.Regexp,
 			t.Fatal(err)
 		}
 		for _, m := range ms {
+			sc.ids[m.id] = ""
 			if (fn != nil && !fn.MatchString(m.fn)) || (only != nil && !only[m.id]) {
 				continue
 			}
@@ -408,6 +414,7 @@ func (r *mutationRunner) mutate(t *testing.T, files []string, fn *regexp.Regexp,
 				t.Fatal(err)
 			}
 			t.Logf("%-10s %s:%d:%d %5.1fs  %s", res, file, m.line, m.col, time.Since(start).Seconds(), m.id)
+			sc.ids[m.id] = res
 			sc.sites++
 			switch res {
 			case killed:
@@ -425,10 +432,59 @@ func (r *mutationRunner) mutate(t *testing.T, files []string, fn *regexp.Regexp,
 func (sc mutationScore) String() string {
 	pct := 0.0
 	if sc.compiled > 0 {
-		pct = 100 * float64(sc.killed) / float64(sc.compiled)
+		pct = 100 * float64(sc.killed+sc.equivalent) / float64(sc.compiled)
 	}
-	return fmt.Sprintf("%d mutants, %d compiled, %d killed, %d survived (%.1f%% killed)",
-		sc.sites, sc.compiled, sc.killed, len(sc.survivors), pct)
+	return fmt.Sprintf("%d mutants, %d compiled, %d killed, %d named equivalent, %d survived (%.1f%% killed or named equivalent)",
+		sc.sites, sc.compiled, sc.killed, sc.equivalent, len(sc.survivors), pct)
+}
+
+// equivalentsFile names the survivors no test can kill.
+const equivalentsFile = "testdata/mutation/equivalent.txt"
+
+var equivalentLine = regexp.MustCompile(`^(\S.*? #\d+)\s+(\S.*)$`)
+
+// readEquivalents returns the ids src names equivalent among pkg's
+// files, each with its reason. Blank lines and lines starting with #
+// are skipped; any other line must be an id and a reason.
+func readEquivalents(src []byte, pkg string) (map[string]string, error) {
+	equiv := map[string]string{}
+	for i, line := range strings.Split(string(src), "\n") {
+		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		m := equivalentLine.FindStringSubmatch(line)
+		if m == nil {
+			return nil, fmt.Errorf("%s:%d: not a mutant id and a reason: %q", equivalentsFile, i+1, line)
+		}
+		if strings.HasPrefix(m[1], pkg+"/") {
+			equiv[m[1]] = m[2]
+		}
+	}
+	return equiv, nil
+}
+
+// name counts the survivors equiv lists as named equivalent. It fails
+// on a listed id that no site of the run's files has, or that the run
+// did not see survive; one the run did not select is left alone.
+func (sc *mutationScore) name(equiv map[string]string) error {
+	var errs []error
+	for id := range equiv {
+		res, ok := sc.ids[id]
+		switch {
+		case !ok:
+			errs = append(errs, fmt.Errorf("named equivalent, but no mutant has the id: %s", id))
+		case res != "" && res != survived:
+			errs = append(errs, fmt.Errorf("named equivalent, but %s: %s", res, id))
+		}
+	}
+	sc.survivors = slices.DeleteFunc(sc.survivors, func(id string) bool {
+		_, ok := equiv[id]
+		if ok {
+			sc.equivalent++
+		}
+		return ok
+	})
+	return errors.Join(errs...)
 }
 
 // TestMutation mutates the package -mutation.pkg names and reports each
@@ -469,7 +525,18 @@ func TestMutation(t *testing.T) {
 	if *mutationTest != "" && *mutationRun != "" {
 		r.tests = filepath.ToSlash(filepath.Clean(*mutationTest))
 	}
+	src, err := os.ReadFile(filepath.Join(root, equivalentsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	equiv, err := readEquivalents(src, pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sc := r.mutate(t, files, fn, only)
+	if err := sc.name(equiv); err != nil {
+		t.Error(err)
+	}
 	for _, id := range sc.survivors {
 		t.Logf("survivor: %s", id)
 	}
@@ -578,5 +645,30 @@ func TestMutationToolSelfCheck(t *testing.T) {
 	}
 	if weak.compiled != strong.compiled || weak.killed >= strong.killed {
 		t.Fatalf("the weak test must score lower: weak %s, strong %s", weak, strong)
+	}
+	// A survivor named equivalent counts apart; a named id that no site
+	// has, or that the run killed, fails the run.
+	killedID := ""
+	for id, res := range weak.ids {
+		if res == killed {
+			killedID = id
+		}
+	}
+	named := weak.survivors[0]
+	list := fmt.Sprintf("# comment\n\n%s  the weak test cannot tell\ntiny/tiny.go Clamp cmp: x < lo -> x >= lo #9 gone\n%s killed\nother/x.go F delete: f() -> #1 elsewhere\n", named, killedID)
+	equiv, err := readEquivalents([]byte(list), "tiny")
+	if err != nil || len(equiv) != 3 || equiv[named] != "the weak test cannot tell" {
+		t.Fatalf("readEquivalents: %v, %v", equiv, err)
+	}
+	if _, err := readEquivalents([]byte(named+"\n"), "tiny"); err == nil {
+		t.Fatal("an id without a reason was read")
+	}
+	err = weak.name(equiv)
+	if err == nil || !strings.Contains(err.Error(), "no mutant has the id: tiny/tiny.go Clamp cmp: x < lo -> x >= lo #9") ||
+		!strings.Contains(err.Error(), "but killed: "+killedID) || strings.Count(err.Error(), "\n") != 1 {
+		t.Fatalf("naming a gone id and a killed one: %v", err)
+	}
+	if weak.equivalent != 1 || slices.Contains(weak.survivors, named) || weak.compiled != weak.killed+weak.equivalent+len(weak.survivors) {
+		t.Fatalf("after naming %s equivalent: %s", named, weak)
 	}
 }
